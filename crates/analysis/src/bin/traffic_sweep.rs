@@ -45,7 +45,10 @@
 //!
 //! `--no-early-exit` disables the rate-ladder early exit (post-
 //! saturation rates marked `sat` without simulating, wedged drains cut
-//! short) when the full post-saturation curves are wanted.
+//! short) when the full post-saturation curves are wanted. A `--json`
+//! row of a point that was not simulated says `"simulated": false` and
+//! carries `null` for everything it did not measure (latencies,
+//! `delivered_pct`, accepted throughput, `mflits_per_sec`).
 //!
 //! By default the sweep prints aligned text tables (and CSV next to
 //! `--out`). With `--json` it instead emits one machine-readable JSON

@@ -60,6 +60,14 @@ impl JsonObject {
         self
     }
 
+    /// A `null`: the key is part of the row's schema, but this record
+    /// has no measurement for it.
+    pub fn null(&mut self, key: &str) -> &mut Self {
+        self.key(key);
+        self.buf.push_str("null");
+        self
+    }
+
     /// A quoted string value. Only plain `[A-Za-z0-9_.-]` strings are
     /// accepted (panics otherwise) — the emitter has no escaping on
     /// purpose; see the module docs.

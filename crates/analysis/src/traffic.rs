@@ -314,15 +314,36 @@ impl LoadSweepResult {
                 let mut row = JsonObject::new();
                 row.string("router", p.router.name())
                     .field("faults", p.faults)
-                    .field("rate", p.rate)
-                    .float("mean_latency", st.mean_latency(), 3)
-                    .field("p50_latency", st.p50_latency())
-                    .field("p95_latency", st.p95_latency())
-                    .field("p99_latency", st.p99_latency())
-                    .field("max_latency", st.latency.max())
-                    .float("accepted_flits_per_node_cycle", st.accepted_flits_per_node_cycle(), 6)
-                    .float("delivered_pct", st.delivered_pct(), 3)
-                    .field("generated", st.generated)
+                    .field("rate", p.rate);
+                if p.simulated {
+                    row.float("mean_latency", st.mean_latency(), 3)
+                        .field("p50_latency", st.p50_latency())
+                        .field("p95_latency", st.p95_latency())
+                        .field("p99_latency", st.p99_latency())
+                        .field("max_latency", st.latency.max())
+                        .float(
+                            "accepted_flits_per_node_cycle",
+                            st.accepted_flits_per_node_cycle(),
+                            6,
+                        )
+                        .float("delivered_pct", st.delivered_pct(), 3);
+                } else {
+                    // An early-exited point inherited its verdict; nothing
+                    // was measured. Its placeholder statistics would read
+                    // "100 % delivered at zero latency".
+                    for key in [
+                        "mean_latency",
+                        "p50_latency",
+                        "p95_latency",
+                        "p99_latency",
+                        "max_latency",
+                        "accepted_flits_per_node_cycle",
+                        "delivered_pct",
+                    ] {
+                        row.null(key);
+                    }
+                }
+                row.field("generated", st.generated)
                     .field("measured_generated", st.measured_generated)
                     .field("measured_delivered", st.measured_delivered)
                     .field("unroutable", st.unroutable)
@@ -338,8 +359,12 @@ impl LoadSweepResult {
                     .field("churn_dropped", st.churn_dropped)
                     .field("churn_killed", st.churn_killed)
                     .field("churn_rejected", st.churn_rejected)
-                    .float("sim_wall_ms", p.sim_wall_ms, 3)
-                    .float("mflits_per_sec", p.mflits_per_sec(), 3);
+                    .float("sim_wall_ms", p.sim_wall_ms, 3);
+                if p.simulated {
+                    row.float("mflits_per_sec", p.mflits_per_sec(), 3);
+                } else {
+                    row.null("mflits_per_sec");
+                }
                 if let Some(wl) = &p.workload {
                     row.field("flows_delivered", wl.flows_delivered)
                         .field("flows_aborted", wl.flows_aborted)
@@ -610,6 +635,7 @@ pub fn run_load_sweep(config: &LoadSweepConfig) -> LoadSweepResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jsonl::{parse_flat, FlatValue};
     use meshpath_traffic::{InjectionProcess, LengthDist, ObsLevel};
 
     #[test]
@@ -674,6 +700,55 @@ mod tests {
         }
         // No trailing comma before the closing bracket.
         assert!(!json.contains(",\n  ]"), "trailing comma: {json}");
+
+        // A synthesized (early-exited) row keeps the schema but reads
+        // `null` wherever nothing was measured — not "100 % delivered at
+        // zero latency". 0.3 packets/node/cycle on 6x6 saturates at the
+        // first rate, so the second is synthesized.
+        let sat = run_load_sweep(&LoadSweepConfig {
+            mesh: 6,
+            fault_counts: vec![0],
+            rates: vec![0.3, 0.6],
+            routers: vec![RoutingKind::Xy],
+            sim: SimConfig { warmup: 50, measure: 300, drain: 150, ..SimConfig::default() },
+            threads: 1,
+            ..Default::default()
+        });
+        let json = sat.to_json();
+        let rows: Vec<_> = json
+            .split("\"rows\": [")
+            .nth(1)
+            .expect("rows array present")
+            .lines()
+            .filter(|l| l.trim_start().starts_with('{'))
+            .map(|l| parse_flat(l.trim().trim_end_matches(',')).expect("flat row"))
+            .collect();
+        assert_eq!(rows.len(), 2);
+        let unmeasured = [
+            "mean_latency",
+            "p50_latency",
+            "p95_latency",
+            "p99_latency",
+            "max_latency",
+            "accepted_flits_per_node_cycle",
+            "delivered_pct",
+            "mflits_per_sec",
+        ];
+        for (row, simulated) in rows.iter().zip([true, false]) {
+            let get = |key: &str| {
+                &row.iter().find(|(k, _)| k == key).unwrap_or_else(|| panic!("no {key}")).1
+            };
+            assert_eq!(*get("simulated"), FlatValue::Bool(simulated));
+            assert_eq!(*get("saturated"), FlatValue::Bool(true));
+            for key in unmeasured {
+                assert_eq!(*get(key) == FlatValue::Null, !simulated, "{key} in {row:?}");
+            }
+        }
+        assert_eq!(
+            rows[0].iter().map(|(k, _)| k).collect::<Vec<_>>(),
+            rows[1].iter().map(|(k, _)| k).collect::<Vec<_>>(),
+            "both kinds of row carry the same keys in the same order"
+        );
     }
 
     /// The `rows` array of a sweep JSON document with the wall-clock

@@ -350,7 +350,12 @@ impl InfoModel {
         self.mesh.contains(oc) && self.knowledge[mcc.index()].contains(oc)
     }
 
-    /// The MCCs known at `oc` (O(#MCC) scan over bit-sets).
+    /// The MCCs known at `oc`: one [`knows`](Self::knows) test per MCC
+    /// of the orientation, O(#MCC) — for reports and tests. A routing
+    /// decision never enumerates like this: Algorithm 2 asks
+    /// `knows(oc, f)` only for the few MCCs whose critical region holds
+    /// the phase target (`meshpath_route::alg2`, "What a decision
+    /// reads").
     pub fn known_at(&self, oc: Coord) -> Vec<MccId> {
         (0..self.knowledge.len() as u32).map(MccId).filter(|&id| self.knows(oc, id)).collect()
     }

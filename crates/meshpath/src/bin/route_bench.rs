@@ -22,7 +22,14 @@
 //! * **update** — the uncontended incremental-mutation path
 //!   (alternating add/remove, each publishing an epoch); the row
 //!   reports `applied` mutations and `ups` (updates per second) — no
-//!   query counters.
+//!   query counters;
+//! * **cold** — the miss path, so the trajectory is not hit-path only:
+//!   a fixed reference network (64x64, 5 % faults, RB2 — whatever
+//!   `--mesh`/`--queries` say) serving *fresh* uniform healthy pairs,
+//!   one thread, for at least half a second; practically every query
+//!   misses the cache and runs the router. `qps` and `us_per_route` are
+//!   the cost of a cold route plus the cache insert. Time-bounded, so
+//!   its `wall_ms` says nothing — gate on `qps`.
 //!
 //! `--obs` enables `ServiceMetrics` (latency histograms, route-cache
 //! hit/miss counters, batch sizes) and reports the digest — as an
@@ -348,6 +355,56 @@ fn main() {
     rows.push(row);
     if !json {
         println!("update threads 1: {applied} epochs applied in {wall_ms:8.1} ms  ({ups:.0}/s)");
+    }
+
+    // Phase 5: cold queries on the reference network (see the module
+    // docs). Pairs are drawn as they are routed; the clock is read once
+    // per 256 queries.
+    {
+        let mesh = Mesh::square(64);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xc01d);
+        let fault_count = mesh.len() / 20;
+        let faults = FaultSet::random(mesh, fault_count, FaultInjection::Uniform, &mut rng);
+        let cold = RouteService::new(faults);
+        let view = cold.view();
+        let healthy: Vec<Coord> = mesh.iter().filter(|&c| view.faults().is_healthy(c)).collect();
+        let (mut queries, mut routed) = (0usize, 0usize);
+        let started = Instant::now();
+        let wall_ms = loop {
+            for _ in 0..256 {
+                let s = healthy[rng.gen_range(0..healthy.len())];
+                let d = healthy[rng.gen_range(0..healthy.len())];
+                match cold.route(s, d) {
+                    Ok(_) => routed += 1,
+                    Err(RouteError::Unreachable { .. }) => {}
+                    Err(e) => panic!("cold-phase query failed: {e}"),
+                }
+            }
+            queries += 256;
+            let elapsed = started.elapsed().as_secs_f64() * 1e3;
+            if elapsed >= 500.0 {
+                break elapsed;
+            }
+        };
+        total_wall_ms += wall_ms;
+        let qps = queries as f64 / (wall_ms * 1e-3);
+        let us_per_route = wall_ms * 1e3 / queries as f64;
+        let mut row = JsonObject::new();
+        row.string("phase", "cold")
+            .field("threads", 1)
+            .field("mesh", 64)
+            .field("faults", fault_count)
+            .field("queries", queries)
+            .field("routed", routed)
+            .float("wall_ms", wall_ms, 3)
+            .float("qps", qps, 1)
+            .float("us_per_route", us_per_route, 2);
+        rows.push(row);
+        if !json {
+            println!(
+                "cold   threads 1: {queries} fresh pairs on 64x64/{fault_count} faults in {wall_ms:8.1} ms  ({qps:9.0}/s, {us_per_route:.1} us each, {routed} routed)"
+            );
+        }
     }
 
     // The service-side observability digest: latency histograms plus

@@ -60,8 +60,8 @@
 //! let oracle = DistanceField::healthy(view.faults(), Coord::new(13, 13));
 //! assert_eq!(reply.hops(), oracle.dist(Coord::new(2, 2)));
 //!
-//! // Batches resolve the snapshot once and reuse router scratch:
-//! // every reply is exactly what `route` would answer, in order.
+//! // Batches resolve the snapshot once: every reply is exactly what
+//! // `route` would answer, in order.
 //! let replies = service.route_many(&[
 //!     (Coord::new(2, 2), Coord::new(13, 13)),
 //!     (Coord::new(0, 15), Coord::new(15, 0)),
@@ -105,7 +105,8 @@
 //!
 //! * [`route`](RouteService::route) — one query, one epoch check;
 //! * [`route_many`](RouteService::route_many) — a batch against one
-//!   snapshot resolution, sharing router scratch across the batch;
+//!   snapshot resolution (misses, batched or single, run the router on
+//!   one thread-local scratch);
 //! * the **per-epoch warm route cache** — a configurable entries
 //!   budget ([`RouteService::with_route_cache`], default
 //!   [`DEFAULT_CACHE_ENTRIES`] memoized pairs) of lazily filled query

@@ -27,10 +27,17 @@
 //! ## Batched queries
 //!
 //! [`route_many`](RouteService::route_many) answers a whole batch
-//! against one snapshot resolution: the per-query epoch check, the
-//! router scratch allocations ([`HopState`] reuse via
-//! [`Router::route_with`]) and the metrics/latency bookkeeping are all
-//! paid once per batch.
+//! against one snapshot resolution: the per-query epoch check and the
+//! metrics/latency bookkeeping are paid once per batch.
+//!
+//! ## The miss path
+//!
+//! A query the cache cannot answer first compares the endpoints'
+//! healthy-component labels (flooded once per epoch, on its first miss):
+//! a cut pair is [`RouteError::Unreachable`] in O(1), without walking the
+//! router's hop budget. Connected pairs run the router on one
+//! thread-local [`HopState`] ([`Router::route_with`]), so neither a
+//! single query nor a batch allocates router scratch.
 //!
 //! ## Per-epoch warm route cache
 //!
@@ -54,7 +61,6 @@ use std::time::{Duration, Instant};
 use arc_swap::{cache::Cache, ArcSwap};
 use meshpath_mesh::Coord;
 use meshpath_obs::{AtomicLogHistogram, HitMiss, LogHistogram};
-use meshpath_route::oracle::DistanceField;
 use meshpath_route::{HopState, NetState, NetView, RouteResult, Router, RoutingKind, UpdateError};
 use meshpath_traffic::{ChurnInjector, ChurnOp};
 
@@ -273,6 +279,9 @@ const THREAD_CACHE_CAP: usize = 8;
 
 thread_local! {
     static SERVED_CACHE: RefCell<Vec<(u64, Cache<Served>)>> = const { RefCell::new(Vec::new()) };
+    /// Router scratch of every miss this thread computes, reset per
+    /// query: its allocations are paid once per thread.
+    static SCRATCH: RefCell<HopState> = RefCell::new(HopState::new(Coord::new(0, 0)));
 }
 
 /// The query facade: answers concurrent route queries against the
@@ -397,7 +406,7 @@ impl RouteService {
     /// cache when one exists.
     pub fn route(&self, src: Coord, dst: Coord) -> Result<RouteReply, RouteError> {
         let t = self.metrics.as_ref().map(|_| Instant::now());
-        let reply = self.with_served(|served| self.route_served(served, src, dst, None));
+        let reply = self.with_served(|served| self.route_served(served, src, dst));
         if let (Some(m), Some(t)) = (&self.metrics, t) {
             m.query_ns.record(t.elapsed().as_nanos() as u64);
             match &reply {
@@ -409,20 +418,14 @@ impl RouteService {
     }
 
     /// Routes a whole batch against **one** snapshot resolution: every
-    /// reply carries the same epoch, router scratch is allocated once
-    /// and reused across the batch ([`Router::route_with`]), and
-    /// metrics/latency bookkeeping is amortized to one record per
-    /// batch. Replies are returned in the order of `pairs`, each
+    /// reply carries the same epoch, and metrics/latency bookkeeping is
+    /// amortized to one record per batch. Replies are returned in the order of `pairs`, each
     /// exactly what [`route`](RouteService::route) would have answered
     /// at this epoch.
     pub fn route_many(&self, pairs: &[(Coord, Coord)]) -> Vec<Result<RouteReply, RouteError>> {
         let t = self.metrics.as_ref().map(|_| Instant::now());
         let replies = self.with_served(|served| {
-            let mut scratch = HopState::new(Coord::new(0, 0));
-            pairs
-                .iter()
-                .map(|&(s, d)| self.route_served(served, s, d, Some(&mut scratch)))
-                .collect::<Vec<_>>()
+            pairs.iter().map(|&(s, d)| self.route_served(served, s, d)).collect::<Vec<_>>()
         });
         if let (Some(m), Some(t)) = (&self.metrics, t) {
             m.batch_ns.record(t.elapsed().as_nanos() as u64);
@@ -446,10 +449,10 @@ impl RouteService {
         dst: Coord,
     ) -> Result<RouteReply, RouteError> {
         let Some(m) = &self.metrics else {
-            return self.route_uncached(view, src, dst, None);
+            return self.route_uncached(view, src, dst);
         };
         let t = Instant::now();
-        let reply = self.route_uncached(view, src, dst, None);
+        let reply = self.route_uncached(view, src, dst);
         m.query_ns.record(t.elapsed().as_nanos() as u64);
         match &reply {
             Ok(_) => m.queries_ok.fetch_add(1, Ordering::Relaxed),
@@ -465,13 +468,12 @@ impl RouteService {
         served: &Served,
         src: Coord,
         dst: Coord,
-        scratch: Option<&mut HopState>,
     ) -> Result<RouteReply, RouteError> {
         let view = &served.view;
         self.validate(view, src, dst)?;
         let Some(cache) = &served.cache else {
             return self
-                .compute(view, src, dst, scratch)
+                .compute(view, src, dst)
                 .map(|result| RouteReply { epoch: view.epoch(), result });
         };
         if let Some(outcome) = cache.lookup(view.mesh(), src, dst) {
@@ -483,7 +485,7 @@ impl RouteService {
         if let Some(m) = &self.metrics {
             m.route_cache.miss();
         }
-        let outcome = self.compute(view, src, dst, scratch);
+        let outcome = self.compute(view, src, dst);
         cache.fill(view.mesh(), src, dst, &outcome);
         outcome.map(|result| RouteReply { epoch: view.epoch(), result })
     }
@@ -495,11 +497,9 @@ impl RouteService {
         view: &NetView,
         src: Coord,
         dst: Coord,
-        scratch: Option<&mut HopState>,
     ) -> Result<RouteReply, RouteError> {
         self.validate(view, src, dst)?;
-        self.compute(view, src, dst, scratch)
-            .map(|result| RouteReply { epoch: view.epoch(), result })
+        self.compute(view, src, dst).map(|result| RouteReply { epoch: view.epoch(), result })
     }
 
     fn validate(&self, view: &NetView, src: Coord, dst: Coord) -> Result<(), RouteError> {
@@ -518,27 +518,19 @@ impl RouteService {
         Ok(())
     }
 
-    /// Runs the router (reusing `scratch` when the caller batches) and
-    /// classifies a non-delivery.
-    fn compute(
-        &self,
-        view: &NetView,
-        src: Coord,
-        dst: Coord,
-        scratch: Option<&mut HopState>,
-    ) -> Result<RouteResult, RouteError> {
-        let result = match scratch {
-            Some(state) => self.router.route_with(view, src, dst, state),
-            None => self.router.route(view, src, dst),
-        };
-        if result.delivered {
-            return Ok(result);
+    /// The miss path for validated (in-mesh, healthy) endpoints: a cut
+    /// pair is answered from the epoch's component labels; a connected
+    /// one runs the router on the thread's scratch.
+    fn compute(&self, view: &NetView, src: Coord, dst: Coord) -> Result<RouteResult, RouteError> {
+        if view.component_of(src) != view.component_of(dst) {
+            return Err(RouteError::Unreachable { src, dst });
         }
-        // Classify the failure: disconnection is the expected cause; a
-        // connected pair the router gave up on is reported distinctly.
-        if !DistanceField::healthy(view.faults(), dst).reachable(src) {
-            Err(RouteError::Unreachable { src, dst })
+        let result = SCRATCH
+            .with(|scratch| self.router.route_with(view, src, dst, &mut scratch.borrow_mut()));
+        if result.delivered {
+            Ok(result)
         } else {
+            // The router gave up on a connected pair.
             Err(RouteError::Undelivered { src, dst })
         }
     }
@@ -643,6 +635,26 @@ impl fmt::Debug for RouteService {
 mod tests {
     use super::*;
     use meshpath_mesh::{Coord, FaultSet, Mesh};
+    use meshpath_route::oracle::DistanceField;
+    use meshpath_route::{Decision, HopCtx};
+
+    /// RB2 that counts its per-hop decisions: the "did the router walk?"
+    /// probe of the unreachable-pair test.
+    struct CountingRb2 {
+        inner: Box<dyn Router + Send + Sync>,
+        decisions: Arc<AtomicU64>,
+    }
+
+    impl Router for CountingRb2 {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn decide(&self, view: &NetView, ctx: HopCtx<'_>) -> Decision {
+            self.decisions.fetch_add(1, Ordering::Relaxed);
+            self.inner.decide(view, ctx)
+        }
+    }
 
     fn service() -> RouteService {
         let mesh = Mesh::square(12);
@@ -780,6 +792,37 @@ mod tests {
                 Some(RouteError::Unreachable { src: Coord::new(0, 0), dst: Coord::new(0, 7) })
             );
         }
+    }
+
+    #[test]
+    fn a_walled_in_node_is_unreachable_without_a_walk() {
+        // (0,0) on 64x64 is healthy but cut off by its two neighbors.
+        // The reply used to cost RB2's whole 8*4096-hop budget plus a
+        // classifying BFS; the component labels answer it with zero
+        // router decisions, and connected pairs still route.
+        let mesh = Mesh::square(64);
+        let mut svc =
+            RouteService::new(FaultSet::from_coords(mesh, [Coord::new(1, 0), Coord::new(0, 1)]))
+                .with_metrics();
+        let decisions = Arc::new(AtomicU64::new(0));
+        svc.router = Box::new(CountingRb2 {
+            inner: RoutingKind::Rb2.router(),
+            decisions: Arc::clone(&decisions),
+        });
+        let (pocket, far) = (Coord::new(0, 0), Coord::new(40, 40));
+        for (src, dst) in [(pocket, far), (far, pocket)] {
+            assert_eq!(svc.route(src, dst).err(), Some(RouteError::Unreachable { src, dst }));
+        }
+        assert_eq!(decisions.load(Ordering::Relaxed), 0, "a cut pair must not run the router");
+        let m = svc.metrics().expect("enabled");
+        assert_eq!((m.cache_hits(), m.cache_misses()), (0, 2), "both were computed, not cached");
+        // The verdict is memoized like any other outcome.
+        assert!(svc.route(pocket, far).is_err());
+        assert_eq!((m.cache_hits(), m.cache_misses()), (1, 2));
+        // A connected pair is untouched: routed hop by hop, shortest.
+        let reply = svc.route(Coord::new(2, 0), far).expect("connected");
+        assert_eq!(reply.hops(), Coord::new(2, 0).manhattan(far));
+        assert!(decisions.load(Ordering::Relaxed) >= u64::from(reply.hops()));
     }
 
     #[test]

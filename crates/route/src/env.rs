@@ -2,9 +2,11 @@
 //! plus the incremental per-fault update machinery behind
 //! [`NetState`](crate::NetState).
 
+use std::sync::OnceLock;
+
 use meshpath_fault::{BlockSet, BorderPolicy, MccId, MccSet};
 use meshpath_info::{BoundarySet, InfoModel, ModelKind};
-use meshpath_mesh::{Coord, FaultSet, FxHashSet, Mesh, Orientation};
+use meshpath_mesh::{components, Coord, FaultSet, FxHashSet, Grid, Mesh, Orientation};
 
 /// Everything the routers need about one fault configuration:
 ///
@@ -27,6 +29,9 @@ pub struct Network {
     /// retained so incremental updates can reuse untouched walks).
     bounds: Vec<BoundarySet>,
     blocks: BlockSet,
+    /// Healthy-component label per node (`u32::MAX` on faulty nodes),
+    /// flooded on the first [`component_of`](Network::component_of).
+    components: OnceLock<Grid<u32>>,
 }
 
 /// One single-fault delta applied by the incremental update path.
@@ -56,7 +61,7 @@ impl Network {
             mccs.push(set);
         }
         let blocks = BlockSet::build(&faults);
-        Network { faults, mccs, models, bounds, blocks }
+        Network { faults, mccs, models, bounds, blocks, components: OnceLock::new() }
     }
 
     /// The incremental single-fault update: relabels only the delta
@@ -194,7 +199,14 @@ impl Network {
             mccs.push(new_set);
         }
         let blocks = BlockSet::build(new_faults);
-        Some(Network { faults: new_faults.clone(), mccs, models, bounds, blocks })
+        Some(Network {
+            faults: new_faults.clone(),
+            mccs,
+            models,
+            bounds,
+            blocks,
+            components: OnceLock::new(),
+        })
     }
 
     /// The mesh.
@@ -230,6 +242,17 @@ impl Network {
     #[inline]
     pub fn blocks(&self) -> &BlockSet {
         &self.blocks
+    }
+
+    /// The healthy component holding `c` (`None` for a faulty or off-mesh
+    /// node): two healthy nodes have a healthy path between them exactly
+    /// when their labels agree. The labels are flooded once per
+    /// configuration, on first use; every later call is one grid read —
+    /// which is how the route service and the traffic path table answer
+    /// a cut pair without routing it.
+    pub fn component_of(&self, c: Coord) -> Option<u32> {
+        let labels = self.components.get_or_init(|| components(&self.faults).0);
+        labels.get(c).copied().filter(|&l| l != u32::MAX)
     }
 
     /// True when `c` is a safe node in the orientation normalizing `s -> d`
@@ -279,5 +302,18 @@ mod tests {
         assert!(!net.is_safe_for(Coord::new(4, 4), Coord::new(0, 0), Coord::new(9, 9)));
         assert!(!net.is_safe_all_orientations(Coord::new(4, 4)));
         assert!(net.is_safe_all_orientations(Coord::new(0, 0)));
+    }
+
+    #[test]
+    fn component_labels_separate_a_walled_in_node() {
+        let mesh = Mesh::square(6);
+        // (0,0) is healthy but cut off by (1,0) and (0,1).
+        let net = Network::build(FaultSet::from_coords(mesh, [Coord::new(1, 0), Coord::new(0, 1)]));
+        let pocket = net.component_of(Coord::new(0, 0)).expect("healthy");
+        let main = net.component_of(Coord::new(5, 5)).expect("healthy");
+        assert_ne!(pocket, main);
+        assert_eq!(net.component_of(Coord::new(2, 2)), Some(main));
+        assert_eq!(net.component_of(Coord::new(1, 0)), None, "faulty nodes carry no label");
+        assert_eq!(net.component_of(Coord::new(-1, 0)), None, "off-mesh nodes carry no label");
     }
 }

@@ -21,6 +21,7 @@
 use meshpath_mesh::{Coord, Dir, FaultSet, FxHashSet};
 use serde::{Deserialize, Serialize};
 
+use crate::alg2::CriticalSet;
 use crate::engine::{hop_budget, Detour, RouteResult, Visited};
 use crate::view::NetView;
 
@@ -59,9 +60,11 @@ pub struct HopCtx<'a> {
 
 /// Per-message routing scratch: the state the paper's algorithms carry
 /// in the message header — detour walls, visit counts, the multi-phase
-/// waypoint stack, locally learned obstacles. Opaque to callers; create
-/// one per message with [`HopState::new`] and hand it to every
-/// [`Router::decide`] call for that message.
+/// waypoint stack, locally learned obstacles, the triples that can fire
+/// for the current phase target. Opaque to callers; create one per
+/// message with [`HopState::new`] (or [`reset`](HopState::reset) a used
+/// one) and hand it to every [`Router::decide`] call for that message,
+/// all against the same snapshot.
 #[derive(Debug)]
 pub struct HopState {
     pub(crate) prev: Option<Coord>,
@@ -76,6 +79,9 @@ pub struct HopState {
     pub(crate) forced: Option<(Vec<Coord>, usize)>,
     pub(crate) planned: bool,
     pub(crate) healthy_mode: bool,
+    /// Algorithm 2's target-keyed exclusion candidates (see
+    /// [`CriticalSet`]): MCC ids of *this* message's snapshot.
+    pub(crate) critical: CriticalSet,
 }
 
 impl HopState {
@@ -94,15 +100,17 @@ impl HopState {
             forced: None,
             planned: false,
             healthy_mode: false,
+            critical: CriticalSet::default(),
         }
     }
 
     /// Resets to fresh scratch for a new message injected at `src`,
     /// keeping the heap allocations (visited map, learned set, waypoint
-    /// stack) of the previous message. This is the batch entry point:
-    /// [`Router::route_with`] resets one `HopState` per query so a
-    /// `route_many`-style caller pays the scratch allocations once per
-    /// batch instead of once per message.
+    /// stack, critical set) of the previous message. This is the reuse
+    /// entry point: [`Router::route_with`] resets one `HopState` per
+    /// query, so a caller that routes many messages — the route
+    /// service's miss path, the traffic path table — pays the scratch
+    /// allocations once instead of once per message.
     pub fn reset(&mut self, src: Coord) {
         self.prev = None;
         self.visited.reset(src);
@@ -116,6 +124,7 @@ impl HopState {
         self.forced = None;
         self.planned = false;
         self.healthy_mode = false;
+        self.critical.clear();
     }
 
     /// Hops spent in wall-following detours so far.
@@ -431,6 +440,62 @@ mod tests {
             for (s, d) in pairs {
                 let reused = router.route_with(&net, s, d, &mut state);
                 assert_eq!(reused, router.route(&net, s, d), "{} {s:?}->{d:?}", kind.name());
+            }
+        }
+    }
+
+    #[test]
+    fn a_reused_state_never_serves_a_stale_critical_set() {
+        use crate::routers::{Rb1, Rb2, Rb3};
+        use crate::{AdaptivePolicy, KnowledgeScope};
+
+        // In `a`, (9,5) is X-critical for the MCC at (5,5): a +Y-first
+        // walk from (0,3) must be kept out of row 5 west of the fault. In
+        // `b` nothing is critical for that target. One state routes the
+        // same pair on `b`, then on `a`: the key (orientation, target) is
+        // the same, so a set that survived `reset` would carry `b`'s
+        // (empty) answer into `a` and the walk would enter the shadow.
+        let mesh = Mesh::square(12);
+        let a = NetView::build(FaultSet::from_coords(mesh, [Coord::new(5, 5)]));
+        let b = NetView::build(FaultSet::from_coords(mesh, [Coord::new(9, 9)]));
+        let (s, d) = (Coord::new(0, 3), Coord::new(9, 5));
+        let (policy, scope) = (AdaptivePolicy::PreferY, KnowledgeScope::Global);
+        let routers: [&dyn Router; 3] =
+            [&Rb1 { policy, scope }, &Rb2 { policy, scope }, &Rb3 { policy, scope }];
+        for router in routers {
+            let mut state = HopState::new(s);
+            for net in [&b, &a, &b, &a] {
+                let reused = router.route_with(net, s, d, &mut state);
+                assert_eq!(reused, router.route(net, s, d), "{}", router.name());
+                assert_eq!(reused.hops(), s.manhattan(d), "{} left the rectangle", router.name());
+            }
+            // The walk left a key behind; `reset` forgets it.
+            assert!(state.critical.is_keyed());
+            state.reset(s);
+            assert!(!state.critical.is_keyed());
+        }
+
+        // Broadly: messages alternating between two networks through one
+        // state, same targets in both, every orientation.
+        let a = NetView::build(FaultSet::from_coords(
+            mesh,
+            [Coord::new(5, 5), Coord::new(6, 5), Coord::new(2, 8)],
+        ));
+        let b = NetView::build(FaultSet::from_coords(
+            mesh,
+            [Coord::new(1, 1), Coord::new(5, 6), Coord::new(5, 7), Coord::new(9, 3)],
+        ));
+        let corners = [Coord::new(0, 0), Coord::new(11, 0), Coord::new(0, 11), Coord::new(11, 11)];
+        for kind in [RoutingKind::Rb1, RoutingKind::Rb2, RoutingKind::Rb3] {
+            let router = kind.router();
+            let mut state = HopState::new(corners[0]);
+            for d in [Coord::new(5, 9), Coord::new(6, 2), Coord::new(5, 4)] {
+                for s in corners {
+                    for net in [&a, &b] {
+                        let reused = router.route_with(net, s, d, &mut state);
+                        assert_eq!(reused, router.route(net, s, d), "{} {s:?}->{d:?}", kind.name());
+                    }
+                }
             }
         }
     }

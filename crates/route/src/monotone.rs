@@ -25,8 +25,18 @@ pub fn monotone_feasible(s: Coord, d: Coord, blocked: impl Fn(Coord) -> bool) ->
     }
     let w = (d.x - s.x + 1) as usize;
     let h = (d.y - s.y + 1) as usize;
-    // reach[i] for the current row: reachable at x = s.x + i.
-    let mut reach = vec![false; w];
+    // reach[i] for the current row: reachable at x = s.x + i. The planner
+    // asks this several times per plan; rows up to STACK_ROW wide (any
+    // rectangle of a 64-wide mesh) never touch the heap.
+    const STACK_ROW: usize = 64;
+    let mut stack = [false; STACK_ROW];
+    let mut heap = Vec::new();
+    let reach: &mut [bool] = if w <= STACK_ROW {
+        &mut stack[..w]
+    } else {
+        heap.resize(w, false);
+        &mut heap
+    };
     for j in 0..h {
         let y = s.y + j as i32;
         let mut from_left = false;
@@ -107,6 +117,18 @@ mod tests {
         let b = [(3, 0)];
         assert!(!monotone_feasible(Coord::new(0, 0), Coord::new(5, 0), blocked_set(&b)));
         assert!(monotone_feasible(Coord::new(0, 1), Coord::new(5, 1), blocked_set(&b)));
+    }
+
+    #[test]
+    fn rows_wider_than_the_stack_buffer_agree_with_the_path_dp() {
+        // 100 columns: the row buffer spills to the heap.
+        let (s, d) = (Coord::new(0, 0), Coord::new(99, 2));
+        let wall = |c: Coord| c.x == 70 && c.y < 2;
+        assert!(monotone_feasible(s, d, wall));
+        assert!(monotone_path(s, d, wall).is_some());
+        let full_wall = |c: Coord| c.x == 70;
+        assert!(!monotone_feasible(s, d, full_wall));
+        assert!(monotone_path(s, d, full_wall).is_none());
     }
 
     #[test]

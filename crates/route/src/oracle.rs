@@ -26,26 +26,50 @@ impl DistanceField {
     /// Panics if `dest` is faulty or outside the mesh.
     pub fn healthy(faults: &FaultSet, dest: Coord) -> Self {
         assert!(faults.is_healthy(dest), "destination {dest:?} is not a healthy node");
-        Self::bfs(*faults.mesh(), dest, |c| faults.is_healthy(c))
+        Self::bfs(*faults.mesh(), dest, |c| faults.is_healthy(c), None)
     }
 
     /// BFS from `dest` over an arbitrary passability predicate
     /// (`passable(dest)` must hold).
     pub fn with_predicate(mesh: Mesh, dest: Coord, passable: impl Fn(Coord) -> bool) -> Self {
         assert!(passable(dest), "destination {dest:?} is not passable");
-        Self::bfs(mesh, dest, passable)
+        Self::bfs(mesh, dest, passable, None)
     }
 
-    fn bfs(mesh: Mesh, dest: Coord, passable: impl Fn(Coord) -> bool) -> Self {
+    /// [`with_predicate`](Self::with_predicate) that stops flooding the
+    /// moment `until` is labelled. BFS labels in distance order, so every
+    /// node nearer `dest` than `until` already holds its final distance:
+    /// `dist(until)` and `shortest_path(until)` equal the full field's.
+    /// Other nodes may read [`UNREACHABLE`] although they are not — the
+    /// field answers for `until` only, hence crate-private.
+    pub(crate) fn with_predicate_until(
+        mesh: Mesh,
+        dest: Coord,
+        passable: impl Fn(Coord) -> bool,
+        until: Coord,
+    ) -> Self {
+        assert!(passable(dest), "destination {dest:?} is not passable");
+        Self::bfs(mesh, dest, passable, Some(until))
+    }
+
+    fn bfs(
+        mesh: Mesh,
+        dest: Coord,
+        passable: impl Fn(Coord) -> bool,
+        until: Option<Coord>,
+    ) -> Self {
         let mut dist = Grid::new(mesh, UNREACHABLE);
         let mut queue = std::collections::VecDeque::new();
         dist[dest] = 0;
         queue.push_back(dest);
-        while let Some(u) = queue.pop_front() {
+        'flood: while let Some(u) = queue.pop_front() {
             let du = dist[u];
             for v in mesh.neighbors(u) {
                 if dist[v] == UNREACHABLE && passable(v) {
                     dist[v] = du + 1;
+                    if until == Some(v) {
+                        break 'flood;
+                    }
                     queue.push_back(v);
                 }
             }
@@ -99,6 +123,46 @@ impl DistanceField {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use meshpath_mesh::FaultInjection;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::Rng;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The early-exit flood answers for its stop node exactly as the
+        /// full field does — distance and the gradient-descent path —
+        /// whether the stop node is near, far, the destination itself,
+        /// impassable or cut off.
+        #[test]
+        fn early_exit_bfs_equals_the_full_field_at_the_stop_node(
+            (n, density, seed) in (3i32..20, 0usize..45, 0u64..u64::MAX)
+        ) {
+            let mesh = Mesh::square(n as u32);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let faults = FaultSet::random(
+                mesh,
+                mesh.len() * density / 100,
+                FaultInjection::Uniform,
+                &mut rng,
+            );
+            let passable = |c: Coord| faults.is_healthy(c);
+            let healthy: Vec<Coord> = mesh.iter().filter(|&c| passable(c)).collect();
+            for _ in 0..24 {
+                let dest = healthy[rng.gen_range(0..healthy.len())];
+                let u = Coord::new(rng.gen_range(0..n), rng.gen_range(0..n));
+                let full = DistanceField::with_predicate(mesh, dest, passable);
+                let early = DistanceField::with_predicate_until(mesh, dest, passable, u);
+                prop_assert_eq!(early.dist(u), full.dist(u), "{:?} -> {:?}", u, dest);
+                prop_assert_eq!(early.shortest_path(u), full.shortest_path(u));
+                // What the early field did label is final.
+                for c in mesh.iter().filter(|&c| early.reachable(c)) {
+                    prop_assert_eq!(early.dist(c), full.dist(c));
+                }
+            }
+        }
+    }
 
     #[test]
     fn fault_free_distance_is_manhattan() {

@@ -79,7 +79,7 @@ fn decide_rb1_like(
     let (ou, od) = (o.apply(&mesh, u), o.apply(&mesh, d));
     let oprev = state.prev.map(|p| o.apply(&mesh, p));
 
-    let phase = alg2_decide(&pctx, ou, od, policy, oprev);
+    let phase = alg2_decide(&pctx, ou, od, policy, oprev, &mut state.critical);
     let next = if state.detour.is_none() {
         match phase {
             PhaseDecision::Arrived => unreachable!("u != d was checked"),
@@ -285,7 +285,7 @@ fn decide_planned(
         );
     }
 
-    let phase = alg2_decide(&pctx, ou, ot, policy, oprev);
+    let phase = alg2_decide(&pctx, ou, ot, policy, oprev, &mut state.critical);
     let next = if state.detour.is_none() {
         match phase {
             PhaseDecision::Arrived => {

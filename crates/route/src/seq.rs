@@ -21,6 +21,7 @@ use meshpath_info::ModelKind;
 use meshpath_mesh::{Coord, FxHashMap, FxHashSet, Orientation};
 
 use crate::env::Network;
+use crate::oracle::{DistanceField, UNREACHABLE};
 
 /// Whether routing decisions may use triples not stored at the deciding
 /// node (idealized reference runs) or only local knowledge.
@@ -329,17 +330,16 @@ impl<'a> Planner<'a> {
     /// Theorem 1's safe-nodes-suffice argument overlooks near corners and
     /// borders; see DESIGN.md §3. Unknown faults remain passable too: the
     /// route re-plans when local fault detection meets them.
-    fn fallback_passable(
-        &self,
+    fn fallback_passable<'s>(
+        &'s self,
         anchor: Coord,
         o: Orientation,
-        learned: &FxHashSet<Coord>,
-    ) -> impl Fn(Coord) -> bool + '_ {
+        learned: &'s FxHashSet<Coord>,
+    ) -> impl Fn(Coord) -> bool + 's {
         let mesh = *self.net.mesh();
         let set = self.net.mccs(o);
         let kind = self.kind;
         let scope = self.scope;
-        let learned = learned.clone();
         move |c: Coord| {
             if learned.contains(&c) {
                 return false;
@@ -364,13 +364,14 @@ impl<'a> Planner<'a> {
     fn known_bfs_distance(&self, anchor: Coord, u: Coord, d: Coord) -> Option<u64> {
         let mesh = *self.net.mesh();
         let o = Orientation::normalizing(u, d);
-        let passable = self.fallback_passable(anchor, o, &FxHashSet::default());
+        let learned = FxHashSet::default();
+        let passable = self.fallback_passable(anchor, o, &learned);
         if !passable(d) || !passable(u) {
             return None;
         }
-        let field = crate::oracle::DistanceField::with_predicate(mesh, d, passable);
+        let field = DistanceField::with_predicate_until(mesh, d, passable, u);
         let dist = field.dist(u);
-        (dist != crate::oracle::UNREACHABLE).then_some(u64::from(dist))
+        (dist != UNREACHABLE).then_some(u64::from(dist))
     }
 
     /// Produces the routing plan at `u` toward `d` (Algorithm 5 steps
@@ -467,7 +468,8 @@ impl<'a> Planner<'a> {
         if !passable(d) || !passable(u) {
             return (Plan::Direct, PlanStats { used_fallback: true, estimate: None });
         }
-        let field = crate::oracle::DistanceField::with_predicate(mesh, d, passable);
+        // Only `u`'s distance and descent are read: stop the flood there.
+        let field = DistanceField::with_predicate_until(mesh, d, passable, u);
         match field.shortest_path(u) {
             Some(path) => {
                 let est = Some((path.len() - 1) as u64);
@@ -540,7 +542,7 @@ mod tests {
         assert_eq!(seq.0, SeqAxis::TypeI);
         assert_eq!(seq.1.len(), 2, "chain must contain both MCCs");
         // The optimum: BFS ground truth.
-        let field = crate::oracle::DistanceField::healthy(n.faults(), d);
+        let field = DistanceField::healthy(n.faults(), d);
         assert_eq!(p.distance(s, s, d), Some(u64::from(field.dist(s))));
     }
 

@@ -65,7 +65,7 @@
 use std::rc::Rc;
 
 use meshpath_mesh::{Coord, Dir, FaultSet, FxHashMap};
-use meshpath_route::{NetView, RouteResult, Router};
+use meshpath_route::{HopState, NetView, RouteResult, Router};
 use serde::{Deserialize, Serialize};
 
 use crate::config::ChurnOp;
@@ -237,6 +237,8 @@ pub struct PathTable {
     /// The current admission epoch (index into `views`).
     current: usize,
     cache: FxHashMap<(u32, Coord, Coord), CachedRoute>,
+    /// Router scratch of every compile, reset per pair.
+    scratch: HopState,
     misses: u64,
     hits: u64,
 }
@@ -250,6 +252,7 @@ impl PathTable {
             views: vec![view.clone()],
             current: 0,
             cache: FxHashMap::default(),
+            scratch: HopState::new(Coord::new(0, 0)),
             misses: 0,
             hits: 0,
         }
@@ -325,13 +328,23 @@ impl PathTable {
             return p.clone();
         }
         self.misses += 1;
-        let res: RouteResult = self.router.route(&self.views[epoch as usize], s, d);
-        let dirs = res.delivered.then(|| {
-            res.path
-                .windows(2)
-                .map(|w| w[0].dir_to(w[1]).expect("router paths move between neighbors"))
-                .collect::<Rc<[Dir]>>()
-        });
+        let view = &self.views[epoch as usize];
+        // Healthy endpoints in different healthy components: no router
+        // delivers, and RB1/RB2/RB3 would burn their whole hop budget
+        // finding that out.
+        let cut =
+            matches!((view.component_of(s), view.component_of(d)), (Some(a), Some(b)) if a != b);
+        let dirs = if cut {
+            None
+        } else {
+            let res: RouteResult = self.router.route_with(view, s, d, &mut self.scratch);
+            res.delivered.then(|| {
+                res.path
+                    .windows(2)
+                    .map(|w| w[0].dir_to(w[1]).expect("router paths move between neighbors"))
+                    .collect::<Rc<[Dir]>>()
+            })
+        };
         self.cache.insert((epoch, s, d), dirs.clone());
         dirs
     }
@@ -1011,6 +1024,44 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), 10);
         assert_eq!(t.cache_stats(), (1, 1));
+    }
+
+    #[test]
+    fn a_cut_pair_compiles_to_none_without_a_walk() {
+        use meshpath_route::{Decision, HopCtx};
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+
+        /// RB2 that counts its per-hop decisions.
+        struct Counting(Box<dyn Router + Send + Sync>, Arc<AtomicU64>);
+        impl Router for Counting {
+            fn name(&self) -> &'static str {
+                self.0.name()
+            }
+            fn decide(&self, view: &NetView, ctx: HopCtx<'_>) -> Decision {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.decide(view, ctx)
+            }
+        }
+
+        // (0,0) on 64x64 is healthy but walled in by its two neighbors:
+        // compiling a route to it used to walk RB2's 8*4096-hop budget.
+        let mesh = Mesh::square(64);
+        let net = NetView::build(FaultSet::from_coords(mesh, [Coord::new(1, 0), Coord::new(0, 1)]));
+        let decisions = Arc::new(AtomicU64::new(0));
+        let mut t = PathTable::new(&net, RoutingKind::Rb2);
+        t.router = Box::new(Counting(RoutingKind::Rb2.router(), Arc::clone(&decisions)));
+        let (pocket, far) = (Coord::new(0, 0), Coord::new(40, 40));
+        assert_eq!(t.path(far, pocket), None);
+        assert_eq!(t.path(pocket, far), None);
+        assert_eq!(t.cache_stats(), (0, 2), "both pairs were compiled (as undeliverable)");
+        assert_eq!(decisions.load(Ordering::Relaxed), 0, "a cut pair must not run the router");
+        assert_eq!(t.path(far, pocket), None);
+        assert_eq!(t.cache_stats(), (1, 2), "the verdict is cached like any route");
+        // Connected pairs still compile by routing.
+        let p = t.path(Coord::new(2, 0), far).expect("connected");
+        assert_eq!(p.len() as u32, Coord::new(2, 0).manhattan(far));
+        assert!(decisions.load(Ordering::Relaxed) >= p.len() as u64);
     }
 
     #[test]
