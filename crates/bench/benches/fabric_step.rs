@@ -3,9 +3,12 @@
 //! near-idle (the paper-relevant ~2% injection, where the event-driven
 //! worklist pays off most), mid-load, and saturated (worst case: every
 //! router stays active, so the bitmask allocator carries the load) —
-//! plus a 64x64 group comparing sequential stepping against the
-//! sharded runner at 2 and 4 worker threads (`SimConfig::threads`),
-//! the single-run multi-core scaling path.
+//! and at `loaded_64`, meshbench's `fabric_loaded_64` operating point
+//! (64x64, 100 faults, RB2, rate 0.003, one thread: unsaturated but
+//! contended, with a working set past the L2) — plus a 64x64 group
+//! comparing sequential stepping against the sharded runner at 2 and 4
+//! worker threads (`SimConfig::threads`), the single-run multi-core
+//! scaling path.
 //!
 //! Each iteration is one full warmup/measure/drain run over a shared
 //! pre-compiled path table, so the timing is stepping + injection, not
@@ -27,9 +30,25 @@ fn bench(c: &mut Criterion) {
     // Injection rates spanning the occupancy regimes. 0.02 is the top
     // of the default low-load sweep; 0.30 is far past saturation, so
     // the fabric runs with every VC contended until the drain deadline.
-    for (name, rate) in [("low_2pct", 0.02), ("mid_4pct", 0.04), ("saturated_30pct", 0.30)] {
-        let mut paths = PathTable::new(&net, RoutingKind::Rb2);
-        let cfg = SimConfig { rate, warmup: 100, measure: 400, drain: 500, ..SimConfig::default() };
+    let small =
+        |rate| SimConfig { rate, warmup: 100, measure: 400, drain: 500, ..SimConfig::default() };
+    // meshbench's `fabric_loaded_64` network class, rate and windows.
+    let loaded_net = fixture_network(64, 100, 21);
+    let loaded = SimConfig {
+        rate: 0.003,
+        warmup: 100,
+        measure: 500,
+        drain: 1000,
+        threads: 1,
+        ..SimConfig::default()
+    };
+    for (name, net, cfg) in [
+        ("low_2pct", &net, small(0.02)),
+        ("mid_4pct", &net, small(0.04)),
+        ("saturated_30pct", &net, small(0.30)),
+        ("loaded_64", &loaded_net, loaded),
+    ] {
+        let mut paths = PathTable::new(net, RoutingKind::Rb2);
         let probe = run_traffic_reusing(&mut paths, &cfg);
         println!(
             "fabric_step/{name}: {} cycles, {} flit-hops per run{}",

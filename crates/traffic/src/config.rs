@@ -4,6 +4,7 @@ use meshpath_mesh::Coord;
 use meshpath_obs::ObsLevel;
 use serde::{Deserialize, Serialize};
 
+use crate::fabric::MAX_VC_DEPTH;
 use crate::pattern::{InjectionProcess, LengthDist, TrafficPattern};
 
 /// One scheduled mid-run fault mutation (the `fault_churn` scenario
@@ -91,8 +92,9 @@ pub struct SimConfig {
     /// Virtual channels per directional input port (the injection port
     /// has a single channel).
     pub vcs: usize,
-    /// Flit buffer depth of each virtual channel. Depths below 2 cannot
-    /// stream at link rate (credit round-trip is 2 cycles).
+    /// Flit buffer depth of each virtual channel, at most 255. Depths
+    /// below 2 cannot stream at link rate (credit round-trip is 2
+    /// cycles).
     pub vc_depth: usize,
     /// Channels (of `vcs`, top indices) reserved for the deadlock-free
     /// escape classes: the topmost reserved channel carries up*/down*
@@ -302,6 +304,52 @@ impl SimConfig {
         SimConfig { record_trace: true, ..self }
     }
 
+    /// Checks the fields against each other and against the fabric's
+    /// limits, before anything is built from them.
+    ///
+    /// # Panics
+    /// Panics when `packet_len` is zero (a packet has at least a head
+    /// flit), `rate` is outside `[0, 1]`, `vc_depth` is zero or exceeds
+    /// 255 (the fabric's flit-ring cursors and credit counters are
+    /// `u8`), `escape_vcs` leaves no adaptive channel, or policy and
+    /// `escape_vcs` disagree (escape-adaptive needs a reserved channel;
+    /// deterministic would strand any).
+    pub fn validate(&self) {
+        assert!(self.packet_len >= 1, "packets need at least one flit");
+        assert!(
+            (0.0..=1.0).contains(&self.rate),
+            "injection rate {} is not a per-cycle probability",
+            self.rate
+        );
+        assert!(
+            (1..=MAX_VC_DEPTH).contains(&self.vc_depth),
+            "vc_depth = {} is outside 1..={MAX_VC_DEPTH} (the flit-ring cursor limit)",
+            self.vc_depth
+        );
+        assert!(
+            self.escape_vcs < self.vcs,
+            "escape_vcs = {} must leave at least one adaptive channel of vcs = {}",
+            self.escape_vcs,
+            self.vcs
+        );
+        match self.policy {
+            RoutePolicy::EscapeAdaptive { .. } => assert!(
+                self.escape_vcs >= 1,
+                "EscapeAdaptive policy needs a reserved escape channel (escape_vcs >= 1)"
+            ),
+            // ReplayHop never requests an escape class, so reserved
+            // channels would be silently unallocatable — fail loudly
+            // instead of biasing policy A/B comparisons with stranded
+            // buffering (`SimConfig::without_escape` sets both knobs).
+            RoutePolicy::Deterministic => assert!(
+                self.escape_vcs == 0,
+                "Deterministic policy would strand the {} reserved escape channel(s); \
+                 set escape_vcs = 0 (see SimConfig::without_escape)",
+                self.escape_vcs
+            ),
+        }
+    }
+
     /// The effective shard/worker count for a mesh of `nodes` nodes
     /// (see [`SimConfig::threads`]): the explicit knob, else the
     /// `MESHPATH_THREADS` environment override, else the size-gated
@@ -358,6 +406,19 @@ mod tests {
         let f = c.clone().with_rate(0.25);
         assert_eq!(f.rate, 0.25);
         assert_eq!(f.vcs, c.vcs);
+    }
+
+    #[test]
+    #[should_panic(expected = "vc_depth = 256 is outside 1..=255 (the flit-ring cursor limit)")]
+    fn validate_rejects_a_depth_beyond_the_ring_cursors() {
+        SimConfig { vc_depth: 256, ..SimConfig::default() }.validate();
+    }
+
+    #[test]
+    fn validate_accepts_the_defaults_and_the_deepest_ring() {
+        SimConfig::default().validate();
+        SimConfig::smoke().validate();
+        SimConfig { vc_depth: 255, ..SimConfig::default() }.validate();
     }
 
     #[test]

@@ -33,6 +33,38 @@
 //! the slot (a 2-cycle round trip, so `vc_depth >= 2` is needed to
 //! stream at link rate).
 //!
+//! ## Storage
+//!
+//! A shard keeps its routers' state in flat arrays indexed by *local*
+//! node (row-major within the tile), laid out so a grant reads little
+//! and computes no quotient:
+//!
+//! * an input VC is a 5-byte control word (`route` + ring cursors) over
+//!   a fixed ring of `vc_depth` slots in one zero-initialised slab; a
+//!   slot is one `u64` holding the flit and, for a head flit, the
+//!   handle of its packet's state. Rings no flit visits are never
+//!   touched, so they cost no resident memory;
+//! * traveling [`PacketState`]s live in a per-shard pool with a free
+//!   list. A state is allocated when its head enters the shard
+//!   (injection or boundary arrival), updated in place while the head
+//!   hops inside the tile, parked on the input VC (one handle per VC)
+//!   while the packet drains through the ejection port, and released
+//!   when the head leaves the tile or the tail ejects;
+//! * credits sit apart from VC owners in a byte array, which is all the
+//!   plan phase reads of an output VC;
+//! * the worklist, staged arrivals and staged credit returns name local
+//!   nodes plus a slot or VC, neighbors are `±1` / `± tile width` away,
+//!   and a per-node coordinate table feeds [`HopRouter::decide`].
+//!   Global node ids are formed by multiplication, only for probes and
+//!   [`BoundaryMsg`]s; resolving a received one multiplies by a
+//!   precomputed reciprocal of the mesh width.
+//!
+//! What a grant touches: the router's occupancy word and round-robin
+//! byte, the input VC's control word and one ring slot, then either
+//! the output VC's credit, owner and free-mask entries plus one staged
+//! arrival (link) or the pooled state (ejecting head or tail) — and one
+//! staged credit return. Head grants also update the pooled state.
+//!
 //! ## Timing contract
 //!
 //! Flits injected at cycle `t` become visible to allocation at `t + 1`
@@ -45,36 +77,35 @@
 //!
 //! A router with no occupied input VC can grant nothing, so stepping
 //! visits only *active* routers: a worklist tracks every node with at
-//! least one non-empty input-VC queue (membership maintained at flit
-//! arrival and queue drain), and idle routers cost zero. At the
-//! paper-relevant injection rates (0.2%–5%) the fabric is over 95%
-//! idle, which makes this the difference between `O(nodes)` and
-//! `O(flits in flight)` per cycle.
+//! least one non-empty ring (membership maintained at flit arrival and
+//! ring drain), and idle routers cost zero. At the paper-relevant
+//! injection rates (0.2%–5%) the fabric is over 95% idle, which makes
+//! this the difference between `O(nodes)` and `O(flits in flight)` per
+//! cycle.
 //!
 //! Within an active router the per-cycle work is bitmask-driven:
 //!
 //! * an *occupancy mask* (one bit per `(input port, VC)` slot) feeds
 //!   the switch allocator, so only occupied slots are examined;
-//! * per output port, a *request mask* of the slots whose queue-head
-//!   flit wants that port this cycle replaces the original linear
-//!   round-robin scan — the grant is `first set bit at or after the
-//!   round-robin pointer`, two instructions instead of a 25-slot walk;
+//! * per output port, a *request mask* of the slots whose front flit
+//!   wants that port this cycle — the grant is `first set bit at or
+//!   after the round-robin pointer`;
 //! * per `(output direction, VC class)`, a *free-VC mask* (bit set
 //!   while `owner == None && credits > 0`) turns the lowest-free-VC
 //!   probe in VC allocation into `trailing_zeros`.
 //!
 //! Request masks are planned once per router per cycle (one
-//! [`HopRouter::decide`] call per parked head instead of one per
-//! output-port pass) and *replanned* for the still-pending unrouted
-//! heads whenever a grant changes an output port's free-VC mask —
-//! exactly the state a per-pass re-evaluation would have seen, so the
-//! grant sequence is bit-identical to the original scan order (pinned
-//! by the golden-equivalence suite in `crate::golden` against
-//! `Fabric::step_reference`, the retained test-only reference
-//! stepper).
-//! Likewise the escape-patience aging pass walks the occupied slots of
-//! active routers — the parked heads — instead of every input VC in the
-//! mesh.
+//! [`HopRouter::decide`] call per parked head, its candidates kept in
+//! per-shard scratch that is never cleared: only the slots the visit's
+//! head mask names are read) and *replanned* for the still-pending
+//! unrouted heads whenever a grant changes an output port's free-VC
+//! mask — exactly the state a per-pass re-evaluation would have seen,
+//! so the grant sequence is bit-identical to scan order (pinned by the
+//! golden-equivalence suite in `crate::golden` against
+//! `Fabric::step_reference`, the retained test-only reference stepper,
+//! which shares the grant and boundary commits). Likewise the
+//! escape-patience aging pass walks the occupied slots of active
+//! routers — the parked heads — instead of every input VC in the mesh.
 //!
 //! ## Sharded stepping and the boundary-exchange protocol
 //!
@@ -83,23 +114,19 @@
 //! owns columns `[c*W/C, (c+1)*W/C)` of rows `[r*H/R, (r+1)*H/R)`.
 //! Row bands are the `C = 1` special case ([`Fabric::new_sharded`]),
 //! retained as the default partition. Each shard owns *all* state of
-//! its nodes —
-//! input-VC queues, output-VC owner/credit mirrors, round-robin
-//! pointers, occupancy/request/free-VC bitmasks, and its own
-//! active-router worklist — so two shards share **no** mutable state
-//! and can step concurrently on worker threads (`crate::sim` does
+//! its nodes — rings, state pool, credits and owners, round-robin
+//! pointers, bitmasks and worklist — so two shards share **no** mutable
+//! state and can step concurrently on worker threads (`crate::sim` does
 //! exactly that when [`SimConfig::threads`](crate::SimConfig) > 1).
 //!
-//! The one thing that used to be global was the packet table. It no
-//! longer exists: a packet's mutable state ([`PacketState`] —
-//! `head_hop`, escape `mode`, `stalled` clock) **travels with its head
-//! flit**. While the head is parked, the state sits in the input VC
-//! holding it (`InVc::heads`); when the head is granted a link, the
-//! state is popped, updated, and shipped inside the arrival; when the
-//! tail is ejected, the state is returned to the driver in a
-//! [`Delivery`]. Body and tail flits carry nothing. Since exactly one
-//! router holds a packet's head at any time, packet state has exactly
-//! one owner at any time — by construction, not by locking.
+//! There is no global packet table: a packet's mutable state
+//! ([`PacketState`] — `head_hop`, escape `mode`, `stalled` clock)
+//! **travels with its head flit**, in the pool of the shard holding the
+//! head, by value inside a cross-shard arrival, and finally to the
+//! driver in a [`Delivery`] when the tail ejects. Body and tail flits
+//! carry nothing. Exactly one router holds a packet's head at any time,
+//! so its state has exactly one owner — by construction, not by
+//! locking.
 //!
 //! A cycle then runs in two phases with one synchronization point,
 //! which is the *same* staged-commit boundary the sequential stepper
@@ -135,15 +162,14 @@
 //!
 //! ## Determinism
 //!
-//! All state lives in dense vectors indexed by `(node, port, vc)`,
-//! partitioned by shard; arrivals and credit returns are staged and
-//! committed at the cycle boundary, so allocation at one router never
-//! observes another router's same-cycle grants — which is also why
-//! neither the worklist's visit order nor the shard count can influence
-//! results. Hop-router decisions depend only on packet and network
-//! state, so two runs with identical inputs are bit-identical.
+//! Arrivals and credit returns are staged and committed at the cycle
+//! boundary, so allocation at one router never observes another
+//! router's same-cycle grants — which is why neither the worklist's
+//! visit order, nor the shard count, nor which pool handle a state
+//! happens to get can influence results. Hop-router decisions depend
+//! only on packet and network state, so two runs with identical inputs
+//! are bit-identical.
 
-use std::collections::VecDeque;
 use std::ops::Range;
 
 use meshpath_mesh::{Coord, Dir, FxHashMap, Mesh, NodeId};
@@ -169,6 +195,9 @@ const MAX_SLOTS: usize = 64;
 /// Upper bound on VCs per port implied by `MAX_SLOTS` (and by the
 /// per-direction free-VC masks being `u32`).
 const MAX_VCS: usize = MAX_SLOTS / IN_PORTS;
+/// Upper bound on `vc_depth`: the ring cursors of an [`InVc`] and the
+/// per-output-VC credit counters are `u8`.
+pub(crate) const MAX_VC_DEPTH: usize = u8::MAX as usize;
 
 /// One flit on the wire. Packets are identified by the index returned
 /// from [`Fabric::register_packet`] (or chosen by the sharded driver).
@@ -292,27 +321,120 @@ pub enum BoundaryMsg {
     },
 }
 
-/// An input virtual channel: flit FIFO, the output allocation held by
-/// the packet currently draining through it, and the traveling states
-/// of the head flits queued here (front = oldest; an eject-committed
-/// packet's state stays at the front until its tail pops it).
-#[derive(Clone, Debug, Default)]
+/// An input virtual channel's control word: the output allocation held
+/// by the packet currently draining through it and the cursors of its
+/// flit ring (the ring's storage is the shard's `rings` slab).
+#[derive(Clone, Copy, Debug, Default)]
 struct InVc {
-    queue: VecDeque<Flit>,
     /// `(output port, output vc)` held from head grant to tail grant.
     route: Option<(u8, u8)>,
-    /// Traveling [`PacketState`]s of the head flits in `queue` (plus,
-    /// at the front, the state of an eject-draining packet whose head
-    /// flit has already been consumed).
-    heads: VecDeque<PacketState>,
+    /// Ring index of the oldest queued flit.
+    q_head: u8,
+    /// Queued flits (`<= vc_depth`).
+    q_len: u8,
 }
 
-/// The upstream mirror of a downstream input VC: ownership (wormhole
-/// allocation) and credit count (free buffer slots).
-#[derive(Clone, Debug)]
-struct OutVc {
-    owner: Option<u32>,
-    credits: u32,
+/// One slot of an input VC's flit ring: the flit plus — for head flits —
+/// the pool handle of the packet's traveling state, packed into one
+/// word so the slab is a plain integer vector (`vec![0; n]` is a zeroed
+/// allocation, so rings no flit ever visits cost no resident memory).
+/// Packet id in bits `0..32`, state handle in bits `32..62`, `is_head`
+/// at bit 62, `is_tail` at bit 63.
+type RingSlot = u64;
+
+const SLOT_HEAD: RingSlot = 1 << 62;
+const SLOT_TAIL: RingSlot = 1 << 63;
+/// Largest state-pool handle a [`RingSlot`] can carry.
+const MAX_HANDLE: u32 = (1 << 30) - 1;
+
+// The layout is the optimisation: a grant reads one control word and
+// one ring slot. Keep it from silently regrowing.
+const _: () = assert!(std::mem::size_of::<PacketState>() <= 48);
+const _: () = assert!(std::mem::size_of::<RingSlot>() <= 16);
+const _: () = assert!(std::mem::size_of::<InVc>() <= 8);
+
+#[inline]
+fn pack_slot(flit: Flit, handle: u32) -> RingSlot {
+    debug_assert!(handle <= MAX_HANDLE);
+    RingSlot::from(flit.packet)
+        | RingSlot::from(handle) << 32
+        | if flit.is_head { SLOT_HEAD } else { 0 }
+        | if flit.is_tail { SLOT_TAIL } else { 0 }
+}
+
+#[inline]
+fn slot_flit(word: RingSlot) -> Flit {
+    Flit { packet: word as u32, is_head: word & SLOT_HEAD != 0, is_tail: word & SLOT_TAIL != 0 }
+}
+
+/// The state handle of a head flit's slot (meaningless for body and
+/// tail flits).
+#[inline]
+fn slot_handle(word: RingSlot) -> usize {
+    ((word >> 32) as u32 & MAX_HANDLE) as usize
+}
+
+/// The traveling [`PacketState`]s resident in one shard: one per head
+/// flit queued or staged here, plus one per eject-draining input VC.
+/// Handles are recycled through a free list, so the pool's size tracks
+/// the shard's peak head count, not its traffic volume.
+#[derive(Default)]
+struct StatePool {
+    states: Vec<PacketState>,
+    free: Vec<u32>,
+}
+
+impl StatePool {
+    fn alloc(&mut self, state: PacketState) -> u32 {
+        if let Some(h) = self.free.pop() {
+            self.states[h as usize] = state;
+            return h;
+        }
+        let h = self.states.len() as u32;
+        assert!(h <= MAX_HANDLE, "state pool outgrew the ring-slot handle field");
+        self.states.push(state);
+        h
+    }
+
+    fn release(&mut self, handle: usize) -> PacketState {
+        self.free.push(handle as u32);
+        self.states[handle]
+    }
+}
+
+/// `ceil(2^64 / width)`: the multiplier that turns `node / width` into
+/// a multiplication for every 32-bit `node` (see [`row_of`]).
+fn row_recip(width: u32) -> u128 {
+    (1u128 << 64).div_ceil(u128::from(width))
+}
+
+/// `node / width` for a 32-bit `node`, given `recip = row_recip(width)`.
+/// Exact: `recip * width = 2^64 + e` with `0 <= e < width`, so
+/// `recip * node / 2^64` exceeds `node / width` by
+/// `e * node / (width * 2^64) < 2^-32` — less than the `1 / width` by
+/// which `node / width` stays clear of the next integer.
+#[inline]
+fn row_of(recip: u128, node: usize) -> usize {
+    debug_assert!(node <= u32::MAX as usize);
+    ((recip * node as u128) >> 64) as usize
+}
+
+/// A flit staged for the cycle boundary: it lands at the tail of ring
+/// `(lnode, slot)`.
+#[derive(Clone, Copy)]
+struct Arrival {
+    lnode: u32,
+    slot: u8,
+    word: RingSlot,
+}
+
+/// A credit staged for the cycle boundary: it returns to output VC
+/// `(lnode, dir, vc)`.
+#[derive(Clone, Copy)]
+struct CreditReturn {
+    lnode: u32,
+    dir: u8,
+    vc: u8,
 }
 
 /// One occupied input-VC head in a [`Fabric::frontier`] snapshot: which
@@ -350,6 +472,10 @@ pub struct StepReport {
 /// credits, allocator state and worklist — plus staged arrivals/credits
 /// and one outbox of [`BoundaryMsg`]s per tile-adjacent neighbor.
 /// `Send`, so the sharded driver can move shards onto worker threads.
+///
+/// Everything inside is addressed by *local* node index (row-major
+/// within the tile); global node ids appear only in [`BoundaryMsg`]s
+/// and probe calls, where they are formed by multiplication.
 pub(crate) struct Shard {
     mesh: Mesh,
     vcs: usize,
@@ -370,21 +496,41 @@ pub(crate) struct Shard {
     /// columns — callers may only use it as a bounding interval.
     start: usize,
     end: usize,
+    /// [`row_recip`] of the mesh width: resolving a [`BoundaryMsg`]'s
+    /// global node id to a row divides nothing.
+    row_recip: u128,
     /// Shard index of the tile neighbor in each mesh direction
     /// (indexed by `Dir as usize`), `None` at the partition edge.
     neighbors: [Option<usize>; 4],
+    /// Mesh coordinate of every local node.
+    coords: Vec<Coord>,
+    /// Input port of every `(input port, VC)` slot.
+    slot_port: [u8; MAX_SLOTS],
     /// `[local node][in_port][vc]` flattened.
     in_vcs: Vec<InVc>,
-    /// `[local node][out_dir][vc]` flattened.
-    out_vcs: Vec<OutVc>,
+    /// The flit rings: `vc_depth` slots per input VC, at
+    /// `in_vc index * vc_depth`.
+    rings: Vec<RingSlot>,
+    /// Per input VC, the state handle of the packet draining through
+    /// the ejection port (meaningful only while the VC's `route` is the
+    /// ejection port: the head flit is gone, the state waits for the
+    /// tail).
+    ejecting: Vec<u32>,
+    /// Traveling states of the packets whose head is in this shard.
+    pool: StatePool,
+    /// Free downstream buffer slots per output VC, `[local node]
+    /// [out_dir][vc]` flattened — all the plan phase reads of an
+    /// output VC.
+    credits: Vec<u8>,
+    /// Wormhole allocation per output VC (same indexing): the packet
+    /// holding it from head grant to tail grant.
+    owners: Vec<Option<u32>>,
     /// Round-robin grant pointers, `[local node][out_port]` flattened.
-    rr: Vec<u32>,
-    /// Staged link/injection arrivals `(local in_vc index, flit,
-    /// traveling state for heads)`, applied at the cycle boundary.
-    arrivals: Vec<(usize, Flit, Option<PacketState>)>,
-    /// Staged credit returns (local out_vc indices), applied at the
-    /// boundary.
-    credit_returns: Vec<usize>,
+    rr: Vec<u8>,
+    /// Staged link/injection arrivals, applied at the cycle boundary.
+    arrivals: Vec<Arrival>,
+    /// Staged credit returns, applied at the boundary.
+    credit_returns: Vec<CreditReturn>,
     /// Boundary messages for the tile neighbor in each direction
     /// (indexed by `Dir as usize`).
     out_boxes: [Vec<BoundaryMsg>; 4],
@@ -393,19 +539,25 @@ pub(crate) struct Shard {
     /// Packets that committed to the escape class in this shard.
     pub(crate) escape_entries: u64,
     /// Per-local-node occupancy bitmask: bit `in_port * vcs + vc` is
-    /// set while that input VC's queue is non-empty.
+    /// set while that input VC's ring is non-empty.
     occ_mask: Vec<u64>,
     /// Per-`(local node, dir)` free-VC bitmask: bit `vc` is set while
     /// the output VC is allocatable (`owner == None && credits > 0`).
     free_mask: Vec<u32>,
     /// VC-index masks of the three [`VcClass`]es.
     class_masks: [u32; 3],
-    /// Active routers (global node ids): every node with
+    /// Active routers (local node indices): every node with
     /// `occ_mask != 0` is present (plus, transiently, nodes drained
     /// this cycle — removed lazily at their next visit).
     worklist: Vec<u32>,
     /// Worklist membership flag per local node.
     in_worklist: Vec<bool>,
+    /// Plan-phase scratch of the router being allocated, per slot: the
+    /// candidate list of its parked head and the `(VC, class)` it would
+    /// allocate. Only entries named by the visit's head mask are read,
+    /// so nothing is cleared between visits.
+    head_cands: [HopCandidates; MAX_SLOTS],
+    head_pick: [(u8, VcClass); MAX_SLOTS],
 }
 
 impl Shard {
@@ -423,6 +575,14 @@ impl Shard {
         let tile_w = cols.end - cols.start;
         let nodes = tile_w * (rows.end - rows.start);
         let bits = |r: Range<usize>| ((1u32 << r.end) - 1) & !((1u32 << r.start) - 1);
+        let coords = rows
+            .clone()
+            .flat_map(|y| cols.clone().map(move |x| Coord::new(x as i32, y as i32)))
+            .collect();
+        let mut slot_port = [0u8; MAX_SLOTS];
+        for (slot, port) in slot_port.iter_mut().enumerate().take(IN_PORTS * vcs) {
+            *port = (slot / vcs) as u8;
+        }
         let mut shard = Shard {
             mesh,
             vcs,
@@ -435,9 +595,16 @@ impl Shard {
             tile_w,
             start: rows.start * width + cols.start,
             end: (rows.end - 1) * width + cols.end,
+            row_recip: row_recip(mesh.width()),
             neighbors,
+            coords,
+            slot_port,
             in_vcs: vec![InVc::default(); nodes * IN_PORTS * vcs],
-            out_vcs: vec![OutVc { owner: None, credits: vc_depth as u32 }; nodes * DIRS * vcs],
+            rings: vec![0; nodes * IN_PORTS * vcs * vc_depth],
+            ejecting: vec![0; nodes * IN_PORTS * vcs],
+            pool: StatePool::default(),
+            credits: vec![vc_depth as u8; nodes * DIRS * vcs],
+            owners: vec![None; nodes * DIRS * vcs],
             rr: vec![0; nodes * OUT_PORTS],
             arrivals: Vec::new(),
             credit_returns: Vec::new(),
@@ -449,6 +616,8 @@ impl Shard {
             class_masks: [0; 3],
             worklist: Vec::new(),
             in_worklist: vec![false; nodes],
+            head_cands: [HopCandidates::new(); MAX_SLOTS],
+            head_pick: [(0, VcClass::Adaptive); MAX_SLOTS],
         };
         for class in [VcClass::Adaptive, VcClass::EscapeXy, VcClass::EscapeTree] {
             shard.class_masks[class as usize] = bits(shard.class_range(class));
@@ -468,7 +637,7 @@ impl Shard {
     /// Number of nodes this tile owns.
     #[inline]
     fn nodes(&self) -> usize {
-        self.tile_w * (self.row1 - self.row0)
+        self.coords.len()
     }
 
     /// `(tile width, tile height)` in nodes.
@@ -482,27 +651,45 @@ impl Shard {
         self.neighbors
     }
 
+    /// `(x, y)` of a global node id.
+    #[inline]
+    fn xy_of(&self, node: usize) -> (usize, usize) {
+        let y = row_of(self.row_recip, node);
+        (node - y * self.mesh.width() as usize, y)
+    }
+
     #[inline]
     pub(crate) fn contains_node(&self, node: usize) -> bool {
-        let w = self.mesh.width() as usize;
-        let (x, y) = (node % w, node / w);
+        let (x, y) = self.xy_of(node);
         (self.col0..self.col1).contains(&x) && (self.row0..self.row1).contains(&y)
     }
 
     /// Local (tile-internal) index of an owned global node id.
     #[inline]
-    fn local_of(&self, node: usize) -> usize {
-        let w = self.mesh.width() as usize;
-        let (x, y) = (node % w, node / w);
+    pub(crate) fn local_of(&self, node: usize) -> usize {
+        let (x, y) = self.xy_of(node);
         debug_assert!(self.contains_node(node), "local index of an unowned node");
         (y - self.row0) * self.tile_w + (x - self.col0)
     }
 
     /// Global node id of a local (tile-internal) index.
     #[inline]
-    fn global_of(&self, lnode: usize) -> usize {
-        let w = self.mesh.width() as usize;
-        (self.row0 + lnode / self.tile_w) * w + self.col0 + lnode % self.tile_w
+    fn global_of(&self, lnode: usize) -> u32 {
+        self.mesh.id(self.coords[lnode]).0
+    }
+
+    /// Local index of the neighbor of `lnode` (at `here`) in direction
+    /// `dir` when this tile owns it — `lnode ± 1` along X, `± tile_w`
+    /// along Y — or `None` when the hop leaves the tile.
+    #[inline]
+    fn local_neighbor(&self, lnode: usize, here: Coord, dir: Dir) -> Option<usize> {
+        let (x, y) = (here.x as usize, here.y as usize);
+        match dir {
+            Dir::PlusX => (x + 1 < self.col1).then(|| lnode + 1),
+            Dir::MinusX => (x > self.col0).then(|| lnode - 1),
+            Dir::PlusY => (y + 1 < self.row1).then(|| lnode + self.tile_w),
+            Dir::MinusY => (y > self.row0).then(|| lnode - self.tile_w),
+        }
     }
 
     #[inline]
@@ -513,6 +700,22 @@ impl Shard {
     #[inline]
     fn out_idx(&self, lnode: usize, dir: usize, vc: usize) -> usize {
         (lnode * DIRS + dir) * self.vcs + vc
+    }
+
+    /// The oldest queued flit's slot of input VC `in_idx`, if any.
+    #[inline]
+    fn front(&self, in_idx: usize) -> Option<RingSlot> {
+        let v = self.in_vcs[in_idx];
+        (v.q_len > 0).then(|| self.rings[in_idx * self.vc_depth + v.q_head as usize])
+    }
+
+    /// The queued slots of input VC `in_idx`, oldest first (diagnostic
+    /// walks only — the stepping path never iterates a ring).
+    fn queued(&self, in_idx: usize) -> impl Iterator<Item = RingSlot> + '_ {
+        let v = self.in_vcs[in_idx];
+        let depth = self.vc_depth;
+        (0..v.q_len as usize)
+            .map(move |k| self.rings[in_idx * depth + (v.q_head as usize + k) % depth])
     }
 
     /// VC index range of a class on an output port. The topmost escape
@@ -556,8 +759,8 @@ impl Shard {
     /// signal that pending heads must re-pick their candidates).
     #[inline]
     fn refresh_free_bit(&mut self, lnode: usize, out_port: usize, v: usize) -> bool {
-        let o = &self.out_vcs[self.out_idx(lnode, out_port, v)];
-        let now_free = o.owner.is_none() && o.credits > 0;
+        let idx = self.out_idx(lnode, out_port, v);
+        let now_free = self.owners[idx].is_none() && self.credits[idx] > 0;
         let fm = &mut self.free_mask[lnode * DIRS + out_port];
         let bit = 1u32 << v;
         let was_free = *fm & bit != 0;
@@ -569,41 +772,33 @@ impl Shard {
         now_free != was_free
     }
 
-    /// The outbox owning boundary messages addressed to `node` (which
-    /// lies outside this tile; edge-adjacent tiles only — a single hop
-    /// crosses exactly one tile edge).
+    /// The outbox for a hop out of this tile in direction `dir`
+    /// (edge-adjacent tiles only — a single hop crosses exactly one
+    /// tile edge).
     #[inline]
-    fn outbox_for(&mut self, node: usize) -> &mut Vec<BoundaryMsg> {
-        let w = self.mesh.width() as usize;
-        let (x, y) = (node % w, node / w);
-        let dir = if x < self.col0 {
-            Dir::MinusX
-        } else if x >= self.col1 {
-            Dir::PlusX
-        } else if y < self.row0 {
-            Dir::MinusY
-        } else {
-            debug_assert!(y >= self.row1, "outbox for an owned node");
-            Dir::PlusY
-        };
+    fn outbox(&mut self, dir: Dir) -> &mut Vec<BoundaryMsg> {
         debug_assert!(self.neighbors[dir as usize].is_some(), "boundary message off the mesh");
         &mut self.out_boxes[dir as usize]
     }
 
-    /// Stages one flit onto `node`'s injection channel (head flits
-    /// carry their traveling state); it becomes visible to allocation
-    /// next cycle.
-    pub(crate) fn inject(&mut self, node: NodeId, flit: Flit, state: Option<PacketState>) {
+    /// Stages one flit onto local node `lnode`'s injection channel
+    /// (head flits carry their traveling state); it becomes visible to
+    /// allocation next cycle.
+    pub(crate) fn inject(&mut self, lnode: usize, flit: Flit, state: Option<PacketState>) {
         debug_assert_eq!(flit.is_head, state.is_some(), "heads travel with their state");
-        let lnode = self.local_of(node.index());
-        let idx = self.in_idx(lnode, LOCAL_PORT, 0);
-        self.arrivals.push((idx, flit, state));
+        let handle = state.map_or(0, |st| self.pool.alloc(st));
+        self.arrivals.push(Arrival {
+            lnode: lnode as u32,
+            slot: (LOCAL_PORT * self.vcs) as u8,
+            word: pack_slot(flit, handle),
+        });
         self.in_flight += 1;
     }
 
-    /// Occupancy of the node's injection channel (applied flits only).
-    pub(crate) fn local_occupancy(&self, node: NodeId) -> usize {
-        self.in_vcs[self.in_idx(self.local_of(node.index()), LOCAL_PORT, 0)].queue.len()
+    /// Occupancy of local node `lnode`'s injection channel (applied
+    /// flits only).
+    pub(crate) fn local_occupancy(&self, lnode: usize) -> usize {
+        self.in_vcs[self.in_idx(lnode, LOCAL_PORT, 0)].q_len as usize
     }
 
     /// Drains the per-direction neighbor outboxes (called between the
@@ -613,24 +808,31 @@ impl Shard {
     }
 
     /// Merges a neighbor's boundary messages into this shard's staged
-    /// arrival/credit lists (before commit).
+    /// arrival/credit lists (before commit). An arriving head's state
+    /// moves into this shard's pool.
     pub(crate) fn apply_boundary(&mut self, msgs: Vec<BoundaryMsg>) {
         for m in msgs {
             match m {
                 BoundaryMsg::Arrival { node, in_port, vc, flit, state } => {
                     debug_assert!(self.contains_node(node as usize), "misrouted boundary arrival");
-                    let lnode = self.local_of(node as usize);
+                    debug_assert_eq!(
+                        flit.is_head,
+                        state.is_some(),
+                        "heads travel with their state"
+                    );
+                    let lnode = self.local_of(node as usize) as u32;
                     self.in_flight += 1;
-                    self.arrivals.push((
-                        self.in_idx(lnode, in_port as usize, vc as usize),
-                        flit,
-                        state,
-                    ));
+                    let handle = state.map_or(0, |st| self.pool.alloc(st));
+                    self.arrivals.push(Arrival {
+                        lnode,
+                        slot: (in_port as usize * self.vcs + vc as usize) as u8,
+                        word: pack_slot(flit, handle),
+                    });
                 }
                 BoundaryMsg::Credit { node, dir, vc } => {
                     debug_assert!(self.contains_node(node as usize), "misrouted boundary credit");
-                    let lnode = self.local_of(node as usize);
-                    self.credit_returns.push(self.out_idx(lnode, dir as usize, vc as usize));
+                    let lnode = self.local_of(node as usize) as u32;
+                    self.credit_returns.push(CreditReturn { lnode, dir, vc });
                 }
             }
         }
@@ -647,14 +849,13 @@ impl Shard {
     ) {
         let mut i = 0;
         while i < self.worklist.len() {
-            let node = self.worklist[i] as usize;
-            let lnode = self.local_of(node);
+            let lnode = self.worklist[i] as usize;
             if self.occ_mask[lnode] == 0 {
                 self.in_worklist[lnode] = false;
                 self.worklist.swap_remove(i);
                 continue;
             }
-            self.allocate_node(node, router, report, deliveries, probe);
+            self.allocate_node(lnode, router, report, deliveries, probe);
             i += 1;
         }
     }
@@ -664,16 +865,15 @@ impl Shard {
     /// port round-robin from its request mask.
     fn allocate_node<P: FabricProbe>(
         &mut self,
-        node: usize,
+        lnode: usize,
         router: &mut dyn HopRouter,
         report: &mut StepReport,
         deliveries: &mut Vec<Delivery>,
         probe: &mut P,
     ) {
-        let here = self.mesh.coord(NodeId(node as u32));
-        let lnode = self.local_of(node);
+        let here = self.coords[lnode];
         let vcs = self.vcs;
-        let slots = IN_PORTS * vcs;
+        let in_base = lnode * IN_PORTS * vcs;
 
         // Phase 1 — plan. For every occupied slot, which output port
         // does its queue-head flit want (request masks), and — for
@@ -683,38 +883,37 @@ impl Shard {
         // availability.
         let mut requests = [0u64; OUT_PORTS];
         let mut head_mask = 0u64;
-        let mut head_cands = [HopCandidates::default(); MAX_SLOTS];
-        let mut head_pick = [(0u8, VcClass::Adaptive); MAX_SLOTS];
         let mut m = self.occ_mask[lnode];
         while m != 0 {
             let slot = m.trailing_zeros() as usize;
             m &= m - 1;
-            let in_idx = lnode * slots + slot;
-            match self.in_vcs[in_idx].route {
+            let in_idx = in_base + slot;
+            let v = self.in_vcs[in_idx];
+            match v.route {
                 // Body/tail of a routed worm: follow the held VC, gated
                 // on a credit.
-                Some((p, v)) if (p as usize) != EJECT_PORT => {
-                    if self.out_vcs[self.out_idx(lnode, p as usize, v as usize)].credits > 0 {
+                Some((p, ov)) if (p as usize) != EJECT_PORT => {
+                    if self.credits[self.out_idx(lnode, p as usize, ov as usize)] > 0 {
                         requests[p as usize] |= 1 << slot;
                     }
                 }
                 Some(_) => requests[EJECT_PORT] |= 1 << slot,
                 // Unrouted head: ask the hop router (once per cycle).
                 None => {
-                    let flit = self.in_vcs[in_idx].queue.front().expect("occupied slot");
-                    debug_assert!(flit.is_head, "body flit at head of an unrouted VC");
-                    let pk = self.in_vcs[in_idx].heads.front_mut().expect("parked head has state");
+                    let word = self.rings[in_idx * self.vc_depth + v.q_head as usize];
+                    debug_assert!(word & SLOT_HEAD != 0, "body flit at head of an unrouted VC");
+                    let pk = &mut self.pool.states[slot_handle(word)];
                     match router.decide(here, pk) {
                         HopDecision::Eject => requests[EJECT_PORT] |= 1 << slot,
                         HopDecision::Route(candidates) => {
                             head_mask |= 1 << slot;
-                            head_cands[slot] = candidates;
+                            self.head_cands[slot] = candidates;
                             // First candidate with an allocatable VC
                             // this cycle wins; none => the head waits.
-                            if let Some((port, v, class)) = self.pick_candidate(lnode, &candidates)
+                            if let Some((port, ov, class)) = self.pick_candidate(lnode, &candidates)
                             {
                                 requests[port] |= 1 << slot;
-                                head_pick[slot] = (v as u8, class);
+                                self.head_pick[slot] = (ov as u8, class);
                             }
                         }
                     }
@@ -731,27 +930,30 @@ impl Shard {
             if cand == 0 {
                 continue;
             }
-            let start = (self.rr[lnode * OUT_PORTS + out_port] as usize) % slots;
+            // The pointer is `last granted slot + 1 <= slots < 64`, and
+            // no request bit lies at or above `slots`: a pointer at the
+            // end wraps through the empty `hi`.
+            let start = self.rr[lnode * OUT_PORTS + out_port];
             let hi = cand & (!0u64 << start);
             let slot = if hi != 0 { hi.trailing_zeros() } else { cand.trailing_zeros() } as usize;
-            let link = match self.in_vcs[lnode * slots + slot].route {
-                Some((p, v)) if (p as usize) != EJECT_PORT => {
+            let link = match self.in_vcs[in_base + slot].route {
+                Some((p, ov)) if (p as usize) != EJECT_PORT => {
                     debug_assert_eq!(p as usize, out_port);
-                    Some((v as usize, None))
+                    Some((ov as usize, None))
                 }
                 Some(_) => None,
                 None => {
-                    let (v, class) = head_pick[slot];
+                    let (ov, class) = self.head_pick[slot];
                     if out_port == EJECT_PORT {
                         None
                     } else {
-                        Some((v as usize, Some(class)))
+                        Some((ov as usize, Some(class)))
                     }
                 }
             };
             let freed =
-                self.commit_grant(node, here, slot, out_port, link, report, deliveries, probe);
-            usable &= !(((1u64 << vcs) - 1) << (slot / vcs * vcs));
+                self.commit_grant(lnode, here, slot, out_port, link, report, deliveries, probe);
+            usable &= !(((1u64 << vcs) - 1) << (self.slot_port[slot] as usize * vcs));
             if freed {
                 // A VC on `out_port` was allocated or released:
                 // still-pending unrouted heads re-pick their first
@@ -764,9 +966,10 @@ impl Shard {
                     for r in requests.iter_mut() {
                         *r &= !(1u64 << s);
                     }
-                    if let Some((port, v, class)) = self.pick_candidate(lnode, &head_cands[s]) {
+                    if let Some((port, ov, class)) = self.pick_candidate(lnode, &self.head_cands[s])
+                    {
                         requests[port] |= 1 << s;
-                        head_pick[s] = (v as u8, class);
+                        self.head_pick[s] = (ov as u8, class);
                     }
                 }
             }
@@ -783,7 +986,7 @@ impl Shard {
     #[allow(clippy::too_many_arguments)]
     fn commit_grant<P: FabricProbe>(
         &mut self,
-        node: usize,
+        lnode: usize,
         here: Coord,
         slot: usize,
         out_port: usize,
@@ -793,34 +996,35 @@ impl Shard {
         probe: &mut P,
     ) -> bool {
         let vcs = self.vcs;
-        let lnode = self.local_of(node);
-        let (in_port, vc) = (slot / vcs, slot % vcs);
+        let in_port = self.slot_port[slot] as usize;
+        let vc = slot - in_port * vcs;
         let in_idx = lnode * IN_PORTS * vcs + slot;
-        let flit = self.in_vcs[in_idx].queue.pop_front().expect("granted slots are occupied");
-        if self.in_vcs[in_idx].queue.is_empty() {
+        let v = &mut self.in_vcs[in_idx];
+        assert!(v.q_len > 0, "granted slots are occupied");
+        let word = self.rings[in_idx * self.vc_depth + v.q_head as usize];
+        v.q_head = if v.q_head as usize + 1 == self.vc_depth { 0 } else { v.q_head + 1 };
+        v.q_len -= 1;
+        if v.q_len == 0 {
             self.occ_mask[lnode] &= !(1u64 << slot);
         }
-        self.rr[lnode * OUT_PORTS + out_port] = (slot + 1) as u32;
+        let flit = slot_flit(word);
+        self.rr[lnode * OUT_PORTS + out_port] = (slot + 1) as u8;
         report.moved += 1;
 
         // Credit back to the upstream router that feeds this input VC
         // (none for the local injection port). Upstream routers in an
-        // adjacent band get theirs as a boundary message.
+        // adjacent tile get theirs as a boundary message.
         if in_port != LOCAL_PORT {
             let to_upstream = Dir::ALL[in_port];
-            let upstream = here.step(to_upstream);
-            debug_assert!(self.mesh.contains(upstream), "link from outside the mesh");
-            let up_id = self.mesh.id(upstream).index();
-            let up_dir = to_upstream.opposite() as usize;
-            if self.contains_node(up_id) {
-                let idx = self.out_idx(self.local_of(up_id), up_dir, vc);
-                self.credit_returns.push(idx);
-            } else {
-                self.outbox_for(up_id).push(BoundaryMsg::Credit {
-                    node: up_id as u32,
-                    dir: up_dir as u8,
-                    vc: vc as u8,
-                });
+            let dir = to_upstream.opposite() as u8;
+            match self.local_neighbor(lnode, here, to_upstream) {
+                Some(up) => {
+                    self.credit_returns.push(CreditReturn { lnode: up as u32, dir, vc: vc as u8 })
+                }
+                None => {
+                    let node = self.mesh.id(here.step(to_upstream)).0;
+                    self.outbox(to_upstream).push(BoundaryMsg::Credit { node, dir, vc: vc as u8 });
+                }
             }
         }
 
@@ -828,33 +1032,38 @@ impl Shard {
             self.in_flight -= 1;
             report.flits_ejected += 1;
             if flit.is_head {
+                // The state outlives its head flit: park the handle on
+                // the VC until the tail drains.
+                let handle = slot_handle(word);
                 self.in_vcs[in_idx].route = Some((EJECT_PORT as u8, 0));
-                self.in_vcs[in_idx].heads.front_mut().expect("ejecting head has state").stalled = 0;
+                self.ejecting[in_idx] = handle as u32;
+                self.pool.states[handle].stalled = 0;
             }
             if flit.is_tail {
                 self.in_vcs[in_idx].route = None;
-                let state =
-                    self.in_vcs[in_idx].heads.pop_front().expect("ejected packet has state");
+                let state = self.pool.release(self.ejecting[in_idx] as usize);
                 deliveries.push(Delivery { packet: flit.packet, state });
                 // A churn-killed worm drains through the ejection port
                 // like a delivery, but the lifecycle event is a drop.
-                if state.killed {
-                    probe.dropped(node as u32, flit.packet);
-                } else {
-                    probe.delivered(node as u32, flit.packet);
+                if P::ACTIVE {
+                    if state.killed {
+                        probe.dropped(self.global_of(lnode), flit.packet);
+                    } else {
+                        probe.delivered(self.global_of(lnode), flit.packet);
+                    }
                 }
             }
             false
         } else {
-            let (v, new_class) = link.expect("links always carry a VC pick");
-            let out_idx = self.out_idx(lnode, out_port, v);
-            // A granted head takes its traveling state along: bump the
-            // hop count, reset the patience clock, and record an escape
-            // commitment when the granted VC is an escape class.
+            let (ov, new_class) = link.expect("links always carry a VC pick");
+            let out_idx = self.out_idx(lnode, out_port, ov);
+            // A granted head's traveling state moves on with it: bump
+            // the hop count, reset the patience clock, and record an
+            // escape commitment when the granted VC is an escape class.
             let mut grant_stalled = 0u32;
             let mut entered_escape = None;
-            let state = flit.is_head.then(|| {
-                let mut st = self.in_vcs[in_idx].heads.pop_front().expect("granted head has state");
+            if flit.is_head {
+                let st = &mut self.pool.states[slot_handle(word)];
                 grant_stalled = st.stalled;
                 st.head_hop += 1;
                 st.stalled = 0;
@@ -866,54 +1075,59 @@ impl Shard {
                         entered_escape = Some(class);
                     }
                 }
-                st
-            });
+            }
             if P::ACTIVE {
-                probe.link_flit(node as u32, out_port as u8);
+                let node = self.global_of(lnode);
+                probe.link_flit(node, out_port as u8);
                 if flit.is_head {
                     probe.head_grant(GrantInfo {
-                        node: node as u32,
+                        node,
                         packet: flit.packet,
                         dir: out_port as u8,
-                        vc: v as u8,
+                        vc: ov as u8,
                         class: new_class.map_or(0, |c| c as u8),
                         fresh_vc: new_class.is_some(),
                         stalled: grant_stalled,
                     });
                 }
                 if let Some(class) = entered_escape {
-                    probe.escape_entered(node as u32, flit.packet, class as u8);
+                    probe.escape_entered(node, flit.packet, class as u8);
                 }
             }
             if new_class.is_some() {
-                self.out_vcs[out_idx].owner = Some(flit.packet);
+                self.owners[out_idx] = Some(flit.packet);
             }
-            self.in_vcs[in_idx].route = Some((out_port as u8, v as u8));
-            self.out_vcs[out_idx].credits -= 1;
+            self.in_vcs[in_idx].route = Some((out_port as u8, ov as u8));
+            self.credits[out_idx] -= 1;
             if flit.is_tail {
-                self.out_vcs[out_idx].owner = None;
+                self.owners[out_idx] = None;
                 self.in_vcs[in_idx].route = None;
             }
-            let freed = self.refresh_free_bit(lnode, out_port, v);
+            let freed = self.refresh_free_bit(lnode, out_port, ov);
             let dir = Dir::ALL[out_port];
-            let next = here.step(dir);
-            debug_assert!(self.mesh.contains(next), "hop decision leaves the mesh");
-            let next_id = self.mesh.id(next).index();
             let next_in = dir.opposite() as usize;
-            if self.contains_node(next_id) {
-                let next_idx = self.in_idx(self.local_of(next_id), next_in, v);
-                self.arrivals.push((next_idx, flit, state));
-            } else {
+            match self.local_neighbor(lnode, here, dir) {
+                // In-tile hop: the state stays in the pool and the slot
+                // word (flit + handle) is all that moves.
+                Some(next) => self.arrivals.push(Arrival {
+                    lnode: next as u32,
+                    slot: (next_in * vcs + ov) as u8,
+                    word,
+                }),
                 // The flit leaves this shard: hand it (and, for heads,
                 // the traveling state) to the neighbor tile.
-                self.in_flight -= 1;
-                self.outbox_for(next_id).push(BoundaryMsg::Arrival {
-                    node: next_id as u32,
-                    in_port: next_in as u8,
-                    vc: v as u8,
-                    flit,
-                    state,
-                });
+                None => {
+                    self.in_flight -= 1;
+                    let state = flit.is_head.then(|| self.pool.release(slot_handle(word)));
+                    let node = self.mesh.id(here.step(dir)).0;
+                    self.outbox(dir).push(BoundaryMsg::Arrival {
+                        node,
+                        in_port: next_in as u8,
+                        vc: ov as u8,
+                        flit,
+                        state,
+                    });
+                }
             }
             freed
         }
@@ -930,22 +1144,23 @@ impl Shard {
         }
         let slots = IN_PORTS * self.vcs;
         for i in 0..self.worklist.len() {
-            let node = self.worklist[i];
-            let lnode = self.local_of(node as usize);
+            let lnode = self.worklist[i] as usize;
             let mut m = self.occ_mask[lnode];
             while m != 0 {
                 let slot = m.trailing_zeros() as usize;
                 m &= m - 1;
-                let v = &mut self.in_vcs[lnode * slots + slot];
-                if v.route.is_none() {
-                    if let Some(f) = v.queue.front() {
-                        if f.is_head {
-                            let st = v.heads.front_mut().expect("parked head has state");
-                            st.stalled += 1;
-                            if P::ACTIVE {
-                                probe.head_stalled(node, f.packet, st.stalled);
-                            }
-                        }
+                let in_idx = lnode * slots + slot;
+                let v = self.in_vcs[in_idx];
+                if v.route.is_some() {
+                    continue;
+                }
+                let word = self.rings[in_idx * self.vc_depth + v.q_head as usize];
+                if word & SLOT_HEAD != 0 {
+                    let st = &mut self.pool.states[slot_handle(word)];
+                    st.stalled += 1;
+                    let stalled = st.stalled;
+                    if P::ACTIVE {
+                        probe.head_stalled(self.global_of(lnode), word as u32, stalled);
                     }
                 }
             }
@@ -958,7 +1173,7 @@ impl Shard {
     pub(crate) fn sample_occupancy<P: FabricProbe>(&self, probe: &mut P) {
         for (lnode, m) in self.occ_mask.iter().enumerate() {
             if *m != 0 {
-                probe.occupancy_sample(self.global_of(lnode) as u32, m.count_ones());
+                probe.occupancy_sample(self.global_of(lnode), m.count_ones());
             }
         }
     }
@@ -988,30 +1203,32 @@ impl Shard {
         let slots = IN_PORTS * self.vcs;
         for lnode in 0..self.nodes() {
             let node = self.global_of(lnode);
-            let here = self.mesh.coord(NodeId(node as u32));
+            let here = self.coords[lnode];
             let mut m = self.occ_mask[lnode];
             while m != 0 {
                 let slot = m.trailing_zeros() as usize;
                 m &= m - 1;
-                let (port, in_vc) = (slot / self.vcs, slot % self.vcs);
-                let v = &self.in_vcs[lnode * slots + slot];
-                let Some(f) = v.queue.front() else { continue };
+                let port = self.slot_port[slot] as usize;
+                let in_vc = slot - port * self.vcs;
+                let in_idx = lnode * slots + slot;
+                let Some(word) = self.front(in_idx) else { continue };
+                let f = slot_flit(word);
                 if port != LOCAL_PORT {
                     probe.vc_front(VcFront {
-                        node: node as u32,
+                        node,
                         port: port as u8,
                         vc: in_vc as u8,
                         packet: f.packet,
                     });
                 }
-                if v.route.is_some() || !f.is_head {
+                if self.in_vcs[in_idx].route.is_some() || !f.is_head {
                     continue;
                 }
                 // Copy the state: the postmortem must not perturb it.
-                let mut pk = *v.heads.front().expect("parked head has state");
+                let mut pk = self.pool.states[slot_handle(word)];
                 probe.stalled_packet(StalledPacket {
                     packet: f.packet,
-                    node: node as u32,
+                    node,
                     src: (pk.src.x, pk.src.y),
                     dst: (pk.dst.x, pk.dst.y),
                     class: pk.mode as u8,
@@ -1022,19 +1239,19 @@ impl Shard {
                 for c in cands.iter() {
                     let dir = c.dir as usize;
                     for vc in self.class_range(c.class) {
-                        let o = &self.out_vcs[self.out_idx(lnode, dir, vc)];
-                        if let Some(owner) = o.owner {
+                        let idx = self.out_idx(lnode, dir, vc);
+                        if let Some(owner) = self.owners[idx] {
                             probe.wait_edge(WaitEdge {
                                 waiter: f.packet,
                                 holder: owner,
-                                node: node as u32,
+                                node,
                                 dir: dir as u8,
                                 vc: vc as u8,
                             });
-                        } else if o.credits == 0 {
+                        } else if self.credits[idx] == 0 {
                             probe.wait_blocked(BlockedWait {
                                 waiter: f.packet,
-                                node: node as u32,
+                                node,
                                 dir: dir as u8,
                                 vc: vc as u8,
                             });
@@ -1048,40 +1265,46 @@ impl Shard {
     /// Cycle boundary: arrivals land (activating their routers),
     /// credits return (refreshing free-VC bits).
     pub(crate) fn commit_boundary(&mut self) {
-        let slots = IN_PORTS * self.vcs;
         let vcs = self.vcs;
+        let slots = IN_PORTS * vcs;
         let depth = self.vc_depth;
-        // `global_of`, inlined so the drain below can keep its
-        // mutable borrow of `arrivals`.
-        let (width, tile_w) = (self.mesh.width() as usize, self.tile_w);
-        let (row0, col0) = (self.row0, self.col0);
-        let global_of = move |lnode: usize| (row0 + lnode / tile_w) * width + col0 + lnode % tile_w;
-        for (idx, flit, state) in self.arrivals.drain(..) {
-            let v = &mut self.in_vcs[idx];
-            let was_empty = v.queue.is_empty();
-            v.queue.push_back(flit);
-            if flit.is_head {
-                v.heads.push_back(state.expect("head flit arrives with its packet state"));
-            }
-            debug_assert!(
-                v.queue.len() <= depth,
-                "buffer overflow at in_vc {idx}: credit accounting broken"
+        for a in self.arrivals.drain(..) {
+            let (lnode, slot) = (a.lnode as usize, a.slot as usize);
+            let in_idx = lnode * slots + slot;
+            let v = &mut self.in_vcs[in_idx];
+            // A ring overwrites where a deque grew: a broken credit
+            // count must stop here, not corrupt a live flit.
+            assert!(
+                (v.q_len as usize) < depth,
+                "buffer overflow at local node {lnode} slot {slot}: credit accounting broken"
             );
-            if was_empty {
-                let lnode = idx / slots;
-                self.occ_mask[lnode] |= 1u64 << (idx % slots);
+            let mut tail = v.q_head as usize + v.q_len as usize;
+            if tail >= depth {
+                tail -= depth;
+            }
+            self.rings[in_idx * depth + tail] = a.word;
+            v.q_len += 1;
+            if v.q_len == 1 {
+                self.occ_mask[lnode] |= 1u64 << slot;
                 if !self.in_worklist[lnode] {
                     self.in_worklist[lnode] = true;
-                    self.worklist.push(global_of(lnode) as u32);
+                    self.worklist.push(a.lnode);
                 }
             }
         }
-        for idx in self.credit_returns.drain(..) {
-            let o = &mut self.out_vcs[idx];
-            o.credits += 1;
-            debug_assert!(o.credits <= depth as u32, "credit overflow at out_vc {idx}");
-            if o.owner.is_none() {
-                self.free_mask[idx / vcs] |= 1 << (idx % vcs);
+        for c in self.credit_returns.drain(..) {
+            let port = c.lnode as usize * DIRS + c.dir as usize;
+            let idx = port * vcs + c.vc as usize;
+            self.credits[idx] += 1;
+            assert!(
+                self.credits[idx] as usize <= depth,
+                "credit overflow at local node {} dir {} vc {}",
+                c.lnode,
+                c.dir,
+                c.vc
+            );
+            if self.owners[idx].is_none() {
+                self.free_mask[port] |= 1 << c.vc;
             }
         }
     }
@@ -1090,17 +1313,16 @@ impl Shard {
     /// snapshot.
     fn frontier_into(&self, out: &mut Vec<FrontierEntry>) {
         for lnode in 0..self.nodes() {
-            let here = self.mesh.coord(NodeId(self.global_of(lnode) as u32));
             for port in 0..IN_PORTS {
                 for vc in 0..self.vcs {
-                    let v = &self.in_vcs[self.in_idx(lnode, port, vc)];
-                    if let Some(f) = v.queue.front() {
+                    let in_idx = self.in_idx(lnode, port, vc);
+                    if let Some(word) = self.front(in_idx) {
                         out.push(FrontierEntry {
-                            packet: f.packet,
-                            node: here,
+                            packet: slot_flit(word).packet,
+                            node: self.coords[lnode],
                             in_port: port,
                             vc,
-                            route: v.route,
+                            route: self.in_vcs[in_idx].route,
                         });
                     }
                 }
@@ -1112,30 +1334,20 @@ impl Shard {
     /// arrivals first, then the parked/queued heads (diagnostic aid —
     /// linear in shard state, not for hot paths).
     fn find_packet(&self, id: u32) -> Option<PacketState> {
-        for (_, flit, state) in &self.arrivals {
-            if flit.packet == id {
-                if let Some(st) = state {
-                    return Some(*st);
-                }
-            }
+        let is_head_of = |word: RingSlot| word & SLOT_HEAD != 0 && slot_flit(word).packet == id;
+        if let Some(a) = self.arrivals.iter().find(|a| is_head_of(a.word)) {
+            return Some(self.pool.states[slot_handle(a.word)]);
         }
-        for v in &self.in_vcs {
-            // An eject-draining packet's head flit is gone but its
-            // state is retained at the front of `heads`.
-            let mut hi = 0;
-            if matches!(v.route, Some((p, _)) if (p as usize) == EJECT_PORT) {
-                if v.queue.front().is_some_and(|f| f.packet == id) {
-                    return v.heads.front().copied();
-                }
-                hi = 1;
+        for (in_idx, v) in self.in_vcs.iter().enumerate() {
+            // An eject-draining packet's head flit is gone; its state
+            // is identifiable while one of its flits fronts the VC.
+            if matches!(v.route, Some((p, _)) if (p as usize) == EJECT_PORT)
+                && self.front(in_idx).is_some_and(|w| slot_flit(w).packet == id)
+            {
+                return Some(self.pool.states[self.ejecting[in_idx] as usize]);
             }
-            for f in &v.queue {
-                if f.is_head {
-                    if f.packet == id {
-                        return v.heads.get(hi).copied();
-                    }
-                    hi += 1;
-                }
+            if let Some(word) = self.queued(in_idx).find(|&w| is_head_of(w)) {
+                return Some(self.pool.states[slot_handle(word)]);
             }
         }
         None
@@ -1152,7 +1364,7 @@ impl Shard {
     #[allow(clippy::too_many_arguments)]
     fn allocate_output_reference(
         &mut self,
-        node: usize,
+        lnode: usize,
         here: Coord,
         out_port: usize,
         decisions: &[Option<HopDecision>; MAX_SLOTS],
@@ -1160,7 +1372,6 @@ impl Shard {
         report: &mut StepReport,
         deliveries: &mut Vec<Delivery>,
     ) {
-        let lnode = self.local_of(node);
         let slots = IN_PORTS * self.vcs;
         let start = self.rr[lnode * OUT_PORTS + out_port] as usize;
         for k in 0..slots {
@@ -1173,7 +1384,7 @@ impl Shard {
                 continue; // single injection channel
             }
             let in_idx = self.in_idx(lnode, in_port, vc);
-            let Some(&flit) = self.in_vcs[in_idx].queue.front() else {
+            let Some(word) = self.front(in_idx) else {
                 continue;
             };
             // Desired output of the flit at the queue head, plus the VC
@@ -1185,14 +1396,14 @@ impl Shard {
                         if p as usize != out_port {
                             continue;
                         }
-                        if self.out_vcs[self.out_idx(lnode, p as usize, v as usize)].credits == 0 {
+                        if self.credits[self.out_idx(lnode, p as usize, v as usize)] == 0 {
                             continue;
                         }
                         (p as usize, Some((v as usize, None)))
                     }
                     Some(_) => (EJECT_PORT, None),
                     None => {
-                        debug_assert!(flit.is_head, "body flit at head of an unrouted VC");
+                        debug_assert!(word & SLOT_HEAD != 0, "body flit at head of an unrouted VC");
                         // A head that became the queue front only after
                         // this cycle's plan pass (its predecessor's tail
                         // left this cycle) has no decision yet: it waits
@@ -1209,9 +1420,8 @@ impl Shard {
                                 let pick = candidates.iter().find_map(|c| {
                                     self.class_range(c.class)
                                         .find(|&v| {
-                                            let o = &self.out_vcs
-                                                [self.out_idx(lnode, c.dir as usize, v)];
-                                            o.owner.is_none() && o.credits > 0
+                                            let o = self.out_idx(lnode, c.dir as usize, v);
+                                            self.owners[o].is_none() && self.credits[o] > 0
                                         })
                                         .map(|v| (c.dir as usize, v, c.class))
                                 });
@@ -1227,7 +1437,7 @@ impl Shard {
                 continue;
             }
             in_port_used[in_port] = true;
-            self.commit_grant(node, here, slot, out_port, link, report, deliveries, &mut NoProbe);
+            self.commit_grant(lnode, here, slot, out_port, link, report, deliveries, &mut NoProbe);
             return; // one grant per output port per cycle
         }
     }
@@ -1245,8 +1455,7 @@ impl Shard {
     ) {
         let slots = IN_PORTS * self.vcs;
         for lnode in 0..self.nodes() {
-            let node = self.global_of(lnode);
-            let here = self.mesh.coord(NodeId(node as u32));
+            let here = self.coords[lnode];
             let mut decisions: [Option<HopDecision>; MAX_SLOTS] = [None; MAX_SLOTS];
             let mut m = self.occ_mask[lnode];
             while m != 0 {
@@ -1254,14 +1463,15 @@ impl Shard {
                 m &= m - 1;
                 let in_idx = lnode * slots + slot;
                 if self.in_vcs[in_idx].route.is_none() {
-                    let pk = self.in_vcs[in_idx].heads.front_mut().expect("parked head has state");
+                    let word = self.front(in_idx).expect("occupied slot");
+                    let pk = &mut self.pool.states[slot_handle(word)];
                     decisions[slot] = Some(router.decide(here, pk));
                 }
             }
             let mut in_port_used = [false; IN_PORTS];
             for out_port in 0..OUT_PORTS {
                 self.allocate_output_reference(
-                    node,
+                    lnode,
                     here,
                     out_port,
                     &decisions,
@@ -1280,28 +1490,78 @@ impl Shard {
         if self.escape_vcs == 0 {
             return;
         }
-        for v in &mut self.in_vcs {
-            if v.route.is_none() {
-                if let Some(f) = v.queue.front() {
-                    if f.is_head {
-                        v.heads.front_mut().expect("parked head has state").stalled += 1;
+        for in_idx in 0..self.in_vcs.len() {
+            if self.in_vcs[in_idx].route.is_none() {
+                if let Some(word) = self.front(in_idx) {
+                    if word & SLOT_HEAD != 0 {
+                        self.pool.states[slot_handle(word)].stalled += 1;
                     }
                 }
             }
         }
     }
 
-    /// Asserts the occupancy and free-VC bitmasks agree with the ground
-    /// truth (queue emptiness, owner/credit state) — the invariant both
-    /// steppers maintain — and that every queued head flit has exactly
-    /// one traveling state.
+    /// Flits downstream of an output VC, as seen from the downstream
+    /// side: queued in input VC `(lnode, slot)` plus staged for it.
     #[cfg(test)]
-    fn assert_masks_consistent(&self) {
+    fn ring_load(&self, lnode: usize, slot: usize) -> usize {
+        let staged = self
+            .arrivals
+            .iter()
+            .filter(|a| (a.lnode as usize, a.slot as usize) == (lnode, slot))
+            .count();
+        self.in_vcs[lnode * IN_PORTS * self.vcs + slot].q_len as usize + staged
+    }
+
+    /// Free slots an output VC knows of, as seen from the upstream
+    /// side: its credits plus the credit returns staged for it.
+    #[cfg(test)]
+    fn credit_load(&self, lnode: usize, dir: usize, vc: usize) -> usize {
+        let staged = self
+            .credit_returns
+            .iter()
+            .filter(|c| (c.lnode as usize, c.dir as usize, c.vc as usize) == (lnode, dir, vc))
+            .count();
+        self.credits[self.out_idx(lnode, dir, vc)] as usize + staged
+    }
+
+    /// Asserts the invariants both steppers maintain, at any point
+    /// between two phases of a cycle:
+    ///
+    /// * the occupancy and free-VC bitmasks and the worklist agree with
+    ///   the ground truth (ring occupancy, owner/credit state);
+    /// * flit conservation on every link that stays inside this tile:
+    ///   `credits + downstream ring occupancy + arrivals staged for it
+    ///   + credit returns staged for it == vc_depth` (links crossing a
+    ///   tile edge are checked by [`Fabric::assert_masks_consistent`]);
+    /// * state conservation: every queued or staged head flit and every
+    ///   eject-draining VC holds one pooled state, no handle is held
+    ///   twice, and every other handle is on the free list.
+    #[cfg(test)]
+    pub(crate) fn assert_masks_consistent(&self) {
         let slots = IN_PORTS * self.vcs;
+        let mut held = vec![false; self.pool.states.len()];
+        let mut hold = |handle: usize, what: &str| {
+            assert!(
+                !std::mem::replace(&mut held[handle], true),
+                "state {handle} held twice ({what})"
+            );
+        };
+        for a in &self.arrivals {
+            if a.word & SLOT_HEAD != 0 {
+                hold(slot_handle(a.word), "staged head");
+            }
+        }
         for lnode in 0..self.nodes() {
+            let here = self.coords[lnode];
             for slot in 0..slots {
-                let v = &self.in_vcs[lnode * slots + slot];
-                let occupied = !v.queue.is_empty();
+                let in_idx = lnode * slots + slot;
+                let v = self.in_vcs[in_idx];
+                assert!(
+                    (v.q_head as usize) < self.vc_depth && v.q_len as usize <= self.vc_depth,
+                    "ring cursors out of range at local node {lnode} slot {slot}"
+                );
+                let occupied = v.q_len > 0;
                 assert_eq!(
                     self.occ_mask[lnode] & (1 << slot) != 0,
                     occupied,
@@ -1313,25 +1573,45 @@ impl Shard {
                         "occupied local node {lnode} not on the worklist"
                     );
                 }
-                let head_flits = v.queue.iter().filter(|f| f.is_head).count();
-                let ejecting =
-                    usize::from(matches!(v.route, Some((p, _)) if (p as usize) == EJECT_PORT));
-                assert_eq!(
-                    v.heads.len(),
-                    head_flits + ejecting,
-                    "traveling-state count mismatch at local node {lnode} slot {slot}"
-                );
-            }
-            for dir in 0..DIRS {
-                for v in 0..self.vcs {
-                    let o = &self.out_vcs[self.out_idx(lnode, dir, v)];
-                    assert_eq!(
-                        self.free_mask[lnode * DIRS + dir] & (1 << v) != 0,
-                        o.owner.is_none() && o.credits > 0,
-                        "free_mask stale at local node {lnode} dir {dir} vc {v}"
-                    );
+                for word in self.queued(in_idx).filter(|w| w & SLOT_HEAD != 0) {
+                    hold(slot_handle(word), "queued head");
+                }
+                if matches!(v.route, Some((p, _)) if (p as usize) == EJECT_PORT) {
+                    hold(self.ejecting[in_idx] as usize, "eject-draining VC");
                 }
             }
+            for dir in 0..DIRS {
+                let next = self.local_neighbor(lnode, here, Dir::ALL[dir]);
+                let next_in = Dir::ALL[dir].opposite() as usize;
+                for v in 0..self.vcs {
+                    let idx = self.out_idx(lnode, dir, v);
+                    assert_eq!(
+                        self.free_mask[lnode * DIRS + dir] & (1 << v) != 0,
+                        self.owners[idx].is_none() && self.credits[idx] > 0,
+                        "free_mask stale at local node {lnode} dir {dir} vc {v}"
+                    );
+                    if let Some(next) = next {
+                        assert_eq!(
+                            self.credit_load(lnode, dir, v)
+                                + self.ring_load(next, next_in * self.vcs + v),
+                            self.vc_depth,
+                            "flits not conserved on local node {lnode} dir {dir} vc {v}"
+                        );
+                    }
+                }
+            }
+        }
+        for &h in &self.pool.free {
+            hold(h as usize, "free list");
+        }
+        assert!(held.iter().all(|&h| h), "a pooled state is neither held nor free");
+    }
+
+    /// Asserts that an empty shard holds no traveling state.
+    #[cfg(test)]
+    pub(crate) fn assert_pool_drained(&self) {
+        if self.in_flight == 0 {
+            assert_eq!(self.pool.free.len(), self.pool.states.len(), "state leaked from the pool");
         }
     }
 }
@@ -1357,9 +1637,11 @@ impl Fabric {
     ///
     /// # Panics
     /// Panics when `vcs` or `vc_depth` is zero, when `escape_vcs`
-    /// leaves no adaptive channel (`escape_vcs >= vcs`), or when `vcs`
+    /// leaves no adaptive channel (`escape_vcs >= vcs`), when `vcs`
     /// exceeds `MAX_VCS` = 12 (the occupancy/request bitmasks pack
-    /// `IN_PORTS * vcs` slots into a `u64`).
+    /// `IN_PORTS * vcs` slots into a `u64`), or when `vc_depth` exceeds
+    /// `MAX_VC_DEPTH` = 255 (the flit-ring cursors and credit counters
+    /// are `u8`).
     pub fn new(mesh: Mesh, vcs: usize, vc_depth: usize, escape_vcs: usize) -> Self {
         Fabric::new_sharded(mesh, vcs, vc_depth, escape_vcs, 1)
     }
@@ -1395,6 +1677,10 @@ impl Fabric {
         assert!(vcs > 0, "need at least one virtual channel");
         assert!(vcs <= MAX_VCS, "at most {MAX_VCS} VCs per port (bitmask width)");
         assert!(vc_depth > 0, "need at least one buffer slot per VC");
+        assert!(
+            vc_depth <= MAX_VC_DEPTH,
+            "vc_depth = {vc_depth} exceeds the flit-ring cursor limit of {MAX_VC_DEPTH} slots per VC"
+        );
         assert!(escape_vcs < vcs, "escape class must leave at least one adaptive VC");
         let height = mesh.height() as usize;
         let width = mesh.width() as usize;
@@ -1484,7 +1770,8 @@ impl Fabric {
     /// the per-node injector stages at most one flit per cycle, so
     /// `local_occupancy(n) < vc_depth` keeps the buffer within bounds).
     pub fn local_occupancy(&self, node: NodeId) -> usize {
-        self.shards[self.shard_of(node.index())].local_occupancy(node)
+        let shard = &self.shards[self.shard_of(node.index())];
+        shard.local_occupancy(shard.local_of(node.index()))
     }
 
     /// Stages one flit onto the node's injection channel; it becomes
@@ -1501,7 +1788,8 @@ impl Fabric {
             .is_head
             .then(|| self.pending.remove(&flit.packet).expect("head flit of a registered packet"));
         let shard = self.shard_of(node.index());
-        self.shards[shard].inject(node, flit, state);
+        let shard = &mut self.shards[shard];
+        shard.inject(shard.local_of(node.index()), flit, state);
     }
 
     /// Snapshot of every occupied input VC head. Diagnostic aid for
@@ -1582,12 +1870,34 @@ impl Fabric {
         report
     }
 
-    /// Asserts the occupancy and free-VC bitmasks of every shard agree
-    /// with the ground truth — the invariant both steppers maintain.
+    /// Asserts every shard's invariants (`Shard::assert_masks_consistent`)
+    /// plus flit conservation on the links that cross a tile edge.
+    /// Call after the boundary exchange: a message still in an outbox
+    /// is on neither side of its link.
     #[cfg(test)]
     pub(crate) fn assert_masks_consistent(&self) {
         for s in &self.shards {
             s.assert_masks_consistent();
+            assert!(s.out_boxes.iter().all(Vec::is_empty), "boundary messages not exchanged");
+            for lnode in 0..s.nodes() {
+                let here = s.coords[lnode];
+                for dir in Dir::ALL {
+                    let next = here.step(dir);
+                    if s.local_neighbor(lnode, here, dir).is_some() || !self.mesh.contains(next) {
+                        continue;
+                    }
+                    let t = &self.shards[s.neighbors[dir as usize].expect("tiles cover the mesh")];
+                    let next = t.local_of(self.mesh.id(next).index());
+                    for v in 0..s.vcs {
+                        assert_eq!(
+                            s.credit_load(lnode, dir as usize, v)
+                                + t.ring_load(next, dir.opposite() as usize * s.vcs + v),
+                            s.vc_depth,
+                            "flits not conserved across the tile edge at {here:?} {dir:?} vc {v}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -1599,7 +1909,7 @@ impl Fabric {
         let shard = &mut self.shards[s];
         let lnode = shard.local_of(node);
         let idx = shard.out_idx(lnode, dir, vc);
-        shard.out_vcs[idx].owner = owner;
+        shard.owners[idx] = owner;
         shard.refresh_free_bit(lnode, dir, vc);
     }
 }
@@ -1975,6 +2285,195 @@ mod tests {
         f.step(&mut hop, &mut ejected);
         assert_eq!(f.packet_state(id).unwrap().stalled, 0, "grant must reset the clock");
         f.assert_masks_consistent();
+    }
+
+    #[test]
+    fn reciprocal_row_lookup_is_exact() {
+        for width in [1u32, 2, 3, 5, 7, 64, 100, 255, 256, 1000, 1023, 1024, 65535, 65536, 1 << 31]
+            .into_iter()
+            .chain([u32::MAX - 1, u32::MAX])
+        {
+            let recip = row_recip(width);
+            let w = u64::from(width);
+            let probes = [0u64, 1, w - 1, w, w + 1, 7 * w - 1, 7 * w, 65535 * w - 1, 65535 * w]
+                .into_iter()
+                .chain((0..4).map(|k| u64::from(u32::MAX) - k))
+                .filter(|&n| n <= u64::from(u32::MAX));
+            for n in probes {
+                assert_eq!(row_of(recip, n as usize) as u64, n / w, "{n} / {width}");
+            }
+        }
+        // And through a shard, on every node of assorted tile shapes.
+        for (w, h, cols, rows) in [(1, 6, 1, 2), (5, 3, 2, 1), (7, 7, 3, 2), (16, 9, 2, 4)] {
+            let mesh = Mesh::new(w, h);
+            let f = Fabric::new_tiled(mesh, 1, 2, 0, cols, rows);
+            for n in 0..mesh.len() {
+                let owner = &f.shards[f.shard_of(n)];
+                assert_eq!(owner.xy_of(n), (n % w as usize, n / w as usize));
+                assert_eq!(owner.global_of(owner.local_of(n)) as usize, n);
+                assert_eq!(f.shards.iter().filter(|s| s.contains_node(n)).count(), 1);
+            }
+        }
+    }
+
+    /// Collects the post-mortem records of `Shard::collect_wait_graph`.
+    #[derive(Default)]
+    struct WaitGraph {
+        stalled: Vec<StalledPacket>,
+        edges: Vec<WaitEdge>,
+        fronts: Vec<VcFront>,
+    }
+
+    impl FabricProbe for WaitGraph {
+        const ACTIVE: bool = true;
+        fn stalled_packet(&mut self, p: StalledPacket) {
+            self.stalled.push(p);
+        }
+        fn wait_edge(&mut self, e: WaitEdge) {
+            self.edges.push(e);
+        }
+        fn vc_front(&mut self, f: VcFront) {
+            self.fronts.push(f);
+        }
+    }
+
+    /// A stream of equal-length packets from one source over one
+    /// scripted route, injected back to back as the buffer allows.
+    struct Stream {
+        f: Fabric,
+        hop: ScriptedHop,
+        src: NodeId,
+        /// Packet ids in stream order.
+        pk: Vec<u32>,
+        len: u32,
+        depth: usize,
+        /// Flits of the stream injected so far.
+        sent: u32,
+        ejected: Vec<Delivery>,
+    }
+
+    impl Stream {
+        /// One cycle: feed the next flit of the first `upto` packets if
+        /// it fits, step, check every invariant.
+        fn cycle(&mut self, upto: u32) {
+            if self.sent < upto * self.len && self.f.local_occupancy(self.src) < self.depth {
+                let (k, i) = (self.sent / self.len, self.sent % self.len);
+                let flit = Flit {
+                    packet: self.pk[k as usize],
+                    is_head: i == 0,
+                    is_tail: i + 1 == self.len,
+                };
+                self.f.inject_flit(self.src, flit);
+                self.sent += 1;
+            }
+            self.f.step(&mut self.hop, &mut self.ejected);
+            self.f.assert_masks_consistent();
+        }
+    }
+
+    #[test]
+    fn wrapped_rings_keep_back_to_back_packets_and_their_states_apart() {
+        // One VC per port, so every packet of the +X stream shares the
+        // same rings, at non-power-of-two and minimal depths. Packet 0
+        // passes through first and leaves every ring cursor mid-ring;
+        // then the stream is dammed at (2,0), so the rings behind it
+        // fill across their wrap point with the tail of one packet and
+        // the head of the next. The diagnostics must read those rings
+        // in queue order, with every head matched to its own state —
+        // on one shard and with the dam just past a tile edge.
+        for (depth, cols) in [(2usize, 1usize), (2, 2), (3, 1), (3, 2)] {
+            let len = (5 - depth) as u32; // never a multiple of depth
+            let mesh = Mesh::square(4);
+            let mut f = Fabric::new_tiled(mesh, 1, depth, 0, cols, 1);
+            let mut hop = ScriptedHop::new();
+            let (s, d) = hop.script(Coord::new(0, 0), &[Dir::PlusX; 3]);
+            let dam = mesh.id(Coord::new(2, 0)).index();
+            // `generated_at` doubles as a marker tying a state to its id.
+            let pk: Vec<u32> =
+                (0..6).map(|k| f.register_packet(PacketState::new(s, d, k, len))).collect();
+            let mut st =
+                Stream { f, hop, src: mesh.id(s), pk, len, depth, sent: 0, ejected: Vec::new() };
+            for _ in 0..12 {
+                st.cycle(1);
+            }
+            assert_eq!(ids(&st.ejected), vec![st.pk[0]], "packet 0 clears the path");
+            st.f.set_test_owner(dam, Dir::PlusX as usize, 0, Some(999));
+            for _ in 0..40 {
+                st.cycle(6);
+            }
+            assert_eq!(st.ejected.len(), 1, "the dam holds");
+            let rings: Vec<InVc> =
+                st.f.shards.iter().flat_map(|sh| sh.in_vcs.iter().copied()).collect();
+            assert_eq!(rings.iter().filter(|v| v.q_len as usize == depth).count(), 3);
+            assert!(
+                rings.iter().any(|v| v.q_head as usize + v.q_len as usize > depth),
+                "no ring wrapped: the test lost its subject"
+            );
+
+            // find_packet: every packet whose head is in the fabric has
+            // its own state, and heads sit in stream order along +X.
+            let mut hops = Vec::new();
+            for k in 1..st.sent.div_ceil(len) {
+                let state = st.f.packet_state(st.pk[k as usize]).expect("head in the fabric");
+                assert_eq!(state.generated_at, u64::from(k), "state of another packet");
+                hops.push(state.head_hop);
+            }
+            assert_eq!(hops[0], 2, "packet 1's head is parked at the dam");
+            assert!(hops.windows(2).all(|w| w[0] >= w[1]), "heads out of order: {hops:?}");
+
+            // frontier: one entry per occupied ring, fronts in stream
+            // order from the dam back to the source.
+            let snap = st.f.frontier();
+            let at = |x: i32| snap.iter().find(|e| e.node == Coord::new(x, 0)).expect("occupied");
+            assert_eq!(snap.len(), 3);
+            assert_eq!((at(2).packet, at(2).route), (st.pk[1], None));
+            assert!(at(2).packet <= at(1).packet && at(1).packet <= at(0).packet);
+            assert_eq!(at(0).in_port, LOCAL_PORT);
+
+            // collect_wait_graph: the parked head waits on the dam's
+            // owner; VC fronts agree with the frontier.
+            let mut graph = WaitGraph::default();
+            for sh in &st.f.shards {
+                sh.collect_wait_graph(&mut st.hop, &mut graph);
+            }
+            // (A head fronting the source's ring may be parked too,
+            // credit-starved rather than waiting on an owner.)
+            let parked: Vec<(u32, usize)> =
+                graph.stalled.iter().map(|p| (p.packet, p.node as usize)).collect();
+            assert!(parked.contains(&(st.pk[1], dam)), "dammed head not reported: {parked:?}");
+            for p in &graph.stalled {
+                assert_eq!(st.pk[p.generated_at as usize], p.packet, "state of another packet");
+            }
+            assert_eq!(
+                graph.edges,
+                vec![WaitEdge { waiter: st.pk[1], holder: 999, node: dam as u32, dir: 0, vc: 0 }]
+            );
+            let mut fronts: Vec<(u32, u32)> =
+                graph.fronts.iter().map(|v| (v.node, v.packet)).collect();
+            fronts.sort_unstable();
+            let link_fronts: Vec<(u32, u32)> =
+                [1, 2].iter().map(|&x| (mesh.id(Coord::new(x, 0)).0, at(x).packet)).collect();
+            assert_eq!(fronts, link_fronts);
+
+            // Open the dam: everything drains in order and the pools
+            // end up empty.
+            st.f.set_test_owner(dam, Dir::PlusX as usize, 0, None);
+            for _ in 0..80 {
+                st.cycle(6);
+            }
+            assert_eq!(ids(&st.ejected), st.pk, "stream order survives the wrap");
+            assert!(st.ejected.iter().all(|dl| dl.state.head_hop == 3));
+            assert_eq!(st.f.in_flight(), 0);
+            for sh in &st.f.shards {
+                sh.assert_pool_drained();
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "flit-ring cursor limit of 255")]
+    fn depths_beyond_the_ring_cursors_are_rejected() {
+        Fabric::new(Mesh::square(2), 1, 256, 0);
     }
 
     #[test]

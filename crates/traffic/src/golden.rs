@@ -10,6 +10,14 @@
 //! auto edge-bound) and **tile shape** (row bands and two-column tile
 //! grids).
 //!
+//! Every run of this crate's tests also checks the fabric's
+//! conservation invariants after every cycle of every shard
+//! (`Shard::assert_masks_consistent`, called from the worker's commit
+//! phase: flits on each in-tile link, one pooled state per head, masks
+//! and worklist against ground truth) and that a shard left without
+//! flits holds no pooled state — so each drawn configuration below is
+//! checked for them at 1, 2 and 4 shards and both tile shapes.
+//!
 //! The equality is over the *entire* statistics struct — cycle count,
 //! per-cycle flit-hop totals, the full latency histogram, saturation
 //! and deadlock verdicts — so any divergence in grant order,

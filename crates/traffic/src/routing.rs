@@ -112,16 +112,29 @@ pub struct HopChoice {
 /// An ordered, fixed-capacity candidate list for one head flit: the
 /// fabric tries the choices front to back and the first one with an
 /// allocatable VC this cycle wins (committing the packet — wormhole).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+///
+/// Entries past `len` always hold one filler choice whose bytes are all
+/// zero: the empty list is the all-zero value, and two lists compare
+/// equal exactly when their pushed prefixes do.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct HopCandidates {
     len: u8,
-    arr: [Option<HopChoice>; 3],
+    arr: [HopChoice; 3],
+}
+
+impl Default for HopCandidates {
+    fn default() -> Self {
+        HopCandidates::new()
+    }
 }
 
 impl HopCandidates {
+    /// What an unused entry holds (discriminant 0 of both enums).
+    const FILLER: HopChoice = HopChoice { dir: Dir::PlusX, class: VcClass::Adaptive };
+
     /// An empty candidate list (the head waits this cycle).
-    pub fn new() -> Self {
-        HopCandidates::default()
+    pub const fn new() -> Self {
+        HopCandidates { len: 0, arr: [HopCandidates::FILLER; 3] }
     }
 
     /// Appends a candidate (capacity 3: adaptive, XY escape, tree
@@ -131,13 +144,13 @@ impl HopCandidates {
     /// Panics when the list is full.
     pub fn push(&mut self, c: HopChoice) {
         assert!((self.len as usize) < self.arr.len(), "candidate list full");
-        self.arr[self.len as usize] = Some(c);
+        self.arr[self.len as usize] = c;
         self.len += 1;
     }
 
     /// The candidates in preference order.
     pub fn iter(&self) -> impl Iterator<Item = HopChoice> + '_ {
-        self.arr[..self.len as usize].iter().map(|c| c.expect("filled up to len"))
+        self.arr[..self.len as usize].iter().copied()
     }
 
     /// Number of candidates.
@@ -349,6 +362,19 @@ impl PathTable {
         dirs
     }
 
+    /// Hop `hop` of the route from `s` to `d` under `epoch`, read in
+    /// place: what a hop router asks for every parked head every cycle,
+    /// without cloning and dropping the route's `Rc` as
+    /// [`path_at`](PathTable::path_at) must. `None` when the pair is
+    /// undeliverable; counts hits and misses like `path_at`.
+    pub(crate) fn dir_at(&mut self, epoch: u32, s: Coord, d: Coord, hop: u32) -> Option<Dir> {
+        if let Some(p) = self.cache.get(&(epoch, s, d)) {
+            self.hits += 1;
+            return p.as_ref().map(|p| p[hop as usize]);
+        }
+        self.path_at(epoch, s, d).map(|p| p[hop as usize])
+    }
+
     /// Appends an *online* (unscheduled) epoch snapshot to the end of
     /// the schedule without touching the current admission epoch.
     /// Unlike [`set_schedule`](PathTable::set_schedule) this keeps
@@ -404,11 +430,10 @@ impl HopRouter for ReplayHop<'_> {
         if here == pk.dst {
             return HopDecision::Eject;
         }
-        let path = self
+        let mut dir = self
             .paths
-            .path_at(pk.epoch, pk.src, pk.dst)
+            .dir_at(pk.epoch, pk.src, pk.dst, pk.head_hop)
             .expect("admitted packets have compiled routes");
-        let mut dir = path[pk.head_hop as usize];
         if self.online && !self.paths.view().faults().is_healthy(here.step(dir)) {
             // The compiled route runs into a fresh fault: replan from
             // here under the current epoch (idempotent — the re-keyed
@@ -416,12 +441,12 @@ impl HopRouter for ReplayHop<'_> {
             // cycle takes the clean path below), or kill the packet
             // when no current-epoch route exists.
             let cur = self.paths.current_epoch();
-            match self.paths.path_at(cur, here, pk.dst) {
-                Some(p) => {
+            match self.paths.dir_at(cur, here, pk.dst, 0) {
+                Some(first) => {
                     pk.src = here;
                     pk.head_hop = 0;
                     pk.epoch = cur;
-                    dir = p[0];
+                    dir = first;
                 }
                 None => {
                     pk.killed = true;
@@ -944,23 +969,22 @@ impl HopRouter for EscapeHop<'_> {
                 }
             },
             VcClass::Adaptive => {
-                let path = self
+                let mut dir = self
                     .paths
-                    .path_at(pk.epoch, pk.src, pk.dst)
+                    .dir_at(pk.epoch, pk.src, pk.dst, pk.head_hop)
                     .expect("admitted packets have compiled routes");
-                let mut dir = path[pk.head_hop as usize];
                 if self.online && !self.paths.view().faults().is_healthy(here.step(dir)) {
                     // The compiled route runs into a fresh fault:
                     // replan from here under the current epoch
                     // (idempotent — the re-keyed route avoids current
                     // faults), fall back to the tree, or kill.
                     let cur = self.paths.current_epoch();
-                    match self.paths.path_at(cur, here, pk.dst) {
-                        Some(p) => {
+                    match self.paths.dir_at(cur, here, pk.dst, 0) {
+                        Some(first) => {
                             pk.src = here;
                             pk.head_hop = 0;
                             pk.epoch = cur;
-                            dir = p[0];
+                            dir = first;
                         }
                         None => {
                             return match self.tree_choice(here, pk.dst) {
@@ -1014,6 +1038,52 @@ mod tests {
     use super::*;
     use meshpath_mesh::{FaultSet, Mesh};
     use meshpath_route::Rb2;
+
+    #[test]
+    fn candidate_lists_compare_by_their_pushed_prefix() {
+        // Every list of up to three choices over an alphabet that
+        // includes the filler value unused entries hold.
+        let alphabet = [
+            HopCandidates::FILLER,
+            HopChoice { dir: Dir::MinusY, class: VcClass::EscapeXy },
+            HopChoice { dir: Dir::PlusX, class: VcClass::EscapeTree },
+        ];
+        let mut lists: Vec<Vec<HopChoice>> = vec![Vec::new()];
+        for len in 0..3 {
+            for base in lists.clone().into_iter().filter(|l| l.len() == len) {
+                lists.extend(alphabet.iter().map(|&c| [base.as_slice(), &[c]].concat()));
+            }
+        }
+        assert_eq!(lists.len(), 1 + 3 + 9 + 27);
+        for a in &lists {
+            let ca: HopCandidates = a.iter().copied().collect();
+            assert_eq!(ca.len(), a.len());
+            assert_eq!(ca.iter().collect::<Vec<_>>(), *a);
+            for b in &lists {
+                let cb: HopCandidates = b.iter().copied().collect();
+                assert_eq!(ca == cb, a == b, "{a:?} vs {b:?}");
+            }
+        }
+        assert_eq!(HopCandidates::new(), HopCandidates::default());
+        assert!(HopCandidates::new().is_empty());
+    }
+
+    #[test]
+    fn dir_at_reads_the_cached_route_and_counts_like_path_at() {
+        let faults = FaultSet::from_coords(Mesh::square(6), [Coord::new(2, 2)]);
+        let view = NetView::build(faults);
+        let mut t = PathTable::new(&view, RoutingKind::Rb2);
+        let (s, d) = (Coord::new(0, 2), Coord::new(5, 2));
+        let first = t.dir_at(0, s, d, 0).expect("delivered");
+        assert_eq!(t.cache_stats(), (0, 1), "a cold read compiles");
+        let path = t.path_at(0, s, d).expect("cached");
+        assert_eq!(t.cache_stats(), (1, 1));
+        assert_eq!(first, path[0]);
+        for (hop, &dir) in path.iter().enumerate() {
+            assert_eq!(t.dir_at(0, s, d, hop as u32), Some(dir));
+        }
+        assert_eq!(t.cache_stats(), (1 + path.len() as u64, 1));
+    }
 
     #[test]
     fn path_table_memoizes() {

@@ -69,7 +69,7 @@
 //! [`RunError`] from the `try_run*` entry points; the plain `run*`
 //! entry points re-panic with the worker's message.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -327,9 +327,12 @@ struct ShardWorker<'a, P: FabricProbe> {
     /// order; with the one-cycle workload lease this never holds more
     /// than one cycle's worth).
     pending_workload: VecDeque<WorkloadMsg>,
-    /// Node index -> position in `sources` for the nodes this shard
-    /// owns (workload messages address sources by coordinate).
-    src_slot: HashMap<usize, usize>,
+    /// One bit per entry of `sources`, set while its queue is non-empty:
+    /// the per-cycle feeder visits backlogged sources only.
+    backlogged: Vec<u64>,
+    /// Packets queued across `sources` (the coordinator's termination
+    /// input), maintained at every push and pop.
+    backlog: u64,
     /// Golden-equivalence hook: use the retained scan-order reference
     /// stepper instead of the event-driven one.
     #[cfg(test)]
@@ -353,7 +356,11 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         probe: P,
     ) -> Self {
         let duty = cfg.injection.duty_cycle();
-        let src_slot = sources.iter().enumerate().map(|(i, s)| (s.id.index(), i)).collect();
+        debug_assert!(
+            sources.iter().enumerate().all(|(i, s)| shard.local_of(s.id.index()) == i),
+            "a source's position is its local node index"
+        );
+        let backlogged = vec![0; sources.len().div_ceil(64)];
         ShardWorker {
             shard,
             probe,
@@ -372,7 +379,8 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             online_samplers: Vec::new(),
             workload: false,
             pending_workload: VecDeque::new(),
-            src_slot,
+            backlogged,
+            backlog: 0,
             #[cfg(test)]
             use_reference: false,
             #[cfg(test)]
@@ -431,7 +439,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             let view = self.epoch_view(self.cur_epoch).clone();
             let faults = view.faults();
             let workload = self.workload;
-            for s in &mut self.sources {
+            for (i, s) in self.sources.iter_mut().enumerate() {
                 let healthy = faults.is_healthy(s.coord);
                 if s.active && !healthy {
                     // Decommission: the NI discards its backlog. The
@@ -439,6 +447,10 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
                     // already partially in the fabric.
                     let keep =
                         usize::from(s.queue.front().is_some_and(|p| p.remaining < p.state.len));
+                    self.backlog -= (s.queue.len() - keep) as u64;
+                    if keep == 0 {
+                        self.backlogged[i / 64] &= !(1 << (i % 64));
+                    }
                     for dropped in s.queue.drain(keep..) {
                         done.gen.churn_dropped += 1;
                         let t = dropped.state.generated_at;
@@ -540,8 +552,10 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
     fn finish_cycle(&mut self, done: &mut CycleDone) {
         let t = P::ACTIVE.then(Instant::now);
         self.shard.commit_boundary();
+        #[cfg(test)]
+        self.shard.assert_masks_consistent();
         done.in_flight += self.shard.in_flight;
-        done.backlog += self.sources.iter().map(|s| s.queue.len() as u64).sum::<u64>();
+        done.backlog += self.backlog;
         if let Some(t) = t {
             self.probe.phase_ns(Phase::Commit, t.elapsed().as_nanos() as u64);
         }
@@ -551,6 +565,8 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
     /// and, when the run wedged, walks the shard for the parked-head
     /// wait-for graph (the deadlock post-mortem's raw material).
     fn finish_run(&mut self, cycle: u64, reason: StopKind) {
+        #[cfg(test)]
+        self.shard.assert_pool_drained();
         if P::ACTIVE {
             self.probe.run_stopped(cycle, reason);
             if reason.is_wedged() {
@@ -641,7 +657,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             }
             let mut state = PacketState::new(src, dst, cycle, len);
             state.epoch = self.cur_epoch as u32;
-            self.sources[i].queue.push_back(QueuedPacket { id, state, remaining: len });
+            self.enqueue(i, QueuedPacket { id, state, remaining: len });
             if record {
                 done.trace.push(TraceEntry {
                     cycle,
@@ -712,7 +728,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         let rejected: Option<u8> = if !mesh.contains(m.src) || !mesh.contains(m.dst) {
             Some(1)
         } else {
-            let slot = self.src_slot[&mesh.id(m.src).index()];
+            let slot = self.shard.local_of(mesh.id(m.src).index());
             if !self.sources[slot].active {
                 // A decommissioned source cannot inject; the message
                 // dies like an unroutable pair.
@@ -744,7 +760,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             }
             return;
         }
-        let slot = self.src_slot[&mesh.id(m.src).index()];
+        let slot = self.shard.local_of(mesh.id(m.src).index());
         let len = m.len.max(1);
         assert!(self.next_local < 1 << ID_SHARD_SHIFT, "packet-id namespace exhausted");
         let id = self.id_base + self.next_local;
@@ -756,7 +772,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         let mut state = PacketState::new(m.src, m.dst, cycle, len);
         state.epoch = self.cur_epoch as u32;
         state.flow = m.flow;
-        self.sources[slot].queue.push_back(QueuedPacket { id, state, remaining: len });
+        self.enqueue(slot, QueuedPacket { id, state, remaining: len });
         if record {
             done.trace.push(TraceEntry {
                 cycle,
@@ -769,30 +785,49 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         }
     }
 
+    /// Queues a packet at source `i`, keeping the backlog bitmap and
+    /// count in step.
+    fn enqueue(&mut self, i: usize, packet: QueuedPacket) {
+        self.sources[i].queue.push_back(packet);
+        self.backlogged[i / 64] |= 1 << (i % 64);
+        self.backlog += 1;
+    }
+
     /// Feeds at most one flit per node per cycle from the head-of-line
     /// queued packet into the injection channel; the head flit carries
-    /// the traveling packet state.
+    /// the traveling packet state. Walks the backlogged sources in
+    /// ascending index order — the order a scan of every source stages
+    /// flits in.
     fn feed_injection_channels(&mut self) -> bool {
         let depth = self.cfg.vc_depth;
         let mut any = false;
-        for s in &mut self.sources {
-            let Some(front) = s.queue.front_mut() else {
-                continue;
-            };
-            if self.shard.local_occupancy(s.id) >= depth {
-                continue;
+        for w in 0..self.backlogged.len() {
+            let mut bits = self.backlogged[w];
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // A source's position is its local node index.
+                if self.shard.local_occupancy(i) >= depth {
+                    continue;
+                }
+                let s = &mut self.sources[i];
+                let front = s.queue.front_mut().expect("backlogged sources have a queued packet");
+                let is_head = front.remaining == front.state.len;
+                let flit = Flit { packet: front.id, is_head, is_tail: front.remaining == 1 };
+                if P::ACTIVE && is_head {
+                    self.probe.inject(s.id.0, front.id);
+                }
+                self.shard.inject(i, flit, is_head.then_some(front.state));
+                front.remaining -= 1;
+                if front.remaining == 0 {
+                    s.queue.pop_front();
+                    self.backlog -= 1;
+                    if s.queue.is_empty() {
+                        self.backlogged[w] &= !(1 << (i % 64));
+                    }
+                }
+                any = true;
             }
-            let is_head = front.remaining == front.state.len;
-            let flit = Flit { packet: front.id, is_head, is_tail: front.remaining == 1 };
-            if P::ACTIVE && is_head {
-                self.probe.inject(s.id.0, front.id);
-            }
-            self.shard.inject(s.id, flit, is_head.then_some(front.state));
-            front.remaining -= 1;
-            if front.remaining == 0 {
-                s.queue.pop_front();
-            }
-            any = true;
         }
         any
     }
@@ -1114,42 +1149,12 @@ impl<'p> TrafficSim<'p> {
     /// updates) and installed into `paths`.
     ///
     /// # Panics
-    /// Panics when `cfg.packet_len` is zero (a packet has at least a
-    /// head flit), `cfg.rate` is outside `[0, 1]`, `cfg.escape_vcs`
-    /// leaves no adaptive channel, policy and `escape_vcs` disagree
-    /// (escape-adaptive needs a reserved channel; deterministic would
-    /// strand any), a Markov injection probability is outside
-    /// `(0, 1]`, or a churn event is invalid (failing an already-faulty
-    /// node, repairing a healthy one, off-mesh coordinates).
+    /// Panics when [`SimConfig::validate`] does, a Markov injection
+    /// probability is outside `(0, 1]`, or a churn event is invalid
+    /// (failing an already-faulty node, repairing a healthy one,
+    /// off-mesh coordinates).
     pub fn new(paths: &'p mut PathTable, cfg: SimConfig) -> Self {
-        assert!(cfg.packet_len >= 1, "packets need at least one flit");
-        assert!(
-            (0.0..=1.0).contains(&cfg.rate),
-            "injection rate {} is not a per-cycle probability",
-            cfg.rate
-        );
-        assert!(
-            cfg.escape_vcs < cfg.vcs,
-            "escape_vcs = {} must leave at least one adaptive channel of vcs = {}",
-            cfg.escape_vcs,
-            cfg.vcs
-        );
-        match cfg.policy {
-            RoutePolicy::EscapeAdaptive { .. } => assert!(
-                cfg.escape_vcs >= 1,
-                "EscapeAdaptive policy needs a reserved escape channel (escape_vcs >= 1)"
-            ),
-            // ReplayHop never requests an escape class, so reserved
-            // channels would be silently unallocatable — fail loudly
-            // instead of biasing policy A/B comparisons with stranded
-            // buffering (`SimConfig::without_escape` sets both knobs).
-            RoutePolicy::Deterministic => assert!(
-                cfg.escape_vcs == 0,
-                "Deterministic policy would strand the {} reserved escape channel(s); \
-                 set escape_vcs = 0 (see SimConfig::without_escape)",
-                cfg.escape_vcs
-            ),
-        }
+        cfg.validate();
         // Validates the Markov parameters (duty_cycle panics on a chain
         // that cannot leave a state).
         let duty = cfg.injection.duty_cycle();
