@@ -8,6 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use meshpath::info::ModelKind;
 use meshpath::prelude::*;
+use meshpath::route::oracle::FloodScratch;
 use meshpath::route::seq::Planner;
 use meshpath_bench::{fixture_network, fixture_pairs};
 use std::hint::black_box;
@@ -20,17 +21,19 @@ fn bench(c: &mut Criterion) {
     g.sample_size(20);
     g.bench_function("hybrid", |b| {
         let p = Planner::new(&net, ModelKind::B2, KnowledgeScope::Local);
+        let mut flood = FloodScratch::default();
         b.iter(|| {
             for &(s, d) in &pairs {
-                black_box(p.plan(s, d, &Default::default()));
+                black_box(p.plan(s, d, &Default::default(), &mut flood));
             }
         })
     });
     g.bench_function("strict_eq3", |b| {
         let p = Planner::new_strict(&net, ModelKind::B2, KnowledgeScope::Local);
+        let mut flood = FloodScratch::default();
         b.iter(|| {
             for &(s, d) in &pairs {
-                black_box(p.plan(s, d, &Default::default()));
+                black_box(p.plan(s, d, &Default::default(), &mut flood));
             }
         })
     });

@@ -1,13 +1,49 @@
 //! Microbenchmarks of the hot primitives: labeling fixpoint, distributed
-//! labeling protocol, boundary walks, oracle BFS, and network build.
+//! labeling protocol, boundary walks, oracle BFS, network build, and the
+//! three costs of a cold RB2 plan (feasible, blocked, fallback flood).
+//! CI runs this bench in `--test` smoke mode so it cannot rot.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use meshpath::fault::distributed::run_distributed;
 use meshpath::fault::{BorderPolicy, Labeling, MccSet};
-use meshpath::info::BoundarySet;
+use meshpath::info::{BoundarySet, ModelKind};
 use meshpath::prelude::*;
+use meshpath::route::oracle::FloodScratch;
+use meshpath::route::seq::{Plan, Planner};
 use meshpath_bench::{fixture_faults, fixture_network};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+
+/// Plans per measured iteration of the `plan_*` / `fallback_flood` rows.
+const PLAN_BATCH: usize = 64;
+
+/// The cold-path reference network of `route_bench` and meshbench's
+/// `svc_cold` class (64x64, 204 uniform faults), with [`PLAN_BATCH`]
+/// healthy pairs whose RB2 plan is `Direct` and as many whose plan is not
+/// (waypoints or a forced path).
+fn cold_plan_fixture() -> (NetView, [Vec<(Coord, Coord)>; 2]) {
+    let mesh = Mesh::square(64);
+    let mut rng = StdRng::seed_from_u64(0xc01d);
+    let faults = FaultSet::random(mesh, mesh.len() / 20, FaultInjection::Uniform, &mut rng);
+    let net = NetView::build(faults);
+    let healthy: Vec<Coord> = mesh.iter().filter(|&c| net.faults().is_healthy(c)).collect();
+    let planner = Planner::new(&net, ModelKind::B2, KnowledgeScope::Local);
+    let mut flood = FloodScratch::default();
+    let (mut direct, mut blocked) = (Vec::new(), Vec::new());
+    while direct.len() < PLAN_BATCH || blocked.len() < PLAN_BATCH {
+        let s = healthy[rng.gen_range(0..healthy.len())];
+        let d = healthy[rng.gen_range(0..healthy.len())];
+        let class = match planner.plan(s, d, &Default::default(), &mut flood).0 {
+            Plan::Direct => &mut direct,
+            _ => &mut blocked,
+        };
+        if s != d && class.len() < PLAN_BATCH {
+            class.push((s, d));
+        }
+    }
+    (net, [direct, blocked])
+}
 
 fn bench(c: &mut Criterion) {
     let fs = fixture_faults(240, 8);
@@ -53,6 +89,29 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let res = Rb2::default().route(black_box(&net), Coord::new(1, 1), Coord::new(38, 36));
             black_box(res.hops())
+        })
+    });
+
+    let (cold, [direct, blocked]) = cold_plan_fixture();
+    let planner = Planner::new(&cold, ModelKind::B2, KnowledgeScope::Local);
+    let mut flood = FloodScratch::default();
+    for (name, pairs) in
+        [("plan_direct_64x64_204f", &direct), ("plan_blocked_64x64_204f", &blocked)]
+    {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                for &(s, d) in pairs {
+                    black_box(planner.plan(s, d, &Default::default(), &mut flood));
+                }
+            })
+        });
+    }
+    c.bench_function("fallback_flood_64x64_204f", |b| {
+        b.iter(|| {
+            for &(s, d) in &blocked {
+                let o = Orientation::normalizing(s, d);
+                black_box(planner.fallback(s, d, o, &Default::default(), &mut flood));
+            }
         })
     });
 }

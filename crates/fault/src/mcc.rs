@@ -225,6 +225,13 @@ pub struct MccSet {
     mccs: Vec<Mcc>,
     /// Oriented coordinate -> owning MCC id (`NO_MCC` for safe cells).
     cell_mcc: CellIndex,
+    /// The unsafe cells as bit words, `words_per_row` per mesh row: bit
+    /// `x % 64` of word `x / 64` of row `y` is set iff `(x, y)` is a cell
+    /// of some MCC. One bit per node under either labeling representation
+    /// (128 KB at 1024x1024), so a reader takes 64 cells of a row in one
+    /// load instead of 64 `mcc_at` probes.
+    row_words: Vec<u64>,
+    words_per_row: usize,
 }
 
 const NO_MCC: u32 = u32::MAX;
@@ -283,6 +290,8 @@ impl MccSet {
         let mesh = *labeling.mesh();
         let orientation = labeling.orientation();
         let mut cell_mcc = CellIndex::new(mesh, labeling.mask_is_sparse());
+        let words_per_row = (mesh.width() as usize).div_ceil(64);
+        let mut row_words = vec![0u64; words_per_row * mesh.height() as usize];
         let mut mccs: Vec<Mcc> = Vec::new();
         let mut stack: Vec<Coord> = Vec::new();
         let mut cells: Vec<Coord> = Vec::new();
@@ -292,6 +301,8 @@ impl MccSet {
         // assignment — is identical to a full row-major mesh scan while
         // touching only the unsafe cells.
         for start in labeling.unsafe_nodes() {
+            row_words[start.y as usize * words_per_row + start.x as usize / 64] |=
+                1 << (start.x as usize % 64);
             if cell_mcc.get(start) != NO_MCC {
                 continue;
             }
@@ -311,7 +322,7 @@ impl MccSet {
             mccs.push(Self::shape_of(id, &cells, &labeling, faults, orientation));
         }
 
-        MccSet { labeling, mccs, cell_mcc }
+        MccSet { labeling, mccs, cell_mcc, row_words, words_per_row }
     }
 
     fn shape_of(
@@ -416,6 +427,18 @@ impl MccSet {
     pub fn mcc_at(&self, oc: Coord) -> Option<MccId> {
         let raw = self.cell_mcc.get(oc);
         (raw != NO_MCC).then_some(MccId(raw))
+    }
+
+    /// The unsafe cells of (oriented) row `y` as bit words: bit `x % 64`
+    /// of word `x / 64` is set iff `mcc_at((x, y))` is `Some`. Bits at and
+    /// past the mesh width are zero.
+    ///
+    /// # Panics
+    /// Panics when `y` is not a row of the mesh.
+    #[inline]
+    pub fn row_words(&self, y: i32) -> &[u64] {
+        let start = y as usize * self.words_per_row;
+        &self.row_words[start..start + self.words_per_row]
     }
 }
 
@@ -603,9 +626,27 @@ mod tests {
                 }
                 for oc in mesh.iter() {
                     prop_assert_eq!(dense.mcc_at(oc), sparse.mcc_at(oc), "at {:?}", oc);
+                    let bit = dense.row_words(oc.y)[oc.x as usize / 64] >> (oc.x % 64) & 1;
+                    prop_assert_eq!(bit == 1, dense.mcc_at(oc).is_some(), "row bit at {:?}", oc);
+                }
+                for y in 0..n as i32 {
+                    prop_assert_eq!(dense.row_words(y), sparse.row_words(y), "row {}", y);
                 }
             }
         }
+    }
+
+    #[test]
+    fn row_words_span_word_boundaries_and_stop_at_the_mesh_width() {
+        // 130 columns: three words per row, the last holding two columns.
+        let mesh = Mesh::new(130, 3);
+        let set = build(mesh, &[(0, 0), (63, 1), (64, 1), (129, 2)]);
+        assert_eq!(set.row_words(0), [1, 0, 0]);
+        assert_eq!(set.row_words(1), [1 << 63, 1, 0]);
+        assert_eq!(set.row_words(2), [0, 0, 0b10]);
+        let cells: usize =
+            (0..3).flat_map(|y| set.row_words(y)).map(|w| w.count_ones() as usize).sum();
+        assert_eq!(cells, set.iter().map(Mcc::cell_count).sum::<usize>());
     }
 
     #[test]

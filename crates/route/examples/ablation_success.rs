@@ -9,7 +9,7 @@
 
 use meshpath_info::ModelKind;
 use meshpath_mesh::{Coord, FaultInjection, FaultSet, FxHashSet, Mesh, Orientation};
-use meshpath_route::oracle::DistanceField;
+use meshpath_route::oracle::{DistanceField, FloodScratch};
 use meshpath_route::seq::{Plan, Planner};
 use meshpath_route::{KnowledgeScope, NetView, Rb2, Router};
 use rand::rngs::StdRng;
@@ -29,6 +29,7 @@ fn main() {
             let fs = FaultSet::random(mesh, faults, FaultInjection::Uniform, &mut rng);
             let net = NetView::build(fs);
             let strict = Planner::new_strict(&net, ModelKind::B2, KnowledgeScope::Global);
+            let mut flood = FloodScratch::default();
             let mut routed = 0;
             let mut attempts = 0;
             while routed < 20 && attempts < 20_000 {
@@ -48,8 +49,8 @@ fn main() {
                 pairs_n += 1;
                 let opt = u64::from(field.dist(s));
                 // Strict: does the Eq.1-5 *estimate* equal the optimum?
-                let (_, stats) = strict.plan(s, d, &FxHashSet::default());
-                let est = match strict.plan(s, d, &FxHashSet::default()).0 {
+                let (_, stats) = strict.plan(s, d, &FxHashSet::default(), &mut flood);
+                let est = match strict.plan(s, d, &FxHashSet::default(), &mut flood).0 {
                     Plan::Direct => Some(u64::from(s.manhattan(d))),
                     _ => stats.estimate,
                 };

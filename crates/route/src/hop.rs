@@ -23,6 +23,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::alg2::CriticalSet;
 use crate::engine::{hop_budget, Detour, RouteResult, Visited};
+use crate::oracle::FloodScratch;
 use crate::view::NetView;
 
 /// One per-hop routing decision.
@@ -82,6 +83,10 @@ pub struct HopState {
     /// Algorithm 2's target-keyed exclusion candidates (see
     /// [`CriticalSet`]): MCC ids of *this* message's snapshot.
     pub(crate) critical: CriticalSet,
+    /// Labels and deque of the planner's fallback floods. Generation-
+    /// stamped, so neither a new flood nor [`reset`](HopState::reset)
+    /// clears it; sized to the mesh by the first flood that runs.
+    pub(crate) flood: FloodScratch,
 }
 
 impl HopState {
@@ -101,16 +106,17 @@ impl HopState {
             planned: false,
             healthy_mode: false,
             critical: CriticalSet::default(),
+            flood: FloodScratch::default(),
         }
     }
 
     /// Resets to fresh scratch for a new message injected at `src`,
     /// keeping the heap allocations (visited map, learned set, waypoint
-    /// stack, critical set) of the previous message. This is the reuse
-    /// entry point: [`Router::route_with`] resets one `HopState` per
-    /// query, so a caller that routes many messages — the route
-    /// service's miss path, the traffic path table — pays the scratch
-    /// allocations once instead of once per message.
+    /// stack, critical set, flood labels) of the previous message. This
+    /// is the reuse entry point: [`Router::route_with`] resets one
+    /// `HopState` per query, so a caller that routes many messages — the
+    /// route service's miss path, the traffic path table — pays the
+    /// scratch allocations once instead of once per message.
     pub fn reset(&mut self, src: Coord) {
         self.prev = None;
         self.visited.reset(src);

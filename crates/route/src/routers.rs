@@ -252,7 +252,7 @@ fn decide_planned(
     }
 
     if !state.planned {
-        let (plan, stats) = planner.plan(u, d, &state.learned);
+        let (plan, stats) = planner.plan(u, d, &state.learned, &mut state.flood);
         state.planned = true;
         match plan {
             Plan::Direct => state.waypoints.clear(),
@@ -303,7 +303,7 @@ fn decide_planned(
                 // wall-follow.
                 state.replans += 1;
                 let o_d = Orientation::normalizing(u, d);
-                let (plan, stats) = planner.fallback(u, d, o_d, &state.learned);
+                let (plan, stats) = planner.fallback(u, d, o_d, &state.learned, &mut state.flood);
                 if stats.used_fallback {
                     state.fallbacks += 1;
                 }

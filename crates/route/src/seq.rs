@@ -12,16 +12,44 @@
 //!
 //! picking the option minimizing the recursively-defined distance `D`
 //! (Eq. 2). This module implements the chain search (both the type-I/+Y
-//! and type-II/+X variants), the memoized recursion, and a BFS-over-known-
-//! obstacles fallback used when the paper's enumeration comes up empty
-//! (counted and reported by the experiment harness; expected rare).
+//! and type-II/+X variants), the memoized recursion, and a flood-over-
+//! known-obstacles fallback used when the paper's enumeration comes up
+//! empty (counted and reported by the experiment harness; expected rare).
+//!
+//! ## What a plan reads
+//!
+//! Algorithm 5 asks "is there a Manhattan path?" once per phase and
+//! detours only when there is none, so a plan should cost its rectangle,
+//! not the mesh:
+//!
+//! * **Feasibility** ([`Planner::manhattan_feasible`]) is a row fill
+//!   over the orientation's MCC row words ([`crate::monotone`]): one
+//!   word operation per 64 columns per row of the `u`→`d` rectangle,
+//!   first with every MCC cell blocking. Nearly every feasible pair is
+//!   feasible under that blockage too, and then no per-node knowledge is
+//!   read at all. Only a "blocked" answer under local knowledge runs the
+//!   fill again with the cells of unknown MCCs cleared — one
+//!   `mcc_at` + `knows` per run of unsafe cells in the rectangle.
+//! * **The chain search** tests a candidate's shape (shadow, Eq.-1
+//!   corner conditions) before asking whether the anchor knows it: the
+//!   shape is the candidate's own few words, the `knows` bit lives in a
+//!   different carrier set per MCC, and almost no candidate passes the
+//!   shape test.
+//! * **The fallback flood** ([`Planner::fallback`], also the hybrid
+//!   refinement and the legs the recursion prices by BFS) is
+//!   goal-directed ([`crate::oracle`]): from `d` it settles the nodes
+//!   that can lie on a shortest `d`–`u` path over the known obstacles —
+//!   for a Manhattan+2 detour roughly the rectangle and a one-node rim —
+//!   and its labels live in the message's [`FloodScratch`], so starting
+//!   one allocates and clears nothing.
 
 use meshpath_fault::{Mcc, MccId, MccSet};
 use meshpath_info::ModelKind;
 use meshpath_mesh::{Coord, FxHashMap, FxHashSet, Orientation};
 
 use crate::env::Network;
-use crate::oracle::{DistanceField, UNREACHABLE};
+use crate::monotone::{known_mcc_cells_feasible, mcc_cells_feasible};
+use crate::oracle::{DistanceField, FloodScratch, UNREACHABLE};
 
 /// Whether routing decisions may use triples not stored at the deciding
 /// node (idealized reference runs) or only local knowledge.
@@ -67,6 +95,20 @@ pub struct PlanStats {
 /// Distance value for infeasible options.
 const INF: u64 = u64::MAX / 4;
 
+/// State of one `D(·, d)` recursion: the memo, the pivot-graph cycle
+/// guard, and the flood scratch its BFS-priced legs run in.
+struct DistMemo<'f> {
+    memo: FxHashMap<Coord, u64>,
+    in_progress: FxHashSet<Coord>,
+    flood: &'f mut FloodScratch,
+}
+
+impl<'f> DistMemo<'f> {
+    fn new(flood: &'f mut FloodScratch) -> Self {
+        DistMemo { memo: FxHashMap::default(), in_progress: FxHashSet::default(), flood }
+    }
+}
+
 /// The sequence/distance planner bound to one network and model.
 pub struct Planner<'a> {
     net: &'a Network,
@@ -105,16 +147,20 @@ impl<'a> Planner<'a> {
     /// chain conditions alone over-approximate blockage in marginal
     /// geometries (two chained MCCs with `xc_{i+1} = xc'_i` leave a
     /// one-column gap a monotone path can thread; see DESIGN.md §3).
+    ///
+    /// Two row fills over the MCC row words (see [`crate::monotone`]):
+    /// first with every MCC cell blocking — a superset of what any anchor
+    /// knows, so "feasible" is final, and it is the common answer — then,
+    /// only when that fails under local knowledge, with the cells of the
+    /// MCCs `anchor` does not know cleared.
     pub fn manhattan_feasible(&self, anchor: Coord, u: Coord, d: Coord) -> bool {
         let o = Orientation::normalizing(u, d);
         let mesh = self.net.mesh();
         let (ou, od) = (o.apply(mesh, u), o.apply(mesh, d));
         let set = self.net.mccs(o);
-        let blocked = |oc: Coord| match set.mcc_at(oc) {
-            Some(id) => self.knows(anchor, o, id),
-            None => false,
-        };
-        crate::monotone::monotone_feasible(ou, od, blocked)
+        mcc_cells_feasible(set, ou, od)
+            || (self.scope == KnowledgeScope::Local
+                && known_mcc_cells_feasible(set, ou, od, |id| self.knows(anchor, o, id)))
     }
 
     /// Finds the closest blocking sequence from `u` toward `d` (real
@@ -171,14 +217,17 @@ impl<'a> Planner<'a> {
         let model = self.net.model(o, self.kind);
         let known = |f: &Mcc| self.knows(anchor, o, f.id());
 
-        // F1: the closest MCC whose shadow contains u.
+        // F1: the closest MCC whose shadow contains u. Geometry first,
+        // here and in the successor scan: `known` reads a different
+        // per-MCC carrier set for every candidate, the shape tests read
+        // the candidate itself and reject almost all of them.
         let start = set
             .iter()
-            .filter(|f| known(f))
             .filter(|f| match axis {
                 SeqAxis::TypeI => f.shadow_y(ou),
                 SeqAxis::TypeII => f.shadow_x(ou),
             })
+            .filter(|f| known(f))
             .min_by_key(|f| match axis {
                 SeqAxis::TypeI => f.col(ou.x).map(|s| s.lo).unwrap_or(i32::MAX),
                 SeqAxis::TypeII => f.row_range(ou.y).map(|(w, _)| w).unwrap_or(i32::MAX),
@@ -221,8 +270,7 @@ impl<'a> Planner<'a> {
                 .filter(|g| chainable(cur, g));
             let next = by_relation.or_else(|| {
                 set.iter()
-                    .filter(|g| known(g) && !chain.contains(&g.id()))
-                    .filter(|g| chainable(cur, g))
+                    .filter(|g| chainable(cur, g) && !chain.contains(&g.id()) && known(g))
                     .min_by_key(|g| closeness(g))
             })?;
             chain.push(next.id());
@@ -235,9 +283,8 @@ impl<'a> Planner<'a> {
     /// knowledge stored at `anchor`. Returns `None` when every option is
     /// infeasible within the known information.
     pub fn distance(&self, anchor: Coord, u: Coord, d: Coord) -> Option<u64> {
-        let mut memo = FxHashMap::default();
-        let mut in_progress = FxHashSet::default();
-        let v = self.dist_rec(anchor, u, d, &mut memo, &mut in_progress, 0);
+        let mut flood = FloodScratch::default();
+        let v = self.dist_rec(anchor, u, d, &mut DistMemo::new(&mut flood), 0);
         (v < INF).then_some(v)
     }
 
@@ -246,20 +293,19 @@ impl<'a> Planner<'a> {
         anchor: Coord,
         u: Coord,
         d: Coord,
-        memo: &mut FxHashMap<Coord, u64>,
-        in_progress: &mut FxHashSet<Coord>,
+        rec: &mut DistMemo<'_>,
         depth: usize,
     ) -> u64 {
         if u == d {
             return 0;
         }
-        if let Some(&v) = memo.get(&u) {
+        if let Some(&v) = rec.memo.get(&u) {
             return v;
         }
         if depth > 4 * self.net.mccs(Orientation::IDENTITY).len() + 16 {
             return INF;
         }
-        if !in_progress.insert(u) {
+        if !rec.in_progress.insert(u) {
             return INF; // cycle in the pivot graph
         }
         let value = match self.closest_sequence(anchor, u, d) {
@@ -267,7 +313,7 @@ impl<'a> Planner<'a> {
             Some((_, chain, _)) if chain.is_empty() => {
                 // Blocked with no enumerable chain: price the leg with a
                 // BFS over the known obstacles (model-consistent).
-                self.known_bfs_distance(anchor, u, d).unwrap_or(INF)
+                self.known_bfs_distance(anchor, u, d, rec.flood).unwrap_or(INF)
             }
             Some((_, chain, o)) => {
                 let set = self.net.mccs(o);
@@ -291,7 +337,7 @@ impl<'a> Planner<'a> {
                 let c1 = set.get(chain[0]).corner();
                 if usable(c1) {
                     let c1r = real(c1);
-                    let tail = self.dist_rec(anchor, c1r, d, memo, in_progress, depth + 1);
+                    let tail = self.dist_rec(anchor, c1r, d, rec, depth + 1);
                     best = best.min(leg(u, c1r).saturating_add(tail));
                 }
                 // Pi: between consecutive MCCs.
@@ -300,7 +346,7 @@ impl<'a> Planner<'a> {
                     let cn = set.get(chain[i + 1]).corner();
                     if usable(ci_op) && usable(cn) {
                         let (a, b) = (real(ci_op), real(cn));
-                        let tail = self.dist_rec(anchor, b, d, memo, in_progress, depth + 1);
+                        let tail = self.dist_rec(anchor, b, d, rec, depth + 1);
                         let cost = leg(u, a).saturating_add(leg(a, b)).saturating_add(tail);
                         best = best.min(cost);
                     }
@@ -309,14 +355,14 @@ impl<'a> Planner<'a> {
                 let cn_op = set.get(chain[n - 1]).opposite();
                 if usable(cn_op) {
                     let cr = real(cn_op);
-                    let tail = self.dist_rec(anchor, cr, d, memo, in_progress, depth + 1);
+                    let tail = self.dist_rec(anchor, cr, d, rec, depth + 1);
                     best = best.min(leg(u, cr).saturating_add(tail));
                 }
                 best
             }
         };
-        in_progress.remove(&u);
-        memo.insert(u, value);
+        rec.in_progress.remove(&u);
+        rec.memo.insert(u, value);
         value
     }
 
@@ -361,7 +407,13 @@ impl<'a> Planner<'a> {
     }
 
     /// Model-consistent BFS distance over the fallback obstacle set.
-    fn known_bfs_distance(&self, anchor: Coord, u: Coord, d: Coord) -> Option<u64> {
+    fn known_bfs_distance(
+        &self,
+        anchor: Coord,
+        u: Coord,
+        d: Coord,
+        flood: &mut FloodScratch,
+    ) -> Option<u64> {
         let mesh = *self.net.mesh();
         let o = Orientation::normalizing(u, d);
         let learned = FxHashSet::default();
@@ -369,18 +421,24 @@ impl<'a> Planner<'a> {
         if !passable(d) || !passable(u) {
             return None;
         }
-        let field = DistanceField::with_predicate_until(mesh, d, passable, u);
-        let dist = field.dist(u);
+        let dist = DistanceField::with_predicate_until(mesh, d, passable, u, flood).dist();
         (dist != UNREACHABLE).then_some(u64::from(dist))
     }
 
     /// Produces the routing plan at `u` toward `d` (Algorithm 5 steps
     /// 2-5). `learned` holds nodes the route has locally observed to be
-    /// unsafe (excluded from the fallback BFS).
-    pub fn plan(&self, u: Coord, d: Coord, learned: &FxHashSet<Coord>) -> (Plan, PlanStats) {
+    /// unsafe (excluded from the fallback BFS); `flood` is the scratch
+    /// any fallback flood of this plan runs in.
+    pub fn plan(
+        &self,
+        u: Coord,
+        d: Coord,
+        learned: &FxHashSet<Coord>,
+        flood: &mut FloodScratch,
+    ) -> (Plan, PlanStats) {
         match self.closest_sequence(u, u, d) {
             None => (Plan::Direct, PlanStats { used_fallback: false, estimate: None }),
-            Some((_, chain, o)) if chain.is_empty() => self.fallback(u, d, o, learned),
+            Some((_, chain, o)) if chain.is_empty() => self.fallback(u, d, o, learned, flood),
             Some((_, chain, o)) => {
                 let set = self.net.mccs(o);
                 let mesh = self.net.mesh();
@@ -402,12 +460,11 @@ impl<'a> Planner<'a> {
                         INF
                     }
                 };
-                let mut memo = FxHashMap::default();
-                let mut ip = FxHashSet::default();
+                let mut rec = DistMemo::new(&mut *flood);
                 let c1 = set.get(chain[0]).corner();
                 if usable(c1) {
                     let c1r = real(c1);
-                    let tail = self.dist_rec(u, c1r, d, &mut memo, &mut ip, 1);
+                    let tail = self.dist_rec(u, c1r, d, &mut rec, 1);
                     consider(leg(u, c1r).saturating_add(tail), vec![c1r]);
                 }
                 for i in 0..n.saturating_sub(1) {
@@ -415,7 +472,7 @@ impl<'a> Planner<'a> {
                     let b = set.get(chain[i + 1]).corner();
                     if usable(a) && usable(b) {
                         let (ar, br) = (real(a), real(b));
-                        let tail = self.dist_rec(u, br, d, &mut memo, &mut ip, 1);
+                        let tail = self.dist_rec(u, br, d, &mut rec, 1);
                         let cost = leg(u, ar).saturating_add(leg(ar, br)).saturating_add(tail);
                         consider(cost, vec![ar, br]);
                     }
@@ -423,7 +480,7 @@ impl<'a> Planner<'a> {
                 let cn = set.get(chain[n - 1]).opposite();
                 if usable(cn) {
                     let cr = real(cn);
-                    let tail = self.dist_rec(u, cr, d, &mut memo, &mut ip, 1);
+                    let tail = self.dist_rec(u, cr, d, &mut rec, 1);
                     consider(leg(u, cr).saturating_add(tail), vec![cr]);
                 }
 
@@ -438,7 +495,8 @@ impl<'a> Planner<'a> {
                         // it (disabled under `strict` for the ablation
                         // study; see DESIGN.md §3).
                         if !self.strict {
-                            if let (Plan::Forced(p), stats) = self.fallback(u, d, o, learned) {
+                            if let (Plan::Forced(p), stats) = self.fallback(u, d, o, learned, flood)
+                            {
                                 if stats.estimate.is_some_and(|e| e < cost) {
                                     return (Plan::Forced(p), stats);
                                 }
@@ -449,28 +507,28 @@ impl<'a> Planner<'a> {
                             PlanStats { used_fallback: false, estimate: Some(cost) },
                         )
                     }
-                    None => self.fallback(u, d, o, learned),
+                    None => self.fallback(u, d, o, learned, flood),
                 }
             }
         }
     }
 
-    /// BFS over known obstacles: the model-consistent last resort.
+    /// Flood over known obstacles (goal-directed from `d` towards `u`,
+    /// see [`crate::oracle`]): the model-consistent last resort.
     pub fn fallback(
         &self,
         u: Coord,
         d: Coord,
         o: Orientation,
         learned: &FxHashSet<Coord>,
+        flood: &mut FloodScratch,
     ) -> (Plan, PlanStats) {
         let mesh = *self.net.mesh();
         let passable = self.fallback_passable(u, o, learned);
         if !passable(d) || !passable(u) {
             return (Plan::Direct, PlanStats { used_fallback: true, estimate: None });
         }
-        // Only `u`'s distance and descent are read: stop the flood there.
-        let field = DistanceField::with_predicate_until(mesh, d, passable, u);
-        match field.shortest_path(u) {
+        match DistanceField::with_predicate_until(mesh, d, passable, u, flood).shortest_path() {
             Some(path) => {
                 let est = Some((path.len() - 1) as u64);
                 (Plan::Forced(path), PlanStats { used_fallback: true, estimate: est })
@@ -493,7 +551,12 @@ mod tests {
     fn no_faults_means_direct_plans() {
         let n = net(Mesh::square(10), &[]);
         let p = Planner::new(&n, ModelKind::B2, KnowledgeScope::Global);
-        let (plan, stats) = p.plan(Coord::new(0, 0), Coord::new(7, 7), &FxHashSet::default());
+        let (plan, stats) = p.plan(
+            Coord::new(0, 0),
+            Coord::new(7, 7),
+            &FxHashSet::default(),
+            &mut FloodScratch::default(),
+        );
         assert_eq!(plan, Plan::Direct);
         assert!(!stats.used_fallback);
         assert_eq!(p.distance(Coord::new(0, 0), Coord::new(0, 0), Coord::new(7, 7)), Some(14));
@@ -511,7 +574,7 @@ mod tests {
         assert_eq!(seq.0, SeqAxis::TypeI);
         assert_eq!(seq.1.len(), 1);
         assert_eq!(p.distance(s, s, d), Some(u64::from(s.manhattan(d)) + 2));
-        let (plan, stats) = p.plan(s, d, &FxHashSet::default());
+        let (plan, stats) = p.plan(s, d, &FxHashSet::default(), &mut FloodScratch::default());
         assert!(matches!(plan, Plan::Waypoints(ref w) if w.len() == 1));
         assert_eq!(stats.estimate, Some(9));
     }
@@ -554,7 +617,7 @@ mod tests {
         let n = net(Mesh::square(10), &cells);
         let p = Planner::new(&n, ModelKind::B2, KnowledgeScope::Global);
         let (s, d) = (Coord::new(0, 1), Coord::new(0, 9));
-        let (plan, _) = p.plan(s, d, &FxHashSet::default());
+        let (plan, _) = p.plan(s, d, &FxHashSet::default(), &mut FloodScratch::default());
         // P0 unusable (corner at (-1,4)); Pn via the opposite corner
         // (7,6) remains and must be chosen -- no fallback needed.
         match plan {
@@ -566,7 +629,7 @@ mod tests {
         let wall: Vec<(i32, i32)> = (0..10).map(|x| (x, 5)).collect();
         let n2 = net(Mesh::square(10), &wall);
         let p2 = Planner::new(&n2, ModelKind::B2, KnowledgeScope::Global);
-        let (plan2, stats2) = p2.plan(s, d, &FxHashSet::default());
+        let (plan2, stats2) = p2.plan(s, d, &FxHashSet::default(), &mut FloodScratch::default());
         // The mesh is split: no plan can exist; fallback reports Direct
         // with no estimate.
         assert!(stats2.used_fallback);

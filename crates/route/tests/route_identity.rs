@@ -4,9 +4,10 @@
 //! faults. The constant was generated at the commit *before* the
 //! target-keyed Algorithm-2 exclusions and the early-exit planner BFS
 //! landed, so it pins those — and every later route-layer speedup — to
-//! bit-identical routes. A PR that changes routing behaviour on purpose
-//! regenerates it (the failure message prints the new value) and says
-//! so.
+//! bit-identical routes. A second constant does the same for two meshes
+//! whose rows span more than one 64-bit word. A PR that changes routing
+//! behaviour on purpose regenerates them (the failure message prints the
+//! new value) and says so.
 
 use meshpath_mesh::{components, Coord, FaultInjection, FaultSet, Mesh};
 use meshpath_route::{NetView, RouteResult, RoutingKind};
@@ -14,6 +15,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const GOLDEN: u64 = 0x0e8a_e76b_923e_6b0c;
+
+/// The same hash over two meshes wider than one 64-bit row word (96x40
+/// at 5 %, 130x70 at 10 %), generated at the commit *before* the
+/// word-parallel feasibility fill and the goal-directed fallback flood
+/// landed: it pins the multi-word row path to the scalar planner's routes.
+const GOLDEN_WIDE: u64 = 0xbedd_8c8e_56fa_43f6;
 
 const PAIRS_PER_NETWORK: usize = 240;
 
@@ -43,13 +50,14 @@ impl Fnv {
     }
 }
 
-#[test]
-fn rb_routes_are_bit_identical_to_the_golden() {
+/// Hashes `PAIRS_PER_NETWORK` seeded same-component pairs routed by
+/// RB1/RB2/RB3 on each `(width, height, fault %)` network.
+fn identity_hash(nets: &[(u32, u32, usize)]) -> u64 {
     let mut hash = Fnv::new();
     let mut routed = 0u32;
     let mut detoured = 0u32;
-    for (width, pct) in [(24u32, 5usize), (24, 10), (32, 5), (32, 10), (64, 5), (64, 10)] {
-        let mesh = Mesh::square(width);
+    for &(width, height, pct) in nets {
+        let mesh = Mesh::new(width, height);
         let mut rng = StdRng::seed_from_u64(0x2007_0325 ^ u64::from(width) << 8 ^ pct as u64);
         let faults =
             FaultSet::random(mesh, mesh.len() * pct / 100, FaultInjection::Uniform, &mut rng);
@@ -57,11 +65,11 @@ fn rb_routes_are_bit_identical_to_the_golden() {
         let net = NetView::build(faults);
         // Healthy pairs of one component: a cut pair only burns the hop
         // budget, which the service tests cover.
-        let n = width as i32;
+        let (w, h) = (width as i32, height as i32);
         let mut pairs = Vec::with_capacity(PAIRS_PER_NETWORK);
         while pairs.len() < PAIRS_PER_NETWORK {
-            let s = Coord::new(rng.gen_range(0..n), rng.gen_range(0..n));
-            let d = Coord::new(rng.gen_range(0..n), rng.gen_range(0..n));
+            let s = Coord::new(rng.gen_range(0..w), rng.gen_range(0..h));
+            let d = Coord::new(rng.gen_range(0..w), rng.gen_range(0..h));
             if s != d && labels[s] != u32::MAX && labels[s] == labels[d] {
                 pairs.push((s, d));
             }
@@ -78,9 +86,27 @@ fn rb_routes_are_bit_identical_to_the_golden() {
     }
     // The sample must exercise the blocked machinery, not only Manhattan walks.
     assert!(detoured * 20 > routed, "only {detoured} of {routed} routes left the rectangle");
+    hash.0
+}
+
+#[test]
+fn rb_routes_are_bit_identical_to_the_golden() {
+    let hash = identity_hash(&[
+        (24, 24, 5),
+        (24, 24, 10),
+        (32, 32, 5),
+        (32, 32, 10),
+        (64, 64, 5),
+        (64, 64, 10),
+    ]);
+    assert_eq!(hash, GOLDEN, "route identity changed: RB1/RB2/RB3 routes now hash to {hash:#018x}");
+}
+
+#[test]
+fn rb_routes_on_meshes_wider_than_a_row_word_are_bit_identical_to_the_golden() {
+    let hash = identity_hash(&[(96, 40, 5), (130, 70, 10)]);
     assert_eq!(
-        hash.0, GOLDEN,
-        "route identity changed: {routed} RB1/RB2/RB3 routes now hash to {:#018x}",
-        hash.0
+        hash, GOLDEN_WIDE,
+        "route identity changed on the wide nets: RB1/RB2/RB3 routes now hash to {hash:#018x}"
     );
 }

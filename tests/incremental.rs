@@ -2,7 +2,8 @@
 //! `NetState::add_fault` / `remove_fault` mutations must leave the
 //! published snapshot **bit-identical** to a from-scratch
 //! `Network::build` of the final fault set — MCC labels (raw predicate
-//! masks), component extraction, all three information models (stats
+//! masks), component extraction (ids, shapes and the per-row bit words
+//! the planner's feasibility fill reads), all three information models (stats
 //! *and* per-node knowledge bits), fault blocks, and the route results
 //! of RB1/RB2/RB3 — regardless of whether each step took the
 //! incremental path or the merge/split full-rebuild fallback.
@@ -26,6 +27,22 @@ fn assert_equivalent(view: &NetView, faults: &FaultSet) {
         for oc in mesh.iter() {
             assert_eq!(la.raw_mask(oc), lb.raw_mask(oc), "label mask at {oc:?}, {o:?}");
             assert_eq!(a.mcc_at(oc), b.mcc_at(oc), "component id at {oc:?}, {o:?}");
+        }
+        // Row words: equal to the fresh build's, and exactly the union of
+        // the components' cells.
+        let words_per_row = (mesh.width() as usize).div_ceil(64);
+        let mut from_cells = vec![0u64; words_per_row * mesh.height() as usize];
+        for oc in a.iter().flat_map(|m| m.cells()) {
+            from_cells[oc.y as usize * words_per_row + oc.x as usize / 64] |= 1 << (oc.x % 64);
+        }
+        for y in 0..mesh.height() as i32 {
+            assert_eq!(a.row_words(y), b.row_words(y), "row words of row {y}, {o:?}");
+            let start = y as usize * words_per_row;
+            assert_eq!(
+                a.row_words(y),
+                &from_cells[start..start + words_per_row],
+                "row words vs Mcc::cells() on row {y}, {o:?}"
+            );
         }
         assert_eq!(a.len(), b.len(), "component count, {o:?}");
         for (ma, mb) in a.iter().zip(b.iter()) {

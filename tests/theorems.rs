@@ -10,16 +10,31 @@
 
 use meshpath::info::ModelKind;
 use meshpath::prelude::*;
+use meshpath::route::seq::Planner;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn sample_pairs(net: &NetView, n: i32, count: usize, rng: &mut StdRng) -> Vec<(Coord, Coord, u32)> {
+    sample_pairs_spanning(net, n, 0, count, rng)
+}
+
+/// [`sample_pairs`] keeping only pairs at least `min_dx` columns apart.
+fn sample_pairs_spanning(
+    net: &NetView,
+    n: i32,
+    min_dx: i32,
+    count: usize,
+    rng: &mut StdRng,
+) -> Vec<(Coord, Coord, u32)> {
     let mut out = Vec::new();
     let mut attempts = 0;
     while out.len() < count && attempts < 20_000 {
         attempts += 1;
         let s = Coord::new(rng.gen_range(0..n), rng.gen_range(0..n));
         let d = Coord::new(rng.gen_range(0..n), rng.gen_range(0..n));
+        if (s.x - d.x).abs() < min_dx {
+            continue;
+        }
         let o = Orientation::normalizing(s, d);
         let lab = net.mccs(o).labeling();
         if s == d || lab.status_real(s).is_unsafe() || lab.status_real(d).is_unsafe() {
@@ -50,6 +65,46 @@ fn theorem1_rb2_global_is_exactly_optimal() {
             assert_eq!(res.hops(), opt, "RB2(global) not optimal for {s:?}->{d:?} (trial {trial})");
         }
     }
+}
+
+/// Theorem 1 where a mesh row is two bit words: the feasibility fill
+/// carries reachability across the word boundary at (oriented) column
+/// 64, which most of the sampled rectangles straddle. Checked against
+/// the BFS oracle, not the scalar DP: the route is exactly optimal, and
+/// the planner calls a pair Manhattan-feasible exactly when BFS finds a
+/// path that short (a lost carry would still route optimally, through a
+/// needless fallback flood — the second assertion is the one it fails).
+#[test]
+fn theorem1_rb2_global_is_exactly_optimal_on_two_word_rows() {
+    let n = 96;
+    let mesh = Mesh::square(n as u32);
+    let mut rng = StdRng::seed_from_u64(0x96_0096);
+    let (mut routed, mut straddling) = (0u32, 0u32);
+    for trial in 0..3 {
+        let faults = FaultSet::random(mesh, 300 + trial * 150, FaultInjection::Uniform, &mut rng);
+        let net = NetView::build(faults);
+        let rb2 = Rb2 { scope: KnowledgeScope::Global, ..Default::default() };
+        let planner = Planner::new(&net, ModelKind::B2, KnowledgeScope::Global);
+        let pairs = sample_pairs_spanning(&net, n, 40, 40, &mut rng);
+        assert_eq!(pairs.len(), 40, "sampling failed (trial {trial})");
+        for (s, d, opt) in pairs {
+            let o = Orientation::normalizing(s, d);
+            routed += 1;
+            straddling += u32::from(o.apply(&mesh, s).x / 64 != o.apply(&mesh, d).x / 64);
+            let res = rb2.route(&net, s, d);
+            assert!(res.delivered, "RB2 must deliver {s:?}->{d:?} (trial {trial})");
+            validate_path(&net, s, d, &res).expect("valid walk");
+            assert_eq!(res.hops(), opt, "RB2(global) not optimal for {s:?}->{d:?} (trial {trial})");
+            // Safe endpoints: a Manhattan path over safe nodes exists
+            // exactly when BFS over healthy nodes finds one that short.
+            assert_eq!(
+                planner.manhattan_feasible(s, s, d),
+                opt == s.manhattan(d),
+                "feasibility of {s:?}->{d:?} (trial {trial})"
+            );
+        }
+    }
+    assert!(straddling * 2 > routed, "only {straddling} of {routed} rectangles span two words");
 }
 
 #[test]
