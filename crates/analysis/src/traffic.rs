@@ -596,7 +596,9 @@ pub fn run_load_sweep(config: &LoadSweepConfig) -> LoadSweepResult {
                             if let Some(spec) = &cfg.workload {
                                 run = run.with_workload(spec.build(net));
                             }
-                            let out = run.run_full(observer);
+                            // A shard-worker panic fails the sweep,
+                            // like a panic of this sweep worker.
+                            let out = run.try_run_full(observer).unwrap_or_else(|e| panic!("{e}"));
                             let sim_wall_ms = started.elapsed().as_secs_f64() * 1e3;
                             if out.stats.saturated || out.stats.deadlocked {
                                 sat_from = Some(sat_from.map_or(rate, |s: f64| s.min(rate)));

@@ -18,8 +18,13 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use meshpath::prelude::*;
-use meshpath::traffic::{run_traffic_reusing, PathTable, RoutingKind, SimConfig};
+use meshpath::traffic::{PathTable, RoutingKind, SimConfig, TrafficSim, TrafficStats};
 use std::hint::black_box;
+
+/// One full run over a reused path table.
+fn run(paths: &mut PathTable, cfg: &SimConfig) -> TrafficStats {
+    TrafficSim::new(paths, cfg.clone()).try_run_full(&mut ()).expect("no worker panicked").stats
+}
 
 fn bench(c: &mut Criterion) {
     // A 16x16 mesh at ~3% faults: the load sweep's operating point.
@@ -49,7 +54,7 @@ fn bench(c: &mut Criterion) {
         ("loaded_64", &loaded_net, loaded),
     ] {
         let mut paths = PathTable::new(net, RoutingKind::Rb2);
-        let probe = run_traffic_reusing(&mut paths, &cfg);
+        let probe = run(&mut paths, &cfg);
         println!(
             "fabric_step/{name}: {} cycles, {} flit-hops per run{}",
             probe.cycles,
@@ -58,7 +63,7 @@ fn bench(c: &mut Criterion) {
         );
         g.bench_function(name, |b| {
             b.iter(|| {
-                let stats = run_traffic_reusing(&mut paths, black_box(&cfg));
+                let stats = run(&mut paths, black_box(&cfg));
                 black_box(stats.cycles)
             })
         });
@@ -68,10 +73,10 @@ fn bench(c: &mut Criterion) {
     // 64x64 sharded vs sequential: the same seeded run at 1, 2 and 4
     // worker threads — bit-identical statistics (asserted below). The
     // time delta is stepping parallelism + per-cycle barrier overhead
-    // + per-run construction of the extra shards' route tables (only
-    // shard 0 reuses `paths` across iterations; workers compile their
-    // own tables each run, so the threads > 1 bars include that setup
-    // — unlike the 16x16 group above, this is not pure stepping).
+    // + per-run route compilation (only the single-shard run reuses
+    // `paths` across iterations; shard workers compile private tables
+    // each run, so the threads > 1 bars include that setup — unlike
+    // the 16x16 group above, this is not pure stepping).
     let net64 = fixture_network(64, 32, 21);
     let mut g = c.benchmark_group("fabric_step_64");
     g.sample_size(10);
@@ -81,7 +86,7 @@ fn bench(c: &mut Criterion) {
     for threads in [1usize, 2, 4] {
         let mut paths = PathTable::new(&net64, RoutingKind::Rb2);
         let cfg = SimConfig { threads, ..base.clone() };
-        let probe = run_traffic_reusing(&mut paths, &cfg);
+        let probe = run(&mut paths, &cfg);
         println!(
             "fabric_step_64/threads_{threads}: {} cycles, {} flit-hops per run",
             probe.cycles, probe.flits_moved,
@@ -92,7 +97,7 @@ fn bench(c: &mut Criterion) {
         }
         g.bench_function(format!("threads_{threads}"), |b| {
             b.iter(|| {
-                let stats = run_traffic_reusing(&mut paths, black_box(&cfg));
+                let stats = run(&mut paths, black_box(&cfg));
                 black_box(stats.cycles)
             })
         });

@@ -144,7 +144,9 @@
 //! it into a [`RouteService`] with
 //! [`drain_injector`](RouteService::drain_injector) (each applied event
 //! publishes a new epoch), or hand it to a running simulation via
-//! [`traffic::OnlineChurn`]. Callers racing churn can classify failures
+//! [`traffic::OnlineChurn`] — the same churn driver a
+//! `SimConfig::fault_churn` list is loaded into ahead of time, so a
+//! run may use either or both. Callers racing churn can classify failures
 //! with [`RouteError::is_transient`] and ride them out with
 //! [`route_with_retry`](RouteService::route_with_retry) under a bounded
 //! [`RetryPolicy`].

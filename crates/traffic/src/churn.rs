@@ -1,29 +1,35 @@
-//! Online churn: live fault/repair injection into a *running*
-//! simulation.
+//! Churn: fault/repair events applied to a *running* simulation.
 //!
-//! The prescheduled `fault_churn` axis in [`SimConfig`](crate::SimConfig)
-//! fixes every topology change before the run starts. This module is the
-//! complement: a [`ChurnInjector`] handle that external code (an
-//! operator console, a chaos harness, a service front-end) can poke
-//! while the simulation is in flight, plus a seedable [`ChaosConfig`]
-//! schedule that draws random fail/repair events as the run progresses.
+//! One mechanism, fed two ways. A [`SimConfig::fault_churn`] list is
+//! known before the run starts and fires each event at exactly its
+//! listed cycle; a [`ChurnInjector`] handle (an operator console, a
+//! chaos harness, a service front-end) and a seedable [`ChaosConfig`]
+//! schedule are *live* sources, polled every
+//! [`quantum`](OnlineChurn::quantum) cycles while the run is in flight.
+//! A run may use either or both.
 //!
-//! Both feed the same coordinator-side driver: at every churn quantum
-//! boundary the coordinator drains the injector, draws the chaos
-//! schedule, applies each mutation to a [`NetState`] (incremental
-//! rebuild with full-rebuild fallback), and publishes the resulting
-//! [`NetView`] epochs into the running shard workers through the
-//! existing epoch barrier. Applying through `NetState` means invalid
+//! All of them feed the same coordinator-side driver: at every churn
+//! boundary (a listed cycle, or a quantum multiple when a live source
+//! is attached) the coordinator takes the listed events that are due,
+//! drains the injector, draws the chaos schedule, applies each
+//! mutation to a [`NetState`] (incremental rebuild with full-rebuild
+//! fallback), and publishes the resulting [`NetView`] epochs into the
+//! running shard workers. Applying through `NetState` means invalid
 //! mutations (off-mesh coordinates, double faults, repairs of healthy
-//! nodes) are *rejected and counted*, never panicking a live service.
+//! nodes) are *rejected and counted*, never panicking a live service —
+//! whichever source they came from.
 //!
-//! Determinism: the chaos schedule is a pure function of `(seed,
-//! cycle)` and the fault set at the quantum boundary, and injector
-//! events are applied in submission order at the next boundary — so a
-//! run with a given injector script and chaos seed is bit-identical at
-//! every shard count, which is what lets the golden tests pin online
-//! churn alongside the prescheduled kind.
+//! Determinism: listed events apply in config order at their cycle, the
+//! chaos schedule is a pure function of `(seed, cycle)` and the fault
+//! set at the boundary, and injector events are applied in submission
+//! order at the next quantum boundary — so a run with a given list,
+//! injector script and chaos seed is bit-identical at every shard
+//! count, which is what lets the golden tests pin all three sources in
+//! one run.
+//!
+//! [`SimConfig::fault_churn`]: crate::SimConfig::fault_churn
 
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use meshpath_mesh::{derive_seed, Coord};
@@ -149,9 +155,9 @@ impl ChaosConfig {
     }
 }
 
-/// Online-churn configuration for a [`TrafficSim`](crate::TrafficSim)
-/// run: an injector handle, an optional chaos schedule, and the quantum
-/// at which the coordinator polls both.
+/// The live churn sources of a [`TrafficSim`](crate::TrafficSim) run:
+/// an injector handle, an optional chaos schedule, and the quantum at
+/// which the coordinator polls both.
 #[derive(Clone, Debug)]
 pub struct OnlineChurn {
     /// Live injection handle; clone it and keep a copy to poke the run.
@@ -190,47 +196,66 @@ impl OnlineChurn {
 }
 
 /// Coordinator-side churn driver: owns the authoritative [`NetState`]
-/// and turns injector + chaos events into published epochs.
+/// and turns listed, injected and chaos events into published epochs.
 pub(crate) struct OnlineDriver {
-    injector: ChurnInjector,
-    chaos: Option<ChaosConfig>,
-    quantum: u64,
+    /// The `fault_churn` events not yet due, cycle-sorted (config order
+    /// within a cycle).
+    listed: VecDeque<ChurnEvent>,
+    live: Option<OnlineChurn>,
     state: NetState,
     applied: Vec<ChurnEvent>,
     rejected: u64,
 }
 
 impl OnlineDriver {
-    pub(crate) fn new(churn: OnlineChurn, base: NetView) -> Self {
-        assert!(churn.quantum >= 1, "churn quantum must be at least 1 cycle");
+    pub(crate) fn new(
+        mut listed: Vec<ChurnEvent>,
+        live: Option<OnlineChurn>,
+        base: NetView,
+    ) -> Self {
+        listed.sort_by_key(|e| e.cycle);
         OnlineDriver {
-            injector: churn.injector,
-            chaos: churn.chaos,
-            quantum: churn.quantum,
+            listed: listed.into(),
+            live,
             state: NetState::adopt(base),
             applied: Vec::new(),
             rejected: 0,
         }
     }
 
-    /// The polling quantum in cycles (lease windows are clamped to
-    /// quantum boundaries so publications stay ordered with replay).
-    pub(crate) fn quantum(&self) -> u64 {
-        self.quantum
+    /// The first cycle at or after `from` at which [`poll`] may apply
+    /// something: the next listed cycle, or the next positive quantum
+    /// multiple when a live source is attached (`u64::MAX` when neither
+    /// remains). Lease windows are clamped to these boundaries so
+    /// publications stay ordered with replay.
+    ///
+    /// [`poll`]: OnlineDriver::poll
+    pub(crate) fn next_boundary(&self, from: u64) -> u64 {
+        let listed = self.listed.front().map_or(u64::MAX, |e| e.cycle.max(from));
+        let live = self.live.as_ref().map_or(u64::MAX, |l| from.max(1).next_multiple_of(l.quantum));
+        listed.min(live)
     }
 
-    /// Polls both event sources at a quantum boundary; returns the
-    /// epoch publications to broadcast, one per applied operation.
+    /// Applies what is due at `cycle` — listed events first, then the
+    /// injector queue and the chaos draw when `cycle` is a positive
+    /// quantum multiple — and returns the epoch publications to
+    /// broadcast, one per applied operation.
     ///
     /// Invalid operations are counted in `rejected` and dropped — a
-    /// misbehaving injector client cannot wedge or panic the run.
+    /// bad list entry or a misbehaving injector client cannot wedge or
+    /// panic the run.
     pub(crate) fn poll(&mut self, cycle: u64) -> Vec<(NetView, ChurnOp)> {
-        if cycle == 0 || !cycle.is_multiple_of(self.quantum) {
-            return Vec::new();
+        let mut ops = Vec::new();
+        while self.listed.front().is_some_and(|e| e.cycle <= cycle) {
+            ops.extend(self.listed.pop_front().map(|e| e.op));
         }
-        let mut ops = self.injector.drain();
-        if let Some(chaos) = &self.chaos {
-            ops.extend(chaos.draw(cycle, &self.state.view()));
+        if let Some(live) = &self.live {
+            if cycle > 0 && cycle.is_multiple_of(live.quantum) {
+                ops.extend(live.injector.drain());
+                if let Some(chaos) = &live.chaos {
+                    ops.extend(chaos.draw(cycle, &self.state.view()));
+                }
+            }
         }
         let mut out = Vec::new();
         for op in ops {
@@ -244,10 +269,10 @@ impl OnlineDriver {
                     out.push((view, op));
                 }
                 Err(e) => {
-                    // Rejections are counted, not fatal — but a chaos
-                    // schedule (or an injector client) targeting an
-                    // invalid coordinate is worth a visible note, with
-                    // the offending op, under `MESHPATH_LOG=info`.
+                    // Rejections are counted, not fatal — but an event
+                    // targeting an invalid coordinate is worth a
+                    // visible note, with the offending op, under
+                    // `MESHPATH_LOG=info`.
                     if meshpath_obs::enabled(meshpath_obs::LogLevel::Info) {
                         eprintln!("[churn] cycle {cycle}: rejected {op:?}: {e}");
                     }
@@ -293,12 +318,16 @@ mod tests {
     #[test]
     fn driver_applies_at_quantum_boundaries_only() {
         let inj = ChurnInjector::new();
-        let mut drv =
-            OnlineDriver::new(OnlineChurn::new(inj.clone()).with_quantum(10), view(4, &[]));
+        let live = OnlineChurn::new(inj.clone()).with_quantum(10);
+        let mut drv = OnlineDriver::new(Vec::new(), Some(live), view(4, &[]));
         inj.fail(Coord::new(2, 2));
-        assert!(drv.poll(0).is_empty(), "cycle 0 is the base epoch, never a boundary");
+        assert!(drv.poll(0).is_empty(), "live sources are first polled at the first quantum");
         assert!(drv.poll(7).is_empty(), "off-boundary cycles do not poll");
         assert_eq!(inj.pending(), 1);
+        assert_eq!(
+            (drv.next_boundary(0), drv.next_boundary(10), drv.next_boundary(11)),
+            (10, 10, 20)
+        );
         let pubs = drv.poll(10);
         assert_eq!(pubs.len(), 1);
         let (v, op) = &pubs[0];
@@ -313,8 +342,8 @@ mod tests {
     #[test]
     fn driver_rejects_invalid_operations_without_panicking() {
         let inj = ChurnInjector::new();
-        let mut drv =
-            OnlineDriver::new(OnlineChurn::new(inj.clone()).with_quantum(1), view(4, &[(1, 1)]));
+        let live = OnlineChurn::new(inj.clone()).with_quantum(1);
+        let mut drv = OnlineDriver::new(Vec::new(), Some(live), view(4, &[(1, 1)]));
         inj.fail(Coord::new(9, 9)); // off-mesh
         inj.fail(Coord::new(1, 1)); // already faulty
         inj.repair(Coord::new(2, 2)); // not faulty
@@ -325,6 +354,45 @@ mod tests {
         let (applied, rejected) = drv.into_outcome();
         assert_eq!(applied.len(), 1);
         assert_eq!(rejected, 3);
+    }
+
+    #[test]
+    fn listed_events_fire_at_their_cycle_in_config_order_ahead_of_live_sources() {
+        let (a, b) = (Coord::new(1, 1), Coord::new(2, 2));
+        let listed = vec![
+            ChurnEvent::fail(25, b),
+            ChurnEvent::fail(0, a),
+            ChurnEvent::repair(20, a),
+            ChurnEvent::fail(20, a),
+            ChurnEvent::fail(20, Coord::new(7, 7)), // off-mesh: rejected, not fatal
+        ];
+        let inj = ChurnInjector::new();
+        let live = OnlineChurn::new(inj.clone()).with_quantum(10);
+        let mut drv = OnlineDriver::new(listed, Some(live), view(4, &[]));
+        // Listed cycles are boundaries beside the quantum multiples —
+        // cycle 0 included.
+        assert_eq!(drv.next_boundary(0), 0);
+        let ops = |pubs: Vec<(NetView, ChurnOp)>| pubs.iter().map(|p| p.1).collect::<Vec<_>>();
+        assert_eq!(ops(drv.poll(0)), vec![ChurnOp::Fail(a)]);
+        assert_eq!((drv.next_boundary(1), drv.next_boundary(11)), (10, 20));
+        // Same cycle: the list in config order, then the injector.
+        inj.repair(a);
+        assert_eq!(
+            ops(drv.poll(20)),
+            vec![ChurnOp::Repair(a), ChurnOp::Fail(a), ChurnOp::Repair(a)]
+        );
+        assert_eq!(drv.next_boundary(21), 25, "a listed cycle between quantum multiples");
+        assert_eq!(ops(drv.poll(25)), vec![ChurnOp::Fail(b)]);
+        assert_eq!(drv.next_boundary(26), 30, "the list is exhausted; the quantum remains");
+        let (applied, rejected) = drv.into_outcome();
+        assert_eq!(applied.iter().map(|e| e.cycle).collect::<Vec<_>>(), vec![0, 20, 20, 20, 25]);
+        assert_eq!(rejected, 1);
+        // A list-only driver has no boundary past its last event, so
+        // leases run unclamped from there.
+        let mut list_only = OnlineDriver::new(vec![ChurnEvent::fail(5, a)], None, view(4, &[]));
+        assert_eq!(list_only.next_boundary(0), 5);
+        assert_eq!(list_only.poll(5).len(), 1);
+        assert_eq!(list_only.next_boundary(6), u64::MAX);
     }
 
     #[test]

@@ -7,19 +7,24 @@ use serde::{Deserialize, Serialize};
 use crate::fabric::MAX_VC_DEPTH;
 use crate::pattern::{InjectionProcess, LengthDist, TrafficPattern};
 
-/// One scheduled mid-run fault mutation (the `fault_churn` scenario
-/// axis): at the start of `cycle`, the network advances to the next
-/// epoch snapshot with `op` applied.
+/// One mid-run fault mutation: at the start of `cycle`, the network
+/// advances to the next epoch snapshot with `op` applied. Listed ahead
+/// of time in [`SimConfig::fault_churn`], and logged — whichever source
+/// fired it — in
+/// [`TrafficStats::online_events`](crate::TrafficStats::online_events).
 ///
-/// Semantics are **announced decommission / recommission**, matching
-/// dynamic NoC reconfiguration practice: from the event cycle on, the
-/// mutated node is excluded from admission (no new packets are
-/// generated at, destined to, or routed through a failed node — new
-/// routes compile against the new epoch), while packets admitted under
-/// earlier epochs finish on their compiled routes (the node powers off
-/// only once legacy traffic no longer needs it). Escape classes are
-/// provisioned against the union of every scheduled epoch's faults, so
-/// their deadlock-freedom argument is epoch-invariant.
+/// Semantics are **failure / repair**, as in the paper's fault model: a
+/// failed node forwards nothing from the event cycle on. No new packet
+/// is generated at, destined to, or routed through it (new routes
+/// compile against the new epoch), its network interface discards its
+/// queued packets (`churn_dropped`), and a packet already in flight
+/// whose compiled route meets the failure replans from where it stands
+/// or — when it sits on, heads to, or is cut off by the failed node —
+/// is drained and counted in `churn_killed`. The escape forest is
+/// re-provisioned per event, so a repaired node regains every VC class.
+/// An invalid event (off-mesh coordinate, failing a faulty node,
+/// repairing a healthy one) is rejected and counted in
+/// `churn_rejected`, never a panic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChurnEvent {
     /// Cycle at which the mutation takes effect (applied before that
@@ -32,9 +37,9 @@ pub struct ChurnEvent {
 /// The mutation a [`ChurnEvent`] applies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ChurnOp {
-    /// The node at this coordinate fails (decommission).
+    /// The node at this coordinate fails.
     Fail(Coord),
-    /// The node at this coordinate is repaired (recommission).
+    /// The node at this coordinate is repaired.
     Repair(Coord),
 }
 
@@ -176,27 +181,28 @@ pub struct SimConfig {
     /// per-cycle neighbor boundary exchange is kept regardless, the
     /// lease only amortizes the coordinator round trip: results are
     /// **bit-identical for every lease length** (pinned by
-    /// `crate::golden`). Under online churn every lease is clamped to
-    /// the next quantum boundary so epoch publications stay ordered.
+    /// `crate::golden`). Under churn every lease is clamped to the next
+    /// churn boundary so epoch publications stay ordered.
     pub lease: u64,
     /// Streaming-statistics window length in cycles: every
-    /// `stats_window` cycles, [`TrafficSim::run_with`] hands a
+    /// `stats_window` cycles, [`TrafficSim::try_run_full`] hands a
     /// [`WindowSample`] (window mean latency, accepted flits, in-flight
     /// and backlog) to its [`WindowObserver`]; `0` disables windowing.
-    /// Plain [`TrafficSim::run`] attaches the null observer, so the
-    /// window length never changes simulation results — observers can
-    /// only *end* a run early, never steer it.
+    /// The window length never changes simulation results — observers
+    /// can only *end* a run early, never steer it.
     ///
-    /// [`TrafficSim::run`]: crate::TrafficSim::run
-    /// [`TrafficSim::run_with`]: crate::TrafficSim::run_with
+    /// [`TrafficSim::try_run_full`]: crate::TrafficSim::try_run_full
     /// [`WindowSample`]: crate::WindowSample
     /// [`WindowObserver`]: crate::WindowObserver
     pub stats_window: u64,
-    /// Scheduled mid-run fault mutations (see [`ChurnEvent`] for the
-    /// decommission semantics). Sorted by cycle at simulation start;
-    /// each event advances the run to the next epoch snapshot,
-    /// published by the incremental `NetState` update path. Empty =
-    /// the classic static-fault run (epoch 0 throughout).
+    /// Mid-run fault mutations known ahead of time (see [`ChurnEvent`]
+    /// for the failure semantics): the churn driver is preloaded with
+    /// the list, sorted by cycle (config order within a cycle), and
+    /// applies each event at exactly its cycle — cycle 0 included —
+    /// through the same publication path as live
+    /// [`OnlineChurn`](crate::OnlineChurn) sources, with which it
+    /// composes. Empty = no listed events (epoch 0 throughout, unless
+    /// a live source publishes).
     pub fault_churn: Vec<ChurnEvent>,
     /// Observability level (see [`ObsLevel`]). At the default
     /// [`ObsLevel::Off`] the run loop is monomorphized over the no-op
@@ -204,8 +210,8 @@ pub struct SimConfig {
     /// records per-link/per-node counters and histograms; `Trace` adds
     /// the per-shard packet-lifecycle flight recorder. Recording never
     /// perturbs results: an instrumented run is bit-identical to a bare
-    /// one (pinned by `crate::golden`). Retrieve the merged report with
-    /// [`TrafficSim::run_observed`](crate::TrafficSim::run_observed).
+    /// one (pinned by `crate::golden`). The merged report comes back in
+    /// [`RunOutput::obs`](crate::RunOutput::obs).
     pub obs: ObsLevel,
     /// Record every generation attempt as a packet-trace entry
     /// (`cycle, src, dst, len`, with rejections as drop markers). The
@@ -286,7 +292,7 @@ impl SimConfig {
         SimConfig { pattern, ..self }
     }
 
-    /// This config with a mid-run fault-churn schedule (builder; see
+    /// This config with a mid-run fault-churn list (builder; see
     /// [`ChurnEvent`]).
     pub fn with_fault_churn(self, fault_churn: Vec<ChurnEvent>) -> Self {
         SimConfig { fault_churn, ..self }

@@ -4,9 +4,9 @@
 //! retained scan-order reference stepper (`Fabric::step_reference`) on
 //! random draws of simulator configuration, fault pattern, routing
 //! function, traffic pattern, injection process, packet-length
-//! distribution, churn — both the prescheduled `fault_churn` list
-//! and a seeded *online* chaos schedule published mid-run through the
-//! live epoch mechanism — **lease window length** (1, 2, 8 and the
+//! distribution, churn — a `fault_churn` list, a seeded *online*
+//! chaos schedule, or both in one run, published mid-run through the
+//! one epoch mechanism — **lease window length** (1, 2, 8 and the
 //! auto edge-bound) and **tile shape** (row bands and two-column tile
 //! grids).
 //!
@@ -56,7 +56,7 @@ fn run(
     if reference {
         sim.set_reference_stepper();
     }
-    sim.run()
+    sim.try_run_full(&mut ()).expect("no worker panicked").stats
 }
 
 /// Regression pin for the router-consultation schedule: under online
@@ -149,9 +149,11 @@ proptest! {
             _ => Vec::new(),
         };
         // Optional *online* churn: a seeded chaos schedule applied at
-        // quantum boundaries through the live epoch-publication path
-        // (mutually exclusive with the prescheduled list above). The
-        // equivalence must hold for dynamically-published epochs too.
+        // quantum boundaries through the same epoch-publication path —
+        // in the same run as the list above when both are drawn (a
+        // listed event the chaos draw invalidated is rejected and
+        // counted). The equivalence must hold for dynamically-published
+        // epochs too.
         let chaos = (online_ix == 1).then_some(ChaosConfig {
             seed: seed ^ 0x9e37_79b9,
             fail_prob: 0.6,
@@ -160,7 +162,6 @@ proptest! {
             stop: 220,
             max_faults: 4,
         });
-        let fault_churn = if chaos.is_some() { Vec::new() } else { fault_churn };
         let kind = RoutingKind::ALL[kind_ix];
         // The policy/escape knobs must agree (TrafficSim asserts it):
         // no reserved channel means deterministic replay.

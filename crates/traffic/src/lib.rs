@@ -63,12 +63,13 @@
 //!   saturation detection, the deadlock liveness assertion, and the
 //!   sharded multi-threaded runner ([`SimConfig::threads`]) with
 //!   bit-identical results at every thread count.
-//! * [`churn`] — **online churn**: a [`ChurnInjector`] handle for live
-//!   fault/repair injection into a running simulation and a seedable
-//!   [`ChaosConfig`] random schedule, applied at churn-quantum
-//!   boundaries through the epoch mechanism with incremental
-//!   escape-forest re-provisioning; stranded in-flight packets are
-//!   replanned or killed (`churn_killed`), never wedged.
+//! * [`churn`] — **churn**: fault/repair events applied to a running
+//!   simulation, fed by a [`SimConfig::fault_churn`] list (exact
+//!   cycles), a [`ChurnInjector`] handle and a seedable [`ChaosConfig`]
+//!   random schedule (churn-quantum boundaries) — one driver, one
+//!   epoch mechanism with incremental escape-forest re-provisioning;
+//!   stranded in-flight packets are replanned or killed
+//!   (`churn_killed`), never wedged.
 //! * [`stats`] — latency histograms and accepted-throughput accounting.
 //! * [`config`] — [`SimConfig`] including the `escape_vcs` partition
 //!   and the [`RoutePolicy`] adaptivity knob.
@@ -81,8 +82,8 @@
 //! histograms, per-shard phase timings, a packet-lifecycle flight
 //! recorder (`Trace`), and — whenever a run wedges — a deadlock
 //! post-mortem naming the cyclically-blocked packets from the VC
-//! wait-for graph. Retrieve the merged [`ObsReport`] with
-//! [`TrafficSim::run_observed`] or [`run_traffic_observed`]. The
+//! wait-for graph. The merged [`ObsReport`] comes back in
+//! [`RunOutput::obs`] from [`TrafficSim::try_run_full`]. The
 //! instrumentation is compile-time dispatched: at the default
 //! [`ObsLevel::Off`] the hot path monomorphizes over the no-op probe
 //! (zero added code), and at any level the recorded run is
@@ -147,10 +148,7 @@ pub use routing::{
     xy_next, xy_path_clear, EscapeForest, EscapeHop, HopCandidates, HopChoice, HopDecision,
     HopRouter, PathTable, ReplayHop, RoutingKind, VcClass, XyRouter,
 };
-pub use sim::{
-    run_traffic, run_traffic_observed, run_traffic_reusing, run_traffic_reusing_with,
-    single_packet_latency, RunError, RunOutput, TrafficSim,
-};
+pub use sim::{run_traffic, single_packet_latency, RunError, RunOutput, TrafficSim};
 pub use source::{
     FlowCompletion, PhaseOutcome, TraceEntry, WorkloadMsg, WorkloadOutcome, WorkloadSource, NO_FLOW,
 };

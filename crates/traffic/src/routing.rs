@@ -13,9 +13,9 @@
 //! the walk is a pure function of the pair). The table is
 //! **snapshot-keyed**: it owns [`NetView`] epochs instead of borrowing
 //! one `&Network`, which is what lets a running simulation change its
-//! fault set mid-flight (the `fault_churn` scenario axis) — packets
-//! admitted at epoch `e` replay epoch-`e` routes while new packets
-//! compile against the current epoch.
+//! fault set mid-flight (see [`crate::churn`]) — packets admitted at
+//! epoch `e` replay epoch-`e` routes until a fresh fault strands them,
+//! while new packets compile against the current epoch.
 //!
 //! The fabric asks a [`HopRouter`] for a fresh `(output port, VC
 //! class)` decision whenever a head flit is parked at a router. Two hop
@@ -40,10 +40,7 @@
 //!      routes go child-to-root ("up") then root-to-child ("down");
 //!      forbidding down-to-up transitions totally orders the tree
 //!      channels, so this class is acyclic *regardless of the fault
-//!      pattern*. Under fault churn the forest is provisioned against
-//!      the **union of every scheduled epoch's faults**, so one
-//!      epoch-invariant acyclic substrate serves the whole run — the
-//!      deadlock-freedom argument survives reconfiguration.
+//!      pattern*.
 //!
 //!   Per Duato's methodology, a blocked head that always has an
 //!   eventual path onto a draining escape network cannot participate in
@@ -52,9 +49,9 @@
 //!   (XY runs blocked by faults) with a guaranteed — if possibly long —
 //!   last resort.
 //!
-//! Under **online churn** (unscheduled events published mid-run via
-//! [`HopRouter::publish`]) no fault union exists at startup, so the
-//! escape substrate instead tracks the *current* fault set: each
+//! Under **churn** (events published mid-run via
+//! [`HopRouter::publish`], whether listed ahead of time or injected
+//! live) the escape substrate tracks the *current* fault set: each
 //! published event incrementally re-provisions the forest
 //! ([`EscapeForest::update`] — component-scoped rebuilds with a
 //! full-rebuild fallback on component merge/split), repaired nodes
@@ -216,17 +213,13 @@ pub trait HopRouter {
     /// port within one cycle.
     fn decide(&mut self, here: Coord, pk: &mut PacketState) -> HopDecision;
 
-    /// Advances the *admission* epoch (fault churn): subsequent
-    /// [`admit`](HopRouter::admit) calls compile against the next
-    /// scheduled snapshot. In-flight packets keep their epoch.
-    fn advance_epoch(&mut self) {}
-
-    /// Publishes an *online* (unscheduled) epoch: appends `view` to the
-    /// epoch schedule and re-provisions escape structures for `op`.
-    /// The first publish switches the router into online mode —
-    /// degradation checks (kill/replan around fresh faults) activate
-    /// from that point on. Routers that cannot serve online churn
-    /// ignore the call.
+    /// Publishes a churn epoch: `view` (the network after `op`) becomes
+    /// the admission epoch — subsequent [`admit`](HopRouter::admit)
+    /// calls compile against it — and escape structures are
+    /// re-provisioned for `op`. The first publish switches the router
+    /// into online mode: degradation checks (kill/replan around fresh
+    /// faults) activate from that point on. Routers that cannot serve
+    /// churn ignore the call.
     fn publish(&mut self, view: &NetView, op: ChurnOp) {
         let _ = (view, op);
     }
@@ -237,18 +230,16 @@ pub trait HopRouter {
 type CachedRoute = Option<Rc<[Dir]>>;
 
 /// A memoizing compiled-route table for one routing function over a
-/// **schedule of epoch snapshots**: the per-pair backing store of the
+/// **sequence of epoch snapshots**: the per-pair backing store of the
 /// hop routers. Routes are keyed `(epoch, source, destination)`, so a
 /// table serves mixed-epoch traffic during fault churn; without churn
 /// it degenerates to the classic per-pair cache at epoch 0.
 pub struct PathTable {
     kind: RoutingKind,
     router: Box<dyn Router + Send + Sync>,
-    /// The scheduled snapshots, admission-epoch order (index 0 = the
-    /// initial configuration).
+    /// The published snapshots, epoch order (index 0 = the initial
+    /// configuration); the last one is the admission epoch.
     views: Vec<NetView>,
-    /// The current admission epoch (index into `views`).
-    current: usize,
     cache: FxHashMap<(u32, Coord, Coord), CachedRoute>,
     /// Router scratch of every compile, reset per pair.
     scratch: HopState,
@@ -263,7 +254,6 @@ impl PathTable {
             kind,
             router: kind.router(),
             views: vec![view.clone()],
-            current: 0,
             cache: FxHashMap::default(),
             scratch: HopState::new(Coord::new(0, 0)),
             misses: 0,
@@ -278,52 +268,38 @@ impl PathTable {
 
     /// The snapshot of the current admission epoch.
     pub fn view(&self) -> &NetView {
-        &self.views[self.current]
+        self.views.last().expect("epoch 0 always exists")
     }
 
     /// The snapshot of a specific epoch.
     ///
     /// # Panics
-    /// Panics when `epoch` is beyond the schedule.
+    /// Panics when `epoch` has not been published.
     pub fn view_at(&self, epoch: u32) -> &NetView {
         &self.views[epoch as usize]
     }
 
-    /// Every scheduled snapshot, epoch order.
-    pub fn views(&self) -> &[NetView] {
-        &self.views
-    }
-
-    /// The current admission epoch (index into [`views`](PathTable::views)).
+    /// The current admission epoch: how many snapshots have been
+    /// [`publish`](PathTable::publish)ed since the last reset.
     pub fn current_epoch(&self) -> u32 {
-        self.current as u32
+        (self.views.len() - 1) as u32
     }
 
-    /// Installs the post-initial epoch schedule (fault churn) and
-    /// rewinds to epoch 0. Cached routes of the initial epoch survive
-    /// (they stay valid across runs over the same network); later-epoch
-    /// entries are dropped, since the schedule may have changed.
-    pub fn set_schedule(&mut self, later: impl IntoIterator<Item = NetView>) {
+    /// Drops every published epoch and returns to the initial snapshot
+    /// (run start). Cached routes of epoch 0 survive — they stay valid
+    /// across runs over the same network — later-epoch entries are
+    /// dropped, since the next run publishes its own epochs.
+    pub fn reset_epochs(&mut self) {
         self.views.truncate(1);
-        self.views.extend(later);
-        self.current = 0;
         self.cache.retain(|&(epoch, _, _), _| epoch == 0);
     }
 
-    /// Rewinds the admission epoch to 0 (run start).
-    pub fn rewind(&mut self) {
-        self.current = 0;
-    }
-
-    /// Advances the admission epoch; `false` when the schedule is
-    /// exhausted.
-    pub fn advance_epoch(&mut self) -> bool {
-        if self.current + 1 < self.views.len() {
-            self.current += 1;
-            true
-        } else {
-            false
-        }
+    /// Publishes `view` as the next epoch and makes it the admission
+    /// epoch. Every earlier epoch and cached route is kept: in-flight
+    /// packets go on replaying the routes of the epoch they were
+    /// admitted (or last replanned) under.
+    pub fn publish(&mut self, view: &NetView) {
+        self.views.push(view.clone());
     }
 
     /// The direction sequence from `s` to `d` under the current
@@ -331,7 +307,7 @@ impl PathTable {
     /// pair (XY hitting a fault, disconnected endpoints, hop-budget
     /// exhaustion).
     pub fn path(&mut self, s: Coord, d: Coord) -> Option<Rc<[Dir]>> {
-        self.path_at(self.current as u32, s, d)
+        self.path_at(self.current_epoch(), s, d)
     }
 
     /// The direction sequence from `s` to `d` under a specific epoch.
@@ -373,17 +349,6 @@ impl PathTable {
             return p.as_ref().map(|p| p[hop as usize]);
         }
         self.path_at(epoch, s, d).map(|p| p[hop as usize])
-    }
-
-    /// Appends an *online* (unscheduled) epoch snapshot to the end of
-    /// the schedule without touching the current admission epoch.
-    /// Unlike [`set_schedule`](PathTable::set_schedule) this keeps
-    /// every existing epoch and cached route: online churn extends the
-    /// schedule while the run is in flight, and the next
-    /// [`advance_epoch`](PathTable::advance_epoch) steps into the new
-    /// snapshot.
-    pub fn push_epoch(&mut self, view: &NetView) {
-        self.views.push(view.clone());
     }
 
     /// `(cache hits, cache misses)` — the miss count is the number of
@@ -457,13 +422,9 @@ impl HopRouter for ReplayHop<'_> {
         HopDecision::route1(HopChoice { dir, class: VcClass::Adaptive })
     }
 
-    fn advance_epoch(&mut self) {
-        self.paths.advance_epoch();
-    }
-
     fn publish(&mut self, view: &NetView, _op: ChurnOp) {
         self.online = true;
-        self.paths.push_epoch(view);
+        self.paths.publish(view);
     }
 }
 
@@ -822,21 +783,6 @@ impl EscapeForest {
     }
 }
 
-/// The union of every scheduled epoch's faults: the substrate the
-/// escape classes are provisioned against under churn, so the escape
-/// networks never route through any node that is faulty at *any*
-/// scheduled epoch and stay epoch-invariant (acyclicity needs one
-/// fixed structure). Without churn this is just the current fault set.
-fn union_faults(views: &[NetView]) -> FaultSet {
-    let mut faults = views[0].faults().clone();
-    for v in &views[1..] {
-        for c in v.faults().iter() {
-            faults.inject(c);
-        }
-    }
-    faults
-}
-
 /// The Duato-style adaptive wrapper: compiled routes on the adaptive
 /// class; once a head has been blocked `patience` consecutive cycles it
 /// is offered the reserved escape classes — dimension-order XY when the
@@ -854,40 +800,33 @@ pub struct EscapeHop<'p> {
     /// candidates could never allocate, so offering them (and paying
     /// the clearance walks) would be pure waste.
     xy_class: bool,
-    /// The escape-substrate faults: the union of every scheduled
-    /// epoch's faults ([`union_faults`]) — or, once online churn starts
-    /// publishing, the *current* fault set (the forest is then
-    /// re-provisioned incrementally per event).
-    substrate: FaultSet,
+    /// The spanning forest over the admission epoch's healthy nodes,
+    /// re-provisioned incrementally per published event.
     forest: EscapeForest,
-    /// Set by the first [`publish`](HopRouter::publish): the substrate
-    /// now tracks the current epoch, and decide kills or replans
-    /// packets stranded by unscheduled faults.
+    /// Set by the first [`publish`](HopRouter::publish): faults may now
+    /// postdate a packet's admission, so decide kills or replans
+    /// packets stranded by them.
     online: bool,
     /// Memoized [`xy_path_clear`] per `(epoch, node, destination)`.
     clear: FxHashMap<(u32, Coord, Coord), bool>,
     /// Memoized tree next hop per `(node, destination)` — the
     /// ancestor climb is O(tree depth) and `decide` runs on the
     /// congested path, up to once per output-port scan per cycle.
-    /// `None`: the pair is disconnected on the union substrate (only
-    /// possible under churn), so the tree class cannot serve it.
+    /// `None`: the pair is disconnected on the forest (only possible
+    /// under churn), so the tree class cannot serve it.
     tree_next: FxHashMap<(Coord, Coord), Option<Dir>>,
 }
 
 impl<'p> EscapeHop<'p> {
     /// An escape-adaptive router over `paths`' compiled routes.
     /// `xy_class` says whether the fabric reserves XY escape channels
-    /// in addition to the tree channel (`escape_vcs >= 2`). The escape
-    /// forest is built over the union of every scheduled epoch's
-    /// faults, so it is valid (and acyclic) at every epoch.
+    /// in addition to the tree channel (`escape_vcs >= 2`).
     pub fn new(paths: &'p mut PathTable, patience: u32, xy_class: bool) -> Self {
-        let substrate = union_faults(paths.views());
-        let forest = EscapeForest::new(&substrate);
+        let forest = EscapeForest::new(paths.view().faults());
         EscapeHop {
             paths,
             patience,
             xy_class,
-            substrate,
             forest,
             online: false,
             clear: FxHashMap::default(),
@@ -905,25 +844,14 @@ impl<'p> EscapeHop<'p> {
         *self.clear.entry((epoch, here, dst)).or_insert_with(|| xy_path_clear(faults, here, dst))
     }
 
-    /// The tree-class candidate, or `None` when the union substrate
-    /// cannot serve the pair — possible only under churn: the packet
-    /// sits at or heads to a node that is faulty at *some* scheduled
-    /// epoch (e.g. repaired mid-run — the node carries traffic again
-    /// but stays decommissioned from the epoch-invariant escape
-    /// forest), or a scheduled fault cuts the pair's substrate
-    /// component. Such packets keep the adaptive route and, when
-    /// clear, the XY escape; the deadlock detector remains the
-    /// liveness assertion for this deliberately narrowed corner.
+    /// The tree-class candidate, or `None` when the forest cannot
+    /// serve the pair — possible only under churn: a fresh fault cut
+    /// `here` off `dst`'s component (or took `here` itself).
     fn tree_choice(&mut self, here: Coord, dst: Coord) -> Option<HopChoice> {
-        if !self.substrate.is_healthy(here) || !self.substrate.is_healthy(dst) {
-            return None;
-        }
         let forest = &self.forest;
-        let substrate = &self.substrate;
-        let dir = *self
-            .tree_next
-            .entry((here, dst))
-            .or_insert_with(|| forest.next_hop(substrate.mesh(), here, dst));
+        let mesh = self.paths.view().mesh();
+        let dir =
+            *self.tree_next.entry((here, dst)).or_insert_with(|| forest.next_hop(mesh, here, dst));
         dir.map(|dir| HopChoice { dir, class: VcClass::EscapeTree })
     }
 }
@@ -963,7 +891,7 @@ impl HopRouter for EscapeHop<'_> {
                 None => {
                     // Only reachable online: a fresh fault cut the pair
                     // off the re-provisioned forest.
-                    assert!(self.online, "tree commitment implies a substrate route");
+                    assert!(self.online, "tree commitment implies a forest route");
                     pk.killed = true;
                     HopDecision::Eject
                 }
@@ -1017,15 +945,10 @@ impl HopRouter for EscapeHop<'_> {
         }
     }
 
-    fn advance_epoch(&mut self) {
-        self.paths.advance_epoch();
-    }
-
     fn publish(&mut self, view: &NetView, op: ChurnOp) {
         self.online = true;
-        self.paths.push_epoch(view);
-        self.substrate = view.faults().clone();
-        self.forest.update(&self.substrate, op);
+        self.paths.publish(view);
+        self.forest.update(view.faults(), op);
         // Tree next-hops are keyed per (node, destination) only — the
         // forest changed, so the memo is stale. The XY-clearance memo
         // is epoch-keyed and survives.
@@ -1157,22 +1080,30 @@ mod tests {
     fn path_table_keys_routes_by_epoch() {
         // Epoch 0: clear row. Epoch 1: a fault on the row forces a
         // detour. The same (s, d) pair must resolve differently per
-        // epoch, with old-epoch routes surviving the advance.
+        // epoch, with old-epoch routes surviving the publication.
         let mesh = Mesh::square(8);
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
         let v1 = state.add_fault(Coord::new(3, 1)).expect("valid");
         let mut t = PathTable::new(&v0, RoutingKind::Rb2);
-        t.set_schedule([v1]);
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
         let p0 = t.path(s, d).expect("clear row");
         assert_eq!(p0.len(), 5, "epoch 0 routes straight");
-        assert!(t.advance_epoch());
-        assert!(!t.advance_epoch(), "schedule exhausted");
+        t.publish(&v1);
+        assert_eq!(t.current_epoch(), 1, "a publication is adopted on arrival");
         let p1 = t.path(s, d).expect("detour exists");
         assert_eq!(p1.len(), 7, "epoch 1 routes around the fault");
         // Old-epoch lookups still replay the old route.
         assert_eq!(t.path_at(0, s, d).expect("cached").len(), 5);
+        // A reset returns to epoch 0 and keeps only its routes.
+        t.reset_epochs();
+        assert_eq!(t.current_epoch(), 0);
+        let (hits, misses) = t.cache_stats();
+        assert_eq!(t.path(s, d).expect("cached").len(), 5);
+        assert_eq!(t.cache_stats(), (hits + 1, misses), "epoch-0 routes survive the reset");
+        t.publish(&v1);
+        assert_eq!(t.path(s, d).expect("recompiled").len(), 7);
+        assert_eq!(t.cache_stats(), (hits + 1, misses + 1), "later-epoch routes do not");
     }
 
     #[test]
@@ -1271,43 +1202,6 @@ mod tests {
             vec![VcClass::Adaptive, VcClass::EscapeTree],
             "XY candidate requires a reserved XY channel"
         );
-    }
-
-    #[test]
-    fn escape_substrate_unions_scheduled_faults() {
-        // With a scheduled epoch-1 fault, the tree class must avoid
-        // that node from the very start (the substrate is
-        // epoch-invariant), while adaptive epoch-0 routes may still
-        // cross it.
-        let mesh = Mesh::square(8);
-        let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
-        let v0 = state.view();
-        let doomed = Coord::new(4, 4);
-        let v1 = state.add_fault(doomed).expect("valid");
-        let mut t = PathTable::new(&v0, RoutingKind::Rb2);
-        t.set_schedule([v1]);
-        let hop = EscapeHop::new(&mut t, 4, true);
-        let forest = hop.forest();
-        // Every healthy neighbor pair routes on the tree without ever
-        // stepping onto the doomed node.
-        for s in mesh.iter() {
-            if s == doomed {
-                continue;
-            }
-            let mut cur = s;
-            let dst = Coord::new(0, 0);
-            if cur == dst {
-                continue;
-            }
-            let mut hops = 0;
-            while cur != dst {
-                let dir = forest.next_hop(&mesh, cur, dst).expect("connected");
-                cur = cur.step(dir);
-                assert_ne!(cur, doomed, "tree route crosses a scheduled fault");
-                hops += 1;
-                assert!(hops <= 2 * mesh.len(), "tree walk too long");
-            }
-        }
     }
 
     #[test]
@@ -1512,7 +1406,6 @@ mod tests {
 
         let v1 = state.add_fault(node).expect("valid");
         hop.publish(&v1, ChurnOp::Fail(node));
-        hop.advance_epoch();
         assert!(
             hop.tree_choice(node, Coord::new(0, 0)).is_none(),
             "failed node leaves the substrate"
@@ -1521,9 +1414,7 @@ mod tests {
 
         let v2 = state.remove_fault(node).expect("valid");
         hop.publish(&v2, ChurnOp::Repair(node));
-        hop.advance_epoch();
-        // Union provisioning would decommission the node for the rest
-        // of the run; online re-provisioning restores the tree class.
+        // Re-provisioning per event restores the tree class.
         let choice = hop
             .tree_choice(node, Coord::new(0, 0))
             .expect("repaired node regains escape-tree membership");
@@ -1546,7 +1437,6 @@ mod tests {
         let blocker = Coord::new(3, 1);
         let v1 = state.add_fault(blocker).expect("valid");
         hop.publish(&v1, ChurnOp::Fail(blocker));
-        hop.advance_epoch();
 
         // Parked at (2,1), the old route's next step is the fresh
         // fault: the packet is re-keyed onto the current epoch and the
@@ -1573,7 +1463,6 @@ mod tests {
         // out of the fabric), never wedged.
         let v2 = state.add_fault(d).expect("valid");
         hop.publish(&v2, ChurnOp::Fail(d));
-        hop.advance_epoch();
         assert_eq!(hop.decide(here, &mut pk), HopDecision::Eject);
         assert!(pk.killed, "a packet to a failed destination is accounted as churn-killed");
     }

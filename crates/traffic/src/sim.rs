@@ -40,25 +40,27 @@
 //! granted lease are discarded from the statistics; only the
 //! observability probes may record that bounded overshoot tail.
 //!
-//! ## Online churn
+//! ## Churn
 //!
-//! [`TrafficSim::with_online_churn`] attaches a
-//! [`ChurnInjector`](crate::ChurnInjector) /
-//! [`ChaosConfig`](crate::ChaosConfig) event source to the run (see
-//! [`crate::churn`]). The coordinator polls it at every churn-quantum
-//! boundary, applies the events to its authoritative `NetState`
-//! (incremental rebuild with full-rebuild fallback), and broadcasts
-//! each resulting [`NetView`] epoch to the shard workers over the existing
-//! control lanes (`Go::Publish` precedes the lease that starts at that
-//! boundary on each FIFO lane — leases are clamped to quantum
-//! boundaries, and a lease starting exactly on one is held back until
-//! the replay cursor has polled it — so every worker adopts the epoch
-//! at the same boundary). Workers re-provision their hop routers incrementally
-//! ([`HopRouter::publish`]) and refresh source liveness/samplers;
-//! packets stranded by a fresh fault are replanned or killed
-//! (`churn_killed`), never wedged. Polling is coordinator-side and
-//! deterministic, so online-churn runs stay bit-identical at every
-//! thread count.
+//! Fault/repair events reach a running simulation one way (see
+//! [`crate::churn`]): a [`SimConfig::fault_churn`] list fires each
+//! event at its listed cycle, and [`TrafficSim::with_online_churn`]
+//! attaches the live [`ChurnInjector`](crate::ChurnInjector) /
+//! [`ChaosConfig`](crate::ChaosConfig) sources, polled at quantum
+//! multiples. At every such boundary the coordinator applies what is
+//! due to its authoritative `NetState` (incremental rebuild with
+//! full-rebuild fallback) and broadcasts each resulting [`NetView`]
+//! epoch to the shard workers over the control lanes (`Go::Publish`
+//! precedes the lease that starts at that boundary on each FIFO lane —
+//! leases are clamped to boundaries, and a lease starting exactly on
+//! one is held back until the replay cursor has polled it — so every
+//! worker adopts the epoch on arrival, before the boundary cycle
+//! runs). Workers re-provision their hop routers incrementally
+//! ([`HopRouter::publish`]) and refresh source liveness and the
+//! destination sampler; packets stranded by a fresh fault are
+//! replanned or killed (`churn_killed`), never wedged. Polling is
+//! coordinator-side and deterministic, so churn runs stay
+//! bit-identical at every thread count.
 //!
 //! ## Worker panic safety
 //!
@@ -66,8 +68,8 @@
 //! under `catch_unwind`, reports the panic over the shared `done` lane,
 //! and returns its channel ends (dropping them unblocks its
 //! neighbors). The coordinator surfaces the failure as a typed
-//! [`RunError`] from the `try_run*` entry points; the plain `run*`
-//! entry points re-panic with the worker's message.
+//! [`RunError`] from [`TrafficSim::try_run_full`]; [`run_traffic`]
+//! re-panics with the worker's message.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -75,9 +77,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use crossbeam::channel::{self, Receiver, Sender};
-use meshpath_mesh::{derive_seed, Coord, NodeId};
+use meshpath_mesh::{derive_seed, Coord, Mesh, NodeId};
 use meshpath_obs::{FabricProbe, NoProbe, ObsLevel, ObsReport, Phase, ShardObs, StopKind};
-use meshpath_route::{NetState, NetView};
+use meshpath_route::NetView;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -110,7 +112,7 @@ const DEADLOCK_WINDOW: u64 = 1000;
 
 /// Why a sharded run failed instead of producing statistics.
 ///
-/// Returned by the `try_run*` entry points. A worker panic is caught at
+/// Returned by [`TrafficSim::try_run_full`]. A worker panic is caught at
 /// the worker boundary and surfaced here — the coordinator tears the
 /// run down (dropping the control lanes unblocks every other worker)
 /// instead of hanging on a dead channel.
@@ -172,7 +174,7 @@ struct SourceNode {
     /// Bernoulli injection).
     on: bool,
     /// Whether the node is healthy under the *current* epoch (fault
-    /// churn): a decommissioned node stops generating (its RNG stream
+    /// churn): a failed node stops generating (its RNG stream
     /// freezes) but keeps feeding a partially-injected worm.
     active: bool,
 }
@@ -184,22 +186,11 @@ struct GenDelta {
     measured_generated: u64,
     unroutable: u64,
     ttl_dropped: u64,
-    /// Packets discarded from source queues by a decommission event.
+    /// Packets discarded from source queues by a node failure.
     churn_dropped: u64,
     /// The subset of `churn_dropped` generated inside the measurement
     /// window (they release `measured_outstanding`).
     measured_dropped: u64,
-}
-
-/// The epoch schedule of one run, shared by every shard worker: which
-/// cycle each post-initial epoch starts at, the snapshot per epoch, and
-/// the per-epoch destination samplers (destinations are drawn from the
-/// current epoch's healthy nodes).
-struct EpochEnv {
-    /// `starts[k]` = the cycle at which epoch `k + 1` takes effect.
-    starts: Vec<u64>,
-    views: Vec<NetView>,
-    samplers: Vec<DestSampler>,
 }
 
 /// Everything one shard contributes to one cycle, merged (commutative
@@ -251,6 +242,7 @@ impl CycleDone {
 }
 
 /// Coordinator → worker control message.
+#[derive(Clone)]
 enum Go {
     /// Run `len` cycles starting at `start` without further
     /// coordinator contact (the free-running lease window). The
@@ -262,16 +254,17 @@ enum Go {
         /// Window length in cycles (>= 1).
         len: u64,
     },
-    /// Adopt an online-churn epoch starting at the given cycle: the
-    /// coordinator sends one per applied event, always *before* the
-    /// lease that starts at that cycle on the same FIFO lane.
-    Publish(u64, NetView, ChurnOp),
-    /// Enqueue the workload messages releasing at the given cycle
-    /// (each worker keeps the ones whose source node it owns). Sent
-    /// before the one-cycle lease covering that cycle on the same FIFO
-    /// lane — with a workload attached every lease is clamped to one
-    /// cycle, since the source can react to any delivery.
-    Inject(u64, Vec<WorkloadMsg>),
+    /// Adopt a churn epoch (the network after the applied operation):
+    /// the coordinator sends one per applied event, always *before*
+    /// the lease that starts at the event's boundary cycle on the same
+    /// FIFO lane.
+    Publish(NetView, ChurnOp),
+    /// Enqueue the workload messages releasing at the next cycle (each
+    /// worker keeps the ones whose source node it owns). Sent before
+    /// the one-cycle lease covering that cycle on the same FIFO lane —
+    /// with a workload attached every cycle is a boundary, since the
+    /// source can react to any delivery.
+    Inject(Vec<WorkloadMsg>),
     /// The run is over (final cycle count and stop classification);
     /// finalize the probe and return the shard with it.
     Finish(u64, StopKind),
@@ -297,11 +290,17 @@ struct ShardWorker<'a, P: FabricProbe> {
     probe: P,
     sources: Vec<SourceNode>,
     router: Box<dyn HopRouter + 'a>,
-    env: &'a EpochEnv,
-    /// The current epoch index (advanced in lockstep by every worker at
-    /// the scheduled cycles — a pure function of the cycle number, so
-    /// sharding cannot skew it).
-    cur_epoch: usize,
+    mesh: Mesh,
+    /// Destinations are drawn from the current epoch's healthy nodes.
+    sampler: DestSampler,
+    /// The current epoch: how many churn publications this worker has
+    /// adopted. Identical across workers — every worker receives every
+    /// publication ahead of the same boundary cycle.
+    epoch: u32,
+    /// Epochs adopted since the last cycle ran, whose source-liveness
+    /// refresh is still due: it reports its queue drops into the first
+    /// cycle of the epoch.
+    adopted: Vec<NetView>,
     cfg: &'a SimConfig,
     ttl: u32,
     gen_until: u64,
@@ -311,14 +310,6 @@ struct ShardWorker<'a, P: FabricProbe> {
     /// Packet ids allocated by this shard are `id_base + k`.
     id_base: u32,
     next_local: u32,
-    /// Online-churn epochs published into this worker mid-run; they
-    /// extend the prescheduled `env` epochs, so epoch index `k >=
-    /// env.starts.len()` resolves into these parallel vectors at
-    /// `k - env.starts.len()`. Identical across workers: every worker
-    /// receives every publication at the same quantum boundary.
-    online_starts: Vec<u64>,
-    online_views: Vec<NetView>,
-    online_samplers: Vec<DestSampler>,
     /// Whether a workload source drives this run: the synthetic
     /// injection process is disabled and traffic comes exclusively
     /// from `Go::Inject` broadcasts (see [`crate::source`]).
@@ -349,7 +340,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         shard: Shard,
         sources: Vec<SourceNode>,
         router: Box<dyn HopRouter + 'a>,
-        env: &'a EpochEnv,
+        base: &NetView,
         cfg: &'a SimConfig,
         ttl: u32,
         shard_index: usize,
@@ -366,17 +357,16 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             probe,
             sources,
             router,
-            env,
-            cur_epoch: 0,
+            mesh: *base.mesh(),
+            sampler: DestSampler::new(cfg.pattern.clone(), base.faults(), cfg.seed),
+            epoch: 0,
+            adopted: Vec::new(),
             cfg,
             ttl,
             gen_until: cfg.warmup + cfg.measure,
             burst_rate: (cfg.rate / duty).min(1.0),
             id_base: (shard_index as u32) << ID_SHARD_SHIFT,
             next_local: 0,
-            online_starts: Vec::new(),
-            online_views: Vec::new(),
-            online_samplers: Vec::new(),
             workload: false,
             pending_workload: VecDeque::new(),
             backlogged,
@@ -388,61 +378,52 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         }
     }
 
-    /// Adopts an online-churn epoch starting at `start`: re-provisions
-    /// the hop router (incremental escape-forest update, route cache
-    /// for the new epoch) and installs the epoch's snapshot and
-    /// destination sampler. `advance_epochs` flips the worker into the
-    /// epoch at `start` like any prescheduled one.
-    fn publish(&mut self, start: u64, view: NetView, op: ChurnOp) {
-        self.router.publish(&view, op);
-        self.online_samplers.push(DestSampler::new(
-            self.cfg.pattern.clone(),
-            view.faults(),
-            self.cfg.seed,
-        ));
-        self.online_starts.push(start);
-        self.online_views.push(view);
-    }
-
-    /// The cycle at which epoch `k + 1` takes effect, across the
-    /// prescheduled and online schedules, or `None` past the last one.
-    fn epoch_start(&self, k: usize) -> Option<u64> {
-        let base = self.env.starts.len();
-        if k < base {
-            Some(self.env.starts[k])
-        } else {
-            self.online_starts.get(k - base).copied()
+    /// The one handler of the coordinator's non-lease control
+    /// messages, whichever transport delivers them.
+    fn control(&mut self, go: &Go) {
+        match go {
+            // Adopted on arrival — the publication precedes the first
+            // cycle of its epoch on this worker's lane: re-provision
+            // the hop router (incremental escape-forest update, route
+            // cache for the new epoch) and redraw the sampler.
+            Go::Publish(view, op) => {
+                self.router.publish(view, *op);
+                self.sampler =
+                    DestSampler::new(self.cfg.pattern.clone(), view.faults(), self.cfg.seed);
+                self.epoch += 1;
+                self.adopted.push(view.clone());
+            }
+            // Broadcast filter: keep the messages whose source node
+            // this shard owns (a message addressing an off-mesh source
+            // is adopted by shard 0 so exactly one shard reports its
+            // abort).
+            Go::Inject(msgs) => {
+                let mesh = self.mesh;
+                self.pending_workload.extend(msgs.iter().copied().filter(|m| {
+                    if mesh.contains(m.src) {
+                        self.shard.contains_node(mesh.id(m.src).index())
+                    } else {
+                        self.id_base == 0
+                    }
+                }));
+            }
+            Go::Finish(cycle, reason) => self.finish_run(*cycle, *reason),
+            Go::Lease { .. } => unreachable!("leases are run by the transport"),
         }
     }
 
-    /// Epoch `k`'s network snapshot (prescheduled or online).
-    fn epoch_view(&self, k: usize) -> &NetView {
-        let base = self.env.views.len();
-        if k < base {
-            &self.env.views[k]
-        } else {
-            &self.online_views[k - base]
-        }
-    }
-
-    /// Applies every churn event scheduled at or before `cycle`:
-    /// advances the admission epoch, refreshes source liveness, and
-    /// discards not-yet-injected packets queued at decommissioned nodes
-    /// (a partially injected worm keeps feeding — truncating it would
-    /// wedge its VCs forever).
-    fn advance_epochs(&mut self, cycle: u64, done: &mut CycleDone) {
-        while self.epoch_start(self.cur_epoch).is_some_and(|start| cycle >= start) {
-            self.cur_epoch += 1;
-            self.router.advance_epoch();
-            // Clone the epoch view (an `Arc` bump) so the fault borrow
-            // does not alias the `sources` mutation below.
-            let view = self.epoch_view(self.cur_epoch).clone();
+    /// Refreshes source liveness for every epoch adopted since the
+    /// last cycle, discarding not-yet-injected packets queued at failed
+    /// nodes (a partially injected worm keeps feeding — truncating it
+    /// would wedge its VCs forever).
+    fn refresh_sources(&mut self, done: &mut CycleDone) {
+        for view in std::mem::take(&mut self.adopted) {
             let faults = view.faults();
             let workload = self.workload;
             for (i, s) in self.sources.iter_mut().enumerate() {
                 let healthy = faults.is_healthy(s.coord);
                 if s.active && !healthy {
-                    // Decommission: the NI discards its backlog. The
+                    // The failed node's NI discards its backlog. The
                     // head-of-line packet survives only when its worm is
                     // already partially in the fabric.
                     let keep =
@@ -486,7 +467,9 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             self.probe.cycle_start(cycle);
         }
         let t = P::ACTIVE.then(Instant::now);
-        self.advance_epochs(cycle, done);
+        if !self.adopted.is_empty() {
+            self.refresh_sources(done);
+        }
         if self.workload {
             self.release_workload(cycle, done);
         } else if cycle < self.gen_until {
@@ -494,29 +477,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         }
         done.injected_any |= self.feed_injection_channels();
         let mut report = StepReport::default();
-        #[cfg(test)]
-        if self.use_reference {
-            self.shard.allocate_reference(&mut *self.router, &mut report, &mut done.deliveries);
-            self.shard.age_reference();
-        } else {
-            self.shard.allocate_active(
-                &mut *self.router,
-                &mut report,
-                &mut done.deliveries,
-                &mut self.probe,
-            );
-            self.shard.age_parked_heads(&mut self.probe);
-        }
-        #[cfg(not(test))]
-        {
-            self.shard.allocate_active(
-                &mut *self.router,
-                &mut report,
-                &mut done.deliveries,
-                &mut self.probe,
-            );
-            self.shard.age_parked_heads(&mut self.probe);
-        }
+        self.allocate_and_age(&mut report, &mut done.deliveries);
         done.moved += report.moved;
         done.flits_ejected += report.flits_ejected;
         done.escape_entries += report.escape_entries;
@@ -529,6 +490,20 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
                 self.probe.phase_ns(Phase::Plan, t.elapsed().as_nanos() as u64);
             }
         }
+    }
+
+    /// Switch allocation and stall aging over this shard's active
+    /// routers (on the scan-order reference stepper when the golden
+    /// hook asks for it).
+    fn allocate_and_age(&mut self, report: &mut StepReport, deliveries: &mut Vec<Delivery>) {
+        #[cfg(test)]
+        if self.use_reference {
+            self.shard.allocate_reference(&mut *self.router, report, deliveries);
+            self.shard.age_reference();
+            return;
+        }
+        self.shard.allocate_active(&mut *self.router, report, deliveries, &mut self.probe);
+        self.shard.age_parked_heads(&mut self.probe);
     }
 
     /// Drains the shard's per-direction boundary outboxes, counting
@@ -576,15 +551,8 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
     }
 
     /// Generation at every healthy node of this shard, under the
-    /// configured injection process and length distribution. The NI
-    /// attaches no route — it only asks the hop router to *admit* the
-    /// pair (is it routable, and how long is the compiled route, for
-    /// the TTL check); all forwarding decisions happen per hop in the
-    /// fabric.
+    /// configured injection process and length distribution.
     fn generate(&mut self, cycle: u64, done: &mut CycleDone) {
-        let record = self.cfg.record_trace;
-        let mean_len = self.cfg.packet_len;
-        let measured = cycle >= self.cfg.warmup && cycle < self.gen_until;
         for i in 0..self.sources.len() {
             if !self.sources[i].active {
                 continue;
@@ -605,183 +573,120 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
                 continue;
             }
             let src = self.sources[i].coord;
-            let sampler = if self.cur_epoch < self.env.samplers.len() {
-                &self.env.samplers[self.cur_epoch]
-            } else {
-                &self.online_samplers[self.cur_epoch - self.env.samplers.len()]
-            };
-            let Some(dst) = sampler.dest(src, &mut self.sources[i].rng) else {
+            let Some(dst) = self.sampler.dest(src, &mut self.sources[i].rng) else {
                 continue;
             };
-            let Some(hops) = self.router.admit(src, dst) else {
-                done.gen.unroutable += 1;
-                if record {
-                    // Rejections are recorded as drop markers: the
-                    // original run drew no packet length for them, so
-                    // the replay must count — not inject — them.
-                    done.trace.push(TraceEntry {
-                        cycle,
-                        src,
-                        dst,
-                        len: 0,
-                        flow: crate::source::NO_FLOW,
-                        drop: 1,
-                    });
-                }
-                continue;
-            };
-            if hops > self.ttl {
-                done.gen.ttl_dropped += 1;
-                if record {
-                    done.trace.push(TraceEntry {
-                        cycle,
-                        src,
-                        dst,
-                        len: 0,
-                        flow: crate::source::NO_FLOW,
-                        drop: 2,
-                    });
-                }
+            self.admit(cycle, i, src, dst, crate::source::NO_FLOW, None, done);
+        }
+    }
+
+    /// Releases this cycle's workload messages into the source queues
+    /// (the workload-mode replacement for [`ShardWorker::generate`]):
+    /// replayed rejection markers only bump the matching counter; live
+    /// messages run the same admission as generated traffic, but a
+    /// rejection is additionally reported on the abort lane — a
+    /// workload message someone may depend on must never vanish
+    /// silently.
+    fn release_workload(&mut self, cycle: u64, done: &mut CycleDone) {
+        while self.pending_workload.front().is_some_and(|m| m.at <= cycle) {
+            let m = self.pending_workload.pop_front().expect("front checked");
+            debug_assert_eq!(m.at, cycle, "workload messages release at their injection cycle");
+            if m.drop != 0 {
+                self.count_attempt(cycle, m.src, m.dst, m.flow, 0, m.drop, done);
                 continue;
             }
-            let len = self.cfg.length.sample(mean_len, &mut self.sources[i].rng);
+            // An off-mesh endpoint or a failed source cannot inject;
+            // the message dies like an unroutable pair.
+            let slot = (self.mesh.contains(m.src) && self.mesh.contains(m.dst))
+                .then(|| self.shard.local_of(self.mesh.id(m.src).index()))
+                .filter(|&slot| self.sources[slot].active);
+            let drop = match slot {
+                Some(slot) => {
+                    self.admit(cycle, slot, m.src, m.dst, m.flow, Some(m.len.max(1)), done)
+                }
+                None => {
+                    self.count_attempt(cycle, m.src, m.dst, m.flow, 0, 1, done);
+                    1
+                }
+            };
+            if drop != 0 {
+                done.aborted.push(m.flow);
+            }
+        }
+    }
+
+    /// The one network-interface admission path: asks the hop router to
+    /// *admit* the pair (is it routable, and how long is the compiled
+    /// route, for the TTL check — the NI attaches no route; all
+    /// forwarding decisions happen per hop in the fabric), and queues
+    /// the packet at source `slot` when it passes. `len: None` draws
+    /// the length from the configured distribution, only *after*
+    /// admission: a rejected attempt consumes nothing from the node's
+    /// RNG stream. Returns the outcome (`0` queued, `1` unroutable,
+    /// `2` over the TTL budget).
+    #[allow(clippy::too_many_arguments)]
+    fn admit(
+        &mut self,
+        cycle: u64,
+        slot: usize,
+        src: Coord,
+        dst: Coord,
+        flow: u32,
+        len: Option<u32>,
+        done: &mut CycleDone,
+    ) -> u8 {
+        let drop = match self.router.admit(src, dst) {
+            None => 1,
+            Some(hops) if hops > self.ttl => 2,
+            Some(_) => 0,
+        };
+        let mut flits = 0;
+        if drop == 0 {
+            flits = len.unwrap_or_else(|| {
+                self.cfg.length.sample(self.cfg.packet_len, &mut self.sources[slot].rng)
+            });
             // Hard assert (one branch per generated packet, off the
             // hot path): wrapping would alias ids across shards and
             // silently corrupt ownership bookkeeping.
             assert!(self.next_local < 1 << ID_SHARD_SHIFT, "packet-id namespace exhausted");
             let id = self.id_base + self.next_local;
             self.next_local += 1;
-            done.gen.generated += 1;
-            if measured {
-                done.gen.measured_generated += 1;
-            }
-            let mut state = PacketState::new(src, dst, cycle, len);
-            state.epoch = self.cur_epoch as u32;
-            self.enqueue(i, QueuedPacket { id, state, remaining: len });
-            if record {
-                done.trace.push(TraceEntry {
-                    cycle,
-                    src,
-                    dst,
-                    len,
-                    flow: crate::source::NO_FLOW,
-                    drop: 0,
-                });
-            }
+            let mut state = PacketState::new(src, dst, cycle, flits);
+            state.epoch = self.epoch;
+            state.flow = flow;
+            self.enqueue(slot, QueuedPacket { id, state, remaining: flits });
         }
+        self.count_attempt(cycle, src, dst, flow, flits, drop, done);
+        drop
     }
 
-    /// Keeps the workload messages whose source node this shard owns
-    /// (broadcast filter; a message addressing an off-mesh source is
-    /// adopted by shard 0 so exactly one shard reports its abort).
-    fn enqueue_workload(&mut self, msgs: &[WorkloadMsg]) {
-        let mesh = *self.env.views[0].mesh();
-        for m in msgs {
-            let mine = if mesh.contains(m.src) {
-                self.shard.contains_node(mesh.id(m.src).index())
-            } else {
-                self.id_base == 0
-            };
-            if mine {
-                self.pending_workload.push_back(*m);
-            }
-        }
-    }
-
-    /// Releases this cycle's workload messages into the source queues
-    /// (the workload-mode replacement for [`ShardWorker::generate`]).
-    fn release_workload(&mut self, cycle: u64, done: &mut CycleDone) {
-        while self.pending_workload.front().is_some_and(|m| m.at <= cycle) {
-            let m = self.pending_workload.pop_front().expect("front checked");
-            debug_assert_eq!(m.at, cycle, "workload messages release at their injection cycle");
-            self.admit_workload(cycle, m, done);
-        }
-    }
-
-    /// Admits one workload message: replayed rejection markers only
-    /// bump the matching counter; live messages run the same admission
-    /// gauntlet as generated traffic (routability, TTL), but a
-    /// rejection is additionally reported on the abort lane — a
-    /// workload message someone may depend on must never vanish
-    /// silently.
-    fn admit_workload(&mut self, cycle: u64, m: WorkloadMsg, done: &mut CycleDone) {
-        let record = self.cfg.record_trace;
-        let mesh = *self.env.views[0].mesh();
-        if m.drop != 0 {
-            if m.drop == 1 {
-                done.gen.unroutable += 1;
-            } else {
-                done.gen.ttl_dropped += 1;
-            }
-            if record {
-                done.trace.push(TraceEntry {
-                    cycle,
-                    src: m.src,
-                    dst: m.dst,
-                    len: 0,
-                    flow: m.flow,
-                    drop: m.drop,
-                });
-            }
-            return;
-        }
-        let rejected: Option<u8> = if !mesh.contains(m.src) || !mesh.contains(m.dst) {
-            Some(1)
-        } else {
-            let slot = self.shard.local_of(mesh.id(m.src).index());
-            if !self.sources[slot].active {
-                // A decommissioned source cannot inject; the message
-                // dies like an unroutable pair.
-                Some(1)
-            } else {
-                match self.router.admit(m.src, m.dst) {
-                    None => Some(1),
-                    Some(hops) if hops > self.ttl => Some(2),
-                    Some(_) => None,
+    /// Counts one generation attempt by outcome and, when recording,
+    /// appends its trace entry. Rejections are recorded as drop
+    /// markers (`len` 0): the run drew no packet length for them, so a
+    /// replay must count — not inject — them.
+    #[allow(clippy::too_many_arguments)]
+    fn count_attempt(
+        &self,
+        cycle: u64,
+        src: Coord,
+        dst: Coord,
+        flow: u32,
+        len: u32,
+        drop: u8,
+        done: &mut CycleDone,
+    ) {
+        match drop {
+            0 => {
+                done.gen.generated += 1;
+                if cycle >= self.cfg.warmup && cycle < self.gen_until {
+                    done.gen.measured_generated += 1;
                 }
             }
-        };
-        if let Some(drop) = rejected {
-            if drop == 1 {
-                done.gen.unroutable += 1;
-            } else {
-                done.gen.ttl_dropped += 1;
-            }
-            done.aborted.push(m.flow);
-            if record {
-                done.trace.push(TraceEntry {
-                    cycle,
-                    src: m.src,
-                    dst: m.dst,
-                    len: 0,
-                    flow: m.flow,
-                    drop,
-                });
-            }
-            return;
+            1 => done.gen.unroutable += 1,
+            _ => done.gen.ttl_dropped += 1,
         }
-        let slot = self.shard.local_of(mesh.id(m.src).index());
-        let len = m.len.max(1);
-        assert!(self.next_local < 1 << ID_SHARD_SHIFT, "packet-id namespace exhausted");
-        let id = self.id_base + self.next_local;
-        self.next_local += 1;
-        done.gen.generated += 1;
-        if cycle >= self.cfg.warmup && cycle < self.gen_until {
-            done.gen.measured_generated += 1;
-        }
-        let mut state = PacketState::new(m.src, m.dst, cycle, len);
-        state.epoch = self.cur_epoch as u32;
-        state.flow = m.flow;
-        self.enqueue(slot, QueuedPacket { id, state, remaining: len });
-        if record {
-            done.trace.push(TraceEntry {
-                cycle,
-                src: m.src,
-                dst: m.dst,
-                len,
-                flow: m.flow,
-                drop: 0,
-            });
+        if self.cfg.record_trace {
+            done.trace.push(TraceEntry { cycle, src, dst, len, flow, drop });
         }
     }
 
@@ -834,11 +739,11 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
 }
 
 /// The coordinator's side of the run: global statistics, the
-/// measurement windows, and the termination decisions every shard
-/// obeys. One instance regardless of transport.
+/// measurement windows, the churn and workload drivers, and the
+/// termination decisions every shard obeys. One instance regardless
+/// of transport.
 struct RunState {
     warmup: u64,
-    measure: u64,
     gen_until: u64,
     deadline: u64,
     window: u64,
@@ -858,13 +763,37 @@ struct RunState {
     /// The recorded trace, appended per replayed cycle in canonical
     /// (source-node, release) order.
     trace: Vec<TraceEntry>,
+    /// The churn sources (the `fault_churn` list and any live ones).
+    churn: OnlineDriver,
+    /// The attached workload's scheduler, if any.
+    wl: Option<WorkloadDriver>,
 }
 
 impl RunState {
-    fn new(cfg: &SimConfig, stats: TrafficStats) -> Self {
+    fn new(cfg: &SimConfig, nodes: usize, churn: OnlineDriver, wl: Option<WorkloadDriver>) -> Self {
+        let stats = TrafficStats {
+            cycles: 0,
+            nodes,
+            measure_window: cfg.measure,
+            generated: 0,
+            measured_generated: 0,
+            measured_delivered: 0,
+            unroutable: 0,
+            ttl_dropped: 0,
+            escape_packets: 0,
+            measured_flits_ejected: 0,
+            flits_moved: 0,
+            latency: LatencyHistogram::new(HISTOGRAM_CAP),
+            saturated: false,
+            deadlocked: false,
+            epoch_delivered: vec![0],
+            churn_dropped: 0,
+            churn_killed: 0,
+            churn_rejected: 0,
+            online_events: Vec::new(),
+        };
         RunState {
             warmup: cfg.warmup,
-            measure: cfg.measure,
             gen_until: cfg.warmup + cfg.measure,
             deadline: cfg.warmup + cfg.measure + cfg.drain,
             window: cfg.stats_window,
@@ -878,26 +807,62 @@ impl RunState {
             w_moved: 0,
             record_trace: cfg.record_trace,
             trace: Vec::new(),
+            churn,
+            wl,
         }
     }
 
-    fn measured_window_contains(&self, t: u64) -> bool {
-        t >= self.warmup && t < self.warmup + self.measure
+    /// The first cycle at or after `from` that opens with coordinator
+    /// work ([`RunState::boundary`]): every cycle under a workload (the
+    /// source may react to any delivery), else the churn driver's next
+    /// boundary. The worker-thread transport clamps leases to these
+    /// and holds back a lease starting on one until the replay cursor
+    /// has reached it.
+    fn next_boundary(&self, from: u64) -> u64 {
+        if self.wl.is_some() {
+            from
+        } else {
+            self.churn.next_boundary(from)
+        }
+    }
+
+    /// The coordinator work that opens `cycle`, handing each resulting
+    /// control message to `send` (which must reach every worker before
+    /// it runs `cycle`): the churn publications due, then the
+    /// workload release — polled strictly after the previous cycle's
+    /// feedback ([`RunState::end_of_cycle`]) and this cycle's
+    /// publications.
+    fn boundary(&mut self, cycle: u64, mut send: impl FnMut(Go)) {
+        for (view, op) in self.churn.poll(cycle) {
+            // Grow the per-epoch delivery ledger exactly when the epoch
+            // is published — its length is part of the bit-identity
+            // contract.
+            self.stats.epoch_delivered.push(0);
+            send(Go::Publish(view, op));
+        }
+        if let Some(wl) = self.wl.as_mut() {
+            let msgs = wl.poll(cycle);
+            if !msgs.is_empty() {
+                send(Go::Inject(msgs));
+            }
+        }
     }
 
     /// Absorbs one cycle's merged shard reports and decides whether the
     /// run ends. `cycle` is the cycle just simulated (0-based). With a
-    /// workload attached (`wl`), deliveries and worker-side aborts are
-    /// fed back to the scheduler here — strictly before the source is
-    /// next polled — and the generation-window termination gate is
-    /// replaced by the source's own exhaustion signal.
+    /// workload attached, deliveries and worker-side aborts are fed
+    /// back to the scheduler here — strictly before the source is next
+    /// polled — and the generation-window termination gate is replaced
+    /// by the source's own exhaustion signal.
     fn end_of_cycle(
         &mut self,
         cycle: u64,
         mut agg: CycleDone,
         obs: &mut dyn WindowObserver,
-        mut wl: Option<&mut WorkloadDriver>,
     ) -> bool {
+        let mut wl = self.wl.as_mut();
+        let (warmup, gen_until) = (self.warmup, self.gen_until);
+        let measured = |t: u64| t >= warmup && t < gen_until;
         if self.record_trace {
             // Stable by source node: one node's attempts live on one
             // shard in release order, so this is the canonical order
@@ -918,7 +883,7 @@ impl RunState {
         self.stats.ttl_dropped += agg.gen.ttl_dropped;
         self.stats.churn_dropped += agg.gen.churn_dropped;
         self.measured_outstanding += agg.gen.measured_generated;
-        // Packets a decommission event discarded at their NI will never
+        // Packets a node failure discarded at their NI will never
         // deliver; release them so a churn run can still end cleanly.
         self.measured_outstanding -= agg.gen.measured_dropped;
         for d in agg.deliveries.drain(..) {
@@ -930,7 +895,7 @@ impl RunState {
                 // port, but it was never delivered: it only releases
                 // its measurement obligation.
                 self.stats.churn_killed += 1;
-                if self.measured_window_contains(gen_at) {
+                if measured(gen_at) {
                     self.measured_outstanding -= 1;
                 }
                 if let Some(wl) = wl.as_deref_mut() {
@@ -941,7 +906,7 @@ impl RunState {
             self.stats.epoch_delivered[d.state.epoch as usize] += 1;
             self.w_delivered += 1;
             self.w_lat_sum += delivered_at - gen_at;
-            if self.measured_window_contains(gen_at) {
+            if measured(gen_at) {
                 self.stats.measured_delivered += 1;
                 self.measured_outstanding -= 1;
                 self.stats.latency.record(delivered_at - gen_at);
@@ -950,7 +915,7 @@ impl RunState {
                 wl.on_delivery(d.state.flow, delivered_at, false);
             }
         }
-        if self.measured_window_contains(cycle) {
+        if measured(cycle) {
             self.stats.measured_flits_ejected += agg.flits_ejected;
         }
         self.w_ejected += agg.flits_ejected;
@@ -1038,17 +1003,21 @@ impl RunState {
         false
     }
 
-    /// Takes the recorded trace out (`Some` exactly when recording was
-    /// on, even if nothing generated).
-    fn take_trace(&mut self) -> Option<Vec<TraceEntry>> {
-        self.record_trace.then(|| std::mem::take(&mut self.trace))
-    }
-
-    /// Seals the statistics once every shard has stopped. Escape
-    /// commitments were accumulated per replayed cycle, so lease
-    /// overshoot past the stop decision is already excluded.
-    fn finish(self) -> TrafficStats {
-        self.stats
+    /// Seals the run once every shard has stopped: the statistics
+    /// (escape commitments were accumulated per replayed cycle, so
+    /// lease overshoot past the stop decision is already excluded)
+    /// with the churn log, the workload outcome, and the recorded
+    /// trace (`Some` exactly when recording was on, even if nothing
+    /// generated). The observability report is assembled by the caller.
+    fn seal(self) -> RunOutput {
+        let mut stats = self.stats;
+        (stats.online_events, stats.churn_rejected) = self.churn.into_outcome();
+        RunOutput {
+            stats,
+            obs: None,
+            workload: self.wl.map(WorkloadDriver::into_outcome),
+            trace: self.record_trace.then_some(self.trace),
+        }
     }
 }
 
@@ -1057,8 +1026,7 @@ impl RunState {
 /// [`WorkloadSource`] was attached) and the recorded packet trace
 /// (when [`SimConfig::record_trace`] was set).
 ///
-/// Returned by [`TrafficSim::try_run_full`]; the narrower entry points
-/// are projections of this.
+/// Returned by [`TrafficSim::try_run_full`].
 #[derive(Debug)]
 pub struct RunOutput {
     /// The run statistics.
@@ -1073,25 +1041,17 @@ pub struct RunOutput {
     pub trace: Option<Vec<TraceEntry>>,
 }
 
-/// What the transports hand back before the observability report is
-/// assembled.
-struct CoreOutput {
-    stats: TrafficStats,
-    workload: Option<WorkloadOutcome>,
-    trace: Option<Vec<TraceEntry>>,
-}
-
 /// One traffic simulation: a sharded fabric over a fault configuration,
 /// driven by seeded injection processes, routed per hop by the policy's
 /// [`HopRouter`] over one compiled routing function.
 ///
-/// The path table is borrowed so sweeps can reuse compiled routes
-/// across runs over the same network (route compilation dominates the
-/// low-load setup cost; see [`run_traffic_reusing`]). Additional worker
-/// shards compile their own tables. Under
-/// [`fault_churn`](SimConfig::fault_churn) the table is loaded with the
-/// full epoch schedule (each epoch published by the incremental
-/// `NetState` update path) before the run starts.
+/// The path table is borrowed so a **single-shard** run can reuse
+/// compiled routes across runs over the same network (route
+/// compilation dominates the low-load setup cost): it is reset to its
+/// initial snapshot at construction, keeping the epoch-0 routes. The
+/// worker-thread transport never reads the caller's table — every
+/// shard worker compiles its routes in a private table built from the
+/// same snapshot, so a multi-shard run neither reuses nor warms it.
 pub struct TrafficSim<'p> {
     cfg: SimConfig,
     /// Effective route hop budget (see `SimConfig::route_ttl`).
@@ -1099,11 +1059,11 @@ pub struct TrafficSim<'p> {
     kind: RoutingKind,
     fabric: Fabric,
     router: Box<dyn HopRouter + 'p>,
-    env: EpochEnv,
+    /// The initial (epoch-0) network snapshot.
+    base: NetView,
     sources: Vec<SourceNode>,
-    stats: TrafficStats,
-    /// Online-churn event sources, polled by the coordinator at every
-    /// quantum boundary (see [`TrafficSim::with_online_churn`]).
+    /// Live churn sources, polled by the coordinator at every quantum
+    /// boundary (see [`TrafficSim::with_online_churn`]).
     online: Option<OnlineChurn>,
     /// The attached workload source, if any: it replaces the synthetic
     /// injection process entirely (see [`TrafficSim::with_workload`]).
@@ -1132,27 +1092,17 @@ fn build_hop_router<'p>(paths: &'p mut PathTable, cfg: &SimConfig) -> Box<dyn Ho
     }
 }
 
-/// A worker shard's private path table: same initial snapshot, same
-/// epoch schedule.
-fn worker_table(views: &[NetView], kind: RoutingKind) -> PathTable {
-    let mut t = PathTable::new(&views[0], kind);
-    t.set_schedule(views[1..].iter().cloned());
-    t
-}
-
 impl<'p> TrafficSim<'p> {
     /// Builds a simulation driving `paths`' routing function over
     /// `paths`' network, per-hop, under `cfg.policy`, sharded into
-    /// `cfg.threads` row bands (see [`SimConfig::threads`]). A
-    /// non-empty [`fault_churn`](SimConfig::fault_churn) schedule is
-    /// resolved into epoch snapshots here (incremental `NetState`
-    /// updates) and installed into `paths`.
+    /// `cfg.threads` tiles (see [`SimConfig::threads`]). `paths` is
+    /// reset to its initial snapshot first: a table reused across runs
+    /// still carries the epochs the previous run published, and this
+    /// run must start from epoch 0.
     ///
     /// # Panics
-    /// Panics when [`SimConfig::validate`] does, a Markov injection
-    /// probability is outside `(0, 1]`, or a churn event is invalid
-    /// (failing an already-faulty node, repairing a healthy one,
-    /// off-mesh coordinates).
+    /// Panics when [`SimConfig::validate`] does or a Markov injection
+    /// probability is outside `(0, 1]`.
     pub fn new(paths: &'p mut PathTable, cfg: SimConfig) -> Self {
         cfg.validate();
         // Validates the Markov parameters (duty_cycle panics on a chain
@@ -1160,45 +1110,18 @@ impl<'p> TrafficSim<'p> {
         let duty = cfg.injection.duty_cycle();
         debug_assert!(duty > 0.0);
         let kind = paths.kind();
+        paths.reset_epochs();
+        let base = paths.view().clone();
 
-        // Resolve the churn schedule into epoch snapshots (incremental
-        // NetState updates) and install it into the table. Same-cycle
-        // events keep their config order; each is its own epoch. The
-        // table is reset to its initial snapshot *first*: a table
-        // reused across runs (rate sweeps) still carries the previous
-        // run's schedule and advanced epoch cursor, and the new
-        // schedule must resolve from epoch 0, not from wherever the
-        // last run stopped.
-        let mut churn = cfg.fault_churn.clone();
-        churn.sort_by_key(|e| e.cycle);
-        paths.set_schedule([]);
-        let mut views: Vec<NetView> = vec![paths.view().clone()];
-        if !churn.is_empty() {
-            let mut state = NetState::adopt(views[0].clone());
-            for ev in &churn {
-                let v = match ev.op {
-                    ChurnOp::Fail(c) => state.add_fault(c),
-                    ChurnOp::Repair(c) => state.remove_fault(c),
-                };
-                views.push(v.unwrap_or_else(|e| panic!("invalid fault_churn event {ev:?}: {e}")));
-            }
-            paths.set_schedule(views[1..].iter().cloned());
-        }
-        let starts: Vec<u64> = churn.iter().map(|e| e.cycle).collect();
-
-        let mesh = *views[0].mesh();
+        let mesh = *base.mesh();
         let threads = cfg.resolved_threads(mesh.len());
-        let samplers: Vec<DestSampler> = views
-            .iter()
-            .map(|v| DestSampler::new(cfg.pattern.clone(), v.faults(), cfg.seed))
-            .collect();
         let mmp = matches!(cfg.injection, InjectionProcess::MarkovOnOff { .. });
-        // Source state exists for *every* node: online churn can repair
-        // a node that was faulty in every prescheduled epoch, and it
-        // must be able to start generating. Harmless otherwise —
-        // per-node RNG streams are seeded by node id (so extra sources
-        // never perturb any other node's stream) and an inactive source
-        // draws nothing, queues nothing and counts nothing.
+        // Source state exists for *every* node: churn can repair a node
+        // that starts out faulty, and it must be able to start
+        // generating. Harmless otherwise — per-node RNG streams are
+        // seeded by node id (so extra sources never perturb any other
+        // node's stream) and an inactive source draws nothing, queues
+        // nothing and counts nothing.
         let sources: Vec<SourceNode> = mesh
             .iter()
             .map(|c| {
@@ -1209,11 +1132,10 @@ impl<'p> TrafficSim<'p> {
                 // independent of the shard count). Bernoulli sources
                 // draw nothing here, keeping their streams unchanged.
                 let on = !mmp || rng.gen_bool(duty);
-                let active = views[0].faults().is_healthy(c);
+                let active = base.faults().is_healthy(c);
                 SourceNode { id, coord: c, rng, queue: VecDeque::new(), on, active }
             })
             .collect();
-        let nodes = sources.iter().filter(|s| s.active).count();
         // Arrange the resolved worker count as a tile grid:
         // `tile_cols` columns (clamped to the thread count and mesh
         // width) by `threads / cols` rows. `tile_cols == 1` is the
@@ -1223,27 +1145,6 @@ impl<'p> TrafficSim<'p> {
         let rows = (threads / cols).max(1);
         let fabric = Fabric::new_tiled(mesh, cfg.vcs, cfg.vc_depth, cfg.escape_vcs, cols, rows);
         let router = build_hop_router(paths, &cfg);
-        let stats = TrafficStats {
-            cycles: 0,
-            nodes,
-            measure_window: cfg.measure,
-            generated: 0,
-            measured_generated: 0,
-            measured_delivered: 0,
-            unroutable: 0,
-            ttl_dropped: 0,
-            escape_packets: 0,
-            measured_flits_ejected: 0,
-            flits_moved: 0,
-            latency: LatencyHistogram::new(HISTOGRAM_CAP),
-            saturated: false,
-            deadlocked: false,
-            epoch_delivered: vec![0; views.len()],
-            churn_dropped: 0,
-            churn_killed: 0,
-            churn_rejected: 0,
-            online_events: Vec::new(),
-        };
         // TTL default: E-cube's escape walk is the only route source
         // whose length is effectively unbounded; every other router is
         // within a small factor of shortest, and escape VCs now bound
@@ -1259,9 +1160,8 @@ impl<'p> TrafficSim<'p> {
             kind,
             fabric,
             router,
-            env: EpochEnv { starts, views, samplers },
+            base,
             sources,
-            stats,
             online: None,
             workload: None,
             #[cfg(test)]
@@ -1271,20 +1171,16 @@ impl<'p> TrafficSim<'p> {
         }
     }
 
-    /// Attaches online churn: the coordinator polls the injector (and
-    /// the optional chaos schedule) at every `churn.quantum`-cycle
-    /// boundary and publishes the resulting epochs into the running
-    /// workers. See [`crate::churn`].
+    /// Attaches the live churn sources: the coordinator polls the
+    /// injector (and the optional chaos schedule) at every
+    /// `churn.quantum`-cycle boundary and publishes the resulting
+    /// epochs into the running workers, interleaved in cycle order with
+    /// any [`fault_churn`](SimConfig::fault_churn) list the config
+    /// carries. See [`crate::churn`].
     ///
     /// # Panics
-    /// Panics when the config also carries a prescheduled
-    /// [`fault_churn`](SimConfig::fault_churn) (the two schedules would
-    /// race for the epoch sequence) or `churn.quantum` is zero.
+    /// Panics when `churn.quantum` is zero.
     pub fn with_online_churn(mut self, churn: OnlineChurn) -> Self {
-        assert!(
-            self.cfg.fault_churn.is_empty(),
-            "online churn and a prescheduled fault_churn cannot mix in one run"
-        );
         assert!(churn.quantum >= 1, "churn quantum must be at least 1 cycle");
         self.online = Some(churn);
         self
@@ -1299,12 +1195,12 @@ impl<'p> TrafficSim<'p> {
     /// count. Retrieve the flow/phase completion metrics with
     /// [`TrafficSim::try_run_full`].
     ///
-    /// Composes with [`TrafficSim::with_online_churn`]: churn events
-    /// still apply at their quantum boundaries, and flows whose
-    /// packets churn kills or drops are aborted (and cascaded), never
-    /// wedged. In the threaded transport a workload clamps every lease
-    /// to one cycle — the source may react to any delivery — so
-    /// expect lockstep-coordination cost.
+    /// Composes with churn from either source: events still apply at
+    /// their boundaries, and flows whose packets churn kills or drops
+    /// are aborted (and cascaded), never wedged. In the threaded
+    /// transport a workload clamps every lease to one cycle — the
+    /// source may react to any delivery — so expect
+    /// lockstep-coordination cost.
     pub fn with_workload(mut self, source: Box<dyn WorkloadSource>) -> Self {
         self.workload = Some(source);
         self
@@ -1324,104 +1220,34 @@ impl<'p> TrafficSim<'p> {
         self.panic_at = Some((shard, cycle));
     }
 
-    /// Runs the full warmup / measure / drain protocol and returns the
-    /// collected statistics.
-    ///
-    /// # Panics
-    /// Re-panics with the worker's message when a shard worker
-    /// panicked; use [`TrafficSim::try_run`] to handle that as a typed
-    /// error instead.
-    pub fn run(self) -> TrafficStats {
-        match self.try_run() {
-            Ok(stats) => stats,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Like [`TrafficSim::run`], but streaming a [`WindowSample`] to
-    /// `obs` every [`stats_window`](SimConfig::stats_window) cycles.
-    /// The observer is read-only over the simulation except for one
-    /// power: returning [`WindowControl::Stop`] ends the run at that
-    /// window boundary, classified exactly as at the drain deadline
-    /// (`saturated` when measured packets are outstanding).
-    pub fn run_with(self, obs: &mut dyn WindowObserver) -> TrafficStats {
-        match self.try_run_with(obs) {
-            Ok(stats) => stats,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Like [`TrafficSim::run_with`], but also returning the merged
-    /// [`ObsReport`] when recording is enabled ([`SimConfig::obs`]);
-    /// `None` at [`ObsLevel::Off`]. Recording never changes the
-    /// statistics — the instrumented run is bit-identical to the bare
-    /// one (pinned by `crate::golden`).
-    pub fn run_observed(self, obs: &mut dyn WindowObserver) -> (TrafficStats, Option<ObsReport>) {
-        match self.try_run_observed(obs) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// [`TrafficSim::run`] with worker failures surfaced as a typed
-    /// [`RunError`] instead of a panic — the graceful-degradation entry
-    /// point for long-lived services driving the simulator.
-    pub fn try_run(self) -> Result<TrafficStats, RunError> {
-        self.try_run_with(&mut ())
-    }
-
-    /// [`TrafficSim::run_with`] with worker failures surfaced as a
-    /// typed [`RunError`].
-    pub fn try_run_with(self, obs: &mut dyn WindowObserver) -> Result<TrafficStats, RunError> {
-        Ok(self.try_run_observed(obs)?.0)
-    }
-
-    /// [`TrafficSim::run_observed`] with worker failures surfaced as a
-    /// typed [`RunError`].
-    pub fn try_run_observed(
-        self,
-        obs: &mut dyn WindowObserver,
-    ) -> Result<(TrafficStats, Option<ObsReport>), RunError> {
-        let out = self.try_run_full(obs)?;
-        Ok((out.stats, out.obs))
-    }
-
-    /// The widest entry point: runs the protocol and returns
+    /// Runs the full warmup / measure / drain protocol and returns
     /// everything the run produced — statistics, the observability
     /// report, the workload outcome and the recorded trace (see
-    /// [`RunOutput`]). Worker failures surface as a typed
-    /// [`RunError`].
+    /// [`RunOutput`]). Worker failures surface as a typed [`RunError`]
+    /// — the graceful-degradation contract for long-lived services
+    /// driving the simulator.
+    ///
+    /// Every [`stats_window`](SimConfig::stats_window) cycles `obs`
+    /// receives a [`WindowSample`]; pass `&mut ()` for none. The
+    /// observer is read-only over the simulation except for one power:
+    /// returning [`WindowControl::Stop`] ends the run at that window
+    /// boundary, classified exactly as at the drain deadline
+    /// (`saturated` when measured packets are outstanding). Recording
+    /// ([`SimConfig::obs`]) never changes the statistics — the
+    /// instrumented run is bit-identical to the bare one (pinned by
+    /// `crate::golden`).
     pub fn try_run_full(self, obs: &mut dyn WindowObserver) -> Result<RunOutput, RunError> {
         let level = self.cfg.obs;
         if level == ObsLevel::Off {
-            let (core, _) = self.dispatch::<NoProbe, _>(obs, |_, _| NoProbe)?;
-            return Ok(RunOutput {
-                stats: core.stats,
-                obs: None,
-                workload: core.workload,
-                trace: core.trace,
-            });
+            return Ok(self.dispatch::<NoProbe, _>(obs, |_, _| NoProbe)?.0);
         }
-        let mesh = self.env.views[0].mesh();
-        let (width, height) = (mesh.width() as usize, mesh.height() as usize);
-        let (core, probes) = self.dispatch(obs, move |i, s: &Shard| {
+        let mesh = *self.base.mesh();
+        let (mut out, probes) = self.dispatch(obs, move |i, s: &Shard| {
             let r = s.node_range();
             ShardObs::new(i, r.start as u32, r.end as u32, level)
         })?;
-        Ok(RunOutput {
-            stats: core.stats,
-            obs: Some(ObsReport::assemble(width, height, probes)),
-            workload: core.workload,
-            trace: core.trace,
-        })
-    }
-
-    /// [`TrafficSim::try_run_full`], re-panicking on worker failure.
-    pub fn run_full(self, obs: &mut dyn WindowObserver) -> RunOutput {
-        match self.try_run_full(obs) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
+        out.obs = Some(ObsReport::assemble(mesh.width() as usize, mesh.height() as usize, probes));
+        Ok(out)
     }
 
     /// Routes a monomorphized run to the in-process or worker-thread
@@ -1429,23 +1255,27 @@ impl<'p> TrafficSim<'p> {
     /// transport never fails (a panic there propagates inline on this
     /// thread — there is no hang to prevent).
     fn dispatch<P, F>(
-        self,
+        mut self,
         obs: &mut dyn WindowObserver,
         mk: F,
-    ) -> Result<(CoreOutput, Vec<P>), RunError>
+    ) -> Result<(RunOutput, Vec<P>), RunError>
     where
         P: FabricProbe + Send,
         F: Fn(usize, &Shard) -> P,
     {
+        let churn =
+            OnlineDriver::new(self.cfg.fault_churn.clone(), self.online.take(), self.base.clone());
+        let wl = self.workload.take().map(WorkloadDriver::new);
+        let run = RunState::new(&self.cfg, self.base.faults().healthy_count(), churn, wl);
         let shards = self.fabric.num_shards();
         #[cfg(test)]
         let in_process = shards <= 1 || self.use_reference;
         #[cfg(not(test))]
         let in_process = shards <= 1;
         if in_process {
-            Ok(self.run_in_process(obs, mk))
+            Ok(self.run_in_process(run, obs, mk))
         } else {
-            self.run_threaded(obs, mk)
+            self.run_threaded(run, obs, mk)
         }
     }
 
@@ -1468,88 +1298,49 @@ impl<'p> TrafficSim<'p> {
     /// (the sequential path, and the reference-stepper path in tests).
     /// Boundary hand-off time is folded into the commit phase here —
     /// only the threaded transport has a distinct boundary-sync wait.
-    fn run_in_process<P, F>(mut self, obs: &mut dyn WindowObserver, mk: F) -> (CoreOutput, Vec<P>)
+    fn run_in_process<P, F>(
+        mut self,
+        mut run: RunState,
+        obs: &mut dyn WindowObserver,
+        mk: F,
+    ) -> (RunOutput, Vec<P>)
     where
         P: FabricProbe,
         F: Fn(usize, &Shard) -> P,
     {
-        let mut drv = self.online.take().map(|c| OnlineDriver::new(c, self.env.views[0].clone()));
-        let mut wl = self.workload.take().map(WorkloadDriver::new);
         let shards = self.fabric.take_shards();
         let nbrs: Vec<[Option<usize>; 4]> = shards.iter().map(|s| s.neighbors()).collect();
         let mut buckets = Self::partition_sources(self.sources, &shards).into_iter();
-        let env = &self.env;
+        let base = &self.base;
         let mut tables: Vec<PathTable> =
-            (1..shards.len()).map(|_| worker_table(&env.views, self.kind)).collect();
+            (1..shards.len()).map(|_| PathTable::new(base, self.kind)).collect();
+        let mut routers = std::iter::once(self.router)
+            .chain(tables.iter_mut().map(|t| build_hop_router(t, &self.cfg)));
         let mut workers: Vec<ShardWorker<'_, P>> = Vec::with_capacity(shards.len());
-        let mut shard_iter = shards.into_iter();
-        let shard0 = shard_iter.next().expect("at least one shard");
-        let probe0 = mk(0, &shard0);
-        workers.push(ShardWorker::new(
-            shard0,
-            buckets.next().expect("one bucket per shard"),
-            self.router,
-            env,
-            &self.cfg,
-            self.ttl,
-            0,
-            probe0,
-        ));
-        for (i, (shard, table)) in shard_iter.zip(tables.iter_mut()).enumerate() {
-            let probe = mk(i + 1, &shard);
-            workers.push(ShardWorker::new(
+        for (i, shard) in shards.into_iter().enumerate() {
+            let probe = mk(i, &shard);
+            let mut w = ShardWorker::new(
                 shard,
                 buckets.next().expect("one bucket per shard"),
-                build_hop_router(table, &self.cfg),
-                env,
+                routers.next().expect("one router per shard"),
+                base,
                 &self.cfg,
                 self.ttl,
-                i + 1,
+                i,
                 probe,
-            ));
-        }
-        if wl.is_some() {
-            for w in &mut workers {
-                w.workload = true;
-            }
-        }
-        #[cfg(test)]
-        {
-            for w in &mut workers {
+            );
+            w.workload = run.wl.is_some();
+            #[cfg(test)]
+            {
                 w.use_reference = self.use_reference;
+                w.panic_at = self.panic_at.and_then(|(s, at)| (s == i).then_some(at));
             }
-            if let Some((shard, at)) = self.panic_at {
-                if let Some(w) = workers.get_mut(shard) {
-                    w.panic_at = Some(at);
-                }
-            }
+            workers.push(w);
         }
 
-        let mut run = RunState::new(&self.cfg, self.stats);
         let mut cycle = 0u64;
         loop {
-            if let Some(drv) = drv.as_mut() {
-                for (view, op) in drv.poll(cycle) {
-                    // Grow the per-epoch delivery ledger exactly when
-                    // the epoch is published — its length is part of
-                    // the bit-identity contract.
-                    run.stats.epoch_delivered.push(0);
-                    for w in &mut workers {
-                        w.publish(cycle, view.clone(), op);
-                    }
-                }
-            }
-            if let Some(wl) = wl.as_mut() {
-                // Poll the source strictly after the previous cycle's
-                // feedback (`end_of_cycle` below) and any epoch
-                // publication for this boundary.
-                let msgs = wl.poll(cycle);
-                if !msgs.is_empty() {
-                    for w in &mut workers {
-                        w.enqueue_workload(&msgs);
-                    }
-                }
-            }
+            run.boundary(cycle, |go| workers.iter_mut().for_each(|w| w.control(&go)));
             let mut agg = CycleDone::default();
             for w in &mut workers {
                 if P::ACTIVE {
@@ -1574,25 +1365,15 @@ impl<'p> TrafficSim<'p> {
             for w in &mut workers {
                 w.finish_cycle(&mut agg);
             }
-            let stop = run.end_of_cycle(cycle, agg, obs, wl.as_mut());
+            let stop = run.end_of_cycle(cycle, agg, obs);
             cycle += 1;
             if stop {
                 break;
             }
         }
-        let reason = run.stop;
-        for w in &mut workers {
-            w.finish_run(cycle, reason);
-        }
-        let trace = run.take_trace();
-        let mut stats = run.finish();
-        if let Some(drv) = drv {
-            let (events, rejected) = drv.into_outcome();
-            stats.online_events = events;
-            stats.churn_rejected = rejected;
-        }
-        let core = CoreOutput { stats, workload: wl.map(WorkloadDriver::into_outcome), trace };
-        (core, workers.into_iter().map(|w| w.probe).collect())
+        let finish = Go::Finish(cycle, run.stop);
+        workers.iter_mut().for_each(|w| w.control(&finish));
+        (run.seal(), workers.into_iter().map(|w| w.probe).collect())
     }
 
     /// The worker-thread transport: one scoped thread per tile shard,
@@ -1609,23 +1390,15 @@ impl<'p> TrafficSim<'p> {
     /// decision under an already-granted lease are discarded.
     fn run_threaded<P, F>(
         mut self,
+        run: RunState,
         obs: &mut dyn WindowObserver,
         mk: F,
-    ) -> Result<(CoreOutput, Vec<P>), RunError>
+    ) -> Result<(RunOutput, Vec<P>), RunError>
     where
         P: FabricProbe + Send,
         F: Fn(usize, &Shard) -> P,
     {
-        let mut drv = self.online.take().map(|c| OnlineDriver::new(c, self.env.views[0].clone()));
-        let mut wl = self.workload.take().map(WorkloadDriver::new);
-        let workload = wl.is_some();
-        // A workload source may react to any delivery, so every cycle
-        // is a coordination boundary: quantum 1 clamps every lease to
-        // one cycle and gates it on the replay cursor, which puts the
-        // cycle's `Go::Inject` ahead of its lease on every FIFO lane.
-        // The churn driver still fires only at its own quantum's
-        // multiples (it skips other cycles internally).
-        let quantum = if workload { Some(1) } else { drv.as_ref().map(|d| d.quantum()) };
+        let workload = run.wl.is_some();
         #[cfg(test)]
         let panic_at = self.panic_at;
         let shards = self.fabric.take_shards();
@@ -1637,7 +1410,7 @@ impl<'p> TrafficSim<'p> {
         let cfg = self.cfg.clone();
         let ttl = self.ttl;
         let kind = self.kind;
-        let env = &self.env;
+        let base = &self.base;
 
         // Control channels: one `Go` lane per worker, one shared
         // report lane back. Boundary lanes form the tile adjacency
@@ -1673,7 +1446,6 @@ impl<'p> TrafficSim<'p> {
         }
         let (done_tx, done_rx) = channel::unbounded::<WorkerReport>();
         let mut done_tx = Some(done_tx);
-        let run = RunState::new(&cfg, self.stats);
 
         crossbeam::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
@@ -1692,10 +1464,10 @@ impl<'p> TrafficSim<'p> {
                     // would otherwise block forever.
                     let report_tx = done_tx.clone();
                     let caught = catch_unwind(AssertUnwindSafe(move || {
-                        let mut paths = worker_table(&env.views, kind);
+                        let mut paths = PathTable::new(base, kind);
                         let router = build_hop_router(&mut paths, cfg);
                         let mut worker =
-                            ShardWorker::new(shard, sources, router, env, cfg, ttl, w, probe);
+                            ShardWorker::new(shard, sources, router, base, cfg, ttl, w, probe);
                         worker.workload = workload;
                         #[cfg(test)]
                         {
@@ -1758,19 +1530,11 @@ impl<'p> TrafficSim<'p> {
                                         dones,
                                     });
                                 }
-                                Ok(Go::Publish(start, view, op)) => {
-                                    worker.publish(start, view, op);
-                                }
-                                Ok(Go::Inject(at, msgs)) => {
-                                    debug_assert!(
-                                        msgs.iter().all(|m| m.at == at),
-                                        "inject batch spans cycles"
-                                    );
-                                    worker.enqueue_workload(&msgs);
-                                }
-                                Ok(Go::Finish(cycle, reason)) => {
-                                    worker.finish_run(cycle, reason);
-                                    return (worker.shard, worker.probe);
+                                Ok(go) => {
+                                    worker.control(&go);
+                                    if matches!(go, Go::Finish(..)) {
+                                        return (worker.shard, worker.probe);
+                                    }
                                 }
                                 Err(_) => return (worker.shard, worker.probe),
                             }
@@ -1803,10 +1567,10 @@ impl<'p> TrafficSim<'p> {
             let mut last_len = vec![0u64; n];
             let mut replay_next = 0u64;
             let mut buffer: VecDeque<(CycleDone, usize)> = VecDeque::new();
-            // Workers whose next lease starts exactly on a churn
-            // quantum boundary wait here until the replay cursor has
-            // polled that boundary, so the boundary's `Go::Publish`
-            // precedes the lease on their FIFO lane.
+            // Workers whose next lease starts exactly on a boundary
+            // (`RunState::next_boundary`) wait here until the replay
+            // cursor has reached it, so the boundary's `Go::Publish` /
+            // `Go::Inject` precede the lease on their FIFO lane.
             let mut gated: Vec<usize> = Vec::new();
             let mut failure: Option<RunError> = None;
             let mut stopped = false;
@@ -1817,10 +1581,15 @@ impl<'p> TrafficSim<'p> {
             // soonest a remote tile's effect can cross this tile —
             // clamped to [1, 64] and adapted by the previous window's
             // committed flit counts (deterministic: simulation state,
-            // never wall clock). Under online churn every window is
-            // clamped to the next quantum boundary so no lease ever
-            // spans a publication.
-            let lease_for = |w: usize, start: u64, last_moved: &[u64], last_len: &[u64]| -> u64 {
+            // never wall clock) — and clamped to `boundary`, the next
+            // coordinator boundary after `start`, so no lease ever
+            // spans a publication or a workload release.
+            let lease_for = |w: usize,
+                             start: u64,
+                             boundary: u64,
+                             last_moved: &[u64],
+                             last_len: &[u64]|
+             -> u64 {
                 let (tw, th) = dims[w];
                 let len = if cfg.lease > 0 {
                     cfg.lease
@@ -1840,24 +1609,18 @@ impl<'p> TrafficSim<'p> {
                         base
                     }
                 };
-                match quantum {
-                    Some(q) => len.min((start / q + 1) * q - start).max(1),
-                    None => len.max(1),
+                len.min(boundary - start).max(1)
+            };
+            let broadcast = |go: Go| {
+                for tx in &go_tx {
+                    let _ = tx.send(go.clone());
                 }
             };
-            // Cycle 0's workload release precedes the initial leases
-            // on every FIFO lane (the churn driver never fires at
-            // cycle 0).
-            if let Some(wl) = wl.as_mut() {
-                let msgs = wl.poll(0);
-                if !msgs.is_empty() {
-                    for tx in &go_tx {
-                        let _ = tx.send(Go::Inject(0, msgs.clone()));
-                    }
-                }
-            }
+            // Cycle 0's boundary work precedes the initial leases on
+            // every FIFO lane.
+            run.boundary(0, broadcast);
             for w in 0..n {
-                let len = lease_for(w, 0, &last_moved, &last_len);
+                let len = lease_for(w, 0, run.next_boundary(1), &last_moved, &last_len);
                 let _ = go_tx[w].send(Go::Lease { start: 0, len });
                 worker_end[w] = len;
             }
@@ -1884,61 +1647,26 @@ impl<'p> TrafficSim<'p> {
                         // lockstep transports use.
                         while buffer.front().is_some_and(|&(_, count)| count == n) {
                             let (agg, _) = buffer.pop_front().expect("front checked");
-                            if run.end_of_cycle(replay_next, agg, obs, wl.as_mut()) {
+                            if run.end_of_cycle(replay_next, agg, obs) {
                                 replay_next += 1;
                                 stopped = true;
                                 break;
                             }
                             replay_next += 1;
-                            if let Some(q) = quantum {
-                                if replay_next.is_multiple_of(q) {
-                                    if let Some(drv) = drv.as_mut() {
-                                        for (view, op) in drv.poll(replay_next) {
-                                            // Grow the per-epoch delivery
-                                            // ledger exactly when the epoch
-                                            // is published — its length is
-                                            // part of the bit-identity
-                                            // contract.
-                                            run.stats.epoch_delivered.push(0);
-                                            for tx in &go_tx {
-                                                let _ = tx.send(Go::Publish(
-                                                    replay_next,
-                                                    view.clone(),
-                                                    op,
-                                                ));
-                                            }
-                                        }
-                                    }
-                                    if let Some(wl) = wl.as_mut() {
-                                        // Strictly after the cycle's
-                                        // publications and the previous
-                                        // cycle's feedback, strictly
-                                        // before the leases gated on
-                                        // this boundary.
-                                        let msgs = wl.poll(replay_next);
-                                        if !msgs.is_empty() {
-                                            for tx in &go_tx {
-                                                let _ =
-                                                    tx.send(Go::Inject(replay_next, msgs.clone()));
-                                            }
-                                        }
-                                    }
-                                    // Release the leases gated on this
-                                    // boundary, now strictly after its
-                                    // publications on every FIFO lane.
-                                    let mut i = 0;
-                                    while i < gated.len() {
-                                        if worker_end[gated[i]] == replay_next {
-                                            let w = gated.swap_remove(i);
-                                            let len =
-                                                lease_for(w, replay_next, &last_moved, &last_len);
-                                            let _ = go_tx[w]
-                                                .send(Go::Lease { start: replay_next, len });
-                                            worker_end[w] += len;
-                                        } else {
-                                            i += 1;
-                                        }
-                                    }
+                            if run.next_boundary(replay_next) == replay_next {
+                                run.boundary(replay_next, broadcast);
+                                // Release the gated leases, now
+                                // strictly after the boundary's control
+                                // messages on every FIFO lane. (Leases
+                                // end at the first boundary ahead, so
+                                // every gate waits on this one.)
+                                let after = run.next_boundary(replay_next + 1);
+                                for w in gated.drain(..) {
+                                    debug_assert_eq!(worker_end[w], replay_next);
+                                    let len =
+                                        lease_for(w, replay_next, after, &last_moved, &last_len);
+                                    let _ = go_tx[w].send(Go::Lease { start: replay_next, len });
+                                    worker_end[w] += len;
                                 }
                             }
                         }
@@ -1949,12 +1677,11 @@ impl<'p> TrafficSim<'p> {
                         // and a stalled lease would stall its
                         // neighbors' per-cycle boundary recvs too.
                         let next = worker_end[shard];
-                        let gate =
-                            quantum.is_some_and(|q| next.is_multiple_of(q)) && replay_next < next;
-                        if gate {
+                        if run.next_boundary(next) == next && replay_next < next {
                             gated.push(shard);
                         } else {
-                            let len = lease_for(shard, next, &last_moved, &last_len);
+                            let after = run.next_boundary(next + 1);
+                            let len = lease_for(shard, next, after, &last_moved, &last_len);
                             let _ = go_tx[shard].send(Go::Lease { start: next, len });
                             worker_end[shard] += len;
                         }
@@ -2020,10 +1747,7 @@ impl<'p> TrafficSim<'p> {
                 }
                 return Err(err);
             }
-            let reason = run.stop;
-            for tx in &go_tx {
-                let _ = tx.send(Go::Finish(replay_next, reason));
-            }
+            broadcast(Go::Finish(replay_next, run.stop));
             let mut probes = Vec::with_capacity(n);
             for h in handles {
                 let Ok(Some((_shard, probe))) = h.join() else {
@@ -2031,52 +1755,24 @@ impl<'p> TrafficSim<'p> {
                 };
                 probes.push(probe);
             }
-            let trace = run.take_trace();
-            let mut stats = run.finish();
-            if let Some(drv) = drv {
-                let (events, rejected) = drv.into_outcome();
-                stats.online_events = events;
-                stats.churn_rejected = rejected;
-            }
-            let core = CoreOutput { stats, workload: wl.map(WorkloadDriver::into_outcome), trace };
-            Ok((core, probes))
+            Ok((run.seal(), probes))
         })
         .expect("simulation coordinator panicked")
     }
 }
 
-/// Convenience wrapper: build, run, collect.
+/// The panicking convenience: build a fresh path table, run without an
+/// observer, return the statistics. Everything else goes through
+/// [`TrafficSim::try_run_full`].
+///
+/// # Panics
+/// Re-panics with the worker's message when a shard worker panicked.
 pub fn run_traffic(net: &NetView, kind: RoutingKind, cfg: &SimConfig) -> TrafficStats {
     let mut paths = PathTable::new(net, kind);
-    TrafficSim::new(&mut paths, cfg.clone()).run()
-}
-
-/// Like [`run_traffic`], but reusing an existing path table so compiled
-/// routes carry over between runs (e.g. an injection-rate sweep over
-/// the same network and routing function).
-pub fn run_traffic_reusing(paths: &mut PathTable, cfg: &SimConfig) -> TrafficStats {
-    TrafficSim::new(paths, cfg.clone()).run()
-}
-
-/// [`run_traffic_reusing`] with a streaming [`WindowObserver`] attached
-/// (see [`TrafficSim::run_with`]).
-pub fn run_traffic_reusing_with(
-    paths: &mut PathTable,
-    cfg: &SimConfig,
-    obs: &mut dyn WindowObserver,
-) -> TrafficStats {
-    TrafficSim::new(paths, cfg.clone()).run_with(obs)
-}
-
-/// [`run_traffic_reusing_with`] returning the merged [`ObsReport`]
-/// alongside the statistics when `cfg.obs` enables recording (see
-/// [`TrafficSim::run_observed`]).
-pub fn run_traffic_observed(
-    paths: &mut PathTable,
-    cfg: &SimConfig,
-    obs: &mut dyn WindowObserver,
-) -> (TrafficStats, Option<ObsReport>) {
-    TrafficSim::new(paths, cfg.clone()).run_observed(obs)
+    match TrafficSim::new(&mut paths, cfg.clone()).try_run_full(&mut ()) {
+        Ok(out) => out.stats,
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// Routes a single packet of `len` flits from `s` to `d` through an
@@ -2135,6 +1831,26 @@ mod tests {
 
     fn fault_free(n: u32) -> NetView {
         NetView::build(FaultSet::none(Mesh::square(n)))
+    }
+
+    /// Runs `cfg` over a reused table with an observer attached.
+    fn run_reusing(
+        paths: &mut PathTable,
+        cfg: &SimConfig,
+        obs: &mut dyn WindowObserver,
+    ) -> RunOutput {
+        TrafficSim::new(paths, cfg.clone()).try_run_full(obs).expect("no worker panicked")
+    }
+
+    /// [`run_reusing`] with live churn sources attached.
+    fn run_reusing_with_churn(
+        paths: &mut PathTable,
+        cfg: &SimConfig,
+        churn: crate::churn::OnlineChurn,
+        obs: &mut dyn WindowObserver,
+    ) -> TrafficStats {
+        let sim = TrafficSim::new(paths, cfg.clone()).with_online_churn(churn);
+        sim.try_run_full(obs).expect("no worker panicked").stats
     }
 
     #[test]
@@ -2213,9 +1929,9 @@ mod tests {
         let barriers = |lease: u64| -> (TrafficStats, u64) {
             let mut paths = PathTable::new(&net, RoutingKind::Xy);
             let cfg = SimConfig { lease, ..base.clone() };
-            let (stats, report) = run_traffic_observed(&mut paths, &cfg, &mut ());
-            let report = report.expect("metrics recording was on");
-            (stats, report.shards.iter().map(|s| s.barriers).sum())
+            let out = run_reusing(&mut paths, &cfg, &mut ());
+            let report = out.obs.expect("metrics recording was on");
+            (out.stats, report.shards.iter().map(|s| s.barriers).sum())
         };
         let (lockstep_stats, lockstep_barriers) = barriers(1);
         let (leased_stats, leased_barriers) = barriers(8);
@@ -2300,7 +2016,7 @@ mod tests {
         let cfg = SimConfig { rate: 0.02, stats_window: 100, ..SimConfig::smoke() };
         let mut paths = PathTable::new(&net, RoutingKind::Rb2);
         let mut obs = Collect(Vec::new());
-        let stats = run_traffic_reusing_with(&mut paths, &cfg, &mut obs);
+        let stats = run_reusing(&mut paths, &cfg, &mut obs).stats;
         assert!(!obs.0.is_empty(), "windows must stream");
         // Windows tile the run contiguously and their totals reconcile
         // with the end-of-run statistics (the final partial window is
@@ -2316,7 +2032,7 @@ mod tests {
         assert!(delivered >= stats.measured_delivered);
         assert!(obs.0.iter().any(|s| s.draining), "the drain phase must be flagged");
         // Attaching an observer must not change the simulation.
-        let plain = run_traffic_reusing(&mut paths, &cfg);
+        let plain = run_reusing(&mut paths, &cfg, &mut ()).stats;
         assert_eq!(plain, stats, "observers are read-only");
     }
 
@@ -2345,7 +2061,7 @@ mod tests {
             ..SimConfig::default()
         };
         let mut paths = PathTable::new(&net, RoutingKind::Xy);
-        let stats = run_traffic_reusing_with(&mut paths, &cfg, &mut StopAfter(2));
+        let stats = run_reusing(&mut paths, &cfg, &mut StopAfter(2)).stats;
         assert_eq!(stats.cycles, 200, "stopped at the second window boundary");
         assert!(stats.saturated);
     }
@@ -2370,7 +2086,7 @@ mod tests {
         let mut paths = PathTable::new(&net, RoutingKind::Rb2);
         let mut sim = TrafficSim::new(&mut paths, cfg.clone());
         sim.set_panic_at(1, 40);
-        match sim.try_run() {
+        match sim.try_run_full(&mut ()) {
             Err(RunError::WorkerPanicked { shard, message }) => {
                 assert_eq!(shard, 1);
                 assert!(message.contains("injected test panic at cycle 40"), "{message}");
@@ -2381,7 +2097,7 @@ mod tests {
         // and in both cases the run returned instead of hanging.
         let mut sim = TrafficSim::new(&mut paths, cfg);
         sim.set_panic_at(0, 40);
-        match sim.try_run() {
+        match sim.try_run_full(&mut ()) {
             Err(RunError::WorkerPanicked { shard, .. }) => assert_eq!(shard, 0),
             other => panic!("expected a typed worker panic, got {other:?}"),
         }
@@ -2420,7 +2136,7 @@ mod tests {
         let sim =
             TrafficSim::new(&mut paths, cfg).with_online_churn(OnlineChurn::new(injector.clone()));
         let mut obs = MidRun { injector, at: hot };
-        let stats = sim.try_run_with(&mut obs).expect("online churn must not fail the run");
+        let stats = sim.try_run_full(&mut obs).expect("online churn must not fail the run").stats;
         assert!(!stats.deadlocked, "online churn must never wedge the fabric");
         assert_eq!(
             stats.online_events.iter().map(|e| e.op).collect::<Vec<_>>(),
@@ -2452,8 +2168,9 @@ mod tests {
             let mut paths = PathTable::new(&net, RoutingKind::Rb2);
             TrafficSim::new(&mut paths, cfg)
                 .with_online_churn(OnlineChurn::chaos(chaos).with_quantum(16))
-                .try_run()
+                .try_run_full(&mut ())
                 .expect("chaos run must complete")
+                .stats
         };
         let base = mk(1);
         assert!(!base.online_events.is_empty(), "chaos must fire inside its window");
@@ -2465,18 +2182,146 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot mix")]
-    fn online_churn_and_prescheduled_churn_cannot_mix() {
+    fn listed_and_live_churn_compose_deterministically() {
+        use crate::churn::{ChaosConfig, OnlineChurn};
+        use crate::config::ChurnEvent;
+        let net = fault_free(10);
+        let listed = ChurnEvent::fail(45, Coord::new(2, 2));
+        let chaos = ChaosConfig { seed: 9, start: 32, stop: 200, ..ChaosConfig::default() };
+        let mk = |threads| {
+            let cfg =
+                SimConfig { rate: 0.02, threads, fault_churn: vec![listed], ..SimConfig::smoke() };
+            let mut paths = PathTable::new(&net, RoutingKind::Rb2);
+            run_reusing_with_churn(&mut paths, &cfg, OnlineChurn::chaos(chaos), &mut ())
+        };
+        let base = mk(1);
+        assert!(!base.deadlocked);
+        // The listed event keeps its exact cycle between the chaos
+        // draws at the quantum-16 multiples 32 and 48.
+        let at = base.online_events.iter().position(|e| *e == listed).expect("listed event ran");
+        assert!(base.online_events[..at].iter().all(|e| e.cycle <= 32));
+        assert!(base.online_events[at + 1..].iter().all(|e| e.cycle >= 48));
+        assert!(base.online_events.len() > 1, "chaos must fire beside the list");
+        for threads in [2, 4] {
+            assert_eq!(base, mk(threads), "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn listed_churn_equals_the_same_events_injected_at_their_cycles() {
         use crate::churn::{ChurnInjector, OnlineChurn};
         use crate::config::ChurnEvent;
-        let net = fault_free(6);
+        // A `fault_churn` list is the churn driver loaded ahead of time:
+        // the same two events queued on an injector just before the
+        // quantum boundary at their cycle must give the same run.
+        let net = fault_free(10);
+        let hot = Coord::new(5, 5);
+        let events = vec![ChurnEvent::fail(64, hot), ChurnEvent::repair(192, hot)];
+        /// Queues each event from the window callback that closes at
+        /// its cycle — strictly before that boundary is polled.
+        struct Script(ChurnInjector, Vec<ChurnEvent>);
+        impl WindowObserver for Script {
+            fn on_window(&mut self, s: &WindowSample) -> WindowControl {
+                for e in self.1.iter().filter(|e| e.cycle == s.end) {
+                    self.0.inject(e.op);
+                }
+                WindowControl::Continue
+            }
+        }
+        for threads in [1, 2, 4] {
+            let cfg = SimConfig {
+                rate: 0.05,
+                pattern: TrafficPattern::Hotspot { targets: vec![hot], fraction: 0.5 },
+                stats_window: 64,
+                threads,
+                ..SimConfig::smoke()
+            };
+            let mut paths = PathTable::new(&net, RoutingKind::Rb2);
+            let listed_cfg = SimConfig { fault_churn: events.clone(), ..cfg.clone() };
+            let listed = run_reusing(&mut paths, &listed_cfg, &mut ()).stats;
+            let injector = ChurnInjector::new();
+            let injected = run_reusing_with_churn(
+                &mut paths,
+                &cfg,
+                OnlineChurn::new(injector.clone()).with_quantum(64),
+                &mut Script(injector, events.clone()),
+            );
+            assert_eq!(listed, injected, "threads = {threads}");
+            assert_eq!(listed.online_events, events);
+            assert!(listed.churn_killed > 0, "a listed failure strands in-flight packets");
+            assert!(listed.epoch_delivered[2] > 0, "traffic flows again after the repair");
+        }
+    }
+
+    #[test]
+    fn listed_events_keep_config_order_and_their_exact_cycle_in_both_transports() {
+        use crate::config::ChurnEvent;
+        let net = fault_free(8);
+        let (a, b) = (Coord::new(2, 2), Coord::new(5, 5));
+        // Two events at cycle 0 and three at cycle 37 (no quantum's
+        // multiple); the cycle-37 triple is valid only in config order.
         let cfg = SimConfig {
-            fault_churn: vec![ChurnEvent::fail(40, Coord::new(2, 2))],
+            rate: 0.02,
+            fault_churn: vec![
+                ChurnEvent::repair(37, a),
+                ChurnEvent::fail(0, a),
+                ChurnEvent::fail(0, b),
+                ChurnEvent::fail(37, a),
+                ChurnEvent::repair(37, b),
+            ],
             ..SimConfig::smoke()
         };
-        let mut paths = PathTable::new(&net, RoutingKind::Rb2);
-        let _ = TrafficSim::new(&mut paths, cfg)
-            .with_online_churn(OnlineChurn::new(ChurnInjector::new()));
+        let sequential = run_traffic(&net, RoutingKind::Rb2, &cfg);
+        assert_eq!(
+            sequential.online_events,
+            vec![
+                ChurnEvent::fail(0, a),
+                ChurnEvent::fail(0, b),
+                ChurnEvent::repair(37, a),
+                ChurnEvent::fail(37, a),
+                ChurnEvent::repair(37, b),
+            ]
+        );
+        assert_eq!(sequential.churn_rejected, 0);
+        assert_eq!(sequential.epoch_delivered.len(), 6, "one epoch per applied event");
+        assert_eq!(sequential.epoch_delivered[0], 0, "epoch 0 ended before the first cycle");
+        let threaded = run_traffic(&net, RoutingKind::Rb2, &SimConfig { threads: 3, ..cfg });
+        assert_eq!(sequential, threaded);
+    }
+
+    #[test]
+    fn invalid_listed_events_are_rejected_and_counted_not_panics() {
+        use crate::config::ChurnEvent;
+        let net = fault_free(8);
+        let c = Coord::new(3, 3);
+        for threads in [1, 2] {
+            let cfg = SimConfig {
+                rate: 0.02,
+                threads,
+                fault_churn: vec![
+                    ChurnEvent::fail(40, Coord::new(99, 99)), // off-mesh
+                    ChurnEvent::fail(40, c),
+                    ChurnEvent::fail(50, c), // already faulty
+                    ChurnEvent::repair(60, Coord::new(1, 1)), // healthy
+                ],
+                ..SimConfig::smoke()
+            };
+            let stats = run_traffic(&net, RoutingKind::Rb2, &cfg);
+            assert_eq!(stats.online_events, vec![ChurnEvent::fail(40, c)]);
+            assert_eq!(stats.churn_rejected, 3);
+            assert_eq!(stats.epoch_delivered.len(), 2);
+            assert!(!stats.deadlocked);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "churn quantum must be at least 1 cycle")]
+    fn zero_churn_quantum_is_a_panic() {
+        use crate::churn::OnlineChurn;
+        let net = fault_free(4);
+        let mut paths = PathTable::new(&net, RoutingKind::Xy);
+        let _ = TrafficSim::new(&mut paths, SimConfig::smoke())
+            .with_online_churn(OnlineChurn { quantum: 0, ..OnlineChurn::default() });
     }
 
     #[test]

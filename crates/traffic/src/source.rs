@@ -30,7 +30,7 @@
 //! ## Never wedges
 //!
 //! A released message can die without a delivery: admission can fail
-//! (unroutable pair, source node decommissioned), the route can exceed
+//! (unroutable pair, source node failed), the route can exceed
 //! the TTL budget, a churn event can drop it from the source queue or
 //! kill it in flight. Every such death is reported back as an abort;
 //! the driver cascades it through [`WorkloadSource::on_aborted`] so

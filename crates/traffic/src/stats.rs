@@ -132,30 +132,32 @@ pub struct TrafficStats {
     /// were in flight (wormhole cyclic dependency; see the crate docs on
     /// escape channels).
     pub deadlocked: bool,
-    /// Packets delivered per admission epoch (index = epoch). One entry
-    /// (every delivery) without fault churn; under churn this is the
-    /// per-epoch delivered series the `--json` rows report. Counts every
-    /// delivery, warmup-era and measured alike.
+    /// Packets delivered per admission epoch (index = epoch; a packet
+    /// replanned around a fresh fault counts under the epoch it was
+    /// re-keyed onto). One entry (every delivery) without churn, plus
+    /// one per applied churn event — the per-epoch delivered series the
+    /// `--json` rows report. Counts every delivery, warmup-era and
+    /// measured alike.
     pub epoch_delivered: Vec<u64>,
     /// Packets dropped from source queues by a mid-run node failure
-    /// (the decommissioned node's NI discards not-yet-injected packets;
-    /// a partially injected worm is always completed first). Always 0
-    /// without fault churn.
+    /// (the failed node's NI discards not-yet-injected packets; a
+    /// partially injected worm is always completed first). Always 0
+    /// without churn.
     pub churn_dropped: u64,
-    /// In-flight packets drained out of the fabric by *online* churn:
-    /// an unscheduled fault landed on the packet's position,
-    /// destination, or committed escape run and no replan existed. The
-    /// graceful-degradation counterpart of a wedge — these packets are
-    /// accounted, not deadlocked. Always 0 without online churn.
+    /// In-flight packets drained out of the fabric by churn: a fault
+    /// landed on the packet's position, destination, or committed
+    /// escape run and no replan existed. The graceful-degradation
+    /// counterpart of a wedge — these packets are accounted, not
+    /// deadlocked. Always 0 without churn.
     pub churn_killed: u64,
-    /// Online churn events refused at the epoch barrier (failing an
-    /// already-faulty node, repairing a healthy one, off-mesh targets).
-    /// Always 0 without online churn.
+    /// Churn events refused at their boundary (failing an
+    /// already-faulty node, repairing a healthy one, off-mesh targets),
+    /// from any source. Always 0 without churn.
     pub churn_rejected: u64,
-    /// The online churn events actually applied, in publication order
-    /// (`cycle` = the barrier cycle each took effect). Empty without
-    /// online churn; prescheduled churn is in
-    /// [`SimConfig::fault_churn`](crate::SimConfig) instead.
+    /// The churn events actually applied, in publication order
+    /// (`cycle` = the boundary cycle each took effect) — listed
+    /// ([`SimConfig::fault_churn`](crate::SimConfig::fault_churn)),
+    /// injected and chaos-drawn events alike. Empty without churn.
     pub online_events: Vec<ChurnEvent>,
 }
 
@@ -202,7 +204,7 @@ impl TrafficStats {
 }
 
 /// One streaming statistics window emitted by
-/// [`TrafficSim::run_with`](crate::TrafficSim::run_with): what the
+/// [`TrafficSim::try_run_full`](crate::TrafficSim::try_run_full): what the
 /// fabric did over the last `stats_window` cycles
 /// ([`SimConfig::stats_window`](crate::SimConfig)). Unlike
 /// [`TrafficStats`], which is one summary at the end of the run, these
@@ -250,7 +252,7 @@ pub enum WindowControl {
 }
 
 /// A streaming-statistics consumer for
-/// [`TrafficSim::run_with`](crate::TrafficSim::run_with).
+/// [`TrafficSim::try_run_full`](crate::TrafficSim::try_run_full).
 pub trait WindowObserver {
     /// Called at every `stats_window` boundary.
     fn on_window(&mut self, sample: &WindowSample) -> WindowControl;

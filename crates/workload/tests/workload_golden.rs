@@ -28,7 +28,7 @@ fn base_cfg(seed: u64, rate: f64, pattern: TrafficPattern) -> SimConfig {
     SimConfig { rate, seed, pattern, warmup: 20, measure: 100, drain: 600, ..SimConfig::default() }
 }
 
-fn run_with(
+fn run_sim(
     net: &NetView,
     kind: RoutingKind,
     cfg: &SimConfig,
@@ -39,7 +39,7 @@ fn run_with(
     if let Some(source) = source {
         sim = sim.with_workload(source);
     }
-    sim.run_full(&mut ())
+    sim.try_run_full(&mut ()).expect("no worker panicked")
 }
 
 fn net_with_faults(side: u32, faults: usize, seed: u64) -> NetView {
@@ -109,7 +109,7 @@ proptest! {
             ..base_cfg(seed, rate, pattern)
         }
         .with_record_trace();
-        let recorded = run_with(&net, RoutingKind::Rb2, &cfg, None);
+        let recorded = run_sim(&net, RoutingKind::Rb2, &cfg, None);
         let trace: Vec<TraceEntry> = recorded.trace.clone().expect("record_trace was set");
         let horizon = cfg.warmup + cfg.measure;
 
@@ -121,7 +121,7 @@ proptest! {
                 ..cfg.clone()
             };
             let spec = WorkloadSpec::Trace { entries: trace.clone(), horizon };
-            let replayed = run_with(&net, RoutingKind::Rb2, &replay_cfg, Some(spec.build(&net)));
+            let replayed = run_sim(&net, RoutingKind::Rb2, &replay_cfg, Some(spec.build(&net)));
             prop_assert_eq!(
                 &replayed.stats, &recorded.stats,
                 "replay diverged at {} threads", threads
@@ -133,7 +133,7 @@ proptest! {
         // entries with their trace index — so compare the fabric-
         // visible fields).
         let rerecord_cfg = SimConfig { threads: 2, ..cfg.clone() };
-        let rerecorded = run_with(
+        let rerecorded = run_sim(
             &net,
             RoutingKind::Rb2,
             &rerecord_cfg,
@@ -160,7 +160,7 @@ proptest! {
         let spec = layered_dag(&net, layers, width, len);
         let cfg = base_cfg(seed, 0.0, TrafficPattern::UniformRandom);
 
-        let reference = run_with(
+        let reference = run_sim(
             &net,
             RoutingKind::Rb2,
             &cfg,
@@ -176,7 +176,7 @@ proptest! {
 
         for (threads, tile_cols, lease) in [(2usize, 1usize, 1u64), (4, 2, 4), (4, 1, 8)] {
             let sharded_cfg = SimConfig { threads, tile_cols, lease, ..cfg.clone() };
-            let sharded = run_with(
+            let sharded = run_sim(
                 &net,
                 RoutingKind::Rb2,
                 &sharded_cfg,
@@ -198,7 +198,7 @@ fn dag_outcome_metrics_are_coherent() {
     let net = net_with_faults(8, 0, 11);
     let spec = layered_dag(&net, 3, 3, 4);
     let cfg = base_cfg(11, 0.0, TrafficPattern::UniformRandom);
-    let out = run_with(
+    let out = run_sim(
         &net,
         RoutingKind::Rb3,
         &cfg,

@@ -47,7 +47,8 @@ fn main() {
             let mut paths = PathTable::new(&net, kind);
             let out = TrafficSim::new(&mut paths, cfg.clone())
                 .with_workload(spec.build(&net))
-                .run_full(&mut ());
+                .try_run_full(&mut ())
+                .unwrap_or_else(|e| panic!("{}: collective run lost a worker: {e}", kind.name()));
             let wl = out.workload.expect("workload runs always report an outcome");
 
             // The claims this example exists to demonstrate: the phase

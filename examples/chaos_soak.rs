@@ -1,9 +1,9 @@
 //! Online chaos soak: live fault/repair churn against a **running,
 //! sharded** wormhole simulation.
 //!
-//! Unlike `fault_churn` (a schedule fixed before the run starts), every
-//! epoch here is invented while traffic is in flight: a seeded
-//! [`ChaosConfig`] draws random failures and repairs at churn-quantum
+//! Unlike a `fault_churn` list (the same churn driver, loaded before
+//! the run starts), every epoch here is invented while traffic is in
+//! flight: a seeded [`ChaosConfig`] draws random failures and repairs at churn-quantum
 //! boundaries, and a [`ChurnInjector`] handle pokes in two unscheduled
 //! API events from a window observer mid-measurement. The coordinator
 //! publishes each event to the shard workers through the epoch
@@ -74,9 +74,10 @@ fn main() {
         let mut paths = PathTable::new(&net, *kind);
         let sim = TrafficSim::new(&mut paths, cfg.clone()).with_online_churn(churn);
         let mut obs = MidRunPokes { injector, at: Coord::new(8, 8) };
-        let stats = sim.try_run_with(&mut obs).unwrap_or_else(|e| {
-            panic!("{}: chaos soak lost a worker: {e}", kind.name());
-        });
+        let stats = match sim.try_run_full(&mut obs) {
+            Ok(out) => out.stats,
+            Err(e) => panic!("{}: chaos soak lost a worker: {e}", kind.name()),
+        };
 
         // The robustness contract this soak exists to gate.
         assert!(!stats.deadlocked, "{}: chaos run deadlocked: {stats:?}", kind.name());
@@ -94,7 +95,7 @@ fn main() {
         );
         // Full-drain accounting: every generated packet either ejected
         // normally (some epoch's bucket) or is explained by churn — an
-        // NI discard at decommission, a killed stranded worm, or a TTL
+        // NI discard at a failure, a killed stranded worm, or a TTL
         // drop. Nothing vanishes, nothing is double-counted.
         let delivered: u64 = stats.epoch_delivered.iter().sum();
         assert_eq!(

@@ -3,20 +3,22 @@
 //!
 //! A 16x16 mesh starts with a small fault population, and **two more
 //! nodes fail while traffic is in flight** (plus, in the full mode, a
-//! later repair). Each event advances the run to a new epoch snapshot
-//! — published by the incremental `NetState` update path — and the
-//! run must finish with **zero deadlocks**: packets admitted before a
-//! failure complete on their compiled routes (announced-decommission
-//! semantics), new packets route around the failure, and the escape
-//! classes are provisioned against the union of every scheduled
-//! epoch's faults so their acyclicity argument is epoch-invariant.
+//! later repair). The events are listed ahead of time in
+//! `SimConfig::fault_churn`; each fires at exactly its cycle and
+//! advances the run to a new epoch snapshot — published by the
+//! incremental `NetState` update path — and the run must finish with
+//! **zero deadlocks**: a failed node forwards nothing, so packets its
+//! failure strands replan from where they stand or are drained and
+//! counted (`churn_killed`), new packets route around the failure, and
+//! the escape forest is re-provisioned per event so the repaired node
+//! regains every VC class.
 //!
 //! Usage: `fault_churn [--quick] [--json]`.
 //!
 //! `--json` emits one machine-readable document with the per-epoch
-//! delivered counts per router; the default prints a small table. The
-//! run asserts its own liveness claims either way (CI runs `--quick
-//! --json`).
+//! delivered, dropped and killed counts per router; the default prints
+//! a small table. The run asserts its own liveness claims either way
+//! (CI runs `--quick --json`).
 
 use meshpath::analysis::jsonl::{document, JsonObject};
 use meshpath::prelude::*;
@@ -57,8 +59,9 @@ fn main() {
             stats.epoch_delivered
         );
         assert!(
-            stats.measured_generated - stats.measured_delivered <= stats.churn_dropped,
-            "{}: undelivered measured packets must be churn drops",
+            stats.measured_generated - stats.measured_delivered
+                <= stats.churn_dropped + stats.churn_killed,
+            "{}: undelivered measured packets must be churn drops or kills",
             kind.name()
         );
 
@@ -68,6 +71,7 @@ fn main() {
                 .field("epochs", stats.epoch_delivered.len())
                 .array_u64("epoch_delivered", &stats.epoch_delivered)
                 .field("churn_dropped", stats.churn_dropped)
+                .field("churn_killed", stats.churn_killed)
                 .field("generated", stats.generated)
                 .field("measured_delivered", stats.measured_delivered)
                 .float("mean_latency", stats.mean_latency(), 3)
@@ -77,10 +81,11 @@ fn main() {
             rows.push(row);
         } else {
             println!(
-                "{:7}  epochs {:?}  dropped {}  mean latency {:.1} cycles  ({} cycles simulated)",
+                "{:7}  epochs {:?}  dropped {}  killed {}  mean latency {:.1} cycles  ({} cycles simulated)",
                 kind.name(),
                 stats.epoch_delivered,
                 stats.churn_dropped,
+                stats.churn_killed,
                 stats.mean_latency(),
                 stats.cycles,
             );

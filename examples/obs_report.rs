@@ -12,7 +12,7 @@
 
 use meshpath::analysis::traffic::{run_load_sweep, LoadSweepConfig};
 use meshpath::prelude::*;
-use meshpath::traffic::{run_traffic_observed, DrainStallObserver, PathTable};
+use meshpath::traffic::{DrainStallObserver, PathTable, TrafficSim};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,8 +31,9 @@ fn main() {
     };
     let cfg = sim.clone().with_obs(ObsLevel::Trace);
     let mut paths = PathTable::new(&net, RoutingKind::Rb2);
-    let (stats, report) = run_traffic_observed(&mut paths, &cfg, &mut ());
-    let report = report.expect("tracing enabled");
+    let out =
+        TrafficSim::new(&mut paths, cfg.clone()).try_run_full(&mut ()).expect("run completes");
+    let (stats, report) = (out.stats, out.obs.expect("tracing enabled"));
     if !json {
         println!(
             "healthy 16x16 @ rate {:.3}, 8 faults — stop: {}, {} injected / {} delivered, \
@@ -88,8 +89,11 @@ fn main() {
         .with_obs(ObsLevel::Trace);
     let mut paths = PathTable::new(&wedge_net, RoutingKind::Rb2);
     let mut stall = DrainStallObserver::new(4);
-    let (_, wedged) = run_traffic_observed(&mut paths, &wedge_cfg, &mut stall);
-    let wedged = wedged.expect("tracing enabled");
+    let wedged = TrafficSim::new(&mut paths, wedge_cfg.clone())
+        .try_run_full(&mut stall)
+        .expect("run completes")
+        .obs
+        .expect("tracing enabled");
     assert!(wedged.stop.is_wedged(), "escape VCs off at 10% faults must wedge");
     let pm = wedged.postmortem.as_ref().expect("wedged stops dump a post-mortem");
     if !json {

@@ -11,9 +11,18 @@
 //! the fabric demonstrably cannot drain.
 
 use meshpath::prelude::*;
-use meshpath::traffic::{run_traffic_observed, DrainStallObserver, PathTable, TrafficSim};
+use meshpath::traffic::{DrainStallObserver, PathTable, TrafficSim, WindowObserver};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Runs `sim` and splits the output into statistics and obs report.
+fn observed(
+    sim: TrafficSim<'_>,
+    obs: &mut dyn WindowObserver,
+) -> (TrafficStats, Option<ObsReport>) {
+    let out = sim.try_run_full(obs).expect("no worker panicked");
+    (out.stats, out.obs)
+}
 
 /// The `tests/escape.rs` wedge recipe: 16x16, 26 uniform faults,
 /// deterministic RB2 at 4% injection.
@@ -33,7 +42,7 @@ fn forced_deadlock_dumps_a_postmortem_naming_the_cycle() {
     let net = wedge_net();
     let cfg = wedge_cfg().with_obs(ObsLevel::Trace);
     let mut paths = PathTable::new(&net, RoutingKind::Rb2);
-    let (stats, report) = run_traffic_observed(&mut paths, &cfg, &mut ());
+    let (stats, report) = observed(TrafficSim::new(&mut paths, cfg.clone()), &mut ());
     assert!(stats.deadlocked, "the recipe must wedge: {stats:?}");
     let report = report.expect("obs enabled yields a report");
     assert_eq!(report.stop, StopKind::Deadlock);
@@ -80,7 +89,7 @@ fn wedged_drain_stops_as_drain_stall_with_stalled_packets() {
     let cfg = wedge_cfg().with_obs(ObsLevel::Trace);
     let mut paths = PathTable::new(&net, RoutingKind::Rb2);
     let mut obs = DrainStallObserver::new(2);
-    let (stats, report) = run_traffic_observed(&mut paths, &cfg, &mut obs);
+    let (stats, report) = observed(TrafficSim::new(&mut paths, cfg.clone()), &mut obs);
     let report = report.expect("obs enabled yields a report");
     assert!(
         report.stop == StopKind::DrainStall || report.stop == StopKind::Deadlock,
@@ -115,7 +124,7 @@ fn online_churn_wedges_keep_postmortem_parity_and_unperturbed_stats() {
         let mut paths = PathTable::new(&net, RoutingKind::Rb2);
         let sim = TrafficSim::new(&mut paths, wedge_cfg().with_obs(level))
             .with_online_churn(OnlineChurn::chaos(chaos));
-        sim.run_observed(&mut ())
+        observed(sim, &mut ())
     };
     let (bare, none) = run(ObsLevel::Off);
     assert!(none.is_none(), "off means off under churn too");
@@ -141,7 +150,7 @@ fn healthy_runs_report_clean_and_observation_does_not_perturb() {
     for level in [ObsLevel::Metrics, ObsLevel::Trace] {
         let mut paths = PathTable::new(&net, RoutingKind::Rb2);
         let (stats, report) =
-            run_traffic_observed(&mut paths, &cfg.clone().with_obs(level), &mut ());
+            observed(TrafficSim::new(&mut paths, cfg.clone().with_obs(level)), &mut ());
         assert_eq!(stats, bare, "observation at {level:?} must not perturb the run");
         let report = report.expect("report present at {level:?}");
         assert_eq!(report.stop, StopKind::Clean);
@@ -151,7 +160,7 @@ fn healthy_runs_report_clean_and_observation_does_not_perturb() {
     }
     // Off really means off: no report is assembled.
     let mut paths = PathTable::new(&net, RoutingKind::Rb2);
-    let (stats, report) = run_traffic_observed(&mut paths, &cfg, &mut ());
+    let (stats, report) = observed(TrafficSim::new(&mut paths, cfg.clone()), &mut ());
     assert_eq!(stats, bare);
     assert!(report.is_none());
 }

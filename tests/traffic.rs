@@ -176,7 +176,8 @@ fn facade_prelude_covers_traffic() {
 /// Mid-run fault churn: epochs advance, deliveries are attributed per
 /// epoch, nothing deadlocks, and the result is bit-identical at every
 /// shard count (the snapshot-keyed `PathTable` keeps old-epoch routes
-/// replayable while new admissions compile against the new epoch).
+/// replayable — until a failure strands them — while new admissions
+/// compile against the new epoch).
 #[test]
 fn fault_churn_runs_deadlock_free_and_shards_deterministically() {
     let mesh = Mesh::square(10);
@@ -197,12 +198,13 @@ fn fault_churn_runs_deadlock_free_and_shards_deterministically() {
     for (e, &n) in stats.epoch_delivered.iter().enumerate() {
         assert!(n > 0, "epoch {e} delivered nothing: {:?}", stats.epoch_delivered);
     }
-    // Every measured packet is accounted for: delivered, or discarded
-    // by the decommissioned node's NI (a clean, non-saturated churn run
-    // has no third outcome).
+    // Every measured packet is accounted for: delivered, discarded by
+    // the failed node's NI, or stranded in flight by the failure and
+    // killed (a clean, non-saturated churn run has no fourth outcome).
     assert!(
-        stats.measured_generated - stats.measured_delivered <= stats.churn_dropped,
-        "undelivered measured packets must be churn drops: {stats:?}"
+        stats.measured_generated - stats.measured_delivered
+            <= stats.churn_dropped + stats.churn_killed,
+        "undelivered measured packets must be churn drops or kills: {stats:?}"
     );
     // Bit-identical under sharding, churn included.
     for threads in [2usize, 3] {
@@ -214,26 +216,28 @@ fn fault_churn_runs_deadlock_free_and_shards_deterministically() {
 }
 
 /// Regression: a `PathTable` reused across runs (the rate-sweep
-/// pattern) must reset to its initial snapshot before resolving a new
-/// churn schedule — the previous run advanced the shared table's epoch
-/// cursor, and resolving churn from that stale epoch double-applied
-/// the events (panic: "already faulty") or mixed two networks in one
-/// run.
+/// pattern) must reset to its initial snapshot before the next run —
+/// the previous run published its churn epochs into the shared table,
+/// and starting from that stale epoch double-applied the events or
+/// mixed two networks in one run.
 #[test]
 fn path_table_reuse_across_churn_runs_resolves_from_epoch_zero() {
-    use meshpath::traffic::{run_traffic_reusing, PathTable};
+    use meshpath::traffic::{PathTable, TrafficSim};
+    let rerun = |paths: &mut PathTable, cfg: &SimConfig| {
+        TrafficSim::new(paths, cfg.clone()).try_run_full(&mut ()).expect("run completes").stats
+    };
     let net = NetView::build(FaultSet::none(Mesh::square(8)));
     let mut paths = PathTable::new(&net, RoutingKind::Rb2);
     let churn_cfg = SimConfig::smoke()
         .with_rate(0.02)
         .with_fault_churn(vec![ChurnEvent::fail(60, Coord::new(4, 4))]);
-    let a = run_traffic_reusing(&mut paths, &churn_cfg);
-    let b = run_traffic_reusing(&mut paths, &churn_cfg);
+    let a = rerun(&mut paths, &churn_cfg);
+    let b = rerun(&mut paths, &churn_cfg);
     assert_eq!(a, b, "reusing the table must not re-resolve churn from a stale epoch");
     // And an empty-churn run after a churn run must not inherit the
     // stale schedule (escape substrate, epoch-0 view).
     let plain_cfg = SimConfig::smoke().with_rate(0.02);
-    let plain_reused = run_traffic_reusing(&mut paths, &plain_cfg);
+    let plain_reused = rerun(&mut paths, &plain_cfg);
     let plain_fresh = run_traffic(&net, RoutingKind::Rb2, &plain_cfg);
     assert_eq!(plain_reused, plain_fresh, "stale schedules must be cleared");
 }
