@@ -10,6 +10,8 @@
 //!   representable).
 //! * [`Dir`] and [`Axis`] — the four mesh directions `+X/-X/+Y/-Y` used by
 //!   the paper's labeling and routing rules.
+//! * [`HopSeq`] — a walk as its hop directions, two bits a hop: the
+//!   workspace's one route representation.
 //! * [`Orientation`] — the four axis reflections realizing the paper's
 //!   "without loss of generality assume `xs = ys = 0` and `xd, yd >= 0`"
 //!   normalization.
@@ -34,6 +36,7 @@ pub mod dir;
 pub mod faults;
 pub mod grid;
 pub mod hash;
+pub mod hop_seq;
 pub mod mesh;
 pub mod orient;
 pub mod region;
@@ -45,6 +48,7 @@ pub use dir::{Axis, Dir};
 pub use faults::{FaultInjection, FaultSet};
 pub use grid::{BitGrid, Grid};
 pub use hash::{derive_seed, FxBuildHasher, FxHashMap, FxHashSet};
+pub use hop_seq::HopSeq;
 pub use mesh::{Mesh, NodeId};
 pub use orient::Orientation;
 pub use region::Rect;

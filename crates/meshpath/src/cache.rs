@@ -10,11 +10,13 @@
 //! a publication costs nothing and only the queried region of the pair
 //! space is ever materialized.
 //!
-//! Entries store the **complete** service-level outcome — the delivered
-//! path compressed to its hop directions plus the engine statistics, or
-//! the typed routing error — so a cache hit reconstructs a reply
-//! bit-identical to re-running the router on the epoch's snapshot (the
-//! equivalence the service's stress tests pin).
+//! An entry *is* the service-level outcome, stored as computed: the
+//! router's [`RouteResult`] (source, packed hop directions, engine
+//! statistics — 64 bytes, inline up to 128 hops) or the typed routing
+//! error. A hit is a `clone()` of that value under the stripe's read
+//! lock — no conversion on fill, nothing rebuilt on lookup — so it is
+//! trivially bit-identical to re-running the router on the epoch's
+//! snapshot (the equivalence the service's stress tests pin).
 //!
 //! Interior mutability is striped: the pair key hashes to one of
 //! [`STRIPES`] independent `RwLock`ed stripes, so concurrent readers
@@ -36,7 +38,7 @@
 
 use std::sync::RwLock;
 
-use meshpath_mesh::{Coord, Dir, FxHashMap, Mesh};
+use meshpath_mesh::{Coord, FxHashMap, Mesh};
 use meshpath_route::RouteResult;
 
 use crate::service::RouteError;
@@ -47,24 +49,18 @@ use crate::service::RouteError;
 pub(crate) const STRIPES: usize = 64;
 
 /// One memoized query outcome (everything after endpoint validation,
-/// which is cheaper than the lookup and therefore never cached).
-#[derive(Clone, Debug)]
-enum CachedRoute {
-    /// A delivered route: the path as successive hop directions
-    /// (2 bits of information each, stored as one byte) plus the
-    /// engine's per-message statistics.
-    Delivered { dirs: Box<[Dir]>, replans: u32, fallbacks: u32, detour_hops: u32 },
-    /// The typed error the service classified for this pair.
-    Failed(RouteError),
-}
+/// which is cheaper than the lookup and therefore never cached): the
+/// delivered route, or the typed error the service classified for the
+/// pair.
+type Outcome = Result<RouteResult, RouteError>;
 
 /// One lock's worth of cache: two disjoint LRU generations. Entries
 /// enter (and re-enter) through `hot`; rotation demotes the whole hot
 /// generation to `cold` and drops the previous cold one.
 #[derive(Default)]
 struct Stripe {
-    hot: FxHashMap<u64, CachedRoute>,
-    cold: FxHashMap<u64, CachedRoute>,
+    hot: FxHashMap<u64, Outcome>,
+    cold: FxHashMap<u64, Outcome>,
 }
 
 /// A lazily filled, striped, budget-bounded memo of query outcomes for
@@ -103,7 +99,7 @@ impl RouteCache {
     /// Inserts into the hot generation, rotating the generations when
     /// hot outgrows the stripe's capacity. The two maps stay disjoint:
     /// every insertion path removes the key from `cold` first.
-    fn insert_hot(stripe: &mut Stripe, key: u64, cached: CachedRoute, cap: usize) {
+    fn insert_hot(stripe: &mut Stripe, key: u64, cached: Outcome, cap: usize) {
         stripe.cold.remove(&key);
         stripe.hot.insert(key, cached);
         if stripe.hot.len() > cap {
@@ -111,23 +107,18 @@ impl RouteCache {
         }
     }
 
-    /// The memoized outcome for `(s, d)`, reconstructed, or `None` on a
-    /// miss. A hot-generation hit takes one stripe read lock; a
+    /// A copy of the memoized outcome for `(s, d)`, or `None` on a miss.
+    /// A hot-generation hit takes one stripe read lock; a
     /// cold-generation hit upgrades to the write lock to promote the
     /// entry back into `hot` (that recency signal is what keeps hot
     /// pairs resident across rotations).
-    pub(crate) fn lookup(
-        &self,
-        mesh: &Mesh,
-        s: Coord,
-        d: Coord,
-    ) -> Option<Result<RouteResult, RouteError>> {
+    pub(crate) fn lookup(&self, mesh: &Mesh, s: Coord, d: Coord) -> Option<Outcome> {
         let key = Self::key(mesh, s, d);
         let lock = &self.stripes[Self::stripe(key)];
         {
             let stripe = lock.read().expect("route cache stripe poisoned");
             if let Some(cached) = stripe.hot.get(&key) {
-                return Some(Self::materialize(s, cached));
+                return Some(cached.clone());
             }
             if !stripe.cold.contains_key(&key) {
                 return None;
@@ -138,51 +129,31 @@ impl RouteCache {
         // or a racing rotation may have evicted it — re-check both.
         let mut stripe = lock.write().expect("route cache stripe poisoned");
         if let Some(cached) = stripe.cold.remove(&key) {
-            let outcome = Self::materialize(s, &cached);
-            Self::insert_hot(&mut stripe, key, cached, self.cap);
-            return Some(outcome);
+            Self::insert_hot(&mut stripe, key, cached.clone(), self.cap);
+            return Some(cached);
         }
-        stripe.hot.get(&key).map(|cached| Self::materialize(s, cached))
+        stripe.hot.get(&key).cloned()
     }
 
     /// Memoizes a freshly computed outcome for `(s, d)`. Takes one
     /// stripe write lock; concurrent fillers of the same pair insert
     /// identical values (the router is deterministic), so last-write
     /// ordering is immaterial.
-    pub(crate) fn fill(
-        &self,
-        mesh: &Mesh,
-        s: Coord,
-        d: Coord,
-        outcome: &Result<RouteResult, RouteError>,
-    ) {
-        let cached = match outcome {
+    pub(crate) fn fill(&self, mesh: &Mesh, s: Coord, d: Coord, outcome: &Outcome) {
+        match outcome {
             Ok(res) => {
-                debug_assert!(res.delivered, "only delivered results are Ok at the service layer");
-                let dirs = res
-                    .path
-                    .windows(2)
-                    .map(|w| w[0].dir_to(w[1]).expect("cached path hops join neighbors"))
-                    .collect();
-                CachedRoute::Delivered {
-                    dirs,
-                    replans: res.replans,
-                    fallbacks: res.fallbacks,
-                    detour_hops: res.detour_hops,
-                }
+                debug_assert!(res.delivered, "only delivered results are Ok at the service layer")
             }
             // Routing-level failures are worth memoizing (they cost a
             // full BFS classification); endpoint-validation errors never
             // reach the cache — the checks are cheaper than a lookup.
-            Err(e @ (RouteError::Unreachable { .. } | RouteError::Undelivered { .. })) => {
-                CachedRoute::Failed(*e)
-            }
+            Err(RouteError::Unreachable { .. } | RouteError::Undelivered { .. }) => {}
             Err(_) => return,
-        };
+        }
         let key = Self::key(mesh, s, d);
         let mut stripe =
             self.stripes[Self::stripe(key)].write().expect("route cache stripe poisoned");
-        Self::insert_hot(&mut stripe, key, cached, self.cap);
+        Self::insert_hot(&mut stripe, key, outcome.clone(), self.cap);
     }
 
     /// Number of memoized pairs (test/diagnostic use; takes every
@@ -196,28 +167,6 @@ impl RouteCache {
                 stripe.hot.len() + stripe.cold.len()
             })
             .sum()
-    }
-
-    fn materialize(s: Coord, cached: &CachedRoute) -> Result<RouteResult, RouteError> {
-        match cached {
-            CachedRoute::Delivered { dirs, replans, fallbacks, detour_hops } => {
-                let mut path = Vec::with_capacity(dirs.len() + 1);
-                path.push(s);
-                let mut cur = s;
-                for &dir in dirs.iter() {
-                    cur = cur.step(dir);
-                    path.push(cur);
-                }
-                Ok(RouteResult {
-                    path,
-                    delivered: true,
-                    replans: *replans,
-                    fallbacks: *fallbacks,
-                    detour_hops: *detour_hops,
-                })
-            }
-            CachedRoute::Failed(e) => Err(*e),
-        }
     }
 }
 
@@ -252,7 +201,7 @@ mod tests {
             assert!(fresh.delivered);
             cache.fill(net.mesh(), s, d, &Ok(fresh.clone()));
             let hit = cache.lookup(net.mesh(), s, d).expect("just filled").expect("delivered");
-            assert_eq!(hit, fresh, "cache hits reconstruct the exact result");
+            assert_eq!(hit, fresh, "cache hits copy the exact result");
         }
         assert_eq!(cache.len(), pairs.len());
         assert!(cache.lookup(net.mesh(), Coord::new(1, 1), Coord::new(2, 2)).is_none());

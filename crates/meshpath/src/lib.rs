@@ -83,14 +83,18 @@
 //!
 //! ## The lock-free read path
 //!
-//! Queries never take a lock. Mutations build the next epoch on a
-//! writer-side [`NetState`](prelude::NetState) (under a mutex only
+//! Queries never wait for a mutation. Mutations build the next epoch
+//! on a writer-side [`NetState`](prelude::NetState) (under a mutex only
 //! writers touch) and *publish* it RCU-style into an atomic slot; each
 //! reader thread keeps its own clone of the published snapshot and
 //! revalidates it with **one `Acquire` load** of the slot's sequence
-//! counter per query — in steady state the read path performs **zero
-//! shared-memory writes**, so throughput scales with query threads
-//! instead of inverting under read-lock contention.
+//! counter per query — in steady state resolving the snapshot performs
+//! **zero shared-memory writes**. A query the warm cache answers then
+//! takes one stripe `RwLock` for reading (two atomic read-modify-writes
+//! on one of 64 shared lock words), so the honest count is zero for the
+//! RCU load plus one stripe lock word per cached query; how far that
+//! lets throughput scale with query threads is what meshbench's
+//! `meshpath.read_scaling_t2` measures.
 //!
 //! The memory-ordering contract: the writer bumps the sequence counter
 //! with `Release` ordering *after* installing the new snapshot, both
@@ -111,8 +115,9 @@
 //!   budget ([`RouteService::with_route_cache`], default
 //!   [`DEFAULT_CACHE_ENTRIES`] memoized pairs) of lazily filled query
 //!   outcomes per epoch (striped segmented-LRU, no global lock), so
-//!   repeated pairs are answered by path reconstruction, bit-identical
-//!   to re-running the router, on meshes of any size; cold pairs age
+//!   repeated pairs are answered with a copy of the stored
+//!   [`RouteResult`](prelude::RouteResult), bit-identical to
+//!   re-running the router, on meshes of any size; cold pairs age
 //!   out of the budget instead of gating the cache off.
 //!
 //! For direct, service-free use the same pieces compose by hand:
@@ -177,7 +182,7 @@ pub mod prelude {
     pub use meshpath_info::{InfoModel, ModelKind};
     pub use meshpath_mesh::render::GridRender;
     pub use meshpath_mesh::{
-        Coord, Dir, FaultInjection, FaultSet, Mesh, NodeId, Orientation, Rect,
+        Coord, Dir, FaultInjection, FaultSet, HopSeq, Mesh, NodeId, Orientation, Rect,
     };
     pub use meshpath_obs::{ObsLevel, ObsReport, Postmortem, StopKind};
     pub use meshpath_route::oracle::DistanceField;

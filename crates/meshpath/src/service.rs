@@ -11,12 +11,19 @@
 //! [`arc_swap::ArcSwap`] slot — readers are never blocked, and in-flight
 //! queries keep the snapshot they started with.
 //!
-//! Readers do **not** take any lock, and in steady state they perform
-//! **zero shared-memory writes**: each thread keeps a thread-local
-//! clone of the published snapshot and revalidates it against the
-//! slot's sequence counter — one `Acquire` load of a read-mostly cache
-//! line per query. Only the first query a thread issues after a
-//! publication refreshes (a brief mutex-protected `Arc` clone). The
+//! Resolving the snapshot takes no lock and, in steady state, writes
+//! no shared memory: each thread keeps a thread-local clone of the
+//! published snapshot and revalidates it against the slot's sequence
+//! counter — one `Acquire` load of a read-mostly cache line per query.
+//! Only the first query a thread issues after a publication refreshes
+//! (a brief mutex-protected `Arc` clone). What follows the snapshot is
+//! not write-free: a query the warm cache answers takes its pair's
+//! stripe `RwLock` for reading — two atomic read-modify-writes on one
+//! of 64 shared lock words. So a steady-state query costs zero shared
+//! writes for the RCU load plus one stripe lock word when it is cached
+//! (none with the cache disabled); meshbench's
+//! `meshpath.read_scaling_t2` (qps at two reader threads over one) is
+//! the number that shows what that word costs. The
 //! memory-ordering contract lives with the primitive
 //! (`arc_swap`, the workspace's offline stand-in): the counter is
 //! bumped `Release` together with the slot under the writer mutex, the
@@ -46,8 +53,9 @@
 //! ([`with_route_cache`](RouteService::with_route_cache), default
 //! [`DEFAULT_CACHE_ENTRIES`]; striped interior mutability plus
 //! segmented-LRU eviction — see `crate::cache`): repeated queries for a
-//! pair are answered by path reconstruction instead of re-running the
-//! router, bit-identical to a fresh computation. Because the bound is
+//! pair are answered with a copy of the stored [`RouteResult`] instead
+//! of re-running the router, bit-identical to a fresh computation.
+//! Because the bound is
 //! on memoized *pairs*, not mesh size, hot pairs are served from the
 //! cache on arbitrarily large meshes while cold pairs age out of the
 //! budget.
@@ -177,8 +185,8 @@ impl RouteReply {
 /// Opt-in: a service built with
 /// [`with_metrics`](RouteService::with_metrics) records; the plain
 /// constructors skip all instrumentation (no clock reads and no shared
-/// counter writes on the query path — the zero-shared-write scaling
-/// claim holds only with metrics off). Latency histograms are
+/// counter writes on the query path — with metrics off the cache's
+/// stripe lock word is the only shared write). Latency histograms are
 /// log-bucketed ([`meshpath_obs::LogHistogram`]), so recording is O(1)
 /// and percentiles are bounds, not exact order statistics.
 #[derive(Debug, Default)]
@@ -223,7 +231,7 @@ impl ServiceMetrics {
         self.update_ns.snapshot()
     }
 
-    /// Warm route-cache hits (queries answered by path reconstruction).
+    /// Warm route-cache hits (queries answered from the stored outcome).
     pub fn cache_hits(&self) -> u64 {
         self.route_cache.hits()
     }
@@ -270,8 +278,8 @@ struct Served {
 static NEXT_SERVICE_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Per-thread snapshot caches, keyed by service id: each entry owns a
-/// thread-local clone of one service's published [`Served`], so the
-/// steady-state query path touches no shared mutable memory at all.
+/// thread-local clone of one service's published [`Served`], so
+/// resolving the snapshot writes no shared memory in steady state.
 /// Bounded: a thread routing against more services than the cap evicts
 /// its oldest entry (correctness is unaffected — eviction only costs
 /// the next query one refresh).
@@ -471,22 +479,36 @@ impl RouteService {
     ) -> Result<RouteReply, RouteError> {
         let view = &served.view;
         self.validate(view, src, dst)?;
-        let Some(cache) = &served.cache else {
-            return self
-                .compute(view, src, dst)
-                .map(|result| RouteReply { epoch: view.epoch(), result });
+        let hit = served.cache.as_ref().and_then(|cache| cache.lookup(view.mesh(), src, dst));
+        let Some(outcome) = hit else {
+            return self.route_miss(served, src, dst);
         };
-        if let Some(outcome) = cache.lookup(view.mesh(), src, dst) {
-            if let Some(m) = &self.metrics {
-                m.route_cache.hit();
-            }
-            return outcome.map(|result| RouteReply { epoch: view.epoch(), result });
-        }
         if let Some(m) = &self.metrics {
-            m.route_cache.miss();
+            m.route_cache.hit();
         }
+        outcome.map(|result| RouteReply { epoch: view.epoch(), result })
+    }
+
+    /// What the warm cache did not answer (a miss, or no cache at all):
+    /// compute, memoize, count. Kept out of line so the hit path in
+    /// [`route_served`](RouteService::route_served) stays straight-line
+    /// whatever the router code behind `compute` grows into.
+    #[cold]
+    #[inline(never)]
+    fn route_miss(
+        &self,
+        served: &Served,
+        src: Coord,
+        dst: Coord,
+    ) -> Result<RouteReply, RouteError> {
+        let view = &served.view;
         let outcome = self.compute(view, src, dst);
-        cache.fill(view.mesh(), src, dst, &outcome);
+        if let Some(cache) = &served.cache {
+            if let Some(m) = &self.metrics {
+                m.route_cache.miss();
+            }
+            cache.fill(view.mesh(), src, dst, &outcome);
+        }
         outcome.map(|result| RouteReply { epoch: view.epoch(), result })
     }
 
@@ -701,7 +723,7 @@ mod tests {
         let cold = svc.route(s, d).expect("routable");
         let warm = svc.route(s, d).expect("routable");
         assert_eq!(warm.epoch, cold.epoch);
-        assert_eq!(warm.result, cold.result, "a cache hit reconstructs the exact result");
+        assert_eq!(warm.result, cold.result, "a cache hit copies the exact result");
         let m = svc.metrics().expect("enabled");
         assert_eq!((m.cache_hits(), m.cache_misses()), (1, 1));
         assert!(m.cache_hit_rate() > 0.49 && m.cache_hit_rate() < 0.51);
@@ -736,6 +758,33 @@ mod tests {
         assert_eq!(warm.result, cold.result, "warm replies stay bit-identical on large meshes");
         let m = svc.metrics().expect("enabled");
         assert_eq!((m.cache_hits(), m.cache_misses()), (1, 1));
+    }
+
+    #[test]
+    fn routes_past_the_inline_hop_capacity_serve_identically() {
+        // 256x256: a corner-to-corner route is 510 hops, far past the
+        // 128 a `HopSeq` holds inline, so the reply, the cache entry and
+        // the hit's copy all live on the heap representation.
+        let mesh = Mesh::square(256);
+        let faults = FaultSet::from_coords(mesh, (100..140).map(|x| Coord::new(x, 128)));
+        let svc = RouteService::new(faults).with_metrics();
+        let view = svc.view();
+        let pairs = [
+            (Coord::new(0, 0), Coord::new(255, 255)),
+            (Coord::new(120, 3), Coord::new(120, 250)), // detours the wall
+            (Coord::new(255, 10), Coord::new(0, 139)),  // 129 + 255 hops
+        ];
+        for (s, d) in pairs {
+            let miss = svc.route(s, d).expect("routable").result;
+            let hit = svc.route(s, d).expect("routable").result;
+            let bare = RoutingKind::Rb2.router().route(&view, s, d);
+            assert!(miss.hops() > 128, "{s:?}->{d:?} must exceed the inline capacity");
+            assert_eq!(miss, bare, "{s:?}->{d:?}: miss vs bare route");
+            assert_eq!(hit, bare, "{s:?}->{d:?}: hit vs bare route");
+            meshpath_route::validate_path(&view, s, d, &hit).expect("valid walk");
+        }
+        let m = svc.metrics().expect("enabled");
+        assert_eq!((m.cache_hits(), m.cache_misses()), (3, 3));
     }
 
     #[test]

@@ -41,7 +41,8 @@ fn main() {
                     "seed={seed} s={s:?} d={d:?} rb1(del={} hops={}) rb2g(del={} hops={}) opt={}",
                     rb1.delivered, rb1.hops(), rb2g.delivered, rb2g.hops(), field.dist(s)
                 );
-                            let shown = if bad_rb1 { &rb1 } else { &rb2g };
+                            let shown: Vec<Coord> =
+                                if bad_rb1 { &rb1 } else { &rb2g }.path().collect();
                             for y in (0..n).rev() {
                                 let mut row = String::new();
                                 for x in 0..n {
@@ -52,7 +53,7 @@ fn main() {
                                         'S'
                                     } else if c == d {
                                         'D'
-                                    } else if shown.path.contains(&c) {
+                                    } else if shown.contains(&c) {
                                         '*'
                                     } else {
                                         '.'
@@ -63,7 +64,7 @@ fn main() {
                             }
                             println!(
                                 "tail of path: {:?}",
-                                &shown.path[shown.path.len().saturating_sub(30)..]
+                                &shown[shown.len().saturating_sub(30)..]
                             );
                             break 'outer;
                         }

@@ -2,15 +2,18 @@
 //! The per-hop decision interface itself lives in [`crate::hop`]; this
 //! module keeps the shared walk machinery the deciders build on.
 
-use meshpath_mesh::{Coord, Dir, FxHashMap, FxHashSet};
+use meshpath_mesh::{Coord, Dir, FxHashMap, FxHashSet, HopSeq};
 
 use crate::env::Network;
 
-/// The outcome of routing one message.
+/// The outcome of routing one message: the walk it took, as its source
+/// and hop directions, plus the engine's per-message statistics.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RouteResult {
-    /// Every node visited, source first. Real coordinates.
-    pub path: Vec<Coord>,
+    /// Where the walk starts. Real coordinates.
+    pub src: Coord,
+    /// Every hop taken, in order.
+    pub dirs: HopSeq,
     /// True when the destination was reached within the hop budget.
     pub delivered: bool,
     /// Number of re-planning events (blocked phases, observed obstacles).
@@ -23,8 +26,20 @@ pub struct RouteResult {
 
 impl RouteResult {
     /// Path length in hops.
+    #[inline]
     pub fn hops(&self) -> u32 {
-        (self.path.len().saturating_sub(1)) as u32
+        self.dirs.len() as u32
+    }
+
+    /// Every node visited, source first (`hops() + 1` nodes), walked
+    /// lazily from [`src`](RouteResult::src) along
+    /// [`dirs`](RouteResult::dirs).
+    pub fn path(&self) -> impl Iterator<Item = Coord> + '_ {
+        let walk = self.dirs.iter().scan(self.src, |at, dir| {
+            *at = at.step(dir);
+            Some(*at)
+        });
+        std::iter::once(self.src).chain(walk)
     }
 }
 
@@ -33,27 +48,27 @@ pub(crate) fn hop_budget(net: &Network) -> usize {
     net.mesh().len() * 8
 }
 
-/// Checks that a delivered result is a real walk: starts at `s`, ends at
-/// `d`, every hop joins mesh neighbors, and no visited node is faulty.
+/// Checks that a result is a real walk: starts at `s`, stays on the
+/// mesh, visits no faulty node and, when delivered, ends at `d`. (Hops
+/// are directions, so every hop joins neighbors by construction.)
 pub fn validate_path(net: &Network, s: Coord, d: Coord, res: &RouteResult) -> Result<(), String> {
-    if res.path.first() != Some(&s) {
+    if res.src != s {
         return Err(format!("path must start at {s:?}"));
     }
-    if res.delivered && res.path.last() != Some(&d) {
-        return Err(format!("delivered path must end at {d:?}"));
-    }
-    for w in res.path.windows(2) {
-        if !w[0].is_neighbor(w[1]) {
-            return Err(format!("non-adjacent hop {:?} -> {:?}", w[0], w[1]));
-        }
-    }
-    for &c in &res.path {
+    let mut end = s;
+    // Stops at the first node off the mesh, so the walk's coordinates
+    // never run further than one step past an edge.
+    for c in res.path() {
         if !net.mesh().contains(c) {
             return Err(format!("path leaves the mesh at {c:?}"));
         }
         if net.faults().is_faulty(c) {
             return Err(format!("path visits faulty node {c:?}"));
         }
+        end = c;
+    }
+    if res.delivered && end != d {
+        return Err(format!("delivered path must end at {d:?}"));
     }
     Ok(())
 }
@@ -264,46 +279,64 @@ mod tests {
         assert!(det.exhausted, "orbit detection must have fired");
     }
 
-    #[test]
-    fn validate_rejects_broken_paths() {
-        let net = Network::build(FaultSet::from_coords(Mesh::square(5), [Coord::new(2, 2)]));
-        let s = Coord::new(0, 0);
-        let d = Coord::new(4, 4);
-        let jump = RouteResult {
-            path: vec![s, Coord::new(2, 0), d],
-            delivered: true,
+    /// A result walking `dirs` from `src`, no statistics.
+    fn walk(src: Coord, dirs: &[Dir], delivered: bool) -> RouteResult {
+        RouteResult {
+            src,
+            dirs: dirs.iter().copied().collect(),
+            delivered,
             replans: 0,
             fallbacks: 0,
             detour_hops: 0,
-        };
-        assert!(validate_path(&net, s, d, &jump).is_err());
-        let through_fault = RouteResult {
-            path: vec![s, Coord::new(1, 0), Coord::new(2, 0), Coord::new(2, 1), Coord::new(2, 2)],
-            delivered: false,
-            replans: 0,
-            fallbacks: 0,
-            detour_hops: 0,
-        };
-        assert!(validate_path(&net, s, Coord::new(2, 2), &through_fault).is_err());
-        let ok = RouteResult {
-            path: vec![s, Coord::new(1, 0), Coord::new(1, 1)],
-            delivered: true,
-            replans: 0,
-            fallbacks: 0,
-            detour_hops: 0,
-        };
-        assert!(validate_path(&net, s, Coord::new(1, 1), &ok).is_ok());
+        }
     }
 
     #[test]
-    fn route_result_hops() {
-        let r = RouteResult {
-            path: vec![Coord::new(0, 0)],
-            delivered: false,
-            replans: 0,
-            fallbacks: 0,
-            detour_hops: 0,
-        };
+    fn validate_rejects_broken_paths() {
+        use Dir::{MinusX, PlusX, PlusY};
+        let net = Network::build(FaultSet::from_coords(Mesh::square(5), [Coord::new(2, 2)]));
+        let s = Coord::new(0, 0);
+        let off_mesh = walk(s, &[PlusX, MinusX, MinusX, PlusX, PlusX], true);
+        assert_eq!(
+            validate_path(&net, s, Coord::new(1, 0), &off_mesh),
+            Err("path leaves the mesh at (-1,0)".to_string())
+        );
+        // Far off the mesh: an error at the first step out, not an
+        // overflowing coordinate walk.
+        let far_off = walk(Coord::new(4, 4), &[PlusY; 300], false);
+        assert!(validate_path(&net, Coord::new(4, 4), s, &far_off).is_err());
+        let ends_elsewhere = walk(s, &[PlusX, PlusY], true);
+        assert_eq!(
+            validate_path(&net, s, Coord::new(4, 4), &ends_elsewhere),
+            Err("delivered path must end at (4,4)".to_string())
+        );
+        let wrong_start = walk(Coord::new(1, 0), &[PlusY], true);
+        assert!(validate_path(&net, s, Coord::new(1, 1), &wrong_start).is_err());
+        let through_fault = walk(s, &[PlusX, PlusX, PlusY, PlusY], false);
+        assert!(validate_path(&net, s, Coord::new(2, 2), &through_fault).is_err());
+        let ok = walk(s, &[PlusX, PlusY], true);
+        assert!(validate_path(&net, s, Coord::new(1, 1), &ok).is_ok());
+        // An undelivered walk may stop anywhere healthy.
+        assert!(validate_path(&net, s, Coord::new(4, 4), &walk(s, &[PlusX, PlusY], false)).is_ok());
+    }
+
+    #[test]
+    fn route_result_hops_and_path() {
+        let r = walk(Coord::new(0, 0), &[], false);
         assert_eq!(r.hops(), 0);
+        assert_eq!(r.path().collect::<Vec<_>>(), [Coord::new(0, 0)]);
+        let r = walk(Coord::new(2, 1), &[Dir::PlusY, Dir::MinusX, Dir::MinusY], false);
+        assert_eq!(r.hops(), 3);
+        assert_eq!(
+            r.path().collect::<Vec<_>>(),
+            [Coord::new(2, 1), Coord::new(2, 2), Coord::new(1, 2), Coord::new(1, 1)]
+        );
+    }
+
+    /// A cache entry is a `RouteResult`: growth here is `peak_rss_mb`
+    /// on the warm-service workload.
+    #[test]
+    fn route_result_stays_within_64_bytes() {
+        assert!(std::mem::size_of::<RouteResult>() <= 64, "{}", std::mem::size_of::<RouteResult>());
     }
 }

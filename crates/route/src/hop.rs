@@ -18,7 +18,7 @@
 //! `&self` and one router instance can serve any number of concurrent
 //! queries over a shared [`NetView`] snapshot.
 
-use meshpath_mesh::{Coord, Dir, FaultSet, FxHashSet};
+use meshpath_mesh::{Coord, Dir, FaultSet, FxHashSet, HopSeq};
 use serde::{Deserialize, Serialize};
 
 use crate::alg2::CriticalSet;
@@ -194,8 +194,8 @@ pub trait Router {
 }
 
 /// The offline engine: iterates a decision function from `s` until it
-/// delivers, blocks, or exhausts the hop budget, assembling the visited
-/// path and the per-message statistics into a [`RouteResult`].
+/// delivers, blocks, or exhausts the hop budget, assembling the hops
+/// taken and the per-message statistics into a [`RouteResult`].
 pub fn drive(
     view: &NetView,
     s: Coord,
@@ -203,12 +203,11 @@ pub fn drive(
     state: &mut HopState,
     mut decide: impl FnMut(&NetView, HopCtx<'_>) -> Decision,
 ) -> RouteResult {
-    let mut path = vec![s];
+    let mut dirs = HopSeq::new();
     let mut u = s;
     let mut delivered = false;
     for _ in 0..hop_budget(view) {
-        let ctx =
-            HopCtx { src: s, dst: d, here: u, hops: (path.len() - 1) as u32, state: &mut *state };
+        let ctx = HopCtx { src: s, dst: d, here: u, hops: dirs.len() as u32, state: &mut *state };
         match decide(view, ctx) {
             Decision::Deliver => {
                 delivered = true;
@@ -220,14 +219,15 @@ pub fn drive(
                 state.prev = Some(u);
                 u = v;
                 state.visited.insert(u);
-                path.push(u);
+                dirs.push(dir);
             }
             Decision::Replan => {}
             Decision::Blocked => break,
         }
     }
     RouteResult {
-        path,
+        src: s,
+        dirs,
         delivered: delivered || u == d,
         replans: state.replans,
         fallbacks: state.fallbacks,
@@ -361,7 +361,7 @@ mod tests {
         assert!(res.delivered);
         assert_eq!(res.hops(), 3 + 5);
         // X corrections strictly precede Y corrections.
-        let dirs: Vec<Dir> = res.path.windows(2).map(|w| w[0].dir_to(w[1]).unwrap()).collect();
+        let dirs: Vec<Dir> = res.dirs.iter().collect();
         let first_y = dirs.iter().position(|d| d.axis() == meshpath_mesh::Axis::Y).unwrap();
         assert!(dirs[..first_y].iter().all(|d| d.axis() == meshpath_mesh::Axis::X));
         assert!(dirs[first_y..].iter().all(|d| d.axis() == meshpath_mesh::Axis::Y));

@@ -495,7 +495,7 @@ mod tests {
 
     fn check_optimal(router: &dyn Router, n: &NetView, s: Coord, d: Coord) {
         let res = router.route(n, s, d);
-        assert!(res.delivered, "{} failed {s:?}->{d:?}: {:?}", router.name(), res.path);
+        assert!(res.delivered, "{} failed {s:?}->{d:?}: {:?}", router.name(), res.dirs);
         validate_path(n, s, d, &res).expect("valid path");
         let field = DistanceField::healthy(n.faults(), d);
         assert_eq!(
@@ -503,7 +503,7 @@ mod tests {
             field.dist(s),
             "{} suboptimal {s:?}->{d:?}: {:?}",
             router.name(),
-            res.path
+            res.dirs
         );
     }
 
@@ -565,7 +565,7 @@ mod tests {
         let n = net(Mesh::square(10), &[(4, 4), (4, 5), (5, 4), (5, 5)]);
         let (s, d) = (Coord::new(1, 4), Coord::new(8, 5));
         let res = ECube.route(&n, s, d);
-        assert!(res.delivered, "path: {:?}", res.path);
+        assert!(res.delivered, "path: {:?}", res.dirs);
         validate_path(&n, s, d, &res).expect("valid");
         assert!(res.detour_hops > 0, "must have detoured around the block");
     }

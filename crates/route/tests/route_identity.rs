@@ -39,8 +39,8 @@ impl Fnv {
     }
 
     fn result(&mut self, r: &RouteResult) {
-        self.word(r.path.len() as u64);
-        for c in &r.path {
+        self.word(u64::from(r.hops()) + 1);
+        for c in r.path() {
             self.word(((c.x as u32 as u64) << 32) | c.y as u32 as u64);
         }
         self.word(u64::from(r.delivered));

@@ -59,10 +59,10 @@
 //! replanned under the new epoch or killed (the `churn_killed` stat)
 //! instead of wedging.
 
-use std::rc::Rc;
+use std::collections::hash_map::Entry;
 
-use meshpath_mesh::{Coord, Dir, FaultSet, FxHashMap};
-use meshpath_route::{HopState, NetView, RouteResult, Router};
+use meshpath_mesh::{Coord, Dir, FaultSet, FxHashMap, HopSeq};
+use meshpath_route::{HopState, NetView, Router};
 use serde::{Deserialize, Serialize};
 
 use crate::config::ChurnOp;
@@ -227,7 +227,7 @@ pub trait HopRouter {
 
 /// A compiled route: the hop sequence, or `None` for an undeliverable
 /// pair, cached per `(epoch, source, destination)`.
-type CachedRoute = Option<Rc<[Dir]>>;
+type CachedRoute = Option<HopSeq>;
 
 /// A memoizing compiled-route table for one routing function over a
 /// **sequence of epoch snapshots**: the per-pair backing store of the
@@ -306,49 +306,52 @@ impl PathTable {
     /// admission epoch, or `None` when the router does not deliver this
     /// pair (XY hitting a fault, disconnected endpoints, hop-budget
     /// exhaustion).
-    pub fn path(&mut self, s: Coord, d: Coord) -> Option<Rc<[Dir]>> {
+    pub fn path(&mut self, s: Coord, d: Coord) -> Option<&HopSeq> {
         self.path_at(self.current_epoch(), s, d)
     }
 
-    /// The direction sequence from `s` to `d` under a specific epoch.
-    pub fn path_at(&mut self, epoch: u32, s: Coord, d: Coord) -> Option<Rc<[Dir]>> {
-        if let Some(p) = self.cache.get(&(epoch, s, d)) {
-            self.hits += 1;
-            return p.clone();
+    /// The direction sequence from `s` to `d` under a specific epoch,
+    /// read in place: one table probe when the pair is cached.
+    pub fn path_at(&mut self, epoch: u32, s: Coord, d: Coord) -> Option<&HopSeq> {
+        match self.cache.entry((epoch, s, d)) {
+            Entry::Occupied(cached) => {
+                self.hits += 1;
+                cached.into_mut().as_ref()
+            }
+            Entry::Vacant(slot) => {
+                self.misses += 1;
+                let view = &self.views[epoch as usize];
+                slot.insert(Self::compile(&*self.router, view, s, d, &mut self.scratch)).as_ref()
+            }
         }
-        self.misses += 1;
-        let view = &self.views[epoch as usize];
+    }
+
+    /// Runs the routing function for one pair: the route it delivers,
+    /// or `None`.
+    fn compile(
+        router: &dyn Router,
+        view: &NetView,
+        s: Coord,
+        d: Coord,
+        scratch: &mut HopState,
+    ) -> CachedRoute {
         // Healthy endpoints in different healthy components: no router
         // delivers, and RB1/RB2/RB3 would burn their whole hop budget
         // finding that out.
         let cut =
             matches!((view.component_of(s), view.component_of(d)), (Some(a), Some(b)) if a != b);
-        let dirs = if cut {
-            None
-        } else {
-            let res: RouteResult = self.router.route_with(view, s, d, &mut self.scratch);
-            res.delivered.then(|| {
-                res.path
-                    .windows(2)
-                    .map(|w| w[0].dir_to(w[1]).expect("router paths move between neighbors"))
-                    .collect::<Rc<[Dir]>>()
-            })
-        };
-        self.cache.insert((epoch, s, d), dirs.clone());
-        dirs
+        if cut {
+            return None;
+        }
+        let res = router.route_with(view, s, d, scratch);
+        res.delivered.then_some(res.dirs)
     }
 
-    /// Hop `hop` of the route from `s` to `d` under `epoch`, read in
-    /// place: what a hop router asks for every parked head every cycle,
-    /// without cloning and dropping the route's `Rc` as
-    /// [`path_at`](PathTable::path_at) must. `None` when the pair is
-    /// undeliverable; counts hits and misses like `path_at`.
+    /// Hop `hop` of the route from `s` to `d` under `epoch`: what a hop
+    /// router asks for every parked head every cycle — a probe plus a
+    /// shift. `None` when the pair is undeliverable.
     pub(crate) fn dir_at(&mut self, epoch: u32, s: Coord, d: Coord, hop: u32) -> Option<Dir> {
-        if let Some(p) = self.cache.get(&(epoch, s, d)) {
-            self.hits += 1;
-            return p.as_ref().map(|p| p[hop as usize]);
-        }
-        self.path_at(epoch, s, d).map(|p| p[hop as usize])
+        self.path_at(epoch, s, d).map(|p| p.get(hop as usize))
     }
 
     /// `(cache hits, cache misses)` — the miss count is the number of
@@ -999,10 +1002,10 @@ mod tests {
         let (s, d) = (Coord::new(0, 2), Coord::new(5, 2));
         let first = t.dir_at(0, s, d, 0).expect("delivered");
         assert_eq!(t.cache_stats(), (0, 1), "a cold read compiles");
-        let path = t.path_at(0, s, d).expect("cached");
+        let path = t.path_at(0, s, d).expect("cached").clone();
         assert_eq!(t.cache_stats(), (1, 1));
-        assert_eq!(first, path[0]);
-        for (hop, &dir) in path.iter().enumerate() {
+        assert_eq!(first, path.get(0));
+        for (hop, dir) in path.iter().enumerate() {
             assert_eq!(t.dir_at(0, s, d, hop as u32), Some(dir));
         }
         assert_eq!(t.cache_stats(), (1 + path.len() as u64, 1));
@@ -1012,9 +1015,9 @@ mod tests {
     fn path_table_memoizes() {
         let net = NetView::build(FaultSet::none(Mesh::square(8)));
         let mut t = PathTable::new(&net, RoutingKind::Rb2);
-        let a = t.path(Coord::new(0, 0), Coord::new(5, 5)).expect("delivered");
+        let a = t.path(Coord::new(0, 0), Coord::new(5, 5)).expect("delivered").clone();
         let b = t.path(Coord::new(0, 0), Coord::new(5, 5)).expect("delivered");
-        assert_eq!(a, b);
+        assert_eq!(&a, b);
         assert_eq!(a.len(), 10);
         assert_eq!(t.cache_stats(), (1, 1));
     }
@@ -1052,9 +1055,9 @@ mod tests {
         assert_eq!(t.path(far, pocket), None);
         assert_eq!(t.cache_stats(), (1, 2), "the verdict is cached like any route");
         // Connected pairs still compile by routing.
-        let p = t.path(Coord::new(2, 0), far).expect("connected");
-        assert_eq!(p.len() as u32, Coord::new(2, 0).manhattan(far));
-        assert!(decisions.load(Ordering::Relaxed) >= p.len() as u64);
+        let hops = t.path(Coord::new(2, 0), far).expect("connected").len();
+        assert_eq!(hops as u32, Coord::new(2, 0).manhattan(far));
+        assert!(decisions.load(Ordering::Relaxed) >= hops as u64);
     }
 
     #[test]
@@ -1068,7 +1071,7 @@ mod tests {
             // Replay the dirs: must land on the destination through
             // healthy nodes.
             let mut cur = Coord::new(0, 0);
-            for &d in p.iter() {
+            for d in p.iter() {
                 cur = cur.step(d);
                 assert!(net.faults().is_healthy(cur));
             }
@@ -1317,9 +1320,7 @@ mod tests {
         let compiled = t.path(s, d).expect("delivered");
         use meshpath_route::Router as _;
         let offline = Rb2::default().route(&net, s, d);
-        let offline_dirs: Vec<Dir> =
-            offline.path.windows(2).map(|w| w[0].dir_to(w[1]).unwrap()).collect();
-        assert_eq!(compiled.as_ref(), offline_dirs.as_slice());
+        assert_eq!(compiled, &offline.dirs);
     }
 
     #[test]

@@ -50,9 +50,10 @@ fn main() {
     // Render the best route.
     let (name, res) = best.expect("at least one router ran");
     println!("\nbest route ({name}):");
+    let nodes: Vec<Coord> = res.path().collect();
     let art = GridRender::new(mesh)
         .layer('#', |c| net.faults().is_faulty(c))
-        .path('*', &res.path)
+        .path('*', &nodes)
         .mark('S', s)
         .mark('D', d)
         .to_string();
