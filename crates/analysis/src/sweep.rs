@@ -7,7 +7,7 @@ use meshpath_fault::stats::{stats_of, FaultConfigStats};
 use meshpath_info::{ModelKind, PropagationStats};
 use meshpath_mesh::{Coord, FaultInjection, FaultSet, Mesh, Orientation};
 use meshpath_route::oracle::DistanceField;
-use meshpath_route::{ECube, NetView, Rb1, Rb2, Rb3, Router};
+use meshpath_route::{ECube, HopState, NetView, Rb1, Rb2, Rb3, Router};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -190,6 +190,9 @@ pub fn run_config(mesh: Mesh, faults: FaultSet, pairs: usize, seed: u64) -> Conf
     let mut routed = 0usize;
     let mut attempts = 0usize;
     let max_attempts = pairs * 400;
+    // One scratch for every route of the configuration: its tables are
+    // sized to the mesh once.
+    let mut scratch = HopState::new(Coord::new(0, 0));
     while routed < pairs && attempts < max_attempts {
         attempts += 1;
         let s = Coord::new(rng.gen_range(0..n), rng.gen_range(0..mesh.height() as i32));
@@ -204,7 +207,7 @@ pub fn run_config(mesh: Mesh, faults: FaultSet, pairs: usize, seed: u64) -> Conf
         let opt = field.dist(s);
         routed += 1;
         for (agg, router) in routing.iter_mut().zip(routers.iter()) {
-            let res = router.route(&net, s, d);
+            let res = router.route_with(&net, s, d, &mut scratch);
             agg.pairs += 1;
             agg.fallbacks += res.fallbacks;
             if res.delivered {

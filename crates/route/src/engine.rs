@@ -2,7 +2,7 @@
 //! The per-hop decision interface itself lives in [`crate::hop`]; this
 //! module keeps the shared walk machinery the deciders build on.
 
-use meshpath_mesh::{Coord, Dir, FxHashMap, FxHashSet, HopSeq};
+use meshpath_mesh::{Coord, Dir, FxHashSet, HopSeq, Mesh};
 
 use crate::env::Network;
 
@@ -162,7 +162,7 @@ impl Detour {
                 return None;
             }
         }
-        least_visited_step(pos, free, visited.counts())
+        least_visited_step(pos, free, visited)
     }
 }
 
@@ -175,56 +175,109 @@ impl Detour {
 pub(crate) fn least_visited_step(
     pos: Coord,
     free: impl Fn(Coord) -> bool,
-    counts: &FxHashMap<Coord, u32>,
+    visited: &Visited,
 ) -> Option<Coord> {
-    Dir::ALL
-        .into_iter()
-        .map(|d| pos.step(d))
-        .filter(|&v| free(v))
-        .min_by_key(|v| counts.get(v).copied().unwrap_or(0))
+    Dir::ALL.into_iter().map(|d| pos.step(d)).filter(|&v| free(v)).min_by_key(|&v| visited.count(v))
 }
 
 /// Tracks how often each node was visited: used to decide when leaving a
 /// detour is safe (re-entering a previously visited node invites a
 /// livelock) and to drive the least-visited escape walk.
+///
+/// A generation-stamped count per node id, laid out for the mesh when a
+/// walk begins ([`Visited::begin`]) — like the planner's `FloodScratch`:
+/// a hop is one array write, and a new message invalidates every count
+/// by moving to the next generation instead of clearing a grown map.
 #[derive(Debug)]
 pub(crate) struct Visited {
-    counts: FxHashMap<Coord, u32>,
+    /// The message's first node, visited once before any hop (kept
+    /// apart so a state is usable before a mesh is known).
+    start: Coord,
+    /// The mesh `marks` is indexed for; `None` until a walk begins.
+    mesh: Option<Mesh>,
+    /// `generation << 32 | hops onto the node` per node id; a count is
+    /// live when its generation is the current one.
+    marks: Vec<u64>,
+    /// Never 0, so a zeroed mark is never live.
+    generation: u32,
 }
 
 impl Visited {
     pub(crate) fn new(start: Coord) -> Self {
-        let mut counts = FxHashMap::default();
-        counts.insert(start, 1);
-        Visited { counts }
+        Visited { start, mesh: None, marks: Vec::new(), generation: 1 }
     }
 
-    /// Resets to a fresh walk starting at `start`, keeping the map's
-    /// allocation (the batch-reuse path; see [`HopState::reset`]).
+    /// Resets to a fresh message starting at `start`, keeping the
+    /// table's allocation (the batch-reuse path; see
+    /// [`HopState::reset`]).
     ///
     /// [`HopState::reset`]: crate::HopState::reset
     pub(crate) fn reset(&mut self, start: Coord) {
-        self.counts.clear();
-        self.counts.insert(start, 1);
+        self.start = start;
+        self.mesh = None;
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Wrapped: counts of 2^32 messages ago would read as live.
+            self.marks.fill(0);
+            self.generation = 1;
+        }
     }
 
+    /// Lays the table out for a walk over `mesh` (counts of the current
+    /// message survive when it already is).
+    pub(crate) fn begin(&mut self, mesh: &Mesh) {
+        if self.mesh == Some(*mesh) {
+            return;
+        }
+        debug_assert!(self.mesh.is_none(), "a message walks one mesh");
+        self.mesh = Some(*mesh);
+        if self.marks.len() < mesh.len() {
+            // No mark is live when the layout changes, so growing is a
+            // fresh zeroed allocation: a one-message state pays for the
+            // pages its walk marks, not for the mesh.
+            self.marks = vec![0; mesh.len()];
+        }
+    }
+
+    /// Counts a hop onto in-mesh `c`.
+    ///
+    /// # Panics
+    /// Panics when no walk has [begun](Visited::begin).
     pub(crate) fn insert(&mut self, c: Coord) {
-        *self.counts.entry(c).or_insert(0) += 1;
+        let id = self.mesh.expect("a walk begins before it hops").id(c).index();
+        let mark = &mut self.marks[id];
+        if (*mark >> 32) as u32 != self.generation {
+            *mark = u64::from(self.generation) << 32;
+        }
+        *mark += 1;
+    }
+
+    /// How often the message has been at `c` (0 outside the mesh).
+    #[inline]
+    pub(crate) fn count(&self, c: Coord) -> u32 {
+        let hops = match self.mesh.and_then(|m| m.try_id(c)) {
+            Some(id) => {
+                let mark = self.marks[id.index()];
+                if (mark >> 32) as u32 == self.generation {
+                    mark as u32
+                } else {
+                    0
+                }
+            }
+            None => 0,
+        };
+        hops + u32::from(c == self.start)
     }
 
     pub(crate) fn contains(&self, c: Coord) -> bool {
-        self.counts.contains_key(&c)
-    }
-
-    pub(crate) fn counts(&self) -> &FxHashMap<Coord, u32> {
-        &self.counts
+        self.count(c) > 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meshpath_mesh::{FaultSet, Mesh};
+    use meshpath_mesh::FaultSet;
 
     #[test]
     fn detour_walks_around_a_block() {
@@ -263,6 +316,7 @@ mod tests {
         let free = |c: Coord| (0..2).contains(&c.x) && (0..2).contains(&c.y);
         let mut det = Detour::around(Dir::PlusY);
         let mut visited = Visited::new(Coord::new(0, 0));
+        visited.begin(&Mesh::square(2));
         let mut pos = Coord::new(0, 0);
         let mut steps = 0;
         for _ in 0..12 {
@@ -277,6 +331,27 @@ mod tests {
         }
         assert!(steps >= 6, "escape walk must keep moving inside the pocket");
         assert!(det.exhausted, "orbit detection must have fired");
+    }
+
+    #[test]
+    fn visited_counts_per_message_and_forgets_on_reset() {
+        let (a, b) = (Coord::new(1, 0), Coord::new(2, 1));
+        let mut visited = Visited::new(a);
+        // Before a walk begins only the start counts.
+        assert_eq!((visited.count(a), visited.count(b)), (1, 0));
+        visited.begin(&Mesh::new(3, 2));
+        for c in [b, a, b] {
+            visited.insert(c);
+        }
+        assert_eq!((visited.count(a), visited.count(b)), (2, 2));
+        assert!(!visited.contains(Coord::new(0, 1)));
+        assert_eq!(visited.count(Coord::new(3, 0)), 0, "off the mesh, not the next row");
+        // A reused state starts the next message clean, on any mesh.
+        visited.reset(b);
+        visited.begin(&Mesh::new(4, 2));
+        assert_eq!((visited.count(a), visited.count(b)), (0, 1));
+        visited.insert(a);
+        assert_eq!(visited.count(a), 1);
     }
 
     /// A result walking `dirs` from `src`, no statistics.

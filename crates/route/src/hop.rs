@@ -111,7 +111,7 @@ impl HopState {
     }
 
     /// Resets to fresh scratch for a new message injected at `src`,
-    /// keeping the heap allocations (visited map, learned set, waypoint
+    /// keeping the heap allocations (visited table, learned set, waypoint
     /// stack, critical set, flood labels) of the previous message. This
     /// is the reuse entry point: [`Router::route_with`] resets one
     /// `HopState` per query, so a caller that routes many messages — the
@@ -206,6 +206,7 @@ pub fn drive(
     let mut dirs = HopSeq::new();
     let mut u = s;
     let mut delivered = false;
+    state.visited.begin(view.mesh());
     for _ in 0..hop_budget(view) {
         let ctx = HopCtx { src: s, dst: d, here: u, hops: dirs.len() as u32, state: &mut *state };
         match decide(view, ctx) {

@@ -64,8 +64,8 @@ fn decide_rb1_like(
     // Thrash guard: heavy revisiting means the local decisions cycle;
     // degrade to the least-visited exploration walk, which covers the
     // connected component and therefore terminates.
-    if state.visited.counts().get(&u).copied().unwrap_or(0) > 8 {
-        return match least_visited_step(u, healthy, state.visited.counts()) {
+    if state.visited.count(u) > 8 {
+        return match least_visited_step(u, healthy, &state.visited) {
             Some(w) => {
                 state.detour_hops += 1;
                 Decision::Hop(u.dir_to(w).expect("exploration steps to a neighbor"))
@@ -212,8 +212,8 @@ fn decide_planned(
     let healthy = |c: Coord| view.faults().is_healthy(c);
 
     // Thrash guard (see the RB1 decider).
-    if state.visited.counts().get(&u).copied().unwrap_or(0) > 8 {
-        return match least_visited_step(u, healthy, state.visited.counts()) {
+    if state.visited.count(u) > 8 {
+        return match least_visited_step(u, healthy, &state.visited) {
             Some(w) => {
                 state.detour_hops += 1;
                 state.forced = None;
@@ -407,9 +407,9 @@ impl Router for ECube {
         // dimension-ordered decision cycles; degrade to a pure
         // least-visited exploration walk, which covers the connected
         // component and therefore terminates.
-        if state.visited.counts().get(&u).copied().unwrap_or(0) > 8 {
+        if state.visited.count(u) > 8 {
             state.healthy_mode = true;
-            return match least_visited_step(u, healthy, state.visited.counts()) {
+            return match least_visited_step(u, healthy, &state.visited) {
                 Some(w) => {
                     state.detour_hops += 1;
                     Decision::Hop(u.dir_to(w).expect("exploration steps to a neighbor"))
@@ -446,7 +446,7 @@ impl Router for ECube {
                     // Enabled nodes exhausted: escape over healthy
                     // nodes (block-disabled ones are physically
                     // traversable; the error metric pays for it).
-                    None => match least_visited_step(u, healthy, state.visited.counts()) {
+                    None => match least_visited_step(u, healthy, &state.visited) {
                         Some(w) => {
                             state.detour_hops += 1;
                             w
@@ -469,7 +469,7 @@ impl Router for ECube {
                     state.detour_run += 1;
                     w
                 }
-                None => match least_visited_step(u, healthy, state.visited.counts()) {
+                None => match least_visited_step(u, healthy, &state.visited) {
                     Some(w) => {
                         state.detour_hops += 1;
                         w

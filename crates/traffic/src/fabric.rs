@@ -49,21 +49,31 @@
 //!   (injection or boundary arrival), updated in place while the head
 //!   hops inside the tile, parked on the input VC (one handle per VC)
 //!   while the packet drains through the ejection port, and released
-//!   when the head leaves the tile or the tail ejects;
-//! * credits sit apart from VC owners in a byte array, which is all the
-//!   plan phase reads of an output VC;
+//!   when the head leaves the tile or the tail ejects. Beside each
+//!   state the pool keeps the hop router's [`RouteHandle`] for it —
+//!   unresolved on entry, resolved by the packet's first decision here,
+//!   dropped on exit — so a waiting head's decision hashes nothing;
+//! * credits sit apart from VC owners in a byte array, and a
+//!   per-`(node, direction)` bitmask says which output VCs are owned:
+//!   stepping reads and writes those two. The owner array itself (which
+//!   packet holds the VC) is written at a worm's head and tail grants
+//!   and read only by the post-mortem;
 //! * the worklist, staged arrivals and staged credit returns name local
-//!   nodes plus a slot or VC, neighbors are `±1` / `± tile width` away,
-//!   and a per-node coordinate table feeds [`HopRouter::decide`].
+//!   nodes plus a slot or VC; a neighbor is one edge-bit test and a
+//!   per-direction index offset (`±1` / `± tile width`) away, and a
+//!   per-node coordinate table feeds [`HopRouter::decide`].
 //!   Global node ids are formed by multiplication, only for probes and
 //!   [`BoundaryMsg`]s; resolving a received one multiplies by a
 //!   precomputed reciprocal of the mesh width.
 //!
 //! What a grant touches: the router's occupancy word and round-robin
 //! byte, the input VC's control word and one ring slot, then either
-//! the output VC's credit, owner and free-mask entries plus one staged
-//! arrival (link) or the pooled state (ejecting head or tail) — and one
-//! staged credit return. Head grants also update the pooled state.
+//! the output VC's credit and the port's free and owned mask words
+//! plus one staged arrival (link) or the pooled state (ejecting head or
+//! tail) — and one staged credit return. The free bit is derived from
+//! what the grant already knows (did it allocate the VC, was this the
+//! tail, is a credit left), not from an owner read. Head grants also
+//! update the pooled state, and head and tail grants write the owner.
 //!
 //! ## Timing contract
 //!
@@ -83,15 +93,24 @@
 //! this the difference between `O(nodes)` and `O(flits in flight)` per
 //! cycle.
 //!
-//! Within an active router the per-cycle work is bitmask-driven:
+//! Most visits — about seven in ten on the loaded 64x64 RB2 fabric —
+//! find exactly one occupied input VC (`occ & (occ - 1) == 0`). Nothing
+//! competes with that slot's front flit, so the visit is straight-line:
+//! look at the one slot, ask the hop router and pick a VC if it is an
+//! unrouted head, grant it if it may move, return — no request masks,
+//! no arbitration loop, no re-pick. The grant and the round-robin byte it
+//! leaves are exactly what the general path below produces for a
+//! single requester.
 //!
-//! * an *occupancy mask* (one bit per `(input port, VC)` slot) feeds
+//! With several occupants the per-cycle work is bitmask-driven:
+//!
+//! * the *occupancy mask* (one bit per `(input port, VC)` slot) feeds
 //!   the switch allocator, so only occupied slots are examined;
 //! * per output port, a *request mask* of the slots whose front flit
 //!   wants that port this cycle — the grant is `first set bit at or
 //!   after the round-robin pointer`;
 //! * per `(output direction, VC class)`, a *free-VC mask* (bit set
-//!   while `owner == None && credits > 0`) turns the lowest-free-VC
+//!   while the VC is unowned and credited) turns the lowest-free-VC
 //!   probe in VC allocation into `trailing_zeros`.
 //!
 //! Request masks are planned once per router per cycle (one
@@ -103,9 +122,10 @@
 //! so the grant sequence is bit-identical to scan order (pinned by the
 //! golden-equivalence suite in `crate::golden` against
 //! `Fabric::step_reference`, the retained test-only reference stepper,
-//! which shares the grant and boundary commits). Likewise the
-//! escape-patience aging pass walks the occupied slots of active
-//! routers — the parked heads — instead of every input VC in the mesh.
+//! which shares the grant and boundary commits but probes the owner
+//! array, never the masks). Likewise the escape-patience aging pass
+//! walks the occupied slots of active routers — the parked heads —
+//! instead of every input VC in the mesh.
 //!
 //! ## Sharded stepping and the boundary-exchange protocol
 //!
@@ -177,7 +197,7 @@ use meshpath_obs::{
     BlockedWait, FabricProbe, GrantInfo, NoProbe, StalledPacket, VcFront, WaitEdge,
 };
 
-use crate::routing::{HopCandidates, HopDecision, HopRouter, VcClass};
+use crate::routing::{HopCandidates, HopDecision, HopRouter, RouteHandle, VcClass};
 
 /// Directional ports (index = `Dir as usize`: `+X, -X, +Y, -Y`).
 const DIRS: usize = 4;
@@ -374,31 +394,43 @@ fn slot_handle(word: RingSlot) -> usize {
     ((word >> 32) as u32 & MAX_HANDLE) as usize
 }
 
+/// One pooled traveling state and, beside it, the hop router's resolved
+/// route for it. The handle is shard-local — it names a slot of this
+/// shard's router's table — so it starts unresolved when the state
+/// enters the pool and is dropped when the state leaves: nothing that
+/// crosses a shard edge grows by it.
+#[derive(Clone, Copy)]
+struct Pooled {
+    state: PacketState,
+    route: RouteHandle,
+}
+
 /// The traveling [`PacketState`]s resident in one shard: one per head
 /// flit queued or staged here, plus one per eject-draining input VC.
 /// Handles are recycled through a free list, so the pool's size tracks
 /// the shard's peak head count, not its traffic volume.
 #[derive(Default)]
 struct StatePool {
-    states: Vec<PacketState>,
+    entries: Vec<Pooled>,
     free: Vec<u32>,
 }
 
 impl StatePool {
     fn alloc(&mut self, state: PacketState) -> u32 {
+        let entry = Pooled { state, route: RouteHandle::UNRESOLVED };
         if let Some(h) = self.free.pop() {
-            self.states[h as usize] = state;
+            self.entries[h as usize] = entry;
             return h;
         }
-        let h = self.states.len() as u32;
+        let h = self.entries.len() as u32;
         assert!(h <= MAX_HANDLE, "state pool outgrew the ring-slot handle field");
-        self.states.push(state);
+        self.entries.push(entry);
         h
     }
 
     fn release(&mut self, handle: usize) -> PacketState {
         self.free.push(handle as u32);
-        self.states[handle]
+        self.entries[handle].state
     }
 }
 
@@ -504,6 +536,12 @@ pub(crate) struct Shard {
     neighbors: [Option<usize>; 4],
     /// Mesh coordinate of every local node.
     coords: Vec<Coord>,
+    /// Per local node, bit `dir` is set when the neighbor in that
+    /// direction is not this tile's (a tile or mesh edge).
+    edge: Vec<u8>,
+    /// Local-index offset of the in-tile neighbor in each direction:
+    /// `±1` along X, `± tile_w` along Y.
+    step: [isize; DIRS],
     /// Input port of every `(input port, VC)` slot.
     slot_port: [u8; MAX_SLOTS],
     /// `[local node][in_port][vc]` flattened.
@@ -523,8 +561,13 @@ pub(crate) struct Shard {
     /// output VC.
     credits: Vec<u8>,
     /// Wormhole allocation per output VC (same indexing): the packet
-    /// holding it from head grant to tail grant.
+    /// holding it from head grant to tail grant. Written at those two
+    /// grants and read only by the post-mortem (and the reference
+    /// stepper's linear probe): stepping asks `owned` instead.
     owners: Vec<Option<u32>>,
+    /// Per-`(local node, dir)` ownership bitmask: bit `vc` is set while
+    /// `owners` holds a packet for that output VC.
+    owned: Vec<u32>,
     /// Round-robin grant pointers, `[local node][out_port]` flattened.
     rr: Vec<u8>,
     /// Staged link/injection arrivals, applied at the cycle boundary.
@@ -575,10 +618,21 @@ impl Shard {
         let tile_w = cols.end - cols.start;
         let nodes = tile_w * (rows.end - rows.start);
         let bits = |r: Range<usize>| ((1u32 << r.end) - 1) & !((1u32 << r.start) - 1);
-        let coords = rows
+        let coords: Vec<Coord> = rows
             .clone()
             .flat_map(|y| cols.clone().map(move |x| Coord::new(x as i32, y as i32)))
             .collect();
+        let edge = coords
+            .iter()
+            .map(|c| {
+                let (x, y) = (c.x as usize, c.y as usize);
+                u8::from(x + 1 == cols.end) << Dir::PlusX as usize
+                    | u8::from(x == cols.start) << Dir::MinusX as usize
+                    | u8::from(y + 1 == rows.end) << Dir::PlusY as usize
+                    | u8::from(y == rows.start) << Dir::MinusY as usize
+            })
+            .collect();
+        let stride = tile_w as isize;
         let mut slot_port = [0u8; MAX_SLOTS];
         for (slot, port) in slot_port.iter_mut().enumerate().take(IN_PORTS * vcs) {
             *port = (slot / vcs) as u8;
@@ -598,6 +652,8 @@ impl Shard {
             row_recip: row_recip(mesh.width()),
             neighbors,
             coords,
+            edge,
+            step: [1, -1, stride, -stride],
             slot_port,
             in_vcs: vec![InVc::default(); nodes * IN_PORTS * vcs],
             rings: vec![0; nodes * IN_PORTS * vcs * vc_depth],
@@ -605,6 +661,7 @@ impl Shard {
             pool: StatePool::default(),
             credits: vec![vc_depth as u8; nodes * DIRS * vcs],
             owners: vec![None; nodes * DIRS * vcs],
+            owned: vec![0; nodes * DIRS],
             rr: vec![0; nodes * OUT_PORTS],
             arrivals: Vec::new(),
             credit_returns: Vec::new(),
@@ -678,18 +735,13 @@ impl Shard {
         self.mesh.id(self.coords[lnode]).0
     }
 
-    /// Local index of the neighbor of `lnode` (at `here`) in direction
-    /// `dir` when this tile owns it — `lnode ± 1` along X, `± tile_w`
-    /// along Y — or `None` when the hop leaves the tile.
+    /// Local index of the neighbor of `lnode` in direction `dir` when
+    /// this tile owns it, or `None` when the hop leaves the tile: one
+    /// edge-bit test plus the direction's index offset.
     #[inline]
-    fn local_neighbor(&self, lnode: usize, here: Coord, dir: Dir) -> Option<usize> {
-        let (x, y) = (here.x as usize, here.y as usize);
-        match dir {
-            Dir::PlusX => (x + 1 < self.col1).then(|| lnode + 1),
-            Dir::MinusX => (x > self.col0).then(|| lnode - 1),
-            Dir::PlusY => (y + 1 < self.row1).then(|| lnode + self.tile_w),
-            Dir::MinusY => (y > self.row0).then(|| lnode - self.tile_w),
-        }
+    fn local_neighbor(&self, lnode: usize, dir: Dir) -> Option<usize> {
+        let inside = self.edge[lnode] & (1 << dir as usize) == 0;
+        inside.then(|| lnode.wrapping_add_signed(self.step[dir as usize]))
     }
 
     #[inline]
@@ -755,21 +807,17 @@ impl Shard {
     }
 
     /// Recomputes the free bit of out VC `(lnode, out_port, v)` from
-    /// its owner/credit state; returns whether the bit flipped (the
-    /// signal that pending heads must re-pick their candidates).
-    #[inline]
-    fn refresh_free_bit(&mut self, lnode: usize, out_port: usize, v: usize) -> bool {
+    /// its owner/credit state (the test hooks' way in; stepping derives
+    /// the bit from what a grant or credit return already knows).
+    #[cfg(test)]
+    fn refresh_free_bit(&mut self, lnode: usize, out_port: usize, v: usize) {
         let idx = self.out_idx(lnode, out_port, v);
-        let now_free = self.owners[idx].is_none() && self.credits[idx] > 0;
-        let fm = &mut self.free_mask[lnode * DIRS + out_port];
         let bit = 1u32 << v;
-        let was_free = *fm & bit != 0;
-        if now_free {
-            *fm |= bit;
+        if self.owners[idx].is_none() && self.credits[idx] > 0 {
+            self.free_mask[lnode * DIRS + out_port] |= bit;
         } else {
-            *fm &= !bit;
+            self.free_mask[lnode * DIRS + out_port] &= !bit;
         }
-        now_free != was_free
     }
 
     /// The outbox for a hop out of this tile in direction `dir`
@@ -860,9 +908,11 @@ impl Shard {
         }
     }
 
-    /// Switch allocation for one active router: plan what every
-    /// occupied input VC requests this cycle, then grant each output
-    /// port round-robin from its request mask.
+    /// Switch allocation for one active router. With a single occupied
+    /// input VC — most visits — nothing competes with its front flit,
+    /// so there is nothing to arbitrate: it moves if it may. Otherwise:
+    /// plan what every occupied input VC requests this cycle, then
+    /// grant each output port round-robin from its request mask.
     fn allocate_node<P: FabricProbe>(
         &mut self,
         lnode: usize,
@@ -871,9 +921,43 @@ impl Shard {
         deliveries: &mut Vec<Delivery>,
         probe: &mut P,
     ) {
-        let here = self.coords[lnode];
         let vcs = self.vcs;
         let in_base = lnode * IN_PORTS * vcs;
+        let occ = self.occ_mask[lnode];
+        debug_assert!(occ != 0, "only active routers are visited");
+        if occ & (occ - 1) == 0 {
+            // The grant, and the round-robin byte it leaves, are
+            // exactly what the phases below produce for one requester.
+            let slot = occ.trailing_zeros() as usize;
+            let in_idx = in_base + slot;
+            let v = self.in_vcs[in_idx];
+            let (out_port, link) = match v.route {
+                Some((p, ov)) if (p as usize) != EJECT_PORT => {
+                    if self.credits[self.out_idx(lnode, p as usize, ov as usize)] == 0 {
+                        return;
+                    }
+                    (p as usize, Some((ov as usize, None)))
+                }
+                Some(_) => (EJECT_PORT, None),
+                None => {
+                    let word = self.rings[in_idx * self.vc_depth + v.q_head as usize];
+                    debug_assert!(word & SLOT_HEAD != 0, "body flit at head of an unrouted VC");
+                    let pk = &mut self.pool.entries[slot_handle(word)];
+                    match router.decide(self.coords[lnode], &mut pk.state, &mut pk.route) {
+                        HopDecision::Eject => (EJECT_PORT, None),
+                        HopDecision::Route(candidates) => {
+                            match self.pick_candidate(lnode, &candidates) {
+                                Some((port, ov, class)) => (port, Some((ov, Some(class)))),
+                                None => return,
+                            }
+                        }
+                    }
+                }
+            };
+            self.commit_grant(lnode, slot, out_port, link, report, deliveries, probe);
+            return;
+        }
+        let here = self.coords[lnode];
 
         // Phase 1 — plan. For every occupied slot, which output port
         // does its queue-head flit want (request masks), and — for
@@ -883,7 +967,7 @@ impl Shard {
         // availability.
         let mut requests = [0u64; OUT_PORTS];
         let mut head_mask = 0u64;
-        let mut m = self.occ_mask[lnode];
+        let mut m = occ;
         while m != 0 {
             let slot = m.trailing_zeros() as usize;
             m &= m - 1;
@@ -902,8 +986,8 @@ impl Shard {
                 None => {
                     let word = self.rings[in_idx * self.vc_depth + v.q_head as usize];
                     debug_assert!(word & SLOT_HEAD != 0, "body flit at head of an unrouted VC");
-                    let pk = &mut self.pool.states[slot_handle(word)];
-                    match router.decide(here, pk) {
+                    let pk = &mut self.pool.entries[slot_handle(word)];
+                    match router.decide(here, &mut pk.state, &mut pk.route) {
                         HopDecision::Eject => requests[EJECT_PORT] |= 1 << slot,
                         HopDecision::Route(candidates) => {
                             head_mask |= 1 << slot;
@@ -951,8 +1035,7 @@ impl Shard {
                     }
                 }
             };
-            let freed =
-                self.commit_grant(lnode, here, slot, out_port, link, report, deliveries, probe);
+            let freed = self.commit_grant(lnode, slot, out_port, link, report, deliveries, probe);
             usable &= !(((1u64 << vcs) - 1) << (self.slot_port[slot] as usize * vcs));
             if freed {
                 // A VC on `out_port` was allocated or released:
@@ -987,7 +1070,6 @@ impl Shard {
     fn commit_grant<P: FabricProbe>(
         &mut self,
         lnode: usize,
-        here: Coord,
         slot: usize,
         out_port: usize,
         link: Option<(usize, Option<VcClass>)>,
@@ -1017,12 +1099,12 @@ impl Shard {
         if in_port != LOCAL_PORT {
             let to_upstream = Dir::ALL[in_port];
             let dir = to_upstream.opposite() as u8;
-            match self.local_neighbor(lnode, here, to_upstream) {
+            match self.local_neighbor(lnode, to_upstream) {
                 Some(up) => {
                     self.credit_returns.push(CreditReturn { lnode: up as u32, dir, vc: vc as u8 })
                 }
                 None => {
-                    let node = self.mesh.id(here.step(to_upstream)).0;
+                    let node = self.mesh.id(self.coords[lnode].step(to_upstream)).0;
                     self.outbox(to_upstream).push(BoundaryMsg::Credit { node, dir, vc: vc as u8 });
                 }
             }
@@ -1037,7 +1119,7 @@ impl Shard {
                 let handle = slot_handle(word);
                 self.in_vcs[in_idx].route = Some((EJECT_PORT as u8, 0));
                 self.ejecting[in_idx] = handle as u32;
-                self.pool.states[handle].stalled = 0;
+                self.pool.entries[handle].state.stalled = 0;
             }
             if flit.is_tail {
                 self.in_vcs[in_idx].route = None;
@@ -1063,7 +1145,7 @@ impl Shard {
             let mut grant_stalled = 0u32;
             let mut entered_escape = None;
             if flit.is_head {
-                let st = &mut self.pool.states[slot_handle(word)];
+                let st = &mut self.pool.entries[slot_handle(word)].state;
                 grant_stalled = st.stalled;
                 st.head_hop += 1;
                 st.stalled = 0;
@@ -1094,19 +1176,37 @@ impl Shard {
                     probe.escape_entered(node, flit.packet, class as u8);
                 }
             }
+            // The wormhole allocation: taken by a head's fresh pick,
+            // held by the worm's later flits, released by its tail.
+            let port = lnode * DIRS + out_port;
+            let bit = 1u32 << ov;
             if new_class.is_some() {
                 self.owners[out_idx] = Some(flit.packet);
+                self.owned[port] |= bit;
             }
-            self.in_vcs[in_idx].route = Some((out_port as u8, ov as u8));
             self.credits[out_idx] -= 1;
             if flit.is_tail {
                 self.owners[out_idx] = None;
+                self.owned[port] &= !bit;
                 self.in_vcs[in_idx].route = None;
+            } else {
+                self.in_vcs[in_idx].route = Some((out_port as u8, ov as u8));
             }
-            let freed = self.refresh_free_bit(lnode, out_port, ov);
+            // The VC's free bit (unowned and credited) from what this
+            // grant knows, no owner read: it was set iff this grant
+            // allocated the VC (a head picks only free ones, later
+            // flits ride an owned one) and is set now iff the tail just
+            // released it with a credit to spare.
+            let now_free = flit.is_tail && self.credits[out_idx] > 0;
+            if now_free {
+                self.free_mask[port] |= bit;
+            } else {
+                self.free_mask[port] &= !bit;
+            }
+            let freed = now_free != new_class.is_some();
             let dir = Dir::ALL[out_port];
             let next_in = dir.opposite() as usize;
-            match self.local_neighbor(lnode, here, dir) {
+            match self.local_neighbor(lnode, dir) {
                 // In-tile hop: the state stays in the pool and the slot
                 // word (flit + handle) is all that moves.
                 Some(next) => self.arrivals.push(Arrival {
@@ -1119,7 +1219,7 @@ impl Shard {
                 None => {
                     self.in_flight -= 1;
                     let state = flit.is_head.then(|| self.pool.release(slot_handle(word)));
-                    let node = self.mesh.id(here.step(dir)).0;
+                    let node = self.mesh.id(self.coords[lnode].step(dir)).0;
                     self.outbox(dir).push(BoundaryMsg::Arrival {
                         node,
                         in_port: next_in as u8,
@@ -1156,7 +1256,7 @@ impl Shard {
                 }
                 let word = self.rings[in_idx * self.vc_depth + v.q_head as usize];
                 if word & SLOT_HEAD != 0 {
-                    let st = &mut self.pool.states[slot_handle(word)];
+                    let st = &mut self.pool.entries[slot_handle(word)].state;
                     st.stalled += 1;
                     let stalled = st.stalled;
                     if P::ACTIVE {
@@ -1224,8 +1324,9 @@ impl Shard {
                 if self.in_vcs[in_idx].route.is_some() || !f.is_head {
                     continue;
                 }
-                // Copy the state: the postmortem must not perturb it.
-                let mut pk = self.pool.states[slot_handle(word)];
+                // Copy the state and its route handle: the postmortem
+                // must not perturb them.
+                let Pooled { state: mut pk, mut route } = self.pool.entries[slot_handle(word)];
                 probe.stalled_packet(StalledPacket {
                     packet: f.packet,
                     node,
@@ -1235,7 +1336,9 @@ impl Shard {
                     stalled: pk.stalled,
                     generated_at: pk.generated_at,
                 });
-                let HopDecision::Route(cands) = router.decide(here, &mut pk) else { continue };
+                let HopDecision::Route(cands) = router.decide(here, &mut pk, &mut route) else {
+                    continue;
+                };
                 for c in cands.iter() {
                     let dir = c.dir as usize;
                     for vc in self.class_range(c.class) {
@@ -1303,9 +1406,7 @@ impl Shard {
                 c.dir,
                 c.vc
             );
-            if self.owners[idx].is_none() {
-                self.free_mask[port] |= 1 << c.vc;
-            }
+            self.free_mask[port] |= (1 << c.vc) & !self.owned[port];
         }
     }
 
@@ -1336,7 +1437,7 @@ impl Shard {
     fn find_packet(&self, id: u32) -> Option<PacketState> {
         let is_head_of = |word: RingSlot| word & SLOT_HEAD != 0 && slot_flit(word).packet == id;
         if let Some(a) = self.arrivals.iter().find(|a| is_head_of(a.word)) {
-            return Some(self.pool.states[slot_handle(a.word)]);
+            return Some(self.pool.entries[slot_handle(a.word)].state);
         }
         for (in_idx, v) in self.in_vcs.iter().enumerate() {
             // An eject-draining packet's head flit is gone; its state
@@ -1344,10 +1445,10 @@ impl Shard {
             if matches!(v.route, Some((p, _)) if (p as usize) == EJECT_PORT)
                 && self.front(in_idx).is_some_and(|w| slot_flit(w).packet == id)
             {
-                return Some(self.pool.states[self.ejecting[in_idx] as usize]);
+                return Some(self.pool.entries[self.ejecting[in_idx] as usize].state);
             }
             if let Some(word) = self.queued(in_idx).find(|&w| is_head_of(w)) {
-                return Some(self.pool.states[slot_handle(word)]);
+                return Some(self.pool.entries[slot_handle(word)].state);
             }
         }
         None
@@ -1365,7 +1466,6 @@ impl Shard {
     fn allocate_output_reference(
         &mut self,
         lnode: usize,
-        here: Coord,
         out_port: usize,
         decisions: &[Option<HopDecision>; MAX_SLOTS],
         in_port_used: &mut [bool; IN_PORTS],
@@ -1437,7 +1537,7 @@ impl Shard {
                 continue;
             }
             in_port_used[in_port] = true;
-            self.commit_grant(lnode, here, slot, out_port, link, report, deliveries, &mut NoProbe);
+            self.commit_grant(lnode, slot, out_port, link, report, deliveries, &mut NoProbe);
             return; // one grant per output port per cycle
         }
     }
@@ -1464,15 +1564,14 @@ impl Shard {
                 let in_idx = lnode * slots + slot;
                 if self.in_vcs[in_idx].route.is_none() {
                     let word = self.front(in_idx).expect("occupied slot");
-                    let pk = &mut self.pool.states[slot_handle(word)];
-                    decisions[slot] = Some(router.decide(here, pk));
+                    let pk = &mut self.pool.entries[slot_handle(word)];
+                    decisions[slot] = Some(router.decide(here, &mut pk.state, &mut pk.route));
                 }
             }
             let mut in_port_used = [false; IN_PORTS];
             for out_port in 0..OUT_PORTS {
                 self.allocate_output_reference(
                     lnode,
-                    here,
                     out_port,
                     &decisions,
                     &mut in_port_used,
@@ -1494,7 +1593,7 @@ impl Shard {
             if self.in_vcs[in_idx].route.is_none() {
                 if let Some(word) = self.front(in_idx) {
                     if word & SLOT_HEAD != 0 {
-                        self.pool.states[slot_handle(word)].stalled += 1;
+                        self.pool.entries[slot_handle(word)].state.stalled += 1;
                     }
                 }
             }
@@ -1540,7 +1639,7 @@ impl Shard {
     #[cfg(test)]
     pub(crate) fn assert_masks_consistent(&self) {
         let slots = IN_PORTS * self.vcs;
-        let mut held = vec![false; self.pool.states.len()];
+        let mut held = vec![false; self.pool.entries.len()];
         let mut hold = |handle: usize, what: &str| {
             assert!(
                 !std::mem::replace(&mut held[handle], true),
@@ -1553,7 +1652,6 @@ impl Shard {
             }
         }
         for lnode in 0..self.nodes() {
-            let here = self.coords[lnode];
             for slot in 0..slots {
                 let in_idx = lnode * slots + slot;
                 let v = self.in_vcs[in_idx];
@@ -1581,7 +1679,7 @@ impl Shard {
                 }
             }
             for dir in 0..DIRS {
-                let next = self.local_neighbor(lnode, here, Dir::ALL[dir]);
+                let next = self.local_neighbor(lnode, Dir::ALL[dir]);
                 let next_in = Dir::ALL[dir].opposite() as usize;
                 for v in 0..self.vcs {
                     let idx = self.out_idx(lnode, dir, v);
@@ -1589,6 +1687,11 @@ impl Shard {
                         self.free_mask[lnode * DIRS + dir] & (1 << v) != 0,
                         self.owners[idx].is_none() && self.credits[idx] > 0,
                         "free_mask stale at local node {lnode} dir {dir} vc {v}"
+                    );
+                    assert_eq!(
+                        self.owned[lnode * DIRS + dir] & (1 << v) != 0,
+                        self.owners[idx].is_some(),
+                        "owned mask stale at local node {lnode} dir {dir} vc {v}"
                     );
                     if let Some(next) = next {
                         assert_eq!(
@@ -1611,7 +1714,7 @@ impl Shard {
     #[cfg(test)]
     pub(crate) fn assert_pool_drained(&self) {
         if self.in_flight == 0 {
-            assert_eq!(self.pool.free.len(), self.pool.states.len(), "state leaked from the pool");
+            assert_eq!(self.pool.free.len(), self.pool.entries.len(), "state leaked from the pool");
         }
     }
 }
@@ -1883,7 +1986,7 @@ impl Fabric {
                 let here = s.coords[lnode];
                 for dir in Dir::ALL {
                     let next = here.step(dir);
-                    if s.local_neighbor(lnode, here, dir).is_some() || !self.mesh.contains(next) {
+                    if s.local_neighbor(lnode, dir).is_some() || !self.mesh.contains(next) {
                         continue;
                     }
                     let t = &self.shards[s.neighbors[dir as usize].expect("tiles cover the mesh")];
@@ -1902,7 +2005,7 @@ impl Fabric {
     }
 
     /// Test hook: seizes or releases an output VC directly while
-    /// keeping the free-VC mask consistent.
+    /// keeping the ownership and free-VC masks consistent.
     #[cfg(test)]
     fn set_test_owner(&mut self, node: usize, dir: usize, vc: usize, owner: Option<u32>) {
         let s = self.shard_of(node);
@@ -1910,6 +2013,11 @@ impl Fabric {
         let lnode = shard.local_of(node);
         let idx = shard.out_idx(lnode, dir, vc);
         shard.owners[idx] = owner;
+        if owner.is_some() {
+            shard.owned[lnode * DIRS + dir] |= 1 << vc;
+        } else {
+            shard.owned[lnode * DIRS + dir] &= !(1 << vc);
+        }
         shard.refresh_free_bit(lnode, dir, vc);
     }
 }
@@ -1949,7 +2057,12 @@ mod tests {
             self.scripts.get(&(s, d)).map(|p| p.len() as u32)
         }
 
-        fn decide(&mut self, here: Coord, pk: &mut PacketState) -> HopDecision {
+        fn decide(
+            &mut self,
+            here: Coord,
+            pk: &mut PacketState,
+            _route: &mut RouteHandle,
+        ) -> HopDecision {
             if here == pk.dst {
                 return HopDecision::Eject;
             }
@@ -2167,7 +2280,12 @@ mod tests {
             Some(1)
         }
 
-        fn decide(&mut self, here: Coord, pk: &mut PacketState) -> HopDecision {
+        fn decide(
+            &mut self,
+            here: Coord,
+            pk: &mut PacketState,
+            _route: &mut RouteHandle,
+        ) -> HopDecision {
             if here == pk.dst {
                 return HopDecision::Eject;
             }
@@ -2468,6 +2586,110 @@ mod tests {
                 sh.assert_pool_drained();
             }
         }
+    }
+
+    #[test]
+    fn lone_occupants_are_granted_exactly_as_the_reference_scan_grants_them() {
+        // Two fabrics fed the same low-load traffic, one on each
+        // stepper, compared field by field every cycle. Worms of three
+        // flits leave (0,0) for (4,1) every 11 cycles and cross the
+        // tile edge past x = 2; worms of two join them at (1,0) every
+        // 17 — so heads, bodies, tails, ejections and boundary
+        // messages all pass, mostly through routers with one occupied
+        // input VC and now and then through a contended one.
+        let mesh = Mesh::square(6);
+        let fabric = || Fabric::new_tiled(mesh, TEST_VCS, TEST_DEPTH, 0, 2, 1);
+        let (mut event, mut scan) = (fabric(), fabric());
+        let mut hop = ScriptedHop::new();
+        use Dir::{MinusY, PlusX, PlusY};
+        let streams = [
+            (hop.script(Coord::new(0, 0), &[PlusX, PlusX, PlusX, PlusX, PlusY]), 3u32, 11u64),
+            (hop.script(Coord::new(1, 1), &[MinusY, PlusX, PlusX, PlusX]), 2, 17),
+        ];
+        // Per stream: the packet being fed and its flits still to feed.
+        let mut feeding = [(0u32, 0u32); 2];
+        let (mut lone, mut visits) = (0u32, 0u32);
+        let mut delivered = 0;
+        for cycle in 0..400u64 {
+            for (k, &((s, d), len, every)) in streams.iter().enumerate() {
+                if feeding[k].1 == 0 && cycle % every == 0 && cycle < 300 {
+                    let state = PacketState::new(s, d, cycle, len);
+                    feeding[k] = (event.register_packet(state), len);
+                    assert_eq!(scan.register_packet(state), feeding[k].0);
+                }
+                let (packet, left) = feeding[k];
+                if left > 0 && event.local_occupancy(mesh.id(s)) < TEST_DEPTH {
+                    let flit = Flit { packet, is_head: left == len, is_tail: left == 1 };
+                    event.inject_flit(mesh.id(s), flit);
+                    scan.inject_flit(mesh.id(s), flit);
+                    feeding[k].1 -= 1;
+                }
+            }
+            for m in event.shards.iter().flat_map(|s| &s.occ_mask).filter(|&&m| m != 0) {
+                visits += 1;
+                lone += u32::from(m.count_ones() == 1);
+            }
+            let (mut now, mut now_by_scan) = (Vec::new(), Vec::new());
+            let report = event.step(&mut hop, &mut now);
+            assert_eq!(report, scan.step_reference(&mut hop, &mut now_by_scan), "cycle {cycle}");
+            // (Within a cycle, deliveries come in visiting order.)
+            now.sort_by_key(|d| d.packet);
+            now_by_scan.sort_by_key(|d| d.packet);
+            assert_eq!(now, now_by_scan, "cycle {cycle}");
+            delivered += now.len();
+            for (a, b) in event.shards.iter().zip(&scan.shards) {
+                assert_eq!(a.rr, b.rr, "round-robin bytes, cycle {cycle}");
+                assert_eq!(a.occ_mask, b.occ_mask, "cycle {cycle}");
+                assert_eq!(a.free_mask, b.free_mask, "cycle {cycle}");
+                assert_eq!(a.owned, b.owned, "cycle {cycle}");
+                assert_eq!(a.credits, b.credits, "cycle {cycle}");
+            }
+            event.assert_masks_consistent();
+        }
+        assert_eq!(delivered, 28 + 18, "every worm arrives");
+        assert_eq!(event.in_flight(), 0);
+        assert!(lone * 10 >= visits * 8, "{lone} of {visits} visits had one occupant");
+        assert!(lone < visits, "no contended visit: the streams never met");
+    }
+
+    #[test]
+    fn a_packet_costs_each_table_it_visits_one_probe() {
+        use crate::routing::{PathTable, ReplayHop, RoutingKind};
+        use meshpath_mesh::FaultSet;
+        use meshpath_route::NetView;
+
+        // Two row bands stepped as the run loop steps them: each shard
+        // on its own router over its own table.
+        let mesh = Mesh::square(6);
+        let view = NetView::build(FaultSet::none(mesh));
+        let mut tables = [RoutingKind::Rb2; 2].map(|kind| PathTable::new(&view, kind));
+        let [upper, lower] = &mut tables;
+        let mut routers = [ReplayHop::new(upper), ReplayHop::new(lower)];
+        let mut f = Fabric::new_sharded(mesh, TEST_VCS, TEST_DEPTH, 0, 2);
+        let (s, d) = (Coord::new(1, 0), Coord::new(1, 5));
+        assert_eq!(routers[0].admit(s, d), Some(5));
+        let id = f.register_packet(PacketState::new(s, d, 0, 2));
+        f.inject_flit(mesh.id(s), Flit { packet: id, is_head: true, is_tail: false });
+        let mut delivered = Vec::new();
+        for cycle in 0..20 {
+            if cycle == 1 {
+                f.inject_flit(mesh.id(s), Flit { packet: id, is_head: false, is_tail: true });
+            }
+            let mut report = StepReport::default();
+            for (shard, router) in f.shards.iter_mut().zip(&mut routers) {
+                shard.allocate_active(router, &mut report, &mut delivered, &mut NoProbe);
+                shard.age_parked_heads(&mut NoProbe);
+            }
+            f.exchange_boundary();
+            f.shards.iter_mut().for_each(Shard::commit_boundary);
+            f.assert_masks_consistent();
+        }
+        assert_eq!(ids(&delivered), vec![id]);
+        assert_eq!(delivered[0].state.head_hop, 5);
+        // Three routers decided in the band of rows 0..3 and two (plus
+        // the ejection) in the band of rows 3..6: one probe each side.
+        assert_eq!(tables[0].cache_stats(), (1, 1), "admission compiled; the trip probed once");
+        assert_eq!(tables[1].cache_stats(), (0, 1), "the handle did not cross: one compile");
     }
 
     #[test]

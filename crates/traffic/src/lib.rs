@@ -146,7 +146,7 @@ pub use fabric::{BoundaryMsg, Delivery, Fabric, Flit, FrontierEntry, PacketState
 pub use pattern::{DestSampler, InjectionProcess, LengthDist, TrafficPattern};
 pub use routing::{
     xy_next, xy_path_clear, EscapeForest, EscapeHop, HopCandidates, HopChoice, HopDecision,
-    HopRouter, PathTable, ReplayHop, RoutingKind, VcClass, XyRouter,
+    HopRouter, PathTable, ReplayHop, RouteHandle, RoutingKind, VcClass, XyRouter,
 };
 pub use sim::{run_traffic, single_packet_latency, RunError, RunOutput, TrafficSim};
 pub use source::{

@@ -18,8 +18,25 @@
 //! while new packets compile against the current epoch.
 //!
 //! The fabric asks a [`HopRouter`] for a fresh `(output port, VC
-//! class)` decision whenever a head flit is parked at a router. Two hop
-//! routers are provided:
+//! class)` decision whenever a head flit is parked at a router — every
+//! cycle the head waits — so a decision is table reads, never a search
+//! or a hash probe:
+//!
+//! * the **adaptive class** reads hop `head_hop` of the packet's
+//!   compiled route through a [`RouteHandle`]: the route's index in the
+//!   table's arena, resolved by the one `(epoch, s, d)` map probe a
+//!   packet costs per table and kept by the fabric *beside* the
+//!   traveling [`PacketState`] (a handle names a slot of one table, so
+//!   it never crosses a shard edge: the next shard resolves its own);
+//! * the **tree class** compares pre-order interval labels of the
+//!   spanning forest ([`EscapeForest::next_hop`]): "is the destination
+//!   in my subtree? then the child whose interval holds it, else my
+//!   parent" — no ancestor climb, no memo;
+//! * **XY clearance** (may a stalled head enter the XY class here?) is
+//!   two differences of row/column prefix fault counts of the current
+//!   fault set.
+//!
+//! Two hop routers are provided:
 //!
 //! * [`ReplayHop`] — always follows the compiled route on the adaptive
 //!   VC class. Functionally identical to the old source-routed fabric.
@@ -53,15 +70,16 @@
 //! [`HopRouter::publish`], whether listed ahead of time or injected
 //! live) the escape substrate tracks the *current* fault set: each
 //! published event incrementally re-provisions the forest
-//! ([`EscapeForest::update`] — component-scoped rebuilds with a
-//! full-rebuild fallback on component merge/split), repaired nodes
-//! regain the tree class, and packets stranded by a fresh fault are
-//! replanned under the new epoch or killed (the `churn_killed` stat)
-//! instead of wedging.
+//! ([`EscapeForest::update`] — component-scoped rebuilds, labels
+//! included, with a full-rebuild fallback on component merge/split)
+//! and rebuilds the prefix counts, repaired nodes regain the tree
+//! class, and packets stranded by a fresh fault are replanned under the
+//! new epoch (which re-keys their handle) or killed (the `churn_killed`
+//! stat) instead of wedging.
 
 use std::collections::hash_map::Entry;
 
-use meshpath_mesh::{Coord, Dir, FaultSet, FxHashMap, HopSeq};
+use meshpath_mesh::{Coord, Dir, FaultSet, FxHashMap, HopSeq, NodeId};
 use meshpath_route::{HopState, NetView, Router};
 use serde::{Deserialize, Serialize};
 
@@ -203,15 +221,18 @@ pub trait HopRouter {
     fn admit(&mut self, s: Coord, d: Coord) -> Option<u32>;
 
     /// The decision for the head flit of `pk` parked at `here`. Called
-    /// every cycle the head is unrouted (possibly several times, once
-    /// per output port scanned), so it must be cheap: a table lookup
-    /// plus a VC-class choice. Routes are resolved under the packet's
-    /// admission epoch (`pk.epoch`). The packet state is mutable so an
-    /// online router can re-key a stranded packet onto the current
-    /// epoch (replan) or mark it killed; any mutation must be
-    /// idempotent, because the reference stepper re-asks per output
-    /// port within one cycle.
-    fn decide(&mut self, here: Coord, pk: &mut PacketState) -> HopDecision;
+    /// every cycle the head is unrouted, so it must be cheap: array
+    /// reads plus a VC-class choice. Routes are resolved under the
+    /// packet's admission epoch (`pk.epoch`). `route` is the caller's
+    /// per-packet slot for this router's resolved route: it starts
+    /// [`RouteHandle::UNRESOLVED`] wherever the packet's state enters a
+    /// shard and must come back with the same packet's next call. The
+    /// packet state is mutable so an online router can re-key a stranded
+    /// packet onto the current epoch (replan, which re-keys `route`
+    /// too) or mark it killed; any mutation must be idempotent, because
+    /// the post-mortem re-asks on a copy.
+    fn decide(&mut self, here: Coord, pk: &mut PacketState, route: &mut RouteHandle)
+        -> HopDecision;
 
     /// Publishes a churn epoch: `view` (the network after `op`) becomes
     /// the admission epoch — subsequent [`admit`](HopRouter::admit)
@@ -229,6 +250,22 @@ pub trait HopRouter {
 /// pair, cached per `(epoch, source, destination)`.
 type CachedRoute = Option<HopSeq>;
 
+/// A packet's compiled route, resolved to its slot in one
+/// [`PathTable`]'s arena: what lets [`HopRouter::decide`] read a hop
+/// without hashing the `(epoch, source, destination)` key again. Valid
+/// only against the table that resolved it and only until that table's
+/// next [`reset_epochs`](PathTable::reset_epochs) — the fabric keeps one
+/// beside every pooled [`PacketState`] and starts it unresolved wherever
+/// a state enters a shard.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct RouteHandle(u32);
+
+impl RouteHandle {
+    /// Nothing resolved yet: the next adaptive-class decision probes
+    /// the table (once) and stores what it finds.
+    pub const UNRESOLVED: RouteHandle = RouteHandle(u32::MAX);
+}
+
 /// A memoizing compiled-route table for one routing function over a
 /// **sequence of epoch snapshots**: the per-pair backing store of the
 /// hop routers. Routes are keyed `(epoch, source, destination)`, so a
@@ -240,7 +277,11 @@ pub struct PathTable {
     /// The published snapshots, epoch order (index 0 = the initial
     /// configuration); the last one is the admission epoch.
     views: Vec<NetView>,
-    cache: FxHashMap<(u32, Coord, Coord), CachedRoute>,
+    /// The compiled routes, in compile order: a [`RouteHandle`] is an
+    /// index here.
+    routes: Vec<CachedRoute>,
+    /// `(epoch, source, destination)` → index into `routes`.
+    index: FxHashMap<(u32, Coord, Coord), u32>,
     /// Router scratch of every compile, reset per pair.
     scratch: HopState,
     misses: u64,
@@ -254,7 +295,8 @@ impl PathTable {
             kind,
             router: kind.router(),
             views: vec![view.clone()],
-            cache: FxHashMap::default(),
+            routes: Vec::new(),
+            index: FxHashMap::default(),
             scratch: HopState::new(Coord::new(0, 0)),
             misses: 0,
             hits: 0,
@@ -287,11 +329,27 @@ impl PathTable {
 
     /// Drops every published epoch and returns to the initial snapshot
     /// (run start). Cached routes of epoch 0 survive — they stay valid
-    /// across runs over the same network — later-epoch entries are
-    /// dropped, since the next run publishes its own epochs.
+    /// across runs over the same network — later-epoch routes are
+    /// dropped from the arena together with their keys, since the next
+    /// run publishes its own epochs: a table reused across churn runs
+    /// stays the size of its epoch-0 routes. Every [`RouteHandle`]
+    /// resolved before the call is invalid after it.
     pub fn reset_epochs(&mut self) {
+        if self.views.len() == 1 {
+            // Nothing was published, so no later-epoch route exists.
+            return;
+        }
         self.views.truncate(1);
-        self.cache.retain(|&(epoch, _, _), _| epoch == 0);
+        let mut old = std::mem::take(&mut self.routes);
+        let kept = &mut self.routes;
+        self.index.retain(|&(epoch, _, _), at| {
+            if epoch != 0 {
+                return false;
+            }
+            kept.push(old[*at as usize].take());
+            *at = (kept.len() - 1) as u32;
+            true
+        });
     }
 
     /// Publishes `view` as the next epoch and makes it the admission
@@ -313,17 +371,33 @@ impl PathTable {
     /// The direction sequence from `s` to `d` under a specific epoch,
     /// read in place: one table probe when the pair is cached.
     pub fn path_at(&mut self, epoch: u32, s: Coord, d: Coord) -> Option<&HopSeq> {
-        match self.cache.entry((epoch, s, d)) {
+        let handle = self.resolve(epoch, s, d);
+        self.route(handle)
+    }
+
+    /// The one map probe of the table: the arena slot of the route from
+    /// `s` to `d` under `epoch`, compiled first when the pair is new.
+    fn resolve(&mut self, epoch: u32, s: Coord, d: Coord) -> RouteHandle {
+        match self.index.entry((epoch, s, d)) {
             Entry::Occupied(cached) => {
                 self.hits += 1;
-                cached.into_mut().as_ref()
+                RouteHandle(*cached.get())
             }
             Entry::Vacant(slot) => {
                 self.misses += 1;
                 let view = &self.views[epoch as usize];
-                slot.insert(Self::compile(&*self.router, view, s, d, &mut self.scratch)).as_ref()
+                let at = self.routes.len() as u32;
+                assert!(at != RouteHandle::UNRESOLVED.0, "route arena outgrew its handles");
+                self.routes.push(Self::compile(&*self.router, view, s, d, &mut self.scratch));
+                RouteHandle(*slot.insert(at))
             }
         }
+    }
+
+    /// The route a resolved handle stands for (`None`: undeliverable).
+    #[inline]
+    fn route(&self, handle: RouteHandle) -> Option<&HopSeq> {
+        self.routes[handle.0 as usize].as_ref()
     }
 
     /// Runs the routing function for one pair: the route it delivers,
@@ -347,15 +421,54 @@ impl PathTable {
         res.delivered.then_some(res.dirs)
     }
 
-    /// Hop `hop` of the route from `s` to `d` under `epoch`: what a hop
-    /// router asks for every parked head every cycle — a probe plus a
-    /// shift. `None` when the pair is undeliverable.
-    pub(crate) fn dir_at(&mut self, epoch: u32, s: Coord, d: Coord, hop: u32) -> Option<Dir> {
-        self.path_at(epoch, s, d).map(|p| p.get(hop as usize))
+    /// The next hop of `pk`'s compiled route — what a hop router asks
+    /// for every parked adaptive-class head every cycle: one arena read
+    /// plus a shift. An unresolved `route` is resolved first, by the
+    /// one probe a packet costs this table.
+    #[inline]
+    fn next_dir(&mut self, pk: &PacketState, route: &mut RouteHandle) -> Dir {
+        if *route == RouteHandle::UNRESOLVED {
+            *route = self.resolve(pk.epoch, pk.src, pk.dst);
+        }
+        let path = self.route(*route).expect("admitted packets have compiled routes");
+        path.get(pk.head_hop as usize)
     }
 
-    /// `(cache hits, cache misses)` — the miss count is the number of
-    /// full routing-algorithm executions performed.
+    /// Replans a packet whose compiled route runs into a fresh fault:
+    /// re-keys `pk` and `route` onto the current epoch's route from
+    /// `here` and returns its first hop, or `None` (nothing touched)
+    /// when no such route exists. Idempotent — the re-keyed route
+    /// avoids current faults, so asking again takes it as it stands.
+    fn replan(
+        &mut self,
+        here: Coord,
+        pk: &mut PacketState,
+        route: &mut RouteHandle,
+    ) -> Option<Dir> {
+        let cur = self.current_epoch();
+        let fresh = self.resolve(cur, here, pk.dst);
+        let first = self.route(fresh)?.get(0);
+        pk.src = here;
+        pk.head_hop = 0;
+        pk.epoch = cur;
+        *route = fresh;
+        Some(first)
+    }
+
+    /// Routes held, deliverable or not, over every epoch.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> usize {
+        assert_eq!(
+            self.routes.len(),
+            self.index.len(),
+            "a slot without a key, or a key without one"
+        );
+        self.routes.len()
+    }
+
+    /// `(map probes that found their route, routes compiled)` — a read
+    /// through a [`RouteHandle`] is not a probe, and the second count is
+    /// the number of full routing-algorithm executions performed.
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
@@ -385,7 +498,12 @@ impl HopRouter for ReplayHop<'_> {
         self.paths.path(s, d).map(|p| p.len() as u32)
     }
 
-    fn decide(&mut self, here: Coord, pk: &mut PacketState) -> HopDecision {
+    fn decide(
+        &mut self,
+        here: Coord,
+        pk: &mut PacketState,
+        route: &mut RouteHandle,
+    ) -> HopDecision {
         if self.online {
             let faults = self.paths.view().faults();
             if !faults.is_healthy(here) || !faults.is_healthy(pk.dst) {
@@ -398,24 +516,13 @@ impl HopRouter for ReplayHop<'_> {
         if here == pk.dst {
             return HopDecision::Eject;
         }
-        let mut dir = self
-            .paths
-            .dir_at(pk.epoch, pk.src, pk.dst, pk.head_hop)
-            .expect("admitted packets have compiled routes");
+        let mut dir = self.paths.next_dir(pk, route);
         if self.online && !self.paths.view().faults().is_healthy(here.step(dir)) {
             // The compiled route runs into a fresh fault: replan from
-            // here under the current epoch (idempotent — the re-keyed
-            // route avoids current faults, so a second decide this
-            // cycle takes the clean path below), or kill the packet
-            // when no current-epoch route exists.
-            let cur = self.paths.current_epoch();
-            match self.paths.dir_at(cur, here, pk.dst, 0) {
-                Some(first) => {
-                    pk.src = here;
-                    pk.head_hop = 0;
-                    pk.epoch = cur;
-                    dir = first;
-                }
+            // here under the current epoch, or kill the packet when no
+            // current-epoch route exists.
+            match self.paths.replan(here, pk, route) {
+                Some(first) => dir = first,
                 None => {
                     pk.killed = true;
                     return HopDecision::Eject;
@@ -598,53 +705,108 @@ fn component_center_with(faults: &FaultSet, start: Coord, analytic: bool) -> Coo
 /// depth is strictly monotone within each phase, the tree channels
 /// admit a total order that every route respects — no cyclic channel
 /// dependency, for any fault pattern.
+///
+/// Every node also carries the **pre-order interval** of its subtree
+/// (`Span`): `lo` is the node's own label and `[lo, hi)` holds
+/// exactly the labels of its descendants, so "is `dst` below `here`?"
+/// is two comparisons and [`next_hop`](EscapeForest::next_hop) climbs
+/// nothing. A label is `tree << 32 | pre-order index`, `tree` being the
+/// lowest node id of the component: a function of the component alone
+/// (an [`update`](EscapeForest::update) relabels the dirty component
+/// and no other) that keeps the intervals of different trees disjoint.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct EscapeForest {
-    /// `(parent direction, depth)` per node id; `None` for faulty nodes
-    /// and roots (roots have depth 0).
+    /// Parent direction per node id; `None` for faulty nodes and roots.
     parent: Vec<Option<Dir>>,
+    /// Tree depth per node id (0 for faulty nodes and roots).
     depth: Vec<u32>,
+    /// Pre-order interval per node id; [`NO_SPAN`] for faulty nodes.
+    span: Vec<Span>,
 }
+
+/// The pre-order labels of one node's subtree: its own is `lo`, its
+/// descendants' fill `(lo, hi)`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Span {
+    lo: u64,
+    hi: u64,
+}
+
+/// What a faulty node holds: an empty interval at a label no tree
+/// assigns, so it contains nothing and lies in no subtree.
+const NO_SPAN: Span = Span { lo: u64::MAX, hi: u64::MAX };
 
 impl EscapeForest {
     /// Builds the forest for a fault configuration.
     pub fn new(faults: &FaultSet) -> Self {
         let mesh = faults.mesh();
         let n = mesh.len();
-        let mut parent: Vec<Option<Dir>> = vec![None; n];
-        let mut depth = vec![0u32; n];
-        let mut seen = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
+        let mut forest =
+            EscapeForest { parent: vec![None; n], depth: vec![0; n], span: vec![NO_SPAN; n] };
         for first in 0..n {
-            let fc = mesh.coord(meshpath_mesh::NodeId(first as u32));
-            if seen[first] || !faults.is_healthy(fc) {
-                continue;
+            // An unlabelled healthy node is the lowest id of a fresh
+            // component.
+            if forest.span[first] == NO_SPAN && faults.is_healthy(mesh.coord(NodeId(first as u32)))
+            {
+                forest.build_component(faults, first);
             }
-            // `first` is the lowest unvisited id of a fresh component;
-            // root the component's tree at its BFS center instead.
-            let root = component_center(faults, fc);
-            seen[mesh.id(root).index()] = true;
-            queue.push_back(root);
-            while let Some(c) = queue.pop_front() {
-                let ci = mesh.id(c).index();
-                for dir in Dir::ALL {
-                    let nb = c.step(dir);
-                    if !mesh.contains(nb) || !faults.is_healthy(nb) {
-                        continue;
-                    }
-                    let ni = mesh.id(nb).index();
-                    if seen[ni] {
-                        continue;
-                    }
-                    seen[ni] = true;
-                    parent[ni] = Some(dir.opposite());
-                    depth[ni] = depth[ci] + 1;
-                    queue.push_back(nb);
-                }
-            }
-            debug_assert!(seen[first], "center BFS must cover the discovering node");
         }
-        EscapeForest { parent, depth }
+        forest
+    }
+
+    /// Builds the tree of the component whose lowest node id is `first`
+    /// — the id [`EscapeForest::new`]'s discovery scan finds it by — and
+    /// none of whose nodes holds a label yet. The component is rooted
+    /// at its BFS center; one BFS sets parents and depths, and the
+    /// interval labels fall out of its visiting order and the subtree
+    /// sizes — two passes over that list, no second walk of the mesh.
+    fn build_component(&mut self, faults: &FaultSet, first: usize) {
+        let mesh = faults.mesh();
+        let root = mesh.id(component_center(faults, mesh.coord(NodeId(first as u32)))).index();
+        // A discovered node holds a placeholder whose `hi` counts its
+        // subtree: itself so far.
+        let discovered = Span { lo: 0, hi: 1 };
+        // `(node, parent)` ids in visiting order (the root is its own).
+        let mut order = vec![(root as u32, root as u32)];
+        self.parent[root] = None;
+        self.depth[root] = 0;
+        self.span[root] = discovered;
+        let mut next = 0;
+        while let Some(&(ci, _)) = order.get(next) {
+            next += 1;
+            let c = mesh.coord(NodeId(ci));
+            for dir in Dir::ALL {
+                let nb = c.step(dir);
+                if !faults.is_healthy(nb) {
+                    continue;
+                }
+                let ni = mesh.id(nb).index();
+                if self.span[ni] != NO_SPAN {
+                    continue;
+                }
+                self.span[ni] = discovered;
+                self.parent[ni] = Some(dir.opposite());
+                self.depth[ni] = self.depth[ci as usize] + 1;
+                order.push((ni as u32, ci));
+            }
+        }
+        debug_assert!(self.span[first] != NO_SPAN, "center BFS must cover the discovering node");
+        // Subtree sizes: in reverse BFS order every node is complete
+        // before its parent.
+        for &(i, p) in order[1..].iter().rev() {
+            self.span[p as usize].hi += self.span[i as usize].hi;
+        }
+        // Labels, in BFS order: a labelled node's `hi` is the next free
+        // label of its interval; each child takes its subtree's worth
+        // from there, so `hi` ends at `lo + subtree size`.
+        let base = (first as u64) << 32;
+        self.span[root] = Span { lo: base, hi: base + 1 };
+        for &(i, p) in &order[1..] {
+            let size = self.span[i as usize].hi;
+            let lo = self.span[p as usize].hi;
+            self.span[p as usize].hi = lo + size;
+            self.span[i as usize] = Span { lo, hi: lo + 1 };
+        }
     }
 
     /// Incrementally re-provisions the forest after one online churn
@@ -670,6 +832,7 @@ impl EscapeForest {
                 let ci = mesh.id(c).index();
                 self.parent[ci] = None;
                 self.depth[ci] = 0;
+                self.span[ci] = NO_SPAN;
                 let neighbors = healthy_neighbors(c);
                 let Some(&seed) = neighbors.first() else {
                     // The failed node had no healthy neighbors: its
@@ -713,45 +876,18 @@ impl EscapeForest {
         }
     }
 
-    /// Rebuilds one component's tree exactly as [`EscapeForest::new`]
-    /// does. The center search starts from the component's lowest node
-    /// id — the id `new`'s discovery scan would find the component by —
-    /// so the subtree is identical to the one a from-scratch build
-    /// produces.
+    /// Rebuilds one component's tree, labels included, exactly as
+    /// [`EscapeForest::new`] builds it: same builder, same lowest id.
     fn rebuild_component(&mut self, faults: &FaultSet, members: &[bool]) {
         let Some(first) = members.iter().position(|&m| m) else {
             return;
         };
         for (i, &m) in members.iter().enumerate() {
             if m {
-                self.parent[i] = None;
-                self.depth[i] = 0;
+                self.span[i] = NO_SPAN;
             }
         }
-        let mesh = faults.mesh();
-        let fc = mesh.coord(meshpath_mesh::NodeId(first as u32));
-        let root = component_center(faults, fc);
-        let mut seen = vec![false; mesh.len()];
-        let mut queue = std::collections::VecDeque::new();
-        seen[mesh.id(root).index()] = true;
-        queue.push_back(root);
-        while let Some(c) = queue.pop_front() {
-            let ci = mesh.id(c).index();
-            for dir in Dir::ALL {
-                let nb = c.step(dir);
-                if !mesh.contains(nb) || !faults.is_healthy(nb) {
-                    continue;
-                }
-                let ni = mesh.id(nb).index();
-                if seen[ni] {
-                    continue;
-                }
-                seen[ni] = true;
-                self.parent[ni] = Some(dir.opposite());
-                self.depth[ni] = self.depth[ci] + 1;
-                queue.push_back(nb);
-            }
-        }
+        self.build_component(faults, first);
     }
 
     /// Tree depth of a node (0 for roots and faulty nodes).
@@ -761,11 +897,40 @@ impl EscapeForest {
 
     /// The next hop of the up*/down* route from `here` to `dst`, or
     /// `None` when the two are in different components (an unroutable
-    /// pair — never admitted into the fabric).
+    /// pair — never admitted into the fabric): down to the child whose
+    /// interval holds `dst`'s label when `dst` is below `here`, else up
+    /// to the parent — which a root does not have.
     ///
     /// # Panics
     /// Panics when `here == dst`.
     pub fn next_hop(&self, mesh: &meshpath_mesh::Mesh, here: Coord, dst: Coord) -> Option<Dir> {
+        assert!(here != dst, "tree next hop queried at the destination");
+        let here_id = mesh.id(here).index();
+        let at = self.span[here_id];
+        let label = self.span[mesh.id(dst).index()].lo;
+        if at.lo < label && label < at.hi {
+            // Below `here`. A neighbor labelled inside `here`'s interval
+            // is a child (a descendant one hop away sits one BFS level
+            // down), and one child's interval holds the label.
+            return Dir::ALL.into_iter().find(|&dir| {
+                mesh.try_id(here.step(dir)).is_some_and(|nb| {
+                    let child = self.span[nb.index()];
+                    at.lo < child.lo && child.lo <= label && label < child.hi
+                })
+            });
+        }
+        self.parent[here_id]
+    }
+
+    /// The ancestor climb [`next_hop`](EscapeForest::next_hop) replaced
+    /// — O(tree depth), reads no label: its reference.
+    #[cfg(test)]
+    fn next_hop_by_climb(
+        &self,
+        mesh: &meshpath_mesh::Mesh,
+        here: Coord,
+        dst: Coord,
+    ) -> Option<Dir> {
         assert!(here != dst, "tree next hop queried at the destination");
         // Climb dst's ancestor chain to here's depth, remembering the
         // hop below; if the chain passes through `here`, descend.
@@ -786,38 +951,90 @@ impl EscapeForest {
     }
 }
 
+/// Whether the dimension-order XY walk between two nodes crosses only
+/// healthy nodes, answered from prefix fault counts of one fault set:
+/// [`xy_path_clear`] as four array reads instead of a walk.
+struct XyClearance {
+    /// `row[y * row_stride + x]`: faults of row `y` at columns `< x`
+    /// (`row_stride = width + 1`).
+    row: Vec<u32>,
+    row_stride: usize,
+    /// `col[x * col_stride + y]`: faults of column `x` at rows `< y`
+    /// (`col_stride = height + 1`).
+    col: Vec<u32>,
+    col_stride: usize,
+}
+
+impl XyClearance {
+    fn new(faults: &FaultSet) -> Self {
+        let mesh = faults.mesh();
+        let (w, h) = (mesh.width() as usize, mesh.height() as usize);
+        let (row_stride, col_stride) = (w + 1, h + 1);
+        let mut row = vec![0u32; row_stride * h];
+        let mut col = vec![0u32; col_stride * w];
+        for c in mesh.iter() {
+            let (x, y) = (c.x as usize, c.y as usize);
+            let faulty = u32::from(faults.is_faulty(c));
+            row[y * row_stride + x + 1] = row[y * row_stride + x] + faulty;
+            col[x * col_stride + y + 1] = col[x * col_stride + y] + faulty;
+        }
+        XyClearance { row, row_stride, col, col_stride }
+    }
+
+    /// [`xy_path_clear`] for in-mesh `here` and `dst`: no fault on row
+    /// `here.y` from past `here.x` through `dst.x`, nor on column
+    /// `dst.x` from past `here.y` through `dst.y`.
+    #[inline]
+    fn clear(&self, here: Coord, dst: Coord) -> bool {
+        // The half-open index range covering `(from, to]` in walk order.
+        let run = |from: i32, to: i32| {
+            if to >= from {
+                (from as usize + 1, to as usize + 1)
+            } else {
+                (to as usize, from as usize)
+            }
+        };
+        let (x0, x1) = run(here.x, dst.x);
+        let (y0, y1) = run(here.y, dst.y);
+        let r = here.y as usize * self.row_stride;
+        let c = dst.x as usize * self.col_stride;
+        self.row[r + x0] == self.row[r + x1] && self.col[c + y0] == self.col[c + y1]
+    }
+}
+
 /// The Duato-style adaptive wrapper: compiled routes on the adaptive
 /// class; once a head has been blocked `patience` consecutive cycles it
 /// is offered the reserved escape classes — dimension-order XY when the
-/// XY walk to the destination is fault-free under the packet's epoch,
-/// and the up*/down* tree route as the always-available last resort.
+/// XY walk to the destination is fault-free under the current fault
+/// set, and the up*/down* tree route as the always-available last
+/// resort.
 ///
 /// A packet that takes an escape channel is committed: it stays on that
 /// escape class until delivery, so escape packets only ever wait on
 /// channels of their own (acyclic) class and are guaranteed to drain.
+///
+/// Nothing here is memoized: every class's decision is a few array
+/// reads (see the module docs), and [`publish`](HopRouter::publish)
+/// rebuilds what they read — the dirty component of the forest and the
+/// prefix counts — for the new fault set.
 pub struct EscapeHop<'p> {
     paths: &'p mut PathTable,
     patience: u32,
-    /// Whether the fabric has a non-empty XY escape class
-    /// (`escape_vcs >= 2`): with only the tree channel reserved, XY
-    /// candidates could never allocate, so offering them (and paying
-    /// the clearance walks) would be pure waste.
-    xy_class: bool,
-    /// The spanning forest over the admission epoch's healthy nodes,
+    /// XY clearance under the current fault set — the only one ever
+    /// asked about: offline a packet's admission epoch *is* the current
+    /// one, online clearance must hold under the current faults (the
+    /// admission epoch may predate them). `None` when the fabric has no
+    /// XY escape class (`escape_vcs < 2`): with only the tree channel
+    /// reserved, XY candidates could never allocate, so offering them
+    /// would be pure waste.
+    xy: Option<XyClearance>,
+    /// The spanning forest over the current fault set's healthy nodes,
     /// re-provisioned incrementally per published event.
     forest: EscapeForest,
     /// Set by the first [`publish`](HopRouter::publish): faults may now
     /// postdate a packet's admission, so decide kills or replans
     /// packets stranded by them.
     online: bool,
-    /// Memoized [`xy_path_clear`] per `(epoch, node, destination)`.
-    clear: FxHashMap<(u32, Coord, Coord), bool>,
-    /// Memoized tree next hop per `(node, destination)` — the
-    /// ancestor climb is O(tree depth) and `decide` runs on the
-    /// congested path, up to once per output-port scan per cycle.
-    /// `None`: the pair is disconnected on the forest (only possible
-    /// under churn), so the tree class cannot serve it.
-    tree_next: FxHashMap<(Coord, Coord), Option<Dir>>,
 }
 
 impl<'p> EscapeHop<'p> {
@@ -825,16 +1042,10 @@ impl<'p> EscapeHop<'p> {
     /// `xy_class` says whether the fabric reserves XY escape channels
     /// in addition to the tree channel (`escape_vcs >= 2`).
     pub fn new(paths: &'p mut PathTable, patience: u32, xy_class: bool) -> Self {
-        let forest = EscapeForest::new(paths.view().faults());
-        EscapeHop {
-            paths,
-            patience,
-            xy_class,
-            forest,
-            online: false,
-            clear: FxHashMap::default(),
-            tree_next: FxHashMap::default(),
-        }
+        let faults = paths.view().faults();
+        let forest = EscapeForest::new(faults);
+        let xy = xy_class.then(|| XyClearance::new(faults));
+        EscapeHop { paths, patience, xy, forest, online: false }
     }
 
     /// The spanning forest backing the tree escape class.
@@ -842,20 +1053,12 @@ impl<'p> EscapeHop<'p> {
         &self.forest
     }
 
-    fn xy_clear(&mut self, epoch: u32, here: Coord, dst: Coord) -> bool {
-        let faults = self.paths.view_at(epoch).faults();
-        *self.clear.entry((epoch, here, dst)).or_insert_with(|| xy_path_clear(faults, here, dst))
-    }
-
     /// The tree-class candidate, or `None` when the forest cannot
     /// serve the pair — possible only under churn: a fresh fault cut
     /// `here` off `dst`'s component (or took `here` itself).
-    fn tree_choice(&mut self, here: Coord, dst: Coord) -> Option<HopChoice> {
-        let forest = &self.forest;
-        let mesh = self.paths.view().mesh();
-        let dir =
-            *self.tree_next.entry((here, dst)).or_insert_with(|| forest.next_hop(mesh, here, dst));
-        dir.map(|dir| HopChoice { dir, class: VcClass::EscapeTree })
+    fn tree_choice(&self, here: Coord, dst: Coord) -> Option<HopChoice> {
+        let dir = self.forest.next_hop(self.paths.view().mesh(), here, dst)?;
+        Some(HopChoice { dir, class: VcClass::EscapeTree })
     }
 }
 
@@ -864,7 +1067,12 @@ impl HopRouter for EscapeHop<'_> {
         self.paths.path(s, d).map(|p| p.len() as u32)
     }
 
-    fn decide(&mut self, here: Coord, pk: &mut PacketState) -> HopDecision {
+    fn decide(
+        &mut self,
+        here: Coord,
+        pk: &mut PacketState,
+        route: &mut RouteHandle,
+    ) -> HopDecision {
         if self.online {
             let faults = self.paths.view().faults();
             if !faults.is_healthy(here) || !faults.is_healthy(pk.dst) {
@@ -900,23 +1108,13 @@ impl HopRouter for EscapeHop<'_> {
                 }
             },
             VcClass::Adaptive => {
-                let mut dir = self
-                    .paths
-                    .dir_at(pk.epoch, pk.src, pk.dst, pk.head_hop)
-                    .expect("admitted packets have compiled routes");
+                let mut dir = self.paths.next_dir(pk, route);
                 if self.online && !self.paths.view().faults().is_healthy(here.step(dir)) {
                     // The compiled route runs into a fresh fault:
-                    // replan from here under the current epoch
-                    // (idempotent — the re-keyed route avoids current
-                    // faults), fall back to the tree, or kill.
-                    let cur = self.paths.current_epoch();
-                    match self.paths.dir_at(cur, here, pk.dst, 0) {
-                        Some(first) => {
-                            pk.src = here;
-                            pk.head_hop = 0;
-                            pk.epoch = cur;
-                            dir = first;
-                        }
+                    // replan from here under the current epoch, fall
+                    // back to the tree, or kill.
+                    match self.paths.replan(here, pk, route) {
+                        Some(first) => dir = first,
                         None => {
                             return match self.tree_choice(here, pk.dst) {
                                 Some(tree) => HopDecision::route1(tree),
@@ -931,12 +1129,7 @@ impl HopRouter for EscapeHop<'_> {
                 let mut c = HopCandidates::new();
                 c.push(HopChoice { dir, class: VcClass::Adaptive });
                 if pk.stalled >= self.patience {
-                    // Online, escape clearance must hold under the
-                    // *current* faults (the packet's admission epoch
-                    // may predate them).
-                    let clear_epoch =
-                        if self.online { self.paths.current_epoch() } else { pk.epoch };
-                    if self.xy_class && self.xy_clear(clear_epoch, here, pk.dst) {
+                    if self.xy.as_ref().is_some_and(|xy| xy.clear(here, pk.dst)) {
                         c.push(HopChoice { dir: xy_next(here, pk.dst), class: VcClass::EscapeXy });
                     }
                     if let Some(tree) = self.tree_choice(here, pk.dst) {
@@ -952,10 +1145,9 @@ impl HopRouter for EscapeHop<'_> {
         self.online = true;
         self.paths.publish(view);
         self.forest.update(view.faults(), op);
-        // Tree next-hops are keyed per (node, destination) only — the
-        // forest changed, so the memo is stale. The XY-clearance memo
-        // is epoch-keyed and survives.
-        self.tree_next.clear();
+        if let Some(xy) = &mut self.xy {
+            *xy = XyClearance::new(view.faults());
+        }
     }
 }
 
@@ -995,20 +1187,31 @@ mod tests {
     }
 
     #[test]
-    fn dir_at_reads_the_cached_route_and_counts_like_path_at() {
+    fn a_resolved_handle_reads_the_cached_route_without_probing() {
         let faults = FaultSet::from_coords(Mesh::square(6), [Coord::new(2, 2)]);
         let view = NetView::build(faults);
         let mut t = PathTable::new(&view, RoutingKind::Rb2);
         let (s, d) = (Coord::new(0, 2), Coord::new(5, 2));
-        let first = t.dir_at(0, s, d, 0).expect("delivered");
+        let mut pk = PacketState::new(s, d, 0, 1);
+        let mut route = RouteHandle::UNRESOLVED;
+        let first = t.next_dir(&pk, &mut route);
+        assert_ne!(route, RouteHandle::UNRESOLVED);
         assert_eq!(t.cache_stats(), (0, 1), "a cold read compiles");
         let path = t.path_at(0, s, d).expect("cached").clone();
-        assert_eq!(t.cache_stats(), (1, 1));
+        assert_eq!(t.cache_stats(), (1, 1), "a keyed read is a probe");
         assert_eq!(first, path.get(0));
         for (hop, dir) in path.iter().enumerate() {
-            assert_eq!(t.dir_at(0, s, d, hop as u32), Some(dir));
+            pk.head_hop = hop as u32;
+            assert_eq!(t.next_dir(&pk, &mut route), dir);
         }
-        assert_eq!(t.cache_stats(), (1 + path.len() as u64, 1));
+        assert_eq!(t.cache_stats(), (1, 1), "a read through the handle is not");
+        // A second packet of the pair resolves to the same slot, by one
+        // probe.
+        let mut other = RouteHandle::UNRESOLVED;
+        pk.head_hop = 0;
+        assert_eq!(t.next_dir(&pk, &mut other), first);
+        assert_eq!(other, route);
+        assert_eq!(t.cache_stats(), (2, 1));
     }
 
     #[test]
@@ -1118,9 +1321,10 @@ mod tests {
         let hops = hop.admit(s, d).expect("routable");
         assert_eq!(hops, 5);
         let mut pk = PacketState::new(s, d, 0, 1);
+        let mut route = RouteHandle::UNRESOLVED;
         let mut here = s;
         for _ in 0..hops {
-            match hop.decide(here, &mut pk) {
+            match hop.decide(here, &mut pk, &mut route) {
                 HopDecision::Route(c) => {
                     assert_eq!(c.len(), 1);
                     let first = c.iter().next().unwrap();
@@ -1132,7 +1336,7 @@ mod tests {
             }
         }
         assert_eq!(here, d);
-        assert_eq!(hop.decide(here, &mut pk), HopDecision::Eject);
+        assert_eq!(hop.decide(here, &mut pk, &mut route), HopDecision::Eject);
     }
 
     /// The candidate classes of a `Route` decision, in order.
@@ -1154,12 +1358,15 @@ mod tests {
         hop.admit(s, d).expect("RB2 routes around the fault");
         let mut fresh = PacketState::new(s, d, 0, 1);
         // Below patience: adaptive only.
-        assert_eq!(classes(hop.decide(s, &mut fresh)), vec![VcClass::Adaptive]);
+        assert_eq!(
+            classes(hop.decide(s, &mut fresh, &mut { RouteHandle::UNRESOLVED })),
+            vec![VcClass::Adaptive]
+        );
         // Past patience but XY blocked by (5,3): adaptive + tree, no XY.
         let mut stalled = fresh;
         stalled.stalled = 10;
         assert_eq!(
-            classes(hop.decide(s, &mut stalled)),
+            classes(hop.decide(s, &mut stalled, &mut { RouteHandle::UNRESOLVED })),
             vec![VcClass::Adaptive, VcClass::EscapeTree],
             "blocked XY run must not be offered"
         );
@@ -1168,7 +1375,7 @@ mod tests {
         hop.admit(s2, d2).expect("clear pair");
         let mut stalled2 = PacketState::new(s2, d2, 0, 1);
         stalled2.stalled = 10;
-        match hop.decide(s2, &mut stalled2) {
+        match hop.decide(s2, &mut stalled2, &mut { RouteHandle::UNRESOLVED }) {
             HopDecision::Route(c) => {
                 let v: Vec<_> = c.iter().collect();
                 assert_eq!(
@@ -1182,11 +1389,17 @@ mod tests {
         // Once committed to XY escape: that class only, strict XY.
         let mut escaped = stalled2;
         escaped.mode = VcClass::EscapeXy;
-        assert_eq!(classes(hop.decide(s2, &mut escaped)), vec![VcClass::EscapeXy]);
+        assert_eq!(
+            classes(hop.decide(s2, &mut escaped, &mut { RouteHandle::UNRESOLVED })),
+            vec![VcClass::EscapeXy]
+        );
         // Once committed to the tree: that class only.
         let mut treed = stalled2;
         treed.mode = VcClass::EscapeTree;
-        assert_eq!(classes(hop.decide(s2, &mut treed)), vec![VcClass::EscapeTree]);
+        assert_eq!(
+            classes(hop.decide(s2, &mut treed, &mut { RouteHandle::UNRESOLVED })),
+            vec![VcClass::EscapeTree]
+        );
     }
 
     #[test]
@@ -1201,7 +1414,7 @@ mod tests {
         let mut stalled = PacketState::new(s, d, 0, 1);
         stalled.stalled = 10;
         assert_eq!(
-            classes(hop.decide(s, &mut stalled)),
+            classes(hop.decide(s, &mut stalled, &mut { RouteHandle::UNRESOLVED })),
             vec![VcClass::Adaptive, VcClass::EscapeTree],
             "XY candidate requires a reserved XY channel"
         );
@@ -1323,6 +1536,23 @@ mod tests {
         assert_eq!(compiled, &offline.dirs);
     }
 
+    /// Holds `next_hop` to the ancestor climb it replaced, for every
+    /// ordered pair of healthy nodes.
+    fn assert_next_hop_matches_the_climb(forest: &EscapeForest, faults: &FaultSet) {
+        let mesh = faults.mesh();
+        let healthy: Vec<Coord> = mesh.iter().filter(|&c| faults.is_healthy(c)).collect();
+        for &here in &healthy {
+            for &dst in healthy.iter().filter(|&&dst| dst != here) {
+                assert_eq!(
+                    forest.next_hop(mesh, here, dst),
+                    forest.next_hop_by_climb(mesh, here, dst),
+                    "{here:?} -> {dst:?} with faults {:?}",
+                    faults.iter().collect::<Vec<_>>()
+                );
+            }
+        }
+    }
+
     #[test]
     fn incremental_forest_update_matches_from_scratch() {
         // A scripted sequence covering the interesting shapes: interior
@@ -1337,6 +1567,8 @@ mod tests {
             ChurnOp::Fail(Coord::new(4, 5)),
             ChurnOp::Fail(Coord::new(0, 1)),
             ChurnOp::Fail(Coord::new(1, 0)), // corner (0,0) split off
+            ChurnOp::Fail(Coord::new(6, 6)), // the rest relabelled beside it
+            ChurnOp::Repair(Coord::new(6, 6)),
             ChurnOp::Repair(Coord::new(0, 1)), // merge it back
             ChurnOp::Repair(Coord::new(4, 5)),
         ];
@@ -1349,6 +1581,19 @@ mod tests {
             }
             forest.update(&faults, op);
             assert_eq!(forest, EscapeForest::new(&faults), "diverged after {op:?}");
+            assert_next_hop_matches_the_climb(&forest, &faults);
+            // A pair cut apart climbs to a root and stops there: a
+            // rebuilt tree's labels fall in no other tree's intervals.
+            let (corner, far) = (Coord::new(0, 0), Coord::new(7, 7));
+            if [Coord::new(0, 1), Coord::new(1, 0)].iter().all(|&c| faults.is_faulty(c)) {
+                assert_eq!(forest.next_hop(&mesh, corner, far), None);
+                let mut at = far;
+                while let Some(dir) = forest.next_hop(&mesh, at, corner) {
+                    assert!(forest.depth(&mesh, at.step(dir)) < forest.depth(&mesh, at));
+                    at = at.step(dir);
+                }
+                assert_eq!(forest.depth(&mesh, at), 0, "gave up below the root");
+            }
         }
     }
 
@@ -1391,6 +1636,89 @@ mod tests {
                     n,
                     n
                 );
+                assert_next_hop_matches_the_climb(&forest, &faults);
+            }
+        }
+
+        /// Interval labels answer exactly as the ancestor climb does, on
+        /// non-square meshes cut into several components by fault walls
+        /// (with and without a gap) over scattered faults.
+        #[test]
+        fn interval_next_hop_equals_the_ancestor_climb(
+            draw in (
+                (1u32..10, 1u32..8),
+                proptest::collection::vec(0usize..1000, 0..12),
+                proptest::collection::vec((0usize..1000, 0usize..1000), 0..3),
+            )
+        ) {
+            let ((w, h), picks, walls) = draw;
+            let mesh = Mesh::new(w, h);
+            let mut faults = FaultSet::none(mesh);
+            for pick in picks {
+                faults.inject(mesh.coord(meshpath_mesh::NodeId((pick % mesh.len()) as u32)));
+            }
+            for (at, gap) in walls {
+                // A row or a column: whole (even `gap`), or with one
+                // node left open.
+                let (len, across) = if at % 2 == 0 { (w, h) } else { (h, w) };
+                let fixed = (at / 2 % across as usize) as i32;
+                let open = (gap % 2 == 1).then_some((gap / 2 % len as usize) as i32);
+                for k in (0..len as i32).filter(|&k| Some(k) != open) {
+                    faults.inject(if at % 2 == 0 {
+                        Coord::new(k, fixed)
+                    } else {
+                        Coord::new(fixed, k)
+                    });
+                }
+            }
+            assert_next_hop_matches_the_climb(&EscapeForest::new(&faults), &faults);
+        }
+
+        /// Prefix-count XY clearance is `xy_path_clear`, for every
+        /// ordered pair of nodes, under the initial fault set and again
+        /// under the one each publication leaves.
+        #[test]
+        fn prefix_count_xy_clearance_equals_the_walk(
+            draw in (
+                (1u32..8, 1u32..7),
+                proptest::collection::vec(0usize..1000, 0..10),
+                proptest::collection::vec(0usize..1000, 1..4),
+            )
+        ) {
+            let ((w, h), picks, events) = draw;
+            let mesh = Mesh::new(w, h);
+            let node = |pick: usize| mesh.coord(meshpath_mesh::NodeId((pick % mesh.len()) as u32));
+            let mut state = meshpath_route::NetState::new(FaultSet::from_coords(
+                mesh,
+                picks.into_iter().map(node),
+            ));
+            let view = state.view();
+            let mut t = PathTable::new(&view, RoutingKind::Xy);
+            let mut hop = EscapeHop::new(&mut t, 4, true);
+            let check = |hop: &EscapeHop<'_>, faults: &FaultSet| {
+                let xy = hop.xy.as_ref().expect("the XY class is on");
+                for here in mesh.iter() {
+                    for dst in mesh.iter() {
+                        assert_eq!(
+                            xy.clear(here, dst),
+                            xy_path_clear(faults, here, dst),
+                            "{here:?} -> {dst:?} with faults {:?}",
+                            faults.iter().collect::<Vec<_>>()
+                        );
+                    }
+                }
+            };
+            check(&hop, view.faults());
+            for pick in events {
+                let c = node(pick);
+                let (next, op) = if state.view().faults().is_healthy(c) {
+                    (state.add_fault(c), ChurnOp::Fail(c))
+                } else {
+                    (state.remove_fault(c), ChurnOp::Repair(c))
+                };
+                let next = next.expect("a toggle is a valid event");
+                hop.publish(&next, op);
+                check(&hop, next.faults());
             }
         }
     }
@@ -1433,6 +1761,12 @@ mod tests {
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
         hop.admit(s, d).expect("clear row");
         let mut pk = PacketState::new(s, d, 0, 1);
+        // The first decision, before any churn, resolves the handle to
+        // the admitted route.
+        let mut route = RouteHandle::UNRESOLVED;
+        assert!(matches!(hop.decide(s, &mut pk, &mut route), HopDecision::Route(_)));
+        let admitted = route;
+        assert_ne!(admitted, RouteHandle::UNRESOLVED);
 
         // An unscheduled fault lands on the compiled row route.
         let blocker = Coord::new(3, 1);
@@ -1444,7 +1778,7 @@ mod tests {
         // offered hop avoids the blocker.
         let here = Coord::new(2, 1);
         pk.head_hop = 1;
-        match hop.decide(here, &mut pk) {
+        match hop.decide(here, &mut pk, &mut route) {
             HopDecision::Route(c) => {
                 let first = c.iter().next().expect("replanned route");
                 assert_ne!(here.step(first.dir), blocker, "replan must avoid the fresh fault");
@@ -1455,16 +1789,20 @@ mod tests {
         assert_eq!(pk.src, here);
         assert_eq!(pk.head_hop, 0);
         assert!(!pk.killed);
-        // Idempotent: the reference stepper asks once per output port.
-        let again = hop.decide(here, &mut pk);
+        assert_ne!(route, admitted, "and its handle onto the replanned route");
+        // Idempotent (a stalled head asks again every cycle), and from
+        // here on through the re-keyed handle: no further probe.
+        let probes = hop.paths.cache_stats();
+        let again = hop.decide(here, &mut pk, &mut route);
         assert_eq!((pk.epoch, pk.src, pk.head_hop), (1, here, 0));
         assert!(matches!(again, HopDecision::Route(_)));
+        assert_eq!(hop.paths.cache_stats(), probes);
 
         // The destination itself fails: the packet is killed (drained
         // out of the fabric), never wedged.
         let v2 = state.add_fault(d).expect("valid");
         hop.publish(&v2, ChurnOp::Fail(d));
-        assert_eq!(hop.decide(here, &mut pk), HopDecision::Eject);
+        assert_eq!(hop.decide(here, &mut pk, &mut route), HopDecision::Eject);
         assert!(pk.killed, "a packet to a failed destination is accounted as churn-killed");
     }
 }

@@ -2208,6 +2208,28 @@ mod tests {
     }
 
     #[test]
+    fn a_table_reused_across_churn_runs_stays_the_size_of_its_epoch_zero_routes() {
+        use crate::config::ChurnEvent;
+        let net = fault_free(8);
+        let events =
+            vec![ChurnEvent::fail(60, Coord::new(4, 4)), ChurnEvent::fail(90, Coord::new(2, 5))];
+        let cfg = SimConfig { rate: 0.02, fault_churn: events, ..SimConfig::smoke() };
+        let mut paths = PathTable::new(&net, RoutingKind::Rb2);
+        let mut seen = Vec::new();
+        for _ in 0..3 {
+            let stats = run_reusing(&mut paths, &cfg, &mut ()).stats;
+            let with_later_epochs = paths.held();
+            paths.reset_epochs();
+            assert!(paths.held() < with_later_epochs, "the run compiled no later-epoch route");
+            seen.push((stats, paths.held()));
+        }
+        // Every run needs the same epoch-0 routes and leaves nothing
+        // else behind.
+        assert_eq!(seen[0], seen[1]);
+        assert_eq!(seen[0], seen[2]);
+    }
+
+    #[test]
     fn listed_churn_equals_the_same_events_injected_at_their_cycles() {
         use crate::churn::{ChurnInjector, OnlineChurn};
         use crate::config::ChurnEvent;
