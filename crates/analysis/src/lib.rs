@@ -15,7 +15,7 @@
 //!   for E-cube / RB1 / RB2 / RB3.
 //!
 //! [`sweep::run_sweep`] executes the whole grid in parallel (one fault
-//! configuration per task, crossbeam scoped threads) and the `fig5*`
+//! configuration per task, scoped threads) and the `fig5*`
 //! binaries render each figure as an aligned table plus CSV.
 //!
 //! Beyond the paper, [`traffic::run_load_sweep`] drives the wormhole

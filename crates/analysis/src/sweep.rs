@@ -1,8 +1,9 @@
 //! The fault-count sweep: workload generation and parallel execution.
 
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
-use crossbeam::channel;
 use meshpath_fault::stats::{stats_of, FaultConfigStats};
 use meshpath_info::{ModelKind, PropagationStats};
 use meshpath_mesh::{Coord, FaultInjection, FaultSet, Mesh, Orientation};
@@ -228,7 +229,7 @@ pub fn run_config(mesh: Mesh, faults: FaultSet, pairs: usize, seed: u64) -> Conf
 }
 
 /// Executes the sweep: every (fault count, configuration) task runs on a
-/// crossbeam worker pool; results are deterministic for a given seed.
+/// scoped worker pool; results are deterministic for a given seed.
 pub fn run_sweep(config: &SweepConfig) -> SweepResult {
     let mesh = Mesh::square(config.mesh);
     let threads = if config.threads == 0 {
@@ -245,36 +246,28 @@ pub fn run_sweep(config: &SweepConfig) -> SweepResult {
         .flat_map(|(pi, &fc)| (0..config.configs_per_point).map(move |ci| (pi, ci, fc)))
         .collect();
 
-    let (tx_task, rx_task) = channel::unbounded::<(usize, usize, usize)>();
-    for t in &tasks {
-        tx_task.send(*t).expect("queue open");
-    }
-    drop(tx_task);
-
-    let (tx_res, rx_res) = channel::unbounded::<(usize, usize, ConfigRecord)>();
-    crossbeam::thread::scope(|scope| {
+    // Workers claim tasks by bumping a shared index into the list.
+    let next = AtomicUsize::new(0);
+    let (tx_res, rx_res) = mpsc::channel::<(usize, usize, ConfigRecord)>();
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            let rx_task = rx_task.clone();
-            let tx_res = tx_res.clone();
-            let cfg = config.clone();
-            scope.spawn(move |_| {
-                while let Ok((pi, ci, fc)) = rx_task.recv() {
-                    let seed = derive_seed(cfg.seed, pi as u64, ci as u64);
+            let (tasks, next, tx_res) = (&tasks, &next, tx_res.clone());
+            scope.spawn(move || {
+                while let Some(&(pi, ci, fc)) = tasks.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let seed = derive_seed(config.seed, pi as u64, ci as u64);
                     let mut rng = StdRng::seed_from_u64(seed);
-                    let faults = FaultSet::random(mesh, fc, cfg.injection, &mut rng);
+                    let faults = FaultSet::random(mesh, fc, config.injection, &mut rng);
                     let record =
-                        run_config(mesh, faults, cfg.pairs_per_config, derive_seed(seed, 7, 13));
+                        run_config(mesh, faults, config.pairs_per_config, derive_seed(seed, 7, 13));
                     tx_res.send((pi, ci, record)).expect("result channel open");
                 }
             });
         }
-        drop(tx_res);
-    })
-    .expect("worker panicked");
+    });
 
     let mut records: Vec<Vec<Option<ConfigRecord>>> =
         vec![vec![None; config.configs_per_point]; config.fault_counts.len()];
-    while let Ok((pi, ci, rec)) = rx_res.recv() {
+    for (pi, ci, rec) in rx_res.try_iter() {
         records[pi][ci] = Some(rec);
     }
     let records = records

@@ -7,7 +7,6 @@
 //! mean/p95 latency, accepted throughput and saturation onset, per
 //! router, per fault density, per injection rate.
 
-use crossbeam::channel;
 use meshpath_mesh::{FaultInjection, FaultSet, Mesh};
 use meshpath_obs::Phase;
 use meshpath_route::NetView;
@@ -22,6 +21,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::Instant;
 
 use crate::sweep::derive_seed;
@@ -423,15 +424,16 @@ impl LoadSweepResult {
                             .map(|s| s.boundary_to_prev + s.boundary_to_next)
                             .sum::<u64>(),
                     )
-                    // Coordinator barriers summed over shards; with the
-                    // free-running lease transport this is `cycles *
-                    // shards / realized lease factor`, the figure the
-                    // 256x256 ladder watches to confirm the lease
-                    // actually amortizes the round trip.
+                    // Coordinator barriers summed over shards: `cycles *
+                    // shards / realized window`, the figure the 256x256
+                    // ladder watches to confirm the window actually
+                    // amortizes the round trip; `fence_ns` is what the
+                    // workers spent waiting on those barriers.
                     .field("barriers", r.shards.iter().map(|s| s.barriers).sum::<u64>())
                     .field("plan_ns", phase_ns(Phase::Plan))
                     .field("boundary_ns", phase_ns(Phase::Boundary))
                     .field("commit_ns", phase_ns(Phase::Commit))
+                    .field("fence_ns", phase_ns(Phase::Fence))
                     .field("events_seen", r.shards.iter().map(|s| s.events_seen).sum::<u64>())
                     .field("recent_events", r.recent_events.len())
                     .field("postmortem", r.postmortem.is_some());
@@ -536,24 +538,19 @@ pub fn run_load_sweep(config: &LoadSweepConfig) -> LoadSweepResult {
     // One task per (fault, router): a task sweeps every injection rate
     // through a single path table, so route compilation happens once
     // per (network, routing function) instead of once per rate.
-    let (tx_task, rx_task) = channel::unbounded::<(usize, usize)>();
-    for fi in 0..config.fault_counts.len() {
-        for ki in 0..config.routers.len() {
-            tx_task.send((fi, ki)).expect("queue open");
-        }
-    }
-    drop(tx_task);
-
+    // Workers claim tasks by bumping a shared index into the list.
     let (n_rates, n_routers) = (config.rates.len(), config.routers.len());
-    let (tx_res, rx_res) = channel::unbounded::<(usize, LoadPoint)>();
-    crossbeam::thread::scope(|scope| {
+    let tasks: Vec<(usize, usize)> = (0..config.fault_counts.len())
+        .flat_map(|fi| (0..n_routers).map(move |ki| (fi, ki)))
+        .collect();
+    let next = AtomicUsize::new(0);
+    let (tx_res, rx_res) = mpsc::channel::<(usize, LoadPoint)>();
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            let rx_task = rx_task.clone();
+            let (cfg, nets, tasks, next) = (config, &nets, &tasks, &next);
             let tx_res = tx_res.clone();
-            let cfg = config.clone();
-            let nets = &nets;
-            scope.spawn(move |_| {
-                while let Ok((fi, ki)) = rx_task.recv() {
+            scope.spawn(move || {
+                while let Some(&(fi, ki)) = tasks.get(next.fetch_add(1, Ordering::Relaxed)) {
                     let faults = cfg.fault_counts[fi];
                     let router = cfg.routers[ki];
                     let net = &nets[fi];
@@ -621,13 +618,11 @@ pub fn run_load_sweep(config: &LoadSweepConfig) -> LoadSweepResult {
                 }
             });
         }
-        drop(tx_res);
-    })
-    .expect("worker panicked");
+    });
 
     let total = config.fault_counts.len() * n_rates * n_routers;
     let mut slots: Vec<Option<LoadPoint>> = (0..total).map(|_| None).collect();
-    while let Ok((idx, p)) = rx_res.recv() {
+    for (idx, p) in rx_res.try_iter() {
         slots[idx] = Some(p);
     }
     let points = slots.into_iter().map(|p| p.expect("all tasks completed")).collect();
@@ -821,6 +816,7 @@ mod tests {
         assert!(json.contains("\"obs\": \"metrics\""), "{json}");
         assert!(json.contains("\"obs_report\": ["), "{json}");
         assert_eq!(json.matches("\"plan_ns\"").count(), res.points.len());
+        assert_eq!(json.matches("\"fence_ns\"").count(), res.points.len());
         assert_eq!(json.matches("\"barriers\"").count(), res.points.len());
         assert_eq!(json.matches('{').count(), json.matches('}').count(), "{json}");
         // The instrumented sweep's statistics stay bit-identical to the

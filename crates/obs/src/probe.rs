@@ -81,10 +81,9 @@ pub trait FabricProbe {
     /// Boundary messages sent to the neighbor shards this cycle.
     #[inline]
     fn boundary_out(&mut self, _to_prev: u64, _to_next: u64) {}
-    /// One coordinator barrier reached: the worker received a lease
-    /// covering `cycles` cycles. Lockstep transports grant one cycle
-    /// per barrier; the free-running lease transport amortizes the
-    /// round trip, so `barriers * lease ~= cycles run`.
+    /// One coordinator barrier reached: the worker was granted a
+    /// window of `cycles` cycles (always 1 for an inline shard), so
+    /// `barriers * window ~= cycles run`.
     #[inline]
     fn barrier(&mut self, _cycles: u64) {}
     /// Adds wall-clock nanoseconds to a worker phase.

@@ -20,11 +20,14 @@ pub enum Phase {
     Boundary,
     /// Cycle commit: arrival/credit application and stats accounting.
     Commit,
+    /// Blocked on the coordinator's control lane between windows (a
+    /// worker thread only; an inline shard never waits, so 0 there).
+    Fence,
 }
 
 impl Phase {
     /// All phases, in fixed report order.
-    pub const ALL: [Phase; 3] = [Phase::Plan, Phase::Boundary, Phase::Commit];
+    pub const ALL: [Phase; 4] = [Phase::Plan, Phase::Boundary, Phase::Commit, Phase::Fence];
 
     /// Stable lower-case name for reports and JSON.
     pub fn name(self) -> &'static str {
@@ -32,6 +35,7 @@ impl Phase {
             Phase::Plan => "plan",
             Phase::Boundary => "boundary_sync",
             Phase::Commit => "commit",
+            Phase::Fence => "fence",
         }
     }
 }
@@ -39,7 +43,7 @@ impl Phase {
 /// Accumulated nanoseconds per phase for one shard.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseProfile {
-    ns: [u64; 3],
+    ns: [u64; Phase::ALL.len()],
 }
 
 impl PhaseProfile {
@@ -75,10 +79,13 @@ mod tests {
         p.add(Phase::Plan, 10);
         p.add(Phase::Plan, 5);
         p.add(Phase::Commit, 7);
+        p.add(Phase::Fence, 3);
         assert_eq!(p.get(Phase::Plan), 15);
         assert_eq!(p.get(Phase::Boundary), 0);
         assert_eq!(p.get(Phase::Commit), 7);
-        assert_eq!(p.total(), 22);
+        assert_eq!(p.get(Phase::Fence), 3);
+        assert_eq!(p.total(), 25);
+        assert_eq!(Phase::ALL.map(|p| p as usize), [0, 1, 2, 3]);
         assert_eq!(Phase::Boundary.name(), "boundary_sync");
     }
 }

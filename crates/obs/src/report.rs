@@ -74,8 +74,8 @@ pub struct ShardReport {
     /// (`+x` and `+y`).
     pub boundary_to_next: u64,
     /// Coordinator barriers this shard's worker synchronized on (one
-    /// per granted lease; lockstep transports grant one cycle per
-    /// barrier, so `cycles / barriers` is the realized lease factor).
+    /// per granted window, the same count on every shard of a run;
+    /// `cycles / barriers` is the realized window length).
     pub barriers: u64,
     /// Accumulated wall-clock per worker phase.
     pub phases: PhaseProfile,

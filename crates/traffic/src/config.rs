@@ -169,20 +169,15 @@ pub struct SimConfig {
     /// tile shape **never changes results** — runs are bit-identical
     /// at every partitioning (pinned by `crate::golden`).
     pub tile_cols: usize,
-    /// Lease window length in cycles: how far a worker may free-run
-    /// between coordinator barriers. `0` (the default) selects the
-    /// automatic per-tile bound `min(tile_w, tile_h)` clamped to
-    /// `[1, 64]`, with deterministic occupancy adaptation — idle tiles
-    /// get their lease doubled (capped at 64), hot tiles (more than a
-    /// quarter of the tile's nodes moving flits per cycle over the
-    /// previous lease) get it halved — computed only from committed
-    /// flit counts of the previous window, never wall clock. An
-    /// explicit value fixes the window for every tile. Because the
-    /// per-cycle neighbor boundary exchange is kept regardless, the
-    /// lease only amortizes the coordinator round trip: results are
-    /// **bit-identical for every lease length** (pinned by
-    /// `crate::golden`). Under churn every lease is clamped to the next
-    /// churn boundary so epoch publications stay ordered.
+    /// Window length in cycles: how far every worker thread runs
+    /// between two coordinator contacts. `0` (the default) selects the
+    /// smallest tile edge; either way the window is one number per
+    /// run, clamped to `[1, 64]` and cut short at churn boundaries and
+    /// workload releases (a single-shard run always uses 1). Workers
+    /// still exchange boundary messages with their neighbors every
+    /// cycle, so the window only amortizes the coordinator round trip:
+    /// results are **bit-identical for every value** (pinned by
+    /// `crate::golden`).
     pub lease: u64,
     /// Streaming-statistics window length in cycles: every
     /// `stats_window` cycles, [`TrafficSim::try_run_full`] hands a
@@ -273,18 +268,6 @@ impl SimConfig {
     /// [`threads`](SimConfig::threads)).
     pub fn with_threads(self, threads: usize) -> Self {
         SimConfig { threads, ..self }
-    }
-
-    /// This config with a different tile-column count (builder; see
-    /// [`tile_cols`](SimConfig::tile_cols)).
-    pub fn with_tile_cols(self, tile_cols: usize) -> Self {
-        SimConfig { tile_cols, ..self }
-    }
-
-    /// This config with a different lease window (builder; see
-    /// [`lease`](SimConfig::lease)).
-    pub fn with_lease(self, lease: u64) -> Self {
-        SimConfig { lease, ..self }
     }
 
     /// This config with a destination pattern (builder).

@@ -313,14 +313,6 @@ impl PathTable {
         self.views.last().expect("epoch 0 always exists")
     }
 
-    /// The snapshot of a specific epoch.
-    ///
-    /// # Panics
-    /// Panics when `epoch` has not been published.
-    pub fn view_at(&self, epoch: u32) -> &NetView {
-        &self.views[epoch as usize]
-    }
-
     /// The current admission epoch: how many snapshots have been
     /// [`publish`](PathTable::publish)ed since the last reset.
     pub fn current_epoch(&self) -> u32 {

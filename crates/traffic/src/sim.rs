@@ -1,44 +1,38 @@
 //! The simulation driver: injection processes, the measurement
-//! protocol, and the run loop — sequential or sharded across worker
-//! threads with bit-identical results.
+//! protocol, and the run loop — one coordinator loop over one or many
+//! shard workers, with bit-identical results.
 //!
-//! ## Sharded execution: tiles and leases
+//! ## Sharded execution: tiles and windows
 //!
 //! When [`SimConfig::threads`] resolves to `N > 1`, the fabric is built
 //! as a grid of rectangular tile shards (see the boundary-exchange
 //! protocol in [`crate::fabric`]; [`SimConfig::tile_cols`] picks the
-//! grid shape) and the run loop becomes one shard worker per tile: each
-//! worker owns its shard, the injection state of its nodes (per-node
-//! RNG streams, source queues) and a private [`HopRouter`] over its own
+//! grid shape) with one worker thread per tile: each worker owns its
+//! shard, the injection state of its nodes (per-node RNG streams,
+//! source queues) and a private [`HopRouter`] over its own
 //! [`PathTable`] (hop decisions are pure functions of the network, so
-//! private route caches cannot diverge). Workers step concurrently;
-//! per cycle they exchange cycle-stamped boundary messages with their
-//! tile neighbors, and they report aggregate deltas (moved flits,
-//! deliveries, generation counters) to the coordinator, which keeps
-//! the global statistics and makes the termination/observer decisions.
+//! private route caches cannot diverge).
 //!
-//! The coordinator round trip is amortized by **free-running leases**
-//! ([`SimConfig::lease`]): instead of gating every cycle, the
-//! coordinator grants each worker a lease of up to N cycles
-//! (`Go::Lease`), the worker runs them back-to-back — still exchanging
-//! boundary messages with its neighbors every cycle, which is what
-//! keeps adjacent tiles causally consistent — and reports the whole
-//! window in one message. The coordinator *replays* the buffered
-//! per-cycle deltas in cycle order through the same `RunState`
-//! termination logic the lockstep transports use, so observer
-//! callbacks, stop classification and statistics are computed on
-//! exactly the same sequence of merged cycles. Lease renewal is
-//! occupancy-aware in auto mode: leases stretch for idle tiles and
-//! tighten for hot ones, computed only from the previous window's
-//! committed flit counts — never wall clock — so the schedule is
-//! deterministic. Every per-node computation is identical to the
-//! sequential run — per-node RNGs are seeded by node id, grants
-//! commute within a cycle, and all cross-shard effects are staged —
-//! so `TrafficStats` is **bit-identical at every thread count, tile
-//! shape and lease length** (pinned by `crate::golden`). After a stop
-//! decision, cycles that workers already ran past the stop under a
-//! granted lease are discarded from the statistics; only the
-//! observability probes may record that bounded overshoot tail.
+//! The coordinator runs the same loop at every shard count: do the
+//! work that opens the cycle (churn publications, workload releases),
+//! grant every worker the same **window** of cycles (`Go::Lease`),
+//! merge the workers' per-cycle deltas (moved flits, deliveries,
+//! generation counters) and replay them in cycle order through
+//! `RunState`, which keeps the global statistics and makes every
+//! termination and observer decision. Inside a window the workers
+//! exchange cycle-stamped boundary messages with their tile neighbors
+//! every cycle, which is what keeps adjacent tiles causally
+//! consistent; the window only amortizes the coordinator round trip.
+//! Its length is one number per run ([`SimConfig::lease`]) and it never
+//! spans a cycle that opens with coordinator work. A single shard is
+//! stepped inline on the caller's thread, window 1. Every per-node
+//! computation is identical to the sequential run — per-node RNGs are
+//! seeded by node id, grants commute within a cycle, and all
+//! cross-shard effects are staged — so `TrafficStats` is
+//! **bit-identical at every thread count, tile shape and window
+//! length** (pinned by `crate::golden`). A stop decided mid-window
+//! discards the window's tail from the statistics; only the
+//! observability probes may record that bounded overshoot.
 //!
 //! ## Churn
 //!
@@ -50,14 +44,12 @@
 //! multiples. At every such boundary the coordinator applies what is
 //! due to its authoritative `NetState` (incremental rebuild with
 //! full-rebuild fallback) and broadcasts each resulting [`NetView`]
-//! epoch to the shard workers over the control lanes (`Go::Publish`
-//! precedes the lease that starts at that boundary on each FIFO lane —
-//! leases are clamped to boundaries, and a lease starting exactly on
-//! one is held back until the replay cursor has polled it — so every
-//! worker adopts the epoch on arrival, before the boundary cycle
-//! runs). Workers re-provision their hop routers incrementally
-//! ([`HopRouter::publish`]) and refresh source liveness and the
-//! destination sampler; packets stranded by a fresh fault are
+//! epoch to the shard workers over the control lanes (windows end at
+//! boundaries, so `Go::Publish` precedes the window that starts there
+//! on each FIFO lane and every worker adopts the epoch before the
+//! boundary cycle runs). Workers re-provision their hop routers
+//! incrementally ([`HopRouter::publish`]) and refresh source liveness
+//! and the destination sampler; packets stranded by a fresh fault are
 //! replanned or killed (`churn_killed`), never wedged. Polling is
 //! coordinator-side and deterministic, so churn runs stay
 //! bit-identical at every thread count.
@@ -74,9 +66,9 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::Instant;
 
-use crossbeam::channel::{self, Receiver, Sender};
 use meshpath_mesh::{derive_seed, Coord, Mesh, NodeId};
 use meshpath_obs::{FabricProbe, NoProbe, ObsLevel, ObsReport, Phase, ShardObs, StopKind};
 use meshpath_route::NetView;
@@ -109,6 +101,11 @@ const ID_SHARD_SHIFT: u32 = 24;
 /// a fabric bug. Without escape VCs it is the expected failure mode of
 /// adaptive wormhole routing under load.
 const DEADLOCK_WINDOW: u64 = 1000;
+
+/// Longest window of cycles the workers run between two coordinator
+/// contacts, whatever [`SimConfig::lease`] asks for: the first report
+/// of a run (and a stop decision) is never more than this far away.
+const MAX_WINDOW: u64 = 64;
 
 /// Why a sharded run failed instead of producing statistics.
 ///
@@ -200,8 +197,8 @@ struct CycleDone {
     moved: u64,
     flits_ejected: u64,
     /// Escape-class commitments this cycle (per-cycle deltas, so a
-    /// lease's overshoot past the stop decision never pollutes the
-    /// run total).
+    /// window's tail past the stop decision never pollutes the run
+    /// total).
     escape_entries: u64,
     injected_any: bool,
     in_flight: u64,
@@ -244,47 +241,132 @@ impl CycleDone {
 /// Coordinator → worker control message.
 #[derive(Clone)]
 enum Go {
-    /// Run `len` cycles starting at `start` without further
-    /// coordinator contact (the free-running lease window). The
-    /// per-cycle neighbor boundary exchange still happens inside the
-    /// window; only the coordinator round trip is amortized.
-    Lease {
-        /// First cycle of the window.
-        start: u64,
-        /// Window length in cycles (>= 1).
-        len: u64,
-    },
+    /// Run the window of `len >= 1` cycles starting at `start` without
+    /// further coordinator contact. The per-cycle neighbor boundary
+    /// exchange still happens inside the window; only the coordinator
+    /// round trip is amortized.
+    Lease { start: u64, len: u64 },
     /// Adopt a churn epoch (the network after the applied operation):
     /// the coordinator sends one per applied event, always *before*
-    /// the lease that starts at the event's boundary cycle on the same
-    /// FIFO lane.
+    /// the window that starts at the event's boundary cycle on the
+    /// same FIFO lane.
     Publish(NetView, ChurnOp),
     /// Enqueue the workload messages releasing at the next cycle (each
     /// worker keeps the ones whose source node it owns). Sent before
-    /// the one-cycle lease covering that cycle on the same FIFO lane —
+    /// the one-cycle window covering that cycle on the same FIFO lane —
     /// with a workload attached every cycle is a boundary, since the
     /// source can react to any delivery.
     Inject(Vec<WorkloadMsg>),
     /// The run is over (final cycle count and stop classification);
-    /// finalize the probe and return the shard with it.
+    /// finalize the probe and return it.
     Finish(u64, StopKind),
 }
 
-/// Worker → coordinator report: one lease window's per-cycle deltas
-/// (in cycle order, for deterministic replay), or the worker's dying
+/// Worker → coordinator report: one window's per-cycle deltas (in
+/// cycle order, for deterministic replay), or the worker's dying
 /// word. Sharing the `done` lane means the coordinator learns of a
 /// panic exactly where it would otherwise block forever.
 enum WorkerReport {
-    Cycles { shard: usize, start: u64, dones: Vec<CycleDone> },
+    Cycles(Vec<CycleDone>),
     Panicked { shard: usize, message: String },
+}
+
+/// One neighbor lane's payload: the cycle it belongs to (the
+/// neighbor's clock) and that cycle's boundary messages.
+type BoundaryLane = (u64, Vec<BoundaryMsg>);
+
+/// A worker thread's lane ends: its control lane, the shared report
+/// lane, and per direction with a neighbor tile one boundary lane out
+/// and one in. Every end is *moved* to its unique user, so a worker
+/// that returns (or unwinds) disconnects its lanes and its neighbors'
+/// blocking `recv`s error out instead of waiting forever.
+struct WorkerLanes {
+    go: Receiver<Go>,
+    done: Sender<WorkerReport>,
+    to: [Option<Sender<BoundaryLane>>; 4],
+    from: [Option<Receiver<BoundaryLane>>; 4],
+}
+
+/// How the coordinator loop ([`TrafficSim::coordinate`]) reaches the
+/// shard workers.
+trait Transport {
+    /// Hands a non-lease control message to every worker, ahead of the
+    /// next window.
+    fn control(&mut self, go: &Go);
+    /// Runs cycles `start..start + len` on every shard and returns the
+    /// merged per-cycle reports in cycle order.
+    fn run_window(&mut self, start: u64, len: u64) -> Result<Vec<CycleDone>, RunError>;
+}
+
+/// The inline transport: the one shard of a single-shard run, stepped
+/// on the coordinator's thread. A panic here propagates on that thread
+/// — there is no hang to prevent, so it never fails typed.
+struct Inline<'a, P: FabricProbe>(ShardWorker<'a, P>);
+
+impl<P: FabricProbe> Transport for Inline<'_, P> {
+    fn control(&mut self, go: &Go) {
+        self.0.control(go);
+    }
+
+    fn run_window(&mut self, start: u64, len: u64) -> Result<Vec<CycleDone>, RunError> {
+        let worker = &mut self.0;
+        Ok((start..start + len)
+            .map(|cycle| {
+                let mut done = CycleDone::default();
+                if P::ACTIVE {
+                    worker.probe.barrier(1);
+                }
+                worker.plan_and_grant(cycle, &mut done);
+                debug_assert!(
+                    worker.shard.take_outboxes().iter().all(Vec::is_empty),
+                    "the only tile has no neighbor to exchange with"
+                );
+                worker.finish_cycle(&mut done);
+                done
+            })
+            .collect())
+    }
+}
+
+/// The threaded transport's coordinator end: one control lane per
+/// worker thread and the shared report lane back.
+struct Threaded {
+    go: Vec<Sender<Go>>,
+    done: Receiver<WorkerReport>,
+}
+
+impl Transport for Threaded {
+    fn control(&mut self, go: &Go) {
+        for tx in &self.go {
+            let _ = tx.send(go.clone());
+        }
+    }
+
+    fn run_window(&mut self, start: u64, len: u64) -> Result<Vec<CycleDone>, RunError> {
+        self.control(&Go::Lease { start, len });
+        let mut merged: Vec<CycleDone> = Vec::new();
+        for _ in 0..self.go.len() {
+            match self.done.recv() {
+                Ok(WorkerReport::Cycles(dones)) if merged.is_empty() => merged = dones,
+                Ok(WorkerReport::Cycles(dones)) => {
+                    merged.iter_mut().zip(dones).for_each(|(m, d)| m.merge(d));
+                }
+                Ok(WorkerReport::Panicked { shard, message }) => {
+                    return Err(RunError::WorkerPanicked { shard, message });
+                }
+                Err(_) => return Err(RunError::WorkerLost),
+            }
+        }
+        debug_assert_eq!(merged.len() as u64, len, "every worker reports the whole window");
+        Ok(merged)
+    }
 }
 
 /// One shard of the running simulation: the fabric band plus the
 /// injection state, hop router and instrumentation probe of its rows.
-/// The unit both run-loop transports (in-process and worker-thread)
-/// drive. Monomorphized over the probe: with [`NoProbe`] (the
-/// [`ObsLevel::Off`] default) no instrumentation code exists on the
-/// hot path at all.
+/// The unit both transports drive. Monomorphized over the probe: with
+/// [`NoProbe`] (the [`ObsLevel::Off`] default) no instrumentation code
+/// exists on the hot path at all.
 struct ShardWorker<'a, P: FabricProbe> {
     shard: Shard,
     probe: P,
@@ -344,6 +426,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         cfg: &'a SimConfig,
         ttl: u32,
         shard_index: usize,
+        workload: bool,
         probe: P,
     ) -> Self {
         let duty = cfg.injection.duty_cycle();
@@ -367,7 +450,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             burst_rate: (cfg.rate / duty).min(1.0),
             id_base: (shard_index as u32) << ID_SHARD_SHIFT,
             next_local: 0,
-            workload: false,
+            workload,
             pending_workload: VecDeque::new(),
             backlogged,
             backlog: 0,
@@ -376,6 +459,14 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             #[cfg(test)]
             panic_at: None,
         }
+    }
+
+    /// Arms the test hooks on the worker of shard `index`.
+    #[cfg(test)]
+    fn hooked(mut self, index: usize, reference: bool, panic_at: Option<(usize, u64)>) -> Self {
+        self.use_reference = reference;
+        self.panic_at = panic_at.and_then(|(s, at)| (s == index).then_some(at));
+        self
     }
 
     /// The one handler of the coordinator's non-lease control
@@ -410,6 +501,83 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             Go::Finish(cycle, reason) => self.finish_run(*cycle, *reason),
             Go::Lease { .. } => unreachable!("leases are run by the transport"),
         }
+    }
+
+    /// A worker thread's whole life: run each granted window back to
+    /// back — exchanging boundary messages with the neighbor tiles
+    /// every cycle — and report it in one message, obey the other
+    /// control messages, and hand the probe back on `Go::Finish` or as
+    /// soon as a lane dies (the run is being torn down).
+    fn serve(mut self, lanes: &WorkerLanes) -> P {
+        loop {
+            let t = P::ACTIVE.then(Instant::now);
+            let go = lanes.go.recv();
+            if let Some(t) = t {
+                self.probe.phase_ns(Phase::Fence, t.elapsed().as_nanos() as u64);
+            }
+            match go {
+                Ok(Go::Lease { start, len }) => {
+                    if P::ACTIVE {
+                        self.probe.barrier(len);
+                    }
+                    let mut dones = Vec::with_capacity(len as usize);
+                    for cycle in start..start + len {
+                        let mut done = CycleDone::default();
+                        self.plan_and_grant(cycle, &mut done);
+                        if !self.exchange(cycle, lanes) {
+                            return self.probe;
+                        }
+                        self.finish_cycle(&mut done);
+                        dones.push(done);
+                    }
+                    let _ = lanes.done.send(WorkerReport::Cycles(dones));
+                }
+                Ok(go) => {
+                    self.control(&go);
+                    if matches!(go, Go::Finish(..)) {
+                        return self.probe;
+                    }
+                }
+                Err(_) => return self.probe,
+            }
+        }
+    }
+
+    /// The threaded boundary exchange of `cycle`: send every outbox to
+    /// its neighbor tile, then land what the neighbors sent. `false`
+    /// when a neighbor lane is dead — that neighbor panicked or exited,
+    /// so the caller returns cleanly instead of panicking into the
+    /// teardown.
+    fn exchange(&mut self, cycle: u64, lanes: &WorkerLanes) -> bool {
+        let t = P::ACTIVE.then(Instant::now);
+        let boxes = self.shard.take_outboxes();
+        if P::ACTIVE {
+            // `-x`/`-y` count toward `prev`, `+x`/`+y` toward `next`
+            // (the row-band reading of the two counters).
+            self.probe.boundary_out(
+                (boxes[1].len() + boxes[3].len()) as u64,
+                (boxes[0].len() + boxes[2].len()) as u64,
+            );
+        }
+        for (d, msgs) in boxes.into_iter().enumerate() {
+            match &lanes.to[d] {
+                // Empty vectors are sent too: they are the neighbor's
+                // cycle clock.
+                Some(tx) => {
+                    let _ = tx.send((cycle, msgs));
+                }
+                None => debug_assert!(msgs.is_empty(), "boundary messages stay on the mesh"),
+            }
+        }
+        for rx in lanes.from.iter().flatten() {
+            let Ok((c, msgs)) = rx.recv() else { return false };
+            debug_assert_eq!(c, cycle, "neighbor lanes desynchronized");
+            self.shard.apply_boundary(msgs);
+        }
+        if let Some(t) = t {
+            self.probe.phase_ns(Phase::Boundary, t.elapsed().as_nanos() as u64);
+        }
+        true
     }
 
     /// Refreshes source liveness for every epoch adopted since the
@@ -504,21 +672,6 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         }
         self.shard.allocate_active(&mut *self.router, report, deliveries, &mut self.probe);
         self.shard.age_parked_heads(&mut self.probe);
-    }
-
-    /// Drains the shard's per-direction boundary outboxes, counting
-    /// the messages into the probe on the way to the neighbor tiles
-    /// (`-x`/`-y` count toward `prev`, `+x`/`+y` toward `next`,
-    /// preserving the row-band reading of the two counters).
-    fn take_outboxes(&mut self) -> [Vec<BoundaryMsg>; 4] {
-        let boxes = self.shard.take_outboxes();
-        if P::ACTIVE {
-            self.probe.boundary_out(
-                (boxes[1].len() + boxes[3].len()) as u64,
-                (boxes[0].len() + boxes[2].len()) as u64,
-            );
-        }
-        boxes
     }
 
     /// The commit half of one cycle (after the boundary exchange):
@@ -815,9 +968,7 @@ impl RunState {
     /// The first cycle at or after `from` that opens with coordinator
     /// work ([`RunState::boundary`]): every cycle under a workload (the
     /// source may react to any delivery), else the churn driver's next
-    /// boundary. The worker-thread transport clamps leases to these
-    /// and holds back a lease starting on one until the replay cursor
-    /// has reached it.
+    /// boundary. No window spans one.
     fn next_boundary(&self, from: u64) -> u64 {
         if self.wl.is_some() {
             from
@@ -1004,9 +1155,8 @@ impl RunState {
     }
 
     /// Seals the run once every shard has stopped: the statistics
-    /// (escape commitments were accumulated per replayed cycle, so
-    /// lease overshoot past the stop decision is already excluded)
-    /// with the churn log, the workload outcome, and the recorded
+    /// (accumulated per replayed cycle, so a window's tail past the
+    /// stop decision is already excluded) with the churn log, the workload outcome, and the recorded
     /// trace (`Some` exactly when recording was on, even if nothing
     /// generated). The observability report is assembled by the caller.
     fn seal(self) -> RunOutput {
@@ -1069,8 +1219,7 @@ pub struct TrafficSim<'p> {
     /// injection process entirely (see [`TrafficSim::with_workload`]).
     workload: Option<Box<dyn WorkloadSource>>,
     /// Golden-equivalence hook: run on the retained scan-order
-    /// reference stepper instead of the event-driven one (forces the
-    /// in-process transport).
+    /// reference stepper instead of the event-driven one.
     #[cfg(test)]
     use_reference: bool,
     /// Fault-injection hook: `(shard, cycle)` at which that shard's
@@ -1197,10 +1346,9 @@ impl<'p> TrafficSim<'p> {
     ///
     /// Composes with churn from either source: events still apply at
     /// their boundaries, and flows whose packets churn kills or drops
-    /// are aborted (and cascaded), never wedged. In the threaded
-    /// transport a workload clamps every lease to one cycle — the
-    /// source may react to any delivery — so expect
-    /// lockstep-coordination cost.
+    /// are aborted (and cascaded), never wedged. A workload cuts every
+    /// window to one cycle — the source may react to any delivery — so
+    /// a threaded run pays the coordinator round trip per cycle.
     pub fn with_workload(mut self, source: Box<dyn WorkloadSource>) -> Self {
         self.workload = Some(source);
         self
@@ -1239,10 +1387,10 @@ impl<'p> TrafficSim<'p> {
     pub fn try_run_full(self, obs: &mut dyn WindowObserver) -> Result<RunOutput, RunError> {
         let level = self.cfg.obs;
         if level == ObsLevel::Off {
-            return Ok(self.dispatch::<NoProbe, _>(obs, |_, _| NoProbe)?.0);
+            return Ok(self.run::<NoProbe, _>(obs, |_, _| NoProbe)?.0);
         }
         let mesh = *self.base.mesh();
-        let (mut out, probes) = self.dispatch(obs, move |i, s: &Shard| {
+        let (mut out, probes) = self.run(obs, move |i, s: &Shard| {
             let r = s.node_range();
             ShardObs::new(i, r.start as u32, r.end as u32, level)
         })?;
@@ -1250,11 +1398,10 @@ impl<'p> TrafficSim<'p> {
         Ok(out)
     }
 
-    /// Routes a monomorphized run to the in-process or worker-thread
-    /// transport; `mk` builds the probe of each shard. The in-process
-    /// transport never fails (a panic there propagates inline on this
-    /// thread — there is no hang to prevent).
-    fn dispatch<P, F>(
+    /// Runs the simulation monomorphized over the probe `mk` builds for
+    /// each shard: a single shard on the inline transport (over the
+    /// caller's path table), more on the threaded one.
+    fn run<P, F>(
         mut self,
         obs: &mut dyn WindowObserver,
         mk: F,
@@ -1267,16 +1414,62 @@ impl<'p> TrafficSim<'p> {
             OnlineDriver::new(self.cfg.fault_churn.clone(), self.online.take(), self.base.clone());
         let wl = self.workload.take().map(WorkloadDriver::new);
         let run = RunState::new(&self.cfg, self.base.faults().healthy_count(), churn, wl);
-        let shards = self.fabric.num_shards();
-        #[cfg(test)]
-        let in_process = shards <= 1 || self.use_reference;
-        #[cfg(not(test))]
-        let in_process = shards <= 1;
-        if in_process {
-            Ok(self.run_in_process(run, obs, mk))
-        } else {
-            self.run_threaded(run, obs, mk)
+        let mut shards = self.fabric.take_shards();
+        if shards.len() > 1 {
+            return self.run_threaded(run, shards, obs, mk);
         }
+        let shard = shards.pop().expect("a fabric has at least one shard");
+        let probe = mk(0, &shard);
+        let workload = run.wl.is_some();
+        let worker = ShardWorker::new(
+            shard,
+            self.sources,
+            self.router,
+            &self.base,
+            &self.cfg,
+            self.ttl,
+            0,
+            workload,
+            probe,
+        );
+        #[cfg(test)]
+        let worker = worker.hooked(0, self.use_reference, self.panic_at);
+        let mut inline = Inline(worker);
+        // Window 1: there is no round trip to amortize, and the
+        // observer sees every cycle as it happens.
+        let run = Self::coordinate(run, 1, &mut inline, obs)?;
+        Ok((run.seal(), vec![inline.0.probe]))
+    }
+
+    /// The one run loop. Each round opens with the coordinator work due
+    /// at `cycle` ([`RunState::boundary`]), grants every shard the same
+    /// window — `window` cycles, cut short at the next cycle that opens
+    /// with coordinator work — and replays the merged per-cycle reports
+    /// in cycle order through [`RunState::end_of_cycle`], so observer
+    /// callbacks, stop classification and statistics see the same
+    /// sequence of cycles at every window length and shard count. A
+    /// stop decided mid-window discards the window's tail; every
+    /// worker is idle at the same cycle when `Go::Finish` goes out.
+    fn coordinate(
+        mut run: RunState,
+        window: u64,
+        transport: &mut impl Transport,
+        obs: &mut dyn WindowObserver,
+    ) -> Result<RunState, RunError> {
+        let mut cycle = 0u64;
+        'run: loop {
+            run.boundary(cycle, |go| transport.control(&go));
+            let len = window.min(run.next_boundary(cycle + 1) - cycle);
+            for agg in transport.run_window(cycle, len)? {
+                let stop = run.end_of_cycle(cycle, agg, obs);
+                cycle += 1;
+                if stop {
+                    break 'run;
+                }
+            }
+        }
+        transport.control(&Go::Finish(cycle, run.stop));
+        Ok(run)
     }
 
     /// Splits the row-major source list into one bucket per shard
@@ -1294,103 +1487,14 @@ impl<'p> TrafficSim<'p> {
         buckets
     }
 
-    /// The in-process transport: every shard stepped on this thread
-    /// (the sequential path, and the reference-stepper path in tests).
-    /// Boundary hand-off time is folded into the commit phase here —
-    /// only the threaded transport has a distinct boundary-sync wait.
-    fn run_in_process<P, F>(
-        mut self,
-        mut run: RunState,
-        obs: &mut dyn WindowObserver,
-        mk: F,
-    ) -> (RunOutput, Vec<P>)
-    where
-        P: FabricProbe,
-        F: Fn(usize, &Shard) -> P,
-    {
-        let shards = self.fabric.take_shards();
-        let nbrs: Vec<[Option<usize>; 4]> = shards.iter().map(|s| s.neighbors()).collect();
-        let mut buckets = Self::partition_sources(self.sources, &shards).into_iter();
-        let base = &self.base;
-        let mut tables: Vec<PathTable> =
-            (1..shards.len()).map(|_| PathTable::new(base, self.kind)).collect();
-        let mut routers = std::iter::once(self.router)
-            .chain(tables.iter_mut().map(|t| build_hop_router(t, &self.cfg)));
-        let mut workers: Vec<ShardWorker<'_, P>> = Vec::with_capacity(shards.len());
-        for (i, shard) in shards.into_iter().enumerate() {
-            let probe = mk(i, &shard);
-            let mut w = ShardWorker::new(
-                shard,
-                buckets.next().expect("one bucket per shard"),
-                routers.next().expect("one router per shard"),
-                base,
-                &self.cfg,
-                self.ttl,
-                i,
-                probe,
-            );
-            w.workload = run.wl.is_some();
-            #[cfg(test)]
-            {
-                w.use_reference = self.use_reference;
-                w.panic_at = self.panic_at.and_then(|(s, at)| (s == i).then_some(at));
-            }
-            workers.push(w);
-        }
-
-        let mut cycle = 0u64;
-        loop {
-            run.boundary(cycle, |go| workers.iter_mut().for_each(|w| w.control(&go)));
-            let mut agg = CycleDone::default();
-            for w in &mut workers {
-                if P::ACTIVE {
-                    // The in-process transport grants one cycle per
-                    // barrier (the lease baseline).
-                    w.probe.barrier(1);
-                }
-                w.plan_and_grant(cycle, &mut agg);
-            }
-            // Boundary exchange (in-process: direct hand-off between
-            // neighboring tiles).
-            for i in 0..workers.len() {
-                let boxes = workers[i].take_outboxes();
-                for (d, msgs) in boxes.into_iter().enumerate() {
-                    if msgs.is_empty() {
-                        continue;
-                    }
-                    let j = nbrs[i][d].expect("boundary messages stay on the mesh");
-                    workers[j].shard.apply_boundary(msgs);
-                }
-            }
-            for w in &mut workers {
-                w.finish_cycle(&mut agg);
-            }
-            let stop = run.end_of_cycle(cycle, agg, obs);
-            cycle += 1;
-            if stop {
-                break;
-            }
-        }
-        let finish = Go::Finish(cycle, run.stop);
-        workers.iter_mut().for_each(|w| w.control(&finish));
-        (run.seal(), workers.into_iter().map(|w| w.probe).collect())
-    }
-
-    /// The worker-thread transport: one scoped thread per tile shard,
-    /// with the coordinator on this thread granting lease windows and
-    /// replaying the buffered per-cycle reports. Workers exchange
-    /// cycle-stamped boundary messages directly with their tile
-    /// neighbors over channels *every cycle* (which keeps adjacent
-    /// tiles causally consistent); the coordinator round trip is
-    /// amortized over the lease window, and every termination or
-    /// observer decision is computed by replaying the merged per-cycle
-    /// deltas in cycle order through the same `RunState` logic the
-    /// in-process transport uses — so the decisions land on exactly
-    /// the same cycle sequence, and cycles a worker ran past a stop
-    /// decision under an already-granted lease are discarded.
+    /// The threaded transport around [`TrafficSim::coordinate`]: one
+    /// scoped worker thread per tile shard ([`ShardWorker::serve`]),
+    /// each over a private path table, with the coordinator on this
+    /// thread.
     fn run_threaded<P, F>(
-        mut self,
+        self,
         run: RunState,
+        shards: Vec<Shard>,
         obs: &mut dyn WindowObserver,
         mk: F,
     ) -> Result<(RunOutput, Vec<P>), RunError>
@@ -1400,364 +1504,109 @@ impl<'p> TrafficSim<'p> {
     {
         let workload = run.wl.is_some();
         #[cfg(test)]
-        let panic_at = self.panic_at;
-        let shards = self.fabric.take_shards();
+        let (use_reference, panic_at) = (self.use_reference, self.panic_at);
         let n = shards.len();
         assert!(n < (1 << (32 - ID_SHARD_SHIFT)), "shard count exceeds the packet-id namespace");
-        let nbrs: Vec<[Option<usize>; 4]> = shards.iter().map(|s| s.neighbors()).collect();
-        let dims: Vec<(usize, usize)> = shards.iter().map(|s| s.tile_dims()).collect();
-        let mut buckets = Self::partition_sources(self.sources, &shards);
-        let cfg = self.cfg.clone();
-        let ttl = self.ttl;
-        let kind = self.kind;
-        let base = &self.base;
-
-        // Control channels: one `Go` lane per worker, one shared
-        // report lane back. Boundary lanes form the tile adjacency
-        // graph: one lane per (shard, direction with a neighbor),
-        // whose receiver sits at the neighbor's opposite port (`Dir`
-        // pairs +x/-x and +y/-y: xor 1). Every lane end is *moved* to
-        // its unique user — the coordinator keeps only the ends it
-        // reads/writes itself and drops its `done` sender after
-        // spawning — so a worker panic disconnects its lanes: the
-        // neighbors' blocking recvs error out instead of waiting
-        // forever, they return into the join, and the coordinator
-        // surfaces the failure rather than deadlocking the run.
-        let mut go_tx: Vec<Sender<Go>> = Vec::with_capacity(n);
-        let mut go_rx: Vec<Option<Receiver<Go>>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (t, r) = channel::unbounded();
-            go_tx.push(t);
-            go_rx.push(Some(r));
+        // One window length for the whole run: the configured lease, or
+        // the smallest tile edge — the soonest one tile's effect can
+        // cross a neighbor.
+        let edge = |s: &Shard| s.tile_dims().0.min(s.tile_dims().1) as u64;
+        let window = match self.cfg.lease {
+            0 => shards.iter().map(edge).min().expect("at least two shards"),
+            lease => lease,
         }
-        type BoundaryLane = (u64, Vec<BoundaryMsg>);
-        let mut btx: Vec<[Option<Sender<BoundaryLane>>; 4]> =
-            (0..n).map(|_| [None, None, None, None]).collect();
-        let mut brx: Vec<[Option<Receiver<BoundaryLane>>; 4]> =
-            (0..n).map(|_| [None, None, None, None]).collect();
-        for i in 0..n {
-            for d in 0..4 {
-                if let Some(j) = nbrs[i][d] {
-                    let (t, r) = channel::unbounded();
-                    btx[i][d] = Some(t);
-                    brx[j][d ^ 1] = Some(r);
+        .clamp(1, MAX_WINDOW);
+        let (cfg, ttl, kind, base) = (&self.cfg, self.ttl, self.kind, &self.base);
+
+        // One `Go` lane per worker, one shared report lane back, and
+        // the tile adjacency graph as boundary lanes: one per (shard,
+        // direction with a neighbor), whose receiver sits at the
+        // neighbor's opposite port (`Dir` pairs +x/-x and +y/-y:
+        // xor 1).
+        let (done_tx, done_rx) = mpsc::channel();
+        let mut go_tx = Vec::with_capacity(n);
+        let mut lanes: Vec<WorkerLanes> = (0..n)
+            .map(|_| {
+                let (tx, go) = mpsc::channel();
+                go_tx.push(tx);
+                WorkerLanes {
+                    go,
+                    done: done_tx.clone(),
+                    to: Default::default(),
+                    from: Default::default(),
+                }
+            })
+            .collect();
+        // Only live workers hold a `done` sender from here on.
+        drop(done_tx);
+        for (i, shard) in shards.iter().enumerate() {
+            for (d, j) in shard.neighbors().into_iter().enumerate() {
+                if let Some(j) = j {
+                    let (tx, rx) = mpsc::channel();
+                    lanes[i].to[d] = Some(tx);
+                    lanes[j].from[d ^ 1] = Some(rx);
                 }
             }
         }
-        let (done_tx, done_rx) = channel::unbounded::<WorkerReport>();
-        let mut done_tx = Some(done_tx);
+        let buckets = Self::partition_sources(self.sources, &shards);
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
-            for (w, shard) in shards.into_iter().enumerate() {
-                let sources = std::mem::take(&mut buckets[w]);
-                let go_rx = go_rx[w].take().expect("one worker per lane");
-                let done_tx = done_tx.as_ref().expect("dropped only after spawning").clone();
-                let btx = std::mem::take(&mut btx[w]);
-                let brx = std::mem::take(&mut brx[w]);
-                let cfg = &cfg;
+            for (w, ((shard, sources), lanes)) in
+                shards.into_iter().zip(buckets).zip(lanes).enumerate()
+            {
                 let probe = mk(w, &shard);
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     // The dying-word sender lives outside the unwind
                     // boundary: a caught panic is reported over the
                     // shared `done` lane, exactly where the coordinator
                     // would otherwise block forever.
-                    let report_tx = done_tx.clone();
+                    let report_tx = lanes.done.clone();
                     let caught = catch_unwind(AssertUnwindSafe(move || {
                         let mut paths = PathTable::new(base, kind);
                         let router = build_hop_router(&mut paths, cfg);
-                        let mut worker =
-                            ShardWorker::new(shard, sources, router, base, cfg, ttl, w, probe);
-                        worker.workload = workload;
+                        let worker = ShardWorker::new(
+                            shard, sources, router, base, cfg, ttl, w, workload, probe,
+                        );
                         #[cfg(test)]
-                        {
-                            worker.panic_at = panic_at.and_then(|(s, at)| (s == w).then_some(at));
-                        }
-                        loop {
-                            match go_rx.recv() {
-                                Ok(Go::Lease { start, len }) => {
-                                    if P::ACTIVE {
-                                        worker.probe.barrier(len);
-                                    }
-                                    let mut dones = Vec::with_capacity(len as usize);
-                                    for cycle in start..start + len {
-                                        let mut done = CycleDone::default();
-                                        worker.plan_and_grant(cycle, &mut done);
-                                        let t = P::ACTIVE.then(Instant::now);
-                                        let boxes = worker.take_outboxes();
-                                        for (d, msgs) in boxes.into_iter().enumerate() {
-                                            match &btx[d] {
-                                                // Empty vectors are sent
-                                                // too: they are the
-                                                // neighbor's cycle clock.
-                                                Some(tx) => {
-                                                    let _ = tx.send((cycle, msgs));
-                                                }
-                                                None => debug_assert!(
-                                                    msgs.is_empty(),
-                                                    "boundary messages stay on the mesh"
-                                                ),
-                                            }
-                                        }
-                                        for rx in brx.iter().flatten() {
-                                            // A dead neighbor lane means
-                                            // the run is being torn down
-                                            // (that neighbor panicked or
-                                            // exited): return cleanly
-                                            // instead of panicking into
-                                            // the teardown.
-                                            let Ok((c, msgs)) = rx.recv() else {
-                                                return (worker.shard, worker.probe);
-                                            };
-                                            debug_assert_eq!(
-                                                c, cycle,
-                                                "neighbor lanes desynchronized"
-                                            );
-                                            worker.shard.apply_boundary(msgs);
-                                        }
-                                        if let Some(t) = t {
-                                            worker.probe.phase_ns(
-                                                Phase::Boundary,
-                                                t.elapsed().as_nanos() as u64,
-                                            );
-                                        }
-                                        worker.finish_cycle(&mut done);
-                                        dones.push(done);
-                                    }
-                                    let _ = done_tx.send(WorkerReport::Cycles {
-                                        shard: w,
-                                        start,
-                                        dones,
-                                    });
-                                }
-                                Ok(go) => {
-                                    worker.control(&go);
-                                    if matches!(go, Go::Finish(..)) {
-                                        return (worker.shard, worker.probe);
-                                    }
-                                }
-                                Err(_) => return (worker.shard, worker.probe),
-                            }
-                        }
+                        let worker = worker.hooked(w, use_reference, panic_at);
+                        worker.serve(&lanes)
                     }));
-                    match caught {
-                        Ok(pair) => Some(pair),
-                        Err(payload) => {
-                            let _ = report_tx.send(WorkerReport::Panicked {
-                                shard: w,
-                                message: panic_message(payload.as_ref()),
-                            });
-                            None
-                        }
-                    }
+                    caught.map_err(|payload| {
+                        let message = panic_message(payload.as_ref());
+                        let _ = report_tx.send(WorkerReport::Panicked { shard: w, message });
+                    })
                 }));
             }
-            // Only live workers hold a `done` sender now.
-            done_tx = None;
 
-            // Lease bookkeeping. `worker_end[w]` is the exclusive end
-            // of w's granted window; `replay_next` is the next cycle
-            // the coordinator replays; `buffer[k]` merges the deltas
-            // of cycle `replay_next + k` together with how many shards
-            // have reported it.
-            let mut run = run;
-            let mut worker_end = vec![0u64; n];
-            let mut reported_through = vec![0u64; n];
-            let mut last_moved = vec![0u64; n];
-            let mut last_len = vec![0u64; n];
-            let mut replay_next = 0u64;
-            let mut buffer: VecDeque<(CycleDone, usize)> = VecDeque::new();
-            // Workers whose next lease starts exactly on a boundary
-            // (`RunState::next_boundary`) wait here until the replay
-            // cursor has reached it, so the boundary's `Go::Publish` /
-            // `Go::Inject` precede the lease on their FIFO lane.
-            let mut gated: Vec<usize> = Vec::new();
-            let mut failure: Option<RunError> = None;
-            let mut stopped = false;
-
-            // The lease window for worker `w` starting at `start`:
-            // the explicit config value, or the auto bound
-            // `min(tile_w, tile_h)` — the tile edge distance, the
-            // soonest a remote tile's effect can cross this tile —
-            // clamped to [1, 64] and adapted by the previous window's
-            // committed flit counts (deterministic: simulation state,
-            // never wall clock) — and clamped to `boundary`, the next
-            // coordinator boundary after `start`, so no lease ever
-            // spans a publication or a workload release.
-            let lease_for = |w: usize,
-                             start: u64,
-                             boundary: u64,
-                             last_moved: &[u64],
-                             last_len: &[u64]|
-             -> u64 {
-                let (tw, th) = dims[w];
-                let len = if cfg.lease > 0 {
-                    cfg.lease
-                } else {
-                    let base = (tw.min(th) as u64).clamp(1, 64);
-                    if last_len[w] == 0 {
-                        base
-                    } else if last_moved[w] == 0 {
-                        // Idle tile: stretch the window.
-                        (base * 2).min(64)
-                    } else if last_moved[w] > (tw * th) as u64 / 4 * last_len[w] {
-                        // Hot tile: tighten the window so the
-                        // coordinator can react (stop, publish,
-                        // adapt) sooner.
-                        (base / 2).max(1)
-                    } else {
-                        base
-                    }
-                };
-                len.min(boundary - start).max(1)
-            };
-            let broadcast = |go: Go| {
-                for tx in &go_tx {
-                    let _ = tx.send(go.clone());
-                }
-            };
-            // Cycle 0's boundary work precedes the initial leases on
-            // every FIFO lane.
-            run.boundary(0, broadcast);
-            for w in 0..n {
-                let len = lease_for(w, 0, run.next_boundary(1), &last_moved, &last_len);
-                let _ = go_tx[w].send(Go::Lease { start: 0, len });
-                worker_end[w] = len;
+            let mut transport = Threaded { go: go_tx, done: done_rx };
+            let outcome = Self::coordinate(run, window, &mut transport, obs);
+            // Teardown: dropping the coordinator-held senders
+            // disconnects the control lanes, so after a failure every
+            // blocked worker observes the disconnect — directly, or
+            // through the boundary lane of a neighbor that already
+            // returned — and returns: the run fails typed, it never
+            // hangs. (After `Go::Finish` every worker returns anyway.)
+            drop(transport.go);
+            let probes: Vec<P> = handles.into_iter().filter_map(|h| h.join().ok()?.ok()).collect();
+            match outcome {
+                Ok(run) if probes.len() == n => Ok((run.seal(), probes)),
+                // A worker died unseen (while finishing, or its report
+                // was still in flight when a lane disconnected): prefer
+                // its dying word over a bare lane death.
+                Ok(_) | Err(RunError::WorkerLost) => Err(transport
+                    .done
+                    .try_iter()
+                    .find_map(|r| match r {
+                        WorkerReport::Panicked { shard, message } => {
+                            Some(RunError::WorkerPanicked { shard, message })
+                        }
+                        WorkerReport::Cycles(_) => None,
+                    })
+                    .unwrap_or(RunError::WorkerLost)),
+                Err(err) => Err(err),
             }
-
-            while !stopped && failure.is_none() {
-                match done_rx.recv() {
-                    Ok(WorkerReport::Cycles { shard, start, dones }) => {
-                        debug_assert_eq!(start, reported_through[shard], "report out of order");
-                        reported_through[shard] = start + dones.len() as u64;
-                        last_moved[shard] = dones.iter().map(|d| d.moved).sum();
-                        last_len[shard] = dones.len() as u64;
-                        // Merge the window into the replay buffer.
-                        for (k, d) in dones.into_iter().enumerate() {
-                            let idx = (start + k as u64 - replay_next) as usize;
-                            if buffer.len() <= idx {
-                                buffer.resize_with(idx + 1, Default::default);
-                            }
-                            let slot = &mut buffer[idx];
-                            slot.0.merge(d);
-                            slot.1 += 1;
-                        }
-                        // Replay every fully-merged cycle in order
-                        // through the same termination logic the
-                        // lockstep transports use.
-                        while buffer.front().is_some_and(|&(_, count)| count == n) {
-                            let (agg, _) = buffer.pop_front().expect("front checked");
-                            if run.end_of_cycle(replay_next, agg, obs) {
-                                replay_next += 1;
-                                stopped = true;
-                                break;
-                            }
-                            replay_next += 1;
-                            if run.next_boundary(replay_next) == replay_next {
-                                run.boundary(replay_next, broadcast);
-                                // Release the gated leases, now
-                                // strictly after the boundary's control
-                                // messages on every FIFO lane. (Leases
-                                // end at the first boundary ahead, so
-                                // every gate waits on this one.)
-                                let after = run.next_boundary(replay_next + 1);
-                                for w in gated.drain(..) {
-                                    debug_assert_eq!(worker_end[w], replay_next);
-                                    let len =
-                                        lease_for(w, replay_next, after, &last_moved, &last_len);
-                                    let _ = go_tx[w].send(Go::Lease { start: replay_next, len });
-                                    worker_end[w] += len;
-                                }
-                            }
-                        }
-                        if stopped {
-                            break;
-                        }
-                        // Prompt renewal: the worker is idle right now,
-                        // and a stalled lease would stall its
-                        // neighbors' per-cycle boundary recvs too.
-                        let next = worker_end[shard];
-                        if run.next_boundary(next) == next && replay_next < next {
-                            gated.push(shard);
-                        } else {
-                            let after = run.next_boundary(next + 1);
-                            let len = lease_for(shard, next, after, &last_moved, &last_len);
-                            let _ = go_tx[shard].send(Go::Lease { start: next, len });
-                            worker_end[shard] += len;
-                        }
-                    }
-                    Ok(WorkerReport::Panicked { shard, message }) => {
-                        failure = Some(RunError::WorkerPanicked { shard, message });
-                    }
-                    Err(_) => failure = Some(RunError::WorkerLost),
-                }
-            }
-
-            if failure.is_none() {
-                // Fence: workers may hold leases past the stop
-                // decision. Top every worker up to the common fence —
-                // gated workers included; their discarded cycles run
-                // with a stale epoch, harmlessly — then drain the
-                // reports (the statistics were sealed by the replay;
-                // these cycles are overshoot) before the finish
-                // broadcast, so every worker sees `Finish` only once
-                // it is idle and every boundary lane is balanced.
-                let fence = worker_end.iter().copied().max().unwrap_or(0);
-                for w in 0..n {
-                    if worker_end[w] < fence {
-                        let _ = go_tx[w]
-                            .send(Go::Lease { start: worker_end[w], len: fence - worker_end[w] });
-                        worker_end[w] = fence;
-                    }
-                }
-                while failure.is_none() && reported_through.iter().any(|&r| r < fence) {
-                    match done_rx.recv() {
-                        Ok(WorkerReport::Cycles { shard, start, dones }) => {
-                            reported_through[shard] = start + dones.len() as u64;
-                        }
-                        Ok(WorkerReport::Panicked { shard, message }) => {
-                            failure = Some(RunError::WorkerPanicked { shard, message });
-                        }
-                        Err(_) => failure = Some(RunError::WorkerLost),
-                    }
-                }
-            }
-
-            if let Some(mut err) = failure {
-                // Teardown: dropping every coordinator-held sender
-                // disconnects the control lanes, so every blocked
-                // worker observes the disconnect — directly, or
-                // through the boundary lane of a neighbor that already
-                // returned — and returns: the run fails typed, it
-                // never hangs.
-                drop(go_tx);
-                for h in handles {
-                    let _ = h.join();
-                }
-                // Prefer a root-cause panic report over a bare lane
-                // death: the report may still have been in flight when
-                // the coordinator first noticed the disconnect.
-                if err == RunError::WorkerLost {
-                    while let Ok(r) = done_rx.try_recv() {
-                        if let WorkerReport::Panicked { shard, message } = r {
-                            err = RunError::WorkerPanicked { shard, message };
-                            break;
-                        }
-                    }
-                }
-                return Err(err);
-            }
-            broadcast(Go::Finish(replay_next, run.stop));
-            let mut probes = Vec::with_capacity(n);
-            for h in handles {
-                let Ok(Some((_shard, probe))) = h.join() else {
-                    return Err(RunError::WorkerLost);
-                };
-                probes.push(probe);
-            }
-            Ok((run.seal(), probes))
         })
-        .expect("simulation coordinator panicked")
     }
 }
 
@@ -1945,6 +1794,109 @@ mod tests {
             "lease 8 must amortize ~8x fewer barriers: lockstep {lockstep_barriers}, \
              leased {leased_barriers}"
         );
+    }
+
+    /// Records every window sample and stops the run at the one ending
+    /// on cycle `.1`.
+    struct StopAt(Vec<WindowSample>, u64);
+    impl WindowObserver for StopAt {
+        fn on_window(&mut self, s: &WindowSample) -> WindowControl {
+            self.0.push(*s);
+            if s.end == self.1 {
+                WindowControl::Stop
+            } else {
+                WindowControl::Continue
+            }
+        }
+    }
+
+    #[test]
+    fn an_absurd_lease_is_capped_not_obeyed() {
+        // Uncapped, every worker would try to allocate (and simulate)
+        // a window of u64::MAX cycles before its first report.
+        let net = fault_free(12);
+        let cfg = SimConfig { rate: 0.02, threads: 2, lease: 1, ..SimConfig::smoke() };
+        let window_1 = run_traffic(&net, RoutingKind::Rb2, &cfg);
+        let mut paths = PathTable::new(&net, RoutingKind::Rb2);
+        let capped = TrafficSim::new(&mut paths, SimConfig { lease: u64::MAX, ..cfg })
+            .try_run_full(&mut ())
+            .map(|out| out.stats);
+        assert_eq!(capped, Ok(window_1));
+    }
+
+    #[test]
+    fn the_observer_visible_sequence_is_window_and_shard_invariant() {
+        use crate::config::ChurnEvent;
+        let net = fault_free(12);
+        // The failure at cycle 64 lands exactly on a window edge of
+        // leases 1, 8 and 64, and the stop after cycle 149 falls inside
+        // a window of every length but 1 (8: 144..152, 64: 128..192,
+        // the auto edges 6 and 3: 148..154 and 148..151), whose tail is
+        // discarded.
+        let base = SimConfig {
+            rate: 0.03,
+            stats_window: 50,
+            fault_churn: vec![ChurnEvent::fail(64, Coord::new(5, 5))],
+            ..SimConfig::smoke()
+        };
+        let observe = |lease: u64, threads: usize| {
+            let mut paths = PathTable::new(&net, RoutingKind::Rb2);
+            let mut obs = StopAt(Vec::new(), 150);
+            let cfg = SimConfig { lease, threads, ..base.clone() };
+            let stats = run_reusing(&mut paths, &cfg, &mut obs).stats;
+            (obs.0, stats)
+        };
+        let (samples, stats) = observe(1, 1);
+        assert_eq!(samples.len(), 3);
+        assert!(samples[2].in_flight > 0, "the stop must cut a busy run short");
+        assert_eq!(stats.cycles, 150);
+        assert_eq!(stats.online_events, base.fault_churn);
+        for lease in [1, 8, 64, 0] {
+            for threads in [1, 2, 4] {
+                let seen = observe(lease, threads);
+                assert_eq!(seen, (samples.clone(), stats.clone()), "lease {lease} x {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_shard_runs_the_same_windows_and_stops_on_the_same_cycle() {
+        /// What the uniform-window protocol promises of each shard.
+        #[derive(Debug, Default, PartialEq)]
+        struct Windows {
+            barriers: u64,
+            cycles: u64,
+            stopped: Option<(u64, StopKind)>,
+        }
+        impl FabricProbe for Windows {
+            const ACTIVE: bool = true;
+            fn barrier(&mut self, cycles: u64) {
+                self.barriers += 1;
+                self.cycles += cycles;
+            }
+            fn run_stopped(&mut self, cycle: u64, reason: StopKind) {
+                self.stopped = Some((cycle, reason));
+            }
+        }
+        let net = fault_free(12);
+        for (threads, lease) in [(1, 0), (2, 8), (3, u64::MAX), (4, 0)] {
+            let cfg =
+                SimConfig { rate: 0.03, stats_window: 50, threads, lease, ..SimConfig::smoke() };
+            let mut paths = PathTable::new(&net, RoutingKind::Rb2);
+            let (out, probes) = TrafficSim::new(&mut paths, cfg.clone())
+                .run(&mut StopAt(Vec::new(), 150), |_, _| Windows::default())
+                .expect("no worker panicked");
+            assert_eq!(probes.len(), threads);
+            assert!(probes.iter().all(|p| *p == probes[0]), "{probes:?}");
+            assert_eq!(probes[0].stopped, Some((out.stats.cycles, StopKind::Observer)));
+            assert!((150..150 + MAX_WINDOW).contains(&probes[0].cycles), "{probes:?}");
+            // The same invariant as the metrics report shows it.
+            let cfg = SimConfig { obs: ObsLevel::Metrics, ..cfg };
+            let out = run_reusing(&mut paths, &cfg, &mut StopAt(Vec::new(), 150));
+            let report = out.obs.expect("metrics recording was on");
+            assert_eq!(report.stopped_at, out.stats.cycles);
+            assert!(report.shards.iter().all(|s| s.barriers == probes[0].barriers));
+        }
     }
 
     #[test]

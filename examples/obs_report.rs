@@ -63,14 +63,15 @@ fn main() {
         );
         for s in &report.shards {
             println!(
-                "shard {} (nodes {}..{}): plan {:.1}ms boundary {:.1}ms commit {:.1}ms, \
-                 {} events, boundary msgs {}/{}",
+                "shard {} (nodes {}..{}): plan {:.1}ms boundary {:.1}ms commit {:.1}ms \
+                 fence {:.1}ms, {} events, boundary msgs {}/{}",
                 s.shard,
                 s.node_start,
                 s.node_end,
                 s.phases.get(meshpath::obs::Phase::Plan) as f64 / 1e6,
                 s.phases.get(meshpath::obs::Phase::Boundary) as f64 / 1e6,
                 s.phases.get(meshpath::obs::Phase::Commit) as f64 / 1e6,
+                s.phases.get(meshpath::obs::Phase::Fence) as f64 / 1e6,
                 s.events_seen,
                 s.boundary_to_prev,
                 s.boundary_to_next,
