@@ -159,6 +159,48 @@ impl HopState {
             false
         }
     }
+
+    /// One step of the blocked-phase rule RB1/RB2/RB3 and E-cube share
+    /// (Algorithm 3 step 3, "route around the MCC in clockwise
+    /// direction"): the one place a [`Detour`] starts, continues or
+    /// ends. `want` is the neighbor of `u` the router would step to,
+    /// `None` when it is blocked. Outside a walk `want` is taken as it
+    /// stands, and without one a walk starts around the obstacle met
+    /// moving `toward`. Inside a walk the wall is followed until `want`
+    /// is unvisited (leaving into a visited node invites a livelock)
+    /// or `patience` wall steps have passed (a full orbit's worth:
+    /// breaks rare starvation around big clusters). `None` when `free`
+    /// blocks every side of `u`; a walk that cannot take its first step
+    /// is not stored.
+    #[inline]
+    pub(crate) fn wall_step(
+        &mut self,
+        u: Coord,
+        want: Option<Coord>,
+        toward: Dir,
+        free: impl Fn(Coord) -> bool,
+        patience: u32,
+    ) -> Option<Coord> {
+        if let Some(v) = want {
+            if self.detour.is_none() || !self.visited.contains(v) || self.detour_run >= patience {
+                self.detour = None;
+                self.detour_run = 0;
+                return Some(v);
+            }
+        }
+        let next = match &mut self.detour {
+            Some(det) => det.step(u, free, &self.visited),
+            None => {
+                let mut det = Detour::around(toward);
+                let first = det.step(u, free, &self.visited);
+                self.detour = first.map(|_| det);
+                first
+            }
+        }?;
+        self.detour_hops += 1;
+        self.detour_run += 1;
+        Some(next)
+    }
 }
 
 /// A routing algorithm making per-hop local decisions against an
@@ -505,6 +547,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A walker on a 5x5 mesh at (1,1), blocked by (2,1) on its way
+    /// `+X`, one wall step into the walk around it: parked at (1,0).
+    fn one_step_into_a_walk() -> (HopState, impl Fn(Coord) -> bool + Copy) {
+        let mesh = Mesh::square(5);
+        let free = move |c: Coord| mesh.contains(c) && c != Coord::new(2, 1);
+        let start = Coord::new(1, 1);
+        let mut st = HopState::new(start);
+        st.visited.begin(&mesh);
+        assert_eq!(st.wall_step(start, None, Dir::PlusX, free, 2), Some(Coord::new(1, 0)));
+        st.visited.insert(Coord::new(1, 0));
+        assert!(st.detour.is_some());
+        assert_eq!((st.detour_hops, st.detour_run), (1, 1));
+        (st, free)
+    }
+
+    #[test]
+    fn wall_step_does_not_store_a_walk_that_cannot_take_its_first_step() {
+        let u = Coord::new(1, 1);
+        let mut st = HopState::new(u);
+        assert_eq!(st.wall_step(u, None, Dir::PlusX, |_| false, 2), None);
+        assert!(st.detour.is_none(), "E-cube's least-visited fallback starts from no walk");
+        assert_eq!((st.detour_hops, st.detour_run), (0, 0));
+    }
+
+    #[test]
+    fn wall_step_leaves_the_walk_for_an_unvisited_want() {
+        let (mut st, free) = one_step_into_a_walk();
+        let want = Coord::new(0, 0);
+        assert_eq!(st.wall_step(Coord::new(1, 0), Some(want), Dir::PlusX, free, 2), Some(want));
+        assert!(st.detour.is_none());
+        assert_eq!((st.detour_hops, st.detour_run), (1, 0), "leaving is not a wall step");
+    }
+
+    #[test]
+    fn wall_step_refuses_a_visited_want_until_patience_runs_out() {
+        let (mut st, free) = one_step_into_a_walk();
+        // Back to the start: visited, and one wall step is not yet two.
+        let next = st.wall_step(Coord::new(1, 0), Some(Coord::new(1, 1)), Dir::PlusX, free, 2);
+        assert_eq!(next, Some(Coord::new(2, 0)), "the walk rounds the obstacle instead");
+        st.visited.insert(Coord::new(2, 0));
+        assert!(st.detour.is_some());
+        assert_eq!((st.detour_hops, st.detour_run), (2, 2));
+        // Two wall steps in, a visited node is as good as any.
+        let back = Coord::new(1, 0);
+        assert_eq!(st.wall_step(Coord::new(2, 0), Some(back), Dir::PlusX, free, 2), Some(back));
+        assert!(st.detour.is_none());
+        assert_eq!((st.detour_hops, st.detour_run), (2, 0));
     }
 
     #[test]

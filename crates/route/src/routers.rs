@@ -3,17 +3,80 @@
 //! snapshots. Each decide call replays exactly one iteration of the
 //! former whole-path loop: the per-message scratch (detours, visit
 //! counts, waypoint stacks, learned obstacles) lives in the
-//! [`HopState`](crate::HopState) carried by [`HopCtx`], so a single
-//! router value serves concurrent queries.
+//! [`HopState`] carried by [`HopCtx`], so a single router value serves
+//! concurrent queries.
+//!
+//! Algorithms 3, 5 and 7 and E-cube's f-ring traversal share one
+//! blocked-phase rule, and there is one implementation of it:
+//! `HopState::wall_step` (in `hop.rs`) starts, continues and leaves
+//! every wall-following walk. A decider here only says where it wants
+//! to go, what counts as free, and what it tries before a walk starts.
 
 use meshpath_info::ModelKind;
 use meshpath_mesh::{Coord, Dir, Orientation};
 
 use crate::alg2::{decide as alg2_decide, AdaptivePolicy, Decision as PhaseDecision, PhaseCtx};
-use crate::engine::{least_visited_step, Detour};
-use crate::hop::{Decision, HopCtx, Router};
+use crate::engine::least_visited_step;
+use crate::hop::{xy_next, Decision, HopCtx, HopState, Router};
 use crate::seq::{KnowledgeScope, Plan, Planner};
 use crate::view::NetView;
+
+/// Wall steps before a walk may leave onto a visited node: a full
+/// orbit's worth.
+fn detour_patience(view: &NetView) -> u32 {
+    4 * (view.mesh().width() + view.mesh().height())
+}
+
+/// The hop onto `next`, a neighbor of `u`; `Blocked` without one.
+#[inline]
+fn hop_to(u: Coord, next: Option<Coord>) -> Decision {
+    match next {
+        Some(w) => Decision::Hop(u.dir_to(w).expect("deciders step to a neighbor")),
+        None => Decision::Blocked,
+    }
+}
+
+/// Thrash guard of every detouring decider: revisiting `u` this often
+/// means the local decisions cycle, so degrade to the least-visited
+/// exploration walk, which covers the connected component and therefore
+/// terminates. `None` while `u` is not thrashing.
+#[inline]
+fn thrash_guard(view: &NetView, state: &mut HopState, u: Coord) -> Option<Decision> {
+    if state.visited.count(u) <= 8 {
+        return None;
+    }
+    let next = least_visited_step(u, |c| view.faults().is_healthy(c), &state.visited);
+    state.detour_hops += u32::from(next.is_some());
+    Some(hop_to(u, next))
+}
+
+/// One Algorithm-2 step from `u` towards `target`: the neighbor to take
+/// (`None` when the phase is blocked) and the blocked direction a walk
+/// around the MCC starts from — `+Y` with the target above, else `+X`,
+/// in the normalized frame. Both come back in real coordinates.
+#[inline]
+fn phase_step(
+    view: &NetView,
+    state: &mut HopState,
+    u: Coord,
+    target: Coord,
+    kind: ModelKind,
+    scope: KnowledgeScope,
+    policy: AdaptivePolicy,
+) -> (Option<Coord>, Dir) {
+    let mesh = view.mesh();
+    let o = Orientation::normalizing(u, target);
+    let pctx = PhaseCtx { set: view.mccs(o), model: view.model(o, kind), scope };
+    let (ou, ot) = (o.apply(mesh, u), o.apply(mesh, target));
+    let oprev = state.prev.map(|p| o.apply(mesh, p));
+    let want = match alg2_decide(&pctx, ou, ot, policy, oprev, &mut state.critical) {
+        PhaseDecision::Arrived => unreachable!("arrival is handled before deciding"),
+        PhaseDecision::Step(dir) => Some(o.apply(mesh, ou.step(dir))),
+        PhaseDecision::Blocked => None,
+    };
+    let toward = if ot.y > ou.y { Dir::PlusY } else { Dir::PlusX };
+    (want, o.apply_dir(toward))
+}
 
 /// `RB1` — Algorithm 3: Manhattan routing over the B1 boundary model,
 /// with clockwise wall-following detours when blocked (no feasibility
@@ -55,90 +118,13 @@ fn decide_rb1_like(
         return Decision::Deliver;
     }
     state.clear_exhausted_detour();
-    let mesh = *view.mesh();
-    // After a full orbit's worth of wall-following, allow stepping onto
-    // visited nodes again (breaks rare starvation around big clusters).
-    let detour_patience = 4 * (mesh.width() + mesh.height());
-    let healthy = |c: Coord| view.faults().is_healthy(c);
-
-    // Thrash guard: heavy revisiting means the local decisions cycle;
-    // degrade to the least-visited exploration walk, which covers the
-    // connected component and therefore terminates.
-    if state.visited.count(u) > 8 {
-        return match least_visited_step(u, healthy, &state.visited) {
-            Some(w) => {
-                state.detour_hops += 1;
-                Decision::Hop(u.dir_to(w).expect("exploration steps to a neighbor"))
-            }
-            None => Decision::Blocked,
-        };
+    if let Some(thrashing) = thrash_guard(view, state, u) {
+        return thrashing;
     }
-
-    let o = Orientation::normalizing(u, d);
-    let pctx = PhaseCtx { set: view.mccs(o), model: view.model(o, kind), scope };
-    let (ou, od) = (o.apply(&mesh, u), o.apply(&mesh, d));
-    let oprev = state.prev.map(|p| o.apply(&mesh, p));
-
-    let phase = alg2_decide(&pctx, ou, od, policy, oprev, &mut state.critical);
-    let next = if state.detour.is_none() {
-        match phase {
-            PhaseDecision::Arrived => unreachable!("u != d was checked"),
-            PhaseDecision::Step(dir) => {
-                state.detour_run = 0;
-                o.apply(&mesh, ou.step(dir))
-            }
-            PhaseDecision::Blocked => {
-                // Algorithm 3 step 3: route around the MCC clockwise.
-                let toward = if od.y > ou.y { Dir::PlusY } else { Dir::PlusX };
-                let mut det = Detour::around(o.apply_dir(toward));
-                match det.step(u, healthy, &state.visited) {
-                    Some(w) => {
-                        state.detour = Some(det);
-                        state.detour_hops += 1;
-                        state.detour_run += 1;
-                        w
-                    }
-                    None => return Decision::Blocked,
-                }
-            }
-        }
-    } else {
-        match phase {
-            PhaseDecision::Arrived => unreachable!("u != d was checked"),
-            PhaseDecision::Step(dir) => {
-                let v = o.apply(&mesh, ou.step(dir));
-                if state.visited.contains(v) && state.detour_run < detour_patience {
-                    // Keep wall-following; leaving the detour into a
-                    // visited node invites a livelock.
-                    let det = state.detour.as_mut().expect("checked is_some");
-                    match det.step(u, healthy, &state.visited) {
-                        Some(w) => {
-                            state.detour_hops += 1;
-                            state.detour_run += 1;
-                            w
-                        }
-                        None => return Decision::Blocked,
-                    }
-                } else {
-                    state.detour = None;
-                    state.detour_run = 0;
-                    v
-                }
-            }
-            PhaseDecision::Blocked => {
-                let det = state.detour.as_mut().expect("checked is_some");
-                match det.step(u, healthy, &state.visited) {
-                    Some(w) => {
-                        state.detour_hops += 1;
-                        state.detour_run += 1;
-                        w
-                    }
-                    None => return Decision::Blocked,
-                }
-            }
-        }
-    };
-    Decision::Hop(u.dir_to(next).expect("deciders step to a neighbor"))
+    // Algorithm 3 step 3: a blocked phase routes around the MCC clockwise.
+    let (want, toward) = phase_step(view, state, u, d, kind, scope, policy);
+    let healthy = |c: Coord| view.faults().is_healthy(c);
+    hop_to(u, state.wall_step(u, want, toward, healthy, detour_patience(view)))
 }
 
 /// `RB2` — Algorithm 5: shortest-path routing over the B2 broadcast model.
@@ -206,22 +192,13 @@ fn decide_planned(
         return Decision::Deliver;
     }
     state.clear_exhausted_detour();
-    let mesh = *view.mesh();
     let planner = Planner::new(view, kind, scope);
-    let detour_patience = 4 * (mesh.width() + mesh.height());
     let healthy = |c: Coord| view.faults().is_healthy(c);
 
-    // Thrash guard (see the RB1 decider).
-    if state.visited.count(u) > 8 {
-        return match least_visited_step(u, healthy, &state.visited) {
-            Some(w) => {
-                state.detour_hops += 1;
-                state.forced = None;
-                state.planned = false;
-                Decision::Hop(u.dir_to(w).expect("exploration steps to a neighbor"))
-            }
-            None => Decision::Blocked,
-        };
+    if let Some(thrashing) = thrash_guard(view, state, u) {
+        state.forced = None;
+        state.planned = false;
+        return thrashing;
     }
 
     // Follow a forced (BFS fallback) path when active.
@@ -272,11 +249,9 @@ fn decide_planned(
         }
     }
 
+    // `u == target` was handled above for waypoints, `target == d` at
+    // the decider head.
     let target = state.waypoints.last().copied().unwrap_or(d);
-    let o = Orientation::normalizing(u, target);
-    let pctx = PhaseCtx { set: view.mccs(o), model: view.model(o, kind), scope };
-    let (ou, ot) = (o.apply(&mesh, u), o.apply(&mesh, target));
-    let oprev = state.prev.map(|p| o.apply(&mesh, p));
     if meshpath_obs::enabled(meshpath_obs::LogLevel::Trace) {
         eprintln!(
             "at {u:?} target {target:?} waypoints {:?} detour {}",
@@ -285,82 +260,25 @@ fn decide_planned(
         );
     }
 
-    let phase = alg2_decide(&pctx, ou, ot, policy, oprev, &mut state.critical);
-    let next = if state.detour.is_none() {
-        match phase {
-            PhaseDecision::Arrived => {
-                // u == target handled above for waypoints; target == d
-                // handled at the decider head.
-                unreachable!("arrival is handled before deciding")
-            }
-            PhaseDecision::Step(dir) => {
-                state.detour_run = 0;
-                o.apply(&mesh, ou.step(dir))
-            }
-            PhaseDecision::Blocked => {
-                // The phase is blocked: re-plan once; if the planner has
-                // nothing new, fall back to a BFS plan; as a last resort
-                // wall-follow.
-                state.replans += 1;
-                let o_d = Orientation::normalizing(u, d);
-                let (plan, stats) = planner.fallback(u, d, o_d, &state.learned, &mut state.flood);
-                if stats.used_fallback {
-                    state.fallbacks += 1;
-                }
-                if let Plan::Forced(p) = plan {
-                    if p.len() > 1 {
-                        state.forced = Some((p, 0));
-                        return Decision::Replan;
-                    }
-                }
-                let toward = if ot.y > ou.y { Dir::PlusY } else { Dir::PlusX };
-                let mut det = Detour::around(o.apply_dir(toward));
-                match det.step(u, healthy, &state.visited) {
-                    Some(w) => {
-                        state.detour = Some(det);
-                        state.detour_hops += 1;
-                        state.detour_run += 1;
-                        w
-                    }
-                    None => return Decision::Blocked,
-                }
+    let (want, toward) = phase_step(view, state, u, target, kind, scope, policy);
+    if want.is_none() && state.detour.is_none() {
+        // The phase is blocked: re-plan once; if the planner has
+        // nothing new, fall back to a BFS plan; as a last resort
+        // wall-follow.
+        state.replans += 1;
+        let o_d = Orientation::normalizing(u, d);
+        let (plan, stats) = planner.fallback(u, d, o_d, &state.learned, &mut state.flood);
+        if stats.used_fallback {
+            state.fallbacks += 1;
+        }
+        if let Plan::Forced(p) = plan {
+            if p.len() > 1 {
+                state.forced = Some((p, 0));
+                return Decision::Replan;
             }
         }
-    } else {
-        match phase {
-            PhaseDecision::Arrived => unreachable!("arrival is handled before deciding"),
-            PhaseDecision::Step(dir) => {
-                let v = o.apply(&mesh, ou.step(dir));
-                if state.visited.contains(v) && state.detour_run < detour_patience {
-                    let det = state.detour.as_mut().expect("checked is_some");
-                    match det.step(u, healthy, &state.visited) {
-                        Some(w) => {
-                            state.detour_hops += 1;
-                            state.detour_run += 1;
-                            w
-                        }
-                        None => return Decision::Blocked,
-                    }
-                } else {
-                    state.detour = None;
-                    state.detour_run = 0;
-                    v
-                }
-            }
-            PhaseDecision::Blocked => {
-                let det = state.detour.as_mut().expect("checked is_some");
-                match det.step(u, healthy, &state.visited) {
-                    Some(w) => {
-                        state.detour_hops += 1;
-                        state.detour_run += 1;
-                        w
-                    }
-                    None => return Decision::Blocked,
-                }
-            }
-        }
-    };
-    Decision::Hop(u.dir_to(next).expect("deciders step to a neighbor"))
+    }
+    hop_to(u, state.wall_step(u, want, toward, healthy, detour_patience(view)))
 }
 
 /// `E-cube` — fault-tolerant dimension-order routing over rectangular
@@ -388,97 +306,34 @@ impl Router for ECube {
         if state.clear_exhausted_detour() {
             state.healthy_mode = true;
         }
-        let mesh = *view.mesh();
-        let blocks = view.blocks();
-        let detour_patience = 4 * (mesh.width() + mesh.height());
+        if let Some(thrashing) = thrash_guard(view, state, u) {
+            state.healthy_mode = true;
+            return thrashing;
+        }
         // Walk on healthy nodes, but treat block-disabled nodes as
         // obstacles (except the endpoints, which the experiment harness
         // guarantees to be healthy but which the coarser block model may
         // have deactivated).
-        let healthy_mode = state.healthy_mode;
+        let (mesh, blocks, healthy_mode) = (view.mesh(), view.blocks(), state.healthy_mode);
+        let healthy = |c: Coord| view.faults().is_healthy(c);
         let passable = |c: Coord| {
             mesh.contains(c)
-                && view.faults().is_healthy(c)
+                && healthy(c)
                 && (!blocks.is_disabled(c) || c == d || c == s || healthy_mode)
         };
-        let healthy = |c: Coord| view.faults().is_healthy(c);
 
-        // Thrash guard: revisiting any node this often means the
-        // dimension-ordered decision cycles; degrade to a pure
-        // least-visited exploration walk, which covers the connected
-        // component and therefore terminates.
-        if state.visited.count(u) > 8 {
-            state.healthy_mode = true;
-            return match least_visited_step(u, healthy, &state.visited) {
-                Some(w) => {
-                    state.detour_hops += 1;
-                    Decision::Hop(u.dir_to(w).expect("exploration steps to a neighbor"))
-                }
-                None => Decision::Blocked,
-            };
-        }
-
-        let dir = if u.x != d.x {
-            if d.x > u.x {
-                Dir::PlusX
-            } else {
-                Dir::MinusX
-            }
-        } else if d.y > u.y {
-            Dir::PlusY
-        } else {
-            Dir::MinusY
-        };
+        let dir = xy_next(u, d);
         let straight = u.step(dir);
-        let next = if state.detour.is_none() {
-            if passable(straight) {
-                state.detour_run = 0;
-                straight
-            } else {
-                let mut det = Detour::around(dir);
-                match det.step(u, passable, &state.visited) {
-                    Some(w) => {
-                        state.detour = Some(det);
-                        state.detour_hops += 1;
-                        state.detour_run += 1;
-                        w
-                    }
-                    // Enabled nodes exhausted: escape over healthy
-                    // nodes (block-disabled ones are physically
-                    // traversable; the error metric pays for it).
-                    None => match least_visited_step(u, healthy, &state.visited) {
-                        Some(w) => {
-                            state.detour_hops += 1;
-                            w
-                        }
-                        None => return Decision::Blocked,
-                    },
-                }
-            }
-        } else if passable(straight)
-            && (!state.visited.contains(straight) || state.detour_run >= detour_patience)
-        {
-            state.detour = None;
-            state.detour_run = 0;
-            straight
-        } else {
-            let det = state.detour.as_mut().expect("checked is_some");
-            match det.step(u, passable, &state.visited) {
-                Some(w) => {
-                    state.detour_hops += 1;
-                    state.detour_run += 1;
-                    w
-                }
-                None => match least_visited_step(u, healthy, &state.visited) {
-                    Some(w) => {
-                        state.detour_hops += 1;
-                        w
-                    }
-                    None => return Decision::Blocked,
-                },
-            }
-        };
-        Decision::Hop(u.dir_to(next).expect("deciders step to a neighbor"))
+        let want = passable(straight).then_some(straight);
+        let next = state.wall_step(u, want, dir, passable, detour_patience(view)).or_else(|| {
+            // Enabled nodes exhausted: escape over healthy nodes
+            // (block-disabled ones are physically traversable; the
+            // error metric pays for it).
+            let w = least_visited_step(u, healthy, &state.visited)?;
+            state.detour_hops += 1;
+            Some(w)
+        });
+        hop_to(u, next)
     }
 }
 

@@ -7,7 +7,9 @@
 //! bit-identical routes. A second constant does the same for two meshes
 //! whose rows span more than one 64-bit word. A PR that changes routing
 //! behaviour on purpose regenerates them (the failure message prints the
-//! new value) and says so.
+//! new value) and says so. Two more constants hash E-cube over the same
+//! nets and pairs; they were generated at the commit *before* the
+//! routers' wall-following moved into one `HopState::wall_step`.
 
 use meshpath_mesh::{components, Coord, FaultInjection, FaultSet, Mesh};
 use meshpath_route::{NetView, RouteResult, RoutingKind};
@@ -21,6 +23,15 @@ const GOLDEN: u64 = 0x0e8a_e76b_923e_6b0c;
 /// word-parallel feasibility fill and the goal-directed fallback flood
 /// landed: it pins the multi-word row path to the scalar planner's routes.
 const GOLDEN_WIDE: u64 = 0xbedd_8c8e_56fa_43f6;
+
+/// E-cube over the nets and pairs of [`GOLDEN`] / [`GOLDEN_WIDE`].
+const GOLDEN_ECUBE: u64 = 0x2d54_304b_dade_40f8;
+const GOLDEN_ECUBE_WIDE: u64 = 0x7754_40f2_6d4a_985c;
+
+const NETS: [(u32, u32, usize); 6] =
+    [(24, 24, 5), (24, 24, 10), (32, 32, 5), (32, 32, 10), (64, 64, 5), (64, 64, 10)];
+const NETS_WIDE: [(u32, u32, usize); 2] = [(96, 40, 5), (130, 70, 10)];
+const RB: [RoutingKind; 3] = [RoutingKind::Rb1, RoutingKind::Rb2, RoutingKind::Rb3];
 
 const PAIRS_PER_NETWORK: usize = 240;
 
@@ -51,8 +62,8 @@ impl Fnv {
 }
 
 /// Hashes `PAIRS_PER_NETWORK` seeded same-component pairs routed by
-/// RB1/RB2/RB3 on each `(width, height, fault %)` network.
-fn identity_hash(nets: &[(u32, u32, usize)]) -> u64 {
+/// each of `kinds` on each `(width, height, fault %)` network.
+fn identity_hash(nets: &[(u32, u32, usize)], kinds: &[RoutingKind]) -> u64 {
     let mut hash = Fnv::new();
     let mut routed = 0u32;
     let mut detoured = 0u32;
@@ -74,7 +85,7 @@ fn identity_hash(nets: &[(u32, u32, usize)]) -> u64 {
                 pairs.push((s, d));
             }
         }
-        for kind in [RoutingKind::Rb1, RoutingKind::Rb2, RoutingKind::Rb3] {
+        for &kind in kinds {
             let router = kind.router();
             for &(s, d) in &pairs {
                 let res = router.route(&net, s, d);
@@ -91,22 +102,29 @@ fn identity_hash(nets: &[(u32, u32, usize)]) -> u64 {
 
 #[test]
 fn rb_routes_are_bit_identical_to_the_golden() {
-    let hash = identity_hash(&[
-        (24, 24, 5),
-        (24, 24, 10),
-        (32, 32, 5),
-        (32, 32, 10),
-        (64, 64, 5),
-        (64, 64, 10),
-    ]);
+    let hash = identity_hash(&NETS, &RB);
     assert_eq!(hash, GOLDEN, "route identity changed: RB1/RB2/RB3 routes now hash to {hash:#018x}");
 }
 
 #[test]
 fn rb_routes_on_meshes_wider_than_a_row_word_are_bit_identical_to_the_golden() {
-    let hash = identity_hash(&[(96, 40, 5), (130, 70, 10)]);
+    let hash = identity_hash(&NETS_WIDE, &RB);
     assert_eq!(
         hash, GOLDEN_WIDE,
         "route identity changed on the wide nets: RB1/RB2/RB3 routes now hash to {hash:#018x}"
+    );
+}
+
+#[test]
+fn ecube_routes_are_bit_identical_to_the_golden() {
+    let hash = identity_hash(&NETS, &[RoutingKind::ECube]);
+    assert_eq!(
+        hash, GOLDEN_ECUBE,
+        "route identity changed: E-cube routes now hash to {hash:#018x}"
+    );
+    let hash = identity_hash(&NETS_WIDE, &[RoutingKind::ECube]);
+    assert_eq!(
+        hash, GOLDEN_ECUBE_WIDE,
+        "route identity changed on the wide nets: E-cube routes now hash to {hash:#018x}"
     );
 }

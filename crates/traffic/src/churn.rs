@@ -244,7 +244,7 @@ impl OnlineDriver {
     /// Invalid operations are counted in `rejected` and dropped — a
     /// bad list entry or a misbehaving injector client cannot wedge or
     /// panic the run.
-    pub(crate) fn poll(&mut self, cycle: u64) -> Vec<(NetView, ChurnOp)> {
+    pub(crate) fn poll(&mut self, cycle: u64) -> Vec<NetView> {
         let mut ops = Vec::new();
         while self.listed.front().is_some_and(|e| e.cycle <= cycle) {
             ops.extend(self.listed.pop_front().map(|e| e.op));
@@ -266,7 +266,7 @@ impl OnlineDriver {
             match applied {
                 Ok(view) => {
                     self.applied.push(ChurnEvent { cycle, op });
-                    out.push((view, op));
+                    out.push(view);
                 }
                 Err(e) => {
                     // Rejections are counted, not fatal — but an event
@@ -301,6 +301,15 @@ mod tests {
         NetView::build(FaultSet::from_coords(mesh, coords))
     }
 
+    /// The operations one poll applies, off the applied-event log.
+    fn applied_by(drv: &mut OnlineDriver, cycle: u64) -> Vec<ChurnOp> {
+        let before = drv.applied.len();
+        let published = drv.poll(cycle).len();
+        let ops: Vec<ChurnOp> = drv.applied[before..].iter().map(|e| e.op).collect();
+        assert_eq!(ops.len(), published, "one publication per applied operation");
+        ops
+    }
+
     #[test]
     fn injector_queues_and_drains_in_order() {
         let inj = ChurnInjector::new();
@@ -330,8 +339,7 @@ mod tests {
         );
         let pubs = drv.poll(10);
         assert_eq!(pubs.len(), 1);
-        let (v, op) = &pubs[0];
-        assert_eq!(*op, ChurnOp::Fail(Coord::new(2, 2)));
+        let v = &pubs[0];
         assert_eq!(v.epoch(), 1);
         assert!(!v.faults().is_healthy(Coord::new(2, 2)));
         let (applied, rejected) = drv.into_outcome();
@@ -348,9 +356,7 @@ mod tests {
         inj.fail(Coord::new(1, 1)); // already faulty
         inj.repair(Coord::new(2, 2)); // not faulty
         inj.repair(Coord::new(1, 1)); // valid
-        let pubs = drv.poll(5);
-        assert_eq!(pubs.len(), 1);
-        assert_eq!(pubs[0].1, ChurnOp::Repair(Coord::new(1, 1)));
+        assert_eq!(applied_by(&mut drv, 5), vec![ChurnOp::Repair(Coord::new(1, 1))]);
         let (applied, rejected) = drv.into_outcome();
         assert_eq!(applied.len(), 1);
         assert_eq!(rejected, 3);
@@ -372,17 +378,16 @@ mod tests {
         // Listed cycles are boundaries beside the quantum multiples —
         // cycle 0 included.
         assert_eq!(drv.next_boundary(0), 0);
-        let ops = |pubs: Vec<(NetView, ChurnOp)>| pubs.iter().map(|p| p.1).collect::<Vec<_>>();
-        assert_eq!(ops(drv.poll(0)), vec![ChurnOp::Fail(a)]);
+        assert_eq!(applied_by(&mut drv, 0), vec![ChurnOp::Fail(a)]);
         assert_eq!((drv.next_boundary(1), drv.next_boundary(11)), (10, 20));
         // Same cycle: the list in config order, then the injector.
         inj.repair(a);
         assert_eq!(
-            ops(drv.poll(20)),
+            applied_by(&mut drv, 20),
             vec![ChurnOp::Repair(a), ChurnOp::Fail(a), ChurnOp::Repair(a)]
         );
         assert_eq!(drv.next_boundary(21), 25, "a listed cycle between quantum multiples");
-        assert_eq!(ops(drv.poll(25)), vec![ChurnOp::Fail(b)]);
+        assert_eq!(applied_by(&mut drv, 25), vec![ChurnOp::Fail(b)]);
         assert_eq!(drv.next_boundary(26), 30, "the list is exhausted; the quantum remains");
         let (applied, rejected) = drv.into_outcome();
         assert_eq!(applied.iter().map(|e| e.cycle).collect::<Vec<_>>(), vec![0, 20, 20, 20, 25]);

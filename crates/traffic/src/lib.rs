@@ -67,7 +67,7 @@
 //!   simulation, fed by a [`SimConfig::fault_churn`] list (exact
 //!   cycles), a [`ChurnInjector`] handle and a seedable [`ChaosConfig`]
 //!   random schedule (churn-quantum boundaries) — one driver, one
-//!   epoch mechanism with incremental escape-forest re-provisioning;
+//!   epoch mechanism, the escape forest rebuilt per published event;
 //!   stranded in-flight packets are replanned or killed
 //!   (`churn_killed`), never wedged.
 //! * [`stats`] — latency histograms and accepted-throughput accounting.

@@ -69,10 +69,11 @@
 //! Under **churn** (events published mid-run via
 //! [`HopRouter::publish`], whether listed ahead of time or injected
 //! live) the escape substrate tracks the *current* fault set: each
-//! published event incrementally re-provisions the forest
-//! ([`EscapeForest::update`] — component-scoped rebuilds, labels
-//! included, with a full-rebuild fallback on component merge/split)
-//! and rebuilds the prefix counts, repaired nodes regain the tree
+//! published event rebuilds the forest ([`EscapeForest::new`]) and the
+//! prefix counts over the published fault set — whole, because below
+//! the percolation threshold the healthy mesh is one giant component
+//! and there is no smaller dirty part to rebuild
+//! (`BENCH/pr19-forest-publish.json`). Repaired nodes regain the tree
 //! class, and packets stranded by a fresh fault are replanned under the
 //! new epoch (which re-keys their handle) or killed (the `churn_killed`
 //! stat) instead of wedging.
@@ -83,7 +84,6 @@ use meshpath_mesh::{Coord, Dir, FaultSet, FxHashMap, HopSeq, NodeId};
 use meshpath_route::{HopState, NetView, Router};
 use serde::{Deserialize, Serialize};
 
-use crate::config::ChurnOp;
 use crate::fabric::PacketState;
 
 // The per-hop substrate is defined once, in `meshpath-route`; re-export
@@ -234,15 +234,15 @@ pub trait HopRouter {
     fn decide(&mut self, here: Coord, pk: &mut PacketState, route: &mut RouteHandle)
         -> HopDecision;
 
-    /// Publishes a churn epoch: `view` (the network after `op`) becomes
-    /// the admission epoch — subsequent [`admit`](HopRouter::admit)
-    /// calls compile against it — and escape structures are
-    /// re-provisioned for `op`. The first publish switches the router
-    /// into online mode: degradation checks (kill/replan around fresh
-    /// faults) activate from that point on. Routers that cannot serve
-    /// churn ignore the call.
-    fn publish(&mut self, view: &NetView, op: ChurnOp) {
-        let _ = (view, op);
+    /// Publishes a churn epoch: `view` (the network after the applied
+    /// event) becomes the admission epoch — subsequent
+    /// [`admit`](HopRouter::admit) calls compile against it — and
+    /// escape structures are rebuilt over its fault set. The first
+    /// publish switches the router into online mode: degradation checks
+    /// (kill/replan around fresh faults) activate from that point on.
+    /// Routers that cannot serve churn ignore the call.
+    fn publish(&mut self, view: &NetView) {
+        let _ = view;
     }
 }
 
@@ -447,6 +447,39 @@ impl PathTable {
         Some(first)
     }
 
+    /// What is settled before a hop router picks a class: a packet at
+    /// its destination ejects, and `online` one that sits on, or heads
+    /// to, a node that failed after its admission is killed — drained
+    /// out of the fabric.
+    #[inline]
+    fn settled(&self, online: bool, here: Coord, pk: &mut PacketState) -> Option<HopDecision> {
+        let faults = self.view().faults();
+        if online && !(faults.is_healthy(here) && faults.is_healthy(pk.dst)) {
+            pk.killed = true;
+            return Some(HopDecision::Eject);
+        }
+        (here == pk.dst).then_some(HopDecision::Eject)
+    }
+
+    /// The adaptive-class direction of `pk` at `here`: the next hop of
+    /// its compiled route, [`replan`](PathTable::replan)ned first when
+    /// `online` and that hop is a fresh fault. `None` (nothing touched):
+    /// the packet is stranded — no current-epoch route leads on either.
+    #[inline]
+    fn adaptive_dir(
+        &mut self,
+        online: bool,
+        here: Coord,
+        pk: &mut PacketState,
+        route: &mut RouteHandle,
+    ) -> Option<Dir> {
+        let dir = self.next_dir(pk, route);
+        if online && !self.view().faults().is_healthy(here.step(dir)) {
+            return self.replan(here, pk, route);
+        }
+        Some(dir)
+    }
+
     /// Routes held, deliverable or not, over every epoch.
     #[cfg(test)]
     pub(crate) fn held(&self) -> usize {
@@ -496,35 +529,19 @@ impl HopRouter for ReplayHop<'_> {
         pk: &mut PacketState,
         route: &mut RouteHandle,
     ) -> HopDecision {
-        if self.online {
-            let faults = self.paths.view().faults();
-            if !faults.is_healthy(here) || !faults.is_healthy(pk.dst) {
-                // The packet sits on, or heads to, a node that failed
-                // after admission: drain it out of the fabric.
+        if let Some(done) = self.paths.settled(self.online, here, pk) {
+            return done;
+        }
+        match self.paths.adaptive_dir(self.online, here, pk, route) {
+            Some(dir) => HopDecision::route1(HopChoice { dir, class: VcClass::Adaptive }),
+            None => {
                 pk.killed = true;
-                return HopDecision::Eject;
+                HopDecision::Eject
             }
         }
-        if here == pk.dst {
-            return HopDecision::Eject;
-        }
-        let mut dir = self.paths.next_dir(pk, route);
-        if self.online && !self.paths.view().faults().is_healthy(here.step(dir)) {
-            // The compiled route runs into a fresh fault: replan from
-            // here under the current epoch, or kill the packet when no
-            // current-epoch route exists.
-            match self.paths.replan(here, pk, route) {
-                Some(first) => dir = first,
-                None => {
-                    pk.killed = true;
-                    return HopDecision::Eject;
-                }
-            }
-        }
-        HopDecision::route1(HopChoice { dir, class: VcClass::Adaptive })
     }
 
-    fn publish(&mut self, view: &NetView, _op: ChurnOp) {
+    fn publish(&mut self, view: &NetView) {
         self.online = true;
         self.paths.publish(view);
     }
@@ -554,35 +571,6 @@ fn healthy_bfs(faults: &FaultSet, start: Coord) -> Vec<u32> {
         }
     }
     dist
-}
-
-/// Membership mask (by node id) of the healthy component containing
-/// `start`, optionally treating `without` as faulty — which recovers
-/// the pre-repair component layout when `without` is the node being
-/// repaired. Deterministic: BFS in [`Dir::ALL`] order.
-fn component_members(faults: &FaultSet, start: Coord, without: Option<Coord>) -> Vec<bool> {
-    let mesh = faults.mesh();
-    let mut seen = vec![false; mesh.len()];
-    if Some(start) == without || !faults.is_healthy(start) {
-        return seen;
-    }
-    let mut queue = std::collections::VecDeque::new();
-    seen[mesh.id(start).index()] = true;
-    queue.push_back(start);
-    while let Some(c) = queue.pop_front() {
-        for dir in Dir::ALL {
-            let nb = c.step(dir);
-            if !mesh.contains(nb) || !faults.is_healthy(nb) || Some(nb) == without {
-                continue;
-            }
-            let ni = mesh.id(nb).index();
-            if !seen[ni] {
-                seen[ni] = true;
-                queue.push_back(nb);
-            }
-        }
-    }
-    seen
 }
 
 /// The farthest reached node of a BFS distance field (maximum
@@ -618,17 +606,6 @@ fn argmin_witness(mesh: &meshpath_mesh::Mesh, witnesses: &[&[u32]]) -> Coord {
     mesh.coord(meshpath_mesh::NodeId(i as u32))
 }
 
-/// The analytic distance field of a **fault-free** mesh: every node is
-/// reachable and a BFS hop count equals the Manhattan distance, so this
-/// produces exactly [`healthy_bfs`]'s output without touching a queue.
-fn manhattan_field(mesh: &meshpath_mesh::Mesh, start: Coord) -> Vec<u32> {
-    let mut dist = vec![0u32; mesh.len()];
-    for c in mesh.iter() {
-        dist[mesh.id(c).index()] = c.manhattan(start);
-    }
-    dist
-}
-
 /// A (near-)center of `start`'s connected component: the classic
 /// double sweep (farthest node `u` from `start`, farthest node `v`
 /// from `u`) plus one witness-refinement round — grids have many
@@ -638,26 +615,9 @@ fn manhattan_field(mesh: &meshpath_mesh::Mesh, start: Coord) -> Vec<u32> {
 /// eccentricity is then measured with a real BFS and the best (lowest
 /// eccentricity, lowest id on ties) wins. O(component) — seven BFS
 /// passes — and a pure function of the fault configuration.
-///
-/// On a **fault-free** configuration the seven BFS passes are replaced
-/// by analytic Manhattan fields ([`manhattan_field`]): the farthest /
-/// argmin scans are unchanged, so the refinement walks through exactly
-/// the same candidates and the chosen center is bit-identical to the
-/// BFS path (pinned by `fault_free_center_matches_bfs_path`) — it only
-/// stops paying the faulty-mesh queue cost on fault-free publications.
 fn component_center(faults: &FaultSet, start: Coord) -> Coord {
-    component_center_with(faults, start, faults.count() == 0)
-}
-
-fn component_center_with(faults: &FaultSet, start: Coord, analytic: bool) -> Coord {
     let mesh = faults.mesh();
-    let field = |s: Coord| -> Vec<u32> {
-        if analytic {
-            manhattan_field(mesh, s)
-        } else {
-            healthy_bfs(faults, s)
-        }
-    };
+    let field = |s: Coord| healthy_bfs(faults, s);
     let d0 = field(start);
     let (u, ecc0) = farthest(mesh, &d0);
     let du = field(u);
@@ -703,9 +663,8 @@ fn component_center_with(faults: &FaultSet, start: Coord, analytic: bool) -> Coo
 /// exactly the labels of its descendants, so "is `dst` below `here`?"
 /// is two comparisons and [`next_hop`](EscapeForest::next_hop) climbs
 /// nothing. A label is `tree << 32 | pre-order index`, `tree` being the
-/// lowest node id of the component: a function of the component alone
-/// (an [`update`](EscapeForest::update) relabels the dirty component
-/// and no other) that keeps the intervals of different trees disjoint.
+/// lowest node id of the component, which keeps the intervals of
+/// different trees disjoint.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct EscapeForest {
     /// Parent direction per node id; `None` for faulty nodes and roots.
@@ -799,87 +758,6 @@ impl EscapeForest {
             self.span[p as usize].hi = lo + size;
             self.span[i as usize] = Span { lo, hi: lo + 1 };
         }
-    }
-
-    /// Incrementally re-provisions the forest after one online churn
-    /// event, `faults` being the post-event configuration. Only the
-    /// dirty component — the one gaining or losing the event's node —
-    /// is rebuilt, rooted at its BFS center exactly as
-    /// [`EscapeForest::new`] would root it, so the result is
-    /// bit-identical to a from-scratch build over `faults`. A component
-    /// split (a failure disconnecting its component) or merge (a repair
-    /// bridging two components) falls back to the full rebuild,
-    /// mirroring the incremental relabeling strategy of `NetState`.
-    pub fn update(&mut self, faults: &FaultSet, op: ChurnOp) {
-        let mesh = faults.mesh();
-        let healthy_neighbors = |c: Coord| -> Vec<Coord> {
-            Dir::ALL
-                .into_iter()
-                .map(|d| c.step(d))
-                .filter(|&nb| mesh.contains(nb) && faults.is_healthy(nb))
-                .collect()
-        };
-        match op {
-            ChurnOp::Fail(c) => {
-                let ci = mesh.id(c).index();
-                self.parent[ci] = None;
-                self.depth[ci] = 0;
-                self.span[ci] = NO_SPAN;
-                let neighbors = healthy_neighbors(c);
-                let Some(&seed) = neighbors.first() else {
-                    // The failed node had no healthy neighbors: its
-                    // component was the singleton `{c}`; nothing else
-                    // changes.
-                    return;
-                };
-                let members = component_members(faults, seed, None);
-                if neighbors.iter().any(|&nb| !members[mesh.id(nb).index()]) {
-                    // The failure split its component.
-                    *self = EscapeForest::new(faults);
-                    return;
-                }
-                self.rebuild_component(faults, &members);
-            }
-            ChurnOp::Repair(c) => {
-                // Count the distinct pre-repair components adjacent to
-                // `c` (BFS with `c` still treated as faulty): more than
-                // one means the repair merged them.
-                let mut covered = vec![false; mesh.len()];
-                let mut distinct = 0;
-                for &nb in &healthy_neighbors(c) {
-                    if covered[mesh.id(nb).index()] {
-                        continue;
-                    }
-                    distinct += 1;
-                    if distinct > 1 {
-                        break;
-                    }
-                    for (i, &m) in component_members(faults, nb, Some(c)).iter().enumerate() {
-                        covered[i] |= m;
-                    }
-                }
-                if distinct > 1 {
-                    *self = EscapeForest::new(faults);
-                    return;
-                }
-                let members = component_members(faults, c, None);
-                self.rebuild_component(faults, &members);
-            }
-        }
-    }
-
-    /// Rebuilds one component's tree, labels included, exactly as
-    /// [`EscapeForest::new`] builds it: same builder, same lowest id.
-    fn rebuild_component(&mut self, faults: &FaultSet, members: &[bool]) {
-        let Some(first) = members.iter().position(|&m| m) else {
-            return;
-        };
-        for (i, &m) in members.iter().enumerate() {
-            if m {
-                self.span[i] = NO_SPAN;
-            }
-        }
-        self.build_component(faults, first);
     }
 
     /// Tree depth of a node (0 for roots and faulty nodes).
@@ -1007,8 +885,8 @@ impl XyClearance {
 ///
 /// Nothing here is memoized: every class's decision is a few array
 /// reads (see the module docs), and [`publish`](HopRouter::publish)
-/// rebuilds what they read — the dirty component of the forest and the
-/// prefix counts — for the new fault set.
+/// rebuilds what they read — the forest and the prefix counts — for
+/// the new fault set.
 pub struct EscapeHop<'p> {
     paths: &'p mut PathTable,
     patience: u32,
@@ -1021,7 +899,7 @@ pub struct EscapeHop<'p> {
     /// would be pure waste.
     xy: Option<XyClearance>,
     /// The spanning forest over the current fault set's healthy nodes,
-    /// re-provisioned incrementally per published event.
+    /// rebuilt per published event.
     forest: EscapeForest,
     /// Set by the first [`publish`](HopRouter::publish): faults may now
     /// postdate a packet's admission, so decide kills or replans
@@ -1065,17 +943,8 @@ impl HopRouter for EscapeHop<'_> {
         pk: &mut PacketState,
         route: &mut RouteHandle,
     ) -> HopDecision {
-        if self.online {
-            let faults = self.paths.view().faults();
-            if !faults.is_healthy(here) || !faults.is_healthy(pk.dst) {
-                // The packet sits on, or heads to, a node that failed
-                // after admission: drain it out of the fabric.
-                pk.killed = true;
-                return HopDecision::Eject;
-            }
-        }
-        if here == pk.dst {
-            return HopDecision::Eject;
+        if let Some(done) = self.paths.settled(self.online, here, pk) {
+            return done;
         }
         match pk.mode {
             // Committed to an escape network: ride it to the end.
@@ -1100,24 +969,16 @@ impl HopRouter for EscapeHop<'_> {
                 }
             },
             VcClass::Adaptive => {
-                let mut dir = self.paths.next_dir(pk, route);
-                if self.online && !self.paths.view().faults().is_healthy(here.step(dir)) {
-                    // The compiled route runs into a fresh fault:
-                    // replan from here under the current epoch, fall
-                    // back to the tree, or kill.
-                    match self.paths.replan(here, pk, route) {
-                        Some(first) => dir = first,
+                let Some(dir) = self.paths.adaptive_dir(self.online, here, pk, route) else {
+                    // Stranded: fall back to the tree, or kill.
+                    return match self.tree_choice(here, pk.dst) {
+                        Some(tree) => HopDecision::route1(tree),
                         None => {
-                            return match self.tree_choice(here, pk.dst) {
-                                Some(tree) => HopDecision::route1(tree),
-                                None => {
-                                    pk.killed = true;
-                                    HopDecision::Eject
-                                }
-                            };
+                            pk.killed = true;
+                            HopDecision::Eject
                         }
-                    }
-                }
+                    };
+                };
                 let mut c = HopCandidates::new();
                 c.push(HopChoice { dir, class: VcClass::Adaptive });
                 if pk.stalled >= self.patience {
@@ -1133,10 +994,10 @@ impl HopRouter for EscapeHop<'_> {
         }
     }
 
-    fn publish(&mut self, view: &NetView, op: ChurnOp) {
+    fn publish(&mut self, view: &NetView) {
         self.online = true;
         self.paths.publish(view);
-        self.forest.update(view.faults(), op);
+        self.forest = EscapeForest::new(view.faults());
         if let Some(xy) = &mut self.xy {
             *xy = XyClearance::new(view.faults());
         }
@@ -1146,6 +1007,7 @@ impl HopRouter for EscapeHop<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ChurnOp;
     use meshpath_mesh::{FaultSet, Mesh};
     use meshpath_route::Rb2;
 
@@ -1422,6 +1284,11 @@ mod tests {
         let forest = EscapeForest::new(&faults);
         let max_depth = mesh.iter().map(|c| forest.depth(&mesh, c)).max().unwrap();
         assert_eq!(max_depth, 16, "tree depth must drop from the diameter to the radius");
+        // Hand-verified refinement from (0,0): u=(15,15) at ecc 30,
+        // v=(0,0), c1=(15,0), w=(0,15), c2=(7,8) with eccentricity 16 —
+        // the winning candidate.
+        assert_eq!(component_center(&faults, Coord::new(0, 0)), Coord::new(7, 8));
+        assert_eq!(forest.depth(&mesh, Coord::new(7, 8)), 0);
 
         // Two components split by a fault wall: each gets its own
         // center — depth stays within the larger half's radius (the
@@ -1439,67 +1306,34 @@ mod tests {
         assert!(split_depth <= 12, "per-component centers, got depth {split_depth}");
     }
 
-    #[test]
-    fn fault_free_center_matches_bfs_path() {
-        // The analytic Manhattan-field fast path must pick exactly the
-        // center the seven-BFS refinement picks — the farthest/argmin
-        // scans are shared, so any divergence is a field mismatch.
-        for n in [2u32, 3, 4, 5, 8, 15, 16, 17, 31] {
-            let mesh = Mesh::square(n);
-            let faults = FaultSet::none(mesh);
-            for start in [Coord::new(0, 0), Coord::new(n as i32 - 1, 0), Coord::new(1, 1)] {
-                if !mesh.contains(start) {
-                    continue;
-                }
-                assert_eq!(
-                    manhattan_field(&mesh, start),
-                    healthy_bfs(&faults, start),
-                    "field mismatch on {n}x{n} from {start:?}"
-                );
-                assert_eq!(
-                    component_center_with(&faults, start, true),
-                    component_center_with(&faults, start, false),
-                    "center diverged on {n}x{n} from {start:?}"
-                );
-            }
-        }
-        // Hand-verified 16x16 refinement from (0,0): u=(15,15) at ecc 30,
-        // v=(0,0), c1=(15,0), w=(0,15), c2=(7,8) with eccentricity 16 —
-        // the winning candidate.
-        let mesh = Mesh::square(16);
-        let faults = FaultSet::none(mesh);
-        assert_eq!(component_center(&faults, Coord::new(0, 0)), Coord::new(7, 8));
-        // And the forest built through the fast path roots there.
-        let forest = EscapeForest::new(&faults);
-        assert_eq!(forest.depth(&mesh, Coord::new(7, 8)), 0);
-    }
-
-    #[test]
-    fn escape_forest_routes_every_connected_pair_up_then_down() {
-        let mesh = Mesh::square(8);
-        let faults = FaultSet::from_coords(
-            mesh,
-            [Coord::new(3, 3), Coord::new(4, 3), Coord::new(3, 4), Coord::new(6, 1)],
-        );
-        let forest = EscapeForest::new(&faults);
+    /// Walks the tree route of every ordered pair of healthy nodes: a
+    /// connected pair arrives, all its "up" (depth-decreasing) hops
+    /// before any "down" hop; a cut pair climbs to its root and is
+    /// refused there — a tree's labels fall in no other tree's
+    /// intervals.
+    fn assert_routes_up_then_down(forest: &EscapeForest, faults: &FaultSet) {
+        let mesh = faults.mesh();
+        let (component, _) = meshpath_mesh::components(faults);
         let healthy: Vec<Coord> = mesh.iter().filter(|&c| faults.is_healthy(c)).collect();
         for &s in &healthy {
-            for &d in &healthy {
-                if s == d {
-                    continue;
-                }
-                // Walk the tree route; it must reach d with all "up"
-                // (depth-decreasing) hops before any "down" hop.
+            for &d in healthy.iter().filter(|&&d| d != s) {
                 let mut cur = s;
                 let mut went_down = false;
                 let mut hops = 0;
                 while cur != d {
-                    let dir = forest
-                        .next_hop(&mesh, cur, d)
-                        .unwrap_or_else(|| panic!("{s:?}->{d:?}: connected pair must route"));
+                    let Some(dir) = forest.next_hop(mesh, cur, d) else {
+                        assert_ne!(component[s], component[d], "{s:?}->{d:?}: connected");
+                        assert!(!went_down, "{s:?}->{d:?}: refused below an ancestor");
+                        assert_eq!(
+                            forest.depth(mesh, cur),
+                            0,
+                            "{s:?}->{d:?}: gave up below the root"
+                        );
+                        break;
+                    };
                     let next = cur.step(dir);
                     assert!(faults.is_healthy(next), "{s:?}->{d:?} steps onto a fault");
-                    let (dc, dn) = (forest.depth(&mesh, cur), forest.depth(&mesh, next));
+                    let (dc, dn) = (forest.depth(mesh, cur), forest.depth(mesh, next));
                     assert_eq!(dc.abs_diff(dn), 1, "tree hops move between tree levels");
                     if dn > dc {
                         went_down = true;
@@ -1512,6 +1346,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn escape_forest_routes_every_connected_pair_up_then_down() {
+        let faults = FaultSet::from_coords(
+            Mesh::square(8),
+            [Coord::new(3, 3), Coord::new(4, 3), Coord::new(3, 4), Coord::new(6, 1)],
+        );
+        assert!(meshpath_mesh::is_connected(&faults));
+        assert_routes_up_then_down(&EscapeForest::new(&faults), &faults);
     }
 
     #[test]
@@ -1545,16 +1389,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn incremental_forest_update_matches_from_scratch() {
-        // A scripted sequence covering the interesting shapes: interior
-        // failures, a wall that splits the mesh (full-rebuild
-        // fallback), a repair that merges the halves back, and repair
-        // of an isolated corner.
-        let mesh = Mesh::square(8);
-        let mut faults = FaultSet::none(mesh);
-        let mut forest = EscapeForest::new(&faults);
-        let wall: Vec<ChurnOp> = (0..8).map(|x| ChurnOp::Fail(Coord::new(x, 3))).collect();
+    /// A churn script on the fault-free 8x8 covering the interesting
+    /// shapes: interior failures, a cut-off corner, a repair that merges
+    /// it back, a wall that splits the mesh and a repair that merges
+    /// the halves.
+    fn churn_script() -> Vec<ChurnOp> {
         let mut script = vec![
             ChurnOp::Fail(Coord::new(4, 5)),
             ChurnOp::Fail(Coord::new(0, 1)),
@@ -1564,27 +1403,79 @@ mod tests {
             ChurnOp::Repair(Coord::new(0, 1)), // merge it back
             ChurnOp::Repair(Coord::new(4, 5)),
         ];
-        script.extend(wall); // split into two halves
+        script.extend((0..8).map(|x| ChurnOp::Fail(Coord::new(x, 3)))); // split into two halves
         script.push(ChurnOp::Repair(Coord::new(5, 3))); // merge the halves
-        for op in script {
+        script
+    }
+
+    #[test]
+    fn forest_of_every_scripted_fault_set_routes_by_interval_as_by_climb() {
+        let mesh = Mesh::square(8);
+        let mut faults = FaultSet::none(mesh);
+        let mut cut_corners = 0;
+        for op in churn_script() {
             match op {
                 ChurnOp::Fail(c) => assert!(faults.inject(c)),
                 ChurnOp::Repair(c) => assert!(faults.repair(c)),
             }
-            forest.update(&faults, op);
-            assert_eq!(forest, EscapeForest::new(&faults), "diverged after {op:?}");
+            let forest = EscapeForest::new(&faults);
             assert_next_hop_matches_the_climb(&forest, &faults);
-            // A pair cut apart climbs to a root and stops there: a
-            // rebuilt tree's labels fall in no other tree's intervals.
-            let (corner, far) = (Coord::new(0, 0), Coord::new(7, 7));
+            assert_routes_up_then_down(&forest, &faults);
             if [Coord::new(0, 1), Coord::new(1, 0)].iter().all(|&c| faults.is_faulty(c)) {
-                assert_eq!(forest.next_hop(&mesh, corner, far), None);
-                let mut at = far;
-                while let Some(dir) = forest.next_hop(&mesh, at, corner) {
-                    assert!(forest.depth(&mesh, at.step(dir)) < forest.depth(&mesh, at));
-                    at = at.step(dir);
+                cut_corners += 1;
+                assert_eq!(forest.next_hop(&mesh, Coord::new(0, 0), Coord::new(7, 7)), None);
+            }
+        }
+        assert_eq!(cut_corners, 3, "the script cuts the corner off for three events");
+    }
+
+    #[test]
+    fn a_published_escape_hop_decides_as_one_built_over_the_published_view() {
+        let mesh = Mesh::square(8);
+        let patience = 4;
+        let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
+        let v0 = state.view();
+        let mut table = PathTable::new(&v0, RoutingKind::Rb2);
+        let mut hop = EscapeHop::new(&mut table, patience, true);
+        for (epoch, op) in (1..).zip(churn_script()) {
+            let view = match op {
+                ChurnOp::Fail(c) => state.add_fault(c),
+                ChurnOp::Repair(c) => state.remove_fault(c),
+            }
+            .expect("a valid event");
+            hop.publish(&view);
+            let mut fresh_table = PathTable::new(&view, RoutingKind::Rb2);
+            let mut fresh = EscapeHop::new(&mut fresh_table, patience, true);
+            assert_eq!(hop.forest(), fresh.forest(), "after {op:?}");
+            for here in mesh.iter() {
+                for dst in mesh.iter().filter(|&dst| dst != here) {
+                    let faults = view.faults();
+                    if !(faults.is_healthy(here) && faults.is_healthy(dst)) {
+                        // Admitted before the fault landed: drained.
+                        let mut stale = PacketState::new(here, dst, 0, 1);
+                        assert_eq!(
+                            hop.decide(here, &mut stale, &mut { RouteHandle::UNRESOLVED }),
+                            HopDecision::Eject
+                        );
+                        assert!(stale.killed, "{here:?}->{dst:?} after {op:?}");
+                        continue;
+                    }
+                    let admitted = fresh.admit(here, dst);
+                    assert_eq!(hop.admit(here, dst), admitted, "{here:?}->{dst:?} after {op:?}");
+                    if admitted.is_none() {
+                        continue; // cut apart: never in the fabric
+                    }
+                    // Stalled past patience: the adaptive hop, the XY
+                    // candidate when the run is clear, the tree hop.
+                    let mut pk = PacketState::new(here, dst, 0, 1);
+                    pk.stalled = patience;
+                    let expected = fresh.decide(here, &mut pk, &mut { RouteHandle::UNRESOLVED });
+                    pk.epoch = epoch;
+                    let offered = hop.decide(here, &mut pk, &mut { RouteHandle::UNRESOLVED });
+                    assert_eq!(offered, expected, "{here:?}->{dst:?} after {op:?}");
+                    assert!(classes(offered).contains(&VcClass::EscapeTree));
+                    assert_eq!((pk.epoch, pk.killed), (epoch, false));
                 }
-                assert_eq!(forest.depth(&mesh, at), 0, "gave up below the root");
             }
         }
     }
@@ -1592,43 +1483,28 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(24))]
 
-        /// The incremental update must be **bit-identical** to a
-        /// from-scratch build after every event of a random valid
-        /// fault/repair sequence — the property the online escape
-        /// substrate's determinism (and hence cross-shard bit-identity)
-        /// rests on.
+        /// The forest of the fault set every event of a random
+        /// fail/repair sequence leaves routes every pair by interval as
+        /// by climb, up then down.
         #[test]
-        fn incremental_forest_update_is_bit_identical_over_random_churn(
+        fn forest_routes_by_interval_as_by_climb_over_random_churn(
             draw in (5u32..9, proptest::collection::vec(0usize..1000, 1..40))
         ) {
             let (n, picks) = draw;
             let mesh = Mesh::square(n);
             let mut faults = FaultSet::none(mesh);
-            let mut forest = EscapeForest::new(&faults);
             for pick in picks {
                 let c = mesh.coord(meshpath_mesh::NodeId((pick % mesh.len()) as u32));
                 // Toggle: healthy nodes fail, faulty nodes repair —
                 // every event is valid by construction.
-                let op = if faults.is_healthy(c) {
-                    if faults.healthy_count() == 1 {
-                        continue; // keep at least one healthy node
-                    }
-                    faults.inject(c);
-                    ChurnOp::Fail(c)
-                } else {
+                if !faults.is_healthy(c) {
                     faults.repair(c);
-                    ChurnOp::Repair(c)
-                };
-                forest.update(&faults, op);
-                proptest::prop_assert_eq!(
-                    &forest,
-                    &EscapeForest::new(&faults),
-                    "diverged after {:?} on {}x{}",
-                    op,
-                    n,
-                    n
-                );
+                } else if faults.healthy_count() > 1 {
+                    faults.inject(c); // keeps at least one healthy node
+                }
+                let forest = EscapeForest::new(&faults);
                 assert_next_hop_matches_the_climb(&forest, &faults);
+                assert_routes_up_then_down(&forest, &faults);
             }
         }
 
@@ -1703,13 +1579,13 @@ mod tests {
             check(&hop, view.faults());
             for pick in events {
                 let c = node(pick);
-                let (next, op) = if state.view().faults().is_healthy(c) {
-                    (state.add_fault(c), ChurnOp::Fail(c))
+                let next = if state.view().faults().is_healthy(c) {
+                    state.add_fault(c)
                 } else {
-                    (state.remove_fault(c), ChurnOp::Repair(c))
-                };
-                let next = next.expect("a toggle is a valid event");
-                hop.publish(&next, op);
+                    state.remove_fault(c)
+                }
+                .expect("a toggle is a valid event");
+                hop.publish(&next);
                 check(&hop, next.faults());
             }
         }
@@ -1726,7 +1602,7 @@ mod tests {
         assert!(hop.tree_choice(node, Coord::new(0, 0)).is_some(), "on the initial forest");
 
         let v1 = state.add_fault(node).expect("valid");
-        hop.publish(&v1, ChurnOp::Fail(node));
+        hop.publish(&v1);
         assert!(
             hop.tree_choice(node, Coord::new(0, 0)).is_none(),
             "failed node leaves the substrate"
@@ -1734,7 +1610,7 @@ mod tests {
         assert_eq!(hop.forest(), &EscapeForest::new(v1.faults()));
 
         let v2 = state.remove_fault(node).expect("valid");
-        hop.publish(&v2, ChurnOp::Repair(node));
+        hop.publish(&v2);
         // Re-provisioning per event restores the tree class.
         let choice = hop
             .tree_choice(node, Coord::new(0, 0))
@@ -1763,7 +1639,7 @@ mod tests {
         // An unscheduled fault lands on the compiled row route.
         let blocker = Coord::new(3, 1);
         let v1 = state.add_fault(blocker).expect("valid");
-        hop.publish(&v1, ChurnOp::Fail(blocker));
+        hop.publish(&v1);
 
         // Parked at (2,1), the old route's next step is the fresh
         // fault: the packet is re-keyed onto the current epoch and the
@@ -1793,7 +1669,7 @@ mod tests {
         // The destination itself fails: the packet is killed (drained
         // out of the fabric), never wedged.
         let v2 = state.add_fault(d).expect("valid");
-        hop.publish(&v2, ChurnOp::Fail(d));
+        hop.publish(&v2);
         assert_eq!(hop.decide(here, &mut pk, &mut route), HopDecision::Eject);
         assert!(pk.killed, "a packet to a failed destination is accounted as churn-killed");
     }

@@ -47,8 +47,8 @@
 //! epoch to the shard workers over the control lanes (windows end at
 //! boundaries, so `Go::Publish` precedes the window that starts there
 //! on each FIFO lane and every worker adopts the epoch before the
-//! boundary cycle runs). Workers re-provision their hop routers
-//! incrementally ([`HopRouter::publish`]) and refresh source liveness
+//! boundary cycle runs). Workers rebuild their hop routers' escape
+//! structures ([`HopRouter::publish`]) and refresh source liveness
 //! and the destination sampler; packets stranded by a fresh fault are
 //! replanned or killed (`churn_killed`), never wedged. Polling is
 //! coordinator-side and deterministic, so churn runs stay
@@ -76,7 +76,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::churn::{OnlineChurn, OnlineDriver};
-use crate::config::{ChurnOp, RoutePolicy, SimConfig};
+use crate::config::{RoutePolicy, SimConfig};
 use crate::fabric::{BoundaryMsg, Delivery, Fabric, Flit, PacketState, Shard, StepReport};
 use crate::pattern::{DestSampler, InjectionProcess};
 use crate::routing::{EscapeHop, HopRouter, PathTable, ReplayHop, RoutingKind};
@@ -250,7 +250,7 @@ enum Go {
     /// the coordinator sends one per applied event, always *before*
     /// the window that starts at the event's boundary cycle on the
     /// same FIFO lane.
-    Publish(NetView, ChurnOp),
+    Publish(NetView),
     /// Enqueue the workload messages releasing at the next cycle (each
     /// worker keeps the ones whose source node it owns). Sent before
     /// the one-cycle window covering that cycle on the same FIFO lane —
@@ -475,10 +475,10 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         match go {
             // Adopted on arrival — the publication precedes the first
             // cycle of its epoch on this worker's lane: re-provision
-            // the hop router (incremental escape-forest update, route
-            // cache for the new epoch) and redraw the sampler.
-            Go::Publish(view, op) => {
-                self.router.publish(view, *op);
+            // the hop router (escape forest and XY clearance rebuilt,
+            // route cache for the new epoch) and redraw the sampler.
+            Go::Publish(view) => {
+                self.router.publish(view);
                 self.sampler =
                     DestSampler::new(self.cfg.pattern.clone(), view.faults(), self.cfg.seed);
                 self.epoch += 1;
@@ -984,12 +984,12 @@ impl RunState {
     /// feedback ([`RunState::end_of_cycle`]) and this cycle's
     /// publications.
     fn boundary(&mut self, cycle: u64, mut send: impl FnMut(Go)) {
-        for (view, op) in self.churn.poll(cycle) {
+        for view in self.churn.poll(cycle) {
             // Grow the per-epoch delivery ledger exactly when the epoch
             // is published — its length is part of the bit-identity
             // contract.
             self.stats.epoch_delivered.push(0);
-            send(Go::Publish(view, op));
+            send(Go::Publish(view));
         }
         if let Some(wl) = self.wl.as_mut() {
             let msgs = wl.poll(cycle);
@@ -1208,7 +1208,9 @@ pub struct TrafficSim<'p> {
     ttl: u32,
     kind: RoutingKind,
     fabric: Fabric,
-    router: Box<dyn HopRouter + 'p>,
+    /// The caller's table: what the one worker of a single-shard run
+    /// routes over.
+    paths: &'p mut PathTable,
     /// The initial (epoch-0) network snapshot.
     base: NetView,
     sources: Vec<SourceNode>,
@@ -1293,7 +1295,6 @@ impl<'p> TrafficSim<'p> {
         let cols = cfg.tile_cols.max(1).min(threads).min(mesh.width() as usize);
         let rows = (threads / cols).max(1);
         let fabric = Fabric::new_tiled(mesh, cfg.vcs, cfg.vc_depth, cfg.escape_vcs, cols, rows);
-        let router = build_hop_router(paths, &cfg);
         // TTL default: E-cube's escape walk is the only route source
         // whose length is effectively unbounded; every other router is
         // within a small factor of shortest, and escape VCs now bound
@@ -1308,7 +1309,7 @@ impl<'p> TrafficSim<'p> {
             ttl,
             kind,
             fabric,
-            router,
+            paths,
             base,
             sources,
             online: None,
@@ -1424,7 +1425,7 @@ impl<'p> TrafficSim<'p> {
         let worker = ShardWorker::new(
             shard,
             self.sources,
-            self.router,
+            build_hop_router(self.paths, &self.cfg),
             &self.base,
             &self.cfg,
             self.ttl,
@@ -1674,7 +1675,7 @@ pub fn single_packet_latency(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PIPELINE_DEPTH;
+    use crate::config::{ChurnOp, PIPELINE_DEPTH};
     use crate::pattern::{LengthDist, TrafficPattern};
     use meshpath_mesh::{FaultSet, Mesh};
 

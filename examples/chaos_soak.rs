@@ -8,9 +8,9 @@
 //! API events from a window observer mid-measurement. The coordinator
 //! publishes each event to the shard workers through the epoch
 //! mechanism — CI runs this under `MESHPATH_THREADS=3`, so the
-//! publication path crosses real worker threads — with incremental
-//! escape-forest re-provisioning, so repaired nodes rejoin the escape
-//! tree.
+//! publication path crosses real worker threads — and every worker
+//! rebuilds its escape forest over the published fault set, so repaired
+//! nodes rejoin the escape tree.
 //!
 //! The soak gates the robustness contract:
 //!
