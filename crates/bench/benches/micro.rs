@@ -1,13 +1,16 @@
 //! Microbenchmarks of the hot primitives: labeling fixpoint, distributed
-//! labeling protocol, boundary walks, oracle BFS, network build, and the
-//! three costs of a cold RB2 plan (feasible, blocked, fallback flood).
-//! CI runs this bench in `--test` smoke mode so it cannot rot.
+//! labeling protocol, boundary walks, oracle BFS, network build, the
+//! three costs of a cold RB2 plan (feasible, blocked, fallback flood) and
+//! the two of an Algorithm-2 phase (re-keying the critical set, one
+//! decision on it). CI runs this bench in `--test` smoke mode so it
+//! cannot rot.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use meshpath::fault::distributed::run_distributed;
 use meshpath::fault::{BorderPolicy, Labeling, MccSet};
 use meshpath::info::{BoundarySet, ModelKind};
 use meshpath::prelude::*;
+use meshpath::route::alg2::{self, CriticalSet, PhaseCtx};
 use meshpath::route::oracle::FloodScratch;
 use meshpath::route::seq::{Plan, Planner};
 use meshpath_bench::{fixture_faults, fixture_network};
@@ -15,7 +18,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
-/// Plans per measured iteration of the `plan_*` / `fallback_flood` rows.
+/// Plans (re-keys, decisions) per measured iteration of the `plan_*`,
+/// `fallback_flood` and `alg2_*` rows.
 const PLAN_BATCH: usize = 64;
 
 /// The cold-path reference network of `route_bench` and meshbench's
@@ -111,6 +115,44 @@ fn bench(c: &mut Criterion) {
             for &(s, d) in &blocked {
                 let o = Orientation::normalizing(s, d);
                 black_box(planner.fallback(s, d, o, &Default::default(), &mut flood));
+            }
+        })
+    });
+
+    // Algorithm 2 at the source of each `Direct` pair, as RB2's first
+    // hop sees it: the phase context and the oriented endpoints.
+    let mesh = cold.mesh();
+    let phases: Vec<(PhaseCtx<'_>, Coord, Coord)> = direct
+        .iter()
+        .map(|&(s, d)| {
+            let o = Orientation::normalizing(s, d);
+            let (set, model) = (cold.mccs(o), cold.model(o, ModelKind::B2));
+            let ctx = PhaseCtx { set, model, scope: KnowledgeScope::Local };
+            (ctx, o.apply(mesh, s), o.apply(mesh, d))
+        })
+        .collect();
+    let mut critical = CriticalSet::default();
+    c.bench_function("alg2_retarget_64x64_204f", |b| {
+        b.iter(|| {
+            for (ctx, _, ot) in &phases {
+                critical.clear();
+                critical.retarget(ctx, *ot);
+            }
+            black_box(&critical);
+        })
+    });
+    let mut keyed: Vec<CriticalSet> = phases
+        .iter()
+        .map(|(ctx, _, ot)| {
+            let mut critical = CriticalSet::default();
+            critical.retarget(ctx, *ot);
+            critical
+        })
+        .collect();
+    c.bench_function("alg2_step_64x64_204f", |b| {
+        b.iter(|| {
+            for ((ctx, ou, ot), critical) in phases.iter().zip(&mut keyed) {
+                black_box(alg2::decide(ctx, *ou, *ot, AdaptivePolicy::default(), None, critical));
             }
         })
     });

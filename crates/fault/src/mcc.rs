@@ -1,28 +1,28 @@
-//! Minimal connected components: extraction, shape and corners.
+//! Minimal connected components: extraction, shape, corners, and the
+//! indexes a router finds shapes through.
 //!
 //! At the labeling fixpoint, 4-connected groups of unsafe nodes form the
-//! MCCs. Under [`BorderPolicy::Open`] every MCC
-//! is a **rising staircase**: its cells occupy, per column
-//! `x ∈ [x0..x1]`, one contiguous interval `[lo(x), hi(x)]` with both `lo`
-//! and `hi` non-decreasing in `x` and consecutive columns overlapping.
-//! (Sketch: the useless rule fills south-west-facing concavities, the
-//! can't-reach rule fills north-east-facing ones; every useless node has a
-//! faulty node due north in its own column and due east in its own row, so
-//! fills stay inside the component's bounding box and the fixpoint is
-//! exactly the staircase closure. The property is enforced by debug
-//! assertions and proptest.)
+//! MCCs. Under [`BorderPolicy::Open`] every MCC is a **rising
+//! staircase**: per column `x ∈ [x0..x1]` one contiguous interval
+//! `[lo(x), hi(x)]`, `lo` and `hi` non-decreasing in `x`, consecutive
+//! columns overlapping. (Sketch: the useless rule fills south-west-facing
+//! concavities, the can't-reach rule north-east-facing ones; a useless
+//! node has a faulty node due north and one due east, so fills stay in
+//! the bounding box and the fixpoint is the staircase closure. Debug
+//! assertions and proptest enforce it.)
 //!
-//! The paper's two pivots fall out of the shape:
+//! An [`Mcc`] keeps the shape both ways, a span per column and a span per
+//! row, so each `shadow_*`/`critical_*` predicate is one load; an
+//! [`MccSet`] lists the MCCs on every column and row
+//! ([`MccSet::in_col`], [`MccSet::in_row`]), so a search keyed on a
+//! coordinate reads those few, not every MCC.
 //!
-//! * the **initialization corner** `c = (x0-1, lo(x0)-1)` — the safe node
-//!   whose `+X` and `+Y` neighbors are edge nodes of the MCC;
-//! * the **opposite corner** `c' = (x1+1, hi(x1)+1)` — the safe node whose
-//!   `-X` and `-Y` neighbors are edge nodes of the MCC.
-//!
-//! Either corner may fall outside the mesh (MCC touching the south/west or
-//! north/east rims) or on an unsafe node of *another* MCC (diagonally
-//! adjacent components); [`Mcc::corner_usable`] reports this and the
-//! routing layer treats such detour pivots as infeasible.
+//! The paper's pivots fall out of the shape: the **initialization
+//! corner** `c = (x0-1, lo(x0)-1)`, whose `+X` and `+Y` neighbors are edge
+//! nodes of the MCC, and the **opposite corner** `c' = (x1+1, hi(x1)+1)`,
+//! whose `-X` and `-Y` neighbors are. Either may lie off the mesh (an MCC
+//! on a rim) or on a cell of *another* MCC (diagonal neighbours);
+//! [`Mcc::corner_usable`] says so and routing treats the pivot as infeasible.
 
 use serde::{Deserialize, Serialize};
 
@@ -57,6 +57,8 @@ pub struct Mcc {
     id: MccId,
     x0: i32,
     cols: Vec<ColSpan>,
+    /// `(west, east)` of every row from `bbox.y0` north: `cols` transposed.
+    rows: Vec<(i32, i32)>,
     cell_count: usize,
     faulty_count: usize,
     staircase: bool,
@@ -163,27 +165,25 @@ impl Mcc {
     }
 
     /// Horizontal extent `(west, east)` of the component at row `y`, if
-    /// the row is occupied. Exact for staircase shapes (the occupied
-    /// columns of a row are contiguous).
+    /// the row is occupied: the first and the last column whose span
+    /// holds `y`. Exact for staircase shapes (the occupied columns of a
+    /// row are contiguous).
+    #[inline]
     pub fn row_range(&self, y: i32) -> Option<(i32, i32)> {
-        // lo is non-decreasing: columns with lo(x) <= y form a prefix;
-        // hi is non-decreasing: columns with hi(x) >= y form a suffix.
-        let mut west = None;
-        for (i, s) in self.cols.iter().enumerate() {
-            if s.lo <= y && y <= s.hi {
-                west = Some(self.x0 + i as i32);
-                break;
-            }
+        if y < self.bbox.y0 {
+            return None;
         }
-        let west = west?;
-        let mut east = west;
-        for (i, s) in self.cols.iter().enumerate().rev() {
-            if s.lo <= y && y <= s.hi {
-                east = self.x0 + i as i32;
-                break;
-            }
-        }
-        Some((west, east))
+        self.rows.get((y - self.bbox.y0) as usize).copied()
+    }
+
+    /// [`row_range`](Self::row_range) as a scan of the column spans: the
+    /// reference the stored row spans are held to.
+    #[cfg(test)]
+    fn row_range_by_scan(&self, y: i32) -> Option<(i32, i32)> {
+        let holds = |s: &ColSpan| s.lo <= y && y <= s.hi;
+        let west = self.cols.iter().position(holds)?;
+        let east = self.cols.iter().rposition(holds)?;
+        Some((self.x0 + west as i32, self.x0 + east as i32))
     }
 
     /// True when `p` lies in the **Y-forbidden shadow** of this MCC: the
@@ -232,9 +232,56 @@ pub struct MccSet {
     /// load instead of 64 `mcc_at` probes.
     row_words: Vec<u64>,
     words_per_row: usize,
+    /// The MCCs occupying each (oriented) column and each row.
+    in_cols: Incidence,
+    in_rows: Incidence,
 }
 
 const NO_MCC: u32 = u32::MAX;
+
+/// Which MCCs lie on each line (column or row) of the mesh, in CSR form:
+/// line `k`'s ids are `ids[start[k]..start[k + 1]]`, ascending.
+#[derive(Clone, Debug)]
+struct Incidence {
+    start: Vec<u32>,
+    ids: Vec<MccId>,
+}
+
+impl Incidence {
+    /// `extent` is the inclusive range of lines a component occupies
+    /// (its bounding box on the axis: a connected shape skips none).
+    fn build(lines: usize, mccs: &[Mcc], extent: impl Fn(&Mcc) -> (i32, i32)) -> Self {
+        let mut start = vec![0u32; lines + 1];
+        for m in mccs {
+            let (first, last) = extent(m);
+            for k in first..=last {
+                start[k as usize + 1] += 1;
+            }
+        }
+        for k in 0..lines {
+            start[k + 1] += start[k];
+        }
+        let mut ids = vec![MccId(0); start[lines] as usize];
+        let mut fill = start.clone();
+        for m in mccs {
+            let (first, last) = extent(m);
+            for k in first..=last {
+                ids[fill[k as usize] as usize] = m.id;
+                fill[k as usize] += 1;
+            }
+        }
+        Incidence { start, ids }
+    }
+
+    /// The ids on `line`; none off the mesh.
+    #[inline]
+    fn on(&self, line: i32) -> &[MccId] {
+        match usize::try_from(line).ok().and_then(|k| self.start.get(k..k + 2)) {
+            Some(&[from, to]) => &self.ids[from as usize..to as usize],
+            _ => &[],
+        }
+    }
+}
 
 /// Cell-to-component index: dense per-node ids on small meshes, a hash map
 /// holding only the unsafe cells (absent = `NO_MCC`) on large ones — the
@@ -322,7 +369,9 @@ impl MccSet {
             mccs.push(Self::shape_of(id, &cells, &labeling, faults, orientation));
         }
 
-        MccSet { labeling, mccs, cell_mcc, row_words, words_per_row }
+        let in_cols = Incidence::build(mesh.width() as usize, &mccs, |m| (m.x0(), m.x1()));
+        let in_rows = Incidence::build(mesh.height() as usize, &mccs, |m| (m.bbox.y0, m.bbox.y1));
+        MccSet { labeling, mccs, cell_mcc, row_words, words_per_row, in_cols, in_rows }
     }
 
     fn shape_of(
@@ -376,8 +425,20 @@ impl MccSet {
             "non-staircase MCC under Open border policy: cells {cells:?}"
         );
 
+        // The row spans: the column spans read the other way. A connected
+        // component has a cell in every row of its bounding box.
+        let mut rows = vec![(i32::MAX, i32::MIN); (bbox.y1 - bbox.y0 + 1) as usize];
+        for (x, (&lo, &hi)) in (x0..).zip(lo.iter().zip(&hi)) {
+            for y in lo..=hi {
+                let (west, east) = &mut rows[(y - bbox.y0) as usize];
+                *west = (*west).min(x);
+                *east = x;
+            }
+        }
+        debug_assert!(rows.iter().all(|(west, east)| west <= east), "empty row in {cells:?}");
+
         let cols = lo.into_iter().zip(hi).map(|(lo, hi)| ColSpan { lo, hi }).collect();
-        Mcc { id, x0, cols, cell_count: cells.len(), faulty_count, staircase, bbox }
+        Mcc { id, x0, cols, rows, cell_count: cells.len(), faulty_count, staircase, bbox }
     }
 
     /// The labeling the components were extracted from.
@@ -420,6 +481,22 @@ impl MccSet {
     #[inline]
     pub fn get(&self, id: MccId) -> &Mcc {
         &self.mccs[id.index()]
+    }
+
+    /// The MCCs with a span in (oriented) column `x` — those whose
+    /// [`Mcc::col`]`(x)` is `Some` — in ascending id order; none when `x`
+    /// is off the mesh. What a column-keyed search (`critical_y`,
+    /// `shadow_y`, an Eq.-1 successor) reads instead of [`iter`](Self::iter).
+    #[inline]
+    pub fn in_col(&self, x: i32) -> &[MccId] {
+        self.in_cols.on(x)
+    }
+
+    /// The MCCs with a span in (oriented) row `y` — those whose
+    /// [`Mcc::row_range`]`(y)` is `Some` — in ascending id order.
+    #[inline]
+    pub fn in_row(&self, y: i32) -> &[MccId] {
+        self.in_rows.on(y)
     }
 
     /// The MCC owning the (oriented) coordinate, if it is an unsafe cell.
@@ -552,6 +629,7 @@ mod tests {
         assert_eq!(m.row_range(4), Some((4, 4)));
         assert_eq!(m.row_range(1), None);
         assert_eq!(m.row_range(5), None);
+        assert_eq!(m.row_range(i32::MIN), None);
 
         // Y-shadow: below the lower staircase, within the column span.
         assert!(m.shadow_y(Coord::new(2, 1)));
@@ -632,8 +710,82 @@ mod tests {
                 for y in 0..n as i32 {
                     prop_assert_eq!(dense.row_words(y), sparse.row_words(y), "row {}", y);
                 }
+                // The row spans and the incidence lists: equal across
+                // representations, and each list is exactly the MCCs with
+                // a span on that line, in ascending id order.
+                for k in -1..=n as i32 {
+                    for (d, s) in dense.iter().zip(sparse.iter()) {
+                        prop_assert_eq!(d.row_range(k), s.row_range(k), "{:?} row {}", d.id(), k);
+                    }
+                    prop_assert_eq!(dense.in_col(k), sparse.in_col(k), "column {}", k);
+                    prop_assert_eq!(dense.in_row(k), sparse.in_row(k), "row {}", k);
+                    let on_col: Vec<MccId> =
+                        dense.iter().filter(|m| m.col(k).is_some()).map(Mcc::id).collect();
+                    let on_row: Vec<MccId> =
+                        dense.iter().filter(|m| m.row_range(k).is_some()).map(Mcc::id).collect();
+                    prop_assert_eq!(dense.in_col(k), on_col, "column {}", k);
+                    prop_assert_eq!(dense.in_row(k), on_row, "row {}", k);
+                }
+            }
+
+            /// The stored row spans are the column spans transposed:
+            /// `row_range` answers what a scan of `cols` answers, for
+            /// staircases (`Open`) and per-column hulls (`Blocking`)
+            /// alike, on every row and one past either end.
+            #[test]
+            fn row_spans_equal_the_column_scan(
+                ((n, density), (seed, b_ix)) in
+                    ((5u32..20, 0usize..30), (0u64..u64::MAX, 0usize..2))
+            ) {
+                let mesh = Mesh::square(n);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let fs = FaultSet::random(
+                    mesh,
+                    mesh.len() * density / 100,
+                    FaultInjection::Uniform,
+                    &mut rng,
+                );
+                let border = [BorderPolicy::Open, BorderPolicy::Blocking][b_ix];
+                for o in Orientation::ALL {
+                    let set = MccSet::build(&fs, o, border);
+                    for m in set.iter() {
+                        for y in -1..=n as i32 {
+                            prop_assert_eq!(
+                                m.row_range(y), m.row_range_by_scan(y),
+                                "{:?} {:?} {:?} row {} of {:?}", o, border, m.id(), y, m.cols()
+                            );
+                        }
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn rim_touching_mccs_are_indexed_like_any_other() {
+        // One single-cell MCC on each rim of a 6x6 mesh: a corner of each
+        // lies outside the mesh, its spans and lists do not care.
+        let (west, south, east, north) = ((0, 2), (3, 0), (5, 3), (2, 5));
+        let set = build(Mesh::square(6), &[west, south, east, north]);
+        assert_eq!(set.len(), 4);
+        let at = |(x, y): (i32, i32)| set.mcc_at(Coord::new(x, y)).expect("a fault is in an MCC");
+        let mesh = *set.mesh();
+        assert!(!mesh.contains(set.get(at(west)).corner()));
+        assert!(!mesh.contains(set.get(at(south)).corner()));
+        assert!(!mesh.contains(set.get(at(east)).opposite()));
+        assert!(!mesh.contains(set.get(at(north)).opposite()));
+        for cell in [west, south, east, north] {
+            let (m, (x, y)) = (set.get(at(cell)), cell);
+            assert_eq!(m.row_range(y), Some((x, x)));
+            assert_eq!((m.row_range(y - 1), m.row_range(y + 1)), (None, None));
+            assert_eq!((set.in_col(x), set.in_row(y)), (&[m.id()][..], &[m.id()][..]));
+            // The predicates are geometry: they hold off the mesh too.
+            assert!(m.shadow_x(Coord::new(x - 1, y)) && m.critical_x(Coord::new(x + 1, y)));
+        }
+        for off in [-1, 6] {
+            assert!(set.in_col(off).is_empty() && set.in_row(off).is_empty());
+        }
+        assert!(set.in_col(1).is_empty() && set.in_row(4).is_empty());
     }
 
     #[test]

@@ -39,6 +39,10 @@ fn parse(raw: &str) -> LogLevel {
 }
 
 /// The process-wide level from `MESHPATH_LOG`, cached on first use.
+/// Inlined with [`enabled`] so a gate on a hot path (a router's per-hop
+/// trace line) costs one load and a compare when logging is off, not a
+/// cross-crate call.
+#[inline]
 pub fn level() -> LogLevel {
     static LEVEL: OnceLock<LogLevel> = OnceLock::new();
     *LEVEL.get_or_init(|| match std::env::var("MESHPATH_LOG") {
@@ -54,6 +58,7 @@ pub fn level() -> LogLevel {
 ///     eprintln!("wrote report.json");
 /// }
 /// ```
+#[inline]
 pub fn enabled(at: LogLevel) -> bool {
     at <= level()
 }

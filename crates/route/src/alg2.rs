@@ -20,19 +20,17 @@
 //!
 //! Only a triple with `t ∈ R'(F)` can exclude anything, and `t` is fixed
 //! for a whole Manhattan phase. So step 2 is *target-keyed*: the message
-//! carries a [`CriticalSet`] — the handful of MCCs (2–4 on a 64x64 mesh
-//! at 5 % faults, out of ~175) whose Y- or X-critical region contains
-//! the current target — recomputed with one pass over the orientation's
-//! MCCs only when the `(orientation, target)` key changes (once per
-//! phase, and on RB1 quadrant flips). A per-hop decision then reads the
-//! two neighbor labels of step 1 and, for those few MCCs only, the
-//! `knows(u, F)` bit and the merged-shadow lists — and each triple is
-//! asked about one candidate only, because a shadow can only be entered
-//! across its axis (a `+Y` step into a Y-shadow starts inside it).
-//! Exclusions only ever clear candidate bits, so the order and the
-//! subset of MCCs visited cannot change the outcome: the decision equals
-//! the scan over every MCC and both candidates, which is kept as the
-//! `#[cfg(test)]` reference the proptests compare against.
+//! carries a [`CriticalSet`], re-keyed only when `(orientation, target)`
+//! changes (once per phase, and on RB1 quadrant flips). Re-keying reads
+//! the MCCs on the target's column and row (`MccSet::in_col`/`in_row`),
+//! keeps the few whose critical region holds `t` (2–4 on a 64x64 mesh at
+//! 5 % faults) and flattens each one's `R(F)` into a profile. A hop then
+//! reads the two neighbor labels of step 1 and two adjacent profile
+//! entries per kept triple; `knows(u, F)` is asked only where a step
+//! would enter a region. Exclusions only ever clear candidate bits, so
+//! neither the order nor the subset of MCCs visited can change the
+//! outcome: the decision equals the scan over every MCC and both
+//! candidates, kept as the `#[cfg(test)]` reference of the proptests.
 
 use meshpath_fault::{Mcc, MccId, MccSet};
 use meshpath_info::InfoModel;
@@ -108,16 +106,83 @@ impl PhaseCtx<'_> {
     }
 }
 
-/// The triples that can fire for one `(orientation, target)`: the MCCs
-/// whose Y- (X-) critical region contains the oriented target. Part of
-/// the per-message scratch ([`HopState`](crate::HopState)); valid for
-/// one network snapshot, so it is [`clear`](CriticalSet::clear)ed with
-/// the rest of the scratch between messages.
+/// One triple that can fire for the keyed target, with its forbidden
+/// region `R(F)` flattened. The region is the union of the shadows merged
+/// into `F`'s — each "everything below (west of) a staircase" — so it is
+/// everything below one profile over the union's lines (columns for a
+/// Y-type triple, rows for an X-type): `c` is inside iff its height is
+/// under the profile at its line.
+#[derive(Clone, Copy, Debug)]
+struct Guard {
+    f: MccId,
+    /// The line before the region's first. Its profile entry is
+    /// `i32::MIN` (outside at any height), so a step onto the first line
+    /// reads two entries like every other step.
+    base: i32,
+    /// The profile is `profiles[at..at + len]` of the owning set.
+    at: u32,
+    len: u32,
+}
+
+impl Guard {
+    /// Flattens the shadows of `merged` (MCCs of `set`; `f` and what
+    /// merged into its region) onto the end of `profiles`. `extent` is
+    /// the range of lines a shadow covers, `height` what it reaches
+    /// below on one of them.
+    fn flatten(
+        profiles: &mut Vec<i32>,
+        set: &MccSet,
+        f: MccId,
+        merged: &[MccId],
+        extent: impl Fn(&Mcc) -> (i32, i32),
+        height: impl Fn(&Mcc, i32) -> i32,
+    ) -> Guard {
+        let (first, last) = merged.iter().fold(extent(set.get(f)), |(first, last), &g| {
+            let (a, b) = extent(set.get(g));
+            (first.min(a), last.max(b))
+        });
+        let (at, len) = (profiles.len(), (last - first + 2) as usize);
+        profiles.resize(at + len, i32::MIN);
+        for &g in merged {
+            let g = set.get(g);
+            let (a, b) = extent(g);
+            for line in a..=b {
+                let top = &mut profiles[at + (line - first + 1) as usize];
+                *top = (*top).max(height(g, line));
+            }
+        }
+        Guard { f, base: first - 1, at: at as u32, len: len as u32 }
+    }
+
+    /// Whether the step from line `along` to line `along + 1` at height
+    /// `across` *enters* the region: inside after, outside before. A node
+    /// already inside is past the guard (the pair is blocked; detours
+    /// handle it), so the exclusion only fires from outside.
+    #[inline]
+    fn entered(&self, profiles: &[i32], along: i32, across: i32) -> bool {
+        let i = (along - self.base) as u32;
+        if i >= self.len - 1 {
+            return false; // negative wraps high: neither line is the region's
+        }
+        let at = (self.at + i) as usize;
+        profiles[at] <= across && across < profiles[at + 1]
+    }
+}
+
+/// The triples that can fire for one `(orientation, target)`: per MCC
+/// whose Y- (X-) critical region contains the oriented target, its id and
+/// its forbidden region as a profile. Part of the per-message scratch
+/// ([`HopState`](crate::HopState)); valid for one network snapshot, so it
+/// is [`clear`](CriticalSet::clear)ed with the rest of the scratch
+/// between messages. (The merged lists come from the boundary walks, not
+/// from what a model stores, so one key serves B1, B2 and B3 alike.)
 #[derive(Debug, Default)]
 pub struct CriticalSet {
     key: Option<(Orientation, Coord)>,
-    y: Vec<MccId>,
-    x: Vec<MccId>,
+    y: Vec<Guard>,
+    x: Vec<Guard>,
+    /// The guards' profiles, back to back; rebuilt with them.
+    profiles: Vec<i32>,
 }
 
 impl CriticalSet {
@@ -132,53 +197,47 @@ impl CriticalSet {
         self.key.is_some()
     }
 
-    /// Makes the set describe `ot` in `set`'s orientation: a no-op while
-    /// the key is unchanged, one pass over the MCCs otherwise.
-    fn retarget(&mut self, set: &MccSet, ot: Coord) {
-        let key = Some((set.orientation(), ot));
-        if self.key == key {
-            return;
-        }
-        self.key = key;
-        self.y.clear();
-        self.x.clear();
-        for f in set.iter() {
-            if f.critical_y(ot) {
-                self.y.push(f.id());
-            }
-            if f.critical_x(ot) {
-                self.x.push(f.id());
-            }
+    /// Makes the set describe `ot` in `ctx`'s orientation: a no-op while
+    /// the key is unchanged, a rebuild otherwise.
+    /// [`decide`] calls this itself; public for the `micro` bench row.
+    #[inline]
+    pub fn retarget(&mut self, ctx: &PhaseCtx<'_>, ot: Coord) {
+        let key = Some((ctx.set.orientation(), ot));
+        if self.key != key {
+            self.key = key;
+            self.rebuild(ctx, ot);
         }
     }
-}
 
-/// Step 2 for one axis: whether some triple in `critical` that `ou`
-/// holds forbids stepping from `ou` to `step` — the step would *enter* a
-/// shadow merged into the triple's forbidden region. A node already
-/// inside the region is past the guard (the pair is blocked; detours
-/// handle it), so the exclusion only fires from outside.
-///
-/// Only the cross-axis step can enter: a Y-shadow is everything *below*
-/// a staircase within its columns, so `ou + Y` inside implies `ou`
-/// inside (and likewise `ou + X` for an X-shadow). Hence Y-type triples
-/// are asked about the `+X` step only and X-type triples about `+Y`.
-fn enters_forbidden<'a>(
-    ctx: &PhaseCtx<'a>,
-    ou: Coord,
-    step: Coord,
-    critical: &[MccId],
-    merged: impl Fn(MccId) -> &'a [MccId],
-    shadow: impl Fn(&Mcc, Coord) -> bool,
-) -> bool {
-    critical.iter().any(|&f| {
-        if !ctx.knows(ou, f) {
-            return false;
+    /// Tests the MCCs on the target's column and row and flattens the
+    /// regions of the few whose critical region holds it. Out of line:
+    /// once a phase, where the key check above runs every hop.
+    fn rebuild(&mut self, ctx: &PhaseCtx<'_>, ot: Coord) {
+        let (set, model) = (ctx.set, ctx.model);
+        self.y.clear();
+        self.x.clear();
+        self.profiles.clear();
+        for &f in set.in_col(ot.x).iter().filter(|&&f| set.get(f).critical_y(ot)) {
+            self.y.push(Guard::flatten(
+                &mut self.profiles,
+                set,
+                f,
+                model.merged_y(f),
+                |g| (g.x0(), g.x1()),
+                |g, x| g.col(x).map_or(i32::MIN, |s| s.lo),
+            ));
         }
-        let region = merged(f);
-        let inside = |c: Coord| region.iter().any(|&g| shadow(ctx.set.get(g), c));
-        inside(step) && !inside(ou)
-    })
+        for &f in set.in_row(ot.y).iter().filter(|&&f| set.get(f).critical_x(ot)) {
+            self.x.push(Guard::flatten(
+                &mut self.profiles,
+                set,
+                f,
+                model.merged_x(f),
+                |g| (g.bbox().y0, g.bbox().y1),
+                |g, y| g.row_range(y).map_or(i32::MIN, |(west, _)| west),
+            ));
+        }
+    }
 }
 
 /// The Algorithm 2 decision at oriented node `ou` toward oriented target
@@ -200,14 +259,20 @@ pub fn decide(
     }
     let mut p = candidates(ctx, ou, ot, avoid);
 
-    // Step 2: exclusions from the triples known here, of the few whose
-    // critical region holds the target.
+    // Step 2: exclusions by the few triples whose critical region holds
+    // the target. Only the cross-axis step can enter a shadow — a
+    // Y-shadow is everything *below* a staircase within its columns, so
+    // `ou + Y` inside implies `ou` inside (likewise `ou + X` for an
+    // X-shadow) — hence a Y-type triple is asked about `+X` only and an
+    // X-type about `+Y`. Geometry first: nearly every hop enters nothing,
+    // and then no `knows` bit is read.
     if p[0] || p[1] {
-        critical.retarget(ctx.set, ot);
-        let (east, north) = (ou.step(Dir::PlusX), ou.step(Dir::PlusY));
-        let (merged_y, merged_x) = (|f| ctx.model.merged_y(f), |f| ctx.model.merged_x(f));
-        p[0] = p[0] && !enters_forbidden(ctx, ou, east, &critical.y, merged_y, Mcc::shadow_y);
-        p[1] = p[1] && !enters_forbidden(ctx, ou, north, &critical.x, merged_x, Mcc::shadow_x);
+        critical.retarget(ctx, ot);
+        let CriticalSet { y, x, profiles, .. } = &*critical;
+        let fires =
+            |t: &Guard, along, across| t.entered(profiles, along, across) && ctx.knows(ou, t.f);
+        p[0] = p[0] && !y.iter().any(|t| fires(t, ou.x, ou.y));
+        p[1] = p[1] && !x.iter().any(|t| fires(t, ou.y, ou.x));
     }
 
     // Step 3: fully adaptive selection.
@@ -384,30 +449,79 @@ mod tests {
         assert_eq!(d, Decision::Step(Dir::PlusY));
     }
 
+    /// A guard as `(F, base, profile)`.
+    type GuardView<'a> = (MccId, i32, &'a [i32]);
+
+    impl CriticalSet {
+        /// Every guard, Y-type then X-type.
+        fn guards(&self) -> [Vec<GuardView<'_>>; 2] {
+            [&self.y, &self.x].map(|guards| {
+                guards
+                    .iter()
+                    .map(|g| (g.f, g.base, &self.profiles[g.at as usize..(g.at + g.len) as usize]))
+                    .collect()
+            })
+        }
+    }
+
     #[test]
     fn critical_set_follows_its_key() {
+        const MIN: i32 = i32::MIN;
         // Two single-cell MCCs: (5,5) has (5,9) in its Y-critical region,
         // (2,7) has (8,7) in its X-critical region.
-        let (set, _) = ctx_for(&[(5, 5), (2, 7)], ModelKind::B1);
-        let at = |c: Coord| set.mcc_at(c).expect("a fault is in an MCC");
+        let (set, model) = ctx_for(&[(5, 5), (2, 7)], ModelKind::B1);
+        let ctx = PhaseCtx { set: &set, model: &model, scope: KnowledgeScope::Local };
+        let at = |set: &MccSet, c: Coord| set.mcc_at(c).expect("a fault is in an MCC");
+        let (f, g) = (at(&set, Coord::new(5, 5)), at(&set, Coord::new(2, 7)));
         let mut cs = CriticalSet::default();
-        cs.retarget(&set, Coord::new(5, 9));
-        assert_eq!((&cs.y[..], &cs.x[..]), (&[at(Coord::new(5, 5))][..], &[][..]));
-        cs.retarget(&set, Coord::new(8, 7));
-        assert_eq!((&cs.y[..], &cs.x[..]), (&[][..], &[at(Coord::new(2, 7))][..]));
-        cs.retarget(&set, Coord::new(5, 9));
-        assert_eq!(cs.y, [at(Coord::new(5, 5))], "back to the first target");
+        // The shadow under (5,5): column 5 below row 5, after column 4.
+        cs.retarget(&ctx, Coord::new(5, 9));
+        assert_eq!(cs.guards(), [vec![(f, 4, &[MIN, 5][..])], vec![]]);
+        // The shadow west of (2,7): row 7 west of column 2, after row 6.
+        cs.retarget(&ctx, Coord::new(8, 7));
+        assert_eq!(cs.guards(), [vec![], vec![(g, 6, &[MIN, 2][..])]]);
+        cs.retarget(&ctx, Coord::new(5, 9));
+        assert_eq!(cs.guards(), [vec![(f, 4, &[MIN, 5][..])], vec![]], "back to the first target");
         // The same target coordinate in the X-mirrored frame, where the
         // faults sit at (4,5) and (7,7): column 5 is empty there, so a
-        // set keyed on the target alone would be stale.
+        // set keyed on the target alone would be stale — ids and profile.
         let flipped = Orientation { flip_x: true, flip_y: false };
         let fs = FaultSet::from_coords(*set.mesh(), [Coord::new(5, 5), Coord::new(2, 7)]);
         let fset = MccSet::build(&fs, flipped, BorderPolicy::Open);
-        cs.retarget(&fset, Coord::new(5, 9));
+        let fmodel = InfoModel::build(&fset, ModelKind::B1);
+        let fctx = PhaseCtx { set: &fset, model: &fmodel, scope: KnowledgeScope::Local };
+        cs.retarget(&fctx, Coord::new(5, 9));
         assert_eq!(cs.key, Some((flipped, Coord::new(5, 9))));
-        assert!(cs.y.is_empty() && cs.x.is_empty());
+        assert_eq!(cs.guards(), [vec![], vec![]]);
+        assert!(cs.profiles.is_empty(), "a re-key keeps no profile");
+        // One column west the mirrored (5,5) is critical again, with the
+        // mirrored profile.
+        cs.retarget(&fctx, Coord::new(4, 9));
+        assert_eq!(cs.guards(), [vec![(at(&fset, Coord::new(4, 5)), 3, &[MIN, 5][..])], vec![]]);
         cs.clear();
         assert_eq!(cs.key, None);
+    }
+
+    #[test]
+    fn a_profile_is_the_union_of_the_merged_shadows() {
+        // The walk down from (5,8)'s corner hits the MCC at (4,3), whose
+        // shadow merges into the region: columns 4 and 5, below rows 3
+        // and 8.
+        let mesh = Mesh::square(12);
+        let fs = FaultSet::from_coords(mesh, [Coord::new(5, 8), Coord::new(4, 3)]);
+        let set = MccSet::build(&fs, Orientation::IDENTITY, BorderPolicy::Open);
+        let model = InfoModel::build(&set, ModelKind::B2);
+        let ctx = PhaseCtx { set: &set, model: &model, scope: KnowledgeScope::Global };
+        let f = set.mcc_at(Coord::new(5, 8)).expect("F");
+        let mut cs = CriticalSet::default();
+        cs.retarget(&ctx, Coord::new(5, 11));
+        assert_eq!(cs.guards(), [vec![(f, 3, &[i32::MIN, 3, 8][..])], vec![]]);
+        let enters = |x, y| cs.y[0].entered(&cs.profiles, x, y);
+        assert!(enters(3, 0) && enters(3, 2), "into column 4 under (4,3)");
+        assert!(!enters(3, 3) && !enters(3, 7), "beside or above (4,3): column 4 is open there");
+        assert!(enters(4, 3) && enters(4, 7), "from above (4,3) into column 5 under (5,8)");
+        assert!(!enters(4, 2), "already inside: past the guard");
+        assert!(!enters(5, 0) && !enters(2, 0) && !enters(-7, 0), "no region to enter");
     }
 
     #[test]

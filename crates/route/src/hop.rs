@@ -504,16 +504,20 @@ mod tests {
         // same pair on `b`, then on `a`: the key (orientation, target) is
         // the same, so a set that survived `reset` would carry `b`'s
         // (empty) answer into `a` and the walk would enter the shadow.
+        // In `c` the same MCC id guards the same target with a shadow one
+        // column longer: only a kept *profile* tells `a` from `c`, and
+        // the walk would step into (5,5), west of `c`'s fault.
         let mesh = Mesh::square(12);
         let a = NetView::build(FaultSet::from_coords(mesh, [Coord::new(5, 5)]));
         let b = NetView::build(FaultSet::from_coords(mesh, [Coord::new(9, 9)]));
+        let c = NetView::build(FaultSet::from_coords(mesh, [Coord::new(6, 5)]));
         let (s, d) = (Coord::new(0, 3), Coord::new(9, 5));
         let (policy, scope) = (AdaptivePolicy::PreferY, KnowledgeScope::Global);
         let routers: [&dyn Router; 3] =
             [&Rb1 { policy, scope }, &Rb2 { policy, scope }, &Rb3 { policy, scope }];
         for router in routers {
             let mut state = HopState::new(s);
-            for net in [&b, &a, &b, &a] {
+            for net in [&b, &a, &c, &a, &b, &c] {
                 let reused = router.route_with(net, s, d, &mut state);
                 assert_eq!(reused, router.route(net, s, d), "{}", router.name());
                 assert_eq!(reused.hops(), s.manhattan(d), "{} left the rectangle", router.name());

@@ -30,11 +30,12 @@
 //!   read at all. Only a "blocked" answer under local knowledge runs the
 //!   fill again with the cells of unknown MCCs cleared — one
 //!   `mcc_at` + `knows` per run of unsafe cells in the rectangle.
-//! * **The chain search** tests a candidate's shape (shadow, Eq.-1
-//!   corner conditions) before asking whether the anchor knows it: the
-//!   shape is the candidate's own few words, the `knows` bit lives in a
-//!   different carrier set per MCC, and almost no candidate passes the
-//!   shape test.
+//! * **The chain search** looks candidates up instead of scanning for
+//!   them: F1 has a span on `u`'s column (row), an Eq.-1 successor its
+//!   first column (row) between its predecessor's corners —
+//!   `MccSet::in_col`/`in_row` list exactly those. Shape tests run before
+//!   `knows`: that bit lives in a different carrier set per MCC, and
+//!   almost no candidate passes the shape test.
 //! * **The fallback flood** ([`Planner::fallback`], also the hybrid
 //!   refinement and the legs the recursion prices by BFS) is
 //!   goal-directed ([`crate::oracle`]): from `d` it settles the nodes
@@ -217,21 +218,29 @@ impl<'a> Planner<'a> {
         let model = self.net.model(o, self.kind);
         let known = |f: &Mcc| self.knows(anchor, o, f.id());
 
-        // F1: the closest MCC whose shadow contains u. Geometry first,
-        // here and in the successor scan: `known` reads a different
-        // per-MCC carrier set for every candidate, the shape tests read
-        // the candidate itself and reject almost all of them.
-        let start = set
-            .iter()
-            .filter(|f| match axis {
-                SeqAxis::TypeI => f.shadow_y(ou),
-                SeqAxis::TypeII => f.shadow_x(ou),
-            })
-            .filter(|f| known(f))
-            .min_by_key(|f| match axis {
-                SeqAxis::TypeI => f.col(ou.x).map(|s| s.lo).unwrap_or(i32::MAX),
-                SeqAxis::TypeII => f.row_range(ou.y).map(|(w, _)| w).unwrap_or(i32::MAX),
-            })?;
+        // The MCCs on one line of the search axis: a column (type I) or
+        // a row (type II), ascending ids.
+        let on_line = |k: i32| {
+            let ids = match axis {
+                SeqAxis::TypeI => set.in_col(k),
+                SeqAxis::TypeII => set.in_row(k),
+            };
+            ids.iter().map(|&id| set.get(id))
+        };
+
+        // F1: the closest MCC whose shadow contains u — it has a span on
+        // u's line. Geometry first, here and in the successor search:
+        // `known` reads a different per-MCC carrier set for every
+        // candidate, the shape tests read the candidate itself and reject
+        // almost all of them.
+        let start = match axis {
+            SeqAxis::TypeI => on_line(ou.x)
+                .filter(|f| f.shadow_y(ou) && known(f))
+                .min_by_key(|f| (f.col(ou.x).map_or(i32::MAX, |s| s.lo), f.id())),
+            SeqAxis::TypeII => on_line(ou.y)
+                .filter(|f| f.shadow_x(ou) && known(f))
+                .min_by_key(|f| (f.row_range(ou.y).map_or(i32::MAX, |(w, _)| w), f.id())),
+        }?;
 
         let terminal = |f: &Mcc| match axis {
             SeqAxis::TypeI => f.critical_y(od),
@@ -261,17 +270,25 @@ impl<'a> Planner<'a> {
         while !terminal(cur) {
             guard = guard.checked_sub(1)?;
             // Eq. 4 (B3): the recorded relation resolves the successor;
-            // otherwise scan the known set.
+            // otherwise search the known set.
             let by_relation = model
                 .succ_y(cur.id())
                 .filter(|_| axis == SeqAxis::TypeI)
                 .or_else(|| model.succ_x(cur.id()).filter(|_| axis == SeqAxis::TypeII))
                 .map(|id| set.get(id))
                 .filter(|g| chainable(cur, g));
+            // A chainable `g` has its corner between `cur`'s two corners on
+            // the axis, so its first line is one of these. Ties on
+            // closeness go to the lower id.
+            let (first, last) = match axis {
+                SeqAxis::TypeI => (cur.corner().x + 1, cur.opposite().x + 1),
+                SeqAxis::TypeII => (cur.corner().y + 1, cur.opposite().y + 1),
+            };
             let next = by_relation.or_else(|| {
-                set.iter()
+                (first..=last)
+                    .flat_map(on_line)
                     .filter(|g| chainable(cur, g) && !chain.contains(&g.id()) && known(g))
-                    .min_by_key(|g| closeness(g))
+                    .min_by_key(|g| (closeness(g), g.id()))
             })?;
             chain.push(next.id());
             cur = next;
@@ -383,24 +400,20 @@ impl<'a> Planner<'a> {
         learned: &'s FxHashSet<Coord>,
     ) -> impl Fn(Coord) -> bool + 's {
         let mesh = *self.net.mesh();
+        let faults = self.net.faults();
         let set = self.net.mccs(o);
-        let kind = self.kind;
+        let model = self.net.model(o, self.kind);
         let scope = self.scope;
+        let oa = o.apply(&mesh, anchor);
         move |c: Coord| {
             if learned.contains(&c) {
                 return false;
             }
-            if !self.net.faults().is_faulty(c) {
+            if !faults.is_faulty(c) {
                 return true;
             }
-            let oc = o.apply(&mesh, c);
-            match set.mcc_at(oc) {
-                Some(id) => match scope {
-                    KnowledgeScope::Global => false,
-                    KnowledgeScope::Local => {
-                        !self.net.model(o, kind).knows(o.apply(&mesh, anchor), id)
-                    }
-                },
+            match set.mcc_at(o.apply(&mesh, c)) {
+                Some(id) => scope == KnowledgeScope::Local && !model.knows(oa, id),
                 None => true,
             }
         }
@@ -607,6 +620,27 @@ mod tests {
         // The optimum: BFS ground truth.
         let field = DistanceField::healthy(n.faults(), d);
         assert_eq!(p.distance(s, s, d), Some(u64::from(field.dist(s))));
+    }
+
+    #[test]
+    fn successors_tied_on_closeness_chain_to_the_lower_id() {
+        // F1 = the bar on row 3 shadows u = (4,0). Two MCCs chain from it
+        // with their opposite corners on row 8: the cell (3,7), found on
+        // the first line searched (column 3), and the bar (7,6)-(7,7),
+        // found on column 7 but discovered first (row 6), so it has the
+        // lower id — and it is the one whose critical region holds d.
+        let mut cells: Vec<(i32, i32)> = (2..=6).map(|x| (x, 3)).collect();
+        cells.extend([(7, 6), (7, 7), (3, 7)]);
+        let n = net(Mesh::square(12), &cells);
+        let o = Orientation::IDENTITY;
+        let set = n.mccs(o);
+        let id = |x, y| set.mcc_at(Coord::new(x, y)).expect("a fault is in an MCC");
+        let (f1, low, high) = (id(4, 3), id(7, 7), id(3, 7));
+        assert!(low < high);
+        assert_eq!(set.get(low).opposite().y, set.get(high).opposite().y);
+        let p = Planner::new(&n, ModelKind::B2, KnowledgeScope::Global);
+        let (u, d) = (Coord::new(4, 0), Coord::new(7, 11));
+        assert_eq!(p.chain(u, o, set, u, d, SeqAxis::TypeI), Some(vec![f1, low]));
     }
 
     #[test]
