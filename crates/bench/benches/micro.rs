@@ -1,5 +1,6 @@
 //! Microbenchmarks of the hot primitives: labeling fixpoint, distributed
-//! labeling protocol, boundary walks, oracle BFS, network build, the
+//! labeling protocol, boundary walks, one orientation of a 512x512 B2
+//! build, oracle BFS, network build, the
 //! three costs of a cold RB2 plan (feasible, blocked, fallback flood) and
 //! the two of an Algorithm-2 phase (re-keying the critical set, one
 //! decision on it). CI runs this bench in `--test` smoke mode so it
@@ -71,6 +72,21 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let bounds = BoundarySet::build(black_box(&set));
             black_box(bounds.iter().count())
+        })
+    });
+
+    // One orientation of a large-mesh build (0.25 % faults): the boundary
+    // walks and the B2 broadcast over 262 144 nodes.
+    let big = {
+        let mut rng = StdRng::seed_from_u64(1);
+        let faults = FaultSet::random(Mesh::square(512), 655, FaultInjection::Uniform, &mut rng);
+        MccSet::build(&faults, Orientation::IDENTITY, BorderPolicy::Open)
+    };
+    c.bench_function("info_b2_512x512_655f", |b| {
+        b.iter(|| {
+            let bounds = BoundarySet::build(black_box(&big));
+            let model = InfoModel::build_with(&big, &bounds, ModelKind::B2);
+            black_box(model.stats().involved_nodes)
         })
     });
 

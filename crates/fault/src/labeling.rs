@@ -19,95 +19,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use meshpath_mesh::{Coord, Dir, FaultSet, FxHashMap, Grid, Mesh, NodeId, Orientation};
+use meshpath_mesh::{Coord, Dir, FaultSet, Grid, Mesh, Orientation};
 
 /// Bit flags of the labeling predicates.
 pub(crate) const FAULTY: u8 = 1;
 pub(crate) const USELESS: u8 = 2;
 pub(crate) const CANT_REACH: u8 = 4;
-
-/// Node-count threshold above which labelings keep their predicate masks
-/// sparsely (keyed by node id) instead of in a dense per-node grid.
-///
-/// Faults are rare at scale, so on a large mesh the mask is zero almost
-/// everywhere; storing only the nonzero cells makes a labeling cost
-/// O(unsafe nodes) instead of O(nodes). Below the threshold the dense grid
-/// wins on both speed and footprint. Both representations produce
-/// bit-identical labelings (pinned by the `sparse_matches_dense` proptest).
-pub const SPARSE_NODES: usize = 1 << 17;
-
-/// Predicate-mask storage: dense per-node bytes on small meshes, a hash map
-/// keyed by node id (absent = 0, i.e. safe) on large ones.
-#[derive(Clone, Debug)]
-struct MaskStore {
-    mesh: Mesh,
-    repr: MaskRepr,
-}
-
-#[derive(Clone, Debug)]
-enum MaskRepr {
-    Dense(Grid<u8>),
-    Sparse(FxHashMap<u32, u8>),
-}
-
-impl MaskStore {
-    fn new(mesh: Mesh, sparse: bool) -> Self {
-        let repr = if sparse {
-            MaskRepr::Sparse(FxHashMap::default())
-        } else {
-            MaskRepr::Dense(Grid::new(mesh, 0))
-        };
-        MaskStore { mesh, repr }
-    }
-
-    /// Mask at `oc`, or `None` when `oc` lies outside the mesh.
-    #[inline]
-    fn get(&self, oc: Coord) -> Option<u8> {
-        self.mesh.contains(oc).then(|| self.load(oc))
-    }
-
-    /// Mask at an in-mesh coordinate (absent sparse entries read 0).
-    #[inline]
-    fn load(&self, oc: Coord) -> u8 {
-        match &self.repr {
-            MaskRepr::Dense(g) => g[oc],
-            MaskRepr::Sparse(m) => m.get(&self.mesh.id(oc).0).copied().unwrap_or(0),
-        }
-    }
-
-    #[inline]
-    fn store(&mut self, oc: Coord, v: u8) {
-        let id = self.mesh.id(oc).0;
-        match &mut self.repr {
-            MaskRepr::Dense(g) => g[oc] = v,
-            MaskRepr::Sparse(m) => {
-                if v == 0 {
-                    m.remove(&id);
-                } else {
-                    m.insert(id, v);
-                }
-            }
-        }
-    }
-
-    fn is_sparse(&self) -> bool {
-        matches!(self.repr, MaskRepr::Sparse(_))
-    }
-
-    /// Oriented coordinates of all nonzero cells, sorted row-major so that
-    /// iteration order never depends on the representation (hash-map order
-    /// must not be observable anywhere).
-    fn nonzero_sorted(&self) -> Vec<Coord> {
-        match &self.repr {
-            MaskRepr::Dense(g) => self.mesh.iter().filter(|&oc| g[oc] != 0).collect(),
-            MaskRepr::Sparse(m) => {
-                let mut ids: Vec<u32> = m.keys().copied().collect();
-                ids.sort_unstable();
-                ids.into_iter().map(|id| self.mesh.coord(NodeId(id))).collect()
-            }
-        }
-    }
-}
 
 /// Status of a node under the MCC labeling.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -172,7 +89,7 @@ pub struct Labeling {
     orientation: Orientation,
     border: BorderPolicy,
     /// Predicate mask per node, indexed by oriented coordinates.
-    mask: MaskStore,
+    mask: Grid<u8>,
     unsafe_count: usize,
     faulty_count: usize,
 }
@@ -184,33 +101,12 @@ impl Labeling {
     /// oriented coordinates (the frame where the destination quadrant is
     /// `(+X, +Y)`).
     pub fn compute(faults: &FaultSet, orientation: Orientation, border: BorderPolicy) -> Self {
-        Self::compute_in(faults, orientation, border, faults.mesh().len() > SPARSE_NODES)
-    }
-
-    /// Testing hook: forces dense or sparse mask storage regardless of the
-    /// [`SPARSE_NODES`] threshold. The labeling is identical either way.
-    #[doc(hidden)]
-    pub fn compute_forced(
-        faults: &FaultSet,
-        orientation: Orientation,
-        border: BorderPolicy,
-        sparse: bool,
-    ) -> Self {
-        Self::compute_in(faults, orientation, border, sparse)
-    }
-
-    fn compute_in(
-        faults: &FaultSet,
-        orientation: Orientation,
-        border: BorderPolicy,
-        sparse: bool,
-    ) -> Self {
         let mesh = *faults.mesh();
-        let mut mask = MaskStore::new(mesh, sparse);
+        let mut mask = Grid::new(mesh, 0u8);
         // `Orientation::apply` is an involution, so it maps real
         // coordinates to oriented ones just as well.
         for c in faults.iter() {
-            mask.store(orientation.apply(&mesh, c), FAULTY);
+            mask[orientation.apply(&mesh, c)] = FAULTY;
         }
 
         // Independent least fixpoints for the two predicates, driven by a
@@ -255,10 +151,10 @@ impl Labeling {
         let mesh = self.mesh;
         let oc = self.orientation.apply(&mesh, c);
         let mut mask = self.mask.clone();
-        let old = mask.load(oc);
+        let old = mask[oc];
         debug_assert_eq!(old & FAULTY, 0, "node {oc:?} was already faulty");
         let mut unsafe_count = self.unsafe_count + usize::from(old == 0);
-        mask.store(oc, FAULTY);
+        mask[oc] = FAULTY;
         let mut changed = vec![oc];
         let work: Vec<Coord> =
             Dir::ALL.into_iter().map(|d| oc.step(d)).filter(|&v| mesh.contains(v)).collect();
@@ -298,16 +194,16 @@ impl Labeling {
         // becomes plain healthy) and re-derive the healthy flags from
         // scratch within it.
         for &cc in component {
-            debug_assert_ne!(self.mask.load(cc), 0, "component cells are unsafe");
-            let keep = if cc == oc { 0 } else { mask.load(cc) & FAULTY };
-            mask.store(cc, keep);
+            debug_assert_ne!(self.mask[cc], 0, "component cells are unsafe");
+            let keep = if cc == oc { 0 } else { mask[cc] & FAULTY };
+            mask[cc] = keep;
             if keep == 0 {
                 unsafe_count -= 1;
             }
         }
         run_fixpoint(&mesh, self.border, &mut mask, component.to_vec(), &mut unsafe_count, None);
         let changed: Vec<Coord> =
-            component.iter().copied().filter(|&cc| mask.load(cc) != self.mask.load(cc)).collect();
+            component.iter().copied().filter(|&cc| mask[cc] != self.mask[cc]).collect();
         let labeling = Labeling {
             mesh,
             orientation: self.orientation,
@@ -347,19 +243,12 @@ impl Labeling {
     #[inline]
     fn mask_at(&self, oc: Coord) -> u8 {
         match self.mask.get(oc) {
-            Some(m) => m,
+            Some(&m) => m,
             None => match self.border {
                 BorderPolicy::Open => 0,
                 BorderPolicy::Blocking => FAULTY,
             },
         }
-    }
-
-    /// Whether the predicate mask is held sparsely (testing hook for the
-    /// [`SPARSE_NODES`] threshold).
-    #[doc(hidden)]
-    pub fn mask_is_sparse(&self) -> bool {
-        self.mask.is_sparse()
     }
 
     /// Status of the node at *oriented* coordinate `oc`. Out-of-mesh
@@ -420,11 +309,9 @@ impl Labeling {
     }
 
     /// Iterator over oriented coordinates of all unsafe nodes, in
-    /// row-major order under both mask representations. Costs
-    /// O(unsafe nodes log unsafe nodes) on sparse labelings rather than a
-    /// full mesh scan.
+    /// row-major order.
     pub fn unsafe_nodes(&self) -> impl Iterator<Item = Coord> + '_ {
-        self.mask.nonzero_sorted().into_iter()
+        self.mask.iter().filter(|&(_, &m)| m != 0).map(|(oc, _)| oc)
     }
 }
 
@@ -435,19 +322,19 @@ impl Labeling {
 fn run_fixpoint(
     mesh: &Mesh,
     border: BorderPolicy,
-    mask: &mut MaskStore,
+    mask: &mut Grid<u8>,
     mut work: Vec<Coord>,
     unsafe_count: &mut usize,
     mut changed: Option<&mut Vec<Coord>>,
 ) {
-    let blocked = |mask: &MaskStore, c: Coord, bit: u8| -> bool {
+    let blocked = |mask: &Grid<u8>, c: Coord, bit: u8| -> bool {
         match mask.get(c) {
-            Some(m) => m & (FAULTY | bit) != 0,
+            Some(&m) => m & (FAULTY | bit) != 0,
             None => border == BorderPolicy::Blocking,
         }
     };
     while let Some(u) = work.pop() {
-        let m = mask.load(u);
+        let m = mask[u];
         if m & FAULTY != 0 {
             continue;
         }
@@ -468,7 +355,7 @@ fn run_fixpoint(
             if m == 0 {
                 *unsafe_count += 1;
             }
-            mask.store(u, m | gained);
+            mask[u] = m | gained;
             if let Some(changed) = changed.as_deref_mut() {
                 changed.push(u);
             }
@@ -716,35 +603,12 @@ mod tests {
     }
 
     #[test]
-    fn large_mesh_picks_sparse_storage() {
-        // 512x512 = 262144 nodes > SPARSE_NODES: the mask must go sparse,
-        // and a fault-free compute must not label anything (and must not
-        // take O(n) fixpoint work — the worklist seed is empty).
-        let mesh = Mesh::square(512);
-        assert!(mesh.len() > SPARSE_NODES);
-        let fs = FaultSet::none(mesh);
-        let l = Labeling::compute(&fs, Orientation::IDENTITY, BorderPolicy::Open);
-        assert!(l.mask_is_sparse());
-        assert_eq!(l.unsafe_count(), 0);
-        assert_eq!(l.safe_count(), mesh.len());
-        assert_eq!(l.unsafe_nodes().count(), 0);
-        // And the small meshes of the rest of this suite stay dense.
-        let small = Labeling::compute(
-            &FaultSet::none(Mesh::square(8)),
-            Orientation::IDENTITY,
-            BorderPolicy::Open,
-        );
-        assert!(!small.mask_is_sparse());
-    }
-
-    #[test]
-    fn sparse_labeling_on_large_mesh_matches_known_pattern() {
-        // The canonical anti-diagonal fill, far from the borders of a mesh
-        // big enough to force sparse storage.
+    fn labeling_on_a_512x512_mesh_matches_known_pattern() {
+        // The canonical anti-diagonal fill, far from the borders of a
+        // large mesh.
         let mesh = Mesh::square(512);
         let fs = FaultSet::from_coords(mesh, [Coord::new(100, 101), Coord::new(101, 100)]);
         let l = Labeling::compute(&fs, Orientation::IDENTITY, BorderPolicy::Open);
-        assert!(l.mask_is_sparse());
         assert_eq!(l.status(Coord::new(100, 100)), NodeStatus::Useless);
         assert_eq!(l.status(Coord::new(101, 101)), NodeStatus::CantReach);
         assert_eq!(l.unsafe_count(), 4);
@@ -759,94 +623,6 @@ mod tests {
                 Coord::new(101, 101)
             ]
         );
-    }
-
-    mod representation_equivalence {
-        use super::*;
-        use meshpath_mesh::FaultInjection;
-        use proptest::prelude::*;
-        use rand::rngs::StdRng;
-
-        /// The old unsafe-component flood fill (what `MccSet::cells()`
-        /// reports), used to feed `with_fault_removed`.
-        fn component_of(lab: &Labeling, oc: Coord) -> Vec<Coord> {
-            let mesh = *lab.mesh();
-            let mut comp = vec![oc];
-            let mut seen = std::collections::HashSet::from([oc]);
-            let mut stack = vec![oc];
-            while let Some(u) = stack.pop() {
-                for v in mesh.neighbors(u) {
-                    if lab.status(v).is_unsafe() && seen.insert(v) {
-                        comp.push(v);
-                        stack.push(v);
-                    }
-                }
-            }
-            comp
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// Sparse and dense mask stores must produce bit-identical
-            /// labelings — full computes, `unsafe_nodes` order, and the
-            /// incremental add/remove paths — across random fault sets,
-            /// orientations and border policies.
-            #[test]
-            fn sparse_matches_dense(
-                ((n, faults), (seed, o_ix, b_ix)) in
-                    ((4u32..20, 0usize..12), (0u64..u64::MAX, 0usize..4, 0usize..2))
-            ) {
-                let mesh = Mesh::square(n);
-                let mut rng = StdRng::seed_from_u64(seed);
-                let fs = FaultSet::random(mesh, faults, FaultInjection::Uniform, &mut rng);
-                let o = Orientation::ALL[o_ix];
-                let border = [BorderPolicy::Open, BorderPolicy::Blocking][b_ix];
-                let dense = Labeling::compute_forced(&fs, o, border, false);
-                let sparse = Labeling::compute_forced(&fs, o, border, true);
-                prop_assert!(!dense.mask_is_sparse());
-                prop_assert!(sparse.mask_is_sparse());
-                for oc in mesh.iter() {
-                    prop_assert_eq!(dense.raw_mask(oc), sparse.raw_mask(oc), "at {:?}", oc);
-                }
-                prop_assert_eq!(dense.unsafe_count(), sparse.unsafe_count());
-                prop_assert_eq!(dense.faulty_count(), sparse.faulty_count());
-                let dn: Vec<Coord> = dense.unsafe_nodes().collect();
-                let sn: Vec<Coord> = sparse.unsafe_nodes().collect();
-                prop_assert_eq!(dn, sn);
-
-                // Incremental injection through both representations.
-                if let Some(add) = mesh.iter().find(|&c| fs.is_healthy(c)) {
-                    let mut grown = fs.clone();
-                    grown.inject(add);
-                    let (di, dc) = dense.with_fault_added(&grown, add);
-                    let (si, sc) = sparse.with_fault_added(&grown, add);
-                    for oc in mesh.iter() {
-                        prop_assert_eq!(di.raw_mask(oc), si.raw_mask(oc), "add at {:?}", oc);
-                    }
-                    prop_assert_eq!(di.unsafe_count(), si.unsafe_count());
-                    let (mut dc, mut sc) = (dc, sc);
-                    dc.sort_unstable_by_key(|c| mesh.id(*c));
-                    sc.sort_unstable_by_key(|c| mesh.id(*c));
-                    prop_assert_eq!(dc, sc);
-                }
-
-                // Incremental repair through both representations.
-                let first_fault = fs.iter().next();
-                if let Some(rm) = first_fault {
-                    let orm = o.apply(&mesh, rm);
-                    let comp = component_of(&dense, orm);
-                    let mut repaired = fs.clone();
-                    repaired.repair(rm);
-                    let (di, _) = dense.with_fault_removed(&repaired, rm, &comp);
-                    let (si, _) = sparse.with_fault_removed(&repaired, rm, &comp);
-                    for oc in mesh.iter() {
-                        prop_assert_eq!(di.raw_mask(oc), si.raw_mask(oc), "rm at {:?}", oc);
-                    }
-                    prop_assert_eq!(di.unsafe_count(), si.unsafe_count());
-                }
-            }
-        }
     }
 
     #[test]

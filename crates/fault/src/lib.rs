@@ -39,6 +39,6 @@ pub mod mcc;
 pub mod stats;
 
 pub use blocks::BlockSet;
-pub use labeling::{BorderPolicy, Labeling, NodeStatus, SPARSE_NODES};
+pub use labeling::{BorderPolicy, Labeling, NodeStatus};
 pub use mcc::{Mcc, MccId, MccSet};
 pub use meshpath_mesh::Orientation;

@@ -26,7 +26,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use meshpath_mesh::{Coord, FaultSet, FxHashMap, Grid, Mesh, Orientation, Rect};
+use meshpath_mesh::{Coord, FaultSet, Grid, Mesh, Orientation, Rect};
 
 use crate::labeling::{BorderPolicy, Labeling};
 
@@ -224,12 +224,11 @@ pub struct MccSet {
     labeling: Labeling,
     mccs: Vec<Mcc>,
     /// Oriented coordinate -> owning MCC id (`NO_MCC` for safe cells).
-    cell_mcc: CellIndex,
+    cell_mcc: Grid<u32>,
     /// The unsafe cells as bit words, `words_per_row` per mesh row: bit
     /// `x % 64` of word `x / 64` of row `y` is set iff `(x, y)` is a cell
-    /// of some MCC. One bit per node under either labeling representation
-    /// (128 KB at 1024x1024), so a reader takes 64 cells of a row in one
-    /// load instead of 64 `mcc_at` probes.
+    /// of some MCC, so a reader takes 64 cells of a row in one load
+    /// instead of 64 `mcc_at` probes.
     row_words: Vec<u64>,
     words_per_row: usize,
     /// The MCCs occupying each (oriented) column and each row.
@@ -283,48 +282,6 @@ impl Incidence {
     }
 }
 
-/// Cell-to-component index: dense per-node ids on small meshes, a hash map
-/// holding only the unsafe cells (absent = `NO_MCC`) on large ones — the
-/// storage mirrors the labeling's own mask representation, so a sparse
-/// labeling never re-materializes an O(nodes) grid here.
-#[derive(Clone, Debug)]
-enum CellIndex {
-    Dense(Grid<u32>),
-    Sparse { mesh: Mesh, map: FxHashMap<u32, u32> },
-}
-
-impl CellIndex {
-    fn new(mesh: Mesh, sparse: bool) -> Self {
-        if sparse {
-            CellIndex::Sparse { mesh, map: FxHashMap::default() }
-        } else {
-            CellIndex::Dense(Grid::new(mesh, NO_MCC))
-        }
-    }
-
-    /// Owning component id at `oc` (`NO_MCC` for safe or out-of-mesh).
-    #[inline]
-    fn get(&self, oc: Coord) -> u32 {
-        match self {
-            CellIndex::Dense(g) => g.get(oc).copied().unwrap_or(NO_MCC),
-            CellIndex::Sparse { mesh, map } => match mesh.try_id(oc) {
-                Some(id) => map.get(&id.0).copied().unwrap_or(NO_MCC),
-                None => NO_MCC,
-            },
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, oc: Coord, id: u32) {
-        match self {
-            CellIndex::Dense(g) => g[oc] = id,
-            CellIndex::Sparse { mesh, map } => {
-                map.insert(mesh.id(oc).0, id);
-            }
-        }
-    }
-}
-
 impl MccSet {
     /// Labels `faults` under `orientation`/`border` and extracts the MCCs.
     pub fn build(faults: &FaultSet, orientation: Orientation, border: BorderPolicy) -> Self {
@@ -336,32 +293,30 @@ impl MccSet {
     pub fn from_labeling(labeling: Labeling, faults: &FaultSet) -> Self {
         let mesh = *labeling.mesh();
         let orientation = labeling.orientation();
-        let mut cell_mcc = CellIndex::new(mesh, labeling.mask_is_sparse());
+        let mut cell_mcc = Grid::new(mesh, NO_MCC);
         let words_per_row = (mesh.width() as usize).div_ceil(64);
         let mut row_words = vec![0u64; words_per_row * mesh.height() as usize];
         let mut mccs: Vec<Mcc> = Vec::new();
         let mut stack: Vec<Coord> = Vec::new();
         let mut cells: Vec<Coord> = Vec::new();
 
-        // `unsafe_nodes()` is row-major sorted under both mask
-        // representations, so discovery order — and with it the MccId
-        // assignment — is identical to a full row-major mesh scan while
-        // touching only the unsafe cells.
+        // `unsafe_nodes()` is row-major, and discovery order is the MccId
+        // assignment.
         for start in labeling.unsafe_nodes() {
             row_words[start.y as usize * words_per_row + start.x as usize / 64] |=
                 1 << (start.x as usize % 64);
-            if cell_mcc.get(start) != NO_MCC {
+            if cell_mcc[start] != NO_MCC {
                 continue;
             }
             let id = MccId(mccs.len() as u32);
             cells.clear();
-            cell_mcc.set(start, id.0);
+            cell_mcc[start] = id.0;
             stack.push(start);
             while let Some(u) = stack.pop() {
                 cells.push(u);
                 for v in mesh.neighbors(u) {
-                    if labeling.status(v).is_unsafe() && cell_mcc.get(v) == NO_MCC {
-                        cell_mcc.set(v, id.0);
+                    if labeling.status(v).is_unsafe() && cell_mcc[v] == NO_MCC {
+                        cell_mcc[v] = id.0;
                         stack.push(v);
                     }
                 }
@@ -502,8 +457,7 @@ impl MccSet {
     /// The MCC owning the (oriented) coordinate, if it is an unsafe cell.
     #[inline]
     pub fn mcc_at(&self, oc: Coord) -> Option<MccId> {
-        let raw = self.cell_mcc.get(oc);
-        (raw != NO_MCC).then_some(MccId(raw))
+        self.cell_mcc.get(oc).copied().filter(|&raw| raw != NO_MCC).map(MccId)
     }
 
     /// The unsafe cells of (oriented) row `y` as bit words: bit `x % 64`
@@ -663,7 +617,7 @@ mod tests {
         assert!(m.shadow_x(Coord::new(0, 5)) && m.critical_x(Coord::new(9, 5)));
     }
 
-    mod representation_equivalence {
+    mod indexes {
         use super::*;
         use meshpath_mesh::FaultInjection;
         use proptest::prelude::*;
@@ -672,59 +626,30 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
-            /// MCC extraction from a sparse labeling must assign the same
-            /// MccIds, shapes and cell index as from the dense one: the
-            /// discovery scan goes through `unsafe_nodes()` whose order is
-            /// representation-independent.
+            /// Every index answers what its definition answers: a
+            /// `row_words` bit is `mcc_at(..).is_some()`, and `in_col` /
+            /// `in_row` list exactly the MCCs with a span on that line, in
+            /// ascending id order (one past either end included).
             #[test]
-            fn sparse_extraction_matches_dense(
+            fn indexes_match_their_definitions(
                 ((n, faults), (seed, o_ix)) in
                     ((5u32..18, 0usize..10), (0u64..u64::MAX, 0usize..4))
             ) {
                 let mesh = Mesh::square(n);
                 let mut rng = StdRng::seed_from_u64(seed);
                 let fs = FaultSet::random(mesh, faults, FaultInjection::Uniform, &mut rng);
-                let o = Orientation::ALL[o_ix];
-                let dense = MccSet::from_labeling(
-                    Labeling::compute_forced(&fs, o, BorderPolicy::Open, false),
-                    &fs,
-                );
-                let sparse = MccSet::from_labeling(
-                    Labeling::compute_forced(&fs, o, BorderPolicy::Open, true),
-                    &fs,
-                );
-                prop_assert_eq!(dense.len(), sparse.len());
-                for (d, s) in dense.iter().zip(sparse.iter()) {
-                    prop_assert_eq!(d.id(), s.id());
-                    prop_assert_eq!(d.x0(), s.x0());
-                    prop_assert_eq!(d.cols(), s.cols());
-                    prop_assert_eq!(d.cell_count(), s.cell_count());
-                    prop_assert_eq!(d.faulty_count(), s.faulty_count());
-                    prop_assert_eq!(d.bbox(), s.bbox());
-                }
+                let set = MccSet::build(&fs, Orientation::ALL[o_ix], BorderPolicy::Open);
                 for oc in mesh.iter() {
-                    prop_assert_eq!(dense.mcc_at(oc), sparse.mcc_at(oc), "at {:?}", oc);
-                    let bit = dense.row_words(oc.y)[oc.x as usize / 64] >> (oc.x % 64) & 1;
-                    prop_assert_eq!(bit == 1, dense.mcc_at(oc).is_some(), "row bit at {:?}", oc);
+                    let bit = set.row_words(oc.y)[oc.x as usize / 64] >> (oc.x % 64) & 1;
+                    prop_assert_eq!(bit == 1, set.mcc_at(oc).is_some(), "row bit at {:?}", oc);
                 }
-                for y in 0..n as i32 {
-                    prop_assert_eq!(dense.row_words(y), sparse.row_words(y), "row {}", y);
-                }
-                // The row spans and the incidence lists: equal across
-                // representations, and each list is exactly the MCCs with
-                // a span on that line, in ascending id order.
                 for k in -1..=n as i32 {
-                    for (d, s) in dense.iter().zip(sparse.iter()) {
-                        prop_assert_eq!(d.row_range(k), s.row_range(k), "{:?} row {}", d.id(), k);
-                    }
-                    prop_assert_eq!(dense.in_col(k), sparse.in_col(k), "column {}", k);
-                    prop_assert_eq!(dense.in_row(k), sparse.in_row(k), "row {}", k);
                     let on_col: Vec<MccId> =
-                        dense.iter().filter(|m| m.col(k).is_some()).map(Mcc::id).collect();
+                        set.iter().filter(|m| m.col(k).is_some()).map(Mcc::id).collect();
                     let on_row: Vec<MccId> =
-                        dense.iter().filter(|m| m.row_range(k).is_some()).map(Mcc::id).collect();
-                    prop_assert_eq!(dense.in_col(k), on_col, "column {}", k);
-                    prop_assert_eq!(dense.in_row(k), on_row, "row {}", k);
+                        set.iter().filter(|m| m.row_range(k).is_some()).map(Mcc::id).collect();
+                    prop_assert_eq!(set.in_col(k), on_col, "column {}", k);
+                    prop_assert_eq!(set.in_row(k), on_row, "row {}", k);
                 }
             }
 

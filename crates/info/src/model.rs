@@ -15,70 +15,11 @@
 //! O(1) and the routing layer can scan candidates cheaply.
 
 use meshpath_fault::{Mcc, MccId, MccSet};
-use meshpath_mesh::{BitGrid, Coord, FxHashSet, Mesh};
+use meshpath_mesh::{BitGrid, Coord};
 use serde::{Deserialize, Serialize};
 
 use crate::boundary::BoundarySet;
 use crate::walker::Walk;
-
-/// One carrier set (the nodes holding one MCC's triple): dense bits on
-/// small meshes, a hash set of node ids on large ones. Knowledge is sparse
-/// at scale — carriers cluster around the component — so per-MCC `BitGrid`s
-/// would cost `O(nodes)` each (the dominant memory term of a large-mesh
-/// `Network::build`). The representation follows the labeling's own mask
-/// storage, so sparse labelings never materialize dense knowledge tables.
-#[derive(Clone, Debug)]
-enum NodeSet {
-    Dense(BitGrid),
-    Sparse { mesh: Mesh, set: FxHashSet<u32> },
-}
-
-impl NodeSet {
-    fn new(mesh: Mesh, sparse: bool) -> Self {
-        if sparse {
-            NodeSet::Sparse { mesh, set: FxHashSet::default() }
-        } else {
-            NodeSet::Dense(BitGrid::new(mesh))
-        }
-    }
-
-    /// Inserts the node at `c`; returns whether it was newly inserted.
-    fn insert(&mut self, c: Coord) -> bool {
-        match self {
-            NodeSet::Dense(g) => g.insert(c),
-            NodeSet::Sparse { mesh, set } => set.insert(mesh.id(c).0),
-        }
-    }
-
-    /// True when the node at `c` is in the set (false out of mesh).
-    #[inline]
-    fn contains(&self, c: Coord) -> bool {
-        match self {
-            NodeSet::Dense(g) => g.contains(c),
-            NodeSet::Sparse { mesh, set } => {
-                matches!(mesh.try_id(c), Some(id) if set.contains(&id.0))
-            }
-        }
-    }
-
-    fn count(&self) -> usize {
-        match self {
-            NodeSet::Dense(g) => g.count(),
-            NodeSet::Sparse { set, .. } => set.len(),
-        }
-    }
-
-    /// In-place union; both sets share a mesh and a representation.
-    fn union_with(&mut self, other: &NodeSet) {
-        match (self, other) {
-            (NodeSet::Dense(a), NodeSet::Dense(b)) => a.union_with(b),
-            (NodeSet::Sparse { set: a, .. }, NodeSet::Sparse { set: b, .. }) => {
-                a.extend(b.iter().copied());
-            }
-            _ => unreachable!("NodeSet representations diverged within one model"),
-        }
-    }
-}
 
 /// Which information model a table was built under.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -156,11 +97,8 @@ impl PropagationStats {
 #[derive(Clone, Debug)]
 pub struct InfoModel {
     kind: ModelKind,
-    mesh: Mesh,
     /// One carrier set per MCC: the nodes holding that MCC's triple.
-    knowledge: Vec<NodeSet>,
-    /// Union of all carriers (Fig. 5c numerator).
-    involved: NodeSet,
+    knowledge: Vec<BitGrid>,
     /// Eq.-4 successor per MCC (type-I), resolved at build time; `None`
     /// for B1/B2 (which do not record relations) and for chain tails.
     succ_y: Vec<Option<MccId>>,
@@ -178,14 +116,12 @@ impl InfoModel {
     /// already-constructed [`BoundarySet`].
     pub fn build_with(set: &MccSet, bounds: &BoundarySet, kind: ModelKind) -> Self {
         let mesh = *set.mesh();
-        let sparse = set.labeling().mask_is_sparse();
-        let mut knowledge: Vec<NodeSet> = Vec::with_capacity(set.len());
-        let mut involved = NodeSet::new(mesh, sparse);
+        let mut knowledge: Vec<BitGrid> = Vec::with_capacity(set.len());
         let mut messages = 0u64;
 
         for mcc in set.iter() {
             let b = bounds.get(mcc.id());
-            let mut grid = NodeSet::new(mesh, sparse);
+            let mut grid = BitGrid::new(mesh);
             let mut absorb = |walk_nodes: &[Coord], messages: &mut u64| {
                 for &c in walk_nodes {
                     grid.insert(c);
@@ -256,7 +192,6 @@ impl InfoModel {
                 }
             }
 
-            involved.union_with(&grid);
             knowledge.push(grid);
         }
 
@@ -264,35 +199,34 @@ impl InfoModel {
             // Region-merge fixpoint: "R_Y(v) merges into R_Y(c)" makes
             // the root's triple known throughout every merged member's
             // region, transitively (the broadcast carries the merged
-            // triple along the joint boundaries). Iterate to a fixpoint —
-            // the merge graph can contain cycles via opposite-side walks.
-            for _pass in 0..8 {
+            // triple along the joint boundaries). The merge graph can
+            // contain cycles via opposite-side walks, and a chain of
+            // members with rising ids moves one link a pass, so iterate
+            // until nothing grows (sets only grow: it terminates).
+            loop {
                 let mut changed = false;
-                for c in 0..set.len() {
-                    let members: Vec<usize> = bounds
-                        .get(MccId(c as u32))
-                        .merged_y
-                        .iter()
-                        .chain(&bounds.get(MccId(c as u32)).merged_x)
-                        .map(|id| id.index())
-                        .filter(|&v| v != c)
-                        .collect();
-                    for v in members {
-                        let before = knowledge[c].count();
-                        let src = knowledge[v].clone();
-                        knowledge[c].union_with(&src);
-                        if knowledge[c].count() != before {
-                            changed = true;
+                for b in bounds.iter() {
+                    let c = b.id.index();
+                    for v in b.merged_y.iter().chain(&b.merged_x).map(|id| id.index()) {
+                        if v == c {
+                            continue;
                         }
+                        let [dst, src] =
+                            knowledge.get_disjoint_mut([c, v]).expect("two distinct MCC ids");
+                        let before = dst.count();
+                        dst.union_with(src);
+                        changed |= dst.count() != before;
                     }
                 }
                 if !changed {
                     break;
                 }
             }
-            for g in &knowledge {
-                involved.union_with(g);
-            }
+        }
+        // Union of all carriers (Fig. 5c numerator).
+        let mut involved = BitGrid::new(mesh);
+        for g in &knowledge {
+            involved.union_with(g);
         }
 
         let n = set.len();
@@ -321,9 +255,7 @@ impl InfoModel {
 
         InfoModel {
             kind,
-            mesh,
             knowledge,
-            involved,
             succ_y,
             succ_x,
             merged_y: bounds.iter().map(|b| b.merged_y.clone()).collect(),
@@ -347,7 +279,7 @@ impl InfoModel {
     /// True when the node at oriented coordinate `oc` holds `mcc`'s triple.
     #[inline]
     pub fn knows(&self, oc: Coord, mcc: MccId) -> bool {
-        self.mesh.contains(oc) && self.knowledge[mcc.index()].contains(oc)
+        self.knowledge[mcc.index()].contains(oc)
     }
 
     /// The MCCs known at `oc`: one [`knows`](Self::knows) test per MCC
@@ -388,12 +320,6 @@ impl InfoModel {
     #[inline]
     pub fn stats(&self) -> PropagationStats {
         self.stats
-    }
-
-    /// Number of distinct carrier nodes (the Fig. 5c numerator).
-    #[inline]
-    pub fn involved_count(&self) -> usize {
-        self.involved.count()
     }
 }
 
@@ -526,7 +452,7 @@ fn staircase_south_limit(mcc: &Mcc, x: i32) -> i32 {
 mod tests {
     use super::*;
     use meshpath_fault::BorderPolicy;
-    use meshpath_mesh::{FaultSet, Orientation};
+    use meshpath_mesh::{FaultSet, Mesh, Orientation};
 
     fn set(mesh: Mesh, faults: &[(i32, i32)]) -> MccSet {
         let fs = FaultSet::from_coords(mesh, faults.iter().map(|&(x, y)| Coord::new(x, y)));
@@ -615,50 +541,36 @@ mod tests {
         assert!(m.known_at(Coord::new(3, 3)).is_empty());
     }
 
-    mod representation_equivalence {
-        use super::*;
-        use meshpath_fault::Labeling;
-        use meshpath_mesh::{FaultInjection, Orientation};
-        use proptest::prelude::*;
-        use rand::rngs::StdRng;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(32))]
-
-            /// An `InfoModel` built over a sparse labeling (hash-set
-            /// carrier sets) must agree bit for bit with one built over
-            /// the dense labeling: same knowledge, same propagation stats.
-            #[test]
-            fn sparse_knowledge_matches_dense(
-                ((n, faults), (seed, o_ix, kind_ix)) in
-                    ((5u32..16, 0usize..8), (0u64..u64::MAX, 0usize..4, 0usize..3))
-            ) {
-                let mesh = Mesh::square(n);
-                let mut rng = StdRng::seed_from_u64(seed);
-                let fs = FaultSet::random(mesh, faults, FaultInjection::Uniform, &mut rng);
-                let o = Orientation::ALL[o_ix];
-                let kind = ModelKind::ALL[kind_ix];
-                let dense = MccSet::from_labeling(
-                    Labeling::compute_forced(&fs, o, meshpath_fault::BorderPolicy::Open, false),
-                    &fs,
-                );
-                let sparse = MccSet::from_labeling(
-                    Labeling::compute_forced(&fs, o, meshpath_fault::BorderPolicy::Open, true),
-                    &fs,
-                );
-                let dm = InfoModel::build(&dense, kind);
-                let sm = InfoModel::build(&sparse, kind);
-                prop_assert_eq!(dm.stats(), sm.stats());
-                prop_assert_eq!(dm.involved_count(), sm.involved_count());
-                for oc in mesh.iter() {
-                    for id in (0..dense.len() as u32).map(MccId) {
-                        prop_assert_eq!(
-                            dm.knows(oc, id),
-                            sm.knows(oc, id),
-                            "knows({:?}, {:?}) diverged", oc, id
-                        );
-                    }
-                    prop_assert_eq!(dm.known_at(oc), sm.known_at(oc));
+    #[test]
+    fn b2_knowledge_is_closed_under_merges_on_a_chain_deeper_than_eight() {
+        // Six (bar, shelf) pairs climbing north-east, three cells apart. A
+        // bar's +X boundary descends onto its shelf and a shelf's +Y
+        // boundary runs west into the next bar, so each component merges
+        // the next one up — a higher id, which the fixpoint's id-order
+        // sweep has not updated yet. The top shelf's triple therefore
+        // climbs down one link a pass: eleven passes to reach the bottom bar.
+        let mut faults = Vec::new();
+        for k in 0..6 {
+            let (x, y) = (2 + 3 * k, 2 + 3 * k);
+            faults.extend([(x, y), (x, y + 1), (x, y + 2), (x, y + 3), (x + 1, y + 3)]);
+            faults.extend((2..=5).map(|dx| (x + dx, y + 1)));
+            faults.push((x + 5, y + 2));
+        }
+        let s = set(Mesh::square(28), &faults);
+        assert_eq!(s.len(), 12);
+        let m = InfoModel::build(&s, ModelKind::B2);
+        // The chain itself: every component but the last merges its successor.
+        for c in (0..11).map(MccId) {
+            let next = MccId(c.0 + 1);
+            assert!(
+                m.merged_y(c).contains(&next) || m.merged_x(c).contains(&next),
+                "{c:?} must merge {next:?}"
+            );
+        }
+        for c in s.iter().map(Mcc::id) {
+            for &v in m.merged_y(c).iter().chain(m.merged_x(c)) {
+                for n in s.mesh().iter() {
+                    assert!(!m.knows(n, v) || m.knows(n, c), "{n:?} knows {v:?} but not {c:?}");
                 }
             }
         }

@@ -43,6 +43,17 @@ pub(crate) enum FaultChange {
     Removed(Coord),
 }
 
+/// One orientation of a single-fault delta, relabelled and re-extracted.
+struct Relabelled {
+    new_set: MccSet,
+    /// Oriented cells whose predicate mask changed.
+    changed: Vec<Coord>,
+    /// Old components the relabeled cells touch (at most one).
+    affected_old: Vec<MccId>,
+    /// Old component id -> its id in `new_set` (`None`: it dissolved).
+    remap: Vec<Option<MccId>>,
+}
+
 impl Network {
     /// Analyzes `faults` under all orientations and models.
     pub fn build(faults: FaultSet) -> Self {
@@ -71,84 +82,28 @@ impl Network {
     /// touched. Returns `None` when the delta **merges** existing
     /// components (injection) or **splits** one (repair) in any
     /// orientation — the caller then falls back to a full
-    /// [`Network::build`]. The result is bit-identical to a
-    /// from-scratch build (pinned by the equivalence proptest).
+    /// [`Network::build`], so all four orientations are relabelled and
+    /// tested first (under a millisecond) and a fallback has built no
+    /// boundary or model by the time it is known. The result is
+    /// bit-identical to a from-scratch build (pinned by the equivalence
+    /// proptest).
     pub(crate) fn incrementally_updated(
         &self,
         new_faults: &FaultSet,
         change: FaultChange,
     ) -> Option<Network> {
+        let deltas: Vec<Relabelled> = Orientation::ALL
+            .into_iter()
+            .map(|o| self.relabelled(o, new_faults, change))
+            .collect::<Option<_>>()?;
         let mesh = *self.mesh();
         let mut mccs = Vec::with_capacity(4);
         let mut models = Vec::with_capacity(4);
         let mut bounds = Vec::with_capacity(4);
-        for o in Orientation::ALL {
-            let old_set = self.mccs(o);
+        for (o, Relabelled { new_set, changed, affected_old, remap }) in
+            Orientation::ALL.into_iter().zip(deltas)
+        {
             let old_bounds = &self.bounds[o.index()];
-
-            // 1. Patch the labeling and collect the relabeled cells
-            //    (oriented frame) plus the old components they touch.
-            let (new_lab, changed, affected_old) = match change {
-                FaultChange::Added(c) => {
-                    let (lab, changed) = old_set.labeling().with_fault_added(new_faults, c);
-                    let mut affected: Vec<MccId> = Vec::new();
-                    let mut note = |id: Option<MccId>| {
-                        if let Some(id) = id {
-                            if !affected.contains(&id) {
-                                affected.push(id);
-                            }
-                        }
-                    };
-                    for &cc in &changed {
-                        note(old_set.mcc_at(cc));
-                        for nb in cc.neighbors() {
-                            note(old_set.mcc_at(nb));
-                        }
-                    }
-                    if affected.len() >= 2 {
-                        return None; // components merged: full rebuild
-                    }
-                    (lab, changed, affected)
-                }
-                FaultChange::Removed(c) => {
-                    let oc = o.apply(&mesh, c);
-                    let id = old_set.mcc_at(oc).expect("a faulty cell is always in an MCC");
-                    let comp: Vec<Coord> = old_set.get(id).cells().collect();
-                    let (lab, changed) =
-                        old_set.labeling().with_fault_removed(new_faults, c, &comp);
-                    (lab, changed, vec![id])
-                }
-            };
-
-            // 2. Re-extract components (cheap scan; identical ids and
-            //    shapes to a from-scratch build by construction).
-            let new_set = MccSet::from_labeling(new_lab, new_faults);
-
-            // 3. Map surviving old components to their new ids via a
-            //    representative cell; detect repair-induced splits.
-            let mut remap: Vec<Option<MccId>> = vec![None; old_set.len()];
-            for old in old_set.iter() {
-                if let FaultChange::Removed(_) = change {
-                    if old.id() == affected_old[0] {
-                        let mut survivors: Vec<MccId> = Vec::new();
-                        for cc in old.cells() {
-                            if let Some(nid) = new_set.mcc_at(cc) {
-                                if !survivors.contains(&nid) {
-                                    survivors.push(nid);
-                                }
-                            }
-                        }
-                        if survivors.len() > 1 {
-                            return None; // component split: full rebuild
-                        }
-                        remap[old.id().index()] = survivors.first().copied();
-                        continue;
-                    }
-                }
-                let rep = old.cells().next().expect("components are non-empty");
-                let nid = new_set.mcc_at(rep).expect("untouched cells stay unsafe");
-                remap[old.id().index()] = Some(nid);
-            }
             let mut inverse: Vec<Option<MccId>> = vec![None; new_set.len()];
             for (oi, nid) in remap.iter().enumerate() {
                 if let Some(nid) = nid {
@@ -156,12 +111,12 @@ impl Network {
                 }
             }
 
-            // 4. Dirty test: a component's boundary record is reusable
-            //    only when its stored footprint stays clear of every
-            //    relabeled cell (walks re-read those labels) and no
-            //    component it interacted with (merge lists cover walk
-            //    hits and corner absorptions) is the affected one
-            //    (their shapes feed the walk geometry).
+            // Dirty test: a component's boundary record is reusable
+            // only when its stored footprint stays clear of every
+            // relabeled cell (walks re-read those labels) and no
+            // component it interacted with (merge lists cover walk
+            // hits and corner absorptions) is the affected one
+            // (their shapes feed the walk geometry).
             let mut poison: FxHashSet<Coord> = FxHashSet::default();
             for &cc in &changed {
                 for dx in -2..=2 {
@@ -207,6 +162,82 @@ impl Network {
             blocks,
             components: OnceLock::new(),
         })
+    }
+
+    /// The cheap half of an incremental update under orientation `o`:
+    /// the patched labeling's components and the old-to-new id map, or
+    /// `None` when the delta merged or split components.
+    fn relabelled(
+        &self,
+        o: Orientation,
+        new_faults: &FaultSet,
+        change: FaultChange,
+    ) -> Option<Relabelled> {
+        let old_set = self.mccs(o);
+
+        // 1. Patch the labeling and collect the relabeled cells
+        //    (oriented frame) plus the old components they touch.
+        let (new_lab, changed, affected_old) = match change {
+            FaultChange::Added(c) => {
+                let (lab, changed) = old_set.labeling().with_fault_added(new_faults, c);
+                let mut affected: Vec<MccId> = Vec::new();
+                let mut note = |id: Option<MccId>| {
+                    if let Some(id) = id {
+                        if !affected.contains(&id) {
+                            affected.push(id);
+                        }
+                    }
+                };
+                for &cc in &changed {
+                    note(old_set.mcc_at(cc));
+                    for nb in cc.neighbors() {
+                        note(old_set.mcc_at(nb));
+                    }
+                }
+                if affected.len() >= 2 {
+                    return None; // components merged: full rebuild
+                }
+                (lab, changed, affected)
+            }
+            FaultChange::Removed(c) => {
+                let oc = o.apply(self.mesh(), c);
+                let id = old_set.mcc_at(oc).expect("a faulty cell is always in an MCC");
+                let comp: Vec<Coord> = old_set.get(id).cells().collect();
+                let (lab, changed) = old_set.labeling().with_fault_removed(new_faults, c, &comp);
+                (lab, changed, vec![id])
+            }
+        };
+
+        // 2. Re-extract components (cheap scan; identical ids and
+        //    shapes to a from-scratch build by construction).
+        let new_set = MccSet::from_labeling(new_lab, new_faults);
+
+        // 3. Map surviving old components to their new ids via a
+        //    representative cell; detect repair-induced splits.
+        let mut remap: Vec<Option<MccId>> = vec![None; old_set.len()];
+        for old in old_set.iter() {
+            if let FaultChange::Removed(_) = change {
+                if old.id() == affected_old[0] {
+                    let mut survivors: Vec<MccId> = Vec::new();
+                    for cc in old.cells() {
+                        if let Some(nid) = new_set.mcc_at(cc) {
+                            if !survivors.contains(&nid) {
+                                survivors.push(nid);
+                            }
+                        }
+                    }
+                    if survivors.len() > 1 {
+                        return None; // component split: full rebuild
+                    }
+                    remap[old.id().index()] = survivors.first().copied();
+                    continue;
+                }
+            }
+            let rep = old.cells().next().expect("components are non-empty");
+            let nid = new_set.mcc_at(rep).expect("untouched cells stay unsafe");
+            remap[old.id().index()] = Some(nid);
+        }
+        Some(Relabelled { new_set, changed, affected_old, remap })
     }
 
     /// The mesh.

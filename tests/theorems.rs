@@ -8,9 +8,12 @@
 //! * **Theorem 2**: from a boundary node, RB3's path is no longer than
 //!   RB2's (checked on sampled boundary sources).
 
+use std::ops::Range;
+
 use meshpath::info::ModelKind;
 use meshpath::prelude::*;
 use meshpath::route::seq::Planner;
+use meshpath::{RouteError, RouteService};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -26,12 +29,24 @@ fn sample_pairs_spanning(
     count: usize,
     rng: &mut StdRng,
 ) -> Vec<(Coord, Coord, u32)> {
+    sample_pairs_within(net, 0..n, min_dx, count, rng)
+}
+
+/// [`sample_pairs_spanning`] with both coordinates of both endpoints
+/// drawn from `window`.
+fn sample_pairs_within(
+    net: &NetView,
+    window: Range<i32>,
+    min_dx: i32,
+    count: usize,
+    rng: &mut StdRng,
+) -> Vec<(Coord, Coord, u32)> {
     let mut out = Vec::new();
     let mut attempts = 0;
     while out.len() < count && attempts < 20_000 {
         attempts += 1;
-        let s = Coord::new(rng.gen_range(0..n), rng.gen_range(0..n));
-        let d = Coord::new(rng.gen_range(0..n), rng.gen_range(0..n));
+        let mut draw = || Coord::new(rng.gen_range(window.clone()), rng.gen_range(window.clone()));
+        let (s, d) = (draw(), draw());
         if (s.x - d.x).abs() < min_dx {
             continue;
         }
@@ -230,4 +245,58 @@ fn success_ordering_matches_the_paper() {
     assert!(total >= 120);
     assert!(hits[1] + 4 >= hits[2], "RB2 ({}) must not trail RB3 ({})", hits[1], hits[2]);
     assert!(hits[2] + 8 >= hits[0], "RB3 ({}) must not trail RB1 ({})", hits[2], hits[0]);
+}
+
+/// Answers, not bookkeeping, on a 512x512 mesh (262 144 nodes; every
+/// other test stops at 96x96): a 25-cell wall and 40 seeded faults
+/// around (332, 332) — node ids past 2^17 — with pairs drawn around the
+/// cluster, one straight across the wall and two mesh-wide. Every router
+/// delivers a valid walk no shorter than BFS, RB2 under global knowledge
+/// is exactly BFS (Theorem 1), and the service answers `Unreachable`
+/// exactly for the pair BFS cannot connect.
+#[test]
+fn routers_answer_like_bfs_on_a_512x512_mesh() {
+    let n = 512;
+    let mesh = Mesh::square(n as u32);
+    let mut rng = StdRng::seed_from_u64(0x512);
+    let wall = (320..=344).map(|x| Coord::new(x, 332));
+    let cluster = (0..40).map(|_| Coord::new(rng.gen_range(316..348), rng.gen_range(316..348)));
+    let mut faults = FaultSet::from_coords(mesh, wall.chain(cluster));
+    // Wall in the south-west corner node: healthy, and cut off.
+    let pocket = Coord::new(0, 0);
+    faults.inject(Coord::new(1, 0));
+    faults.inject(Coord::new(0, 1));
+    let net = NetView::build(faults);
+    let svc = RouteService::adopt(net.clone(), RoutingKind::Rb2);
+
+    let (below, above) = (Coord::new(332, 312), Coord::new(332, 352));
+    let across = DistanceField::healthy(net.faults(), above).dist(below);
+    assert!(across > below.manhattan(above), "the wall must force a detour");
+    let mut pairs = vec![(below, above, across)];
+    pairs.extend(sample_pairs_within(&net, 300..364, 20, 5, &mut rng));
+    pairs.extend(sample_pairs_spanning(&net, n, 256, 2, &mut rng));
+    assert_eq!(pairs.len(), 8, "sampling failed");
+    let global = Rb2 { scope: KnowledgeScope::Global, ..Default::default() };
+    let routers: [(&dyn Router, bool); 4] = [
+        (&Rb1::default(), false),
+        (&Rb2::default(), false),
+        (&Rb3::default(), false),
+        (&global, true),
+    ];
+    let from_pocket = DistanceField::healthy(net.faults(), pocket);
+    for (s, d, opt) in pairs {
+        for (router, exact) in routers {
+            let res = router.route(&net, s, d);
+            assert!(res.delivered, "{} must deliver {s:?}->{d:?}", router.name());
+            validate_path(&net, s, d, &res).expect("valid walk");
+            assert!(res.hops() >= opt, "{} beat BFS?! {s:?}->{d:?}", router.name());
+            assert!(!exact || res.hops() == opt, "RB2(global) not optimal for {s:?}->{d:?}");
+        }
+        assert_eq!(svc.route(s, d).map(|reply| reply.hops() >= opt), Ok(true));
+        assert!(!from_pocket.reachable(d));
+        assert_eq!(
+            svc.route(pocket, d).err(),
+            Some(RouteError::Unreachable { src: pocket, dst: d })
+        );
+    }
 }
