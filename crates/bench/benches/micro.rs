@@ -1,6 +1,7 @@
 //! Microbenchmarks of the hot primitives: labeling fixpoint, distributed
 //! labeling protocol, boundary walks, one orientation of a 512x512 B2
-//! build, oracle BFS, network build, the
+//! build, oracle BFS, network build (40x40 and the 64x64/204-fault
+//! service class, with its walks and its B2 model apart), the
 //! three costs of a cold RB2 plan (feasible, blocked, fallback flood) and
 //! the two of an Algorithm-2 phase (re-keying the critical set, one
 //! decision on it). CI runs this bench in `--test` smoke mode so it
@@ -113,6 +114,30 @@ fn bench(c: &mut Criterion) {
     });
 
     let (cold, [direct, blocked]) = cold_plan_fixture();
+    // The same two layers, and the whole build, on meshbench's `svc_cold`
+    // net class (64x64, 204 faults): what a service publication pays.
+    let cold_faults = cold.faults().clone();
+    let cold_set = MccSet::build(&cold_faults, Orientation::IDENTITY, BorderPolicy::Open);
+    let cold_bounds = BoundarySet::build(&cold_set);
+    c.bench_function("boundary_walks_64x64_204f", |b| {
+        b.iter(|| {
+            let bounds = BoundarySet::build(black_box(&cold_set));
+            black_box(bounds.iter().count())
+        })
+    });
+    c.bench_function("info_b2_64x64_204f", |b| {
+        b.iter(|| {
+            let model = InfoModel::build_with(&cold_set, black_box(&cold_bounds), ModelKind::B2);
+            black_box(model.stats().involved_nodes)
+        })
+    });
+    c.bench_function("network_build_64x64_204f", |b| {
+        b.iter(|| {
+            let net = NetView::build(black_box(cold_faults.clone()));
+            black_box(net.mccs(Orientation::IDENTITY).len())
+        })
+    });
+
     let planner = Planner::new(&cold, ModelKind::B2, KnowledgeScope::Local);
     let mut flood = FloodScratch::default();
     for (name, pairs) in

@@ -24,7 +24,7 @@
 use meshpath_fault::{Mcc, MccId, MccSet};
 use meshpath_mesh::Coord;
 
-use crate::walker::{walk, walk_until, Walk, WalkConfig};
+use crate::walker::{Walk, WalkConfig, Walker};
 
 /// The boundary structures of one MCC.
 #[derive(Clone, Debug)]
@@ -119,7 +119,7 @@ impl MccBoundaries {
 /// All boundary structures of one MCC (walks, splits, contour, merge
 /// lists) — everything except the Eq.-4 relation records, which are
 /// derived from the finished walks in a second pass.
-fn boundaries_of(set: &MccSet, mcc: &Mcc) -> MccBoundaries {
+fn boundaries_of(walker: &mut Walker<'_>, set: &MccSet, mcc: &Mcc) -> MccBoundaries {
     // A corner that is itself a cell of another MCC (diagonally
     // touching components) cannot start a walk; per the merge
     // semantics the boundary *joins* that component's boundary,
@@ -127,18 +127,23 @@ fn boundaries_of(set: &MccSet, mcc: &Mcc) -> MccBoundaries {
     // transitively and absorb the crossed components.
     let (west_start, absorbed_w) = resolve_start(set, mcc.corner(), false);
     let (east_start, absorbed_e) = resolve_start(set, mcc.opposite(), true);
-    let west_y = west_start.map(|c| walk(set, c, WalkConfig::WEST_Y)).unwrap_or_default();
-    let east_y = east_start.map(|c| walk(set, c, WalkConfig::EAST_Y)).unwrap_or_default();
-    let south_x = west_start.map(|c| walk(set, c, WalkConfig::SOUTH_X)).unwrap_or_default();
-    let north_x = east_start.map(|c| walk(set, c, WalkConfig::NORTH_X)).unwrap_or_default();
+    let mut walk =
+        |start: Option<Coord>, cfg| start.map(|c| walker.walk(c, cfg)).unwrap_or_default();
+    let west_y = walk(west_start, WalkConfig::WEST_Y);
+    let east_y = walk(east_start, WalkConfig::EAST_Y);
+    let south_x = walk(west_start, WalkConfig::SOUTH_X);
+    let north_x = walk(east_start, WalkConfig::NORTH_X);
 
     // B3 split propagations: at every Y-walk hit, the shape
     // information also rounds the obstacle the other way and
     // merges into its +X boundary (one disengagement).
     let splits_y =
-        west_y.hits.iter().map(|&(_, hit)| walk_until(set, hit, WalkConfig::EAST_Y, 1)).collect();
-    let splits_x =
-        south_x.hits.iter().map(|&(_, hit)| walk_until(set, hit, WalkConfig::NORTH_X, 1)).collect();
+        west_y.hits.iter().map(|&(_, hit)| walker.walk_until(hit, WalkConfig::EAST_Y, 1)).collect();
+    let splits_x = south_x
+        .hits
+        .iter()
+        .map(|&(_, hit)| walker.walk_until(hit, WalkConfig::NORTH_X, 1))
+        .collect();
 
     // Merge lists: self, every MCC absorbed while resolving the
     // corner starts, plus every MCC the Y-walks (X-walks) hit.
@@ -190,6 +195,7 @@ impl BoundarySet {
         mut reuse: impl FnMut(MccId) -> Option<MccBoundaries>,
     ) -> Self {
         let n = set.len();
+        let mut walker = Walker::new(set);
         let mut boundaries = Vec::with_capacity(n);
         let mut succ_candidates_y = vec![Vec::new(); n];
         let mut succ_candidates_x = vec![Vec::new(); n];
@@ -200,7 +206,7 @@ impl BoundarySet {
                     debug_assert_eq!(b.id, mcc.id());
                     b
                 }
-                None => boundaries_of(set, mcc),
+                None => boundaries_of(&mut walker, set, mcc),
             };
 
             // Eq. 4 relation record: when the FIRST intersection of the

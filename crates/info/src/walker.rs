@@ -15,9 +15,19 @@
 //! such clusters force a different detour than the idealized per-MCC
 //! contour, the walk stays conservative (hugging the union), a deviation
 //! documented in DESIGN.md §3.
+//!
+//! **What a step costs.** A walk that re-enters a `(node, heading, mode)`
+//! state is a closed loop and stops. The test is one byte per node — bit
+//! `2 * heading + following` of [`Walker`]'s `seen` table, a load, an
+//! `and` and a store a step — in a scratch every walk of one
+//! [`BoundarySet::build_reusing`](crate::BoundarySet::build_reusing) call
+//! shares; a finished walk clears exactly the bytes it set by replaying
+//! its own nodes, so a walk costs its length, not the mesh. Nodes are
+//! recorded into a reused buffer and copied out at exact length, so a
+//! retained [`Walk`] holds no doubling slack.
 
 use meshpath_fault::{Labeling, MccId, MccSet};
-use meshpath_mesh::{Coord, Dir, FxHashSet};
+use meshpath_mesh::{Coord, Dir};
 
 /// Which way the walk turns when it hits an obstacle.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -85,110 +95,317 @@ pub struct Walk {
     pub reached_edge: bool,
 }
 
-/// Runs a boundary walk from `start`.
-///
-/// Returns an empty walk when `start` is not a safe in-mesh node (e.g.
-/// the corner of a border-touching MCC).
-pub fn walk(set: &MccSet, start: Coord, cfg: WalkConfig) -> Walk {
-    walk_until(set, start, cfg, usize::MAX)
+/// The boundary walker of one [`MccSet`], with the scratch its walks share.
+pub struct Walker<'a> {
+    set: &'a MccSet,
+    /// Per node, the `(heading, following)` states the walk in progress
+    /// has been in there (bit `2 * heading + following`); all zero
+    /// between walks.
+    seen: Vec<u8>,
+    /// The nodes of the walk in progress.
+    nodes: Vec<Coord>,
 }
 
-/// Like [`walk`], but stops after `max_disengage` disengagements (used for
-/// the B3 split propagations, which merge into the obstacle's own
-/// boundary after rounding it once).
-pub fn walk_until(set: &MccSet, start: Coord, cfg: WalkConfig, max_disengage: usize) -> Walk {
-    let labeling: &Labeling = set.labeling();
-    let mesh = *set.mesh();
-    let mut out = Walk::default();
-    if !labeling.is_safe_node(start) {
-        return out;
+impl<'a> Walker<'a> {
+    /// A walker over the safe nodes of `set`.
+    pub fn new(set: &'a MccSet) -> Self {
+        Walker { set, seen: vec![0; set.mesh().len()], nodes: Vec::new() }
     }
 
-    let free = |c: Coord| labeling.is_safe_node(c);
-    let mut pos = start;
-    let mut heading = cfg.main;
-    let mut following = false;
-    let mut disengagements = 0usize;
-    let mut seen: FxHashSet<(Coord, Dir, bool)> = FxHashSet::default();
-    out.nodes.push(pos);
+    /// Runs a boundary walk from `start`.
+    ///
+    /// Returns an empty walk when `start` is not a safe in-mesh node (e.g.
+    /// the corner of a border-touching MCC).
+    pub fn walk(&mut self, start: Coord, cfg: WalkConfig) -> Walk {
+        self.walk_until(start, cfg, usize::MAX)
+    }
 
-    // Generous cap: every (pos, heading, mode) triple visited at most once.
-    let cap = mesh.len() * 8;
-    for _ in 0..cap {
-        if !seen.insert((pos, heading, following)) {
-            break; // closed loop (fully enclosed walk)
+    /// Like [`walk`](Self::walk), but stops after `max_disengage`
+    /// disengagements (used for the B3 split propagations, which merge
+    /// into the obstacle's own boundary after rounding it once).
+    pub fn walk_until(&mut self, start: Coord, cfg: WalkConfig, max_disengage: usize) -> Walk {
+        let set = self.set;
+        let labeling: &Labeling = set.labeling();
+        let mesh = *set.mesh();
+        let mut out = Walk::default();
+        if !labeling.is_safe_node(start) {
+            return out;
         }
-        if !following {
-            let next = pos.step(cfg.main);
-            if !mesh.contains(next) {
-                out.reached_edge = true;
-                break;
+
+        let free = |c: Coord| labeling.is_safe_node(c);
+        let mut pos = start;
+        let mut heading = cfg.main;
+        let mut following = false;
+        let mut disengagements = 0usize;
+        self.nodes.clear();
+        self.nodes.push(pos);
+
+        // Generous cap: every (pos, heading, mode) triple visited at most once.
+        let cap = mesh.len() * 8;
+        'walk: for _ in 0..cap {
+            let state = &mut self.seen[mesh.id(pos).index()];
+            let bit = 1u8 << (2 * heading as u8 + following as u8);
+            if *state & bit != 0 {
+                break; // closed loop (fully enclosed walk)
             }
-            if free(next) {
-                pos = next;
-                out.nodes.push(pos);
-                continue;
-            }
-            // Hit an obstacle: record which MCC (unsafe in-mesh cell).
-            if let Some(id) = set.mcc_at(next) {
-                out.hits.push((id, pos));
-            }
-            // Engage: rotate until a free direction appears.
-            let mut d = cfg.turn.rotate(cfg.main);
-            let mut rotations = 1;
-            while !free(pos.step(d)) {
-                d = cfg.turn.rotate(d);
-                rotations += 1;
-                if rotations == 4 {
-                    return out; // enclosed on all sides
+            *state |= bit;
+            if !following {
+                let next = pos.step(cfg.main);
+                if !mesh.contains(next) {
+                    out.reached_edge = true;
+                    break;
                 }
-            }
-            heading = d;
-            pos = pos.step(d);
-            out.nodes.push(pos);
-            following = true;
-            continue;
-        }
-
-        // Following a wall. Disengage back into descent when heading in
-        // the main direction with the wall side open.
-        if heading == cfg.main && free(pos.step(cfg.turn.wall_side(cfg.main))) {
-            following = false;
-            disengagements += 1;
-            if disengagements >= max_disengage {
-                break;
-            }
-            continue;
-        }
-        // Hand-on-wall preference: wall side, straight, away, back.
-        let prefs =
-            [cfg.turn.wall_side(heading), heading, cfg.turn.rotate(heading), heading.opposite()];
-        let mut moved = false;
-        for d in prefs {
-            if free(pos.step(d)) {
+                if free(next) {
+                    pos = next;
+                    self.nodes.push(pos);
+                    continue;
+                }
+                // Hit an obstacle: record which MCC (unsafe in-mesh cell).
+                if let Some(id) = set.mcc_at(next) {
+                    out.hits.push((id, pos));
+                }
+                // Engage: rotate until a free direction appears.
+                let mut d = cfg.turn.rotate(cfg.main);
+                let mut rotations = 1;
+                while !free(pos.step(d)) {
+                    d = cfg.turn.rotate(d);
+                    rotations += 1;
+                    if rotations == 4 {
+                        break 'walk; // enclosed on all sides
+                    }
+                }
                 heading = d;
                 pos = pos.step(d);
-                out.nodes.push(pos);
-                moved = true;
-                break;
+                self.nodes.push(pos);
+                following = true;
+                continue;
+            }
+
+            // Following a wall. Disengage back into descent when heading in
+            // the main direction with the wall side open.
+            if heading == cfg.main && free(pos.step(cfg.turn.wall_side(cfg.main))) {
+                following = false;
+                disengagements += 1;
+                if disengagements >= max_disengage {
+                    break;
+                }
+                continue;
+            }
+            // Hand-on-wall preference: wall side, straight, away, back.
+            let prefs = [
+                cfg.turn.wall_side(heading),
+                heading,
+                cfg.turn.rotate(heading),
+                heading.opposite(),
+            ];
+            let mut moved = false;
+            for d in prefs {
+                if free(pos.step(d)) {
+                    heading = d;
+                    pos = pos.step(d);
+                    self.nodes.push(pos);
+                    moved = true;
+                    break;
+                }
+            }
+            if !moved {
+                break; // isolated pocket
             }
         }
-        if !moved {
-            break; // isolated pocket
+        // Every state bit set above sits on a recorded node.
+        for &c in &self.nodes {
+            self.seen[mesh.id(c).index()] = 0;
         }
+        out.nodes = self.nodes.clone(); // exact capacity
+        out
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use meshpath_fault::{BorderPolicy, MccSet};
-    use meshpath_mesh::{FaultSet, Mesh, Orientation};
+    use meshpath_mesh::{FaultInjection, FaultSet, FxHashSet, Mesh, Orientation};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn set(mesh: Mesh, faults: &[(i32, i32)]) -> MccSet {
         let fs = FaultSet::from_coords(mesh, faults.iter().map(|&(x, y)| Coord::new(x, y)));
         MccSet::build(&fs, Orientation::IDENTITY, BorderPolicy::Open)
+    }
+
+    fn walk(set: &MccSet, start: Coord, cfg: WalkConfig) -> Walk {
+        Walker::new(set).walk(start, cfg)
+    }
+
+    fn walk_until(set: &MccSet, start: Coord, cfg: WalkConfig, max_disengage: usize) -> Walk {
+        Walker::new(set).walk_until(start, cfg, max_disengage)
+    }
+
+    /// Why a walk stopped.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    enum Exit {
+        UnsafeStart,
+        Edge,
+        ClosedLoop,
+        Enclosed,
+        Bounded,
+        Pocket,
+    }
+
+    /// The walk with its loop test as a hash set of `(pos, heading,
+    /// following)` triples, and the exit it took: the reference
+    /// [`Walker::walk_until`] is held to, node for node.
+    fn walk_until_by_hash_set(
+        set: &MccSet,
+        start: Coord,
+        cfg: WalkConfig,
+        max_disengage: usize,
+    ) -> (Walk, Exit) {
+        let labeling = set.labeling();
+        let mesh = *set.mesh();
+        let mut out = Walk::default();
+        if !labeling.is_safe_node(start) {
+            return (out, Exit::UnsafeStart);
+        }
+        let free = |c: Coord| labeling.is_safe_node(c);
+        let (mut pos, mut heading, mut following) = (start, cfg.main, false);
+        let mut disengagements = 0usize;
+        let mut seen: FxHashSet<(Coord, Dir, bool)> = FxHashSet::default();
+        out.nodes.push(pos);
+        for _ in 0..mesh.len() * 8 {
+            if !seen.insert((pos, heading, following)) {
+                return (out, Exit::ClosedLoop);
+            }
+            if !following {
+                let next = pos.step(cfg.main);
+                if !mesh.contains(next) {
+                    out.reached_edge = true;
+                    return (out, Exit::Edge);
+                }
+                if free(next) {
+                    pos = next;
+                    out.nodes.push(pos);
+                    continue;
+                }
+                if let Some(id) = set.mcc_at(next) {
+                    out.hits.push((id, pos));
+                }
+                let mut d = cfg.turn.rotate(cfg.main);
+                let mut rotations = 1;
+                while !free(pos.step(d)) {
+                    d = cfg.turn.rotate(d);
+                    rotations += 1;
+                    if rotations == 4 {
+                        return (out, Exit::Enclosed);
+                    }
+                }
+                heading = d;
+                pos = pos.step(d);
+                out.nodes.push(pos);
+                following = true;
+                continue;
+            }
+            if heading == cfg.main && free(pos.step(cfg.turn.wall_side(cfg.main))) {
+                following = false;
+                disengagements += 1;
+                if disengagements >= max_disengage {
+                    return (out, Exit::Bounded);
+                }
+                continue;
+            }
+            let prefs = [
+                cfg.turn.wall_side(heading),
+                heading,
+                cfg.turn.rotate(heading),
+                heading.opposite(),
+            ];
+            match prefs.into_iter().find(|&d| free(pos.step(d))) {
+                Some(d) => {
+                    heading = d;
+                    pos = pos.step(d);
+                    out.nodes.push(pos);
+                }
+                None => return (out, Exit::Pocket),
+            }
+        }
+        unreachable!("a walk revisits a state long before the step cap");
+    }
+
+    const CONFIGS: [WalkConfig; 4] =
+        [WalkConfig::WEST_Y, WalkConfig::EAST_Y, WalkConfig::SOUTH_X, WalkConfig::NORTH_X];
+
+    /// Holds one shared [`Walker`] to the hash-set reference from every
+    /// node of the mesh under the four configurations, bounded and not.
+    /// Returns the exits the walks took.
+    fn assert_walks_match_reference(s: &MccSet) -> Vec<Exit> {
+        let mut walker = Walker::new(s);
+        let mut exits = Vec::new();
+        for start in s.mesh().iter() {
+            for cfg in CONFIGS {
+                for max in [usize::MAX, 1] {
+                    let got = walker.walk_until(start, cfg, max);
+                    let (want, exit) = walk_until_by_hash_set(s, start, cfg, max);
+                    assert_eq!(got.nodes, want.nodes, "nodes from {start:?} {cfg:?} max {max}");
+                    assert_eq!(got.hits, want.hits, "hits from {start:?} {cfg:?} max {max}");
+                    assert_eq!(got.reached_edge, want.reached_edge, "{start:?} {cfg:?} {max}");
+                    assert_eq!(got.nodes.capacity(), got.nodes.len(), "stored at exact length");
+                    if !exits.contains(&exit) {
+                        exits.push(exit);
+                    }
+                }
+            }
+        }
+        assert!(walker.seen.iter().all(|&b| b == 0), "scratch is clean between walks");
+        exits
+    }
+
+    #[test]
+    fn every_exit_matches_the_hash_set_walker() {
+        let mesh = Mesh::square(12);
+        let mut exits = Vec::new();
+        let mut rng = StdRng::seed_from_u64(22);
+        for case in 0..60 {
+            let fs = FaultSet::random(mesh, 10 + case, FaultInjection::Uniform, &mut rng);
+            let border = [BorderPolicy::Open, BorderPolicy::Blocking][case % 2];
+            let s = MccSet::build(&fs, Orientation::ALL[case % 4], border);
+            exits.extend(assert_walks_match_reference(&s));
+        }
+        // `Pocket` cannot happen: a following walk can always step back.
+        for exit in [Exit::Edge, Exit::ClosedLoop, Exit::Enclosed, Exit::Bounded] {
+            assert!(exits.contains(&exit), "no walk of the batch ended by {exit:?}");
+        }
+        assert!(!exits.contains(&Exit::Pocket));
+    }
+
+    mod reference {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(40))]
+
+            /// `walk` / `walk_until(.., 1)` equal the hash-set walker node
+            /// for node on random fault sets dense enough to hold enclosed
+            /// pockets, closed loops and rim-wedged clusters.
+            #[test]
+            fn walks_equal_the_hash_set_walker(
+                ((w, h, density), (seed, o_ix, b_ix)) in
+                    ((4u32..15, 4u32..15, 0usize..45), (0u64..u64::MAX, 0usize..4, 0usize..2))
+            ) {
+                let mesh = Mesh::new(w, h);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let fs = FaultSet::random(
+                    mesh,
+                    mesh.len() * density / 100,
+                    FaultInjection::Uniform,
+                    &mut rng,
+                );
+                let border = [BorderPolicy::Open, BorderPolicy::Blocking][b_ix];
+                let s = MccSet::build(&fs, Orientation::ALL[o_ix], border);
+                assert_walks_match_reference(&s);
+            }
+        }
     }
 
     #[test]

@@ -164,6 +164,41 @@ impl BitGrid {
         }
     }
 
+    /// Inserts the nodes of row `y` from column `x0` to column `x1`
+    /// (inclusive, clamped to the mesh) that `mask` holds too; returns how
+    /// many were newly inserted. Costs the words the span covers, not its
+    /// nodes: each is one `or` of `range & mask & !self` and a popcount.
+    ///
+    /// # Panics
+    /// Panics when `y` is not a row of the mesh or `mask` is over another
+    /// mesh.
+    pub fn insert_row_masked(&mut self, y: i32, x0: i32, x1: i32, mask: &BitGrid) -> usize {
+        assert_eq!(self.mesh, mask.mesh, "BitGrid meshes differ");
+        let width = self.mesh.width() as i32;
+        assert!(0 <= y && (y as u32) < self.mesh.height(), "row {y} outside {:?}", self.mesh);
+        let (x0, x1) = (x0.max(0), x1.min(width - 1));
+        if x0 > x1 {
+            return 0;
+        }
+        let (lo, hi) = ((y * width + x0) as usize, (y * width + x1) as usize);
+        let (first, last) = (lo / 64, hi / 64);
+        let mut added = 0usize;
+        for i in first..=last {
+            let mut range = u64::MAX;
+            if i == first {
+                range &= u64::MAX << (lo % 64);
+            }
+            if i == last {
+                range &= u64::MAX >> (63 - hi % 64);
+            }
+            let new = range & mask.words[i] & !self.words[i];
+            self.words[i] |= new;
+            added += new.count_ones() as usize;
+        }
+        self.ones += added;
+        added
+    }
+
     /// Removes the node at `c`; returns whether it was present.
     pub fn remove(&mut self, c: Coord) -> bool {
         let i = self.mesh.id(c).index();
@@ -216,13 +251,19 @@ impl BitGrid {
 
     /// In-place union; both grids must share a mesh.
     pub fn union_with(&mut self, other: &BitGrid) {
-        assert_eq!(self.mesh, other.mesh, "BitGrid meshes differ");
-        let mut ones = 0usize;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= *b;
-            ones += a.count_ones() as usize;
+        self.union_with_all([other]);
+    }
+
+    /// In-place union with every grid of `others`, all over this grid's
+    /// mesh: one `or` a word a grid, and the count taken once at the end.
+    pub fn union_with_all<'a>(&mut self, others: impl IntoIterator<Item = &'a BitGrid>) {
+        for other in others {
+            assert_eq!(self.mesh, other.mesh, "BitGrid meshes differ");
+            for (a, b) in self.words.iter_mut().zip(&other.words) {
+                *a |= *b;
+            }
         }
-        self.ones = ones;
+        self.ones = self.words.iter().map(|w| w.count_ones() as usize).sum();
     }
 }
 
@@ -274,6 +315,72 @@ mod tests {
         a.union_with(&b);
         assert_eq!(a.count(), 3);
         assert!(a.contains(Coord::new(2, 2)));
+    }
+
+    mod row_insert {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The masked range insert sets what a loop of `insert` over
+            /// the masked, in-mesh part of the span sets, and counts the
+            /// same new bits. Width 150 puts zero, one or two word
+            /// boundaries inside a span; widths 10, 64 and 65 put rows at
+            /// every word alignment.
+            #[test]
+            fn masked_row_insert_equals_a_loop_of_insert(
+                ((w_ix, y, x0, len), (mask_seed, pre_seed)) in
+                    ((0usize..4, 0i32..5, -3i32..150, 0i32..160), (0u64..u64::MAX, 0u64..u64::MAX))
+            ) {
+                let mesh = Mesh::new([10, 64, 65, 150][w_ix], 5);
+                let x1 = x0 + len - 1;
+                // Two sparse-ish pseudo-random sets: the mask, and what the
+                // target already holds.
+                let scatter = |seed: u64| {
+                    let mut g = BitGrid::new(mesh);
+                    let mut state = seed | 1;
+                    for c in mesh.iter() {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        if state & 3 != 0 {
+                            g.insert(c);
+                        }
+                    }
+                    g
+                };
+                let (mask, before) = (scatter(mask_seed), scatter(pre_seed));
+                let mut by_loop = before.clone();
+                let mut added = 0;
+                for x in x0..=x1 {
+                    let c = Coord::new(x, y);
+                    if mask.contains(c) && by_loop.insert(c) {
+                        added += 1;
+                    }
+                }
+                let mut by_words = before.clone();
+                prop_assert_eq!(by_words.insert_row_masked(y, x0, x1, &mask), added);
+                prop_assert_eq!(&by_words, &by_loop, "row {} span {}..={}", y, x0, x1);
+            }
+        }
+
+        #[test]
+        fn spans_cross_zero_one_and_two_word_boundaries() {
+            let mesh = Mesh::new(150, 2);
+            let mut full = BitGrid::new(mesh);
+            mesh.iter().for_each(|c| {
+                full.insert(c);
+            });
+            for (x0, x1) in [(3, 40), (3, 100), (3, 149), (63, 64), (64, 127), (0, 149)] {
+                let mut g = BitGrid::new(mesh);
+                assert_eq!(g.insert_row_masked(1, x0, x1, &full), (x1 - x0 + 1) as usize);
+                let want: Vec<Coord> = (x0..=x1).map(|x| Coord::new(x, 1)).collect();
+                assert_eq!(g.iter().collect::<Vec<_>>(), want);
+                assert_eq!(g.insert_row_masked(1, x0, x1, &full), 0, "second insert adds nothing");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 
 use meshpath_fault::{BlockSet, BorderPolicy, MccId, MccSet};
 use meshpath_info::{BoundarySet, InfoModel, ModelKind};
-use meshpath_mesh::{components, Coord, FaultSet, FxHashSet, Grid, Mesh, Orientation};
+use meshpath_mesh::{components, Coord, FaultSet, FxHashSet, Grid, Mesh, Orientation, Rect};
 
 /// Everything the routers need about one fault configuration:
 ///
@@ -117,13 +117,17 @@ impl Network {
             // component it interacted with (merge lists cover walk
             // hits and corner absorptions) is the affected one
             // (their shapes feed the walk geometry).
+            // The poisoned cells are a few 5x5 squares; a footprint node
+            // is hashed only inside their bounding rectangle.
             let mut poison: FxHashSet<Coord> = FxHashSet::default();
+            let mut reach: Option<Rect> = None;
             for &cc in &changed {
-                for dx in -2..=2 {
-                    for dy in -2..=2 {
-                        poison.insert(Coord::new(cc.x + dx, cc.y + dy));
-                    }
-                }
+                let square =
+                    Rect::new(Coord::new(cc.x - 2, cc.y - 2), Coord::new(cc.x + 2, cc.y + 2));
+                poison.extend(square.iter());
+                let reach = reach.get_or_insert(square);
+                reach.expand(Coord::new(square.x0, square.y0));
+                reach.expand(Coord::new(square.x1, square.y1));
             }
             let dirty_new: Option<MccId> = match change {
                 FaultChange::Added(c) => new_set.mcc_at(o.apply(&mesh, c)),
@@ -132,7 +136,9 @@ impl Network {
             let dirty = |old_id: MccId| -> bool {
                 let b = old_bounds.get(old_id);
                 affected_old.iter().any(|a| b.merged_y.contains(a) || b.merged_x.contains(a))
-                    || b.footprint().any(|n| poison.contains(&n))
+                    || reach.is_some_and(|reach| {
+                        b.footprint().any(|n| reach.contains(n) && poison.contains(&n))
+                    })
             };
             let new_bounds = BoundarySet::build_reusing(&new_set, |new_id| {
                 if Some(new_id) == dirty_new {
