@@ -2,10 +2,11 @@
 //! labeling protocol, boundary walks, one orientation of a 512x512 B2
 //! build, oracle BFS, network build (40x40 and the 64x64/204-fault
 //! service class, with its walks and its B2 model apart), the
-//! three costs of a cold RB2 plan (feasible, blocked, fallback flood) and
-//! the two of an Algorithm-2 phase (re-keying the critical set, one
-//! decision on it). CI runs this bench in `--test` smoke mode so it
-//! cannot rot.
+//! three costs of a cold RB2 plan (feasible, blocked, fallback flood), the
+//! two of an Algorithm-2 phase (re-keying the critical set, one decision
+//! on it), and the whole cold route (direct pairs, blocked pairs, 1024
+//! hops of the phase loop). CI runs this bench in `--test` smoke mode so
+//! it cannot rot.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use meshpath::fault::distributed::run_distributed;
@@ -138,6 +139,7 @@ fn bench(c: &mut Criterion) {
         })
     });
 
+    let mesh = cold.mesh();
     let planner = Planner::new(&cold, ModelKind::B2, KnowledgeScope::Local);
     let mut flood = FloodScratch::default();
     for (name, pairs) in
@@ -151,6 +153,46 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
+    // The whole cold RB2 route over the same pairs, scratch reused as the
+    // service's miss path reuses it.
+    let rb2 = Rb2::default();
+    let mut state = HopState::new(direct[0].0);
+    for (name, pairs) in
+        [("rb2_route_64x64_204f/direct", &direct), ("rb2_route_64x64_204f/blocked", &blocked)]
+    {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                for &(s, d) in pairs {
+                    black_box(rb2.route_with(&cold, s, d, &mut state).hops());
+                }
+            })
+        });
+    }
+    // In-phase hops: 16 routes of exactly 64 hops, each one or two clean
+    // Manhattan phases, so an iteration is 1024 hops of the phase loop
+    // plus 16 `Direct` plans and the routes' re-keys (~1.5 each).
+    let long: Vec<(Coord, Coord)> = {
+        let mut rng = StdRng::seed_from_u64(0x10c);
+        let healthy: Vec<Coord> = mesh.iter().filter(|&c| cold.faults().is_healthy(c)).collect();
+        std::iter::repeat_with(|| {
+            (healthy[rng.gen_range(0..healthy.len())], healthy[rng.gen_range(0..healthy.len())])
+        })
+        .filter(|&(s, d)| {
+            s.manhattan(d) == 64 && {
+                let res = rb2.route(&cold, s, d);
+                (res.hops(), res.replans, res.detour_hops) == (64, 0, 0)
+            }
+        })
+        .take(16)
+        .collect()
+    };
+    c.bench_function("phase_run_64x64_204f", |b| {
+        b.iter(|| {
+            for &(s, d) in &long {
+                black_box(rb2.route_with(&cold, s, d, &mut state).hops());
+            }
+        })
+    });
     c.bench_function("fallback_flood_64x64_204f", |b| {
         b.iter(|| {
             for &(s, d) in &blocked {
@@ -162,7 +204,6 @@ fn bench(c: &mut Criterion) {
 
     // Algorithm 2 at the source of each `Direct` pair, as RB2's first
     // hop sees it: the phase context and the oriented endpoints.
-    let mesh = cold.mesh();
     let phases: Vec<(PhaseCtx<'_>, Coord, Coord)> = direct
         .iter()
         .map(|&(s, d)| {

@@ -167,6 +167,21 @@ impl Guard {
         let at = (self.at + i) as usize;
         profiles[at] <= across && across < profiles[at + 1]
     }
+
+    /// Whether this triple excludes that step for a message at `ou`: the
+    /// step enters the region and `ou` holds the triple. Inlined by force:
+    /// a hop asks every guard, and as a call this was a tenth of a route.
+    #[inline(always)]
+    fn fires(
+        &self,
+        ctx: &PhaseCtx<'_>,
+        profiles: &[i32],
+        ou: Coord,
+        along: i32,
+        across: i32,
+    ) -> bool {
+        self.entered(profiles, along, across) && ctx.knows(ou, self.f)
+    }
 }
 
 /// The triples that can fire for one `(orientation, target)`: per MCC
@@ -245,6 +260,7 @@ impl CriticalSet {
 /// the candidates when given. `critical` is the message's cached
 /// [`CriticalSet`]; it is re-keyed here when the target or the
 /// orientation moved.
+#[inline]
 pub fn decide(
     ctx: &PhaseCtx<'_>,
     ou: Coord,
@@ -269,10 +285,8 @@ pub fn decide(
     if p[0] || p[1] {
         critical.retarget(ctx, ot);
         let CriticalSet { y, x, profiles, .. } = &*critical;
-        let fires =
-            |t: &Guard, along, across| t.entered(profiles, along, across) && ctx.knows(ou, t.f);
-        p[0] = p[0] && !y.iter().any(|t| fires(t, ou.x, ou.y));
-        p[1] = p[1] && !x.iter().any(|t| fires(t, ou.y, ou.x));
+        p[0] = p[0] && !y.iter().any(|t| t.fires(ctx, profiles, ou, ou.x, ou.y));
+        p[1] = p[1] && !x.iter().any(|t| t.fires(ctx, profiles, ou, ou.y, ou.x));
     }
 
     // Step 3: fully adaptive selection.
@@ -284,6 +298,7 @@ pub fn decide(
 
 /// Step 1: the candidate directions `[+X, +Y]` — toward the target, onto
 /// a safe node, not back to `avoid`.
+#[inline]
 fn candidates(ctx: &PhaseCtx<'_>, ou: Coord, ot: Coord, avoid: Option<Coord>) -> [bool; 2] {
     let labeling = ctx.set.labeling();
     let mut p = [false; 2];

@@ -5,18 +5,29 @@
 //! iterating hops — see [`drive`]) and the wormhole traffic fabric
 //! (whose route tables compile paths by driving the same decisions).
 //!
-//! ## Why per-hop
+//! ## Per hop, and per phase
 //!
 //! The paper's algorithms are distributed: every node makes a local
 //! forwarding decision from its own labeling status and stored triples.
-//! The workspace used to encode that as whole-path `route()` calls
-//! (route crate) *plus* an incompatible per-hop replay trait (traffic
-//! crate). This module is the single seam: a [`Decision`] is one local
-//! step; per-packet algorithm scratch (detour walls, visited counts,
-//! waypoint stacks — state the paper carries in the message header)
-//! travels in the [`HopState`] inside [`HopCtx`], so `decide` itself is
-//! `&self` and one router instance can serve any number of concurrent
-//! queries over a shared [`NetView`] snapshot.
+//! A [`Decision`] is that one local step, and `decide` is its definition;
+//! per-packet scratch (detour walls, visit counts, waypoint stacks — what
+//! the paper carries in the message header) travels in the [`HopState`]
+//! inside [`HopCtx`], so `decide` is `&self` and one router serves any
+//! number of concurrent queries over a shared [`NetView`] snapshot.
+//!
+//! Algorithm 5 also plans once a *phase* and then only takes Algorithm-2
+//! steps until the phase target, and a phase fixes most of what a
+//! decision looks up. So the engine of RB1/RB2/RB3 (`drive_phased`) runs
+//! a clean Manhattan phase as one loop, with the orientation, its MCC set
+//! and model, the oriented target and the two real directions hoisted
+//! (`routers::Phase`). The loop keeps `decide`'s tests that can change
+//! mid-phase — destination or target reached, a ninth visit, the frame
+//! flipping on the target's column or row, a blocked step — and hands the
+//! hop back to `decide` when one fires; it does not start with a walk, a
+//! forced path or a dead plan pending, with the preceding node ahead, or
+//! under `MESHPATH_LOG=trace`. A hop is recorded in one place and costs
+//! one unit of budget either way, and [`drive`] over the same `decide` is
+//! the per-hop engine the tests hold the loop to.
 
 use meshpath_mesh::{Coord, Dir, FaultSet, FxHashSet, HopSeq};
 use serde::{Deserialize, Serialize};
@@ -24,6 +35,7 @@ use serde::{Deserialize, Serialize};
 use crate::alg2::CriticalSet;
 use crate::engine::{hop_budget, Detour, RouteResult, Visited};
 use crate::oracle::FloodScratch;
+use crate::routers::{Alg, Phase};
 use crate::view::NetView;
 
 /// One per-hop routing decision.
@@ -243,13 +255,42 @@ pub fn drive(
     s: Coord,
     d: Coord,
     state: &mut HopState,
+    decide: impl FnMut(&NetView, HopCtx<'_>) -> Decision,
+) -> RouteResult {
+    drive_phased(view, s, d, state, decide, None)
+}
+
+/// [`drive`] that runs a clean Manhattan phase as one loop, given in
+/// `run` what the router's phases read and whether they follow a plan:
+/// after every hop it asks for the [`Phase`] the message is in
+/// ([`Phase::clean`]), and while there is one, [`Phase::run_step`] takes
+/// the hops `decide` would have taken. The hop a run hands back is
+/// `decide`'s, as every hop is under `None`.
+pub(crate) fn drive_phased(
+    view: &NetView,
+    s: Coord,
+    d: Coord,
+    state: &mut HopState,
     mut decide: impl FnMut(&NetView, HopCtx<'_>) -> Decision,
+    run: Option<(Alg, bool)>,
 ) -> RouteResult {
     let mut dirs = HopSeq::new();
     let mut u = s;
     let mut delivered = false;
     state.visited.begin(view.mesh());
-    for _ in 0..hop_budget(view) {
+    // The one place a hop is recorded.
+    let hop = |state: &mut HopState, dirs: &mut HopSeq, u: &mut Coord, dir: Dir| {
+        let v = u.step(dir);
+        debug_assert!(view.mesh().contains(v), "hop {dir:?} from {u:?} leaves the mesh");
+        state.prev = Some(*u);
+        *u = v;
+        state.visited.insert(v);
+        dirs.push(dir);
+    };
+    // One unit a decision, whoever makes it.
+    let mut budget = hop_budget(view);
+    while budget > 0 {
+        budget -= 1;
         let ctx = HopCtx { src: s, dst: d, here: u, hops: dirs.len() as u32, state: &mut *state };
         match decide(view, ctx) {
             Decision::Deliver => {
@@ -257,12 +298,14 @@ pub fn drive(
                 break;
             }
             Decision::Hop(dir) => {
-                let v = u.step(dir);
-                debug_assert!(view.mesh().contains(v), "hop {dir:?} from {u:?} leaves the mesh");
-                state.prev = Some(u);
-                u = v;
-                state.visited.insert(u);
-                dirs.push(dir);
+                hop(state, &mut dirs, &mut u, dir);
+                if let Some(phase) = run.and_then(|run| Phase::clean(view, state, (u, d), run)) {
+                    while budget > 0 {
+                        let Some(dir) = phase.run_step(u, d, state) else { break };
+                        budget -= 1;
+                        hop(state, &mut dirs, &mut u, dir);
+                    }
+                }
             }
             Decision::Replan => {}
             Decision::Blocked => break,
@@ -395,6 +438,9 @@ pub fn xy_path_clear(faults: &FaultSet, here: Coord, dst: Coord) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routers::{Rb1, Rb2, Rb3};
+    use crate::{AdaptivePolicy, KnowledgeScope};
+    use meshpath_info::ModelKind;
     use meshpath_mesh::{FaultSet, Mesh};
 
     #[test]
@@ -495,9 +541,6 @@ mod tests {
 
     #[test]
     fn a_reused_state_never_serves_a_stale_critical_set() {
-        use crate::routers::{Rb1, Rb2, Rb3};
-        use crate::{AdaptivePolicy, KnowledgeScope};
-
         // In `a`, (9,5) is X-critical for the MCC at (5,5): a +Y-first
         // walk from (0,3) must be kept out of row 5 west of the fault. In
         // `b` nothing is critical for that target. One state routes the
@@ -612,6 +655,243 @@ mod tests {
             assert!(res.delivered, "{} must route around one fault", kind.name());
             crate::engine::validate_path(&net, Coord::new(0, 0), Coord::new(9, 9), &res)
                 .expect("valid path");
+        }
+    }
+
+    // ---- A clean phase as one loop: held to per-hop `decide` ----
+
+    /// Drives `decide` from `prepare`d scratch twice — every hop decided
+    /// by it ([`drive`]), and with clean phases run as loops — asserts
+    /// the two results equal field by field, and returns it with the
+    /// nodes at which the looping engine asked `decide`.
+    fn both_ways(
+        net: &NetView,
+        (s, d): (Coord, Coord),
+        (alg, planned): (Alg, bool),
+        prepare: impl Fn(&mut HopState),
+        decide: impl Fn(&NetView, HopCtx<'_>) -> Decision,
+    ) -> (RouteResult, Vec<Coord>) {
+        let mut state = HopState::new(s);
+        prepare(&mut state);
+        let per_hop = drive(net, s, d, &mut state, &decide);
+        let mut state = HopState::new(s);
+        prepare(&mut state);
+        let mut asked = Vec::new();
+        let run = drive_phased(
+            net,
+            s,
+            d,
+            &mut state,
+            |view, ctx| {
+                asked.push(ctx.here);
+                decide(view, ctx)
+            },
+            Some((alg, planned)),
+        );
+        assert_eq!(run, per_hop, "{s:?}->{d:?}");
+        (run, asked)
+    }
+
+    fn rb2_both_ways(net: &NetView, s: Coord, d: Coord) -> (RouteResult, Vec<Coord>) {
+        let rb2 = Rb2::default();
+        let alg = (ModelKind::B2, rb2.scope, rb2.policy);
+        both_ways(net, (s, d), (alg, true), |_| (), |view, ctx| rb2.decide(view, ctx))
+    }
+
+    #[test]
+    fn a_run_hands_back_where_the_frame_flips() {
+        let net = NetView::build(FaultSet::none(Mesh::square(8)));
+        // Nothing flips towards the north-east: the first hop, then one
+        // run to the destination, where `decide` delivers.
+        let (s, d) = (Coord::new(1, 1), Coord::new(6, 5));
+        let (res, asked) = rb2_both_ways(&net, s, d);
+        assert_eq!((res.hops(), asked), (9, vec![s, d]));
+        // Towards the north-west the X flip drops on the destination's
+        // column (`normalizing` resolves a tie to "no flip"): that hop is
+        // `decide`'s, in the new frame, and a second run finishes.
+        let (s, d) = (Coord::new(6, 1), Coord::new(1, 7));
+        let (res, asked) = rb2_both_ways(&net, s, d);
+        assert_eq!(res.hops(), 11);
+        assert_eq!(asked.len(), 3, "{asked:?}");
+        assert_eq!((asked[0], asked[1].x, asked[2]), (s, d.x, d));
+    }
+
+    #[test]
+    fn a_run_hands_back_at_a_waypoint() {
+        // Blocked due north by (5,5): the plan is one corner waypoint,
+        // and the plan from there is `decide`'s to make.
+        let net = NetView::build(FaultSet::from_coords(Mesh::square(10), [Coord::new(5, 5)]));
+        let (s, d) = (Coord::new(5, 1), Coord::new(5, 8));
+        let (res, asked) = rb2_both_ways(&net, s, d);
+        assert_eq!(res.hops(), s.manhattan(d) + 2);
+        // The source, the frame flip on the waypoint's column, the
+        // waypoint (4,4), the destination.
+        assert_eq!(asked, [s, Coord::new(4, 3), Coord::new(4, 4), d]);
+    }
+
+    #[test]
+    fn a_run_hands_back_on_the_ninth_visit() {
+        let net = NetView::build(FaultSet::none(Mesh::square(8)));
+        let (s, d, busy) = (Coord::new(0, 3), Coord::new(7, 3), Coord::new(4, 3));
+        let rb2 = Rb2::default();
+        let alg = (ModelKind::B2, rb2.scope, rb2.policy);
+        let mesh = *net.mesh();
+        let visited_before = |times: usize| {
+            move |state: &mut HopState| {
+                state.visited.begin(&mesh);
+                (0..times).for_each(|_| state.visited.insert(busy));
+            }
+        };
+        let decide = |view: &NetView, ctx: HopCtx<'_>| rb2.decide(view, ctx);
+        // The walk's own visit is the eighth: not thrashing yet.
+        let (res, asked) = both_ways(&net, (s, d), (alg, true), visited_before(7), decide);
+        assert_eq!((res.hops(), res.detour_hops, asked), (7, 0, vec![s, d]));
+        // The ninth is: the thrash guard's exploration step is `decide`'s.
+        let (res, asked) = both_ways(&net, (s, d), (alg, true), visited_before(8), decide);
+        assert_eq!(res.detour_hops, 1);
+        assert!(asked.contains(&busy), "{asked:?}");
+    }
+
+    #[test]
+    fn a_run_hands_back_a_blocked_step() {
+        // RB1 under local knowledge walks due north into the shadow of
+        // (5,5) and is blocked under the fault: the walk around it starts
+        // in `decide`.
+        let net = NetView::build(FaultSet::from_coords(Mesh::square(10), [Coord::new(5, 5)]));
+        let (s, d) = (Coord::new(5, 1), Coord::new(5, 9));
+        let rb1 = Rb1::default();
+        let alg = (ModelKind::B1, rb1.scope, rb1.policy);
+        let decide = |view: &NetView, ctx: HopCtx<'_>| rb1.decide(view, ctx);
+        let (res, asked) = both_ways(&net, (s, d), (alg, false), |_| (), decide);
+        assert!(res.delivered && res.detour_hops > 0);
+        assert_eq!(asked[..2], [s, Coord::new(5, 4)], "{asked:?}");
+    }
+
+    #[test]
+    fn no_run_starts_with_the_preceding_node_ahead() {
+        // A live plan, and a first hop that leads away from the
+        // destination: at the node it reaches, the one to avoid
+        // (Algorithm 3 step 1) is the neighbor ahead, which the policy
+        // would take. That decision is not a run's to make.
+        let net = NetView::build(FaultSet::none(Mesh::square(8)));
+        let (s, d) = (Coord::new(3, 3), Coord::new(6, 6));
+        for (first, policy) in
+            [(Dir::MinusX, AdaptivePolicy::PreferX), (Dir::MinusY, AdaptivePolicy::PreferY)]
+        {
+            let rb2 = Rb2 { policy, scope: KnowledgeScope::Local };
+            let alg = (ModelKind::B2, rb2.scope, policy);
+            let decide = |view: &NetView, ctx: HopCtx<'_>| match ctx.hops {
+                0 => Decision::Hop(first),
+                _ => rb2.decide(view, ctx),
+            };
+            let planned = |state: &mut HopState| state.planned = true;
+            let (res, asked) = both_ways(&net, (s, d), (alg, true), planned, decide);
+            assert_eq!(res.hops(), 1 + s.step(first).manhattan(d), "never back through {s:?}");
+            assert_eq!(asked[..2], [s, s.step(first)]);
+            assert_eq!(asked.len(), 3, "one run from the second hop on: {asked:?}");
+        }
+    }
+
+    #[test]
+    fn a_run_hands_back_at_the_destination_short_of_its_target() {
+        // A plan made elsewhere can leave the destination on the way to
+        // the waypoint on top of the stack: `decide` delivers there.
+        let net = NetView::build(FaultSet::none(Mesh::square(8)));
+        let (s, d, waypoint) = (Coord::new(0, 2), Coord::new(3, 2), Coord::new(6, 2));
+        let rb2 = Rb2::default();
+        let alg = (ModelKind::B2, rb2.scope, rb2.policy);
+        let planned = |state: &mut HopState| {
+            state.planned = true;
+            state.waypoints.push(waypoint);
+        };
+        let decide = |view: &NetView, ctx: HopCtx<'_>| rb2.decide(view, ctx);
+        let (res, asked) = both_ways(&net, (s, d), (alg, true), planned, decide);
+        assert_eq!((res.hops(), asked), (3, vec![s, d]));
+    }
+
+    #[test]
+    fn an_exhausted_budget_is_spent_hop_for_hop() {
+        // A wall cuts the mesh: the message wanders until the budget is
+        // gone, a decision a unit whether `decide` or a run made it.
+        let mesh = Mesh::square(8);
+        let net = NetView::build(FaultSet::from_coords(mesh, (0..8).map(|y| Coord::new(4, y))));
+        let (s, d) = (Coord::new(0, 0), Coord::new(7, 7));
+        for kind in [RoutingKind::Rb1, RoutingKind::Rb2, RoutingKind::Rb3] {
+            let router = kind.router();
+            let run = router.route(&net, s, d);
+            let per_hop = drive(&net, s, d, &mut HopState::new(s), |v, ctx| router.decide(v, ctx));
+            assert_eq!(run, per_hop, "{}", kind.name());
+            assert!(!run.delivered && run.hops() as usize > mesh.len(), "{}", kind.name());
+        }
+    }
+
+    /// At `MESHPATH_LOG=trace` RB2 prints one "at … target …" line a
+    /// decision; the loop stands down so it keeps doing so. The level is
+    /// read once a process, so the traced route runs in a child: this
+    /// test, re-entered with the variable set.
+    #[test]
+    fn tracing_still_prints_a_line_a_hop() {
+        let net = NetView::build(FaultSet::none(Mesh::square(8)));
+        let (s, d) = (Coord::new(6, 1), Coord::new(1, 7));
+        if std::env::var_os("MESHPATH_TRACED_CHILD").is_some() {
+            assert!(meshpath_obs::enabled(meshpath_obs::LogLevel::Trace));
+            assert!(Rb2::default().route(&net, s, d).delivered);
+            return;
+        }
+        let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["--exact", "hop::tests::tracing_still_prints_a_line_a_hop", "--nocapture"])
+            .env("MESHPATH_LOG", "trace")
+            .env("MESHPATH_TRACED_CHILD", "1")
+            .output()
+            .expect("re-running the test binary");
+        assert!(child.status.success(), "{child:?}");
+        let stderr = String::from_utf8_lossy(&child.stderr);
+        let lines = stderr.lines().filter(|l| l.starts_with("at (")).count();
+        assert_eq!(lines as u32, s.manhattan(d), "{stderr}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// RB1/RB2/RB3 x `Local`/`Global` x every tie-break policy route
+        /// random pairs — cut ones included, which exhaust the hop
+        /// budget — exactly as the per-hop engine does over the same
+        /// `decide`: uniform faults overlaid with walls and pockets, so
+        /// runs end in every way they can.
+        #[test]
+        fn phase_runs_route_exactly_as_per_hop_decisions(
+            ((w, h), density, seed) in ((6i32..25, 6i32..25), 0usize..31, 0u64..u64::MAX)
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mesh = Mesh::new(w as u32, h as u32);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let net = NetView::build(crate::oracle::tests::walled_faults(mesh, density, &mut rng));
+            let healthy: Vec<Coord> = mesh.iter().filter(|&c| net.faults().is_healthy(c)).collect();
+            let mut state = HopState::new(healthy[0]);
+            for scope in [KnowledgeScope::Local, KnowledgeScope::Global] {
+                for policy in
+                    [AdaptivePolicy::LongerFirst, AdaptivePolicy::PreferX, AdaptivePolicy::PreferY]
+                {
+                    let routers: [&dyn Router; 3] =
+                        [&Rb1 { policy, scope }, &Rb2 { policy, scope }, &Rb3 { policy, scope }];
+                    for _ in 0..4 {
+                        let s = healthy[rng.gen_range(0..healthy.len())];
+                        let d = healthy[rng.gen_range(0..healthy.len())];
+                        for router in routers {
+                            let run = router.route_with(&net, s, d, &mut state);
+                            let per_hop = drive(&net, s, d, &mut HopState::new(s), |view, ctx| {
+                                router.decide(view, ctx)
+                            });
+                            proptest::prop_assert_eq!(
+                                run, per_hop,
+                                "{} {:?} {:?} {:?}->{:?} over {:?}",
+                                router.name(), scope, policy, s, d,
+                                net.faults().iter().collect::<Vec<_>>()
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -31,6 +31,11 @@
 //! `dist(u) - 1`. The descent takes the same step as on the full field,
 //! every time. What the flood leaves tentative is not final, so the
 //! result is a [`StopField`] that answers for `until` only.
+//!
+//! A caller that wants the path only if it is shorter than one it
+//! already holds passes a `limit`: the flood then stops at `f > limit`,
+//! and an `until` it has not settled by then — labelled or not — answers
+//! as unreachable.
 
 use std::collections::VecDeque;
 
@@ -98,6 +103,8 @@ pub struct StopField<'a> {
     mesh: Mesh,
     dest: Coord,
     until: Coord,
+    /// Whether the flood settled `until`: only then is its label final.
+    settled: bool,
 }
 
 impl StopField<'_> {
@@ -107,10 +114,10 @@ impl StopField<'_> {
     }
 
     /// Distance from the stop node to the destination ([`UNREACHABLE`]
-    /// when disconnected, or when the stop node is impassable or outside
-    /// the mesh).
+    /// when disconnected or farther than the flood's limit, or when the
+    /// stop node is impassable or outside the mesh).
     pub fn dist(&self) -> u32 {
-        if self.mesh.contains(self.until) {
+        if self.settled {
             self.label(self.until)
         } else {
             UNREACHABLE
@@ -177,7 +184,9 @@ impl DistanceField {
     /// dist(until)`, which is what [`StopField::dist`] and
     /// [`StopField::shortest_path`] read. An `until` that is cut off,
     /// impassable or outside the mesh floods `dest`'s whole component and
-    /// answers [`UNREACHABLE`] / `None`.
+    /// answers [`UNREACHABLE`] / `None`. With a `limit` the flood settles
+    /// no node past `dist + manhattan(·, until) <= limit`, and answers
+    /// the same for an `until` farther than `limit` from `dest`.
     ///
     /// # Panics
     /// Panics if `dest` is not passable.
@@ -186,6 +195,7 @@ impl DistanceField {
         dest: Coord,
         passable: impl Fn(Coord) -> bool,
         until: Coord,
+        limit: Option<u32>,
         scratch: &mut FloodScratch,
     ) -> StopField<'_> {
         assert!(passable(dest), "destination {dest:?} is not passable");
@@ -193,8 +203,9 @@ impl DistanceField {
         let generation = scratch.generation;
         scratch.labels[mesh.id(dest).index()] = (generation, 0);
         scratch.queue.push_back((dest, 0));
-        // f(until), once `until` is settled.
-        let mut bound = UNREACHABLE;
+        // f(until), once `until` is settled; the limit until then.
+        let mut bound = limit.unwrap_or(UNREACHABLE);
+        let mut settled = false;
         while let Some(&(u, du)) = scratch.queue.front() {
             let hu = u.manhattan(until);
             if du + hu > bound {
@@ -206,6 +217,7 @@ impl DistanceField {
             }
             if u == until {
                 bound = du;
+                settled = true;
             }
             for v in mesh.neighbors(u) {
                 let iv = mesh.id(v).index();
@@ -219,7 +231,7 @@ impl DistanceField {
                 }
             }
         }
-        StopField { scratch, mesh, dest, until }
+        StopField { scratch, mesh, dest, until, settled }
     }
 
     /// The destination this field was computed from.
@@ -251,25 +263,78 @@ impl DistanceField {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use meshpath_mesh::FaultInjection;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::Rng;
 
-    /// Asserts the flood's answer for `until` equals the full field's.
+    /// `density` % uniform faults overlaid with up to two long walls and
+    /// up to two U-shaped pockets: detours far beyond Manhattan + 2, and
+    /// often a cut mesh. At least one node stays healthy.
+    pub(crate) fn walled_faults(mesh: Mesh, density: usize, rng: &mut StdRng) -> FaultSet {
+        let (w, h) = (mesh.width() as i32, mesh.height() as i32);
+        let mut faults =
+            FaultSet::random(mesh, mesh.len() * density / 100, FaultInjection::Uniform, rng);
+        // Never the last healthy node: a flood needs a destination.
+        let mut block = |c: Coord| {
+            if mesh.contains(c) && faults.is_healthy(c) && faults.count() + 1 < mesh.len() {
+                faults.inject(c);
+            }
+        };
+        // Walls: axis-aligned runs, often most of a mesh dimension.
+        for _ in 0..rng.gen_range(0..3) {
+            let (x, y) = (rng.gen_range(0..w), rng.gen_range(0..h));
+            let len = rng.gen_range(2..w.max(h));
+            let along_x = rng.gen_bool(0.5);
+            for i in 0..len {
+                block(if along_x { Coord::new(x + i, y) } else { Coord::new(x, y + i) });
+            }
+        }
+        // U-shaped pockets: three sides of a square ring, open on one.
+        for _ in 0..rng.gen_range(0..3) {
+            let (cx, cy) = (rng.gen_range(0..w), rng.gen_range(0..h));
+            let r = rng.gen_range(1i32..5);
+            let open = rng.gen_range(0..4);
+            for i in -r..=r {
+                let sides = [
+                    Coord::new(cx + i, cy - r),
+                    Coord::new(cx + i, cy + r),
+                    Coord::new(cx - r, cy + i),
+                    Coord::new(cx + r, cy + i),
+                ];
+                for (side, c) in sides.into_iter().enumerate() {
+                    if side != open {
+                        block(c);
+                    }
+                }
+            }
+        }
+        faults
+    }
+
+    /// Asserts the flood's answer for `until` equals the full field's —
+    /// under a `limit`, when `until` is within it, and is "unreachable"
+    /// otherwise.
     fn assert_flood_matches_full(
         mesh: Mesh,
         passable: impl Fn(Coord) -> bool + Copy,
         dest: Coord,
         until: Coord,
+        limit: Option<u32>,
         scratch: &mut FloodScratch,
     ) {
         let full = DistanceField::with_predicate(mesh, dest, passable);
-        let stop = DistanceField::with_predicate_until(mesh, dest, passable, until, scratch);
-        assert_eq!(stop.dist(), full.dist(until), "distance {until:?} -> {dest:?}");
-        assert_eq!(stop.shortest_path(), full.shortest_path(until), "path {until:?} -> {dest:?}");
+        let stop = DistanceField::with_predicate_until(mesh, dest, passable, until, limit, scratch);
+        let what = format!("{until:?} -> {dest:?} within {limit:?}");
+        if limit.is_none_or(|l| full.dist(until) <= l) {
+            assert_eq!(stop.dist(), full.dist(until), "distance {what}");
+            assert_eq!(stop.shortest_path(), full.shortest_path(until), "path {what}");
+        } else {
+            assert_eq!(stop.dist(), UNREACHABLE, "distance {what}");
+            assert_eq!(stop.shortest_path(), None, "path {what}");
+        }
     }
 
     proptest! {
@@ -280,54 +345,16 @@ mod tests {
         /// over uniform faults overlaid with long walls and U-shaped
         /// pockets (detours far beyond Manhattan + 2, so the flood must
         /// keep widening `f`), whether the stop node is near, far, the
-        /// destination itself, impassable or cut off. One scratch serves
-        /// every flood of a case.
+        /// destination itself, impassable or cut off — and, under a
+        /// random limit, exactly when the stop node is within it. One
+        /// scratch serves every flood of a case.
         #[test]
         fn goal_directed_flood_equals_the_full_field_at_the_stop_node(
             ((w, h), density, seed) in ((3i32..24, 3i32..24), 0usize..35, 0u64..u64::MAX)
         ) {
             let mesh = Mesh::new(w as u32, h as u32);
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut faults = FaultSet::random(
-                mesh,
-                mesh.len() * density / 100,
-                FaultInjection::Uniform,
-                &mut rng,
-            );
-            // Never the last healthy node: a flood needs a destination.
-            let mut block = |c: Coord| {
-                if mesh.contains(c) && faults.is_healthy(c) && faults.count() + 1 < mesh.len() {
-                    faults.inject(c);
-                }
-            };
-            // Walls: axis-aligned runs, often most of a mesh dimension.
-            for _ in 0..rng.gen_range(0..3) {
-                let (x, y) = (rng.gen_range(0..w), rng.gen_range(0..h));
-                let len = rng.gen_range(2..w.max(h));
-                let along_x = rng.gen_bool(0.5);
-                for i in 0..len {
-                    block(if along_x { Coord::new(x + i, y) } else { Coord::new(x, y + i) });
-                }
-            }
-            // U-shaped pockets: three sides of a square ring, open on one.
-            for _ in 0..rng.gen_range(0..3) {
-                let (cx, cy) = (rng.gen_range(0..w), rng.gen_range(0..h));
-                let r = rng.gen_range(1i32..5);
-                let open = rng.gen_range(0..4);
-                for i in -r..=r {
-                    let sides = [
-                        Coord::new(cx + i, cy - r),
-                        Coord::new(cx + i, cy + r),
-                        Coord::new(cx - r, cy + i),
-                        Coord::new(cx + r, cy + i),
-                    ];
-                    for (side, c) in sides.into_iter().enumerate() {
-                        if side != open {
-                            block(c);
-                        }
-                    }
-                }
-            }
+            let faults = walled_faults(mesh, density, &mut rng);
             let passable = |c: Coord| faults.is_healthy(c);
             let healthy: Vec<Coord> = mesh.iter().filter(|&c| passable(c)).collect();
             let mut scratch = FloodScratch::default();
@@ -335,8 +362,13 @@ mod tests {
                 let dest = healthy[rng.gen_range(0..healthy.len())];
                 // Any node of the mesh: healthy, faulty or cut off.
                 let until = Coord::new(rng.gen_range(0..w), rng.gen_range(0..h));
-                assert_flood_matches_full(mesh, passable, dest, until, &mut scratch);
-                assert_flood_matches_full(mesh, passable, dest, dest, &mut scratch);
+                assert_flood_matches_full(mesh, passable, dest, until, None, &mut scratch);
+                assert_flood_matches_full(mesh, passable, dest, dest, None, &mut scratch);
+                // From under the Manhattan distance (always too tight) to
+                // past most detours.
+                let limit = Some(rng.gen_range(0..2 * (w + h) as u32));
+                assert_flood_matches_full(mesh, passable, dest, until, limit, &mut scratch);
+                assert_flood_matches_full(mesh, passable, dest, dest, limit, &mut scratch);
             }
         }
     }
@@ -352,9 +384,14 @@ mod tests {
         let passable = |c: Coord| faults.is_healthy(c);
         let (until, dest) = (Coord::new(6, 5), Coord::new(9, 5));
         let mut scratch = FloodScratch::default();
-        let stop = DistanceField::with_predicate_until(mesh, dest, passable, until, &mut scratch);
-        assert!(stop.dist() > until.manhattan(dest) + 2, "detour of {}", stop.dist());
-        assert_flood_matches_full(mesh, passable, dest, until, &mut scratch);
+        let stop =
+            DistanceField::with_predicate_until(mesh, dest, passable, until, None, &mut scratch);
+        let detour = stop.dist();
+        assert!(detour > until.manhattan(dest) + 2, "detour of {detour}");
+        assert_flood_matches_full(mesh, passable, dest, until, None, &mut scratch);
+        // A limit of exactly the detour finds it; one short does not.
+        assert_flood_matches_full(mesh, passable, dest, until, Some(detour), &mut scratch);
+        assert_flood_matches_full(mesh, passable, dest, until, Some(detour - 1), &mut scratch);
     }
 
     #[test]
@@ -366,8 +403,14 @@ mod tests {
         let mut scratch = FloodScratch::default();
         // Cut off, impassable, outside the mesh.
         for until in [Coord::new(0, 0), Coord::new(3, 3), Coord::new(-1, 7)] {
-            let stop =
-                DistanceField::with_predicate_until(mesh, dest, passable, until, &mut scratch);
+            let stop = DistanceField::with_predicate_until(
+                mesh,
+                dest,
+                passable,
+                until,
+                None,
+                &mut scratch,
+            );
             assert_eq!(stop.dist(), UNREACHABLE, "{until:?}");
             assert_eq!(stop.shortest_path(), None, "{until:?}");
         }
@@ -381,8 +424,8 @@ mod tests {
             let far = Coord::new(side as i32 - 1, side as i32 - 1);
             let faults = FaultSet::from_coords(mesh, [Coord::new(1, 1)]);
             let passable = |c: Coord| faults.is_healthy(c);
-            assert_flood_matches_full(mesh, passable, Coord::new(0, 0), far, &mut scratch);
-            assert_flood_matches_full(mesh, passable, far, Coord::new(1, 0), &mut scratch);
+            assert_flood_matches_full(mesh, passable, Coord::new(0, 0), far, None, &mut scratch);
+            assert_flood_matches_full(mesh, passable, far, Coord::new(1, 0), None, &mut scratch);
         }
     }
 

@@ -11,13 +11,19 @@
 //! `HopState::wall_step` (in `hop.rs`) starts, continues and leaves
 //! every wall-following walk. A decider here only says where it wants
 //! to go, what counts as free, and what it tries before a walk starts.
+//! What a Manhattan phase fixes is one [`Phase`]: a decision builds it
+//! for one step, the engine's loop (`hop::drive_phased`) once a clean
+//! phase.
 
 use meshpath_info::ModelKind;
 use meshpath_mesh::{Coord, Dir, Orientation};
 
-use crate::alg2::{decide as alg2_decide, AdaptivePolicy, Decision as PhaseDecision, PhaseCtx};
+use crate::alg2::{
+    decide as alg2_decide, AdaptivePolicy, CriticalSet, Decision as PhaseDecision, PhaseCtx,
+};
 use crate::engine::least_visited_step;
-use crate::hop::{xy_next, Decision, HopCtx, HopState, Router};
+use crate::engine::RouteResult;
+use crate::hop::{drive_phased, xy_next, Decision, HopCtx, HopState, Router};
 use crate::seq::{KnowledgeScope, Plan, Planner};
 use crate::view::NetView;
 
@@ -36,18 +42,105 @@ fn hop_to(u: Coord, next: Option<Coord>) -> Decision {
     }
 }
 
+/// Visits of one node past which a detouring decider counts as thrashing.
+const THRASH_VISITS: u32 = 8;
+
 /// Thrash guard of every detouring decider: revisiting `u` this often
 /// means the local decisions cycle, so degrade to the least-visited
 /// exploration walk, which covers the connected component and therefore
 /// terminates. `None` while `u` is not thrashing.
 #[inline]
 fn thrash_guard(view: &NetView, state: &mut HopState, u: Coord) -> Option<Decision> {
-    if state.visited.count(u) <= 8 {
+    if state.visited.count(u) <= THRASH_VISITS {
         return None;
     }
     let next = least_visited_step(u, |c| view.faults().is_healthy(c), &state.visited);
     state.detour_hops += u32::from(next.is_some());
     Some(hop_to(u, next))
+}
+
+/// What tells the Manhattan phases of RB1/RB2/RB3 apart: the model they
+/// read, whose knowledge, and the tie-break of Algorithm 2's step 3.
+pub(crate) type Alg = (ModelKind, KnowledgeScope, AdaptivePolicy);
+
+/// What a Manhattan phase fixes: the frame that puts `target` in the
+/// `(+X, +Y)` quadrant, that frame's MCCs and model, the target in it,
+/// and the real directions of its `+X` and `+Y`. A per-hop decision
+/// builds one for one step; [`drive_phased`] builds one and steps until
+/// [`run_step`](Phase::run_step) hands back.
+pub(crate) struct Phase<'a> {
+    pctx: PhaseCtx<'a>,
+    o: Orientation,
+    target: Coord,
+    ot: Coord,
+    policy: AdaptivePolicy,
+    dirs: [Dir; 2],
+}
+
+impl<'a> Phase<'a> {
+    #[inline]
+    fn toward(view: &'a NetView, u: Coord, target: Coord, (kind, scope, policy): Alg) -> Self {
+        let o = Orientation::normalizing(u, target);
+        let pctx = PhaseCtx { set: view.mccs(o), model: view.model(o, kind), scope };
+        let dirs = [o.apply_dir(Dir::PlusX), o.apply_dir(Dir::PlusY)];
+        Phase { pctx, o, target, ot: o.apply(view.mesh(), target), policy, dirs }
+    }
+
+    /// One Algorithm-2 step from `u` (short of the target), never onto
+    /// `avoid`: the direction to take, `None` when the phase is blocked.
+    #[inline]
+    fn step(&self, u: Coord, avoid: Option<Coord>, critical: &mut CriticalSet) -> Option<Dir> {
+        let mesh = self.pctx.set.mesh();
+        let (ou, oavoid) = (self.o.apply(mesh, u), avoid.map(|p| self.o.apply(mesh, p)));
+        match alg2_decide(&self.pctx, ou, self.ot, self.policy, oavoid, critical) {
+            PhaseDecision::Arrived => unreachable!("arrival is handled before deciding"),
+            PhaseDecision::Step(Dir::PlusX) => Some(self.dirs[0]),
+            PhaseDecision::Step(_) => Some(self.dirs[1]),
+            PhaseDecision::Blocked => None,
+        }
+    }
+
+    /// The phase a message parked at `u` after a hop is in, when its next
+    /// decision can only be a plain Algorithm-2 step: no walk in
+    /// progress, no forced path, a live plan (`planned` deciders), and
+    /// the node it came from not ahead of it (Algorithm 3 step 1 would
+    /// avoid that one; every later step of the run leaves it behind).
+    /// Stands down while tracing, so the per-hop line keeps printing.
+    #[inline]
+    pub(crate) fn clean(
+        view: &'a NetView,
+        state: &HopState,
+        (u, dst): (Coord, Coord),
+        (alg, planned): (Alg, bool),
+    ) -> Option<Self> {
+        let tracing = || meshpath_obs::enabled(meshpath_obs::LogLevel::Trace);
+        if state.detour.is_some()
+            || planned && (!state.planned || state.forced.is_some() || tracing())
+        {
+            return None;
+        }
+        let target = state.waypoints.last().copied().filter(|_| planned).unwrap_or(dst);
+        let phase = Phase::toward(view, u, target, alg);
+        let ahead = |dir| state.prev == Some(u.step(dir));
+        (!ahead(phase.dirs[0]) && !ahead(phase.dirs[1])).then_some(phase)
+    }
+
+    /// The next hop of the run from `u`, or `None` to hand the hop back
+    /// to `decide`: at the destination or the phase target, on a
+    /// thrashing node, where the frame flips (the walk reached the
+    /// target's column or row), or where the step is blocked. Every
+    /// check `decide` makes on a clean phase, none of the lookups.
+    #[inline]
+    pub(crate) fn run_step(&self, u: Coord, dst: Coord, state: &mut HopState) -> Option<Dir> {
+        if u == dst
+            || u == self.target
+            || state.visited.count(u) > THRASH_VISITS
+            || Orientation::normalizing(u, self.target) != self.o
+        {
+            return None;
+        }
+        self.step(u, None, &mut state.critical)
+    }
 }
 
 /// One Algorithm-2 step from `u` towards `target`: the neighbor to take
@@ -60,22 +153,11 @@ fn phase_step(
     state: &mut HopState,
     u: Coord,
     target: Coord,
-    kind: ModelKind,
-    scope: KnowledgeScope,
-    policy: AdaptivePolicy,
+    alg: Alg,
 ) -> (Option<Coord>, Dir) {
-    let mesh = view.mesh();
-    let o = Orientation::normalizing(u, target);
-    let pctx = PhaseCtx { set: view.mccs(o), model: view.model(o, kind), scope };
-    let (ou, ot) = (o.apply(mesh, u), o.apply(mesh, target));
-    let oprev = state.prev.map(|p| o.apply(mesh, p));
-    let want = match alg2_decide(&pctx, ou, ot, policy, oprev, &mut state.critical) {
-        PhaseDecision::Arrived => unreachable!("arrival is handled before deciding"),
-        PhaseDecision::Step(dir) => Some(o.apply(mesh, ou.step(dir))),
-        PhaseDecision::Blocked => None,
-    };
-    let toward = if ot.y > ou.y { Dir::PlusY } else { Dir::PlusX };
-    (want, o.apply_dir(toward))
+    let phase = Phase::toward(view, u, target, alg);
+    let want = phase.step(u, state.prev, &mut state.critical).map(|dir| u.step(dir));
+    (want, phase.dirs[usize::from(target.y != u.y)])
 }
 
 /// `RB1` — Algorithm 3: Manhattan routing over the B1 boundary model,
@@ -101,18 +183,18 @@ impl Router for Rb1 {
     }
 
     fn decide(&self, view: &NetView, ctx: HopCtx<'_>) -> Decision {
-        decide_rb1_like(view, ctx, ModelKind::B1, self.scope, self.policy)
+        decide_rb1_like(view, ctx, (ModelKind::B1, self.scope, self.policy))
+    }
+
+    fn route_with(&self, view: &NetView, s: Coord, d: Coord, state: &mut HopState) -> RouteResult {
+        state.reset(s);
+        let run = Some(((ModelKind::B1, self.scope, self.policy), false));
+        drive_phased(view, s, d, state, |view, ctx| self.decide(view, ctx), run)
     }
 }
 
 /// Shared per-hop decider for boundary-model routing with detours (RB1).
-fn decide_rb1_like(
-    view: &NetView,
-    ctx: HopCtx<'_>,
-    kind: ModelKind,
-    scope: KnowledgeScope,
-    policy: AdaptivePolicy,
-) -> Decision {
+fn decide_rb1_like(view: &NetView, ctx: HopCtx<'_>, alg: Alg) -> Decision {
     let HopCtx { dst: d, here: u, state, .. } = ctx;
     if u == d {
         return Decision::Deliver;
@@ -122,7 +204,7 @@ fn decide_rb1_like(
         return thrashing;
     }
     // Algorithm 3 step 3: a blocked phase routes around the MCC clockwise.
-    let (want, toward) = phase_step(view, state, u, d, kind, scope, policy);
+    let (want, toward) = phase_step(view, state, u, d, alg);
     let healthy = |c: Coord| view.faults().is_healthy(c);
     hop_to(u, state.wall_step(u, want, toward, healthy, detour_patience(view)))
 }
@@ -148,7 +230,13 @@ impl Router for Rb2 {
     }
 
     fn decide(&self, view: &NetView, ctx: HopCtx<'_>) -> Decision {
-        decide_planned(view, ctx, ModelKind::B2, self.scope, self.policy)
+        decide_planned(view, ctx, (ModelKind::B2, self.scope, self.policy))
+    }
+
+    fn route_with(&self, view: &NetView, s: Coord, d: Coord, state: &mut HopState) -> RouteResult {
+        state.reset(s);
+        let run = Some(((ModelKind::B2, self.scope, self.policy), true));
+        drive_phased(view, s, d, state, |view, ctx| self.decide(view, ctx), run)
     }
 }
 
@@ -174,25 +262,25 @@ impl Router for Rb3 {
     }
 
     fn decide(&self, view: &NetView, ctx: HopCtx<'_>) -> Decision {
-        decide_planned(view, ctx, ModelKind::B3, self.scope, self.policy)
+        decide_planned(view, ctx, (ModelKind::B3, self.scope, self.policy))
+    }
+
+    fn route_with(&self, view: &NetView, s: Coord, d: Coord, state: &mut HopState) -> RouteResult {
+        state.reset(s);
+        let run = Some(((ModelKind::B3, self.scope, self.policy), true));
+        drive_phased(view, s, d, state, |view, ctx| self.decide(view, ctx), run)
     }
 }
 
 /// Shared per-hop decider for the multi-phase drivers (RB2/RB3,
 /// Algorithms 5 and 7).
-fn decide_planned(
-    view: &NetView,
-    ctx: HopCtx<'_>,
-    kind: ModelKind,
-    scope: KnowledgeScope,
-    policy: AdaptivePolicy,
-) -> Decision {
+fn decide_planned(view: &NetView, ctx: HopCtx<'_>, alg: Alg) -> Decision {
     let HopCtx { dst: d, here: u, state, .. } = ctx;
     if u == d {
         return Decision::Deliver;
     }
     state.clear_exhausted_detour();
-    let planner = Planner::new(view, kind, scope);
+    let planner = Planner::new(view, alg.0, alg.1);
     let healthy = |c: Coord| view.faults().is_healthy(c);
 
     if let Some(thrashing) = thrash_guard(view, state, u) {
@@ -260,7 +348,7 @@ fn decide_planned(
         );
     }
 
-    let (want, toward) = phase_step(view, state, u, target, kind, scope, policy);
+    let (want, toward) = phase_step(view, state, u, target, alg);
     if want.is_none() && state.detour.is_none() {
         // The phase is blocked: re-plan once; if the planner has
         // nothing new, fall back to a BFS plan; as a last resort

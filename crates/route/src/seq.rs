@@ -42,7 +42,8 @@
 //!   that can lie on a shortest `d`–`u` path over the known obstacles —
 //!   for a Manhattan+2 detour roughly the rectangle and a one-node rim —
 //!   and its labels live in the message's [`FloodScratch`], so starting
-//!   one allocates and clears nothing.
+//!   one allocates and clears nothing. The refinement's flood, kept only
+//!   if it beats the pivots, looks no farther than their cost.
 
 use meshpath_fault::{Mcc, MccId, MccSet};
 use meshpath_info::ModelKind;
@@ -434,7 +435,7 @@ impl<'a> Planner<'a> {
         if !passable(d) || !passable(u) {
             return None;
         }
-        let dist = DistanceField::with_predicate_until(mesh, d, passable, u, flood).dist();
+        let dist = DistanceField::with_predicate_until(mesh, d, passable, u, None, flood).dist();
         (dist != UNREACHABLE).then_some(u64::from(dist))
     }
 
@@ -508,11 +509,13 @@ impl<'a> Planner<'a> {
                         // it (disabled under `strict` for the ablation
                         // study; see DESIGN.md §3).
                         if !self.strict {
-                            if let (Plan::Forced(p), stats) = self.fallback(u, d, o, learned, flood)
+                            // Only a path under `cost` is taken, so the
+                            // flood looks no farther.
+                            let under = u32::try_from(cost.saturating_sub(1)).ok();
+                            if let (Plan::Forced(p), stats) =
+                                self.fallback_within(u, d, o, learned, flood, under)
                             {
-                                if stats.estimate.is_some_and(|e| e < cost) {
-                                    return (Plan::Forced(p), stats);
-                                }
+                                return (Plan::Forced(p), stats);
                             }
                         }
                         (
@@ -536,12 +539,27 @@ impl<'a> Planner<'a> {
         learned: &FxHashSet<Coord>,
         flood: &mut FloodScratch,
     ) -> (Plan, PlanStats) {
+        self.fallback_within(u, d, o, learned, flood, None)
+    }
+
+    /// [`fallback`](Planner::fallback) that gives up (`Plan::Direct`, no
+    /// estimate) on a path longer than `limit`.
+    fn fallback_within(
+        &self,
+        u: Coord,
+        d: Coord,
+        o: Orientation,
+        learned: &FxHashSet<Coord>,
+        flood: &mut FloodScratch,
+        limit: Option<u32>,
+    ) -> (Plan, PlanStats) {
         let mesh = *self.net.mesh();
         let passable = self.fallback_passable(u, o, learned);
         if !passable(d) || !passable(u) {
             return (Plan::Direct, PlanStats { used_fallback: true, estimate: None });
         }
-        match DistanceField::with_predicate_until(mesh, d, passable, u, flood).shortest_path() {
+        let field = DistanceField::with_predicate_until(mesh, d, passable, u, limit, flood);
+        match field.shortest_path() {
             Some(path) => {
                 let est = Some((path.len() - 1) as u64);
                 (Plan::Forced(path), PlanStats { used_fallback: true, estimate: est })
