@@ -293,8 +293,6 @@ impl LoadSweepResult {
             .string("injection", c.sim.injection.name())
             .string("length", c.sim.length.name())
             .field("sim_threads", c.sim.threads)
-            .field("tile_cols", c.sim.tile_cols)
-            .field("lease", c.sim.lease)
             .field("vcs", c.sim.vcs)
             .field("escape_vcs", c.sim.escape_vcs)
             .field("vc_depth", c.sim.vc_depth)
@@ -681,10 +679,9 @@ mod tests {
             "\"mflits_per_sec\"",
             "\"flits_moved\"",
             "\"simulated\"",
-            // The sharding knobs ride in the config object so a BENCH
+            // The shard count rides in the config object so a BENCH
             // row is attributable to its transport configuration.
-            "\"tile_cols\"",
-            "\"lease\"",
+            "\"sim_threads\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use meshpath::prelude::*;
 use meshpath::traffic::{
-    run_traffic, EscapeHop, HopDecision, HopRouter, PacketState, PathTable, ReplayHop, RouteHandle,
+    run_traffic, EscapeHop, HopDecision, HopRouter, PacketState, PathTable, RouteHandle,
     RoutingKind, SimConfig, VcClass,
 };
 use meshpath_bench::fixture_network;
@@ -34,8 +34,8 @@ fn bench(c: &mut Criterion) {
     // per cycle. Every packet keeps its route handle across iterations,
     // as the fabric's state pool keeps it across the cycles a head
     // waits, so past the first pass a decision is array reads. Four
-    // variants: deterministic replay (arena read + shift),
-    // escape-adaptive with a fresh head (adaptive candidate only), with
+    // variants: no reserved escape channel (arena read + shift),
+    // two reserved with a fresh head (adaptive candidate only), with
     // a stalled head (adds the prefix-count XY clearance and the tree
     // next hop), and committed to the tree class (interval labels only).
     let mut g = c.benchmark_group("hop_decision");
@@ -72,7 +72,7 @@ fn bench(c: &mut Criterion) {
     };
     g.bench_function("replay", |b| {
         let mut paths = PathTable::new(&net, RoutingKind::Rb2);
-        let mut hop = ReplayHop::new(&mut paths);
+        let mut hop = EscapeHop::new(&mut paths, 4, 0);
         let mut packets = mk_packets(&mut hop);
         b.iter(|| black_box(decide_all(&mut hop, &mut packets)))
     });
@@ -83,7 +83,7 @@ fn bench(c: &mut Criterion) {
     ] {
         g.bench_function(name, |b| {
             let mut paths = PathTable::new(&net, RoutingKind::Rb2);
-            let mut hop = EscapeHop::new(&mut paths, 4, true);
+            let mut hop = EscapeHop::new(&mut paths, 4, 2);
             let mut packets = mk_packets(&mut hop);
             for (pk, _) in &mut packets {
                 pk.stalled = stalled;

@@ -15,7 +15,7 @@
 //! O(1) and the routing layer can scan candidates cheaply.
 //!
 //! **What a B2 fill costs.** An MCC's forbidden regions are assembled as
-//! column masks a row ([`RegionFill`]) — a row-limited shape sets a span
+//! column masks a row (`RegionFill`) — a row-limited shape sets a span
 //! of a row's words, a column-limited one (the X-funnel, the merged
 //! members' Y-shadows) is turned into row form by a start/end column-mask
 //! sweep — and then inserted with one [`BitGrid::insert_row_masked`] per

@@ -192,7 +192,7 @@ pub mod prelude {
     };
     pub use meshpath_traffic::{
         run_traffic, ChaosConfig, ChurnEvent, ChurnInjector, ChurnOp, HopRouter, OnlineChurn,
-        RoutePolicy, SimConfig, TrafficPattern, TrafficStats, VcClass, PIPELINE_DEPTH,
+        SimConfig, TrafficPattern, TrafficStats, VcClass, PIPELINE_DEPTH,
     };
 
     pub use crate::service::{

@@ -1,12 +1,10 @@
 //! The merged run report: [`ObsReport`] assembly from per-shard
 //! accumulators, plus text heatmap renderers.
 //!
-//! Assembly is deterministic: per-node arrays merge additively at each
-//! shard's node offset (every node is recorded by exactly one shard,
-//! but the flat *bounding* intervals of rectangular tiles may overlap,
-//! so the merge adds rather than copies), scalars are sums, histograms
-//! merge commutatively, and event streams concatenate in shard-index
-//! order.
+//! Assembly is deterministic: per-node arrays merge at each shard's
+//! node offset (every node is recorded by exactly one shard), scalars
+//! are sums, histograms merge commutatively, and event streams
+//! concatenate in shard-index order.
 //! Running the same simulation at any thread count therefore produces
 //! the same simulation statistics, while the report's per-shard section
 //! reflects the actual partitioning used.
@@ -59,19 +57,15 @@ fn neighbor(width: usize, height: usize, node: u32, dir: u8) -> Option<u32> {
 /// Per-shard slice of the report (partitioning-dependent data).
 #[derive(Clone, Debug)]
 pub struct ShardReport {
-    /// Shard index (tile order: columns fastest, bottom rows first).
+    /// Shard index (row bands, bottom rows first).
     pub shard: usize,
-    /// Start of the flat *bounding* node interval the shard owned.
-    /// For rectangular tiles narrower than the mesh this interval
-    /// also spans other tiles' columns; it brackets, not partitions.
+    /// First node id of the rows the shard owned.
     pub node_start: u32,
-    /// End of the bounding node interval (exclusive).
+    /// End of the shard's node ids (exclusive).
     pub node_end: u32,
-    /// Boundary messages sent toward lower-indexed neighbor tiles
-    /// (`-x` and `-y`).
+    /// Boundary messages sent to the band before (`-y`).
     pub boundary_to_prev: u64,
-    /// Boundary messages sent toward higher-indexed neighbor tiles
-    /// (`+x` and `+y`).
+    /// Boundary messages sent to the band after (`+y`).
     pub boundary_to_next: u64,
     /// Coordinator barriers this shard's worker synchronized on (one
     /// per granted window, the same count on every shard of a run;
@@ -140,9 +134,8 @@ impl ObsReport {
         let mut stalled = Vec::new();
         let mut wait_edges = Vec::new();
         for s in &shards {
-            // Additive merge at the shard's offset: tile bounding
-            // intervals can overlap, but each node is recorded by
-            // exactly one shard, so adding is exact.
+            // Each node is recorded by exactly one shard, at its
+            // offset into the shard's node range.
             let a = s.start as usize;
             for (i, v) in s.link_flits.iter().enumerate() {
                 link_flits[a * 4 + i] += v;

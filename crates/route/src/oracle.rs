@@ -249,6 +249,12 @@ impl DistanceField {
         }
     }
 
+    /// Every node's distance by node id (row-major), [`UNREACHABLE`]
+    /// where [`dist`](DistanceField::dist) says so.
+    pub fn as_slice(&self) -> &[u32] {
+        self.dist.as_slice()
+    }
+
     /// True when a healthy path from `c` to the destination exists.
     #[inline]
     pub fn reachable(&self, c: Coord) -> bool {

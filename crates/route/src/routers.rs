@@ -11,7 +11,7 @@
 //! `HopState::wall_step` (in `hop.rs`) starts, continues and leaves
 //! every wall-following walk. A decider here only says where it wants
 //! to go, what counts as free, and what it tries before a walk starts.
-//! What a Manhattan phase fixes is one [`Phase`]: a decision builds it
+//! What a Manhattan phase fixes is one `Phase`: a decision builds it
 //! for one step, the engine's loop (`hop::drive_phased`) once a clean
 //! phase.
 

@@ -1,5 +1,7 @@
 //! Simulation parameters.
 
+use std::fmt;
+
 use meshpath_mesh::Coord;
 use meshpath_obs::ObsLevel;
 use serde::{Deserialize, Serialize};
@@ -64,27 +66,45 @@ impl ChurnEvent {
 /// `hops + PIPELINE_DEPTH + (L - 1)` (tail serialization).
 pub const PIPELINE_DEPTH: u64 = 2;
 
-/// How the per-hop router treats a blocked head flit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RoutePolicy {
-    /// Follow the compiled route unconditionally on the adaptive VC
-    /// class (the original source-routed behavior). Wormhole cyclic
-    /// waits are possible and only *detected*; pair with
-    /// `escape_vcs = 0` so no channel is wasted on an unused class.
-    Deterministic,
-    /// Duato-style escape adaptivity: follow the compiled route on the
-    /// adaptive class, and once the head has been parked `patience`
-    /// consecutive cycles, let it re-route onto a reserved escape class
-    /// — dimension-order XY when the XY run to its destination is
-    /// fault-free, the up*/down* spanning-tree route otherwise — where
-    /// it stays until delivery. Requires `escape_vcs >= 1`.
-    EscapeAdaptive {
-        /// Blocked cycles before the escape class is offered. Small
-        /// values drain congestion faster but divert more traffic off
-        /// the compiled (fault-aware, shortest-path) routes.
-        patience: u32,
+/// Why [`SimConfig::validate`] rejected a configuration.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ConfigError {
+    /// `packet_len` is zero: a packet has at least a head flit.
+    EmptyPacket,
+    /// `rate` is outside `[0, 1]`.
+    Rate(f64),
+    /// `vc_depth` is zero or exceeds 255 (the fabric's flit-ring
+    /// cursors and credit counters are `u8`).
+    VcDepth(usize),
+    /// `escape_vcs` leaves no adaptive channel of `vcs`.
+    EscapeVcs {
+        /// The reserved channel count asked for.
+        escape_vcs: usize,
+        /// The channels per port it must stay below.
+        vcs: usize,
     },
 }
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ConfigError::EmptyPacket => write!(f, "packets need at least one flit"),
+            ConfigError::Rate(rate) => {
+                write!(f, "injection rate {rate} is not a per-cycle probability")
+            }
+            ConfigError::VcDepth(depth) => write!(
+                f,
+                "vc_depth = {depth} is outside 1..={MAX_VC_DEPTH} (the flit-ring cursor limit)"
+            ),
+            ConfigError::EscapeVcs { escape_vcs, vcs } => write!(
+                f,
+                "escape_vcs = {escape_vcs} must leave at least one adaptive channel of vcs = {vcs}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Parameters of one traffic simulation run.
 ///
@@ -106,11 +126,20 @@ pub struct SimConfig {
     /// spanning-tree traffic (always available), the rest carry strict
     /// dimension-order XY traffic (minimal, but only entered past a
     /// fault-free XY run). Must leave at least one adaptive channel;
-    /// `0` disables escape routing entirely, `1` reserves only the
-    /// tree class.
+    /// `1` reserves only the tree class, and `0` is the no-escape
+    /// fabric: every head follows its compiled route unconditionally
+    /// over all `vcs` channels (the original source-routed behavior),
+    /// so wormhole cyclic waits are possible and only *detected*.
     pub escape_vcs: usize,
-    /// Per-hop routing policy (see [`RoutePolicy`]).
-    pub policy: RoutePolicy,
+    /// Consecutive cycles a head stays parked on the adaptive class
+    /// before the per-hop router also offers it the reserved escape
+    /// classes — dimension-order XY when the XY run to its destination
+    /// is fault-free, the up*/down* spanning-tree route otherwise —
+    /// where it then stays until delivery. Small values drain
+    /// congestion faster but divert more traffic off the compiled
+    /// (fault-aware, shortest-path) routes. Unread when
+    /// `escape_vcs == 0`.
+    pub patience: u32,
     /// Flits per packet (head + body + tail; 1 = head-only packet).
     pub packet_len: u32,
     /// Injection rate in packets per node per cycle (Bernoulli process,
@@ -150,7 +179,7 @@ pub struct SimConfig {
     /// exactly [`packet_len`](SimConfig::packet_len), or geometric with
     /// that mean.
     pub length: LengthDist,
-    /// Worker threads (= fabric tile shards) stepping a single
+    /// Worker threads (= fabric row-band shards) stepping a single
     /// simulation concurrently. Results are **bit-identical at every
     /// thread count** (see the sharding docs in [`crate::fabric`]).
     ///
@@ -159,26 +188,8 @@ pub struct SimConfig {
     /// (capped at 8) for meshes of 64x64 nodes and up, and a single
     /// thread for smaller meshes (where per-cycle work is too small to
     /// amortize the cycle barrier). The count is always clamped to the
-    /// mesh height — each shard owns at least one row.
+    /// mesh height — each shard is a band of at least one row.
     pub threads: usize,
-    /// Tile columns for the shard partition. The resolved worker count
-    /// is arranged as a `cols x rows` tile grid: `tile_cols` columns
-    /// (clamped to the thread count and mesh width) by
-    /// `threads / tile_cols` rows of rectangular tiles. The default
-    /// `1` keeps the classic row-band partition. Like `threads`, the
-    /// tile shape **never changes results** — runs are bit-identical
-    /// at every partitioning (pinned by `crate::golden`).
-    pub tile_cols: usize,
-    /// Window length in cycles: how far every worker thread runs
-    /// between two coordinator contacts. `0` (the default) selects the
-    /// smallest tile edge; either way the window is one number per
-    /// run, clamped to `[1, 64]` and cut short at churn boundaries and
-    /// workload releases (a single-shard run always uses 1). Workers
-    /// still exchange boundary messages with their neighbors every
-    /// cycle, so the window only amortizes the coordinator round trip:
-    /// results are **bit-identical for every value** (pinned by
-    /// `crate::golden`).
-    pub lease: u64,
     /// Streaming-statistics window length in cycles: every
     /// `stats_window` cycles, [`TrafficSim::try_run_full`] hands a
     /// [`WindowSample`] (window mean latency, accepted flits, in-flight
@@ -226,7 +237,7 @@ impl Default for SimConfig {
             vcs: 4,
             vc_depth: 4,
             escape_vcs: 2,
-            policy: RoutePolicy::EscapeAdaptive { patience: 4 },
+            patience: 4,
             packet_len: 4,
             rate: 0.01,
             warmup: 300,
@@ -238,8 +249,6 @@ impl Default for SimConfig {
             injection: InjectionProcess::Bernoulli,
             length: LengthDist::Fixed,
             threads: 0,
-            tile_cols: 1,
-            lease: 0,
             stats_window: 250,
             fault_churn: Vec::new(),
             obs: ObsLevel::Off,
@@ -293,50 +302,24 @@ impl SimConfig {
         SimConfig { record_trace: true, ..self }
     }
 
-    /// Checks the fields against each other and against the fabric's
-    /// limits, before anything is built from them.
-    ///
-    /// # Panics
-    /// Panics when `packet_len` is zero (a packet has at least a head
-    /// flit), `rate` is outside `[0, 1]`, `vc_depth` is zero or exceeds
-    /// 255 (the fabric's flit-ring cursors and credit counters are
-    /// `u8`), `escape_vcs` leaves no adaptive channel, or policy and
-    /// `escape_vcs` disagree (escape-adaptive needs a reserved channel;
-    /// deterministic would strand any).
-    pub fn validate(&self) {
-        assert!(self.packet_len >= 1, "packets need at least one flit");
-        assert!(
-            (0.0..=1.0).contains(&self.rate),
-            "injection rate {} is not a per-cycle probability",
-            self.rate
-        );
-        assert!(
-            (1..=MAX_VC_DEPTH).contains(&self.vc_depth),
-            "vc_depth = {} is outside 1..={MAX_VC_DEPTH} (the flit-ring cursor limit)",
-            self.vc_depth
-        );
-        assert!(
-            self.escape_vcs < self.vcs,
-            "escape_vcs = {} must leave at least one adaptive channel of vcs = {}",
-            self.escape_vcs,
-            self.vcs
-        );
-        match self.policy {
-            RoutePolicy::EscapeAdaptive { .. } => assert!(
-                self.escape_vcs >= 1,
-                "EscapeAdaptive policy needs a reserved escape channel (escape_vcs >= 1)"
-            ),
-            // ReplayHop never requests an escape class, so reserved
-            // channels would be silently unallocatable — fail loudly
-            // instead of biasing policy A/B comparisons with stranded
-            // buffering (`SimConfig::without_escape` sets both knobs).
-            RoutePolicy::Deterministic => assert!(
-                self.escape_vcs == 0,
-                "Deterministic policy would strand the {} reserved escape channel(s); \
-                 set escape_vcs = 0 (see SimConfig::without_escape)",
-                self.escape_vcs
-            ),
+    /// Checks each field against the fabric's limits, before anything
+    /// is built from it: `packet_len` is at least one flit, `rate` is a
+    /// probability, `vc_depth` fits the `u8` ring cursors, and
+    /// `escape_vcs` leaves an adaptive channel.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.packet_len < 1 {
+            return Err(ConfigError::EmptyPacket);
         }
+        if !(0.0..=1.0).contains(&self.rate) {
+            return Err(ConfigError::Rate(self.rate));
+        }
+        if !(1..=MAX_VC_DEPTH).contains(&self.vc_depth) {
+            return Err(ConfigError::VcDepth(self.vc_depth));
+        }
+        if self.escape_vcs >= self.vcs {
+            return Err(ConfigError::EscapeVcs { escape_vcs: self.escape_vcs, vcs: self.vcs });
+        }
+        Ok(())
     }
 
     /// The effective shard/worker count for a mesh of `nodes` nodes
@@ -362,12 +345,11 @@ impl SimConfig {
         }
     }
 
-    /// This config with per-hop escape routing disabled: the original
-    /// source-routed behavior (deterministic replay over all `vcs`
-    /// channels, deadlock detected rather than avoided). Builder, like
-    /// the rest of the `with_*` family.
+    /// This config with per-hop escape routing disabled
+    /// ([`escape_vcs`](SimConfig::escape_vcs) `= 0`). Builder, like the
+    /// rest of the `with_*` family.
     pub fn without_escape(self) -> Self {
-        SimConfig { escape_vcs: 0, policy: RoutePolicy::Deterministic, ..self }
+        SimConfig { escape_vcs: 0, ..self }
     }
 }
 
@@ -382,10 +364,7 @@ mod tests {
         assert!(c.packet_len >= 1);
         assert!((0.0..=1.0).contains(&c.rate));
         assert!(c.escape_vcs < c.vcs, "escape class must leave adaptive channels");
-        assert!(
-            matches!(c.policy, RoutePolicy::EscapeAdaptive { .. }) && c.escape_vcs >= 1,
-            "default policy must be escape-adaptive with a reserved channel"
-        );
+        assert!(c.escape_vcs >= 1, "escape routing is on by default");
         assert!(c.stats_window > 0, "streaming windows should be on by default");
         assert_eq!(c.injection, InjectionProcess::Bernoulli);
         assert_eq!(c.length, LengthDist::Fixed);
@@ -398,16 +377,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "vc_depth = 256 is outside 1..=255 (the flit-ring cursor limit)")]
-    fn validate_rejects_a_depth_beyond_the_ring_cursors() {
-        SimConfig { vc_depth: 256, ..SimConfig::default() }.validate();
+    fn validate_names_the_field_it_rejects() {
+        let base = SimConfig::default;
+        let rejected = [
+            (SimConfig { packet_len: 0, ..base() }, ConfigError::EmptyPacket),
+            (SimConfig { rate: 1.5, ..base() }, ConfigError::Rate(1.5)),
+            (SimConfig { vc_depth: 0, ..base() }, ConfigError::VcDepth(0)),
+            (SimConfig { vc_depth: 256, ..base() }, ConfigError::VcDepth(256)),
+            (
+                SimConfig { escape_vcs: 4, ..base() },
+                ConfigError::EscapeVcs { escape_vcs: 4, vcs: 4 },
+            ),
+        ];
+        for (cfg, why) in rejected {
+            assert_eq!(cfg.validate(), Err(why));
+        }
+        assert_eq!(
+            ConfigError::VcDepth(256).to_string(),
+            "vc_depth = 256 is outside 1..=255 (the flit-ring cursor limit)"
+        );
     }
 
     #[test]
-    fn validate_accepts_the_defaults_and_the_deepest_ring() {
-        SimConfig::default().validate();
-        SimConfig::smoke().validate();
-        SimConfig { vc_depth: 255, ..SimConfig::default() }.validate();
+    fn validate_accepts_the_defaults_the_deepest_ring_and_no_escape() {
+        assert_eq!(SimConfig::default().validate(), Ok(()));
+        assert_eq!(SimConfig::smoke().validate(), Ok(()));
+        assert_eq!(SimConfig { vc_depth: 255, ..SimConfig::default() }.validate(), Ok(()));
+        // No cross-field rule: any patience goes with any channel split.
+        assert_eq!(SimConfig::default().without_escape().validate(), Ok(()));
+        assert_eq!(SimConfig { patience: 0, ..SimConfig::default() }.validate(), Ok(()));
     }
 
     #[test]
@@ -444,10 +442,9 @@ mod tests {
     }
 
     #[test]
-    fn without_escape_restores_the_deterministic_fabric() {
+    fn without_escape_reserves_nothing_and_keeps_every_channel() {
         let c = SimConfig::default().without_escape();
         assert_eq!(c.escape_vcs, 0);
-        assert_eq!(c.policy, RoutePolicy::Deterministic);
         assert_eq!(c.vcs, SimConfig::default().vcs, "channel count unchanged");
     }
 }

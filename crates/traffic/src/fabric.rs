@@ -36,8 +36,8 @@
 //! ## Storage
 //!
 //! A shard keeps its routers' state in flat arrays indexed by *local*
-//! node (row-major within the tile), laid out so a grant reads little
-//! and computes no quotient:
+//! node (row-major within the band: global node id minus the band's
+//! first), laid out so a grant reads little:
 //!
 //! * an input VC is a 5-byte control word (`route` + ring cursors) over
 //!   a fixed ring of `vc_depth` slots in one zero-initialised slab; a
@@ -47,9 +47,9 @@
 //! * traveling [`PacketState`]s live in a per-shard pool with a free
 //!   list. A state is allocated when its head enters the shard
 //!   (injection or boundary arrival), updated in place while the head
-//!   hops inside the tile, parked on the input VC (one handle per VC)
+//!   hops inside the band, parked on the input VC (one handle per VC)
 //!   while the packet drains through the ejection port, and released
-//!   when the head leaves the tile or the tail ejects. Beside each
+//!   when the head leaves the band or the tail ejects. Beside each
 //!   state the pool keeps the hop router's [`RouteHandle`] for it —
 //!   unresolved on entry, resolved by the packet's first decision here,
 //!   dropped on exit — so a waiting head's decision hashes nothing;
@@ -60,11 +60,9 @@
 //!   and read only by the post-mortem;
 //! * the worklist, staged arrivals and staged credit returns name local
 //!   nodes plus a slot or VC; a neighbor is one edge-bit test and a
-//!   per-direction index offset (`±1` / `± tile width`) away, and a
+//!   per-direction index offset (`±1` / `± mesh width`) away, and a
 //!   per-node coordinate table feeds [`HopRouter::decide`].
-//!   Global node ids are formed by multiplication, only for probes and
-//!   [`BoundaryMsg`]s; resolving a received one multiplies by a
-//!   precomputed reciprocal of the mesh width.
+//!   Global node ids appear only in probes and [`BoundaryMsg`]s.
 //!
 //! What a grant touches: the router's occupancy word and round-robin
 //! byte, the input VC's control word and one ring slot, then either
@@ -129,15 +127,16 @@
 //!
 //! ## Sharded stepping and the boundary-exchange protocol
 //!
-//! The mesh is spatially partitioned into **rectangular tile shards**
-//! ([`Fabric::new_tiled`]): a `C x R` tile grid where tile `(c, r)`
-//! owns columns `[c*W/C, (c+1)*W/C)` of rows `[r*H/R, (r+1)*H/R)`.
-//! Row bands are the `C = 1` special case ([`Fabric::new_sharded`]),
-//! retained as the default partition. Each shard owns *all* state of
-//! its nodes — rings, state pool, credits and owners, round-robin
-//! pointers, bitmasks and worklist — so two shards share **no** mutable
-//! state and can step concurrently on worker threads (`crate::sim` does
-//! exactly that when [`SimConfig::threads`](crate::SimConfig) > 1).
+//! The mesh is spatially partitioned into **row-band shards**
+//! ([`Fabric::new_sharded`]): band `r` of `R` owns every column of rows
+//! `[r*H/R, (r+1)*H/R)`, a contiguous range of node ids. (A two-column
+//! tile grid was measured against bands at 2 and 4 shards and did not
+//! separate from them: `BENCH/pr24-knobs.json`.) Each shard owns *all*
+//! state of its nodes — rings, state pool, credits and owners,
+//! round-robin pointers, bitmasks and worklist — so two shards share
+//! **no** mutable state and can step concurrently on worker threads
+//! (`crate::sim` does exactly that when
+//! [`SimConfig::threads`](crate::SimConfig) > 1).
 //!
 //! There is no global packet table: a packet's mutable state
 //! ([`PacketState`] — `head_hop`, escape `mode`, `stalled` clock)
@@ -155,16 +154,15 @@
 //! 1. **Plan/grant** (parallel): every shard allocates its active
 //!    routers and ages its parked heads. Grants whose link or credit
 //!    return stays inside the shard are staged locally, exactly as
-//!    before. Grants that cross a tile edge — a hop out of the shard's
-//!    border rows/columns, or a credit owed to an upstream router in an
-//!    adjacent tile — are appended to a per-direction **outbox** (one
-//!    per mesh [`Dir`], at most four tile neighbors) as
-//!    [`BoundaryMsg`]s (`Arrival` carries the flit plus, for heads,
-//!    the traveling [`PacketState`]; `Credit` names the upstream
-//!    output VC).
-//! 2. **Exchange + commit**: each shard hands its outboxes to its tile
-//!    neighbors (edge-adjacent tiles only — a single hop crosses at
-//!    most one tile edge) and merges the inboxes into its staged
+//!    before. Grants that cross a band edge — a `±Y` hop out of the
+//!    shard's border rows, or a credit owed to an upstream router in
+//!    the adjacent band — are appended to one of two **outboxes** (the
+//!    band before, the band after) as [`BoundaryMsg`]s (`Arrival`
+//!    carries the flit plus, for heads, the traveling [`PacketState`];
+//!    `Credit` names the upstream output VC).
+//! 2. **Exchange + commit**: each shard hands its outboxes to the two
+//!    adjacent bands (a single hop crosses at most one band edge) and
+//!    merges the inboxes into its staged
 //!    arrival/credit lists, then commits the cycle boundary: arrivals
 //!    land (activating their routers), credits return (refreshing
 //!    free-VC bits). The apply order of inboxes is irrelevant: two
@@ -434,23 +432,6 @@ impl StatePool {
     }
 }
 
-/// `ceil(2^64 / width)`: the multiplier that turns `node / width` into
-/// a multiplication for every 32-bit `node` (see [`row_of`]).
-fn row_recip(width: u32) -> u128 {
-    (1u128 << 64).div_ceil(u128::from(width))
-}
-
-/// `node / width` for a 32-bit `node`, given `recip = row_recip(width)`.
-/// Exact: `recip * width = 2^64 + e` with `0 <= e < width`, so
-/// `recip * node / 2^64` exceeds `node / width` by
-/// `e * node / (width * 2^64) < 2^-32` — less than the `1 / width` by
-/// which `node / width` stays clear of the next integer.
-#[inline]
-fn row_of(recip: u128, node: usize) -> usize {
-    debug_assert!(node <= u32::MAX as usize);
-    ((recip * node as u128) >> 64) as usize
-}
-
 /// A flit staged for the cycle boundary: it lands at the tail of ring
 /// `(lnode, slot)`.
 #[derive(Clone, Copy)]
@@ -499,48 +480,31 @@ pub struct StepReport {
     pub escape_entries: u64,
 }
 
-/// One rectangular tile shard of the fabric: every router in a
-/// `[col0, col1) x [row0, row1)` rectangle, with all of its buffers,
-/// credits, allocator state and worklist — plus staged arrivals/credits
-/// and one outbox of [`BoundaryMsg`]s per tile-adjacent neighbor.
-/// `Send`, so the sharded driver can move shards onto worker threads.
+/// One row-band shard of the fabric: every router of a contiguous run
+/// of rows, with all of its buffers, credits, allocator state and
+/// worklist — plus staged arrivals/credits and one outbox of
+/// [`BoundaryMsg`]s per adjacent band. `Send`, so the sharded driver can
+/// move shards onto worker threads.
 ///
-/// Everything inside is addressed by *local* node index (row-major
-/// within the tile); global node ids appear only in [`BoundaryMsg`]s
-/// and probe calls, where they are formed by multiplication.
+/// Everything inside is addressed by *local* node index (global node
+/// id minus the band's first); global node ids appear only in
+/// [`BoundaryMsg`]s and probe calls.
 pub(crate) struct Shard {
     mesh: Mesh,
     vcs: usize,
     vc_depth: usize,
     /// VCs per output port reserved as the escape class (top indices).
     escape_vcs: usize,
-    /// Column range `[col0, col1)` this tile owns.
-    col0: usize,
-    col1: usize,
-    /// Row range `[row0, row1)` this tile owns.
-    row0: usize,
-    row1: usize,
-    /// `col1 - col0`, the local-index row stride.
-    tile_w: usize,
-    /// Bounding global-node-id range `[start, end)`: the ids of the
-    /// tile's first and one-past-last node. Contiguous (and exact) for
-    /// row bands; for narrower tiles the range also spans other tiles'
-    /// columns — callers may only use it as a bounding interval.
+    /// Global node ids `[start, end)` of the rows this band owns.
     start: usize,
     end: usize,
-    /// [`row_recip`] of the mesh width: resolving a [`BoundaryMsg`]'s
-    /// global node id to a row divides nothing.
-    row_recip: u128,
-    /// Shard index of the tile neighbor in each mesh direction
-    /// (indexed by `Dir as usize`), `None` at the partition edge.
-    neighbors: [Option<usize>; 4],
     /// Mesh coordinate of every local node.
     coords: Vec<Coord>,
     /// Per local node, bit `dir` is set when the neighbor in that
-    /// direction is not this tile's (a tile or mesh edge).
+    /// direction is not this band's (a band or mesh edge).
     edge: Vec<u8>,
-    /// Local-index offset of the in-tile neighbor in each direction:
-    /// `±1` along X, `± tile_w` along Y.
+    /// Local-index offset of the in-band neighbor in each direction:
+    /// `±1` along X, `± mesh width` along Y.
     step: [isize; DIRS],
     /// Input port of every `(input port, VC)` slot.
     slot_port: [u8; MAX_SLOTS],
@@ -574,9 +538,9 @@ pub(crate) struct Shard {
     arrivals: Vec<Arrival>,
     /// Staged credit returns, applied at the boundary.
     credit_returns: Vec<CreditReturn>,
-    /// Boundary messages for the tile neighbor in each direction
-    /// (indexed by `Dir as usize`).
-    out_boxes: [Vec<BoundaryMsg>; 4],
+    /// Boundary messages for the band before (`-Y`) and the band after
+    /// (`+Y`).
+    out_boxes: [Vec<BoundaryMsg>; 2],
     /// Flits currently inside this shard (buffers + staged arrivals).
     pub(crate) in_flight: u64,
     /// Packets that committed to the escape class in this shard.
@@ -604,35 +568,25 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        mesh: Mesh,
-        vcs: usize,
-        vc_depth: usize,
-        escape_vcs: usize,
-        cols: Range<usize>,
-        rows: Range<usize>,
-        neighbors: [Option<usize>; 4],
-    ) -> Self {
+    fn new(mesh: Mesh, vcs: usize, vc_depth: usize, escape_vcs: usize, rows: Range<usize>) -> Self {
         let width = mesh.width() as usize;
-        let tile_w = cols.end - cols.start;
-        let nodes = tile_w * (rows.end - rows.start);
+        let nodes = width * (rows.end - rows.start);
         let bits = |r: Range<usize>| ((1u32 << r.end) - 1) & !((1u32 << r.start) - 1);
         let coords: Vec<Coord> = rows
             .clone()
-            .flat_map(|y| cols.clone().map(move |x| Coord::new(x as i32, y as i32)))
+            .flat_map(|y| (0..width).map(move |x| Coord::new(x as i32, y as i32)))
             .collect();
         let edge = coords
             .iter()
             .map(|c| {
                 let (x, y) = (c.x as usize, c.y as usize);
-                u8::from(x + 1 == cols.end) << Dir::PlusX as usize
-                    | u8::from(x == cols.start) << Dir::MinusX as usize
+                u8::from(x + 1 == width) << Dir::PlusX as usize
+                    | u8::from(x == 0) << Dir::MinusX as usize
                     | u8::from(y + 1 == rows.end) << Dir::PlusY as usize
                     | u8::from(y == rows.start) << Dir::MinusY as usize
             })
             .collect();
-        let stride = tile_w as isize;
+        let stride = width as isize;
         let mut slot_port = [0u8; MAX_SLOTS];
         for (slot, port) in slot_port.iter_mut().enumerate().take(IN_PORTS * vcs) {
             *port = (slot / vcs) as u8;
@@ -642,15 +596,8 @@ impl Shard {
             vcs,
             vc_depth,
             escape_vcs,
-            col0: cols.start,
-            col1: cols.end,
-            row0: rows.start,
-            row1: rows.end,
-            tile_w,
-            start: rows.start * width + cols.start,
-            end: (rows.end - 1) * width + cols.end,
-            row_recip: row_recip(mesh.width()),
-            neighbors,
+            start: rows.start * width,
+            end: rows.end * width,
             coords,
             edge,
             step: [1, -1, stride, -stride],
@@ -665,7 +612,7 @@ impl Shard {
             rr: vec![0; nodes * OUT_PORTS],
             arrivals: Vec::new(),
             credit_returns: Vec::new(),
-            out_boxes: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
+            out_boxes: [Vec::new(), Vec::new()],
             in_flight: 0,
             escape_entries: 0,
             occ_mask: vec![0; nodes],
@@ -682,61 +629,43 @@ impl Shard {
         shard
     }
 
-    /// Bounding global-node-id range `[start, end)` of this tile:
-    /// exact for row bands, a bounding interval (also spanning other
-    /// tiles' columns) for narrower tiles. Every node this shard owns
-    /// lies inside it, and instrumentation keyed on it stays sound
-    /// because each node is recorded by exactly one shard.
+    /// The global node ids `[start, end)` this band owns.
     pub(crate) fn node_range(&self) -> Range<usize> {
         self.start..self.end
     }
 
-    /// Number of nodes this tile owns.
+    /// Number of nodes this band owns.
     #[inline]
     fn nodes(&self) -> usize {
         self.coords.len()
     }
 
-    /// `(tile width, tile height)` in nodes.
-    pub(crate) fn tile_dims(&self) -> (usize, usize) {
-        (self.tile_w, self.row1 - self.row0)
-    }
-
-    /// Shard index of the tile neighbor in each mesh direction
-    /// (indexed by `Dir as usize`).
-    pub(crate) fn neighbors(&self) -> [Option<usize>; 4] {
-        self.neighbors
-    }
-
-    /// `(x, y)` of a global node id.
-    #[inline]
-    fn xy_of(&self, node: usize) -> (usize, usize) {
-        let y = row_of(self.row_recip, node);
-        (node - y * self.mesh.width() as usize, y)
+    /// The band's shorter side in nodes (its rows, or the mesh width).
+    pub(crate) fn short_edge(&self) -> usize {
+        let width = self.mesh.width() as usize;
+        (self.nodes() / width).min(width)
     }
 
     #[inline]
     pub(crate) fn contains_node(&self, node: usize) -> bool {
-        let (x, y) = self.xy_of(node);
-        (self.col0..self.col1).contains(&x) && (self.row0..self.row1).contains(&y)
+        (self.start..self.end).contains(&node)
     }
 
-    /// Local (tile-internal) index of an owned global node id.
+    /// Local (band-internal) index of an owned global node id.
     #[inline]
     pub(crate) fn local_of(&self, node: usize) -> usize {
-        let (x, y) = self.xy_of(node);
         debug_assert!(self.contains_node(node), "local index of an unowned node");
-        (y - self.row0) * self.tile_w + (x - self.col0)
+        node - self.start
     }
 
-    /// Global node id of a local (tile-internal) index.
+    /// Global node id of a local (band-internal) index.
     #[inline]
     fn global_of(&self, lnode: usize) -> u32 {
-        self.mesh.id(self.coords[lnode]).0
+        (self.start + lnode) as u32
     }
 
     /// Local index of the neighbor of `lnode` in direction `dir` when
-    /// this tile owns it, or `None` when the hop leaves the tile: one
+    /// this band owns it, or `None` when the hop leaves the band: one
     /// edge-bit test plus the direction's index offset.
     #[inline]
     fn local_neighbor(&self, lnode: usize, dir: Dir) -> Option<usize> {
@@ -820,13 +749,20 @@ impl Shard {
         }
     }
 
-    /// The outbox for a hop out of this tile in direction `dir`
-    /// (edge-adjacent tiles only — a single hop crosses exactly one
-    /// tile edge).
+    /// The outbox for a hop out of this band in direction `dir`: `-Y`
+    /// leads to the band before, `+Y` to the band after, and a hop along
+    /// X never leaves a band.
     #[inline]
     fn outbox(&mut self, dir: Dir) -> &mut Vec<BoundaryMsg> {
-        debug_assert!(self.neighbors[dir as usize].is_some(), "boundary message off the mesh");
-        &mut self.out_boxes[dir as usize]
+        debug_assert!(
+            match dir {
+                Dir::MinusY => self.start > 0,
+                Dir::PlusY => self.end < self.mesh.len(),
+                Dir::PlusX | Dir::MinusX => false,
+            },
+            "boundary message off the mesh"
+        );
+        &mut self.out_boxes[usize::from(dir == Dir::PlusY)]
     }
 
     /// Stages one flit onto local node `lnode`'s injection channel
@@ -849,9 +785,10 @@ impl Shard {
         self.in_vcs[self.in_idx(lnode, LOCAL_PORT, 0)].q_len as usize
     }
 
-    /// Drains the per-direction neighbor outboxes (called between the
-    /// plan/grant phase and commit), indexed by `Dir as usize`.
-    pub(crate) fn take_outboxes(&mut self) -> [Vec<BoundaryMsg>; 4] {
+    /// Drains the outboxes (called between the plan/grant phase and
+    /// commit): the messages for the band before, then those for the
+    /// band after.
+    pub(crate) fn take_outboxes(&mut self) -> [Vec<BoundaryMsg>; 2] {
         std::mem::take(&mut self.out_boxes)
     }
 
@@ -1095,7 +1032,7 @@ impl Shard {
 
         // Credit back to the upstream router that feeds this input VC
         // (none for the local injection port). Upstream routers in an
-        // adjacent tile get theirs as a boundary message.
+        // adjacent band get theirs as a boundary message.
         if in_port != LOCAL_PORT {
             let to_upstream = Dir::ALL[in_port];
             let dir = to_upstream.opposite() as u8;
@@ -1207,7 +1144,7 @@ impl Shard {
             let dir = Dir::ALL[out_port];
             let next_in = dir.opposite() as usize;
             match self.local_neighbor(lnode, dir) {
-                // In-tile hop: the state stays in the pool and the slot
+                // In-band hop: the state stays in the pool and the slot
                 // word (flit + handle) is all that moves.
                 Some(next) => self.arrivals.push(Arrival {
                     lnode: next as u32,
@@ -1215,7 +1152,7 @@ impl Shard {
                     word,
                 }),
                 // The flit leaves this shard: hand it (and, for heads,
-                // the traveling state) to the neighbor tile.
+                // the traveling state) to the adjacent band.
                 None => {
                     self.in_flight -= 1;
                     let state = flit.is_head.then(|| self.pool.release(slot_handle(word)));
@@ -1629,10 +1566,10 @@ impl Shard {
     ///
     /// * the occupancy and free-VC bitmasks and the worklist agree with
     ///   the ground truth (ring occupancy, owner/credit state);
-    /// * flit conservation on every link that stays inside this tile:
+    /// * flit conservation on every link that stays inside this band:
     ///   `credits + downstream ring occupancy + arrivals staged for it
     ///   + credit returns staged for it == vc_depth` (links crossing a
-    ///   tile edge are checked by [`Fabric::assert_masks_consistent`]);
+    ///   band edge are checked by [`Fabric::assert_masks_consistent`]);
     /// * state conservation: every queued or staged head flit and every
     ///   eject-draining VC holds one pooled state, no handle is held
     ///   twice, and every other handle is on the free list.
@@ -1751,31 +1688,15 @@ impl Fabric {
 
     /// Like [`Fabric::new`], but spatially partitioned into
     /// `num_shards` row-band shards (clamped to the mesh height;
-    /// results are bit-identical at every shard count). Equivalent to
-    /// [`Fabric::new_tiled`] with a single tile column.
+    /// results are bit-identical at every shard count — see the module
+    /// docs on the boundary-exchange protocol). Band `r` owns rows
+    /// `[r*H/num_shards, (r+1)*H/num_shards)`.
     pub fn new_sharded(
         mesh: Mesh,
         vcs: usize,
         vc_depth: usize,
         escape_vcs: usize,
         num_shards: usize,
-    ) -> Self {
-        Fabric::new_tiled(mesh, vcs, vc_depth, escape_vcs, 1, num_shards)
-    }
-
-    /// Like [`Fabric::new`], but spatially partitioned into a
-    /// `cols x rows` grid of rectangular tile shards (both clamped to
-    /// the mesh dimensions; results are bit-identical at every tile
-    /// shape — see the module docs on the boundary-exchange protocol).
-    /// Tile `(c, r)` owns columns `[c*W/cols, (c+1)*W/cols)` of rows
-    /// `[r*H/rows, (r+1)*H/rows)` and gets shard index `r * cols + c`.
-    pub fn new_tiled(
-        mesh: Mesh,
-        vcs: usize,
-        vc_depth: usize,
-        escape_vcs: usize,
-        cols: usize,
-        rows: usize,
     ) -> Self {
         assert!(vcs > 0, "need at least one virtual channel");
         assert!(vcs <= MAX_VCS, "at most {MAX_VCS} VCs per port (bitmask width)");
@@ -1786,30 +1707,13 @@ impl Fabric {
         );
         assert!(escape_vcs < vcs, "escape class must leave at least one adaptive VC");
         let height = mesh.height() as usize;
-        let width = mesh.width() as usize;
-        let cols = cols.clamp(1, width);
-        let rows = rows.clamp(1, height);
-        let mut shards = Vec::with_capacity(cols * rows);
-        for r in 0..rows {
-            for c in 0..cols {
-                let t = r * cols + c;
-                let neighbors = [
-                    (c + 1 < cols).then_some(t + 1),    // +X
-                    (c > 0).then(|| t - 1),             // -X
-                    (r + 1 < rows).then_some(t + cols), // +Y
-                    (r > 0).then(|| t - cols),          // -Y
-                ];
-                shards.push(Shard::new(
-                    mesh,
-                    vcs,
-                    vc_depth,
-                    escape_vcs,
-                    (c * width / cols)..((c + 1) * width / cols),
-                    (r * height / rows)..((r + 1) * height / rows),
-                    neighbors,
-                ));
-            }
-        }
+        let bands = num_shards.clamp(1, height);
+        let shards = (0..bands)
+            .map(|r| {
+                let rows = (r * height / bands)..((r + 1) * height / bands);
+                Shard::new(mesh, vcs, vc_depth, escape_vcs, rows)
+            })
+            .collect();
         Fabric { mesh, shards, pending: FxHashMap::default(), next_packet: 0 }
     }
 
@@ -1818,7 +1722,7 @@ impl Fabric {
         &self.mesh
     }
 
-    /// Number of tile shards.
+    /// Number of row-band shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
     }
@@ -1905,19 +1809,17 @@ impl Fabric {
         out
     }
 
-    /// Routes every shard's boundary outboxes to its tile neighbors
+    /// Routes every shard's boundary outboxes to the adjacent bands
     /// (the in-process equivalent of the worker threads' channel
     /// exchange).
     fn exchange_boundary(&mut self) {
         for i in 0..self.shards.len() {
-            let neighbors = self.shards[i].neighbors();
-            let boxes = self.shards[i].take_outboxes();
-            for (d, msgs) in boxes.into_iter().enumerate() {
-                if msgs.is_empty() {
-                    continue;
-                }
-                let nb = neighbors[d].expect("boundary messages stay on the mesh");
-                self.shards[nb].apply_boundary(msgs);
+            let [before, after] = self.shards[i].take_outboxes();
+            if !before.is_empty() {
+                self.shards[i - 1].apply_boundary(before);
+            }
+            if !after.is_empty() {
+                self.shards[i + 1].apply_boundary(after);
             }
         }
     }
@@ -1974,12 +1876,12 @@ impl Fabric {
     }
 
     /// Asserts every shard's invariants (`Shard::assert_masks_consistent`)
-    /// plus flit conservation on the links that cross a tile edge.
+    /// plus flit conservation on the links that cross a band edge.
     /// Call after the boundary exchange: a message still in an outbox
     /// is on neither side of its link.
     #[cfg(test)]
     pub(crate) fn assert_masks_consistent(&self) {
-        for s in &self.shards {
+        for (i, s) in self.shards.iter().enumerate() {
             s.assert_masks_consistent();
             assert!(s.out_boxes.iter().all(Vec::is_empty), "boundary messages not exchanged");
             for lnode in 0..s.nodes() {
@@ -1989,14 +1891,15 @@ impl Fabric {
                     if s.local_neighbor(lnode, dir).is_some() || !self.mesh.contains(next) {
                         continue;
                     }
-                    let t = &self.shards[s.neighbors[dir as usize].expect("tiles cover the mesh")];
+                    // Off this band but on the mesh: one band up or down.
+                    let t = &self.shards[if dir == Dir::PlusY { i + 1 } else { i - 1 }];
                     let next = t.local_of(self.mesh.id(next).index());
                     for v in 0..s.vcs {
                         assert_eq!(
                             s.credit_load(lnode, dir as usize, v)
                                 + t.ring_load(next, dir.opposite() as usize * s.vcs + v),
                             s.vc_depth,
-                            "flits not conserved across the tile edge at {here:?} {dir:?} vc {v}"
+                            "flits not conserved across the band edge at {here:?} {dir:?} vc {v}"
                         );
                     }
                 }
@@ -2406,29 +2309,15 @@ mod tests {
     }
 
     #[test]
-    fn reciprocal_row_lookup_is_exact() {
-        for width in [1u32, 2, 3, 5, 7, 64, 100, 255, 256, 1000, 1023, 1024, 65535, 65536, 1 << 31]
-            .into_iter()
-            .chain([u32::MAX - 1, u32::MAX])
-        {
-            let recip = row_recip(width);
-            let w = u64::from(width);
-            let probes = [0u64, 1, w - 1, w, w + 1, 7 * w - 1, 7 * w, 65535 * w - 1, 65535 * w]
-                .into_iter()
-                .chain((0..4).map(|k| u64::from(u32::MAX) - k))
-                .filter(|&n| n <= u64::from(u32::MAX));
-            for n in probes {
-                assert_eq!(row_of(recip, n as usize) as u64, n / w, "{n} / {width}");
-            }
-        }
-        // And through a shard, on every node of assorted tile shapes.
-        for (w, h, cols, rows) in [(1, 6, 1, 2), (5, 3, 2, 1), (7, 7, 3, 2), (16, 9, 2, 4)] {
+    fn every_node_belongs_to_one_band_at_its_offset() {
+        for (w, h, shards) in [(1, 6, 2), (5, 3, 1), (7, 7, 3), (16, 9, 4), (4, 2, 5)] {
             let mesh = Mesh::new(w, h);
-            let f = Fabric::new_tiled(mesh, 1, 2, 0, cols, rows);
+            let f = Fabric::new_sharded(mesh, 1, 2, 0, shards);
+            assert_eq!(f.num_shards(), shards.min(h as usize), "bands hold at least a row");
             for n in 0..mesh.len() {
                 let owner = &f.shards[f.shard_of(n)];
-                assert_eq!(owner.xy_of(n), (n % w as usize, n / w as usize));
                 assert_eq!(owner.global_of(owner.local_of(n)) as usize, n);
+                assert_eq!(owner.coords[owner.local_of(n)], mesh.coord(NodeId(n as u32)));
                 assert_eq!(f.shards.iter().filter(|s| s.contains_node(n)).count(), 1);
             }
         }
@@ -2491,21 +2380,21 @@ mod tests {
 
     #[test]
     fn wrapped_rings_keep_back_to_back_packets_and_their_states_apart() {
-        // One VC per port, so every packet of the +X stream shares the
+        // One VC per port, so every packet of the +Y stream shares the
         // same rings, at non-power-of-two and minimal depths. Packet 0
         // passes through first and leaves every ring cursor mid-ring;
-        // then the stream is dammed at (2,0), so the rings behind it
+        // then the stream is dammed at (0,2), so the rings behind it
         // fill across their wrap point with the tail of one packet and
         // the head of the next. The diagnostics must read those rings
         // in queue order, with every head matched to its own state —
-        // on one shard and with the dam just past a tile edge.
-        for (depth, cols) in [(2usize, 1usize), (2, 2), (3, 1), (3, 2)] {
+        // on one shard and with the dam just past a band edge.
+        for (depth, shards) in [(2usize, 1usize), (2, 2), (3, 1), (3, 2)] {
             let len = (5 - depth) as u32; // never a multiple of depth
             let mesh = Mesh::square(4);
-            let mut f = Fabric::new_tiled(mesh, 1, depth, 0, cols, 1);
+            let mut f = Fabric::new_sharded(mesh, 1, depth, 0, shards);
             let mut hop = ScriptedHop::new();
-            let (s, d) = hop.script(Coord::new(0, 0), &[Dir::PlusX; 3]);
-            let dam = mesh.id(Coord::new(2, 0)).index();
+            let (s, d) = hop.script(Coord::new(0, 0), &[Dir::PlusY; 3]);
+            let dam = mesh.id(Coord::new(0, 2)).index();
             // `generated_at` doubles as a marker tying a state to its id.
             let pk: Vec<u32> =
                 (0..6).map(|k| f.register_packet(PacketState::new(s, d, k, len))).collect();
@@ -2515,7 +2404,7 @@ mod tests {
                 st.cycle(1);
             }
             assert_eq!(ids(&st.ejected), vec![st.pk[0]], "packet 0 clears the path");
-            st.f.set_test_owner(dam, Dir::PlusX as usize, 0, Some(999));
+            st.f.set_test_owner(dam, Dir::PlusY as usize, 0, Some(999));
             for _ in 0..40 {
                 st.cycle(6);
             }
@@ -2529,7 +2418,7 @@ mod tests {
             );
 
             // find_packet: every packet whose head is in the fabric has
-            // its own state, and heads sit in stream order along +X.
+            // its own state, and heads sit in stream order along +Y.
             let mut hops = Vec::new();
             for k in 1..st.sent.div_ceil(len) {
                 let state = st.f.packet_state(st.pk[k as usize]).expect("head in the fabric");
@@ -2542,7 +2431,7 @@ mod tests {
             // frontier: one entry per occupied ring, fronts in stream
             // order from the dam back to the source.
             let snap = st.f.frontier();
-            let at = |x: i32| snap.iter().find(|e| e.node == Coord::new(x, 0)).expect("occupied");
+            let at = |y: i32| snap.iter().find(|e| e.node == Coord::new(0, y)).expect("occupied");
             assert_eq!(snap.len(), 3);
             assert_eq!((at(2).packet, at(2).route), (st.pk[1], None));
             assert!(at(2).packet <= at(1).packet && at(1).packet <= at(0).packet);
@@ -2564,18 +2453,24 @@ mod tests {
             }
             assert_eq!(
                 graph.edges,
-                vec![WaitEdge { waiter: st.pk[1], holder: 999, node: dam as u32, dir: 0, vc: 0 }]
+                vec![WaitEdge {
+                    waiter: st.pk[1],
+                    holder: 999,
+                    node: dam as u32,
+                    dir: Dir::PlusY as u8,
+                    vc: 0
+                }]
             );
             let mut fronts: Vec<(u32, u32)> =
                 graph.fronts.iter().map(|v| (v.node, v.packet)).collect();
             fronts.sort_unstable();
             let link_fronts: Vec<(u32, u32)> =
-                [1, 2].iter().map(|&x| (mesh.id(Coord::new(x, 0)).0, at(x).packet)).collect();
+                [1, 2].iter().map(|&y| (mesh.id(Coord::new(0, y)).0, at(y).packet)).collect();
             assert_eq!(fronts, link_fronts);
 
             // Open the dam: everything drains in order and the pools
             // end up empty.
-            st.f.set_test_owner(dam, Dir::PlusX as usize, 0, None);
+            st.f.set_test_owner(dam, Dir::PlusY as usize, 0, None);
             for _ in 0..80 {
                 st.cycle(6);
             }
@@ -2592,19 +2487,19 @@ mod tests {
     fn lone_occupants_are_granted_exactly_as_the_reference_scan_grants_them() {
         // Two fabrics fed the same low-load traffic, one on each
         // stepper, compared field by field every cycle. Worms of three
-        // flits leave (0,0) for (4,1) every 11 cycles and cross the
-        // tile edge past x = 2; worms of two join them at (1,0) every
+        // flits leave (0,0) for (1,4) every 11 cycles and cross the
+        // band edge past y = 2; worms of two join them at (0,1) every
         // 17 — so heads, bodies, tails, ejections and boundary
         // messages all pass, mostly through routers with one occupied
         // input VC and now and then through a contended one.
         let mesh = Mesh::square(6);
-        let fabric = || Fabric::new_tiled(mesh, TEST_VCS, TEST_DEPTH, 0, 2, 1);
+        let fabric = || Fabric::new_sharded(mesh, TEST_VCS, TEST_DEPTH, 0, 2);
         let (mut event, mut scan) = (fabric(), fabric());
         let mut hop = ScriptedHop::new();
-        use Dir::{MinusY, PlusX, PlusY};
+        use Dir::{MinusX, PlusX, PlusY};
         let streams = [
-            (hop.script(Coord::new(0, 0), &[PlusX, PlusX, PlusX, PlusX, PlusY]), 3u32, 11u64),
-            (hop.script(Coord::new(1, 1), &[MinusY, PlusX, PlusX, PlusX]), 2, 17),
+            (hop.script(Coord::new(0, 0), &[PlusY, PlusY, PlusY, PlusY, PlusX]), 3u32, 11u64),
+            (hop.script(Coord::new(1, 1), &[MinusX, PlusY, PlusY, PlusY]), 2, 17),
         ];
         // Per stream: the packet being fed and its flits still to feed.
         let mut feeding = [(0u32, 0u32); 2];
@@ -2654,7 +2549,7 @@ mod tests {
 
     #[test]
     fn a_packet_costs_each_table_it_visits_one_probe() {
-        use crate::routing::{PathTable, ReplayHop, RoutingKind};
+        use crate::routing::{EscapeHop, PathTable, RoutingKind};
         use meshpath_mesh::FaultSet;
         use meshpath_route::NetView;
 
@@ -2663,8 +2558,7 @@ mod tests {
         let mesh = Mesh::square(6);
         let view = NetView::build(FaultSet::none(mesh));
         let mut tables = [RoutingKind::Rb2; 2].map(|kind| PathTable::new(&view, kind));
-        let [upper, lower] = &mut tables;
-        let mut routers = [ReplayHop::new(upper), ReplayHop::new(lower)];
+        let mut routers = tables.each_mut().map(|table| EscapeHop::new(table, 4, 0));
         let mut f = Fabric::new_sharded(mesh, TEST_VCS, TEST_DEPTH, 0, 2);
         let (s, d) = (Coord::new(1, 0), Coord::new(1, 5));
         assert_eq!(routers[0].admit(s, d), Some(5));

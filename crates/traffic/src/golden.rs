@@ -6,17 +6,16 @@
 //! function, traffic pattern, injection process, packet-length
 //! distribution, churn — a `fault_churn` list, a seeded *online*
 //! chaos schedule, or both in one run, published mid-run through the
-//! one epoch mechanism — **lease window length** (1, 2, 8 and the
-//! auto edge-bound) and **tile shape** (row bands and two-column tile
-//! grids).
+//! one epoch mechanism — and **window length** (1, 2, 8 and the derived
+//! band-edge bound).
 //!
 //! Every run of this crate's tests also checks the fabric's
 //! conservation invariants after every cycle of every shard
 //! (`Shard::assert_masks_consistent`, called from the worker's commit
-//! phase: flits on each in-tile link, one pooled state per head, masks
+//! phase: flits on each in-band link, one pooled state per head, masks
 //! and worklist against ground truth) and that a shard left without
 //! flits holds no pooled state — so each drawn configuration below is
-//! checked for them at 1, 2 and 4 shards and both tile shapes.
+//! checked for them at 1, 2 and 4 shards.
 //!
 //! The equality is over the *entire* statistics struct — cycle count,
 //! per-cycle flit-hop totals, the full latency histogram, saturation
@@ -33,11 +32,21 @@ use meshpath_mesh::{FaultInjection, FaultSet, Mesh};
 use meshpath_route::NetView;
 
 use crate::churn::{ChaosConfig, OnlineChurn};
-use crate::config::{RoutePolicy, SimConfig};
+use crate::config::SimConfig;
 use crate::pattern::{InjectionProcess, LengthDist, TrafficPattern};
 use crate::routing::{PathTable, RoutingKind};
 use crate::sim::TrafficSim;
 use crate::stats::TrafficStats;
+
+/// Which stepper a [`run`] steps the fabric with.
+#[derive(Clone, Copy)]
+enum Stepper {
+    /// The retained scan-order reference.
+    Reference,
+    /// The event-driven one, granted windows of this many cycles
+    /// (`None`: the derived length).
+    EventDriven(Option<u64>),
+}
 
 /// Runs one full simulation on the chosen stepper, optionally under a
 /// seeded online-churn chaos schedule.
@@ -45,7 +54,7 @@ fn run(
     net: &NetView,
     kind: RoutingKind,
     cfg: &SimConfig,
-    reference: bool,
+    stepper: Stepper,
     chaos: Option<ChaosConfig>,
 ) -> TrafficStats {
     let mut paths = PathTable::new(net, kind);
@@ -53,8 +62,9 @@ fn run(
     if let Some(chaos) = chaos {
         sim = sim.with_online_churn(OnlineChurn::chaos(chaos));
     }
-    if reference {
-        sim.set_reference_stepper();
+    match stepper {
+        Stepper::Reference => sim.set_reference_stepper(),
+        Stepper::EventDriven(window) => sim.set_window(window),
     }
     sim.try_run_full(&mut ()).expect("no worker panicked").stats
 }
@@ -89,7 +99,7 @@ fn reference_stepper_plans_parked_heads_on_the_same_cycles() {
         vcs: 4,
         vc_depth: 3,
         escape_vcs: 0,
-        policy: RoutePolicy::Deterministic,
+        patience: 4,
         packet_len: 4,
         rate: 0.35,
         warmup: 30,
@@ -101,16 +111,14 @@ fn reference_stepper_plans_parked_heads_on_the_same_cycles() {
         injection: InjectionProcess::Bernoulli,
         length: LengthDist::Fixed,
         threads: 1,
-        tile_cols: 1,
-        lease: 1,
         stats_window: 100,
         fault_churn: Vec::new(),
         obs: ObsLevel::Off,
         record_trace: false,
     };
     let kind = RoutingKind::ECube;
-    let reference = run(&net, kind, &cfg, true, chaos);
-    let sharded = run(&net, kind, &cfg, false, chaos);
+    let reference = run(&net, kind, &cfg, Stepper::Reference, chaos);
+    let sharded = run(&net, kind, &cfg, Stepper::EventDriven(None), chaos);
     assert_eq!(sharded, reference);
 }
 
@@ -123,14 +131,14 @@ proptest! {
             (4u32..9, 0usize..5, 0usize..5, 0u64..0xffff_ffff),
             (2usize..5, 0usize..3, 1u32..7, 0usize..5),
             (0usize..4, 1u32..5, 0usize..2, 0usize..2),
-            (0usize..3, 0usize..2, 0usize..4, 0usize..2),
+            (0usize..3, 0usize..2, 0usize..4),
         )
     ) {
         let (
             (mesh_n, faults, kind_ix, seed),
             (vcs, escape_raw, patience, rate_ix),
             (pattern_ix, packet_len, injection_ix, length_ix),
-            (churn_ix, online_ix, lease_ix, tile_ix),
+            (churn_ix, online_ix, window_ix),
         ) = draw;
         let mesh = Mesh::square(mesh_n);
         let mut frng = StdRng::seed_from_u64(seed);
@@ -163,14 +171,8 @@ proptest! {
             max_faults: 4,
         });
         let kind = RoutingKind::ALL[kind_ix];
-        // The policy/escape knobs must agree (TrafficSim asserts it):
-        // no reserved channel means deterministic replay.
+        // From 0 — the no-escape fabric, where `patience` is unread.
         let escape_vcs = escape_raw.min(vcs - 1);
-        let policy = if escape_vcs > 0 {
-            RoutePolicy::EscapeAdaptive { patience }
-        } else {
-            RoutePolicy::Deterministic
-        };
         let pattern = [
             TrafficPattern::UniformRandom,
             TrafficPattern::Transpose,
@@ -189,7 +191,7 @@ proptest! {
             vcs,
             vc_depth: 3,
             escape_vcs,
-            policy,
+            patience,
             packet_len,
             rate,
             warmup: 30,
@@ -201,34 +203,23 @@ proptest! {
             injection,
             length,
             threads: 1,
-            tile_cols: 1,
-            lease: 1,
             stats_window: 100,
             fault_churn,
             obs: ObsLevel::Off,
             record_trace: false,
         };
-        // Lease window (1, 2, 8, or 0 = the auto tile-edge bound with
-        // occupancy adaptation) and tile shape (1 = row bands, 2 = a
-        // two-column tile grid) for the sharded runs: results must be
-        // bit-identical to the lease=1 lockstep reference at every
-        // drawn combination.
-        let lease = [1u64, 2, 8, 0][lease_ix];
-        let tile_cols = [1usize, 2][tile_ix];
-        let reference = run(&net, kind, &cfg, true, chaos);
+        // The window of the sharded runs (1, 2, 8, or the derived
+        // band-edge bound): results must be bit-identical to the
+        // window-1 single-shard reference at every drawn length.
+        let stepper = Stepper::EventDriven([Some(1), Some(2), Some(8), None][window_ix]);
+        let reference = run(&net, kind, &cfg, Stepper::Reference, chaos);
         // Shard counts 1, 2 and 4: the event-driven stepper must match
         // the scan-order reference bit for bit at every partitioning
         // (threads > 1 also exercises the worker-thread transport, the
-        // channel-based boundary exchange and the free-running lease
+        // channel-based boundary exchange and the windowed coordinator
         // protocol).
         for threads in [1usize, 2, 4] {
-            let sharded = run(
-                &net,
-                kind,
-                &SimConfig { threads, tile_cols, lease, ..cfg.clone() },
-                false,
-                chaos,
-            );
+            let sharded = run(&net, kind, &SimConfig { threads, ..cfg.clone() }, stepper, chaos);
             prop_assert_eq!(
                 &sharded,
                 &reference,
@@ -245,8 +236,8 @@ proptest! {
             let observed = run(
                 &net,
                 kind,
-                &SimConfig { threads, tile_cols, lease, obs: ObsLevel::Trace, ..cfg.clone() },
-                false,
+                &SimConfig { threads, obs: ObsLevel::Trace, ..cfg.clone() },
+                stepper,
                 chaos,
             );
             prop_assert_eq!(

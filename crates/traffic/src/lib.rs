@@ -35,18 +35,19 @@
 //! dimension-order XY (entered only past a fault-free XY run) and
 //! up*/down* routing on a spanning forest of the healthy nodes
 //! ([`EscapeForest`], available from *every* node). A head blocked past
-//! the policy's patience re-routes onto an escape class, escape traffic
+//! [`SimConfig::patience`] re-routes onto an escape class, escape traffic
 //! is guaranteed to drain, and so — per Duato's argument — the fabric
 //! cannot interlock: RB1/RB2/RB3 stay live at injection rates several
 //! times past the old onset.
 //!
 //! ## Layers
 //!
-//! * [`routing`] — the [`HopRouter`] trait and its implementations:
-//!   [`ReplayHop`] (compiled-route replay, the original semantics) and
-//!   [`EscapeHop`] (adaptive + XY escape class); the [`PathTable`]
-//!   compiling the workspace's [`Router`]s (RB1/RB2/RB3, fault-tolerant
-//!   E-cube) and the dimension-order [`XyRouter`] baseline.
+//! * [`routing`] — the [`HopRouter`] trait and its implementation
+//!   [`EscapeHop`] (compiled-route replay on the adaptive class, plus
+//!   the XY and tree escape classes the fabric reserves channels for);
+//!   the [`PathTable`] compiling the workspace's [`Router`]s
+//!   (RB1/RB2/RB3, fault-tolerant E-cube) and the dimension-order
+//!   [`XyRouter`] baseline.
 //! * [`fabric`] — the cycle-level wormhole router microarchitecture
 //!   with class-aware virtual-channel allocation; stepping is
 //!   event-driven (active-router worklist, occupancy/request/free-VC
@@ -71,8 +72,8 @@
 //!   stranded in-flight packets are replanned or killed
 //!   (`churn_killed`), never wedged.
 //! * [`stats`] — latency histograms and accepted-throughput accounting.
-//! * [`config`] — [`SimConfig`] including the `escape_vcs` partition
-//!   and the [`RoutePolicy`] adaptivity knob.
+//! * [`config`] — [`SimConfig`], including the `escape_vcs` partition
+//!   and the escape `patience`, checked by [`SimConfig::validate`].
 //!
 //! ## Observability
 //!
@@ -141,12 +142,12 @@ pub mod source;
 pub mod stats;
 
 pub use churn::{ChaosConfig, ChurnInjector, OnlineChurn};
-pub use config::{ChurnEvent, ChurnOp, RoutePolicy, SimConfig, PIPELINE_DEPTH};
+pub use config::{ChurnEvent, ChurnOp, ConfigError, SimConfig, PIPELINE_DEPTH};
 pub use fabric::{BoundaryMsg, Delivery, Fabric, Flit, FrontierEntry, PacketState, StepReport};
 pub use pattern::{DestSampler, InjectionProcess, LengthDist, TrafficPattern};
 pub use routing::{
     xy_next, xy_path_clear, EscapeForest, EscapeHop, HopCandidates, HopChoice, HopDecision,
-    HopRouter, PathTable, ReplayHop, RouteHandle, RoutingKind, VcClass, XyRouter,
+    HopRouter, PathTable, RouteHandle, RoutingKind, VcClass, XyRouter,
 };
 pub use sim::{run_traffic, single_packet_latency, RunError, RunOutput, TrafficSim};
 pub use source::{

@@ -1,6 +1,6 @@
 //! Per-hop routing functions for the wormhole fabric: the [`HopRouter`]
-//! trait, the compiled-route replay adapter, and the Duato-style
-//! adaptive wrapper with a dimension-order XY escape class.
+//! trait and its one implementation, the Duato-style adaptive wrapper
+//! over compiled routes with XY and spanning-tree escape classes.
 //!
 //! ## Architecture
 //!
@@ -36,35 +36,34 @@
 //!   two differences of row/column prefix fault counts of the current
 //!   fault set.
 //!
-//! Two hop routers are provided:
+//! [`EscapeHop`] follows the compiled route on the adaptive class; when
+//! the head has been blocked for `patience` cycles it re-routes the
+//! packet onto a reserved escape class and finishes the trip there. Two
+//! escape classes exist, tried in order, each only when the fabric
+//! reserves a channel for it (with `escape_vcs == 0` there is none, and
+//! the router replays the compiled route unconditionally — the
+//! source-routed fabric, deadlock detected rather than avoided):
 //!
-//! * [`ReplayHop`] — always follows the compiled route on the adaptive
-//!   VC class. Functionally identical to the old source-routed fabric.
-//! * [`EscapeHop`] — follows the compiled route on the adaptive class;
-//!   when the head has been blocked for `patience` cycles it re-routes
-//!   the packet onto a reserved escape class and finishes the trip
-//!   there. Two escape classes exist, tried in order:
+//! 1. the **XY escape class** ([`VcClass::EscapeXy`]): strict
+//!    dimension-order XY, entered only when the XY walk from the
+//!    current node to the destination crosses no faulty node (under
+//!    the packet's epoch). Every XY hop strictly decreases the
+//!    dimension-order distance, so the class's channel-dependency
+//!    graph is acyclic (the classic DOR argument) and it drains under
+//!    any load.
+//! 2. the **tree escape class** ([`VcClass::EscapeTree`]): up*/down*
+//!    routing on a BFS spanning forest ([`EscapeForest`]). Tree
+//!    routes go child-to-root ("up") then root-to-child ("down");
+//!    forbidding down-to-up transitions totally orders the tree
+//!    channels, so this class is acyclic *regardless of the fault
+//!    pattern*.
 //!
-//!   1. the **XY escape class** ([`VcClass::EscapeXy`]): strict
-//!      dimension-order XY, entered only when the XY walk from the
-//!      current node to the destination crosses no faulty node (under
-//!      the packet's epoch). Every XY hop strictly decreases the
-//!      dimension-order distance, so the class's channel-dependency
-//!      graph is acyclic (the classic DOR argument) and it drains under
-//!      any load.
-//!   2. the **tree escape class** ([`VcClass::EscapeTree`]): up*/down*
-//!      routing on a BFS spanning forest ([`EscapeForest`]). Tree
-//!      routes go child-to-root ("up") then root-to-child ("down");
-//!      forbidding down-to-up transitions totally orders the tree
-//!      channels, so this class is acyclic *regardless of the fault
-//!      pattern*.
-//!
-//!   Per Duato's methodology, a blocked head that always has an
-//!   eventual path onto a draining escape network cannot participate in
-//!   a wormhole interlock: the XY class serves the common case with
-//!   minimal paths, and the tree class closes the faulty-mesh hole
-//!   (XY runs blocked by faults) with a guaranteed — if possibly long —
-//!   last resort.
+//! Per Duato's methodology, a blocked head that always has an
+//! eventual path onto a draining escape network cannot participate in
+//! a wormhole interlock: the XY class serves the common case with
+//! minimal paths, and the tree class closes the faulty-mesh hole
+//! (XY runs blocked by faults) with a guaranteed — if possibly long —
+//! last resort.
 //!
 //! Under **churn** (events published mid-run via
 //! [`HopRouter::publish`], whether listed ahead of time or injected
@@ -81,6 +80,7 @@
 use std::collections::hash_map::Entry;
 
 use meshpath_mesh::{Coord, Dir, FaultSet, FxHashMap, HopSeq, NodeId};
+use meshpath_route::oracle::{DistanceField, UNREACHABLE};
 use meshpath_route::{HopState, NetView, Router};
 use serde::{Deserialize, Serialize};
 
@@ -499,86 +499,13 @@ impl PathTable {
     }
 }
 
-/// Deterministic per-hop replay of the compiled route, adaptive class
-/// only — the paper's routers exactly as the source-routed fabric ran
-/// them, now phrased as per-hop decisions.
-pub struct ReplayHop<'p> {
-    paths: &'p mut PathTable,
-    /// Set by the first [`publish`](HopRouter::publish): faults may now
-    /// appear that admitted routes did not know about, so every hop
-    /// checks the next step against the current fault set and replans
-    /// (or kills) stranded packets.
-    online: bool,
-}
-
-impl<'p> ReplayHop<'p> {
-    /// A replay router over `paths`' compiled routes.
-    pub fn new(paths: &'p mut PathTable) -> Self {
-        ReplayHop { paths, online: false }
-    }
-}
-
-impl HopRouter for ReplayHop<'_> {
-    fn admit(&mut self, s: Coord, d: Coord) -> Option<u32> {
-        self.paths.path(s, d).map(|p| p.len() as u32)
-    }
-
-    fn decide(
-        &mut self,
-        here: Coord,
-        pk: &mut PacketState,
-        route: &mut RouteHandle,
-    ) -> HopDecision {
-        if let Some(done) = self.paths.settled(self.online, here, pk) {
-            return done;
-        }
-        match self.paths.adaptive_dir(self.online, here, pk, route) {
-            Some(dir) => HopDecision::route1(HopChoice { dir, class: VcClass::Adaptive }),
-            None => {
-                pk.killed = true;
-                HopDecision::Eject
-            }
-        }
-    }
-
-    fn publish(&mut self, view: &NetView) {
-        self.online = true;
-        self.paths.publish(view);
-    }
-}
-
-/// One BFS over the healthy nodes from `start`: distance per node id,
-/// `u32::MAX` when unreached (faulty, or another component).
-/// Deterministic: neighbors expand in [`Dir::ALL`] order.
-fn healthy_bfs(faults: &FaultSet, start: Coord) -> Vec<u32> {
-    let mesh = faults.mesh();
-    let mut dist = vec![u32::MAX; mesh.len()];
-    let mut queue = std::collections::VecDeque::new();
-    dist[mesh.id(start).index()] = 0;
-    queue.push_back(start);
-    while let Some(c) = queue.pop_front() {
-        let dc = dist[mesh.id(c).index()];
-        for dir in Dir::ALL {
-            let nb = c.step(dir);
-            if !mesh.contains(nb) || !faults.is_healthy(nb) {
-                continue;
-            }
-            let ni = mesh.id(nb).index();
-            if dist[ni] == u32::MAX {
-                dist[ni] = dc + 1;
-                queue.push_back(nb);
-            }
-        }
-    }
-    dist
-}
-
-/// The farthest reached node of a BFS distance field (maximum
-/// distance, lowest id on ties — determinism) and its distance.
+/// The farthest reached node of a [`DistanceField`]'s distances by node
+/// id (maximum distance, lowest id on ties — determinism) and its
+/// distance.
 fn farthest(mesh: &meshpath_mesh::Mesh, dist: &[u32]) -> (Coord, u32) {
     let mut best: Option<(u32, usize)> = None;
     for (i, &d) in dist.iter().enumerate() {
-        if d != u32::MAX && best.is_none_or(|(bd, _)| d > bd) {
+        if d != UNREACHABLE && best.is_none_or(|(bd, _)| d > bd) {
             best = Some((d, i));
         }
     }
@@ -594,7 +521,7 @@ fn argmin_witness(mesh: &meshpath_mesh::Mesh, witnesses: &[&[u32]]) -> Coord {
         let Some(score) = witnesses
             .iter()
             .map(|w| w[i])
-            .try_fold(0u32, |m, d| (d != u32::MAX).then_some(m.max(d)))
+            .try_fold(0u32, |m, d| (d != UNREACHABLE).then_some(m.max(d)))
         else {
             continue;
         };
@@ -617,19 +544,19 @@ fn argmin_witness(mesh: &meshpath_mesh::Mesh, witnesses: &[&[u32]]) -> Coord {
 /// passes — and a pure function of the fault configuration.
 fn component_center(faults: &FaultSet, start: Coord) -> Coord {
     let mesh = faults.mesh();
-    let field = |s: Coord| healthy_bfs(faults, s);
+    let field = |s: Coord| DistanceField::healthy(faults, s);
     let d0 = field(start);
-    let (u, ecc0) = farthest(mesh, &d0);
+    let (u, ecc0) = farthest(mesh, d0.as_slice());
     let du = field(u);
-    let (v, _) = farthest(mesh, &du);
+    let (v, _) = farthest(mesh, du.as_slice());
     let dv = field(v);
-    let c1 = argmin_witness(mesh, &[&du, &dv]);
+    let c1 = argmin_witness(mesh, &[du.as_slice(), dv.as_slice()]);
     let dc1 = field(c1);
-    let (w, ecc1) = farthest(mesh, &dc1);
+    let (w, ecc1) = farthest(mesh, dc1.as_slice());
     let dw = field(w);
-    let c2 = argmin_witness(mesh, &[&du, &dv, &dw]);
+    let c2 = argmin_witness(mesh, &[du.as_slice(), dv.as_slice(), dw.as_slice()]);
     let dc2 = field(c2);
-    let (_, ecc2) = farthest(mesh, &dc2);
+    let (_, ecc2) = farthest(mesh, dc2.as_slice());
     let id = |c: Coord| mesh.id(c).index();
     [(ecc0, id(start), start), (ecc1, id(c1), c1), (ecc2, id(c2), c2)]
         .into_iter()
@@ -874,10 +801,11 @@ impl XyClearance {
 
 /// The Duato-style adaptive wrapper: compiled routes on the adaptive
 /// class; once a head has been blocked `patience` consecutive cycles it
-/// is offered the reserved escape classes — dimension-order XY when the
-/// XY walk to the destination is fault-free under the current fault
-/// set, and the up*/down* tree route as the always-available last
-/// resort.
+/// is offered the escape classes the fabric reserves a channel for —
+/// dimension-order XY when the XY walk to the destination is fault-free
+/// under the current fault set, and the up*/down* tree route as the
+/// always-available last resort. With no reserved channel it offers the
+/// compiled hop and nothing else, at any stall.
 ///
 /// A packet that takes an escape channel is committed: it stays on that
 /// escape class until delivery, so escape packets only ever wait on
@@ -899,8 +827,9 @@ pub struct EscapeHop<'p> {
     /// would be pure waste.
     xy: Option<XyClearance>,
     /// The spanning forest over the current fault set's healthy nodes,
-    /// rebuilt per published event.
-    forest: EscapeForest,
+    /// rebuilt per published event. `None` when the fabric reserves no
+    /// escape channel at all (`escape_vcs == 0`).
+    forest: Option<EscapeForest>,
     /// Set by the first [`publish`](HopRouter::publish): faults may now
     /// postdate a packet's admission, so decide kills or replans
     /// packets stranded by them.
@@ -908,26 +837,29 @@ pub struct EscapeHop<'p> {
 }
 
 impl<'p> EscapeHop<'p> {
-    /// An escape-adaptive router over `paths`' compiled routes.
-    /// `xy_class` says whether the fabric reserves XY escape channels
-    /// in addition to the tree channel (`escape_vcs >= 2`).
-    pub fn new(paths: &'p mut PathTable, patience: u32, xy_class: bool) -> Self {
+    /// A router over `paths`' compiled routes for a fabric reserving
+    /// `escape_vcs` channels per port: the tree class exists from one
+    /// reserved channel, the XY class from two, and only what a class
+    /// reads is built.
+    pub fn new(paths: &'p mut PathTable, patience: u32, escape_vcs: usize) -> Self {
         let faults = paths.view().faults();
-        let forest = EscapeForest::new(faults);
-        let xy = xy_class.then(|| XyClearance::new(faults));
+        let forest = (escape_vcs >= 1).then(|| EscapeForest::new(faults));
+        let xy = (escape_vcs >= 2).then(|| XyClearance::new(faults));
         EscapeHop { paths, patience, xy, forest, online: false }
     }
 
-    /// The spanning forest backing the tree escape class.
-    pub fn forest(&self) -> &EscapeForest {
-        &self.forest
+    /// The spanning forest backing the tree escape class, if the fabric
+    /// has one.
+    pub fn forest(&self) -> Option<&EscapeForest> {
+        self.forest.as_ref()
     }
 
-    /// The tree-class candidate, or `None` when the forest cannot
-    /// serve the pair — possible only under churn: a fresh fault cut
-    /// `here` off `dst`'s component (or took `here` itself).
+    /// The tree-class candidate, or `None` when there is no tree class
+    /// or its forest cannot serve the pair — the latter possible only
+    /// under churn: a fresh fault cut `here` off `dst`'s component (or
+    /// took `here` itself).
     fn tree_choice(&self, here: Coord, dst: Coord) -> Option<HopChoice> {
-        let dir = self.forest.next_hop(self.paths.view().mesh(), here, dst)?;
+        let dir = self.forest.as_ref()?.next_hop(self.paths.view().mesh(), here, dst)?;
         Some(HopChoice { dir, class: VcClass::EscapeTree })
     }
 }
@@ -997,7 +929,9 @@ impl HopRouter for EscapeHop<'_> {
     fn publish(&mut self, view: &NetView) {
         self.online = true;
         self.paths.publish(view);
-        self.forest = EscapeForest::new(view.faults());
+        if let Some(forest) = &mut self.forest {
+            *forest = EscapeForest::new(view.faults());
+        }
         if let Some(xy) = &mut self.xy {
             *xy = XyClearance::new(view.faults());
         }
@@ -1167,11 +1101,11 @@ mod tests {
     }
 
     #[test]
-    fn replay_hop_follows_the_compiled_route() {
+    fn without_a_reserved_channel_the_compiled_route_is_followed_to_the_end() {
         let net = NetView::build(FaultSet::none(Mesh::square(8)));
         let mut t = PathTable::new(&net, RoutingKind::Rb2);
         let (s, d) = (Coord::new(0, 0), Coord::new(3, 2));
-        let mut hop = ReplayHop::new(&mut t);
+        let mut hop = EscapeHop::new(&mut t, 4, 0);
         let hops = hop.admit(s, d).expect("routable");
         assert_eq!(hops, 5);
         let mut pk = PacketState::new(s, d, 0, 1);
@@ -1193,6 +1127,47 @@ mod tests {
         assert_eq!(hop.decide(here, &mut pk, &mut route), HopDecision::Eject);
     }
 
+    #[test]
+    fn without_escape_builds_no_forest_and_offers_one_adaptive_candidate_at_any_stall() {
+        let cfg = crate::SimConfig::default().without_escape();
+        let mesh = Mesh::square(8);
+        let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
+        let v0 = state.view();
+        let mut t = PathTable::new(&v0, RoutingKind::Rb2);
+        let mut hop = EscapeHop::new(&mut t, cfg.patience, cfg.escape_vcs);
+        let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
+        hop.admit(s, d).expect("clear row");
+        let offered = |hop: &mut EscapeHop<'_>, here: Coord, pk: &PacketState| {
+            assert!(
+                hop.forest().is_none() && hop.xy.is_none(),
+                "built for a class with no channel"
+            );
+            for stalled in [0, cfg.patience, 10_000] {
+                let mut pk = PacketState { stalled, ..*pk };
+                let decision = hop.decide(here, &mut pk, &mut { RouteHandle::UNRESOLVED });
+                assert_eq!(classes(decision), vec![VcClass::Adaptive], "stalled {stalled}");
+            }
+        };
+        let pk = PacketState::new(s, d, 0, 1);
+        offered(&mut hop, s, &pk);
+        // Online a publication builds nothing either, and a head whose
+        // next hop failed replans onto one adaptive candidate.
+        hop.publish(&state.add_fault(Coord::new(3, 1)).expect("valid"));
+        let parked = PacketState { head_hop: 1, ..pk };
+        offered(&mut hop, Coord::new(2, 1), &parked);
+        // One stranded for good — its destination walled in, so no
+        // current route, and no tree to fall back on — is killed.
+        for wall in [Coord::new(5, 1), Coord::new(7, 1), Coord::new(6, 0), Coord::new(6, 2)] {
+            hop.publish(&state.add_fault(wall).expect("valid"));
+        }
+        let mut cut = parked;
+        assert_eq!(
+            hop.decide(Coord::new(2, 1), &mut cut, &mut { RouteHandle::UNRESOLVED }),
+            HopDecision::Eject
+        );
+        assert!(cut.killed, "stranded packets drain instead of wedging");
+    }
+
     /// The candidate classes of a `Route` decision, in order.
     fn classes(d: HopDecision) -> Vec<VcClass> {
         match d {
@@ -1206,7 +1181,7 @@ mod tests {
         let mesh = Mesh::square(8);
         let net = NetView::build(FaultSet::from_coords(mesh, [Coord::new(5, 3)]));
         let mut t = PathTable::new(&net, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut t, 4, true);
+        let mut hop = EscapeHop::new(&mut t, 4, 2);
         // XY from (2,3) to (7,3) crosses the fault at (5,3).
         let (s, d) = (Coord::new(2, 3), Coord::new(7, 3));
         hop.admit(s, d).expect("RB2 routes around the fault");
@@ -1262,7 +1237,7 @@ mod tests {
         // the router must not offer (or evaluate clearance for) XY.
         let net = NetView::build(FaultSet::none(Mesh::square(8)));
         let mut t = PathTable::new(&net, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut t, 4, false);
+        let mut hop = EscapeHop::new(&mut t, 4, 1);
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 6));
         hop.admit(s, d).expect("clear pair");
         let mut stalled = PacketState::new(s, d, 0, 1);
@@ -1436,7 +1411,7 @@ mod tests {
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
         let mut table = PathTable::new(&v0, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut table, patience, true);
+        let mut hop = EscapeHop::new(&mut table, patience, 2);
         for (epoch, op) in (1..).zip(churn_script()) {
             let view = match op {
                 ChurnOp::Fail(c) => state.add_fault(c),
@@ -1445,7 +1420,7 @@ mod tests {
             .expect("a valid event");
             hop.publish(&view);
             let mut fresh_table = PathTable::new(&view, RoutingKind::Rb2);
-            let mut fresh = EscapeHop::new(&mut fresh_table, patience, true);
+            let mut fresh = EscapeHop::new(&mut fresh_table, patience, 2);
             assert_eq!(hop.forest(), fresh.forest(), "after {op:?}");
             for here in mesh.iter() {
                 for dst in mesh.iter().filter(|&dst| dst != here) {
@@ -1562,7 +1537,7 @@ mod tests {
             ));
             let view = state.view();
             let mut t = PathTable::new(&view, RoutingKind::Xy);
-            let mut hop = EscapeHop::new(&mut t, 4, true);
+            let mut hop = EscapeHop::new(&mut t, 4, 2);
             let check = |hop: &EscapeHop<'_>, faults: &FaultSet| {
                 let xy = hop.xy.as_ref().expect("the XY class is on");
                 for here in mesh.iter() {
@@ -1597,7 +1572,7 @@ mod tests {
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
         let mut t = PathTable::new(&v0, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut t, 4, true);
+        let mut hop = EscapeHop::new(&mut t, 4, 2);
         let node = Coord::new(4, 4);
         assert!(hop.tree_choice(node, Coord::new(0, 0)).is_some(), "on the initial forest");
 
@@ -1607,7 +1582,7 @@ mod tests {
             hop.tree_choice(node, Coord::new(0, 0)).is_none(),
             "failed node leaves the substrate"
         );
-        assert_eq!(hop.forest(), &EscapeForest::new(v1.faults()));
+        assert_eq!(hop.forest(), Some(&EscapeForest::new(v1.faults())));
 
         let v2 = state.remove_fault(node).expect("valid");
         hop.publish(&v2);
@@ -1616,7 +1591,7 @@ mod tests {
             .tree_choice(node, Coord::new(0, 0))
             .expect("repaired node regains escape-tree membership");
         assert_eq!(choice.class, VcClass::EscapeTree);
-        assert_eq!(hop.forest(), &EscapeForest::new(v2.faults()));
+        assert_eq!(hop.forest(), Some(&EscapeForest::new(v2.faults())));
     }
 
     #[test]
@@ -1625,7 +1600,7 @@ mod tests {
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
         let mut t = PathTable::new(&v0, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut t, 4, true);
+        let mut hop = EscapeHop::new(&mut t, 4, 2);
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
         hop.admit(s, d).expect("clear row");
         let mut pk = PacketState::new(s, d, 0, 1);

@@ -2,14 +2,13 @@
 //! protocol, and the run loop — one coordinator loop over one or many
 //! shard workers, with bit-identical results.
 //!
-//! ## Sharded execution: tiles and windows
+//! ## Sharded execution: bands and windows
 //!
 //! When [`SimConfig::threads`] resolves to `N > 1`, the fabric is built
-//! as a grid of rectangular tile shards (see the boundary-exchange
-//! protocol in [`crate::fabric`]; [`SimConfig::tile_cols`] picks the
-//! grid shape) with one worker thread per tile: each worker owns its
-//! shard, the injection state of its nodes (per-node RNG streams,
-//! source queues) and a private [`HopRouter`] over its own
+//! as `N` row-band shards (see the boundary-exchange protocol in
+//! [`crate::fabric`]) with one worker thread per band: each worker owns
+//! its shard, the injection state of its nodes (per-node RNG streams,
+//! source queues) and a private [`EscapeHop`] over its own
 //! [`PathTable`] (hop decisions are pure functions of the network, so
 //! private route caches cannot diverge).
 //!
@@ -20,19 +19,19 @@
 //! generation counters) and replay them in cycle order through
 //! `RunState`, which keeps the global statistics and makes every
 //! termination and observer decision. Inside a window the workers
-//! exchange cycle-stamped boundary messages with their tile neighbors
-//! every cycle, which is what keeps adjacent tiles causally
-//! consistent; the window only amortizes the coordinator round trip.
-//! Its length is one number per run ([`SimConfig::lease`]) and it never
-//! spans a cycle that opens with coordinator work. A single shard is
-//! stepped inline on the caller's thread, window 1. Every per-node
-//! computation is identical to the sequential run — per-node RNGs are
-//! seeded by node id, grants commute within a cycle, and all
-//! cross-shard effects are staged — so `TrafficStats` is
-//! **bit-identical at every thread count, tile shape and window
-//! length** (pinned by `crate::golden`). A stop decided mid-window
-//! discards the window's tail from the statistics; only the
-//! observability probes may record that bounded overshoot.
+//! exchange cycle-stamped boundary messages with the adjacent bands
+//! every cycle, which is what keeps neighbors causally consistent; the
+//! window only amortizes the coordinator round trip. Its length is one
+//! number per run — the bands' shortest side, clamped to `[1, 64]` —
+//! and it never spans a cycle that opens with coordinator work. A
+//! single shard is stepped inline on the caller's thread, window 1.
+//! Every per-node computation is identical to the sequential run —
+//! per-node RNGs are seeded by node id, grants commute within a cycle,
+//! and all cross-shard effects are staged — so `TrafficStats` is
+//! **bit-identical at every thread count and window length** (pinned
+//! by `crate::golden`). A stop decided mid-window discards the window's
+//! tail from the statistics; only the observability probes may record
+//! that bounded overshoot.
 //!
 //! ## Churn
 //!
@@ -76,10 +75,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::churn::{OnlineChurn, OnlineDriver};
-use crate::config::{RoutePolicy, SimConfig};
+use crate::config::SimConfig;
 use crate::fabric::{BoundaryMsg, Delivery, Fabric, Flit, PacketState, Shard, StepReport};
 use crate::pattern::{DestSampler, InjectionProcess};
-use crate::routing::{EscapeHop, HopRouter, PathTable, ReplayHop, RoutingKind};
+use crate::routing::{EscapeHop, HopRouter, PathTable, RoutingKind};
 use crate::source::{TraceEntry, WorkloadDriver, WorkloadMsg, WorkloadOutcome, WorkloadSource};
 use crate::stats::{LatencyHistogram, TrafficStats, WindowControl, WindowObserver, WindowSample};
 
@@ -103,8 +102,8 @@ const ID_SHARD_SHIFT: u32 = 24;
 const DEADLOCK_WINDOW: u64 = 1000;
 
 /// Longest window of cycles the workers run between two coordinator
-/// contacts, whatever [`SimConfig::lease`] asks for: the first report
-/// of a run (and a stop decision) is never more than this far away.
+/// contacts, however deep the bands are: the first report of a run (and
+/// a stop decision) is never more than this far away.
 const MAX_WINDOW: u64 = 64;
 
 /// Why a sharded run failed instead of producing statistics.
@@ -276,15 +275,15 @@ enum WorkerReport {
 type BoundaryLane = (u64, Vec<BoundaryMsg>);
 
 /// A worker thread's lane ends: its control lane, the shared report
-/// lane, and per direction with a neighbor tile one boundary lane out
+/// lane, and per adjacent band (`[before, after]`) one boundary lane out
 /// and one in. Every end is *moved* to its unique user, so a worker
 /// that returns (or unwinds) disconnects its lanes and its neighbors'
 /// blocking `recv`s error out instead of waiting forever.
 struct WorkerLanes {
     go: Receiver<Go>,
     done: Sender<WorkerReport>,
-    to: [Option<Sender<BoundaryLane>>; 4],
-    from: [Option<Receiver<BoundaryLane>>; 4],
+    to: [Option<Sender<BoundaryLane>>; 2],
+    from: [Option<Receiver<BoundaryLane>>; 2],
 }
 
 /// How the coordinator loop ([`TrafficSim::coordinate`]) reaches the
@@ -319,7 +318,7 @@ impl<P: FabricProbe> Transport for Inline<'_, P> {
                 worker.plan_and_grant(cycle, &mut done);
                 debug_assert!(
                     worker.shard.take_outboxes().iter().all(Vec::is_empty),
-                    "the only tile has no neighbor to exchange with"
+                    "the only band has no neighbor to exchange with"
                 );
                 worker.finish_cycle(&mut done);
                 done
@@ -371,7 +370,7 @@ struct ShardWorker<'a, P: FabricProbe> {
     shard: Shard,
     probe: P,
     sources: Vec<SourceNode>,
-    router: Box<dyn HopRouter + 'a>,
+    router: EscapeHop<'a>,
     mesh: Mesh,
     /// Destinations are drawn from the current epoch's healthy nodes.
     sampler: DestSampler,
@@ -421,7 +420,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
     fn new(
         shard: Shard,
         sources: Vec<SourceNode>,
-        router: Box<dyn HopRouter + 'a>,
+        router: EscapeHop<'a>,
         base: &NetView,
         cfg: &'a SimConfig,
         ttl: u32,
@@ -504,7 +503,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
     }
 
     /// A worker thread's whole life: run each granted window back to
-    /// back — exchanging boundary messages with the neighbor tiles
+    /// back — exchanging boundary messages with the adjacent bands
     /// every cycle — and report it in one message, obey the other
     /// control messages, and hand the probe back on `Go::Finish` or as
     /// soon as a lane dies (the run is being torn down).
@@ -544,7 +543,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
     }
 
     /// The threaded boundary exchange of `cycle`: send every outbox to
-    /// its neighbor tile, then land what the neighbors sent. `false`
+    /// its adjacent band, then land what the neighbors sent. `false`
     /// when a neighbor lane is dead — that neighbor panicked or exited,
     /// so the caller returns cleanly instead of panicking into the
     /// teardown.
@@ -552,12 +551,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         let t = P::ACTIVE.then(Instant::now);
         let boxes = self.shard.take_outboxes();
         if P::ACTIVE {
-            // `-x`/`-y` count toward `prev`, `+x`/`+y` toward `next`
-            // (the row-band reading of the two counters).
-            self.probe.boundary_out(
-                (boxes[1].len() + boxes[3].len()) as u64,
-                (boxes[0].len() + boxes[2].len()) as u64,
-            );
+            self.probe.boundary_out(boxes[0].len() as u64, boxes[1].len() as u64);
         }
         for (d, msgs) in boxes.into_iter().enumerate() {
             match &lanes.to[d] {
@@ -666,11 +660,11 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
     fn allocate_and_age(&mut self, report: &mut StepReport, deliveries: &mut Vec<Delivery>) {
         #[cfg(test)]
         if self.use_reference {
-            self.shard.allocate_reference(&mut *self.router, report, deliveries);
+            self.shard.allocate_reference(&mut self.router, report, deliveries);
             self.shard.age_reference();
             return;
         }
-        self.shard.allocate_active(&mut *self.router, report, deliveries, &mut self.probe);
+        self.shard.allocate_active(&mut self.router, report, deliveries, &mut self.probe);
         self.shard.age_parked_heads(&mut self.probe);
     }
 
@@ -698,7 +692,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         if P::ACTIVE {
             self.probe.run_stopped(cycle, reason);
             if reason.is_wedged() {
-                self.shard.collect_wait_graph(&mut *self.router, &mut self.probe);
+                self.shard.collect_wait_graph(&mut self.router, &mut self.probe);
             }
         }
     }
@@ -1192,8 +1186,8 @@ pub struct RunOutput {
 }
 
 /// One traffic simulation: a sharded fabric over a fault configuration,
-/// driven by seeded injection processes, routed per hop by the policy's
-/// [`HopRouter`] over one compiled routing function.
+/// driven by seeded injection processes, routed per hop by an
+/// [`EscapeHop`] over one compiled routing function.
 ///
 /// The path table is borrowed so a **single-shard** run can reuse
 /// compiled routes across runs over the same network (route
@@ -1224,38 +1218,32 @@ pub struct TrafficSim<'p> {
     /// reference stepper instead of the event-driven one.
     #[cfg(test)]
     use_reference: bool,
+    /// Golden-equivalence hook: a window length to use instead of the
+    /// derived one.
+    #[cfg(test)]
+    window: Option<u64>,
     /// Fault-injection hook: `(shard, cycle)` at which that shard's
     /// worker panics (exercises the panic-safety path).
     #[cfg(test)]
     panic_at: Option<(usize, u64)>,
 }
 
-/// Builds the policy's hop router over a path table (shared between the
-/// driver's table and each worker shard's private table).
-fn build_hop_router<'p>(paths: &'p mut PathTable, cfg: &SimConfig) -> Box<dyn HopRouter + 'p> {
-    match cfg.policy {
-        RoutePolicy::Deterministic => Box::new(ReplayHop::new(paths)),
-        RoutePolicy::EscapeAdaptive { patience } => {
-            // escape_vcs == 1 reserves only the tree channel; the XY
-            // class needs a second reserved channel.
-            Box::new(EscapeHop::new(paths, patience, cfg.escape_vcs >= 2))
-        }
-    }
-}
-
 impl<'p> TrafficSim<'p> {
     /// Builds a simulation driving `paths`' routing function over
-    /// `paths`' network, per-hop, under `cfg.policy`, sharded into
-    /// `cfg.threads` tiles (see [`SimConfig::threads`]). `paths` is
-    /// reset to its initial snapshot first: a table reused across runs
-    /// still carries the epochs the previous run published, and this
-    /// run must start from epoch 0.
+    /// `paths`' network, per-hop, sharded into `cfg.threads` row bands
+    /// (see [`SimConfig::threads`]). `paths` is reset to its initial
+    /// snapshot first: a table reused across runs still carries the
+    /// epochs the previous run published, and this run must start from
+    /// epoch 0.
     ///
     /// # Panics
-    /// Panics when [`SimConfig::validate`] does or a Markov injection
+    /// Panics with the [`ConfigError`](crate::ConfigError)'s message when
+    /// [`SimConfig::validate`] rejects `cfg`, or when a Markov injection
     /// probability is outside `(0, 1]`.
     pub fn new(paths: &'p mut PathTable, cfg: SimConfig) -> Self {
-        cfg.validate();
+        if let Err(why) = cfg.validate() {
+            panic!("{why}");
+        }
         // Validates the Markov parameters (duty_cycle panics on a chain
         // that cannot leave a state).
         let duty = cfg.injection.duty_cycle();
@@ -1287,14 +1275,7 @@ impl<'p> TrafficSim<'p> {
                 SourceNode { id, coord: c, rng, queue: VecDeque::new(), on, active }
             })
             .collect();
-        // Arrange the resolved worker count as a tile grid:
-        // `tile_cols` columns (clamped to the thread count and mesh
-        // width) by `threads / cols` rows. `tile_cols == 1` is the
-        // classic row-band partition; the shard count is `cols * rows
-        // <= threads` (`new_tiled` further clamps to the mesh dims).
-        let cols = cfg.tile_cols.max(1).min(threads).min(mesh.width() as usize);
-        let rows = (threads / cols).max(1);
-        let fabric = Fabric::new_tiled(mesh, cfg.vcs, cfg.vc_depth, cfg.escape_vcs, cols, rows);
+        let fabric = Fabric::new_sharded(mesh, cfg.vcs, cfg.vc_depth, cfg.escape_vcs, threads);
         // TTL default: E-cube's escape walk is the only route source
         // whose length is effectively unbounded; every other router is
         // within a small factor of shortest, and escape VCs now bound
@@ -1316,6 +1297,8 @@ impl<'p> TrafficSim<'p> {
             workload: None,
             #[cfg(test)]
             use_reference: false,
+            #[cfg(test)]
+            window: None,
             #[cfg(test)]
             panic_at: None,
         }
@@ -1360,6 +1343,14 @@ impl<'p> TrafficSim<'p> {
     #[cfg(test)]
     pub(crate) fn set_reference_stepper(&mut self) {
         self.use_reference = true;
+    }
+
+    /// Golden-equivalence hook: grant windows of this many cycles
+    /// (still clamped to `[1, MAX_WINDOW]`) instead of the derived
+    /// length (`None`). Results must not depend on it.
+    #[cfg(test)]
+    pub(crate) fn set_window(&mut self, cycles: Option<u64>) {
+        self.window = cycles;
     }
 
     /// Fault-injection hook: make `shard`'s worker panic at the start
@@ -1425,7 +1416,7 @@ impl<'p> TrafficSim<'p> {
         let worker = ShardWorker::new(
             shard,
             self.sources,
-            build_hop_router(self.paths, &self.cfg),
+            EscapeHop::new(self.paths, self.cfg.patience, self.cfg.escape_vcs),
             &self.base,
             &self.cfg,
             self.ttl,
@@ -1473,23 +1464,8 @@ impl<'p> TrafficSim<'p> {
         Ok(run)
     }
 
-    /// Splits the row-major source list into one bucket per shard
-    /// tile (setup-only `O(nodes * shards)` scan; buckets keep the
-    /// row-major order within each tile).
-    fn partition_sources(sources: Vec<SourceNode>, shards: &[Shard]) -> Vec<Vec<SourceNode>> {
-        let mut buckets: Vec<Vec<SourceNode>> = shards.iter().map(|_| Vec::new()).collect();
-        for s in sources {
-            let t = shards
-                .iter()
-                .position(|sh| sh.contains_node(s.id.index()))
-                .expect("tiles partition the mesh");
-            buckets[t].push(s);
-        }
-        buckets
-    }
-
     /// The threaded transport around [`TrafficSim::coordinate`]: one
-    /// scoped worker thread per tile shard ([`ShardWorker::serve`]),
+    /// scoped worker thread per band shard ([`ShardWorker::serve`]),
     /// each over a private path table, with the coordinator on this
     /// thread.
     fn run_threaded<P, F>(
@@ -1508,22 +1484,17 @@ impl<'p> TrafficSim<'p> {
         let (use_reference, panic_at) = (self.use_reference, self.panic_at);
         let n = shards.len();
         assert!(n < (1 << (32 - ID_SHARD_SHIFT)), "shard count exceeds the packet-id namespace");
-        // One window length for the whole run: the configured lease, or
-        // the smallest tile edge — the soonest one tile's effect can
-        // cross a neighbor.
-        let edge = |s: &Shard| s.tile_dims().0.min(s.tile_dims().1) as u64;
-        let window = match self.cfg.lease {
-            0 => shards.iter().map(edge).min().expect("at least two shards"),
-            lease => lease,
-        }
-        .clamp(1, MAX_WINDOW);
+        // One window length for the whole run: the shortest side of any
+        // band.
+        let window =
+            shards.iter().map(|s| s.short_edge() as u64).min().expect("at least two shards");
+        #[cfg(test)]
+        let window = self.window.unwrap_or(window);
+        let window = window.clamp(1, MAX_WINDOW);
         let (cfg, ttl, kind, base) = (&self.cfg, self.ttl, self.kind, &self.base);
 
-        // One `Go` lane per worker, one shared report lane back, and
-        // the tile adjacency graph as boundary lanes: one per (shard,
-        // direction with a neighbor), whose receiver sits at the
-        // neighbor's opposite port (`Dir` pairs +x/-x and +y/-y:
-        // xor 1).
+        // One `Go` lane per worker, one shared report lane back, and a
+        // boundary lane each way between every two adjacent bands.
         let (done_tx, done_rx) = mpsc::channel();
         let mut go_tx = Vec::with_capacity(n);
         let mut lanes: Vec<WorkerLanes> = (0..n)
@@ -1540,16 +1511,18 @@ impl<'p> TrafficSim<'p> {
             .collect();
         // Only live workers hold a `done` sender from here on.
         drop(done_tx);
-        for (i, shard) in shards.iter().enumerate() {
-            for (d, j) in shard.neighbors().into_iter().enumerate() {
-                if let Some(j) = j {
-                    let (tx, rx) = mpsc::channel();
-                    lanes[i].to[d] = Some(tx);
-                    lanes[j].from[d ^ 1] = Some(rx);
-                }
-            }
+        for after in 1..n {
+            let (down, from_before) = mpsc::channel();
+            let (up, from_after) = mpsc::channel();
+            lanes[after - 1].to[1] = Some(down);
+            lanes[after].from[0] = Some(from_before);
+            lanes[after].to[0] = Some(up);
+            lanes[after - 1].from[1] = Some(from_after);
         }
-        let buckets = Self::partition_sources(self.sources, &shards);
+        // Sources are listed by node id and a band is a run of ids.
+        let mut sources = self.sources.into_iter();
+        let buckets: Vec<Vec<SourceNode>> =
+            shards.iter().map(|s| sources.by_ref().take(s.node_range().len()).collect()).collect();
 
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
@@ -1565,7 +1538,7 @@ impl<'p> TrafficSim<'p> {
                     let report_tx = lanes.done.clone();
                     let caught = catch_unwind(AssertUnwindSafe(move || {
                         let mut paths = PathTable::new(base, kind);
-                        let router = build_hop_router(&mut paths, cfg);
+                        let router = EscapeHop::new(&mut paths, cfg.patience, cfg.escape_vcs);
                         let worker = ShardWorker::new(
                             shard, sources, router, base, cfg, ttl, w, workload, probe,
                         );
@@ -1632,8 +1605,7 @@ pub fn run_traffic(net: &NetView, kind: RoutingKind, cfg: &SimConfig) -> Traffic
 /// At zero load this is exactly
 /// `route_hops + PIPELINE_DEPTH + (len - 1)`, which the integration
 /// tests pin against the BFS oracle. (An idle fabric never blocks a
-/// head, so the escape class is irrelevant here and the probe runs the
-/// deterministic replay router.)
+/// head, so the probe fabric reserves no escape channel.)
 pub fn single_packet_latency(
     net: &NetView,
     kind: RoutingKind,
@@ -1644,7 +1616,7 @@ pub fn single_packet_latency(
     assert!(len >= 1, "a packet has at least one flit");
     let mesh = *net.mesh();
     let mut paths = PathTable::new(net, kind);
-    let mut probe = ReplayHop::new(&mut paths);
+    let mut probe = EscapeHop::new(&mut paths, 0, 0);
     probe.admit(s, d)?;
     // Probe fabric: the VC/depth pair is shared with the injection
     // check below — the injector must not stage past the buffer depth.
@@ -1689,7 +1661,20 @@ mod tests {
         cfg: &SimConfig,
         obs: &mut dyn WindowObserver,
     ) -> RunOutput {
-        TrafficSim::new(paths, cfg.clone()).try_run_full(obs).expect("no worker panicked")
+        run_windowed(paths, cfg, None, obs)
+    }
+
+    /// [`run_reusing`] with windows of `window` cycles (`None`: the
+    /// derived length).
+    fn run_windowed(
+        paths: &mut PathTable,
+        cfg: &SimConfig,
+        window: Option<u64>,
+        obs: &mut dyn WindowObserver,
+    ) -> RunOutput {
+        let mut sim = TrafficSim::new(paths, cfg.clone());
+        sim.set_window(window);
+        sim.try_run_full(obs).expect("no worker panicked")
     }
 
     /// [`run_reusing`] with live churn sources attached.
@@ -1764,36 +1749,35 @@ mod tests {
     }
 
     #[test]
-    fn lease_windows_cut_coordinator_barriers_by_the_lease_factor() {
-        // The point of the free-running lease: the per-shard barrier
-        // count (one per granted lease, recorded by the obs probe) must
-        // shrink by at least the lease factor relative to lockstep —
-        // while the statistics stay bit-identical.
+    fn longer_windows_cut_coordinator_barriers_by_their_length() {
+        // The point of the window: the per-shard barrier count (one per
+        // granted window, recorded by the obs probe) must shrink by at
+        // least the window length relative to lockstep — while the
+        // statistics stay bit-identical.
         let net = fault_free(12);
-        let base = SimConfig {
+        let cfg = SimConfig {
             rate: 0.01,
             threads: 2,
             obs: crate::ObsLevel::Metrics,
             ..SimConfig::smoke()
         };
-        let barriers = |lease: u64| -> (TrafficStats, u64) {
+        let barriers = |window: u64| -> (TrafficStats, u64) {
             let mut paths = PathTable::new(&net, RoutingKind::Xy);
-            let cfg = SimConfig { lease, ..base.clone() };
-            let out = run_reusing(&mut paths, &cfg, &mut ());
+            let out = run_windowed(&mut paths, &cfg, Some(window), &mut ());
             let report = out.obs.expect("metrics recording was on");
             (out.stats, report.shards.iter().map(|s| s.barriers).sum())
         };
         let (lockstep_stats, lockstep_barriers) = barriers(1);
-        let (leased_stats, leased_barriers) = barriers(8);
-        assert_eq!(leased_stats, lockstep_stats, "lease windows must not change results");
-        assert!(lockstep_barriers > 0 && leased_barriers > 0);
-        // Fence windows at churn-quantum boundaries and the drain tail
-        // are clamped short, so the realized factor lands a hair under
-        // the nominal lease; 7x of a nominal 8 is the honest floor.
+        let (windowed_stats, windowed_barriers) = barriers(8);
+        assert_eq!(windowed_stats, lockstep_stats, "the window must not change results");
+        assert!(lockstep_barriers > 0 && windowed_barriers > 0);
+        // Windows at churn-quantum boundaries and the drain tail are cut
+        // short, so the realized factor lands a hair under the nominal
+        // 8; 7x is the honest floor.
         assert!(
-            lockstep_barriers >= 7 * leased_barriers,
-            "lease 8 must amortize ~8x fewer barriers: lockstep {lockstep_barriers}, \
-             leased {leased_barriers}"
+            lockstep_barriers >= 7 * windowed_barriers,
+            "window 8 must amortize ~8x fewer barriers: lockstep {lockstep_barriers}, \
+             windowed {windowed_barriers}"
         );
     }
 
@@ -1812,50 +1796,36 @@ mod tests {
     }
 
     #[test]
-    fn an_absurd_lease_is_capped_not_obeyed() {
-        // Uncapped, every worker would try to allocate (and simulate)
-        // a window of u64::MAX cycles before its first report.
-        let net = fault_free(12);
-        let cfg = SimConfig { rate: 0.02, threads: 2, lease: 1, ..SimConfig::smoke() };
-        let window_1 = run_traffic(&net, RoutingKind::Rb2, &cfg);
-        let mut paths = PathTable::new(&net, RoutingKind::Rb2);
-        let capped = TrafficSim::new(&mut paths, SimConfig { lease: u64::MAX, ..cfg })
-            .try_run_full(&mut ())
-            .map(|out| out.stats);
-        assert_eq!(capped, Ok(window_1));
-    }
-
-    #[test]
     fn the_observer_visible_sequence_is_window_and_shard_invariant() {
         use crate::config::ChurnEvent;
         let net = fault_free(12);
         // The failure at cycle 64 lands exactly on a window edge of
-        // leases 1, 8 and 64, and the stop after cycle 149 falls inside
-        // a window of every length but 1 (8: 144..152, 64: 128..192,
-        // the auto edges 6 and 3: 148..154 and 148..151), whose tail is
-        // discarded.
+        // lengths 1, 8 and 64, and the stop after cycle 149 falls
+        // inside a window of every length but 1 (8: 144..152, 64:
+        // 128..192, the derived edges 6 and 3: 148..154 and 148..151),
+        // whose tail is discarded.
         let base = SimConfig {
             rate: 0.03,
             stats_window: 50,
             fault_churn: vec![ChurnEvent::fail(64, Coord::new(5, 5))],
             ..SimConfig::smoke()
         };
-        let observe = |lease: u64, threads: usize| {
+        let observe = |window: Option<u64>, threads: usize| {
             let mut paths = PathTable::new(&net, RoutingKind::Rb2);
             let mut obs = StopAt(Vec::new(), 150);
-            let cfg = SimConfig { lease, threads, ..base.clone() };
-            let stats = run_reusing(&mut paths, &cfg, &mut obs).stats;
+            let cfg = SimConfig { threads, ..base.clone() };
+            let stats = run_windowed(&mut paths, &cfg, window, &mut obs).stats;
             (obs.0, stats)
         };
-        let (samples, stats) = observe(1, 1);
+        let (samples, stats) = observe(Some(1), 1);
         assert_eq!(samples.len(), 3);
         assert!(samples[2].in_flight > 0, "the stop must cut a busy run short");
         assert_eq!(stats.cycles, 150);
         assert_eq!(stats.online_events, base.fault_churn);
-        for lease in [1, 8, 64, 0] {
+        for window in [Some(1), Some(8), Some(64), None] {
             for threads in [1, 2, 4] {
-                let seen = observe(lease, threads);
-                assert_eq!(seen, (samples.clone(), stats.clone()), "lease {lease} x {threads}");
+                let seen = observe(window, threads);
+                assert_eq!(seen, (samples.clone(), stats.clone()), "{window:?} x {threads}");
             }
         }
     }
@@ -1880,11 +1850,14 @@ mod tests {
             }
         }
         let net = fault_free(12);
-        for (threads, lease) in [(1, 0), (2, 8), (3, u64::MAX), (4, 0)] {
-            let cfg =
-                SimConfig { rate: 0.03, stats_window: 50, threads, lease, ..SimConfig::smoke() };
+        // (`u64::MAX`: an absurd window is capped, not obeyed — uncapped,
+        // every worker would try to run it out before its first report.)
+        for (threads, window) in [(1, None), (2, Some(8)), (3, Some(u64::MAX)), (4, None)] {
+            let cfg = SimConfig { rate: 0.03, stats_window: 50, threads, ..SimConfig::smoke() };
             let mut paths = PathTable::new(&net, RoutingKind::Rb2);
-            let (out, probes) = TrafficSim::new(&mut paths, cfg.clone())
+            let mut sim = TrafficSim::new(&mut paths, cfg.clone());
+            sim.set_window(window);
+            let (out, probes) = sim
                 .run(&mut StopAt(Vec::new(), 150), |_, _| Windows::default())
                 .expect("no worker panicked");
             assert_eq!(probes.len(), threads);
@@ -1893,7 +1866,7 @@ mod tests {
             assert!((150..150 + MAX_WINDOW).contains(&probes[0].cycles), "{probes:?}");
             // The same invariant as the metrics report shows it.
             let cfg = SimConfig { obs: ObsLevel::Metrics, ..cfg };
-            let out = run_reusing(&mut paths, &cfg, &mut StopAt(Vec::new(), 150));
+            let out = run_windowed(&mut paths, &cfg, window, &mut StopAt(Vec::new(), 150));
             let report = out.obs.expect("metrics recording was on");
             assert_eq!(report.stopped_at, out.stats.cycles);
             assert!(report.shards.iter().all(|s| s.barriers == probes[0].barriers));
@@ -2020,14 +1993,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "EscapeAdaptive policy needs a reserved escape channel")]
-    fn escape_policy_requires_a_reserved_channel() {
+    #[should_panic(expected = "escape_vcs = 4 must leave at least one adaptive channel of vcs = 4")]
+    fn a_rejected_config_panics_with_the_typed_errors_message() {
         let net = fault_free(4);
-        let cfg = SimConfig {
-            escape_vcs: 0,
-            policy: RoutePolicy::EscapeAdaptive { patience: 4 },
-            ..SimConfig::smoke()
-        };
+        let cfg = SimConfig { escape_vcs: 4, ..SimConfig::smoke() };
         let mut paths = PathTable::new(&net, RoutingKind::Xy);
         let _ = TrafficSim::new(&mut paths, cfg);
     }

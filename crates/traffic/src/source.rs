@@ -18,10 +18,10 @@
 //! in cycle order, strictly after every delivery of the previous cycle
 //! has been fed back — the same replay discipline the online-churn
 //! driver uses. Released messages are broadcast to the shard workers
-//! before the lease covering their injection cycle is granted, so a
-//! workload run is bit-identical at every shard count, tile shape and
-//! lease length (the sharded transport clamps leases to one cycle while
-//! a workload is attached; see `SimConfig::lease`). Within one cycle
+//! before the window covering their injection cycle is granted, so a
+//! workload run is bit-identical at every shard count (the coordinator
+//! cuts windows to one cycle while a workload is attached; see
+//! [`crate::sim`]). Within one cycle
 //! the delivery feedback arrives in shard-merge order, which thread
 //! scheduling may permute — so a source's bookkeeping must be
 //! order-insensitive over same-cycle events (readiness sets and counts

@@ -8,9 +8,8 @@
 //!   and re-recording the replay reproduces the trace itself.
 //! * **DAG determinism** — a flow-DAG run (stats, per-flow completion
 //!   cycles, critical path — the whole `WorkloadOutcome`) is
-//!   bit-identical at 1/2/4 shards and across tile shapes, even though
-//!   the DAG scheduler's delivery feedback crosses the coordinator
-//!   boundary every cycle.
+//!   bit-identical at 1/2/4 shards, even though the DAG scheduler's
+//!   delivery feedback crosses the coordinator boundary every cycle.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -114,12 +113,7 @@ proptest! {
         let horizon = cfg.warmup + cfg.measure;
 
         for threads in [1usize, 2, 4] {
-            let replay_cfg = SimConfig {
-                threads,
-                tile_cols: if threads == 4 { 2 } else { 1 },
-                record_trace: false,
-                ..cfg.clone()
-            };
+            let replay_cfg = SimConfig { threads, record_trace: false, ..cfg.clone() };
             let spec = WorkloadSpec::Trace { entries: trace.clone(), horizon };
             let replayed = run_sim(&net, RoutingKind::Rb2, &replay_cfg, Some(spec.build(&net)));
             prop_assert_eq!(
@@ -150,7 +144,7 @@ proptest! {
     }
 
     /// Tentpole acceptance: a DAG run is deterministic at every shard
-    /// count and tile shape — stats AND the whole `WorkloadOutcome`
+    /// count — stats AND the whole `WorkloadOutcome`
     /// (per-flow completion cycles, critical path, abort ledger).
     #[test]
     fn dag_runs_are_bit_identical_across_shard_counts(
@@ -174,8 +168,8 @@ proptest! {
             spec.flows.len()
         );
 
-        for (threads, tile_cols, lease) in [(2usize, 1usize, 1u64), (4, 2, 4), (4, 1, 8)] {
-            let sharded_cfg = SimConfig { threads, tile_cols, lease, ..cfg.clone() };
+        for threads in [2usize, 4] {
+            let sharded_cfg = SimConfig { threads, ..cfg.clone() };
             let sharded = run_sim(
                 &net,
                 RoutingKind::Rb2,
@@ -183,9 +177,9 @@ proptest! {
                 Some(Box::new(FlowDag::new(spec.clone()).expect("layered DAG is valid"))),
             );
             prop_assert_eq!(&sharded.stats, &reference.stats,
-                "stats diverged at threads={} tile_cols={} lease={}", threads, tile_cols, lease);
+                "stats diverged at threads={}", threads);
             prop_assert_eq!(sharded.workload.as_ref().expect("workload run"), ref_outcome,
-                "outcome diverged at threads={} tile_cols={} lease={}", threads, tile_cols, lease);
+                "outcome diverged at threads={}", threads);
         }
     }
 }
