@@ -24,7 +24,7 @@
 //! latency-vs-load and accepted-throughput curves the NoC literature
 //! evaluates routing functions with (`traffic_sweep` binary).
 //!
-//! Methodology notes (also in DESIGN.md): endpoints are drawn uniformly
+//! Methodology notes: endpoints are drawn uniformly
 //! among nodes that are healthy *and* safe for the pair's orientation,
 //! and a pair is kept when the source can reach the destination (the
 //! paper's "we assume that the source has the path to the destination";

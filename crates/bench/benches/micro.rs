@@ -1,15 +1,13 @@
-//! Microbenchmarks of the hot primitives: labeling fixpoint, distributed
-//! labeling protocol, boundary walks, one orientation of a 512x512 B2
-//! build, oracle BFS, network build (40x40 and the 64x64/204-fault
-//! service class, with its walks and its B2 model apart), the
-//! three costs of a cold RB2 plan (feasible, blocked, fallback flood), the
+//! Microbenchmarks of the hot primitives: labeling fixpoint, boundary
+//! walks, one orientation of a 512x512 B2 build, oracle BFS, network
+//! build (40x40 and the 64x64/204-fault service class, with its walks
+//! and its B2 model apart), the three costs of a cold RB2 plan (feasible, blocked, fallback flood), the
 //! two of an Algorithm-2 phase (re-keying the critical set, one decision
 //! on it), and the whole cold route (direct pairs, blocked pairs, 1024
 //! hops of the phase loop). CI runs this bench in `--test` smoke mode so
 //! it cannot rot.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use meshpath::fault::distributed::run_distributed;
 use meshpath::fault::{BorderPolicy, Labeling, MccSet};
 use meshpath::info::{BoundarySet, ModelKind};
 use meshpath::prelude::*;
@@ -59,13 +57,6 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let lab = Labeling::compute(black_box(&fs), Orientation::IDENTITY, BorderPolicy::Open);
             black_box(lab.unsafe_count())
-        })
-    });
-
-    c.bench_function("distributed_labeling_40x40_240f", |b| {
-        b.iter(|| {
-            let d = run_distributed(black_box(&fs), Orientation::IDENTITY, BorderPolicy::Open);
-            black_box(d.stats.messages)
         })
     });
 

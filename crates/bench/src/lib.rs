@@ -1,10 +1,6 @@
-//! Shared fixtures for the Criterion benchmarks.
-//!
-//! Every `fig5*` bench exercises the exact pipeline that regenerates the
-//! corresponding figure of the paper (at a reduced scale, so `cargo
-//! bench` finishes in minutes); the `micro` bench isolates the hot
-//! primitives and `ablation` compares design variants called out in
-//! DESIGN.md.
+//! Shared fixtures for the Criterion benchmarks (`micro`, `fabric_step`,
+//! `route_query`, `traffic`). The Fig. 5 pipelines are the `fig5*` bins
+//! of `meshpath-analysis`.
 
 use meshpath::prelude::*;
 use rand::rngs::StdRng;

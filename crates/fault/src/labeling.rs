@@ -10,21 +10,21 @@
 //! (e.g. the center of a plus-shaped fault). Which label such a node gets
 //! would then depend on evaluation order — and the choice changes what
 //! propagates, because useless feeds only the `+X/+Y` rule and can't-reach
-//! only the `-X/-Y` rule. To keep the fixpoint order-independent (and the
-//! distributed protocol convergent to the same answer), this implementation
-//! computes the two predicates *independently* as least fixpoints; a node
-//! may carry both flags. [`NodeStatus`] reports `Useless` for dual-flagged
-//! nodes; the exact predicates are exposed via [`Labeling::is_useless`] and
-//! [`Labeling::is_cant_reach`].
+//! only the `-X/-Y` rule. To keep the fixpoint order-independent (so a
+//! delta-seeded worklist and a whole-mesh sweep reach the same answer),
+//! this implementation computes the two predicates *independently* as
+//! least fixpoints; a node may carry both flags. [`NodeStatus`] reports
+//! `Useless` for dual-flagged nodes; the exact predicates are exposed via
+//! [`Labeling::is_useless`] and [`Labeling::is_cant_reach`].
 
 use serde::{Deserialize, Serialize};
 
 use meshpath_mesh::{Coord, Dir, FaultSet, Grid, Mesh, Orientation};
 
 /// Bit flags of the labeling predicates.
-pub(crate) const FAULTY: u8 = 1;
-pub(crate) const USELESS: u8 = 2;
-pub(crate) const CANT_REACH: u8 = 4;
+const FAULTY: u8 = 1;
+const USELESS: u8 = 2;
+const CANT_REACH: u8 = 4;
 
 /// Status of a node under the MCC labeling.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -55,7 +55,7 @@ impl NodeStatus {
         matches!(self, NodeStatus::Safe)
     }
 
-    pub(crate) fn from_mask(mask: u8) -> NodeStatus {
+    fn from_mask(mask: u8) -> NodeStatus {
         if mask & FAULTY != 0 {
             NodeStatus::Faulty
         } else if mask & USELESS != 0 {
@@ -382,7 +382,9 @@ fn run_fixpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meshpath_mesh::FaultSet;
+    use meshpath_mesh::{FaultInjection, FaultSet};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn label(mesh: Mesh, faults: &[(i32, i32)]) -> Labeling {
         let fs = FaultSet::from_coords(mesh, faults.iter().map(|&(x, y)| Coord::new(x, y)));
@@ -625,27 +627,73 @@ mod tests {
         );
     }
 
+    /// The labeling rules applied to every cell at once, in synchronous
+    /// rounds over the previous round's masks, until no mask changes: the
+    /// least fixpoint with no seed and no evaluation order to get wrong.
+    fn whole_mesh_reference(fs: &FaultSet, o: Orientation, border: BorderPolicy) -> Grid<u8> {
+        let mesh = *fs.mesh();
+        let mut mask = Grid::from_fn(mesh, |oc| u8::from(fs.is_faulty(o.apply(&mesh, oc))));
+        loop {
+            let blocked = |c: Coord, bit: u8| match mask.get(c) {
+                Some(&m) => m & (FAULTY | bit) != 0,
+                None => border == BorderPolicy::Blocking,
+            };
+            let next = Grid::from_fn(mesh, |u| {
+                let m = mask[u];
+                if m & FAULTY != 0 {
+                    return m;
+                }
+                let useless =
+                    blocked(u.step(Dir::PlusX), USELESS) && blocked(u.step(Dir::PlusY), USELESS);
+                let cant_reach = blocked(u.step(Dir::MinusX), CANT_REACH)
+                    && blocked(u.step(Dir::MinusY), CANT_REACH);
+                m | if useless { USELESS } else { 0 } | if cant_reach { CANT_REACH } else { 0 }
+            });
+            if mesh.iter().all(|c| next[c] == mask[c]) {
+                return mask;
+            }
+            mask = next;
+        }
+    }
+
     #[test]
-    fn fixpoint_is_stable_under_recheck() {
-        // Re-applying the rules at the fixpoint must change nothing.
-        let l = label(Mesh::square(16), &[(3, 5), (4, 4), (5, 3), (10, 10), (11, 9), (2, 12)]);
-        for oc in l.mesh().iter() {
-            if l.status(oc) == NodeStatus::Safe {
-                let plus_blocked = |c: Coord| {
-                    l.mesh().contains(c) && (l.status(c) == NodeStatus::Faulty || l.is_useless(c))
-                };
-                let minus_blocked = |c: Coord| {
-                    l.mesh().contains(c)
-                        && (l.status(c) == NodeStatus::Faulty || l.is_cant_reach(c))
-                };
-                assert!(
-                    !(plus_blocked(oc.step(Dir::PlusX)) && plus_blocked(oc.step(Dir::PlusY))),
-                    "safe node {oc:?} should be useless"
-                );
-                assert!(
-                    !(minus_blocked(oc.step(Dir::MinusX)) && minus_blocked(oc.step(Dir::MinusY))),
-                    "safe node {oc:?} should be can't-reach"
-                );
+    fn compute_equals_the_whole_mesh_reference() {
+        let from = |n: u32, coords: &[(i32, i32)]| {
+            FaultSet::from_coords(Mesh::square(n), coords.iter().map(|&(x, y)| Coord::new(x, y)))
+        };
+        let mut inputs = vec![
+            from(12, &[]),
+            from(12, &[(5, 5)]),
+            from(12, &[(2, 3), (3, 2)]),
+            from(12, &[(2, 4), (3, 3), (4, 2), (8, 8), (8, 9), (9, 8)]),
+            from(12, &[(4, 5), (4, 3), (3, 4), (5, 4)]), // plus shape: dual label
+            from(16, &[(3, 5), (4, 4), (5, 3), (10, 10), (11, 9), (2, 12)]),
+        ];
+        let mut rng = StdRng::seed_from_u64(1234);
+        for trial in 0..10 {
+            inputs.push(FaultSet::random(
+                Mesh::square(20),
+                30 + 10 * trial,
+                FaultInjection::Uniform,
+                &mut rng,
+            ));
+        }
+        for fs in &inputs {
+            for o in Orientation::ALL {
+                for border in [BorderPolicy::Open, BorderPolicy::Blocking] {
+                    let lab = Labeling::compute(fs, o, border);
+                    let reference = whole_mesh_reference(fs, o, border);
+                    for oc in fs.mesh().iter() {
+                        assert_eq!(
+                            lab.raw_mask(oc),
+                            reference[oc],
+                            "{oc:?} under {o:?}, {border:?}, faults {:?}",
+                            fs.iter().collect::<Vec<_>>()
+                        );
+                    }
+                    let unsafe_cells = fs.mesh().iter().filter(|&oc| reference[oc] != 0).count();
+                    assert_eq!(lab.unsafe_count(), unsafe_cells);
+                }
             }
         }
     }

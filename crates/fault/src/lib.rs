@@ -22,6 +22,9 @@
 //!
 //! * [`NodeStatus`] / [`Labeling`] — the fixpoint labeling, computed per
 //!   [`Orientation`] (the paper's WLOG destination-NE-of-source frame).
+//!   Section 2's "only those affected nodes update their status" is
+//!   [`Labeling::with_fault_added`] / [`Labeling::with_fault_removed`]:
+//!   a worklist seeded at the changed fault (or its old component).
 //! * [`Mcc`] / [`MccSet`] — extraction of the components, their
 //!   rising-staircase shape, and the initialization/opposite corners the
 //!   routing algorithms pivot around.
@@ -33,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod blocks;
-pub mod distributed;
 pub mod labeling;
 pub mod mcc;
 pub mod stats;

@@ -217,7 +217,7 @@ impl BoundarySet {
             // first hit — Eq. 1 requires `x_c <= x_{c'_v}` for chain
             // overlap — so we read it as the corner comparison
             // `x_c > x_v`; the chain builder re-validates the full Eq. 1
-            // conditions at routing time. See DESIGN.md §3.)
+            // conditions at routing time.)
             if let Some(&(v, _)) = b.west_y.hits.first() {
                 if mcc.corner().x > set.get(v).corner().x {
                     succ_candidates_y[v.index()].push(mcc.id());

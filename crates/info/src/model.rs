@@ -432,7 +432,7 @@ impl RegionFill {
     /// band), the east limit the eastmost `+X` polyline node. Rows not
     /// covered by a polyline (early-terminated walks around
     /// border-touching clusters) are skipped — a conservative
-    /// under-approximation noted in DESIGN.md §3.
+    /// under-approximation: nodes of those rows just do not store `mcc`.
     fn funnel_y(&mut self, mcc: &Mcc, west: &Walk, east: &Walk) {
         let yc = mcc.corner().y;
         let yct = mcc.opposite().y.min(self.height - 1);

@@ -13,8 +13,8 @@
 //! it robust to obstacle clusters that the shape-based contour of a single
 //! MCC would not describe (e.g. diagonally touching components). Where
 //! such clusters force a different detour than the idealized per-MCC
-//! contour, the walk stays conservative (hugging the union), a deviation
-//! documented in DESIGN.md §3.
+//! contour, the walk stays conservative: it hugs the union and, like
+//! every walk, steps on safe nodes only.
 //!
 //! **What a step costs.** A walk that re-enters a `(node, heading, mode)`
 //! state is a closed loop and stops. The test is one byte per node — bit

@@ -17,15 +17,14 @@
 //!
 //! * the MCC labeling (`useless` / `can't-reach` fixpoint) and the
 //!   rising-staircase component geometry ([`fault`]), with
-//!   **incremental** per-fault updates;
+//!   **incremental** per-fault updates that relabel only the affected
+//!   nodes, as Section 2's distributed procedure does;
 //! * the three fault-information models — B1 boundary lines, B2 forbidden
 //!   region broadcast, B3 boundaries + relation records ([`info`]);
 //! * the routings RB1 / RB2 / RB3 plus the classic fault-tolerant E-cube
 //!   baseline, all phrased as one per-hop
 //!   [`Router`](prelude::Router) trait over immutable
 //!   [`NetView`](prelude::NetView) snapshots ([`route`]);
-//! * a deterministic message-passing simulator for the distributed
-//!   protocols ([`sim`]);
 //! * the full Fig. 5 experiment harness ([`analysis`]);
 //! * a flit-level wormhole traffic simulator evaluating the routers as
 //!   NoC routing functions under load — including mid-run fault
@@ -133,7 +132,6 @@
 //! | module | re-export of | contents |
 //! |--------|--------------|----------|
 //! | [`mesh`] | `meshpath-mesh` | coordinates, grids, fault sets, connectivity |
-//! | [`sim`] | `meshpath-sim` | discrete-event message-passing kernel |
 //! | [`fault`] | `meshpath-fault` | MCC labeling (incremental), components, fault blocks |
 //! | [`info`] | `meshpath-info` | B1/B2/B3 information models, boundary walks |
 //! | [`route`] | `meshpath-route` | `NetView`/`NetState` snapshots, the per-hop `Router` trait, RB1/RB2/RB3, E-cube, XY, oracles |
@@ -165,7 +163,6 @@ pub use meshpath_info as info;
 pub use meshpath_mesh as mesh;
 pub use meshpath_obs as obs;
 pub use meshpath_route as route;
-pub use meshpath_sim as sim;
 pub use meshpath_traffic as traffic;
 pub use meshpath_workload as workload;
 

@@ -8,12 +8,13 @@
 //! 2. for each triple `(F, R(F), R'(F))` known at `u`, exclude a candidate
 //!    whose step would enter the forbidden region `R(F)` while
 //!    `t ∈ R'(F)` — with `R(F)` the union of the shadows of every MCC
-//!    merged into `F`'s region (boundary-hit closure) and `R'(F)` the
-//!    critical region of `F` itself (see DESIGN.md §3);
+//!    merged into `F`'s region (the paper merges `R(v)` into `R(c)` when
+//!    `c`'s boundary hits `v`) and `R'(F)` the critical region of `F`
+//!    itself;
 //! 3. pick any remaining direction with a fully adaptive policy.
 //!
 //! Neighbor *safety* (not just non-faultiness) is local knowledge: the
-//! distributed labeling protocol works by neighbor status exchange, so
+//! paper's labeling protocol works by neighbor status exchange, so
 //! every node knows the converged status of its four neighbors.
 //!
 //! ## What a decision reads

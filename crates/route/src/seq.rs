@@ -116,19 +116,12 @@ pub struct Planner<'a> {
     net: &'a Network,
     kind: ModelKind,
     scope: KnowledgeScope,
-    strict: bool,
 }
 
 impl<'a> Planner<'a> {
     /// Creates a planner over `net` using the `kind` information model.
     pub fn new(net: &'a Network, kind: ModelKind, scope: KnowledgeScope) -> Self {
-        Planner { net, kind, scope, strict: false }
-    }
-
-    /// A planner restricted to the paper's literal Eq.-3 pivot options
-    /// (no hybrid fallback refinement) — the ablation configuration.
-    pub fn new_strict(net: &'a Network, kind: ModelKind, scope: KnowledgeScope) -> Self {
-        Planner { net, kind, scope, strict: true }
+        Planner { net, kind, scope }
     }
 
     /// True when `anchor` (real coordinates) holds `f`'s triple in the
@@ -148,7 +141,7 @@ impl<'a> Planner<'a> {
     /// of known MCCs). This is the exact feasibility test: the Eq.-1
     /// chain conditions alone over-approximate blockage in marginal
     /// geometries (two chained MCCs with `xc_{i+1} = xc'_i` leave a
-    /// one-column gap a monotone path can thread; see DESIGN.md §3).
+    /// one-column gap a monotone path can thread).
     ///
     /// Two row fills over the MCC row words (see [`crate::monotone`]):
     /// first with every MCC cell blocking — a superset of what any anchor
@@ -392,8 +385,8 @@ impl<'a> Planner<'a> {
     /// or can't-reach nodes when the blocking geometry degenerates (e.g.
     /// an MCC whose initialization corner is itself faulty) — a case
     /// Theorem 1's safe-nodes-suffice argument overlooks near corners and
-    /// borders; see DESIGN.md §3. Unknown faults remain passable too: the
-    /// route re-plans when local fault detection meets them.
+    /// borders. Unknown faults remain passable too: the route re-plans
+    /// when local fault detection meets them.
     fn fallback_passable<'s>(
         &'s self,
         anchor: Coord,
@@ -506,17 +499,13 @@ impl<'a> Planner<'a> {
                         // clusters) can make the true shortest path thread
                         // healthy-but-unsafe cells. When the fallback BFS
                         // over known faults beats every pivot option, take
-                        // it (disabled under `strict` for the ablation
-                        // study; see DESIGN.md §3).
-                        if !self.strict {
-                            // Only a path under `cost` is taken, so the
-                            // flood looks no farther.
-                            let under = u32::try_from(cost.saturating_sub(1)).ok();
-                            if let (Plan::Forced(p), stats) =
-                                self.fallback_within(u, d, o, learned, flood, under)
-                            {
-                                return (Plan::Forced(p), stats);
-                            }
+                        // it. Only a path under `cost` is taken, so the
+                        // flood looks no farther.
+                        let under = u32::try_from(cost.saturating_sub(1)).ok();
+                        if let (Plan::Forced(p), stats) =
+                            self.fallback_within(u, d, o, learned, flood, under)
+                        {
+                            return (Plan::Forced(p), stats);
                         }
                         (
                             Plan::Waypoints(wp),

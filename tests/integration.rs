@@ -3,8 +3,6 @@
 //! harness.
 
 use meshpath::analysis::{run_sweep, Fig5Data, SweepConfig};
-use meshpath::fault::distributed::run_distributed;
-use meshpath::fault::{BorderPolicy, Labeling};
 use meshpath::info::ModelKind;
 use meshpath::prelude::*;
 use rand::rngs::StdRng;
@@ -62,18 +60,6 @@ fn full_pipeline_on_one_configuration() {
             validate_path(&net, s, d, &res).expect("valid walk");
             assert!(res.hops() >= oracle.dist(s), "no router may beat BFS");
         }
-    }
-}
-
-#[test]
-fn distributed_labeling_feeds_the_same_models() {
-    let mesh = Mesh::square(20);
-    let mut rng = StdRng::seed_from_u64(21);
-    let faults = FaultSet::random(mesh, 30, FaultInjection::Uniform, &mut rng);
-    for o in Orientation::ALL {
-        let global = Labeling::compute(&faults, o, BorderPolicy::Open);
-        let dist = run_distributed(&faults, o, BorderPolicy::Open);
-        assert!(dist.agrees_with(&global), "distributed labeling diverged under {o:?}");
     }
 }
 
