@@ -34,4 +34,4 @@ pub mod walker;
 
 pub use boundary::{BoundarySet, MccBoundaries};
 pub use model::{InfoModel, ModelKind, PropagationStats};
-pub use walker::{Walk, WalkConfig, Walker};
+pub use walker::{Nodes, Walk, WalkConfig, WalkStore, Walker};

@@ -29,7 +29,7 @@ use meshpath_fault::{Mcc, MccId, MccSet};
 use meshpath_mesh::{BitGrid, Coord};
 use serde::{Deserialize, Serialize};
 
-use crate::boundary::BoundarySet;
+use crate::boundary::{BoundarySet, Lists};
 use crate::walker::Walk;
 
 /// Which information model a table was built under.
@@ -116,9 +116,9 @@ pub struct InfoModel {
     /// Eq.-4 successor per MCC (type-II).
     succ_x: Vec<Option<MccId>>,
     /// Y-region merge lists (self + transitive boundary hits).
-    merged_y: Vec<Vec<MccId>>,
+    merged_y: Lists<MccId>,
     /// X-region merge lists.
-    merged_x: Vec<Vec<MccId>>,
+    merged_x: Lists<MccId>,
     stats: PropagationStats,
 }
 
@@ -134,42 +134,38 @@ impl InfoModel {
         for mcc in set.iter() {
             let b = bounds.get(mcc.id());
             let mut grid = BitGrid::new(mesh);
-            let mut absorb = |walk_nodes: &[Coord], messages: &mut u64| {
-                for &c in walk_nodes {
-                    grid.insert(c);
-                    *messages += 1;
-                }
-            };
-
             // Identification contour (all models run Algorithm 1 step 1).
-            absorb(&b.edge_nodes, &mut messages);
-            // -X / -Y boundaries (all models).
-            absorb(&b.west_y.nodes, &mut messages);
-            absorb(&b.south_x.nodes, &mut messages);
-
-            if kind != ModelKind::B1 {
-                // +X / +Y boundaries (B2 and B3).
-                absorb(&b.east_y.nodes, &mut messages);
-                absorb(&b.north_x.nodes, &mut messages);
+            for &c in b.edge_nodes() {
+                grid.insert(c);
             }
-            if kind == ModelKind::B3 {
-                for w in b.splits_y.iter().chain(&b.splits_x) {
-                    absorb(&w.nodes, &mut messages);
-                }
-            }
+            messages += b.edge_nodes().len() as u64;
             if let Some(fill) = &mut fill {
-                // Algorithm 4 step 5: broadcast into the forbidden region
-                // enclosed between the two boundary polylines...
-                fill.funnel_y(mcc, &b.west_y, &b.east_y);
-                fill.funnel_x(mcc, &b.south_x, &b.north_x);
+                // Algorithm 4 step 5: the four boundary polylines, each
+                // absorbed as its funnel reads its limits off it, then the
+                // broadcast into the forbidden region enclosed between them...
+                messages += fill.funnel_y(mcc, b.west_y(), b.east_y(), &mut grid);
+                messages += fill.funnel_x(mcc, b.south_x(), b.north_x(), &mut grid);
                 // ...and into the shadows of every MCC whose region merged
                 // into this one ("R_Y(v) merges into R_Y(c)"): a node
                 // blocked by a merged member must know the root's triple
                 // even where the boundary walks could not pass (clusters
                 // wedged against the mesh rim).
-                fill.shadows_y(b.merged_y.iter().map(|&g| set.get(g)));
-                fill.shadows_x(b.merged_x.iter().map(|&g| set.get(g)));
+                fill.shadows_y(b.merged_y().iter().map(|&g| set.get(g)));
+                fill.shadows_x(b.merged_x().iter().map(|&g| set.get(g)));
                 messages += fill.insert_into(&mut grid);
+            } else {
+                // -X / -Y boundaries (all models).
+                messages += absorb(&mut grid, b.west_y()) + absorb(&mut grid, b.south_x());
+                if kind == ModelKind::B3 {
+                    // +X / +Y boundaries and the split propagations.
+                    for w in [b.east_y(), b.north_x()]
+                        .into_iter()
+                        .chain(b.splits_y())
+                        .chain(b.splits_x())
+                    {
+                        messages += absorb(&mut grid, w);
+                    }
+                }
             }
 
             knowledge.push(grid);
@@ -211,8 +207,8 @@ impl InfoModel {
             knowledge,
             succ_y,
             succ_x,
-            merged_y: bounds.iter().map(|b| b.merged_y.clone()).collect(),
-            merged_x: bounds.iter().map(|b| b.merged_x.clone()).collect(),
+            merged_y: bounds.merged_y.clone(),
+            merged_x: bounds.merged_x.clone(),
             stats,
         }
     }
@@ -260,13 +256,13 @@ impl InfoModel {
     /// MCCs whose Y-shadows merged into `f`'s Y-region (includes `f`).
     #[inline]
     pub fn merged_y(&self, f: MccId) -> &[MccId] {
-        &self.merged_y[f.index()]
+        self.merged_y.get(f.index())
     }
 
     /// MCCs whose X-shadows merged into `f`'s X-region (includes `f`).
     #[inline]
     pub fn merged_x(&self, f: MccId) -> &[MccId] {
-        &self.merged_x[f.index()]
+        self.merged_x.get(f.index())
     }
 
     /// Propagation cost (Fig. 5c).
@@ -406,26 +402,36 @@ impl RegionFill {
     /// column for the Y-funnel, its column and row for the X-funnel), the
     /// least position of the corner-side polyline in `near` (`i32::MAX`
     /// where it has none) and the greatest of the opposite-corner one in
-    /// `far` (`i32::MIN`).
+    /// `far` (`i32::MIN`). Both polylines are absorbed into `grid` in the
+    /// same pass, one decode each; returns their node count (one message
+    /// a node).
     fn polyline_limits(
         &mut self,
-        near: &Walk,
-        far: &Walk,
+        near: Walk<'_>,
+        far: Walk<'_>,
         line_and_pos: impl Fn(Coord) -> (i32, i32),
-    ) {
+        grid: &mut BitGrid,
+    ) -> u64 {
         self.near.fill(i32::MAX);
         self.far.fill(i32::MIN);
-        for (line, pos) in near.nodes.iter().map(|&c| line_and_pos(c)) {
+        near.nodes().for_each(|c| {
+            grid.insert(c);
+            let (line, pos) = line_and_pos(c);
             self.near[line as usize] = self.near[line as usize].min(pos);
-        }
-        for (line, pos) in far.nodes.iter().map(|&c| line_and_pos(c)) {
+        });
+        far.nodes().for_each(|c| {
+            grid.insert(c);
+            let (line, pos) = line_and_pos(c);
             self.far[line as usize] = self.far[line as usize].max(pos);
-        }
+        });
+        (near.len() + far.len()) as u64
     }
 
     /// The Y-forbidden region of `mcc`: safe nodes enclosed between the
     /// `-X`/`+X` boundary polylines, south of the component (paper
     /// Fig. 4(b)).
+    ///
+    /// Absorbs both polylines into `grid`; returns their node count.
     ///
     /// Row scan: for every row, the west limit is the westmost `-X`
     /// polyline node (or the lower-staircase edge within the component's
@@ -433,10 +439,10 @@ impl RegionFill {
     /// covered by a polyline (early-terminated walks around
     /// border-touching clusters) are skipped — a conservative
     /// under-approximation: nodes of those rows just do not store `mcc`.
-    fn funnel_y(&mut self, mcc: &Mcc, west: &Walk, east: &Walk) {
+    fn funnel_y(&mut self, mcc: &Mcc, west: Walk<'_>, east: Walk<'_>, grid: &mut BitGrid) -> u64 {
         let yc = mcc.corner().y;
         let yct = mcc.opposite().y.min(self.height - 1);
-        self.polyline_limits(west, east, |c| (c.y, c.x));
+        let messages = self.polyline_limits(west, east, |c| (c.y, c.x), grid);
         for y in 0..=yct {
             // Band rows: the region starts at the lower staircase edge.
             let west_limit =
@@ -449,14 +455,15 @@ impl RegionFill {
                 self.row(y, west_limit, east_limit);
             }
         }
+        messages
     }
 
     /// The X-forbidden region: the 90-degree analogue of
     /// [`funnel_y`](Self::funnel_y), limited per column and swept into rows.
-    fn funnel_x(&mut self, mcc: &Mcc, south: &Walk, north: &Walk) {
+    fn funnel_x(&mut self, mcc: &Mcc, south: Walk<'_>, north: Walk<'_>, grid: &mut BitGrid) -> u64 {
         let xc = mcc.corner().x;
         let xct = mcc.opposite().x.min(self.width - 1);
-        self.polyline_limits(south, north, |c| (c.x, c.y));
+        let messages = self.polyline_limits(south, north, |c| (c.x, c.y), grid);
         for x in 0..=xct {
             let south_limit =
                 if x <= xc { self.near[x as usize] } else { staircase_south_limit(mcc, x) };
@@ -470,6 +477,7 @@ impl RegionFill {
             }
         }
         self.sweep_columns();
+        messages
     }
 
     /// The Y-shadows of the merged members: everything south of a
@@ -501,6 +509,15 @@ impl RegionFill {
     }
 }
 
+/// Inserts `walk`'s nodes into `grid`; returns its node count (one message
+/// a node).
+fn absorb(grid: &mut BitGrid, walk: Walk<'_>) -> u64 {
+    walk.nodes().for_each(|c| {
+        grid.insert(c);
+    });
+    walk.len() as u64
+}
+
 /// The region-merge closure: "R_Y(v) merges into R_Y(c)" makes the root's
 /// triple known throughout every merged member's region, transitively (the
 /// broadcast carries the merged triple along the joint boundaries) — the
@@ -516,8 +533,8 @@ fn close_under_merges(knowledge: &mut [BitGrid], bounds: &BoundarySet) {
         return;
     };
     let reads = |c: usize| {
-        let b = bounds.get(MccId(c as u32));
-        b.merged_y.iter().chain(&b.merged_x).map(|id| id.index()).filter(move |&v| v != c)
+        let (y, x) = (bounds.merged_y.get(c), bounds.merged_x.get(c));
+        y.iter().chain(x).map(|id| id.index()).filter(move |&v| v != c)
     };
     let (order, component) = merge_components(knowledge.len(), reads);
     // The set being closed, swapped out of `knowledge` so its sources can
@@ -655,7 +672,7 @@ mod tests {
     }
 
     /// [`RegionFill::funnel_y`] a cell at a time, as a list: the reference.
-    fn funnel_y(set: &MccSet, mcc: &Mcc, west: &Walk, east: &Walk) -> Vec<Coord> {
+    fn funnel_y(set: &MccSet, mcc: &Mcc, west: Walk<'_>, east: Walk<'_>) -> Vec<Coord> {
         let mesh = *set.mesh();
         let labeling = set.labeling();
         let height = mesh.height() as i32;
@@ -666,13 +683,13 @@ mod tests {
         }
 
         let mut wbx = vec![i32::MAX; height as usize];
-        for &c in &west.nodes {
+        for c in west.nodes() {
             if (0..height).contains(&c.y) {
                 wbx[c.y as usize] = wbx[c.y as usize].min(c.x);
             }
         }
         let mut ebx = vec![i32::MIN; height as usize];
-        for &c in &east.nodes {
+        for c in east.nodes() {
             if (0..height).contains(&c.y) {
                 ebx[c.y as usize] = ebx[c.y as usize].max(c.x);
             }
@@ -706,7 +723,7 @@ mod tests {
     }
 
     /// [`RegionFill::funnel_x`] a cell at a time, as a list: the reference.
-    fn funnel_x(set: &MccSet, mcc: &Mcc, south: &Walk, north: &Walk) -> Vec<Coord> {
+    fn funnel_x(set: &MccSet, mcc: &Mcc, south: Walk<'_>, north: Walk<'_>) -> Vec<Coord> {
         let mesh = *set.mesh();
         let labeling = set.labeling();
         let width = mesh.width() as i32;
@@ -717,13 +734,13 @@ mod tests {
         }
 
         let mut sby = vec![i32::MAX; width as usize];
-        for &c in &south.nodes {
+        for c in south.nodes() {
             if (0..width).contains(&c.x) {
                 sby[c.x as usize] = sby[c.x as usize].min(c.y);
             }
         }
         let mut nby = vec![i32::MIN; width as usize];
-        for &c in &north.nodes {
+        for c in north.nodes() {
             if (0..width).contains(&c.x) {
                 nby[c.x as usize] = nby[c.x as usize].max(c.y);
             }
@@ -757,20 +774,21 @@ mod tests {
         for mcc in set.iter() {
             let b = bounds.get(mcc.id());
             let mut grid = BitGrid::new(mesh);
-            let walks = [&b.west_y, &b.south_x, &b.east_y, &b.north_x];
-            for &c in b.edge_nodes.iter().chain(walks.into_iter().flat_map(|w| &w.nodes)) {
+            let walks = [b.west_y(), b.south_x(), b.east_y(), b.north_x()];
+            for c in b.edge_nodes().iter().copied().chain(walks.into_iter().flat_map(|w| w.nodes()))
+            {
                 grid.insert(c);
                 messages += 1;
             }
-            let mut region = funnel_y(set, mcc, &b.west_y, &b.east_y);
-            region.extend(funnel_x(set, mcc, &b.south_x, &b.north_x));
-            for &g in &b.merged_y {
+            let mut region = funnel_y(set, mcc, b.west_y(), b.east_y());
+            region.extend(funnel_x(set, mcc, b.south_x(), b.north_x()));
+            for &g in b.merged_y() {
                 let gm = set.get(g);
                 for (i, span) in gm.cols().iter().enumerate() {
                     region.extend((0..span.lo).map(|y| Coord::new(gm.x0() + i as i32, y)));
                 }
             }
-            for &g in &b.merged_x {
+            for &g in b.merged_x() {
                 let gm = set.get(g);
                 for y in gm.cols()[0].lo..gm.opposite().y {
                     if let Some((w, _)) = gm.row_range(y) {
@@ -788,8 +806,8 @@ mod tests {
         loop {
             let mut changed = false;
             for b in bounds.iter() {
-                let c = b.id.index();
-                for v in b.merged_y.iter().chain(&b.merged_x).map(|id| id.index()) {
+                let c = b.id().index();
+                for v in b.merged_y().iter().chain(b.merged_x()).map(|id| id.index()) {
                     if v != c {
                         let src = knowledge[v].clone();
                         let before = knowledge[c].count();

@@ -16,15 +16,20 @@
 //! contour, the walk stays conservative: it hugs the union and, like
 //! every walk, steps on safe nodes only.
 //!
+//! **What a walk stores.** A walk is a start node plus unit steps, so a
+//! [`WalkStore`] keeps exactly that: every walk's steps two bits a step in
+//! one `u64` stream, one fixed-size record per walk (start, step range, hit
+//! range, how it ended) and one flat hit list. The walker appends straight
+//! into the store; [`Walk`] is a borrowed view whose [`nodes`](Walk::nodes)
+//! decodes the steps in walk order.
+//!
 //! **What a step costs.** A walk that re-enters a `(node, heading, mode)`
 //! state is a closed loop and stops. The test is one byte per node — bit
 //! `2 * heading + following` of [`Walker`]'s `seen` table, a load, an
 //! `and` and a store a step — in a scratch every walk of one
 //! [`BoundarySet::build_reusing`](crate::BoundarySet::build_reusing) call
 //! shares; a finished walk clears exactly the bytes it set by replaying
-//! its own nodes, so a walk costs its length, not the mesh. Nodes are
-//! recorded into a reused buffer and copied out at exact length, so a
-//! retained [`Walk`] holds no doubling slack.
+//! the steps it just wrote, so a walk costs its length, not the mesh.
 
 use meshpath_fault::{Labeling, MccId, MccSet};
 use meshpath_mesh::{Coord, Dir};
@@ -82,17 +87,281 @@ impl WalkConfig {
     pub const NORTH_X: WalkConfig = WalkConfig { main: Dir::MinusX, turn: Turn::Right };
 }
 
-/// The result of a boundary walk.
-#[derive(Clone, Debug, Default)]
-pub struct Walk {
-    /// Every safe node visited, in walk order (starting node first).
-    pub nodes: Vec<Coord>,
+/// Steps per word of [`WalkStore`]'s step stream.
+const STEPS_PER_WORD: usize = 32;
+
+/// Steps `first..first + count` of a step stream, decoded a word at a
+/// time.
+#[derive(Clone)]
+struct Steps<'a> {
+    /// The words after the current one.
+    words: std::slice::Iter<'a, u64>,
+    /// The current word, shifted so the next step sits in its low bits,
+    /// and how many steps it still holds.
+    word: u64,
+    in_word: usize,
+    /// Steps left.
+    left: usize,
+}
+
+impl<'a> Steps<'a> {
+    fn new(steps: &'a [u64], first: usize, count: usize) -> Self {
+        if count == 0 {
+            return Steps { words: [].iter(), word: 0, in_word: 0, left: 0 };
+        }
+        let (w, k) = (first / STEPS_PER_WORD, first % STEPS_PER_WORD);
+        Steps {
+            words: steps[w + 1..].iter(),
+            word: steps[w] >> (2 * k),
+            in_word: STEPS_PER_WORD - k,
+            left: count,
+        }
+    }
+}
+
+impl Iterator for Steps<'_> {
+    type Item = Dir;
+
+    #[inline]
+    fn next(&mut self) -> Option<Dir> {
+        if self.left == 0 {
+            return None;
+        }
+        if self.in_word == 0 {
+            self.word = *self.words.next()?;
+            self.in_word = STEPS_PER_WORD;
+        }
+        let d = Dir::ALL[self.word as usize & 3];
+        self.word >>= 2;
+        self.in_word -= 1;
+        self.left -= 1;
+        Some(d)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+
+    /// A word's steps in one tight loop: what `for_each` and every other
+    /// internal iteration over a walk run.
+    fn fold<B, F: FnMut(B, Dir) -> B>(mut self, init: B, mut f: F) -> B {
+        let mut acc = init;
+        let mut in_word = self.in_word.min(self.left);
+        loop {
+            for _ in 0..in_word {
+                acc = f(acc, Dir::ALL[self.word as usize & 3]);
+                self.word >>= 2;
+            }
+            self.left -= in_word;
+            match self.words.next() {
+                Some(&word) if self.left > 0 => {
+                    self.word = word;
+                    in_word = self.left.min(STEPS_PER_WORD);
+                }
+                _ => return acc,
+            }
+        }
+    }
+}
+
+/// The nodes of a [`Walk`], in walk order.
+#[derive(Clone)]
+pub struct Nodes<'a> {
+    steps: Steps<'a>,
+    /// The node last yielded, or the start before it is.
+    pos: Coord,
+    at_start: bool,
+}
+
+impl Iterator for Nodes<'_> {
+    type Item = Coord;
+
+    #[inline]
+    fn next(&mut self) -> Option<Coord> {
+        if !std::mem::take(&mut self.at_start) {
+            self.pos = self.pos.step(self.steps.next()?);
+        }
+        Some(self.pos)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.steps.left + self.at_start as usize;
+        (n, Some(n))
+    }
+
+    fn fold<B, F: FnMut(B, Coord) -> B>(self, init: B, mut f: F) -> B {
+        let mut pos = self.pos;
+        let acc = if self.at_start { f(init, pos) } else { init };
+        self.steps.fold(acc, |acc, d| {
+            pos = pos.step(d);
+            f(acc, pos)
+        })
+    }
+}
+
+impl ExactSizeIterator for Nodes<'_> {}
+
+/// A store index as the `u32` a record holds.
+pub(crate) fn index(n: usize) -> u32 {
+    u32::try_from(n).expect("a walk store holds under 4 G steps and hits")
+}
+
+/// Where one walk sits in its [`WalkStore`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct WalkRec {
+    /// The first node (the origin for an empty walk).
+    start: Coord,
+    /// Index of the walk's first step in the step stream.
+    step0: u32,
+    /// Nodes visited: 0 for an empty walk, else one more than its steps.
+    nodes: u32,
+    /// Index of the walk's first hit, and how many it has.
+    hit0: u32,
+    hits: u32,
+    /// True when the walk ended by leaving the mesh in the main direction.
+    reached_edge: bool,
+}
+
+/// The walks of one [`BoundarySet`](crate::BoundarySet), in the order they
+/// were appended: their steps two bits a step in one stream, one record
+/// per walk and one flat hit list.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct WalkStore {
+    /// Step `i` is bits `2 * (i % 32)..` of word `i / 32`: the index of
+    /// its direction in [`Dir::ALL`]. Bits past the last step are zero.
+    steps: Vec<u64>,
+    step_count: usize,
+    walks: Vec<WalkRec>,
+    hits: Vec<(MccId, Coord)>,
+}
+
+impl WalkStore {
+    /// Walks stored.
+    pub fn len(&self) -> usize {
+        self.walks.len()
+    }
+
+    /// True when no walk is stored.
+    pub fn is_empty(&self) -> bool {
+        self.walks.is_empty()
+    }
+
+    /// Steps stored over all walks: a walk of `n > 0` nodes holds `n - 1`.
+    pub fn step_count(&self) -> usize {
+        self.step_count
+    }
+
+    /// Walk `i`, in append order.
+    pub fn get(&self, i: usize) -> Walk<'_> {
+        let rec = self.walks[i];
+        let hits = &self.hits[rec.hit0 as usize..][..rec.hits as usize];
+        Walk { steps: &self.steps, hits, rec }
+    }
+
+    fn push_step(&mut self, d: Dir) {
+        let i = self.step_count;
+        if i.is_multiple_of(STEPS_PER_WORD) {
+            self.steps.push(0);
+        }
+        self.steps[i / STEPS_PER_WORD] |= (d as u64) << (2 * (i % STEPS_PER_WORD));
+        self.step_count += 1;
+    }
+
+    /// Records the walk from `start` whose steps and hits were appended
+    /// from `step0` and `hit0` on; returns its index.
+    fn close(&mut self, start: Coord, step0: usize, hit0: usize, reached_edge: bool) -> usize {
+        self.walks.push(WalkRec {
+            start,
+            step0: index(step0),
+            nodes: index(self.step_count - step0 + 1),
+            hit0: index(hit0),
+            hits: index(self.hits.len() - hit0),
+            reached_edge,
+        });
+        self.walks.len() - 1
+    }
+
+    /// Appends a walk of no nodes; returns its index.
+    pub(crate) fn push_empty(&mut self) -> usize {
+        self.walks.push(WalkRec {
+            start: Coord::new(0, 0),
+            step0: index(self.step_count),
+            nodes: 0,
+            hit0: index(self.hits.len()),
+            hits: 0,
+            reached_edge: false,
+        });
+        self.walks.len() - 1
+    }
+
+    /// Appends a copy of `w` (typically of another store) with every hit
+    /// MCC mapped through `map`; returns its index.
+    pub(crate) fn push_copy(&mut self, w: Walk<'_>, map: impl Fn(MccId) -> MccId) -> usize {
+        let Some(start) = w.start() else {
+            return self.push_empty();
+        };
+        let (step0, hit0) = (self.step_count, self.hits.len());
+        for d in w.steps() {
+            self.push_step(d);
+        }
+        self.hits.extend(w.hits.iter().map(|&(v, h)| (map(v), h)));
+        self.close(start, step0, hit0, w.rec.reached_edge)
+    }
+
+    /// Drops the spare capacity of a finished store.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.steps.shrink_to_fit();
+        self.walks.shrink_to_fit();
+        self.hits.shrink_to_fit();
+    }
+}
+
+/// One boundary walk, borrowed from its [`WalkStore`].
+#[derive(Clone, Copy)]
+pub struct Walk<'a> {
+    steps: &'a [u64],
+    hits: &'a [(MccId, Coord)],
+    rec: WalkRec,
+}
+
+impl<'a> Walk<'a> {
+    /// The first node; `None` for an empty walk (an unsafe or off-mesh
+    /// start).
+    pub fn start(&self) -> Option<Coord> {
+        (self.rec.nodes > 0).then_some(self.rec.start)
+    }
+
+    /// Nodes visited.
+    pub fn len(&self) -> usize {
+        self.rec.nodes as usize
+    }
+
+    /// True when the walk visited no node.
+    pub fn is_empty(&self) -> bool {
+        self.rec.nodes == 0
+    }
+
+    /// The direction of every step, in walk order.
+    fn steps(&self) -> Steps<'a> {
+        Steps::new(self.steps, self.rec.step0 as usize, self.len().saturating_sub(1))
+    }
+
+    /// Every safe node visited, in walk order (the start first).
+    pub fn nodes(&self) -> Nodes<'a> {
+        Nodes { steps: self.steps(), pos: self.rec.start, at_start: !self.is_empty() }
+    }
+
     /// MCCs hit during straight descent, in hit order, with the position
     /// the walk occupied when it hit.
-    pub hits: Vec<(MccId, Coord)>,
+    pub fn hits(&self) -> &'a [(MccId, Coord)] {
+        self.hits
+    }
+
     /// True when the walk ended by leaving the mesh in the main direction
     /// (normal termination at the mesh edge).
-    pub reached_edge: bool,
+    pub fn reached_edge(&self) -> bool {
+        self.rec.reached_edge
+    }
 }
 
 /// The boundary walker of one [`MccSet`], with the scratch its walks share.
@@ -102,43 +371,47 @@ pub struct Walker<'a> {
     /// has been in there (bit `2 * heading + following`); all zero
     /// between walks.
     seen: Vec<u8>,
-    /// The nodes of the walk in progress.
-    nodes: Vec<Coord>,
 }
 
 impl<'a> Walker<'a> {
     /// A walker over the safe nodes of `set`.
     pub fn new(set: &'a MccSet) -> Self {
-        Walker { set, seen: vec![0; set.mesh().len()], nodes: Vec::new() }
+        Walker { set, seen: vec![0; set.mesh().len()] }
     }
 
-    /// Runs a boundary walk from `start`.
+    /// Runs a boundary walk from `start`, appends it to `store` and
+    /// returns its index there.
     ///
-    /// Returns an empty walk when `start` is not a safe in-mesh node (e.g.
+    /// Appends an empty walk when `start` is not a safe in-mesh node (e.g.
     /// the corner of a border-touching MCC).
-    pub fn walk(&mut self, start: Coord, cfg: WalkConfig) -> Walk {
-        self.walk_until(start, cfg, usize::MAX)
+    pub fn walk(&mut self, store: &mut WalkStore, start: Coord, cfg: WalkConfig) -> usize {
+        self.walk_until(store, start, cfg, usize::MAX)
     }
 
     /// Like [`walk`](Self::walk), but stops after `max_disengage`
     /// disengagements (used for the B3 split propagations, which merge
     /// into the obstacle's own boundary after rounding it once).
-    pub fn walk_until(&mut self, start: Coord, cfg: WalkConfig, max_disengage: usize) -> Walk {
+    pub fn walk_until(
+        &mut self,
+        store: &mut WalkStore,
+        start: Coord,
+        cfg: WalkConfig,
+        max_disengage: usize,
+    ) -> usize {
         let set = self.set;
         let labeling: &Labeling = set.labeling();
         let mesh = *set.mesh();
-        let mut out = Walk::default();
         if !labeling.is_safe_node(start) {
-            return out;
+            return store.push_empty();
         }
 
         let free = |c: Coord| labeling.is_safe_node(c);
+        let (step0, hit0) = (store.step_count, store.hits.len());
         let mut pos = start;
         let mut heading = cfg.main;
         let mut following = false;
         let mut disengagements = 0usize;
-        self.nodes.clear();
-        self.nodes.push(pos);
+        let mut reached_edge = false;
 
         // Generous cap: every (pos, heading, mode) triple visited at most once.
         let cap = mesh.len() * 8;
@@ -152,17 +425,17 @@ impl<'a> Walker<'a> {
             if !following {
                 let next = pos.step(cfg.main);
                 if !mesh.contains(next) {
-                    out.reached_edge = true;
+                    reached_edge = true;
                     break;
                 }
                 if free(next) {
                     pos = next;
-                    self.nodes.push(pos);
+                    store.push_step(cfg.main);
                     continue;
                 }
                 // Hit an obstacle: record which MCC (unsafe in-mesh cell).
                 if let Some(id) = set.mcc_at(next) {
-                    out.hits.push((id, pos));
+                    store.hits.push((id, pos));
                 }
                 // Engage: rotate until a free direction appears.
                 let mut d = cfg.turn.rotate(cfg.main);
@@ -176,7 +449,7 @@ impl<'a> Walker<'a> {
                 }
                 heading = d;
                 pos = pos.step(d);
-                self.nodes.push(pos);
+                store.push_step(d);
                 following = true;
                 continue;
             }
@@ -203,7 +476,7 @@ impl<'a> Walker<'a> {
                 if free(pos.step(d)) {
                     heading = d;
                     pos = pos.step(d);
-                    self.nodes.push(pos);
+                    store.push_step(d);
                     moved = true;
                     break;
                 }
@@ -212,12 +485,15 @@ impl<'a> Walker<'a> {
                 break; // isolated pocket
             }
         }
-        // Every state bit set above sits on a recorded node.
-        for &c in &self.nodes {
-            self.seen[mesh.id(c).index()] = 0;
+        // Every state bit set above sits on a node of the walk: replay
+        // the steps just written to clear them.
+        let mut node = start;
+        self.seen[mesh.id(node).index()] = 0;
+        for d in Steps::new(&store.steps, step0, store.step_count - step0) {
+            node = node.step(d);
+            self.seen[mesh.id(node).index()] = 0;
         }
-        out.nodes = self.nodes.clone(); // exact capacity
-        out
+        store.close(start, step0, hit0, reached_edge)
     }
 }
 
@@ -234,12 +510,27 @@ mod tests {
         MccSet::build(&fs, Orientation::IDENTITY, BorderPolicy::Open)
     }
 
-    fn walk(set: &MccSet, start: Coord, cfg: WalkConfig) -> Walk {
-        Walker::new(set).walk(start, cfg)
+    /// A walk decoded out of its store.
+    #[derive(Debug, Default)]
+    struct Owned {
+        nodes: Vec<Coord>,
+        hits: Vec<(MccId, Coord)>,
+        reached_edge: bool,
     }
 
-    fn walk_until(set: &MccSet, start: Coord, cfg: WalkConfig, max_disengage: usize) -> Walk {
-        Walker::new(set).walk_until(start, cfg, max_disengage)
+    fn walk(set: &MccSet, start: Coord, cfg: WalkConfig) -> Owned {
+        walk_until(set, start, cfg, usize::MAX)
+    }
+
+    fn walk_until(set: &MccSet, start: Coord, cfg: WalkConfig, max_disengage: usize) -> Owned {
+        let mut store = WalkStore::default();
+        let i = Walker::new(set).walk_until(&mut store, start, cfg, max_disengage);
+        let w = store.get(i);
+        Owned {
+            nodes: w.nodes().collect(),
+            hits: w.hits().to_vec(),
+            reached_edge: w.reached_edge(),
+        }
     }
 
     /// Why a walk stopped.
@@ -261,10 +552,10 @@ mod tests {
         start: Coord,
         cfg: WalkConfig,
         max_disengage: usize,
-    ) -> (Walk, Exit) {
+    ) -> (Owned, Exit) {
         let labeling = set.labeling();
         let mesh = *set.mesh();
-        let mut out = Walk::default();
+        let mut out = Owned::default();
         if !labeling.is_safe_node(start) {
             return (out, Exit::UnsafeStart);
         }
@@ -335,27 +626,39 @@ mod tests {
     const CONFIGS: [WalkConfig; 4] =
         [WalkConfig::WEST_Y, WalkConfig::EAST_Y, WalkConfig::SOUTH_X, WalkConfig::NORTH_X];
 
-    /// Holds one shared [`Walker`] to the hash-set reference from every
-    /// node of the mesh under the four configurations, bounded and not.
-    /// Returns the exits the walks took.
+    /// Holds one shared [`Walker`], appending into one store, to the
+    /// hash-set reference from every node of the mesh under the four
+    /// configurations, bounded and not. Returns the exits the walks took.
     fn assert_walks_match_reference(s: &MccSet) -> Vec<Exit> {
         let mut walker = Walker::new(s);
+        let mut store = WalkStore::default();
         let mut exits = Vec::new();
         for start in s.mesh().iter() {
             for cfg in CONFIGS {
                 for max in [usize::MAX, 1] {
-                    let got = walker.walk_until(start, cfg, max);
+                    let steps_before = store.step_count();
+                    let got = walker.walk_until(&mut store, start, cfg, max);
+                    let got = store.get(got);
                     let (want, exit) = walk_until_by_hash_set(s, start, cfg, max);
-                    assert_eq!(got.nodes, want.nodes, "nodes from {start:?} {cfg:?} max {max}");
-                    assert_eq!(got.hits, want.hits, "hits from {start:?} {cfg:?} max {max}");
-                    assert_eq!(got.reached_edge, want.reached_edge, "{start:?} {cfg:?} {max}");
-                    assert_eq!(got.nodes.capacity(), got.nodes.len(), "stored at exact length");
+                    assert_eq!(got.start(), want.nodes.first().copied(), "{start:?} {cfg:?} {max}");
+                    assert!(
+                        got.nodes().eq(want.nodes.iter().copied()),
+                        "nodes from {start:?} {cfg:?} max {max}"
+                    );
+                    assert_eq!(got.hits(), want.hits, "hits from {start:?} {cfg:?} max {max}");
+                    assert_eq!(got.reached_edge(), want.reached_edge, "{start:?} {cfg:?} {max}");
+                    assert_eq!(
+                        store.step_count() - steps_before,
+                        want.nodes.len().saturating_sub(1),
+                        "one stored step a hop"
+                    );
                     if !exits.contains(&exit) {
                         exits.push(exit);
                     }
                 }
             }
         }
+        assert_eq!(store.len(), s.mesh().len() * CONFIGS.len() * 2);
         assert!(walker.seen.iter().all(|&b| b == 0), "scratch is clean between walks");
         exits
     }

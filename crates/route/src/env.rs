@@ -135,21 +135,25 @@ impl Network {
             };
             let dirty = |old_id: MccId| -> bool {
                 let b = old_bounds.get(old_id);
-                affected_old.iter().any(|a| b.merged_y.contains(a) || b.merged_x.contains(a))
+                affected_old.iter().any(|a| b.merged_y().contains(a) || b.merged_x().contains(a))
                     || reach.is_some_and(|reach| {
                         b.footprint().any(|n| reach.contains(n) && poison.contains(&n))
                     })
             };
-            let new_bounds = BoundarySet::build_reusing(&new_set, |new_id| {
-                if Some(new_id) == dirty_new {
-                    return None;
-                }
-                let old_id = inverse[new_id.index()]?;
-                if affected_old.contains(&old_id) || dirty(old_id) {
-                    return None;
-                }
-                old_bounds.get(old_id).remapped(new_id, |v| remap[v.index()])
-            });
+            let new_bounds = BoundarySet::build_reusing(
+                &new_set,
+                |new_id| {
+                    if Some(new_id) == dirty_new {
+                        return None;
+                    }
+                    let old_id = inverse[new_id.index()]?;
+                    if affected_old.contains(&old_id) || dirty(old_id) {
+                        return None;
+                    }
+                    Some(old_bounds.get(old_id))
+                },
+                |v| remap[v.index()],
+            );
 
             models.push([
                 InfoModel::build_with(&new_set, &new_bounds, ModelKind::B1),
@@ -310,6 +314,44 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use meshpath_mesh::FaultInjection;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Every incremental update leaves each orientation's boundary set
+    /// equal, field for field, to a from-scratch build's: reused records
+    /// are copied into the layout a fresh build writes.
+    #[test]
+    fn incremental_boundaries_equal_a_fresh_build() {
+        let mesh = Mesh::square(24);
+        let mut rng = StdRng::seed_from_u64(28);
+        let mut faults = FaultSet::random(mesh, 40, FaultInjection::Uniform, &mut rng);
+        let mut net = Network::build(faults.clone());
+        let mut incremental = 0;
+        for _ in 0..60 {
+            let c = Coord::new(rng.gen_range(0..24), rng.gen_range(0..24));
+            let change = if faults.is_faulty(c) {
+                faults.repair(c);
+                FaultChange::Removed(c)
+            } else {
+                faults.inject(c);
+                FaultChange::Added(c)
+            };
+            let fresh = Network::build(faults.clone());
+            net = match net.incrementally_updated(&faults, change) {
+                Some(updated) => {
+                    incremental += 1;
+                    for o in Orientation::ALL {
+                        let (a, b) = (&updated.bounds[o.index()], &fresh.bounds[o.index()]);
+                        assert!(a == b, "{change:?} under {o:?}: boundaries differ");
+                    }
+                    updated
+                }
+                None => fresh,
+            };
+        }
+        assert!(incremental >= 40, "only {incremental} of 60 updates were incremental");
+    }
 
     #[test]
     fn build_populates_all_orientations() {

@@ -5,7 +5,7 @@
 //! * MCC minimality: monotone feasibility over *safe* nodes equals
 //!   monotone feasibility over *healthy* nodes for safe endpoints
 //!   (Wang's theorem, the foundation of the paper's shortest-path claim);
-//! * boundary walks terminate and stay on safe nodes;
+//! * boundary walks (main and split) and contours stay on safe nodes;
 //! * region predicates partition correctly.
 
 use meshpath::fault::{BorderPolicy, Labeling, MccSet};
@@ -119,14 +119,29 @@ proptest! {
         let set = build(side, &coords, Orientation::IDENTITY);
         let bounds = BoundarySet::build(&set);
         for b in bounds.iter() {
-            for w in [&b.west_y, &b.east_y, &b.south_x, &b.north_x] {
-                for &c in &w.nodes {
+            let main = [b.west_y(), b.east_y(), b.south_x(), b.north_x()];
+            prop_assert_eq!(b.splits_y().count(), b.west_y().hits().len());
+            prop_assert_eq!(b.splits_x().count(), b.south_x().hits().len());
+            for w in main.into_iter().chain(b.splits_y()).chain(b.splits_x()) {
+                let nodes: Vec<Coord> = w.nodes().collect();
+                prop_assert_eq!(nodes.len(), w.len());
+                prop_assert_eq!(nodes.first().copied(), w.start(), "a walk decodes from its start");
+                for &c in &nodes {
                     prop_assert!(set.labeling().is_safe_node(c), "walk entered unsafe {c:?}");
                 }
                 // Consecutive nodes are mesh neighbors.
-                for pair in w.nodes.windows(2) {
+                for pair in nodes.windows(2) {
                     prop_assert!(pair[0].is_neighbor(pair[1]));
                 }
+            }
+            // The contour: distinct safe nodes, each next to a cell of the MCC.
+            let mcc = set.get(b.id());
+            for pair in b.edge_nodes().windows(2) {
+                prop_assert!(pair[0] < pair[1], "contour sorted and distinct");
+            }
+            for &c in b.edge_nodes() {
+                prop_assert!(set.labeling().is_safe_node(c), "contour node {c:?} unsafe");
+                prop_assert!(c.neighbors().into_iter().any(|n| mcc.contains(n)), "{c:?} off the MCC");
             }
         }
     }
