@@ -22,8 +22,9 @@
 //!   paper's "make a right/left turn and go along the edges of `F(v)`".
 //! * [`boundary`] — the four per-MCC boundary polylines, hit records and
 //!   merge lists.
-//! * [`model`] — [`InfoModel`]: per-node knowledge tables, involved-node
-//!   accounting (Fig. 5c), and Eq.-4 successor resolution.
+//! * [`model`] — [`InfoModel`]: per-node knowledge tables (each distinct
+//!   carrier set stored once, indexed per MCC), involved-node accounting
+//!   (Fig. 5c), and Eq.-4 successor resolution.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,8 +11,11 @@
 //! | B2 | B1 + `+X`/`+Y` polylines + **every node inside the forbidden regions** (the Algorithm 4 broadcast) |
 //! | B3 | B1 + `+X`/`+Y` polylines + split propagations + relation records |
 //!
-//! Knowledge is stored as one bit-set per MCC, so `knows(node, mcc)` is
-//! O(1) and the routing layer can scan candidates cheaply.
+//! Knowledge is stored as one bit-set per *distinct* carrier set plus, per
+//! MCC, the index of its set, so `knows(node, mcc)` is O(1): an index load
+//! and a bit test. The members of one B2 merge component end with the same
+//! set (`close_under_merges`), so B2 holds about a third as many sets as
+//! MCCs; B1 and B3 are interned by the same rule.
 //!
 //! **What a B2 fill costs.** An MCC's forbidden regions are assembled as
 //! column masks a row (`RegionFill`) — a row-limited shape sets a span
@@ -26,7 +29,7 @@
 //! merge graph once with each component it reads (`close_under_merges`).
 
 use meshpath_fault::{Mcc, MccId, MccSet};
-use meshpath_mesh::{BitGrid, Coord};
+use meshpath_mesh::{BitGrid, Coord, FxHashMap};
 use serde::{Deserialize, Serialize};
 
 use crate::boundary::{BoundarySet, Lists};
@@ -108,8 +111,10 @@ impl PropagationStats {
 #[derive(Clone, Debug)]
 pub struct InfoModel {
     kind: ModelKind,
-    /// One carrier set per MCC: the nodes holding that MCC's triple.
-    knowledge: Vec<BitGrid>,
+    /// The distinct carrier sets, each stored once.
+    sets: Vec<BitGrid>,
+    /// Per MCC, the index in `sets` of the nodes holding its triple.
+    set_of: Vec<u32>,
     /// Eq.-4 successor per MCC (type-I), resolved at build time; `None`
     /// for B1/B2 (which do not record relations) and for chain tails.
     succ_y: Vec<Option<MccId>>,
@@ -202,9 +207,11 @@ impl InfoModel {
             per_mcc_avg,
         };
 
+        let (sets, set_of) = intern(knowledge);
         InfoModel {
             kind,
-            knowledge,
+            sets,
+            set_of,
             succ_y,
             succ_x,
             merged_y: bounds.merged_y.clone(),
@@ -228,7 +235,13 @@ impl InfoModel {
     /// True when the node at oriented coordinate `oc` holds `mcc`'s triple.
     #[inline]
     pub fn knows(&self, oc: Coord, mcc: MccId) -> bool {
-        self.knowledge[mcc.index()].contains(oc)
+        self.carriers(mcc).contains(oc)
+    }
+
+    /// The nodes holding `mcc`'s triple.
+    #[inline]
+    fn carriers(&self, mcc: MccId) -> &BitGrid {
+        &self.sets[self.set_of[mcc.index()] as usize]
     }
 
     /// The MCCs known at `oc`: one [`knows`](Self::knows) test per MCC
@@ -238,7 +251,7 @@ impl InfoModel {
     /// the phase target (`meshpath_route::alg2`, "What a decision
     /// reads").
     pub fn known_at(&self, oc: Coord) -> Vec<MccId> {
-        (0..self.knowledge.len() as u32).map(MccId).filter(|&id| self.knows(oc, id)).collect()
+        (0..self.set_of.len() as u32).map(MccId).filter(|&id| self.knows(oc, id)).collect()
     }
 
     /// Eq.-4 successor of `v` in a type-I sequence (B3 only).
@@ -516,6 +529,27 @@ fn absorb(grid: &mut BitGrid, walk: Walk<'_>) -> u64 {
         grid.insert(c);
     });
     walk.len() as u64
+}
+
+/// Stores each distinct set of `knowledge` once: the sets in order of first
+/// occurrence, and per MCC the index of its set among them. Equal sets have
+/// equal sizes, so a set is compared only with the kept sets of its size.
+fn intern(knowledge: Vec<BitGrid>) -> (Vec<BitGrid>, Vec<u32>) {
+    let mut kept_by_size: FxHashMap<usize, Vec<u32>> = FxHashMap::default();
+    let mut sets: Vec<BitGrid> = Vec::new();
+    let set_of = knowledge
+        .into_iter()
+        .map(|grid| {
+            let kept = kept_by_size.entry(grid.count()).or_default();
+            if let Some(&i) = kept.iter().find(|&&i| sets[i as usize] == grid) {
+                return i;
+            }
+            kept.push(sets.len() as u32);
+            sets.push(grid);
+            sets.len() as u32 - 1
+        })
+        .collect();
+    (sets, set_of)
 }
 
 /// The region-merge closure: "R_Y(v) merges into R_Y(c)" makes the root's
@@ -857,13 +891,45 @@ mod tests {
                     prop_assert_eq!(model.stats().messages, messages, "{:?} {:?}", o, border);
                     for (id, want) in knowledge.iter().enumerate() {
                         prop_assert_eq!(
-                            &model.knowledge[id], want,
+                            model.carriers(MccId(id as u32)), want,
                             "{:?} {:?} MCC {} of {:?}", o, border, id, fs.iter().collect::<Vec<_>>()
                         );
                     }
                 }
             }
         }
+    }
+
+    /// On the 64x64/204-fault micro fixture a B2 merge component's members
+    /// share one stored set — the four orientations store under 0.45 sets
+    /// an MCC — and what each node knows is unchanged: the
+    /// MCCs `known_at` lists are those whose per-cell reference set holds
+    /// the node.
+    #[test]
+    fn b2_stores_each_shared_carrier_set_once() {
+        use meshpath_mesh::FaultInjection;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let mesh = Mesh::square(64);
+        let mut rng = StdRng::seed_from_u64(0xc01d);
+        let fs = FaultSet::random(mesh, mesh.len() / 20, FaultInjection::Uniform, &mut rng);
+        let (mut stored, mut mccs) = (0, 0);
+        for o in Orientation::ALL {
+            let s = MccSet::build(&fs, o, BorderPolicy::Open);
+            let bounds = BoundarySet::build(&s);
+            let model = InfoModel::build_with(&s, &bounds, ModelKind::B2);
+            (stored, mccs) = (stored + model.sets.len(), mccs + s.len());
+            let (knowledge, _) = b2_by_cells(&s, &bounds);
+            for n in mesh.iter() {
+                let scan: Vec<MccId> = (0..s.len() as u32)
+                    .map(MccId)
+                    .filter(|id| knowledge[id.index()].contains(n))
+                    .collect();
+                assert_eq!(model.known_at(n), scan, "{o:?} at {n:?}");
+            }
+        }
+        assert!(stored as f64 <= 0.45 * mccs as f64, "{stored} sets stored for {mccs} MCCs");
     }
 
     #[test]

@@ -12,9 +12,17 @@ use meshpath_mesh::{components, Coord, FaultSet, FxHashSet, Grid, Mesh, Orientat
 ///
 /// * the fault set itself (local fault detection),
 /// * the MCC labeling and components for all four orientations,
-/// * the B1/B2/B3 information models for all four orientations
-///   (with their boundary walks retained for incremental updates),
+/// * the boundary walks of every MCC for all four orientations,
+/// * the B2 information model for all four orientations,
 /// * the rectangular fault blocks (E-cube baseline).
+///
+/// What is built when: [`build`](Network::build) and the incremental
+/// update build all of the above. The B1 and B3 models of an orientation
+/// are built from its retained MCCs and walks on the first
+/// [`model`](Network::model) call that asks for them — RB1, RB3 and the
+/// Fig. 5 analysis pay for them, an RB2 network never does. The healthy
+/// components are flooded on the first
+/// [`component_of`](Network::component_of).
 ///
 /// Building a `Network` is the per-configuration setup cost; routing any
 /// number of source/destination pairs afterwards reuses it. Programs
@@ -23,10 +31,14 @@ use meshpath_mesh::{components, Coord, FaultSet, FxHashSet, Grid, Mesh, Orientat
 pub struct Network {
     faults: FaultSet,
     mccs: Vec<MccSet>,
-    /// `models[orientation_index][model_kind_index]`.
-    models: Vec<[InfoModel; 3]>,
-    /// Boundary walks per orientation (the substrate of `models`,
-    /// retained so incremental updates can reuse untouched walks).
+    /// The B2 model per orientation (what RB2 reads).
+    b2: Vec<InfoModel>,
+    /// The B1 and B3 models per orientation, built on first use.
+    b1: [OnceLock<InfoModel>; 4],
+    b3: [OnceLock<InfoModel>; 4],
+    /// Boundary walks per orientation (the substrate of the models,
+    /// retained so B1/B3 can be built later and incremental updates can
+    /// reuse untouched walks).
     bounds: Vec<BoundarySet>,
     blocks: BlockSet,
     /// Healthy-component label per node (`u32::MAX` on faulty nodes),
@@ -55,24 +67,43 @@ struct Relabelled {
 }
 
 impl Network {
-    /// Analyzes `faults` under all orientations and models.
+    /// Analyzes `faults` under all orientations, with the B2 model; B1
+    /// and B3 wait for their first [`model`](Network::model) call.
     pub fn build(faults: FaultSet) -> Self {
         let mut mccs = Vec::with_capacity(4);
-        let mut models = Vec::with_capacity(4);
         let mut bounds = Vec::with_capacity(4);
         for o in Orientation::ALL {
             let set = MccSet::build(&faults, o, BorderPolicy::Open);
-            let b = BoundarySet::build(&set);
-            models.push([
-                InfoModel::build_with(&set, &b, ModelKind::B1),
-                InfoModel::build_with(&set, &b, ModelKind::B2),
-                InfoModel::build_with(&set, &b, ModelKind::B3),
-            ]);
-            bounds.push(b);
+            bounds.push(BoundarySet::build(&set));
             mccs.push(set);
         }
         let blocks = BlockSet::build(&faults);
-        Network { faults, mccs, models, bounds, blocks, components: OnceLock::new() }
+        Network::assemble(faults, mccs, bounds, blocks)
+    }
+
+    /// The network over already-built MCCs and walks: builds the B2
+    /// models and leaves B1, B3 and the components to first use.
+    fn assemble(
+        faults: FaultSet,
+        mccs: Vec<MccSet>,
+        bounds: Vec<BoundarySet>,
+        blocks: BlockSet,
+    ) -> Self {
+        let b2 = mccs
+            .iter()
+            .zip(&bounds)
+            .map(|(set, b)| InfoModel::build_with(set, b, ModelKind::B2))
+            .collect();
+        Network {
+            faults,
+            mccs,
+            b2,
+            b1: Default::default(),
+            b3: Default::default(),
+            bounds,
+            blocks,
+            components: OnceLock::new(),
+        }
     }
 
     /// The incremental single-fault update: relabels only the delta
@@ -84,7 +115,8 @@ impl Network {
     /// orientation — the caller then falls back to a full
     /// [`Network::build`], so all four orientations are relabelled and
     /// tested first (under a millisecond) and a fallback has built no
-    /// boundary or model by the time it is known. The result is
+    /// boundary or model by the time it is known. Like a build, it builds
+    /// the B2 models and leaves B1 and B3 to first use. The result is
     /// bit-identical to a from-scratch build (pinned by the equivalence
     /// proptest).
     pub(crate) fn incrementally_updated(
@@ -98,7 +130,6 @@ impl Network {
             .collect::<Option<_>>()?;
         let mesh = *self.mesh();
         let mut mccs = Vec::with_capacity(4);
-        let mut models = Vec::with_capacity(4);
         let mut bounds = Vec::with_capacity(4);
         for (o, Relabelled { new_set, changed, affected_old, remap }) in
             Orientation::ALL.into_iter().zip(deltas)
@@ -154,24 +185,11 @@ impl Network {
                 },
                 |v| remap[v.index()],
             );
-
-            models.push([
-                InfoModel::build_with(&new_set, &new_bounds, ModelKind::B1),
-                InfoModel::build_with(&new_set, &new_bounds, ModelKind::B2),
-                InfoModel::build_with(&new_set, &new_bounds, ModelKind::B3),
-            ]);
             bounds.push(new_bounds);
             mccs.push(new_set);
         }
         let blocks = BlockSet::build(new_faults);
-        Some(Network {
-            faults: new_faults.clone(),
-            mccs,
-            models,
-            bounds,
-            blocks,
-            components: OnceLock::new(),
-        })
+        Some(Network::assemble(new_faults.clone(), mccs, bounds, blocks))
     }
 
     /// The cheap half of an incremental update under orientation `o`:
@@ -268,15 +286,18 @@ impl Network {
         &self.mccs[o.index()]
     }
 
-    /// Information model of `kind` for one orientation.
+    /// Information model of `kind` for one orientation. B2 is built with
+    /// the network; B1 and B3 are built here on their first call, once
+    /// however many threads ask, and every later call returns that model.
     #[inline]
     pub fn model(&self, o: Orientation, kind: ModelKind) -> &InfoModel {
-        let k = match kind {
-            ModelKind::B1 => 0,
-            ModelKind::B2 => 1,
-            ModelKind::B3 => 2,
+        let i = o.index();
+        let lazy = match kind {
+            ModelKind::B1 => &self.b1[i],
+            ModelKind::B2 => return &self.b2[i],
+            ModelKind::B3 => &self.b3[i],
         };
-        &self.models[o.index()][k]
+        lazy.get_or_init(|| InfoModel::build_with(&self.mccs[i], &self.bounds[i], kind))
     }
 
     /// Rectangular fault blocks (E-cube baseline).
@@ -312,11 +333,60 @@ impl Network {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use meshpath_mesh::FaultInjection;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// `a` equals `b` on `set`: knowledge at every (node, MCC), the stats
+    /// and the Eq.-4 successors.
+    pub(crate) fn assert_same_model(a: &InfoModel, b: &InfoModel, set: &MccSet) {
+        assert_eq!(a.kind(), b.kind());
+        assert_eq!(a.stats(), b.stats(), "{:?} stats", a.kind());
+        for id in (0..set.len() as u32).map(MccId) {
+            assert_eq!(a.succ_y(id), b.succ_y(id), "{:?} succ_y of {id:?}", a.kind());
+            assert_eq!(a.succ_x(id), b.succ_x(id), "{:?} succ_x of {id:?}", a.kind());
+            for n in set.mesh().iter() {
+                assert_eq!(a.knows(n, id), b.knows(n, id), "{:?}: {n:?} of {id:?}", a.kind());
+            }
+        }
+    }
+
+    /// Four threads racing for every orientation's B3 model get one model,
+    /// built once, equal to a stand-alone build.
+    #[test]
+    fn racing_threads_share_one_first_use_build() {
+        let mesh = Mesh::square(24);
+        let mut rng = StdRng::seed_from_u64(30);
+        let view =
+            crate::NetView::build(FaultSet::random(mesh, 40, FaultInjection::Uniform, &mut rng));
+        // The threads start together, each at a different orientation.
+        let start = std::sync::Barrier::new(4);
+        let asked: Vec<Vec<(Orientation, &InfoModel)>> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..4)
+                .map(|t| {
+                    let (view, start) = (&view, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..4)
+                            .map(|k| Orientation::ALL[(k + t) % 4])
+                            .map(|o| (o, view.model(o, ModelKind::B3)))
+                            .collect()
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().expect("no panic")).collect()
+        });
+        for (o, model) in asked.into_iter().flatten() {
+            assert!(std::ptr::eq(model, view.model(o, ModelKind::B3)), "{o:?}: two B3 models");
+        }
+        for o in Orientation::ALL {
+            let first = view.model(o, ModelKind::B3);
+            let set = view.mccs(o);
+            assert_same_model(first, &InfoModel::build(set, ModelKind::B3), set);
+        }
+    }
 
     /// Every incremental update leaves each orientation's boundary set
     /// equal, field for field, to a from-scratch build's: reused records

@@ -19,6 +19,15 @@
 //! * consumers that cache per-configuration data (compiled route
 //!   tables, escape forests) key it by `epoch` instead of guessing.
 //!
+//! ## What is built when
+//!
+//! [`NetView::build`] and every published update build, per orientation,
+//! the MCCs, their boundary walks and the B2 model — what RB2, the
+//! default router, reads — plus the fault blocks. The B1 and B3 models
+//! are built on the first [`Network::model`] call that asks for them, once
+//! per snapshot however many threads race for them; a view that only
+//! RB2 routes on never holds them.
+//!
 //! ## Incremental updates
 //!
 //! [`NetState::add_fault`] / [`NetState::remove_fault`] patch the
@@ -278,6 +287,44 @@ mod tests {
         assert!(state.last_update_was_incremental(), "an isolated fault needs no rebuild");
         state.remove_fault(Coord::new(12, 12)).expect("valid");
         assert!(state.last_update_was_incremental(), "an isolated repair needs no rebuild");
+    }
+
+    /// B1 and B3 of an updated view equal a fresh build's, whether or not
+    /// the view they were updated from had built its own.
+    #[test]
+    fn first_use_models_of_an_updated_view_equal_a_fresh_build() {
+        use crate::env::tests::assert_same_model;
+        use meshpath_info::ModelKind;
+
+        let mesh = Mesh::square(16);
+        let start = [Coord::new(3, 3), Coord::new(9, 6), Coord::new(12, 12)];
+        for (add, c) in [(true, Coord::new(6, 10)), (false, Coord::new(9, 6))] {
+            for read_old in [false, true] {
+                let mut state = NetState::new(FaultSet::from_coords(mesh, start));
+                if read_old {
+                    for o in Orientation::ALL {
+                        state.view().model(o, ModelKind::B1);
+                        state.view().model(o, ModelKind::B3);
+                    }
+                }
+                let mut faults = FaultSet::from_coords(mesh, start);
+                let view = if add {
+                    faults.inject(c);
+                    state.add_fault(c)
+                } else {
+                    faults.repair(c);
+                    state.remove_fault(c)
+                }
+                .expect("valid update");
+                assert!(state.last_update_was_incremental(), "{c:?} should update in place");
+                let fresh = Network::build(faults);
+                for o in Orientation::ALL {
+                    for kind in [ModelKind::B1, ModelKind::B3] {
+                        assert_same_model(view.model(o, kind), fresh.model(o, kind), fresh.mccs(o));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Memory footprint of one network: the bytes a `NetView::build` keeps
 //! live on the 64x64/204-fault net class of the `svc_cold` benchmark,
-//! and the share of them its four `BoundarySet`s hold. A counting global
+//! the share of them its four `BoundarySet`s hold, that RB2 routing adds
+//! none (it reads only the B2 model the build made), and what the B1 and
+//! B3 models add once something asks for them. A counting global
 //! allocator tracks live heap bytes; the single test in this binary
-//! reads it around each build, so no other test's allocations interleave.
+//! reads it around each step, so no other test's allocations interleave.
 //!
 //! Run with `cargo test --test footprint -- --nocapture` to see the
 //! numbers.
@@ -13,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use meshpath::info::BoundarySet;
 use meshpath::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Live heap bytes (requested sizes, not the allocator's rounding).
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -51,8 +53,9 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOC: Counting = Counting;
 
 const MIB: f64 = 1024.0 * 1024.0;
-/// Budget for everything one `NetView::build` retains.
-const NET_BUDGET_MIB: f64 = 2.0;
+/// Budget for everything one `NetView::build` retains, before and after
+/// RB2 routes on it.
+const NET_BUDGET_MIB: f64 = 0.8;
 /// Budget for the four orientations' `BoundarySet`s.
 const BOUNDS_BUDGET_MIB: f64 = 0.4;
 
@@ -83,5 +86,35 @@ fn a_cold_net_and_its_boundaries_fit_their_budgets() {
     );
     assert!(net_mib <= NET_BUDGET_MIB, "NetView::build retains {net_mib:.3} MiB");
     assert!(bounds_mib <= BOUNDS_BUDGET_MIB, "four BoundarySets retain {bounds_mib:.3} MiB");
+
+    let ((), routed_mib) = retained(|| {
+        let (rb2, mut state) = (Rb2::default(), HopState::new(Coord::new(0, 0)));
+        let mut rng = StdRng::seed_from_u64(30);
+        let mut node = || loop {
+            let c = Coord::new(rng.gen_range(0..64), rng.gen_range(0..64));
+            if faults.is_healthy(c) {
+                return c;
+            }
+        };
+        for _ in 0..1000 {
+            let (s, d) = (node(), node());
+            rb2.route_with(&net, s, d, &mut state);
+        }
+    });
+    println!("1000 RB2 routes leave {routed_mib:.3} MiB more behind");
+    assert!(
+        net_mib + routed_mib <= NET_BUDGET_MIB,
+        "after 1000 RB2 routes the net retains {:.3} MiB",
+        net_mib + routed_mib
+    );
+
+    for kind in [ModelKind::B1, ModelKind::B3] {
+        let ((), mib) = retained(|| {
+            for o in Orientation::ALL {
+                net.model(o, kind);
+            }
+        });
+        println!("the four {} models add {mib:.3} MiB on first use", kind.name());
+    }
     drop((net, bounds));
 }
