@@ -1,5 +1,5 @@
-//! Regenerates every Fig. 5 series from a single sweep (cheaper than
-//! running the per-figure binaries separately).
+//! Regenerates every Fig. 5 series (panels a–e plus diagnostics) from a
+//! single sweep.
 
 use meshpath_analysis::cli::{emit, parse_args};
 use meshpath_analysis::fig5::diagnostics;

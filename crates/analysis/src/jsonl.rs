@@ -1,6 +1,6 @@
 //! The one hand-rolled JSON emitter behind every machine-readable
-//! output path (`traffic_sweep --json`, the `route_bench` rows, the
-//! fault-churn example): a tiny object/document builder so the format
+//! output path (`traffic_sweep --json`, the fault-churn example): a
+//! tiny object/document builder so the format
 //! lives in exactly one place.
 //!
 //! The workspace's `serde` is an offline no-op derive stub (see
@@ -120,8 +120,8 @@ pub fn document(config: &JsonObject, rows: &[JsonObject]) -> String {
 
 /// [`document`] plus named extra top-level sections, each an array of
 /// flat objects — how the observability report (`obs_report`) rides
-/// along in `traffic_sweep --json` and `route_bench --json` without
-/// disturbing the `rows` trajectory format.
+/// along in `traffic_sweep --json` without disturbing the `rows`
+/// trajectory format.
 pub fn document_with(
     config: &JsonObject,
     rows: &[JsonObject],

@@ -23,8 +23,8 @@ use std::hint::black_box;
 /// `fallback_flood` and `alg2_*` rows.
 const PLAN_BATCH: usize = 64;
 
-/// The cold-path reference network of `route_bench` and meshbench's
-/// `svc_cold` class (64x64, 204 uniform faults), with [`PLAN_BATCH`]
+/// The cold-path reference network of meshbench's `svc_cold` class
+/// (64x64, 204 uniform faults), with [`PLAN_BATCH`]
 /// healthy pairs whose RB2 plan is `Direct` and as many whose plan is not
 /// (waypoints or a forced path).
 fn cold_plan_fixture() -> (NetView, [Vec<(Coord, Coord)>; 2]) {

@@ -84,25 +84,16 @@
 //!
 //! Queries never wait for a mutation. Mutations build the next epoch
 //! on a writer-side [`NetState`](prelude::NetState) (under a mutex only
-//! writers touch) and *publish* it RCU-style into an atomic slot; each
-//! reader thread keeps its own clone of the published snapshot and
-//! revalidates it with **one `Acquire` load** of the slot's sequence
-//! counter per query — in steady state resolving the snapshot performs
-//! **zero shared-memory writes**. A query the warm cache answers then
-//! takes one stripe `RwLock` for reading (two atomic read-modify-writes
-//! on one of 64 shared lock words), so the honest count is zero for the
-//! RCU load plus one stripe lock word per cached query; how far that
-//! lets throughput scale with query threads is what meshbench's
-//! `meshpath.read_scaling_t2` measures.
-//!
-//! The memory-ordering contract: the writer bumps the sequence counter
-//! with `Release` ordering *after* installing the new snapshot, both
-//! under the writer mutex, so a reader that `Acquire`-observes the new
-//! counter also observes the complete snapshot (never torn), and
-//! epochs are observed in publication order. A reader between those
-//! two instants answers at the previous epoch — ordinary RCU
-//! staleness; every answered epoch is one the writer published
-//! (`tests/service_rcu.rs` races threads to pin exactly this).
+//! writers touch) and *publish* it RCU-style; each reader thread keeps
+//! its own clone of the published snapshot and revalidates it with
+//! **one `Acquire` load** of the published epoch per query — in steady
+//! state resolving the snapshot performs **zero shared-memory writes**.
+//! A query the warm cache answers then takes one stripe `RwLock` for
+//! reading (two atomic read-modify-writes on one of 64 shared lock
+//! words); how far that lets throughput scale with query threads is
+//! what meshbench's `meshpath.read_scaling_t2` measures. Readers never
+//! see a torn or unpublished snapshot (the memory-ordering contract is
+//! in `service.rs`; `tests/service_rcu.rs` races threads to pin it).
 //!
 //! Three serving layers sit on that snapshot:
 //!
@@ -110,9 +101,8 @@
 //! * [`route_many`](RouteService::route_many) — a batch against one
 //!   snapshot resolution (misses, batched or single, run the router on
 //!   one thread-local scratch);
-//! * the **per-epoch warm route cache** — a configurable entries
-//!   budget ([`RouteService::with_route_cache`], default
-//!   [`DEFAULT_CACHE_ENTRIES`] memoized pairs) of lazily filled query
+//! * the **per-epoch warm route cache** — up to
+//!   [`DEFAULT_CACHE_ENTRIES`] memoized pairs of lazily filled query
 //!   outcomes per epoch (striped segmented-LRU, no global lock), so
 //!   repeated pairs are answered with a copy of the stored
 //!   [`RouteResult`](prelude::RouteResult), bit-identical to

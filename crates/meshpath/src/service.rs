@@ -7,29 +7,36 @@
 //! `Mutex` that only mutations touch. Every successful
 //! [`add_fault`](RouteService::add_fault) /
 //! [`remove_fault`](RouteService::remove_fault) publishes the new
-//! epoch's [`NetView`] (plus a fresh per-epoch route cache) into an
-//! [`arc_swap::ArcSwap`] slot — readers are never blocked, and in-flight
-//! queries keep the snapshot they started with.
+//! epoch's [`NetView`] (plus a fresh per-epoch route cache) into a
+//! publication slot, an `Arc` behind its own `Mutex` — readers are
+//! never blocked by a mutation, and in-flight queries keep the snapshot
+//! they started with.
 //!
 //! Resolving the snapshot takes no lock and, in steady state, writes
 //! no shared memory: each thread keeps a thread-local clone of the
-//! published snapshot and revalidates it against the slot's sequence
-//! counter — one `Acquire` load of a read-mostly cache line per query.
-//! Only the first query a thread issues after a publication refreshes
-//! (a brief mutex-protected `Arc` clone). What follows the snapshot is
-//! not write-free: a query the warm cache answers takes its pair's
+//! published snapshot tagged with its epoch and compares that tag with
+//! the published epoch — one `Acquire` load of a read-mostly cache line
+//! per query. Only the first query a thread issues after a publication
+//! refreshes (a brief slot-mutex `Arc` clone). What follows the snapshot
+//! is not write-free: a query the warm cache answers takes its pair's
 //! stripe `RwLock` for reading — two atomic read-modify-writes on one
 //! of 64 shared lock words. So a steady-state query costs zero shared
-//! writes for the RCU load plus one stripe lock word when it is cached
-//! (none with the cache disabled); meshbench's
-//! `meshpath.read_scaling_t2` (qps at two reader threads over one) is
-//! the number that shows what that word costs. The
-//! memory-ordering contract lives with the primitive
-//! (`arc_swap`, the workspace's offline stand-in): the counter is
-//! bumped `Release` together with the slot under the writer mutex, the
-//! reader `Acquire`-loads the counter on *every* query, so a reader is
-//! never more than one in-flight publication behind — ordinary RCU
-//! staleness, and every answered epoch is a published epoch.
+//! writes for the RCU load plus one stripe lock word when it is cached;
+//! meshbench's `meshpath.read_scaling_t2` (qps at two reader threads
+//! over one) is the number that shows what that word costs.
+//!
+//! The memory-ordering contract: epochs rise strictly under the writer
+//! mutex, so the published epoch doubles as the slot's sequence counter.
+//! A publication replaces the slot and then stores the new epoch
+//! (`Release`) while holding the slot mutex. A reader `Acquire`-loads the
+//! epoch on *every* query. If it matches the thread's tag, the thread's
+//! own earlier clone answers — valid without synchronization because
+//! the thread owns that `Arc` reference. If not, the reader takes the
+//! slot mutex, whose acquisition orders its slot read after the slot
+//! write, and re-tags with the epoch of the snapshot it got. A reader is
+//! thus never more than one in-flight publication behind — ordinary RCU
+//! staleness — every answered epoch is a published epoch, and one
+//! thread's answered epochs never decrease.
 //!
 //! ## Batched queries
 //!
@@ -49,16 +56,13 @@
 //! ## Per-epoch warm route cache
 //!
 //! Each published epoch carries a lazily filled outcome memo bounded by
-//! an **entries budget**
-//! ([`with_route_cache`](RouteService::with_route_cache), default
-//! [`DEFAULT_CACHE_ENTRIES`]; striped interior mutability plus
-//! segmented-LRU eviction — see `crate::cache`): repeated queries for a
-//! pair are answered with a copy of the stored [`RouteResult`] instead
-//! of re-running the router, bit-identical to a fresh computation.
-//! Because the bound is
-//! on memoized *pairs*, not mesh size, hot pairs are served from the
-//! cache on arbitrarily large meshes while cold pairs age out of the
-//! budget.
+//! an **entries budget** of [`DEFAULT_CACHE_ENTRIES`] (striped interior
+//! mutability plus segmented-LRU eviction — see `crate::cache`):
+//! repeated queries for a pair are answered with a copy of the stored
+//! [`RouteResult`] instead of re-running the router, bit-identical to a
+//! fresh computation. Because the bound is on memoized *pairs*, not mesh
+//! size, hot pairs are served from the cache on arbitrarily large meshes
+//! while cold pairs age out of the budget.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -66,7 +70,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use arc_swap::{cache::Cache, ArcSwap};
 use meshpath_mesh::Coord;
 use meshpath_obs::{AtomicLogHistogram, HitMiss, LogHistogram};
 use meshpath_route::{HopState, NetState, NetView, RouteResult, Router, RoutingKind, UpdateError};
@@ -74,11 +77,10 @@ use meshpath_traffic::{ChurnInjector, ChurnOp};
 
 use crate::cache::RouteCache;
 
-/// Default entries budget for the per-epoch warm route cache: up to
-/// this many `(source, destination)` outcomes stay memoized per epoch,
+/// Entries budget of the per-epoch warm route cache: up to this many
+/// `(source, destination)` outcomes stay memoized per epoch,
 /// independent of mesh size — the cache evicts cold generations instead
-/// of refusing to memoize on large meshes. Override per service with
-/// [`RouteService::with_route_cache`].
+/// of refusing to memoize on large meshes.
 pub const DEFAULT_CACHE_ENTRIES: usize = 1 << 16;
 
 /// Why a route query failed. Every variant names the offending
@@ -242,8 +244,8 @@ impl ServiceMetrics {
         self.route_cache.misses()
     }
 
-    /// Cache hit fraction in `[0, 1]` (0.0 when the cache is disabled
-    /// or untouched; never `NaN`).
+    /// Cache hit fraction in `[0, 1]` (0.0 when the cache is untouched;
+    /// never `NaN`).
     pub fn cache_hit_rate(&self) -> f64 {
         self.route_cache.hit_rate()
     }
@@ -266,27 +268,35 @@ impl ServiceMetrics {
 }
 
 /// What one publication makes visible to readers, atomically: the
-/// epoch's snapshot and its (optional) warm route cache.
+/// epoch's snapshot and its warm route cache.
 #[derive(Debug)]
 struct Served {
     view: NetView,
-    cache: Option<RouteCache>,
+    cache: RouteCache,
+}
+
+impl Served {
+    fn publish(view: NetView) -> Arc<Served> {
+        Arc::new(Served { view, cache: RouteCache::new(DEFAULT_CACHE_ENTRIES) })
+    }
 }
 
 /// Source of unique service ids for the thread-local snapshot caches
 /// (ids, unlike addresses, are never reused by a later service).
 static NEXT_SERVICE_ID: AtomicU64 = AtomicU64::new(0);
 
-/// Per-thread snapshot caches, keyed by service id: each entry owns a
-/// thread-local clone of one service's published [`Served`], so
-/// resolving the snapshot writes no shared memory in steady state.
-/// Bounded: a thread routing against more services than the cap evicts
-/// its oldest entry (correctness is unaffected — eviction only costs
-/// the next query one refresh).
+/// Per-thread snapshot caches: each entry is `(service id, epoch,
+/// snapshot)`, a thread-local clone of one service's published
+/// [`Served`] tagged with its epoch, so resolving the snapshot writes no
+/// shared memory in steady state. Bounded: a thread routing against more
+/// services than the cap evicts its oldest entry (correctness is
+/// unaffected — eviction only costs the next query one refresh).
 const THREAD_CACHE_CAP: usize = 8;
 
+type ServedEntry = (u64, u64, Arc<Served>);
+
 thread_local! {
-    static SERVED_CACHE: RefCell<Vec<(u64, Cache<Served>)>> = const { RefCell::new(Vec::new()) };
+    static SERVED_CACHE: RefCell<Vec<ServedEntry>> = const { RefCell::new(Vec::new()) };
     /// Router scratch of every miss this thread computes, reset per
     /// query: its allocations are paid once per thread.
     static SCRATCH: RefCell<HopState> = RefCell::new(HopState::new(Coord::new(0, 0)));
@@ -298,16 +308,16 @@ thread_local! {
 pub struct RouteService {
     /// Writer state; taken only by mutations, never by queries.
     writer: Mutex<NetState>,
-    /// The published epoch: readers revalidate thread-local clones
-    /// against this slot's sequence counter.
-    current: ArcSwap<Served>,
+    /// The publication slot: what readers refresh their thread-local
+    /// clones from.
+    current: Mutex<Arc<Served>>,
+    /// The epoch of `current`, stored `Release` under its mutex after
+    /// the slot changes: readers revalidate their clones against it.
+    published: AtomicU64,
     /// Key for the thread-local snapshot caches.
     id: u64,
     router: Box<dyn Router + Send + Sync>,
     metrics: Option<ServiceMetrics>,
-    /// Warm-cache entries budget: each epoch's cache memoizes up to
-    /// this many pair outcomes (segmented LRU); `0` disables caching.
-    cache_entries: usize,
 }
 
 impl RouteService {
@@ -328,15 +338,14 @@ impl RouteService {
     }
 
     fn from_state(state: NetState, kind: RoutingKind) -> Self {
-        let cache_entries = DEFAULT_CACHE_ENTRIES;
-        let current = ArcSwap::new(Self::serve(state.view(), cache_entries));
+        let view = state.view();
         RouteService {
+            published: AtomicU64::new(view.epoch()),
+            current: Mutex::new(Served::publish(view)),
             writer: Mutex::new(state),
-            current,
             id: NEXT_SERVICE_ID.fetch_add(1, Ordering::Relaxed),
             router: kind.router(),
             metrics: None,
-            cache_entries,
         }
     }
 
@@ -346,23 +355,6 @@ impl RouteService {
     pub fn with_metrics(mut self) -> Self {
         self.metrics = Some(ServiceMetrics::default());
         self
-    }
-
-    /// This service with the warm route cache's entries budget set to
-    /// `entries` (builder): each epoch memoizes up to `entries` query
-    /// outcomes, evicting cold pairs segmented-LRU style once the
-    /// budget fills; `0` disables the cache entirely. The default is
-    /// [`DEFAULT_CACHE_ENTRIES`].
-    pub fn with_route_cache(mut self, entries: usize) -> Self {
-        self.cache_entries = entries;
-        let view = self.writer.get_mut().expect("route service writer poisoned").view();
-        self.current.store(Self::serve(view, entries));
-        self
-    }
-
-    fn serve(view: NetView, cache_entries: usize) -> Arc<Served> {
-        let cache = (cache_entries > 0).then(|| RouteCache::new(cache_entries));
-        Arc::new(Served { view, cache })
     }
 
     /// The recorded metrics, when
@@ -379,7 +371,7 @@ impl RouteService {
 
     /// The current epoch.
     pub fn epoch(&self) -> u64 {
-        self.with_served(|served| served.view.epoch())
+        self.published.load(Ordering::Acquire)
     }
 
     /// The routing function's display name.
@@ -388,24 +380,37 @@ impl RouteService {
     }
 
     /// Runs `f` against the thread-locally cached publication,
-    /// revalidated against the RCU slot (one `Acquire` load when fresh).
-    /// `f` must not re-enter the service (internal invariant: routing
-    /// never calls back into `RouteService`).
+    /// revalidated against the published epoch (one `Acquire` load when
+    /// fresh). `f` must not re-enter the service (internal invariant:
+    /// routing never calls back into `RouteService`).
     fn with_served<R>(&self, f: impl FnOnce(&Served) -> R) -> R {
         SERVED_CACHE.with(|tl| {
             let mut tl = tl.borrow_mut();
-            let idx = match tl.iter().position(|(id, _)| *id == self.id) {
+            let idx = match tl.iter().position(|(id, ..)| *id == self.id) {
                 Some(i) => i,
                 None => {
                     if tl.len() >= THREAD_CACHE_CAP {
                         tl.remove(0);
                     }
-                    tl.push((self.id, Cache::new()));
+                    tl.push(self.refresh());
                     tl.len() - 1
                 }
             };
-            f(tl[idx].1.load(&self.current))
+            let entry = &mut tl[idx];
+            if entry.1 != self.published.load(Ordering::Acquire) {
+                *entry = self.refresh();
+            }
+            f(&entry.2)
         })
+    }
+
+    /// A thread-local cache entry for the current publication, tagged
+    /// with its own epoch (which may be newer than the one that sent the
+    /// reader here).
+    #[cold]
+    fn refresh(&self) -> ServedEntry {
+        let served = Arc::clone(&self.current.lock().expect("route service slot poisoned"));
+        (self.id, served.view.epoch(), served)
     }
 
     /// Routes one message on the current snapshot. Concurrent-safe and
@@ -479,8 +484,7 @@ impl RouteService {
     ) -> Result<RouteReply, RouteError> {
         let view = &served.view;
         self.validate(view, src, dst)?;
-        let hit = served.cache.as_ref().and_then(|cache| cache.lookup(view.mesh(), src, dst));
-        let Some(outcome) = hit else {
+        let Some(outcome) = served.cache.lookup(view.mesh(), src, dst) else {
             return self.route_miss(served, src, dst);
         };
         if let Some(m) = &self.metrics {
@@ -489,8 +493,8 @@ impl RouteService {
         outcome.map(|result| RouteReply { epoch: view.epoch(), result })
     }
 
-    /// What the warm cache did not answer (a miss, or no cache at all):
-    /// compute, memoize, count. Kept out of line so the hit path in
+    /// What the warm cache did not answer: compute, memoize, count. Kept
+    /// out of line so the hit path in
     /// [`route_served`](RouteService::route_served) stays straight-line
     /// whatever the router code behind `compute` grows into.
     #[cold]
@@ -503,17 +507,14 @@ impl RouteService {
     ) -> Result<RouteReply, RouteError> {
         let view = &served.view;
         let outcome = self.compute(view, src, dst);
-        if let Some(cache) = &served.cache {
-            if let Some(m) = &self.metrics {
-                m.route_cache.miss();
-            }
-            cache.fill(view.mesh(), src, dst, &outcome);
+        if let Some(m) = &self.metrics {
+            m.route_cache.miss();
         }
+        served.cache.fill(view.mesh(), src, dst, &outcome);
         outcome.map(|result| RouteReply { epoch: view.epoch(), result })
     }
 
-    /// The cacheless query path (historic snapshots, over-budget
-    /// meshes before validation).
+    /// The cacheless query path of historic snapshots.
     fn route_uncached(
         &self,
         view: &NetView,
@@ -631,8 +632,15 @@ impl RouteService {
         let out = f(&mut state);
         if out.is_ok() {
             // Published while the writer mutex is held, so epochs enter
-            // the RCU slot in strictly increasing order.
-            self.current.store(Self::serve(state.view(), self.cache_entries));
+            // the slot in strictly increasing order; the epoch is stored
+            // after the slot, under the slot mutex (see the module doc).
+            let next = Served::publish(state.view());
+            let epoch = next.view.epoch();
+            let mut slot = self.current.lock().expect("route service slot poisoned");
+            let old = std::mem::replace(&mut *slot, next);
+            self.published.store(epoch, Ordering::Release);
+            drop(slot);
+            drop(old);
         }
         drop(state);
         if let (Some(m), Some(t)) = (&self.metrics, t) {
@@ -648,7 +656,6 @@ impl fmt::Debug for RouteService {
         f.debug_struct("RouteService")
             .field("router", &self.router.name())
             .field("view", &self.view())
-            .field("cache_entries", &self.cache_entries)
             .finish()
     }
 }
@@ -734,14 +741,25 @@ mod tests {
     }
 
     #[test]
-    fn cache_budget_gates_memoization() {
-        let svc = service().with_metrics().with_route_cache(0);
+    fn a_publication_from_another_thread_refreshes_the_next_query() {
+        // The querying thread holds a thread-local clone tagged with
+        // epoch e; a publication on another thread must make its very
+        // next query answer at e+1 from the new epoch's snapshot.
+        let svc = service().with_metrics();
         let (s, d) = (Coord::new(5, 1), Coord::new(5, 9));
-        let a = svc.route(s, d).expect("routable");
-        let b = svc.route(s, d).expect("routable");
-        assert_eq!(a.result, b.result);
+        for e in 0..3 {
+            assert_eq!(svc.route(s, d).expect("routable").epoch, e);
+            let fault = Coord::new(1 + e as i32, 1);
+            let published = std::thread::scope(|scope| {
+                scope.spawn(|| svc.add_fault(fault).expect("valid")).join().expect("writer")
+            });
+            assert_eq!(published, e + 1);
+            let next = svc.route(s, d).expect("routable");
+            assert_eq!(next.epoch, e + 1, "the next query refreshes its clone");
+            assert_eq!(svc.route(fault, d).err(), Some(RouteError::SourceFaulty(fault)));
+        }
         let m = svc.metrics().expect("enabled");
-        assert_eq!((m.cache_hits(), m.cache_misses()), (0, 0), "budget 0 disables the cache");
+        assert_eq!((m.cache_hits(), m.cache_misses()), (2, 4), "one miss per epoch's cache");
     }
 
     #[test]
@@ -749,9 +767,8 @@ mod tests {
         // 64x64 = 4096 nodes — far beyond the old all-or-nothing node
         // gate. The entries-budget LRU must still serve repeats warm.
         let mesh = Mesh::square(64);
-        let svc = RouteService::new(FaultSet::from_coords(mesh, [Coord::new(30, 30)]))
-            .with_metrics()
-            .with_route_cache(256);
+        let svc =
+            RouteService::new(FaultSet::from_coords(mesh, [Coord::new(30, 30)])).with_metrics();
         let (s, d) = (Coord::new(1, 2), Coord::new(60, 55));
         let cold = svc.route(s, d).expect("routable");
         let warm = svc.route(s, d).expect("routable");

@@ -5,7 +5,8 @@
 //!   one the writer actually published and that the reply is
 //!   bit-identical to re-routing on a `NetState` rebuilt at that
 //!   epoch's fault set (readers may lag the writer, but can never see
-//!   a torn or unpublished snapshot);
+//!   a torn or unpublished snapshot), and that each reader thread's
+//!   reply epochs never decrease;
 //! * the proptest pins `route_many` ≡ per-query `route`, in order,
 //!   for arbitrary meshes, fault sets and query batches.
 
@@ -43,13 +44,23 @@ fn raced_replies_match_their_published_epoch() {
                         let service = &service;
                         scope.spawn(move || {
                             let mut seen = Vec::new();
+                            let mut last = 0;
                             for i in 0i32..400 {
                                 let s = Coord::new((i * 7 + t) % side, (i * 3) % side);
                                 let d = Coord::new((i * 5 + 9) % side, (i * 11 + t) % side);
                                 if s == d {
                                     continue;
                                 }
-                                seen.push((s, d, service.route(s, d)));
+                                let reply = service.route(s, d);
+                                if let Ok(r) = &reply {
+                                    assert!(
+                                        r.epoch >= last,
+                                        "epoch went back: {last} -> {}",
+                                        r.epoch
+                                    );
+                                    last = r.epoch;
+                                }
+                                seen.push((s, d, reply));
                             }
                             seen
                         })
