@@ -6,7 +6,7 @@
 //! [--threads N] [--sim-threads N] [--out DIR] [--no-early-exit]
 //! [--workload SPEC] [--record-trace FILE]`.
 //!
-//! `--workload SPEC` replaces the synthetic injection processes with a
+//! `--workload SPEC` replaces the synthetic injection process with a
 //! scheduled workload (see `meshpath-workload`); `rate` is then
 //! ignored, so sweep a single rate. SPEC is one of:
 //!

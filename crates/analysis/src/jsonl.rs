@@ -3,13 +3,11 @@
 //! tiny object/document builder so the format
 //! lives in exactly one place.
 //!
-//! The workspace's `serde` is an offline no-op derive stub (see
-//! `crates/compat/serde`), so the derives mark intent but cannot
-//! serialize; when a crates.io mirror is reachable and the real serde
-//! lands (ROADMAP "real registry deps"), this module is the single
-//! swap-over point. Until then the emitter enforces the invariant the
-//! hand-rolled format relies on: every emitted string is plain
-//! `[A-Za-z0-9_.-]`, so no escaping is ever required.
+//! The workspace has no serialization dependency (the build is
+//! offline), so this module is the single place JSON is written. The
+//! emitter enforces the invariant the hand-rolled format relies on:
+//! every emitted string is plain `[A-Za-z0-9_.-]`, so no escaping is
+//! ever required.
 
 use std::fmt::Display;
 use std::fmt::Write as _;

@@ -2,7 +2,6 @@
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 use meshpath_fault::stats::{stats_of, FaultConfigStats};
 use meshpath_info::{ModelKind, PropagationStats};
@@ -11,11 +10,10 @@ use meshpath_route::oracle::DistanceField;
 use meshpath_route::{ECube, HopState, NetView, Rb1, Rb2, Rb3, Router};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of one sweep (defaults reproduce the paper's setup at a
 /// laptop-friendly number of repetitions).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SweepConfig {
     /// Mesh side length (the paper: 100).
     pub mesh: u32,
@@ -62,7 +60,7 @@ impl SweepConfig {
 }
 
 /// Routing aggregate for one router over one configuration.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RouterAgg {
     /// Pairs attempted.
     pub pairs: u32,
@@ -112,7 +110,7 @@ impl RouterAgg {
 }
 
 /// Everything measured on one fault configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ConfigRecord {
     /// Number of injected faults.
     pub faults: usize,
@@ -129,7 +127,7 @@ pub struct ConfigRecord {
 pub const ROUTER_NAMES: [&str; 4] = ["E-cube", "RB1", "RB2", "RB3"];
 
 /// The full sweep outcome: one record per (fault count, configuration).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SweepResult {
     /// The configuration that produced this result.
     pub config: SweepConfig,
@@ -228,16 +226,47 @@ pub fn run_config(mesh: Mesh, faults: FaultSet, pairs: usize, seed: u64) -> Conf
     ConfigRecord { faults: fault_count, fault_stats, prop, routing }
 }
 
+/// Runs `work` on every task over a scoped pool of `threads` workers
+/// (0 = all available cores) and returns the results in task order.
+/// Workers claim tasks by bumping a shared index into the list, so the
+/// schedule never changes what a task computes.
+pub(crate) fn pool_map<T: Sync, R: Send>(
+    threads: usize,
+    tasks: &[T],
+    work: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let threads = if threads == 0 {
+        std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(4)
+    } else {
+        threads
+    };
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(task) = tasks.get(i) else { break mine };
+                        mine.push((i, work(task)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
 /// Executes the sweep: every (fault count, configuration) task runs on a
 /// scoped worker pool; results are deterministic for a given seed.
 pub fn run_sweep(config: &SweepConfig) -> SweepResult {
     let mesh = Mesh::square(config.mesh);
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(4)
-    } else {
-        config.threads
-    };
-
     // Task list: (point index, config index, fault count).
     let tasks: Vec<(usize, usize, usize)> = config
         .fault_counts
@@ -245,36 +274,18 @@ pub fn run_sweep(config: &SweepConfig) -> SweepResult {
         .enumerate()
         .flat_map(|(pi, &fc)| (0..config.configs_per_point).map(move |ci| (pi, ci, fc)))
         .collect();
-
-    // Workers claim tasks by bumping a shared index into the list.
-    let next = AtomicUsize::new(0);
-    let (tx_res, rx_res) = mpsc::channel::<(usize, usize, ConfigRecord)>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let (tasks, next, tx_res) = (&tasks, &next, tx_res.clone());
-            scope.spawn(move || {
-                while let Some(&(pi, ci, fc)) = tasks.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    let seed = derive_seed(config.seed, pi as u64, ci as u64);
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let faults = FaultSet::random(mesh, fc, config.injection, &mut rng);
-                    let record =
-                        run_config(mesh, faults, config.pairs_per_config, derive_seed(seed, 7, 13));
-                    tx_res.send((pi, ci, record)).expect("result channel open");
-                }
-            });
-        }
-    });
-
-    let mut records: Vec<Vec<Option<ConfigRecord>>> =
-        vec![vec![None; config.configs_per_point]; config.fault_counts.len()];
-    for (pi, ci, rec) in rx_res.try_iter() {
-        records[pi][ci] = Some(rec);
-    }
-    let records = records
-        .into_iter()
-        .map(|row| row.into_iter().map(|r| r.expect("all tasks completed")).collect())
+    let mut records = pool_map(config.threads, &tasks, |&(pi, ci, fc)| {
+        let seed = derive_seed(config.seed, pi as u64, ci as u64);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let faults = FaultSet::random(mesh, fc, config.injection, &mut rng);
+        run_config(mesh, faults, config.pairs_per_config, derive_seed(seed, 7, 13))
+    })
+    .into_iter();
+    let records = config
+        .fault_counts
+        .iter()
+        .map(|_| records.by_ref().take(config.configs_per_point).collect())
         .collect();
-
     SweepResult { config: config.clone(), records }
 }
 

@@ -19,17 +19,13 @@ use meshpath_workload::WorkloadSpec;
 use crate::jsonl::{document_with, JsonObject};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::time::Instant;
 
-use crate::sweep::derive_seed;
+use crate::sweep::{derive_seed, pool_map};
 use crate::table::{f1, f3, Table};
 
 /// Parameters of one load sweep.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LoadSweepConfig {
     /// Mesh side length.
     pub mesh: u32,
@@ -66,13 +62,12 @@ pub struct LoadSweepConfig {
     /// post-saturation curve matters, as `examples/traffic_saturation`
     /// does.
     pub early_exit: bool,
-    /// Scheduled workload replacing the synthetic injection processes:
+    /// Scheduled workload replacing the synthetic injection process:
     /// trace replay, a flow DAG, or barrier-synchronised collective
     /// rounds. Every grid point runs the same spec (rebuilt per point
     /// against that point's fault configuration), and workload points
     /// carry `flow_p50`/`flow_p99`/`phase_cycles` in the `--json` rows.
     /// `rate` is ignored by workload runs, so sweep a single rate.
-    #[serde(skip)]
     pub workload: Option<WorkloadSpec>,
 }
 
@@ -108,7 +103,7 @@ impl LoadSweepConfig {
 }
 
 /// One measured `(router, fault count, rate)` grid point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LoadPoint {
     /// The routing function driven.
     pub router: RoutingKind,
@@ -131,19 +126,16 @@ pub struct LoadPoint {
     /// with [`SimConfig::obs`] above `Off` and the point was actually
     /// simulated. Summarized into the `obs_report` section of
     /// [`LoadSweepResult::to_json`].
-    #[serde(skip)]
     pub obs: Option<ObsReport>,
     /// The workload outcome (flow completions, phase timings, abort
     /// ledger), present when the sweep ran a
     /// [`workload`](LoadSweepConfig::workload) and the point was
     /// simulated.
-    #[serde(skip)]
     pub workload: Option<WorkloadOutcome>,
     /// The recorded packet trace, present when
     /// [`SimConfig::record_trace`] was set and the point was simulated
     /// — the payload `traffic_sweep --record-trace` writes out through
     /// [`crate::workload_io`].
-    #[serde(skip)]
     pub trace: Option<Vec<TraceEntry>>,
 }
 
@@ -161,7 +153,7 @@ impl LoadPoint {
 }
 
 /// The full sweep outcome.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LoadSweepResult {
     /// The configuration that produced this result.
     pub config: LoadSweepConfig,
@@ -281,17 +273,13 @@ impl LoadSweepResult {
     /// Serializes the sweep as a JSON document: a `config` summary plus
     /// one flat `rows` object per grid point, suitable for recording
     /// `BENCH_*.json` trajectories across commits. Emitted through
-    /// [`crate::jsonl`] (the single hand-rolled JSON path; see its
-    /// module docs on the planned serde swap-over).
+    /// [`crate::jsonl`], the single hand-rolled JSON path.
     pub fn to_json(&self) -> String {
         let c = &self.config;
         let mut config = JsonObject::new();
         config
             .field("mesh", c.mesh)
             .field("seed", c.seed)
-            .string("pattern", c.sim.pattern.name())
-            .string("injection", c.sim.injection.name())
-            .string("length", c.sim.length.name())
             .field("sim_threads", c.sim.threads)
             .field("vcs", c.sim.vcs)
             .field("escape_vcs", c.sim.escape_vcs)
@@ -516,11 +504,6 @@ fn saturated_placeholder(net: &NetView, sim: &SimConfig) -> TrafficStats {
 /// `Send`).
 pub fn run_load_sweep(config: &LoadSweepConfig) -> LoadSweepResult {
     let mesh = Mesh::square(config.mesh);
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(4)
-    } else {
-        config.threads
-    };
 
     // One analyzed network per fault count, shared across workers.
     let nets: Vec<NetView> = config
@@ -536,94 +519,88 @@ pub fn run_load_sweep(config: &LoadSweepConfig) -> LoadSweepResult {
     // One task per (fault, router): a task sweeps every injection rate
     // through a single path table, so route compilation happens once
     // per (network, routing function) instead of once per rate.
-    // Workers claim tasks by bumping a shared index into the list.
     let (n_rates, n_routers) = (config.rates.len(), config.routers.len());
     let tasks: Vec<(usize, usize)> = (0..config.fault_counts.len())
         .flat_map(|fi| (0..n_routers).map(move |ki| (fi, ki)))
         .collect();
-    let next = AtomicUsize::new(0);
-    let (tx_res, rx_res) = mpsc::channel::<(usize, LoadPoint)>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let (cfg, nets, tasks, next) = (config, &nets, &tasks, &next);
-            let tx_res = tx_res.clone();
-            scope.spawn(move || {
-                while let Some(&(fi, ki)) = tasks.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    let faults = cfg.fault_counts[fi];
-                    let router = cfg.routers[ki];
-                    let net = &nets[fi];
-                    let mut paths = PathTable::new(net, router);
-                    // Lowest rate at which this (router, faults) ladder
-                    // saturated or deadlocked: offered load only grows
-                    // with the rate, so every higher rate inherits the
-                    // verdict without simulating (early exit).
-                    let mut sat_from: Option<f64> = None;
-                    for (ri, &rate) in cfg.rates.iter().enumerate() {
-                        let point = if cfg.early_exit && sat_from.is_some_and(|s| rate >= s) {
-                            LoadPoint {
-                                router,
-                                faults,
-                                rate,
-                                stats: saturated_placeholder(net, &cfg.sim),
-                                simulated: false,
-                                sim_wall_ms: 0.0,
-                                obs: None,
-                                workload: None,
-                                trace: None,
-                            }
-                        } else {
-                            let sim = SimConfig {
-                                rate,
-                                seed: derive_seed(cfg.seed, fi as u64, ri as u64 + 1),
-                                ..cfg.sim.clone()
-                            };
-                            // The stall observer only ever cuts a
-                            // *wedged* drain short (4 consecutive
-                            // delivery-free windows), so live runs —
-                            // including honestly-saturated ones that
-                            // keep draining — are untouched.
-                            let mut stall = DrainStallObserver::new(4);
-                            let mut passive = ();
-                            let observer: &mut dyn WindowObserver =
-                                if cfg.early_exit { &mut stall } else { &mut passive };
-                            let started = Instant::now();
-                            let mut run = TrafficSim::new(&mut paths, sim);
-                            if let Some(spec) = &cfg.workload {
-                                run = run.with_workload(spec.build(net));
-                            }
-                            // A shard-worker panic fails the sweep,
-                            // like a panic of this sweep worker.
-                            let out = run.try_run_full(observer).unwrap_or_else(|e| panic!("{e}"));
-                            let sim_wall_ms = started.elapsed().as_secs_f64() * 1e3;
-                            if out.stats.saturated || out.stats.deadlocked {
-                                sat_from = Some(sat_from.map_or(rate, |s: f64| s.min(rate)));
-                            }
-                            LoadPoint {
-                                router,
-                                faults,
-                                rate,
-                                stats: out.stats,
-                                simulated: true,
-                                sim_wall_ms,
-                                obs: out.obs,
-                                workload: out.workload,
-                                trace: out.trace,
-                            }
-                        };
-                        let idx = (fi * n_rates + ri) * n_routers + ki;
-                        tx_res.send((idx, point)).expect("result channel open");
-                    }
+    let ladders = pool_map(config.threads, &tasks, |&(fi, ki)| {
+        let faults = config.fault_counts[fi];
+        let router = config.routers[ki];
+        let net = &nets[fi];
+        let mut paths = PathTable::new(net, router);
+        // Lowest rate at which this (router, faults) ladder saturated
+        // or deadlocked: offered load only grows with the rate, so
+        // every higher rate inherits the verdict without simulating
+        // (early exit).
+        let mut sat_from: Option<f64> = None;
+        let mut ladder = Vec::with_capacity(n_rates);
+        for (ri, &rate) in config.rates.iter().enumerate() {
+            let point = if config.early_exit && sat_from.is_some_and(|s| rate >= s) {
+                LoadPoint {
+                    router,
+                    faults,
+                    rate,
+                    stats: saturated_placeholder(net, &config.sim),
+                    simulated: false,
+                    sim_wall_ms: 0.0,
+                    obs: None,
+                    workload: None,
+                    trace: None,
                 }
-            });
+            } else {
+                let sim = SimConfig {
+                    rate,
+                    seed: derive_seed(config.seed, fi as u64, ri as u64 + 1),
+                    ..config.sim.clone()
+                };
+                // The stall observer only ever cuts a *wedged* drain
+                // short (4 consecutive delivery-free windows), so live
+                // runs — including honestly-saturated ones that keep
+                // draining — are untouched.
+                let mut stall = DrainStallObserver::new(4);
+                let mut passive = ();
+                let observer: &mut dyn WindowObserver =
+                    if config.early_exit { &mut stall } else { &mut passive };
+                let started = Instant::now();
+                let mut run = TrafficSim::new(&mut paths, sim);
+                if let Some(spec) = &config.workload {
+                    run = run.with_workload(spec.build(net));
+                }
+                // A shard-worker panic fails the sweep, like a panic of
+                // this sweep worker.
+                let out = run.try_run_full(observer).unwrap_or_else(|e| panic!("{e}"));
+                let sim_wall_ms = started.elapsed().as_secs_f64() * 1e3;
+                if out.stats.saturated || out.stats.deadlocked {
+                    sat_from = Some(sat_from.map_or(rate, |s: f64| s.min(rate)));
+                }
+                LoadPoint {
+                    router,
+                    faults,
+                    rate,
+                    stats: out.stats,
+                    simulated: true,
+                    sim_wall_ms,
+                    obs: out.obs,
+                    workload: out.workload,
+                    trace: out.trace,
+                }
+            };
+            ladder.push(point);
         }
+        ladder
     });
 
-    let total = config.fault_counts.len() * n_rates * n_routers;
-    let mut slots: Vec<Option<LoadPoint>> = (0..total).map(|_| None).collect();
-    for (idx, p) in rx_res.try_iter() {
-        slots[idx] = Some(p);
+    // Ladders come back per (fault, router); points are listed in
+    // (fault, rate, router) order.
+    let mut ladders: Vec<_> = ladders.into_iter().map(Vec::into_iter).collect();
+    let mut points = Vec::with_capacity(tasks.len() * n_rates);
+    for fi in 0..config.fault_counts.len() {
+        for _ in 0..n_rates {
+            for ladder in &mut ladders[fi * n_routers..(fi + 1) * n_routers] {
+                points.push(ladder.next().expect("one point per rate"));
+            }
+        }
     }
-    let points = slots.into_iter().map(|p| p.expect("all tasks completed")).collect();
     LoadSweepResult { config: config.clone(), points }
 }
 
@@ -631,7 +608,7 @@ pub fn run_load_sweep(config: &LoadSweepConfig) -> LoadSweepResult {
 mod tests {
     use super::*;
     use crate::jsonl::{parse_flat, FlatValue};
-    use meshpath_traffic::{InjectionProcess, LengthDist, ObsLevel};
+    use meshpath_traffic::ObsLevel;
 
     #[test]
     fn smoke_sweep_completes_and_is_deterministic() {
@@ -823,34 +800,6 @@ mod tests {
             assert_eq!(pa.stats, pb.stats, "metrics recording must not perturb the run");
             assert!(pb.obs.is_none(), "obs off means no report");
         }
-    }
-
-    #[test]
-    fn scenario_axes_are_recorded_in_json() {
-        // The bursty injection process and the geometric length
-        // distribution both run through the sweep and are named in the
-        // emitted config.
-        let cfg = LoadSweepConfig {
-            sim: SimConfig {
-                injection: InjectionProcess::MarkovOnOff { on_to_off: 0.2, off_to_on: 0.05 },
-                length: LengthDist::Geometric { max: 16 },
-                ..SimConfig::smoke()
-            },
-            threads: 2,
-            ..LoadSweepConfig::smoke()
-        };
-        let res = run_load_sweep(&cfg);
-        let json = res.to_json();
-        assert!(json.contains("\"injection\": \"markov-on-off\""), "{json}");
-        assert!(json.contains("\"length\": \"geometric\""), "{json}");
-        assert!(json.contains("\"sim_threads\": "), "{json}");
-        for p in &res.points {
-            assert!(p.simulated && p.stats.measured_generated > 0, "bursty points must run");
-        }
-        // The default config names the baseline processes.
-        let base = run_load_sweep(&LoadSweepConfig::smoke()).to_json();
-        assert!(base.contains("\"injection\": \"bernoulli\""), "{base}");
-        assert!(base.contains("\"length\": \"fixed\""), "{base}");
     }
 
     #[test]

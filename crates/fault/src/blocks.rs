@@ -7,12 +7,10 @@
 //! rectangles. Compared with the MCC model this disables strictly more
 //! healthy nodes — the gap is exactly what Fig. 5 of the paper quantifies.
 
-use serde::{Deserialize, Serialize};
-
 use meshpath_mesh::{BitGrid, Coord, Dir, FaultSet, Mesh, Rect};
 
 /// The rectangular fault blocks of a fault configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BlockSet {
     mesh: Mesh,
     /// Faulty or deactivated nodes.

@@ -17,8 +17,6 @@
 //! `Useless` for dual-flagged nodes; the exact predicates are exposed via
 //! [`Labeling::is_useless`] and [`Labeling::is_cant_reach`].
 
-use serde::{Deserialize, Serialize};
-
 use meshpath_mesh::{Coord, Dir, FaultSet, Grid, Mesh, Orientation};
 
 /// Bit flags of the labeling predicates.
@@ -27,7 +25,7 @@ const USELESS: u8 = 2;
 const CANT_REACH: u8 = 4;
 
 /// Status of a node under the MCC labeling.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum NodeStatus {
     /// Non-faulty and usable on some shortest (monotone) path.
     Safe,
@@ -69,7 +67,7 @@ impl NodeStatus {
 }
 
 /// How a missing (out-of-mesh) neighbor is treated by the labeling rules.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum BorderPolicy {
     /// A missing neighbor never blocks (default). Under this policy the
     /// labeling equals the unbounded-mesh labeling restricted to the mesh,

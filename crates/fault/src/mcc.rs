@@ -24,14 +24,12 @@
 //! on a rim) or on a cell of *another* MCC (diagonal neighbours);
 //! [`Mcc::corner_usable`] says so and routing treats the pivot as infeasible.
 
-use serde::{Deserialize, Serialize};
-
 use meshpath_mesh::{Coord, FaultSet, Grid, Mesh, Orientation, Rect};
 
 use crate::labeling::{BorderPolicy, Labeling};
 
 /// Identifier of an MCC within one [`MccSet`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct MccId(pub u32);
 
 impl MccId {
@@ -43,7 +41,7 @@ impl MccId {
 }
 
 /// Per-column vertical span of an MCC (inclusive).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ColSpan {
     /// Lowest occupied row of the column.
     pub lo: i32,
@@ -52,7 +50,7 @@ pub struct ColSpan {
 }
 
 /// One minimal connected component, in oriented coordinates.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Mcc {
     id: MccId,
     x0: i32,

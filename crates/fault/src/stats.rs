@@ -1,14 +1,12 @@
 //! Fault-configuration statistics backing Fig. 5(a) and 5(b).
 
-use serde::{Deserialize, Serialize};
-
 use meshpath_mesh::{FaultSet, Orientation};
 
 use crate::labeling::BorderPolicy;
 use crate::mcc::MccSet;
 
 /// Summary of one fault configuration under one orientation.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultConfigStats {
     /// Nodes in the mesh.
     pub total_nodes: usize,

@@ -30,13 +30,12 @@
 
 use meshpath_fault::{Mcc, MccId, MccSet};
 use meshpath_mesh::{BitGrid, Coord, FxHashMap};
-use serde::{Deserialize, Serialize};
 
 use crate::boundary::{BoundarySet, Lists};
 use crate::walker::Walk;
 
 /// Which information model a table was built under.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ModelKind {
     /// Boundary lines only (prior work, Algorithm 1).
     B1,
@@ -61,7 +60,7 @@ impl ModelKind {
 }
 
 /// Cost of one propagation (one configuration, one orientation).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PropagationStats {
     /// Distinct nodes that carried at least one message (union over MCCs).
     pub involved_nodes: usize,

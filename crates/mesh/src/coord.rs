@@ -1,6 +1,5 @@
 //! Signed 2-D coordinates and the Manhattan metric.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Sub};
 
@@ -13,7 +12,7 @@ use crate::dir::Dir;
 /// *virtual corners* of fault regions that can lie one step outside the
 /// mesh (e.g. the initialization corner of an MCC touching the mesh edge),
 /// and signed arithmetic keeps those expressions total.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Coord {
     /// Position along the X dimension.
     pub x: i32,

@@ -1,10 +1,9 @@
 //! The four mesh directions and the two axes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the two dimensions of a 2-D mesh.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Axis {
     /// The X dimension.
     X,
@@ -46,7 +45,7 @@ impl Axis {
 /// The paper's labeling rules and routing decisions are all phrased in
 /// terms of these four directions (`(x+1, y)` is the `+X` neighbor, and so
 /// on).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dir {
     /// Towards increasing `x`.
     PlusX,

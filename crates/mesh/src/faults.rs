@@ -8,7 +8,6 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::coord::Coord;
 use crate::grid::BitGrid;
@@ -19,7 +18,7 @@ use crate::mesh::{Mesh, NodeId};
 /// Link faults are handled as in the paper: "link faults can be treated as
 /// node faults by disabling the corresponding adjacent nodes", so the model
 /// only stores node faults.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FaultSet {
     faulty: BitGrid,
 }
@@ -167,7 +166,7 @@ impl FaultSet {
 }
 
 /// How random faults are placed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultInjection {
     /// Faults drawn uniformly without replacement (the paper's workload).
     Uniform,

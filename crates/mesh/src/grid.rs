@@ -2,8 +2,6 @@
 
 use std::ops::{Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
-
 use crate::coord::Coord;
 use crate::mesh::{Mesh, NodeId};
 
@@ -12,7 +10,7 @@ use crate::mesh::{Mesh, NodeId};
 /// Grids deliberately index by [`Coord`] and [`NodeId`] rather than
 /// exposing raw offsets; this keeps hot loops allocation-free while staying
 /// bounds-checked (per the workspace `forbid(unsafe_code)` policy).
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Grid<T> {
     mesh: Mesh,
     cells: Vec<T>,
@@ -106,7 +104,7 @@ impl<T> IndexMut<NodeId> for Grid<T> {
 /// Used for fault sets, visited sets and "nodes involved in propagation"
 /// counters, where a full `Grid<bool>` would waste 8x the memory and the
 /// popcount-based [`BitGrid::count`] matters for the statistics pipeline.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BitGrid {
     mesh: Mesh,
     words: Vec<u64>,

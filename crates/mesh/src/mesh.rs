@@ -1,7 +1,5 @@
 //! Mesh dimensions, node indexing and neighbor arithmetic.
 
-use serde::{Deserialize, Serialize};
-
 use crate::coord::Coord;
 use crate::dir::Dir;
 
@@ -9,7 +7,7 @@ use crate::dir::Dir;
 ///
 /// `NodeId` is a `u32` to keep per-node tables compact (a `100 x 100` mesh
 /// has 10 000 nodes; `u32` supports meshes up to `65536 x 65536`).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -24,7 +22,7 @@ impl NodeId {
 ///
 /// The paper uses square `n x n` meshes; rectangular meshes are supported
 /// because nothing in the algorithms requires squareness.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Mesh {
     width: u32,
     height: u32,

@@ -8,8 +8,6 @@
 //! and routing all operate in *oriented* coordinates and results are mapped
 //! back at the edges of the system.
 
-use serde::{Deserialize, Serialize};
-
 use crate::coord::Coord;
 use crate::dir::Dir;
 use crate::mesh::Mesh;
@@ -19,7 +17,7 @@ use crate::mesh::Mesh;
 /// `flip_x` mirrors `x -> width-1-x`, `flip_y` mirrors `y -> height-1-y`.
 /// The identity orientation is the paper's canonical frame (destination
 /// north-east of the source).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Orientation {
     /// Mirror the X axis.
     pub flip_x: bool,

@@ -1,7 +1,5 @@
 //! Rectangular regions `[x : x', y : y']`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::coord::Coord;
 
 /// The paper's rectangular region `[x0 : x1, y0 : y1]` with the four
@@ -10,7 +8,7 @@ use crate::coord::Coord;
 /// Degenerate rectangles (`x0 == x1` or `y0 == y1`) represent line
 /// segments, matching the paper's notation for boundary lines. Bounds are
 /// inclusive.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Rect {
     /// Smallest x (inclusive).
     pub x0: i32,

@@ -128,21 +128,13 @@
 //! | [`traffic`] | `meshpath-traffic` | wormhole NoC traffic simulator, `fault_churn` |
 //! | [`obs`] | `meshpath-obs` | metrics registry, packet-lifecycle tracing, deadlock post-mortems |
 //! | [`analysis`] | `meshpath-analysis` | Fig. 5 harness + traffic load sweeps |
-//! | (this crate) | — | [`RouteService`], [`RouteError`], [`RouteReply`], [`ServiceMetrics`], [`RetryPolicy`] |
+//! | (this crate) | — | [`RouteService`], [`RouteError`], [`RouteReply`], [`ServiceMetrics`] |
 //!
 //! ## Online churn
 //!
-//! The service and the traffic simulator both accept live fault/repair
-//! events mid-run: queue them on a [`traffic::ChurnInjector`] and drain
-//! it into a [`RouteService`] with
-//! [`drain_injector`](RouteService::drain_injector) (each applied event
-//! publishes a new epoch), or hand it to a running simulation via
-//! [`traffic::OnlineChurn`] — the same churn driver a
-//! `SimConfig::fault_churn` list is loaded into ahead of time, so a
-//! run may use either or both. Callers racing churn can classify failures
-//! with [`RouteError::is_transient`] and ride them out with
-//! [`route_with_retry`](RouteService::route_with_retry) under a bounded
-//! [`RetryPolicy`].
+//! Live fault/repair events reach a running simulation through
+//! [`traffic::OnlineChurn`], the one churn driver a
+//! `SimConfig::fault_churn` list also loads into.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -159,9 +151,7 @@ pub use meshpath_workload as workload;
 mod cache;
 mod service;
 
-pub use service::{
-    RetryPolicy, RouteError, RouteReply, RouteService, ServiceMetrics, DEFAULT_CACHE_ENTRIES,
-};
+pub use service::{RouteError, RouteReply, RouteService, ServiceMetrics, DEFAULT_CACHE_ENTRIES};
 
 /// The items most programs need.
 pub mod prelude {
@@ -179,11 +169,11 @@ pub mod prelude {
     };
     pub use meshpath_traffic::{
         run_traffic, ChaosConfig, ChurnEvent, ChurnInjector, ChurnOp, HopRouter, OnlineChurn,
-        SimConfig, TrafficPattern, TrafficStats, VcClass, PIPELINE_DEPTH,
+        SimConfig, TrafficStats, VcClass, PIPELINE_DEPTH,
     };
 
     pub use crate::service::{
-        RetryPolicy, RouteError, RouteReply, RouteService, ServiceMetrics, DEFAULT_CACHE_ENTRIES,
+        RouteError, RouteReply, RouteService, ServiceMetrics, DEFAULT_CACHE_ENTRIES,
     };
 }
 

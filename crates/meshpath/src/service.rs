@@ -68,12 +68,11 @@ use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use meshpath_mesh::Coord;
 use meshpath_obs::{AtomicLogHistogram, HitMiss, LogHistogram};
 use meshpath_route::{HopState, NetState, NetView, RouteResult, Router, RoutingKind, UpdateError};
-use meshpath_traffic::{ChurnInjector, ChurnOp};
 
 use crate::cache::RouteCache;
 
@@ -129,40 +128,6 @@ impl fmt::Display for RouteError {
 }
 
 impl std::error::Error for RouteError {}
-
-impl RouteError {
-    /// Whether a later retry of the *same* query could succeed without
-    /// the caller changing anything — i.e. the failure is a property of
-    /// the current fault epoch, not of the query. Under online churn a
-    /// faulty endpoint may be repaired and a cut mesh may reconnect, so
-    /// every fault-dependent variant is transient; only
-    /// [`OffMesh`](RouteError::OffMesh) is permanent (no epoch makes a
-    /// coordinate enter the mesh).
-    pub fn is_transient(&self) -> bool {
-        !matches!(self, RouteError::OffMesh(_))
-    }
-}
-
-/// Bounded-backoff retry schedule for
-/// [`route_with_retry`](RouteService::route_with_retry): up to
-/// `attempts` tries, sleeping `backoff * n` before the `n`-th retry
-/// (linear backoff, so total wait is bounded by
-/// `backoff * attempts * (attempts - 1) / 2`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total number of attempts (including the first). Clamped to at
-    /// least 1.
-    pub attempts: u32,
-    /// Base sleep between attempts; the wait grows linearly with the
-    /// attempt number.
-    pub backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { attempts: 3, backoff: Duration::from_millis(1) }
-    }
-}
 
 /// A successful route query: the engine's full [`RouteResult`] plus the
 /// epoch of the snapshot it was answered against.
@@ -374,11 +339,6 @@ impl RouteService {
         self.published.load(Ordering::Acquire)
     }
 
-    /// The routing function's display name.
-    pub fn router_name(&self) -> &'static str {
-        self.router.name()
-    }
-
     /// Runs `f` against the thread-locally cached publication,
     /// revalidated against the published epoch (one `Acquire` load when
     /// fresh). `f` must not re-enter the service (internal invariant:
@@ -556,58 +516,6 @@ impl RouteService {
             // The router gave up on a connected pair.
             Err(RouteError::Undelivered { src, dst })
         }
-    }
-
-    /// Routes one message, retrying through transient failures
-    /// ([`RouteError::is_transient`]) under the given [`RetryPolicy`].
-    ///
-    /// Each retry re-resolves the published snapshot, so a concurrent
-    /// [`remove_fault`](RouteService::remove_fault) (or a drained churn
-    /// injector) between attempts is observed. Permanent errors
-    /// (off-mesh endpoints) return immediately without sleeping; when
-    /// every attempt fails the *last* transient error is returned, so
-    /// the caller sees the freshest epoch's verdict.
-    pub fn route_with_retry(
-        &self,
-        src: Coord,
-        dst: Coord,
-        policy: &RetryPolicy,
-    ) -> Result<RouteReply, RouteError> {
-        let attempts = policy.attempts.max(1);
-        let mut last = None;
-        for attempt in 0..attempts {
-            if attempt > 0 && !policy.backoff.is_zero() {
-                std::thread::sleep(policy.backoff * attempt);
-            }
-            match self.route(src, dst) {
-                Ok(reply) => return Ok(reply),
-                Err(e) if e.is_transient() => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last.expect("at least one attempt was made"))
-    }
-
-    /// Drains a live [`ChurnInjector`] into the service: every queued
-    /// fail/repair event is applied in submission order, each successful
-    /// application publishing a new epoch. Returns
-    /// `(applied, rejected)` — rejected events (off-mesh coordinates,
-    /// double faults, repairs of healthy nodes) are counted and
-    /// skipped, never fatal, mirroring the simulation coordinator's
-    /// quantum-boundary behaviour.
-    pub fn drain_injector(&self, injector: &ChurnInjector) -> (u64, u64) {
-        let (mut applied, mut rejected) = (0u64, 0u64);
-        for op in injector.drain() {
-            let outcome = match op {
-                ChurnOp::Fail(c) => self.add_fault(c),
-                ChurnOp::Repair(c) => self.remove_fault(c),
-            };
-            match outcome {
-                Ok(_) => applied += 1,
-                Err(_) => rejected += 1,
-            }
-        }
-        (applied, rejected)
     }
 
     /// Marks `c` faulty (incremental update; see
@@ -947,67 +855,6 @@ mod tests {
             m.join().expect("mutation thread");
         });
         assert_eq!(svc.epoch(), 40);
-    }
-
-    #[test]
-    fn route_with_retry_rides_out_transient_churn() {
-        // A fault wall cuts the mesh; a concurrent repair heals it
-        // mid-retry, and the retry loop picks up the new epoch.
-        let mesh = Mesh::square(8);
-        let svc = RouteService::new(FaultSet::from_coords(mesh, (0..8).map(|x| Coord::new(x, 4))));
-        assert!(svc
-            .route(Coord::new(0, 0), Coord::new(0, 7))
-            .expect_err("wall cuts the mesh")
-            .is_transient());
-        let reply = std::thread::scope(|scope| {
-            scope.spawn(|| {
-                std::thread::sleep(Duration::from_millis(2));
-                svc.remove_fault(Coord::new(3, 4)).expect("valid repair");
-            });
-            let policy = RetryPolicy { attempts: 10_000, backoff: Duration::from_micros(100) };
-            svc.route_with_retry(Coord::new(0, 0), Coord::new(0, 7), &policy)
-        })
-        .expect("retry must observe the repair");
-        assert_eq!(reply.epoch, 1);
-        assert!(reply.result.delivered);
-    }
-
-    #[test]
-    fn route_with_retry_fails_fast_on_permanent_errors() {
-        let svc = service().with_metrics();
-        let policy = RetryPolicy { attempts: 5, backoff: Duration::from_secs(60) };
-        let err = svc
-            .route_with_retry(Coord::new(-1, 0), Coord::new(1, 1), &policy)
-            .expect_err("off-mesh never routes");
-        assert_eq!(err, RouteError::OffMesh(Coord::new(-1, 0)));
-        assert!(!err.is_transient());
-        // Exactly one attempt: a 60s backoff would hang the test if the
-        // permanent error were retried.
-        assert_eq!(svc.metrics().expect("metrics on").queries_err(), 1);
-    }
-
-    #[test]
-    fn transient_errors_exhaust_attempts_and_return_the_last() {
-        let svc = service().with_metrics();
-        let policy = RetryPolicy { attempts: 3, backoff: Duration::ZERO };
-        let err = svc
-            .route_with_retry(Coord::new(5, 5), Coord::new(1, 1), &policy)
-            .expect_err("source stays faulty");
-        assert_eq!(err, RouteError::SourceFaulty(Coord::new(5, 5)));
-        assert_eq!(svc.metrics().expect("metrics on").queries_err(), 3);
-    }
-
-    #[test]
-    fn drain_injector_applies_live_churn_and_rejects_garbage() {
-        let svc = RouteService::new(FaultSet::from_coords(Mesh::square(8), []));
-        let injector = ChurnInjector::new();
-        injector.fail(Coord::new(2, 2));
-        injector.fail(Coord::new(99, 99)); // off-mesh: rejected
-        injector.repair(Coord::new(2, 2));
-        assert_eq!(svc.drain_injector(&injector), (2, 1));
-        assert_eq!(svc.epoch(), 2, "each applied event published an epoch");
-        assert_eq!(injector.pending(), 0);
-        assert!(svc.route(Coord::new(2, 2), Coord::new(7, 7)).is_ok(), "repaired node routes");
     }
 
     #[test]

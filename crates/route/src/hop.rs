@@ -30,7 +30,6 @@
 //! the per-hop engine the tests hold the loop to.
 
 use meshpath_mesh::{Coord, Dir, FaultSet, FxHashSet, HopSeq};
-use serde::{Deserialize, Serialize};
 
 use crate::alg2::CriticalSet;
 use crate::engine::{hop_budget, Detour, RouteResult, Visited};
@@ -323,7 +322,7 @@ pub(crate) fn drive_phased(
 
 /// The routing functions the workspace evaluates (offline engine,
 /// traffic simulator, route service).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RoutingKind {
     /// Dimension-order XY: minimal and deadlock-free, but fault-oblivious
     /// (packets whose row/column path hits a fault are unroutable). The

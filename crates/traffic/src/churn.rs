@@ -36,7 +36,6 @@ use meshpath_mesh::{derive_seed, Coord};
 use meshpath_route::{NetState, NetView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::config::{ChurnEvent, ChurnOp};
 
@@ -80,10 +79,10 @@ impl ChurnInjector {
         self.queue.lock().expect("churn injector lock poisoned").len()
     }
 
-    /// Takes every queued event, in submission order. Normally called
-    /// by the run coordinator at a quantum boundary (or by
-    /// `RouteService::drain_injector` on the service side) — callers
-    /// draining by hand take responsibility for applying the events.
+    /// Takes every queued event, in submission order. The run
+    /// coordinator calls it at each quantum boundary; a caller draining
+    /// by hand takes the events away from the simulation and must apply
+    /// them itself.
     pub fn drain(&self) -> Vec<ChurnOp> {
         std::mem::take(&mut *self.queue.lock().expect("churn injector lock poisoned"))
     }
@@ -95,7 +94,7 @@ impl ChurnInjector {
 /// driver draws at most one failure and one repair. The draw is a pure
 /// function of `(seed, cycle)` and the current fault set, so chaos runs
 /// are reproducible and shard-count independent.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChaosConfig {
     /// Stream seed; distinct from the traffic seed so chaos and load
     /// can be varied independently.

@@ -4,10 +4,8 @@ use std::fmt;
 
 use meshpath_mesh::Coord;
 use meshpath_obs::ObsLevel;
-use serde::{Deserialize, Serialize};
 
 use crate::fabric::MAX_VC_DEPTH;
-use crate::pattern::{InjectionProcess, LengthDist, TrafficPattern};
 
 /// One mid-run fault mutation: at the start of `cycle`, the network
 /// advances to the next epoch snapshot with `op` applied. Listed ahead
@@ -27,7 +25,7 @@ use crate::pattern::{InjectionProcess, LengthDist, TrafficPattern};
 /// An invalid event (off-mesh coordinate, failing a faulty node,
 /// repairing a healthy one) is rejected and counted in
 /// `churn_rejected`, never a panic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChurnEvent {
     /// Cycle at which the mutation takes effect (applied before that
     /// cycle's generation).
@@ -37,7 +35,7 @@ pub struct ChurnEvent {
 }
 
 /// The mutation a [`ChurnEvent`] applies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChurnOp {
     /// The node at this coordinate fails.
     Fail(Coord),
@@ -112,7 +110,7 @@ impl std::error::Error for ConfigError {}
 /// channels of 4 flits per input port — two reserved as the
 /// Duato-style escape classes (one XY, one spanning-tree) — 4-flit
 /// packets, and a warmup / measure / drain measurement protocol.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimConfig {
     /// Virtual channels per directional input port (the injection port
     /// has a single channel).
@@ -142,8 +140,10 @@ pub struct SimConfig {
     pub patience: u32,
     /// Flits per packet (head + body + tail; 1 = head-only packet).
     pub packet_len: u32,
-    /// Injection rate in packets per node per cycle (Bernoulli process,
-    /// independent per node).
+    /// Injection rate in packets per node per cycle: every healthy node
+    /// runs one Bernoulli trial per cycle, and a hit sends a packet to
+    /// a uniformly drawn other healthy node. Any other traffic shape
+    /// comes from a [`WorkloadSource`](crate::WorkloadSource).
     pub rate: f64,
     /// Warmup cycles: packets generated before this point are routed but
     /// excluded from the latency statistics.
@@ -157,8 +157,6 @@ pub struct SimConfig {
     pub drain: u64,
     /// Base RNG seed; per-node injection streams derive from it.
     pub seed: u64,
-    /// Destination selection pattern.
-    pub pattern: TrafficPattern,
     /// Route hop budget at the network interface: packets whose compiled
     /// route exceeds this many hops are dropped at generation and
     /// counted (`ttl_dropped`), like an IP TTL.
@@ -171,14 +169,6 @@ pub struct SimConfig {
     /// VCs bound blocking, the other routers no longer need the cap.
     /// `Some(u32::MAX)` disables the cap for every router.
     pub route_ttl: Option<u32>,
-    /// When each source node fires a generation attempt (Bernoulli
-    /// baseline or a bursty Markov-modulated on/off process); the mean
-    /// offered load is [`rate`](SimConfig::rate) under every process.
-    pub injection: InjectionProcess,
-    /// How many flits each generated packet carries:
-    /// exactly [`packet_len`](SimConfig::packet_len), or geometric with
-    /// that mean.
-    pub length: LengthDist,
     /// Worker threads (= fabric row-band shards) stepping a single
     /// simulation concurrently. Results are **bit-identical at every
     /// thread count** (see the sharding docs in [`crate::fabric`]).
@@ -244,10 +234,7 @@ impl Default for SimConfig {
             measure: 1500,
             drain: 3000,
             seed: 0x2007_0325,
-            pattern: TrafficPattern::UniformRandom,
             route_ttl: None,
-            injection: InjectionProcess::Bernoulli,
-            length: LengthDist::Fixed,
             threads: 0,
             stats_window: 250,
             fault_churn: Vec::new(),
@@ -277,11 +264,6 @@ impl SimConfig {
     /// [`threads`](SimConfig::threads)).
     pub fn with_threads(self, threads: usize) -> Self {
         SimConfig { threads, ..self }
-    }
-
-    /// This config with a destination pattern (builder).
-    pub fn with_pattern(self, pattern: TrafficPattern) -> Self {
-        SimConfig { pattern, ..self }
     }
 
     /// This config with a mid-run fault-churn list (builder; see
@@ -366,8 +348,6 @@ mod tests {
         assert!(c.escape_vcs < c.vcs, "escape class must leave adaptive channels");
         assert!(c.escape_vcs >= 1, "escape routing is on by default");
         assert!(c.stats_window > 0, "streaming windows should be on by default");
-        assert_eq!(c.injection, InjectionProcess::Bernoulli);
-        assert_eq!(c.length, LengthDist::Fixed);
         assert_eq!(c.threads, 0, "thread count should default to auto");
         assert!(c.fault_churn.is_empty(), "no churn by default");
         assert_eq!(c.obs, ObsLevel::Off, "instrumentation is opt-in");
@@ -414,14 +394,12 @@ mod tests {
             .with_rate(0.125)
             .with_seed(99)
             .with_threads(2)
-            .with_pattern(TrafficPattern::Transpose)
             .with_fault_churn(vec![ChurnEvent::fail(50, Coord::new(1, 1))])
             .with_obs(ObsLevel::Metrics)
             .with_record_trace();
         assert_eq!(c.rate, 0.125);
         assert_eq!(c.seed, 99);
         assert_eq!(c.threads, 2);
-        assert_eq!(c.pattern, TrafficPattern::Transpose);
         assert_eq!(c.fault_churn.len(), 1);
         assert_eq!(c.obs, ObsLevel::Metrics);
         assert!(c.record_trace);

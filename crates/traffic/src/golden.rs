@@ -3,11 +3,10 @@
 //! count** — must produce **bit-identical** [`TrafficStats`] to the
 //! retained scan-order reference stepper (`Fabric::step_reference`) on
 //! random draws of simulator configuration, fault pattern, routing
-//! function, traffic pattern, injection process, packet-length
-//! distribution, churn — a `fault_churn` list, a seeded *online*
-//! chaos schedule, or both in one run, published mid-run through the
-//! one epoch mechanism — and **window length** (1, 2, 8 and the derived
-//! band-edge bound).
+//! function, packet length, injection rate, churn — a `fault_churn`
+//! list, a seeded *online* chaos schedule, or both in one run,
+//! published mid-run through the one epoch mechanism — and **window
+//! length** (1, 2, 8 and the derived band-edge bound).
 //!
 //! Every run of this crate's tests also checks the fabric's
 //! conservation invariants after every cycle of every shard
@@ -33,7 +32,6 @@ use meshpath_route::NetView;
 
 use crate::churn::{ChaosConfig, OnlineChurn};
 use crate::config::SimConfig;
-use crate::pattern::{InjectionProcess, LengthDist, TrafficPattern};
 use crate::routing::{PathTable, RoutingKind};
 use crate::sim::TrafficSim;
 use crate::stats::TrafficStats;
@@ -76,14 +74,14 @@ fn run(
 /// skipped a parked head's `decide` whenever another VC on the same
 /// input port had already won the crossbar that cycle; with a churn
 /// publication landing in between, the deferred replan re-keyed the
-/// packet one epoch late and `epoch_delivered` diverged. This seed
-/// reproduced that: a head parked at the boundary cycle replans under
-/// epoch 9 in the event-driven plan pass but under epoch 10 in the old
-/// per-output-port reference scan.
+/// packet one epoch late and `epoch_delivered` diverged. Under uniform
+/// traffic this seed reproduces that: with the old per-output-port
+/// reference scan (a fresh `decide` per output port, skipped once the
+/// input port has won) restored, the two steppers' statistics differ.
 #[test]
 fn reference_stepper_plans_parked_heads_on_the_same_cycles() {
     use rand::SeedableRng;
-    let seed = 3108541793u64;
+    let seed = 3390717689u64;
     let mesh = Mesh::square(8);
     let mut frng = StdRng::seed_from_u64(seed);
     let net = NetView::build(FaultSet::random(mesh, 0, FaultInjection::Uniform, &mut frng));
@@ -106,10 +104,7 @@ fn reference_stepper_plans_parked_heads_on_the_same_cycles() {
         measure: 150,
         drain: 400,
         seed,
-        pattern: TrafficPattern::Permutation,
         route_ttl: None,
-        injection: InjectionProcess::Bernoulli,
-        length: LengthDist::Fixed,
         threads: 1,
         stats_window: 100,
         fault_churn: Vec::new(),
@@ -130,15 +125,13 @@ proptest! {
         draw in (
             (4u32..9, 0usize..5, 0usize..5, 0u64..0xffff_ffff),
             (2usize..5, 0usize..3, 1u32..7, 0usize..5),
-            (0usize..4, 1u32..5, 0usize..2, 0usize..2),
-            (0usize..3, 0usize..2, 0usize..4),
+            (1u32..5, 0usize..3, 0usize..2, 0usize..4),
         )
     ) {
         let (
             (mesh_n, faults, kind_ix, seed),
             (vcs, escape_raw, patience, rate_ix),
-            (pattern_ix, packet_len, injection_ix, length_ix),
-            (churn_ix, online_ix, window_ix),
+            (packet_len, churn_ix, online_ix, window_ix),
         ) = draw;
         let mesh = Mesh::square(mesh_n);
         let mut frng = StdRng::seed_from_u64(seed);
@@ -173,17 +166,6 @@ proptest! {
         let kind = RoutingKind::ALL[kind_ix];
         // From 0 — the no-escape fabric, where `patience` is unread.
         let escape_vcs = escape_raw.min(vcs - 1);
-        let pattern = [
-            TrafficPattern::UniformRandom,
-            TrafficPattern::Transpose,
-            TrafficPattern::BitComplement,
-            TrafficPattern::Permutation,
-        ][pattern_ix].clone();
-        let injection = [
-            InjectionProcess::Bernoulli,
-            InjectionProcess::MarkovOnOff { on_to_off: 0.25, off_to_on: 0.1 },
-        ][injection_ix];
-        let length = [LengthDist::Fixed, LengthDist::Geometric { max: 12 }][length_ix];
         // Rates from near-idle through past saturation: the equivalence
         // must hold when the fabric is empty, contended and wedged.
         let rate = [0.02, 0.05, 0.1, 0.2, 0.35][rate_ix];
@@ -198,10 +180,7 @@ proptest! {
             measure: 150,
             drain: 400,
             seed,
-            pattern,
             route_ttl: None,
-            injection,
-            length,
             threads: 1,
             stats_window: 100,
             fault_churn,

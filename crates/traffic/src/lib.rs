@@ -7,10 +7,12 @@
 //! this crate evaluates them as *network-on-chip routing functions
 //! under load*: per-node routers with input-buffered virtual channels,
 //! credit-based flow control, a per-cycle switch allocator and
-//! unit-latency links ([`Fabric`]), driven by seeded injection
-//! processes over the standard NoC traffic patterns ([`TrafficPattern`])
-//! and measured with warmup/measure/drain methodology
-//! ([`TrafficStats`]).
+//! unit-latency links ([`Fabric`]), driven by one seeded synthetic
+//! process (a Bernoulli trial per node per cycle at
+//! [`SimConfig::rate`], a uniformly drawn healthy destination,
+//! [`SimConfig::packet_len`] flits) or by a scheduled
+//! [`WorkloadSource`], and measured with warmup/measure/drain
+//! methodology ([`TrafficStats`]).
 //!
 //! ## Per-hop routing architecture
 //!
@@ -55,12 +57,7 @@
 //!   exchange boundary messages at the staged cycle commit, yet
 //!   bit-identical to a full sequential scan at every shard count —
 //!   see the module docs and the golden-equivalence suite.
-//! * [`pattern`] — uniform random, transpose, bit-complement, hotspot
-//!   and permutation destination processes, plus the injection-time
-//!   axes: Bernoulli or Markov-modulated on/off generation
-//!   ([`InjectionProcess`]) and fixed or geometric packet lengths
-//!   ([`LengthDist`]).
-//! * [`sim`] — the run loop: seeded injection, measurement windows,
+//! * [`sim`] — the run loop: seeded uniform injection, measurement windows,
 //!   saturation detection, the deadlock liveness assertion, and the
 //!   sharded multi-threaded runner ([`SimConfig::threads`]) with
 //!   bit-identical results at every thread count.
@@ -135,7 +132,6 @@ pub mod config;
 pub mod fabric;
 #[cfg(test)]
 mod golden;
-pub mod pattern;
 pub mod routing;
 pub mod sim;
 pub mod source;
@@ -144,7 +140,6 @@ pub mod stats;
 pub use churn::{ChaosConfig, ChurnInjector, OnlineChurn};
 pub use config::{ChurnEvent, ChurnOp, ConfigError, SimConfig, PIPELINE_DEPTH};
 pub use fabric::{BoundaryMsg, Delivery, Fabric, Flit, FrontierEntry, PacketState, StepReport};
-pub use pattern::{DestSampler, InjectionProcess, LengthDist, TrafficPattern};
 pub use routing::{
     xy_next, xy_path_clear, EscapeForest, EscapeHop, HopCandidates, HopChoice, HopDecision,
     HopRouter, PathTable, RouteHandle, RoutingKind, VcClass, XyRouter,

@@ -82,7 +82,6 @@ use std::collections::hash_map::Entry;
 use meshpath_mesh::{Coord, Dir, FaultSet, FxHashMap, HopSeq, NodeId};
 use meshpath_route::oracle::{DistanceField, UNREACHABLE};
 use meshpath_route::{HopState, NetView, Router};
-use serde::{Deserialize, Serialize};
 
 use crate::fabric::PacketState;
 
@@ -103,7 +102,7 @@ pub use meshpath_route::{xy_next, xy_path_clear, RoutingKind, XyRouter};
 /// cycle-free, which is what lets escape traffic drain under any load;
 /// keeping the two classes on disjoint channels keeps their dependency
 /// graphs from composing into a cycle.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum VcClass {
     /// The unrestricted class: compiled (possibly detouring) routes.
     Adaptive,

@@ -1,4 +1,4 @@
-//! The simulation driver: injection processes, the measurement
+//! The simulation driver: the synthetic injection process, the measurement
 //! protocol, and the run loop — one coordinator loop over one or many
 //! shard workers, with bit-identical results.
 //!
@@ -68,7 +68,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::Instant;
 
-use meshpath_mesh::{derive_seed, Coord, Mesh, NodeId};
+use meshpath_mesh::{derive_seed, Coord, FaultSet, Mesh, NodeId};
 use meshpath_obs::{FabricProbe, NoProbe, ObsLevel, ObsReport, Phase, ShardObs, StopKind};
 use meshpath_route::NetView;
 use rand::rngs::StdRng;
@@ -77,7 +77,6 @@ use rand::{Rng, SeedableRng};
 use crate::churn::{OnlineChurn, OnlineDriver};
 use crate::config::SimConfig;
 use crate::fabric::{BoundaryMsg, Delivery, Fabric, Flit, PacketState, Shard, StepReport};
-use crate::pattern::{DestSampler, InjectionProcess};
 use crate::routing::{EscapeHop, HopRouter, PathTable, RoutingKind};
 use crate::source::{TraceEntry, WorkloadDriver, WorkloadMsg, WorkloadOutcome, WorkloadSource};
 use crate::stats::{LatencyHistogram, TrafficStats, WindowControl, WindowObserver, WindowSample};
@@ -166,13 +165,39 @@ struct SourceNode {
     coord: Coord,
     rng: StdRng,
     queue: VecDeque<QueuedPacket>,
-    /// Markov-modulated on/off chain state (always `true` under
-    /// Bernoulli injection).
-    on: bool,
     /// Whether the node is healthy under the *current* epoch (fault
     /// churn): a failed node stops generating (its RNG stream
     /// freezes) but keeps feeding a partially-injected worm.
     active: bool,
+}
+
+/// Uniform destinations over one epoch's healthy nodes.
+struct DestSampler {
+    healthy: Vec<Coord>,
+}
+
+impl DestSampler {
+    fn new(faults: &FaultSet) -> Self {
+        let mesh = faults.mesh();
+        DestSampler { healthy: mesh.iter().filter(|&c| faults.is_healthy(c)).collect() }
+    }
+
+    /// A healthy node other than `src`, uniformly, or `None` when there
+    /// is none (the packet is simply not generated).
+    fn dest(&self, src: Coord, rng: &mut StdRng) -> Option<Coord> {
+        if self.healthy.len() < 2 {
+            return None;
+        }
+        // Rejection loop: terminates fast because at least half the
+        // draws differ from `src` whenever 2+ healthy nodes exist.
+        for _ in 0..64 {
+            let d = self.healthy[rng.gen_range(0..self.healthy.len())];
+            if d != src {
+                return Some(d);
+            }
+        }
+        None
+    }
 }
 
 /// Generation-side statistics deltas of one shard over one cycle.
@@ -385,9 +410,6 @@ struct ShardWorker<'a, P: FabricProbe> {
     cfg: &'a SimConfig,
     ttl: u32,
     gen_until: u64,
-    /// Per-cycle injection probability while a source is *on*
-    /// (`rate / duty`, capped at 1; equals `rate` under Bernoulli).
-    burst_rate: f64,
     /// Packet ids allocated by this shard are `id_base + k`.
     id_base: u32,
     next_local: u32,
@@ -428,7 +450,6 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         workload: bool,
         probe: P,
     ) -> Self {
-        let duty = cfg.injection.duty_cycle();
         debug_assert!(
             sources.iter().enumerate().all(|(i, s)| shard.local_of(s.id.index()) == i),
             "a source's position is its local node index"
@@ -440,13 +461,12 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             sources,
             router,
             mesh: *base.mesh(),
-            sampler: DestSampler::new(cfg.pattern.clone(), base.faults(), cfg.seed),
+            sampler: DestSampler::new(base.faults()),
             epoch: 0,
             adopted: Vec::new(),
             cfg,
             ttl,
             gen_until: cfg.warmup + cfg.measure,
-            burst_rate: (cfg.rate / duty).min(1.0),
             id_base: (shard_index as u32) << ID_SHARD_SHIFT,
             next_local: 0,
             workload,
@@ -478,8 +498,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             // route cache for the new epoch) and redraw the sampler.
             Go::Publish(view) => {
                 self.router.publish(view);
-                self.sampler =
-                    DestSampler::new(self.cfg.pattern.clone(), view.faults(), self.cfg.seed);
+                self.sampler = DestSampler::new(view.faults());
                 self.epoch += 1;
                 self.adopted.push(view.clone());
             }
@@ -697,33 +716,21 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         }
     }
 
-    /// Generation at every healthy node of this shard, under the
-    /// configured injection process and length distribution.
+    /// Generation at every healthy node of this shard: a Bernoulli
+    /// trial at `rate`, then a uniform destination and `packet_len`
+    /// flits.
     fn generate(&mut self, cycle: u64, done: &mut CycleDone) {
         for i in 0..self.sources.len() {
-            if !self.sources[i].active {
+            let s = &mut self.sources[i];
+            if !s.active || !s.rng.gen_bool(self.cfg.rate) {
                 continue;
             }
-            let fire = {
-                let s = &mut self.sources[i];
-                match self.cfg.injection {
-                    InjectionProcess::Bernoulli => s.rng.gen_bool(self.burst_rate),
-                    InjectionProcess::MarkovOnOff { on_to_off, off_to_on } => {
-                        if s.rng.gen_bool(if s.on { on_to_off } else { off_to_on }) {
-                            s.on = !s.on;
-                        }
-                        s.on && s.rng.gen_bool(self.burst_rate)
-                    }
-                }
-            };
-            if !fire {
-                continue;
-            }
-            let src = self.sources[i].coord;
-            let Some(dst) = self.sampler.dest(src, &mut self.sources[i].rng) else {
+            let src = s.coord;
+            let Some(dst) = self.sampler.dest(src, &mut s.rng) else {
                 continue;
             };
-            self.admit(cycle, i, src, dst, crate::source::NO_FLOW, None, done);
+            let len = self.cfg.packet_len;
+            self.admit(cycle, i, src, dst, crate::source::NO_FLOW, len, done);
         }
     }
 
@@ -748,9 +755,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
                 .then(|| self.shard.local_of(self.mesh.id(m.src).index()))
                 .filter(|&slot| self.sources[slot].active);
             let drop = match slot {
-                Some(slot) => {
-                    self.admit(cycle, slot, m.src, m.dst, m.flow, Some(m.len.max(1)), done)
-                }
+                Some(slot) => self.admit(cycle, slot, m.src, m.dst, m.flow, m.len.max(1), done),
                 None => {
                     self.count_attempt(cycle, m.src, m.dst, m.flow, 0, 1, done);
                     1
@@ -766,11 +771,9 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
     /// *admit* the pair (is it routable, and how long is the compiled
     /// route, for the TTL check — the NI attaches no route; all
     /// forwarding decisions happen per hop in the fabric), and queues
-    /// the packet at source `slot` when it passes. `len: None` draws
-    /// the length from the configured distribution, only *after*
-    /// admission: a rejected attempt consumes nothing from the node's
-    /// RNG stream. Returns the outcome (`0` queued, `1` unroutable,
-    /// `2` over the TTL budget).
+    /// the packet of `len` flits at source `slot` when it passes.
+    /// Returns the outcome (`0` queued, `1` unroutable, `2` over the
+    /// TTL budget).
     #[allow(clippy::too_many_arguments)]
     fn admit(
         &mut self,
@@ -779,7 +782,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         src: Coord,
         dst: Coord,
         flow: u32,
-        len: Option<u32>,
+        len: u32,
         done: &mut CycleDone,
     ) -> u8 {
         let drop = match self.router.admit(src, dst) {
@@ -787,30 +790,27 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             Some(hops) if hops > self.ttl => 2,
             Some(_) => 0,
         };
-        let mut flits = 0;
         if drop == 0 {
-            flits = len.unwrap_or_else(|| {
-                self.cfg.length.sample(self.cfg.packet_len, &mut self.sources[slot].rng)
-            });
             // Hard assert (one branch per generated packet, off the
             // hot path): wrapping would alias ids across shards and
             // silently corrupt ownership bookkeeping.
             assert!(self.next_local < 1 << ID_SHARD_SHIFT, "packet-id namespace exhausted");
             let id = self.id_base + self.next_local;
             self.next_local += 1;
-            let mut state = PacketState::new(src, dst, cycle, flits);
+            let mut state = PacketState::new(src, dst, cycle, len);
             state.epoch = self.epoch;
             state.flow = flow;
-            self.enqueue(slot, QueuedPacket { id, state, remaining: flits });
+            self.enqueue(slot, QueuedPacket { id, state, remaining: len });
         }
-        self.count_attempt(cycle, src, dst, flow, flits, drop, done);
+        let len = if drop == 0 { len } else { 0 };
+        self.count_attempt(cycle, src, dst, flow, len, drop, done);
         drop
     }
 
     /// Counts one generation attempt by outcome and, when recording,
     /// appends its trace entry. Rejections are recorded as drop
-    /// markers (`len` 0): the run drew no packet length for them, so a
-    /// replay must count — not inject — them.
+    /// markers (`len` 0): nothing was queued for them, so a replay
+    /// must count — not inject — them.
     #[allow(clippy::too_many_arguments)]
     fn count_attempt(
         &self,
@@ -1186,7 +1186,7 @@ pub struct RunOutput {
 }
 
 /// One traffic simulation: a sharded fabric over a fault configuration,
-/// driven by seeded injection processes, routed per hop by an
+/// driven by the seeded synthetic injection process, routed per hop by an
 /// [`EscapeHop`] over one compiled routing function.
 ///
 /// The path table is borrowed so a **single-shard** run can reuse
@@ -1238,23 +1238,17 @@ impl<'p> TrafficSim<'p> {
     ///
     /// # Panics
     /// Panics with the [`ConfigError`](crate::ConfigError)'s message when
-    /// [`SimConfig::validate`] rejects `cfg`, or when a Markov injection
-    /// probability is outside `(0, 1]`.
+    /// [`SimConfig::validate`] rejects `cfg`.
     pub fn new(paths: &'p mut PathTable, cfg: SimConfig) -> Self {
         if let Err(why) = cfg.validate() {
             panic!("{why}");
         }
-        // Validates the Markov parameters (duty_cycle panics on a chain
-        // that cannot leave a state).
-        let duty = cfg.injection.duty_cycle();
-        debug_assert!(duty > 0.0);
         let kind = paths.kind();
         paths.reset_epochs();
         let base = paths.view().clone();
 
         let mesh = *base.mesh();
         let threads = cfg.resolved_threads(mesh.len());
-        let mmp = matches!(cfg.injection, InjectionProcess::MarkovOnOff { .. });
         // Source state exists for *every* node: churn can repair a node
         // that starts out faulty, and it must be able to start
         // generating. Harmless otherwise — per-node RNG streams are
@@ -1265,14 +1259,9 @@ impl<'p> TrafficSim<'p> {
             .iter()
             .map(|c| {
                 let id = mesh.id(c);
-                let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, u64::from(id.0), 0));
-                // The on/off chain starts in its stationary
-                // distribution (drawn per node, so the decision is
-                // independent of the shard count). Bernoulli sources
-                // draw nothing here, keeping their streams unchanged.
-                let on = !mmp || rng.gen_bool(duty);
+                let rng = StdRng::seed_from_u64(derive_seed(cfg.seed, u64::from(id.0), 0));
                 let active = base.faults().is_healthy(c);
-                SourceNode { id, coord: c, rng, queue: VecDeque::new(), on, active }
+                SourceNode { id, coord: c, rng, queue: VecDeque::new(), active }
             })
             .collect();
         let fabric = Fabric::new_sharded(mesh, cfg.vcs, cfg.vc_depth, cfg.escape_vcs, threads);
@@ -1648,7 +1637,6 @@ pub fn single_packet_latency(
 mod tests {
     use super::*;
     use crate::config::{ChurnOp, PIPELINE_DEPTH};
-    use crate::pattern::{LengthDist, TrafficPattern};
     use meshpath_mesh::{FaultSet, Mesh};
 
     fn fault_free(n: u32) -> NetView {
@@ -1697,6 +1685,31 @@ mod tests {
             let lat = single_packet_latency(&net, kind, s, d, 4).expect("delivered");
             assert_eq!(lat, u64::from(s.manhattan(d)) + PIPELINE_DEPTH + 3, "{}", kind.name());
         }
+    }
+
+    /// The synthetic destination stream, pinned: 1,000 draws on a
+    /// faulted 8x8 at seed 1 hash to a fixed value, so any change to how
+    /// a destination is drawn (and with it every seeded run) shows.
+    #[test]
+    fn uniform_destination_stream_is_pinned() {
+        let faults = FaultSet::from_coords(
+            Mesh::square(8),
+            [Coord::new(2, 2), Coord::new(5, 3), Coord::new(1, 6), Coord::new(6, 6)],
+        );
+        let sampler = DestSampler::new(&faults);
+        let healthy = &sampler.healthy;
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for i in 0..1000 {
+            let src = healthy[i % healthy.len()];
+            let d = sampler.dest(src, &mut rng).expect("62 healthy nodes");
+            assert!(d != src && faults.is_healthy(d));
+            hash = (hash ^ (d.y * 8 + d.x) as u64).wrapping_mul(0x100_0000_01b3);
+        }
+        assert_eq!(hash, 0xa2b2_2df5_db04_5d96);
+        // Fewer than two healthy nodes: nowhere to send.
+        let lone = FaultSet::from_coords(Mesh::new(2, 1), [Coord::new(1, 0)]);
+        assert_eq!(DestSampler::new(&lone).dest(Coord::new(0, 0), &mut rng), None);
     }
 
     #[test]
@@ -1874,23 +1887,6 @@ mod tests {
     }
 
     #[test]
-    fn bursty_and_geometric_scenarios_run_and_shard_deterministically() {
-        let net = fault_free(8);
-        let cfg = SimConfig {
-            rate: 0.01,
-            injection: InjectionProcess::MarkovOnOff { on_to_off: 0.2, off_to_on: 0.05 },
-            length: LengthDist::Geometric { max: 16 },
-            ..SimConfig::smoke()
-        };
-        let a = run_traffic(&net, RoutingKind::Rb2, &cfg);
-        assert!(a.measured_generated > 0, "the on/off process must generate");
-        assert_eq!(a.measured_delivered, a.measured_generated, "low load must drain");
-        assert_eq!(a, run_traffic(&net, RoutingKind::Rb2, &cfg), "must be deterministic");
-        let sharded = run_traffic(&net, RoutingKind::Rb2, &SimConfig { threads: 2, ..cfg });
-        assert_eq!(a, sharded, "bursty scenarios must shard bit-identically");
-    }
-
-    #[test]
     fn saturation_is_detected_at_absurd_load() {
         let net = fault_free(6);
         let cfg =
@@ -1908,25 +1904,6 @@ mod tests {
         let stats = run_traffic(&net, RoutingKind::Rb2, &cfg);
         assert!(stats.measured_generated > 0);
         assert_eq!(stats.measured_delivered, stats.measured_generated);
-    }
-
-    #[test]
-    fn patterns_drive_the_run_loop() {
-        let net = fault_free(6);
-        for pattern in [
-            TrafficPattern::Transpose,
-            TrafficPattern::BitComplement,
-            TrafficPattern::Permutation,
-            TrafficPattern::Hotspot { targets: vec![Coord::new(3, 3)], fraction: 0.5 },
-        ] {
-            let cfg = SimConfig { rate: 0.01, pattern, ..SimConfig::smoke() };
-            let stats = run_traffic(&net, RoutingKind::ECube, &cfg);
-            assert_eq!(
-                stats.measured_delivered, stats.measured_generated,
-                "low load must drain for {:?}",
-                cfg.pattern
-            );
-        }
     }
 
     #[test]
@@ -2029,16 +2006,13 @@ mod tests {
     fn online_churn_kills_stranded_traffic_and_recovers_after_repair() {
         use crate::churn::{ChurnInjector, OnlineChurn};
         let net = fault_free(8);
-        let hot = Coord::new(4, 4);
-        let cfg = SimConfig {
-            rate: 0.05,
-            pattern: TrafficPattern::Hotspot { targets: vec![hot], fraction: 0.8 },
-            stats_window: 50,
-            ..SimConfig::smoke()
-        };
+        let center = Coord::new(4, 4);
+        // Uniform traffic heavy enough that worms bound for the center
+        // node are in flight when it fails.
+        let cfg = SimConfig { rate: 0.1, stats_window: 50, ..SimConfig::smoke() };
         // Unscheduled events injected *mid-run* from the window
-        // observer: fail the hotspot during the measure phase, repair
-        // it a hundred cycles later.
+        // observer: fail the center node during the measure phase,
+        // repair it a hundred cycles later.
         struct MidRun {
             injector: ChurnInjector,
             at: Coord,
@@ -2057,17 +2031,17 @@ mod tests {
         let mut paths = PathTable::new(&net, RoutingKind::Rb2);
         let sim =
             TrafficSim::new(&mut paths, cfg).with_online_churn(OnlineChurn::new(injector.clone()));
-        let mut obs = MidRun { injector, at: hot };
+        let mut obs = MidRun { injector, at: center };
         let stats = sim.try_run_full(&mut obs).expect("online churn must not fail the run").stats;
         assert!(!stats.deadlocked, "online churn must never wedge the fabric");
         assert_eq!(
             stats.online_events.iter().map(|e| e.op).collect::<Vec<_>>(),
-            vec![ChurnOp::Fail(hot), ChurnOp::Repair(hot)],
+            vec![ChurnOp::Fail(center), ChurnOp::Repair(center)],
             "both unscheduled events must apply: {:?}",
             stats.online_events
         );
         assert_eq!(stats.churn_rejected, 0);
-        assert!(stats.churn_killed > 0, "hotspot-bound worms must be killed by the failure");
+        assert!(stats.churn_killed > 0, "worms bound for the failed node must be killed");
         assert_eq!(stats.epoch_delivered.len(), 3, "base epoch + two online epochs");
         assert!(stats.epoch_delivered[2] > 0, "traffic must flow again after the repair");
         assert!(stats.measured_delivered <= stats.measured_generated);
@@ -2135,7 +2109,9 @@ mod tests {
         let net = fault_free(8);
         let events =
             vec![ChurnEvent::fail(60, Coord::new(4, 4)), ChurnEvent::fail(90, Coord::new(2, 5))];
-        let cfg = SimConfig { rate: 0.02, fault_churn: events, ..SimConfig::smoke() };
+        // One shard: only the inline transport routes over the caller's
+        // table (`MESHPATH_THREADS` must not move the run off it).
+        let cfg = SimConfig { rate: 0.02, threads: 1, fault_churn: events, ..SimConfig::smoke() };
         let mut paths = PathTable::new(&net, RoutingKind::Rb2);
         let mut seen = Vec::new();
         for _ in 0..3 {
@@ -2159,8 +2135,8 @@ mod tests {
         // the same two events queued on an injector just before the
         // quantum boundary at their cycle must give the same run.
         let net = fault_free(10);
-        let hot = Coord::new(5, 5);
-        let events = vec![ChurnEvent::fail(64, hot), ChurnEvent::repair(192, hot)];
+        let node = Coord::new(5, 5);
+        let events = vec![ChurnEvent::fail(64, node), ChurnEvent::repair(192, node)];
         /// Queues each event from the window callback that closes at
         /// its cycle — strictly before that boundary is polled.
         struct Script(ChurnInjector, Vec<ChurnEvent>);
@@ -2173,13 +2149,7 @@ mod tests {
             }
         }
         for threads in [1, 2, 4] {
-            let cfg = SimConfig {
-                rate: 0.05,
-                pattern: TrafficPattern::Hotspot { targets: vec![hot], fraction: 0.5 },
-                stats_window: 64,
-                threads,
-                ..SimConfig::smoke()
-            };
+            let cfg = SimConfig { rate: 0.05, stats_window: 64, threads, ..SimConfig::smoke() };
             let mut paths = PathTable::new(&net, RoutingKind::Rb2);
             let listed_cfg = SimConfig { fault_churn: events.clone(), ..cfg.clone() };
             let listed = run_reusing(&mut paths, &listed_cfg, &mut ()).stats;

@@ -3,7 +3,7 @@
 //! source's messages into the fabric and closes the delivery-feedback
 //! loop.
 //!
-//! Today's synthetic patterns are point processes — every node draws
+//! Synthetic traffic is a point process — every node draws
 //! independently per cycle and the run can only report per-packet
 //! latency. A workload source instead *schedules* messages: a trace
 //! replays recorded `(cycle, src, dst, len)` entries, a flow DAG

@@ -1,11 +1,9 @@
 //! Latency histograms and run-level statistics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::ChurnEvent;
 
 /// A latency histogram with 1-cycle-wide buckets and an overflow tail.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     overflow: u64,
@@ -87,7 +85,7 @@ impl LatencyHistogram {
 }
 
 /// Everything measured over one traffic simulation run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TrafficStats {
     /// Cycles simulated in total (warmup + window + drain actually used).
     pub cycles: u64,

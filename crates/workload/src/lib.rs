@@ -2,7 +2,7 @@
 //!
 //! Application workloads for the `meshpath-traffic` wormhole simulator:
 //! the three [`WorkloadSource`] implementations that replace the
-//! synthetic injection processes with *scheduled* traffic, plus the
+//! synthetic injection process with *scheduled* traffic, plus the
 //! [`WorkloadSpec`] descriptor the analysis CLI builds them from.
 //!
 //! * [`TraceSource`] — replays a recorded packet trace

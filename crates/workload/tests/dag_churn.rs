@@ -6,8 +6,7 @@
 use meshpath_mesh::{Coord, FaultSet, Mesh};
 use meshpath_route::NetView;
 use meshpath_traffic::{
-    ChurnEvent, ChurnInjector, OnlineChurn, PathTable, RoutingKind, SimConfig, TrafficPattern,
-    TrafficSim,
+    ChurnEvent, ChurnInjector, OnlineChurn, PathTable, RoutingKind, SimConfig, TrafficSim,
 };
 use meshpath_workload::{DagSpec, FlowDag, FlowSpec};
 
@@ -29,7 +28,6 @@ fn run_killed_dag(threads: usize, listed: bool) {
     let cfg = SimConfig {
         seed: 5,
         rate: 0.0,
-        pattern: TrafficPattern::UniformRandom,
         warmup: 20,
         measure: 100,
         drain: 600,

@@ -18,13 +18,12 @@ use rand::SeedableRng;
 use meshpath_mesh::{Coord, FaultInjection, FaultSet, Mesh};
 use meshpath_route::NetView;
 use meshpath_traffic::{
-    InjectionProcess, LengthDist, PathTable, RoutingKind, RunOutput, SimConfig, TraceEntry,
-    TrafficPattern, TrafficSim, WorkloadSource,
+    PathTable, RoutingKind, RunOutput, SimConfig, TraceEntry, TrafficSim, WorkloadSource, NO_FLOW,
 };
 use meshpath_workload::{DagSpec, FlowDag, FlowSpec, TraceSource, WorkloadSpec};
 
-fn base_cfg(seed: u64, rate: f64, pattern: TrafficPattern) -> SimConfig {
-    SimConfig { rate, seed, pattern, warmup: 20, measure: 100, drain: 600, ..SimConfig::default() }
+fn base_cfg(seed: u64, rate: f64) -> SimConfig {
+    SimConfig { rate, seed, warmup: 20, measure: 100, drain: 600, ..SimConfig::default() }
 }
 
 fn run_sim(
@@ -88,26 +87,11 @@ proptest! {
     /// trace bit-for-bit.
     #[test]
     fn recorded_traces_replay_bit_identically(
-        (pattern_ix, rate_ix, faults, seed) in (0usize..4, 0usize..3, 0usize..5, 0u64..u64::MAX)
+        (rate_ix, faults, seed) in (0usize..3, 0usize..5, 0u64..u64::MAX)
     ) {
-        let pattern = [
-            TrafficPattern::UniformRandom,
-            TrafficPattern::Transpose,
-            TrafficPattern::BitComplement,
-            TrafficPattern::Permutation,
-        ][pattern_ix].clone();
         let rate = [0.05, 0.12, 0.25][rate_ix];
         let net = net_with_faults(8, faults, seed ^ 0xface);
-        let cfg = SimConfig {
-            injection: InjectionProcess::Bernoulli,
-            length: if seed % 2 == 0 {
-                LengthDist::Fixed
-            } else {
-                LengthDist::Geometric { max: 12 }
-            },
-            ..base_cfg(seed, rate, pattern)
-        }
-        .with_record_trace();
+        let cfg = base_cfg(seed, rate).with_record_trace();
         let recorded = run_sim(&net, RoutingKind::Rb2, &cfg, None);
         let trace: Vec<TraceEntry> = recorded.trace.clone().expect("record_trace was set");
         let horizon = cfg.warmup + cfg.measure;
@@ -152,7 +136,7 @@ proptest! {
     ) {
         let net = net_with_faults(8, faults, seed);
         let spec = layered_dag(&net, layers, width, len);
-        let cfg = base_cfg(seed, 0.0, TrafficPattern::UniformRandom);
+        let cfg = base_cfg(seed, 0.0);
 
         let reference = run_sim(
             &net,
@@ -191,7 +175,7 @@ proptest! {
 fn dag_outcome_metrics_are_coherent() {
     let net = net_with_faults(8, 0, 11);
     let spec = layered_dag(&net, 3, 3, 4);
-    let cfg = base_cfg(11, 0.0, TrafficPattern::UniformRandom);
+    let cfg = base_cfg(11, 0.0);
     let out = run_sim(
         &net,
         RoutingKind::Rb3,
@@ -215,4 +199,38 @@ fn dag_outcome_metrics_are_coherent() {
     let first_release = wl.completions.iter().map(|c| c.released_at).min().expect("nonempty");
     assert_eq!(wl.makespan, last.delivered_at - first_release);
     assert!(wl.flow_p50() <= wl.flow_p99());
+}
+
+/// A hand-built trace of mixed packet lengths (1 to 12 flits, where
+/// synthetic traffic is fixed-length) replays with identical statistics
+/// at 1, 2 and 4 shards.
+#[test]
+fn mixed_length_trace_replays_identically_across_shard_counts() {
+    let net = net_with_faults(8, 3, 17);
+    let healthy: Vec<Coord> = net.mesh().iter().filter(|&c| net.faults().is_healthy(c)).collect();
+    let n = healthy.len();
+    let entries: Vec<TraceEntry> = (0..120usize)
+        .map(|k| {
+            let src = healthy[(k * 7) % n];
+            let mut dst = healthy[(k * 13 + n / 2) % n];
+            if dst == src {
+                dst = healthy[(k * 13 + n / 2 + 1) % n];
+            }
+            let len = 1 + (k % 12) as u32;
+            TraceEntry { cycle: k as u64, src, dst, len, flow: NO_FLOW, drop: 0 }
+        })
+        .collect();
+    let cfg = base_cfg(5, 0.0);
+    let horizon = cfg.warmup + cfg.measure;
+    let replay = |threads: usize| {
+        let spec = WorkloadSpec::Trace { entries: entries.clone(), horizon };
+        let cfg = SimConfig { threads, ..cfg.clone() };
+        run_sim(&net, RoutingKind::Rb2, &cfg, Some(spec.build(&net))).stats
+    };
+    let reference = replay(1);
+    assert_eq!(reference.generated, 120, "every entry is admitted");
+    assert_eq!(reference.measured_delivered, reference.measured_generated);
+    for threads in [2, 4] {
+        assert_eq!(replay(threads), reference, "threads = {threads}");
+    }
 }

@@ -163,11 +163,7 @@ fn rb2_not_slower_than_ecube_zero_load_paired() {
 #[test]
 fn facade_prelude_covers_traffic() {
     let net = NetView::build(FaultSet::none(Mesh::square(6)));
-    let stats = run_traffic(
-        &net,
-        RoutingKind::Xy,
-        &SimConfig { rate: 0.01, pattern: TrafficPattern::Transpose, ..SimConfig::smoke() },
-    );
+    let stats = run_traffic(&net, RoutingKind::Xy, &SimConfig { rate: 0.01, ..SimConfig::smoke() });
     let _: &TrafficStats = &stats;
     assert_eq!(stats.measured_delivered, stats.measured_generated);
     assert!(!stats.deadlocked);
