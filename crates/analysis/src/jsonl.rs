@@ -274,6 +274,11 @@ fn take_value(s: &str) -> Result<(FlatValue, &str), String> {
                     Ok((FlatValue::Nums(nums), after))
                 };
             }
+            // The format has no nested arrays: refuse one before
+            // recursing, so a line of `[[[[...` cannot exhaust the stack.
+            if rest.starts_with('[') {
+                return Err(format!("nested array at {s:?}"));
+            }
             match take_value(rest)? {
                 (FlatValue::Num(n), after) if strs.is_empty() => {
                     nums.push(n);
@@ -358,6 +363,13 @@ mod tests {
         assert!(parse_flat(r#"{"k": }"#).is_err());
         assert!(parse_flat(r#"{"k": [1, "x"]}"#).is_err(), "mixed arrays refused");
         assert!(parse_flat(r#"{"k": "a b"}"#).is_err(), "unrestricted strings refused");
+    }
+
+    #[test]
+    fn a_deeply_nested_array_is_an_error_not_a_stack_overflow() {
+        let line = format!("{{\"k\": {}}}", "[".repeat(1 << 20));
+        assert!(parse_flat(&line).unwrap_err().starts_with("nested array"));
+        assert!(parse_flat(r#"{"k": [1, [2]]}"#).is_err());
     }
 
     #[test]

@@ -657,7 +657,7 @@ mod tests {
             "\"flits_moved\"",
             "\"simulated\"",
             // The shard count rides in the config object so a BENCH
-            // row is attributable to its transport configuration.
+            // row is attributable to its band count.
             "\"sim_threads\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");

@@ -114,11 +114,17 @@ fn get_u64(pairs: &[(String, FlatValue)], key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing or non-integer field {key:?}"))
 }
 
+fn get_u32(pairs: &[(String, FlatValue)], key: &str) -> Result<u32, String> {
+    let v = get_u64(pairs, key)?;
+    u32::try_from(v).map_err(|_| format!("field {key:?} = {v} exceeds u32"))
+}
+
 fn get_coord(pairs: &[(String, FlatValue)], xk: &str, yk: &str) -> Result<Coord, String> {
+    let range = f64::from(i32::MIN)..=f64::from(i32::MAX);
     let read = |key: &str| -> Result<i32, String> {
         match get(pairs, key) {
-            Some(FlatValue::Num(n)) if n.fract() == 0.0 => Ok(*n as i32),
-            _ => Err(format!("missing or non-integer field {key:?}")),
+            Some(FlatValue::Num(n)) if n.fract() == 0.0 && range.contains(n) => Ok(*n as i32),
+            _ => Err(format!("missing, non-integer or out-of-i32 field {key:?}")),
         }
     };
     Ok(Coord::new(read(xk)?, read(yk)?))
@@ -147,17 +153,22 @@ pub fn read_trace(text: &str) -> Result<(Vec<TraceEntry>, u64), WorkloadIoError>
             continue;
         }
         let pairs = parse_flat(line).map_err(|e| WorkloadIoError::BadLine(i + 1, e))?;
-        let field =
-            |key: &str| get_u64(&pairs, key).map_err(|e| WorkloadIoError::BadLine(i + 1, e));
+        let bad = |e| WorkloadIoError::BadLine(i + 1, e);
+        let len = get_u32(&pairs, "len").map_err(bad)?;
+        let drop = match get_u64(&pairs, "drop").map_err(bad)? {
+            d @ 0..=2 => d as u8,
+            d => return Err(bad(format!("drop = {d} is not 0, 1 or 2"))),
+        };
+        if drop == 0 && len == 0 {
+            return Err(bad("an injected entry needs len >= 1".to_string()));
+        }
         entries.push(TraceEntry {
-            cycle: field("cycle")?,
-            src: get_coord(&pairs, "src_x", "src_y")
-                .map_err(|e| WorkloadIoError::BadLine(i + 1, e))?,
-            dst: get_coord(&pairs, "dst_x", "dst_y")
-                .map_err(|e| WorkloadIoError::BadLine(i + 1, e))?,
-            len: field("len")? as u32,
-            flow: field("flow")? as u32,
-            drop: field("drop")? as u8,
+            cycle: get_u64(&pairs, "cycle").map_err(bad)?,
+            src: get_coord(&pairs, "src_x", "src_y").map_err(bad)?,
+            dst: get_coord(&pairs, "dst_x", "dst_y").map_err(bad)?,
+            len,
+            flow: get_u32(&pairs, "flow").map_err(bad)?,
+            drop,
         });
     }
     if let Some(FlatValue::Num(n)) = get(&header, "entries") {
@@ -238,7 +249,7 @@ pub fn read_dag(text: &str) -> Result<DagSpec, WorkloadIoError> {
                 .to_string(),
             src: get_coord(&pairs, "src_x", "src_y").map_err(bad)?,
             dst: get_coord(&pairs, "dst_x", "dst_y").map_err(bad)?,
-            len: get_u64(&pairs, "len").map_err(bad)? as u32,
+            len: get_u32(&pairs, "len").map_err(bad)?,
             deps: get(&pairs, "deps")
                 .and_then(FlatValue::as_strs)
                 .map(<[String]>::to_vec)
@@ -314,5 +325,60 @@ mod tests {
         assert!(matches!(read_dag(&cyclic), Err(WorkloadIoError::InvalidDag(_))));
         let unnamed = text.replace("\"name\": \"a\", ", "");
         assert!(matches!(read_dag(&unnamed), Err(WorkloadIoError::BadLine(2, _))));
+    }
+
+    /// A one-entry trace file, read after each `(from, to)` edit.
+    fn trace(edits: &[(&str, &str)]) -> Result<(Vec<TraceEntry>, u64), WorkloadIoError> {
+        let text = r#"{"format": "meshpath-trace", "version": 1, "horizon": 10}
+{"cycle": 0, "src_x": 1, "src_y": 2, "dst_x": 5, "dst_y": 0, "len": 4, "flow": 9, "drop": 0}"#;
+        read_trace(&edits.iter().fold(text.to_string(), |t, (from, to)| t.replace(from, to)))
+    }
+
+    fn bad_line(r: Result<(Vec<TraceEntry>, u64), WorkloadIoError>) -> bool {
+        matches!(r, Err(WorkloadIoError::BadLine(2, _)))
+    }
+
+    #[test]
+    fn a_drop_marker_past_2_is_rejected_not_truncated() {
+        assert!(trace(&[("\"drop\": 0", "\"drop\": 2")]).is_ok());
+        assert!(bad_line(trace(&[("\"drop\": 0", "\"drop\": 3")])));
+        assert!(bad_line(trace(&[("\"drop\": 0", "\"drop\": 256")])), "256 must not replay as 0");
+    }
+
+    #[test]
+    fn trace_values_past_u32_are_rejected_not_wrapped() {
+        assert!(bad_line(trace(&[("\"len\": 4", "\"len\": 4294967296")])));
+        assert!(bad_line(trace(&[("\"flow\": 9", "\"flow\": 4294967296")])));
+        assert!(trace(&[("\"flow\": 9", "\"flow\": 4294967295")]).is_ok(), "NO_FLOW is valid");
+    }
+
+    #[test]
+    fn an_injected_entry_of_len_0_is_rejected() {
+        let len_0 = ("\"len\": 4", "\"len\": 0");
+        assert!(bad_line(trace(&[len_0])));
+        assert!(
+            trace(&[len_0, ("\"drop\": 0", "\"drop\": 1")]).is_ok(),
+            "a drop marker's len is 0"
+        );
+    }
+
+    #[test]
+    fn coordinates_past_i32_are_rejected_not_saturated() {
+        assert!(bad_line(trace(&[("\"src_x\": 1", "\"src_x\": 2147483648")])));
+        assert!(bad_line(trace(&[("\"dst_y\": 0", "\"dst_y\": -2147483649")])));
+        let far = dag_text().replace("\"dst_x\": 7", "\"dst_x\": 2147483648");
+        assert!(matches!(read_dag(&far), Err(WorkloadIoError::BadLine(2, _))));
+    }
+
+    #[test]
+    fn a_dag_len_past_u32_is_rejected_not_wrapped() {
+        let long = dag_text().replace("\"len\": 8", "\"len\": 4294967297");
+        assert!(matches!(read_dag(&long), Err(WorkloadIoError::BadLine(2, _))));
+    }
+
+    fn dag_text() -> String {
+        write_dag(&DagSpec {
+            flows: vec![FlowSpec::root("a", Coord::new(0, 0), Coord::new(7, 7), 8)],
+        })
     }
 }

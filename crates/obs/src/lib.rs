@@ -51,4 +51,4 @@ pub use postmortem::{BlockedWait, Postmortem, StalledPacket, VcFront, WaitEdge};
 pub use probe::{FabricProbe, GrantInfo, NoProbe, ShardObs};
 pub use profile::{Phase, PhaseProfile};
 pub use report::{ObsLevel, ObsReport, ShardReport};
-pub use trace::{FlightRecorder, StopKind, TraceEvent, TraceEventKind, TraceSink};
+pub use trace::{FlightRecorder, StopKind, TraceEvent, TraceEventKind};

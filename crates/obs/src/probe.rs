@@ -19,7 +19,7 @@ use crate::metrics::LogHistogram;
 use crate::postmortem::{BlockedWait, StalledPacket, VcFront, WaitEdge};
 use crate::profile::{Phase, PhaseProfile};
 use crate::report::ObsLevel;
-use crate::trace::{FlightRecorder, StopKind, TraceEvent, TraceEventKind, TraceSink};
+use crate::trace::{FlightRecorder, StopKind, TraceEvent, TraceEventKind};
 
 /// One head-flit switch grant, as seen by the probe.
 #[derive(Clone, Copy, Debug)]

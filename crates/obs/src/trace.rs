@@ -1,5 +1,5 @@
-//! Packet-lifecycle trace layer: typed events, the [`TraceSink`]
-//! consumer trait, and the bounded per-shard [`FlightRecorder`].
+//! Packet-lifecycle trace layer: typed events and the bounded
+//! per-shard [`FlightRecorder`] that keeps them.
 //!
 //! Events are small `Copy` records keyed by `(cycle, packet, node)`;
 //! the fabric emits one at each lifecycle transition (injection, switch
@@ -108,16 +108,8 @@ impl TraceEvent {
     pub const NO_PACKET: u32 = u32::MAX;
 }
 
-/// A consumer of trace events.
-///
-/// The fabric probe forwards events here; implementations decide
-/// retention policy. [`FlightRecorder`] is the bounded default.
-pub trait TraceSink {
-    /// Accepts one event.
-    fn record(&mut self, event: TraceEvent);
-}
-
-/// A bounded ring buffer of the most recent trace events.
+/// A bounded ring buffer of the most recent trace events: the fabric
+/// probe records every event here.
 #[derive(Clone, Debug, Default)]
 pub struct FlightRecorder {
     capacity: usize,
@@ -151,10 +143,9 @@ impl FlightRecorder {
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
-}
 
-impl TraceSink for FlightRecorder {
-    fn record(&mut self, event: TraceEvent) {
+    /// Accepts one event, evicting the oldest retained one when full.
+    pub fn record(&mut self, event: TraceEvent) {
         self.seen += 1;
         if self.capacity == 0 {
             return;

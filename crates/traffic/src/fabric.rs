@@ -118,8 +118,8 @@
 //! unrouted heads whenever a grant changes an output port's free-VC
 //! mask — exactly the state a per-pass re-evaluation would have seen,
 //! so the grant sequence is bit-identical to scan order (pinned by the
-//! golden-equivalence suite in `crate::golden` against
-//! `Fabric::step_reference`, the retained test-only reference stepper,
+//! golden-equivalence suite in `crate::golden` against the retained
+//! test-only scan-order reference stepper (`Shard::allocate_reference`),
 //! which shares the grant and boundary commits but probes the owner
 //! array, never the masks). Likewise the escape-patience aging pass
 //! walks the occupied slots of active routers — the parked heads —
@@ -128,21 +128,21 @@
 //! ## Sharded stepping and the boundary-exchange protocol
 //!
 //! The mesh is spatially partitioned into **row-band shards**
-//! ([`Fabric::new_sharded`]): band `r` of `R` owns every column of rows
+//! (`Shard::bands`): band `r` of `R` owns every column of rows
 //! `[r*H/R, (r+1)*H/R)`, a contiguous range of node ids. (A two-column
 //! tile grid was measured against bands at 2 and 4 shards and did not
 //! separate from them: `BENCH/pr24-knobs.json`.) Each shard owns *all*
 //! state of its nodes — rings, state pool, credits and owners,
 //! round-robin pointers, bitmasks and worklist — so two shards share
-//! **no** mutable state and can step concurrently on worker threads
-//! (`crate::sim` does exactly that when
-//! [`SimConfig::threads`](crate::SimConfig) > 1).
+//! **no** mutable state and can step concurrently (`crate::sim` steps
+//! band 0 on the coordinator's thread and every other band on a worker
+//! thread of its own when [`SimConfig::threads`](crate::SimConfig) > 1).
 //!
 //! There is no global packet table: a packet's mutable state
 //! ([`PacketState`] — `head_hop`, escape `mode`, `stalled` clock)
 //! **travels with its head flit**, in the pool of the shard holding the
 //! head, by value inside a cross-shard arrival, and finally to the
-//! driver in a [`Delivery`] when the tail ejects. Body and tail flits
+//! run loop in a [`Delivery`] when the tail ejects. Body and tail flits
 //! carry nothing. Exactly one router holds a packet's head at any time,
 //! so its state has exactly one owner — by construction, not by
 //! locking.
@@ -173,10 +173,9 @@
 //! neighbor did this cycle arrives as staged messages applied at the
 //! boundary, which is precisely how same-cycle grants at *different
 //! routers* were already isolated in the sequential stepper. Stepping
-//! is therefore **bit-identical at every shard count** — `Fabric::step`
-//! runs the shards sequentially in-process and the golden-equivalence
-//! suite (`crate::golden`) pins shard counts 1/2/4 against the
-//! scan-order reference stepper.
+//! is therefore **bit-identical at every shard count** — the
+//! golden-equivalence suite (`crate::golden`) pins shard counts 1/2/4
+//! against the scan-order reference stepper.
 //!
 //! ## Determinism
 //!
@@ -190,10 +189,10 @@
 
 use std::ops::Range;
 
-use meshpath_mesh::{Coord, Dir, FxHashMap, Mesh, NodeId};
-use meshpath_obs::{
-    BlockedWait, FabricProbe, GrantInfo, NoProbe, StalledPacket, VcFront, WaitEdge,
-};
+use meshpath_mesh::{Coord, Dir, Mesh};
+#[cfg(test)]
+use meshpath_obs::NoProbe;
+use meshpath_obs::{BlockedWait, FabricProbe, GrantInfo, StalledPacket, VcFront, WaitEdge};
 
 use crate::routing::{HopCandidates, HopDecision, HopRouter, RouteHandle, VcClass};
 
@@ -217,8 +216,8 @@ const MAX_VCS: usize = MAX_SLOTS / IN_PORTS;
 /// per-output-VC credit counters are `u8`.
 pub(crate) const MAX_VC_DEPTH: usize = u8::MAX as usize;
 
-/// One flit on the wire. Packets are identified by the index returned
-/// from [`Fabric::register_packet`] (or chosen by the sharded driver).
+/// One flit on the wire. Packet ids are opaque tokens the run loop
+/// allocates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Flit {
     /// Owning packet.
@@ -296,9 +295,9 @@ impl PacketState {
 }
 
 /// A completed packet: its id plus the final traveling state (latency
-/// reference `generated_at`, final escape `mode`, …), reported by
-/// [`Fabric::step`] when the tail clears the ejection port. The
-/// delivery completes one cycle later — the ejection link; the driver
+/// reference `generated_at`, final escape `mode`, …), reported by a
+/// band's plan/grant phase when the tail clears the ejection port. The
+/// delivery completes one cycle later — the ejection link; the run loop
 /// adds that cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Delivery {
@@ -450,41 +449,24 @@ struct CreditReturn {
     vc: u8,
 }
 
-/// One occupied input-VC head in a [`Fabric::frontier`] snapshot: which
-/// packet is parked where, and whether it already holds an output.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FrontierEntry {
-    /// Packet whose flit heads the VC queue.
-    pub packet: u32,
-    /// Router holding the flit.
-    pub node: Coord,
-    /// Input port index (`Dir as usize`, or 4 for the injection port).
-    pub in_port: usize,
-    /// Virtual channel index within the port.
-    pub vc: usize,
-    /// `(out_port, out_vc)` held by the draining packet, if allocated.
-    pub route: Option<(u8, u8)>,
-}
-
-/// What one [`Fabric::step`] did.
+/// What one cycle's plan/grant phase did in one band.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StepReport {
+pub(crate) struct StepReport {
     /// Flits that traversed the switch (progress indicator).
-    pub moved: u64,
+    pub(crate) moved: u64,
     /// Flits consumed by ejection ports this cycle.
-    pub flits_ejected: u64,
-    /// Packets that committed to an escape class this cycle (the
-    /// per-cycle delta the free-running lease transport accumulates —
-    /// overshoot cycles past the stop decision must not pollute the
-    /// run total).
-    pub escape_entries: u64,
+    pub(crate) flits_ejected: u64,
+    /// Packets that committed to an escape class this cycle (a
+    /// per-cycle delta, so cycles a window runs past the stop decision
+    /// never pollute the run total).
+    pub(crate) escape_entries: u64,
 }
 
 /// One row-band shard of the fabric: every router of a contiguous run
 /// of rows, with all of its buffers, credits, allocator state and
 /// worklist — plus staged arrivals/credits and one outbox of
-/// [`BoundaryMsg`]s per adjacent band. `Send`, so the sharded driver can
-/// move shards onto worker threads.
+/// [`BoundaryMsg`]s per adjacent band. `Send`, so the run loop can move
+/// shards onto worker threads.
 ///
 /// Everything inside is addressed by *local* node index (global node
 /// id minus the band's first); global node ids appear only in
@@ -543,8 +525,6 @@ pub(crate) struct Shard {
     out_boxes: [Vec<BoundaryMsg>; 2],
     /// Flits currently inside this shard (buffers + staged arrivals).
     pub(crate) in_flight: u64,
-    /// Packets that committed to the escape class in this shard.
-    pub(crate) escape_entries: u64,
     /// Per-local-node occupancy bitmask: bit `in_port * vcs + vc` is
     /// set while that input VC's ring is non-empty.
     occ_mask: Vec<u64>,
@@ -568,6 +548,45 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
+    /// The fabric over `mesh`, as `bands` row-band shards (clamped to
+    /// the mesh height; see the module docs on the boundary-exchange
+    /// protocol): band `r` of `R` owns rows `[r*H/R, (r+1)*H/R)`. Every
+    /// directional input port carries `vcs` virtual channels of
+    /// `vc_depth` flits, the top `escape_vcs` of which form the reserved
+    /// escape class.
+    ///
+    /// # Panics
+    /// Panics when `vcs` or `vc_depth` is zero, when `escape_vcs`
+    /// leaves no adaptive channel (`escape_vcs >= vcs`), when `vcs`
+    /// exceeds `MAX_VCS` = 12 (the occupancy/request bitmasks pack
+    /// `IN_PORTS * vcs` slots into a `u64`), or when `vc_depth` exceeds
+    /// `MAX_VC_DEPTH` = 255 (the flit-ring cursors and credit counters
+    /// are `u8`).
+    pub(crate) fn bands(
+        mesh: Mesh,
+        vcs: usize,
+        vc_depth: usize,
+        escape_vcs: usize,
+        bands: usize,
+    ) -> Vec<Shard> {
+        assert!(vcs > 0, "need at least one virtual channel");
+        assert!(vcs <= MAX_VCS, "at most {MAX_VCS} VCs per port (bitmask width)");
+        assert!(vc_depth > 0, "need at least one buffer slot per VC");
+        assert!(
+            vc_depth <= MAX_VC_DEPTH,
+            "vc_depth = {vc_depth} exceeds the flit-ring cursor limit of {MAX_VC_DEPTH} slots per VC"
+        );
+        assert!(escape_vcs < vcs, "escape class must leave at least one adaptive VC");
+        let height = mesh.height() as usize;
+        let bands = bands.clamp(1, height);
+        (0..bands)
+            .map(|r| {
+                let rows = (r * height / bands)..((r + 1) * height / bands);
+                Shard::new(mesh, vcs, vc_depth, escape_vcs, rows)
+            })
+            .collect()
+    }
+
     fn new(mesh: Mesh, vcs: usize, vc_depth: usize, escape_vcs: usize, rows: Range<usize>) -> Self {
         let width = mesh.width() as usize;
         let nodes = width * (rows.end - rows.start);
@@ -614,7 +633,6 @@ impl Shard {
             credit_returns: Vec::new(),
             out_boxes: [Vec::new(), Vec::new()],
             in_flight: 0,
-            escape_entries: 0,
             occ_mask: vec![0; nodes],
             free_mask: vec![bits(0..vcs); nodes * DIRS],
             class_masks: [0; 3],
@@ -690,8 +708,9 @@ impl Shard {
         (v.q_len > 0).then(|| self.rings[in_idx * self.vc_depth + v.q_head as usize])
     }
 
-    /// The queued slots of input VC `in_idx`, oldest first (diagnostic
+    /// The queued slots of input VC `in_idx`, oldest first (test
     /// walks only — the stepping path never iterates a ring).
+    #[cfg(test)]
     fn queued(&self, in_idx: usize) -> impl Iterator<Item = RingSlot> + '_ {
         let v = self.in_vcs[in_idx];
         let depth = self.vc_depth;
@@ -733,20 +752,6 @@ impl Shard {
         cands.iter().find_map(|c| {
             self.free_vc(lnode, c.dir as usize, c.class).map(|v| (c.dir as usize, v, c.class))
         })
-    }
-
-    /// Recomputes the free bit of out VC `(lnode, out_port, v)` from
-    /// its owner/credit state (the test hooks' way in; stepping derives
-    /// the bit from what a grant or credit return already knows).
-    #[cfg(test)]
-    fn refresh_free_bit(&mut self, lnode: usize, out_port: usize, v: usize) {
-        let idx = self.out_idx(lnode, out_port, v);
-        let bit = 1u32 << v;
-        if self.owners[idx].is_none() && self.credits[idx] > 0 {
-            self.free_mask[lnode * DIRS + out_port] |= bit;
-        } else {
-            self.free_mask[lnode * DIRS + out_port] &= !bit;
-        }
     }
 
     /// The outbox for a hop out of this band in direction `dir`: `-Y`
@@ -1089,7 +1094,6 @@ impl Shard {
                 if let Some(class) = new_class {
                     if class != VcClass::Adaptive && st.mode == VcClass::Adaptive {
                         st.mode = class;
-                        self.escape_entries += 1;
                         report.escape_entries += 1;
                         entered_escape = Some(class);
                     }
@@ -1347,30 +1351,12 @@ impl Shard {
         }
     }
 
-    /// Appends this shard's occupied input-VC heads to a frontier
-    /// snapshot.
-    fn frontier_into(&self, out: &mut Vec<FrontierEntry>) {
-        for lnode in 0..self.nodes() {
-            for port in 0..IN_PORTS {
-                for vc in 0..self.vcs {
-                    let in_idx = self.in_idx(lnode, port, vc);
-                    if let Some(word) = self.front(in_idx) {
-                        out.push(FrontierEntry {
-                            packet: slot_flit(word).packet,
-                            node: self.coords[lnode],
-                            in_port: port,
-                            vc,
-                            route: self.in_vcs[in_idx].route,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
     /// Searches this shard for packet `id`'s traveling state: staged
-    /// arrivals first, then the parked/queued heads (diagnostic aid —
-    /// linear in shard state, not for hot paths).
+    /// arrivals first, then the parked/queued heads (linear in shard
+    /// state). `None` once the packet has been delivered, and
+    /// transiently for a multi-flit packet whose head was consumed at
+    /// the ejection port while its remaining flits are stalled upstream.
+    #[cfg(test)]
     fn find_packet(&self, id: u32) -> Option<PacketState> {
         let is_head_of = |word: RingSlot| word & SLOT_HEAD != 0 && slot_flit(word).packet == id;
         if let Some(a) = self.arrivals.iter().find(|a| is_head_of(a.word)) {
@@ -1392,7 +1378,7 @@ impl Shard {
     }
 
     /// Reference-stepper grant pass for one output port of one node
-    /// (the original linear scan; see [`Fabric::step_reference`]).
+    /// (the original linear scan; see `step_bands`).
     /// Unrouted heads consume the decisions planned once at the start
     /// of the node's cycle — NOT a fresh `decide` per output port: the
     /// router consultation schedule is observable under online churn
@@ -1480,7 +1466,7 @@ impl Shard {
     }
 
     /// The original scan-order allocation pass over every node of this
-    /// shard, in global node order (see [`Fabric::step_reference`]).
+    /// shard, in global node order (see `step_bands`).
     /// Per node, every parked unrouted head asks the hop router exactly
     /// once — before any grant — mirroring the event-driven plan phase.
     #[cfg(test)]
@@ -1520,7 +1506,7 @@ impl Shard {
     }
 
     /// The original aging pass: every input VC of this shard, in index
-    /// order (see [`Fabric::step_reference`]).
+    /// order (see `step_bands`).
     #[cfg(test)]
     pub(crate) fn age_reference(&mut self) {
         if self.escape_vcs == 0 {
@@ -1567,9 +1553,9 @@ impl Shard {
     /// * the occupancy and free-VC bitmasks and the worklist agree with
     ///   the ground truth (ring occupancy, owner/credit state);
     /// * flit conservation on every link that stays inside this band:
-    ///   `credits + downstream ring occupancy + arrivals staged for it
-    ///   + credit returns staged for it == vc_depth` (links crossing a
-    ///   band edge are checked by [`Fabric::assert_masks_consistent`]);
+    ///   `credits + downstream ring occupancy + arrivals staged for it +
+    ///   credit returns staged for it == vc_depth` (the fabric tests
+    ///   check the links that cross a band edge);
     /// * state conservation: every queued or staged head flit and every
     ///   eject-draining VC holds one pooled state, no handle is held
     ///   twice, and every other handle is on the free list.
@@ -1656,282 +1642,166 @@ impl Shard {
     }
 }
 
-/// The whole network: every router's buffers, credits and allocator
-/// state, spatially partitioned into row-band shards (one by
-/// default — see [`Fabric::new_sharded`] and the module docs on the
-/// boundary-exchange protocol).
-pub struct Fabric {
-    mesh: Mesh,
-    shards: Vec<Shard>,
-    /// Packets registered through the public API whose head flit has
-    /// not been injected yet (the traveling state is attached to the
-    /// head at injection).
-    pending: FxHashMap<u32, PacketState>,
-    next_packet: u32,
-}
-
-impl Fabric {
-    /// An empty single-shard fabric over `mesh` with `vcs` virtual
-    /// channels of `vc_depth` flits per directional input port, the top
-    /// `escape_vcs` of which form the reserved escape class.
-    ///
-    /// # Panics
-    /// Panics when `vcs` or `vc_depth` is zero, when `escape_vcs`
-    /// leaves no adaptive channel (`escape_vcs >= vcs`), when `vcs`
-    /// exceeds `MAX_VCS` = 12 (the occupancy/request bitmasks pack
-    /// `IN_PORTS * vcs` slots into a `u64`), or when `vc_depth` exceeds
-    /// `MAX_VC_DEPTH` = 255 (the flit-ring cursors and credit counters
-    /// are `u8`).
-    pub fn new(mesh: Mesh, vcs: usize, vc_depth: usize, escape_vcs: usize) -> Self {
-        Fabric::new_sharded(mesh, vcs, vc_depth, escape_vcs, 1)
-    }
-
-    /// Like [`Fabric::new`], but spatially partitioned into
-    /// `num_shards` row-band shards (clamped to the mesh height;
-    /// results are bit-identical at every shard count — see the module
-    /// docs on the boundary-exchange protocol). Band `r` owns rows
-    /// `[r*H/num_shards, (r+1)*H/num_shards)`.
-    pub fn new_sharded(
-        mesh: Mesh,
-        vcs: usize,
-        vc_depth: usize,
-        escape_vcs: usize,
-        num_shards: usize,
-    ) -> Self {
-        assert!(vcs > 0, "need at least one virtual channel");
-        assert!(vcs <= MAX_VCS, "at most {MAX_VCS} VCs per port (bitmask width)");
-        assert!(vc_depth > 0, "need at least one buffer slot per VC");
-        assert!(
-            vc_depth <= MAX_VC_DEPTH,
-            "vc_depth = {vc_depth} exceeds the flit-ring cursor limit of {MAX_VC_DEPTH} slots per VC"
-        );
-        assert!(escape_vcs < vcs, "escape class must leave at least one adaptive VC");
-        let height = mesh.height() as usize;
-        let bands = num_shards.clamp(1, height);
-        let shards = (0..bands)
-            .map(|r| {
-                let rows = (r * height / bands)..((r + 1) * height / bands);
-                Shard::new(mesh, vcs, vc_depth, escape_vcs, rows)
-            })
-            .collect();
-        Fabric { mesh, shards, pending: FxHashMap::default(), next_packet: 0 }
-    }
-
-    /// The mesh this fabric spans.
-    pub fn mesh(&self) -> &Mesh {
-        &self.mesh
-    }
-
-    /// Number of row-band shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Flits currently inside the fabric (buffers + staged arrivals).
-    pub fn in_flight(&self) -> u64 {
-        self.shards.iter().map(|s| s.in_flight).sum()
-    }
-
-    /// Packets that have committed to the escape class so far.
-    pub fn escape_entries(&self) -> u64 {
-        self.shards.iter().map(|s| s.escape_entries).sum()
-    }
-
-    /// The shard owning global node id `node`.
-    fn shard_of(&self, node: usize) -> usize {
-        self.shards.iter().position(|s| s.contains_node(node)).expect("node inside the mesh")
-    }
-
-    /// Moves the shards out of the fabric (the sharded driver hands
-    /// them to worker threads and keeps them for the rest of the run).
-    pub(crate) fn take_shards(&mut self) -> Vec<Shard> {
-        std::mem::take(&mut self.shards)
-    }
-
-    /// Registers a packet and returns its id; the traveling state is
-    /// attached to the head flit when it is injected.
-    pub fn register_packet(&mut self, p: PacketState) -> u32 {
-        let id = self.next_packet;
-        self.next_packet += 1;
-        self.pending.insert(id, p);
-        id
-    }
-
-    /// A registered packet's traveling state, looked up by id:
-    /// registered-but-uninjected packets first, then a linear search of
-    /// every shard's staged arrivals and queued heads. Diagnostic aid
-    /// (tests, debugging) — `None` once the packet has been delivered
-    /// (the final state is in its [`Delivery`]), and transiently for a
-    /// multi-flit packet whose head has already been consumed at the
-    /// ejection port while its remaining flits are stalled upstream
-    /// (the retained state is only identifiable while a flit of the
-    /// packet is queued at the ejecting VC).
-    pub fn packet_state(&self, id: u32) -> Option<PacketState> {
-        if let Some(p) = self.pending.get(&id) {
-            return Some(*p);
-        }
-        self.shards.iter().find_map(|s| s.find_packet(id))
-    }
-
-    /// Occupancy of the node's injection channel (applied flits only;
-    /// the per-node injector stages at most one flit per cycle, so
-    /// `local_occupancy(n) < vc_depth` keeps the buffer within bounds).
-    pub fn local_occupancy(&self, node: NodeId) -> usize {
-        let shard = &self.shards[self.shard_of(node.index())];
-        shard.local_occupancy(shard.local_of(node.index()))
-    }
-
-    /// Stages one flit onto the node's injection channel; it becomes
-    /// visible to allocation next cycle. The caller must respect
-    /// [`Fabric::local_occupancy`] and wormhole ordering (all flits of
-    /// a packet before any flit of the next).
-    ///
-    /// # Panics
-    /// Panics when a head flit's packet was not registered through
-    /// [`Fabric::register_packet`] (its traveling state is attached
-    /// here).
-    pub fn inject_flit(&mut self, node: NodeId, flit: Flit) {
-        let state = flit
-            .is_head
-            .then(|| self.pending.remove(&flit.packet).expect("head flit of a registered packet"));
-        let shard = self.shard_of(node.index());
-        let shard = &mut self.shards[shard];
-        shard.inject(shard.local_of(node.index()), flit, state);
-    }
-
-    /// Snapshot of every occupied input VC head. Diagnostic aid for
-    /// analyzing saturation and deadlock reports.
-    pub fn frontier(&self) -> Vec<FrontierEntry> {
-        let mut out = Vec::new();
-        for s in &self.shards {
-            s.frontier_into(&mut out);
-        }
-        out
-    }
-
-    /// Routes every shard's boundary outboxes to the adjacent bands
-    /// (the in-process equivalent of the worker threads' channel
-    /// exchange).
-    fn exchange_boundary(&mut self) {
-        for i in 0..self.shards.len() {
-            let [before, after] = self.shards[i].take_outboxes();
-            if !before.is_empty() {
-                self.shards[i - 1].apply_boundary(before);
-            }
-            if !after.is_empty() {
-                self.shards[i + 1].apply_boundary(after);
-            }
-        }
-    }
-
-    /// Runs one cycle of switch allocation + link traversal over every
-    /// *active* router of every shard (see the module docs on
-    /// event-driven and sharded stepping), consulting `router` for
-    /// every parked head flit. Packets whose tail reached their
-    /// destination's ejection port are appended to `deliveries` (the
-    /// delivery completes one cycle later — the ejection link; the
-    /// driver adds that cycle).
-    pub fn step(
-        &mut self,
-        router: &mut dyn HopRouter,
-        deliveries: &mut Vec<Delivery>,
-    ) -> StepReport {
-        let mut report = StepReport::default();
-        for s in &mut self.shards {
+/// Steps `bands` one cycle in process, as the run loop steps them on
+/// its threads: plan/grant on every band, the boundary exchange, then
+/// the commit. Band `i` routes with `routers[i % routers.len()]` — one
+/// router for every band, or one per band.
+///
+/// With `reference` set, plan/grant runs the original scan-order
+/// stepper, retained as the golden reference: every node in global
+/// order, every output port, a linear round-robin walk over all
+/// `(input port, VC)` slots, and a linear free-VC probe straight off the
+/// owner/credit state (it never reads the bitmasks, so it cannot
+/// inherit a bookkeeping bug from them). It shares
+/// `Shard::commit_grant` and `Shard::commit_boundary` with the
+/// event-driven stepper, which keep the masks and worklist maintained —
+/// the two steppers can be interleaved mid-run, at any shard count.
+#[cfg(test)]
+pub(crate) fn step_bands(
+    bands: &mut [Shard],
+    routers: &mut [&mut dyn HopRouter],
+    reference: bool,
+    deliveries: &mut Vec<Delivery>,
+) -> StepReport {
+    let mut report = StepReport::default();
+    for (i, s) in bands.iter_mut().enumerate() {
+        let router = &mut *routers[i % routers.len()];
+        if reference {
+            s.allocate_reference(router, &mut report, deliveries);
+            s.age_reference();
+        } else {
             s.allocate_active(router, &mut report, deliveries, &mut NoProbe);
             s.age_parked_heads(&mut NoProbe);
         }
-        self.exchange_boundary();
-        for s in &mut self.shards {
-            s.commit_boundary();
-        }
-        report
     }
-
-    /// The original scan-order stepper, retained as the golden
-    /// reference: every node in global order, every output port, a
-    /// linear round-robin walk over all `(input port, VC)` slots, and a
-    /// linear free-VC probe straight off the owner/credit state (it
-    /// never reads the bitmasks, so it cannot inherit a bookkeeping bug
-    /// from them). It shares `Shard::commit_grant` and
-    /// `Shard::commit_boundary` with the event-driven stepper, which
-    /// keep the masks and worklist maintained — the two steppers can be
-    /// interleaved mid-run, at any shard count.
-    #[cfg(test)]
-    pub(crate) fn step_reference(
-        &mut self,
-        router: &mut dyn HopRouter,
-        deliveries: &mut Vec<Delivery>,
-    ) -> StepReport {
-        let mut report = StepReport::default();
-        for s in &mut self.shards {
-            s.allocate_reference(router, &mut report, deliveries);
-            s.age_reference();
+    for i in 0..bands.len() {
+        let [before, after] = bands[i].take_outboxes();
+        if !before.is_empty() {
+            bands[i - 1].apply_boundary(before);
         }
-        self.exchange_boundary();
-        for s in &mut self.shards {
-            s.commit_boundary();
-        }
-        report
-    }
-
-    /// Asserts every shard's invariants (`Shard::assert_masks_consistent`)
-    /// plus flit conservation on the links that cross a band edge.
-    /// Call after the boundary exchange: a message still in an outbox
-    /// is on neither side of its link.
-    #[cfg(test)]
-    pub(crate) fn assert_masks_consistent(&self) {
-        for (i, s) in self.shards.iter().enumerate() {
-            s.assert_masks_consistent();
-            assert!(s.out_boxes.iter().all(Vec::is_empty), "boundary messages not exchanged");
-            for lnode in 0..s.nodes() {
-                let here = s.coords[lnode];
-                for dir in Dir::ALL {
-                    let next = here.step(dir);
-                    if s.local_neighbor(lnode, dir).is_some() || !self.mesh.contains(next) {
-                        continue;
-                    }
-                    // Off this band but on the mesh: one band up or down.
-                    let t = &self.shards[if dir == Dir::PlusY { i + 1 } else { i - 1 }];
-                    let next = t.local_of(self.mesh.id(next).index());
-                    for v in 0..s.vcs {
-                        assert_eq!(
-                            s.credit_load(lnode, dir as usize, v)
-                                + t.ring_load(next, dir.opposite() as usize * s.vcs + v),
-                            s.vc_depth,
-                            "flits not conserved across the band edge at {here:?} {dir:?} vc {v}"
-                        );
-                    }
-                }
-            }
+        if !after.is_empty() {
+            bands[i + 1].apply_boundary(after);
         }
     }
-
-    /// Test hook: seizes or releases an output VC directly while
-    /// keeping the ownership and free-VC masks consistent.
-    #[cfg(test)]
-    fn set_test_owner(&mut self, node: usize, dir: usize, vc: usize, owner: Option<u32>) {
-        let s = self.shard_of(node);
-        let shard = &mut self.shards[s];
-        let lnode = shard.local_of(node);
-        let idx = shard.out_idx(lnode, dir, vc);
-        shard.owners[idx] = owner;
-        if owner.is_some() {
-            shard.owned[lnode * DIRS + dir] |= 1 << vc;
-        } else {
-            shard.owned[lnode * DIRS + dir] &= !(1 << vc);
-        }
-        shard.refresh_free_bit(lnode, dir, vc);
-    }
+    bands.iter_mut().for_each(Shard::commit_boundary);
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::routing::HopChoice;
+    use meshpath_mesh::FxHashMap;
 
     const TEST_VCS: usize = 2;
     const TEST_DEPTH: usize = 4;
+
+    /// The bands of one mesh, stepped in process through [`step_bands`].
+    struct Fabric {
+        mesh: Mesh,
+        shards: Vec<Shard>,
+    }
+
+    /// A packet fed into its source's injection channel: its id, its
+    /// traveling state and how many of its flits went in.
+    struct Worm {
+        id: u32,
+        state: PacketState,
+        sent: u32,
+    }
+
+    impl Worm {
+        fn new(id: u32, state: PacketState) -> Self {
+            Worm { id, state, sent: 0 }
+        }
+    }
+
+    impl Fabric {
+        fn new(mesh: Mesh, vcs: usize, depth: usize, escape_vcs: usize, bands: usize) -> Self {
+            Fabric { mesh, shards: Shard::bands(mesh, vcs, depth, escape_vcs, bands) }
+        }
+
+        /// The band owning global node id `node`, and the node's local
+        /// index in it.
+        fn band(&mut self, node: usize) -> (&mut Shard, usize) {
+            let s = self.shards.iter_mut().find(|s| s.contains_node(node)).expect("on the mesh");
+            let lnode = s.local_of(node);
+            (s, lnode)
+        }
+
+        /// Stages the next flit of `worm` at its source when one is left
+        /// and the injection channel has room: one flit a cycle, as a
+        /// network interface feeds it.
+        fn feed(&mut self, worm: &mut Worm) {
+            let (s, lnode) = self.band(self.mesh.id(worm.state.src).index());
+            if worm.sent < worm.state.len && s.local_occupancy(lnode) < s.vc_depth {
+                let is_head = worm.sent == 0;
+                let flit =
+                    Flit { packet: worm.id, is_head, is_tail: worm.sent + 1 == worm.state.len };
+                s.inject(lnode, flit, is_head.then_some(worm.state));
+                worm.sent += 1;
+            }
+        }
+
+        /// One cycle on the event-driven stepper.
+        fn step(&mut self, hop: &mut dyn HopRouter, deliveries: &mut Vec<Delivery>) -> StepReport {
+            step_bands(&mut self.shards, &mut [hop], false, deliveries)
+        }
+
+        /// Flits inside the fabric (buffers + staged arrivals).
+        fn in_flight(&self) -> u64 {
+            self.shards.iter().map(|s| s.in_flight).sum()
+        }
+
+        /// Packet `id`'s traveling state while its head is in the fabric.
+        fn packet_state(&self, id: u32) -> Option<PacketState> {
+            self.shards.iter().find_map(|s| s.find_packet(id))
+        }
+
+        /// Seizes or releases an output VC directly while keeping the
+        /// ownership and free-VC masks consistent.
+        fn set_test_owner(&mut self, node: usize, dir: usize, vc: usize, owner: Option<u32>) {
+            let (s, lnode) = self.band(node);
+            let (idx, port, bit) = (s.out_idx(lnode, dir, vc), lnode * DIRS + dir, 1u32 << vc);
+            s.owners[idx] = owner;
+            let free = owner.is_none() && s.credits[idx] > 0;
+            s.owned[port] =
+                if owner.is_some() { s.owned[port] | bit } else { s.owned[port] & !bit };
+            s.free_mask[port] =
+                if free { s.free_mask[port] | bit } else { s.free_mask[port] & !bit };
+        }
+
+        /// Asserts every shard's invariants (`Shard::assert_masks_consistent`)
+        /// plus flit conservation on the links that cross a band edge.
+        /// Call after the boundary exchange: a message still in an outbox
+        /// is on neither side of its link.
+        fn assert_masks_consistent(&self) {
+            for (i, s) in self.shards.iter().enumerate() {
+                s.assert_masks_consistent();
+                assert!(s.out_boxes.iter().all(Vec::is_empty), "boundary messages not exchanged");
+                for lnode in 0..s.nodes() {
+                    let here = s.coords[lnode];
+                    for dir in Dir::ALL {
+                        let next = here.step(dir);
+                        if s.local_neighbor(lnode, dir).is_some() || !self.mesh.contains(next) {
+                            continue;
+                        }
+                        // Off this band but on the mesh: one band up or down.
+                        let t = &self.shards[if dir == Dir::PlusY { i + 1 } else { i - 1 }];
+                        let next = t.local_of(self.mesh.id(next).index());
+                        for v in 0..s.vcs {
+                            assert_eq!(
+                                s.credit_load(lnode, dir as usize, v)
+                                    + t.ring_load(next, dir.opposite() as usize * s.vcs + v),
+                                s.vc_depth,
+                                "flits not conserved across the band edge at {here:?} {dir:?} vc {v}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     /// A scripted hop router for fabric unit tests: replays explicit
     /// direction sequences keyed by `(src, dst)`, adaptive class only.
@@ -1985,25 +1855,16 @@ mod tests {
     /// Drives one packet through an idle fabric (optionally sharded)
     /// and returns the cycle at which its tail was ejected.
     fn run_single_sharded(mesh: Mesh, path: &[Dir], len: u32, shards: usize) -> u64 {
-        let mut f = Fabric::new_sharded(mesh, TEST_VCS, TEST_DEPTH, 0, shards);
+        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, 0, shards);
         let mut hop = ScriptedHop::new();
-        let src = Coord::new(0, 0);
-        let (s, d) = hop.script(src, path);
-        let src_id = mesh.id(src);
-        let id = f.register_packet(PacketState::new(s, d, 0, len));
+        let (s, d) = hop.script(Coord::new(0, 0), path);
+        let mut worm = Worm::new(0, PacketState::new(s, d, 0, len));
         let mut ejected = Vec::new();
-        let mut sent = 0;
         for cycle in 0.. {
-            if sent < len && f.local_occupancy(src_id) < TEST_DEPTH {
-                f.inject_flit(
-                    src_id,
-                    Flit { packet: id, is_head: sent == 0, is_tail: sent + 1 == len },
-                );
-                sent += 1;
-            }
+            f.feed(&mut worm);
             f.step(&mut hop, &mut ejected);
             if !ejected.is_empty() {
-                assert_eq!(ids(&ejected), vec![id]);
+                assert_eq!(ids(&ejected), vec![0]);
                 assert_eq!(f.in_flight(), 0);
                 return cycle + 1; // ejection link
             }
@@ -2071,27 +1932,19 @@ mod tests {
         // The switch allocator must interleave them — both complete,
         // and neither is starved while the other's worm drains.
         let mesh = Mesh::square(4);
-        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, 0);
+        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, 0, 1);
         let mut hop = ScriptedHop::new();
         let len = 3u32;
         let (sa, da) = hop.script(Coord::new(0, 0), &[Dir::PlusX, Dir::PlusX]);
         let (sb, db) = hop.script(Coord::new(1, 1), &[Dir::MinusY, Dir::PlusX]);
-        let a = f.register_packet(PacketState::new(sa, da, 0, len));
-        let b = f.register_packet(PacketState::new(sb, db, 0, len));
-        let sources = [(mesh.id(sa), a), (mesh.id(sb), b)];
-        let mut sent = [0u32; 2];
+        let mut worms = [
+            Worm::new(0, PacketState::new(sa, da, 0, len)),
+            Worm::new(1, PacketState::new(sb, db, 0, len)),
+        ];
         let mut ejected = Vec::new();
         let mut done = Vec::new();
         for cycle in 0..100 {
-            for (i, &(src, pk)) in sources.iter().enumerate() {
-                if sent[i] < len && f.local_occupancy(src) < TEST_DEPTH {
-                    f.inject_flit(
-                        src,
-                        Flit { packet: pk, is_head: sent[i] == 0, is_tail: sent[i] + 1 == len },
-                    );
-                    sent[i] += 1;
-                }
-            }
+            worms.iter_mut().for_each(|w| f.feed(w));
             f.step(&mut hop, &mut ejected);
             done.extend(ejected.drain(..).map(|d| (d.packet, cycle)));
             if done.len() == 2 {
@@ -2119,36 +1972,25 @@ mod tests {
 
     #[test]
     fn frontier_reports_parked_flits() {
-        // Park a worm behind a missing grant: inject a packet and stop
-        // stepping mid-flight, then snapshot. The frontier must name
-        // the packet, its router and (once the head was granted) the
-        // allocated route; after delivery the frontier is empty.
+        // Park a worm behind a missing grant: inject its head and stop
+        // mid-flight. The traveling state must be findable there, and
+        // gone once the packet delivered.
         let mesh = Mesh::square(4);
-        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, 0);
+        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, 0, 1);
         let mut hop = ScriptedHop::new();
         let (s, d) = hop.script(Coord::new(0, 0), &[Dir::PlusX, Dir::PlusX]);
-        let id = f.register_packet(PacketState::new(s, d, 0, 2));
-        let src = mesh.id(s);
-        f.inject_flit(src, Flit { packet: id, is_head: true, is_tail: false });
+        let mut worm = Worm::new(0, PacketState::new(s, d, 0, 2));
+        f.feed(&mut worm);
         let mut ejected = Vec::new();
         f.step(&mut hop, &mut ejected); // head lands in the injection channel
-        let snap = f.frontier();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].packet, id);
-        assert_eq!(snap[0].node, Coord::new(0, 0));
-        assert_eq!(snap[0].in_port, 4, "injection port");
-        assert!(snap[0].route.is_none(), "head not granted yet");
-        // The traveling state is findable mid-flight.
-        assert_eq!(f.packet_state(id).expect("in flight").head_hop, 0);
-        // Finish the packet; the fabric must report an empty frontier.
-        f.inject_flit(src, Flit { packet: id, is_head: false, is_tail: true });
+        assert_eq!(f.packet_state(0).expect("in flight").head_hop, 0);
+        f.feed(&mut worm);
         for _ in 0..20 {
             f.step(&mut hop, &mut ejected);
         }
         assert!(!ejected.is_empty());
         assert_eq!(f.in_flight(), 0);
-        assert!(f.frontier().is_empty());
-        assert!(f.packet_state(id).is_none(), "delivered packets leave the fabric");
+        assert!(f.packet_state(0).is_none(), "delivered packets leave the fabric");
     }
 
     #[test]
@@ -2208,21 +2050,21 @@ mod tests {
     fn class_partition_reserves_the_top_indices() {
         // 4 VCs, 2 escape: adaptive = {0, 1}, XY = {2}, tree = {3}.
         let mesh = Mesh::square(4);
-        let f = Fabric::new(mesh, 4, TEST_DEPTH, 2);
-        assert_eq!(f.shards[0].class_range(VcClass::Adaptive), 0..2);
-        assert_eq!(f.shards[0].class_range(VcClass::EscapeXy), 2..3);
-        assert_eq!(f.shards[0].class_range(VcClass::EscapeTree), 3..4);
+        let f = &Shard::bands(mesh, 4, TEST_DEPTH, 2, 1)[0];
+        assert_eq!(f.class_range(VcClass::Adaptive), 0..2);
+        assert_eq!(f.class_range(VcClass::EscapeXy), 2..3);
+        assert_eq!(f.class_range(VcClass::EscapeTree), 3..4);
         // 1 escape VC: no XY class, the reserved channel is the tree.
-        let f1 = Fabric::new(mesh, 2, TEST_DEPTH, 1);
-        assert_eq!(f1.shards[0].class_range(VcClass::Adaptive), 0..1);
-        assert!(f1.shards[0].class_range(VcClass::EscapeXy).is_empty());
-        assert_eq!(f1.shards[0].class_range(VcClass::EscapeTree), 1..2);
+        let f1 = &Shard::bands(mesh, 2, TEST_DEPTH, 1, 1)[0];
+        assert_eq!(f1.class_range(VcClass::Adaptive), 0..1);
+        assert!(f1.class_range(VcClass::EscapeXy).is_empty());
+        assert_eq!(f1.class_range(VcClass::EscapeTree), 1..2);
         // No escape VCs: everything is adaptive, both escape ranges
         // empty (escape candidates can never allocate).
-        let f0 = Fabric::new(mesh, 2, TEST_DEPTH, 0);
-        assert_eq!(f0.shards[0].class_range(VcClass::Adaptive), 0..2);
-        assert!(f0.shards[0].class_range(VcClass::EscapeXy).is_empty());
-        assert!(f0.shards[0].class_range(VcClass::EscapeTree).is_empty());
+        let f0 = &Shard::bands(mesh, 2, TEST_DEPTH, 0, 1)[0];
+        assert_eq!(f0.class_range(VcClass::Adaptive), 0..2);
+        assert!(f0.class_range(VcClass::EscapeXy).is_empty());
+        assert!(f0.class_range(VcClass::EscapeTree).is_empty());
     }
 
     #[test]
@@ -2232,26 +2074,27 @@ mod tests {
         // head must take the XY escape VC (the first feasible
         // fallback), flip its mode, and count as an escape entry.
         let mesh = Mesh::square(4);
-        let mut f = Fabric::new(mesh, 3, TEST_DEPTH, 2);
+        let mut f = Fabric::new(mesh, 3, TEST_DEPTH, 2, 1);
         let mut hop = EscapeEager;
         let src = Coord::new(0, 1);
         let dst = Coord::new(2, 1);
-        let b = f.register_packet(PacketState::new(src, dst, 0, 1));
+        let b = 0;
         let mut ejected = Vec::new();
         f.set_test_owner(mesh.id(src).index(), Dir::PlusX as usize, 0, Some(999));
-        f.inject_flit(mesh.id(src), Flit { packet: b, is_head: true, is_tail: true });
-        f.step(&mut hop, &mut ejected); // arrival lands
-        f.step(&mut hop, &mut ejected); // head granted -> XY escape VC
+        f.feed(&mut Worm::new(b, PacketState::new(src, dst, 0, 1)));
+        let mut entries = f.step(&mut hop, &mut ejected).escape_entries; // arrival lands
+        entries += f.step(&mut hop, &mut ejected).escape_entries; // head granted -> XY escape VC
         assert_eq!(
             f.packet_state(b).expect("in flight").mode,
             VcClass::EscapeXy,
             "adaptive held; B must take XY escape"
         );
-        assert_eq!(f.escape_entries(), 1);
+        assert_eq!(entries, 1);
         // The escape commitment sticks across later hops.
         for _ in 0..10 {
-            f.step(&mut hop, &mut ejected);
+            entries += f.step(&mut hop, &mut ejected).escape_entries;
         }
+        assert_eq!(entries, 1, "one commitment per packet");
         let done = ejected.iter().find(|d| d.packet == b).expect("escaped packet must deliver");
         assert_eq!(done.state.mode, VcClass::EscapeXy);
     }
@@ -2261,20 +2104,19 @@ mod tests {
         // Same setup, but the XY escape VC is also held: the head must
         // land on the tree class.
         let mesh = Mesh::square(4);
-        let mut f = Fabric::new(mesh, 3, TEST_DEPTH, 2);
+        let mut f = Fabric::new(mesh, 3, TEST_DEPTH, 2, 1);
         let mut hop = EscapeEager;
         let src = Coord::new(0, 1);
         let dst = Coord::new(2, 1);
-        let b = f.register_packet(PacketState::new(src, dst, 0, 1));
         let mut ejected = Vec::new();
         for v in [0, 1] {
             f.set_test_owner(mesh.id(src).index(), Dir::PlusX as usize, v, Some(999));
         }
-        f.inject_flit(mesh.id(src), Flit { packet: b, is_head: true, is_tail: true });
-        f.step(&mut hop, &mut ejected);
-        f.step(&mut hop, &mut ejected);
-        assert_eq!(f.packet_state(b).expect("in flight").mode, VcClass::EscapeTree);
-        assert_eq!(f.escape_entries(), 1);
+        f.feed(&mut Worm::new(0, PacketState::new(src, dst, 0, 1)));
+        let entries = f.step(&mut hop, &mut ejected).escape_entries
+            + f.step(&mut hop, &mut ejected).escape_entries;
+        assert_eq!(f.packet_state(0).expect("in flight").mode, VcClass::EscapeTree);
+        assert_eq!(entries, 1);
     }
 
     #[test]
@@ -2282,17 +2124,17 @@ mod tests {
         // With escape VCs enabled, a head that cannot get a grant ages;
         // a granted head resets to zero.
         let mesh = Mesh::square(4);
-        let mut f = Fabric::new(mesh, 2, TEST_DEPTH, 1);
+        let mut f = Fabric::new(mesh, 2, TEST_DEPTH, 1, 1);
         let src = Coord::new(0, 0);
         let dst = Coord::new(2, 0);
         let mut hop = EscapeEager;
-        let id = f.register_packet(PacketState::new(src, dst, 0, 2));
+        let id = 0;
         // Park fake owners on BOTH classes of the +X output so the head
         // cannot move.
         for v in 0..2 {
             f.set_test_owner(mesh.id(src).index(), Dir::PlusX as usize, v, Some(999));
         }
-        f.inject_flit(mesh.id(src), Flit { packet: id, is_head: true, is_tail: false });
+        f.feed(&mut Worm::new(id, PacketState::new(src, dst, 0, 2))); // the head only
         let mut ejected = Vec::new();
         f.step(&mut hop, &mut ejected); // arrival lands
         f.assert_masks_consistent();
@@ -2312,13 +2154,16 @@ mod tests {
     fn every_node_belongs_to_one_band_at_its_offset() {
         for (w, h, shards) in [(1, 6, 2), (5, 3, 1), (7, 7, 3), (16, 9, 4), (4, 2, 5)] {
             let mesh = Mesh::new(w, h);
-            let f = Fabric::new_sharded(mesh, 1, 2, 0, shards);
-            assert_eq!(f.num_shards(), shards.min(h as usize), "bands hold at least a row");
+            let bands = Shard::bands(mesh, 1, 2, 0, shards);
+            assert_eq!(bands.len(), shards.min(h as usize), "bands hold at least a row");
             for n in 0..mesh.len() {
-                let owner = &f.shards[f.shard_of(n)];
+                assert_eq!(bands.iter().filter(|s| s.contains_node(n)).count(), 1);
+                let owner = bands.iter().find(|s| s.contains_node(n)).expect("owned");
                 assert_eq!(owner.global_of(owner.local_of(n)) as usize, n);
-                assert_eq!(owner.coords[owner.local_of(n)], mesh.coord(NodeId(n as u32)));
-                assert_eq!(f.shards.iter().filter(|s| s.contains_node(n)).count(), 1);
+                assert_eq!(
+                    owner.coords[owner.local_of(n)],
+                    mesh.coord(meshpath_mesh::NodeId(n as u32))
+                );
             }
         }
     }
@@ -2349,29 +2194,17 @@ mod tests {
     struct Stream {
         f: Fabric,
         hop: ScriptedHop,
-        src: NodeId,
-        /// Packet ids in stream order.
-        pk: Vec<u32>,
-        len: u32,
-        depth: usize,
-        /// Flits of the stream injected so far.
-        sent: u32,
+        /// The packets in stream order.
+        worms: Vec<Worm>,
         ejected: Vec<Delivery>,
     }
 
     impl Stream {
         /// One cycle: feed the next flit of the first `upto` packets if
         /// it fits, step, check every invariant.
-        fn cycle(&mut self, upto: u32) {
-            if self.sent < upto * self.len && self.f.local_occupancy(self.src) < self.depth {
-                let (k, i) = (self.sent / self.len, self.sent % self.len);
-                let flit = Flit {
-                    packet: self.pk[k as usize],
-                    is_head: i == 0,
-                    is_tail: i + 1 == self.len,
-                };
-                self.f.inject_flit(self.src, flit);
-                self.sent += 1;
+        fn cycle(&mut self, upto: usize) {
+            if let Some(w) = self.worms[..upto].iter_mut().find(|w| w.sent < w.state.len) {
+                self.f.feed(w);
             }
             self.f.step(&mut self.hop, &mut self.ejected);
             self.f.assert_masks_consistent();
@@ -2391,19 +2224,19 @@ mod tests {
         for (depth, shards) in [(2usize, 1usize), (2, 2), (3, 1), (3, 2)] {
             let len = (5 - depth) as u32; // never a multiple of depth
             let mesh = Mesh::square(4);
-            let mut f = Fabric::new_sharded(mesh, 1, depth, 0, shards);
+            let f = Fabric::new(mesh, 1, depth, 0, shards);
             let mut hop = ScriptedHop::new();
             let (s, d) = hop.script(Coord::new(0, 0), &[Dir::PlusY; 3]);
             let dam = mesh.id(Coord::new(0, 2)).index();
             // `generated_at` doubles as a marker tying a state to its id.
-            let pk: Vec<u32> =
-                (0..6).map(|k| f.register_packet(PacketState::new(s, d, k, len))).collect();
-            let mut st =
-                Stream { f, hop, src: mesh.id(s), pk, len, depth, sent: 0, ejected: Vec::new() };
+            let worms =
+                (0..6).map(|k| Worm::new(k as u32, PacketState::new(s, d, k, len))).collect();
+            let mut st = Stream { f, hop, worms, ejected: Vec::new() };
+            let pk: Vec<u32> = (0..6).collect();
             for _ in 0..12 {
                 st.cycle(1);
             }
-            assert_eq!(ids(&st.ejected), vec![st.pk[0]], "packet 0 clears the path");
+            assert_eq!(ids(&st.ejected), vec![pk[0]], "packet 0 clears the path");
             st.f.set_test_owner(dam, Dir::PlusY as usize, 0, Some(999));
             for _ in 0..40 {
                 st.cycle(6);
@@ -2420,25 +2253,17 @@ mod tests {
             // find_packet: every packet whose head is in the fabric has
             // its own state, and heads sit in stream order along +Y.
             let mut hops = Vec::new();
-            for k in 1..st.sent.div_ceil(len) {
-                let state = st.f.packet_state(st.pk[k as usize]).expect("head in the fabric");
-                assert_eq!(state.generated_at, u64::from(k), "state of another packet");
+            for w in st.worms.iter().skip(1).filter(|w| w.sent > 0) {
+                let state = st.f.packet_state(w.id).expect("head in the fabric");
+                assert_eq!(state.generated_at, u64::from(w.id), "state of another packet");
                 hops.push(state.head_hop);
             }
             assert_eq!(hops[0], 2, "packet 1's head is parked at the dam");
             assert!(hops.windows(2).all(|w| w[0] >= w[1]), "heads out of order: {hops:?}");
 
-            // frontier: one entry per occupied ring, fronts in stream
-            // order from the dam back to the source.
-            let snap = st.f.frontier();
-            let at = |y: i32| snap.iter().find(|e| e.node == Coord::new(0, y)).expect("occupied");
-            assert_eq!(snap.len(), 3);
-            assert_eq!((at(2).packet, at(2).route), (st.pk[1], None));
-            assert!(at(2).packet <= at(1).packet && at(1).packet <= at(0).packet);
-            assert_eq!(at(0).in_port, LOCAL_PORT);
-
             // collect_wait_graph: the parked head waits on the dam's
-            // owner; VC fronts agree with the frontier.
+            // owner; the link VC fronts are in stream order from the dam
+            // back to the source.
             let mut graph = WaitGraph::default();
             for sh in &st.f.shards {
                 sh.collect_wait_graph(&mut st.hop, &mut graph);
@@ -2447,14 +2272,14 @@ mod tests {
             // credit-starved rather than waiting on an owner.)
             let parked: Vec<(u32, usize)> =
                 graph.stalled.iter().map(|p| (p.packet, p.node as usize)).collect();
-            assert!(parked.contains(&(st.pk[1], dam)), "dammed head not reported: {parked:?}");
+            assert!(parked.contains(&(pk[1], dam)), "dammed head not reported: {parked:?}");
             for p in &graph.stalled {
-                assert_eq!(st.pk[p.generated_at as usize], p.packet, "state of another packet");
+                assert_eq!(pk[p.generated_at as usize], p.packet, "state of another packet");
             }
             assert_eq!(
                 graph.edges,
                 vec![WaitEdge {
-                    waiter: st.pk[1],
+                    waiter: pk[1],
                     holder: 999,
                     node: dam as u32,
                     dir: Dir::PlusY as u8,
@@ -2464,9 +2289,10 @@ mod tests {
             let mut fronts: Vec<(u32, u32)> =
                 graph.fronts.iter().map(|v| (v.node, v.packet)).collect();
             fronts.sort_unstable();
-            let link_fronts: Vec<(u32, u32)> =
-                [1, 2].iter().map(|&y| (mesh.id(Coord::new(0, y)).0, at(y).packet)).collect();
-            assert_eq!(fronts, link_fronts);
+            let at = |y: i32| mesh.id(Coord::new(0, y)).0;
+            assert_eq!(fronts.iter().map(|f| f.0).collect::<Vec<_>>(), [at(1), at(2)]);
+            assert_eq!(fronts[1].1, pk[1], "packet 1 fronts the dam");
+            assert!(fronts[1].1 <= fronts[0].1, "fronts out of stream order: {fronts:?}");
 
             // Open the dam: everything drains in order and the pools
             // end up empty.
@@ -2474,7 +2300,7 @@ mod tests {
             for _ in 0..80 {
                 st.cycle(6);
             }
-            assert_eq!(ids(&st.ejected), st.pk, "stream order survives the wrap");
+            assert_eq!(ids(&st.ejected), pk, "stream order survives the wrap");
             assert!(st.ejected.iter().all(|dl| dl.state.head_hop == 3));
             assert_eq!(st.f.in_flight(), 0);
             for sh in &st.f.shards {
@@ -2493,7 +2319,7 @@ mod tests {
         // messages all pass, mostly through routers with one occupied
         // input VC and now and then through a contended one.
         let mesh = Mesh::square(6);
-        let fabric = || Fabric::new_sharded(mesh, TEST_VCS, TEST_DEPTH, 0, 2);
+        let fabric = || Fabric::new(mesh, TEST_VCS, TEST_DEPTH, 0, 2);
         let (mut event, mut scan) = (fabric(), fabric());
         let mut hop = ScriptedHop::new();
         use Dir::{MinusX, PlusX, PlusY};
@@ -2501,23 +2327,22 @@ mod tests {
             (hop.script(Coord::new(0, 0), &[PlusY, PlusY, PlusY, PlusY, PlusX]), 3u32, 11u64),
             (hop.script(Coord::new(1, 1), &[MinusX, PlusY, PlusY, PlusY]), 2, 17),
         ];
-        // Per stream: the packet being fed and its flits still to feed.
-        let mut feeding = [(0u32, 0u32); 2];
+        // Per stream: the packet being fed, once on each fabric.
+        let mut feeding: [Option<[Worm; 2]>; 2] = [None, None];
+        let mut next_id = 0;
         let (mut lone, mut visits) = (0u32, 0u32);
         let mut delivered = 0;
         for cycle in 0..400u64 {
             for (k, &((s, d), len, every)) in streams.iter().enumerate() {
-                if feeding[k].1 == 0 && cycle % every == 0 && cycle < 300 {
+                let fed = feeding[k].as_ref().is_none_or(|[w, _]| w.sent == len);
+                if fed && cycle % every == 0 && cycle < 300 {
                     let state = PacketState::new(s, d, cycle, len);
-                    feeding[k] = (event.register_packet(state), len);
-                    assert_eq!(scan.register_packet(state), feeding[k].0);
+                    feeding[k] = Some([Worm::new(next_id, state), Worm::new(next_id, state)]);
+                    next_id += 1;
                 }
-                let (packet, left) = feeding[k];
-                if left > 0 && event.local_occupancy(mesh.id(s)) < TEST_DEPTH {
-                    let flit = Flit { packet, is_head: left == len, is_tail: left == 1 };
-                    event.inject_flit(mesh.id(s), flit);
-                    scan.inject_flit(mesh.id(s), flit);
-                    feeding[k].1 -= 1;
+                if let Some([on_event, on_scan]) = &mut feeding[k] {
+                    event.feed(on_event);
+                    scan.feed(on_scan);
                 }
             }
             for m in event.shards.iter().flat_map(|s| &s.occ_mask).filter(|&&m| m != 0) {
@@ -2526,7 +2351,8 @@ mod tests {
             }
             let (mut now, mut now_by_scan) = (Vec::new(), Vec::new());
             let report = event.step(&mut hop, &mut now);
-            assert_eq!(report, scan.step_reference(&mut hop, &mut now_by_scan), "cycle {cycle}");
+            let by_scan = step_bands(&mut scan.shards, &mut [&mut hop], true, &mut now_by_scan);
+            assert_eq!(report, by_scan, "cycle {cycle}");
             // (Within a cycle, deliveries come in visiting order.)
             now.sort_by_key(|d| d.packet);
             now_by_scan.sort_by_key(|d| d.packet);
@@ -2558,27 +2384,18 @@ mod tests {
         let mesh = Mesh::square(6);
         let view = NetView::build(FaultSet::none(mesh));
         let mut tables = [RoutingKind::Rb2; 2].map(|kind| PathTable::new(&view, kind));
-        let mut routers = tables.each_mut().map(|table| EscapeHop::new(table, 4, 0));
-        let mut f = Fabric::new_sharded(mesh, TEST_VCS, TEST_DEPTH, 0, 2);
+        let [mut r0, mut r1] = tables.each_mut().map(|table| EscapeHop::new(table, 4, 0));
+        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, 0, 2);
         let (s, d) = (Coord::new(1, 0), Coord::new(1, 5));
-        assert_eq!(routers[0].admit(s, d), Some(5));
-        let id = f.register_packet(PacketState::new(s, d, 0, 2));
-        f.inject_flit(mesh.id(s), Flit { packet: id, is_head: true, is_tail: false });
+        assert_eq!(r0.admit(s, d), Some(5));
+        let mut worm = Worm::new(0, PacketState::new(s, d, 0, 2));
         let mut delivered = Vec::new();
-        for cycle in 0..20 {
-            if cycle == 1 {
-                f.inject_flit(mesh.id(s), Flit { packet: id, is_head: false, is_tail: true });
-            }
-            let mut report = StepReport::default();
-            for (shard, router) in f.shards.iter_mut().zip(&mut routers) {
-                shard.allocate_active(router, &mut report, &mut delivered, &mut NoProbe);
-                shard.age_parked_heads(&mut NoProbe);
-            }
-            f.exchange_boundary();
-            f.shards.iter_mut().for_each(Shard::commit_boundary);
+        for _ in 0..20 {
+            f.feed(&mut worm);
+            step_bands(&mut f.shards, &mut [&mut r0, &mut r1], false, &mut delivered);
             f.assert_masks_consistent();
         }
-        assert_eq!(ids(&delivered), vec![id]);
+        assert_eq!(ids(&delivered), vec![0]);
         assert_eq!(delivered[0].state.head_hop, 5);
         // Three routers decided in the band of rows 0..3 and two (plus
         // the ejection) in the band of rows 3..6: one probe each side.
@@ -2589,7 +2406,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "flit-ring cursor limit of 255")]
     fn depths_beyond_the_ring_cursors_are_rejected() {
-        Fabric::new(Mesh::square(2), 1, 256, 0);
+        Shard::bands(Mesh::square(2), 1, 256, 0, 1);
     }
 
     #[test]
@@ -2601,32 +2418,20 @@ mod tests {
         // stepper, with the masks valid throughout.
         let run_mixed = |pick: fn(u64) -> bool, shards: usize| -> Vec<(u32, u64)> {
             let mesh = Mesh::square(4);
-            let mut f = Fabric::new_sharded(mesh, TEST_VCS, TEST_DEPTH, 0, shards);
+            let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, 0, shards);
             let mut hop = ScriptedHop::new();
             let len = 3u32;
             let (sa, da) = hop.script(Coord::new(0, 0), &[Dir::PlusX, Dir::PlusX]);
             let (sb, db) = hop.script(Coord::new(1, 1), &[Dir::MinusY, Dir::PlusX]);
-            let a = f.register_packet(PacketState::new(sa, da, 0, len));
-            let b = f.register_packet(PacketState::new(sb, db, 0, len));
-            let sources = [(mesh.id(sa), a), (mesh.id(sb), b)];
-            let mut sent = [0u32; 2];
+            let mut worms = [
+                Worm::new(0, PacketState::new(sa, da, 0, len)),
+                Worm::new(1, PacketState::new(sb, db, 0, len)),
+            ];
             let mut ejected = Vec::new();
             let mut done = Vec::new();
             for cycle in 0..100u64 {
-                for (i, &(src, pk)) in sources.iter().enumerate() {
-                    if sent[i] < len && f.local_occupancy(src) < TEST_DEPTH {
-                        f.inject_flit(
-                            src,
-                            Flit { packet: pk, is_head: sent[i] == 0, is_tail: sent[i] + 1 == len },
-                        );
-                        sent[i] += 1;
-                    }
-                }
-                if pick(cycle) {
-                    f.step(&mut hop, &mut ejected);
-                } else {
-                    f.step_reference(&mut hop, &mut ejected);
-                }
+                worms.iter_mut().for_each(|w| f.feed(w));
+                step_bands(&mut f.shards, &mut [&mut hop], !pick(cycle), &mut ejected);
                 f.assert_masks_consistent();
                 done.extend(ejected.drain(..).map(|d| (d.packet, cycle)));
                 if done.len() == 2 {

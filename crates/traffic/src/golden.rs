@@ -1,12 +1,13 @@
-//! Golden-equivalence suite: the event-driven stepper
-//! ([`Fabric::step`](crate::Fabric::step)) — at **every shard/thread
-//! count** — must produce **bit-identical** [`TrafficStats`] to the
-//! retained scan-order reference stepper (`Fabric::step_reference`) on
-//! random draws of simulator configuration, fault pattern, routing
-//! function, packet length, injection rate, churn — a `fault_churn`
-//! list, a seeded *online* chaos schedule, or both in one run,
-//! published mid-run through the one epoch mechanism — and **window
-//! length** (1, 2, 8 and the derived band-edge bound).
+//! Golden-equivalence suite: full [`TrafficSim`] runs on the
+//! event-driven stepper (`Shard::allocate_active`) — at **every
+//! shard/thread count** — must produce **bit-identical**
+//! [`TrafficStats`] to runs on the retained scan-order reference
+//! stepper (`Shard::allocate_reference`) on random draws of simulator
+//! configuration, fault pattern, routing function, packet length,
+//! injection rate, churn — a `fault_churn` list, a seeded *online*
+//! chaos schedule, or both in one run, published mid-run through the
+//! one epoch mechanism — and **window length** (1, 2, 8 and the
+//! derived band-edge bound).
 //!
 //! Every run of this crate's tests also checks the fabric's
 //! conservation invariants after every cycle of every shard
@@ -194,7 +195,7 @@ proptest! {
         let reference = run(&net, kind, &cfg, Stepper::Reference, chaos);
         // Shard counts 1, 2 and 4: the event-driven stepper must match
         // the scan-order reference bit for bit at every partitioning
-        // (threads > 1 also exercises the worker-thread transport, the
+        // (threads > 1 also exercises the worker threads, the
         // channel-based boundary exchange and the windowed coordinator
         // protocol).
         for threads in [1usize, 2, 4] {

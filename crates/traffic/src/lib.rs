@@ -7,7 +7,7 @@
 //! this crate evaluates them as *network-on-chip routing functions
 //! under load*: per-node routers with input-buffered virtual channels,
 //! credit-based flow control, a per-cycle switch allocator and
-//! unit-latency links ([`Fabric`]), driven by one seeded synthetic
+//! unit-latency links ([`fabric`]), driven by one seeded synthetic
 //! process (a Bernoulli trial per node per cycle at
 //! [`SimConfig::rate`], a uniformly drawn healthy destination,
 //! [`SimConfig::packet_len`] flits) or by a scheduled
@@ -58,9 +58,10 @@
 //!   bit-identical to a full sequential scan at every shard count —
 //!   see the module docs and the golden-equivalence suite.
 //! * [`sim`] — the run loop: seeded uniform injection, measurement windows,
-//!   saturation detection, the deadlock liveness assertion, and the
-//!   sharded multi-threaded runner ([`SimConfig::threads`]) with
-//!   bit-identical results at every thread count.
+//!   saturation detection, the deadlock liveness assertion, and one
+//!   cycle driver for every band — band 0 on the caller's thread, one
+//!   worker thread per further band ([`SimConfig::threads`]) — with
+//!   bit-identical results at every band count.
 //! * [`churn`] — **churn**: fault/repair events applied to a running
 //!   simulation, fed by a [`SimConfig::fault_churn`] list (exact
 //!   cycles), a [`ChurnInjector`] handle and a seedable [`ChaosConfig`]
@@ -139,7 +140,7 @@ pub mod stats;
 
 pub use churn::{ChaosConfig, ChurnInjector, OnlineChurn};
 pub use config::{ChurnEvent, ChurnOp, ConfigError, SimConfig, PIPELINE_DEPTH};
-pub use fabric::{BoundaryMsg, Delivery, Fabric, Flit, FrontierEntry, PacketState, StepReport};
+pub use fabric::{BoundaryMsg, Delivery, Flit, PacketState};
 pub use routing::{
     xy_next, xy_path_clear, EscapeForest, EscapeHop, HopCandidates, HopChoice, HopDecision,
     HopRouter, PathTable, RouteHandle, RoutingKind, VcClass, XyRouter,

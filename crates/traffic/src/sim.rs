@@ -1,33 +1,37 @@
 //! The simulation driver: the synthetic injection process, the measurement
-//! protocol, and the run loop — one coordinator loop over one or many
-//! shard workers, with bit-identical results.
+//! protocol, and the run loop — one coordinator loop and one cycle
+//! function for every band, with bit-identical results at every band
+//! count.
 //!
 //! ## Sharded execution: bands and windows
 //!
-//! When [`SimConfig::threads`] resolves to `N > 1`, the fabric is built
-//! as `N` row-band shards (see the boundary-exchange protocol in
-//! [`crate::fabric`]) with one worker thread per band: each worker owns
-//! its shard, the injection state of its nodes (per-node RNG streams,
-//! source queues) and a private [`EscapeHop`] over its own
-//! [`PathTable`] (hop decisions are pure functions of the network, so
-//! private route caches cannot diverge).
+//! [`SimConfig::threads`] resolves to `N` row-band shards (see the
+//! boundary-exchange protocol in [`crate::fabric`]). Each band's
+//! `ShardWorker` owns its shard, the injection state of its nodes
+//! (per-node RNG streams, source queues) and an [`EscapeHop`] over a
+//! [`PathTable`]. Band 0 runs on the caller's thread over the caller's
+//! table; bands `1..N` run on one worker thread each, over a private
+//! table (hop decisions are pure functions of the network, so private
+//! route caches cannot diverge).
 //!
-//! The coordinator runs the same loop at every shard count: do the
-//! work that opens the cycle (churn publications, workload releases),
-//! grant every worker the same **window** of cycles (`Go::Lease`),
-//! merge the workers' per-cycle deltas (moved flits, deliveries,
-//! generation counters) and replay them in cycle order through
-//! `RunState`, which keeps the global statistics and makes every
-//! termination and observer decision. Inside a window the workers
-//! exchange cycle-stamped boundary messages with the adjacent bands
-//! every cycle, which is what keeps neighbors causally consistent; the
-//! window only amortizes the coordinator round trip. Its length is one
-//! number per run — the bands' shortest side, clamped to `[1, 64]` —
-//! and it never spans a cycle that opens with coordinator work. A
-//! single shard is stepped inline on the caller's thread, window 1.
-//! Every per-node computation is identical to the sequential run —
-//! per-node RNGs are seeded by node id, grants commute within a cycle,
-//! and all cross-shard effects are staged — so `TrafficStats` is
+//! The coordinator runs the same loop at every band count: do the work
+//! that opens the cycle (churn publications, workload releases), grant
+//! every worker the same **window** of cycles (`Go::Lease`), step band
+//! 0 through that window itself, merge the workers' per-cycle deltas
+//! (moved flits, deliveries, generation counters) into band 0's and
+//! replay them in cycle order through `RunState`, which keeps the
+//! global statistics and makes every termination and observer
+//! decision. Every band runs a window through the same function
+//! (`ShardWorker::run_window`): per cycle plan/grant, the exchange of
+//! cycle-stamped boundary messages with the adjacent bands (which is
+//! what keeps neighbors causally consistent; a lone band skips it),
+//! then commit. The window only amortizes the coordinator round trip.
+//! Its length is one number per run — 1 for a lone band, else the
+//! bands' shortest side, clamped to `[1, 64]` — and it never spans a
+//! cycle that opens with coordinator work. Every per-node computation
+//! is identical to the sequential run — per-node RNGs are seeded by
+//! node id, grants commute within a cycle, and all cross-shard effects
+//! are staged — so `TrafficStats` is
 //! **bit-identical at every thread count and window length** (pinned
 //! by `crate::golden`). A stop decided mid-window discards the window's
 //! tail from the statistics; only the observability probes may record
@@ -43,24 +47,26 @@
 //! multiples. At every such boundary the coordinator applies what is
 //! due to its authoritative `NetState` (incremental rebuild with
 //! full-rebuild fallback) and broadcasts each resulting [`NetView`]
-//! epoch to the shard workers over the control lanes (windows end at
-//! boundaries, so `Go::Publish` precedes the window that starts there
-//! on each FIFO lane and every worker adopts the epoch before the
-//! boundary cycle runs). Workers rebuild their hop routers' escape
-//! structures ([`HopRouter::publish`]) and refresh source liveness
-//! and the destination sampler; packets stranded by a fresh fault are
+//! epoch to every band — to band 0 directly, to the worker threads over
+//! their control lanes (windows end at boundaries, so `Go::Publish`
+//! precedes the window that starts there on each FIFO lane and every
+//! band adopts the epoch before the boundary cycle runs). Bands rebuild
+//! their hop routers' escape structures ([`HopRouter::publish`]) and
+//! refresh source liveness and the destination sampler; packets stranded by a fresh fault are
 //! replanned or killed (`churn_killed`), never wedged. Polling is
 //! coordinator-side and deterministic, so churn runs stay
 //! bit-identical at every thread count.
 //!
 //! ## Worker panic safety
 //!
-//! A panicking shard worker must not hang the run: each worker runs
-//! under `catch_unwind`, reports the panic over the shared `done` lane,
-//! and returns its channel ends (dropping them unblocks its
-//! neighbors). The coordinator surfaces the failure as a typed
-//! [`RunError`] from [`TrafficSim::try_run_full`]; [`run_traffic`]
-//! re-panics with the worker's message.
+//! A panicking band must not hang the run: every band steps under
+//! `catch_unwind`. A worker thread reports its panic over the shared
+//! `done` lane and returns its channel ends (dropping them unblocks its
+//! neighbors); after a band-0 panic the coordinator drops band 0's
+//! boundary lanes before it joins the workers. Either way the failure
+//! surfaces as a typed [`RunError`] from [`TrafficSim::try_run_full`],
+//! at every band count; [`run_traffic`] re-panics with the band's
+//! message.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -76,9 +82,11 @@ use rand::{Rng, SeedableRng};
 
 use crate::churn::{OnlineChurn, OnlineDriver};
 use crate::config::SimConfig;
-use crate::fabric::{BoundaryMsg, Delivery, Fabric, Flit, PacketState, Shard, StepReport};
+use crate::fabric::{BoundaryMsg, Delivery, Flit, PacketState, Shard, StepReport};
 use crate::routing::{EscapeHop, HopRouter, PathTable, RoutingKind};
-use crate::source::{TraceEntry, WorkloadDriver, WorkloadMsg, WorkloadOutcome, WorkloadSource};
+use crate::source::{
+    TraceEntry, TraceSource, WorkloadDriver, WorkloadMsg, WorkloadOutcome, WorkloadSource,
+};
 use crate::stats::{LatencyHistogram, TrafficStats, WindowControl, WindowObserver, WindowSample};
 
 /// Latencies above this resolve to the histogram overflow bucket.
@@ -100,28 +108,28 @@ const ID_SHARD_SHIFT: u32 = 24;
 /// adaptive wormhole routing under load.
 const DEADLOCK_WINDOW: u64 = 1000;
 
-/// Longest window of cycles the workers run between two coordinator
+/// Longest window of cycles the bands run between two coordinator
 /// contacts, however deep the bands are: the first report of a run (and
 /// a stop decision) is never more than this far away.
 const MAX_WINDOW: u64 = 64;
 
-/// Why a sharded run failed instead of producing statistics.
+/// Why a run failed instead of producing statistics.
 ///
-/// Returned by [`TrafficSim::try_run_full`]. A worker panic is caught at
-/// the worker boundary and surfaced here — the coordinator tears the
-/// run down (dropping the control lanes unblocks every other worker)
-/// instead of hanging on a dead channel.
+/// Returned by [`TrafficSim::try_run_full`]. A band's panic is caught
+/// where the band steps and surfaced here — the coordinator tears the
+/// run down (dropping its lanes unblocks every worker) instead of
+/// hanging on a dead channel.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RunError {
-    /// A shard worker panicked; `message` is its panic payload.
+    /// A band panicked while stepping; `message` is its panic payload.
     WorkerPanicked {
-        /// Index of the shard whose worker died.
+        /// Index of the band that died.
         shard: usize,
         /// The panic payload, stringified.
         message: String,
     },
     /// A worker disappeared (its channel ends dropped) without
-    /// reporting a panic — a transport bug rather than a worker bug.
+    /// reporting a panic — a bug in the run loop rather than a band.
     WorkerLost,
 }
 
@@ -218,12 +226,8 @@ struct GenDelta {
 /// sums) by the coordinator.
 #[derive(Default)]
 struct CycleDone {
-    moved: u64,
-    flits_ejected: u64,
-    /// Escape-class commitments this cycle (per-cycle deltas, so a
-    /// window's tail past the stop decision never pollutes the run
-    /// total).
-    escape_entries: u64,
+    /// What plan/grant moved, ejected and committed to escape classes.
+    step: StepReport,
     injected_any: bool,
     in_flight: u64,
     backlog: u64,
@@ -244,9 +248,9 @@ struct CycleDone {
 
 impl CycleDone {
     fn merge(&mut self, mut other: CycleDone) {
-        self.moved += other.moved;
-        self.flits_ejected += other.flits_ejected;
-        self.escape_entries += other.escape_entries;
+        self.step.moved += other.step.moved;
+        self.step.flits_ejected += other.step.flits_ejected;
+        self.step.escape_entries += other.step.escape_entries;
         self.injected_any |= other.injected_any;
         self.in_flight += other.in_flight;
         self.backlog += other.backlog;
@@ -299,79 +303,39 @@ enum WorkerReport {
 /// neighbor's clock) and that cycle's boundary messages.
 type BoundaryLane = (u64, Vec<BoundaryMsg>);
 
-/// A worker thread's lane ends: its control lane, the shared report
-/// lane, and per adjacent band (`[before, after]`) one boundary lane out
-/// and one in. Every end is *moved* to its unique user, so a worker
-/// that returns (or unwinds) disconnects its lanes and its neighbors'
-/// blocking `recv`s error out instead of waiting forever.
-struct WorkerLanes {
-    go: Receiver<Go>,
-    done: Sender<WorkerReport>,
+/// A band's boundary lanes: per adjacent band (`[before, after]`) one
+/// lane out and one in (`None` at a mesh edge, so a lone band has none).
+/// Every end is *moved* to its unique user, so a band that stops
+/// stepping (a worker that returns or unwinds, band 0 after a caught
+/// panic) disconnects its lanes and its neighbors' blocking `recv`s
+/// error out instead of waiting forever.
+#[derive(Default)]
+struct BandLanes {
     to: [Option<Sender<BoundaryLane>>; 2],
     from: [Option<Receiver<BoundaryLane>>; 2],
 }
 
-/// How the coordinator loop ([`TrafficSim::coordinate`]) reaches the
-/// shard workers.
-trait Transport {
-    /// Hands a non-lease control message to every worker, ahead of the
-    /// next window.
-    fn control(&mut self, go: &Go);
-    /// Runs cycles `start..start + len` on every shard and returns the
-    /// merged per-cycle reports in cycle order.
-    fn run_window(&mut self, start: u64, len: u64) -> Result<Vec<CycleDone>, RunError>;
-}
-
-/// The inline transport: the one shard of a single-shard run, stepped
-/// on the coordinator's thread. A panic here propagates on that thread
-/// — there is no hang to prevent, so it never fails typed.
-struct Inline<'a, P: FabricProbe>(ShardWorker<'a, P>);
-
-impl<P: FabricProbe> Transport for Inline<'_, P> {
-    fn control(&mut self, go: &Go) {
-        self.0.control(go);
-    }
-
-    fn run_window(&mut self, start: u64, len: u64) -> Result<Vec<CycleDone>, RunError> {
-        let worker = &mut self.0;
-        Ok((start..start + len)
-            .map(|cycle| {
-                let mut done = CycleDone::default();
-                if P::ACTIVE {
-                    worker.probe.barrier(1);
-                }
-                worker.plan_and_grant(cycle, &mut done);
-                debug_assert!(
-                    worker.shard.take_outboxes().iter().all(Vec::is_empty),
-                    "the only band has no neighbor to exchange with"
-                );
-                worker.finish_cycle(&mut done);
-                done
-            })
-            .collect())
-    }
-}
-
-/// The threaded transport's coordinator end: one control lane per
-/// worker thread and the shared report lane back.
-struct Threaded {
+/// The coordinator's end of the worker threads (bands `1..N`): one
+/// control lane per worker and the shared report lane back. Empty for a
+/// lone band, so a single-band run touches no channel.
+struct Workers {
     go: Vec<Sender<Go>>,
     done: Receiver<WorkerReport>,
 }
 
-impl Transport for Threaded {
-    fn control(&mut self, go: &Go) {
+impl Workers {
+    /// Hands a control message to every worker.
+    fn control(&self, go: &Go) {
         for tx in &self.go {
             let _ = tx.send(go.clone());
         }
     }
 
-    fn run_window(&mut self, start: u64, len: u64) -> Result<Vec<CycleDone>, RunError> {
-        self.control(&Go::Lease { start, len });
-        let mut merged: Vec<CycleDone> = Vec::new();
+    /// Merges every worker's report of the current window into `merged`
+    /// (band 0's, cycle by cycle), or fails with the first dying word.
+    fn collect(&self, merged: &mut [CycleDone]) -> Result<(), RunError> {
         for _ in 0..self.go.len() {
             match self.done.recv() {
-                Ok(WorkerReport::Cycles(dones)) if merged.is_empty() => merged = dones,
                 Ok(WorkerReport::Cycles(dones)) => {
                     merged.iter_mut().zip(dones).for_each(|(m, d)| m.merge(d));
                 }
@@ -381,14 +345,15 @@ impl Transport for Threaded {
                 Err(_) => return Err(RunError::WorkerLost),
             }
         }
-        debug_assert_eq!(merged.len() as u64, len, "every worker reports the whole window");
-        Ok(merged)
+        Ok(())
     }
 }
 
 /// One shard of the running simulation: the fabric band plus the
 /// injection state, hop router and instrumentation probe of its rows.
-/// The unit both transports drive. Monomorphized over the probe: with
+/// Band 0 steps on the coordinator's thread, every other band on a
+/// worker thread ([`ShardWorker::serve`]); all of them step through
+/// [`ShardWorker::run_window`]. Monomorphized over the probe: with
 /// [`NoProbe`] (the [`ObsLevel::Off`] default) no instrumentation code
 /// exists on the hot path at all.
 struct ShardWorker<'a, P: FabricProbe> {
@@ -482,14 +447,13 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
 
     /// Arms the test hooks on the worker of shard `index`.
     #[cfg(test)]
-    fn hooked(mut self, index: usize, reference: bool, panic_at: Option<(usize, u64)>) -> Self {
+    fn hook(&mut self, index: usize, reference: bool, panic_at: Option<(usize, u64)>) {
         self.use_reference = reference;
         self.panic_at = panic_at.and_then(|(s, at)| (s == index).then_some(at));
-        self
     }
 
     /// The one handler of the coordinator's non-lease control
-    /// messages, whichever transport delivers them.
+    /// messages, for band 0 and the worker threads alike.
     fn control(&mut self, go: &Go) {
         match go {
             // Adopted on arrival — the publication precedes the first
@@ -517,56 +481,74 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
                 }));
             }
             Go::Finish(cycle, reason) => self.finish_run(*cycle, *reason),
-            Go::Lease { .. } => unreachable!("leases are run by the transport"),
+            Go::Lease { .. } => unreachable!("leases are run by `run_window`"),
         }
     }
 
-    /// A worker thread's whole life: run each granted window back to
-    /// back — exchanging boundary messages with the adjacent bands
-    /// every cycle — and report it in one message, obey the other
-    /// control messages, and hand the probe back on `Go::Finish` or as
-    /// soon as a lane dies (the run is being torn down).
-    fn serve(mut self, lanes: &WorkerLanes) -> P {
+    /// A worker thread's whole life: run each granted window and report
+    /// it in one message, obey the other control messages, and return
+    /// on `Go::Finish` or as soon as a lane dies (the run is being torn
+    /// down).
+    fn serve(&mut self, go: &Receiver<Go>, done: &Sender<WorkerReport>, lanes: &BandLanes) {
         loop {
             let t = P::ACTIVE.then(Instant::now);
-            let go = lanes.go.recv();
+            let msg = go.recv();
             if let Some(t) = t {
                 self.probe.phase_ns(Phase::Fence, t.elapsed().as_nanos() as u64);
             }
-            match go {
-                Ok(Go::Lease { start, len }) => {
-                    if P::ACTIVE {
-                        self.probe.barrier(len);
+            match msg {
+                Ok(Go::Lease { start, len }) => match self.run_window(start, len, lanes) {
+                    Some(dones) => {
+                        let _ = done.send(WorkerReport::Cycles(dones));
                     }
-                    let mut dones = Vec::with_capacity(len as usize);
-                    for cycle in start..start + len {
-                        let mut done = CycleDone::default();
-                        self.plan_and_grant(cycle, &mut done);
-                        if !self.exchange(cycle, lanes) {
-                            return self.probe;
-                        }
-                        self.finish_cycle(&mut done);
-                        dones.push(done);
-                    }
-                    let _ = lanes.done.send(WorkerReport::Cycles(dones));
-                }
+                    None => return,
+                },
                 Ok(go) => {
                     self.control(&go);
                     if matches!(go, Go::Finish(..)) {
-                        return self.probe;
+                        return;
                     }
                 }
-                Err(_) => return self.probe,
+                Err(_) => return,
             }
         }
     }
 
-    /// The threaded boundary exchange of `cycle`: send every outbox to
-    /// its adjacent band, then land what the neighbors sent. `false`
-    /// when a neighbor lane is dead — that neighbor panicked or exited,
-    /// so the caller returns cleanly instead of panicking into the
-    /// teardown.
-    fn exchange(&mut self, cycle: u64, lanes: &WorkerLanes) -> bool {
+    /// The one cycle driver: runs cycles `start..start + len` of this
+    /// band — per cycle plan/grant, the boundary exchange with the
+    /// adjacent bands (skipped when there is none), then commit — and
+    /// returns their per-cycle reports in cycle order. `None` when a
+    /// neighbor lane died mid-window (that neighbor panicked or exited).
+    fn run_window(&mut self, start: u64, len: u64, lanes: &BandLanes) -> Option<Vec<CycleDone>> {
+        if P::ACTIVE {
+            self.probe.barrier(len);
+        }
+        let linked = lanes.to.iter().any(Option::is_some);
+        let mut dones = Vec::with_capacity(len as usize);
+        for cycle in start..start + len {
+            let mut done = CycleDone::default();
+            self.plan_and_grant(cycle, &mut done);
+            if linked {
+                if !self.exchange(cycle, lanes) {
+                    return None;
+                }
+            } else {
+                debug_assert!(
+                    self.shard.take_outboxes().iter().all(Vec::is_empty),
+                    "a lone band has no neighbor to exchange with"
+                );
+            }
+            self.finish_cycle(&mut done);
+            dones.push(done);
+        }
+        Some(dones)
+    }
+
+    /// The boundary exchange of `cycle`: send every outbox to its
+    /// adjacent band, then land what the neighbors sent. `false` when a
+    /// neighbor lane is dead — that neighbor panicked or exited, so the
+    /// caller returns cleanly instead of panicking into the teardown.
+    fn exchange(&mut self, cycle: u64, lanes: &BandLanes) -> bool {
         let t = P::ACTIVE.then(Instant::now);
         let boxes = self.shard.take_outboxes();
         if P::ACTIVE {
@@ -657,11 +639,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             self.generate(cycle, done);
         }
         done.injected_any |= self.feed_injection_channels();
-        let mut report = StepReport::default();
-        self.allocate_and_age(&mut report, &mut done.deliveries);
-        done.moved += report.moved;
-        done.flits_ejected += report.flits_ejected;
-        done.escape_entries += report.escape_entries;
+        self.allocate_and_age(&mut done.step, &mut done.deliveries);
         if P::ACTIVE {
             let window = self.cfg.stats_window;
             if window > 0 && (cycle + 1).is_multiple_of(window) {
@@ -888,7 +866,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
 /// The coordinator's side of the run: global statistics, the
 /// measurement windows, the churn and workload drivers, and the
 /// termination decisions every shard obeys. One instance regardless
-/// of transport.
+/// of band count.
 struct RunState {
     warmup: u64,
     gen_until: u64,
@@ -1020,8 +998,8 @@ impl RunState {
                 wl.on_worker_abort(flow, cycle);
             }
         }
-        self.stats.flits_moved += agg.moved;
-        self.stats.escape_packets += agg.escape_entries;
+        self.stats.flits_moved += agg.step.moved;
+        self.stats.escape_packets += agg.step.escape_entries;
         self.stats.generated += agg.gen.generated;
         self.stats.measured_generated += agg.gen.measured_generated;
         self.stats.unroutable += agg.gen.unroutable;
@@ -1061,13 +1039,13 @@ impl RunState {
             }
         }
         if measured(cycle) {
-            self.stats.measured_flits_ejected += agg.flits_ejected;
+            self.stats.measured_flits_ejected += agg.step.flits_ejected;
         }
-        self.w_ejected += agg.flits_ejected;
-        self.w_moved += agg.moved;
+        self.w_ejected += agg.step.flits_ejected;
+        self.w_moved += agg.step.moved;
 
         // Progress & termination accounting.
-        if agg.moved == 0 && !agg.injected_any {
+        if agg.step.moved == 0 && !agg.injected_any {
             self.idle_streak += 1;
         } else {
             self.idle_streak = 0;
@@ -1189,21 +1167,20 @@ pub struct RunOutput {
 /// driven by the seeded synthetic injection process, routed per hop by an
 /// [`EscapeHop`] over one compiled routing function.
 ///
-/// The path table is borrowed so a **single-shard** run can reuse
-/// compiled routes across runs over the same network (route
-/// compilation dominates the low-load setup cost): it is reset to its
-/// initial snapshot at construction, keeping the epoch-0 routes. The
-/// worker-thread transport never reads the caller's table — every
-/// shard worker compiles its routes in a private table built from the
-/// same snapshot, so a multi-shard run neither reuses nor warms it.
+/// The path table is borrowed so runs over the same network can reuse
+/// compiled routes (route compilation dominates the low-load setup
+/// cost): it is reset to its initial snapshot at construction, keeping
+/// the epoch-0 routes. Band 0 routes over it at every band count, so
+/// every run reads and warms it; bands `1..N` compile their routes in
+/// private tables built from the same snapshot.
 pub struct TrafficSim<'p> {
     cfg: SimConfig,
     /// Effective route hop budget (see `SimConfig::route_ttl`).
     ttl: u32,
     kind: RoutingKind,
-    fabric: Fabric,
-    /// The caller's table: what the one worker of a single-shard run
-    /// routes over.
+    /// The row bands of the fabric, band 0 first.
+    shards: Vec<Shard>,
+    /// The caller's table: what band 0 routes over.
     paths: &'p mut PathTable,
     /// The initial (epoch-0) network snapshot.
     base: NetView,
@@ -1222,8 +1199,8 @@ pub struct TrafficSim<'p> {
     /// derived one.
     #[cfg(test)]
     window: Option<u64>,
-    /// Fault-injection hook: `(shard, cycle)` at which that shard's
-    /// worker panics (exercises the panic-safety path).
+    /// Fault-injection hook: `(shard, cycle)` at which that band
+    /// panics (exercises the panic-safety path).
     #[cfg(test)]
     panic_at: Option<(usize, u64)>,
 }
@@ -1264,7 +1241,7 @@ impl<'p> TrafficSim<'p> {
                 SourceNode { id, coord: c, rng, queue: VecDeque::new(), active }
             })
             .collect();
-        let fabric = Fabric::new_sharded(mesh, cfg.vcs, cfg.vc_depth, cfg.escape_vcs, threads);
+        let shards = Shard::bands(mesh, cfg.vcs, cfg.vc_depth, cfg.escape_vcs, threads);
         // TTL default: E-cube's escape walk is the only route source
         // whose length is effectively unbounded; every other router is
         // within a small factor of shortest, and escape VCs now bound
@@ -1278,7 +1255,7 @@ impl<'p> TrafficSim<'p> {
             cfg,
             ttl,
             kind,
-            fabric,
+            shards,
             paths,
             base,
             sources,
@@ -1336,14 +1313,15 @@ impl<'p> TrafficSim<'p> {
 
     /// Golden-equivalence hook: grant windows of this many cycles
     /// (still clamped to `[1, MAX_WINDOW]`) instead of the derived
-    /// length (`None`). Results must not depend on it.
+    /// length (`None`), at every band count. Results must not depend
+    /// on it.
     #[cfg(test)]
     pub(crate) fn set_window(&mut self, cycles: Option<u64>) {
         self.window = cycles;
     }
 
-    /// Fault-injection hook: make `shard`'s worker panic at the start
-    /// of `cycle` (exercises the panic-safety path).
+    /// Fault-injection hook: make band `shard` panic at the start of
+    /// `cycle` (exercises the panic-safety path).
     #[cfg(test)]
     pub(crate) fn set_panic_at(&mut self, shard: usize, cycle: u64) {
         self.panic_at = Some((shard, cycle));
@@ -1352,7 +1330,7 @@ impl<'p> TrafficSim<'p> {
     /// Runs the full warmup / measure / drain protocol and returns
     /// everything the run produced — statistics, the observability
     /// report, the workload outcome and the recorded trace (see
-    /// [`RunOutput`]). Worker failures surface as a typed [`RunError`]
+    /// [`RunOutput`]). A band's panic surfaces as a typed [`RunError`]
     /// — the graceful-degradation contract for long-lived services
     /// driving the simulator.
     ///
@@ -1380,126 +1358,43 @@ impl<'p> TrafficSim<'p> {
     }
 
     /// Runs the simulation monomorphized over the probe `mk` builds for
-    /// each shard: a single shard on the inline transport (over the
-    /// caller's path table), more on the threaded one.
-    fn run<P, F>(
-        mut self,
-        obs: &mut dyn WindowObserver,
-        mk: F,
-    ) -> Result<(RunOutput, Vec<P>), RunError>
+    /// each band: band 0 on this thread over the caller's path table,
+    /// bands `1..N` on one scoped worker thread each
+    /// ([`ShardWorker::serve`]) over a private table, all coordinated
+    /// by [`TrafficSim::coordinate`]. Returns the probes in band order.
+    fn run<P, F>(self, obs: &mut dyn WindowObserver, mk: F) -> Result<(RunOutput, Vec<P>), RunError>
     where
         P: FabricProbe + Send,
         F: Fn(usize, &Shard) -> P,
     {
-        let churn =
-            OnlineDriver::new(self.cfg.fault_churn.clone(), self.online.take(), self.base.clone());
-        let wl = self.workload.take().map(WorkloadDriver::new);
-        let run = RunState::new(&self.cfg, self.base.faults().healthy_count(), churn, wl);
-        let mut shards = self.fabric.take_shards();
-        if shards.len() > 1 {
-            return self.run_threaded(run, shards, obs, mk);
-        }
-        let shard = shards.pop().expect("a fabric has at least one shard");
-        let probe = mk(0, &shard);
-        let workload = run.wl.is_some();
-        let worker = ShardWorker::new(
-            shard,
-            self.sources,
-            EscapeHop::new(self.paths, self.cfg.patience, self.cfg.escape_vcs),
-            &self.base,
-            &self.cfg,
-            self.ttl,
-            0,
-            workload,
-            probe,
-        );
         #[cfg(test)]
-        let worker = worker.hooked(0, self.use_reference, self.panic_at);
-        let mut inline = Inline(worker);
-        // Window 1: there is no round trip to amortize, and the
-        // observer sees every cycle as it happens.
-        let run = Self::coordinate(run, 1, &mut inline, obs)?;
-        Ok((run.seal(), vec![inline.0.probe]))
-    }
-
-    /// The one run loop. Each round opens with the coordinator work due
-    /// at `cycle` ([`RunState::boundary`]), grants every shard the same
-    /// window — `window` cycles, cut short at the next cycle that opens
-    /// with coordinator work — and replays the merged per-cycle reports
-    /// in cycle order through [`RunState::end_of_cycle`], so observer
-    /// callbacks, stop classification and statistics see the same
-    /// sequence of cycles at every window length and shard count. A
-    /// stop decided mid-window discards the window's tail; every
-    /// worker is idle at the same cycle when `Go::Finish` goes out.
-    fn coordinate(
-        mut run: RunState,
-        window: u64,
-        transport: &mut impl Transport,
-        obs: &mut dyn WindowObserver,
-    ) -> Result<RunState, RunError> {
-        let mut cycle = 0u64;
-        'run: loop {
-            run.boundary(cycle, |go| transport.control(&go));
-            let len = window.min(run.next_boundary(cycle + 1) - cycle);
-            for agg in transport.run_window(cycle, len)? {
-                let stop = run.end_of_cycle(cycle, agg, obs);
-                cycle += 1;
-                if stop {
-                    break 'run;
-                }
-            }
-        }
-        transport.control(&Go::Finish(cycle, run.stop));
-        Ok(run)
-    }
-
-    /// The threaded transport around [`TrafficSim::coordinate`]: one
-    /// scoped worker thread per band shard ([`ShardWorker::serve`]),
-    /// each over a private path table, with the coordinator on this
-    /// thread.
-    fn run_threaded<P, F>(
-        self,
-        run: RunState,
-        shards: Vec<Shard>,
-        obs: &mut dyn WindowObserver,
-        mk: F,
-    ) -> Result<(RunOutput, Vec<P>), RunError>
-    where
-        P: FabricProbe + Send,
-        F: Fn(usize, &Shard) -> P,
-    {
+        let (use_reference, panic_at, window) = (self.use_reference, self.panic_at, self.window);
+        let TrafficSim {
+            cfg, ttl, kind, shards, paths, base, mut sources, online, workload, ..
+        } = self;
+        let churn = OnlineDriver::new(cfg.fault_churn.clone(), online, base.clone());
+        let wl = workload.map(WorkloadDriver::new);
+        let run = RunState::new(&cfg, base.faults().healthy_count(), churn, wl);
         let workload = run.wl.is_some();
-        #[cfg(test)]
-        let (use_reference, panic_at) = (self.use_reference, self.panic_at);
         let n = shards.len();
         assert!(n < (1 << (32 - ID_SHARD_SHIFT)), "shard count exceeds the packet-id namespace");
-        // One window length for the whole run: the shortest side of any
-        // band.
-        let window =
-            shards.iter().map(|s| s.short_edge() as u64).min().expect("at least two shards");
+        // One window length for the whole run: 1 for a lone band (there
+        // is no round trip to amortize, and the observer sees every
+        // cycle as it happens), else the shortest side of any band.
+        let derived = match n {
+            1 => 1,
+            _ => shards.iter().map(|s| s.short_edge() as u64).min().expect("at least two bands"),
+        };
         #[cfg(test)]
-        let window = self.window.unwrap_or(window);
-        let window = window.clamp(1, MAX_WINDOW);
-        let (cfg, ttl, kind, base) = (&self.cfg, self.ttl, self.kind, &self.base);
+        let derived = window.unwrap_or(derived);
+        let window = derived.clamp(1, MAX_WINDOW);
+        let (cfg, base) = (&cfg, &base);
 
         // One `Go` lane per worker, one shared report lane back, and a
         // boundary lane each way between every two adjacent bands.
         let (done_tx, done_rx) = mpsc::channel();
-        let mut go_tx = Vec::with_capacity(n);
-        let mut lanes: Vec<WorkerLanes> = (0..n)
-            .map(|_| {
-                let (tx, go) = mpsc::channel();
-                go_tx.push(tx);
-                WorkerLanes {
-                    go,
-                    done: done_tx.clone(),
-                    to: Default::default(),
-                    from: Default::default(),
-                }
-            })
-            .collect();
-        // Only live workers hold a `done` sender from here on.
-        drop(done_tx);
+        let mut go_tx = Vec::with_capacity(n - 1);
+        let mut lanes: Vec<BandLanes> = (0..n).map(|_| BandLanes::default()).collect();
         for after in 1..n {
             let (down, from_before) = mpsc::channel();
             let (up, from_after) = mpsc::channel();
@@ -1508,32 +1403,39 @@ impl<'p> TrafficSim<'p> {
             lanes[after].to[0] = Some(up);
             lanes[after - 1].from[1] = Some(from_after);
         }
-        // Sources are listed by node id and a band is a run of ids.
-        let mut sources = self.sources.into_iter();
-        let buckets: Vec<Vec<SourceNode>> =
-            shards.iter().map(|s| sources.by_ref().take(s.node_range().len()).collect()).collect();
+        // Sources are listed by node id and a band is a run of ids. The
+        // bands after the first split theirs off the tail, so band 0
+        // keeps the original buffer (a lone band copies nothing).
+        let mut buckets: Vec<Vec<SourceNode>> =
+            shards[1..].iter().rev().map(|s| sources.split_off(s.node_range().start)).collect();
+        buckets.push(sources);
+        buckets.reverse();
+        let mut bands = shards.into_iter().zip(buckets).zip(lanes);
+        let ((shard0, sources0), lanes0) = bands.next().expect("a fabric has at least one band");
 
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for (w, ((shard, sources), lanes)) in
-                shards.into_iter().zip(buckets).zip(lanes).enumerate()
-            {
+            let mut handles = Vec::with_capacity(n - 1);
+            for (w, ((shard, sources), lanes)) in (1..).zip(bands) {
                 let probe = mk(w, &shard);
+                let (tx, go) = mpsc::channel();
+                go_tx.push(tx);
+                let done = done_tx.clone();
                 handles.push(scope.spawn(move || {
                     // The dying-word sender lives outside the unwind
                     // boundary: a caught panic is reported over the
                     // shared `done` lane, exactly where the coordinator
                     // would otherwise block forever.
-                    let report_tx = lanes.done.clone();
+                    let report_tx = done.clone();
                     let caught = catch_unwind(AssertUnwindSafe(move || {
                         let mut paths = PathTable::new(base, kind);
                         let router = EscapeHop::new(&mut paths, cfg.patience, cfg.escape_vcs);
-                        let worker = ShardWorker::new(
+                        let mut worker = ShardWorker::new(
                             shard, sources, router, base, cfg, ttl, w, workload, probe,
                         );
                         #[cfg(test)]
-                        let worker = worker.hooked(w, use_reference, panic_at);
-                        worker.serve(&lanes)
+                        worker.hook(w, use_reference, panic_at);
+                        worker.serve(&go, &done, &lanes);
+                        worker.probe
                     }));
                     caught.map_err(|payload| {
                         let message = panic_message(payload.as_ref());
@@ -1541,23 +1443,34 @@ impl<'p> TrafficSim<'p> {
                     })
                 }));
             }
+            // Only live workers hold a `done` sender from here on.
+            drop(done_tx);
 
-            let mut transport = Threaded { go: go_tx, done: done_rx };
-            let outcome = Self::coordinate(run, window, &mut transport, obs);
-            // Teardown: dropping the coordinator-held senders
-            // disconnects the control lanes, so after a failure every
-            // blocked worker observes the disconnect — directly, or
-            // through the boundary lane of a neighbor that already
-            // returned — and returns: the run fails typed, it never
-            // hangs. (After `Go::Finish` every worker returns anyway.)
-            drop(transport.go);
-            let probes: Vec<P> = handles.into_iter().filter_map(|h| h.join().ok()?.ok()).collect();
+            let probe = mk(0, &shard0);
+            let router = EscapeHop::new(paths, cfg.patience, cfg.escape_vcs);
+            let mut band0 =
+                ShardWorker::new(shard0, sources0, router, base, cfg, ttl, 0, workload, probe);
+            #[cfg(test)]
+            band0.hook(0, use_reference, panic_at);
+            let workers = Workers { go: go_tx, done: done_rx };
+            let outcome = Self::coordinate(run, window, &mut band0, &lanes0, &workers, obs);
+            // Teardown: dropping band 0's boundary lanes and the
+            // coordinator-held control senders disconnects them, so
+            // after a failure every blocked worker observes the
+            // disconnect — directly, or through the boundary lane of a
+            // neighbor that already returned — and returns: the run
+            // fails typed, it never hangs. (After `Go::Finish` every
+            // worker returns anyway.)
+            drop(lanes0);
+            drop(workers.go);
+            let mut probes = vec![band0.probe];
+            probes.extend(handles.into_iter().filter_map(|h| h.join().ok()?.ok()));
             match outcome {
                 Ok(run) if probes.len() == n => Ok((run.seal(), probes)),
                 // A worker died unseen (while finishing, or its report
                 // was still in flight when a lane disconnected): prefer
                 // its dying word over a bare lane death.
-                Ok(_) | Err(RunError::WorkerLost) => Err(transport
+                Ok(_) | Err(RunError::WorkerLost) => Err(workers
                     .done
                     .try_iter()
                     .find_map(|r| match r {
@@ -1571,6 +1484,68 @@ impl<'p> TrafficSim<'p> {
             }
         })
     }
+
+    /// The one run loop. Each round opens with the coordinator work due
+    /// at `cycle` ([`RunState::boundary`]), grants every band the same
+    /// window — `window` cycles, cut short at the next cycle that opens
+    /// with coordinator work — to the workers first, then steps band 0
+    /// through it, merges the workers' reports into band 0's and
+    /// replays them in cycle order through [`RunState::end_of_cycle`],
+    /// so observer callbacks, stop classification and statistics see
+    /// the same sequence of cycles at every window length and band
+    /// count. A stop decided mid-window discards the window's tail;
+    /// every band is idle at the same cycle when `Go::Finish` goes out.
+    fn coordinate<P: FabricProbe>(
+        mut run: RunState,
+        window: u64,
+        band0: &mut ShardWorker<'_, P>,
+        lanes0: &BandLanes,
+        workers: &Workers,
+        obs: &mut dyn WindowObserver,
+    ) -> Result<RunState, RunError> {
+        let mut cycle = 0u64;
+        'run: loop {
+            let mut sent = Ok(());
+            run.boundary(cycle, |go| {
+                workers.control(&go);
+                if sent.is_ok() {
+                    sent = on_band0(|| band0.control(&go));
+                }
+            });
+            sent?;
+            let len = window.min(run.next_boundary(cycle + 1) - cycle);
+            workers.control(&Go::Lease { start: cycle, len });
+            // `None`: band 0's neighbor died; the workers' reports say why.
+            let mut merged = on_band0(|| band0.run_window(cycle, len, lanes0))?.unwrap_or_default();
+            workers.collect(&mut merged)?;
+            if merged.len() as u64 != len {
+                // Band 0 lost its neighbor mid-window, yet no worker
+                // reported a panic.
+                return Err(RunError::WorkerLost);
+            }
+            for agg in merged {
+                let stop = run.end_of_cycle(cycle, agg, obs);
+                cycle += 1;
+                if stop {
+                    break 'run;
+                }
+            }
+        }
+        let finish = Go::Finish(cycle, run.stop);
+        workers.control(&finish);
+        on_band0(|| band0.control(&finish))?;
+        Ok(run)
+    }
+}
+
+/// Runs `f`, a step of band 0 on the coordinator's thread, under
+/// `catch_unwind`: a panic becomes [`RunError::WorkerPanicked`] for
+/// shard 0, as a worker thread's does.
+fn on_band0<T>(f: impl FnOnce() -> T) -> Result<T, RunError> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| RunError::WorkerPanicked {
+        shard: 0,
+        message: panic_message(payload.as_ref()),
+    })
 }
 
 /// The panicking convenience: build a fresh path table, run without an
@@ -1593,8 +1568,10 @@ pub fn run_traffic(net: &NetView, kind: RoutingKind, cfg: &SimConfig) -> Traffic
 ///
 /// At zero load this is exactly
 /// `route_hops + PIPELINE_DEPTH + (len - 1)`, which the integration
-/// tests pin against the BFS oracle. (An idle fabric never blocks a
-/// head, so the probe fabric reserves no escape channel.)
+/// tests pin against the BFS oracle. The packet is a one-entry trace
+/// replayed through [`TrafficSim`] on one band of 2 VCs, 4 flits deep.
+/// (An idle fabric never blocks a head, so the probe reserves no
+/// escape channel.)
 pub fn single_packet_latency(
     net: &NetView,
     kind: RoutingKind,
@@ -1603,34 +1580,26 @@ pub fn single_packet_latency(
     len: u32,
 ) -> Option<u64> {
     assert!(len >= 1, "a packet has at least one flit");
-    let mesh = *net.mesh();
+    let cfg = SimConfig {
+        vcs: 2,
+        vc_depth: 4,
+        escape_vcs: 0,
+        patience: 0,
+        route_ttl: Some(u32::MAX),
+        threads: 1,
+        warmup: 0,
+        measure: 1,
+        drain: 16 * (net.mesh().len() as u64) + 16 * u64::from(len),
+        stats_window: 0,
+        ..SimConfig::default()
+    };
+    let entry = TraceEntry { cycle: 0, src: s, dst: d, len, flow: 0, drop: 0 };
     let mut paths = PathTable::new(net, kind);
-    let mut probe = EscapeHop::new(&mut paths, 0, 0);
-    probe.admit(s, d)?;
-    // Probe fabric: the VC/depth pair is shared with the injection
-    // check below — the injector must not stage past the buffer depth.
-    const PROBE_VCS: usize = 2;
-    const PROBE_DEPTH: usize = 4;
-    let mut fabric = Fabric::new(mesh, PROBE_VCS, PROBE_DEPTH, 0);
-    let id = fabric.register_packet(PacketState::new(s, d, 0, len));
-    let src = mesh.id(s);
-    let mut sent = 0u32;
-    let mut ejected = Vec::new();
-    let budget = 16 * (mesh.len() as u64) + 16 * u64::from(len);
-    for cycle in 0..budget {
-        if sent < len && fabric.local_occupancy(src) < PROBE_DEPTH {
-            fabric.inject_flit(
-                src,
-                Flit { packet: id, is_head: sent == 0, is_tail: sent + 1 == len },
-            );
-            sent += 1;
-        }
-        fabric.step(&mut probe, &mut ejected);
-        if !ejected.is_empty() {
-            return Some(cycle + 1);
-        }
-    }
-    None
+    let sim =
+        TrafficSim::new(&mut paths, cfg).with_workload(Box::new(TraceSource::new(vec![entry], 1)));
+    let out = sim.try_run_full(&mut ()).unwrap_or_else(|e| panic!("{e}"));
+    let flow = *out.workload?.completions.first()?;
+    Some(flow.delivered_at - flow.released_at)
 }
 
 #[cfg(test)]
@@ -1684,6 +1653,18 @@ mod tests {
             let d = Coord::new(6, 5);
             let lat = single_packet_latency(&net, kind, s, d, 4).expect("delivered");
             assert_eq!(lat, u64::from(s.manhattan(d)) + PIPELINE_DEPTH + 3, "{}", kind.name());
+        }
+    }
+
+    #[test]
+    fn a_packet_longer_than_the_probe_buffers_streams_at_link_rate() {
+        // 12 flits through 4-flit buffers: credits return in time, so
+        // the worm never stalls and only serialization adds cycles.
+        let net = fault_free(8);
+        let (s, d) = (Coord::new(0, 1), Coord::new(7, 6));
+        for kind in RoutingKind::ALL {
+            let lat = single_packet_latency(&net, kind, s, d, 12).expect("delivered");
+            assert_eq!(lat, u64::from(s.manhattan(d)) + PIPELINE_DEPTH + 11, "{}", kind.name());
         }
     }
 
@@ -1981,24 +1962,21 @@ mod tests {
     #[test]
     fn injected_worker_panic_surfaces_as_typed_error() {
         let net = fault_free(12);
-        let cfg = SimConfig { rate: 0.02, threads: 3, ..SimConfig::smoke() };
         let mut paths = PathTable::new(&net, RoutingKind::Rb2);
-        let mut sim = TrafficSim::new(&mut paths, cfg.clone());
-        sim.set_panic_at(1, 40);
-        match sim.try_run_full(&mut ()) {
-            Err(RunError::WorkerPanicked { shard, message }) => {
-                assert_eq!(shard, 1);
-                assert!(message.contains("injected test panic at cycle 40"), "{message}");
+        // A worker thread's band, then the coordinator's own band 0 —
+        // alone and beside workers: each fails typed, and every run
+        // returned instead of hanging.
+        for (threads, shard) in [(3, 1), (3, 0), (1, 0)] {
+            let cfg = SimConfig { rate: 0.02, threads, ..SimConfig::smoke() };
+            let mut sim = TrafficSim::new(&mut paths, cfg);
+            sim.set_panic_at(shard, 40);
+            match sim.try_run_full(&mut ()) {
+                Err(RunError::WorkerPanicked { shard: s, message }) => {
+                    assert_eq!(s, shard, "threads = {threads}");
+                    assert!(message.contains("injected test panic at cycle 40"), "{message}");
+                }
+                other => panic!("expected a typed worker panic, got {other:?}"),
             }
-            other => panic!("expected a typed worker panic, got {other:?}"),
-        }
-        // The coordinator's own band (shard 0) fails just as typed —
-        // and in both cases the run returned instead of hanging.
-        let mut sim = TrafficSim::new(&mut paths, cfg);
-        sim.set_panic_at(0, 40);
-        match sim.try_run_full(&mut ()) {
-            Err(RunError::WorkerPanicked { shard, .. }) => assert_eq!(shard, 0),
-            other => panic!("expected a typed worker panic, got {other:?}"),
         }
     }
 
@@ -2109,9 +2087,13 @@ mod tests {
         let net = fault_free(8);
         let events =
             vec![ChurnEvent::fail(60, Coord::new(4, 4)), ChurnEvent::fail(90, Coord::new(2, 5))];
-        // One shard: only the inline transport routes over the caller's
-        // table (`MESHPATH_THREADS` must not move the run off it).
-        let cfg = SimConfig { rate: 0.02, threads: 1, fault_churn: events, ..SimConfig::smoke() };
+        // Band 0 routes over the caller's table at every band count
+        // (`MESHPATH_THREADS` picks it).
+        let cfg = SimConfig { rate: 0.02, fault_churn: events, ..SimConfig::smoke() };
+        // Two bands leave compiled routes in the caller's table too.
+        let mut paths = PathTable::new(&net, RoutingKind::Rb2);
+        run_reusing(&mut paths, &SimConfig { threads: 2, ..cfg.clone() }, &mut ());
+        assert!(paths.cache_stats().1 > 0, "band 0 compiled no route in the caller's table");
         let mut paths = PathTable::new(&net, RoutingKind::Rb2);
         let mut seen = Vec::new();
         for _ in 0..3 {

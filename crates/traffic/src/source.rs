@@ -9,8 +9,9 @@
 //! replays recorded `(cycle, src, dst, len)` entries, a flow DAG
 //! releases a message once all its predecessors have delivered, a
 //! collective phase releases round `r + 1` once round `r` completes.
-//! All three (implemented in the `meshpath-workload` crate) drive the
-//! fabric through this one trait.
+//! All three drive the fabric through this one trait: [`TraceSource`]
+//! lives here, next to the [`TraceEntry`] a recording run writes; the
+//! DAG and collective schedulers live in the `meshpath-workload` crate.
 //!
 //! ## Determinism
 //!
@@ -111,10 +112,64 @@ impl TraceEntry {
     }
 }
 
+/// Replays a recorded packet trace: every entry is released at exactly
+/// its recorded cycle, drop markers reproduce the original run's
+/// rejection counters, and [`exhausted`](WorkloadSource::exhausted)
+/// holds until the recorded horizon so the replayed run terminates on
+/// exactly the original's cycle — together that makes the replay
+/// bit-identical (`TrafficStats` and all) to the recording run under
+/// the same `SimConfig`, at every shard count.
+pub struct TraceSource {
+    /// Entries sorted by cycle (stable, so one node's same-cycle
+    /// releases keep their recorded order).
+    entries: Vec<TraceEntry>,
+    idx: usize,
+    /// The recording run's generation horizon (its `warmup + measure`
+    /// for synthetic recordings): the replay must not report
+    /// exhaustion before it, or the two runs' termination cycles —
+    /// and with them the drained-delivery ledgers — would diverge.
+    horizon: u64,
+}
+
+impl TraceSource {
+    /// A replay source over `entries` with the recording run's
+    /// generation `horizon`. Entries may arrive in any order; they are
+    /// stably sorted by cycle (per-node relative order is preserved,
+    /// which is the only intra-cycle order the fabric can observe).
+    pub fn new(mut entries: Vec<TraceEntry>, horizon: u64) -> Self {
+        entries.sort_by_key(|e| e.cycle);
+        TraceSource { entries, idx: 0, horizon }
+    }
+
+    /// Number of trace entries not yet released.
+    pub fn remaining(&self) -> usize {
+        self.entries.len() - self.idx
+    }
+}
+
+impl WorkloadSource for TraceSource {
+    fn release(&mut self, cycle: u64) -> Vec<WorkloadMsg> {
+        debug_assert!(
+            self.idx == self.entries.len() || self.entries[self.idx].cycle >= cycle,
+            "trace entries in the past (release skipped a cycle?)"
+        );
+        let mut out = Vec::new();
+        while self.idx < self.entries.len() && self.entries[self.idx].cycle == cycle {
+            out.push(self.entries[self.idx].to_msg());
+            self.idx += 1;
+        }
+        out
+    }
+
+    fn exhausted(&self, cycle: u64) -> bool {
+        self.idx == self.entries.len() && cycle >= self.horizon
+    }
+}
+
 /// A scheduled application workload: the message source the simulation
 /// driver polls per cycle, with delivery/abort feedback closing the
-/// loop. Implementations: trace replay, flow DAGs and collective
-/// phases in the `meshpath-workload` crate.
+/// loop. Implementations: [`TraceSource`] here; flow DAGs and
+/// collective phases in the `meshpath-workload` crate.
 ///
 /// While a source is attached the synthetic injection process is
 /// disabled — the source *is* the traffic.
@@ -251,7 +306,7 @@ impl WorkloadOutcome {
 /// Coordinator-side workload driver: polls the source per cycle,
 /// tracks injected-but-unresolved messages (the termination gate),
 /// records per-flow completions, and cascades aborts. One instance per
-/// run, regardless of transport.
+/// run, regardless of band count.
 pub(crate) struct WorkloadDriver {
     source: Box<dyn WorkloadSource>,
     /// Released (drop == 0) messages not yet delivered or aborted.
@@ -382,6 +437,41 @@ impl WorkloadDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn entry(cycle: u64, x: i32, len: u32, drop: u8) -> TraceEntry {
+        TraceEntry { cycle, src: Coord::new(x, 0), dst: Coord::new(x, 3), len, flow: NO_FLOW, drop }
+    }
+
+    #[test]
+    fn releases_at_recorded_cycles_in_stable_order() {
+        let mut src = TraceSource::new(
+            vec![entry(5, 2, 4, 0), entry(1, 1, 4, 0), entry(5, 2, 3, 0), entry(5, 0, 1, 1)],
+            10,
+        );
+        assert!(src.release(0).is_empty());
+        let c1 = src.release(1);
+        assert_eq!(c1.len(), 1);
+        assert_eq!(c1[0].at, 1);
+        for cycle in 2..5 {
+            assert!(src.release(cycle).is_empty());
+        }
+        let c5 = src.release(5);
+        assert_eq!(c5.len(), 3);
+        // Stable: node 2's two releases keep their recorded order.
+        assert_eq!((c5[0].src.x, c5[0].len), (2, 4));
+        assert_eq!((c5[1].src.x, c5[1].len), (2, 3));
+        assert_eq!((c5[2].src.x, c5[2].drop), (0, 1));
+        assert_eq!(src.remaining(), 0);
+    }
+
+    #[test]
+    fn exhaustion_waits_for_the_recorded_horizon() {
+        let mut src = TraceSource::new(vec![entry(0, 1, 2, 0)], 7);
+        assert!(!src.exhausted(0));
+        let _ = src.release(0);
+        assert!(!src.exhausted(6), "all entries released, but the horizon is not reached");
+        assert!(src.exhausted(7));
+    }
 
     /// A two-message source: flow 1 at cycle 0, flow 2 released one
     /// cycle after flow 1 delivers.

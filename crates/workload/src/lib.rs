@@ -24,8 +24,9 @@
 //!   collective traffic, with and without faults.
 //!
 //! The simulator-side substrate (the [`WorkloadSource`] trait, the
-//! message/trace types, the feedback discipline and its determinism
-//! argument) lives in `meshpath_traffic::source`; this crate is pure
+//! message/trace types and the trace replay source, the feedback
+//! discipline and its determinism argument) lives in
+//! `meshpath_traffic::source`, re-exported here; this crate is pure
 //! scheduling policy on top of it.
 //!
 //! [`SimConfig::record_trace`]: meshpath_traffic::SimConfig::record_trace
@@ -36,15 +37,14 @@
 pub mod dag;
 pub mod phases;
 pub mod spec;
-pub mod trace;
 
 pub use dag::{DagError, DagSpec, FlowDag, FlowSpec};
 pub use phases::{CollectiveKind, CollectivePhases};
 pub use spec::WorkloadSpec;
-pub use trace::TraceSource;
 
 // The substrate types a workload consumer needs, re-exported so
 // downstream code can speak to this crate alone.
+pub use meshpath_traffic::source::TraceSource;
 pub use meshpath_traffic::{
     FlowCompletion, PhaseOutcome, TraceEntry, WorkloadMsg, WorkloadOutcome, WorkloadSource, NO_FLOW,
 };

@@ -2,11 +2,11 @@
 //! analysis CLI (and sweep configs) build [`WorkloadSource`]s from.
 
 use meshpath_route::NetView;
+use meshpath_traffic::source::TraceSource;
 use meshpath_traffic::{TraceEntry, WorkloadSource};
 
 use crate::dag::{DagSpec, FlowDag};
 use crate::phases::{CollectiveKind, CollectivePhases};
-use crate::trace::TraceSource;
 
 /// A workload, described declaratively so sweep configs can clone one
 /// per sweep point and hand each run its own [`WorkloadSource`].
