@@ -59,7 +59,8 @@
 use meshpath_analysis::cli::emit;
 use meshpath_analysis::traffic::{run_load_sweep, LoadSweepConfig};
 use meshpath_analysis::workload_io::{read_dag, read_trace, write_trace};
-use meshpath_traffic::{ObsLevel, RoutingKind};
+use meshpath_route::RoutingKind;
+use meshpath_traffic::{ObsLevel, SimConfig};
 use meshpath_workload::WorkloadSpec;
 
 /// Parses a `--workload` SPEC (see the module docs). `len` and `seed`
@@ -105,6 +106,18 @@ fn parse_workload(spec: &str, len: u32, seed: u64) -> Result<WorkloadSpec, Strin
     }
 }
 
+/// Parses a `--rates` list, each rate checked by
+/// [`SimConfig::validate`] against the sweep's `sim` config.
+fn parse_rates(arg: &str, sim: &SimConfig) -> Result<Vec<f64>, String> {
+    arg.split(',')
+        .map(|v| {
+            let rate = v.trim().parse().map_err(|_| format!("--rates: {v:?} is not a number"))?;
+            sim.clone().with_rate(rate).validate().map_err(|e| format!("--rates: {e}"))?;
+            Ok(rate)
+        })
+        .collect()
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     // `--quick` selects the base configuration; every other flag is an
@@ -146,10 +159,10 @@ fn main() {
                     .collect();
             }
             "--rates" => {
-                cfg.rates = take("--rates")
-                    .split(',')
-                    .map(|v| v.trim().parse().expect("--rates: comma-separated floats"))
-                    .collect();
+                cfg.rates = parse_rates(&take("--rates"), &cfg.sim).unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                });
             }
             "--routers" => {
                 cfg.routers = take("--routers")
@@ -255,5 +268,23 @@ fn main() {
     }
     for (i, t) in res.throughput_tables().iter().enumerate() {
         emit(t, &out, &format!("traffic_throughput_{}", res.config.fault_counts[i]));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rates_outside_a_probability_are_rejected() {
+        let sim = SimConfig::smoke();
+        assert_eq!(parse_rates("0.01, 0.5", &sim), Ok(vec![0.01, 0.5]));
+        for bad in ["2", "-1", "0.01,1.5", "x"] {
+            assert!(parse_rates(bad, &sim).is_err(), "{bad}");
+        }
+        assert_eq!(
+            parse_rates("2", &sim),
+            Err("--rates: injection rate 2 is not a per-cycle probability".into())
+        );
     }
 }

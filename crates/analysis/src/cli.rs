@@ -57,7 +57,19 @@ pub fn parse_args(
     if step == 0 {
         return Err("--step must be positive".into());
     }
+    if cfg.mesh == 0 {
+        return Err("--mesh must be a positive integer".into());
+    }
     cfg.fault_counts = (0..=max_faults).step_by(step).collect();
+    let nodes = cfg.mesh as usize * cfg.mesh as usize;
+    let worst = cfg.fault_counts.last().copied().unwrap_or(0);
+    if worst >= nodes {
+        return Err(format!(
+            "--mesh {} gives {nodes} nodes, fewer than the sweep's {worst} faults; \
+             use a larger mesh",
+            cfg.mesh
+        ));
+    }
     Ok((cfg, out))
 }
 
@@ -121,6 +133,18 @@ mod tests {
         let (cfg, _) = parse_args(strs(&["--quick"])).expect("ok");
         assert_eq!(cfg.mesh, 40);
         assert_eq!(cfg.fault_counts.last(), Some(&480));
+    }
+
+    #[test]
+    fn rejects_axes_the_mesh_cannot_hold() {
+        let err = |v: &[&str]| parse_args(strs(v)).expect_err("rejected");
+        assert_eq!(err(&["--mesh", "0"]), "--mesh must be a positive integer");
+        assert_eq!(
+            err(&["--mesh", "1"]),
+            "--mesh 1 gives 1 nodes, fewer than the sweep's 3000 faults; use a larger mesh"
+        );
+        assert!(err(&["--quick", "--max-faults", "100000"]).contains("use a larger mesh"));
+        assert!(parse_args(strs(&["--mesh", "2", "--max-faults", "3", "--step", "1"])).is_ok());
     }
 
     #[test]

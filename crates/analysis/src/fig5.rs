@@ -72,7 +72,7 @@ pub fn fig5b(res: &SweepResult) -> Table {
 /// carried *any* triple (the system-wide cost), the **1mcc** columns the
 /// carriers of a single MCC's triple (max over MCCs, then max/avg over
 /// configurations) — the reading under which the paper's "broadcast to
-/// 20% of the safe nodes" remark is consistent; see EXPERIMENTS.md.
+/// 20% of the safe nodes" remark is consistent.
 pub fn fig5c(res: &SweepResult) -> Table {
     let mut t = Table::new(
         "Fig 5(c) - percentage of nodes involved in information propagation",
@@ -149,8 +149,8 @@ pub fn fig5e(res: &SweepResult) -> Table {
     t
 }
 
-/// Extra (not in the paper): delivery rate and fallback counters, used by
-/// EXPERIMENTS.md to report reproduction internals.
+/// Extra (not in the paper): delivery rate and fallback counters, the
+/// reproduction's internals.
 pub fn diagnostics(res: &SweepResult) -> Table {
     let mut t = Table::new(
         "Diagnostics - delivery and planner internals",

@@ -60,7 +60,7 @@ impl JsonObject {
 
     /// A `null`: the key is part of the row's schema, but this record
     /// has no measurement for it.
-    pub fn null(&mut self, key: &str) -> &mut Self {
+    pub(crate) fn null(&mut self, key: &str) -> &mut Self {
         self.key(key);
         self.buf.push_str("null");
         self
@@ -94,7 +94,7 @@ impl JsonObject {
     }
 
     /// The object as `{...}`.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         format!("{{{}}}", self.buf)
     }
 }
@@ -120,7 +120,7 @@ pub fn document(config: &JsonObject, rows: &[JsonObject]) -> String {
 /// flat objects — how the observability report (`obs_report`) rides
 /// along in `traffic_sweep --json` without disturbing the `rows`
 /// trajectory format.
-pub fn document_with(
+pub(crate) fn document_with(
     config: &JsonObject,
     rows: &[JsonObject],
     sections: &[(&str, &[JsonObject])],
@@ -156,7 +156,7 @@ pub fn document_with(
 /// [`JsonObject`] can emit (numbers, restricted strings, booleans,
 /// `null`, arrays of numbers or restricted strings).
 #[derive(Clone, Debug, PartialEq)]
-pub enum FlatValue {
+pub(crate) enum FlatValue {
     /// An integer or float (floats are representable losslessly enough
     /// for every field this workspace round-trips).
     Num(f64),
@@ -174,9 +174,10 @@ pub enum FlatValue {
 
 impl FlatValue {
     /// The value as a `u64`, if it is a non-negative integral number.
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
-            FlatValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, which does not fit.
+            FlatValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -184,7 +185,7 @@ impl FlatValue {
     }
 
     /// The value as a string slice, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             FlatValue::Str(s) => Some(s),
             _ => None,
@@ -193,7 +194,7 @@ impl FlatValue {
 
     /// The value as a string array, if it is one (an empty array
     /// parses as `Nums`; it is accepted here too).
-    pub fn as_strs(&self) -> Option<&[String]> {
+    pub(crate) fn as_strs(&self) -> Option<&[String]> {
         match self {
             FlatValue::Strs(v) => Some(v),
             FlatValue::Nums(v) if v.is_empty() => Some(&[]),
@@ -204,10 +205,10 @@ impl FlatValue {
 
 /// Parses one flat JSON object line (`{"k": v, ...}`) into its
 /// `(key, value)` pairs, in order — the reader for the formats
-/// [`JsonObject`] writes (trace files, DAG files). Nested objects are
-/// not supported; strings must use the emitter's restricted charset
-/// (no escapes).
-pub fn parse_flat(line: &str) -> Result<Vec<(String, FlatValue)>, String> {
+/// [`JsonObject`] writes (trace files, DAG files). Nested objects and
+/// repeated keys are refused; strings must use the emitter's restricted
+/// charset (no escapes).
+pub(crate) fn parse_flat(line: &str) -> Result<Vec<(String, FlatValue)>, String> {
     let s = line.trim();
     let inner = s
         .strip_prefix('{')
@@ -224,6 +225,9 @@ pub fn parse_flat(line: &str) -> Result<Vec<(String, FlatValue)>, String> {
             .ok_or_else(|| format!("expected ':' after key {key:?}"))?
             .trim_start();
         let (value, after_value) = take_value(after_colon)?;
+        if pairs.iter().any(|(k, _)| *k == key) {
+            return Err(format!("repeated key {key:?}"));
+        }
         pairs.push((key, value));
         rest = after_value.trim_start();
         match rest.strip_prefix(',') {
@@ -363,6 +367,7 @@ mod tests {
         assert!(parse_flat(r#"{"k": }"#).is_err());
         assert!(parse_flat(r#"{"k": [1, "x"]}"#).is_err(), "mixed arrays refused");
         assert!(parse_flat(r#"{"k": "a b"}"#).is_err(), "unrestricted strings refused");
+        assert!(parse_flat(r#"{"k": 1, "k": 2}"#).is_err(), "repeated keys refused");
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub struct RouterAgg {
 
 impl RouterAgg {
     /// Percentage of pairs routed along a true shortest path.
-    pub fn shortest_pct(&self) -> f64 {
+    pub(crate) fn shortest_pct(&self) -> f64 {
         if self.pairs == 0 {
             100.0
         } else {
@@ -89,7 +89,7 @@ impl RouterAgg {
     }
 
     /// Mean relative error over delivered pairs.
-    pub fn rel_err(&self) -> f64 {
+    pub(crate) fn rel_err(&self) -> f64 {
         if self.delivered == 0 {
             0.0
         } else {
@@ -98,7 +98,7 @@ impl RouterAgg {
     }
 
     /// Merges another aggregate into this one.
-    pub fn merge(&mut self, other: &RouterAgg) {
+    pub(crate) fn merge(&mut self, other: &RouterAgg) {
         self.pairs += other.pairs;
         self.delivered += other.delivered;
         self.shortest += other.shortest;
@@ -123,9 +123,6 @@ pub struct ConfigRecord {
     pub routing: [RouterAgg; 4],
 }
 
-/// The routers evaluated, in reporting order.
-pub const ROUTER_NAMES: [&str; 4] = ["E-cube", "RB1", "RB2", "RB3"];
-
 /// The full sweep outcome: one record per (fault count, configuration).
 #[derive(Clone, Debug)]
 pub struct SweepResult {
@@ -138,7 +135,7 @@ pub struct SweepResult {
 
 impl SweepResult {
     /// Iterator over `(fault_count, records-at-that-count)`.
-    pub fn by_count(&self) -> impl Iterator<Item = (usize, &[ConfigRecord])> {
+    pub(crate) fn by_count(&self) -> impl Iterator<Item = (usize, &[ConfigRecord])> {
         self.config.fault_counts.iter().copied().zip(self.records.iter().map(|v| v.as_slice()))
     }
 }
@@ -149,7 +146,7 @@ pub(crate) use meshpath_mesh::derive_seed;
 
 /// Runs one configuration: builds the network, measures fault and
 /// propagation statistics, and routes `pairs` random pairs per router.
-pub fn run_config(mesh: Mesh, faults: FaultSet, pairs: usize, seed: u64) -> ConfigRecord {
+pub(crate) fn run_config(mesh: Mesh, faults: FaultSet, pairs: usize, seed: u64) -> ConfigRecord {
     let fault_count = faults.count();
     let net = NetView::build(faults);
     let fault_stats = stats_of(net.faults(), net.mccs(Orientation::IDENTITY));

@@ -14,7 +14,7 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and column headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
@@ -22,25 +22,16 @@ impl Table {
         }
     }
 
-    /// Appends a row (must match the header arity).
-    pub fn push_row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
-        self.rows.push(cells);
-    }
-
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     /// Number of data rows.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
     }
 
-    /// True when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+    /// Appends a row (must match the header arity).
+    pub(crate) fn push_row(&mut self, cells: Vec<String>) {
+        assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
+        self.rows.push(cells);
     }
 
     /// Renders an aligned, human-readable text table.
@@ -80,18 +71,18 @@ impl Table {
     }
 
     /// Writes the CSV rendering to `path`.
-    pub fn write_csv(&self, path: impl AsRef<Path>) -> io::Result<()> {
+    pub(crate) fn write_csv(&self, path: impl AsRef<Path>) -> io::Result<()> {
         std::fs::write(path, self.to_csv())
     }
 }
 
 /// Formats a float with one decimal (the paper's plot resolution).
-pub fn f1(v: f64) -> String {
+pub(crate) fn f1(v: f64) -> String {
     format!("{v:.1}")
 }
 
 /// Formats a float with three decimals (relative errors).
-pub fn f3(v: f64) -> String {
+pub(crate) fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 
@@ -117,7 +108,6 @@ mod tests {
         t.push_row(vec!["1".into(), "2".into()]);
         assert_eq!(t.to_csv(), "a,b\n1,2\n");
         assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
     }
 
     #[test]

@@ -9,10 +9,10 @@
 
 use meshpath_mesh::{FaultInjection, FaultSet, Mesh};
 use meshpath_obs::Phase;
-use meshpath_route::NetView;
+use meshpath_route::{NetView, RoutingKind};
 use meshpath_traffic::{
-    DrainStallObserver, LatencyHistogram, ObsReport, PathTable, RoutingKind, SimConfig, TraceEntry,
-    TrafficSim, TrafficStats, WindowObserver, WorkloadOutcome,
+    DrainStallObserver, LatencyHistogram, ObsReport, PathTable, SimConfig, TraceEntry, TrafficSim,
+    TrafficStats, WindowObserver, WorkloadOutcome,
 };
 use meshpath_workload::WorkloadSpec;
 
@@ -143,7 +143,7 @@ impl LoadPoint {
     /// Simulated flit-hops per wall second, in millions (0 when not
     /// simulated) — the simulator-throughput figure of the BENCH
     /// trajectory.
-    pub fn mflits_per_sec(&self) -> f64 {
+    pub(crate) fn mflits_per_sec(&self) -> f64 {
         if self.sim_wall_ms <= 0.0 {
             0.0
         } else {
@@ -378,7 +378,7 @@ impl LoadSweepResult {
     /// hand-rolled emitter is charset-restricted (see [`crate::jsonl`]).
     ///
     /// [`to_json`]: LoadSweepResult::to_json
-    pub fn obs_rows(&self) -> Vec<JsonObject> {
+    pub(crate) fn obs_rows(&self) -> Vec<JsonObject> {
         self.points
             .iter()
             .filter_map(|p| {

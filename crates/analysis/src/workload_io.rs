@@ -41,7 +41,7 @@ use meshpath_workload::{DagSpec, FlowDag, FlowSpec};
 use crate::jsonl::{parse_flat, FlatValue, JsonObject};
 
 /// Current version of both on-disk formats.
-pub const WORKLOAD_FORMAT_VERSION: u64 = 1;
+pub(crate) const WORKLOAD_FORMAT_VERSION: u64 = 1;
 
 /// Why a workload file failed to parse.
 #[derive(Clone, Debug, PartialEq)]
@@ -171,19 +171,28 @@ pub fn read_trace(text: &str) -> Result<(Vec<TraceEntry>, u64), WorkloadIoError>
             drop,
         });
     }
-    if let Some(FlatValue::Num(n)) = get(&header, "entries") {
-        if *n as usize != entries.len() {
-            return Err(WorkloadIoError::BadHeader(format!(
-                "header promises {n} entries, file has {}",
-                entries.len()
-            )));
-        }
-    }
+    check_count(&header, "entries", entries.len())?;
     Ok((entries, horizon))
 }
 
+/// Checks the header's optional line count `key` against the `found`
+/// body lines.
+fn check_count(
+    header: &[(String, FlatValue)],
+    key: &str,
+    found: usize,
+) -> Result<(), WorkloadIoError> {
+    match get(header, key) {
+        Some(FlatValue::Num(n)) if *n as usize != found => {
+            Err(WorkloadIoError::BadHeader(format!("header promises {n} {key}, file has {found}")))
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Renders a DAG spec in the version-1 format.
-pub fn write_dag(spec: &DagSpec) -> String {
+#[cfg(test)]
+fn write_dag(spec: &DagSpec) -> String {
     let mut out = String::with_capacity(64 + 96 * spec.flows.len());
     let mut header = JsonObject::new();
     header
@@ -213,6 +222,7 @@ pub fn write_dag(spec: &DagSpec) -> String {
 // `JsonObject` has no string-array emitter; render deps inline through
 // its `field` raw path (the names share the restricted charset the
 // emitter enforces for strings).
+#[cfg(test)]
 fn render_deps(deps: &[String]) -> String {
     let mut s = String::from("[");
     for (i, d) in deps.iter().enumerate() {
@@ -234,7 +244,7 @@ fn render_deps(deps: &[String]) -> String {
 /// Parses a version-1 DAG file and validates it (via [`FlowDag::new`],
 /// the validating constructor), returning the spec.
 pub fn read_dag(text: &str) -> Result<DagSpec, WorkloadIoError> {
-    read_header(text, "meshpath-dag")?;
+    let header = read_header(text, "meshpath-dag")?;
     let mut flows = Vec::new();
     for (i, line) in text.lines().enumerate().skip(1) {
         if line.trim().is_empty() {
@@ -250,13 +260,20 @@ pub fn read_dag(text: &str) -> Result<DagSpec, WorkloadIoError> {
             src: get_coord(&pairs, "src_x", "src_y").map_err(bad)?,
             dst: get_coord(&pairs, "dst_x", "dst_y").map_err(bad)?,
             len: get_u32(&pairs, "len").map_err(bad)?,
-            deps: get(&pairs, "deps")
-                .and_then(FlatValue::as_strs)
-                .map(<[String]>::to_vec)
-                .unwrap_or_default(),
-            earliest: get_u64(&pairs, "earliest").unwrap_or(0),
+            deps: match get(&pairs, "deps") {
+                None => Vec::new(),
+                Some(v) => v
+                    .as_strs()
+                    .ok_or_else(|| bad("field \"deps\" is not a string array".to_string()))?
+                    .to_vec(),
+            },
+            earliest: match get(&pairs, "earliest") {
+                None => 0,
+                Some(_) => get_u64(&pairs, "earliest").map_err(bad)?,
+            },
         });
     }
+    check_count(&header, "flows", flows.len())?;
     let spec = DagSpec { flows };
     FlowDag::new(spec.clone()).map_err(|e| WorkloadIoError::InvalidDag(e.to_string()))?;
     Ok(spec)
@@ -323,6 +340,8 @@ mod tests {
 
         let cyclic = text.replace("\"deps\": []", "\"deps\": [\"b\"]");
         assert!(matches!(read_dag(&cyclic), Err(WorkloadIoError::InvalidDag(_))));
+        let numeric = text.replacen("\"deps\": []", "\"deps\": 5", 1);
+        assert!(matches!(read_dag(&numeric), Err(WorkloadIoError::BadLine(2, _))));
         let unnamed = text.replace("\"name\": \"a\", ", "");
         assert!(matches!(read_dag(&unnamed), Err(WorkloadIoError::BadLine(2, _))));
     }
@@ -374,6 +393,89 @@ mod tests {
     fn a_dag_len_past_u32_is_rejected_not_wrapped() {
         let long = dag_text().replace("\"len\": 8", "\"len\": 4294967297");
         assert!(matches!(read_dag(&long), Err(WorkloadIoError::BadLine(2, _))));
+    }
+
+    /// Seeded hostile input over the three readers: byte flips,
+    /// truncations, repeated keys, huge numbers and runs of `[` applied to
+    /// valid trace, DAG and flat-object documents. Every read must return
+    /// rather than panic, and each edit that always breaks a document
+    /// must come back as an error.
+    #[test]
+    fn hostile_inputs_are_errors_not_panics() {
+        use crate::jsonl::parse_flat;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const HUGE: [&str; 5] =
+            ["1e999", "-1e999", "18446744073709551616", "1e20", "-9223372036854775809"];
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for round in 0..10_000 {
+            let c = |rng: &mut StdRng| Coord::new(rng.gen_range(0..64), rng.gen_range(0..64));
+            let doc = match round % 3 {
+                0 => {
+                    let entries: Vec<TraceEntry> = (0..rng.gen_range(1..4))
+                        .map(|_| TraceEntry {
+                            cycle: rng.gen_range(0..1000),
+                            src: c(&mut rng),
+                            dst: c(&mut rng),
+                            len: rng.gen_range(1..9),
+                            flow: NO_FLOW,
+                            drop: 0,
+                        })
+                        .collect();
+                    write_trace(&entries, 1000)
+                }
+                1 => write_dag(&DagSpec {
+                    flows: vec![
+                        FlowSpec::root("a", c(&mut rng), c(&mut rng), rng.gen_range(1..9)),
+                        FlowSpec::after("b", c(&mut rng), c(&mut rng), 4, &["a"]),
+                    ],
+                }),
+                _ => {
+                    let mut o = JsonObject::new();
+                    o.field("n", rng.gen_range(0..1000)).string("s", "x-y").array_u64("v", &[1, 2]);
+                    o.render()
+                }
+            };
+            let is_err = |text: &str| match round % 3 {
+                0 => read_trace(text).is_err(),
+                1 => read_dag(text).is_err(),
+                _ => parse_flat(text).is_err(),
+            };
+            let at = rng.gen_range(0..doc.len());
+            match rng.gen_range(0..5) {
+                0 => {
+                    let mut bytes = doc.clone().into_bytes();
+                    bytes[at] ^= rng.gen_range(1..=255u8);
+                    is_err(&String::from_utf8_lossy(&bytes));
+                }
+                1 => {
+                    let cut = &doc[..at];
+                    let partial_line = !cut.ends_with('\n') && !cut.ends_with('}');
+                    assert!(is_err(cut) || !partial_line, "truncated: {cut:?}");
+                }
+                2 => {
+                    let first = doc.find(", ").expect("every line has two fields");
+                    let twice = format!("{{{}{}", &doc[1..first + 2], &doc[1..]);
+                    assert!(is_err(&twice), "repeated key: {twice:?}");
+                }
+                3 => {
+                    let values: Vec<usize> = doc.match_indices(": ").map(|(i, _)| i + 2).collect();
+                    let from = values[rng.gen_range(0..values.len())];
+                    let len = doc[from..].find(|c: char| !c.is_ascii_digit()).unwrap_or(0);
+                    let huge = HUGE[rng.gen_range(0..HUGE.len())];
+                    let text = format!("{}{huge}{}", &doc[..from], &doc[from + len..]);
+                    // The flat-object reader takes any number; the two
+                    // file readers range-check every numeric field.
+                    assert!(len == 0 || round % 3 == 2 || is_err(&text), "huge: {text:?}");
+                }
+                _ => {
+                    let run = "[".repeat(rng.gen_range(1..4096));
+                    let text = format!("{}{run}{}", &doc[..at], &doc[at..]);
+                    assert!(is_err(&text), "a run of '[' at {at} of {doc:?}");
+                }
+            }
+        }
     }
 
     fn dag_text() -> String {

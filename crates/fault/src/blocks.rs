@@ -7,7 +7,7 @@
 //! rectangles. Compared with the MCC model this disables strictly more
 //! healthy nodes — the gap is exactly what Fig. 5 of the paper quantifies.
 
-use meshpath_mesh::{BitGrid, Coord, Dir, FaultSet, Mesh, Rect};
+use meshpath_mesh::{BitGrid, Coord, Dir, FaultSet, Mesh};
 
 /// The rectangular fault blocks of a fault configuration.
 #[derive(Clone, Debug)]
@@ -15,8 +15,6 @@ pub struct BlockSet {
     mesh: Mesh,
     /// Faulty or deactivated nodes.
     disabled: BitGrid,
-    /// The maximal rectangles (one per 4-connected disabled component).
-    rects: Vec<Rect>,
 }
 
 impl BlockSet {
@@ -58,40 +56,7 @@ impl BlockSet {
             }
         }
 
-        // Extract one bounding rectangle per 4-connected disabled
-        // component. At the fixpoint each component is exactly its
-        // bounding rectangle (checked in debug builds). `BitGrid::iter`
-        // is row-major, so discovery order matches a full mesh scan while
-        // visiting only the disabled cells.
-        let mut rects = Vec::new();
-        let mut seen = BitGrid::new(mesh);
-        let mut stack = Vec::new();
-        for start in disabled.iter() {
-            if seen.contains(start) {
-                continue;
-            }
-            let mut bbox = Rect::point(start);
-            seen.insert(start);
-            stack.push(start);
-            let mut count = 0usize;
-            while let Some(u) = stack.pop() {
-                count += 1;
-                bbox.expand(u);
-                for v in mesh.neighbors(u) {
-                    if disabled.contains(v) && seen.insert(v) {
-                        stack.push(v);
-                    }
-                }
-            }
-            debug_assert_eq!(
-                count as u64,
-                bbox.area(),
-                "rectangular block closure produced a non-rectangle at {bbox:?}"
-            );
-            rects.push(bbox);
-        }
-
-        BlockSet { mesh, disabled, rects }
+        BlockSet { mesh, disabled }
     }
 
     /// The mesh.
@@ -112,25 +77,41 @@ impl BlockSet {
     pub fn disabled_count(&self) -> usize {
         self.disabled.count()
     }
-
-    /// The maximal fault rectangles.
-    #[inline]
-    pub fn rects(&self) -> &[Rect] {
-        &self.rects
-    }
-
-    /// The rectangle containing `c`, if any.
-    pub fn rect_at(&self, c: Coord) -> Option<Rect> {
-        if !self.is_disabled(c) {
-            return None;
-        }
-        self.rects.iter().copied().find(|r| r.contains(c))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use meshpath_mesh::Rect;
+
+    /// One bounding rectangle per 4-connected disabled component, in
+    /// row-major discovery order; asserts that each component is exactly
+    /// its bounding rectangle (the closure's defining property).
+    fn rects(b: &BlockSet) -> Vec<Rect> {
+        let mut rects = Vec::new();
+        let mut seen = BitGrid::new(b.mesh);
+        let mut stack = Vec::new();
+        for start in b.disabled.iter() {
+            if !seen.insert(start) {
+                continue;
+            }
+            let mut bbox = Rect::point(start);
+            stack.push(start);
+            let mut count = 0u64;
+            while let Some(u) = stack.pop() {
+                count += 1;
+                bbox.expand(u);
+                for v in b.mesh.neighbors(u) {
+                    if b.disabled.contains(v) && seen.insert(v) {
+                        stack.push(v);
+                    }
+                }
+            }
+            assert_eq!(count, bbox.area(), "the closure produced a non-rectangle at {bbox:?}");
+            rects.push(bbox);
+        }
+        rects
+    }
 
     fn build(mesh: Mesh, faults: &[(i32, i32)]) -> BlockSet {
         let fs = FaultSet::from_coords(mesh, faults.iter().map(|&(x, y)| Coord::new(x, y)));
@@ -141,14 +122,14 @@ mod tests {
     fn no_faults_no_blocks() {
         let b = build(Mesh::square(6), &[]);
         assert_eq!(b.disabled_count(), 0);
-        assert!(b.rects().is_empty());
+        assert!(rects(&b).is_empty());
     }
 
     #[test]
     fn single_fault_is_a_unit_rectangle() {
         let b = build(Mesh::square(6), &[(2, 3)]);
         assert_eq!(b.disabled_count(), 1);
-        assert_eq!(b.rects(), &[Rect::point(Coord::new(2, 3))]);
+        assert_eq!(rects(&b), [Rect::point(Coord::new(2, 3))]);
     }
 
     #[test]
@@ -158,7 +139,7 @@ mod tests {
         let b = build(Mesh::square(8), &[(2, 2), (3, 2), (2, 3)]);
         assert_eq!(b.disabled_count(), 4);
         assert!(b.is_disabled(Coord::new(3, 3)));
-        assert_eq!(b.rects(), &[Rect::new(Coord::new(2, 2), Coord::new(3, 3))]);
+        assert_eq!(rects(&b), [Rect::new(Coord::new(2, 2), Coord::new(3, 3))]);
     }
 
     #[test]
@@ -167,8 +148,7 @@ mod tests {
         // neighbors: (2,2) and (3,3) both see a blocked node per dimension
         // once (3,2)/(2,3) are deactivated.
         let b = build(Mesh::square(8), &[(2, 2), (3, 3)]);
-        assert_eq!(b.rects().len(), 1);
-        assert_eq!(b.rects()[0], Rect::new(Coord::new(2, 2), Coord::new(3, 3)));
+        assert_eq!(rects(&b), [Rect::new(Coord::new(2, 2), Coord::new(3, 3))]);
         assert_eq!(b.disabled_count(), 4);
     }
 
@@ -189,6 +169,7 @@ mod tests {
                 &mut rng,
             );
             let blocks = BlockSet::build(&fs);
+            rects(&blocks);
             for o in Orientation::ALL {
                 let lab = Labeling::compute(&fs, o, BorderPolicy::Open);
                 assert!(
@@ -197,15 +178,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn rect_at_lookup() {
-        let b = build(Mesh::square(8), &[(2, 2), (3, 3)]);
-        assert_eq!(
-            b.rect_at(Coord::new(3, 2)),
-            Some(Rect::new(Coord::new(2, 2), Coord::new(3, 3)))
-        );
-        assert_eq!(b.rect_at(Coord::new(0, 0)), None);
     }
 }

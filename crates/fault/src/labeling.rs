@@ -228,7 +228,7 @@ impl Labeling {
 
     /// The orientation this labeling was computed for.
     #[inline]
-    pub fn orientation(&self) -> Orientation {
+    pub(crate) fn orientation(&self) -> Orientation {
         self.orientation
     }
 
@@ -296,7 +296,7 @@ impl Labeling {
 
     /// Non-faulty nodes swallowed by MCCs (useless + can't-reach).
     #[inline]
-    pub fn healthy_unsafe_count(&self) -> usize {
+    pub(crate) fn healthy_unsafe_count(&self) -> usize {
         self.unsafe_count - self.faulty_count
     }
 
@@ -308,7 +308,7 @@ impl Labeling {
 
     /// Iterator over oriented coordinates of all unsafe nodes, in
     /// row-major order.
-    pub fn unsafe_nodes(&self) -> impl Iterator<Item = Coord> + '_ {
+    pub(crate) fn unsafe_nodes(&self) -> impl Iterator<Item = Coord> + '_ {
         self.mask.iter().filter(|&(_, &m)| m != 0).map(|(oc, _)| oc)
     }
 }

@@ -22,7 +22,7 @@
 //! nodes of the MCC, and the **opposite corner** `c' = (x1+1, hi(x1)+1)`,
 //! whose `-X` and `-Y` neighbors are. Either may lie off the mesh (an MCC
 //! on a rim) or on a cell of *another* MCC (diagonal neighbours);
-//! [`Mcc::corner_usable`] says so and routing treats the pivot as infeasible.
+//! [`Labeling::is_safe_node`] says so and routing treats the pivot as infeasible.
 
 use meshpath_mesh::{Coord, FaultSet, Grid, Mesh, Orientation, Rect};
 
@@ -145,12 +145,6 @@ impl Mcc {
     #[inline]
     pub fn opposite(&self) -> Coord {
         Coord::new(self.x1() + 1, self.cols[self.cols.len() - 1].hi + 1)
-    }
-
-    /// True when `corner` (either pivot) is a safe in-mesh node of
-    /// `labeling` — i.e. actually usable as a detour waypoint.
-    pub fn corner_usable(labeling: &Labeling, corner: Coord) -> bool {
-        labeling.is_safe_node(corner)
     }
 
     /// Iterator over the component's cells (oriented coordinates),
@@ -557,8 +551,8 @@ mod tests {
         let set = build(Mesh::square(6), &[(0, 0)]);
         let m = set.get(MccId(0));
         assert_eq!(m.corner(), Coord::new(-1, -1));
-        assert!(!Mcc::corner_usable(set.labeling(), m.corner()));
-        assert!(Mcc::corner_usable(set.labeling(), m.opposite()));
+        assert!(!set.labeling().is_safe_node(m.corner()));
+        assert!(set.labeling().is_safe_node(m.opposite()));
     }
 
     #[test]
@@ -568,7 +562,7 @@ mod tests {
         assert_eq!(set.len(), 2);
         let a = set.iter().find(|m| m.contains(Coord::new(3, 3))).expect("mcc A");
         assert_eq!(a.corner(), Coord::new(2, 2));
-        assert!(!Mcc::corner_usable(set.labeling(), a.corner()));
+        assert!(!set.labeling().is_safe_node(a.corner()));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Fault-configuration statistics backing Fig. 5(a) and 5(b).
 
-use meshpath_mesh::{FaultSet, Orientation};
+use meshpath_mesh::FaultSet;
 
-use crate::labeling::BorderPolicy;
 use crate::mcc::MccSet;
 
 /// Summary of one fault configuration under one orientation.
@@ -27,17 +26,6 @@ impl FaultConfigStats {
     pub fn disabled_pct(&self) -> f64 {
         100.0 * self.disabled as f64 / self.total_nodes as f64
     }
-
-    /// Percentage of injected faults to the total area.
-    pub fn fault_pct(&self) -> f64 {
-        100.0 * self.faults as f64 / self.total_nodes as f64
-    }
-}
-
-/// Computes the Fig. 5(a)/(b) statistics for one configuration.
-pub fn config_stats(faults: &FaultSet, orientation: Orientation) -> FaultConfigStats {
-    let set = MccSet::build(faults, orientation, BorderPolicy::Open);
-    stats_of(faults, &set)
 }
 
 /// Statistics for an already-built [`MccSet`].
@@ -55,7 +43,12 @@ pub fn stats_of(faults: &FaultSet, set: &MccSet) -> FaultConfigStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meshpath_mesh::{Coord, Mesh};
+    use crate::labeling::BorderPolicy;
+    use meshpath_mesh::{Coord, Mesh, Orientation};
+
+    fn config_stats(faults: &FaultSet, orientation: Orientation) -> FaultConfigStats {
+        stats_of(faults, &MccSet::build(faults, orientation, BorderPolicy::Open))
+    }
 
     #[test]
     fn stats_of_simple_config() {
@@ -71,7 +64,6 @@ mod tests {
         assert_eq!(s.mcc_count, 2);
         assert_eq!(s.largest_mcc, 4);
         assert!((s.disabled_pct() - 5.0).abs() < 1e-9);
-        assert!((s.fault_pct() - 3.0).abs() < 1e-9);
     }
 
     #[test]

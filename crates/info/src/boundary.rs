@@ -22,7 +22,7 @@
 //! the same walks.
 //!
 //! **What a set stores.** A [`BoundarySet`] is a few flat arrays, laid out
-//! in MCC-id order: one [`WalkStore`] holding every walk two bits a step,
+//! in MCC-id order: one `WalkStore` holding every walk two bits a step,
 //! per MCC the end of its walks there, and the contour nodes, merge lists
 //! and Eq.-4 candidates each as one item array with per-MCC ends.
 //! [`MccBoundaries`] and [`Walk`] are borrowed views into it. A record
@@ -374,12 +374,12 @@ impl BoundarySet {
     }
 
     /// All recorded type-I successor candidates of `v`.
-    pub fn succ_candidates_y(&self, v: MccId) -> &[MccId] {
+    pub(crate) fn succ_candidates_y(&self, v: MccId) -> &[MccId] {
         self.succ_candidates_y.get(v.index())
     }
 
     /// All recorded type-II successor candidates of `v`.
-    pub fn succ_candidates_x(&self, v: MccId) -> &[MccId] {
+    pub(crate) fn succ_candidates_x(&self, v: MccId) -> &[MccId] {
         self.succ_candidates_x.get(v.index())
     }
 }

@@ -18,7 +18,7 @@
 //!
 //! The construction machinery:
 //!
-//! * [`walker`] — a wall-following polyline walker implementing the
+//! * `walker` — a wall-following polyline walker implementing the
 //!   paper's "make a right/left turn and go along the edges of `F(v)`".
 //! * [`boundary`] — the four per-MCC boundary polylines, hit records and
 //!   merge lists.
@@ -31,8 +31,8 @@
 
 pub mod boundary;
 pub mod model;
-pub mod walker;
+mod walker;
 
 pub use boundary::{BoundarySet, MccBoundaries};
 pub use model::{InfoModel, ModelKind, PropagationStats};
-pub use walker::{Nodes, Walk, WalkConfig, WalkStore, Walker};
+pub use walker::{Nodes, Walk};

@@ -17,7 +17,7 @@
 //! every walk, steps on safe nodes only.
 //!
 //! **What a walk stores.** A walk is a start node plus unit steps, so a
-//! [`WalkStore`] keeps exactly that: every walk's steps two bits a step in
+//! `WalkStore` keeps exactly that: every walk's steps two bits a step in
 //! one `u64` stream, one fixed-size record per walk (start, step range, hit
 //! range, how it ended) and one flat hit list. The walker appends straight
 //! into the store; [`Walk`] is a borrowed view whose [`nodes`](Walk::nodes)
@@ -25,7 +25,7 @@
 //!
 //! **What a step costs.** A walk that re-enters a `(node, heading, mode)`
 //! state is a closed loop and stops. The test is one byte per node — bit
-//! `2 * heading + following` of [`Walker`]'s `seen` table, a load, an
+//! `2 * heading + following` of `Walker`'s `seen` table, a load, an
 //! `and` and a store a step — in a scratch every walk of one
 //! [`BoundarySet::build_reusing`](crate::BoundarySet::build_reusing) call
 //! shares; a finished walk clears exactly the bytes it set by replaying
@@ -36,7 +36,7 @@ use meshpath_mesh::{Coord, Dir};
 
 /// Which way the walk turns when it hits an obstacle.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Turn {
+pub(crate) enum Turn {
     /// Rotate clockwise on engage (wall ends up on the walk's left).
     Right,
     /// Rotate counter-clockwise on engage (wall ends up on the right).
@@ -65,7 +65,7 @@ impl Turn {
 
 /// Parameters of one boundary walk.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct WalkConfig {
+pub(crate) struct WalkConfig {
     /// Straight descent direction (`-Y` for the X-boundaries of the
     /// Y-forbidden region, `-X` for the Y-boundaries of the X-region).
     pub main: Dir,
@@ -78,16 +78,16 @@ pub struct WalkConfig {
 impl WalkConfig {
     /// The `-X` boundary of the Y-forbidden region: descend south, turn
     /// right, hug obstacles on the left.
-    pub const WEST_Y: WalkConfig = WalkConfig { main: Dir::MinusY, turn: Turn::Right };
+    pub(crate) const WEST_Y: WalkConfig = WalkConfig { main: Dir::MinusY, turn: Turn::Right };
     /// The `+X` boundary: descend south, turn left.
-    pub const EAST_Y: WalkConfig = WalkConfig { main: Dir::MinusY, turn: Turn::Left };
+    pub(crate) const EAST_Y: WalkConfig = WalkConfig { main: Dir::MinusY, turn: Turn::Left };
     /// The `-Y` boundary of the X-forbidden region: head west, turn left.
-    pub const SOUTH_X: WalkConfig = WalkConfig { main: Dir::MinusX, turn: Turn::Left };
+    pub(crate) const SOUTH_X: WalkConfig = WalkConfig { main: Dir::MinusX, turn: Turn::Left };
     /// The `+Y` boundary: head west, turn right.
-    pub const NORTH_X: WalkConfig = WalkConfig { main: Dir::MinusX, turn: Turn::Right };
+    pub(crate) const NORTH_X: WalkConfig = WalkConfig { main: Dir::MinusX, turn: Turn::Right };
 }
 
-/// Steps per word of [`WalkStore`]'s step stream.
+/// Steps per word of `WalkStore`'s step stream.
 const STEPS_PER_WORD: usize = 32;
 
 /// Steps `first..first + count` of a step stream, decoded a word at a
@@ -206,7 +206,7 @@ pub(crate) fn index(n: usize) -> u32 {
     u32::try_from(n).expect("a walk store holds under 4 G steps and hits")
 }
 
-/// Where one walk sits in its [`WalkStore`].
+/// Where one walk sits in its `WalkStore`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct WalkRec {
     /// The first node (the origin for an empty walk).
@@ -226,10 +226,11 @@ struct WalkRec {
 /// were appended: their steps two bits a step in one stream, one record
 /// per walk and one flat hit list.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WalkStore {
+pub(crate) struct WalkStore {
     /// Step `i` is bits `2 * (i % 32)..` of word `i / 32`: the index of
     /// its direction in [`Dir::ALL`]. Bits past the last step are zero.
     steps: Vec<u64>,
+    /// Steps stored over all walks: a walk of `n > 0` nodes holds `n - 1`.
     step_count: usize,
     walks: Vec<WalkRec>,
     hits: Vec<(MccId, Coord)>,
@@ -237,22 +238,12 @@ pub struct WalkStore {
 
 impl WalkStore {
     /// Walks stored.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.walks.len()
     }
 
-    /// True when no walk is stored.
-    pub fn is_empty(&self) -> bool {
-        self.walks.is_empty()
-    }
-
-    /// Steps stored over all walks: a walk of `n > 0` nodes holds `n - 1`.
-    pub fn step_count(&self) -> usize {
-        self.step_count
-    }
-
     /// Walk `i`, in append order.
-    pub fn get(&self, i: usize) -> Walk<'_> {
+    pub(crate) fn get(&self, i: usize) -> Walk<'_> {
         let rec = self.walks[i];
         let hits = &self.hits[rec.hit0 as usize..][..rec.hits as usize];
         Walk { steps: &self.steps, hits, rec }
@@ -316,7 +307,7 @@ impl WalkStore {
     }
 }
 
-/// One boundary walk, borrowed from its [`WalkStore`].
+/// One boundary walk, borrowed from its `WalkStore`.
 #[derive(Clone, Copy)]
 pub struct Walk<'a> {
     steps: &'a [u64],
@@ -359,13 +350,14 @@ impl<'a> Walk<'a> {
 
     /// True when the walk ended by leaving the mesh in the main direction
     /// (normal termination at the mesh edge).
-    pub fn reached_edge(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn reached_edge(&self) -> bool {
         self.rec.reached_edge
     }
 }
 
 /// The boundary walker of one [`MccSet`], with the scratch its walks share.
-pub struct Walker<'a> {
+pub(crate) struct Walker<'a> {
     set: &'a MccSet,
     /// Per node, the `(heading, following)` states the walk in progress
     /// has been in there (bit `2 * heading + following`); all zero
@@ -375,7 +367,7 @@ pub struct Walker<'a> {
 
 impl<'a> Walker<'a> {
     /// A walker over the safe nodes of `set`.
-    pub fn new(set: &'a MccSet) -> Self {
+    pub(crate) fn new(set: &'a MccSet) -> Self {
         Walker { set, seen: vec![0; set.mesh().len()] }
     }
 
@@ -384,14 +376,14 @@ impl<'a> Walker<'a> {
     ///
     /// Appends an empty walk when `start` is not a safe in-mesh node (e.g.
     /// the corner of a border-touching MCC).
-    pub fn walk(&mut self, store: &mut WalkStore, start: Coord, cfg: WalkConfig) -> usize {
+    pub(crate) fn walk(&mut self, store: &mut WalkStore, start: Coord, cfg: WalkConfig) -> usize {
         self.walk_until(store, start, cfg, usize::MAX)
     }
 
     /// Like [`walk`](Self::walk), but stops after `max_disengage`
     /// disengagements (used for the B3 split propagations, which merge
     /// into the obstacle's own boundary after rounding it once).
-    pub fn walk_until(
+    pub(crate) fn walk_until(
         &mut self,
         store: &mut WalkStore,
         start: Coord,
@@ -626,7 +618,7 @@ mod tests {
     const CONFIGS: [WalkConfig; 4] =
         [WalkConfig::WEST_Y, WalkConfig::EAST_Y, WalkConfig::SOUTH_X, WalkConfig::NORTH_X];
 
-    /// Holds one shared [`Walker`], appending into one store, to the
+    /// Holds one shared `Walker`, appending into one store, to the
     /// hash-set reference from every node of the mesh under the four
     /// configurations, bounded and not. Returns the exits the walks took.
     fn assert_walks_match_reference(s: &MccSet) -> Vec<Exit> {
@@ -636,7 +628,7 @@ mod tests {
         for start in s.mesh().iter() {
             for cfg in CONFIGS {
                 for max in [usize::MAX, 1] {
-                    let steps_before = store.step_count();
+                    let steps_before = store.step_count;
                     let got = walker.walk_until(&mut store, start, cfg, max);
                     let got = store.get(got);
                     let (want, exit) = walk_until_by_hash_set(s, start, cfg, max);
@@ -648,7 +640,7 @@ mod tests {
                     assert_eq!(got.hits(), want.hits, "hits from {start:?} {cfg:?} max {max}");
                     assert_eq!(got.reached_edge(), want.reached_edge, "{start:?} {cfg:?} {max}");
                     assert_eq!(
-                        store.step_count() - steps_before,
+                        store.step_count - steps_before,
                         want.nodes.len().saturating_sub(1),
                         "one stored step a hop"
                     );

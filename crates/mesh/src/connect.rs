@@ -36,27 +36,10 @@ pub fn components(faults: &FaultSet) -> (Grid<u32>, usize) {
     (labels, next as usize)
 }
 
-/// Number of connected components among healthy nodes.
-pub fn component_count(faults: &FaultSet) -> usize {
-    components(faults).1
-}
-
 /// True when all healthy nodes form a single connected component (a
 /// fault-saturated mesh with zero healthy nodes counts as connected).
 pub fn is_connected(faults: &FaultSet) -> bool {
-    component_count(faults) <= 1
-}
-
-/// Size of the largest healthy component (0 when all nodes are faulty).
-pub fn largest_component(faults: &FaultSet) -> usize {
-    let (labels, n) = components(faults);
-    let mut sizes = vec![0usize; n];
-    for (_, &l) in labels.iter() {
-        if l != u32::MAX {
-            sizes[l as usize] += 1;
-        }
-    }
-    sizes.into_iter().max().unwrap_or(0)
+    components(faults).1 <= 1
 }
 
 #[cfg(test)]
@@ -68,8 +51,7 @@ mod tests {
     fn fault_free_mesh_is_one_component() {
         let f = FaultSet::none(Mesh::square(6));
         assert!(is_connected(&f));
-        assert_eq!(component_count(&f), 1);
-        assert_eq!(largest_component(&f), 36);
+        assert_eq!(components(&f).1, 1);
     }
 
     #[test]
@@ -78,8 +60,7 @@ mod tests {
         // Vertical wall at x = 2 splits left from right.
         let f = FaultSet::from_coords(mesh, (0..5).map(|y| Coord::new(2, y)));
         assert!(!is_connected(&f));
-        assert_eq!(component_count(&f), 2);
-        assert_eq!(largest_component(&f), 10);
+        assert_eq!(components(&f).1, 2);
     }
 
     #[test]
@@ -87,7 +68,6 @@ mod tests {
         let mesh = Mesh::square(5);
         let f = FaultSet::from_coords(mesh, [Coord::new(2, 2)]);
         assert!(is_connected(&f));
-        assert_eq!(largest_component(&f), 24);
     }
 
     #[test]
@@ -95,8 +75,7 @@ mod tests {
         let mesh = Mesh::square(4);
         // Cut off the (0,0) corner with faults at (1,0) and (0,1).
         let f = FaultSet::from_coords(mesh, [Coord::new(1, 0), Coord::new(0, 1)]);
-        assert_eq!(component_count(&f), 2);
-        assert_eq!(largest_component(&f), 13);
+        assert_eq!(components(&f).1, 2);
     }
 
     #[test]
@@ -104,7 +83,6 @@ mod tests {
         let mesh = Mesh::square(2);
         let f = FaultSet::from_coords(mesh, mesh.iter());
         assert!(is_connected(&f));
-        assert_eq!(component_count(&f), 0);
-        assert_eq!(largest_component(&f), 0);
+        assert_eq!(components(&f).1, 0);
     }
 }

@@ -63,7 +63,7 @@ impl Dir {
 
     /// The coordinate offset `(dx, dy)` of a unit step in this direction.
     #[inline]
-    pub const fn offset(self) -> (i32, i32) {
+    pub(crate) const fn offset(self) -> (i32, i32) {
         match self {
             Dir::PlusX => (1, 0),
             Dir::MinusX => (-1, 0),
@@ -90,12 +90,6 @@ impl Dir {
             Dir::PlusX | Dir::MinusX => Axis::X,
             Dir::PlusY | Dir::MinusY => Axis::Y,
         }
-    }
-
-    /// Whether this is a positive (`+X`/`+Y`) direction.
-    #[inline]
-    pub const fn is_positive(self) -> bool {
-        matches!(self, Dir::PlusX | Dir::PlusY)
     }
 
     /// The direction obtained by a 90-degree clockwise turn, where
@@ -173,7 +167,7 @@ mod tests {
         assert_eq!(Axis::X.plus(), Dir::PlusX);
         assert_eq!(Axis::Y.minus(), Dir::MinusY);
         for d in Dir::ALL {
-            if d.is_positive() {
+            if matches!(d, Dir::PlusX | Dir::PlusY) {
                 assert_eq!(d.axis().plus(), d);
             } else {
                 assert_eq!(d.axis().minus(), d);

@@ -158,11 +158,6 @@ impl FaultSet {
     pub fn iter(&self) -> impl Iterator<Item = Coord> + '_ {
         self.faulty.iter()
     }
-
-    /// The underlying bit grid (for bulk operations).
-    pub fn as_bitgrid(&self) -> &BitGrid {
-        &self.faulty
-    }
 }
 
 /// How random faults are placed.

@@ -21,13 +21,6 @@ impl<T: Clone> Grid<T> {
     pub fn new(mesh: Mesh, fill: T) -> Self {
         Grid { mesh, cells: vec![fill; mesh.len()] }
     }
-
-    /// Resets every cell to `fill`, keeping the allocation.
-    pub fn fill(&mut self, fill: T) {
-        for c in &mut self.cells {
-            *c = fill.clone();
-        }
-    }
 }
 
 impl<T> Grid<T> {
@@ -135,7 +128,7 @@ impl BitGrid {
 
     /// True when node `id` is in the set.
     #[inline]
-    pub fn contains_id(&self, id: NodeId) -> bool {
+    pub(crate) fn contains_id(&self, id: NodeId) -> bool {
         let i = id.index();
         (self.words[i / 64] >> (i % 64)) & 1 == 1
     }
@@ -149,7 +142,7 @@ impl BitGrid {
     }
 
     /// Inserts node `id`; returns whether it was newly inserted.
-    pub fn insert_id(&mut self, id: NodeId) -> bool {
+    pub(crate) fn insert_id(&mut self, id: NodeId) -> bool {
         let i = id.index();
         let mask = 1u64 << (i % 64);
         let word = &mut self.words[i / 64];
@@ -215,18 +208,6 @@ impl BitGrid {
     #[inline]
     pub fn count(&self) -> usize {
         self.ones
-    }
-
-    /// True when the set is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.ones == 0
-    }
-
-    /// Removes all nodes, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
-        self.ones = 0;
     }
 
     /// Iterator over the coordinates in the set, in row-major order.

@@ -81,7 +81,7 @@ pub fn derive_seed(base: u64, a: u64, b: u64) -> u64 {
 }
 
 /// `BuildHasher` for [`FxHasher`].
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` using [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;

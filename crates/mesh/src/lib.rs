@@ -42,12 +42,12 @@ pub mod orient;
 pub mod region;
 pub mod render;
 
-pub use connect::{component_count, components, is_connected, largest_component};
+pub use connect::{components, is_connected};
 pub use coord::Coord;
 pub use dir::{Axis, Dir};
 pub use faults::{FaultInjection, FaultSet};
 pub use grid::{BitGrid, Grid};
-pub use hash::{derive_seed, FxBuildHasher, FxHashMap, FxHashSet};
+pub use hash::{derive_seed, FxHashMap, FxHashSet};
 pub use hop_seq::HopSeq;
 pub use mesh::{Mesh, NodeId};
 pub use orient::Orientation;

@@ -105,7 +105,7 @@ impl Mesh {
 
     /// The in-mesh neighbor of `c` in direction `dir`, if any.
     #[inline]
-    pub fn neighbor(&self, c: Coord, dir: Dir) -> Option<Coord> {
+    pub(crate) fn neighbor(&self, c: Coord, dir: Dir) -> Option<Coord> {
         let n = c.step(dir);
         self.contains(n).then_some(n)
     }
@@ -124,15 +124,6 @@ impl Mesh {
     /// Iterator over all node ids.
     pub fn ids(&self) -> impl Iterator<Item = NodeId> {
         (0..self.len() as u32).map(NodeId)
-    }
-
-    /// Number of interior degree-4 nodes (useful sanity metric in tests).
-    pub fn interior_len(&self) -> usize {
-        if self.width < 3 || self.height < 3 {
-            0
-        } else {
-            ((self.width - 2) as usize) * ((self.height - 2) as usize)
-        }
     }
 }
 
@@ -166,13 +157,6 @@ mod tests {
         assert_eq!(m.neighbors(Coord::new(4, 4)).count(), 2);
         assert_eq!(m.neighbors(Coord::new(0, 2)).count(), 3);
         assert_eq!(m.neighbors(Coord::new(2, 2)).count(), 4);
-    }
-
-    #[test]
-    fn interior_count() {
-        assert_eq!(Mesh::square(5).interior_len(), 9);
-        assert_eq!(Mesh::new(2, 9).interior_len(), 0);
-        assert_eq!(Mesh::square(100).interior_len(), 98 * 98);
     }
 
     #[test]

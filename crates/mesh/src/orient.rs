@@ -72,12 +72,6 @@ impl Orientation {
             _ => dir,
         }
     }
-
-    /// Composition of two reflections (XOR of flips).
-    #[inline]
-    pub fn compose(self, other: Orientation) -> Orientation {
-        Orientation { flip_x: self.flip_x ^ other.flip_x, flip_y: self.flip_y ^ other.flip_y }
-    }
 }
 
 #[cfg(test)]
@@ -154,14 +148,5 @@ mod tests {
         }
         assert!(seen.iter().all(|&b| b));
         assert_eq!(Orientation::IDENTITY.index(), 0);
-    }
-
-    #[test]
-    fn compose_is_xor() {
-        let a = Orientation { flip_x: true, flip_y: false };
-        let b = Orientation { flip_x: true, flip_y: true };
-        let c = a.compose(b);
-        assert_eq!(c, Orientation { flip_x: false, flip_y: true });
-        assert_eq!(a.compose(a), Orientation::IDENTITY);
     }
 }

@@ -45,17 +45,6 @@ impl Rect {
         self.y1 = self.y1.max(c.y);
     }
 
-    /// The intersection, or `None` when disjoint.
-    pub fn intersect(&self, other: &Rect) -> Option<Rect> {
-        let r = Rect {
-            x0: self.x0.max(other.x0),
-            x1: self.x1.min(other.x1),
-            y0: self.y0.max(other.y0),
-            y1: self.y1.min(other.y1),
-        };
-        (r.x0 <= r.x1 && r.y0 <= r.y1).then_some(r)
-    }
-
     /// Width in nodes (inclusive bounds).
     #[inline]
     pub fn width(&self) -> u32 {
@@ -100,15 +89,6 @@ mod tests {
         assert_eq!(seg.area(), 10);
         assert!(seg.contains(Coord::new(3, 5)));
         assert!(!seg.contains(Coord::new(4, 5)));
-    }
-
-    #[test]
-    fn intersect_disjoint_is_none() {
-        let a = Rect::new(Coord::new(0, 0), Coord::new(2, 2));
-        let b = Rect::new(Coord::new(3, 3), Coord::new(5, 5));
-        assert_eq!(a.intersect(&b), None);
-        let c = Rect::new(Coord::new(2, 2), Coord::new(4, 4));
-        assert_eq!(a.intersect(&c), Some(Rect::point(Coord::new(2, 2))));
     }
 
     #[test]

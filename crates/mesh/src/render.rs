@@ -28,20 +28,13 @@ type Layer<'a> = (char, Box<dyn Fn(Coord) -> bool + 'a>);
 /// A composable ASCII renderer: later layers win over earlier ones.
 pub struct GridRender<'a> {
     mesh: Mesh,
-    background: char,
     layers: Vec<Layer<'a>>,
 }
 
 impl<'a> GridRender<'a> {
     /// A renderer over `mesh` with `.` as the background glyph.
     pub fn new(mesh: Mesh) -> Self {
-        GridRender { mesh, background: '.', layers: Vec::new() }
-    }
-
-    /// Overrides the background glyph.
-    pub fn background(mut self, glyph: char) -> Self {
-        self.background = glyph;
-        self
+        GridRender { mesh, layers: Vec::new() }
     }
 
     /// Adds a predicate layer drawn with `glyph`.
@@ -66,7 +59,7 @@ impl<'a> GridRender<'a> {
                 return *glyph;
             }
         }
-        self.background
+        '.'
     }
 }
 
@@ -115,12 +108,5 @@ mod tests {
         let path = [Coord::new(0, 0), Coord::new(1, 0), Coord::new(1, 1)];
         let art = GridRender::new(mesh).path('*', &path).to_string();
         assert_eq!(art, "...\n.*.\n**.");
-    }
-
-    #[test]
-    fn background_override() {
-        let mesh = Mesh::square(2);
-        let art = GridRender::new(mesh).background(' ').to_string();
-        assert_eq!(art, "  \n  ");
     }
 }

@@ -168,8 +168,8 @@ pub mod prelude {
         NetView, Network, Rb1, Rb2, Rb3, RouteResult, Router, RoutingKind, UpdateError, XyRouter,
     };
     pub use meshpath_traffic::{
-        run_traffic, ChaosConfig, ChurnEvent, ChurnInjector, ChurnOp, HopRouter, OnlineChurn,
-        SimConfig, TrafficStats, VcClass, PIPELINE_DEPTH,
+        run_traffic, ChaosConfig, ChurnEvent, ChurnInjector, ChurnOp, OnlineChurn, SimConfig,
+        TrafficStats, PIPELINE_DEPTH,
     };
 
     pub use crate::service::{

@@ -41,8 +41,8 @@
 //! ## Batched queries
 //!
 //! [`route_many`](RouteService::route_many) answers a whole batch
-//! against one snapshot resolution: the per-query epoch check and the
-//! metrics/latency bookkeeping are paid once per batch.
+//! against one snapshot resolution: the per-query epoch check is paid
+//! once per batch.
 //!
 //! ## The miss path
 //!
@@ -68,10 +68,9 @@ use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use meshpath_mesh::Coord;
-use meshpath_obs::{AtomicLogHistogram, HitMiss, LogHistogram};
+use meshpath_obs::HitMiss;
 use meshpath_route::{HopState, NetState, NetView, RouteResult, Router, RoutingKind, UpdateError};
 
 use crate::cache::RouteCache;
@@ -146,58 +145,19 @@ impl RouteReply {
     }
 }
 
-/// Query and update metrics of one [`RouteService`], recorded with
-/// relaxed atomics so concurrent query threads never contend on them.
+/// Route-cache counters of one [`RouteService`], recorded with relaxed
+/// atomics so concurrent query threads never contend on them.
 ///
 /// Opt-in: a service built with
 /// [`with_metrics`](RouteService::with_metrics) records; the plain
-/// constructors skip all instrumentation (no clock reads and no shared
-/// counter writes on the query path — with metrics off the cache's
-/// stripe lock word is the only shared write). Latency histograms are
-/// log-bucketed ([`meshpath_obs::LogHistogram`]), so recording is O(1)
-/// and percentiles are bounds, not exact order statistics.
+/// constructors skip all instrumentation (with metrics off the cache's
+/// stripe lock word is the only shared write on the query path).
 #[derive(Debug, Default)]
 pub struct ServiceMetrics {
-    queries_ok: AtomicU64,
-    queries_err: AtomicU64,
-    query_ns: AtomicLogHistogram,
-    updates: AtomicU64,
-    update_ns: AtomicLogHistogram,
     route_cache: HitMiss,
-    batches: AtomicU64,
-    batch_size: AtomicLogHistogram,
-    batch_ns: AtomicLogHistogram,
 }
 
 impl ServiceMetrics {
-    /// Route queries answered successfully (single and batched).
-    pub fn queries_ok(&self) -> u64 {
-        self.queries_ok.load(Ordering::Relaxed)
-    }
-
-    /// Route queries that returned a typed error (single and batched).
-    pub fn queries_err(&self) -> u64 {
-        self.queries_err.load(Ordering::Relaxed)
-    }
-
-    /// Fault mutations attempted (each success published an epoch).
-    pub fn updates(&self) -> u64 {
-        self.updates.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of the per-query wall-time histogram (nanoseconds;
-    /// single-query path only — batches record into
-    /// [`batch_ns`](ServiceMetrics::batch_ns)).
-    pub fn query_ns(&self) -> LogHistogram {
-        self.query_ns.snapshot()
-    }
-
-    /// Snapshot of the per-update (epoch publication) wall-time
-    /// histogram (nanoseconds).
-    pub fn update_ns(&self) -> LogHistogram {
-        self.update_ns.snapshot()
-    }
-
     /// Warm route-cache hits (queries answered from the stored outcome).
     pub fn cache_hits(&self) -> u64 {
         self.route_cache.hits()
@@ -207,28 +167,6 @@ impl ServiceMetrics {
     /// outcome was memoized for the rest of the epoch).
     pub fn cache_misses(&self) -> u64 {
         self.route_cache.misses()
-    }
-
-    /// Cache hit fraction in `[0, 1]` (0.0 when the cache is untouched;
-    /// never `NaN`).
-    pub fn cache_hit_rate(&self) -> f64 {
-        self.route_cache.hit_rate()
-    }
-
-    /// [`route_many`](RouteService::route_many) batches served.
-    pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of the batch-size histogram (pairs per
-    /// [`route_many`](RouteService::route_many) call).
-    pub fn batch_size(&self) -> LogHistogram {
-        self.batch_size.snapshot()
-    }
-
-    /// Snapshot of the per-batch wall-time histogram (nanoseconds).
-    pub fn batch_ns(&self) -> LogHistogram {
-        self.batch_ns.snapshot()
     }
 }
 
@@ -289,12 +227,7 @@ impl RouteService {
     /// A service over `faults`, routing with RB2 (the paper's
     /// shortest-path routing).
     pub fn new(faults: meshpath_mesh::FaultSet) -> Self {
-        RouteService::with_kind(faults, RoutingKind::Rb2)
-    }
-
-    /// A service over `faults`, routing with the given function.
-    pub fn with_kind(faults: meshpath_mesh::FaultSet, kind: RoutingKind) -> Self {
-        RouteService::from_state(NetState::new(faults), kind)
+        RouteService::from_state(NetState::new(faults), RoutingKind::Rb2)
     }
 
     /// A service adopting an existing snapshot (keeps its epoch).
@@ -315,8 +248,7 @@ impl RouteService {
     }
 
     /// This service with [`ServiceMetrics`] recording enabled
-    /// (builder): every query, batch and fault update is counted and
-    /// timed, and route-cache hits/misses are tracked.
+    /// (builder): route-cache hits and misses are counted.
     pub fn with_metrics(mut self) -> Self {
         self.metrics = Some(ServiceMetrics::default());
         self
@@ -332,11 +264,6 @@ impl RouteService {
     /// blocks on mutations beyond the `Arc` bump).
     pub fn view(&self) -> NetView {
         self.with_served(|served| served.view.clone())
-    }
-
-    /// The current epoch.
-    pub fn epoch(&self) -> u64 {
-        self.published.load(Ordering::Acquire)
     }
 
     /// Runs `f` against the thread-locally cached publication,
@@ -378,60 +305,17 @@ impl RouteService {
     /// revalidated snapshot clone, consulting the epoch's warm route
     /// cache when one exists.
     pub fn route(&self, src: Coord, dst: Coord) -> Result<RouteReply, RouteError> {
-        let t = self.metrics.as_ref().map(|_| Instant::now());
-        let reply = self.with_served(|served| self.route_served(served, src, dst));
-        if let (Some(m), Some(t)) = (&self.metrics, t) {
-            m.query_ns.record(t.elapsed().as_nanos() as u64);
-            match &reply {
-                Ok(_) => m.queries_ok.fetch_add(1, Ordering::Relaxed),
-                Err(_) => m.queries_err.fetch_add(1, Ordering::Relaxed),
-            };
-        }
-        reply
+        self.with_served(|served| self.route_served(served, src, dst))
     }
 
     /// Routes a whole batch against **one** snapshot resolution: every
-    /// reply carries the same epoch, and metrics/latency bookkeeping is
-    /// amortized to one record per batch. Replies are returned in the order of `pairs`, each
-    /// exactly what [`route`](RouteService::route) would have answered
-    /// at this epoch.
+    /// reply carries the same epoch. Replies are returned in the order of
+    /// `pairs`, each exactly what [`route`](RouteService::route) would
+    /// have answered at this epoch.
     pub fn route_many(&self, pairs: &[(Coord, Coord)]) -> Vec<Result<RouteReply, RouteError>> {
-        let t = self.metrics.as_ref().map(|_| Instant::now());
-        let replies = self.with_served(|served| {
-            pairs.iter().map(|&(s, d)| self.route_served(served, s, d)).collect::<Vec<_>>()
-        });
-        if let (Some(m), Some(t)) = (&self.metrics, t) {
-            m.batch_ns.record(t.elapsed().as_nanos() as u64);
-            m.batches.fetch_add(1, Ordering::Relaxed);
-            m.batch_size.record(pairs.len() as u64);
-            let ok = replies.iter().filter(|r| r.is_ok()).count() as u64;
-            m.queries_ok.fetch_add(ok, Ordering::Relaxed);
-            m.queries_err.fetch_add(replies.len() as u64 - ok, Ordering::Relaxed);
-        }
-        replies
-    }
-
-    /// Routes one message on a caller-held snapshot (e.g. to answer a
-    /// batch against one consistent historic epoch while mutations
-    /// proceed). Bypasses the warm route cache — the cache belongs to
-    /// the *published* epoch, which `view` need not be.
-    pub fn route_on(
-        &self,
-        view: &NetView,
-        src: Coord,
-        dst: Coord,
-    ) -> Result<RouteReply, RouteError> {
-        let Some(m) = &self.metrics else {
-            return self.route_uncached(view, src, dst);
-        };
-        let t = Instant::now();
-        let reply = self.route_uncached(view, src, dst);
-        m.query_ns.record(t.elapsed().as_nanos() as u64);
-        match &reply {
-            Ok(_) => m.queries_ok.fetch_add(1, Ordering::Relaxed),
-            Err(_) => m.queries_err.fetch_add(1, Ordering::Relaxed),
-        };
-        reply
+        self.with_served(|served| {
+            pairs.iter().map(|&(s, d)| self.route_served(served, s, d)).collect()
+        })
     }
 
     /// One query against a resolved publication: validation, then the
@@ -474,17 +358,6 @@ impl RouteService {
         outcome.map(|result| RouteReply { epoch: view.epoch(), result })
     }
 
-    /// The cacheless query path of historic snapshots.
-    fn route_uncached(
-        &self,
-        view: &NetView,
-        src: Coord,
-        dst: Coord,
-    ) -> Result<RouteReply, RouteError> {
-        self.validate(view, src, dst)?;
-        self.compute(view, src, dst).map(|result| RouteReply { epoch: view.epoch(), result })
-    }
-
     fn validate(&self, view: &NetView, src: Coord, dst: Coord) -> Result<(), RouteError> {
         let mesh = view.mesh();
         for c in [src, dst] {
@@ -522,20 +395,19 @@ impl RouteService {
     /// [`NetState::add_fault`]), publishes the new epoch without
     /// blocking readers, and returns it.
     pub fn add_fault(&self, c: Coord) -> Result<u64, UpdateError> {
-        self.timed_update(|state| state.add_fault(c).map(|v| v.epoch()))
+        self.update(|state| state.add_fault(c).map(|v| v.epoch()))
     }
 
     /// Repairs the fault at `c`, publishes the new epoch without
     /// blocking readers, and returns it.
     pub fn remove_fault(&self, c: Coord) -> Result<u64, UpdateError> {
-        self.timed_update(|state| state.remove_fault(c).map(|v| v.epoch()))
+        self.update(|state| state.remove_fault(c).map(|v| v.epoch()))
     }
 
-    fn timed_update(
+    fn update(
         &self,
         f: impl FnOnce(&mut NetState) -> Result<u64, UpdateError>,
     ) -> Result<u64, UpdateError> {
-        let t = self.metrics.as_ref().map(|_| Instant::now());
         let mut state = self.writer.lock().expect("route service writer poisoned");
         let out = f(&mut state);
         if out.is_ok() {
@@ -551,10 +423,6 @@ impl RouteService {
             drop(old);
         }
         drop(state);
-        if let (Some(m), Some(t)) = (&self.metrics, t) {
-            m.update_ns.record(t.elapsed().as_nanos() as u64);
-            m.updates.fetch_add(1, Ordering::Relaxed);
-        }
         out
     }
 }
@@ -617,22 +485,8 @@ mod tests {
     }
 
     #[test]
-    fn metrics_count_queries_and_updates() {
-        assert!(service().metrics().is_none(), "instrumentation is opt-in");
-        let svc = service().with_metrics();
-        svc.route(Coord::new(5, 1), Coord::new(5, 9)).expect("routable");
-        svc.route(Coord::new(5, 5), Coord::new(1, 1)).expect_err("faulty source");
-        svc.add_fault(Coord::new(4, 5)).expect("valid");
-        let m = svc.metrics().expect("enabled");
-        assert_eq!(m.queries_ok(), 1);
-        assert_eq!(m.queries_err(), 1);
-        assert_eq!(m.updates(), 1);
-        assert_eq!(m.query_ns().count(), 2);
-        assert_eq!(m.update_ns().count(), 1);
-    }
-
-    #[test]
     fn warm_cache_hits_are_bit_identical_and_counted() {
+        assert!(service().metrics().is_none(), "instrumentation is opt-in");
         let svc = service().with_metrics();
         let (s, d) = (Coord::new(5, 1), Coord::new(5, 9));
         let cold = svc.route(s, d).expect("routable");
@@ -641,7 +495,6 @@ mod tests {
         assert_eq!(warm.result, cold.result, "a cache hit copies the exact result");
         let m = svc.metrics().expect("enabled");
         assert_eq!((m.cache_hits(), m.cache_misses()), (1, 1));
-        assert!(m.cache_hit_rate() > 0.49 && m.cache_hit_rate() < 0.51);
         // A mutation publishes a fresh epoch with a fresh (empty) cache.
         svc.add_fault(Coord::new(1, 1)).expect("valid");
         svc.route(s, d).expect("routable");
@@ -714,8 +567,7 @@ mod tests {
 
     #[test]
     fn route_many_matches_per_query_routing_in_order() {
-        let svc = service().with_metrics();
-        let view = svc.view();
+        let (svc, single) = (service(), service());
         let pairs: Vec<(Coord, Coord)> = vec![
             (Coord::new(0, 0), Coord::new(11, 11)),
             (Coord::new(5, 5), Coord::new(1, 1)), // faulty source
@@ -726,7 +578,7 @@ mod tests {
         let batch = svc.route_many(&pairs);
         assert_eq!(batch.len(), pairs.len());
         for (&(s, d), reply) in pairs.iter().zip(&batch) {
-            match (reply, svc.route_on(&view, s, d)) {
+            match (reply, single.route(s, d)) {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(a.epoch, b.epoch, "{s:?}->{d:?}");
                     assert_eq!(a.result, b.result, "{s:?}->{d:?}");
@@ -735,10 +587,6 @@ mod tests {
                 (a, b) => panic!("{s:?}->{d:?}: batch {a:?} vs single {b:?}"),
             }
         }
-        let m = svc.metrics().expect("enabled");
-        assert_eq!(m.batches(), 1);
-        assert_eq!(m.batch_size().max(), pairs.len() as u64);
-        assert_eq!(m.batch_ns().count(), 1, "one latency record per batch, not per query");
     }
 
     #[test]
@@ -854,7 +702,7 @@ mod tests {
             q.join().expect("query thread");
             m.join().expect("mutation thread");
         });
-        assert_eq!(svc.epoch(), 40);
+        assert_eq!(svc.view().epoch(), 40);
     }
 
     #[test]

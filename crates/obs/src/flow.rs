@@ -31,7 +31,7 @@ pub enum FlowEventKind {
 
 impl FlowEventKind {
     /// Short lowercase name (log lines, JSON).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FlowEventKind::Released => "released",
             FlowEventKind::Delivered => "delivered",
@@ -74,13 +74,9 @@ impl FlowLog {
     }
 
     /// Number of recorded events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.events.len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// The events sorted by `(cycle, kind, flow)` — the canonical,
@@ -119,7 +115,6 @@ mod tests {
     #[test]
     fn empty_log_reads_empty() {
         let log = FlowLog::new();
-        assert!(log.is_empty());
         assert!(log.into_sorted().is_empty());
     }
 }

@@ -9,8 +9,8 @@
 //! primitives (`u32` node ids, `u8` directions and VC classes), so it
 //! can sit *below* every simulator crate: `meshpath-traffic` threads a
 //! [`FabricProbe`] through its allocator hot path, `meshpath`'s
-//! `RouteService` records query/update latencies into an
-//! [`AtomicLogHistogram`], and `meshpath-analysis` renders the merged
+//! `RouteService` counts cache hits in a [`HitMiss`], and
+//! `meshpath-analysis` renders the merged
 //! [`ObsReport`] as JSON.
 //!
 //! ## Zero cost when disabled
@@ -46,9 +46,9 @@ pub mod trace;
 
 pub use flow::{FlowEvent, FlowEventKind, FlowLog};
 pub use log::{enabled, LogLevel};
-pub use metrics::{AtomicLogHistogram, HitMiss, LogHistogram};
+pub use metrics::{HitMiss, LogHistogram};
 pub use postmortem::{BlockedWait, Postmortem, StalledPacket, VcFront, WaitEdge};
 pub use probe::{FabricProbe, GrantInfo, NoProbe, ShardObs};
 pub use profile::{Phase, PhaseProfile};
 pub use report::{ObsLevel, ObsReport, ShardReport};
-pub use trace::{FlightRecorder, StopKind, TraceEvent, TraceEventKind};
+pub use trace::{StopKind, TraceEvent, TraceEventKind};

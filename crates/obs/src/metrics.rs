@@ -9,26 +9,21 @@
 //! per-shard accumulation deterministic: shards record independently
 //! and the coordinator folds them in shard-index order, but *any*
 //! order would report the same totals (pinned by a proptest below).
-//!
-//! [`AtomicLogHistogram`] is the same shape with relaxed atomics, for
-//! concurrent writers that cannot take `&mut self` (the `RouteService`
-//! query path); [`snapshot`](AtomicLogHistogram::snapshot) extracts a
-//! plain histogram for reporting.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of buckets: one for zero plus one per `u64` bit length.
-pub const LOG_BUCKETS: usize = 65;
+pub(crate) const LOG_BUCKETS: usize = 65;
 
 /// Bucket index for a sample: 0 for 0, else the sample's bit length.
 #[inline]
-pub fn bucket_index(value: u64) -> usize {
+pub(crate) fn bucket_index(value: u64) -> usize {
     (u64::BITS - value.leading_zeros()) as usize
 }
 
 /// Inclusive upper bound of a bucket (the largest value it can hold).
 #[inline]
-pub fn bucket_upper(index: usize) -> u64 {
+pub(crate) fn bucket_upper(index: usize) -> u64 {
     match index {
         0 => 0,
         64 => u64::MAX,
@@ -54,13 +49,13 @@ impl Default for LogHistogram {
 
 impl LogHistogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LogHistogram { buckets: [0; LOG_BUCKETS], count: 0, sum: 0, max: 0 }
     }
 
     /// Records one sample.
     #[inline]
-    pub fn record(&mut self, value: u64) {
+    pub(crate) fn record(&mut self, value: u64) {
         self.buckets[bucket_index(value)] += 1;
         self.count += 1;
         self.sum += value;
@@ -70,11 +65,6 @@ impl LogHistogram {
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Sum of all recorded samples.
-    pub fn sum(&self) -> u64 {
-        self.sum
     }
 
     /// Largest recorded sample (0 when empty).
@@ -89,16 +79,6 @@ impl LogHistogram {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// True when no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// The raw bucket counts (index by [`bucket_index`]).
-    pub fn buckets(&self) -> &[u64; LOG_BUCKETS] {
-        &self.buckets
     }
 
     /// An upper bound on the `p`-quantile (`p` in `[0, 1]`): the
@@ -139,67 +119,6 @@ impl LogHistogram {
     }
 }
 
-/// A [`LogHistogram`] with relaxed-atomic recording, for concurrent
-/// writers behind a shared reference.
-///
-/// All operations use `Ordering::Relaxed`: each counter is independent
-/// and the consumer only reads a [`snapshot`](Self::snapshot) after the
-/// writers quiesce (or tolerates a momentarily torn view, as a metrics
-/// reader does).
-#[derive(Debug)]
-pub struct AtomicLogHistogram {
-    buckets: [AtomicU64; LOG_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for AtomicLogHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl AtomicLogHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const ZERO: AtomicU64 = AtomicU64::new(0); // array-init seed, not shared state
-        AtomicLogHistogram {
-            buckets: [ZERO; LOG_BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one sample.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Extracts a plain [`LogHistogram`] of the current contents.
-    pub fn snapshot(&self) -> LogHistogram {
-        let mut out = LogHistogram::new();
-        for (i, b) in self.buckets.iter().enumerate() {
-            out.buckets[i] = b.load(Ordering::Relaxed);
-        }
-        out.count = self.count.load(Ordering::Relaxed);
-        out.sum = self.sum.load(Ordering::Relaxed);
-        out.max = self.max.load(Ordering::Relaxed);
-        out
-    }
-}
-
 /// A relaxed-atomic hit/miss counter pair — the standard cache
 /// instrument (route-cache hits in `meshpath`'s `RouteService`, or any
 /// other memoized fast path). Concurrent writers never contend beyond
@@ -228,18 +147,6 @@ impl HitMiss {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records `n` hits at once (batch amortization).
-    #[inline]
-    pub fn hit_n(&self, n: u64) {
-        self.hits.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` misses at once (batch amortization).
-    #[inline]
-    pub fn miss_n(&self, n: u64) {
-        self.misses.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Hits recorded so far.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
@@ -249,22 +156,6 @@ impl HitMiss {
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
-
-    /// Total lookups recorded.
-    pub fn total(&self) -> u64 {
-        self.hits() + self.misses()
-    }
-
-    /// Hit fraction in `[0, 1]`; `0.0` when nothing was recorded (never
-    /// `NaN`, so the value is always JSON-renderable).
-    pub fn hit_rate(&self) -> f64 {
-        let (h, t) = (self.hits(), self.total());
-        if t == 0 {
-            0.0
-        } else {
-            h as f64 / t as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -273,17 +164,13 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn hit_miss_counts_and_rate() {
+    fn hit_miss_counts() {
         let hm = HitMiss::new();
-        assert_eq!(hm.hit_rate(), 0.0, "empty pair must not be NaN");
         hm.hit();
         hm.miss();
-        hm.hit_n(2);
-        hm.miss_n(0);
-        assert_eq!(hm.hits(), 3);
+        hm.hit();
+        assert_eq!(hm.hits(), 2);
         assert_eq!(hm.misses(), 1);
-        assert_eq!(hm.total(), 4);
-        assert!((hm.hit_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -313,13 +200,12 @@ mod tests {
     #[test]
     fn count_sum_max_mean_and_percentiles() {
         let mut h = LogHistogram::new();
-        assert!(h.is_empty());
+        assert_eq!(h.count(), 0);
         assert_eq!(h.percentile(0.5), 0);
         for v in [0u64, 1, 2, 3, 100] {
             h.record(v);
         }
         assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 106);
         assert_eq!(h.max(), 100);
         assert!((h.mean() - 21.2).abs() < 1e-9);
         // 5 samples: p=0.2 targets the 1st (value 0, bucket 0).
@@ -351,18 +237,6 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, whole);
-    }
-
-    #[test]
-    fn atomic_histogram_snapshots_match_plain_recording() {
-        let h = AtomicLogHistogram::new();
-        let mut plain = LogHistogram::new();
-        for v in [0u64, 3, 3, 900, 1 << 50] {
-            h.record(v);
-            plain.record(v);
-        }
-        assert_eq!(h.snapshot(), plain);
-        assert_eq!(h.count(), 5);
     }
 
     proptest! {

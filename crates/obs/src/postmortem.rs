@@ -17,7 +17,7 @@
 //!
 //! A directed cycle among the resolved edges is the wormhole-deadlock
 //! witness — the packets on it each hold buffer space the next one
-//! needs — and [`find_cycle`] names them.
+//! needs — and `find_cycle` names them.
 //!
 //! The graph uses *waits-on-any* semantics: a head with several
 //! candidate VCs emits one edge per blocked candidate, so a cycle is
@@ -170,7 +170,7 @@ impl Postmortem {
 /// Deterministic: vertices are visited in ascending packet-id order
 /// and edges in input order, so the same graph always yields the same
 /// witness.
-pub fn find_cycle(edges: &[WaitEdge]) -> Vec<u32> {
+pub(crate) fn find_cycle(edges: &[WaitEdge]) -> Vec<u32> {
     let mut verts: Vec<u32> = edges.iter().flat_map(|e| [e.waiter, e.holder]).collect();
     verts.sort_unstable();
     verts.dedup();

@@ -117,7 +117,7 @@ impl FabricProbe for NoProbe {
 }
 
 /// Default flight-recorder capacity per shard.
-pub const DEFAULT_RING_CAPACITY: usize = 256;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 256;
 
 /// Per-shard metrics and trace accumulator.
 ///
@@ -186,11 +186,6 @@ impl ShardObs {
             stop: None,
             stop_cycle: 0,
         }
-    }
-
-    /// The shard index this accumulator belongs to.
-    pub fn shard(&self) -> usize {
-        self.shard
     }
 
     #[inline]

@@ -27,7 +27,7 @@ pub enum Phase {
 
 impl Phase {
     /// All phases, in fixed report order.
-    pub const ALL: [Phase; 4] = [Phase::Plan, Phase::Boundary, Phase::Commit, Phase::Fence];
+    pub(crate) const ALL: [Phase; 4] = [Phase::Plan, Phase::Boundary, Phase::Commit, Phase::Fence];
 
     /// Stable lower-case name for reports and JSON.
     pub fn name(self) -> &'static str {
@@ -54,18 +54,13 @@ impl PhaseProfile {
 
     /// Adds `ns` nanoseconds to a phase.
     #[inline]
-    pub fn add(&mut self, phase: Phase, ns: u64) {
+    pub(crate) fn add(&mut self, phase: Phase, ns: u64) {
         self.ns[phase as usize] += ns;
     }
 
     /// Accumulated nanoseconds for a phase.
     pub fn get(&self, phase: Phase) -> u64 {
         self.ns[phase as usize]
-    }
-
-    /// Total nanoseconds across all phases.
-    pub fn total(&self) -> u64 {
-        self.ns.iter().sum()
     }
 }
 
@@ -84,7 +79,6 @@ mod tests {
         assert_eq!(p.get(Phase::Boundary), 0);
         assert_eq!(p.get(Phase::Commit), 7);
         assert_eq!(p.get(Phase::Fence), 3);
-        assert_eq!(p.total(), 25);
         assert_eq!(Phase::ALL.map(|p| p as usize), [0, 1, 2, 3]);
         assert_eq!(Phase::Boundary.name(), "boundary_sync");
     }

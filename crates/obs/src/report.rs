@@ -220,7 +220,7 @@ impl ObsReport {
     }
 
     /// Total flits sent over the links out of `node`.
-    pub fn node_link_flits(&self, node: usize) -> u64 {
+    pub(crate) fn node_link_flits(&self, node: usize) -> u64 {
         self.link_flits[node * 4..node * 4 + 4].iter().sum()
     }
 

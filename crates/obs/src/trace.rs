@@ -1,5 +1,5 @@
 //! Packet-lifecycle trace layer: typed events and the bounded
-//! per-shard [`FlightRecorder`] that keeps them.
+//! per-shard `FlightRecorder` that keeps them.
 //!
 //! Events are small `Copy` records keyed by `(cycle, packet, node)`;
 //! the fabric emits one at each lifecycle transition (injection, switch
@@ -105,13 +105,13 @@ pub struct TraceEvent {
 
 impl TraceEvent {
     /// Sentinel packet id for events not tied to a packet.
-    pub const NO_PACKET: u32 = u32::MAX;
+    pub(crate) const NO_PACKET: u32 = u32::MAX;
 }
 
 /// A bounded ring buffer of the most recent trace events: the fabric
 /// probe records every event here.
 #[derive(Clone, Debug, Default)]
-pub struct FlightRecorder {
+pub(crate) struct FlightRecorder {
     capacity: usize,
     buf: VecDeque<TraceEvent>,
     seen: u64,
@@ -120,32 +120,22 @@ pub struct FlightRecorder {
 impl FlightRecorder {
     /// A recorder retaining at most `capacity` events (0 disables
     /// retention but still counts).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         FlightRecorder { capacity, buf: VecDeque::with_capacity(capacity.min(1024)), seen: 0 }
     }
 
     /// Total events offered, including evicted ones.
-    pub fn seen(&self) -> u64 {
+    pub(crate) fn seen(&self) -> u64 {
         self.seen
     }
 
     /// Events currently retained, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
+    pub(crate) fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.buf.iter()
     }
 
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Accepts one event, evicting the oldest retained one when full.
-    pub fn record(&mut self, event: TraceEvent) {
+    pub(crate) fn record(&mut self, event: TraceEvent) {
         self.seen += 1;
         if self.capacity == 0 {
             return;
@@ -172,7 +162,6 @@ mod tests {
             r.record(ev(c));
         }
         assert_eq!(r.seen(), 5);
-        assert_eq!(r.len(), 3);
         let cycles: Vec<u64> = r.events().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![2, 3, 4]);
     }
@@ -182,7 +171,7 @@ mod tests {
         let mut r = FlightRecorder::new(0);
         r.record(ev(1));
         assert_eq!(r.seen(), 1);
-        assert!(r.is_empty());
+        assert_eq!(r.events().count(), 0);
     }
 
     #[test]

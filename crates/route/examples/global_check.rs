@@ -1,6 +1,5 @@
 //! Verification run: RB2 with idealized global knowledge against the BFS
-//! oracle at paper scale (100x100, high fault counts). Referenced by
-//! EXPERIMENTS.md.
+//! oracle at paper scale (100x100, high fault counts).
 
 use meshpath_mesh::{Coord, FaultInjection, FaultSet, Mesh, Orientation};
 use meshpath_route::{oracle::DistanceField, KnowledgeScope, NetView, Rb2, Router};

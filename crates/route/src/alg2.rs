@@ -99,7 +99,7 @@ pub struct PhaseCtx<'a> {
 impl PhaseCtx<'_> {
     /// True when node `ou` holds the triple of `f` under the scope.
     #[inline]
-    pub fn knows(&self, ou: Coord, f: MccId) -> bool {
+    pub(crate) fn knows(&self, ou: Coord, f: MccId) -> bool {
         match self.scope {
             KnowledgeScope::Global => true,
             KnowledgeScope::Local => self.model.knows(ou, f),

@@ -316,20 +316,6 @@ impl Network {
         let labels = self.components.get_or_init(|| components(&self.faults).0);
         labels.get(c).copied().filter(|&l| l != u32::MAX)
     }
-
-    /// True when `c` is a safe node in the orientation normalizing `s -> d`
-    /// routings (used by the experiment harness to filter endpoint picks:
-    /// the paper assumes "the source and the destination are safe nodes").
-    pub fn is_safe_for(&self, c: Coord, s: Coord, d: Coord) -> bool {
-        let o = Orientation::normalizing(s, d);
-        self.mccs(o).labeling().status_real(c).is_safe()
-    }
-
-    /// True when `c` is safe under **every** orientation (the strictest
-    /// endpoint filter).
-    pub fn is_safe_all_orientations(&self, c: Coord) -> bool {
-        Orientation::ALL.iter().all(|&o| self.mccs(o).labeling().status_real(c).is_safe())
-    }
 }
 
 #[cfg(test)]
@@ -440,17 +426,6 @@ pub(crate) mod tests {
             }
         }
         assert!(net.blocks().disabled_count() >= 3);
-    }
-
-    #[test]
-    fn safety_filters() {
-        let mesh = Mesh::square(10);
-        let faults = FaultSet::from_coords(mesh, [Coord::new(4, 5), Coord::new(5, 4)]);
-        let net = Network::build(faults);
-        // (4,4) is useless in the identity orientation but safe in others.
-        assert!(!net.is_safe_for(Coord::new(4, 4), Coord::new(0, 0), Coord::new(9, 9)));
-        assert!(!net.is_safe_all_orientations(Coord::new(4, 4)));
-        assert!(net.is_safe_all_orientations(Coord::new(0, 0)));
     }
 
     #[test]

@@ -74,8 +74,8 @@ pub struct HopCtx<'a> {
 /// in the message header — detour walls, visit counts, the multi-phase
 /// waypoint stack, locally learned obstacles, the triples that can fire
 /// for the current phase target. Opaque to callers; create one per
-/// message with [`HopState::new`] (or [`reset`](HopState::reset) a used
-/// one) and hand it to every [`Router::decide`] call for that message,
+/// message with [`HopState::new`] and hand it to every
+/// [`Router::decide`] call for that message,
 /// all against the same snapshot.
 #[derive(Debug)]
 pub struct HopState {
@@ -128,7 +128,7 @@ impl HopState {
     /// `HopState` per query, so a caller that routes many messages — the
     /// route service's miss path, the traffic path table — pays the
     /// scratch allocations once instead of once per message.
-    pub fn reset(&mut self, src: Coord) {
+    pub(crate) fn reset(&mut self, src: Coord) {
         self.prev = None;
         self.visited.reset(src);
         self.detour = None;
@@ -142,21 +142,6 @@ impl HopState {
         self.planned = false;
         self.healthy_mode = false;
         self.critical.clear();
-    }
-
-    /// Hops spent in wall-following detours so far.
-    pub fn detour_hops(&self) -> u32 {
-        self.detour_hops
-    }
-
-    /// Re-planning events so far.
-    pub fn replans(&self) -> u32 {
-        self.replans
-    }
-
-    /// BFS-fallback plans so far.
-    pub fn fallbacks(&self) -> u32 {
-        self.fallbacks
     }
 
     /// Drops an exhausted wall-following detour (owner bookkeeping
@@ -237,7 +222,7 @@ pub trait Router {
     }
 
     /// [`route`](Router::route) reusing caller-provided scratch: the
-    /// state is [`reset`](HopState::reset) for `s` and driven to `d`,
+    /// state is reset for `s` and driven to `d`,
     /// so batched callers amortize the per-message heap allocations
     /// across a whole batch.
     fn route_with(&self, view: &NetView, s: Coord, d: Coord, state: &mut HopState) -> RouteResult {

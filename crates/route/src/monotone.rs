@@ -5,10 +5,10 @@
 //! Manhattan distance". Feasibility between two points is a simple dynamic
 //! program over the spanning rectangle. This module provides it twice:
 //!
-//! * [`monotone_feasible`] / [`monotone_path`] over an arbitrary blockage
+//! * [`monotone_feasible`] over an arbitrary blockage
 //!   predicate (safe-node labelings, raw fault sets), one cell at a time —
 //!   the reference the property tests compare against;
-//! * [`mcc_cells_feasible`] / [`known_mcc_cells_feasible`] over the row
+//! * `mcc_cells_feasible` / `known_mcc_cells_feasible` over the row
 //!   bit words of an [`MccSet`], one 64-cell word at a time — what the
 //!   planner runs.
 //!
@@ -99,8 +99,8 @@ fn spans_a_rectangle(set: &MccSet, s: Coord, d: Coord) -> bool {
 /// operations for rectangles up to 64 columns wide.
 ///
 /// Whatever a node knows is a subset of this blockage, so `true` here is
-/// `true` for [`known_mcc_cells_feasible`] under any `known`.
-pub fn mcc_cells_feasible(set: &MccSet, s: Coord, d: Coord) -> bool {
+/// `true` for `known_mcc_cells_feasible` under any `known`.
+pub(crate) fn mcc_cells_feasible(set: &MccSet, s: Coord, d: Coord) -> bool {
     spans_a_rectangle(set, s, d) && row_fill_feasible(s, d, |y, w, _| set.row_words(y)[w])
 }
 
@@ -108,7 +108,7 @@ pub fn mcc_cells_feasible(set: &MccSet, s: Coord, d: Coord) -> bool {
 /// which `known` holds blocked. Same row fill; `known` is asked once per
 /// run of MCC cells in a row word of the rectangle (horizontally adjacent
 /// unsafe cells are one component), never for a safe cell.
-pub fn known_mcc_cells_feasible(
+pub(crate) fn known_mcc_cells_feasible(
     set: &MccSet,
     s: Coord,
     d: Coord,
@@ -166,46 +166,6 @@ pub fn monotone_feasible(s: Coord, d: Coord, blocked: impl Fn(Coord) -> bool) ->
         }
     }
     reach[w - 1]
-}
-
-/// Like [`monotone_feasible`], but additionally returns one monotone path
-/// (as coordinates `s..=d`) when feasible.
-pub fn monotone_path(s: Coord, d: Coord, blocked: impl Fn(Coord) -> bool) -> Option<Vec<Coord>> {
-    if d.x < s.x || d.y < s.y || blocked(s) || blocked(d) {
-        return None;
-    }
-    let w = (d.x - s.x + 1) as usize;
-    let h = (d.y - s.y + 1) as usize;
-    let mut reach = vec![false; w * h];
-    for j in 0..h {
-        for i in 0..w {
-            let c = Coord::new(s.x + i as i32, s.y + j as i32);
-            if blocked(c) {
-                continue;
-            }
-            let start = i == 0 && j == 0;
-            let from_left = i > 0 && reach[j * w + i - 1];
-            let from_below = j > 0 && reach[(j - 1) * w + i];
-            reach[j * w + i] = start || from_left || from_below;
-        }
-    }
-    if !reach[w * h - 1] {
-        return None;
-    }
-    // Walk back from d, preferring +Y predecessors (deterministic).
-    let mut rev = vec![d];
-    let (mut i, mut j) = (w - 1, h - 1);
-    while i != 0 || j != 0 {
-        if j > 0 && reach[(j - 1) * w + i] {
-            j -= 1;
-        } else {
-            debug_assert!(i > 0 && reach[j * w + i - 1], "broken DP backtrack");
-            i -= 1;
-        }
-        rev.push(Coord::new(s.x + i as i32, s.y + j as i32));
-    }
-    rev.reverse();
-    Some(rev)
 }
 
 #[cfg(test)]
@@ -306,15 +266,12 @@ mod tests {
     }
 
     #[test]
-    fn rows_wider_than_the_stack_buffer_agree_with_the_path_dp() {
+    fn rows_wider_than_the_stack_buffer() {
         // 100 columns: the row buffer spills to the heap.
         let (s, d) = (Coord::new(0, 0), Coord::new(99, 2));
         let wall = |c: Coord| c.x == 70 && c.y < 2;
         assert!(monotone_feasible(s, d, wall));
-        assert!(monotone_path(s, d, wall).is_some());
-        let full_wall = |c: Coord| c.x == 70;
-        assert!(!monotone_feasible(s, d, full_wall));
-        assert!(monotone_path(s, d, full_wall).is_none());
+        assert!(!monotone_feasible(s, d, |c: Coord| c.x == 70));
     }
 
     #[test]
@@ -325,40 +282,5 @@ mod tests {
         // Removing one brick opens a path.
         let b2 = [(0, 2), (2, 0)];
         assert!(monotone_feasible(Coord::new(0, 0), Coord::new(2, 2), blocked_set(&b2)));
-    }
-
-    #[test]
-    fn path_is_monotone_and_avoids_blocks() {
-        let b = [(1, 1), (2, 3), (3, 0)];
-        let s = Coord::new(0, 0);
-        let d = Coord::new(4, 4);
-        let p = monotone_path(s, d, blocked_set(&b)).expect("feasible");
-        assert_eq!(p.first(), Some(&s));
-        assert_eq!(p.last(), Some(&d));
-        assert_eq!(p.len() as u32, s.manhattan(d) + 1);
-        for w in p.windows(2) {
-            let (dx, dy) = w[1] - w[0];
-            assert!((dx == 1 && dy == 0) || (dx == 0 && dy == 1), "non-monotone step");
-            assert!(!blocked_set(&b)(w[1]));
-        }
-    }
-
-    #[test]
-    fn feasible_and_path_agree() {
-        // Exhaustive 4x4 blockage patterns over a small rectangle.
-        let s = Coord::new(0, 0);
-        let d = Coord::new(3, 3);
-        for mask in 0u32..(1 << 14) {
-            let blocked = |c: Coord| {
-                let idx = (c.y * 4 + c.x) as u32;
-                // Never block the endpoints (bits 0 and 15 unused).
-                idx != 0 && idx != 15 && (mask >> (idx - 1)) & 1 == 1
-            };
-            assert_eq!(
-                monotone_feasible(s, d, blocked),
-                monotone_path(s, d, blocked).is_some(),
-                "mask {mask:#x}"
-            );
-        }
     }
 }

@@ -12,7 +12,7 @@
 //! The planner's fallback wants one distance and one path — from a
 //! destination `dest` to the node `until` asking — and a BFS ball around
 //! `dest` that reaches `until` covers half the mesh to price a
-//! Manhattan+2 detour. [`DistanceField::with_predicate_until`] instead
+//! Manhattan+2 detour. `DistanceField::with_predicate_until` instead
 //! settles nodes in order of `f(n) = dist(n) + manhattan(n, until)`.
 //! Along a mesh edge `dist` grows by one and the Manhattan term moves by
 //! one, so `f` grows by 0 or 2: a deque is the priority queue (step
@@ -30,7 +30,7 @@
 //! tentative (an upper bound) or absent — is therefore never
 //! `dist(u) - 1`. The descent takes the same step as on the full field,
 //! every time. What the flood leaves tentative is not final, so the
-//! result is a [`StopField`] that answers for `until` only.
+//! result is a `StopField` that answers for `until` only.
 //!
 //! A caller that wants the path only if it is shorter than one it
 //! already holds passes a `limit`: the flood then stops at `f > limit`,
@@ -47,7 +47,6 @@ use meshpath_mesh::{Coord, FaultSet, Grid, Mesh};
 /// the destination, or `u32::MAX` when disconnected.
 pub struct DistanceField {
     dist: Grid<u32>,
-    dest: Coord,
 }
 
 /// Marker distance for unreachable nodes.
@@ -98,7 +97,7 @@ impl FloodScratch {
 /// The answer of one goal-directed flood: distance and descent path from
 /// the flood's stop node to its destination, and nothing else — labels of
 /// other nodes may be tentative or missing.
-pub struct StopField<'a> {
+pub(crate) struct StopField<'a> {
     scratch: &'a FloodScratch,
     mesh: Mesh,
     dest: Coord,
@@ -116,7 +115,7 @@ impl StopField<'_> {
     /// Distance from the stop node to the destination ([`UNREACHABLE`]
     /// when disconnected or farther than the flood's limit, or when the
     /// stop node is impassable or outside the mesh).
-    pub fn dist(&self) -> u32 {
+    pub(crate) fn dist(&self) -> u32 {
         if self.settled {
             self.label(self.until)
         } else {
@@ -124,9 +123,9 @@ impl StopField<'_> {
         }
     }
 
-    /// The path [`DistanceField::shortest_path`] extracts from the stop
+    /// The path `DistanceField::shortest_path` extracts from the stop
     /// node on the full field (same `+X, -X, +Y, -Y` tie-break).
-    pub fn shortest_path(&self) -> Option<Vec<Coord>> {
+    pub(crate) fn shortest_path(&self) -> Option<Vec<Coord>> {
         (self.dist() != UNREACHABLE)
             .then(|| descend(&self.mesh, self.until, self.dest, |c| self.label(c)))
     }
@@ -161,7 +160,11 @@ impl DistanceField {
 
     /// BFS from `dest` over an arbitrary passability predicate
     /// (`passable(dest)` must hold).
-    pub fn with_predicate(mesh: Mesh, dest: Coord, passable: impl Fn(Coord) -> bool) -> Self {
+    pub(crate) fn with_predicate(
+        mesh: Mesh,
+        dest: Coord,
+        passable: impl Fn(Coord) -> bool,
+    ) -> Self {
         assert!(passable(dest), "destination {dest:?} is not passable");
         let mut dist = Grid::new(mesh, UNREACHABLE);
         let mut queue = VecDeque::new();
@@ -176,13 +179,13 @@ impl DistanceField {
                 }
             }
         }
-        DistanceField { dist, dest }
+        DistanceField { dist }
     }
 
     /// The goal-directed flood from `dest` towards `until` (module docs):
     /// settles exactly the nodes with `dist + manhattan(·, until) <=
-    /// dist(until)`, which is what [`StopField::dist`] and
-    /// [`StopField::shortest_path`] read. An `until` that is cut off,
+    /// dist(until)`, which is what `StopField::dist` and
+    /// `StopField::shortest_path` read. An `until` that is cut off,
     /// impassable or outside the mesh floods `dest`'s whole component and
     /// answers [`UNREACHABLE`] / `None`. With a `limit` the flood settles
     /// no node past `dist + manhattan(·, until) <= limit`, and answers
@@ -190,7 +193,7 @@ impl DistanceField {
     ///
     /// # Panics
     /// Panics if `dest` is not passable.
-    pub fn with_predicate_until(
+    pub(crate) fn with_predicate_until(
         mesh: Mesh,
         dest: Coord,
         passable: impl Fn(Coord) -> bool,
@@ -234,11 +237,6 @@ impl DistanceField {
         StopField { scratch, mesh, dest, until, settled }
     }
 
-    /// The destination this field was computed from.
-    pub fn dest(&self) -> Coord {
-        self.dest
-    }
-
     /// Distance from `c` to the destination ([`UNREACHABLE`] when
     /// disconnected or `c` is faulty/outside).
     #[inline]
@@ -263,8 +261,11 @@ impl DistanceField {
 
     /// Extracts one shortest path from `s` to the destination by gradient
     /// descent on the field (deterministic tie-break: `+X, -X, +Y, -Y`).
-    pub fn shortest_path(&self, s: Coord) -> Option<Vec<Coord>> {
-        self.reachable(s).then(|| descend(self.dist.mesh(), s, self.dest, |c| self.dist[c]))
+    #[cfg(test)]
+    pub(crate) fn shortest_path(&self, s: Coord) -> Option<Vec<Coord>> {
+        let mesh = self.dist.mesh();
+        let dest = mesh.iter().find(|&c| self.dist[c] == 0)?;
+        self.reachable(s).then(|| descend(mesh, s, dest, |c| self.dist[c]))
     }
 }
 

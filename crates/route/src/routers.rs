@@ -527,7 +527,12 @@ mod tests {
                 continue;
             }
             let n = NetView::build(faults);
-            let field_ok = |c: Coord| n.faults().is_healthy(c) && n.is_safe_all_orientations(c);
+            let field_ok = |c: Coord| {
+                n.faults().is_healthy(c)
+                    && Orientation::ALL
+                        .iter()
+                        .all(|&o| n.mccs(o).labeling().status_real(c).is_safe())
+            };
             // Draw safe endpoint pairs.
             let mut pairs = Vec::new();
             while pairs.len() < 8 {

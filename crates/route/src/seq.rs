@@ -66,7 +66,7 @@ pub enum KnowledgeScope {
 
 /// Axis of a blocking sequence.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SeqAxis {
+pub(crate) enum SeqAxis {
     /// Type-I: blocks `+Y` progress.
     TypeI,
     /// Type-II: blocks `+X` progress.
@@ -165,7 +165,7 @@ impl<'a> Planner<'a> {
     /// blocked, returns the Eq.-1 chain when one can be enumerated; a
     /// blocked pair with no enumerable chain returns an empty chain
     /// (callers fall back to BFS planning).
-    pub fn closest_sequence(
+    pub(crate) fn closest_sequence(
         &self,
         anchor: Coord,
         u: Coord,
@@ -293,7 +293,8 @@ impl<'a> Planner<'a> {
     /// The recursive shortest-path distance `D(u, d)` of Eq. 2, using the
     /// knowledge stored at `anchor`. Returns `None` when every option is
     /// infeasible within the known information.
-    pub fn distance(&self, anchor: Coord, u: Coord, d: Coord) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn distance(&self, anchor: Coord, u: Coord, d: Coord) -> Option<u64> {
         let mut flood = FloodScratch::default();
         let v = self.dist_rec(anchor, u, d, &mut DistMemo::new(&mut flood), 0);
         (v < INF).then_some(v)

@@ -75,7 +75,8 @@ impl ChurnInjector {
     }
 
     /// How many events are queued but not yet applied.
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> usize {
         self.queue.lock().expect("churn injector lock poisoned").len()
     }
 
@@ -83,7 +84,7 @@ impl ChurnInjector {
     /// coordinator calls it at each quantum boundary; a caller draining
     /// by hand takes the events away from the simulation and must apply
     /// them itself.
-    pub fn drain(&self) -> Vec<ChurnOp> {
+    pub(crate) fn drain(&self) -> Vec<ChurnOp> {
         std::mem::take(&mut *self.queue.lock().expect("churn injector lock poisoned"))
     }
 }

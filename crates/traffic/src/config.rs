@@ -171,7 +171,7 @@ pub struct SimConfig {
     pub route_ttl: Option<u32>,
     /// Worker threads (= fabric row-band shards) stepping a single
     /// simulation concurrently. Results are **bit-identical at every
-    /// thread count** (see the sharding docs in [`crate::fabric`]).
+    /// thread count** (see the sharding docs in `crate::fabric`).
     ///
     /// `0` selects the automatic default: the `MESHPATH_THREADS`
     /// environment variable when set, otherwise all available cores
@@ -255,11 +255,6 @@ impl SimConfig {
         SimConfig { rate, ..self }
     }
 
-    /// This config with a different base seed (builder).
-    pub fn with_seed(self, seed: u64) -> Self {
-        SimConfig { seed, ..self }
-    }
-
     /// This config with a different worker-thread count (builder; see
     /// [`threads`](SimConfig::threads)).
     pub fn with_threads(self, threads: usize) -> Self {
@@ -309,7 +304,7 @@ impl SimConfig {
     /// `MESHPATH_THREADS` environment override, else the size-gated
     /// automatic default. The mesh-height clamp is applied later, at
     /// fabric construction.
-    pub fn resolved_threads(&self, nodes: usize) -> usize {
+    pub(crate) fn resolved_threads(&self, nodes: usize) -> usize {
         if self.threads != 0 {
             return self.threads;
         }
@@ -392,13 +387,11 @@ mod tests {
     fn builders_are_uniformly_by_value() {
         let c = SimConfig::smoke()
             .with_rate(0.125)
-            .with_seed(99)
             .with_threads(2)
             .with_fault_churn(vec![ChurnEvent::fail(50, Coord::new(1, 1))])
             .with_obs(ObsLevel::Metrics)
             .with_record_trace();
         assert_eq!(c.rate, 0.125);
-        assert_eq!(c.seed, 99);
         assert_eq!(c.threads, 2);
         assert_eq!(c.fault_churn.len(), 1);
         assert_eq!(c.obs, ObsLevel::Metrics);

@@ -219,7 +219,7 @@ pub(crate) const MAX_VC_DEPTH: usize = u8::MAX as usize;
 /// One flit on the wire. Packet ids are opaque tokens the run loop
 /// allocates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Flit {
+pub(crate) struct Flit {
     /// Owning packet.
     pub packet: u32,
     /// First flit of the packet (makes routing + VC allocation).
@@ -236,7 +236,7 @@ pub struct Flit {
 /// progress are what a [`HopRouter`] needs to re-derive (or override)
 /// the next hop locally.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PacketState {
+pub(crate) struct PacketState {
     /// Source node (compiled-route table key).
     pub src: Coord,
     /// Destination node (ejection test + escape XY target).
@@ -278,7 +278,7 @@ pub struct PacketState {
 impl PacketState {
     /// A fresh packet of `len` flits from `src` to `dst` (admission
     /// epoch 0; the driver overrides `epoch` under fault churn).
-    pub fn new(src: Coord, dst: Coord, generated_at: u64, len: u32) -> Self {
+    pub(crate) fn new(src: Coord, dst: Coord, generated_at: u64, len: u32) -> Self {
         PacketState {
             src,
             dst,
@@ -300,7 +300,7 @@ impl PacketState {
 /// delivery completes one cycle later — the ejection link; the run loop
 /// adds that cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Delivery {
+pub(crate) struct Delivery {
     /// The delivered packet.
     pub packet: u32,
     /// Its traveling state at ejection.
@@ -311,7 +311,7 @@ pub struct Delivery {
 /// phase and the commit phase (see the module docs on the
 /// boundary-exchange protocol). All coordinates are global node ids.
 #[derive(Clone, Debug)]
-pub enum BoundaryMsg {
+pub(crate) enum BoundaryMsg {
     /// A flit crossing a band edge into `node`'s input port `in_port`,
     /// downstream VC `vc`. Head flits carry their traveling state.
     Arrival {

@@ -7,7 +7,7 @@
 //! this crate evaluates them as *network-on-chip routing functions
 //! under load*: per-node routers with input-buffered virtual channels,
 //! credit-based flow control, a per-cycle switch allocator and
-//! unit-latency links ([`fabric`]), driven by one seeded synthetic
+//! unit-latency links (`fabric`), driven by one seeded synthetic
 //! process (a Bernoulli trial per node per cycle at
 //! [`SimConfig::rate`], a uniformly drawn healthy destination,
 //! [`SimConfig::packet_len`] flits) or by a scheduled
@@ -26,12 +26,12 @@
 //! blocked.
 //!
 //! The fabric is now routed per hop: every parked head flit asks a
-//! [`HopRouter`] for a fresh `(output port, VC class)` decision. The
+//! `HopRouter` for a fresh `(output port, VC class)` decision. The
 //! paper's deterministic routers stay fast because their decisions are
 //! still backed by a per-pair compiled route table ([`PathTable`] — one
 //! full algorithm execution per distinct `(source, destination)` pair,
 //! then a lookup per hop), and the per-hop indirection is what enables
-//! Duato-style escape routing ([`EscapeHop`]): each output port
+//! Duato-style escape routing (`EscapeHop`): each output port
 //! reserves `escape_vcs` virtual channels as *escape classes* whose
 //! channel-dependency graphs are acyclic by construction — strict
 //! dimension-order XY (entered only past a fault-free XY run) and
@@ -44,13 +44,13 @@
 //!
 //! ## Layers
 //!
-//! * [`routing`] — the [`HopRouter`] trait and its implementation
-//!   [`EscapeHop`] (compiled-route replay on the adaptive class, plus
+//! * `routing` — the `HopRouter` trait and its implementation
+//!   `EscapeHop` (compiled-route replay on the adaptive class, plus
 //!   the XY and tree escape classes the fabric reserves channels for);
 //!   the [`PathTable`] compiling the workspace's [`Router`]s
 //!   (RB1/RB2/RB3, fault-tolerant E-cube) and the dimension-order
-//!   [`XyRouter`] baseline.
-//! * [`fabric`] — the cycle-level wormhole router microarchitecture
+//!   `XyRouter` baseline.
+//! * `fabric` — the cycle-level wormhole router microarchitecture
 //!   with class-aware virtual-channel allocation; stepping is
 //!   event-driven (active-router worklist, occupancy/request/free-VC
 //!   bitmasks) and spatially partitioned into row-band shards that
@@ -71,7 +71,7 @@
 //!   (`churn_killed`), never wedged.
 //! * [`stats`] — latency histograms and accepted-throughput accounting.
 //! * [`config`] — [`SimConfig`], including the `escape_vcs` partition
-//!   and the escape `patience`, checked by [`SimConfig::validate`].
+//!   (checked by [`SimConfig::validate`]) and the escape `patience`.
 //!
 //! ## Observability
 //!
@@ -92,8 +92,8 @@
 //!
 //! ```
 //! use meshpath_mesh::{Coord, FaultSet, Mesh};
-//! use meshpath_route::NetView;
-//! use meshpath_traffic::{run_traffic, RoutingKind, SimConfig};
+//! use meshpath_route::{NetView, RoutingKind};
+//! use meshpath_traffic::{run_traffic, SimConfig};
 //!
 //! let net = NetView::build(FaultSet::from_coords(
 //!     Mesh::square(8),
@@ -109,7 +109,7 @@
 //! * Routing decisions are compiled to per-pair routes once per
 //!   `(source, destination)` pair — valid because every router in this
 //!   workspace is deterministic per network — but they are consulted
-//!   per hop, not replayed from the packet header; see [`routing`].
+//!   per hop, not replayed from the packet header; see `routing`.
 //! * The XY escape class alone would not suffice on a faulty mesh: a
 //!   head parked where the XY walk to its destination crosses a fault
 //!   cannot use it, and cyclic waits among such heads deadlocked the
@@ -130,21 +130,17 @@
 
 pub mod churn;
 pub mod config;
-pub mod fabric;
+mod fabric;
 #[cfg(test)]
 mod golden;
-pub mod routing;
+mod routing;
 pub mod sim;
 pub mod source;
 pub mod stats;
 
 pub use churn::{ChaosConfig, ChurnInjector, OnlineChurn};
 pub use config::{ChurnEvent, ChurnOp, ConfigError, SimConfig, PIPELINE_DEPTH};
-pub use fabric::{BoundaryMsg, Delivery, Flit, PacketState};
-pub use routing::{
-    xy_next, xy_path_clear, EscapeForest, EscapeHop, HopCandidates, HopChoice, HopDecision,
-    HopRouter, PathTable, RouteHandle, RoutingKind, VcClass, XyRouter,
-};
+pub use routing::{EscapeForest, PathTable};
 pub use sim::{run_traffic, single_packet_latency, RunError, RunOutput, TrafficSim};
 pub use source::{
     FlowCompletion, PhaseOutcome, TraceEntry, WorkloadMsg, WorkloadOutcome, WorkloadSource, NO_FLOW,
@@ -163,4 +159,4 @@ pub use meshpath_obs::{
 
 // Re-exported so downstream code can name the substrate types the
 // adapters build on without importing `meshpath-route` separately.
-pub use meshpath_route::{NetState, NetView, Router};
+pub use meshpath_route::{NetState, NetView, Router, RoutingKind};

@@ -81,14 +81,11 @@ use std::collections::hash_map::Entry;
 
 use meshpath_mesh::{Coord, Dir, FaultSet, FxHashMap, HopSeq, NodeId};
 use meshpath_route::oracle::{DistanceField, UNREACHABLE};
-use meshpath_route::{HopState, NetView, Router};
+use meshpath_route::{xy_next, HopState, NetView, Router};
+
+pub(crate) use meshpath_route::RoutingKind;
 
 use crate::fabric::PacketState;
-
-// The per-hop substrate is defined once, in `meshpath-route`; re-export
-// the names this crate historically owned so downstream code keeps
-// compiling while the two layers share one implementation.
-pub use meshpath_route::{xy_next, xy_path_clear, RoutingKind, XyRouter};
 
 /// The virtual-channel classes of the fabric.
 ///
@@ -103,7 +100,7 @@ pub use meshpath_route::{xy_next, xy_path_clear, RoutingKind, XyRouter};
 /// keeping the two classes on disjoint channels keeps their dependency
 /// graphs from composing into a cycle.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum VcClass {
+pub(crate) enum VcClass {
     /// The unrestricted class: compiled (possibly detouring) routes.
     Adaptive,
     /// The reserved XY escape class: strict dimension-order XY only,
@@ -116,7 +113,7 @@ pub enum VcClass {
 
 /// One output option for a parked head flit.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct HopChoice {
+pub(crate) struct HopChoice {
     /// The output direction to request.
     pub dir: Dir,
     /// The VC class to allocate on that output.
@@ -131,7 +128,7 @@ pub struct HopChoice {
 /// zero: the empty list is the all-zero value, and two lists compare
 /// equal exactly when their pushed prefixes do.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct HopCandidates {
+pub(crate) struct HopCandidates {
     len: u8,
     arr: [HopChoice; 3],
 }
@@ -147,7 +144,7 @@ impl HopCandidates {
     const FILLER: HopChoice = HopChoice { dir: Dir::PlusX, class: VcClass::Adaptive };
 
     /// An empty candidate list (the head waits this cycle).
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         HopCandidates { len: 0, arr: [HopCandidates::FILLER; 3] }
     }
 
@@ -156,25 +153,15 @@ impl HopCandidates {
     ///
     /// # Panics
     /// Panics when the list is full.
-    pub fn push(&mut self, c: HopChoice) {
+    pub(crate) fn push(&mut self, c: HopChoice) {
         assert!((self.len as usize) < self.arr.len(), "candidate list full");
         self.arr[self.len as usize] = c;
         self.len += 1;
     }
 
     /// The candidates in preference order.
-    pub fn iter(&self) -> impl Iterator<Item = HopChoice> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = HopChoice> + '_ {
         self.arr[..self.len as usize].iter().copied()
-    }
-
-    /// Number of candidates.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Whether no candidate was offered.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -190,7 +177,7 @@ impl FromIterator<HopChoice> for HopCandidates {
 
 /// A per-hop routing decision for one head flit.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum HopDecision {
+pub(crate) enum HopDecision {
     /// The packet is at its destination: take the ejection port.
     Eject,
     /// Request an output link: candidates in preference order.
@@ -199,7 +186,7 @@ pub enum HopDecision {
 
 impl HopDecision {
     /// A single-candidate route decision.
-    pub fn route1(c: HopChoice) -> Self {
+    pub(crate) fn route1(c: HopChoice) -> Self {
         HopDecision::Route([c].into_iter().collect())
     }
 }
@@ -211,7 +198,7 @@ impl HopDecision {
 /// endpoints and progress ([`PacketState`], including its admission
 /// epoch) plus whatever the adapter knows about the network — mirroring
 /// how the paper's distributed algorithms run on real NoC hardware.
-pub trait HopRouter {
+pub(crate) trait HopRouter {
     /// Network-interface admission: the hop count of the compiled route
     /// for `(s, d)` under the **current epoch**, or `None` when the
     /// routing function does not deliver the pair (XY across a fault,
@@ -257,12 +244,12 @@ type CachedRoute = Option<HopSeq>;
 /// beside every pooled [`PacketState`] and starts it unresolved wherever
 /// a state enters a shard.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct RouteHandle(u32);
+pub(crate) struct RouteHandle(u32);
 
 impl RouteHandle {
     /// Nothing resolved yet: the next adaptive-class decision probes
     /// the table (once) and stores what it finds.
-    pub const UNRESOLVED: RouteHandle = RouteHandle(u32::MAX);
+    pub(crate) const UNRESOLVED: RouteHandle = RouteHandle(u32::MAX);
 }
 
 /// A memoizing compiled-route table for one routing function over a
@@ -303,18 +290,18 @@ impl PathTable {
     }
 
     /// The routing function this table compiles.
-    pub fn kind(&self) -> RoutingKind {
+    pub(crate) fn kind(&self) -> RoutingKind {
         self.kind
     }
 
     /// The snapshot of the current admission epoch.
-    pub fn view(&self) -> &NetView {
+    pub(crate) fn view(&self) -> &NetView {
         self.views.last().expect("epoch 0 always exists")
     }
 
     /// The current admission epoch: how many snapshots have been
     /// [`publish`](PathTable::publish)ed since the last reset.
-    pub fn current_epoch(&self) -> u32 {
+    pub(crate) fn current_epoch(&self) -> u32 {
         (self.views.len() - 1) as u32
     }
 
@@ -325,7 +312,7 @@ impl PathTable {
     /// run publishes its own epochs: a table reused across churn runs
     /// stays the size of its epoch-0 routes. Every [`RouteHandle`]
     /// resolved before the call is invalid after it.
-    pub fn reset_epochs(&mut self) {
+    pub(crate) fn reset_epochs(&mut self) {
         if self.views.len() == 1 {
             // Nothing was published, so no later-epoch route exists.
             return;
@@ -347,7 +334,7 @@ impl PathTable {
     /// epoch. Every earlier epoch and cached route is kept: in-flight
     /// packets go on replaying the routes of the epoch they were
     /// admitted (or last replanned) under.
-    pub fn publish(&mut self, view: &NetView) {
+    pub(crate) fn publish(&mut self, view: &NetView) {
         self.views.push(view.clone());
     }
 
@@ -361,7 +348,7 @@ impl PathTable {
 
     /// The direction sequence from `s` to `d` under a specific epoch,
     /// read in place: one table probe when the pair is cached.
-    pub fn path_at(&mut self, epoch: u32, s: Coord, d: Coord) -> Option<&HopSeq> {
+    pub(crate) fn path_at(&mut self, epoch: u32, s: Coord, d: Coord) -> Option<&HopSeq> {
         let handle = self.resolve(epoch, s, d);
         self.route(handle)
     }
@@ -493,7 +480,8 @@ impl PathTable {
     /// `(map probes that found their route, routes compiled)` — a read
     /// through a [`RouteHandle`] is not a probe, and the second count is
     /// the number of full routing-algorithm executions performed.
-    pub fn cache_stats(&self) -> (u64, u64) {
+    #[cfg(test)]
+    pub(crate) fn cache_stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 }
@@ -814,7 +802,7 @@ impl XyClearance {
 /// reads (see the module docs), and [`publish`](HopRouter::publish)
 /// rebuilds what they read — the forest and the prefix counts — for
 /// the new fault set.
-pub struct EscapeHop<'p> {
+pub(crate) struct EscapeHop<'p> {
     paths: &'p mut PathTable,
     patience: u32,
     /// XY clearance under the current fault set — the only one ever
@@ -840,7 +828,7 @@ impl<'p> EscapeHop<'p> {
     /// `escape_vcs` channels per port: the tree class exists from one
     /// reserved channel, the XY class from two, and only what a class
     /// reads is built.
-    pub fn new(paths: &'p mut PathTable, patience: u32, escape_vcs: usize) -> Self {
+    pub(crate) fn new(paths: &'p mut PathTable, patience: u32, escape_vcs: usize) -> Self {
         let faults = paths.view().faults();
         let forest = (escape_vcs >= 1).then(|| EscapeForest::new(faults));
         let xy = (escape_vcs >= 2).then(|| XyClearance::new(faults));
@@ -849,7 +837,8 @@ impl<'p> EscapeHop<'p> {
 
     /// The spanning forest backing the tree escape class, if the fabric
     /// has one.
-    pub fn forest(&self) -> Option<&EscapeForest> {
+    #[cfg(test)]
+    pub(crate) fn forest(&self) -> Option<&EscapeForest> {
         self.forest.as_ref()
     }
 
@@ -942,7 +931,7 @@ mod tests {
     use super::*;
     use crate::config::ChurnOp;
     use meshpath_mesh::{FaultSet, Mesh};
-    use meshpath_route::Rb2;
+    use meshpath_route::{xy_path_clear, Rb2};
 
     #[test]
     fn candidate_lists_compare_by_their_pushed_prefix() {
@@ -962,7 +951,6 @@ mod tests {
         assert_eq!(lists.len(), 1 + 3 + 9 + 27);
         for a in &lists {
             let ca: HopCandidates = a.iter().copied().collect();
-            assert_eq!(ca.len(), a.len());
             assert_eq!(ca.iter().collect::<Vec<_>>(), *a);
             for b in &lists {
                 let cb: HopCandidates = b.iter().copied().collect();
@@ -970,7 +958,7 @@ mod tests {
             }
         }
         assert_eq!(HopCandidates::new(), HopCandidates::default());
-        assert!(HopCandidates::new().is_empty());
+        assert_eq!(HopCandidates::new().iter().count(), 0);
     }
 
     #[test]
@@ -1113,7 +1101,7 @@ mod tests {
         for _ in 0..hops {
             match hop.decide(here, &mut pk, &mut route) {
                 HopDecision::Route(c) => {
-                    assert_eq!(c.len(), 1);
+                    assert_eq!(c.iter().count(), 1);
                     let first = c.iter().next().unwrap();
                     assert_eq!(first.class, VcClass::Adaptive);
                     here = here.step(first.dir);

@@ -6,9 +6,9 @@
 //! ## Sharded execution: bands and windows
 //!
 //! [`SimConfig::threads`] resolves to `N` row-band shards (see the
-//! boundary-exchange protocol in [`crate::fabric`]). Each band's
+//! boundary-exchange protocol in `crate::fabric`). Each band's
 //! `ShardWorker` owns its shard, the injection state of its nodes
-//! (per-node RNG streams, source queues) and an [`EscapeHop`] over a
+//! (per-node RNG streams, source queues) and an `EscapeHop` over a
 //! [`PathTable`]. Band 0 runs on the caller's thread over the caller's
 //! table; bands `1..N` run on one worker thread each, over a private
 //! table (hop decisions are pure functions of the network, so private
@@ -51,7 +51,7 @@
 //! their control lanes (windows end at boundaries, so `Go::Publish`
 //! precedes the window that starts there on each FIFO lane and every
 //! band adopts the epoch before the boundary cycle runs). Bands rebuild
-//! their hop routers' escape structures ([`HopRouter::publish`]) and
+//! their hop routers' escape structures (`HopRouter::publish`) and
 //! refresh source liveness and the destination sampler; packets stranded by a fresh fault are
 //! replanned or killed (`churn_killed`), never wedged. Polling is
 //! coordinator-side and deterministic, so churn runs stay
@@ -158,7 +158,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// A generated packet waiting at its source network interface. The
-/// traveling [`PacketState`] is handed to the fabric with the head
+/// traveling `PacketState` is handed to the fabric with the head
 /// flit.
 struct QueuedPacket {
     id: u32,
@@ -1165,7 +1165,7 @@ pub struct RunOutput {
 
 /// One traffic simulation: a sharded fabric over a fault configuration,
 /// driven by the seeded synthetic injection process, routed per hop by an
-/// [`EscapeHop`] over one compiled routing function.
+/// `EscapeHop` over one compiled routing function.
 ///
 /// The path table is borrowed so runs over the same network can reuse
 /// compiled routes (route compilation dominates the low-load setup

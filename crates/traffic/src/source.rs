@@ -100,7 +100,7 @@ pub struct TraceEntry {
 
 impl TraceEntry {
     /// The replay message for this entry.
-    pub fn to_msg(self) -> WorkloadMsg {
+    pub(crate) fn to_msg(self) -> WorkloadMsg {
         WorkloadMsg {
             at: self.cycle,
             flow: self.flow,
@@ -142,7 +142,8 @@ impl TraceSource {
     }
 
     /// Number of trace entries not yet released.
-    pub fn remaining(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn remaining(&self) -> usize {
         self.entries.len() - self.idx
     }
 }

@@ -21,7 +21,7 @@ impl LatencyHistogram {
     }
 
     /// Records one packet latency.
-    pub fn record(&mut self, latency: u64) {
+    pub(crate) fn record(&mut self, latency: u64) {
         match self.buckets.get_mut(latency as usize) {
             Some(b) => *b += 1,
             None => self.overflow += 1,
@@ -55,7 +55,7 @@ impl LatencyHistogram {
     ///
     /// # Panics
     /// Panics if `p` is outside `[0, 1]`.
-    pub fn percentile(&self, p: f64) -> u64 {
+    pub(crate) fn percentile(&self, p: f64) -> u64 {
         assert!((0.0..=1.0).contains(&p), "percentile {p} outside [0, 1]");
         if self.count == 0 {
             return 0;

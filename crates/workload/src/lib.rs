@@ -17,7 +17,7 @@
 //!   shard count; aborted predecessors cascade so the run never
 //!   wedges. Per-flow completion times and the critical path come back
 //!   in the run's `WorkloadOutcome`.
-//! * [`CollectivePhases`] — scheduled all-to-all and
+//! * `CollectivePhases` — scheduled all-to-all and
 //!   (l,k)-permutation rounds with a phase barrier: round `r + 1`
 //!   starts only when every round-`r` flow has resolved. Per-phase
 //!   completion times let RB1/RB2/RB3 be compared against XY/E-cube on
@@ -35,11 +35,10 @@
 #![warn(missing_docs)]
 
 pub mod dag;
-pub mod phases;
+mod phases;
 pub mod spec;
 
 pub use dag::{DagError, DagSpec, FlowDag, FlowSpec};
-pub use phases::{CollectiveKind, CollectivePhases};
 pub use spec::WorkloadSpec;
 
 // The substrate types a workload consumer needs, re-exported so

@@ -8,9 +8,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Which collective each round of a [`CollectivePhases`] runs.
+/// Which collective each round of a `CollectivePhases` runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CollectiveKind {
+pub(crate) enum CollectiveKind {
     /// Round `r`: participant `i` sends to participant
     /// `(i + r + 1) mod n` — the classic shifted all-to-all schedule,
     /// covering every ordered pair over `n - 1` rounds.
@@ -41,7 +41,7 @@ struct Round {
 }
 
 /// A barrier-synchronised collective workload: `rounds` rounds of the
-/// chosen [`CollectiveKind`] over the mesh's healthy nodes, where round
+/// chosen `CollectiveKind` over the mesh's healthy nodes, where round
 /// `r + 1` is released only once every round-`r` flow has resolved
 /// (delivered or aborted). Per-phase completion times come back as
 /// [`PhaseOutcome`]s in the run's `WorkloadOutcome`, which is what lets
@@ -51,7 +51,7 @@ struct Round {
 /// permutations) the seed, and the barrier depends only on the *set* of
 /// resolved flows — so collective runs are bit-identical at every shard
 /// count.
-pub struct CollectivePhases {
+pub(crate) struct CollectivePhases {
     kind: CollectiveKind,
     /// Healthy nodes in row-major order at workload-build time.
     participants: Vec<Coord>,
@@ -68,7 +68,7 @@ impl CollectivePhases {
     ///
     /// Panics if `len == 0`, or on a `Permutation` kind violating
     /// `1 <= l <= k`.
-    pub fn new(view: &NetView, kind: CollectiveKind, rounds: u32, len: u32) -> Self {
+    pub(crate) fn new(view: &NetView, kind: CollectiveKind, rounds: u32, len: u32) -> Self {
         assert!(len > 0, "zero-flit collective packets");
         if let CollectiveKind::Permutation { l, k, .. } = kind {
             assert!(1 <= l && l <= k, "(l,k)-permutation requires 1 <= l <= k, got ({l},{k})");
@@ -85,11 +85,6 @@ impl CollectivePhases {
             cur: None,
             done: Vec::new(),
         }
-    }
-
-    /// The participant list (healthy nodes, row-major).
-    pub fn participants(&self) -> &[Coord] {
-        &self.participants
     }
 
     /// Source → destination pairs of round `r` (fixed points already
@@ -225,7 +220,7 @@ mod tests {
         let v = view(3, &[]);
         let n = 9usize;
         let mut phases = CollectivePhases::new(&v, CollectiveKind::AllToAll, (n - 1) as u32, 4);
-        assert_eq!(phases.participants().len(), n);
+        assert_eq!(phases.participants.len(), n);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..n - 1 {
             let msgs = phases.release(0);
@@ -252,7 +247,7 @@ mod tests {
         let kind = CollectiveKind::Permutation { l: 2, k: 3, seed: 7 };
         let mut a = CollectivePhases::new(&v, kind, 2, 4);
         let mut b = CollectivePhases::new(&v, kind, 2, 4);
-        assert_eq!(a.participants().len(), 15);
+        assert_eq!(a.participants.len(), 15);
         let ra = a.release(0);
         let rb = b.release(0);
         assert_eq!(ra.len(), rb.len(), "same seed, same schedule");

@@ -1,8 +1,9 @@
 //! Quickstart: build a faulty mesh, route with every algorithm, and
-//! compare against the BFS ground truth.
+//! compare against the BFS ground truth. Asserts that every router
+//! delivers and that RB2's route is exactly as long as the BFS distance.
 //!
 //! ```text
-//! cargo run -p meshpath --release --example quickstart
+//! cargo run --release --example quickstart
 //! ```
 
 use meshpath::prelude::*;
@@ -34,6 +35,10 @@ fn main() {
     for router in routers {
         let res = router.route(&net, s, d);
         validate_path(&net, s, d, &res).expect("route must be a valid walk");
+        assert!(res.delivered, "{} must deliver", router.name());
+        if router.name() == "RB2" {
+            assert_eq!(res.hops(), oracle.dist(s), "RB2 must take a shortest path");
+        }
         println!(
             "{:7} delivered={} hops={:3} detour_hops={:3} shortest={}",
             router.name(),

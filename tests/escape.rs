@@ -15,7 +15,8 @@
 //!   flags — while the deterministic policy demonstrably wedges there.
 
 use meshpath::prelude::*;
-use meshpath::traffic::{xy_next, xy_path_clear, EscapeForest};
+use meshpath::route::{xy_next, xy_path_clear};
+use meshpath::traffic::EscapeForest;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -4,7 +4,7 @@
 //! * **Theorem 1**: RB2 finds a path whenever one exists, and no path is
 //!   shorter. Holds exactly in our implementation under global knowledge;
 //!   under the materialized B2 broadcast it holds in > 99% of pairs (the
-//!   gap is local-knowledge replanning, reported in EXPERIMENTS.md).
+//!   gap is local-knowledge replanning).
 //! * **Theorem 2**: from a boundary node, RB3's path is no longer than
 //!   RB2's (checked on sampled boundary sources).
 
@@ -183,7 +183,7 @@ fn theorem2_rb3_matches_rb2_from_boundary_sources() {
     assert!(checked >= 40, "too few boundary sources sampled: {checked}");
     // Theorem 2 in measured form: from boundary sources RB3 matches RB2
     // in the vast majority of cases (the deficit is B3's lack of interior
-    // broadcast, quantified in EXPERIMENTS.md).
+    // broadcast).
     let pct = 100.0 * f64::from(as_good) / f64::from(checked);
     assert!(pct >= 85.0, "RB3 matched RB2 in only {pct:.1}% of boundary cases");
 }
