@@ -56,7 +56,7 @@
 //! recording `BENCH_*.json` trajectories across commits — and, when
 //! `--out DIR` is given, also writes it to `DIR/traffic_sweep.json`.
 
-use meshpath_analysis::cli::emit;
+use meshpath_analysis::cli::{check_mesh_holds, emit};
 use meshpath_analysis::traffic::{run_load_sweep, LoadSweepConfig};
 use meshpath_analysis::workload_io::{read_dag, read_trace, write_trace};
 use meshpath_route::RoutingKind;
@@ -145,13 +145,7 @@ fn main() {
             "--obs" => cfg.sim.obs = ObsLevel::Metrics,
             "--trace" => cfg.sim.obs = ObsLevel::Trace,
             "--no-early-exit" => cfg.early_exit = false,
-            "--mesh" => {
-                cfg.mesh = take("--mesh").parse().unwrap_or(0);
-                if cfg.mesh == 0 {
-                    eprintln!("--mesh must be a positive integer");
-                    std::process::exit(2);
-                }
-            }
+            "--mesh" => cfg.mesh = take("--mesh").parse().unwrap_or(0),
             "--faults" => {
                 cfg.fault_counts = take("--faults")
                     .split(',')
@@ -205,16 +199,10 @@ fn main() {
         }
     }
 
-    let nodes = u64::from(cfg.mesh) * u64::from(cfg.mesh);
-    if let Some(&worst) = cfg.fault_counts.iter().max() {
-        if worst as u64 >= nodes {
-            eprintln!(
-                "--mesh {} gives {nodes} nodes, fewer than the sweep's {worst} faults; \
-                 use a larger mesh",
-                cfg.mesh
-            );
-            std::process::exit(2);
-        }
+    let worst = cfg.fault_counts.iter().max().copied().unwrap_or(0);
+    if let Err(e) = check_mesh_holds(cfg.mesh, worst) {
+        eprintln!("{e}");
+        std::process::exit(2);
     }
 
     if let Some(spec) = &workload_arg {

@@ -57,20 +57,25 @@ pub fn parse_args(
     if step == 0 {
         return Err("--step must be positive".into());
     }
-    if cfg.mesh == 0 {
-        return Err("--mesh must be a positive integer".into());
-    }
     cfg.fault_counts = (0..=max_faults).step_by(step).collect();
-    let nodes = cfg.mesh as usize * cfg.mesh as usize;
-    let worst = cfg.fault_counts.last().copied().unwrap_or(0);
-    if worst >= nodes {
-        return Err(format!(
-            "--mesh {} gives {nodes} nodes, fewer than the sweep's {worst} faults; \
-             use a larger mesh",
-            cfg.mesh
-        ));
-    }
+    check_mesh_holds(cfg.mesh, cfg.fault_counts.last().copied().unwrap_or(0))?;
     Ok((cfg, out))
+}
+
+/// Checks that an `N`x`N` mesh (`--mesh N`) is non-empty and holds a
+/// sweep's `worst_faults` with a healthy node to spare.
+pub fn check_mesh_holds(mesh: u32, worst_faults: usize) -> Result<(), String> {
+    let nodes = u64::from(mesh) * u64::from(mesh);
+    if mesh == 0 {
+        Err("--mesh must be a positive integer".into())
+    } else if worst_faults as u64 >= nodes {
+        Err(format!(
+            "--mesh {mesh} gives {nodes} nodes, fewer than the sweep's {worst_faults} faults; \
+             use a larger mesh"
+        ))
+    } else {
+        Ok(())
+    }
 }
 
 /// Prints a table and optionally writes its CSV next to `out`.

@@ -183,9 +183,9 @@ fn check_count(
     found: usize,
 ) -> Result<(), WorkloadIoError> {
     match get(header, key) {
-        Some(FlatValue::Num(n)) if *n as usize != found => {
-            Err(WorkloadIoError::BadHeader(format!("header promises {n} {key}, file has {found}")))
-        }
+        Some(v) if v.as_u64() != Some(found as u64) => Err(WorkloadIoError::BadHeader(format!(
+            "header promises {v:?} {key}, file has {found}"
+        ))),
         _ => Ok(()),
     }
 }
@@ -321,8 +321,11 @@ mod tests {
         assert!(matches!(read_trace(wrong), Err(WorkloadIoError::UnsupportedFormat { .. })));
         let future = "{\"format\": \"meshpath-trace\", \"version\": 2, \"horizon\": 3}\n";
         assert!(matches!(read_trace(future), Err(WorkloadIoError::UnsupportedFormat { .. })));
-        let miscount = write_trace(&[], 5).replace("\"entries\": 0", "\"entries\": 7");
-        assert!(matches!(read_trace(&miscount), Err(WorkloadIoError::BadHeader(_))));
+        for count in ["7", "0.9", "-1", "\"0\""] {
+            let miscount =
+                write_trace(&[], 5).replace("\"entries\": 0", &format!("\"entries\": {count}"));
+            assert!(matches!(read_trace(&miscount), Err(WorkloadIoError::BadHeader(_))), "{count}");
+        }
     }
 
     #[test]
@@ -344,6 +347,8 @@ mod tests {
         assert!(matches!(read_dag(&numeric), Err(WorkloadIoError::BadLine(2, _))));
         let unnamed = text.replace("\"name\": \"a\", ", "");
         assert!(matches!(read_dag(&unnamed), Err(WorkloadIoError::BadLine(2, _))));
+        let fractional = text.replace("\"flows\": 2", "\"flows\": 2.5");
+        assert!(matches!(read_dag(&fractional), Err(WorkloadIoError::BadHeader(_))));
     }
 
     /// A one-entry trace file, read after each `(from, to)` edit.

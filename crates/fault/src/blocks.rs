@@ -152,6 +152,39 @@ mod tests {
         assert_eq!(b.disabled_count(), 4);
     }
 
+    mod random {
+        use super::*;
+        use meshpath_mesh::FaultInjection;
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Over random uniform and clustered fault sets, every disabled
+            /// component is exactly its bounding rectangle and covers
+            /// every fault.
+            #[test]
+            fn every_component_is_a_rectangle(
+                ((width, height), (density, clusters), seed) in
+                    ((1u32..40, 1u32..40), (0usize..40, 0usize..5), 0u64..u64::MAX)
+            ) {
+                let mesh = Mesh::new(width, height);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let injection = match clusters {
+                    0 => FaultInjection::Uniform,
+                    k => FaultInjection::Clustered { clusters: k, spread: 3 },
+                };
+                let fs = FaultSet::random(mesh, mesh.len() * density / 100, injection, &mut rng);
+                let blocks = BlockSet::build(&fs);
+                let rects = rects(&blocks);
+                for c in mesh.iter().filter(|&c| !fs.is_healthy(c)) {
+                    prop_assert!(rects.iter().any(|r| r.contains(c)), "fault {:?} uncovered", c);
+                }
+            }
+        }
+    }
+
     #[test]
     fn block_model_disables_at_least_as_much_as_mcc() {
         use crate::labeling::{BorderPolicy, Labeling};

@@ -283,4 +283,23 @@ mod tests {
         let b2 = [(0, 2), (2, 0)];
         assert!(monotone_feasible(Coord::new(0, 0), Coord::new(2, 2), blocked_set(&b2)));
     }
+
+    #[test]
+    fn feasible_iff_the_bfs_distance_is_manhattan() {
+        // Every blockage pattern of a 4x4 mesh; the endpoints stay open.
+        let mesh = Mesh::new(4, 4);
+        let (s, d) = (Coord::new(0, 0), Coord::new(3, 3));
+        for mask in 0u32..(1 << 14) {
+            let blocked = |c: Coord| {
+                let idx = (c.y * 4 + c.x) as u32;
+                idx != 0 && idx != 15 && (mask >> (idx - 1)) & 1 == 1
+            };
+            let bfs = crate::oracle::DistanceField::with_predicate(mesh, d, |c| !blocked(c));
+            assert_eq!(
+                monotone_feasible(s, d, blocked),
+                bfs.dist(s) == s.manhattan(d),
+                "mask {mask:#06x}"
+            );
+        }
+    }
 }
