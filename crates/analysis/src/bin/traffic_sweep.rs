@@ -106,6 +106,24 @@ fn parse_workload(spec: &str, len: u32, seed: u64) -> Result<WorkloadSpec, Strin
     }
 }
 
+/// Parses the value `v` of the integer axis `flag`.
+fn parse_int<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.trim().parse().map_err(|_| format!("{flag}: {v:?} is not a non-negative integer"))
+}
+
+/// Parses a `--faults` list of fault counts.
+fn parse_faults(arg: &str) -> Result<Vec<usize>, String> {
+    arg.split(',').map(|v| parse_int("--faults", v)).collect()
+}
+
+/// The parsed value, or exit 2 with the message.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
 /// Parses a `--rates` list, each rate checked by
 /// [`SimConfig::validate`] against the sweep's `sim` config.
 fn parse_rates(arg: &str, sim: &SimConfig) -> Result<Vec<f64>, String> {
@@ -145,19 +163,9 @@ fn main() {
             "--obs" => cfg.sim.obs = ObsLevel::Metrics,
             "--trace" => cfg.sim.obs = ObsLevel::Trace,
             "--no-early-exit" => cfg.early_exit = false,
-            "--mesh" => cfg.mesh = take("--mesh").parse().unwrap_or(0),
-            "--faults" => {
-                cfg.fault_counts = take("--faults")
-                    .split(',')
-                    .map(|v| v.trim().parse().expect("--faults: comma-separated integers"))
-                    .collect();
-            }
-            "--rates" => {
-                cfg.rates = parse_rates(&take("--rates"), &cfg.sim).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
-            }
+            "--mesh" => cfg.mesh = or_exit(parse_int("--mesh", &take("--mesh"))),
+            "--faults" => cfg.fault_counts = or_exit(parse_faults(&take("--faults"))),
+            "--rates" => cfg.rates = or_exit(parse_rates(&take("--rates"), &cfg.sim)),
             "--routers" => {
                 cfg.routers = take("--routers")
                     .split(',')
@@ -174,10 +182,10 @@ fn main() {
                     })
                     .collect();
             }
-            "--seed" => cfg.seed = take("--seed").parse().expect("--seed: integer"),
-            "--threads" => cfg.threads = take("--threads").parse().expect("--threads: integer"),
+            "--seed" => cfg.seed = or_exit(parse_int("--seed", &take("--seed"))),
+            "--threads" => cfg.threads = or_exit(parse_int("--threads", &take("--threads"))),
             "--sim-threads" => {
-                cfg.sim.threads = take("--sim-threads").parse().expect("--sim-threads: integer");
+                cfg.sim.threads = or_exit(parse_int("--sim-threads", &take("--sim-threads")));
             }
             "--out" => out = Some(take("--out")),
             "--workload" => workload_arg = Some(take("--workload")),
@@ -200,10 +208,7 @@ fn main() {
     }
 
     let worst = cfg.fault_counts.iter().max().copied().unwrap_or(0);
-    if let Err(e) = check_mesh_holds(cfg.mesh, worst) {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
+    or_exit(check_mesh_holds(cfg.mesh, worst));
 
     if let Some(spec) = &workload_arg {
         match parse_workload(spec, cfg.sim.packet_len, cfg.seed) {
@@ -274,5 +279,25 @@ mod tests {
             parse_rates("2", &sim),
             Err("--rates: injection rate 2 is not a per-cycle probability".into())
         );
+    }
+
+    #[test]
+    fn integer_axes_reject_what_is_not_an_integer() {
+        assert_eq!(parse_faults("0, 8"), Ok(vec![0, 8]));
+        for bad in ["x", "1,,2", "-1", "1.5", ""] {
+            assert!(parse_faults(bad).is_err(), "{bad:?}");
+        }
+        assert_eq!(
+            parse_faults("1,,2"),
+            Err("--faults: \"\" is not a non-negative integer".into())
+        );
+        assert_eq!(parse_int::<u32>("--mesh", "64"), Ok(64));
+        assert_eq!(
+            parse_int::<u32>("--mesh", "x"),
+            Err("--mesh: \"x\" is not a non-negative integer".into())
+        );
+        assert!(parse_int::<u64>("--seed", "x").is_err());
+        assert!(parse_int::<usize>("--threads", "x").is_err());
+        assert!(parse_int::<usize>("--sim-threads", "-2").is_err());
     }
 }

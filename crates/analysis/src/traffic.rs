@@ -282,7 +282,8 @@ impl LoadSweepResult {
             .field("seed", c.seed)
             .field("sim_threads", c.sim.threads)
             .field("vcs", c.sim.vcs)
-            .field("escape_vcs", c.sim.escape_vcs)
+            .field("escape", c.sim.escape)
+            .field("patience", c.sim.patience)
             .field("vc_depth", c.sim.vc_depth)
             .field("packet_len", c.sim.packet_len)
             .field("warmup", c.sim.warmup)
@@ -651,7 +652,8 @@ mod tests {
             "\"mean_latency\"",
             "\"escape_packets\"",
             "\"deadlocked\"",
-            "\"escape_vcs\"",
+            "\"escape\"",
+            "\"patience\"",
             "\"sim_wall_ms\"",
             "\"mflits_per_sec\"",
             "\"flits_moved\"",

@@ -64,7 +64,7 @@ pub enum TraceEventKind {
         dir: u8,
         /// Virtual-channel index within the output port.
         vc: u8,
-        /// VC class discriminant (0 adaptive, 1 escape-XY, 2 escape-tree).
+        /// VC class discriminant (0 adaptive, 1 escape).
         class: u8,
     },
     /// The packet committed to an escape class (it will never return

@@ -29,7 +29,7 @@
 //! one unit of budget either way, and [`drive`] over the same `decide` is
 //! the per-hop engine the tests hold the loop to.
 
-use meshpath_mesh::{Coord, Dir, FaultSet, FxHashSet, HopSeq};
+use meshpath_mesh::{Coord, Dir, FxHashSet, HopSeq};
 
 use crate::alg2::CriticalSet;
 use crate::engine::{hop_budget, Detour, RouteResult, Visited};
@@ -382,15 +382,13 @@ impl Router for XyRouter {
 }
 
 /// The dimension-order next hop from `here` towards `dst`: correct X
-/// first, then Y. The traffic fabric's XY escape class routes
-/// exclusively with this function, so every escape hop strictly
-/// decreases the lexicographic potential `(|dx|, |dy|)` — the invariant
-/// the escape property tests pin.
+/// first, then Y, so every hop strictly decreases the lexicographic
+/// potential `(|dx|, |dy|)`.
 ///
 /// # Panics
 /// Panics when `here == dst` (a delivered packet has no next hop).
 #[inline]
-pub fn xy_next(here: Coord, dst: Coord) -> Dir {
+pub(crate) fn xy_next(here: Coord, dst: Coord) -> Dir {
     if here.x != dst.x {
         if dst.x > here.x {
             Dir::PlusX
@@ -403,20 +401,6 @@ pub fn xy_next(here: Coord, dst: Coord) -> Dir {
         assert!(dst.y < here.y, "xy_next called at the destination");
         Dir::MinusY
     }
-}
-
-/// Whether the dimension-order XY walk from `here` to `dst` crosses
-/// only healthy nodes — the escape-entry precondition of the traffic
-/// fabric. `here == dst` is trivially clear.
-pub fn xy_path_clear(faults: &FaultSet, here: Coord, dst: Coord) -> bool {
-    let mut cur = here;
-    while cur != dst {
-        cur = cur.step(xy_next(cur, dst));
-        if !faults.is_healthy(cur) {
-            return false;
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -467,21 +451,6 @@ mod tests {
                 assert!((next.y - d.y).abs() < (cur.y - d.y).abs());
             }
             cur = next;
-        }
-    }
-
-    #[test]
-    fn xy_clear_matches_the_xy_router() {
-        let mesh = Mesh::square(8);
-        let net = NetView::build(FaultSet::from_coords(mesh, [Coord::new(3, 1), Coord::new(5, 5)]));
-        for (s, d) in [
-            (Coord::new(1, 1), Coord::new(6, 1)), // crosses (3,1)
-            (Coord::new(1, 1), Coord::new(1, 6)), // clear column
-            (Coord::new(0, 5), Coord::new(7, 5)), // crosses (5,5)
-            (Coord::new(2, 0), Coord::new(6, 7)), // clear L
-        ] {
-            let walked = XyRouter.route(&net, s, d).delivered;
-            assert_eq!(xy_path_clear(net.faults(), s, d), walked, "{s:?}->{d:?}");
         }
     }
 

@@ -39,9 +39,7 @@ pub mod view;
 pub use alg2::AdaptivePolicy;
 pub use engine::{validate_path, RouteResult};
 pub use env::Network;
-pub use hop::{
-    drive, xy_next, xy_path_clear, Decision, HopCtx, HopState, Router, RoutingKind, XyRouter,
-};
+pub use hop::{drive, Decision, HopCtx, HopState, Router, RoutingKind, XyRouter};
 pub use routers::{ECube, Rb1, Rb2, Rb3};
 pub use seq::KnowledgeScope;
 pub use view::{NetState, NetView, UpdateError};

@@ -20,7 +20,8 @@ use crate::fabric::MAX_VC_DEPTH;
 /// queued packets (`churn_dropped`), and a packet already in flight
 /// whose compiled route meets the failure replans from where it stands
 /// or — when it sits on, heads to, or is cut off by the failed node —
-/// is drained and counted in `churn_killed`. The escape forest is
+/// is drained and counted in `churn_killed`, as is a packet committed
+/// to the escape class under an older epoch. The escape forest is
 /// re-provisioned per event, so a repaired node regains every VC class.
 /// An invalid event (off-mesh coordinate, failing a faulty node,
 /// repairing a healthy one) is rejected and counted in
@@ -74,13 +75,9 @@ pub enum ConfigError {
     /// `vc_depth` is zero or exceeds 255 (the fabric's flit-ring
     /// cursors and credit counters are `u8`).
     VcDepth(usize),
-    /// `escape_vcs` leaves no adaptive channel of `vcs`.
-    EscapeVcs {
-        /// The reserved channel count asked for.
-        escape_vcs: usize,
-        /// The channels per port it must stay below.
-        vcs: usize,
-    },
+    /// `vcs` leaves no adaptive channel (escape reserves the top one,
+    /// so it needs at least 2).
+    NoAdaptiveVc(usize),
 }
 
 impl fmt::Display for ConfigError {
@@ -94,10 +91,9 @@ impl fmt::Display for ConfigError {
                 f,
                 "vc_depth = {depth} is outside 1..={MAX_VC_DEPTH} (the flit-ring cursor limit)"
             ),
-            ConfigError::EscapeVcs { escape_vcs, vcs } => write!(
-                f,
-                "escape_vcs = {escape_vcs} must leave at least one adaptive channel of vcs = {vcs}"
-            ),
+            ConfigError::NoAdaptiveVc(vcs) => {
+                write!(f, "vcs = {vcs} leaves no adaptive channel (escape reserves the top one)")
+            }
         }
     }
 }
@@ -107,9 +103,9 @@ impl std::error::Error for ConfigError {}
 /// Parameters of one traffic simulation run.
 ///
 /// Defaults model a small input-buffered wormhole router: 4 virtual
-/// channels of 4 flits per input port — two reserved as the
-/// Duato-style escape classes (one XY, one spanning-tree) — 4-flit
-/// packets, and a warmup / measure / drain measurement protocol.
+/// channels of 4 flits per input port — the top one reserved as the
+/// Duato-style spanning-tree escape class — 4-flit packets, and a
+/// warmup / measure / drain measurement protocol.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimConfig {
     /// Virtual channels per directional input port (the injection port
@@ -119,24 +115,22 @@ pub struct SimConfig {
     /// below 2 cannot stream at link rate (credit round-trip is 2
     /// cycles).
     pub vc_depth: usize,
-    /// Channels (of `vcs`, top indices) reserved for the deadlock-free
-    /// escape classes: the topmost reserved channel carries up*/down*
-    /// spanning-tree traffic (always available), the rest carry strict
-    /// dimension-order XY traffic (minimal, but only entered past a
-    /// fault-free XY run). Must leave at least one adaptive channel;
-    /// `1` reserves only the tree class, and `0` is the no-escape
-    /// fabric: every head follows its compiled route unconditionally
-    /// over all `vcs` channels (the original source-routed behavior),
-    /// so wormhole cyclic waits are possible and only *detected*.
-    pub escape_vcs: usize,
+    /// Whether the top channel of `vcs` is reserved for the
+    /// deadlock-free escape class: up*/down* routing on a spanning
+    /// forest of the healthy nodes, reachable from every node (so
+    /// `vcs` must be at least 2). Off is the no-escape fabric: every
+    /// head follows its compiled route unconditionally over all `vcs`
+    /// channels (the original source-routed behavior), so wormhole
+    /// cyclic waits are possible and only *detected*.
+    pub escape: bool,
     /// Consecutive cycles a head stays parked on the adaptive class
-    /// before the per-hop router also offers it the reserved escape
-    /// classes — dimension-order XY when the XY run to its destination
-    /// is fault-free, the up*/down* spanning-tree route otherwise —
-    /// where it then stays until delivery. Small values drain
-    /// congestion faster but divert more traffic off the compiled
-    /// (fault-aware, shortest-path) routes. Unread when
-    /// `escape_vcs == 0`.
+    /// before the per-hop router also offers it the escape class, where
+    /// it then stays until delivery. Small values drain congestion
+    /// faster but divert more traffic off the compiled (fault-aware,
+    /// shortest-path) routes onto longer tree routes: on a loaded 64x64
+    /// mesh (100 faults, rate 0.003) RB2's p99 is ~650 cycles at 4 and
+    /// ~130 at 16 (the patience sweep indexed in `BENCH/README.md`).
+    /// Unread with escape off.
     pub patience: u32,
     /// Flits per packet (head + body + tail; 1 = head-only packet).
     pub packet_len: u32,
@@ -226,8 +220,8 @@ impl Default for SimConfig {
         SimConfig {
             vcs: 4,
             vc_depth: 4,
-            escape_vcs: 2,
-            patience: 4,
+            escape: true,
+            patience: 16,
             packet_len: 4,
             rate: 0.01,
             warmup: 300,
@@ -281,8 +275,8 @@ impl SimConfig {
 
     /// Checks each field against the fabric's limits, before anything
     /// is built from it: `packet_len` is at least one flit, `rate` is a
-    /// probability, `vc_depth` fits the `u8` ring cursors, and
-    /// `escape_vcs` leaves an adaptive channel.
+    /// probability, `vc_depth` fits the `u8` ring cursors, and the
+    /// escape channel leaves an adaptive one.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.packet_len < 1 {
             return Err(ConfigError::EmptyPacket);
@@ -293,8 +287,8 @@ impl SimConfig {
         if !(1..=MAX_VC_DEPTH).contains(&self.vc_depth) {
             return Err(ConfigError::VcDepth(self.vc_depth));
         }
-        if self.escape_vcs >= self.vcs {
-            return Err(ConfigError::EscapeVcs { escape_vcs: self.escape_vcs, vcs: self.vcs });
+        if self.vcs <= usize::from(self.escape) {
+            return Err(ConfigError::NoAdaptiveVc(self.vcs));
         }
         Ok(())
     }
@@ -323,10 +317,10 @@ impl SimConfig {
     }
 
     /// This config with per-hop escape routing disabled
-    /// ([`escape_vcs`](SimConfig::escape_vcs) `= 0`). Builder, like the
-    /// rest of the `with_*` family.
+    /// ([`escape`](SimConfig::escape) off). Builder, like the rest of
+    /// the `with_*` family.
     pub fn without_escape(self) -> Self {
-        SimConfig { escape_vcs: 0, ..self }
+        SimConfig { escape: false, ..self }
     }
 }
 
@@ -340,8 +334,8 @@ mod tests {
         assert!(c.vc_depth >= 2, "depth < 2 cannot stream at link rate");
         assert!(c.packet_len >= 1);
         assert!((0.0..=1.0).contains(&c.rate));
-        assert!(c.escape_vcs < c.vcs, "escape class must leave adaptive channels");
-        assert!(c.escape_vcs >= 1, "escape routing is on by default");
+        assert!(c.escape, "escape routing is on by default");
+        assert!(c.vcs >= 2, "the escape channel must leave adaptive channels");
         assert!(c.stats_window > 0, "streaming windows should be on by default");
         assert_eq!(c.threads, 0, "thread count should default to auto");
         assert!(c.fault_churn.is_empty(), "no churn by default");
@@ -359,10 +353,7 @@ mod tests {
             (SimConfig { rate: 1.5, ..base() }, ConfigError::Rate(1.5)),
             (SimConfig { vc_depth: 0, ..base() }, ConfigError::VcDepth(0)),
             (SimConfig { vc_depth: 256, ..base() }, ConfigError::VcDepth(256)),
-            (
-                SimConfig { escape_vcs: 4, ..base() },
-                ConfigError::EscapeVcs { escape_vcs: 4, vcs: 4 },
-            ),
+            (SimConfig { vcs: 1, ..base() }, ConfigError::NoAdaptiveVc(1)),
         ];
         for (cfg, why) in rejected {
             assert_eq!(cfg.validate(), Err(why));
@@ -378,8 +369,12 @@ mod tests {
         assert_eq!(SimConfig::default().validate(), Ok(()));
         assert_eq!(SimConfig::smoke().validate(), Ok(()));
         assert_eq!(SimConfig { vc_depth: 255, ..SimConfig::default() }.validate(), Ok(()));
-        // No cross-field rule: any patience goes with any channel split.
+        // Without escape one channel is enough, and any patience goes.
         assert_eq!(SimConfig::default().without_escape().validate(), Ok(()));
+        assert_eq!(
+            SimConfig { vcs: 1, ..SimConfig::default().without_escape() }.validate(),
+            Ok(())
+        );
         assert_eq!(SimConfig { patience: 0, ..SimConfig::default() }.validate(), Ok(()));
     }
 
@@ -397,7 +392,7 @@ mod tests {
         assert_eq!(c.obs, ObsLevel::Metrics);
         assert!(c.record_trace);
         let d = c.without_escape();
-        assert_eq!(d.escape_vcs, 0);
+        assert!(!d.escape);
         assert_eq!(d.rate, 0.125, "builders chain without losing fields");
     }
 
@@ -415,7 +410,7 @@ mod tests {
     #[test]
     fn without_escape_reserves_nothing_and_keeps_every_channel() {
         let c = SimConfig::default().without_escape();
-        assert_eq!(c.escape_vcs, 0);
+        assert!(!c.escape);
         assert_eq!(c.vcs, SimConfig::default().vcs, "channel count unchanged");
     }
 }

@@ -12,12 +12,12 @@
 //! has a single channel (one network interface per core).
 //!
 //! The `vcs` channels of every output port are partitioned into
-//! [`VcClass`]es: the low `vcs - escape_vcs` indices are *adaptive*
-//! (usable by any compiled route), the topmost index is the *tree
-//! escape* class (up*/down* spanning-forest traffic only), and any
-//! remaining reserved indices form the *XY escape* class (strict
-//! dimension-order traffic only); see [`crate::routing`] for why this
-//! keeps the escape networks deadlock-free.
+//! [`VcClass`]es: with escape on, the topmost index is the *escape*
+//! class (up*/down* spanning-forest traffic only) and the indices below
+//! it are *adaptive* (usable by any compiled route); with escape off
+//! every index is adaptive. See [`crate::routing`] for why this keeps
+//! the escape network deadlock-free, and why a band stamps every escape
+//! commitment with the epoch it was made under.
 //!
 //! Each cycle the switch allocator walks the output ports in fixed
 //! order and grants at most one flit per output port and one per input
@@ -249,19 +249,20 @@ pub(crate) struct PacketState {
     /// Flits in the packet.
     pub len: u32,
     /// The VC class the packet is committed to. Starts [`Adaptive`]
-    /// (follow the compiled route); set to an escape class by the
+    /// (follow the compiled route); set to the escape class by the
     /// fabric when an escape VC is granted, after which the packet
-    /// rides that class until delivery.
+    /// rides that class until delivery (or a publication drains it).
     ///
     /// [`Adaptive`]: VcClass::Adaptive
     pub mode: VcClass,
     /// Consecutive cycles the head has been parked without an output
     /// grant (escape-patience clock; reset on every grant).
     pub stalled: u32,
-    /// The admission epoch: which network snapshot this packet's route
-    /// was compiled against (fault churn). Always 0 without churn.
-    /// Online replanning re-keys a stranded packet onto the current
-    /// epoch.
+    /// The packet's epoch (fault churn; always 0 without it). On the
+    /// adaptive class, the network snapshot its route was compiled
+    /// against: admission, or the last online replan. From an escape
+    /// commitment on, the epoch of the forest it committed on — a later
+    /// publication drains it.
     pub epoch: u32,
     /// Set by an online router when the packet can no longer reach its
     /// destination (it sits on, or heads to, a node that failed after
@@ -475,8 +476,14 @@ pub(crate) struct Shard {
     mesh: Mesh,
     vcs: usize,
     vc_depth: usize,
-    /// VCs per output port reserved as the escape class (top indices).
-    escape_vcs: usize,
+    /// Whether the top VC of every output port is reserved as the
+    /// escape class.
+    escape: bool,
+    /// The current epoch: how many churn publications this band has
+    /// adopted. Every band adopts every publication ahead of the same
+    /// cycle, so the bands agree on it. Stamped on each packet injected
+    /// here and on each escape commitment made here.
+    pub(crate) epoch: u32,
     /// Global node ids `[start, end)` of the rows this band owns.
     start: usize,
     end: usize,
@@ -531,8 +538,8 @@ pub(crate) struct Shard {
     /// Per-`(local node, dir)` free-VC bitmask: bit `vc` is set while
     /// the output VC is allocatable (`owner == None && credits > 0`).
     free_mask: Vec<u32>,
-    /// VC-index masks of the three [`VcClass`]es.
-    class_masks: [u32; 3],
+    /// VC-index masks of the two [`VcClass`]es.
+    class_masks: [u32; 2],
     /// Active routers (local node indices): every node with
     /// `occ_mask != 0` is present (plus, transiently, nodes drained
     /// this cycle — removed lazily at their next visit).
@@ -552,12 +559,12 @@ impl Shard {
     /// the mesh height; see the module docs on the boundary-exchange
     /// protocol): band `r` of `R` owns rows `[r*H/R, (r+1)*H/R)`. Every
     /// directional input port carries `vcs` virtual channels of
-    /// `vc_depth` flits, the top `escape_vcs` of which form the reserved
-    /// escape class.
+    /// `vc_depth` flits, the top one of which is the reserved escape
+    /// class when `escape` is set.
     ///
     /// # Panics
-    /// Panics when `vcs` or `vc_depth` is zero, when `escape_vcs`
-    /// leaves no adaptive channel (`escape_vcs >= vcs`), when `vcs`
+    /// Panics when `vcs` or `vc_depth` is zero, when the escape channel
+    /// leaves no adaptive one (`escape` with `vcs == 1`), when `vcs`
     /// exceeds `MAX_VCS` = 12 (the occupancy/request bitmasks pack
     /// `IN_PORTS * vcs` slots into a `u64`), or when `vc_depth` exceeds
     /// `MAX_VC_DEPTH` = 255 (the flit-ring cursors and credit counters
@@ -566,7 +573,7 @@ impl Shard {
         mesh: Mesh,
         vcs: usize,
         vc_depth: usize,
-        escape_vcs: usize,
+        escape: bool,
         bands: usize,
     ) -> Vec<Shard> {
         assert!(vcs > 0, "need at least one virtual channel");
@@ -576,18 +583,18 @@ impl Shard {
             vc_depth <= MAX_VC_DEPTH,
             "vc_depth = {vc_depth} exceeds the flit-ring cursor limit of {MAX_VC_DEPTH} slots per VC"
         );
-        assert!(escape_vcs < vcs, "escape class must leave at least one adaptive VC");
+        assert!(vcs > usize::from(escape), "escape class must leave at least one adaptive VC");
         let height = mesh.height() as usize;
         let bands = bands.clamp(1, height);
         (0..bands)
             .map(|r| {
                 let rows = (r * height / bands)..((r + 1) * height / bands);
-                Shard::new(mesh, vcs, vc_depth, escape_vcs, rows)
+                Shard::new(mesh, vcs, vc_depth, escape, rows)
             })
             .collect()
     }
 
-    fn new(mesh: Mesh, vcs: usize, vc_depth: usize, escape_vcs: usize, rows: Range<usize>) -> Self {
+    fn new(mesh: Mesh, vcs: usize, vc_depth: usize, escape: bool, rows: Range<usize>) -> Self {
         let width = mesh.width() as usize;
         let nodes = width * (rows.end - rows.start);
         let bits = |r: Range<usize>| ((1u32 << r.end) - 1) & !((1u32 << r.start) - 1);
@@ -614,7 +621,8 @@ impl Shard {
             mesh,
             vcs,
             vc_depth,
-            escape_vcs,
+            escape,
+            epoch: 0,
             start: rows.start * width,
             end: rows.end * width,
             coords,
@@ -635,13 +643,13 @@ impl Shard {
             in_flight: 0,
             occ_mask: vec![0; nodes],
             free_mask: vec![bits(0..vcs); nodes * DIRS],
-            class_masks: [0; 3],
+            class_masks: [0; 2],
             worklist: Vec::new(),
             in_worklist: vec![false; nodes],
             head_cands: [HopCandidates::new(); MAX_SLOTS],
             head_pick: [(0, VcClass::Adaptive); MAX_SLOTS],
         };
-        for class in [VcClass::Adaptive, VcClass::EscapeXy, VcClass::EscapeTree] {
+        for class in [VcClass::Adaptive, VcClass::EscapeTree] {
             shard.class_masks[class as usize] = bits(shard.class_range(class));
         }
         shard
@@ -718,18 +726,14 @@ impl Shard {
             .map(move |k| self.rings[in_idx * depth + (v.q_head as usize + k) % depth])
     }
 
-    /// VC index range of a class on an output port. The topmost escape
-    /// channel is the tree class; remaining escape channels (if any)
-    /// are the XY class. With `escape_vcs == 1` the XY range is empty
-    /// and every escape allocation lands on the tree class.
+    /// VC index range of a class on an output port: the escape class is
+    /// the topmost channel when escape is on and empty otherwise.
     #[inline]
     fn class_range(&self, class: VcClass) -> Range<usize> {
-        let adaptive = self.vcs - self.escape_vcs;
-        let tree = self.vcs - usize::from(self.escape_vcs > 0);
+        let adaptive = self.vcs - usize::from(self.escape);
         match class {
             VcClass::Adaptive => 0..adaptive,
-            VcClass::EscapeXy => adaptive..tree,
-            VcClass::EscapeTree => tree..self.vcs,
+            VcClass::EscapeTree => adaptive..self.vcs,
         }
     }
 
@@ -1083,7 +1087,9 @@ impl Shard {
             let out_idx = self.out_idx(lnode, out_port, ov);
             // A granted head's traveling state moves on with it: bump
             // the hop count, reset the patience clock, and record an
-            // escape commitment when the granted VC is an escape class.
+            // escape commitment — stamped with this band's epoch, the
+            // forest it is made on — when the granted VC is an escape
+            // one.
             let mut grant_stalled = 0u32;
             let mut entered_escape = None;
             if flit.is_head {
@@ -1094,6 +1100,7 @@ impl Shard {
                 if let Some(class) = new_class {
                     if class != VcClass::Adaptive && st.mode == VcClass::Adaptive {
                         st.mode = class;
+                        st.epoch = self.epoch;
                         report.escape_entries += 1;
                         entered_escape = Some(class);
                     }
@@ -1177,10 +1184,10 @@ impl Shard {
     /// Escape-patience clock: heads still parked without an output
     /// after this cycle's allocation age by one. Only occupied slots of
     /// active routers can hold a parked head, so only those are
-    /// walked. Gated on the escape class existing — with no escape VCs
-    /// the counter is unused.
+    /// walked. Gated on the escape class existing — without it the
+    /// counter is unused.
     pub(crate) fn age_parked_heads<P: FabricProbe>(&mut self, probe: &mut P) {
-        if self.escape_vcs == 0 {
+        if !self.escape {
             return;
         }
         let slots = IN_PORTS * self.vcs;
@@ -1509,7 +1516,7 @@ impl Shard {
     /// order (see `step_bands`).
     #[cfg(test)]
     pub(crate) fn age_reference(&mut self) {
-        if self.escape_vcs == 0 {
+        if !self.escape {
             return;
         }
         for in_idx in 0..self.in_vcs.len() {
@@ -1717,8 +1724,8 @@ mod tests {
     }
 
     impl Fabric {
-        fn new(mesh: Mesh, vcs: usize, depth: usize, escape_vcs: usize, bands: usize) -> Self {
-            Fabric { mesh, shards: Shard::bands(mesh, vcs, depth, escape_vcs, bands) }
+        fn new(mesh: Mesh, vcs: usize, depth: usize, escape: bool, bands: usize) -> Self {
+            Fabric { mesh, shards: Shard::bands(mesh, vcs, depth, escape, bands) }
         }
 
         /// The band owning global node id `node`, and the node's local
@@ -1855,7 +1862,7 @@ mod tests {
     /// Drives one packet through an idle fabric (optionally sharded)
     /// and returns the cycle at which its tail was ejected.
     fn run_single_sharded(mesh: Mesh, path: &[Dir], len: u32, shards: usize) -> u64 {
-        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, 0, shards);
+        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, false, shards);
         let mut hop = ScriptedHop::new();
         let (s, d) = hop.script(Coord::new(0, 0), path);
         let mut worm = Worm::new(0, PacketState::new(s, d, 0, len));
@@ -1932,7 +1939,7 @@ mod tests {
         // The switch allocator must interleave them — both complete,
         // and neither is starved while the other's worm drains.
         let mesh = Mesh::square(4);
-        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, 0, 1);
+        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, false, 1);
         let mut hop = ScriptedHop::new();
         let len = 3u32;
         let (sa, da) = hop.script(Coord::new(0, 0), &[Dir::PlusX, Dir::PlusX]);
@@ -1976,7 +1983,7 @@ mod tests {
         // mid-flight. The traveling state must be findable there, and
         // gone once the packet delivered.
         let mesh = Mesh::square(4);
-        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, 0, 1);
+        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, false, 1);
         let mut hop = ScriptedHop::new();
         let (s, d) = hop.script(Coord::new(0, 0), &[Dir::PlusX, Dir::PlusX]);
         let mut worm = Worm::new(0, PacketState::new(s, d, 0, 2));
@@ -2016,8 +2023,8 @@ mod tests {
         assert_eq!(done, 5 + crate::PIPELINE_DEPTH + 11);
     }
 
-    /// A hop router that always offers both escape fallbacks; used to
-    /// pin the class partition and the escape commitment.
+    /// A hop router that always offers the escape fallback; used to pin
+    /// the class partition and the escape commitment.
     struct EscapeEager;
 
     impl HopRouter for EscapeEager {
@@ -2037,7 +2044,6 @@ mod tests {
             HopDecision::Route(
                 [
                     HopChoice { dir: Dir::PlusX, class: VcClass::Adaptive },
-                    HopChoice { dir: Dir::PlusX, class: VcClass::EscapeXy },
                     HopChoice { dir: Dir::PlusX, class: VcClass::EscapeTree },
                 ]
                 .into_iter()
@@ -2047,34 +2053,31 @@ mod tests {
     }
 
     #[test]
-    fn class_partition_reserves_the_top_indices() {
-        // 4 VCs, 2 escape: adaptive = {0, 1}, XY = {2}, tree = {3}.
+    fn class_partition_reserves_the_top_index() {
+        // 4 VCs with escape: adaptive = {0, 1, 2}, escape = {3}.
         let mesh = Mesh::square(4);
-        let f = &Shard::bands(mesh, 4, TEST_DEPTH, 2, 1)[0];
-        assert_eq!(f.class_range(VcClass::Adaptive), 0..2);
-        assert_eq!(f.class_range(VcClass::EscapeXy), 2..3);
+        let f = &Shard::bands(mesh, 4, TEST_DEPTH, true, 1)[0];
+        assert_eq!(f.class_range(VcClass::Adaptive), 0..3);
         assert_eq!(f.class_range(VcClass::EscapeTree), 3..4);
-        // 1 escape VC: no XY class, the reserved channel is the tree.
-        let f1 = &Shard::bands(mesh, 2, TEST_DEPTH, 1, 1)[0];
-        assert_eq!(f1.class_range(VcClass::Adaptive), 0..1);
-        assert!(f1.class_range(VcClass::EscapeXy).is_empty());
-        assert_eq!(f1.class_range(VcClass::EscapeTree), 1..2);
-        // No escape VCs: everything is adaptive, both escape ranges
-        // empty (escape candidates can never allocate).
-        let f0 = &Shard::bands(mesh, 2, TEST_DEPTH, 0, 1)[0];
+        let f2 = &Shard::bands(mesh, 2, TEST_DEPTH, true, 1)[0];
+        assert_eq!(f2.class_range(VcClass::Adaptive), 0..1);
+        assert_eq!(f2.class_range(VcClass::EscapeTree), 1..2);
+        // No escape: everything is adaptive, the escape range empty
+        // (escape candidates can never allocate).
+        let f0 = &Shard::bands(mesh, 2, TEST_DEPTH, false, 1)[0];
         assert_eq!(f0.class_range(VcClass::Adaptive), 0..2);
-        assert!(f0.class_range(VcClass::EscapeXy).is_empty());
         assert!(f0.class_range(VcClass::EscapeTree).is_empty());
     }
 
     #[test]
     fn escape_class_is_reserved_and_commitment_sticks() {
-        // 3 VCs, 2 escape: adaptive = {0}, XY = {1}, tree = {2}. Park a
-        // fake owner on the adaptive VC of the packet's output: the
-        // head must take the XY escape VC (the first feasible
-        // fallback), flip its mode, and count as an escape entry.
+        // 2 VCs with escape: adaptive = {0}, escape = {1}. Park a fake
+        // owner on the adaptive VC of the packet's output: the head
+        // must take the escape VC, flip its mode, take the band's epoch
+        // and count as an escape entry.
         let mesh = Mesh::square(4);
-        let mut f = Fabric::new(mesh, 3, TEST_DEPTH, 2, 1);
+        let mut f = Fabric::new(mesh, 2, TEST_DEPTH, true, 1);
+        f.shards[0].epoch = 3;
         let mut hop = EscapeEager;
         let src = Coord::new(0, 1);
         let dst = Coord::new(2, 1);
@@ -2083,12 +2086,10 @@ mod tests {
         f.set_test_owner(mesh.id(src).index(), Dir::PlusX as usize, 0, Some(999));
         f.feed(&mut Worm::new(b, PacketState::new(src, dst, 0, 1)));
         let mut entries = f.step(&mut hop, &mut ejected).escape_entries; // arrival lands
-        entries += f.step(&mut hop, &mut ejected).escape_entries; // head granted -> XY escape VC
-        assert_eq!(
-            f.packet_state(b).expect("in flight").mode,
-            VcClass::EscapeXy,
-            "adaptive held; B must take XY escape"
-        );
+        entries += f.step(&mut hop, &mut ejected).escape_entries; // head granted -> escape VC
+        let st = f.packet_state(b).expect("in flight");
+        assert_eq!(st.mode, VcClass::EscapeTree, "adaptive held; B must escape");
+        assert_eq!(st.epoch, 3, "the commitment carries the band's epoch");
         assert_eq!(entries, 1);
         // The escape commitment sticks across later hops.
         for _ in 0..10 {
@@ -2096,27 +2097,7 @@ mod tests {
         }
         assert_eq!(entries, 1, "one commitment per packet");
         let done = ejected.iter().find(|d| d.packet == b).expect("escaped packet must deliver");
-        assert_eq!(done.state.mode, VcClass::EscapeXy);
-    }
-
-    #[test]
-    fn tree_class_is_the_last_resort() {
-        // Same setup, but the XY escape VC is also held: the head must
-        // land on the tree class.
-        let mesh = Mesh::square(4);
-        let mut f = Fabric::new(mesh, 3, TEST_DEPTH, 2, 1);
-        let mut hop = EscapeEager;
-        let src = Coord::new(0, 1);
-        let dst = Coord::new(2, 1);
-        let mut ejected = Vec::new();
-        for v in [0, 1] {
-            f.set_test_owner(mesh.id(src).index(), Dir::PlusX as usize, v, Some(999));
-        }
-        f.feed(&mut Worm::new(0, PacketState::new(src, dst, 0, 1)));
-        let entries = f.step(&mut hop, &mut ejected).escape_entries
-            + f.step(&mut hop, &mut ejected).escape_entries;
-        assert_eq!(f.packet_state(0).expect("in flight").mode, VcClass::EscapeTree);
-        assert_eq!(entries, 1);
+        assert_eq!(done.state.mode, VcClass::EscapeTree);
     }
 
     #[test]
@@ -2124,7 +2105,7 @@ mod tests {
         // With escape VCs enabled, a head that cannot get a grant ages;
         // a granted head resets to zero.
         let mesh = Mesh::square(4);
-        let mut f = Fabric::new(mesh, 2, TEST_DEPTH, 1, 1);
+        let mut f = Fabric::new(mesh, 2, TEST_DEPTH, true, 1);
         let src = Coord::new(0, 0);
         let dst = Coord::new(2, 0);
         let mut hop = EscapeEager;
@@ -2143,7 +2124,7 @@ mod tests {
             f.step(&mut hop, &mut ejected);
             assert_eq!(f.packet_state(id).unwrap().stalled, want, "parked head must age");
         }
-        // Free the tree escape VC: the head moves and the clock resets.
+        // Free the escape VC: the head moves and the clock resets.
         f.set_test_owner(mesh.id(src).index(), Dir::PlusX as usize, 1, None);
         f.step(&mut hop, &mut ejected);
         assert_eq!(f.packet_state(id).unwrap().stalled, 0, "grant must reset the clock");
@@ -2154,7 +2135,7 @@ mod tests {
     fn every_node_belongs_to_one_band_at_its_offset() {
         for (w, h, shards) in [(1, 6, 2), (5, 3, 1), (7, 7, 3), (16, 9, 4), (4, 2, 5)] {
             let mesh = Mesh::new(w, h);
-            let bands = Shard::bands(mesh, 1, 2, 0, shards);
+            let bands = Shard::bands(mesh, 1, 2, false, shards);
             assert_eq!(bands.len(), shards.min(h as usize), "bands hold at least a row");
             for n in 0..mesh.len() {
                 assert_eq!(bands.iter().filter(|s| s.contains_node(n)).count(), 1);
@@ -2224,7 +2205,7 @@ mod tests {
         for (depth, shards) in [(2usize, 1usize), (2, 2), (3, 1), (3, 2)] {
             let len = (5 - depth) as u32; // never a multiple of depth
             let mesh = Mesh::square(4);
-            let f = Fabric::new(mesh, 1, depth, 0, shards);
+            let f = Fabric::new(mesh, 1, depth, false, shards);
             let mut hop = ScriptedHop::new();
             let (s, d) = hop.script(Coord::new(0, 0), &[Dir::PlusY; 3]);
             let dam = mesh.id(Coord::new(0, 2)).index();
@@ -2319,7 +2300,7 @@ mod tests {
         // messages all pass, mostly through routers with one occupied
         // input VC and now and then through a contended one.
         let mesh = Mesh::square(6);
-        let fabric = || Fabric::new(mesh, TEST_VCS, TEST_DEPTH, 0, 2);
+        let fabric = || Fabric::new(mesh, TEST_VCS, TEST_DEPTH, false, 2);
         let (mut event, mut scan) = (fabric(), fabric());
         let mut hop = ScriptedHop::new();
         use Dir::{MinusX, PlusX, PlusY};
@@ -2384,8 +2365,8 @@ mod tests {
         let mesh = Mesh::square(6);
         let view = NetView::build(FaultSet::none(mesh));
         let mut tables = [RoutingKind::Rb2; 2].map(|kind| PathTable::new(&view, kind));
-        let [mut r0, mut r1] = tables.each_mut().map(|table| EscapeHop::new(table, 4, 0));
-        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, 0, 2);
+        let [mut r0, mut r1] = tables.each_mut().map(|table| EscapeHop::new(table, 4, false));
+        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, false, 2);
         let (s, d) = (Coord::new(1, 0), Coord::new(1, 5));
         assert_eq!(r0.admit(s, d), Some(5));
         let mut worm = Worm::new(0, PacketState::new(s, d, 0, 2));
@@ -2406,7 +2387,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "flit-ring cursor limit of 255")]
     fn depths_beyond_the_ring_cursors_are_rejected() {
-        Shard::bands(Mesh::square(2), 1, 256, 0, 1);
+        Shard::bands(Mesh::square(2), 1, 256, false, 1);
     }
 
     #[test]
@@ -2418,7 +2399,7 @@ mod tests {
         // stepper, with the masks valid throughout.
         let run_mixed = |pick: fn(u64) -> bool, shards: usize| -> Vec<(u32, u64)> {
             let mesh = Mesh::square(4);
-            let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, 0, shards);
+            let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, false, shards);
             let mut hop = ScriptedHop::new();
             let len = 3u32;
             let (sa, da) = hop.script(Coord::new(0, 0), &[Dir::PlusX, Dir::PlusX]);

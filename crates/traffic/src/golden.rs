@@ -97,7 +97,7 @@ fn reference_stepper_plans_parked_heads_on_the_same_cycles() {
     let cfg = SimConfig {
         vcs: 4,
         vc_depth: 3,
-        escape_vcs: 0,
+        escape: false,
         patience: 4,
         packet_len: 4,
         rate: 0.35,
@@ -125,7 +125,7 @@ proptest! {
     fn event_driven_sharded_stepping_is_bit_identical_to_scan_order(
         draw in (
             (4u32..9, 0usize..5, 0usize..5, 0u64..0xffff_ffff),
-            (2usize..5, 0usize..3, 1u32..7, 0usize..5),
+            (2usize..5, 0usize..2, 1u32..7, 0usize..5),
             (1u32..5, 0usize..3, 0usize..2, 0usize..4),
         )
     ) {
@@ -165,15 +165,15 @@ proptest! {
             max_faults: 4,
         });
         let kind = RoutingKind::ALL[kind_ix];
-        // From 0 — the no-escape fabric, where `patience` is unread.
-        let escape_vcs = escape_raw.min(vcs - 1);
+        // Off — the no-escape fabric, where `patience` is unread — or on.
+        let escape = escape_raw == 1;
         // Rates from near-idle through past saturation: the equivalence
         // must hold when the fabric is empty, contended and wedged.
         let rate = [0.02, 0.05, 0.1, 0.2, 0.35][rate_ix];
         let cfg = SimConfig {
             vcs,
             vc_depth: 3,
-            escape_vcs,
+            escape,
             patience,
             packet_len,
             rate,

@@ -32,21 +32,20 @@
 //! full algorithm execution per distinct `(source, destination)` pair,
 //! then a lookup per hop), and the per-hop indirection is what enables
 //! Duato-style escape routing (`EscapeHop`): each output port
-//! reserves `escape_vcs` virtual channels as *escape classes* whose
-//! channel-dependency graphs are acyclic by construction — strict
-//! dimension-order XY (entered only past a fault-free XY run) and
-//! up*/down* routing on a spanning forest of the healthy nodes
-//! ([`EscapeForest`], available from *every* node). A head blocked past
-//! [`SimConfig::patience`] re-routes onto an escape class, escape traffic
-//! is guaranteed to drain, and so — per Duato's argument — the fabric
-//! cannot interlock: RB1/RB2/RB3 stay live at injection rates several
-//! times past the old onset.
+//! reserves its top virtual channel ([`SimConfig::escape`]) as an
+//! *escape class* whose channel-dependency graph is acyclic by
+//! construction — up*/down* routing on a spanning forest of the healthy
+//! nodes ([`EscapeForest`], available from *every* node). A head
+//! blocked past [`SimConfig::patience`] re-routes onto the escape class,
+//! escape traffic is guaranteed to drain, and so — per Duato's argument
+//! — the fabric cannot interlock: RB1/RB2/RB3 stay live at injection
+//! rates several times past the old onset.
 //!
 //! ## Layers
 //!
 //! * `routing` — the `HopRouter` trait and its implementation
 //!   `EscapeHop` (compiled-route replay on the adaptive class, plus
-//!   the XY and tree escape classes the fabric reserves channels for);
+//!   the tree escape class the fabric reserves a channel for);
 //!   the [`PathTable`] compiling the workspace's [`Router`]s
 //!   (RB1/RB2/RB3, fault-tolerant E-cube) and the dimension-order
 //!   `XyRouter` baseline.
@@ -67,10 +66,11 @@
 //!   cycles), a [`ChurnInjector`] handle and a seedable [`ChaosConfig`]
 //!   random schedule (churn-quantum boundaries) — one driver, one
 //!   epoch mechanism, the escape forest rebuilt per published event;
-//!   stranded in-flight packets are replanned or killed
-//!   (`churn_killed`), never wedged.
+//!   stranded in-flight packets, and escape commitments made on an
+//!   older forest, are replanned or killed (`churn_killed`), never
+//!   wedged.
 //! * [`stats`] — latency histograms and accepted-throughput accounting.
-//! * [`config`] — [`SimConfig`], including the `escape_vcs` partition
+//! * [`config`] — [`SimConfig`], including the escape channel
 //!   (checked by [`SimConfig::validate`]) and the escape `patience`.
 //!
 //! ## Observability
@@ -110,20 +110,20 @@
 //!   `(source, destination)` pair — valid because every router in this
 //!   workspace is deterministic per network — but they are consulted
 //!   per hop, not replayed from the packet header; see `routing`.
-//! * The XY escape class alone would not suffice on a faulty mesh: a
-//!   head parked where the XY walk to its destination crosses a fault
-//!   cannot use it, and cyclic waits among such heads deadlocked the
-//!   fabric in testing (at ~2x the source-routed onset). The up*/down*
-//!   tree class closes that hole — it reaches every destination a
-//!   routable packet can have — at the cost of non-minimal escape
-//!   paths. The deadlock detector is retained as a *liveness
-//!   assertion* (`deadlocked` in [`TrafficStats`]): with escape
-//!   enabled it firing would indicate a fabric bug, not an expected
-//!   outcome.
+//! * A dimension-order XY escape class would not suffice on a faulty
+//!   mesh: a head parked where the XY walk to its destination crosses
+//!   a fault cannot use it. The up*/down* tree class reaches every
+//!   destination a routable packet can have, at the cost of
+//!   non-minimal escape paths. Below capacity a minimal XY class
+//!   beside it measures no better at `patience` 16; far past capacity
+//!   it lets RB2 accept ~30 % more traffic on a 64x64 mesh (the
+//!   escape-class measurement indexed in `BENCH/README.md`). The
+//!   deadlock detector is retained as a *liveness assertion*
+//!   (`deadlocked` in [`TrafficStats`]): with escape enabled it firing
+//!   would indicate a fabric bug, not an expected outcome.
 //! * Escape traffic abandons the compiled (fault-aware, shortest-path)
-//!   route, so heavy escape use shifts measured latency toward the XY
-//!   baseline (or worse, tree detours); `escape_packets` in
-//!   [`TrafficStats`] reports how much traffic did.
+//!   route for tree detours; `escape_packets` in [`TrafficStats`]
+//!   reports how much traffic did.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,6 @@
 //! Per-hop routing functions for the wormhole fabric: the [`HopRouter`]
 //! trait and its one implementation, the Duato-style adaptive wrapper
-//! over compiled routes with XY and spanning-tree escape classes.
+//! over compiled routes with one spanning-tree escape class.
 //!
 //! ## Architecture
 //!
@@ -28,60 +28,46 @@
 //!   packet costs per table and kept by the fabric *beside* the
 //!   traveling [`PacketState`] (a handle names a slot of one table, so
 //!   it never crosses a shard edge: the next shard resolves its own);
-//! * the **tree class** compares pre-order interval labels of the
+//! * the **escape class** compares pre-order interval labels of the
 //!   spanning forest ([`EscapeForest::next_hop`]): "is the destination
 //!   in my subtree? then the child whose interval holds it, else my
-//!   parent" — no ancestor climb, no memo;
-//! * **XY clearance** (may a stalled head enter the XY class here?) is
-//!   two differences of row/column prefix fault counts of the current
-//!   fault set.
+//!   parent" — no ancestor climb, no memo.
 //!
 //! [`EscapeHop`] follows the compiled route on the adaptive class; when
-//! the head has been blocked for `patience` cycles it re-routes the
-//! packet onto a reserved escape class and finishes the trip there. Two
-//! escape classes exist, tried in order, each only when the fabric
-//! reserves a channel for it (with `escape_vcs == 0` there is none, and
-//! the router replays the compiled route unconditionally — the
-//! source-routed fabric, deadlock detected rather than avoided):
-//!
-//! 1. the **XY escape class** ([`VcClass::EscapeXy`]): strict
-//!    dimension-order XY, entered only when the XY walk from the
-//!    current node to the destination crosses no faulty node (under
-//!    the packet's epoch). Every XY hop strictly decreases the
-//!    dimension-order distance, so the class's channel-dependency
-//!    graph is acyclic (the classic DOR argument) and it drains under
-//!    any load.
-//! 2. the **tree escape class** ([`VcClass::EscapeTree`]): up*/down*
-//!    routing on a BFS spanning forest ([`EscapeForest`]). Tree
-//!    routes go child-to-root ("up") then root-to-child ("down");
-//!    forbidding down-to-up transitions totally orders the tree
-//!    channels, so this class is acyclic *regardless of the fault
-//!    pattern*.
-//!
-//! Per Duato's methodology, a blocked head that always has an
-//! eventual path onto a draining escape network cannot participate in
-//! a wormhole interlock: the XY class serves the common case with
-//! minimal paths, and the tree class closes the faulty-mesh hole
-//! (XY runs blocked by faults) with a guaranteed — if possibly long —
-//! last resort.
+//! the head has been blocked for `patience` cycles it is also offered
+//! the reserved escape class ([`VcClass::EscapeTree`]) and, once granted
+//! it, finishes the trip there. The escape class is up*/down* routing
+//! on a BFS spanning forest ([`EscapeForest`]): tree routes go
+//! child-to-root ("up") then root-to-child ("down"), and forbidding
+//! down-to-up transitions totally orders the tree channels, so the
+//! class is acyclic *regardless of the fault pattern* and reaches every
+//! destination a routable packet can have. Per Duato's methodology, a
+//! blocked head that always has an eventual path onto a draining escape
+//! network cannot take part in a wormhole interlock. Without a reserved
+//! channel (`SimConfig::escape` off) the router replays the compiled
+//! route unconditionally — the source-routed fabric, deadlock detected
+//! rather than avoided.
 //!
 //! Under **churn** (events published mid-run via
 //! [`HopRouter::publish`], whether listed ahead of time or injected
 //! live) the escape substrate tracks the *current* fault set: each
-//! published event rebuilds the forest ([`EscapeForest::new`]) and the
-//! prefix counts over the published fault set — whole, because below
-//! the percolation threshold the healthy mesh is one giant component
+//! published event rebuilds the forest ([`EscapeForest::new`]) over the
+//! published fault set — whole, because below the percolation threshold
+//! the healthy mesh is one giant component
 //! and there is no smaller dirty part to rebuild
 //! (`BENCH/pr19-forest-publish.json`). Repaired nodes regain the tree
 //! class, and packets stranded by a fresh fault are replanned under the
 //! new epoch (which re-keys their handle) or killed (the `churn_killed`
-//! stat) instead of wedging.
+//! stat) instead of wedging. A packet
+//! committed to the tree under an older epoch is killed too: the rebuilt
+//! forest orders the same channels differently, so routing it on would
+//! compose two up*/down* orders into a cyclic wait.
 
 use std::collections::hash_map::Entry;
 
 use meshpath_mesh::{Coord, Dir, FaultSet, FxHashMap, HopSeq, NodeId};
 use meshpath_route::oracle::{DistanceField, UNREACHABLE};
-use meshpath_route::{xy_next, HopState, NetView, Router};
+use meshpath_route::{HopState, NetView, Router};
 
 pub(crate) use meshpath_route::RoutingKind;
 
@@ -89,24 +75,18 @@ use crate::fabric::PacketState;
 
 /// The virtual-channel classes of the fabric.
 ///
-/// The fabric partitions each output port's `vcs` virtual channels into
-/// `vcs - escape_vcs` *adaptive* channels (the low indices, usable by
-/// any compiled route) and `escape_vcs` reserved *escape* channels (the
-/// top indices). The topmost escape channel is the tree class; any
-/// remaining escape channels form the XY class. Restricting each escape
-/// class to one acyclic routing function (strict dimension-order XY,
-/// up*/down* tree order) keeps its channel-dependency graph
-/// cycle-free, which is what lets escape traffic drain under any load;
-/// keeping the two classes on disjoint channels keeps their dependency
-/// graphs from composing into a cycle.
+/// With escape on, the fabric reserves the top virtual channel of each
+/// output port for the *escape* class and leaves the `vcs - 1` below it
+/// *adaptive* (usable by any compiled route); with escape off every
+/// channel is adaptive. Restricting the escape class to one acyclic
+/// routing function (up*/down* tree order) keeps its channel-dependency
+/// graph cycle-free, which is what lets escape traffic drain under any
+/// load.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum VcClass {
     /// The unrestricted class: compiled (possibly detouring) routes.
     Adaptive,
-    /// The reserved XY escape class: strict dimension-order XY only,
-    /// entered only past a fault-free XY run.
-    EscapeXy,
-    /// The reserved tree escape class: up*/down* spanning-forest routes
+    /// The reserved escape class: up*/down* spanning-forest routes
     /// only — the always-available last resort.
     EscapeTree,
 }
@@ -130,7 +110,7 @@ pub(crate) struct HopChoice {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct HopCandidates {
     len: u8,
-    arr: [HopChoice; 3],
+    arr: [HopChoice; 2],
 }
 
 impl Default for HopCandidates {
@@ -145,11 +125,10 @@ impl HopCandidates {
 
     /// An empty candidate list (the head waits this cycle).
     pub(crate) const fn new() -> Self {
-        HopCandidates { len: 0, arr: [HopCandidates::FILLER; 3] }
+        HopCandidates { len: 0, arr: [HopCandidates::FILLER; 2] }
     }
 
-    /// Appends a candidate (capacity 3: adaptive, XY escape, tree
-    /// escape).
+    /// Appends a candidate (capacity 2: adaptive, escape).
     ///
     /// # Panics
     /// Panics when the list is full.
@@ -735,87 +714,28 @@ impl EscapeForest {
     }
 }
 
-/// Whether the dimension-order XY walk between two nodes crosses only
-/// healthy nodes, answered from prefix fault counts of one fault set:
-/// [`xy_path_clear`] as four array reads instead of a walk.
-struct XyClearance {
-    /// `row[y * row_stride + x]`: faults of row `y` at columns `< x`
-    /// (`row_stride = width + 1`).
-    row: Vec<u32>,
-    row_stride: usize,
-    /// `col[x * col_stride + y]`: faults of column `x` at rows `< y`
-    /// (`col_stride = height + 1`).
-    col: Vec<u32>,
-    col_stride: usize,
-}
-
-impl XyClearance {
-    fn new(faults: &FaultSet) -> Self {
-        let mesh = faults.mesh();
-        let (w, h) = (mesh.width() as usize, mesh.height() as usize);
-        let (row_stride, col_stride) = (w + 1, h + 1);
-        let mut row = vec![0u32; row_stride * h];
-        let mut col = vec![0u32; col_stride * w];
-        for c in mesh.iter() {
-            let (x, y) = (c.x as usize, c.y as usize);
-            let faulty = u32::from(faults.is_faulty(c));
-            row[y * row_stride + x + 1] = row[y * row_stride + x] + faulty;
-            col[x * col_stride + y + 1] = col[x * col_stride + y] + faulty;
-        }
-        XyClearance { row, row_stride, col, col_stride }
-    }
-
-    /// [`xy_path_clear`] for in-mesh `here` and `dst`: no fault on row
-    /// `here.y` from past `here.x` through `dst.x`, nor on column
-    /// `dst.x` from past `here.y` through `dst.y`.
-    #[inline]
-    fn clear(&self, here: Coord, dst: Coord) -> bool {
-        // The half-open index range covering `(from, to]` in walk order.
-        let run = |from: i32, to: i32| {
-            if to >= from {
-                (from as usize + 1, to as usize + 1)
-            } else {
-                (to as usize, from as usize)
-            }
-        };
-        let (x0, x1) = run(here.x, dst.x);
-        let (y0, y1) = run(here.y, dst.y);
-        let r = here.y as usize * self.row_stride;
-        let c = dst.x as usize * self.col_stride;
-        self.row[r + x0] == self.row[r + x1] && self.col[c + y0] == self.col[c + y1]
-    }
-}
-
 /// The Duato-style adaptive wrapper: compiled routes on the adaptive
 /// class; once a head has been blocked `patience` consecutive cycles it
-/// is offered the escape classes the fabric reserves a channel for —
-/// dimension-order XY when the XY walk to the destination is fault-free
-/// under the current fault set, and the up*/down* tree route as the
-/// always-available last resort. With no reserved channel it offers the
-/// compiled hop and nothing else, at any stall.
+/// is also offered the up*/down* tree route on the escape class, when
+/// the fabric reserves a channel for it. With no reserved channel it
+/// offers the compiled hop and nothing else, at any stall.
 ///
-/// A packet that takes an escape channel is committed: it stays on that
+/// A packet that takes the escape channel is committed: it stays on the
 /// escape class until delivery, so escape packets only ever wait on
-/// channels of their own (acyclic) class and are guaranteed to drain.
+/// channels of their own (acyclic) class and are guaranteed to drain —
+/// as long as they all route on one forest. The fabric therefore stamps
+/// the commitment with the band's current epoch, and a publication
+/// (which rebuilds the forest) drains every commitment older than it.
 ///
-/// Nothing here is memoized: every class's decision is a few array
-/// reads (see the module docs), and [`publish`](HopRouter::publish)
-/// rebuilds what they read — the forest and the prefix counts — for
-/// the new fault set.
+/// Nothing here is memoized: a decision is a few array reads (see the
+/// module docs), and [`publish`](HopRouter::publish) rebuilds the forest
+/// for the new fault set.
 pub(crate) struct EscapeHop<'p> {
     paths: &'p mut PathTable,
     patience: u32,
-    /// XY clearance under the current fault set — the only one ever
-    /// asked about: offline a packet's admission epoch *is* the current
-    /// one, online clearance must hold under the current faults (the
-    /// admission epoch may predate them). `None` when the fabric has no
-    /// XY escape class (`escape_vcs < 2`): with only the tree channel
-    /// reserved, XY candidates could never allocate, so offering them
-    /// would be pure waste.
-    xy: Option<XyClearance>,
     /// The spanning forest over the current fault set's healthy nodes,
     /// rebuilt per published event. `None` when the fabric reserves no
-    /// escape channel at all (`escape_vcs == 0`).
+    /// escape channel.
     forest: Option<EscapeForest>,
     /// Set by the first [`publish`](HopRouter::publish): faults may now
     /// postdate a packet's admission, so decide kills or replans
@@ -824,28 +744,25 @@ pub(crate) struct EscapeHop<'p> {
 }
 
 impl<'p> EscapeHop<'p> {
-    /// A router over `paths`' compiled routes for a fabric reserving
-    /// `escape_vcs` channels per port: the tree class exists from one
-    /// reserved channel, the XY class from two, and only what a class
-    /// reads is built.
-    pub(crate) fn new(paths: &'p mut PathTable, patience: u32, escape_vcs: usize) -> Self {
-        let faults = paths.view().faults();
-        let forest = (escape_vcs >= 1).then(|| EscapeForest::new(faults));
-        let xy = (escape_vcs >= 2).then(|| XyClearance::new(faults));
-        EscapeHop { paths, patience, xy, forest, online: false }
+    /// A router over `paths`' compiled routes for a fabric that reserves
+    /// an escape channel (`escape`) or not; the forest is built only
+    /// for the former.
+    pub(crate) fn new(paths: &'p mut PathTable, patience: u32, escape: bool) -> Self {
+        let forest = escape.then(|| EscapeForest::new(paths.view().faults()));
+        EscapeHop { paths, patience, forest, online: false }
     }
 
-    /// The spanning forest backing the tree escape class, if the fabric
-    /// has one.
+    /// The spanning forest backing the escape class, if the fabric has
+    /// one.
     #[cfg(test)]
     pub(crate) fn forest(&self) -> Option<&EscapeForest> {
         self.forest.as_ref()
     }
 
-    /// The tree-class candidate, or `None` when there is no tree class
-    /// or its forest cannot serve the pair — the latter possible only
-    /// under churn: a fresh fault cut `here` off `dst`'s component (or
-    /// took `here` itself).
+    /// The escape-class candidate, or `None` when there is no escape
+    /// class or its forest cannot serve the pair — the latter possible
+    /// only under churn: a fresh fault cut `here` off `dst`'s component
+    /// (or took `here` itself).
     fn tree_choice(&self, here: Coord, dst: Coord) -> Option<HopChoice> {
         let dir = self.forest.as_ref()?.next_hop(self.paths.view().mesh(), here, dst)?;
         Some(HopChoice { dir, class: VcClass::EscapeTree })
@@ -867,27 +784,23 @@ impl HopRouter for EscapeHop<'_> {
             return done;
         }
         match pk.mode {
-            // Committed to an escape network: ride it to the end.
-            VcClass::EscapeXy => {
-                let dir = xy_next(here, pk.dst);
-                if self.online && !self.paths.view().faults().is_healthy(here.step(dir)) {
-                    // A fresh fault landed on the committed XY run; the
-                    // class cannot deviate, so drain the packet.
-                    pk.killed = true;
-                    return HopDecision::Eject;
+            // Committed to the tree: ride it to the end, on the forest
+            // the packet committed on. The fabric stamps `pk.epoch` at
+            // the commitment; an older epoch than the current one means
+            // a publication has since rebuilt the forest, which orders
+            // the same channels differently — routing on could close a
+            // cyclic wait across the two orders, so the packet drains.
+            VcClass::EscapeTree => {
+                let current = pk.epoch == self.paths.current_epoch();
+                match self.tree_choice(here, pk.dst) {
+                    Some(c) if current => HopDecision::route1(c),
+                    _ => {
+                        assert!(self.online, "tree commitment implies a forest route");
+                        pk.killed = true;
+                        HopDecision::Eject
+                    }
                 }
-                HopDecision::route1(HopChoice { dir, class: VcClass::EscapeXy })
             }
-            VcClass::EscapeTree => match self.tree_choice(here, pk.dst) {
-                Some(c) => HopDecision::route1(c),
-                None => {
-                    // Only reachable online: a fresh fault cut the pair
-                    // off the re-provisioned forest.
-                    assert!(self.online, "tree commitment implies a forest route");
-                    pk.killed = true;
-                    HopDecision::Eject
-                }
-            },
             VcClass::Adaptive => {
                 let Some(dir) = self.paths.adaptive_dir(self.online, here, pk, route) else {
                     // Stranded: fall back to the tree, or kill.
@@ -902,9 +815,6 @@ impl HopRouter for EscapeHop<'_> {
                 let mut c = HopCandidates::new();
                 c.push(HopChoice { dir, class: VcClass::Adaptive });
                 if pk.stalled >= self.patience {
-                    if self.xy.as_ref().is_some_and(|xy| xy.clear(here, pk.dst)) {
-                        c.push(HopChoice { dir: xy_next(here, pk.dst), class: VcClass::EscapeXy });
-                    }
                     if let Some(tree) = self.tree_choice(here, pk.dst) {
                         c.push(tree);
                     }
@@ -920,9 +830,6 @@ impl HopRouter for EscapeHop<'_> {
         if let Some(forest) = &mut self.forest {
             *forest = EscapeForest::new(view.faults());
         }
-        if let Some(xy) = &mut self.xy {
-            *xy = XyClearance::new(view.faults());
-        }
     }
 }
 
@@ -931,24 +838,24 @@ mod tests {
     use super::*;
     use crate::config::ChurnOp;
     use meshpath_mesh::{FaultSet, Mesh};
-    use meshpath_route::{xy_path_clear, Rb2};
+    use meshpath_route::Rb2;
 
     #[test]
     fn candidate_lists_compare_by_their_pushed_prefix() {
-        // Every list of up to three choices over an alphabet that
+        // Every list of up to two choices over an alphabet that
         // includes the filler value unused entries hold.
         let alphabet = [
             HopCandidates::FILLER,
-            HopChoice { dir: Dir::MinusY, class: VcClass::EscapeXy },
+            HopChoice { dir: Dir::MinusY, class: VcClass::EscapeTree },
             HopChoice { dir: Dir::PlusX, class: VcClass::EscapeTree },
         ];
         let mut lists: Vec<Vec<HopChoice>> = vec![Vec::new()];
-        for len in 0..3 {
+        for len in 0..2 {
             for base in lists.clone().into_iter().filter(|l| l.len() == len) {
                 lists.extend(alphabet.iter().map(|&c| [base.as_slice(), &[c]].concat()));
             }
         }
-        assert_eq!(lists.len(), 1 + 3 + 9 + 27);
+        assert_eq!(lists.len(), 1 + 3 + 9);
         for a in &lists {
             let ca: HopCandidates = a.iter().copied().collect();
             assert_eq!(ca.iter().collect::<Vec<_>>(), *a);
@@ -1092,7 +999,7 @@ mod tests {
         let net = NetView::build(FaultSet::none(Mesh::square(8)));
         let mut t = PathTable::new(&net, RoutingKind::Rb2);
         let (s, d) = (Coord::new(0, 0), Coord::new(3, 2));
-        let mut hop = EscapeHop::new(&mut t, 4, 0);
+        let mut hop = EscapeHop::new(&mut t, 4, false);
         let hops = hop.admit(s, d).expect("routable");
         assert_eq!(hops, 5);
         let mut pk = PacketState::new(s, d, 0, 1);
@@ -1121,14 +1028,11 @@ mod tests {
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
         let mut t = PathTable::new(&v0, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut t, cfg.patience, cfg.escape_vcs);
+        let mut hop = EscapeHop::new(&mut t, cfg.patience, cfg.escape);
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
         hop.admit(s, d).expect("clear row");
         let offered = |hop: &mut EscapeHop<'_>, here: Coord, pk: &PacketState| {
-            assert!(
-                hop.forest().is_none() && hop.xy.is_none(),
-                "built for a class with no channel"
-            );
+            assert!(hop.forest().is_none(), "built for a class with no channel");
             for stalled in [0, cfg.patience, 10_000] {
                 let mut pk = PacketState { stalled, ..*pk };
                 let decision = hop.decide(here, &mut pk, &mut { RouteHandle::UNRESOLVED });
@@ -1164,12 +1068,11 @@ mod tests {
     }
 
     #[test]
-    fn escape_hop_offers_classes_by_patience_and_clearance() {
+    fn escape_hop_offers_the_tree_past_patience_and_commitments_stick() {
         let mesh = Mesh::square(8);
         let net = NetView::build(FaultSet::from_coords(mesh, [Coord::new(5, 3)]));
         let mut t = PathTable::new(&net, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut t, 4, 2);
-        // XY from (2,3) to (7,3) crosses the fault at (5,3).
+        let mut hop = EscapeHop::new(&mut t, 4, true);
         let (s, d) = (Coord::new(2, 3), Coord::new(7, 3));
         hop.admit(s, d).expect("RB2 routes around the fault");
         let mut fresh = PacketState::new(s, d, 0, 1);
@@ -1178,62 +1081,26 @@ mod tests {
             classes(hop.decide(s, &mut fresh, &mut { RouteHandle::UNRESOLVED })),
             vec![VcClass::Adaptive]
         );
-        // Past patience but XY blocked by (5,3): adaptive + tree, no XY.
+        // Past patience: the adaptive hop, then the tree hop.
         let mut stalled = fresh;
         stalled.stalled = 10;
-        assert_eq!(
-            classes(hop.decide(s, &mut stalled, &mut { RouteHandle::UNRESOLVED })),
-            vec![VcClass::Adaptive, VcClass::EscapeTree],
-            "blocked XY run must not be offered"
-        );
-        // Past patience with a clear XY run: all three, XY before tree.
-        let (s2, d2) = (Coord::new(2, 0), Coord::new(2, 6));
-        hop.admit(s2, d2).expect("clear pair");
-        let mut stalled2 = PacketState::new(s2, d2, 0, 1);
-        stalled2.stalled = 10;
-        match hop.decide(s2, &mut stalled2, &mut { RouteHandle::UNRESOLVED }) {
+        let tree = hop.tree_choice(s, d).expect("a connected pair has a tree route");
+        match hop.decide(s, &mut stalled, &mut { RouteHandle::UNRESOLVED }) {
             HopDecision::Route(c) => {
                 let v: Vec<_> = c.iter().collect();
-                assert_eq!(
-                    v.iter().map(|x| x.class).collect::<Vec<_>>(),
-                    vec![VcClass::Adaptive, VcClass::EscapeXy, VcClass::EscapeTree]
-                );
-                assert_eq!(v[1].dir, Dir::PlusY, "XY escape corrects Y on a clear column");
+                assert_eq!(v[0].class, VcClass::Adaptive);
+                assert_eq!(v[1..], [tree]);
             }
             HopDecision::Eject => panic!("not at destination"),
         }
-        // Once committed to XY escape: that class only, strict XY.
-        let mut escaped = stalled2;
-        escaped.mode = VcClass::EscapeXy;
-        assert_eq!(
-            classes(hop.decide(s2, &mut escaped, &mut { RouteHandle::UNRESOLVED })),
-            vec![VcClass::EscapeXy]
-        );
-        // Once committed to the tree: that class only.
-        let mut treed = stalled2;
-        treed.mode = VcClass::EscapeTree;
-        assert_eq!(
-            classes(hop.decide(s2, &mut treed, &mut { RouteHandle::UNRESOLVED })),
-            vec![VcClass::EscapeTree]
-        );
-    }
-
-    #[test]
-    fn escape_hop_without_xy_class_never_offers_xy() {
-        // escape_vcs == 1 fabric: only the tree channel is reserved, so
-        // the router must not offer (or evaluate clearance for) XY.
-        let net = NetView::build(FaultSet::none(Mesh::square(8)));
-        let mut t = PathTable::new(&net, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut t, 4, 1);
-        let (s, d) = (Coord::new(1, 1), Coord::new(6, 6));
-        hop.admit(s, d).expect("clear pair");
-        let mut stalled = PacketState::new(s, d, 0, 1);
-        stalled.stalled = 10;
-        assert_eq!(
-            classes(hop.decide(s, &mut stalled, &mut { RouteHandle::UNRESOLVED })),
-            vec![VcClass::Adaptive, VcClass::EscapeTree],
-            "XY candidate requires a reserved XY channel"
-        );
+        // Once committed to the tree: that class only, at any stall.
+        for stalled in [0, 10] {
+            let mut treed = PacketState { stalled, mode: VcClass::EscapeTree, ..fresh };
+            assert_eq!(
+                hop.decide(s, &mut treed, &mut { RouteHandle::UNRESOLVED }),
+                HopDecision::route1(tree)
+            );
+        }
     }
 
     #[test]
@@ -1398,7 +1265,7 @@ mod tests {
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
         let mut table = PathTable::new(&v0, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut table, patience, 2);
+        let mut hop = EscapeHop::new(&mut table, patience, true);
         for (epoch, op) in (1..).zip(churn_script()) {
             let view = match op {
                 ChurnOp::Fail(c) => state.add_fault(c),
@@ -1407,7 +1274,7 @@ mod tests {
             .expect("a valid event");
             hop.publish(&view);
             let mut fresh_table = PathTable::new(&view, RoutingKind::Rb2);
-            let mut fresh = EscapeHop::new(&mut fresh_table, patience, 2);
+            let mut fresh = EscapeHop::new(&mut fresh_table, patience, true);
             assert_eq!(hop.forest(), fresh.forest(), "after {op:?}");
             for here in mesh.iter() {
                 for dst in mesh.iter().filter(|&dst| dst != here) {
@@ -1427,8 +1294,8 @@ mod tests {
                     if admitted.is_none() {
                         continue; // cut apart: never in the fabric
                     }
-                    // Stalled past patience: the adaptive hop, the XY
-                    // candidate when the run is clear, the tree hop.
+                    // Stalled past patience: the adaptive hop, then the
+                    // tree hop.
                     let mut pk = PacketState::new(here, dst, 0, 1);
                     pk.stalled = patience;
                     let expected = fresh.decide(here, &mut pk, &mut { RouteHandle::UNRESOLVED });
@@ -1503,54 +1370,6 @@ mod tests {
             }
             assert_next_hop_matches_the_climb(&EscapeForest::new(&faults), &faults);
         }
-
-        /// Prefix-count XY clearance is `xy_path_clear`, for every
-        /// ordered pair of nodes, under the initial fault set and again
-        /// under the one each publication leaves.
-        #[test]
-        fn prefix_count_xy_clearance_equals_the_walk(
-            draw in (
-                (1u32..8, 1u32..7),
-                proptest::collection::vec(0usize..1000, 0..10),
-                proptest::collection::vec(0usize..1000, 1..4),
-            )
-        ) {
-            let ((w, h), picks, events) = draw;
-            let mesh = Mesh::new(w, h);
-            let node = |pick: usize| mesh.coord(meshpath_mesh::NodeId((pick % mesh.len()) as u32));
-            let mut state = meshpath_route::NetState::new(FaultSet::from_coords(
-                mesh,
-                picks.into_iter().map(node),
-            ));
-            let view = state.view();
-            let mut t = PathTable::new(&view, RoutingKind::Xy);
-            let mut hop = EscapeHop::new(&mut t, 4, 2);
-            let check = |hop: &EscapeHop<'_>, faults: &FaultSet| {
-                let xy = hop.xy.as_ref().expect("the XY class is on");
-                for here in mesh.iter() {
-                    for dst in mesh.iter() {
-                        assert_eq!(
-                            xy.clear(here, dst),
-                            xy_path_clear(faults, here, dst),
-                            "{here:?} -> {dst:?} with faults {:?}",
-                            faults.iter().collect::<Vec<_>>()
-                        );
-                    }
-                }
-            };
-            check(&hop, view.faults());
-            for pick in events {
-                let c = node(pick);
-                let next = if state.view().faults().is_healthy(c) {
-                    state.add_fault(c)
-                } else {
-                    state.remove_fault(c)
-                }
-                .expect("a toggle is a valid event");
-                hop.publish(&next);
-                check(&hop, next.faults());
-            }
-        }
     }
 
     #[test]
@@ -1559,7 +1378,7 @@ mod tests {
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
         let mut t = PathTable::new(&v0, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut t, 4, 2);
+        let mut hop = EscapeHop::new(&mut t, 4, true);
         let node = Coord::new(4, 4);
         assert!(hop.tree_choice(node, Coord::new(0, 0)).is_some(), "on the initial forest");
 
@@ -1587,7 +1406,7 @@ mod tests {
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
         let mut t = PathTable::new(&v0, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut t, 4, 2);
+        let mut hop = EscapeHop::new(&mut t, 4, true);
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
         hop.admit(s, d).expect("clear row");
         let mut pk = PacketState::new(s, d, 0, 1);
@@ -1634,5 +1453,38 @@ mod tests {
         hop.publish(&v2);
         assert_eq!(hop.decide(here, &mut pk, &mut route), HopDecision::Eject);
         assert!(pk.killed, "a packet to a failed destination is accounted as churn-killed");
+    }
+
+    #[test]
+    fn a_publication_drains_tree_commitments_made_on_the_old_forest() {
+        let mesh = Mesh::square(8);
+        let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
+        let v0 = state.view();
+        let mut t = PathTable::new(&v0, RoutingKind::Rb2);
+        let mut hop = EscapeHop::new(&mut t, 4, true);
+        let (here, dst) = (Coord::new(1, 1), Coord::new(6, 6));
+        // A packet that committed to the tree under `epoch` (the fabric
+        // stamps it at the grant), parked at `here`.
+        let committed = |epoch| PacketState {
+            mode: VcClass::EscapeTree,
+            epoch,
+            ..PacketState::new(here, dst, 0, 1)
+        };
+        // A failure, then its repair, both off the pair's endpoints: each
+        // publication rebuilds the forest.
+        let node = Coord::new(4, 4);
+        let events = [state.add_fault(node), state.remove_fault(node)];
+        for (epoch, view) in (1..).zip(events) {
+            hop.publish(&view.expect("a valid event"));
+            let mut stale = committed(epoch - 1);
+            let decision = hop.decide(here, &mut stale, &mut { RouteHandle::UNRESOLVED });
+            assert_eq!(decision, HopDecision::Eject, "epoch {epoch}");
+            assert!(stale.killed, "a commitment on the old forest drains (epoch {epoch})");
+            let mut current = committed(epoch);
+            let tree = hop.tree_choice(here, dst).expect("the pair is connected");
+            let decision = hop.decide(here, &mut current, &mut { RouteHandle::UNRESOLVED });
+            assert_eq!(decision, HopDecision::route1(tree), "epoch {epoch}");
+            assert!(!current.killed);
+        }
     }
 }

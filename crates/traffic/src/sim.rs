@@ -226,7 +226,7 @@ struct GenDelta {
 /// sums) by the coordinator.
 #[derive(Default)]
 struct CycleDone {
-    /// What plan/grant moved, ejected and committed to escape classes.
+    /// What plan/grant moved, ejected and committed to the escape class.
     step: StepReport,
     injected_any: bool,
     in_flight: u64,
@@ -364,10 +364,6 @@ struct ShardWorker<'a, P: FabricProbe> {
     mesh: Mesh,
     /// Destinations are drawn from the current epoch's healthy nodes.
     sampler: DestSampler,
-    /// The current epoch: how many churn publications this worker has
-    /// adopted. Identical across workers — every worker receives every
-    /// publication ahead of the same boundary cycle.
-    epoch: u32,
     /// Epochs adopted since the last cycle ran, whose source-liveness
     /// refresh is still due: it reports its queue drops into the first
     /// cycle of the epoch.
@@ -427,7 +423,6 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             router,
             mesh: *base.mesh(),
             sampler: DestSampler::new(base.faults()),
-            epoch: 0,
             adopted: Vec::new(),
             cfg,
             ttl,
@@ -458,12 +453,12 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         match go {
             // Adopted on arrival — the publication precedes the first
             // cycle of its epoch on this worker's lane: re-provision
-            // the hop router (escape forest and XY clearance rebuilt,
-            // route cache for the new epoch) and redraw the sampler.
+            // the hop router (escape forest rebuilt, route cache for the
+            // new epoch), redraw the sampler and move the band's epoch.
             Go::Publish(view) => {
                 self.router.publish(view);
                 self.sampler = DestSampler::new(view.faults());
-                self.epoch += 1;
+                self.shard.epoch += 1;
                 self.adopted.push(view.clone());
             }
             // Broadcast filter: keep the messages whose source node
@@ -776,7 +771,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             let id = self.id_base + self.next_local;
             self.next_local += 1;
             let mut state = PacketState::new(src, dst, cycle, len);
-            state.epoch = self.epoch;
+            state.epoch = self.shard.epoch;
             state.flow = flow;
             self.enqueue(slot, QueuedPacket { id, state, remaining: len });
         }
@@ -1241,7 +1236,7 @@ impl<'p> TrafficSim<'p> {
                 SourceNode { id, coord: c, rng, queue: VecDeque::new(), active }
             })
             .collect();
-        let shards = Shard::bands(mesh, cfg.vcs, cfg.vc_depth, cfg.escape_vcs, threads);
+        let shards = Shard::bands(mesh, cfg.vcs, cfg.vc_depth, cfg.escape, threads);
         // TTL default: E-cube's escape walk is the only route source
         // whose length is effectively unbounded; every other router is
         // within a small factor of shortest, and escape VCs now bound
@@ -1428,7 +1423,7 @@ impl<'p> TrafficSim<'p> {
                     let report_tx = done.clone();
                     let caught = catch_unwind(AssertUnwindSafe(move || {
                         let mut paths = PathTable::new(base, kind);
-                        let router = EscapeHop::new(&mut paths, cfg.patience, cfg.escape_vcs);
+                        let router = EscapeHop::new(&mut paths, cfg.patience, cfg.escape);
                         let mut worker = ShardWorker::new(
                             shard, sources, router, base, cfg, ttl, w, workload, probe,
                         );
@@ -1447,7 +1442,7 @@ impl<'p> TrafficSim<'p> {
             drop(done_tx);
 
             let probe = mk(0, &shard0);
-            let router = EscapeHop::new(paths, cfg.patience, cfg.escape_vcs);
+            let router = EscapeHop::new(paths, cfg.patience, cfg.escape);
             let mut band0 =
                 ShardWorker::new(shard0, sources0, router, base, cfg, ttl, 0, workload, probe);
             #[cfg(test)]
@@ -1583,7 +1578,7 @@ pub fn single_packet_latency(
     let cfg = SimConfig {
         vcs: 2,
         vc_depth: 4,
-        escape_vcs: 0,
+        escape: false,
         patience: 0,
         route_ttl: Some(u32::MAX),
         threads: 1,
@@ -1951,10 +1946,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "escape_vcs = 4 must leave at least one adaptive channel of vcs = 4")]
+    #[should_panic(expected = "vcs = 1 leaves no adaptive channel (escape reserves the top one)")]
     fn a_rejected_config_panics_with_the_typed_errors_message() {
         let net = fault_free(4);
-        let cfg = SimConfig { escape_vcs: 4, ..SimConfig::smoke() };
+        let cfg = SimConfig { vcs: 1, ..SimConfig::smoke() };
         let mut paths = PathTable::new(&net, RoutingKind::Xy);
         let _ = TrafficSim::new(&mut paths, cfg);
     }
@@ -1980,17 +1975,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn online_churn_kills_stranded_traffic_and_recovers_after_repair() {
+    /// An RB2 run of `net` under `cfg` (`stats_window` 50) into which
+    /// the window observer injects unscheduled events mid-run: `at`
+    /// fails at the window that ends at cycle 50 and is repaired at 150.
+    fn fail_then_repair(net: &NetView, cfg: SimConfig, at: Coord) -> TrafficStats {
         use crate::churn::{ChurnInjector, OnlineChurn};
-        let net = fault_free(8);
-        let center = Coord::new(4, 4);
-        // Uniform traffic heavy enough that worms bound for the center
-        // node are in flight when it fails.
-        let cfg = SimConfig { rate: 0.1, stats_window: 50, ..SimConfig::smoke() };
-        // Unscheduled events injected *mid-run* from the window
-        // observer: fail the center node during the measure phase,
-        // repair it a hundred cycles later.
         struct MidRun {
             injector: ChurnInjector,
             at: Coord,
@@ -2006,11 +1995,20 @@ mod tests {
             }
         }
         let injector = ChurnInjector::new();
-        let mut paths = PathTable::new(&net, RoutingKind::Rb2);
+        let mut paths = PathTable::new(net, RoutingKind::Rb2);
         let sim =
             TrafficSim::new(&mut paths, cfg).with_online_churn(OnlineChurn::new(injector.clone()));
-        let mut obs = MidRun { injector, at: center };
-        let stats = sim.try_run_full(&mut obs).expect("online churn must not fail the run").stats;
+        let mut obs = MidRun { injector, at };
+        sim.try_run_full(&mut obs).expect("online churn must not fail the run").stats
+    }
+
+    #[test]
+    fn online_churn_kills_stranded_traffic_and_recovers_after_repair() {
+        let center = Coord::new(4, 4);
+        // Uniform traffic heavy enough that worms bound for the center
+        // node are in flight when it fails.
+        let cfg = SimConfig { rate: 0.1, stats_window: 50, ..SimConfig::smoke() };
+        let stats = fail_then_repair(&fault_free(8), cfg, center);
         assert!(!stats.deadlocked, "online churn must never wedge the fabric");
         assert_eq!(
             stats.online_events.iter().map(|e| e.op).collect::<Vec<_>>(),
@@ -2023,6 +2021,27 @@ mod tests {
         assert_eq!(stats.epoch_delivered.len(), 3, "base epoch + two online epochs");
         assert!(stats.epoch_delivered[2] > 0, "traffic must flow again after the repair");
         assert!(stats.measured_delivered <= stats.measured_generated);
+    }
+
+    #[test]
+    fn a_live_repair_drains_tree_commitments_instead_of_wedging() {
+        // Each publication rebuilds the escape forest, and the rebuilt
+        // forest orders the tree channels differently from the one the
+        // committed worms are riding: routing them on let eight worms
+        // close a cyclic wait on the tree channel. Draining every
+        // commitment older than the forest keeps these runs live
+        // (without it, 4 of the 6 wedged at patience 4, 5 at 16).
+        let net = fault_free(8);
+        for rate in [0.1, 0.2] {
+            for seed in 0..3 {
+                let cfg =
+                    SimConfig { rate, seed, stats_window: 50, threads: 1, ..SimConfig::smoke() };
+                let stats = fail_then_repair(&net, cfg, Coord::new(4, 4));
+                let events = &stats.online_events;
+                assert!(!stats.deadlocked, "rate {rate} seed {seed} wedged after {events:?}");
+                assert!(stats.churn_killed > 0, "rate {rate} seed {seed}: nothing drained");
+            }
+        }
     }
 
     #[test]

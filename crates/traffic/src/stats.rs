@@ -107,11 +107,10 @@ pub struct TrafficStats {
     /// Generation attempts dropped because the compiled route exceeded
     /// the configured hop budget ([`route_ttl`](crate::SimConfig)).
     pub ttl_dropped: u64,
-    /// Packets that committed to an escape class (XY *or* spanning
-    /// tree) mid-flight; always zero under the deterministic policy or
-    /// with `escape_vcs = 0`. On a heavily faulted mesh most commits
-    /// are tree-class (the non-minimal last resort), so a high count
-    /// also signals latency drifting off the compiled routes.
+    /// Packets that committed to the spanning-tree escape class
+    /// mid-flight; always zero with escape off. Tree routes are
+    /// non-minimal, so a high count also signals latency drifting off
+    /// the compiled routes.
     pub escape_packets: u64,
     /// Flits ejected during the measurement window (accepted traffic).
     pub measured_flits_ejected: u64,

@@ -18,8 +18,8 @@
 //!   cycles instead of hops;
 //! * past the saturation rate the mean latency is dominated by source
 //!   queueing and the table reports `sat` instead of a misleading
-//!   number — but never `dead`: the escape classes (dimension-order XY
-//!   plus the up*/down* spanning tree) give every blocked head a
+//!   number — but never `dead`: the escape class (the up*/down*
+//!   spanning tree) gives every blocked head a
 //!   draining way out, where the source-routed fabric of PR 1 wedged
 //!   at ~2% injection under 10% faults.
 
@@ -50,7 +50,7 @@ fn main() {
             mesh: 16,
             fault_counts: vec![8, 25],
             // 0.04+ is past the old interlock onset (~0.02): the point
-            // of the escape classes is that these rows say `sat`, not
+            // of the escape class is that these rows say `sat`, not
             // `dead`.
             rates: vec![0.002, 0.005, 0.01, 0.02, 0.04, 0.05],
             routers: RoutingKind::ALL.to_vec(),
@@ -66,7 +66,7 @@ fn main() {
         n = cfg.mesh,
         vcs = cfg.sim.vcs,
         depth = cfg.sim.vc_depth,
-        esc = cfg.sim.escape_vcs,
+        esc = usize::from(cfg.sim.escape),
         len = cfg.sim.packet_len,
     );
 

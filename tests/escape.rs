@@ -1,11 +1,6 @@
-//! Escape-routing guarantees: the properties that make the reserved VC
-//! classes deadlock-free, and the end-to-end liveness they buy.
+//! Escape-routing guarantees: the property that makes the reserved VC
+//! class deadlock-free, and the end-to-end liveness it buys.
 //!
-//! * The XY escape class admits no cyclic channel dependency on a
-//!   faulty mesh: every escape hop strictly decreases the
-//!   dimension-order distance (X corrected before Y), checked both as a
-//!   per-hop monotonicity property and as an explicit acyclicity check
-//!   of the channel-dependency graph the class induces.
 //! * The tree escape class routes every connected pair with all "up"
 //!   (depth-decreasing) hops before any "down" hop — the up*/down*
 //!   order that makes it acyclic for *any* fault pattern.
@@ -15,7 +10,6 @@
 //!   flags — while the deterministic policy demonstrably wedges there.
 
 use meshpath::prelude::*;
-use meshpath::route::{xy_next, xy_path_clear};
 use meshpath::traffic::EscapeForest;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -76,78 +70,10 @@ fn acyclic(edges: &[(Channel, Channel)]) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every XY escape hop strictly decreases the dimension-order
-    /// distance — the lexicographic potential `(|dx|, |dy|)` — and
-    /// stays on healthy nodes whenever the class is enterable
-    /// (`xy_path_clear`). Monotone hops cannot revisit a channel, which
-    /// is the per-route half of the deadlock-freedom argument.
-    #[test]
-    fn xy_escape_hops_decrease_dimension_order_distance(
-        (side, coords) in mesh_and_faults()
-    ) {
-        let faults = fault_set(side, &coords);
-        let mesh = faults.mesh();
-        let healthy: Vec<Coord> = mesh.iter().filter(|&c| faults.is_healthy(c)).collect();
-        for &s in healthy.iter().take(20) {
-            for &d in healthy.iter().rev().take(20) {
-                if s == d || !xy_path_clear(&faults, s, d) {
-                    continue;
-                }
-                let mut cur = s;
-                while cur != d {
-                    let dir = xy_next(cur, d);
-                    let next = cur.step(dir);
-                    prop_assert!(faults.is_healthy(next), "{s:?}->{d:?} hits a fault at {next:?}");
-                    // Lexicographic decrease: X first, then Y.
-                    if cur.x != d.x {
-                        prop_assert!((next.x - d.x).abs() < (cur.x - d.x).abs());
-                        prop_assert_eq!(next.y, cur.y, "no Y move before X is corrected");
-                    } else {
-                        prop_assert_eq!(next.x, d.x, "X stays corrected");
-                        prop_assert!((next.y - d.y).abs() < (cur.y - d.y).abs());
-                    }
-                    cur = next;
-                }
-            }
-        }
-    }
-
-    /// The full channel-dependency graph of the XY escape class — every
-    /// consecutive channel pair of every enterable `(node, dst)` XY
-    /// walk — is acyclic on a faulty mesh.
-    #[test]
-    fn xy_escape_channel_dependencies_are_acyclic(
-        (side, coords) in mesh_and_faults()
-    ) {
-        let faults = fault_set(side, &coords);
-        let mesh = faults.mesh();
-        let healthy: Vec<Coord> = mesh.iter().filter(|&c| faults.is_healthy(c)).collect();
-        let mut edges = Vec::new();
-        for &s in &healthy {
-            for &d in &healthy {
-                if s == d || !xy_path_clear(&faults, s, d) {
-                    continue;
-                }
-                let mut cur = s;
-                let mut prev: Option<(Coord, Dir)> = None;
-                while cur != d {
-                    let dir = xy_next(cur, d);
-                    let chan = (cur, dir);
-                    if let Some(p) = prev {
-                        edges.push((p, chan));
-                    }
-                    prev = Some(chan);
-                    cur = cur.step(dir);
-                }
-            }
-        }
-        prop_assert!(acyclic(&edges), "XY escape CDG has a cycle on {side}x{side}, {coords:?}");
-    }
-
     /// The tree escape class: every connected pair routes, every route
     /// takes its up (depth-decreasing) hops before any down hop, and
     /// the induced channel-dependency graph is acyclic for any fault
-    /// pattern — including ones the XY class cannot serve.
+    /// pattern.
     #[test]
     fn tree_escape_routes_up_then_down_and_acyclically(
         (side, coords) in mesh_and_faults()
