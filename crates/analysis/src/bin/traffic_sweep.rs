@@ -86,19 +86,15 @@ fn parse_workload(spec: &str, len: u32, seed: u64) -> Result<WorkloadSpec, Strin
         "perm" => {
             let parts: Vec<&str> = rest.split(',').collect();
             let num = |s: &str| s.trim().parse::<u32>().map_err(|_| format!("perm spec: {rest:?}"));
-            match parts.as_slice() {
-                [l, k] => {
-                    Ok(WorkloadSpec::Permutation { l: num(l)?, k: num(k)?, rounds: 4, len, seed })
-                }
-                [l, k, rounds] => Ok(WorkloadSpec::Permutation {
-                    l: num(l)?,
-                    k: num(k)?,
-                    rounds: num(rounds)?,
-                    len,
-                    seed,
-                }),
-                _ => Err(format!("perm spec wants L,K[,ROUNDS]: {rest:?}")),
+            let (l, k, rounds) = match parts.as_slice() {
+                [l, k] => (num(l)?, num(k)?, 4),
+                [l, k, rounds] => (num(l)?, num(k)?, num(rounds)?),
+                _ => return Err(format!("perm spec wants L,K[,ROUNDS]: {rest:?}")),
+            };
+            if !(1 <= l && l <= k) {
+                return Err(format!("perm spec wants 1 <= L <= K, got L = {l}, K = {k}"));
             }
+            Ok(WorkloadSpec::Permutation { l, k, rounds, len, seed })
         }
         other => Err(format!(
             "unknown workload {other:?} (trace:FILE | dag:FILE | alltoall[:R] | perm:L,K[,R])"
@@ -299,5 +295,21 @@ mod tests {
         assert!(parse_int::<u64>("--seed", "x").is_err());
         assert!(parse_int::<usize>("--threads", "x").is_err());
         assert!(parse_int::<usize>("--sim-threads", "-2").is_err());
+    }
+
+    #[test]
+    fn permutations_outside_one_to_k_are_rejected() {
+        assert!(matches!(
+            parse_workload("perm:2,3,5", 4, 7),
+            Ok(WorkloadSpec::Permutation { l: 2, k: 3, rounds: 5, len: 4, seed: 7 })
+        ));
+        assert!(parse_workload("perm:3,3", 4, 7).is_ok());
+        for bad in ["perm:3,2", "perm:0,1", "perm:0,0,2"] {
+            assert!(parse_workload(bad, 4, 7).is_err(), "{bad}");
+        }
+        assert_eq!(
+            parse_workload("perm:3,2", 4, 7).err(),
+            Some("perm spec wants 1 <= L <= K, got L = 3, K = 2".into())
+        );
     }
 }

@@ -226,7 +226,7 @@ impl OnlineDriver {
     /// The first cycle at or after `from` at which [`poll`] may apply
     /// something: the next listed cycle, or the next positive quantum
     /// multiple when a live source is attached (`u64::MAX` when neither
-    /// remains). Lease windows are clamped to these boundaries so
+    /// remains). Coordinator windows end at these boundaries so
     /// publications stay ordered with replay.
     ///
     /// [`poll`]: OnlineDriver::poll

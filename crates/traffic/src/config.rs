@@ -15,14 +15,15 @@ use crate::fabric::MAX_VC_DEPTH;
 ///
 /// Semantics are **failure / repair**, as in the paper's fault model: a
 /// failed node forwards nothing from the event cycle on. No new packet
-/// is generated at, destined to, or routed through it (new routes
-/// compile against the new epoch), its network interface discards its
-/// queued packets (`churn_dropped`), and a packet already in flight
-/// whose compiled route meets the failure replans from where it stands
-/// or — when it sits on, heads to, or is cut off by the failed node —
-/// is drained and counted in `churn_killed`, as is a packet committed
-/// to the escape class under an older epoch. The escape forest is
-/// re-provisioned per event, so a repaired node regains every VC class.
+/// is generated at, destined to, or routed through it (routes compile
+/// against the new epoch only), and its network interface discards its
+/// queued packets (`churn_dropped`). A publication re-plans adaptive
+/// packets and drains tree packets: a packet already in flight re-plans
+/// from where it stands at its next decision or — when it sits on,
+/// heads to, or is cut off by a failed node — is drained and counted in
+/// `churn_killed`, as is a packet committed to the escape class under
+/// an older epoch. The escape forest is re-provisioned per event, so a
+/// repaired node regains every VC class.
 /// An invalid event (off-mesh coordinate, failing a faulty node,
 /// repairing a healthy one) is rejected and counted in
 /// `churn_rejected`, never a panic.

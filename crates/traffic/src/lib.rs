@@ -66,9 +66,8 @@
 //!   cycles), a [`ChurnInjector`] handle and a seedable [`ChaosConfig`]
 //!   random schedule (churn-quantum boundaries) — one driver, one
 //!   epoch mechanism, the escape forest rebuilt per published event;
-//!   stranded in-flight packets, and escape commitments made on an
-//!   older forest, are replanned or killed (`churn_killed`), never
-//!   wedged.
+//!   a publication re-plans adaptive packets and drains tree packets
+//!   (`churn_killed`), so nothing wedges on a stale route.
 //! * [`stats`] — latency histograms and accepted-throughput accounting.
 //! * [`config`] — [`SimConfig`], including the escape channel
 //!   (checked by [`SimConfig::validate`]) and the escape `patience`.

@@ -8,14 +8,10 @@
 //! [`Router`] trait in `meshpath-route`). Re-running the full decision
 //! procedure at every router every cycle would swamp the flit-level
 //! simulation, so the adapters compile the hop sequence once per
-//! distinct `(epoch, source, destination)` triple into a [`PathTable`]
-//! (every router in this workspace is *deterministic* per snapshot, so
-//! the walk is a pure function of the pair). The table is
-//! **snapshot-keyed**: it owns [`NetView`] epochs instead of borrowing
-//! one `&Network`, which is what lets a running simulation change its
-//! fault set mid-flight (see [`crate::churn`]) — packets admitted at
-//! epoch `e` replay epoch-`e` routes until a fresh fault strands them,
-//! while new packets compile against the current epoch.
+//! distinct `(source, destination)` pair into a [`PathTable`] (every
+//! router in this workspace is *deterministic* per snapshot, so the
+//! walk is a pure function of the pair). The table holds **one live
+//! epoch**: the current [`NetView`] and the routes compiled against it.
 //!
 //! The fabric asks a [`HopRouter`] for a fresh `(output port, VC
 //! class)` decision whenever a head flit is parked at a router — every
@@ -24,8 +20,8 @@
 //!
 //! * the **adaptive class** reads hop `head_hop` of the packet's
 //!   compiled route through a [`RouteHandle`]: the route's index in the
-//!   table's arena, resolved by the one `(epoch, s, d)` map probe a
-//!   packet costs per table and kept by the fabric *beside* the
+//!   table's arena, resolved by the one `(s, d)` map probe a packet
+//!   costs per table and epoch, and kept by the fabric *beside* the
 //!   traveling [`PacketState`] (a handle names a slot of one table, so
 //!   it never crosses a shard edge: the next shard resolves its own);
 //! * the **escape class** compares pre-order interval labels of the
@@ -50,18 +46,20 @@
 //!
 //! Under **churn** (events published mid-run via
 //! [`HopRouter::publish`], whether listed ahead of time or injected
-//! live) the escape substrate tracks the *current* fault set: each
-//! published event rebuilds the forest ([`EscapeForest::new`]) over the
-//! published fault set — whole, because below the percolation threshold
-//! the healthy mesh is one giant component
-//! and there is no smaller dirty part to rebuild
-//! (`BENCH/pr19-forest-publish.json`). Repaired nodes regain the tree
-//! class, and packets stranded by a fresh fault are replanned under the
-//! new epoch (which re-keys their handle) or killed (the `churn_killed`
-//! stat) instead of wedging. A packet
-//! committed to the tree under an older epoch is killed too: the rebuilt
-//! forest orders the same channels differently, so routing it on would
-//! compose two up*/down* orders into a cyclic wait.
+//! live) one rule holds: **a publication re-plans adaptive packets and
+//! drains tree packets.** It replaces the table's view, drops every
+//! compiled route and rebuilds the forest ([`EscapeForest::new`]) over
+//! the published fault set — whole, because below the percolation
+//! threshold the healthy mesh is one giant component and there is no
+//! smaller dirty part to rebuild (`BENCH/pr19-forest-publish.json`).
+//! An adaptive packet routed under an older epoch re-plans from where
+//! its head stands at its next decision, as RB2 decides each hop from
+//! the fault information the node holds now; one that finds no route
+//! falls back to the tree or is killed (the `churn_killed` stat). A
+//! packet committed to the tree under an older epoch is killed too: the
+//! rebuilt forest orders the same channels differently, so routing it
+//! on would compose two up*/down* orders into a cyclic wait. Repaired
+//! nodes regain the tree class.
 
 use std::collections::hash_map::Entry;
 
@@ -174,8 +172,8 @@ impl HopDecision {
 /// object the fabric consults for every parked head flit, adding the
 /// VC-class dimension (adaptive vs escape) the offline engine does not
 /// have. Implementations decide from *local* state — the packet's
-/// endpoints and progress ([`PacketState`], including its admission
-/// epoch) plus whatever the adapter knows about the network — mirroring
+/// endpoints and progress ([`PacketState`], including the epoch of its
+/// route) plus whatever the adapter knows about the network — mirroring
 /// how the paper's distributed algorithms run on real NoC hardware.
 pub(crate) trait HopRouter {
     /// Network-interface admission: the hop count of the compiled route
@@ -187,41 +185,42 @@ pub(crate) trait HopRouter {
 
     /// The decision for the head flit of `pk` parked at `here`. Called
     /// every cycle the head is unrouted, so it must be cheap: array
-    /// reads plus a VC-class choice. Routes are resolved under the
-    /// packet's admission epoch (`pk.epoch`). `route` is the caller's
-    /// per-packet slot for this router's resolved route: it starts
+    /// reads plus a VC-class choice. `route` is the caller's per-packet
+    /// slot for this router's resolved route: it starts
     /// [`RouteHandle::UNRESOLVED`] wherever the packet's state enters a
     /// shard and must come back with the same packet's next call. The
-    /// packet state is mutable so an online router can re-key a stranded
-    /// packet onto the current epoch (replan, which re-keys `route`
-    /// too) or mark it killed; any mutation must be idempotent, because
-    /// the post-mortem re-asks on a copy.
+    /// packet state is mutable so the router can re-key a packet routed
+    /// under an older epoch onto the current one (a replan, which
+    /// re-keys `route` too) or mark it killed; any mutation must be
+    /// idempotent, because the post-mortem re-asks on a copy.
     fn decide(&mut self, here: Coord, pk: &mut PacketState, route: &mut RouteHandle)
         -> HopDecision;
 
     /// Publishes a churn epoch: `view` (the network after the applied
-    /// event) becomes the admission epoch — subsequent
-    /// [`admit`](HopRouter::admit) calls compile against it — and
-    /// escape structures are rebuilt over its fault set. The first
-    /// publish switches the router into online mode: degradation checks
-    /// (kill/replan around fresh faults) activate from that point on.
-    /// Routers that cannot serve churn ignore the call.
+    /// event) becomes the one live epoch — every route compiled before
+    /// it is dropped, later [`admit`](HopRouter::admit) calls compile
+    /// against it — and escape structures are rebuilt over its fault
+    /// set. A publication re-plans adaptive packets and drains tree
+    /// packets: each packet meets it at its next decision. Routers that
+    /// cannot serve churn ignore the call.
     fn publish(&mut self, view: &NetView) {
         let _ = view;
     }
 }
 
 /// A compiled route: the hop sequence, or `None` for an undeliverable
-/// pair, cached per `(epoch, source, destination)`.
+/// pair, cached per `(source, destination)` of the live epoch.
 type CachedRoute = Option<HopSeq>;
 
 /// A packet's compiled route, resolved to its slot in one
 /// [`PathTable`]'s arena: what lets [`HopRouter::decide`] read a hop
-/// without hashing the `(epoch, source, destination)` key again. Valid
-/// only against the table that resolved it and only until that table's
-/// next [`reset_epochs`](PathTable::reset_epochs) — the fabric keeps one
-/// beside every pooled [`PacketState`] and starts it unresolved wherever
-/// a state enters a shard.
+/// without hashing the `(source, destination)` key again. Valid only
+/// against the table that resolved it and only within the epoch it was
+/// resolved in: a publication re-plans adaptive packets and drains tree
+/// packets, so a packet whose epoch is older than the table's re-keys
+/// its handle before reading it. The fabric keeps one beside every
+/// pooled [`PacketState`] and starts it unresolved wherever a state
+/// enters a shard.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct RouteHandle(u32);
 
@@ -231,22 +230,27 @@ impl RouteHandle {
     pub(crate) const UNRESOLVED: RouteHandle = RouteHandle(u32::MAX);
 }
 
-/// A memoizing compiled-route table for one routing function over a
-/// **sequence of epoch snapshots**: the per-pair backing store of the
-/// hop routers. Routes are keyed `(epoch, source, destination)`, so a
-/// table serves mixed-epoch traffic during fault churn; without churn
-/// it degenerates to the classic per-pair cache at epoch 0.
+/// A memoizing compiled-route table for one routing function over
+/// **one live epoch**: the per-pair backing store of the hop routers.
+/// Routes are keyed `(source, destination)` and compiled against the
+/// current snapshot; a churn publication replaces the snapshot and
+/// drops every route, so a table never holds more than one epoch's
+/// routes and one superseded view (the base it was built over).
 pub struct PathTable {
     kind: RoutingKind,
     router: Box<dyn Router + Send + Sync>,
-    /// The published snapshots, epoch order (index 0 = the initial
-    /// configuration); the last one is the admission epoch.
-    views: Vec<NetView>,
-    /// The compiled routes, in compile order: a [`RouteHandle`] is an
-    /// index here.
+    /// The snapshot the table was built over, which
+    /// [`reset_epochs`](PathTable::reset_epochs) restores.
+    base: NetView,
+    /// The live epoch's snapshot: `base` until the first publication.
+    view: NetView,
+    /// The live epoch: publications since the last reset.
+    epoch: u32,
+    /// The live epoch's compiled routes, in compile order: a
+    /// [`RouteHandle`] is an index here.
     routes: Vec<CachedRoute>,
-    /// `(epoch, source, destination)` → index into `routes`.
-    index: FxHashMap<(u32, Coord, Coord), u32>,
+    /// `(source, destination)` → index into `routes`.
+    index: FxHashMap<(Coord, Coord), u32>,
     /// Router scratch of every compile, reset per pair.
     scratch: HopState,
     misses: u64,
@@ -259,7 +263,9 @@ impl PathTable {
         PathTable {
             kind,
             router: kind.router(),
-            views: vec![view.clone()],
+            base: view.clone(),
+            view: view.clone(),
+            epoch: 0,
             routes: Vec::new(),
             index: FxHashMap::default(),
             scratch: HopState::new(Coord::new(0, 0)),
@@ -273,79 +279,59 @@ impl PathTable {
         self.kind
     }
 
-    /// The snapshot of the current admission epoch.
+    /// The snapshot of the live epoch.
     pub(crate) fn view(&self) -> &NetView {
-        self.views.last().expect("epoch 0 always exists")
+        &self.view
     }
 
-    /// The current admission epoch: how many snapshots have been
-    /// [`publish`](PathTable::publish)ed since the last reset.
-    pub(crate) fn current_epoch(&self) -> u32 {
-        (self.views.len() - 1) as u32
-    }
-
-    /// Drops every published epoch and returns to the initial snapshot
-    /// (run start). Cached routes of epoch 0 survive — they stay valid
-    /// across runs over the same network — later-epoch routes are
-    /// dropped from the arena together with their keys, since the next
-    /// run publishes its own epochs: a table reused across churn runs
-    /// stays the size of its epoch-0 routes. Every [`RouteHandle`]
-    /// resolved before the call is invalid after it.
+    /// Returns to the base snapshot at epoch 0 (run start). A table
+    /// that never published keeps its routes — they stay valid across
+    /// runs over the same network — and one that did drops them with
+    /// the published view. Every [`RouteHandle`] resolved before a
+    /// publication is invalid after the reset.
     pub(crate) fn reset_epochs(&mut self) {
-        if self.views.len() == 1 {
-            // Nothing was published, so no later-epoch route exists.
-            return;
+        if self.epoch != 0 {
+            self.adopt(self.base.clone(), 0);
         }
-        self.views.truncate(1);
-        let mut old = std::mem::take(&mut self.routes);
-        let kept = &mut self.routes;
-        self.index.retain(|&(epoch, _, _), at| {
-            if epoch != 0 {
-                return false;
-            }
-            kept.push(old[*at as usize].take());
-            *at = (kept.len() - 1) as u32;
-            true
-        });
     }
 
-    /// Publishes `view` as the next epoch and makes it the admission
-    /// epoch. Every earlier epoch and cached route is kept: in-flight
-    /// packets go on replaying the routes of the epoch they were
-    /// admitted (or last replanned) under.
+    /// Publishes `view` as the next epoch: it replaces the live
+    /// snapshot, and every compiled route is dropped with the old one.
     pub(crate) fn publish(&mut self, view: &NetView) {
-        self.views.push(view.clone());
+        self.adopt(view.clone(), self.epoch + 1);
     }
 
-    /// The direction sequence from `s` to `d` under the current
-    /// admission epoch, or `None` when the router does not deliver this
-    /// pair (XY hitting a fault, disconnected endpoints, hop-budget
-    /// exhaustion).
+    /// Makes `view` the live snapshot of `epoch`, with no route yet.
+    fn adopt(&mut self, view: NetView, epoch: u32) {
+        self.view = view;
+        self.epoch = epoch;
+        self.routes.clear();
+        self.index.clear();
+    }
+
+    /// The direction sequence from `s` to `d` under the live epoch, or
+    /// `None` when the router does not deliver this pair (XY hitting a
+    /// fault, disconnected endpoints, hop-budget exhaustion). One table
+    /// probe when the pair is cached.
     pub fn path(&mut self, s: Coord, d: Coord) -> Option<&HopSeq> {
-        self.path_at(self.current_epoch(), s, d)
-    }
-
-    /// The direction sequence from `s` to `d` under a specific epoch,
-    /// read in place: one table probe when the pair is cached.
-    pub(crate) fn path_at(&mut self, epoch: u32, s: Coord, d: Coord) -> Option<&HopSeq> {
-        let handle = self.resolve(epoch, s, d);
+        let handle = self.resolve(s, d);
         self.route(handle)
     }
 
     /// The one map probe of the table: the arena slot of the route from
-    /// `s` to `d` under `epoch`, compiled first when the pair is new.
-    fn resolve(&mut self, epoch: u32, s: Coord, d: Coord) -> RouteHandle {
-        match self.index.entry((epoch, s, d)) {
+    /// `s` to `d` under the live epoch, compiled first when the pair is
+    /// new.
+    fn resolve(&mut self, s: Coord, d: Coord) -> RouteHandle {
+        match self.index.entry((s, d)) {
             Entry::Occupied(cached) => {
                 self.hits += 1;
                 RouteHandle(*cached.get())
             }
             Entry::Vacant(slot) => {
                 self.misses += 1;
-                let view = &self.views[epoch as usize];
                 let at = self.routes.len() as u32;
                 assert!(at != RouteHandle::UNRESOLVED.0, "route arena outgrew its handles");
-                self.routes.push(Self::compile(&*self.router, view, s, d, &mut self.scratch));
+                self.routes.push(Self::compile(&*self.router, &self.view, s, d, &mut self.scratch));
                 RouteHandle(*slot.insert(at))
             }
         }
@@ -378,48 +364,25 @@ impl PathTable {
         res.delivered.then_some(res.dirs)
     }
 
-    /// The next hop of `pk`'s compiled route — what a hop router asks
-    /// for every parked adaptive-class head every cycle: one arena read
-    /// plus a shift. An unresolved `route` is resolved first, by the
-    /// one probe a packet costs this table.
-    #[inline]
-    fn next_dir(&mut self, pk: &PacketState, route: &mut RouteHandle) -> Dir {
-        if *route == RouteHandle::UNRESOLVED {
-            *route = self.resolve(pk.epoch, pk.src, pk.dst);
-        }
-        let path = self.route(*route).expect("admitted packets have compiled routes");
-        path.get(pk.head_hop as usize)
-    }
-
-    /// Replans a packet whose compiled route runs into a fresh fault:
-    /// re-keys `pk` and `route` onto the current epoch's route from
-    /// `here` and returns its first hop, or `None` (nothing touched)
-    /// when no such route exists. Idempotent — the re-keyed route
-    /// avoids current faults, so asking again takes it as it stands.
-    fn replan(
-        &mut self,
-        here: Coord,
-        pk: &mut PacketState,
-        route: &mut RouteHandle,
-    ) -> Option<Dir> {
-        let cur = self.current_epoch();
-        let fresh = self.resolve(cur, here, pk.dst);
-        let first = self.route(fresh)?.get(0);
+    /// Re-plans `pk` from `here` onto the live epoch: re-keys `pk` and
+    /// `route` onto the current route from `here` to its destination,
+    /// deliverable or not. Idempotent — asking again from the same
+    /// place resolves the same route.
+    fn replan(&mut self, here: Coord, pk: &mut PacketState, route: &mut RouteHandle) {
+        *route = self.resolve(here, pk.dst);
         pk.src = here;
         pk.head_hop = 0;
-        pk.epoch = cur;
-        *route = fresh;
-        Some(first)
+        pk.epoch = self.epoch;
     }
 
     /// What is settled before a hop router picks a class: a packet at
-    /// its destination ejects, and `online` one that sits on, or heads
-    /// to, a node that failed after its admission is killed — drained
-    /// out of the fabric.
+    /// its destination ejects, and after a publication one that sits
+    /// on, or heads to, a failed node is killed — drained out of the
+    /// fabric.
     #[inline]
-    fn settled(&self, online: bool, here: Coord, pk: &mut PacketState) -> Option<HopDecision> {
-        let faults = self.view().faults();
-        if online && !(faults.is_healthy(here) && faults.is_healthy(pk.dst)) {
+    fn settled(&self, here: Coord, pk: &mut PacketState) -> Option<HopDecision> {
+        let faults = self.view.faults();
+        if self.epoch != 0 && !(faults.is_healthy(here) && faults.is_healthy(pk.dst)) {
             pk.killed = true;
             return Some(HopDecision::Eject);
         }
@@ -427,25 +390,28 @@ impl PathTable {
     }
 
     /// The adaptive-class direction of `pk` at `here`: the next hop of
-    /// its compiled route, [`replan`](PathTable::replan)ned first when
-    /// `online` and that hop is a fresh fault. `None` (nothing touched):
-    /// the packet is stranded — no current-epoch route leads on either.
+    /// its route under the live epoch — one arena read plus a shift once
+    /// `route` is resolved, by the one probe a packet costs this table
+    /// per epoch. A packet routed under an older epoch (a new one starts
+    /// at 0) is [`replan`](PathTable::replan)ned first, before its
+    /// handle is read. `None`: the packet is stranded — no current route
+    /// leads on from `here`.
     #[inline]
     fn adaptive_dir(
         &mut self,
-        online: bool,
         here: Coord,
         pk: &mut PacketState,
         route: &mut RouteHandle,
     ) -> Option<Dir> {
-        let dir = self.next_dir(pk, route);
-        if online && !self.view().faults().is_healthy(here.step(dir)) {
-            return self.replan(here, pk, route);
+        if pk.epoch != self.epoch {
+            self.replan(here, pk, route);
+        } else if *route == RouteHandle::UNRESOLVED {
+            *route = self.resolve(pk.src, pk.dst);
         }
-        Some(dir)
+        self.route(*route).map(|path| path.get(pk.head_hop as usize))
     }
 
-    /// Routes held, deliverable or not, over every epoch.
+    /// Routes held, deliverable or not.
     #[cfg(test)]
     pub(crate) fn held(&self) -> usize {
         assert_eq!(
@@ -723,9 +689,10 @@ impl EscapeForest {
 /// A packet that takes the escape channel is committed: it stays on the
 /// escape class until delivery, so escape packets only ever wait on
 /// channels of their own (acyclic) class and are guaranteed to drain —
-/// as long as they all route on one forest. The fabric therefore stamps
-/// the commitment with the band's current epoch, and a publication
-/// (which rebuilds the forest) drains every commitment older than it.
+/// as long as they all route on one forest. Every `Route` decision
+/// leaves the packet at the table's epoch, so a commitment carries the
+/// epoch of the forest it was made on, and a publication (which
+/// rebuilds the forest) drains every commitment older than it.
 ///
 /// Nothing here is memoized: a decision is a few array reads (see the
 /// module docs), and [`publish`](HopRouter::publish) rebuilds the forest
@@ -737,10 +704,6 @@ pub(crate) struct EscapeHop<'p> {
     /// rebuilt per published event. `None` when the fabric reserves no
     /// escape channel.
     forest: Option<EscapeForest>,
-    /// Set by the first [`publish`](HopRouter::publish): faults may now
-    /// postdate a packet's admission, so decide kills or replans
-    /// packets stranded by them.
-    online: bool,
 }
 
 impl<'p> EscapeHop<'p> {
@@ -749,7 +712,7 @@ impl<'p> EscapeHop<'p> {
     /// for the former.
     pub(crate) fn new(paths: &'p mut PathTable, patience: u32, escape: bool) -> Self {
         let forest = escape.then(|| EscapeForest::new(paths.view().faults()));
-        EscapeHop { paths, patience, forest, online: false }
+        EscapeHop { paths, patience, forest }
     }
 
     /// The spanning forest backing the escape class, if the fabric has
@@ -780,29 +743,30 @@ impl HopRouter for EscapeHop<'_> {
         pk: &mut PacketState,
         route: &mut RouteHandle,
     ) -> HopDecision {
-        if let Some(done) = self.paths.settled(self.online, here, pk) {
+        if let Some(done) = self.paths.settled(here, pk) {
             return done;
         }
         match pk.mode {
             // Committed to the tree: ride it to the end, on the forest
-            // the packet committed on. The fabric stamps `pk.epoch` at
-            // the commitment; an older epoch than the current one means
-            // a publication has since rebuilt the forest, which orders
-            // the same channels differently — routing on could close a
-            // cyclic wait across the two orders, so the packet drains.
+            // the packet committed on — the epoch of the decision that
+            // offered it the tree. An older epoch than the current one
+            // means a publication has since rebuilt the forest, which
+            // orders the same channels differently — routing on could
+            // close a cyclic wait across the two orders, so the packet
+            // drains.
             VcClass::EscapeTree => {
-                let current = pk.epoch == self.paths.current_epoch();
+                let current = pk.epoch == self.paths.epoch;
                 match self.tree_choice(here, pk.dst) {
                     Some(c) if current => HopDecision::route1(c),
                     _ => {
-                        assert!(self.online, "tree commitment implies a forest route");
+                        assert!(self.paths.epoch != 0, "tree commitment implies a forest route");
                         pk.killed = true;
                         HopDecision::Eject
                     }
                 }
             }
             VcClass::Adaptive => {
-                let Some(dir) = self.paths.adaptive_dir(self.online, here, pk, route) else {
+                let Some(dir) = self.paths.adaptive_dir(here, pk, route) else {
                     // Stranded: fall back to the tree, or kill.
                     return match self.tree_choice(here, pk.dst) {
                         Some(tree) => HopDecision::route1(tree),
@@ -825,7 +789,6 @@ impl HopRouter for EscapeHop<'_> {
     }
 
     fn publish(&mut self, view: &NetView) {
-        self.online = true;
         self.paths.publish(view);
         if let Some(forest) = &mut self.forest {
             *forest = EscapeForest::new(view.faults());
@@ -876,22 +839,22 @@ mod tests {
         let (s, d) = (Coord::new(0, 2), Coord::new(5, 2));
         let mut pk = PacketState::new(s, d, 0, 1);
         let mut route = RouteHandle::UNRESOLVED;
-        let first = t.next_dir(&pk, &mut route);
+        let first = t.adaptive_dir(s, &mut pk, &mut route);
         assert_ne!(route, RouteHandle::UNRESOLVED);
         assert_eq!(t.cache_stats(), (0, 1), "a cold read compiles");
-        let path = t.path_at(0, s, d).expect("cached").clone();
+        let path = t.path(s, d).expect("cached").clone();
         assert_eq!(t.cache_stats(), (1, 1), "a keyed read is a probe");
-        assert_eq!(first, path.get(0));
+        assert_eq!(first, Some(path.get(0)));
         for (hop, dir) in path.iter().enumerate() {
             pk.head_hop = hop as u32;
-            assert_eq!(t.next_dir(&pk, &mut route), dir);
+            assert_eq!(t.adaptive_dir(s, &mut pk, &mut route), Some(dir));
         }
         assert_eq!(t.cache_stats(), (1, 1), "a read through the handle is not");
         // A second packet of the pair resolves to the same slot, by one
         // probe.
         let mut other = RouteHandle::UNRESOLVED;
         pk.head_hop = 0;
-        assert_eq!(t.next_dir(&pk, &mut other), first);
+        assert_eq!(t.adaptive_dir(s, &mut pk, &mut other), first);
         assert_eq!(other, route);
         assert_eq!(t.cache_stats(), (2, 1));
     }
@@ -965,33 +928,52 @@ mod tests {
     }
 
     #[test]
-    fn path_table_keys_routes_by_epoch() {
-        // Epoch 0: clear row. Epoch 1: a fault on the row forces a
-        // detour. The same (s, d) pair must resolve differently per
-        // epoch, with old-epoch routes surviving the publication.
+    fn a_table_holds_one_live_epoch_of_routes() {
+        // Each publication replaces the view and drops every route: a
+        // table that saw k events holds the last view and only the
+        // routes compiled since.
         let mesh = Mesh::square(8);
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
-        let v1 = state.add_fault(Coord::new(3, 1)).expect("valid");
         let mut t = PathTable::new(&v0, RoutingKind::Rb2);
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
-        let p0 = t.path(s, d).expect("clear row");
-        assert_eq!(p0.len(), 5, "epoch 0 routes straight");
-        t.publish(&v1);
-        assert_eq!(t.current_epoch(), 1, "a publication is adopted on arrival");
-        let p1 = t.path(s, d).expect("detour exists");
-        assert_eq!(p1.len(), 7, "epoch 1 routes around the fault");
-        // Old-epoch lookups still replay the old route.
-        assert_eq!(t.path_at(0, s, d).expect("cached").len(), 5);
-        // A reset returns to epoch 0 and keeps only its routes.
+        let others = [(Coord::new(0, 0), Coord::new(7, 7)), (Coord::new(2, 6), Coord::new(5, 0))];
+        assert_eq!(t.path(s, d).expect("clear row").len(), 5);
+        for (a, b) in others {
+            t.path(a, b).expect("fault-free");
+        }
+        assert_eq!(t.held(), 3);
+        let blocker = Coord::new(3, 1);
+        let events = [
+            ChurnOp::Fail(Coord::new(4, 5)),
+            ChurnOp::Fail(blocker),
+            ChurnOp::Fail(Coord::new(6, 6)),
+            ChurnOp::Repair(blocker),
+            ChurnOp::Repair(Coord::new(4, 5)),
+        ];
+        for (k, op) in (1..).zip(events) {
+            let view = match op {
+                ChurnOp::Fail(c) => state.add_fault(c),
+                ChurnOp::Repair(c) => state.remove_fault(c),
+            }
+            .expect("a valid event");
+            t.publish(&view);
+            assert_eq!(t.epoch, k);
+            assert_eq!(t.view().epoch(), view.epoch(), "the live view is the published one");
+            assert_eq!(t.held(), 0, "a publication drops every route ({op:?})");
+            let hops = t.path(s, d).expect("routable").len();
+            assert_eq!(hops, if view.faults().is_faulty(blocker) { 7 } else { 5 }, "{op:?}");
+            assert_eq!(t.held(), 1, "only the current epoch's route ({op:?})");
+        }
+        // A reset returns to the base view with nothing compiled.
         t.reset_epochs();
-        assert_eq!(t.current_epoch(), 0);
+        assert_eq!((t.epoch, t.held(), t.view().epoch()), (0, 0, v0.epoch()));
         let (hits, misses) = t.cache_stats();
+        assert_eq!(t.path(s, d).expect("clear row").len(), 5);
+        // One that never published since keeps its routes.
+        t.reset_epochs();
         assert_eq!(t.path(s, d).expect("cached").len(), 5);
-        assert_eq!(t.cache_stats(), (hits + 1, misses), "epoch-0 routes survive the reset");
-        t.publish(&v1);
-        assert_eq!(t.path(s, d).expect("recompiled").len(), 7);
-        assert_eq!(t.cache_stats(), (hits + 1, misses + 1), "later-epoch routes do not");
+        assert_eq!(t.cache_stats(), (hits + 1, misses + 1), "compiled once, then kept");
     }
 
     #[test]
@@ -1296,10 +1278,11 @@ mod tests {
                     }
                     // Stalled past patience: the adaptive hop, then the
                     // tree hop.
+                    // A new packet starts at epoch 0 and takes the
+                    // current one at its first decision.
                     let mut pk = PacketState::new(here, dst, 0, 1);
                     pk.stalled = patience;
                     let expected = fresh.decide(here, &mut pk, &mut { RouteHandle::UNRESOLVED });
-                    pk.epoch = epoch;
                     let offered = hop.decide(here, &mut pk, &mut { RouteHandle::UNRESOLVED });
                     assert_eq!(offered, expected, "{here:?}->{dst:?} after {op:?}");
                     assert!(classes(offered).contains(&VcClass::EscapeTree));
@@ -1414,8 +1397,7 @@ mod tests {
         // the admitted route.
         let mut route = RouteHandle::UNRESOLVED;
         assert!(matches!(hop.decide(s, &mut pk, &mut route), HopDecision::Route(_)));
-        let admitted = route;
-        assert_ne!(admitted, RouteHandle::UNRESOLVED);
+        assert_ne!(route, RouteHandle::UNRESOLVED);
 
         // An unscheduled fault lands on the compiled row route.
         let blocker = Coord::new(3, 1);
@@ -1438,7 +1420,11 @@ mod tests {
         assert_eq!(pk.src, here);
         assert_eq!(pk.head_hop, 0);
         assert!(!pk.killed);
-        assert_ne!(route, admitted, "and its handle onto the replanned route");
+        assert_eq!(
+            hop.paths.route(route).cloned(),
+            hop.paths.path(here, d).cloned(),
+            "and its handle onto the replanned route"
+        );
         // Idempotent (a stalled head asks again every cycle), and from
         // here on through the re-keyed handle: no further probe.
         let probes = hop.paths.cache_stats();
@@ -1486,5 +1472,100 @@ mod tests {
             assert_eq!(decision, HopDecision::route1(tree), "epoch {epoch}");
             assert!(!current.killed);
         }
+    }
+
+    /// Walks `pk`'s head from `here` to its destination through the
+    /// decisions `hop` offers, taking the first candidate each time as
+    /// a grant would: the hops it takes.
+    fn walk(hop: &mut EscapeHop<'_>, mut here: Coord, pk: &mut PacketState) -> u32 {
+        let mut route = RouteHandle::UNRESOLVED;
+        let mut hops = 0;
+        while let HopDecision::Route(c) = hop.decide(here, pk, &mut route) {
+            here = here.step(c.iter().next().expect("a candidate").dir);
+            pk.head_hop += 1;
+            hops += 1;
+            assert!(hops <= 64, "walk too long");
+        }
+        assert!(!pk.killed);
+        assert_eq!(here, pk.dst);
+        hops
+    }
+
+    #[test]
+    fn a_repair_re_keys_a_detouring_packet_onto_the_shorter_route() {
+        // Admitted around the fault F, the packet has taken its first
+        // detour hop when F is repaired: its next decision re-plans
+        // from there onto the now-straight current route, although the
+        // detour's next hop is healthy.
+        let mesh = Mesh::square(8);
+        let f = Coord::new(3, 1);
+        let mut state = meshpath_route::NetState::new(FaultSet::from_coords(mesh, [f]));
+        let v0 = state.view();
+        let mut t = PathTable::new(&v0, RoutingKind::Rb2);
+        let mut hop = EscapeHop::new(&mut t, 4, true);
+        let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
+        assert_eq!(hop.admit(s, d), Some(7), "around F");
+        let detour = hop.paths.path(s, d).expect("routable").clone();
+        let here = s.step(detour.get(0));
+        hop.publish(&state.remove_fault(f).expect("valid"));
+        let mut pk = PacketState { head_hop: 1, ..PacketState::new(s, d, 0, 1) };
+        assert_eq!(walk(&mut hop, here, &mut pk), here.manhattan(d));
+        assert_eq!((pk.src, pk.epoch), (here, 1), "re-keyed at the first decision");
+        assert!(1 + here.manhattan(d) < detour.len() as u32, "shorter than the detour");
+    }
+
+    #[test]
+    fn every_route_decision_leaves_the_packet_at_the_tables_epoch() {
+        // XY over a clear row; a later publication fails a node of the
+        // row, so XY has no route from the parked heads and they fall
+        // back to the tree, and a repair gives them the row back. Each
+        // head carries its handle across every publication.
+        let mesh = Mesh::square(8);
+        let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
+        let v0 = state.view();
+        let mut t = PathTable::new(&v0, RoutingKind::Xy);
+        let mut hop = EscapeHop::new(&mut t, 4, true);
+        let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
+        assert_eq!(hop.admit(s, d), Some(5));
+        let fresh = PacketState::new(s, d, 0, 1);
+        let mid = Coord::new(2, 1);
+        let mut parked = [
+            (s, fresh, RouteHandle::UNRESOLVED),
+            (mid, PacketState { head_hop: 1, ..fresh }, RouteHandle::UNRESOLVED),
+            (mid, PacketState { head_hop: 1, stalled: 4, ..fresh }, RouteHandle::UNRESOLVED),
+        ];
+        let blocker = Coord::new(3, 1);
+        let events = [
+            ChurnOp::Fail(Coord::new(5, 5)),
+            ChurnOp::Fail(blocker),
+            ChurnOp::Repair(Coord::new(5, 5)),
+            ChurnOp::Repair(blocker),
+        ];
+        let mut stranded = 0;
+        for at in 0..=events.len() {
+            if let Some(&op) = at.checked_sub(1).and_then(|i| events.get(i)) {
+                let view = match op {
+                    ChurnOp::Fail(c) => state.add_fault(c),
+                    ChurnOp::Repair(c) => state.remove_fault(c),
+                };
+                hop.publish(&view.expect("a valid event"));
+            }
+            let blocked = hop.paths.view().faults().is_faulty(blocker);
+            for (here, pk, route) in &mut parked {
+                let decision = hop.decide(*here, pk, route);
+                assert!(matches!(decision, HopDecision::Route(_)), "{here:?} at {at}");
+                assert_eq!(pk.epoch, hop.paths.epoch, "{here:?} at {at}");
+                assert!(!pk.killed);
+                if blocked {
+                    let tree = hop.tree_choice(*here, d).expect("connected");
+                    assert_eq!(decision, HopDecision::route1(tree), "stranded: the tree");
+                    stranded += 1;
+                } else {
+                    assert_eq!(classes(decision)[0], VcClass::Adaptive);
+                }
+                assert_eq!(hop.decide(*here, pk, route), decision, "idempotent");
+            }
+        }
+        assert_eq!(stranded, 2 * parked.len(), "two epochs block the row");
     }
 }

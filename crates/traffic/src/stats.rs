@@ -129,9 +129,10 @@ pub struct TrafficStats {
     /// were in flight (wormhole cyclic dependency; see the crate docs on
     /// escape channels).
     pub deadlocked: bool,
-    /// Packets delivered per admission epoch (index = epoch; a packet
-    /// replanned around a fresh fault counts under the epoch it was
-    /// re-keyed onto). One entry (every delivery) without churn, plus
+    /// Packets delivered per epoch of the packet's last route (index =
+    /// epoch; a publication re-plans adaptive packets and drains tree
+    /// packets, so a packet in flight across one counts under the epoch
+    /// it re-planned onto). One entry (every delivery) without churn, plus
     /// one per applied churn event — the per-epoch delivered series the
     /// `--json` rows report. Counts every delivery, warmup-era and
     /// measured alike.

@@ -7,11 +7,11 @@
 //! `SimConfig::fault_churn`; each fires at exactly its cycle and
 //! advances the run to a new epoch snapshot — published by the
 //! incremental `NetState` update path — and the run must finish with
-//! **zero deadlocks**: a failed node forwards nothing, so packets its
-//! failure strands replan from where they stand or are drained and
-//! counted (`churn_killed`), new packets route around the failure, and
-//! the escape forest is re-provisioned per event so the repaired node
-//! regains every VC class.
+//! **zero deadlocks**: a failed node forwards nothing, and a
+//! publication re-plans packets in flight from where they stand or
+//! drains and counts them (`churn_killed`), new packets route around
+//! the failure, and the escape forest is re-provisioned per event so
+//! the repaired node regains every VC class.
 //!
 //! Usage: `fault_churn [--quick] [--json]`.
 //!

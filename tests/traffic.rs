@@ -171,9 +171,9 @@ fn facade_prelude_covers_traffic() {
 
 /// Mid-run fault churn: epochs advance, deliveries are attributed per
 /// epoch, nothing deadlocks, and the result is bit-identical at every
-/// shard count (the snapshot-keyed `PathTable` keeps old-epoch routes
-/// replayable — until a failure strands them — while new admissions
-/// compile against the new epoch).
+/// shard count. A publication re-plans adaptive packets and drains tree
+/// packets: each `PathTable` holds one epoch of routes, and an in-flight
+/// packet re-plans onto it at its next decision.
 #[test]
 fn fault_churn_runs_deadlock_free_and_shards_deterministically() {
     let mesh = Mesh::square(10);
