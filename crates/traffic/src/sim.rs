@@ -680,7 +680,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
     /// wait-for graph (the deadlock post-mortem's raw material).
     fn finish_run(&mut self, cycle: u64, reason: StopKind) {
         #[cfg(test)]
-        self.shard.assert_pool_drained();
+        self.shard.assert_pool_drained(reason);
         if P::ACTIVE {
             self.probe.run_stopped(cycle, reason);
             if reason.is_wedged() {
@@ -2097,6 +2097,37 @@ mod tests {
         for threads in [2, 4] {
             assert_eq!(base, mk(threads), "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn a_run_cut_short_mid_worm_leaves_only_ejecting_states_parked() {
+        // Past saturation on 4 bands of a 6x6, the deadline stops the
+        // run mid-worm: some band holds no flit, yet keeps the state of
+        // a worm whose head ejected there while its tail is still
+        // queued in a neighboring band. `finish_run`'s pool check
+        // admits exactly that state on a stop that is not clean.
+        let mut rng = StdRng::seed_from_u64(5);
+        let faults =
+            FaultSet::random(Mesh::square(6), 2, meshpath_mesh::FaultInjection::Uniform, &mut rng);
+        let net = NetView::build(faults);
+        let cfg = SimConfig {
+            vcs: 2,
+            vc_depth: 3,
+            escape: false,
+            packet_len: 4,
+            rate: 0.35,
+            warmup: 30,
+            measure: 150,
+            drain: 400,
+            seed: 5,
+            route_ttl: None,
+            threads: 4,
+            stats_window: 100,
+            ..SimConfig::default()
+        };
+        let mut paths = PathTable::new(&net, RoutingKind::Xy);
+        let stats = run_windowed(&mut paths, &cfg, Some(1), &mut ()).stats;
+        assert!(stats.saturated && !stats.deadlocked, "a deadline stop");
     }
 
     #[test]
