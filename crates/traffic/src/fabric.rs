@@ -58,7 +58,7 @@
 //!   stepping reads and writes those two. The owner array itself (which
 //!   packet holds the VC) is written at a worm's head and tail grants
 //!   and read only by the post-mortem;
-//! * the worklist, staged arrivals and staged credit returns name local
+//! * the active set, staged arrivals and staged credit returns name local
 //!   nodes plus a slot or VC; a neighbor is one edge-bit test and a
 //!   per-direction index offset (`±1` / `± mesh width`) away, and a
 //!   per-node coordinate table feeds [`HopRouter::decide`].
@@ -84,12 +84,12 @@
 //! ## Event-driven stepping
 //!
 //! A router with no occupied input VC can grant nothing, so stepping
-//! visits only *active* routers: a worklist tracks every node with at
-//! least one non-empty ring (membership maintained at flit arrival and
-//! ring drain), and idle routers cost zero. At the paper-relevant
-//! injection rates (0.2%–5%) the fabric is over 95% idle, which makes
-//! this the difference between `O(nodes)` and `O(flits in flight)` per
-//! cycle.
+//! visits only *active* routers: one bit per node, set when a ring
+//! fills and cleared by the visit that empties the router, walked in
+//! ascending node order — the reference scan's order, so the staged
+//! arrivals and credits commit in near memory order too. At the
+//! paper-relevant injection rates (0.2%–5%) the fabric is over 95%
+//! idle, and an idle router costs one bit.
 //!
 //! Most visits — about seven in ten on the loaded 64x64 RB2 fabric —
 //! find exactly one occupied input VC (`occ & (occ - 1) == 0`). Nothing
@@ -121,9 +121,8 @@
 //! golden-equivalence suite in `crate::golden` against the retained
 //! test-only scan-order reference stepper (`Shard::allocate_reference`),
 //! which shares the grant and boundary commits but probes the owner
-//! array, never the masks). Likewise the escape-patience aging pass
-//! walks the occupied slots of active routers — the parked heads —
-//! instead of every input VC in the mesh.
+//! array, never the masks). Each visit ends by aging the heads it left
+//! parked (escape patience), so a cycle is one pass.
 //!
 //! ## Sharded stepping and the boundary-exchange protocol
 //!
@@ -133,7 +132,7 @@
 //! tile grid was measured against bands at 2 and 4 shards and did not
 //! separate from them: `BENCH/pr24-knobs.json`.) Each shard owns *all*
 //! state of its nodes — rings, state pool, credits and owners,
-//! round-robin pointers, bitmasks and worklist — so two shards share
+//! round-robin pointers, bitmasks and active set — so two shards share
 //! **no** mutable state and can step concurrently (`crate::sim` steps
 //! band 0 on the coordinator's thread and every other band on a worker
 //! thread of its own when [`SimConfig::threads`](crate::SimConfig) > 1).
@@ -181,11 +180,11 @@
 //!
 //! Arrivals and credit returns are staged and committed at the cycle
 //! boundary, so allocation at one router never observes another
-//! router's same-cycle grants — which is why neither the worklist's
-//! visit order, nor the shard count, nor which pool handle a state
-//! happens to get can influence results. Hop-router decisions depend
-//! only on packet and network state, so two runs with identical inputs
-//! are bit-identical.
+//! router's same-cycle grants — which is why neither the visit order,
+//! nor where aging runs, nor the shard count, nor a state's pool handle
+//! can influence results. Hop-router decisions depend only on packet
+//! and network state, so two runs with identical inputs are
+//! bit-identical.
 
 use std::ops::Range;
 
@@ -465,7 +464,7 @@ pub(crate) struct StepReport {
 
 /// One row-band shard of the fabric: every router of a contiguous run
 /// of rows, with all of its buffers, credits, allocator state and
-/// worklist — plus staged arrivals/credits and one outbox of
+/// active set — plus staged arrivals/credits and one outbox of
 /// [`BoundaryMsg`]s per adjacent band. `Send`, so the run loop can move
 /// shards onto worker threads.
 ///
@@ -535,12 +534,9 @@ pub(crate) struct Shard {
     free_mask: Vec<u32>,
     /// VC-index masks of the two [`VcClass`]es.
     class_masks: [u32; 2],
-    /// Active routers (local node indices): every node with
-    /// `occ_mask != 0` is present (plus, transiently, nodes drained
-    /// this cycle — removed lazily at their next visit).
-    worklist: Vec<u32>,
-    /// Worklist membership flag per local node.
-    in_worklist: Vec<bool>,
+    /// Active routers, one bit per local node: set when a ring of the
+    /// node becomes non-empty, cleared by the visit that leaves it empty.
+    active: Vec<u64>,
     /// Plan-phase scratch of the router being allocated, per slot: the
     /// candidate list of its parked head and the `(VC, class)` it would
     /// allocate. Only entries named by the visit's head mask are read,
@@ -638,8 +634,7 @@ impl Shard {
             occ_mask: vec![0; nodes],
             free_mask: vec![bits(0..vcs); nodes * DIRS],
             class_masks: [0; 2],
-            worklist: Vec::new(),
-            in_worklist: vec![false; nodes],
+            active: vec![0; nodes.div_ceil(64)],
             head_cands: [HopCandidates::new(); MAX_SLOTS],
             head_pick: [(0, VcClass::Adaptive); MAX_SLOTS],
         };
@@ -826,8 +821,9 @@ impl Shard {
         }
     }
 
-    /// Plan/grant phase over this shard's active routers (see the
-    /// module docs on event-driven stepping).
+    /// Plan/grant phase over this shard's active routers in ascending
+    /// node order (see the module docs on event-driven stepping): each
+    /// visit allocates one router, then ages the heads it left parked.
     pub(crate) fn allocate_active<P: FabricProbe>(
         &mut self,
         router: &mut dyn HopRouter,
@@ -835,16 +831,20 @@ impl Shard {
         deliveries: &mut Vec<Delivery>,
         probe: &mut P,
     ) {
-        let mut i = 0;
-        while i < self.worklist.len() {
-            let lnode = self.worklist[i] as usize;
-            if self.occ_mask[lnode] == 0 {
-                self.in_worklist[lnode] = false;
-                self.worklist.swap_remove(i);
-                continue;
+        for w in 0..self.active.len() {
+            let mut bits = self.active[w];
+            while bits != 0 {
+                let lnode = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // (A reference step may leave an emptied router's bit set.)
+                if self.occ_mask[lnode] != 0 {
+                    self.allocate_node(lnode, router, report, deliveries, probe);
+                    self.age_parked(lnode, probe);
+                }
+                if self.occ_mask[lnode] == 0 {
+                    self.active[w] &= !(1 << (lnode % 64));
+                }
             }
-            self.allocate_node(lnode, router, report, deliveries, probe);
-            i += 1;
         }
     }
 
@@ -1172,35 +1172,31 @@ impl Shard {
         }
     }
 
-    /// Escape-patience clock: heads still parked without an output
-    /// after this cycle's allocation age by one. Only occupied slots of
-    /// active routers can hold a parked head, so only those are
-    /// walked. Gated on the escape class existing — without it the
-    /// counter is unused.
-    pub(crate) fn age_parked_heads<P: FabricProbe>(&mut self, probe: &mut P) {
+    /// Escape-patience clock: the heads `lnode` still holds parked
+    /// without an output after its allocation age by one. Arrivals are
+    /// staged, so no other router's grants can change what this reads.
+    /// Gated on the escape class existing — without it the counter is
+    /// unused.
+    fn age_parked<P: FabricProbe>(&mut self, lnode: usize, probe: &mut P) {
         if !self.escape {
             return;
         }
-        let slots = IN_PORTS * self.vcs;
-        for i in 0..self.worklist.len() {
-            let lnode = self.worklist[i] as usize;
-            let mut m = self.occ_mask[lnode];
-            while m != 0 {
-                let slot = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let in_idx = lnode * slots + slot;
-                let v = self.in_vcs[in_idx];
-                if v.route.is_some() {
-                    continue;
-                }
-                let word = self.rings[in_idx * self.vc_depth + v.q_head as usize];
-                if word & SLOT_HEAD != 0 {
-                    let st = &mut self.pool.entries[slot_handle(word)].state;
-                    st.stalled += 1;
-                    let stalled = st.stalled;
-                    if P::ACTIVE {
-                        probe.head_stalled(self.global_of(lnode), word as u32, stalled);
-                    }
+        let in_base = lnode * IN_PORTS * self.vcs;
+        let mut m = self.occ_mask[lnode];
+        while m != 0 {
+            let in_idx = in_base + m.trailing_zeros() as usize;
+            m &= m - 1;
+            let v = self.in_vcs[in_idx];
+            if v.route.is_some() {
+                continue;
+            }
+            let word = self.rings[in_idx * self.vc_depth + v.q_head as usize];
+            if word & SLOT_HEAD != 0 {
+                let st = &mut self.pool.entries[slot_handle(word)].state;
+                st.stalled += 1;
+                let stalled = st.stalled;
+                if P::ACTIVE {
+                    probe.head_stalled(self.global_of(lnode), word as u32, stalled);
                 }
             }
         }
@@ -1328,10 +1324,7 @@ impl Shard {
             v.q_len += 1;
             if v.q_len == 1 {
                 self.occ_mask[lnode] |= 1u64 << slot;
-                if !self.in_worklist[lnode] {
-                    self.in_worklist[lnode] = true;
-                    self.worklist.push(a.lnode);
-                }
+                self.active[lnode / 64] |= 1 << (lnode % 64);
             }
         }
         for c in self.credit_returns.drain(..) {
@@ -1548,7 +1541,7 @@ impl Shard {
     /// Asserts the invariants both steppers maintain, at any point
     /// between two phases of a cycle:
     ///
-    /// * the occupancy and free-VC bitmasks and the worklist agree with
+    /// * the occupancy and free-VC bitmasks and the active set agree with
     ///   the ground truth (ring occupancy, owner/credit state);
     /// * flit conservation on every link that stays inside this band:
     ///   `credits + downstream ring occupancy + arrivals staged for it +
@@ -1588,8 +1581,8 @@ impl Shard {
                 );
                 if occupied {
                     assert!(
-                        self.in_worklist[lnode],
-                        "occupied local node {lnode} not on the worklist"
+                        self.active[lnode / 64] & 1 << (lnode % 64) != 0,
+                        "occupied local node {lnode} not in the active set"
                     );
                 }
                 for word in self.queued(in_idx).filter(|w| w & SLOT_HEAD != 0) {
@@ -1664,7 +1657,7 @@ impl Shard {
 /// owner/credit state (it never reads the bitmasks, so it cannot
 /// inherit a bookkeeping bug from them). It shares
 /// `Shard::commit_grant` and `Shard::commit_boundary` with the
-/// event-driven stepper, which keep the masks and worklist maintained —
+/// event-driven stepper, which keep the masks and active set maintained —
 /// the two steppers can be interleaved mid-run, at any shard count.
 #[cfg(test)]
 pub(crate) fn step_bands(
@@ -1681,7 +1674,6 @@ pub(crate) fn step_bands(
             s.age_reference();
         } else {
             s.allocate_active(router, &mut report, deliveries, &mut NoProbe);
-            s.age_parked_heads(&mut NoProbe);
         }
     }
     for i in 0..bands.len() {

@@ -13,7 +13,7 @@
 //! conservation invariants after every cycle of every shard
 //! (`Shard::assert_masks_consistent`, called from the worker's commit
 //! phase: flits on each in-band link, one pooled state per head, masks
-//! and worklist against ground truth) and that a shard left without
+//! and active set against ground truth) and that a shard left without
 //! flits holds no pooled state — so each drawn configuration below is
 //! checked for them at 1, 2 and 4 shards.
 //!

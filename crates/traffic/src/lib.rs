@@ -51,7 +51,7 @@
 //!   `XyRouter` baseline.
 //! * `fabric` — the cycle-level wormhole router microarchitecture
 //!   with class-aware virtual-channel allocation; stepping is
-//!   event-driven (active-router worklist, occupancy/request/free-VC
+//!   event-driven (an active-router bitset, occupancy/request/free-VC
 //!   bitmasks) and spatially partitioned into row-band shards that
 //!   exchange boundary messages at the staged cycle commit, yet
 //!   bit-identical to a full sequential scan at every shard count —

@@ -657,7 +657,6 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             return;
         }
         self.shard.allocate_active(&mut self.router, report, deliveries, &mut self.probe);
-        self.shard.age_parked_heads(&mut self.probe);
     }
 
     /// The commit half of one cycle (after the boundary exchange):
