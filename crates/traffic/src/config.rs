@@ -136,9 +136,10 @@ pub struct SimConfig {
     /// Flits per packet (head + body + tail; 1 = head-only packet).
     pub packet_len: u32,
     /// Injection rate in packets per node per cycle: every healthy node
-    /// runs one Bernoulli trial per cycle, and a hit sends a packet to
-    /// a uniformly drawn other healthy node. Any other traffic shape
-    /// comes from a [`WorkloadSource`](crate::WorkloadSource).
+    /// fires as a Bernoulli process, a geometric skip
+    /// `⌊ln(1−U)/ln(1−rate)⌋` cycles between fires, and each fire sends
+    /// a packet to a uniformly drawn other healthy node. Any other
+    /// traffic shape comes from a [`WorkloadSource`](crate::WorkloadSource).
     pub rate: f64,
     /// Warmup cycles: packets generated before this point are routed but
     /// excluded from the latency statistics.

@@ -8,7 +8,7 @@
 //! under load*: per-node routers with input-buffered virtual channels,
 //! credit-based flow control, a per-cycle switch allocator and
 //! unit-latency links (`fabric`), driven by one seeded synthetic
-//! process (a Bernoulli trial per node per cycle at
+//! process (a Bernoulli process per node at
 //! [`SimConfig::rate`], a uniformly drawn healthy destination,
 //! [`SimConfig::packet_len`] flits) or by a scheduled
 //! [`WorkloadSource`], and measured with warmup/measure/drain

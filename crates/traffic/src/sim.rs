@@ -109,6 +109,10 @@ const ID_SHARD_SHIFT: u32 = 24;
 /// adaptive wormhole routing under load.
 const DEADLOCK_WINDOW: u64 = 1000;
 
+/// Slots of a shard's generation timing wheel: slot `t % WHEEL` lists
+/// the sources armed to fire at a cycle congruent to `t`.
+const WHEEL: usize = 1024;
+
 /// Longest window of cycles the bands run between two coordinator
 /// contacts, however deep the bands are: the first report of a run (and
 /// a stop decision) is never more than this far away.
@@ -178,6 +182,8 @@ struct SourceNode {
     /// churn): a failed node stops generating (its RNG stream
     /// freezes) but keeps feeding a partially-injected worm.
     active: bool,
+    /// The cycle this source fires next, while on the wheel.
+    fire_at: Option<u64>,
 }
 
 /// Uniform destinations over one epoch's healthy nodes.
@@ -389,6 +395,9 @@ struct ShardWorker<'a, P: FabricProbe> {
     /// Packets queued across `sources` (the coordinator's termination
     /// input), maintained at every push and pop.
     backlog: u64,
+    /// The generation timing wheel and the sources one slot fires.
+    wheel: Vec<Vec<u32>>,
+    fired: Vec<u32>,
     /// Golden-equivalence hook: use the retained scan-order reference
     /// stepper instead of the event-driven one.
     #[cfg(test)]
@@ -417,7 +426,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             "a source's position is its local node index"
         );
         let backlogged = vec![0; sources.len().div_ceil(64)];
-        ShardWorker {
+        let mut worker = ShardWorker {
             shard,
             probe,
             sources,
@@ -434,11 +443,19 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             pending_workload: VecDeque::new(),
             backlogged,
             backlog: 0,
+            wheel: vec![Vec::new(); WHEEL],
+            fired: Vec::new(),
             #[cfg(test)]
             use_reference: false,
             #[cfg(test)]
             panic_at: None,
+        };
+        for i in 0..worker.sources.len() {
+            if worker.sources[i].active {
+                worker.arm(i, 0);
+            }
         }
+        worker
     }
 
     /// Arms the test hooks on the worker of shard `index`.
@@ -571,16 +588,27 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
     }
 
     /// Refreshes source liveness for every epoch adopted since the
-    /// last cycle, discarding not-yet-injected packets queued at failed
-    /// nodes (a partially injected worm keeps feeding — truncating it
-    /// would wedge its VCs forever).
-    fn refresh_sources(&mut self, done: &mut CycleDone) {
+    /// last cycle: a repaired source re-arms from `cycle`; a failed one
+    /// leaves the wheel and discards its not-yet-injected packets (a
+    /// partially injected worm keeps feeding — truncating it would wedge
+    /// its VCs forever).
+    fn refresh_sources(&mut self, cycle: u64, done: &mut CycleDone) {
         for view in std::mem::take(&mut self.adopted) {
             let faults = view.faults();
             let workload = self.workload;
-            for (i, s) in self.sources.iter_mut().enumerate() {
+            for i in 0..self.sources.len() {
+                let s = &mut self.sources[i];
                 let healthy = faults.is_healthy(s.coord);
-                if s.active && !healthy {
+                if !s.active && healthy {
+                    s.active = true;
+                    self.arm(i, cycle);
+                } else if s.active && !healthy {
+                    s.active = false;
+                    if let Some(at) = s.fire_at.take() {
+                        let slot = &mut self.wheel[at as usize % WHEEL];
+                        let pos = slot.iter().position(|&j| j as usize == i);
+                        slot.swap_remove(pos.expect("an armed source sits in its slot"));
+                    }
                     // The failed node's NI discards its backlog. The
                     // head-of-line packet survives only when its worm is
                     // already partially in the fabric.
@@ -607,7 +635,6 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
                         }
                     }
                 }
-                s.active = healthy;
             }
         }
     }
@@ -626,7 +653,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         }
         let t = P::ACTIVE.then(Instant::now);
         if !self.adopted.is_empty() {
-            self.refresh_sources(done);
+            self.refresh_sources(cycle, done);
         }
         if self.workload {
             self.release_workload(cycle, done);
@@ -688,22 +715,54 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         }
     }
 
-    /// Generation at every healthy node of this shard: a Bernoulli
-    /// trial at `rate`, then a uniform destination and `packet_len`
-    /// flits.
-    fn generate(&mut self, cycle: u64, done: &mut CycleDone) {
-        for i in 0..self.sources.len() {
-            let s = &mut self.sources[i];
-            if !s.active || !s.rng.gen_bool(self.cfg.rate) {
-                continue;
-            }
-            let src = s.coord;
-            let Some(dst) = self.sampler.dest(src, &mut s.rng) else {
-                continue;
-            };
-            let len = self.cfg.packet_len;
-            self.admit(cycle, i, src, dst, crate::source::NO_FLOW, len, done);
+    /// Arms source `i` a geometric skip after `from`, drawn from its own
+    /// stream (see [`SimConfig::rate`]). Rate 0 and workloads never arm,
+    /// rate 1 draws nothing, and no fire past generation is armed.
+    fn arm(&mut self, i: usize, from: u64) {
+        let rate = self.cfg.rate;
+        if self.workload || rate == 0.0 {
+            return;
         }
+        let s = &mut self.sources[i];
+        let skip = if rate < 1.0 {
+            let u: f64 = s.rng.gen_range(0.0..1.0);
+            ((-u).ln_1p() / (-rate).ln_1p()) as u64
+        } else {
+            0
+        };
+        let at = from.saturating_add(skip);
+        s.fire_at = (at < self.gen_until).then_some(at);
+        if s.fire_at.is_some() {
+            self.wheel[at as usize % WHEEL].push(i as u32);
+        }
+    }
+
+    /// Generation off this cycle's wheel slot: each source due, in
+    /// ascending order, draws a destination, re-arms, and queues a packet.
+    fn generate(&mut self, cycle: u64, done: &mut CycleDone) {
+        let mut fired = std::mem::take(&mut self.fired);
+        let sources = &self.sources;
+        self.wheel[cycle as usize % WHEEL].retain(|&i| {
+            let due = sources[i as usize].fire_at == Some(cycle);
+            if due {
+                fired.push(i);
+            }
+            !due
+        });
+        fired.sort_unstable();
+        for &i in &fired {
+            let i = i as usize;
+            let s = &mut self.sources[i];
+            let src = s.coord;
+            let dst = self.sampler.dest(src, &mut s.rng);
+            self.arm(i, cycle + 1);
+            if let Some(dst) = dst {
+                let len = self.cfg.packet_len;
+                self.admit(cycle, i, src, dst, crate::source::NO_FLOW, len, done);
+            }
+        }
+        fired.clear();
+        self.fired = fired;
     }
 
     /// Releases this cycle's workload messages into the source queues
@@ -1231,7 +1290,7 @@ impl<'p> TrafficSim<'p> {
                 let id = mesh.id(c);
                 let rng = StdRng::seed_from_u64(derive_seed(cfg.seed, u64::from(id.0), 0));
                 let active = base.faults().is_healthy(c);
-                SourceNode { id, coord: c, rng, queue: VecDeque::new(), active }
+                SourceNode { id, coord: c, rng, queue: VecDeque::new(), active, fire_at: None }
             })
             .collect();
         let shards = Shard::bands(mesh, cfg.vcs, cfg.vc_depth, cfg.escape, threads);
@@ -1598,7 +1657,7 @@ pub fn single_packet_latency(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ChurnOp, PIPELINE_DEPTH};
+    use crate::config::{ChurnEvent, ChurnOp, PIPELINE_DEPTH};
     use meshpath_mesh::{FaultSet, Mesh};
 
     fn fault_free(n: u32) -> NetView {
@@ -1684,6 +1743,93 @@ mod tests {
         // Fewer than two healthy nodes: nowhere to send.
         let lone = FaultSet::from_coords(Mesh::new(2, 1), [Coord::new(1, 0)]);
         assert_eq!(DestSampler::new(&lone).dest(Coord::new(0, 0), &mut rng), None);
+    }
+
+    /// On a fault-free 16x16 the packets generated sit within 4σ of
+    /// `rate · nodes · cycles`; rate 0 generates nothing.
+    #[test]
+    fn the_wheel_generates_at_the_configured_rate() {
+        let net = fault_free(16);
+        for rate in [0.0, 0.003, 0.02] {
+            let cfg = SimConfig { rate, ..SimConfig::smoke() };
+            let generated = run_traffic(&net, RoutingKind::Xy, &cfg).generated as f64;
+            let trials = (256 * (cfg.warmup + cfg.measure)) as f64;
+            let sigma = (trials * rate * (1.0 - rate)).sqrt();
+            assert!((generated - rate * trials).abs() <= 4.0 * sigma, "{generated} at {rate}");
+        }
+    }
+
+    /// Rate 1 fires every source every cycle, in node order.
+    #[test]
+    fn rate_one_queues_a_packet_per_source_per_cycle() {
+        let mesh = Mesh::square(4);
+        let net = NetView::build(FaultSet::none(mesh));
+        let cfg = SimConfig { rate: 1.0, warmup: 0, measure: 20, drain: 40, ..SimConfig::smoke() };
+        let out = run_reusing(
+            &mut PathTable::new(&net, RoutingKind::Xy),
+            &cfg.with_record_trace(),
+            &mut (),
+        );
+        let trace = out.trace.expect("recorded");
+        assert_eq!(out.stats.generated, 16 * 20);
+        for cycle in 0..20 {
+            let fired: Vec<Coord> =
+                trace.iter().filter(|e| e.cycle == cycle).map(|e| e.src).collect();
+            assert_eq!(fired, mesh.iter().collect::<Vec<_>>(), "cycle {cycle}");
+        }
+    }
+
+    /// The first 1,000 fire cycles of node (0,0) on a 2x1 mesh at seed
+    /// 1, pinned as a hash: a changed skip draw shows.
+    #[test]
+    fn a_sources_fire_cycles_are_pinned() {
+        let net = NetView::build(FaultSet::none(Mesh::new(2, 1)));
+        let cfg =
+            SimConfig { rate: 0.05, seed: 1, warmup: 0, measure: 25_000, ..SimConfig::smoke() };
+        let out = run_reusing(
+            &mut PathTable::new(&net, RoutingKind::Xy),
+            &cfg.with_record_trace(),
+            &mut (),
+        );
+        let fires: Vec<u64> = out
+            .trace
+            .expect("recorded")
+            .iter()
+            .filter(|e| e.src == Coord::new(0, 0))
+            .map(|e| e.cycle)
+            .take(1000)
+            .collect();
+        assert_eq!(fires.len(), 1000);
+        let hash = fires
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &c| (h ^ c).wrapping_mul(0x100_0000_01b3));
+        assert_eq!(hash, 0x9807_36c1_f96a_dfb7);
+    }
+
+    /// A source failed at `a` and repaired at `b` fires nothing in
+    /// `[a, b)` and fires again from `b`, at every shard count.
+    #[test]
+    fn a_failed_source_is_silent_until_its_repair() {
+        let net = NetView::build(FaultSet::from_coords(Mesh::square(8), [Coord::new(5, 2)]));
+        let (x, a, b) = (Coord::new(2, 3), 200, 400);
+        let cfg = SimConfig {
+            rate: 0.05,
+            warmup: 0,
+            measure: 600,
+            fault_churn: vec![ChurnEvent::fail(a, x), ChurnEvent::repair(b, x)],
+            ..SimConfig::smoke()
+        }
+        .with_record_trace();
+        let fires = |threads| -> Vec<u64> {
+            let cfg = SimConfig { threads, ..cfg.clone() };
+            let out = run_reusing(&mut PathTable::new(&net, RoutingKind::Rb2), &cfg, &mut ());
+            out.trace.expect("recorded").iter().filter(|e| e.src == x).map(|e| e.cycle).collect()
+        };
+        let one = fires(1);
+        assert!(one.iter().any(|&c| c < a), "{one:?}");
+        assert!(one.iter().all(|&c| !(a..b).contains(&c)), "fired while failed: {one:?}");
+        assert!(one.iter().any(|&c| c >= b), "{one:?}");
+        assert_eq!(fires(2), one);
     }
 
     #[test]
@@ -1784,7 +1930,6 @@ mod tests {
 
     #[test]
     fn the_observer_visible_sequence_is_window_and_shard_invariant() {
-        use crate::config::ChurnEvent;
         let net = fault_free(12);
         // The failure at cycle 64 lands exactly on a window edge of
         // lengths 1, 8 and 64, and the stop after cycle 149 falls
@@ -2075,7 +2220,6 @@ mod tests {
     #[test]
     fn listed_and_live_churn_compose_deterministically() {
         use crate::churn::{ChaosConfig, OnlineChurn};
-        use crate::config::ChurnEvent;
         let net = fault_free(10);
         let listed = ChurnEvent::fail(45, Coord::new(2, 2));
         let chaos = ChaosConfig { seed: 9, start: 32, stop: 200, ..ChaosConfig::default() };
@@ -2131,7 +2275,6 @@ mod tests {
 
     #[test]
     fn a_table_reused_across_churn_runs_holds_one_epoch_of_routes() {
-        use crate::config::ChurnEvent;
         let net = fault_free(8);
         let failed = [Coord::new(4, 4), Coord::new(2, 5)];
         let events = vec![ChurnEvent::fail(60, failed[0]), ChurnEvent::fail(90, failed[1])];
@@ -2169,7 +2312,6 @@ mod tests {
     #[test]
     fn listed_churn_equals_the_same_events_injected_at_their_cycles() {
         use crate::churn::{ChurnInjector, OnlineChurn};
-        use crate::config::ChurnEvent;
         // A `fault_churn` list is the churn driver loaded ahead of time:
         // the same two events queued on an injector just before the
         // quantum boundary at their cycle must give the same run.
@@ -2208,7 +2350,6 @@ mod tests {
 
     #[test]
     fn listed_events_keep_config_order_and_their_exact_cycle_in_both_transports() {
-        use crate::config::ChurnEvent;
         let net = fault_free(8);
         let (a, b) = (Coord::new(2, 2), Coord::new(5, 5));
         // Two events at cycle 0 and three at cycle 37 (no quantum's
@@ -2244,7 +2385,6 @@ mod tests {
 
     #[test]
     fn invalid_listed_events_are_rejected_and_counted_not_panics() {
-        use crate::config::ChurnEvent;
         let net = fault_free(8);
         let c = Coord::new(3, 3);
         for threads in [1, 2] {
