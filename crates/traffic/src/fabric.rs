@@ -1173,10 +1173,9 @@ impl Shard {
     }
 
     /// Escape-patience clock: the heads `lnode` still holds parked
-    /// without an output after its allocation age by one. Arrivals are
-    /// staged, so no other router's grants can change what this reads.
-    /// Gated on the escape class existing — without it the counter is
-    /// unused.
+    /// without an output after its allocation age by one (arrivals are
+    /// staged, so no other router's grant changes what this reads).
+    /// Without the escape class the counter is unused.
     fn age_parked<P: FabricProbe>(&mut self, lnode: usize, probe: &mut P) {
         if !self.escape {
             return;

@@ -715,9 +715,8 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         }
     }
 
-    /// Arms source `i` a geometric skip after `from`, drawn from its own
-    /// stream (see [`SimConfig::rate`]). Rate 0 and workloads never arm,
-    /// rate 1 draws nothing, and no fire past generation is armed.
+    /// Arms source `i` a geometric skip (see [`SimConfig::rate`]) after
+    /// `from`. Rate 0, workloads and fires past generation never arm.
     fn arm(&mut self, i: usize, from: u64) {
         let rate = self.cfg.rate;
         if self.workload || rate == 0.0 {
@@ -1279,11 +1278,9 @@ impl<'p> TrafficSim<'p> {
         let mesh = *base.mesh();
         let threads = cfg.resolved_threads(mesh.len());
         // Source state exists for *every* node: churn can repair a node
-        // that starts out faulty, and it must be able to start
-        // generating. Harmless otherwise — per-node RNG streams are
-        // seeded by node id (so extra sources never perturb any other
-        // node's stream) and an inactive source draws nothing, queues
-        // nothing and counts nothing.
+        // that starts out faulty. Streams are seeded by node id, so an
+        // extra source perturbs no other, and an unarmed one draws
+        // nothing.
         let sources: Vec<SourceNode> = mesh
             .iter()
             .map(|c| {
@@ -1745,8 +1742,7 @@ mod tests {
         assert_eq!(DestSampler::new(&lone).dest(Coord::new(0, 0), &mut rng), None);
     }
 
-    /// On a fault-free 16x16 the packets generated sit within 4σ of
-    /// `rate · nodes · cycles`; rate 0 generates nothing.
+    /// Generated packets sit within 4σ of `rate · nodes · cycles`.
     #[test]
     fn the_wheel_generates_at_the_configured_rate() {
         let net = fault_free(16);
@@ -1759,7 +1755,6 @@ mod tests {
         }
     }
 
-    /// Rate 1 fires every source every cycle, in node order.
     #[test]
     fn rate_one_queues_a_packet_per_source_per_cycle() {
         let mesh = Mesh::square(4);
@@ -1779,8 +1774,6 @@ mod tests {
         }
     }
 
-    /// The first 1,000 fire cycles of node (0,0) on a 2x1 mesh at seed
-    /// 1, pinned as a hash: a changed skip draw shows.
     #[test]
     fn a_sources_fire_cycles_are_pinned() {
         let net = NetView::build(FaultSet::none(Mesh::new(2, 1)));
@@ -1806,8 +1799,6 @@ mod tests {
         assert_eq!(hash, 0x9807_36c1_f96a_dfb7);
     }
 
-    /// A source failed at `a` and repaired at `b` fires nothing in
-    /// `[a, b)` and fires again from `b`, at every shard count.
     #[test]
     fn a_failed_source_is_silent_until_its_repair() {
         let net = NetView::build(FaultSet::from_coords(Mesh::square(8), [Coord::new(5, 2)]));
