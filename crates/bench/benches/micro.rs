@@ -225,7 +225,7 @@ fn bench(c: &mut Criterion) {
     c.bench_function("alg2_step_64x64_204f", |b| {
         b.iter(|| {
             for ((ctx, ou, ot), critical) in phases.iter().zip(&mut keyed) {
-                black_box(alg2::decide(ctx, *ou, *ot, AdaptivePolicy::default(), None, critical));
+                black_box(alg2::decide(ctx, *ou, *ot, None, critical));
             }
         })
     });

@@ -164,8 +164,8 @@ pub mod prelude {
     pub use meshpath_obs::{ObsLevel, ObsReport, Postmortem, StopKind};
     pub use meshpath_route::oracle::DistanceField;
     pub use meshpath_route::{
-        validate_path, AdaptivePolicy, Decision, ECube, HopCtx, HopState, KnowledgeScope, NetState,
-        NetView, Network, Rb1, Rb2, Rb3, RouteResult, Router, RoutingKind, UpdateError, XyRouter,
+        validate_path, Decision, ECube, HopCtx, HopState, KnowledgeScope, NetState, NetView,
+        Network, Rb1, Rb2, Rb3, RouteResult, Router, RoutingKind, UpdateError, XyRouter,
     };
     pub use meshpath_traffic::{
         run_traffic, ChaosConfig, ChurnEvent, ChurnInjector, ChurnOp, OnlineChurn, SimConfig,

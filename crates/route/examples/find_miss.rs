@@ -32,8 +32,7 @@ fn main() {
                             continue;
                         }
                         let rb1 = Rb1::default().route(&net, s, d);
-                        let rb2g = Rb2 { scope: KnowledgeScope::Global, ..Default::default() }
-                            .route(&net, s, d);
+                        let rb2g = Rb2 { scope: KnowledgeScope::Global }.route(&net, s, d);
                         let bad_rb1 = !rb1.delivered;
                         let bad_rb2 = !rb2g.delivered || rb2g.hops() != field.dist(s);
                         if bad_rb1 || bad_rb2 {

@@ -18,7 +18,7 @@ fn main() {
             let mut rng = StdRng::seed_from_u64(seed * 7919 + faults as u64);
             let fs = FaultSet::random(mesh, faults, FaultInjection::Uniform, &mut rng);
             let net = NetView::build(fs);
-            let router = Rb2 { scope: KnowledgeScope::Global, ..Default::default() };
+            let router = Rb2 { scope: KnowledgeScope::Global };
             let mut routed = 0;
             let mut attempts = 0;
             while routed < 40 && attempts < 40_000 {

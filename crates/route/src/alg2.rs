@@ -11,7 +11,9 @@
 //!    merged into `F`'s region (the paper merges `R(v)` into `R(c)` when
 //!    `c`'s boundary hits `v`) and `R'(F)` the critical region of `F`
 //!    itself;
-//! 3. pick any remaining direction with a fully adaptive policy.
+//! 3. pick a remaining direction: the paper allows any fully adaptive
+//!    rule; this one takes `+X` unless a triple is critical for `t`, and
+//!    then the axis with the longer remaining distance.
 //!
 //! Neighbor *safety* (not just non-faultiness) is local knowledge: the
 //! paper's labeling protocol works by neighbor status exchange, so
@@ -32,48 +34,21 @@
 //! neither the order nor the subset of MCCs visited can change the
 //! outcome: the decision equals the scan over every MCC and both
 //! candidates, kept as the `#[cfg(test)]` reference of the proptests.
+//!
+//! ## Why step 3 may keep dimension order
+//!
+//! `t` is fixed for a phase, so with no guard in the [`CriticalSet`]
+//! step 2 excludes nothing until the phase ends, and `+X` first gives
+//! XY's route shape, which the fabric carries best (on a fault-free mesh
+//! RB1/RB2/RB3 route every pair as XY). Under a guard the walk hugs the
+//! diagonal: dimension order there can enter a dead-end corridor along
+//! the border (the 6x6 hand cases in the root `tests/edge_cases.rs`).
 
 use meshpath_fault::{Mcc, MccId, MccSet};
 use meshpath_info::InfoModel;
 use meshpath_mesh::{Coord, Dir, Orientation};
 
 use crate::seq::KnowledgeScope;
-
-/// Tie-break policy for step 3's "any fully adaptive routing".
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum AdaptivePolicy {
-    /// Move along the axis with the larger remaining distance (default;
-    /// keeps the walk near the rectangle's diagonal, which maximizes
-    /// later adaptivity).
-    #[default]
-    LongerFirst,
-    /// Prefer `+X` when available (dimension-ordered flavour).
-    PreferX,
-    /// Prefer `+Y` when available.
-    PreferY,
-}
-
-impl AdaptivePolicy {
-    fn pick(self, ou: Coord, ot: Coord, p: [bool; 2]) -> Option<Dir> {
-        let (px, py) = (p[0], p[1]);
-        match (px, py) {
-            (false, false) => None,
-            (true, false) => Some(Dir::PlusX),
-            (false, true) => Some(Dir::PlusY),
-            (true, true) => Some(match self {
-                AdaptivePolicy::PreferX => Dir::PlusX,
-                AdaptivePolicy::PreferY => Dir::PlusY,
-                AdaptivePolicy::LongerFirst => {
-                    if ot.x - ou.x >= ot.y - ou.y {
-                        Dir::PlusX
-                    } else {
-                        Dir::PlusY
-                    }
-                }
-            }),
-        }
-    }
-}
 
 /// One routing decision.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -266,7 +241,6 @@ pub fn decide(
     ctx: &PhaseCtx<'_>,
     ou: Coord,
     ot: Coord,
-    policy: AdaptivePolicy,
     avoid: Option<Coord>,
     critical: &mut CriticalSet,
 ) -> Decision {
@@ -290,10 +264,15 @@ pub fn decide(
         p[1] = p[1] && !x.iter().any(|t| t.fires(ctx, profiles, ou, ou.y, ou.x));
     }
 
-    // Step 3: fully adaptive selection.
-    match policy.pick(ou, ot, p) {
-        Some(dir) => Decision::Step(dir),
-        None => Decision::Blocked,
+    // Step 3: between two survivors, `+X` unless a guard is keyed (both
+    // survive only after the re-key above), then the longer remainder.
+    let guarded = || !critical.y.is_empty() || !critical.x.is_empty();
+    match p {
+        [false, false] => Decision::Blocked,
+        [true, false] => Decision::Step(Dir::PlusX),
+        [false, true] => Decision::Step(Dir::PlusY),
+        [true, true] if ot.x - ou.x >= ot.y - ou.y || !guarded() => Decision::Step(Dir::PlusX),
+        [true, true] => Decision::Step(Dir::PlusY),
     }
 }
 
@@ -314,17 +293,11 @@ fn candidates(ctx: &PhaseCtx<'_>, ou: Coord, ot: Coord, avoid: Option<Coord>) ->
     p
 }
 
-/// The reference Algorithm 2: step 2 as a scan over *every* MCC of the
-/// orientation on every call. Tests only — the proptest below holds
-/// [`decide`] to it.
+/// The reference Algorithm 2: steps 2 and 3 as scans over *every* MCC
+/// of the orientation on every call. Tests only — the proptest below
+/// holds [`decide`] to it.
 #[cfg(test)]
-fn decide_full_scan(
-    ctx: &PhaseCtx<'_>,
-    ou: Coord,
-    ot: Coord,
-    policy: AdaptivePolicy,
-    avoid: Option<Coord>,
-) -> Decision {
+fn decide_full_scan(ctx: &PhaseCtx<'_>, ou: Coord, ot: Coord, avoid: Option<Coord>) -> Decision {
     if ou == ot {
         return Decision::Arrived;
     }
@@ -361,9 +334,12 @@ fn decide_full_scan(
             }
         }
     }
-    match policy.pick(ou, ot, p) {
-        Some(dir) => Decision::Step(dir),
-        None => Decision::Blocked,
+    let guarded = ctx.set.iter().any(|f| f.critical_y(ot) || f.critical_x(ot));
+    match p {
+        [true, true] if guarded && ot.y - ou.y > ot.x - ou.x => Decision::Step(Dir::PlusY),
+        [true, _] => Decision::Step(Dir::PlusX),
+        [false, true] => Decision::Step(Dir::PlusY),
+        [false, false] => Decision::Blocked,
     }
 }
 
@@ -379,15 +355,9 @@ mod tests {
 
     /// [`decide`](super::decide) on a fresh critical set, held to the
     /// full-scan reference.
-    fn decide(
-        ctx: &PhaseCtx<'_>,
-        ou: Coord,
-        ot: Coord,
-        policy: AdaptivePolicy,
-        avoid: Option<Coord>,
-    ) -> Decision {
-        let d = super::decide(ctx, ou, ot, policy, avoid, &mut CriticalSet::default());
-        assert_eq!(d, decide_full_scan(ctx, ou, ot, policy, avoid));
+    fn decide(ctx: &PhaseCtx<'_>, ou: Coord, ot: Coord, avoid: Option<Coord>) -> Decision {
+        let d = super::decide(ctx, ou, ot, avoid, &mut CriticalSet::default());
+        assert_eq!(d, decide_full_scan(ctx, ou, ot, avoid));
         d
     }
 
@@ -399,69 +369,77 @@ mod tests {
         (set, model)
     }
 
+    /// A bar of faults on row 5, columns 5..=8: its shadow is those
+    /// columns below row 5, and (8,6) is in its critical region with the
+    /// X remainder from (4,4) or (5,3) no shorter than the Y remainder,
+    /// so step 3 would take `+X` there unless step 2 excludes it.
+    const BAR: [(i32, i32); 4] = [(5, 5), (6, 5), (7, 5), (8, 5)];
+
     #[test]
     fn fault_free_decision_moves_toward_target() {
         let (set, model) = ctx_for(&[], ModelKind::B1);
         let ctx = PhaseCtx { set: &set, model: &model, scope: KnowledgeScope::Local };
-        let d = decide(&ctx, Coord::new(0, 0), Coord::new(3, 1), AdaptivePolicy::LongerFirst, None);
-        assert_eq!(d, Decision::Step(Dir::PlusX)); // larger X remainder
-        let d = decide(&ctx, Coord::new(0, 0), Coord::new(1, 3), AdaptivePolicy::LongerFirst, None);
+        // Nothing is critical: dimension order, whichever remainder is longer.
+        let d = decide(&ctx, Coord::new(0, 0), Coord::new(3, 1), None);
+        assert_eq!(d, Decision::Step(Dir::PlusX));
+        let d = decide(&ctx, Coord::new(0, 0), Coord::new(1, 3), None);
+        assert_eq!(d, Decision::Step(Dir::PlusX));
+        let d = decide(&ctx, Coord::new(1, 0), Coord::new(1, 3), None);
         assert_eq!(d, Decision::Step(Dir::PlusY));
-        let d = decide(&ctx, Coord::new(3, 1), Coord::new(3, 1), AdaptivePolicy::LongerFirst, None);
+        let d = decide(&ctx, Coord::new(3, 1), Coord::new(3, 1), None);
         assert_eq!(d, Decision::Arrived);
     }
 
     #[test]
     fn faulty_neighbor_is_not_a_candidate() {
+        // Nothing is critical for (3,3), so step 3 would take +X.
         let (set, model) = ctx_for(&[(1, 0)], ModelKind::B1);
         let ctx = PhaseCtx { set: &set, model: &model, scope: KnowledgeScope::Local };
-        let d = decide(&ctx, Coord::new(0, 0), Coord::new(3, 3), AdaptivePolicy::PreferX, None);
+        let d = decide(&ctx, Coord::new(0, 0), Coord::new(3, 3), None);
         assert_eq!(d, Decision::Step(Dir::PlusY));
     }
 
     #[test]
     fn exclusion_guards_the_shadow_at_the_boundary() {
-        // Fault at (5,5); u sits on the -X boundary column at (4,2) with
-        // the destination in the critical region (5,9): stepping +X into
-        // the shadow must be excluded.
-        let (set, model) = ctx_for(&[(5, 5)], ModelKind::B1);
+        // u sits on the bar's -X boundary column at (4,4) with the
+        // destination in the critical region (8,6): stepping +X into the
+        // shadow must be excluded.
+        let (set, model) = ctx_for(&BAR, ModelKind::B1);
         let ctx = PhaseCtx { set: &set, model: &model, scope: KnowledgeScope::Local };
-        let d = decide(&ctx, Coord::new(4, 2), Coord::new(5, 9), AdaptivePolicy::PreferX, None);
+        let d = decide(&ctx, Coord::new(4, 4), Coord::new(8, 6), None);
         assert_eq!(d, Decision::Step(Dir::PlusY), "+X into the shadow must be excluded");
         // With a destination NOT in the critical region, +X is fine.
-        let d = decide(&ctx, Coord::new(4, 2), Coord::new(6, 9), AdaptivePolicy::PreferX, None);
+        let d = decide(&ctx, Coord::new(4, 4), Coord::new(9, 6), None);
         assert_eq!(d, Decision::Step(Dir::PlusX));
     }
 
     #[test]
     fn no_knowledge_means_no_exclusion() {
-        // Same geometry, but u = (4,2) under B1 *knows* (it is on the
-        // boundary); a node east of the shadow like (7,2) does not, and
-        // a doomed target makes it walk in anyway (that is RB1's miss,
-        // repaired by detours).
-        let (set, model) = ctx_for(&[(5, 5)], ModelKind::B1);
+        // (9,7) is X-critical for the fault at (8,7), whose region merges
+        // the shadow of (4,6): row 6 west of column 4. From (2,5), +X is
+        // faulty and +Y enters that row. Under B1 the triple is not
+        // stored at (2,5), so the walk goes in anyway (that is RB1's
+        // miss, repaired by detours); global knowledge blocks the phase.
+        let (set, model) = ctx_for(&[(3, 5), (4, 6), (8, 7)], ModelKind::B1);
+        let (u, t) = (Coord::new(2, 5), Coord::new(9, 7));
         let ctx = PhaseCtx { set: &set, model: &model, scope: KnowledgeScope::Local };
-        // (5,2) is inside the shadow and holds no triple under B1.
-        let d = decide(&ctx, Coord::new(5, 2), Coord::new(5, 9), AdaptivePolicy::PreferY, None);
-        // +X not a candidate (target.x == u.x); +Y is taken blindly toward
-        // the fault; at (5,4) the +Y neighbor is faulty and P empties.
-        assert_eq!(d, Decision::Step(Dir::PlusY));
-        let d = decide(&ctx, Coord::new(5, 4), Coord::new(5, 9), AdaptivePolicy::PreferY, None);
-        assert_eq!(d, Decision::Blocked);
+        assert_eq!(decide(&ctx, u, t, None), Decision::Step(Dir::PlusY));
+        let ctx = PhaseCtx { scope: KnowledgeScope::Global, ..ctx };
+        assert_eq!(decide(&ctx, u, t, None), Decision::Blocked);
     }
 
     #[test]
     fn exclusion_only_fires_on_entry() {
-        let (set, model) = ctx_for(&[(5, 5)], ModelKind::B1);
+        let (set, model) = ctx_for(&BAR, ModelKind::B1);
         let ctx = PhaseCtx { set: &set, model: &model, scope: KnowledgeScope::Global };
-        // (5,2) is already inside the shadow: the guard is past, and the
-        // exclusion must NOT fire (the pair is blocked; RB1's detour or
-        // RB2's planning deal with it). The decision keeps +Y until the
-        // fault wall itself empties P.
-        let d = decide(&ctx, Coord::new(5, 2), Coord::new(5, 9), AdaptivePolicy::PreferY, None);
-        assert_eq!(d, Decision::Step(Dir::PlusY));
+        // (5,3) is already inside the shadow: the guard is past, and the
+        // exclusion must NOT fire on the +X step to (6,3), still inside
+        // (the pair is blocked; RB1's detour or RB2's planning deal with
+        // it).
+        let d = decide(&ctx, Coord::new(5, 3), Coord::new(8, 6), None);
+        assert_eq!(d, Decision::Step(Dir::PlusX));
         // From outside (the boundary column), entry is still excluded.
-        let d = decide(&ctx, Coord::new(4, 2), Coord::new(5, 9), AdaptivePolicy::PreferX, None);
+        let d = decide(&ctx, Coord::new(4, 4), Coord::new(8, 6), None);
         assert_eq!(d, Decision::Step(Dir::PlusY));
     }
 
@@ -544,13 +522,8 @@ mod tests {
     fn avoid_excludes_the_preceding_node() {
         let (set, model) = ctx_for(&[], ModelKind::B1);
         let ctx = PhaseCtx { set: &set, model: &model, scope: KnowledgeScope::Local };
-        let d = decide(
-            &ctx,
-            Coord::new(0, 0),
-            Coord::new(1, 1),
-            AdaptivePolicy::PreferX,
-            Some(Coord::new(1, 0)),
-        );
+        // Step 3 would take +X: nothing is critical.
+        let d = decide(&ctx, Coord::new(0, 0), Coord::new(1, 1), Some(Coord::new(1, 0)));
         assert_eq!(d, Decision::Step(Dir::PlusY));
     }
 
@@ -572,9 +545,9 @@ mod tests {
 
         /// The target-keyed decision equals the full scan for random
         /// fault sets x all four orientations x B1/B2/B3 x Local/Global
-        /// x random `(ou, ot, avoid)` x every tie-break policy. One
-        /// `CriticalSet` serves the whole sequence of a case (one
-        /// network), so stale keys would show as well.
+        /// x random `(ou, ot, avoid)`. One `CriticalSet` serves the whole
+        /// sequence of a case (one network), so stale keys would show as
+        /// well.
         #[test]
         fn target_keyed_decision_equals_the_full_scan(
             (n, density, seed) in (6i32..15, 0usize..28, 0u64..u64::MAX)
@@ -589,7 +562,7 @@ mod tests {
             );
             let nets = analyses(&fs);
             let mut critical = CriticalSet::default();
-            for _ in 0..96 {
+            for _ in 0..288 {
                 let (set, models) = &nets[rng.gen_range(0..4usize)];
                 let model = &models[rng.gen_range(0..3usize)];
                 let scope =
@@ -609,17 +582,13 @@ mod tests {
                     1 => Some(ou.step(Dir::PlusX)),
                     _ => Some(ou.step(Dir::PlusY)),
                 };
-                for policy in
-                    [AdaptivePolicy::LongerFirst, AdaptivePolicy::PreferX, AdaptivePolicy::PreferY]
-                {
-                    prop_assert_eq!(
-                        super::decide(&ctx, ou, ot, policy, avoid, &mut critical),
-                        decide_full_scan(&ctx, ou, ot, policy, avoid),
-                        "{:?} {:?} {:?}: {:?} -> {:?} avoiding {:?} over {:?}",
-                        set.orientation(), model.kind(), scope, ou, ot, avoid,
-                        fs.iter().collect::<Vec<_>>()
-                    );
-                }
+                prop_assert_eq!(
+                    super::decide(&ctx, ou, ot, avoid, &mut critical),
+                    decide_full_scan(&ctx, ou, ot, avoid),
+                    "{:?} {:?} {:?}: {:?} -> {:?} avoiding {:?} over {:?}",
+                    set.orientation(), model.kind(), scope, ou, ot, avoid,
+                    fs.iter().collect::<Vec<_>>()
+                );
             }
         }
     }

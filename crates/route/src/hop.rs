@@ -407,7 +407,7 @@ pub(crate) fn xy_next(here: Coord, dst: Coord) -> Dir {
 mod tests {
     use super::*;
     use crate::routers::{Rb1, Rb2, Rb3};
-    use crate::{AdaptivePolicy, KnowledgeScope};
+    use crate::KnowledgeScope;
     use meshpath_info::ModelKind;
     use meshpath_mesh::{FaultSet, Mesh};
 
@@ -494,23 +494,25 @@ mod tests {
 
     #[test]
     fn a_reused_state_never_serves_a_stale_critical_set() {
-        // In `a`, (9,5) is X-critical for the MCC at (5,5): a +Y-first
-        // walk from (0,3) must be kept out of row 5 west of the fault. In
-        // `b` nothing is critical for that target. One state routes the
-        // same pair on `b`, then on `a`: the key (orientation, target) is
-        // the same, so a set that survived `reset` would carry `b`'s
-        // (empty) answer into `a` and the walk would enter the shadow.
-        // In `c` the same MCC id guards the same target with a shadow one
-        // column longer: only a kept *profile* tells `a` from `c`, and
-        // the walk would step into (5,5), west of `c`'s fault.
+        // In `a`, (7,7) is X-critical for the wall on column 5, rows
+        // 3..=7: the walk from (1,0), guarded and so Y-first where the Y
+        // remainder is longer, must be kept out of those rows west of the
+        // wall. In `b` nothing is critical for that target, and the walk
+        // keeps dimension order. One state routes the same pair on `b`,
+        // then on `a`: the key (orientation, target) is the same, so a
+        // set that survived `reset` would carry `b`'s (empty) answer into
+        // `a` and route it in dimension order. In `c` the same MCC id
+        // guards the same target with a shadow one column longer: only a
+        // kept *profile* tells `a` from `c`, and the walk would step into
+        // (5,3), west of `c`'s wall.
         let mesh = Mesh::square(12);
-        let a = NetView::build(FaultSet::from_coords(mesh, [Coord::new(5, 5)]));
+        let wall = |x| FaultSet::from_coords(mesh, (3..=7).map(|y| Coord::new(x, y)));
+        let a = NetView::build(wall(5));
         let b = NetView::build(FaultSet::from_coords(mesh, [Coord::new(9, 9)]));
-        let c = NetView::build(FaultSet::from_coords(mesh, [Coord::new(6, 5)]));
-        let (s, d) = (Coord::new(0, 3), Coord::new(9, 5));
-        let (policy, scope) = (AdaptivePolicy::PreferY, KnowledgeScope::Global);
-        let routers: [&dyn Router; 3] =
-            [&Rb1 { policy, scope }, &Rb2 { policy, scope }, &Rb3 { policy, scope }];
+        let c = NetView::build(wall(6));
+        let (s, d) = (Coord::new(1, 0), Coord::new(7, 7));
+        let scope = KnowledgeScope::Global;
+        let routers: [&dyn Router; 3] = [&Rb1 { scope }, &Rb2 { scope }, &Rb3 { scope }];
         for router in routers {
             let mut state = HopState::new(s);
             for net in [&b, &a, &c, &a, &b, &c] {
@@ -647,7 +649,7 @@ mod tests {
 
     fn rb2_both_ways(net: &NetView, s: Coord, d: Coord) -> (RouteResult, Vec<Coord>) {
         let rb2 = Rb2::default();
-        let alg = (ModelKind::B2, rb2.scope, rb2.policy);
+        let alg = (ModelKind::B2, rb2.scope);
         both_ways(net, (s, d), (alg, true), |_| (), |view, ctx| rb2.decide(view, ctx))
     }
 
@@ -677,9 +679,10 @@ mod tests {
         let (s, d) = (Coord::new(5, 1), Coord::new(5, 8));
         let (res, asked) = rb2_both_ways(&net, s, d);
         assert_eq!(res.hops(), s.manhattan(d) + 2);
-        // The source, the frame flip on the waypoint's column, the
-        // waypoint (4,4), the destination.
-        assert_eq!(asked, [s, Coord::new(4, 3), Coord::new(4, 4), d]);
+        // The source, the frame flip on the waypoint's column (one hop
+        // in: nothing is critical for the waypoint, so X goes first),
+        // the waypoint (4,4), the destination.
+        assert_eq!(asked, [s, Coord::new(4, 1), Coord::new(4, 4), d]);
     }
 
     #[test]
@@ -687,7 +690,7 @@ mod tests {
         let net = NetView::build(FaultSet::none(Mesh::square(8)));
         let (s, d, busy) = (Coord::new(0, 3), Coord::new(7, 3), Coord::new(4, 3));
         let rb2 = Rb2::default();
-        let alg = (ModelKind::B2, rb2.scope, rb2.policy);
+        let alg = (ModelKind::B2, rb2.scope);
         let mesh = *net.mesh();
         let visited_before = |times: usize| {
             move |state: &mut HopState| {
@@ -713,7 +716,7 @@ mod tests {
         let net = NetView::build(FaultSet::from_coords(Mesh::square(10), [Coord::new(5, 5)]));
         let (s, d) = (Coord::new(5, 1), Coord::new(5, 9));
         let rb1 = Rb1::default();
-        let alg = (ModelKind::B1, rb1.scope, rb1.policy);
+        let alg = (ModelKind::B1, rb1.scope);
         let decide = |view: &NetView, ctx: HopCtx<'_>| rb1.decide(view, ctx);
         let (res, asked) = both_ways(&net, (s, d), (alg, false), |_| (), decide);
         assert!(res.delivered && res.detour_hops > 0);
@@ -724,15 +727,15 @@ mod tests {
     fn no_run_starts_with_the_preceding_node_ahead() {
         // A live plan, and a first hop that leads away from the
         // destination: at the node it reaches, the one to avoid
-        // (Algorithm 3 step 1) is the neighbor ahead, which the policy
-        // would take. That decision is not a run's to make.
-        let net = NetView::build(FaultSet::none(Mesh::square(8)));
+        // (Algorithm 3 step 1) is the neighbor ahead, which step 3 would
+        // take. (6,6) is critical for the fault at (6,4), so step 3 takes
+        // the longer remainder: X from (2,3), Y from (3,2). That decision
+        // is not a run's to make.
+        let net = NetView::build(FaultSet::from_coords(Mesh::square(8), [Coord::new(6, 4)]));
         let (s, d) = (Coord::new(3, 3), Coord::new(6, 6));
-        for (first, policy) in
-            [(Dir::MinusX, AdaptivePolicy::PreferX), (Dir::MinusY, AdaptivePolicy::PreferY)]
-        {
-            let rb2 = Rb2 { policy, scope: KnowledgeScope::Local };
-            let alg = (ModelKind::B2, rb2.scope, policy);
+        let rb2 = Rb2::default();
+        let alg = (ModelKind::B2, rb2.scope);
+        for first in [Dir::MinusX, Dir::MinusY] {
             let decide = |view: &NetView, ctx: HopCtx<'_>| match ctx.hops {
                 0 => Decision::Hop(first),
                 _ => rb2.decide(view, ctx),
@@ -752,7 +755,7 @@ mod tests {
         let net = NetView::build(FaultSet::none(Mesh::square(8)));
         let (s, d, waypoint) = (Coord::new(0, 2), Coord::new(3, 2), Coord::new(6, 2));
         let rb2 = Rb2::default();
-        let alg = (ModelKind::B2, rb2.scope, rb2.policy);
+        let alg = (ModelKind::B2, rb2.scope);
         let planned = |state: &mut HopState| {
             state.planned = true;
             state.waypoints.push(waypoint);
@@ -806,11 +809,11 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-        /// RB1/RB2/RB3 x `Local`/`Global` x every tie-break policy route
-        /// random pairs — cut ones included, which exhaust the hop
-        /// budget — exactly as the per-hop engine does over the same
-        /// `decide`: uniform faults overlaid with walls and pockets, so
-        /// runs end in every way they can.
+        /// RB1/RB2/RB3 x `Local`/`Global` route random pairs — cut ones
+        /// included, which exhaust the hop budget — exactly as the
+        /// per-hop engine does over the same `decide`: uniform faults
+        /// overlaid with walls and pockets, so runs end in every way they
+        /// can.
         #[test]
         fn phase_runs_route_exactly_as_per_hop_decisions(
             ((w, h), density, seed) in ((6i32..25, 6i32..25), 0usize..31, 0u64..u64::MAX)
@@ -822,26 +825,21 @@ mod tests {
             let healthy: Vec<Coord> = mesh.iter().filter(|&c| net.faults().is_healthy(c)).collect();
             let mut state = HopState::new(healthy[0]);
             for scope in [KnowledgeScope::Local, KnowledgeScope::Global] {
-                for policy in
-                    [AdaptivePolicy::LongerFirst, AdaptivePolicy::PreferX, AdaptivePolicy::PreferY]
-                {
-                    let routers: [&dyn Router; 3] =
-                        [&Rb1 { policy, scope }, &Rb2 { policy, scope }, &Rb3 { policy, scope }];
-                    for _ in 0..4 {
-                        let s = healthy[rng.gen_range(0..healthy.len())];
-                        let d = healthy[rng.gen_range(0..healthy.len())];
-                        for router in routers {
-                            let run = router.route_with(&net, s, d, &mut state);
-                            let per_hop = drive(&net, s, d, &mut HopState::new(s), |view, ctx| {
-                                router.decide(view, ctx)
-                            });
-                            proptest::prop_assert_eq!(
-                                run, per_hop,
-                                "{} {:?} {:?} {:?}->{:?} over {:?}",
-                                router.name(), scope, policy, s, d,
-                                net.faults().iter().collect::<Vec<_>>()
-                            );
-                        }
+                let routers: [&dyn Router; 3] = [&Rb1 { scope }, &Rb2 { scope }, &Rb3 { scope }];
+                for _ in 0..12 {
+                    let s = healthy[rng.gen_range(0..healthy.len())];
+                    let d = healthy[rng.gen_range(0..healthy.len())];
+                    for router in routers {
+                        let run = router.route_with(&net, s, d, &mut state);
+                        let per_hop = drive(&net, s, d, &mut HopState::new(s), |view, ctx| {
+                            router.decide(view, ctx)
+                        });
+                        proptest::prop_assert_eq!(
+                            run, per_hop,
+                            "{} {:?} {:?}->{:?} over {:?}",
+                            router.name(), scope, s, d,
+                            net.faults().iter().collect::<Vec<_>>()
+                        );
                     }
                 }
             }

@@ -2,9 +2,9 @@
 //!
 //! The routing algorithms of Jiang & Wu (IPDPS 2007) and their baselines:
 //!
-//! * [`Alg2`](alg2) — *Manhattan routing*: minimal adaptive forwarding
-//!   whose candidate directions are pruned by the boundary triples
-//!   (enter-forbidden-region exclusion).
+//! * [`Alg2`](alg2) — *Manhattan routing*: minimal forwarding whose
+//!   candidate directions are pruned by the boundary triples; `+X` first
+//!   unless a triple guards the phase's target.
 //! * [`Rb1`] — Algorithm 3: Manhattan routing over the B1
 //!   model with E-cube style clockwise detours when blocked.
 //! * [`Rb2`] — Algorithm 5: multi-phase shortest-path
@@ -36,7 +36,6 @@ pub mod routers;
 pub mod seq;
 pub mod view;
 
-pub use alg2::AdaptivePolicy;
 pub use engine::{validate_path, RouteResult};
 pub use env::Network;
 pub use hop::{drive, Decision, HopCtx, HopState, Router, RoutingKind, XyRouter};

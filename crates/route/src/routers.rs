@@ -18,9 +18,7 @@
 use meshpath_info::ModelKind;
 use meshpath_mesh::{Coord, Dir, Orientation};
 
-use crate::alg2::{
-    decide as alg2_decide, AdaptivePolicy, CriticalSet, Decision as PhaseDecision, PhaseCtx,
-};
+use crate::alg2::{decide as alg2_decide, CriticalSet, Decision as PhaseDecision, PhaseCtx};
 use crate::engine::least_visited_step;
 use crate::engine::RouteResult;
 use crate::hop::{drive_phased, xy_next, Decision, HopCtx, HopState, Router};
@@ -60,8 +58,8 @@ fn thrash_guard(view: &NetView, state: &mut HopState, u: Coord) -> Option<Decisi
 }
 
 /// What tells the Manhattan phases of RB1/RB2/RB3 apart: the model they
-/// read, whose knowledge, and the tie-break of Algorithm 2's step 3.
-pub(crate) type Alg = (ModelKind, KnowledgeScope, AdaptivePolicy);
+/// read and whose knowledge.
+pub(crate) type Alg = (ModelKind, KnowledgeScope);
 
 /// What a Manhattan phase fixes: the frame that puts `target` in the
 /// `(+X, +Y)` quadrant, that frame's MCCs and model, the target in it,
@@ -73,17 +71,16 @@ pub(crate) struct Phase<'a> {
     o: Orientation,
     target: Coord,
     ot: Coord,
-    policy: AdaptivePolicy,
     dirs: [Dir; 2],
 }
 
 impl<'a> Phase<'a> {
     #[inline]
-    fn toward(view: &'a NetView, u: Coord, target: Coord, (kind, scope, policy): Alg) -> Self {
+    fn toward(view: &'a NetView, u: Coord, target: Coord, (kind, scope): Alg) -> Self {
         let o = Orientation::normalizing(u, target);
         let pctx = PhaseCtx { set: view.mccs(o), model: view.model(o, kind), scope };
         let dirs = [o.apply_dir(Dir::PlusX), o.apply_dir(Dir::PlusY)];
-        Phase { pctx, o, target, ot: o.apply(view.mesh(), target), policy, dirs }
+        Phase { pctx, o, target, ot: o.apply(view.mesh(), target), dirs }
     }
 
     /// One Algorithm-2 step from `u` (short of the target), never onto
@@ -92,7 +89,7 @@ impl<'a> Phase<'a> {
     fn step(&self, u: Coord, avoid: Option<Coord>, critical: &mut CriticalSet) -> Option<Dir> {
         let mesh = self.pctx.set.mesh();
         let (ou, oavoid) = (self.o.apply(mesh, u), avoid.map(|p| self.o.apply(mesh, p)));
-        match alg2_decide(&self.pctx, ou, self.ot, self.policy, oavoid, critical) {
+        match alg2_decide(&self.pctx, ou, self.ot, oavoid, critical) {
             PhaseDecision::Arrived => unreachable!("arrival is handled before deciding"),
             PhaseDecision::Step(Dir::PlusX) => Some(self.dirs[0]),
             PhaseDecision::Step(_) => Some(self.dirs[1]),
@@ -163,18 +160,10 @@ fn phase_step(
 /// `RB1` — Algorithm 3: Manhattan routing over the B1 boundary model,
 /// with clockwise wall-following detours when blocked (no feasibility
 /// check, no multi-phase planning).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Rb1 {
-    /// Adaptive tie-break for Algorithm 2's step 3.
-    pub policy: AdaptivePolicy,
     /// Knowledge scope (Local reproduces the paper; Global for reference).
     pub scope: KnowledgeScope,
-}
-
-impl Default for Rb1 {
-    fn default() -> Self {
-        Rb1 { policy: AdaptivePolicy::LongerFirst, scope: KnowledgeScope::Local }
-    }
 }
 
 impl Router for Rb1 {
@@ -183,12 +172,12 @@ impl Router for Rb1 {
     }
 
     fn decide(&self, view: &NetView, ctx: HopCtx<'_>) -> Decision {
-        decide_rb1_like(view, ctx, (ModelKind::B1, self.scope, self.policy))
+        decide_rb1_like(view, ctx, (ModelKind::B1, self.scope))
     }
 
     fn route_with(&self, view: &NetView, s: Coord, d: Coord, state: &mut HopState) -> RouteResult {
         state.reset(s);
-        let run = Some(((ModelKind::B1, self.scope, self.policy), false));
+        let run = Some(((ModelKind::B1, self.scope), false));
         drive_phased(view, s, d, state, |view, ctx| self.decide(view, ctx), run)
     }
 }
@@ -210,18 +199,10 @@ fn decide_rb1_like(view: &NetView, ctx: HopCtx<'_>, alg: Alg) -> Decision {
 }
 
 /// `RB2` — Algorithm 5: shortest-path routing over the B2 broadcast model.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Rb2 {
-    /// Adaptive tie-break for the Manhattan phases.
-    pub policy: AdaptivePolicy,
     /// Knowledge scope (Local reproduces the paper; Global for reference).
     pub scope: KnowledgeScope,
-}
-
-impl Default for Rb2 {
-    fn default() -> Self {
-        Rb2 { policy: AdaptivePolicy::LongerFirst, scope: KnowledgeScope::Local }
-    }
 }
 
 impl Router for Rb2 {
@@ -230,30 +211,22 @@ impl Router for Rb2 {
     }
 
     fn decide(&self, view: &NetView, ctx: HopCtx<'_>) -> Decision {
-        decide_planned(view, ctx, (ModelKind::B2, self.scope, self.policy))
+        decide_planned(view, ctx, (ModelKind::B2, self.scope))
     }
 
     fn route_with(&self, view: &NetView, s: Coord, d: Coord, state: &mut HopState) -> RouteResult {
         state.reset(s);
-        let run = Some(((ModelKind::B2, self.scope, self.policy), true));
+        let run = Some(((ModelKind::B2, self.scope), true));
         drive_phased(view, s, d, state, |view, ctx| self.decide(view, ctx), run)
     }
 }
 
 /// `RB3` — Algorithm 7: the same multi-phase machinery over the B3
 /// boundary + relation-record model.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Rb3 {
-    /// Adaptive tie-break for the Manhattan phases.
-    pub policy: AdaptivePolicy,
     /// Knowledge scope.
     pub scope: KnowledgeScope,
-}
-
-impl Default for Rb3 {
-    fn default() -> Self {
-        Rb3 { policy: AdaptivePolicy::LongerFirst, scope: KnowledgeScope::Local }
-    }
 }
 
 impl Router for Rb3 {
@@ -262,12 +235,12 @@ impl Router for Rb3 {
     }
 
     fn decide(&self, view: &NetView, ctx: HopCtx<'_>) -> Decision {
-        decide_planned(view, ctx, (ModelKind::B3, self.scope, self.policy))
+        decide_planned(view, ctx, (ModelKind::B3, self.scope))
     }
 
     fn route_with(&self, view: &NetView, s: Coord, d: Coord, state: &mut HopState) -> RouteResult {
         state.reset(s);
-        let run = Some(((ModelKind::B3, self.scope, self.policy), true));
+        let run = Some(((ModelKind::B3, self.scope), true));
         drive_phased(view, s, d, state, |view, ctx| self.decide(view, ctx), run)
     }
 }
@@ -429,6 +402,7 @@ impl Router for ECube {
 mod tests {
     use super::*;
     use crate::engine::validate_path;
+    use crate::hop::XyRouter;
     use crate::oracle::DistanceField;
     use meshpath_mesh::{FaultSet, Mesh};
 
@@ -456,6 +430,24 @@ mod tests {
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 5));
         for router in [&Rb1::default() as &dyn Router, &Rb2::default(), &Rb3::default(), &ECube] {
             check_optimal(router, &n, s, d);
+        }
+    }
+
+    #[test]
+    fn fault_free_meshes_route_every_pair_as_xy() {
+        // Nothing is ever critical, so every Manhattan phase keeps
+        // dimension order: XY's route, hop for hop.
+        for mesh in [Mesh::square(8), Mesh::new(7, 5)] {
+            let n = NetView::build(FaultSet::none(mesh));
+            for (s, d) in mesh.iter().flat_map(|s| mesh.iter().map(move |d| (s, d))) {
+                let xy = XyRouter.route(&n, s, d).dirs;
+                for scope in [KnowledgeScope::Local, KnowledgeScope::Global] {
+                    for router in [&Rb1 { scope } as &dyn Router, &Rb2 { scope }, &Rb3 { scope }] {
+                        let dirs = router.route(&n, s, d).dirs;
+                        assert_eq!(dirs, xy, "{} {scope:?} {s:?}->{d:?}", router.name());
+                    }
+                }
+            }
         }
     }
 

@@ -7,22 +7,24 @@
 //! bit-identical routes. A second constant does the same for two meshes
 //! whose rows span more than one 64-bit word. A PR that changes routing
 //! behaviour on purpose regenerates them (the failure message prints the
-//! new value) and says so. Two more constants hash E-cube over the same
-//! nets and pairs; they were generated at the commit *before* the
-//! routers' wall-following moved into one `HopState::wall_step`.
+//! new value) and says so: both were regenerated once when Algorithm 2's
+//! step 3 became one tie-break (`+X` first unless a triple is critical for
+//! the phase's target). Two more constants hash E-cube over the same nets
+//! and pairs; they were generated at the commit *before* the routers'
+//! wall-following moved into one `HopState::wall_step`.
 
 use meshpath_mesh::{components, Coord, FaultInjection, FaultSet, Mesh};
 use meshpath_route::{NetView, RouteResult, RoutingKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const GOLDEN: u64 = 0x0e8a_e76b_923e_6b0c;
+const GOLDEN: u64 = 0xdff2_d21f_1b95_3f6d;
 
 /// The same hash over two meshes wider than one 64-bit row word (96x40
 /// at 5 %, 130x70 at 10 %), generated at the commit *before* the
 /// word-parallel feasibility fill and the goal-directed fallback flood
 /// landed: it pins the multi-word row path to the scalar planner's routes.
-const GOLDEN_WIDE: u64 = 0xbedd_8c8e_56fa_43f6;
+const GOLDEN_WIDE: u64 = 0x32d9_e888_ac06_95bc;
 
 /// E-cube over the nets and pairs of [`GOLDEN`] / [`GOLDEN_WIDE`].
 const GOLDEN_ECUBE: u64 = 0x2d54_304b_dade_40f8;

@@ -65,8 +65,7 @@ fn rb2_matches_bfs_on_random_meshes() {
                     rb2.fallbacks
                 ));
             }
-            let rb2g =
-                Rb2 { scope: KnowledgeScope::Global, ..Default::default() }.route(&net, s, d);
+            let rb2g = Rb2 { scope: KnowledgeScope::Global }.route(&net, s, d);
             if rb2g.delivered && rb2g.hops() == opt {
                 rb2_global_opt += 1;
             } else if examples.len() < 8 {

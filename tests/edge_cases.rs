@@ -174,3 +174,39 @@ fn all_quadrant_directions_are_symmetric() {
     assert_eq!(we.hops(), ew.hops());
     assert_eq!(we.hops(), up.hops(), "X and Y blockers are symmetric");
 }
+
+#[test]
+fn a_live_guard_keeps_the_walk_out_of_the_border_corridor() {
+    // The target is critical for a fault, so step 3 takes the longer
+    // remainder instead of dimension order. Dimension order (-X first in
+    // the first case, -Y in its mirror) walks into the corridor between
+    // the staircase and the border fault, a dead end that costs 2 hops;
+    // the shortest route is 8.
+    let d = Coord::new(0, 0);
+    let cases = [
+        (
+            &[(0, 1), (1, 3), (2, 4)][..],
+            Coord::new(3, 5),
+            "...S..\n..#*..\n.#**..\n.**...\n#*....\nD*....",
+        ),
+        (
+            &[(1, 0), (3, 1), (4, 2)],
+            Coord::new(5, 3),
+            "......\n......\n..***S\n.**.#.\n**.#..\nD#....",
+        ),
+    ];
+    for (faults, s, picture) in cases {
+        let n = net(6, faults);
+        for scope in [KnowledgeScope::Global, KnowledgeScope::Local] {
+            let res = Rb2 { scope }.route(&n, s, d);
+            let path: Vec<Coord> = res.path().collect();
+            let art = GridRender::new(*n.mesh())
+                .path('*', &path)
+                .layer('#', |c| n.faults().is_faulty(c))
+                .mark('S', s)
+                .mark('D', d)
+                .to_string();
+            assert_eq!((res.hops(), art.as_str()), (8, picture), "{scope:?}\n{art}");
+        }
+    }
+}

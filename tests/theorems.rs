@@ -72,7 +72,7 @@ fn theorem1_rb2_global_is_exactly_optimal() {
     for trial in 0..10 {
         let faults = FaultSet::random(mesh, 15 + trial * 8, FaultInjection::Uniform, &mut rng);
         let net = NetView::build(faults);
-        let rb2 = Rb2 { scope: KnowledgeScope::Global, ..Default::default() };
+        let rb2 = Rb2 { scope: KnowledgeScope::Global };
         for (s, d, opt) in sample_pairs(&net, n, 20, &mut rng) {
             let res = rb2.route(&net, s, d);
             assert!(res.delivered, "RB2 must deliver {s:?}->{d:?} (trial {trial})");
@@ -98,7 +98,7 @@ fn theorem1_rb2_global_is_exactly_optimal_on_two_word_rows() {
     for trial in 0..3 {
         let faults = FaultSet::random(mesh, 300 + trial * 150, FaultInjection::Uniform, &mut rng);
         let net = NetView::build(faults);
-        let rb2 = Rb2 { scope: KnowledgeScope::Global, ..Default::default() };
+        let rb2 = Rb2 { scope: KnowledgeScope::Global };
         let planner = Planner::new(&net, ModelKind::B2, KnowledgeScope::Global);
         let pairs = sample_pairs_spanning(&net, n, 40, 40, &mut rng);
         assert_eq!(pairs.len(), 40, "sampling failed (trial {trial})");
@@ -276,7 +276,7 @@ fn routers_answer_like_bfs_on_a_512x512_mesh() {
     pairs.extend(sample_pairs_within(&net, 300..364, 20, 5, &mut rng));
     pairs.extend(sample_pairs_spanning(&net, n, 256, 2, &mut rng));
     assert_eq!(pairs.len(), 8, "sampling failed");
-    let global = Rb2 { scope: KnowledgeScope::Global, ..Default::default() };
+    let global = Rb2 { scope: KnowledgeScope::Global };
     let routers: [(&dyn Router, bool); 4] = [
         (&Rb1::default(), false),
         (&Rb2::default(), false),
