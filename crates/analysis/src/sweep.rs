@@ -17,7 +17,8 @@ use rand::{Rng, SeedableRng};
 pub struct SweepConfig {
     /// Mesh side length (the paper: 100).
     pub mesh: u32,
-    /// Fault counts to evaluate (the paper: 0..=3000).
+    /// Fault counts to evaluate (the paper: 0..=3000), placed uniformly
+    /// at random.
     pub fault_counts: Vec<usize>,
     /// Random fault configurations per fault count.
     pub configs_per_point: usize,
@@ -28,8 +29,6 @@ pub struct SweepConfig {
     pub seed: u64,
     /// Worker threads (0 = all available cores).
     pub threads: usize,
-    /// Fault placement model.
-    pub injection: FaultInjection,
 }
 
 impl Default for SweepConfig {
@@ -41,7 +40,6 @@ impl Default for SweepConfig {
             pairs_per_config: 50,
             seed: 0x2007_0325,
             threads: 0,
-            injection: FaultInjection::Uniform,
         }
     }
 }
@@ -274,7 +272,7 @@ pub fn run_sweep(config: &SweepConfig) -> SweepResult {
     let mut records = pool_map(config.threads, &tasks, |&(pi, ci, fc)| {
         let seed = derive_seed(config.seed, pi as u64, ci as u64);
         let mut rng = StdRng::seed_from_u64(seed);
-        let faults = FaultSet::random(mesh, fc, config.injection, &mut rng);
+        let faults = FaultSet::random(mesh, fc, FaultInjection::Uniform, &mut rng);
         run_config(mesh, faults, config.pairs_per_config, derive_seed(seed, 7, 13))
     })
     .into_iter();

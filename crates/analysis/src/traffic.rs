@@ -29,7 +29,8 @@ use crate::table::{f1, f3, Table};
 pub struct LoadSweepConfig {
     /// Mesh side length.
     pub mesh: u32,
-    /// Fault counts to evaluate (each gets one seeded configuration).
+    /// Fault counts to evaluate (each gets one seeded uniform
+    /// configuration).
     pub fault_counts: Vec<usize>,
     /// Injection rates (packets/node/cycle) to evaluate.
     pub rates: Vec<f64>,
@@ -49,8 +50,6 @@ pub struct LoadSweepConfig {
     /// Sweep-level worker threads, one simulation per task
     /// (0 = all available cores).
     pub threads: usize,
-    /// Fault placement model.
-    pub injection: FaultInjection,
     /// Rate-ladder early exit: once a `(router, faults)` ladder
     /// saturates or deadlocks at some rate, every *higher* rate is
     /// marked `saturated` without simulating (offered load only grows,
@@ -81,7 +80,6 @@ impl Default for LoadSweepConfig {
             sim: SimConfig::default(),
             seed: 0x6e6f_6321, // "noc!"
             threads: 0,
-            injection: FaultInjection::Uniform,
             early_exit: true,
             workload: None,
         }
@@ -282,7 +280,6 @@ impl LoadSweepResult {
             .field("seed", c.seed)
             .field("sim_threads", c.sim.threads)
             .field("vcs", c.sim.vcs)
-            .field("escape", c.sim.escape)
             .field("patience", c.sim.patience)
             .field("vc_depth", c.sim.vc_depth)
             .field("packet_len", c.sim.packet_len)
@@ -513,7 +510,7 @@ pub fn run_load_sweep(config: &LoadSweepConfig) -> LoadSweepResult {
         .enumerate()
         .map(|(fi, &faults)| {
             let mut frng = StdRng::seed_from_u64(derive_seed(config.seed, fi as u64, 0));
-            NetView::build(FaultSet::random(mesh, faults, config.injection, &mut frng))
+            NetView::build(FaultSet::random(mesh, faults, FaultInjection::Uniform, &mut frng))
         })
         .collect();
 
@@ -652,7 +649,6 @@ mod tests {
             "\"mean_latency\"",
             "\"escape_packets\"",
             "\"deadlocked\"",
-            "\"escape\"",
             "\"patience\"",
             "\"sim_wall_ms\"",
             "\"mflits_per_sec\"",

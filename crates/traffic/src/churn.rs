@@ -4,9 +4,8 @@
 //! known before the run starts and fires each event at exactly its
 //! listed cycle; a [`ChurnInjector`] handle (an operator console, a
 //! chaos harness, a service front-end) and a seedable [`ChaosConfig`]
-//! schedule are *live* sources, polled every
-//! [`quantum`](OnlineChurn::quantum) cycles while the run is in flight.
-//! A run may use either or both.
+//! schedule are *live* sources, polled every 16 cycles (the churn
+//! quantum) while the run is in flight. A run may use either or both.
 //!
 //! All of them feed the same coordinator-side driver: at every churn
 //! boundary (a listed cycle, or a quantum multiple when a live source
@@ -155,43 +154,30 @@ impl ChaosConfig {
     }
 }
 
+/// Cycles between two polls of the live churn sources.
+pub(crate) const CHURN_QUANTUM: u64 = 16;
+
 /// The live churn sources of a [`TrafficSim`](crate::TrafficSim) run:
-/// an injector handle, an optional chaos schedule, and the quantum at
-/// which the coordinator polls both.
-#[derive(Clone, Debug)]
+/// an injector handle and an optional chaos schedule, both polled every
+/// 16 cycles.
+#[derive(Clone, Debug, Default)]
 pub struct OnlineChurn {
     /// Live injection handle; clone it and keep a copy to poke the run.
     pub injector: ChurnInjector,
     /// Optional random schedule drawn alongside injected events.
     pub chaos: Option<ChaosConfig>,
-    /// Cycles between churn boundaries (>= 1). Smaller quanta react
-    /// faster; larger quanta amortize epoch publication.
-    pub quantum: u64,
-}
-
-impl Default for OnlineChurn {
-    fn default() -> Self {
-        OnlineChurn { injector: ChurnInjector::new(), chaos: None, quantum: 16 }
-    }
 }
 
 impl OnlineChurn {
-    /// Injector-only churn (no random schedule) at the default quantum.
+    /// Injector-only churn (no random schedule).
     pub fn new(injector: ChurnInjector) -> Self {
         OnlineChurn { injector, ..OnlineChurn::default() }
     }
 
-    /// Chaos-schedule churn at the default quantum (an injector handle
-    /// is still available via the `injector` field).
+    /// Chaos-schedule churn (an injector handle is still available via
+    /// the `injector` field).
     pub fn chaos(chaos: ChaosConfig) -> Self {
         OnlineChurn { chaos: Some(chaos), ..OnlineChurn::default() }
-    }
-
-    /// Sets the polling quantum.
-    pub fn with_quantum(mut self, quantum: u64) -> Self {
-        assert!(quantum >= 1, "churn quantum must be at least 1 cycle");
-        self.quantum = quantum;
-        self
     }
 }
 
@@ -232,7 +218,8 @@ impl OnlineDriver {
     /// [`poll`]: OnlineDriver::poll
     pub(crate) fn next_boundary(&self, from: u64) -> u64 {
         let listed = self.listed.front().map_or(u64::MAX, |e| e.cycle.max(from));
-        let live = self.live.as_ref().map_or(u64::MAX, |l| from.max(1).next_multiple_of(l.quantum));
+        let live =
+            self.live.as_ref().map_or(u64::MAX, |_| from.max(1).next_multiple_of(CHURN_QUANTUM));
         listed.min(live)
     }
 
@@ -250,7 +237,7 @@ impl OnlineDriver {
             ops.extend(self.listed.pop_front().map(|e| e.op));
         }
         if let Some(live) = &self.live {
-            if cycle > 0 && cycle.is_multiple_of(live.quantum) {
+            if cycle > 0 && cycle.is_multiple_of(CHURN_QUANTUM) {
                 ops.extend(live.injector.drain());
                 if let Some(chaos) = &live.chaos {
                     ops.extend(chaos.draw(cycle, &self.state.view()));
@@ -327,36 +314,36 @@ mod tests {
     #[test]
     fn driver_applies_at_quantum_boundaries_only() {
         let inj = ChurnInjector::new();
-        let live = OnlineChurn::new(inj.clone()).with_quantum(10);
+        let live = OnlineChurn::new(inj.clone());
         let mut drv = OnlineDriver::new(Vec::new(), Some(live), view(4, &[]));
         inj.fail(Coord::new(2, 2));
         assert!(drv.poll(0).is_empty(), "live sources are first polled at the first quantum");
         assert!(drv.poll(7).is_empty(), "off-boundary cycles do not poll");
         assert_eq!(inj.pending(), 1);
         assert_eq!(
-            (drv.next_boundary(0), drv.next_boundary(10), drv.next_boundary(11)),
-            (10, 10, 20)
+            (drv.next_boundary(0), drv.next_boundary(16), drv.next_boundary(17)),
+            (16, 16, 32)
         );
-        let pubs = drv.poll(10);
+        let pubs = drv.poll(16);
         assert_eq!(pubs.len(), 1);
         let v = &pubs[0];
         assert_eq!(v.epoch(), 1);
         assert!(!v.faults().is_healthy(Coord::new(2, 2)));
         let (applied, rejected) = drv.into_outcome();
-        assert_eq!(applied, vec![ChurnEvent::fail(10, Coord::new(2, 2))]);
+        assert_eq!(applied, vec![ChurnEvent::fail(16, Coord::new(2, 2))]);
         assert_eq!(rejected, 0);
     }
 
     #[test]
     fn driver_rejects_invalid_operations_without_panicking() {
         let inj = ChurnInjector::new();
-        let live = OnlineChurn::new(inj.clone()).with_quantum(1);
+        let live = OnlineChurn::new(inj.clone());
         let mut drv = OnlineDriver::new(Vec::new(), Some(live), view(4, &[(1, 1)]));
         inj.fail(Coord::new(9, 9)); // off-mesh
         inj.fail(Coord::new(1, 1)); // already faulty
         inj.repair(Coord::new(2, 2)); // not faulty
         inj.repair(Coord::new(1, 1)); // valid
-        assert_eq!(applied_by(&mut drv, 5), vec![ChurnOp::Repair(Coord::new(1, 1))]);
+        assert_eq!(applied_by(&mut drv, 16), vec![ChurnOp::Repair(Coord::new(1, 1))]);
         let (applied, rejected) = drv.into_outcome();
         assert_eq!(applied.len(), 1);
         assert_eq!(rejected, 3);
@@ -366,31 +353,31 @@ mod tests {
     fn listed_events_fire_at_their_cycle_in_config_order_ahead_of_live_sources() {
         let (a, b) = (Coord::new(1, 1), Coord::new(2, 2));
         let listed = vec![
-            ChurnEvent::fail(25, b),
+            ChurnEvent::fail(40, b),
             ChurnEvent::fail(0, a),
-            ChurnEvent::repair(20, a),
-            ChurnEvent::fail(20, a),
-            ChurnEvent::fail(20, Coord::new(7, 7)), // off-mesh: rejected, not fatal
+            ChurnEvent::repair(32, a),
+            ChurnEvent::fail(32, a),
+            ChurnEvent::fail(32, Coord::new(7, 7)), // off-mesh: rejected, not fatal
         ];
         let inj = ChurnInjector::new();
-        let live = OnlineChurn::new(inj.clone()).with_quantum(10);
+        let live = OnlineChurn::new(inj.clone());
         let mut drv = OnlineDriver::new(listed, Some(live), view(4, &[]));
         // Listed cycles are boundaries beside the quantum multiples —
         // cycle 0 included.
         assert_eq!(drv.next_boundary(0), 0);
         assert_eq!(applied_by(&mut drv, 0), vec![ChurnOp::Fail(a)]);
-        assert_eq!((drv.next_boundary(1), drv.next_boundary(11)), (10, 20));
+        assert_eq!((drv.next_boundary(1), drv.next_boundary(17)), (16, 32));
         // Same cycle: the list in config order, then the injector.
         inj.repair(a);
         assert_eq!(
-            applied_by(&mut drv, 20),
+            applied_by(&mut drv, 32),
             vec![ChurnOp::Repair(a), ChurnOp::Fail(a), ChurnOp::Repair(a)]
         );
-        assert_eq!(drv.next_boundary(21), 25, "a listed cycle between quantum multiples");
-        assert_eq!(applied_by(&mut drv, 25), vec![ChurnOp::Fail(b)]);
-        assert_eq!(drv.next_boundary(26), 30, "the list is exhausted; the quantum remains");
+        assert_eq!(drv.next_boundary(33), 40, "a listed cycle between quantum multiples");
+        assert_eq!(applied_by(&mut drv, 40), vec![ChurnOp::Fail(b)]);
+        assert_eq!(drv.next_boundary(41), 48, "the list is exhausted; the quantum remains");
         let (applied, rejected) = drv.into_outcome();
-        assert_eq!(applied.iter().map(|e| e.cycle).collect::<Vec<_>>(), vec![0, 20, 20, 20, 25]);
+        assert_eq!(applied.iter().map(|e| e.cycle).collect::<Vec<_>>(), vec![0, 32, 32, 32, 40]);
         assert_eq!(rejected, 1);
         // A list-only driver has no boundary past its last event, so
         // leases run unclamped from there.

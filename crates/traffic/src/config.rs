@@ -76,8 +76,8 @@ pub enum ConfigError {
     /// `vc_depth` is zero or exceeds 255 (the fabric's flit-ring
     /// cursors and credit counters are `u8`).
     VcDepth(usize),
-    /// `vcs` leaves no adaptive channel (escape reserves the top one,
-    /// so it needs at least 2).
+    /// `vcs` is below 2: the escape class reserves the top channel and
+    /// at least one adaptive channel must remain.
     NoAdaptiveVc(usize),
 }
 
@@ -109,29 +109,25 @@ impl std::error::Error for ConfigError {}
 /// warmup / measure / drain measurement protocol.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SimConfig {
-    /// Virtual channels per directional input port (the injection port
-    /// has a single channel).
+    /// Virtual channels per directional input port, at least 2: the top
+    /// one is the escape class (the injection port has one channel).
     pub vcs: usize,
     /// Flit buffer depth of each virtual channel, at most 255. Depths
     /// below 2 cannot stream at link rate (credit round-trip is 2
     /// cycles).
     pub vc_depth: usize,
-    /// Whether the top channel of `vcs` is reserved for the
-    /// deadlock-free escape class: up*/down* routing on a spanning
-    /// forest of the healthy nodes, reachable from every node (so
-    /// `vcs` must be at least 2). Off is the no-escape fabric: every
-    /// head follows its compiled route unconditionally over all `vcs`
-    /// channels (the original source-routed behavior), so wormhole
-    /// cyclic waits are possible and only *detected*.
-    pub escape: bool,
     /// Consecutive cycles a head stays parked on the adaptive class
-    /// before the per-hop router also offers it the escape class, where
-    /// it then stays until delivery. Small values drain congestion
-    /// faster but divert more traffic off the compiled (fault-aware,
-    /// shortest-path) routes onto longer tree routes: on a loaded 64x64
-    /// mesh (100 faults, rate 0.003) RB2's p99 is ~650 cycles at 4 and
-    /// ~130 at 16 (the patience sweep indexed in `BENCH/README.md`).
-    /// Unread with escape off.
+    /// before the per-hop router also offers it the escape class (the
+    /// top channel of `vcs`: up*/down* routing on a spanning forest of
+    /// the healthy nodes), where it then stays until delivery. Small
+    /// values drain congestion faster but divert more traffic off the
+    /// compiled (fault-aware, shortest-path) routes onto longer tree
+    /// routes: on a loaded 64x64 mesh (100 faults, rate 0.003) RB2's
+    /// p99 is ~650 cycles at 4 and ~130 at 16 (the patience sweep
+    /// indexed in `BENCH/README.md`). `u32::MAX` never escapes: every
+    /// head follows its compiled route over the `vcs - 1` adaptive
+    /// channels, so wormhole cyclic waits are possible and only
+    /// *detected* — only a packet stranded by churn takes the tree.
     pub patience: u32,
     /// Flits per packet (head + body + tail; 1 = head-only packet).
     pub packet_len: u32,
@@ -222,7 +218,6 @@ impl Default for SimConfig {
         SimConfig {
             vcs: 4,
             vc_depth: 4,
-            escape: true,
             patience: 16,
             packet_len: 4,
             rate: 0.01,
@@ -289,7 +284,7 @@ impl SimConfig {
         if !(1..=MAX_VC_DEPTH).contains(&self.vc_depth) {
             return Err(ConfigError::VcDepth(self.vc_depth));
         }
-        if self.vcs <= usize::from(self.escape) {
+        if self.vcs < 2 {
             return Err(ConfigError::NoAdaptiveVc(self.vcs));
         }
         Ok(())
@@ -317,13 +312,6 @@ impl SimConfig {
             1
         }
     }
-
-    /// This config with per-hop escape routing disabled
-    /// ([`escape`](SimConfig::escape) off). Builder, like the rest of
-    /// the `with_*` family.
-    pub fn without_escape(self) -> Self {
-        SimConfig { escape: false, ..self }
-    }
 }
 
 #[cfg(test)]
@@ -336,7 +324,6 @@ mod tests {
         assert!(c.vc_depth >= 2, "depth < 2 cannot stream at link rate");
         assert!(c.packet_len >= 1);
         assert!((0.0..=1.0).contains(&c.rate));
-        assert!(c.escape, "escape routing is on by default");
         assert!(c.vcs >= 2, "the escape channel must leave adaptive channels");
         assert!(c.stats_window > 0, "streaming windows should be on by default");
         assert_eq!(c.threads, 0, "thread count should default to auto");
@@ -367,17 +354,14 @@ mod tests {
     }
 
     #[test]
-    fn validate_accepts_the_defaults_the_deepest_ring_and_no_escape() {
+    fn validate_accepts_the_defaults_the_deepest_ring_and_any_patience() {
         assert_eq!(SimConfig::default().validate(), Ok(()));
         assert_eq!(SimConfig::smoke().validate(), Ok(()));
         assert_eq!(SimConfig { vc_depth: 255, ..SimConfig::default() }.validate(), Ok(()));
-        // Without escape one channel is enough, and any patience goes.
-        assert_eq!(SimConfig::default().without_escape().validate(), Ok(()));
-        assert_eq!(
-            SimConfig { vcs: 1, ..SimConfig::default().without_escape() }.validate(),
-            Ok(())
-        );
-        assert_eq!(SimConfig { patience: 0, ..SimConfig::default() }.validate(), Ok(()));
+        assert_eq!(SimConfig { vcs: 2, ..SimConfig::default() }.validate(), Ok(()));
+        for patience in [0, u32::MAX] {
+            assert_eq!(SimConfig { patience, ..SimConfig::default() }.validate(), Ok(()));
+        }
     }
 
     #[test]
@@ -393,9 +377,6 @@ mod tests {
         assert_eq!(c.fault_churn.len(), 1);
         assert_eq!(c.obs, ObsLevel::Metrics);
         assert!(c.record_trace);
-        let d = c.without_escape();
-        assert!(!d.escape);
-        assert_eq!(d.rate, 0.125, "builders chain without losing fields");
     }
 
     #[test]
@@ -407,12 +388,5 @@ mod tests {
         if std::env::var_os("MESHPATH_THREADS").is_none() {
             assert_eq!(SimConfig::default().resolved_threads(16 * 16), 1);
         }
-    }
-
-    #[test]
-    fn without_escape_reserves_nothing_and_keeps_every_channel() {
-        let c = SimConfig::default().without_escape();
-        assert!(!c.escape);
-        assert_eq!(c.vcs, SimConfig::default().vcs, "channel count unchanged");
     }
 }

@@ -12,12 +12,11 @@
 //! has a single channel (one network interface per core).
 //!
 //! The `vcs` channels of every output port are partitioned into
-//! [`VcClass`]es: with escape on, the topmost index is the *escape*
-//! class (up*/down* spanning-forest traffic only) and the indices below
-//! it are *adaptive* (usable by any compiled route); with escape off
-//! every index is adaptive. See [`crate::routing`] for why this keeps
-//! the escape network deadlock-free, and why an escape commitment made
-//! under an older epoch drains.
+//! [`VcClass`]es: the topmost index is the *escape* class (up*/down*
+//! spanning-forest traffic only) and the indices below it are
+//! *adaptive* (usable by any compiled route). See [`crate::routing`]
+//! for why this keeps the escape network deadlock-free, and why an
+//! escape commitment made under an older epoch drains.
 //!
 //! Each cycle the switch allocator walks the output ports in fixed
 //! order and grants at most one flit per output port and one per input
@@ -475,9 +474,6 @@ pub(crate) struct Shard {
     mesh: Mesh,
     vcs: usize,
     vc_depth: usize,
-    /// Whether the top VC of every output port is reserved as the
-    /// escape class.
-    escape: bool,
     /// Global node ids `[start, end)` of the rows this band owns.
     start: usize,
     end: usize,
@@ -551,41 +547,34 @@ impl Shard {
     /// protocol): band `r` of `R` owns rows `[r*H/R, (r+1)*H/R)`. Every
     /// directional input port carries `vcs` virtual channels of
     /// `vc_depth` flits, the top one of which is the reserved escape
-    /// class when `escape` is set.
+    /// class.
     ///
     /// # Panics
-    /// Panics when `vcs` or `vc_depth` is zero, when the escape channel
-    /// leaves no adaptive one (`escape` with `vcs == 1`), when `vcs`
+    /// Panics when `vcs` is below 2 (the escape channel would leave no
+    /// adaptive one), when `vc_depth` is zero, when `vcs`
     /// exceeds `MAX_VCS` = 12 (the occupancy/request bitmasks pack
     /// `IN_PORTS * vcs` slots into a `u64`), or when `vc_depth` exceeds
     /// `MAX_VC_DEPTH` = 255 (the flit-ring cursors and credit counters
     /// are `u8`).
-    pub(crate) fn bands(
-        mesh: Mesh,
-        vcs: usize,
-        vc_depth: usize,
-        escape: bool,
-        bands: usize,
-    ) -> Vec<Shard> {
-        assert!(vcs > 0, "need at least one virtual channel");
+    pub(crate) fn bands(mesh: Mesh, vcs: usize, vc_depth: usize, bands: usize) -> Vec<Shard> {
+        assert!(vcs >= 2, "escape class must leave at least one adaptive VC");
         assert!(vcs <= MAX_VCS, "at most {MAX_VCS} VCs per port (bitmask width)");
         assert!(vc_depth > 0, "need at least one buffer slot per VC");
         assert!(
             vc_depth <= MAX_VC_DEPTH,
             "vc_depth = {vc_depth} exceeds the flit-ring cursor limit of {MAX_VC_DEPTH} slots per VC"
         );
-        assert!(vcs > usize::from(escape), "escape class must leave at least one adaptive VC");
         let height = mesh.height() as usize;
         let bands = bands.clamp(1, height);
         (0..bands)
             .map(|r| {
                 let rows = (r * height / bands)..((r + 1) * height / bands);
-                Shard::new(mesh, vcs, vc_depth, escape, rows)
+                Shard::new(mesh, vcs, vc_depth, rows)
             })
             .collect()
     }
 
-    fn new(mesh: Mesh, vcs: usize, vc_depth: usize, escape: bool, rows: Range<usize>) -> Self {
+    fn new(mesh: Mesh, vcs: usize, vc_depth: usize, rows: Range<usize>) -> Self {
         let width = mesh.width() as usize;
         let nodes = width * (rows.end - rows.start);
         let bits = |r: Range<usize>| ((1u32 << r.end) - 1) & !((1u32 << r.start) - 1);
@@ -612,7 +601,6 @@ impl Shard {
             mesh,
             vcs,
             vc_depth,
-            escape,
             start: rows.start * width,
             end: rows.end * width,
             coords,
@@ -716,13 +704,12 @@ impl Shard {
     }
 
     /// VC index range of a class on an output port: the escape class is
-    /// the topmost channel when escape is on and empty otherwise.
+    /// the topmost channel.
     #[inline]
     fn class_range(&self, class: VcClass) -> Range<usize> {
-        let adaptive = self.vcs - usize::from(self.escape);
         match class {
-            VcClass::Adaptive => 0..adaptive,
-            VcClass::EscapeTree => adaptive..self.vcs,
+            VcClass::Adaptive => 0..self.vcs - 1,
+            VcClass::EscapeTree => self.vcs - 1..self.vcs,
         }
     }
 
@@ -1175,11 +1162,7 @@ impl Shard {
     /// Escape-patience clock: the heads `lnode` still holds parked
     /// without an output after its allocation age by one (arrivals are
     /// staged, so no other router's grant changes what this reads).
-    /// Without the escape class the counter is unused.
     fn age_parked<P: FabricProbe>(&mut self, lnode: usize, probe: &mut P) {
-        if !self.escape {
-            return;
-        }
         let in_base = lnode * IN_PORTS * self.vcs;
         let mut m = self.occ_mask[lnode];
         while m != 0 {
@@ -1499,9 +1482,6 @@ impl Shard {
     /// order (see `step_bands`).
     #[cfg(test)]
     pub(crate) fn age_reference(&mut self) {
-        if !self.escape {
-            return;
-        }
         for in_idx in 0..self.in_vcs.len() {
             if self.in_vcs[in_idx].route.is_none() {
                 if let Some(word) = self.front(in_idx) {
@@ -1694,7 +1674,8 @@ mod tests {
     use crate::routing::HopChoice;
     use meshpath_mesh::FxHashMap;
 
-    const TEST_VCS: usize = 2;
+    /// Two adaptive channels and the escape channel.
+    const TEST_VCS: usize = 3;
     const TEST_DEPTH: usize = 4;
 
     /// The bands of one mesh, stepped in process through [`step_bands`].
@@ -1718,8 +1699,8 @@ mod tests {
     }
 
     impl Fabric {
-        fn new(mesh: Mesh, vcs: usize, depth: usize, escape: bool, bands: usize) -> Self {
-            Fabric { mesh, shards: Shard::bands(mesh, vcs, depth, escape, bands) }
+        fn new(mesh: Mesh, vcs: usize, depth: usize, bands: usize) -> Self {
+            Fabric { mesh, shards: Shard::bands(mesh, vcs, depth, bands) }
         }
 
         /// The band owning global node id `node`, and the node's local
@@ -1856,7 +1837,7 @@ mod tests {
     /// Drives one packet through an idle fabric (optionally sharded)
     /// and returns the cycle at which its tail was ejected.
     fn run_single_sharded(mesh: Mesh, path: &[Dir], len: u32, shards: usize) -> u64 {
-        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, false, shards);
+        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, shards);
         let mut hop = ScriptedHop::new();
         let (s, d) = hop.script(Coord::new(0, 0), path);
         let mut worm = Worm::new(0, PacketState::new(s, d, 0, len));
@@ -1933,7 +1914,7 @@ mod tests {
         // The switch allocator must interleave them — both complete,
         // and neither is starved while the other's worm drains.
         let mesh = Mesh::square(4);
-        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, false, 1);
+        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, 1);
         let mut hop = ScriptedHop::new();
         let len = 3u32;
         let (sa, da) = hop.script(Coord::new(0, 0), &[Dir::PlusX, Dir::PlusX]);
@@ -1977,7 +1958,7 @@ mod tests {
         // mid-flight. The traveling state must be findable there, and
         // gone once the packet delivered.
         let mesh = Mesh::square(4);
-        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, false, 1);
+        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, 1);
         let mut hop = ScriptedHop::new();
         let (s, d) = hop.script(Coord::new(0, 0), &[Dir::PlusX, Dir::PlusX]);
         let mut worm = Worm::new(0, PacketState::new(s, d, 0, 2));
@@ -2048,29 +2029,24 @@ mod tests {
 
     #[test]
     fn class_partition_reserves_the_top_index() {
-        // 4 VCs with escape: adaptive = {0, 1, 2}, escape = {3}.
+        // 4 VCs: adaptive = {0, 1, 2}, escape = {3}.
         let mesh = Mesh::square(4);
-        let f = &Shard::bands(mesh, 4, TEST_DEPTH, true, 1)[0];
+        let f = &Shard::bands(mesh, 4, TEST_DEPTH, 1)[0];
         assert_eq!(f.class_range(VcClass::Adaptive), 0..3);
         assert_eq!(f.class_range(VcClass::EscapeTree), 3..4);
-        let f2 = &Shard::bands(mesh, 2, TEST_DEPTH, true, 1)[0];
+        let f2 = &Shard::bands(mesh, 2, TEST_DEPTH, 1)[0];
         assert_eq!(f2.class_range(VcClass::Adaptive), 0..1);
         assert_eq!(f2.class_range(VcClass::EscapeTree), 1..2);
-        // No escape: everything is adaptive, the escape range empty
-        // (escape candidates can never allocate).
-        let f0 = &Shard::bands(mesh, 2, TEST_DEPTH, false, 1)[0];
-        assert_eq!(f0.class_range(VcClass::Adaptive), 0..2);
-        assert!(f0.class_range(VcClass::EscapeTree).is_empty());
     }
 
     #[test]
     fn escape_class_is_reserved_and_commitment_sticks() {
-        // 2 VCs with escape: adaptive = {0}, escape = {1}. Park a fake
+        // 2 VCs: adaptive = {0}, escape = {1}. Park a fake
         // owner on the adaptive VC of the packet's output: the head
         // must take the escape VC, flip its mode and count as an escape
         // entry.
         let mesh = Mesh::square(4);
-        let mut f = Fabric::new(mesh, 2, TEST_DEPTH, true, 1);
+        let mut f = Fabric::new(mesh, 2, TEST_DEPTH, 1);
         let mut hop = EscapeEager;
         let src = Coord::new(0, 1);
         let dst = Coord::new(2, 1);
@@ -2094,10 +2070,10 @@ mod tests {
 
     #[test]
     fn stall_clock_ticks_only_for_parked_unrouted_heads() {
-        // With escape VCs enabled, a head that cannot get a grant ages;
-        // a granted head resets to zero.
+        // A head that cannot get a grant ages; a granted head resets to
+        // zero.
         let mesh = Mesh::square(4);
-        let mut f = Fabric::new(mesh, 2, TEST_DEPTH, true, 1);
+        let mut f = Fabric::new(mesh, 2, TEST_DEPTH, 1);
         let src = Coord::new(0, 0);
         let dst = Coord::new(2, 0);
         let mut hop = EscapeEager;
@@ -2127,7 +2103,7 @@ mod tests {
     fn every_node_belongs_to_one_band_at_its_offset() {
         for (w, h, shards) in [(1, 6, 2), (5, 3, 1), (7, 7, 3), (16, 9, 4), (4, 2, 5)] {
             let mesh = Mesh::new(w, h);
-            let bands = Shard::bands(mesh, 1, 2, false, shards);
+            let bands = Shard::bands(mesh, 2, 2, shards);
             assert_eq!(bands.len(), shards.min(h as usize), "bands hold at least a row");
             for n in 0..mesh.len() {
                 assert_eq!(bands.iter().filter(|s| s.contains_node(n)).count(), 1);
@@ -2186,18 +2162,19 @@ mod tests {
 
     #[test]
     fn wrapped_rings_keep_back_to_back_packets_and_their_states_apart() {
-        // One VC per port, so every packet of the +Y stream shares the
-        // same rings, at non-power-of-two and minimal depths. Packet 0
-        // passes through first and leaves every ring cursor mid-ring;
-        // then the stream is dammed at (0,2), so the rings behind it
-        // fill across their wrap point with the tail of one packet and
-        // the head of the next. The diagnostics must read those rings
-        // in queue order, with every head matched to its own state —
-        // on one shard and with the dam just past a band edge.
+        // One adaptive VC per port, so every packet of the +Y stream
+        // shares the same rings, at non-power-of-two and minimal depths.
+        // Packet 0 passes through first and leaves every ring cursor
+        // mid-ring; then the stream is dammed at (0,2), so the rings
+        // behind it fill across their wrap point with the tail of one
+        // packet and the head of the next. The diagnostics must read
+        // those rings in queue order, with every head matched to its
+        // own state — on one shard and with the dam just past a band
+        // edge.
         for (depth, shards) in [(2usize, 1usize), (2, 2), (3, 1), (3, 2)] {
             let len = (5 - depth) as u32; // never a multiple of depth
             let mesh = Mesh::square(4);
-            let f = Fabric::new(mesh, 1, depth, false, shards);
+            let f = Fabric::new(mesh, 2, depth, shards);
             let mut hop = ScriptedHop::new();
             let (s, d) = hop.script(Coord::new(0, 0), &[Dir::PlusY; 3]);
             let dam = mesh.id(Coord::new(0, 2)).index();
@@ -2292,7 +2269,7 @@ mod tests {
         // messages all pass, mostly through routers with one occupied
         // input VC and now and then through a contended one.
         let mesh = Mesh::square(6);
-        let fabric = || Fabric::new(mesh, TEST_VCS, TEST_DEPTH, false, 2);
+        let fabric = || Fabric::new(mesh, TEST_VCS, TEST_DEPTH, 2);
         let (mut event, mut scan) = (fabric(), fabric());
         let mut hop = ScriptedHop::new();
         use Dir::{MinusX, PlusX, PlusY};
@@ -2357,8 +2334,8 @@ mod tests {
         let mesh = Mesh::square(6);
         let view = NetView::build(FaultSet::none(mesh));
         let mut tables = [RoutingKind::Rb2; 2].map(|kind| PathTable::new(&view, kind));
-        let [mut r0, mut r1] = tables.each_mut().map(|table| EscapeHop::new(table, 4, false));
-        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, false, 2);
+        let [mut r0, mut r1] = tables.each_mut().map(|table| EscapeHop::new(table, 4));
+        let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, 2);
         let (s, d) = (Coord::new(1, 0), Coord::new(1, 5));
         assert_eq!(r0.admit(s, d), Some(5));
         let mut worm = Worm::new(0, PacketState::new(s, d, 0, 2));
@@ -2379,7 +2356,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "flit-ring cursor limit of 255")]
     fn depths_beyond_the_ring_cursors_are_rejected() {
-        Shard::bands(Mesh::square(2), 1, 256, false, 1);
+        Shard::bands(Mesh::square(2), 2, 256, 1);
     }
 
     #[test]
@@ -2391,7 +2368,7 @@ mod tests {
         // stepper, with the masks valid throughout.
         let run_mixed = |pick: fn(u64) -> bool, shards: usize| -> Vec<(u32, u64)> {
             let mesh = Mesh::square(4);
-            let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, false, shards);
+            let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, shards);
             let mut hop = ScriptedHop::new();
             let len = 3u32;
             let (sa, da) = hop.script(Coord::new(0, 0), &[Dir::PlusX, Dir::PlusX]);

@@ -32,10 +32,10 @@
 //! full algorithm execution per distinct `(source, destination)` pair,
 //! then a lookup per hop), and the per-hop indirection is what enables
 //! Duato-style escape routing (`EscapeHop`): each output port
-//! reserves its top virtual channel ([`SimConfig::escape`]) as an
-//! *escape class* whose channel-dependency graph is acyclic by
-//! construction — up*/down* routing on a spanning forest of the healthy
-//! nodes ([`EscapeForest`], available from *every* node). A head
+//! reserves its top virtual channel as an *escape class* whose
+//! channel-dependency graph is acyclic by construction — up*/down*
+//! routing on a spanning forest of the healthy nodes
+//! ([`EscapeForest`], available from *every* node). A head
 //! blocked past [`SimConfig::patience`] re-routes onto the escape class,
 //! escape traffic is guaranteed to drain, and so — per Duato's argument
 //! — the fabric cannot interlock: RB1/RB2/RB3 stay live at injection
@@ -45,7 +45,7 @@
 //!
 //! * `routing` — the `HopRouter` trait and its implementation
 //!   `EscapeHop` (compiled-route replay on the adaptive class, plus
-//!   the tree escape class the fabric reserves a channel for);
+//!   the tree escape class);
 //!   the [`PathTable`] compiling the workspace's [`Router`]s
 //!   (RB1/RB2/RB3, fault-tolerant E-cube) and the dimension-order
 //!   `XyRouter` baseline.
@@ -64,13 +64,13 @@
 //! * [`churn`] — **churn**: fault/repair events applied to a running
 //!   simulation, fed by a [`SimConfig::fault_churn`] list (exact
 //!   cycles), a [`ChurnInjector`] handle and a seedable [`ChaosConfig`]
-//!   random schedule (churn-quantum boundaries) — one driver, one
+//!   random schedule (every 16 cycles) — one driver, one
 //!   epoch mechanism, the escape forest rebuilt per published event;
 //!   a publication re-plans adaptive packets and drains tree packets
 //!   (`churn_killed`), so nothing wedges on a stale route.
 //! * [`stats`] — latency histograms and accepted-throughput accounting.
-//! * [`config`] — [`SimConfig`], including the escape channel
-//!   (checked by [`SimConfig::validate`]) and the escape `patience`.
+//! * [`config`] — [`SimConfig`], checked by [`SimConfig::validate`],
+//!   including the escape `patience`.
 //!
 //! ## Observability
 //!
@@ -118,8 +118,8 @@
 //!   it lets RB2 accept ~30 % more traffic on a 64x64 mesh (the
 //!   escape-class measurement indexed in `BENCH/README.md`). The
 //!   deadlock detector is retained as a *liveness assertion*
-//!   (`deadlocked` in [`TrafficStats`]): with escape enabled it firing
-//!   would indicate a fabric bug, not an expected outcome.
+//!   (`deadlocked` in [`TrafficStats`]): below `patience` `u32::MAX`
+//!   it firing would indicate a fabric bug, not an expected outcome.
 //! * Escape traffic abandons the compiled (fault-aware, shortest-path)
 //!   route for tree detours; `escape_packets` in [`TrafficStats`]
 //!   reports how much traffic did.

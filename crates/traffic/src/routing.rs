@@ -39,10 +39,9 @@
 //! class is acyclic *regardless of the fault pattern* and reaches every
 //! destination a routable packet can have. Per Duato's methodology, a
 //! blocked head that always has an eventual path onto a draining escape
-//! network cannot take part in a wormhole interlock. Without a reserved
-//! channel (`SimConfig::escape` off) the router replays the compiled
-//! route unconditionally — the source-routed fabric, deadlock detected
-//! rather than avoided.
+//! network cannot take part in a wormhole interlock. At `patience`
+//! `u32::MAX` the router replays the compiled route unconditionally —
+//! the source-routed fabric, deadlock detected rather than avoided.
 //!
 //! Under **churn** (events published mid-run via
 //! [`HopRouter::publish`], whether listed ahead of time or injected
@@ -55,11 +54,12 @@
 //! An adaptive packet routed under an older epoch re-plans from where
 //! its head stands at its next decision, as RB2 decides each hop from
 //! the fault information the node holds now; one that finds no route
-//! falls back to the tree or is killed (the `churn_killed` stat). A
-//! packet committed to the tree under an older epoch is killed too: the
-//! rebuilt forest orders the same channels differently, so routing it
-//! on would compose two up*/down* orders into a cyclic wait. Repaired
-//! nodes regain the tree class.
+//! falls back to the tree, or is killed (the `churn_killed` stat) when
+//! the fault cut it off its destination. A packet committed to the
+//! tree under an older epoch is killed too: the rebuilt forest orders
+//! the same channels differently, so routing it on would compose two
+//! up*/down* orders into a cyclic wait. Repaired nodes regain the tree
+//! class.
 
 use std::collections::hash_map::Entry;
 
@@ -73,13 +73,12 @@ use crate::fabric::PacketState;
 
 /// The virtual-channel classes of the fabric.
 ///
-/// With escape on, the fabric reserves the top virtual channel of each
-/// output port for the *escape* class and leaves the `vcs - 1` below it
-/// *adaptive* (usable by any compiled route); with escape off every
-/// channel is adaptive. Restricting the escape class to one acyclic
-/// routing function (up*/down* tree order) keeps its channel-dependency
-/// graph cycle-free, which is what lets escape traffic drain under any
-/// load.
+/// The fabric reserves the top virtual channel of each output port for
+/// the *escape* class and leaves the `vcs - 1` below it *adaptive*
+/// (usable by any compiled route). Restricting the escape class to one
+/// acyclic routing function (up*/down* tree order) keeps its
+/// channel-dependency graph cycle-free, which is what lets escape
+/// traffic drain under any load.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum VcClass {
     /// The unrestricted class: compiled (possibly detouring) routes.
@@ -682,9 +681,7 @@ impl EscapeForest {
 
 /// The Duato-style adaptive wrapper: compiled routes on the adaptive
 /// class; once a head has been blocked `patience` consecutive cycles it
-/// is also offered the up*/down* tree route on the escape class, when
-/// the fabric reserves a channel for it. With no reserved channel it
-/// offers the compiled hop and nothing else, at any stall.
+/// is also offered the up*/down* tree route on the escape class.
 ///
 /// A packet that takes the escape channel is committed: it stays on the
 /// escape class until delivery, so escape packets only ever wait on
@@ -701,33 +698,31 @@ pub(crate) struct EscapeHop<'p> {
     paths: &'p mut PathTable,
     patience: u32,
     /// The spanning forest over the current fault set's healthy nodes,
-    /// rebuilt per published event. `None` when the fabric reserves no
-    /// escape channel.
-    forest: Option<EscapeForest>,
+    /// rebuilt per published event.
+    forest: EscapeForest,
 }
 
 impl<'p> EscapeHop<'p> {
-    /// A router over `paths`' compiled routes for a fabric that reserves
-    /// an escape channel (`escape`) or not; the forest is built only
-    /// for the former.
-    pub(crate) fn new(paths: &'p mut PathTable, patience: u32, escape: bool) -> Self {
-        let forest = escape.then(|| EscapeForest::new(paths.view().faults()));
+    /// A router over `paths`' compiled routes and a forest over their
+    /// view's fault set.
+    pub(crate) fn new(paths: &'p mut PathTable, patience: u32) -> Self {
+        let forest = EscapeForest::new(paths.view().faults());
         EscapeHop { paths, patience, forest }
     }
 
-    /// The spanning forest backing the escape class, if the fabric has
-    /// one.
+    /// The spanning forest backing the escape class.
     #[cfg(test)]
-    pub(crate) fn forest(&self) -> Option<&EscapeForest> {
-        self.forest.as_ref()
+    pub(crate) fn forest(&self) -> &EscapeForest {
+        &self.forest
     }
 
-    /// The escape-class candidate, or `None` when there is no escape
-    /// class or its forest cannot serve the pair — the latter possible
-    /// only under churn: a fresh fault cut `here` off `dst`'s component
-    /// (or took `here` itself).
+    /// The escape-class candidate, or `None` when `here` has no tree
+    /// hop toward `dst`: it left the forest, or it is the root of a
+    /// tree that does not hold `dst`. Only churn separates a pair, and
+    /// [`EscapeForest::next_hop`] climbs a separated pair to the root
+    /// before it refuses it.
     fn tree_choice(&self, here: Coord, dst: Coord) -> Option<HopChoice> {
-        let dir = self.forest.as_ref()?.next_hop(self.paths.view().mesh(), here, dst)?;
+        let dir = self.forest.next_hop(self.paths.view().mesh(), here, dst)?;
         Some(HopChoice { dir, class: VcClass::EscapeTree })
     }
 }
@@ -767,8 +762,14 @@ impl HopRouter for EscapeHop<'_> {
             }
             VcClass::Adaptive => {
                 let Some(dir) = self.paths.adaptive_dir(here, pk, route) else {
-                    // Stranded: fall back to the tree, or kill.
-                    return match self.tree_choice(here, pk.dst) {
+                    // Stranded: fall back to the tree while it still
+                    // joins `here` to `dst`. A packet a fresh fault cut
+                    // off would only climb to its tree root holding
+                    // escape channels before the tree refused it: kill
+                    // it here.
+                    let view = self.paths.view();
+                    let joined = view.component_of(here) == view.component_of(pk.dst);
+                    return match joined.then(|| self.tree_choice(here, pk.dst)).flatten() {
                         Some(tree) => HopDecision::route1(tree),
                         None => {
                             pk.killed = true;
@@ -790,9 +791,7 @@ impl HopRouter for EscapeHop<'_> {
 
     fn publish(&mut self, view: &NetView) {
         self.paths.publish(view);
-        if let Some(forest) = &mut self.forest {
-            *forest = EscapeForest::new(view.faults());
-        }
+        self.forest = EscapeForest::new(view.faults());
     }
 }
 
@@ -977,14 +976,15 @@ mod tests {
     }
 
     #[test]
-    fn without_a_reserved_channel_the_compiled_route_is_followed_to_the_end() {
+    fn a_head_that_may_never_escape_follows_the_compiled_route_to_the_end() {
         let net = NetView::build(FaultSet::none(Mesh::square(8)));
         let mut t = PathTable::new(&net, RoutingKind::Rb2);
         let (s, d) = (Coord::new(0, 0), Coord::new(3, 2));
-        let mut hop = EscapeHop::new(&mut t, 4, false);
+        let mut hop = EscapeHop::new(&mut t, u32::MAX);
         let hops = hop.admit(s, d).expect("routable");
         assert_eq!(hops, 5);
-        let mut pk = PacketState::new(s, d, 0, 1);
+        // However long the head has waited.
+        let mut pk = PacketState { stalled: u32::MAX - 1, ..PacketState::new(s, d, 0, 1) };
         let mut route = RouteHandle::UNRESOLVED;
         let mut here = s;
         for _ in 0..hops {
@@ -1004,18 +1004,16 @@ mod tests {
     }
 
     #[test]
-    fn without_escape_builds_no_forest_and_offers_one_adaptive_candidate_at_any_stall() {
-        let cfg = crate::SimConfig::default().without_escape();
+    fn infinite_patience_offers_one_adaptive_candidate_at_any_stall() {
         let mesh = Mesh::square(8);
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
         let mut t = PathTable::new(&v0, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut t, cfg.patience, cfg.escape);
+        let mut hop = EscapeHop::new(&mut t, u32::MAX);
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
         hop.admit(s, d).expect("clear row");
         let offered = |hop: &mut EscapeHop<'_>, here: Coord, pk: &PacketState| {
-            assert!(hop.forest().is_none(), "built for a class with no channel");
-            for stalled in [0, cfg.patience, 10_000] {
+            for stalled in [0, 16, 10_000, u32::MAX - 1] {
                 let mut pk = PacketState { stalled, ..*pk };
                 let decision = hop.decide(here, &mut pk, &mut { RouteHandle::UNRESOLVED });
                 assert_eq!(classes(decision), vec![VcClass::Adaptive], "stalled {stalled}");
@@ -1023,13 +1021,14 @@ mod tests {
         };
         let pk = PacketState::new(s, d, 0, 1);
         offered(&mut hop, s, &pk);
-        // Online a publication builds nothing either, and a head whose
-        // next hop failed replans onto one adaptive candidate.
+        // Online, a head whose next hop failed replans onto one adaptive
+        // candidate.
         hop.publish(&state.add_fault(Coord::new(3, 1)).expect("valid"));
         let parked = PacketState { head_hop: 1, ..pk };
         offered(&mut hop, Coord::new(2, 1), &parked);
         // One stranded for good — its destination walled in, so no
-        // current route, and no tree to fall back on — is killed.
+        // current route, and the tree would only climb it to its root
+        // before refusing it — is killed where it stands.
         for wall in [Coord::new(5, 1), Coord::new(7, 1), Coord::new(6, 0), Coord::new(6, 2)] {
             hop.publish(&state.add_fault(wall).expect("valid"));
         }
@@ -1054,7 +1053,7 @@ mod tests {
         let mesh = Mesh::square(8);
         let net = NetView::build(FaultSet::from_coords(mesh, [Coord::new(5, 3)]));
         let mut t = PathTable::new(&net, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut t, 4, true);
+        let mut hop = EscapeHop::new(&mut t, 4);
         let (s, d) = (Coord::new(2, 3), Coord::new(7, 3));
         hop.admit(s, d).expect("RB2 routes around the fault");
         let mut fresh = PacketState::new(s, d, 0, 1);
@@ -1247,7 +1246,7 @@ mod tests {
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
         let mut table = PathTable::new(&v0, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut table, patience, true);
+        let mut hop = EscapeHop::new(&mut table, patience);
         for (epoch, op) in (1..).zip(churn_script()) {
             let view = match op {
                 ChurnOp::Fail(c) => state.add_fault(c),
@@ -1256,7 +1255,7 @@ mod tests {
             .expect("a valid event");
             hop.publish(&view);
             let mut fresh_table = PathTable::new(&view, RoutingKind::Rb2);
-            let mut fresh = EscapeHop::new(&mut fresh_table, patience, true);
+            let mut fresh = EscapeHop::new(&mut fresh_table, patience);
             assert_eq!(hop.forest(), fresh.forest(), "after {op:?}");
             for here in mesh.iter() {
                 for dst in mesh.iter().filter(|&dst| dst != here) {
@@ -1361,7 +1360,7 @@ mod tests {
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
         let mut t = PathTable::new(&v0, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut t, 4, true);
+        let mut hop = EscapeHop::new(&mut t, 4);
         let node = Coord::new(4, 4);
         assert!(hop.tree_choice(node, Coord::new(0, 0)).is_some(), "on the initial forest");
 
@@ -1371,7 +1370,7 @@ mod tests {
             hop.tree_choice(node, Coord::new(0, 0)).is_none(),
             "failed node leaves the substrate"
         );
-        assert_eq!(hop.forest(), Some(&EscapeForest::new(v1.faults())));
+        assert_eq!(hop.forest(), &EscapeForest::new(v1.faults()));
 
         let v2 = state.remove_fault(node).expect("valid");
         hop.publish(&v2);
@@ -1380,7 +1379,7 @@ mod tests {
             .tree_choice(node, Coord::new(0, 0))
             .expect("repaired node regains escape-tree membership");
         assert_eq!(choice.class, VcClass::EscapeTree);
-        assert_eq!(hop.forest(), Some(&EscapeForest::new(v2.faults())));
+        assert_eq!(hop.forest(), &EscapeForest::new(v2.faults()));
     }
 
     #[test]
@@ -1389,7 +1388,7 @@ mod tests {
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
         let mut t = PathTable::new(&v0, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut t, 4, true);
+        let mut hop = EscapeHop::new(&mut t, 4);
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
         hop.admit(s, d).expect("clear row");
         let mut pk = PacketState::new(s, d, 0, 1);
@@ -1447,7 +1446,7 @@ mod tests {
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
         let mut t = PathTable::new(&v0, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut t, 4, true);
+        let mut hop = EscapeHop::new(&mut t, 4);
         let (here, dst) = (Coord::new(1, 1), Coord::new(6, 6));
         // A packet that committed to the tree under `epoch` (the fabric
         // stamps it at the grant), parked at `here`.
@@ -1502,7 +1501,7 @@ mod tests {
         let mut state = meshpath_route::NetState::new(FaultSet::from_coords(mesh, [f]));
         let v0 = state.view();
         let mut t = PathTable::new(&v0, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut t, 4, true);
+        let mut hop = EscapeHop::new(&mut t, 4);
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
         assert_eq!(hop.admit(s, d), Some(7), "around F");
         let detour = hop.paths.path(s, d).expect("routable").clone();
@@ -1524,7 +1523,7 @@ mod tests {
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
         let mut t = PathTable::new(&v0, RoutingKind::Xy);
-        let mut hop = EscapeHop::new(&mut t, 4, true);
+        let mut hop = EscapeHop::new(&mut t, 4);
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
         assert_eq!(hop.admit(s, d), Some(5));
         let fresh = PacketState::new(s, d, 0, 1);

@@ -43,8 +43,8 @@
 //! [`crate::churn`]): a [`SimConfig::fault_churn`] list fires each
 //! event at its listed cycle, and [`TrafficSim::with_online_churn`]
 //! attaches the live [`ChurnInjector`](crate::ChurnInjector) /
-//! [`ChaosConfig`](crate::ChaosConfig) sources, polled at quantum
-//! multiples. At every such boundary the coordinator applies what is
+//! [`ChaosConfig`](crate::ChaosConfig) sources, polled every 16
+//! cycles. At every such boundary the coordinator applies what is
 //! due to its authoritative `NetState` (incremental rebuild with
 //! full-rebuild fallback) and broadcasts each resulting [`NetView`]
 //! epoch to every band — to band 0 directly, to the worker threads over
@@ -101,12 +101,11 @@ const ID_SHARD_SHIFT: u32 = 24;
 /// Cycles of zero fabric movement (with flits in flight and nothing
 /// injectable) before the run is declared deadlocked.
 ///
-/// With escape VCs enabled this is a *liveness assertion*: Duato-style
-/// escape routing is expected to keep the fabric moving, so a firing
-/// detector indicates either an escape-starved fault pattern (every
-/// member of a cyclic wait parked where its XY run crosses a fault) or
-/// a fabric bug. Without escape VCs it is the expected failure mode of
-/// adaptive wormhole routing under load.
+/// Below `patience` `u32::MAX` this is a *liveness assertion*:
+/// Duato-style escape routing is expected to keep the fabric moving, so
+/// a firing detector indicates either an escape-starved fault pattern or
+/// a fabric bug. At `patience` `u32::MAX` (never escape) it is the
+/// expected failure mode of adaptive wormhole routing under load.
 const DEADLOCK_WINDOW: u64 = 1000;
 
 /// Slots of a shard's generation timing wheel: slot `t % WHEEL` lists
@@ -1236,8 +1235,8 @@ pub struct TrafficSim<'p> {
     /// The initial (epoch-0) network snapshot.
     base: NetView,
     sources: Vec<SourceNode>,
-    /// Live churn sources, polled by the coordinator at every quantum
-    /// boundary (see [`TrafficSim::with_online_churn`]).
+    /// Live churn sources, polled by the coordinator every 16 cycles
+    /// (see [`TrafficSim::with_online_churn`]).
     online: Option<OnlineChurn>,
     /// The attached workload source, if any: it replaces the synthetic
     /// injection process entirely (see [`TrafficSim::with_workload`]).
@@ -1290,7 +1289,7 @@ impl<'p> TrafficSim<'p> {
                 SourceNode { id, coord: c, rng, queue: VecDeque::new(), active, fire_at: None }
             })
             .collect();
-        let shards = Shard::bands(mesh, cfg.vcs, cfg.vc_depth, cfg.escape, threads);
+        let shards = Shard::bands(mesh, cfg.vcs, cfg.vc_depth, threads);
         // TTL default: E-cube's escape walk is the only route source
         // whose length is effectively unbounded; every other router is
         // within a small factor of shortest, and escape VCs now bound
@@ -1321,15 +1320,11 @@ impl<'p> TrafficSim<'p> {
 
     /// Attaches the live churn sources: the coordinator polls the
     /// injector (and the optional chaos schedule) at every
-    /// `churn.quantum`-cycle boundary and publishes the resulting
-    /// epochs into the running workers, interleaved in cycle order with
-    /// any [`fault_churn`](SimConfig::fault_churn) list the config
-    /// carries. See [`crate::churn`].
-    ///
-    /// # Panics
-    /// Panics when `churn.quantum` is zero.
+    /// 16-cycle boundary and publishes the resulting epochs into the
+    /// running workers, interleaved in cycle order with any
+    /// [`fault_churn`](SimConfig::fault_churn) list the config carries.
+    /// See [`crate::churn`].
     pub fn with_online_churn(mut self, churn: OnlineChurn) -> Self {
-        assert!(churn.quantum >= 1, "churn quantum must be at least 1 cycle");
         self.online = Some(churn);
         self
     }
@@ -1477,7 +1472,7 @@ impl<'p> TrafficSim<'p> {
                     let report_tx = done.clone();
                     let caught = catch_unwind(AssertUnwindSafe(move || {
                         let mut paths = PathTable::new(base, kind);
-                        let router = EscapeHop::new(&mut paths, cfg.patience, cfg.escape);
+                        let router = EscapeHop::new(&mut paths, cfg.patience);
                         let mut worker = ShardWorker::new(
                             shard, sources, router, base, cfg, ttl, w, workload, probe,
                         );
@@ -1496,7 +1491,7 @@ impl<'p> TrafficSim<'p> {
             drop(done_tx);
 
             let probe = mk(0, &shard0);
-            let router = EscapeHop::new(paths, cfg.patience, cfg.escape);
+            let router = EscapeHop::new(paths, cfg.patience);
             let mut band0 =
                 ShardWorker::new(shard0, sources0, router, base, cfg, ttl, 0, workload, probe);
             #[cfg(test)]
@@ -1618,9 +1613,8 @@ pub fn run_traffic(net: &NetView, kind: RoutingKind, cfg: &SimConfig) -> Traffic
 /// At zero load this is exactly
 /// `route_hops + PIPELINE_DEPTH + (len - 1)`, which the integration
 /// tests pin against the BFS oracle. The packet is a one-entry trace
-/// replayed through [`TrafficSim`] on one band of 2 VCs, 4 flits deep.
-/// (An idle fabric never blocks a head, so the probe reserves no
-/// escape channel.)
+/// replayed through [`TrafficSim`] on one band of 2 VCs, 4 flits deep
+/// (an idle fabric always has the adaptive one free).
 pub fn single_packet_latency(
     net: &NetView,
     kind: RoutingKind,
@@ -1632,8 +1626,6 @@ pub fn single_packet_latency(
     let cfg = SimConfig {
         vcs: 2,
         vc_depth: 4,
-        escape: false,
-        patience: 0,
         route_ttl: Some(u32::MAX),
         threads: 1,
         warmup: 0,
@@ -2194,7 +2186,7 @@ mod tests {
             let cfg = SimConfig { rate: 0.02, threads, ..SimConfig::smoke() };
             let mut paths = PathTable::new(&net, RoutingKind::Rb2);
             TrafficSim::new(&mut paths, cfg)
-                .with_online_churn(OnlineChurn::chaos(chaos).with_quantum(16))
+                .with_online_churn(OnlineChurn::chaos(chaos))
                 .try_run_full(&mut ())
                 .expect("chaos run must complete")
                 .stats
@@ -2245,9 +2237,9 @@ mod tests {
             FaultSet::random(Mesh::square(6), 2, meshpath_mesh::FaultInjection::Uniform, &mut rng);
         let net = NetView::build(faults);
         let cfg = SimConfig {
-            vcs: 2,
+            vcs: 3,
             vc_depth: 3,
-            escape: false,
+            patience: u32::MAX,
             packet_len: 4,
             rate: 0.35,
             warmup: 30,
@@ -2329,7 +2321,7 @@ mod tests {
             let injected = run_reusing_with_churn(
                 &mut paths,
                 &cfg,
-                OnlineChurn::new(injector.clone()).with_quantum(64),
+                OnlineChurn::new(injector.clone()),
                 &mut Script(injector, events.clone()),
             );
             assert_eq!(listed, injected, "threads = {threads}");
@@ -2396,16 +2388,6 @@ mod tests {
             assert_eq!(stats.epoch_delivered.len(), 2);
             assert!(!stats.deadlocked);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "churn quantum must be at least 1 cycle")]
-    fn zero_churn_quantum_is_a_panic() {
-        use crate::churn::OnlineChurn;
-        let net = fault_free(4);
-        let mut paths = PathTable::new(&net, RoutingKind::Xy);
-        let _ = TrafficSim::new(&mut paths, SimConfig::smoke())
-            .with_online_churn(OnlineChurn { quantum: 0, ..OnlineChurn::default() });
     }
 
     #[test]

@@ -108,7 +108,7 @@ pub struct TrafficStats {
     /// the configured hop budget ([`route_ttl`](crate::SimConfig)).
     pub ttl_dropped: u64,
     /// Packets that committed to the spanning-tree escape class
-    /// mid-flight; always zero with escape off. Tree routes are
+    /// mid-flight (at `patience` `u32::MAX`, only churn-stranded ones). Tree routes are
     /// non-minimal, so a high count also signals latency drifting off
     /// the compiled routes.
     pub escape_packets: u64,
@@ -144,7 +144,7 @@ pub struct TrafficStats {
     pub churn_dropped: u64,
     /// In-flight packets drained out of the fabric by churn: a fault
     /// landed on the packet's position, destination, or committed
-    /// escape run and no replan existed. The graceful-degradation
+    /// escape run, or cut it off its destination. The graceful-degradation
     /// counterpart of a wedge — these packets are accounted, not
     /// deadlocked. Always 0 without churn.
     pub churn_killed: u64,

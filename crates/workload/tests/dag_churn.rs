@@ -10,19 +10,20 @@ use meshpath_traffic::{
 };
 use meshpath_workload::{DagSpec, FlowDag, FlowSpec};
 
-/// Flow `a` crosses the mesh to (7,7); its destination fails at cycle
-/// 8 — queued on an injector polled at quantum 8, or `listed` in
-/// `fault_churn` — while the packet is in flight, so the fabric kills
-/// it (`churn_killed`). Flow `b` depends on `a` and must be aborted by
-/// cascade — never released, never wedging the run.
+/// Flow `a` crosses the mesh to (15,15); its destination fails at
+/// cycle 16 — queued on an injector polled at the churn quantum, or
+/// `listed` in `fault_churn` — while the packet is in flight, so the
+/// fabric kills it (`churn_killed`). Flow `b` depends on `a` and must be
+/// aborted by cascade — never released, never wedging the run.
 fn run_killed_dag(threads: usize, listed: bool) {
-    let mesh = Mesh::square(8);
+    let mesh = Mesh::square(16);
     let net = NetView::build(FaultSet::from_coords(mesh, []));
+    let dst = Coord::new(15, 15);
     let spec = DagSpec {
         flows: vec![
-            // 14 hops away, 8 flits: alive well past the churn quantum.
-            FlowSpec::root("a", Coord::new(0, 0), Coord::new(7, 7), 8),
-            FlowSpec::after("b", Coord::new(7, 7), Coord::new(0, 0), 4, &["a"]),
+            // 30 hops away, 8 flits: alive well past the churn quantum.
+            FlowSpec::root("a", Coord::new(0, 0), dst, 8),
+            FlowSpec::after("b", dst, Coord::new(0, 0), 4, &["a"]),
         ],
     };
     let cfg = SimConfig {
@@ -32,7 +33,7 @@ fn run_killed_dag(threads: usize, listed: bool) {
         measure: 100,
         drain: 600,
         threads,
-        fault_churn: if listed { vec![ChurnEvent::fail(8, Coord::new(7, 7))] } else { Vec::new() },
+        fault_churn: if listed { vec![ChurnEvent::fail(16, dst)] } else { Vec::new() },
         ..SimConfig::default()
     };
     let mut paths = PathTable::new(&net, RoutingKind::Rb2);
@@ -40,8 +41,8 @@ fn run_killed_dag(threads: usize, listed: bool) {
         .with_workload(Box::new(FlowDag::new(spec).expect("valid DAG")));
     if !listed {
         let injector = ChurnInjector::new();
-        injector.fail(Coord::new(7, 7));
-        sim = sim.with_online_churn(OnlineChurn::new(injector).with_quantum(8));
+        injector.fail(dst);
+        sim = sim.with_online_churn(OnlineChurn::new(injector));
     }
     let out = sim.try_run_full(&mut ()).expect("no worker panicked");
 

@@ -1,7 +1,7 @@
 //! Observability tour: run one healthy traffic load with full tracing
 //! and render the merged [`ObsReport`] — link/escape heatmaps, stall
 //! and occupancy histograms, per-shard phase profile — then force the
-//! `tests/escape.rs` wedge (escape VCs off, 10% faults) and dump the
+//! `tests/escape.rs` wedge (heads never escape, 10% faults) and dump the
 //! deadlock flight recorder with its VC wait-for graph.
 //!
 //! Run with `cargo run --release --example obs_report`; pass `--quick`
@@ -85,9 +85,10 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(2007);
     let wedge_net =
         NetView::build(FaultSet::random(Mesh::square(16), 26, FaultInjection::Uniform, &mut rng));
-    let wedge_cfg = SimConfig { rate: 0.04, warmup: 150, measure: 500, drain: 1200, ..sim.clone() }
-        .without_escape()
-        .with_obs(ObsLevel::Trace);
+    let wedge = SimConfig { rate: 0.04, warmup: 150, measure: 500, drain: 1200, ..sim.clone() };
+    // One more VC, never offered to a head: the same adaptive channels.
+    let wedge_cfg =
+        SimConfig { vcs: wedge.vcs + 1, patience: u32::MAX, obs: ObsLevel::Trace, ..wedge };
     let mut paths = PathTable::new(&wedge_net, RoutingKind::Rb2);
     let mut stall = DrainStallObserver::new(4);
     let wedged = TrafficSim::new(&mut paths, wedge_cfg.clone())
@@ -95,11 +96,11 @@ fn main() {
         .expect("run completes")
         .obs
         .expect("tracing enabled");
-    assert!(wedged.stop.is_wedged(), "escape VCs off at 10% faults must wedge");
+    assert!(wedged.stop.is_wedged(), "never escaping at 10% faults must wedge");
     let pm = wedged.postmortem.as_ref().expect("wedged stops dump a post-mortem");
     if !json {
         println!(
-            "forced wedge (escape VCs disabled, 26 faults, rate {:.3}) — stop: {}\n",
+            "forced wedge (heads never escape, 26 faults, rate {:.3}) — stop: {}\n",
             wedge_cfg.rate,
             wedged.stop.name()
         );

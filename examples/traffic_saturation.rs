@@ -61,12 +61,11 @@ fn main() {
     };
 
     println!(
-        "wormhole traffic on a {n}x{n} mesh — {vcs} VCs x {depth} flits ({esc} reserved for \
+        "wormhole traffic on a {n}x{n} mesh — {vcs} VCs x {depth} flits (1 reserved for \
          escape), {len}-flit packets\n",
         n = cfg.mesh,
         vcs = cfg.sim.vcs,
         depth = cfg.sim.vc_depth,
-        esc = usize::from(cfg.sim.escape),
         len = cfg.sim.packet_len,
     );
 

@@ -167,7 +167,8 @@ fn escape_vcs_survive_twice_the_old_interlock_onset() {
     // The same operating point under the deterministic policy wedges —
     // the contrast that shows escape VCs, not the refactor, buy the
     // liveness. (Pinned for RB2; the others behave alike.)
-    let det = run_traffic(&net, RoutingKind::Rb2, &cfg.without_escape());
+    // Same 4 VCs, so the contrast is the escape class alone.
+    let det = run_traffic(&net, RoutingKind::Rb2, &SimConfig { patience: u32::MAX, ..cfg });
     assert!(det.deadlocked, "source-routed RB2 at 4% must interlock: {det:?}");
 }
 

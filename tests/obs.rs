@@ -6,8 +6,8 @@
 //! distinguishable from clean exits.
 //!
 //! The forced wedge reuses the `tests/escape.rs` operating point: a
-//! 16x16 mesh at 10% faults (26 nodes), deterministic routing (no
-//! escape VCs) at 2x the historical interlock onset — a configuration
+//! 16x16 mesh at 10% faults (26 nodes), deterministic routing (heads
+//! never escape) at 2x the historical interlock onset — a configuration
 //! the fabric demonstrably cannot drain.
 
 use meshpath::prelude::*;
@@ -32,9 +32,17 @@ fn wedge_net() -> NetView {
     NetView::build(FaultSet::random(mesh, 26, FaultInjection::Uniform, &mut rng))
 }
 
+/// Four adaptive VCs, like the default, and a head that never escapes.
 fn wedge_cfg() -> SimConfig {
-    SimConfig { rate: 0.04, warmup: 150, measure: 500, drain: 1200, ..SimConfig::default() }
-        .without_escape()
+    SimConfig {
+        vcs: 5,
+        patience: u32::MAX,
+        rate: 0.04,
+        warmup: 150,
+        measure: 500,
+        drain: 1200,
+        ..SimConfig::default()
+    }
 }
 
 #[test]
