@@ -11,8 +11,8 @@ use meshpath_mesh::{FaultInjection, FaultSet, Mesh};
 use meshpath_obs::Phase;
 use meshpath_route::{NetView, RoutingKind};
 use meshpath_traffic::{
-    DrainStallObserver, LatencyHistogram, ObsReport, PathTable, SimConfig, TraceEntry, TrafficSim,
-    TrafficStats, WindowObserver, WorkloadOutcome,
+    DrainStallObserver, LatencyHistogram, ObsReport, PathTable, SimConfig, TrafficSim,
+    TrafficStats, WindowObserver, WorkloadMsg, WorkloadOutcome,
 };
 use meshpath_workload::WorkloadSpec;
 
@@ -134,7 +134,7 @@ pub struct LoadPoint {
     /// [`SimConfig::record_trace`] was set and the point was simulated
     /// — the payload `traffic_sweep --record-trace` writes out through
     /// [`crate::workload_io`].
-    pub trace: Option<Vec<TraceEntry>>,
+    pub trace: Option<Vec<WorkloadMsg>>,
 }
 
 impl LoadPoint {
@@ -332,7 +332,6 @@ impl LoadSweepResult {
                     .field("measured_generated", st.measured_generated)
                     .field("measured_delivered", st.measured_delivered)
                     .field("unroutable", st.unroutable)
-                    .field("ttl_dropped", st.ttl_dropped)
                     .field("escape_packets", st.escape_packets)
                     .field("cycles", st.cycles)
                     .field("saturated", st.saturated)
@@ -477,7 +476,6 @@ fn saturated_placeholder(net: &NetView, sim: &SimConfig) -> TrafficStats {
         measured_generated: 0,
         measured_delivered: 0,
         unroutable: 0,
-        ttl_dropped: 0,
         escape_packets: 0,
         measured_flits_ejected: 0,
         flits_moved: 0,

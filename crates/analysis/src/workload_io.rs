@@ -5,18 +5,15 @@
 //!
 //! ## Trace format (version 1)
 //!
-//! Line 1 is the header, then one flat object per recorded entry:
+//! Line 1 is the header, then one flat object per generation attempt,
+//! refused ones included (a replay admits each again):
 //!
 //! ```json
-//! {"format": "meshpath-trace", "version": 1, "horizon": 120, "entries": 2}
-//! {"cycle": 0, "src_x": 1, "src_y": 2, "dst_x": 5, "dst_y": 0, "len": 4, "flow": 4294967295, "drop": 0}
-//! {"cycle": 3, "src_x": 0, "src_y": 0, "dst_x": 7, "dst_y": 7, "len": 0, "flow": 4294967295, "drop": 1}
+//! {"format": "meshpath-trace", "version": 1, "horizon": 120, "entries": 1}
+//! {"cycle": 0, "src_x": 1, "src_y": 2, "dst_x": 5, "dst_y": 0, "len": 4, "flow": 4294967295}
 //! ```
 //!
-//! `drop` is 0 for injected packets, 1 for unroutable rejections and 2
-//! for TTL rejections; rejections carry `len: 0` and exist so a replay
-//! reproduces the recording run's drop counters (and RNG-free
-//! admission schedule) exactly. `horizon` is the recording run's
+//! `len` is at least 1. `horizon` is the recording run's
 //! generation horizon (`warmup + measure` for synthetic runs): the
 //! replay holds the simulation open until it so both runs terminate on
 //! the same cycle.
@@ -35,7 +32,7 @@
 use std::fmt;
 
 use meshpath_mesh::Coord;
-use meshpath_traffic::TraceEntry;
+use meshpath_traffic::WorkloadMsg;
 use meshpath_workload::{DagSpec, FlowDag, FlowSpec};
 
 use crate::jsonl::{parse_flat, FlatValue, JsonObject};
@@ -77,7 +74,7 @@ impl fmt::Display for WorkloadIoError {
 impl std::error::Error for WorkloadIoError {}
 
 /// Renders a recorded trace in the version-1 format.
-pub fn write_trace(entries: &[TraceEntry], horizon: u64) -> String {
+pub fn write_trace(entries: &[WorkloadMsg], horizon: u64) -> String {
     let mut out = String::with_capacity(64 + 96 * entries.len());
     let mut header = JsonObject::new();
     header
@@ -89,14 +86,13 @@ pub fn write_trace(entries: &[TraceEntry], horizon: u64) -> String {
     out.push('\n');
     for e in entries {
         let mut o = JsonObject::new();
-        o.field("cycle", e.cycle)
+        o.field("cycle", e.at)
             .field("src_x", e.src.x)
             .field("src_y", e.src.y)
             .field("dst_x", e.dst.x)
             .field("dst_y", e.dst.y)
             .field("len", e.len)
-            .field("flow", e.flow)
-            .field("drop", e.drop);
+            .field("flow", e.flow);
         out.push_str(&o.render());
         out.push('\n');
     }
@@ -144,7 +140,7 @@ fn read_header(text: &str, format: &str) -> Result<Vec<(String, FlatValue)>, Wor
 }
 
 /// Parses a version-1 trace file into its entries and horizon.
-pub fn read_trace(text: &str) -> Result<(Vec<TraceEntry>, u64), WorkloadIoError> {
+pub fn read_trace(text: &str) -> Result<(Vec<WorkloadMsg>, u64), WorkloadIoError> {
     let header = read_header(text, "meshpath-trace")?;
     let horizon = get_u64(&header, "horizon").map_err(WorkloadIoError::BadHeader)?;
     let mut entries = Vec::new();
@@ -155,20 +151,15 @@ pub fn read_trace(text: &str) -> Result<(Vec<TraceEntry>, u64), WorkloadIoError>
         let pairs = parse_flat(line).map_err(|e| WorkloadIoError::BadLine(i + 1, e))?;
         let bad = |e| WorkloadIoError::BadLine(i + 1, e);
         let len = get_u32(&pairs, "len").map_err(bad)?;
-        let drop = match get_u64(&pairs, "drop").map_err(bad)? {
-            d @ 0..=2 => d as u8,
-            d => return Err(bad(format!("drop = {d} is not 0, 1 or 2"))),
-        };
-        if drop == 0 && len == 0 {
-            return Err(bad("an injected entry needs len >= 1".to_string()));
+        if len == 0 {
+            return Err(bad("an entry needs len >= 1".to_string()));
         }
-        entries.push(TraceEntry {
-            cycle: get_u64(&pairs, "cycle").map_err(bad)?,
+        entries.push(WorkloadMsg {
+            at: get_u64(&pairs, "cycle").map_err(bad)?,
+            flow: get_u32(&pairs, "flow").map_err(bad)?,
             src: get_coord(&pairs, "src_x", "src_y").map_err(bad)?,
             dst: get_coord(&pairs, "dst_x", "dst_y").map_err(bad)?,
             len,
-            flow: get_u32(&pairs, "flow").map_err(bad)?,
-            drop,
         });
     }
     check_count(&header, "entries", entries.len())?;
@@ -288,22 +279,14 @@ mod tests {
     #[test]
     fn traces_round_trip() {
         let entries = vec![
-            TraceEntry {
-                cycle: 0,
+            WorkloadMsg {
+                at: 0,
+                flow: NO_FLOW,
                 src: Coord::new(1, 2),
                 dst: Coord::new(5, 0),
                 len: 4,
-                flow: NO_FLOW,
-                drop: 0,
             },
-            TraceEntry {
-                cycle: 3,
-                src: Coord::new(0, 0),
-                dst: Coord::new(7, 7),
-                len: 0,
-                flow: NO_FLOW,
-                drop: 1,
-            },
+            WorkloadMsg { at: 3, flow: 7, src: Coord::new(0, 0), dst: Coord::new(7, 7), len: 1 },
         ];
         let text = write_trace(&entries, 120);
         assert!(text.starts_with(
@@ -352,21 +335,14 @@ mod tests {
     }
 
     /// A one-entry trace file, read after each `(from, to)` edit.
-    fn trace(edits: &[(&str, &str)]) -> Result<(Vec<TraceEntry>, u64), WorkloadIoError> {
+    fn trace(edits: &[(&str, &str)]) -> Result<(Vec<WorkloadMsg>, u64), WorkloadIoError> {
         let text = r#"{"format": "meshpath-trace", "version": 1, "horizon": 10}
-{"cycle": 0, "src_x": 1, "src_y": 2, "dst_x": 5, "dst_y": 0, "len": 4, "flow": 9, "drop": 0}"#;
+{"cycle": 0, "src_x": 1, "src_y": 2, "dst_x": 5, "dst_y": 0, "len": 4, "flow": 9}"#;
         read_trace(&edits.iter().fold(text.to_string(), |t, (from, to)| t.replace(from, to)))
     }
 
-    fn bad_line(r: Result<(Vec<TraceEntry>, u64), WorkloadIoError>) -> bool {
+    fn bad_line(r: Result<(Vec<WorkloadMsg>, u64), WorkloadIoError>) -> bool {
         matches!(r, Err(WorkloadIoError::BadLine(2, _)))
-    }
-
-    #[test]
-    fn a_drop_marker_past_2_is_rejected_not_truncated() {
-        assert!(trace(&[("\"drop\": 0", "\"drop\": 2")]).is_ok());
-        assert!(bad_line(trace(&[("\"drop\": 0", "\"drop\": 3")])));
-        assert!(bad_line(trace(&[("\"drop\": 0", "\"drop\": 256")])), "256 must not replay as 0");
     }
 
     #[test]
@@ -376,14 +352,11 @@ mod tests {
         assert!(trace(&[("\"flow\": 9", "\"flow\": 4294967295")]).is_ok(), "NO_FLOW is valid");
     }
 
+    /// Every entry is a real attempt; a `len: 0` line (an old file's
+    /// drop marker among them) fails loudly instead of replaying wrongly.
     #[test]
-    fn an_injected_entry_of_len_0_is_rejected() {
-        let len_0 = ("\"len\": 4", "\"len\": 0");
-        assert!(bad_line(trace(&[len_0])));
-        assert!(
-            trace(&[len_0, ("\"drop\": 0", "\"drop\": 1")]).is_ok(),
-            "a drop marker's len is 0"
-        );
+    fn an_entry_of_len_0_is_rejected() {
+        assert!(bad_line(trace(&[("\"len\": 4", "\"len\": 0")])));
     }
 
     #[test]
@@ -418,14 +391,13 @@ mod tests {
             let c = |rng: &mut StdRng| Coord::new(rng.gen_range(0..64), rng.gen_range(0..64));
             let doc = match round % 3 {
                 0 => {
-                    let entries: Vec<TraceEntry> = (0..rng.gen_range(1..4))
-                        .map(|_| TraceEntry {
-                            cycle: rng.gen_range(0..1000),
+                    let entries: Vec<WorkloadMsg> = (0..rng.gen_range(1..4))
+                        .map(|_| WorkloadMsg {
+                            at: rng.gen_range(0..1000),
+                            flow: NO_FLOW,
                             src: c(&mut rng),
                             dst: c(&mut rng),
                             len: rng.gen_range(1..9),
-                            flow: NO_FLOW,
-                            drop: 0,
                         })
                         .collect();
                     write_trace(&entries, 1000)

@@ -63,9 +63,9 @@ pub trait FabricProbe {
     /// A head flit won switch allocation.
     #[inline]
     fn head_grant(&mut self, _grant: GrantInfo) {}
-    /// A packet committed to an escape class at `node`.
+    /// A packet committed to the escape class at `node`.
     #[inline]
-    fn escape_entered(&mut self, _node: u32, _packet: u32, _class: u8) {}
+    fn escape_entered(&mut self, _node: u32, _packet: u32) {}
     /// A packet's tail flit ejected at `node`.
     #[inline]
     fn delivered(&mut self, _node: u32, _packet: u32) {}
@@ -236,10 +236,10 @@ impl FabricProbe for ShardObs {
     }
 
     #[inline]
-    fn escape_entered(&mut self, node: u32, packet: u32, class: u8) {
+    fn escape_entered(&mut self, node: u32, packet: u32) {
         let i = self.local(node);
         self.escape_entries[i] += 1;
-        self.trace(packet, node, TraceEventKind::EscapeEntered { class });
+        self.trace(packet, node, TraceEventKind::EscapeEntered);
     }
 
     #[inline]
@@ -328,7 +328,7 @@ mod tests {
             fresh_vc: true,
             stalled: 3,
         });
-        obs.escape_entered(10, 100, 2);
+        obs.escape_entered(10, 100);
         obs.delivered(12, 100);
         assert_eq!(obs.injected, 1);
         assert_eq!(obs.delivered, 1);

@@ -277,7 +277,7 @@ mod tests {
         lo.inject(2, 10);
         lo.head_grant(grant(2, 10, 0));
         lo.link_flit(2, 2);
-        hi.escape_entered(9, 11, 1);
+        hi.escape_entered(9, 11);
         hi.head_grant(grant(9, 11, 5));
         hi.delivered(9, 11);
         hi.boundary_out(3, 0);

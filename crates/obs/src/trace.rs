@@ -67,12 +67,9 @@ pub enum TraceEventKind {
         /// VC class discriminant (0 adaptive, 1 escape).
         class: u8,
     },
-    /// The packet committed to an escape class (it will never return
+    /// The packet committed to the escape class (it will never return
     /// to the adaptive class).
-    EscapeEntered {
-        /// VC class discriminant of the escape class entered.
-        class: u8,
-    },
+    EscapeEntered,
     /// A parked head's stall clock reached a power of two (events are
     /// emitted at 1, 2, 4, ... parked cycles to bound trace volume).
     Stalled {

@@ -149,18 +149,6 @@ pub struct SimConfig {
     pub drain: u64,
     /// Base RNG seed; per-node injection streams derive from it.
     pub seed: u64,
-    /// Route hop budget at the network interface: packets whose compiled
-    /// route exceeds this many hops are dropped at generation and
-    /// counted (`ttl_dropped`), like an IP TTL.
-    ///
-    /// `None` selects the per-router default: **no budget** for every
-    /// router except E-cube, which keeps the automatic budget
-    /// `4 * (width + height)` because its last-resort escape walk can
-    /// emit paths of hundreds of hops on unlucky pairs (see ROADMAP;
-    /// the TTL retires once the detour bound is fixed). Now that escape
-    /// VCs bound blocking, the other routers no longer need the cap.
-    /// `Some(u32::MAX)` disables the cap for every router.
-    pub route_ttl: Option<u32>,
     /// Worker threads (= fabric row-band shards) stepping a single
     /// simulation concurrently. Results are **bit-identical at every
     /// thread count** (see the sharding docs in `crate::fabric`).
@@ -201,8 +189,8 @@ pub struct SimConfig {
     /// one (pinned by `crate::golden`). The merged report comes back in
     /// [`RunOutput::obs`](crate::RunOutput::obs).
     pub obs: ObsLevel,
-    /// Record every generation attempt as a packet-trace entry
-    /// (`cycle, src, dst, len`, with rejections as drop markers). The
+    /// Record every generation attempt, refused ones included, as a
+    /// packet-trace entry (a [`WorkloadMsg`](crate::WorkloadMsg)). The
     /// recorded trace comes back in
     /// [`RunOutput::trace`](crate::sim::RunOutput) and replays through
     /// a trace workload source
@@ -225,7 +213,6 @@ impl Default for SimConfig {
             measure: 1500,
             drain: 3000,
             seed: 0x2007_0325,
-            route_ttl: None,
             threads: 0,
             stats_window: 250,
             fault_churn: Vec::new(),

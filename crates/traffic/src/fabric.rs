@@ -1070,7 +1070,7 @@ impl Shard {
             // the hop count, reset the patience clock, and record an
             // escape commitment when the granted VC is an escape one.
             let mut grant_stalled = 0u32;
-            let mut entered_escape = None;
+            let mut entered_escape = false;
             if flit.is_head {
                 let st = &mut self.pool.entries[slot_handle(word)].state;
                 grant_stalled = st.stalled;
@@ -1080,7 +1080,7 @@ impl Shard {
                     if class != VcClass::Adaptive && st.mode == VcClass::Adaptive {
                         st.mode = class;
                         report.escape_entries += 1;
-                        entered_escape = Some(class);
+                        entered_escape = true;
                     }
                 }
             }
@@ -1098,8 +1098,8 @@ impl Shard {
                         stalled: grant_stalled,
                     });
                 }
-                if let Some(class) = entered_escape {
-                    probe.escape_entered(node, flit.packet, class as u8);
+                if entered_escape {
+                    probe.escape_entered(node, flit.packet);
                 }
             }
             // The wormhole allocation: taken by a head's fresh pick,
@@ -1808,8 +1808,8 @@ mod tests {
     }
 
     impl HopRouter for ScriptedHop {
-        fn admit(&mut self, s: Coord, d: Coord) -> Option<u32> {
-            self.scripts.get(&(s, d)).map(|p| p.len() as u32)
+        fn admit(&mut self, s: Coord, d: Coord) -> bool {
+            self.scripts.contains_key(&(s, d))
         }
 
         fn decide(
@@ -2003,8 +2003,8 @@ mod tests {
     struct EscapeEager;
 
     impl HopRouter for EscapeEager {
-        fn admit(&mut self, _s: Coord, _d: Coord) -> Option<u32> {
-            Some(1)
+        fn admit(&mut self, _s: Coord, _d: Coord) -> bool {
+            true
         }
 
         fn decide(
@@ -2337,7 +2337,7 @@ mod tests {
         let [mut r0, mut r1] = tables.each_mut().map(|table| EscapeHop::new(table, 4));
         let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, 2);
         let (s, d) = (Coord::new(1, 0), Coord::new(1, 5));
-        assert_eq!(r0.admit(s, d), Some(5));
+        assert!(r0.admit(s, d));
         let mut worm = Worm::new(0, PacketState::new(s, d, 0, 2));
         let mut delivered = Vec::new();
         for _ in 0..20 {

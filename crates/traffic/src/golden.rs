@@ -28,13 +28,14 @@ use meshpath_obs::ObsLevel;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 
-use meshpath_mesh::{FaultInjection, FaultSet, Mesh};
+use meshpath_mesh::{Coord, FaultInjection, FaultSet, Mesh};
 use meshpath_route::NetView;
 
 use crate::churn::{ChaosConfig, OnlineChurn};
-use crate::config::SimConfig;
+use crate::config::{ChurnEvent, SimConfig};
 use crate::routing::{PathTable, RoutingKind};
 use crate::sim::TrafficSim;
+use crate::source::{TraceSource, WorkloadMsg};
 use crate::stats::TrafficStats;
 
 /// Which stepper a [`run`] steps the fabric with.
@@ -48,18 +49,23 @@ enum Stepper {
 }
 
 /// Runs one full simulation on the chosen stepper, optionally under a
-/// seeded online-churn chaos schedule.
+/// seeded online-churn chaos schedule, on synthetic traffic or, when
+/// `trace` is not empty, on that trace.
 fn run(
     net: &NetView,
     kind: RoutingKind,
     cfg: &SimConfig,
     stepper: Stepper,
     chaos: Option<ChaosConfig>,
+    trace: &[WorkloadMsg],
 ) -> TrafficStats {
     let mut paths = PathTable::new(net, kind);
     let mut sim = TrafficSim::new(&mut paths, cfg.clone());
     if let Some(chaos) = chaos {
         sim = sim.with_online_churn(OnlineChurn::chaos(chaos));
+    }
+    if !trace.is_empty() {
+        sim = sim.with_workload(Box::new(TraceSource::new(trace.to_vec(), 1)));
     }
     match stepper {
         Stepper::Reference => sim.set_reference_stepper(),
@@ -68,53 +74,48 @@ fn run(
     sim.try_run_full(&mut ()).expect("no worker panicked").stats
 }
 
-/// Regression pin for the router-consultation schedule: under online
-/// churn, `decide` has an observable side effect (a replan re-keys the
-/// packet onto the *current* epoch), so both steppers must ask the
-/// router on exactly the same cycles. The original reference stepper
-/// skipped a parked head's `decide` whenever another VC on the same
-/// input port had already won the crossbar that cycle; with a churn
-/// publication landing in between, the deferred replan re-keyed the
-/// packet one epoch late and `epoch_delivered` diverged. Under uniform
-/// traffic this seed reproduces that: with the old per-output-port
-/// reference scan (a fresh `decide` per output port, skipped once the
-/// input port has won) restored, the two steppers' statistics differ.
+/// Hand-built pin for the router-consultation schedule: under churn,
+/// `decide` has an observable side effect (it kills a packet whose
+/// destination has failed, and re-keys one onto the current epoch), so
+/// both steppers must ask every parked head on exactly the same
+/// cycles. XY on a fault-free 8x8, three packets along row 0:
+/// A (0,0)->(7,0) of 8 flits, C (2,0)->(7,0) of 4 flits injected at
+/// (2,0), and B (1,0)->(5,3) of 2 flits. At (2,0), B's head waits on
+/// the input port from (1,0), on the VC beside A's worm, while C and A
+/// hold both adaptive VCs of the +x link. On cycle 5, C
+/// won +x the cycle before, so A's slot comes first in the round robin:
+/// A wins +x, and with it the input port. B's destination (5,3) fails
+/// for exactly that cycle. Asking every parked head once per cycle
+/// kills B (`churn_killed` 1). The original reference scan asked a
+/// parked head per output port, skipping input ports that had already
+/// won, so it asked B first on cycle 6, after the repair, and
+/// delivered it.
 #[test]
-fn reference_stepper_plans_parked_heads_on_the_same_cycles() {
-    use rand::SeedableRng;
-    let seed = 2390247780u64;
-    let mesh = Mesh::square(8);
-    let mut frng = StdRng::seed_from_u64(seed);
-    let net = NetView::build(FaultSet::random(mesh, 0, FaultInjection::Uniform, &mut frng));
-    let chaos = Some(ChaosConfig {
-        seed: seed ^ 0x9e37_79b9,
-        fail_prob: 0.6,
-        repair_prob: 0.5,
-        start: 40,
-        stop: 220,
-        max_faults: 4,
-    });
+fn a_head_parked_behind_a_winning_vc_is_asked_on_the_cycle_its_destination_fails() {
+    let net = NetView::build(FaultSet::none(Mesh::square(8)));
+    let c = Coord::new;
+    let d = c(5, 3);
+    let entries = vec![
+        WorkloadMsg { at: 0, flow: 0, src: c(0, 0), dst: c(7, 0), len: 8 },
+        WorkloadMsg { at: 0, flow: 1, src: c(2, 0), dst: c(7, 0), len: 4 },
+        WorkloadMsg { at: 1, flow: 2, src: c(1, 0), dst: d, len: 2 },
+    ];
     let cfg = SimConfig {
-        vcs: 5,
+        vcs: 3,
         vc_depth: 3,
         patience: u32::MAX,
-        packet_len: 4,
-        rate: 0.35,
-        warmup: 30,
-        measure: 150,
-        drain: 400,
-        seed,
-        route_ttl: None,
+        warmup: 0,
+        measure: 1,
+        drain: 200,
         threads: 1,
-        stats_window: 100,
-        fault_churn: Vec::new(),
-        obs: ObsLevel::Off,
-        record_trace: false,
+        stats_window: 0,
+        fault_churn: vec![ChurnEvent::fail(5, d), ChurnEvent::repair(6, d)],
+        ..SimConfig::default()
     };
-    let kind = RoutingKind::ECube;
-    let reference = run(&net, kind, &cfg, Stepper::Reference, chaos);
-    let sharded = run(&net, kind, &cfg, Stepper::EventDriven(None), chaos);
-    assert_eq!(sharded, reference);
+    let reference = run(&net, RoutingKind::Xy, &cfg, Stepper::Reference, None, &entries);
+    assert_eq!(reference.churn_killed, 1, "B is asked, and killed, on cycle 5");
+    let event_driven = Stepper::EventDriven(None);
+    assert_eq!(run(&net, RoutingKind::Xy, &cfg, event_driven, None, &entries), reference);
 }
 
 proptest! {
@@ -142,10 +143,10 @@ proptest! {
         // boundaries too.
         let churn_node = mesh.iter().filter(|&c| net.faults().is_healthy(c)).nth(seed as usize % 7);
         let fault_churn = match (churn_ix, churn_node) {
-            (1, Some(c)) => vec![crate::config::ChurnEvent::fail(60, c)],
+            (1, Some(c)) => vec![ChurnEvent::fail(60, c)],
             (2, Some(c)) => vec![
-                crate::config::ChurnEvent::fail(60, c),
-                crate::config::ChurnEvent::repair(140, c),
+                ChurnEvent::fail(60, c),
+                ChurnEvent::repair(140, c),
             ],
             _ => Vec::new(),
         };
@@ -180,8 +181,7 @@ proptest! {
             measure: 150,
             drain: 400,
             seed,
-            route_ttl: None,
-            threads: 1,
+                threads: 1,
             stats_window: 100,
             fault_churn,
             obs: ObsLevel::Off,
@@ -191,14 +191,15 @@ proptest! {
         // band-edge bound): results must be bit-identical to the
         // window-1 single-shard reference at every drawn length.
         let stepper = Stepper::EventDriven([Some(1), Some(2), Some(8), None][window_ix]);
-        let reference = run(&net, kind, &cfg, Stepper::Reference, chaos);
+        let reference = run(&net, kind, &cfg, Stepper::Reference, chaos, &[]);
         // Shard counts 1, 2 and 4: the event-driven stepper must match
         // the scan-order reference bit for bit at every partitioning
         // (threads > 1 also exercises the worker threads, the
         // channel-based boundary exchange and the windowed coordinator
         // protocol).
         for threads in [1usize, 2, 4] {
-            let sharded = run(&net, kind, &SimConfig { threads, ..cfg.clone() }, stepper, chaos);
+            let sharded =
+                run(&net, kind, &SimConfig { threads, ..cfg.clone() }, stepper, chaos, &[]);
             prop_assert_eq!(
                 &sharded,
                 &reference,
@@ -218,6 +219,7 @@ proptest! {
                 &SimConfig { threads, obs: ObsLevel::Trace, ..cfg.clone() },
                 stepper,
                 chaos,
+                &[],
             );
             prop_assert_eq!(
                 &observed,

@@ -142,7 +142,7 @@ pub use config::{ChurnEvent, ChurnOp, ConfigError, SimConfig, PIPELINE_DEPTH};
 pub use routing::{EscapeForest, PathTable};
 pub use sim::{run_traffic, single_packet_latency, RunError, RunOutput, TrafficSim};
 pub use source::{
-    FlowCompletion, PhaseOutcome, TraceEntry, WorkloadMsg, WorkloadOutcome, WorkloadSource, NO_FLOW,
+    FlowCompletion, PhaseOutcome, WorkloadMsg, WorkloadOutcome, WorkloadSource, NO_FLOW,
 };
 pub use stats::{
     DrainStallObserver, LatencyHistogram, TrafficStats, WindowControl, WindowObserver, WindowSample,

@@ -85,9 +85,7 @@ use crate::churn::{OnlineChurn, OnlineDriver};
 use crate::config::SimConfig;
 use crate::fabric::{BoundaryMsg, Delivery, Flit, PacketState, Shard, StepReport};
 use crate::routing::{EscapeHop, HopRouter, PathTable, RoutingKind};
-use crate::source::{
-    TraceEntry, TraceSource, WorkloadDriver, WorkloadMsg, WorkloadOutcome, WorkloadSource,
-};
+use crate::source::{TraceSource, WorkloadDriver, WorkloadMsg, WorkloadOutcome, WorkloadSource};
 use crate::stats::{LatencyHistogram, TrafficStats, WindowControl, WindowObserver, WindowSample};
 
 /// Latencies above this resolve to the histogram overflow bucket.
@@ -220,7 +218,6 @@ struct GenDelta {
     generated: u64,
     measured_generated: u64,
     unroutable: u64,
-    ttl_dropped: u64,
     /// Packets discarded from source queues by a node failure.
     churn_dropped: u64,
     /// The subset of `churn_dropped` generated inside the measurement
@@ -240,7 +237,7 @@ struct CycleDone {
     gen: GenDelta,
     deliveries: Vec<Delivery>,
     /// Flow ids of workload messages that died worker-side this cycle
-    /// (admission failure, TTL budget, churn queue drop) — the
+    /// (admission failure, churn queue drop) — the
     /// coordinator's workload driver cascades them so a dependent flow
     /// never waits on a dead predecessor. Empty unless a workload is
     /// attached.
@@ -249,7 +246,7 @@ struct CycleDone {
     /// [`SimConfig::record_trace`] is set). The coordinator sorts each
     /// cycle's merged entries by source node, which is deterministic:
     /// one node's attempts stay on one shard, in release order.
-    trace: Vec<TraceEntry>,
+    trace: Vec<WorkloadMsg>,
 }
 
 impl CycleDone {
@@ -263,7 +260,6 @@ impl CycleDone {
         self.gen.generated += other.gen.generated;
         self.gen.measured_generated += other.gen.measured_generated;
         self.gen.unroutable += other.gen.unroutable;
-        self.gen.ttl_dropped += other.gen.ttl_dropped;
         self.gen.churn_dropped += other.gen.churn_dropped;
         self.gen.measured_dropped += other.gen.measured_dropped;
         self.deliveries.append(&mut other.deliveries);
@@ -375,7 +371,6 @@ struct ShardWorker<'a, P: FabricProbe> {
     /// cycle of the epoch.
     adopted: Vec<NetView>,
     cfg: &'a SimConfig,
-    ttl: u32,
     gen_until: u64,
     /// Packet ids allocated by this shard are `id_base + k`.
     id_base: u32,
@@ -415,7 +410,6 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         router: EscapeHop<'a>,
         base: &NetView,
         cfg: &'a SimConfig,
-        ttl: u32,
         shard_index: usize,
         workload: bool,
         probe: P,
@@ -434,7 +428,6 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             sampler: DestSampler::new(base.faults()),
             adopted: Vec::new(),
             cfg,
-            ttl,
             gen_until: cfg.warmup + cfg.measure,
             id_base: (shard_index as u32) << ID_SHARD_SHIFT,
             next_local: 0,
@@ -765,44 +758,37 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
 
     /// Releases this cycle's workload messages into the source queues
     /// (the workload-mode replacement for [`ShardWorker::generate`]):
-    /// replayed rejection markers only bump the matching counter; live
-    /// messages run the same admission as generated traffic, but a
-    /// rejection is additionally reported on the abort lane — a
-    /// workload message someone may depend on must never vanish
-    /// silently.
+    /// they run the same admission as generated traffic, but a refusal
+    /// is additionally reported on the abort lane — a workload message
+    /// someone may depend on must never vanish silently.
     fn release_workload(&mut self, cycle: u64, done: &mut CycleDone) {
         while self.pending_workload.front().is_some_and(|m| m.at <= cycle) {
             let m = self.pending_workload.pop_front().expect("front checked");
             debug_assert_eq!(m.at, cycle, "workload messages release at their injection cycle");
-            if m.drop != 0 {
-                self.count_attempt(cycle, m.src, m.dst, m.flow, 0, m.drop, done);
-                continue;
-            }
             // An off-mesh endpoint or a failed source cannot inject;
             // the message dies like an unroutable pair.
             let slot = (self.mesh.contains(m.src) && self.mesh.contains(m.dst))
                 .then(|| self.shard.local_of(self.mesh.id(m.src).index()))
                 .filter(|&slot| self.sources[slot].active);
-            let drop = match slot {
-                Some(slot) => self.admit(cycle, slot, m.src, m.dst, m.flow, m.len.max(1), done),
+            let len = m.len.max(1);
+            let queued = match slot {
+                Some(slot) => self.admit(cycle, slot, m.src, m.dst, m.flow, len, done),
                 None => {
-                    self.count_attempt(cycle, m.src, m.dst, m.flow, 0, 1, done);
-                    1
+                    self.count_attempt(cycle, m.src, m.dst, m.flow, len, false, done);
+                    false
                 }
             };
-            if drop != 0 {
+            if !queued {
                 done.aborted.push(m.flow);
             }
         }
     }
 
-    /// The one network-interface admission path: asks the hop router to
-    /// *admit* the pair (is it routable, and how long is the compiled
-    /// route, for the TTL check — the NI attaches no route; all
+    /// The one network-interface admission path: asks the hop router
+    /// whether it delivers the pair (the NI attaches no route; all
     /// forwarding decisions happen per hop in the fabric), and queues
-    /// the packet of `len` flits at source `slot` when it passes.
-    /// Returns the outcome (`0` queued, `1` unroutable, `2` over the
-    /// TTL budget).
+    /// the packet of `len` flits at source `slot` when it does.
+    /// Returns whether it was queued.
     #[allow(clippy::too_many_arguments)]
     fn admit(
         &mut self,
@@ -813,13 +799,9 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         flow: u32,
         len: u32,
         done: &mut CycleDone,
-    ) -> u8 {
-        let drop = match self.router.admit(src, dst) {
-            None => 1,
-            Some(hops) if hops > self.ttl => 2,
-            Some(_) => 0,
-        };
-        if drop == 0 {
+    ) -> bool {
+        let queued = self.router.admit(src, dst);
+        if queued {
             // Hard assert (one branch per generated packet, off the
             // hot path): wrapping would alias ids across shards and
             // silently corrupt ownership bookkeeping.
@@ -830,15 +812,14 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             state.flow = flow;
             self.enqueue(slot, QueuedPacket { id, state, remaining: len });
         }
-        let len = if drop == 0 { len } else { 0 };
-        self.count_attempt(cycle, src, dst, flow, len, drop, done);
-        drop
+        self.count_attempt(cycle, src, dst, flow, len, queued, done);
+        queued
     }
 
-    /// Counts one generation attempt by outcome and, when recording,
-    /// appends its trace entry. Rejections are recorded as drop
-    /// markers (`len` 0): nothing was queued for them, so a replay
-    /// must count — not inject — them.
+    /// Counts one generation attempt by outcome (queued, or
+    /// `unroutable`) and, when recording, appends it to the trace —
+    /// refusals too, so a replay runs the same attempts through
+    /// admission.
     #[allow(clippy::too_many_arguments)]
     fn count_attempt(
         &self,
@@ -847,21 +828,19 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         dst: Coord,
         flow: u32,
         len: u32,
-        drop: u8,
+        queued: bool,
         done: &mut CycleDone,
     ) {
-        match drop {
-            0 => {
-                done.gen.generated += 1;
-                if cycle >= self.cfg.warmup && cycle < self.gen_until {
-                    done.gen.measured_generated += 1;
-                }
+        if queued {
+            done.gen.generated += 1;
+            if cycle >= self.cfg.warmup && cycle < self.gen_until {
+                done.gen.measured_generated += 1;
             }
-            1 => done.gen.unroutable += 1,
-            _ => done.gen.ttl_dropped += 1,
+        } else {
+            done.gen.unroutable += 1;
         }
         if self.cfg.record_trace {
-            done.trace.push(TraceEntry { cycle, src, dst, len, flow, drop });
+            done.trace.push(WorkloadMsg { at: cycle, flow, src, dst, len });
         }
     }
 
@@ -937,7 +916,7 @@ struct RunState {
     record_trace: bool,
     /// The recorded trace, appended per replayed cycle in canonical
     /// (source-node, release) order.
-    trace: Vec<TraceEntry>,
+    trace: Vec<WorkloadMsg>,
     /// The churn sources (the `fault_churn` list and any live ones).
     churn: OnlineDriver,
     /// The attached workload's scheduler, if any.
@@ -954,7 +933,6 @@ impl RunState {
             measured_generated: 0,
             measured_delivered: 0,
             unroutable: 0,
-            ttl_dropped: 0,
             escape_packets: 0,
             measured_flits_ejected: 0,
             flits_moved: 0,
@@ -1053,7 +1031,6 @@ impl RunState {
         self.stats.generated += agg.gen.generated;
         self.stats.measured_generated += agg.gen.measured_generated;
         self.stats.unroutable += agg.gen.unroutable;
-        self.stats.ttl_dropped += agg.gen.ttl_dropped;
         self.stats.churn_dropped += agg.gen.churn_dropped;
         self.measured_outstanding += agg.gen.measured_generated;
         // Packets a node failure discarded at their NI will never
@@ -1210,7 +1187,7 @@ pub struct RunOutput {
     pub workload: Option<WorkloadOutcome>,
     /// The recorded generation trace, replayable through a trace
     /// workload source for a bit-identical rerun.
-    pub trace: Option<Vec<TraceEntry>>,
+    pub trace: Option<Vec<WorkloadMsg>>,
 }
 
 /// One traffic simulation: a sharded fabric over a fault configuration,
@@ -1225,8 +1202,6 @@ pub struct RunOutput {
 /// their routes in private tables built from the same snapshot.
 pub struct TrafficSim<'p> {
     cfg: SimConfig,
-    /// Effective route hop budget (see `SimConfig::route_ttl`).
-    ttl: u32,
     kind: RoutingKind,
     /// The row bands of the fabric, band 0 first.
     shards: Vec<Shard>,
@@ -1290,18 +1265,8 @@ impl<'p> TrafficSim<'p> {
             })
             .collect();
         let shards = Shard::bands(mesh, cfg.vcs, cfg.vc_depth, threads);
-        // TTL default: E-cube's escape walk is the only route source
-        // whose length is effectively unbounded; every other router is
-        // within a small factor of shortest, and escape VCs now bound
-        // blocking, so no budget is imposed on them.
-        let ttl = cfg.route_ttl.unwrap_or(if kind == RoutingKind::ECube {
-            4 * (mesh.width() + mesh.height())
-        } else {
-            u32::MAX
-        });
         TrafficSim {
             cfg,
-            ttl,
             kind,
             shards,
             paths,
@@ -1413,9 +1378,7 @@ impl<'p> TrafficSim<'p> {
     {
         #[cfg(test)]
         let (use_reference, panic_at, window) = (self.use_reference, self.panic_at, self.window);
-        let TrafficSim {
-            cfg, ttl, kind, shards, paths, base, mut sources, online, workload, ..
-        } = self;
+        let TrafficSim { cfg, kind, shards, paths, base, mut sources, online, workload, .. } = self;
         let churn = OnlineDriver::new(cfg.fault_churn.clone(), online, base.clone());
         let wl = workload.map(WorkloadDriver::new);
         let run = RunState::new(&cfg, base.faults().healthy_count(), churn, wl);
@@ -1473,9 +1436,8 @@ impl<'p> TrafficSim<'p> {
                     let caught = catch_unwind(AssertUnwindSafe(move || {
                         let mut paths = PathTable::new(base, kind);
                         let router = EscapeHop::new(&mut paths, cfg.patience);
-                        let mut worker = ShardWorker::new(
-                            shard, sources, router, base, cfg, ttl, w, workload, probe,
-                        );
+                        let mut worker =
+                            ShardWorker::new(shard, sources, router, base, cfg, w, workload, probe);
                         #[cfg(test)]
                         worker.hook(w, use_reference, panic_at);
                         worker.serve(&go, &done, &lanes);
@@ -1493,7 +1455,7 @@ impl<'p> TrafficSim<'p> {
             let probe = mk(0, &shard0);
             let router = EscapeHop::new(paths, cfg.patience);
             let mut band0 =
-                ShardWorker::new(shard0, sources0, router, base, cfg, ttl, 0, workload, probe);
+                ShardWorker::new(shard0, sources0, router, base, cfg, 0, workload, probe);
             #[cfg(test)]
             band0.hook(0, use_reference, panic_at);
             let workers = Workers { go: go_tx, done: done_rx };
@@ -1626,7 +1588,6 @@ pub fn single_packet_latency(
     let cfg = SimConfig {
         vcs: 2,
         vc_depth: 4,
-        route_ttl: Some(u32::MAX),
         threads: 1,
         warmup: 0,
         measure: 1,
@@ -1634,7 +1595,7 @@ pub fn single_packet_latency(
         stats_window: 0,
         ..SimConfig::default()
     };
-    let entry = TraceEntry { cycle: 0, src: s, dst: d, len, flow: 0, drop: 0 };
+    let entry = WorkloadMsg { at: 0, flow: 0, src: s, dst: d, len };
     let mut paths = PathTable::new(net, kind);
     let sim =
         TrafficSim::new(&mut paths, cfg).with_workload(Box::new(TraceSource::new(vec![entry], 1)));
@@ -1760,8 +1721,7 @@ mod tests {
         let trace = out.trace.expect("recorded");
         assert_eq!(out.stats.generated, 16 * 20);
         for cycle in 0..20 {
-            let fired: Vec<Coord> =
-                trace.iter().filter(|e| e.cycle == cycle).map(|e| e.src).collect();
+            let fired: Vec<Coord> = trace.iter().filter(|e| e.at == cycle).map(|e| e.src).collect();
             assert_eq!(fired, mesh.iter().collect::<Vec<_>>(), "cycle {cycle}");
         }
     }
@@ -1781,7 +1741,7 @@ mod tests {
             .expect("recorded")
             .iter()
             .filter(|e| e.src == Coord::new(0, 0))
-            .map(|e| e.cycle)
+            .map(|e| e.at)
             .take(1000)
             .collect();
         assert_eq!(fires.len(), 1000);
@@ -1806,7 +1766,7 @@ mod tests {
         let fires = |threads| -> Vec<u64> {
             let cfg = SimConfig { threads, ..cfg.clone() };
             let out = run_reusing(&mut PathTable::new(&net, RoutingKind::Rb2), &cfg, &mut ());
-            out.trace.expect("recorded").iter().filter(|e| e.src == x).map(|e| e.cycle).collect()
+            out.trace.expect("recorded").iter().filter(|e| e.src == x).map(|e| e.at).collect()
         };
         let one = fires(1);
         assert!(one.iter().any(|&c| c < a), "{one:?}");
@@ -2246,7 +2206,6 @@ mod tests {
             measure: 150,
             drain: 400,
             seed: 5,
-            route_ttl: None,
             threads: 4,
             stats_window: 100,
             ..SimConfig::default()
@@ -2388,21 +2347,5 @@ mod tests {
             assert_eq!(stats.epoch_delivered.len(), 2);
             assert!(!stats.deadlocked);
         }
-    }
-
-    #[test]
-    fn ttl_default_is_per_router() {
-        // E-cube on a faulty 16x16 can emit very long escape walks; the
-        // automatic TTL keeps dropping those. RB2 has no TTL by default
-        // any more: nothing is dropped even on unlucky pairs.
-        let mesh = Mesh::square(16);
-        let net = NetView::build(FaultSet::from_coords(
-            mesh,
-            (4..12).map(|x| Coord::new(x, 8)).collect::<Vec<_>>(),
-        ));
-        let cfg = SimConfig { rate: 0.01, ..SimConfig::smoke() };
-        let rb2 = run_traffic(&net, RoutingKind::Rb2, &cfg);
-        assert_eq!(rb2.ttl_dropped, 0, "non-E-cube routers default to no TTL");
-        assert_eq!(rb2.measured_delivered, rb2.measured_generated);
     }
 }

@@ -10,8 +10,9 @@
 //! releases a message once all its predecessors have delivered, a
 //! collective phase releases round `r + 1` once round `r` completes.
 //! All three drive the fabric through this one trait: [`TraceSource`]
-//! lives here, next to the [`TraceEntry`] a recording run writes; the
-//! DAG and collective schedulers live in the `meshpath-workload` crate.
+//! lives here and replays the [`WorkloadMsg`]s a recording run writes;
+//! the DAG and collective schedulers live in the `meshpath-workload`
+//! crate.
 //!
 //! ## Determinism
 //!
@@ -31,12 +32,12 @@
 //! ## Never wedges
 //!
 //! A released message can die without a delivery: admission can fail
-//! (unroutable pair, source node failed), the route can exceed
-//! the TTL budget, a churn event can drop it from the source queue or
-//! kill it in flight. Every such death is reported back as an abort;
-//! the driver cascades it through [`WorkloadSource::on_aborted`] so
-//! dependent flows are aborted too (counted in
-//! [`WorkloadOutcome::flows_aborted`]) instead of waiting forever.
+//! (unroutable pair, source node failed), a churn event can drop it
+//! from the source queue or kill it in flight. Every such death is
+//! reported back as an abort; the driver cascades it through
+//! [`WorkloadSource::on_aborted`] so dependent flows are aborted too
+//! (counted in [`WorkloadOutcome::flows_aborted`]) instead of waiting
+//! forever.
 
 use meshpath_mesh::Coord;
 use meshpath_obs::{FlowEvent, FlowEventKind, FlowLog};
@@ -50,7 +51,12 @@ pub const NO_FLOW: u32 = u32::MAX;
 /// overflow bucket (same cap as the packet-latency histogram).
 const FLOW_HISTOGRAM_CAP: usize = 4096;
 
-/// One message a workload source wants injected.
+/// One message a workload source wants injected — and one line of a
+/// recorded packet trace (see `--record-trace` and the
+/// `meshpath-analysis` trace I/O): a recording run writes every
+/// generation attempt, refused ones included, in `(cycle, source node)`
+/// order, and a replay runs each through admission again, so it
+/// reproduces the original `TrafficStats` bit-identically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkloadMsg {
     /// Injection cycle. Sources are polled per cycle and must release
@@ -65,56 +71,11 @@ pub struct WorkloadMsg {
     pub dst: Coord,
     /// Packet length in flits (>= 1).
     pub len: u32,
-    /// Replayed rejection marker: `0` injects normally, `1` counts an
-    /// `unroutable` rejection and `2` a `ttl_dropped` rejection without
-    /// injecting anything. Markers are how a recorded trace reproduces
-    /// the original run's rejection counters bit-exactly (the original
-    /// never drew a packet length for a rejected attempt, so replaying
-    /// the attempt itself would desynchronize nothing — there is simply
-    /// nothing to inject).
-    pub drop: u8,
-}
-
-/// One line of a recorded packet trace (see `--record-trace` and the
-/// `meshpath-analysis` trace I/O): every generation attempt of a run,
-/// in `(cycle, source node)` order, with rejections kept as drop
-/// markers so a replay reproduces the original `TrafficStats`
-/// bit-identically.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// Generation cycle.
-    pub cycle: u64,
-    /// Source node.
-    pub src: Coord,
-    /// Destination node.
-    pub dst: Coord,
-    /// Packet length in flits (`0` on drop markers — the original run
-    /// never drew one).
-    pub len: u32,
-    /// Flow id ([`NO_FLOW`] for synthetic traffic).
-    pub flow: u32,
-    /// `0` = injected, `1` = counted `unroutable`, `2` = counted
-    /// `ttl_dropped` (see [`WorkloadMsg::drop`]).
-    pub drop: u8,
-}
-
-impl TraceEntry {
-    /// The replay message for this entry.
-    pub(crate) fn to_msg(self) -> WorkloadMsg {
-        WorkloadMsg {
-            at: self.cycle,
-            flow: self.flow,
-            src: self.src,
-            dst: self.dst,
-            len: self.len,
-            drop: self.drop,
-        }
-    }
 }
 
 /// Replays a recorded packet trace: every entry is released at exactly
-/// its recorded cycle, drop markers reproduce the original run's
-/// rejection counters, and [`exhausted`](WorkloadSource::exhausted)
+/// its recorded cycle and admitted (or refused) again, and
+/// [`exhausted`](WorkloadSource::exhausted)
 /// holds until the recorded horizon so the replayed run terminates on
 /// exactly the original's cycle — together that makes the replay
 /// bit-identical (`TrafficStats` and all) to the recording run under
@@ -122,7 +83,7 @@ impl TraceEntry {
 pub struct TraceSource {
     /// Entries sorted by cycle (stable, so one node's same-cycle
     /// releases keep their recorded order).
-    entries: Vec<TraceEntry>,
+    entries: Vec<WorkloadMsg>,
     idx: usize,
     /// The recording run's generation horizon (its `warmup + measure`
     /// for synthetic recordings): the replay must not report
@@ -136,8 +97,8 @@ impl TraceSource {
     /// generation `horizon`. Entries may arrive in any order; they are
     /// stably sorted by cycle (per-node relative order is preserved,
     /// which is the only intra-cycle order the fabric can observe).
-    pub fn new(mut entries: Vec<TraceEntry>, horizon: u64) -> Self {
-        entries.sort_by_key(|e| e.cycle);
+    pub fn new(mut entries: Vec<WorkloadMsg>, horizon: u64) -> Self {
+        entries.sort_by_key(|e| e.at);
         TraceSource { entries, idx: 0, horizon }
     }
 
@@ -151,15 +112,14 @@ impl TraceSource {
 impl WorkloadSource for TraceSource {
     fn release(&mut self, cycle: u64) -> Vec<WorkloadMsg> {
         debug_assert!(
-            self.idx == self.entries.len() || self.entries[self.idx].cycle >= cycle,
+            self.idx == self.entries.len() || self.entries[self.idx].at >= cycle,
             "trace entries in the past (release skipped a cycle?)"
         );
-        let mut out = Vec::new();
-        while self.idx < self.entries.len() && self.entries[self.idx].cycle == cycle {
-            out.push(self.entries[self.idx].to_msg());
+        let start = self.idx;
+        while self.idx < self.entries.len() && self.entries[self.idx].at == cycle {
             self.idx += 1;
         }
-        out
+        self.entries[start..self.idx].to_vec()
     }
 
     fn exhausted(&self, cycle: u64) -> bool {
@@ -190,7 +150,7 @@ pub trait WorkloadSource {
         let _ = (flow, at);
     }
 
-    /// Feedback: `flow` died without delivering (unroutable, TTL,
+    /// Feedback: `flow` died without delivering (unroutable,
     /// churn-dropped, churn-killed). Returns every *dependent* flow
     /// this transitively aborts (each reported exactly once across all
     /// calls) so the scheduler never waits on a dead predecessor.
@@ -264,12 +224,12 @@ impl PhaseOutcome {
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadOutcome {
     /// Messages released to the fabric (injected or aborted at
-    /// admission; drop markers excluded).
+    /// admission).
     pub released: u64,
     /// Identified flows (`flow != NO_FLOW`) that completed delivery.
     pub flows_delivered: u64,
     /// Identified flows that died without delivering — admission
-    /// failures, TTL drops, churn drops/kills, plus every dependent
+    /// failures, churn drops/kills, plus every dependent
     /// flow cascaded through [`WorkloadSource::on_aborted`].
     pub flows_aborted: u64,
     /// Per-flow completions, sorted by `(delivered_at, flow)`.
@@ -310,7 +270,7 @@ impl WorkloadOutcome {
 /// run, regardless of band count.
 pub(crate) struct WorkloadDriver {
     source: Box<dyn WorkloadSource>,
-    /// Released (drop == 0) messages not yet delivered or aborted.
+    /// Released messages not yet delivered or aborted.
     /// Purely a safety ledger — the fabric's own in-flight/backlog
     /// accounting covers injected packets; this covers the release →
     /// injection hand-off window.
@@ -351,14 +311,12 @@ impl WorkloadDriver {
         let msgs = self.source.release(cycle);
         for m in &msgs {
             debug_assert_eq!(m.at, cycle, "workload messages release at their injection cycle");
-            if m.drop == 0 {
-                self.outstanding += 1;
-                self.released += 1;
-                self.first_release.get_or_insert(cycle);
-                if m.flow != NO_FLOW {
-                    self.released_at.insert(m.flow, cycle);
-                    self.log.record(cycle, m.flow, FlowEventKind::Released);
-                }
+            self.outstanding += 1;
+            self.released += 1;
+            self.first_release.get_or_insert(cycle);
+            if m.flow != NO_FLOW {
+                self.released_at.insert(m.flow, cycle);
+                self.log.record(cycle, m.flow, FlowEventKind::Released);
             }
         }
         msgs
@@ -385,7 +343,7 @@ impl WorkloadDriver {
     }
 
     /// Feedback: a released message died worker-side before or at
-    /// injection (admission failure, TTL, churn queue drop) at `at`.
+    /// injection (admission failure, churn queue drop) at `at`.
     pub(crate) fn on_worker_abort(&mut self, flow: u32, at: u64) {
         debug_assert!(self.outstanding > 0, "abort without a released message");
         self.outstanding -= 1;
@@ -439,14 +397,14 @@ impl WorkloadDriver {
 mod tests {
     use super::*;
 
-    fn entry(cycle: u64, x: i32, len: u32, drop: u8) -> TraceEntry {
-        TraceEntry { cycle, src: Coord::new(x, 0), dst: Coord::new(x, 3), len, flow: NO_FLOW, drop }
+    fn entry(at: u64, x: i32, len: u32) -> WorkloadMsg {
+        WorkloadMsg { at, src: Coord::new(x, 0), dst: Coord::new(x, 3), len, flow: NO_FLOW }
     }
 
     #[test]
     fn releases_at_recorded_cycles_in_stable_order() {
         let mut src = TraceSource::new(
-            vec![entry(5, 2, 4, 0), entry(1, 1, 4, 0), entry(5, 2, 3, 0), entry(5, 0, 1, 1)],
+            vec![entry(5, 2, 4), entry(1, 1, 4), entry(5, 2, 3), entry(5, 0, 1)],
             10,
         );
         assert!(src.release(0).is_empty());
@@ -461,13 +419,13 @@ mod tests {
         // Stable: node 2's two releases keep their recorded order.
         assert_eq!((c5[0].src.x, c5[0].len), (2, 4));
         assert_eq!((c5[1].src.x, c5[1].len), (2, 3));
-        assert_eq!((c5[2].src.x, c5[2].drop), (0, 1));
+        assert_eq!((c5[2].src.x, c5[2].len), (0, 1));
         assert_eq!(src.remaining(), 0);
     }
 
     #[test]
     fn exhaustion_waits_for_the_recorded_horizon() {
-        let mut src = TraceSource::new(vec![entry(0, 1, 2, 0)], 7);
+        let mut src = TraceSource::new(vec![entry(0, 1, 2)], 7);
         assert!(!src.exhausted(0));
         let _ = src.release(0);
         assert!(!src.exhausted(6), "all entries released, but the horizon is not reached");
@@ -491,7 +449,6 @@ mod tests {
                 src: Coord::new(0, 0),
                 dst: Coord::new(1, 1),
                 len: 1,
-                drop: 0,
             };
             if cycle == 0 && !self.released[0] {
                 self.released[0] = true;

@@ -104,9 +104,6 @@ pub struct TrafficStats {
     /// Generation attempts whose routing function produced no path
     /// (counted, not queued — e.g. XY across a fault).
     pub unroutable: u64,
-    /// Generation attempts dropped because the compiled route exceeded
-    /// the configured hop budget ([`route_ttl`](crate::SimConfig)).
-    pub ttl_dropped: u64,
     /// Packets that committed to the spanning-tree escape class
     /// mid-flight (at `patience` `u32::MAX`, only churn-stranded ones). Tree routes are
     /// non-minimal, so a high count also signals latency drifting off
@@ -348,7 +345,6 @@ mod tests {
             measured_generated: 20,
             measured_delivered: 18,
             unroutable: 1,
-            ttl_dropped: 0,
             escape_packets: 0,
             measured_flits_ejected: 200,
             flits_moved: 1200,
@@ -379,7 +375,6 @@ mod tests {
             measured_generated: 100,
             measured_delivered: 100,
             unroutable: 0,
-            ttl_dropped: 0,
             escape_packets: 0,
             measured_flits_ejected: 100,
             flits_moved: 100,

@@ -225,14 +225,7 @@ impl WorkloadSource for FlowDag {
             let f = &mut self.flows[id as usize];
             if f.state == FlowState::Pending && f.waiting_on == 0 && f.earliest <= cycle {
                 f.state = FlowState::Released;
-                out.push(WorkloadMsg {
-                    at: cycle,
-                    flow: id,
-                    src: f.src,
-                    dst: f.dst,
-                    len: f.len,
-                    drop: 0,
-                });
+                out.push(WorkloadMsg { at: cycle, flow: id, src: f.src, dst: f.dst, len: f.len });
             }
         }
         out

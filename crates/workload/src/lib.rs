@@ -5,10 +5,10 @@
 //! synthetic injection process with *scheduled* traffic, plus the
 //! [`WorkloadSpec`] descriptor the analysis CLI builds them from.
 //!
-//! * [`TraceSource`] — replays a recorded packet trace
-//!   (`cycle, src, dst, len` entries, rejections kept as drop markers)
-//!   bit-identically: same `TrafficStats`, same cycle count as the run
-//!   that recorded it, at every shard count. Record any run with
+//! * [`TraceSource`] — replays a recorded packet trace (every
+//!   generation attempt, admitted again) bit-identically: same
+//!   `TrafficStats`, same cycle count as the run that recorded it, at
+//!   every shard count. Record any run with
 //!   [`SimConfig::record_trace`], replay it here.
 //! * [`FlowDag`] — dependency-driven flows: each named message is
 //!   released only once all its predecessors have delivered. The
@@ -45,5 +45,5 @@ pub use spec::WorkloadSpec;
 // downstream code can speak to this crate alone.
 pub use meshpath_traffic::source::TraceSource;
 pub use meshpath_traffic::{
-    FlowCompletion, PhaseOutcome, TraceEntry, WorkloadMsg, WorkloadOutcome, WorkloadSource, NO_FLOW,
+    FlowCompletion, PhaseOutcome, WorkloadMsg, WorkloadOutcome, WorkloadSource, NO_FLOW,
 };

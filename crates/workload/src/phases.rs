@@ -168,7 +168,7 @@ impl WorkloadSource for CollectivePhases {
                 .map(|(src, dst)| {
                     let flow = self.next_flow;
                     self.next_flow += 1;
-                    WorkloadMsg { at: cycle, flow, src, dst, len: self.len, drop: 0 }
+                    WorkloadMsg { at: cycle, flow, src, dst, len: self.len }
                 })
                 .collect();
             self.cur = Some(Round {

@@ -3,7 +3,7 @@
 
 use meshpath_route::NetView;
 use meshpath_traffic::source::TraceSource;
-use meshpath_traffic::{TraceEntry, WorkloadSource};
+use meshpath_traffic::{WorkloadMsg, WorkloadSource};
 
 use crate::dag::{DagSpec, FlowDag};
 use crate::phases::{CollectiveKind, CollectivePhases};
@@ -17,7 +17,7 @@ pub enum WorkloadSpec {
     Trace {
         /// The recorded entries (any order; replay sorts stably by
         /// cycle).
-        entries: Vec<TraceEntry>,
+        entries: Vec<WorkloadMsg>,
         /// The recording run's generation horizon (its
         /// `warmup + measure` for synthetic recordings).
         horizon: u64,

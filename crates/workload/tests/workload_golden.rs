@@ -2,10 +2,11 @@
 //!
 //! Two properties, both proptest-pinned:
 //!
-//! * **Trace round-trip** — recording any seeded synthetic run and
-//!   replaying the trace through [`TraceSource`] reproduces the
-//!   original [`TrafficStats`] bit-identically, at every shard count,
-//!   and re-recording the replay reproduces the trace itself.
+//! * **Trace round-trip** — recording any seeded synthetic run (RB2,
+//!   or XY, which refuses pairs across a fault) and replaying the
+//!   trace through [`TraceSource`] reproduces the original
+//!   [`TrafficStats`] bit-identically, at every shard count, and
+//!   re-recording the replay reproduces the trace itself.
 //! * **DAG determinism** — a flow-DAG run (stats, per-flow completion
 //!   cycles, critical path — the whole `WorkloadOutcome`) is
 //!   bit-identical at 1/2/4 shards, even though the DAG scheduler's
@@ -18,7 +19,7 @@ use rand::SeedableRng;
 use meshpath_mesh::{Coord, FaultInjection, FaultSet, Mesh};
 use meshpath_route::NetView;
 use meshpath_traffic::{
-    PathTable, RoutingKind, RunOutput, SimConfig, TraceEntry, TrafficSim, WorkloadSource, NO_FLOW,
+    PathTable, RoutingKind, RunOutput, SimConfig, TrafficSim, WorkloadMsg, WorkloadSource, NO_FLOW,
 };
 use meshpath_workload::{DagSpec, FlowDag, FlowSpec, TraceSource, WorkloadSpec};
 
@@ -81,10 +82,12 @@ fn layered_dag(net: &NetView, layers: usize, width: usize, len: u32) -> DagSpec 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Satellite: record-trace of a seeded synthetic run, replayed
-    /// through `TraceSource`, reproduces the identical `TrafficStats`
-    /// at 1/2/4 shards — and re-recording the replay reproduces the
-    /// trace bit-for-bit.
+    /// Record-trace of a seeded synthetic run, replayed through
+    /// `TraceSource`, reproduces the identical `TrafficStats` at 1/2/4
+    /// shards — and re-recording the replay reproduces the trace
+    /// bit-for-bit. XY refuses the pairs its path crosses a fault on:
+    /// a replay admits each recorded attempt again, so the refusals
+    /// (`unroutable`) replay too.
     #[test]
     fn recorded_traces_replay_bit_identically(
         (rate_ix, faults, seed) in (0usize..3, 0usize..5, 0u64..u64::MAX)
@@ -92,38 +95,35 @@ proptest! {
         let rate = [0.05, 0.12, 0.25][rate_ix];
         let net = net_with_faults(8, faults, seed ^ 0xface);
         let cfg = base_cfg(seed, rate).with_record_trace();
-        let recorded = run_sim(&net, RoutingKind::Rb2, &cfg, None);
-        let trace: Vec<TraceEntry> = recorded.trace.clone().expect("record_trace was set");
         let horizon = cfg.warmup + cfg.measure;
-
-        for threads in [1usize, 2, 4] {
-            let replay_cfg = SimConfig { threads, record_trace: false, ..cfg.clone() };
-            let spec = WorkloadSpec::Trace { entries: trace.clone(), horizon };
-            let replayed = run_sim(&net, RoutingKind::Rb2, &replay_cfg, Some(spec.build(&net)));
+        for kind in [RoutingKind::Rb2, RoutingKind::Xy] {
+            let recorded = run_sim(&net, kind, &cfg, None);
+            let trace: Vec<WorkloadMsg> = recorded.trace.clone().expect("record_trace was set");
             prop_assert_eq!(
-                &replayed.stats, &recorded.stats,
-                "replay diverged at {} threads", threads
+                trace.len() as u64,
+                recorded.stats.generated + recorded.stats.unroutable,
+                "every attempt is recorded"
             );
-        }
 
-        // Re-recording the replay reproduces the trace itself (flow
-        // ids aside: synthetic packets record NO_FLOW, replays tag
-        // entries with their trace index — so compare the fabric-
-        // visible fields).
-        let rerecord_cfg = SimConfig { threads: 2, ..cfg.clone() };
-        let rerecorded = run_sim(
-            &net,
-            RoutingKind::Rb2,
-            &rerecord_cfg,
-            Some(Box::new(TraceSource::new(trace.clone(), horizon))),
-        );
-        let rerecorded_trace = rerecorded.trace.expect("record_trace was set");
-        prop_assert_eq!(rerecorded_trace.len(), trace.len());
-        for (a, b) in rerecorded_trace.iter().zip(&trace) {
-            prop_assert_eq!(
-                (a.cycle, a.src, a.dst, a.len, a.drop),
-                (b.cycle, b.src, b.dst, b.len, b.drop)
+            for threads in [1usize, 2, 4] {
+                let replay_cfg = SimConfig { threads, record_trace: false, ..cfg.clone() };
+                let spec = WorkloadSpec::Trace { entries: trace.clone(), horizon };
+                let replayed = run_sim(&net, kind, &replay_cfg, Some(spec.build(&net)));
+                prop_assert_eq!(
+                    &replayed.stats, &recorded.stats,
+                    "{} replay diverged at {} threads", kind.name(), threads
+                );
+            }
+
+            // Re-recording the replay reproduces the trace itself.
+            let rerecord_cfg = SimConfig { threads: 2, ..cfg.clone() };
+            let rerecorded = run_sim(
+                &net,
+                kind,
+                &rerecord_cfg,
+                Some(Box::new(TraceSource::new(trace.clone(), horizon))),
             );
+            prop_assert_eq!(rerecorded.trace.expect("record_trace was set"), trace);
         }
     }
 
@@ -209,7 +209,7 @@ fn mixed_length_trace_replays_identically_across_shard_counts() {
     let net = net_with_faults(8, 3, 17);
     let healthy: Vec<Coord> = net.mesh().iter().filter(|&c| net.faults().is_healthy(c)).collect();
     let n = healthy.len();
-    let entries: Vec<TraceEntry> = (0..120usize)
+    let entries: Vec<WorkloadMsg> = (0..120usize)
         .map(|k| {
             let src = healthy[(k * 7) % n];
             let mut dst = healthy[(k * 13 + n / 2) % n];
@@ -217,7 +217,7 @@ fn mixed_length_trace_replays_identically_across_shard_counts() {
                 dst = healthy[(k * 13 + n / 2 + 1) % n];
             }
             let len = 1 + (k % 12) as u32;
-            TraceEntry { cycle: k as u64, src, dst, len, flow: NO_FLOW, drop: 0 }
+            WorkloadMsg { at: k as u64, flow: NO_FLOW, src, dst, len }
         })
         .collect();
     let cfg = base_cfg(5, 0.0);

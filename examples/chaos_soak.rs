@@ -95,11 +95,11 @@ fn main() {
         );
         // Full-drain accounting: every generated packet either ejected
         // normally (some epoch's bucket) or is explained by churn — an
-        // NI discard at a failure, a killed stranded worm, or a TTL
-        // drop. Nothing vanishes, nothing is double-counted.
+        // NI discard at a failure or a killed stranded worm. Nothing
+        // vanishes, nothing is double-counted.
         let delivered: u64 = stats.epoch_delivered.iter().sum();
         assert_eq!(
-            delivered + stats.churn_dropped + stats.churn_killed + stats.ttl_dropped,
+            delivered + stats.churn_dropped + stats.churn_killed,
             stats.generated,
             "{}: epoch accounting must close: {stats:?}",
             kind.name()
