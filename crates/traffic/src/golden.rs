@@ -49,23 +49,18 @@ enum Stepper {
 }
 
 /// Runs one full simulation on the chosen stepper, optionally under a
-/// seeded online-churn chaos schedule, on synthetic traffic or, when
-/// `trace` is not empty, on that trace.
+/// seeded online-churn chaos schedule.
 fn run(
     net: &NetView,
     kind: RoutingKind,
     cfg: &SimConfig,
     stepper: Stepper,
     chaos: Option<ChaosConfig>,
-    trace: &[WorkloadMsg],
 ) -> TrafficStats {
     let mut paths = PathTable::new(net, kind);
     let mut sim = TrafficSim::new(&mut paths, cfg.clone());
     if let Some(chaos) = chaos {
         sim = sim.with_online_churn(OnlineChurn::chaos(chaos));
-    }
-    if !trace.is_empty() {
-        sim = sim.with_workload(Box::new(TraceSource::new(trace.to_vec(), 1)));
     }
     match stepper {
         Stepper::Reference => sim.set_reference_stepper(),
@@ -112,10 +107,20 @@ fn a_head_parked_behind_a_winning_vc_is_asked_on_the_cycle_its_destination_fails
         fault_churn: vec![ChurnEvent::fail(5, d), ChurnEvent::repair(6, d)],
         ..SimConfig::default()
     };
-    let reference = run(&net, RoutingKind::Xy, &cfg, Stepper::Reference, None, &entries);
+    let run_trace = |reference: bool| {
+        let mut paths = PathTable::new(&net, RoutingKind::Xy);
+        let source = TraceSource::new(entries.clone(), 1);
+        let mut sim = TrafficSim::new(&mut paths, cfg.clone()).with_workload(Box::new(source));
+        if reference {
+            sim.set_reference_stepper();
+        } else {
+            sim.set_window(None);
+        }
+        sim.try_run_full(&mut ()).expect("no worker panicked").stats
+    };
+    let reference = run_trace(true);
     assert_eq!(reference.churn_killed, 1, "B is asked, and killed, on cycle 5");
-    let event_driven = Stepper::EventDriven(None);
-    assert_eq!(run(&net, RoutingKind::Xy, &cfg, event_driven, None, &entries), reference);
+    assert_eq!(run_trace(false), reference);
 }
 
 proptest! {
@@ -181,7 +186,7 @@ proptest! {
             measure: 150,
             drain: 400,
             seed,
-                threads: 1,
+            threads: 1,
             stats_window: 100,
             fault_churn,
             obs: ObsLevel::Off,
@@ -191,15 +196,14 @@ proptest! {
         // band-edge bound): results must be bit-identical to the
         // window-1 single-shard reference at every drawn length.
         let stepper = Stepper::EventDriven([Some(1), Some(2), Some(8), None][window_ix]);
-        let reference = run(&net, kind, &cfg, Stepper::Reference, chaos, &[]);
+        let reference = run(&net, kind, &cfg, Stepper::Reference, chaos);
         // Shard counts 1, 2 and 4: the event-driven stepper must match
         // the scan-order reference bit for bit at every partitioning
         // (threads > 1 also exercises the worker threads, the
         // channel-based boundary exchange and the windowed coordinator
         // protocol).
         for threads in [1usize, 2, 4] {
-            let sharded =
-                run(&net, kind, &SimConfig { threads, ..cfg.clone() }, stepper, chaos, &[]);
+            let sharded = run(&net, kind, &SimConfig { threads, ..cfg.clone() }, stepper, chaos);
             prop_assert_eq!(
                 &sharded,
                 &reference,
@@ -219,7 +223,6 @@ proptest! {
                 &SimConfig { threads, obs: ObsLevel::Trace, ..cfg.clone() },
                 stepper,
                 chaos,
-                &[],
             );
             prop_assert_eq!(
                 &observed,

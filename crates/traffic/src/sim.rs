@@ -2348,4 +2348,29 @@ mod tests {
             assert!(!stats.deadlocked);
         }
     }
+
+    #[test]
+    fn long_walks_are_carried_not_dropped() {
+        // Admission asks only whether the router delivers the pair, so
+        // E-cube carries the packets RB2 carries and delivers them all:
+        // around an 8-node wall on a 16x16, and on an 8x8 whose faults
+        // fence the west edge, where some f-ring walks run past 4(w+h)
+        // hops.
+        let nets = [
+            (16, (4..12).map(|x| Coord::new(x, 8)).collect::<Vec<_>>()),
+            (8, [(1, 2), (1, 4), (0, 5), (0, 6)].map(|(x, y)| Coord::new(x, y)).to_vec()),
+        ];
+        let cfg = SimConfig { rate: 0.01, ..SimConfig::smoke() };
+        for (side, faults) in nets {
+            let net = NetView::build(FaultSet::from_coords(Mesh::square(side), faults));
+            let rb2 = run_traffic(&net, RoutingKind::Rb2, &cfg);
+            let ecube = run_traffic(&net, RoutingKind::ECube, &cfg);
+            for stats in [&rb2, &ecube] {
+                assert_eq!(stats.unroutable, 0, "{side}x{side}");
+                assert_eq!(stats.measured_delivered, stats.measured_generated, "{side}x{side}");
+            }
+            assert_eq!(ecube.generated, rb2.generated, "{side}x{side}");
+            assert_eq!(ecube.measured_generated, rb2.measured_generated, "{side}x{side}");
+        }
+    }
 }
