@@ -199,8 +199,8 @@ fn bench(c: &mut Criterion) {
         .iter()
         .map(|&(s, d)| {
             let o = Orientation::normalizing(s, d);
-            let (set, model) = (cold.mccs(o), cold.model(o, ModelKind::B2));
-            let ctx = PhaseCtx { set, model, scope: KnowledgeScope::Local };
+            let (set, model, bounds) = (cold.mccs(o), cold.model(o, ModelKind::B2), cold.bounds(o));
+            let ctx = PhaseCtx { set, model, bounds, scope: KnowledgeScope::Local };
             (ctx, o.apply(mesh, s), o.apply(mesh, d))
         })
         .collect();

@@ -213,11 +213,11 @@ impl Labeling {
         (labeling, changed)
     }
 
-    /// The raw predicate mask at an oriented coordinate (testing hook
-    /// for the incremental-equality assertions).
-    #[doc(hidden)]
-    pub fn raw_mask(&self, oc: Coord) -> u8 {
-        self.mask_at(oc)
+    /// The nodes' predicate masks (oriented frame), 0 exactly on a safe
+    /// node: [`is_safe_node`](Self::is_safe_node) by node id.
+    #[inline]
+    pub fn masks(&self) -> &Grid<u8> {
+        &self.mask
     }
 
     /// The mesh being labeled.
@@ -554,7 +554,7 @@ mod tests {
                 let (inc, changed) = lab.with_fault_added(&faults, add);
                 let full = Labeling::compute(&faults, o, BorderPolicy::Open);
                 for oc in mesh.iter() {
-                    assert_eq!(inc.raw_mask(oc), full.raw_mask(oc), "mask mismatch at {oc:?}");
+                    assert_eq!(inc.masks()[oc], full.masks()[oc], "mask mismatch at {oc:?}");
                 }
                 assert_eq!(inc.unsafe_count(), full.unsafe_count());
                 assert_eq!(inc.faulty_count(), full.faulty_count());
@@ -594,7 +594,7 @@ mod tests {
                 let (inc, changed) = lab.with_fault_removed(&repaired, rm, &comp);
                 let full = Labeling::compute(&repaired, o, BorderPolicy::Open);
                 for oc in mesh.iter() {
-                    assert_eq!(inc.raw_mask(oc), full.raw_mask(oc), "mask mismatch at {oc:?}");
+                    assert_eq!(inc.masks()[oc], full.masks()[oc], "mask mismatch at {oc:?}");
                 }
                 assert_eq!(inc.unsafe_count(), full.unsafe_count());
                 assert!(changed.contains(&orm));
@@ -683,7 +683,7 @@ mod tests {
                     let reference = whole_mesh_reference(fs, o, border);
                     for oc in fs.mesh().iter() {
                         assert_eq!(
-                            lab.raw_mask(oc),
+                            lab.masks()[oc],
                             reference[oc],
                             "{oc:?} under {o:?}, {border:?}, faults {:?}",
                             fs.iter().collect::<Vec<_>>()

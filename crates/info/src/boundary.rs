@@ -16,15 +16,16 @@
 //! The walks double as the merge machinery: the MCCs hit by the Y-walks
 //! are exactly those whose forbidden regions merge into `F`'s (the walk
 //! continues along their boundary), giving the `merged_y`/`merged_x`
-//! shadow lists the routing layer pairs with `F`'s critical region.
+//! shadow lists, whose union is the forbidden region `R(F)` the routing
+//! layer pairs with `F`'s critical region (stored flat: [`Region`]).
 //!
 //! B3's split propagations and the Eq.-4 relation records are derived from
 //! the same walks.
 //!
 //! **What a set stores.** A [`BoundarySet`] is a few flat arrays, laid out
 //! in MCC-id order: one `WalkStore` holding every walk two bits a step,
-//! per MCC the end of its walks there, and the contour nodes, merge lists
-//! and Eq.-4 candidates each as one item array with per-MCC ends.
+//! per MCC the end of its walks there, and the contour nodes, merge lists,
+//! regions and Eq.-4 candidates each as one item array with per-MCC ends.
 //! [`MccBoundaries`] and [`Walk`] are borrowed views into it. A record
 //! reused by an incremental update is copied into the same layout, so an
 //! updated set equals a from-scratch build field for field.
@@ -106,11 +107,27 @@ pub struct BoundarySet {
     /// Y-region (X-region).
     pub(crate) merged_y: Lists<MccId>,
     pub(crate) merged_x: Lists<MccId>,
+    /// Per MCC, its Y- and X-region: the first line, then the profile.
+    regions: [Lists<u16>; 2],
     /// Per MCC `v`: the recorded type-I relations `F(v) -> F(c)` (the
     /// candidates for `v`'s succeeding MCC, Eq. 4).
     succ_candidates_y: Lists<MccId>,
     /// Per MCC `v`: the type-II relation candidates.
     succ_candidates_x: Lists<MccId>,
+}
+
+/// Where one MCC's forbidden region `R(F)` sits in its set's
+/// [`profiles`](BoundarySet::profiles). `R(F)` is the union of the merged
+/// shadows, each everything below (west of) a staircase, so a node is
+/// inside iff its `y` (`x`) is under the profile at its column (row).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Region {
+    /// The line before the region's first; its profile entry is 0.
+    pub base: i32,
+    /// The profile, from `base` on, is `profiles[at..at + len]`.
+    pub at: u32,
+    /// The region's lines plus one.
+    pub len: u32,
 }
 
 /// The boundary structures of one MCC, borrowed from its [`BoundarySet`].
@@ -188,6 +205,19 @@ impl<'a> MccBoundaries<'a> {
         self.set.merged_x.get(self.id.index())
     }
 
+    /// The MCC's forbidden regions `[R_Y(F), R_X(F)]`: the shadows of
+    /// [`merged_y`](Self::merged_y) (of [`merged_x`](Self::merged_x)).
+    #[inline]
+    pub fn regions(&self) -> [Region; 2] {
+        // Not `[..].map`, which stays a call per entry.
+        let region = |lists: &Lists<u16>| {
+            let (list, end) = (lists.get(self.id.index()), lists.ends[self.id.index()]);
+            let len = list.len() as u32 - 1;
+            Region { base: i32::from(list[0]) - 1, at: end - len, len }
+        };
+        [region(&self.set.regions[0]), region(&self.set.regions[1])]
+    }
+
     /// Every coordinate this boundary record stores (walk nodes, split
     /// nodes, hit points, contour nodes) — the footprint used by the
     /// incremental layer's dirty test: a record whose footprint stays
@@ -209,8 +239,8 @@ impl<'a> MccBoundaries<'a> {
 }
 
 impl BoundarySet {
-    /// Builds all four boundary walks (plus splits and relations) for
-    /// every MCC in `set`.
+    /// Builds all four boundary walks (plus splits, relations and
+    /// regions) for every MCC in `set`, on a mesh side of at most 65 536.
     pub fn build(set: &MccSet) -> Self {
         Self::build_reusing(set, |_| None, |_| None)
     }
@@ -237,6 +267,7 @@ impl BoundarySet {
             edge_nodes: Lists::default(),
             merged_y: Lists::default(),
             merged_x: Lists::default(),
+            regions: Default::default(),
             succ_candidates_y: Lists::default(),
             succ_candidates_x: Lists::default(),
         };
@@ -247,6 +278,7 @@ impl BoundarySet {
                 Some(old) => out.push_copy(old, |v| remap(v).expect("every id maps")),
                 None => out.push_built(&mut walker, set, mcc),
             }
+            out.push_regions(set);
             let b = out.get(mcc.id());
 
             // Eq. 4 relation record: when the FIRST intersection of the
@@ -277,12 +309,13 @@ impl BoundarySet {
         out.edge_nodes.shrink_to_fit();
         out.merged_y.shrink_to_fit();
         out.merged_x.shrink_to_fit();
+        out.regions.iter_mut().for_each(Lists::shrink_to_fit);
         out
     }
 
     /// Appends the boundary structures of `mcc` (walks, splits, contour,
-    /// merge lists) — everything except the Eq.-4 relation records, which
-    /// are derived from the finished walks.
+    /// merge lists) — everything except its regions and the Eq.-4
+    /// relation records, derived from the lists and the finished walks.
     fn push_built(&mut self, walker: &mut Walker<'_>, set: &MccSet, mcc: &Mcc) {
         // A corner that is itself a cell of another MCC (diagonally
         // touching components) cannot start a walk; per the merge
@@ -345,6 +378,37 @@ impl BoundarySet {
         self.walk_ends.push(index(self.walks.len()));
     }
 
+    /// Appends, per axis, the region of the MCC appended last: the first
+    /// line its merged shadows cover, then the profile from the line before.
+    fn push_regions(&mut self, set: &MccSet) {
+        let side = set.mesh().width().max(set.mesh().height());
+        assert!(side <= 1 << 16, "a mesh side is at most 65 536 nodes");
+        let i = self.walk_ends.len() - 1;
+        let [regions_y, regions_x] = &mut self.regions;
+        for (regions, merged, y) in
+            [(regions_y, self.merged_y.get(i), true), (regions_x, self.merged_x.get(i), false)]
+        {
+            // A member's shadow: the lines it covers, how far below it reaches.
+            let lines = |g: &Mcc| if y { g.x0()..=g.x1() } else { g.bbox().y0..=g.bbox().y1 };
+            let reach = |g: &Mcc, k| match y {
+                true => g.col(k).map_or(0, |s| s.lo),
+                false => g.row_range(k).map_or(0, |(west, _)| west),
+            };
+            let first = merged.iter().map(|&g| *lines(set.get(g)).start()).min().expect("F merges");
+            let last = merged.iter().map(|&g| *lines(set.get(g)).end()).max().expect("F merges");
+            regions.items.push(first as u16);
+            let at = regions.items.len() + 1;
+            regions.items.resize(at + (last - first) as usize + 1, 0);
+            for g in merged.iter().map(|&g| set.get(g)) {
+                for k in lines(g) {
+                    let top = &mut regions.items[at + (k - first) as usize];
+                    *top = (*top).max(reach(g, k) as u16);
+                }
+            }
+            regions.ends.push(index(regions.items.len()));
+        }
+    }
+
     /// Boundaries of one MCC.
     #[inline]
     pub fn get(&self, id: MccId) -> MccBoundaries<'_> {
@@ -356,9 +420,15 @@ impl BoundarySet {
         (0..self.walk_ends.len() as u32).map(|i| self.get(MccId(i)))
     }
 
+    /// Every MCC's region profiles, `[Y, X]`: what a [`Region`] indexes.
+    #[inline]
+    pub fn profiles(&self) -> [&[u16]; 2] {
+        [&self.regions[0].items, &self.regions[1].items]
+    }
+
     /// The succeeding MCC of `v` in a type-I sequence (Eq. 4): among the
     /// recorded candidates, the one with the lowest corner `y`.
-    pub fn succ_y(&self, set: &MccSet, v: MccId) -> Option<MccId> {
+    pub(crate) fn succ_y(&self, set: &MccSet, v: MccId) -> Option<MccId> {
         self.succ_candidates_y(v)
             .iter()
             .copied()
@@ -366,7 +436,7 @@ impl BoundarySet {
     }
 
     /// The succeeding MCC of `v` in a type-II sequence.
-    pub fn succ_x(&self, set: &MccSet, v: MccId) -> Option<MccId> {
+    pub(crate) fn succ_x(&self, set: &MccSet, v: MccId) -> Option<MccId> {
         self.succ_candidates_x(v)
             .iter()
             .copied()
@@ -458,11 +528,30 @@ mod tests {
         let fb = b.get(f);
         assert_eq!(fb.west_y().hits().len(), 1);
         assert_eq!(fb.west_y().hits()[0].0, v);
-        assert!(fb.merged_y().contains(&v));
+        assert_eq!(fb.merged_y(), &[f.min(v), f.max(v)]);
+        assert_eq!(b.get(v).merged_y(), &[v]);
         let splits: Vec<Walk> = fb.splits_y().collect();
         assert_eq!(splits.len(), 1);
         assert_eq!(splits[0].start(), Some(fb.west_y().hits()[0].1));
         assert!(splits[0].len() > 1);
+    }
+
+    #[test]
+    fn a_region_is_the_union_of_the_merged_shadows() {
+        // F at (5,8) merges V at (4,3) into its Y-region: columns 4 and 5,
+        // below rows 3 and 8. Nothing merges into an X-region.
+        let s = set(Mesh::square(12), &[(5, 8), (4, 3)]);
+        let b = BoundarySet::build(&s);
+        let f = s.mcc_at(Coord::new(5, 8)).expect("F");
+        let v = s.mcc_at(Coord::new(4, 3)).expect("V");
+        let region = |id: MccId, axis: usize| {
+            let Region { base, at, len } = b.get(id).regions()[axis];
+            (base, &b.profiles()[axis][at as usize..(at + len) as usize])
+        };
+        assert_eq!(region(f, 0), (3, &[0, 3, 8][..]));
+        assert_eq!(region(v, 0), (3, &[0, 3][..]));
+        assert_eq!(region(f, 1), (7, &[0, 5][..]), "row 8 west of column 5");
+        assert_eq!(region(v, 1), (2, &[0, 4][..]), "row 3 west of column 4");
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!
 //! * `walker` — a wall-following polyline walker implementing the
 //!   paper's "make a right/left turn and go along the edges of `F(v)`".
-//! * [`boundary`] — the four per-MCC boundary polylines, hit records and
-//!   merge lists.
+//! * [`boundary`] — the four per-MCC boundary polylines, hit records,
+//!   merge lists and forbidden regions.
 //! * [`model`] — [`InfoModel`]: per-node knowledge tables (each distinct
 //!   carrier set stored once, indexed per MCC), involved-node accounting
 //!   (Fig. 5c), and Eq.-4 successor resolution.
@@ -33,6 +33,6 @@ pub mod boundary;
 pub mod model;
 mod walker;
 
-pub use boundary::{BoundarySet, MccBoundaries};
+pub use boundary::{BoundarySet, MccBoundaries, Region};
 pub use model::{InfoModel, ModelKind, PropagationStats};
 pub use walker::{Nodes, Walk};

@@ -19,8 +19,8 @@
 //!
 //! **What a B2 fill costs.** An MCC's forbidden regions are assembled as
 //! column masks a row (`RegionFill`) — a row-limited shape sets a span
-//! of a row's words, a column-limited one (the X-funnel, the merged
-//! members' Y-shadows) is turned into row form by a start/end column-mask
+//! of a row's words, a column-limited one (the X-funnel, the stored
+//! Y-region) is turned into row form by a start/end column-mask
 //! sweep — and then inserted with one [`BitGrid::insert_row_masked`] per
 //! run of columns, cut by a flat safe-node set built once per
 //! [`InfoModel::build_with`]; the Fig. 5(c) message count is the popcount
@@ -31,7 +31,7 @@
 use meshpath_fault::{Mcc, MccId, MccSet};
 use meshpath_mesh::{BitGrid, Coord, FxHashMap};
 
-use crate::boundary::{BoundarySet, Lists};
+use crate::boundary::{BoundarySet, Region};
 use crate::walker::Walk;
 
 /// Which information model a table was built under.
@@ -119,10 +119,6 @@ pub struct InfoModel {
     succ_y: Vec<Option<MccId>>,
     /// Eq.-4 successor per MCC (type-II).
     succ_x: Vec<Option<MccId>>,
-    /// Y-region merge lists (self + transitive boundary hits).
-    merged_y: Lists<MccId>,
-    /// X-region merge lists.
-    merged_x: Lists<MccId>,
     stats: PropagationStats,
 }
 
@@ -149,13 +145,12 @@ impl InfoModel {
                 // broadcast into the forbidden region enclosed between them...
                 messages += fill.funnel_y(mcc, b.west_y(), b.east_y(), &mut grid);
                 messages += fill.funnel_x(mcc, b.south_x(), b.north_x(), &mut grid);
-                // ...and into the shadows of every MCC whose region merged
-                // into this one ("R_Y(v) merges into R_Y(c)"): a node
-                // blocked by a merged member must know the root's triple
-                // even where the boundary walks could not pass (clusters
-                // wedged against the mesh rim).
-                fill.shadows_y(b.merged_y().iter().map(|&g| set.get(g)));
-                fill.shadows_x(b.merged_x().iter().map(|&g| set.get(g)));
+                // ...and into the stored forbidden regions, the shadows of
+                // every MCC whose region merged into this one ("R_Y(v)
+                // merges into R_Y(c)"): a node blocked by a merged member
+                // must know the root's triple even where the boundary walks
+                // could not pass (clusters wedged against the mesh rim).
+                fill.regions(b.regions(), bounds.profiles());
                 messages += fill.insert_into(&mut grid);
             } else {
                 // -X / -Y boundaries (all models).
@@ -207,16 +202,7 @@ impl InfoModel {
         };
 
         let (sets, set_of) = intern(knowledge);
-        InfoModel {
-            kind,
-            sets,
-            set_of,
-            succ_y,
-            succ_x,
-            merged_y: bounds.merged_y.clone(),
-            merged_x: bounds.merged_x.clone(),
-            stats,
-        }
+        InfoModel { kind, sets, set_of, succ_y, succ_x, stats }
     }
 
     /// Builds boundaries and the knowledge tables in one go.
@@ -263,18 +249,6 @@ impl InfoModel {
     #[inline]
     pub fn succ_x(&self, v: MccId) -> Option<MccId> {
         self.succ_x[v.index()]
-    }
-
-    /// MCCs whose Y-shadows merged into `f`'s Y-region (includes `f`).
-    #[inline]
-    pub fn merged_y(&self, f: MccId) -> &[MccId] {
-        self.merged_y.get(f.index())
-    }
-
-    /// MCCs whose X-shadows merged into `f`'s X-region (includes `f`).
-    #[inline]
-    pub fn merged_x(&self, f: MccId) -> &[MccId] {
-        self.merged_x.get(f.index())
     }
 
     /// Propagation cost (Fig. 5c).
@@ -492,31 +466,17 @@ impl RegionFill {
         messages
     }
 
-    /// The Y-shadows of the merged members: everything south of a
-    /// member's cells. Every column span starts at the south rim, so the
-    /// union keeps the tallest span of a column and is swept once.
-    fn shadows_y<'a>(&mut self, members: impl Iterator<Item = &'a Mcc>) {
-        self.far.fill(i32::MIN);
-        for member in members {
-            for (top, span) in self.far[member.x0() as usize..].iter_mut().zip(member.cols()) {
-                *top = (*top).max(span.lo - 1);
-            }
-        }
-        for x in 0..self.width {
-            self.column(x, 0, self.far[x as usize]);
+    /// The forbidden regions `[R_Y(F), R_X(F)]`, read off their
+    /// `profiles`: in each column of the Y-region the rows under the
+    /// profile (one span a column, swept once), in each row of the
+    /// X-region the columns west of it.
+    fn regions(&mut self, [y, x]: [Region; 2], [py, px]: [&[u16]; 2]) {
+        for (col, &h) in (y.base..).zip(&py[y.at as usize..(y.at + y.len) as usize]) {
+            self.column(col, 0, i32::from(h) - 1);
         }
         self.sweep_columns();
-    }
-
-    /// The X-shadows of the merged members: everything west of a member's
-    /// cells, row by row.
-    fn shadows_x<'a>(&mut self, members: impl Iterator<Item = &'a Mcc>) {
-        for member in members {
-            for y in member.cols()[0].lo..member.opposite().y {
-                if let Some((west, _)) = member.row_range(y) {
-                    self.row(y, 0, west - 1);
-                }
-            }
+        for (row, &h) in (x.base..).zip(&px[x.at as usize..(x.at + x.len) as usize]) {
+            self.row(row, 0, i32::from(h) - 1);
         }
     }
 }
@@ -985,17 +945,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_lists_track_boundary_hits() {
-        let s = set(Mesh::square(12), &[(5, 8), (4, 3)]);
-        let m = InfoModel::build(&s, ModelKind::B2);
-        let f = s.iter().find(|mc| mc.contains(Coord::new(5, 8))).expect("F").id();
-        let v = s.iter().find(|mc| mc.contains(Coord::new(4, 3))).expect("V").id();
-        assert!(m.merged_y(f).contains(&v));
-        assert!(m.merged_y(f).contains(&f));
-        assert_eq!(m.merged_y(v), &[v]);
-    }
-
-    #[test]
     fn known_at_collects_all_carriers() {
         let s = set(Mesh::square(12), &[(5, 8), (4, 3)]);
         let m = InfoModel::build(&s, ModelKind::B2);
@@ -1030,17 +979,19 @@ mod tests {
         }
         let s = set(Mesh::square(28), &faults);
         assert_eq!(s.len(), 12);
-        let m = InfoModel::build(&s, ModelKind::B2);
+        let bounds = BoundarySet::build(&s);
+        let m = InfoModel::build_with(&s, &bounds, ModelKind::B2);
+        let merged = |c: MccId| {
+            let b = bounds.get(c);
+            b.merged_y().iter().chain(b.merged_x()).copied().collect::<Vec<_>>()
+        };
         // The chain itself: every component but the last merges its successor.
         for c in (0..11).map(MccId) {
             let next = MccId(c.0 + 1);
-            assert!(
-                m.merged_y(c).contains(&next) || m.merged_x(c).contains(&next),
-                "{c:?} must merge {next:?}"
-            );
+            assert!(merged(c).contains(&next), "{c:?} must merge {next:?}");
         }
         for c in s.iter().map(Mcc::id) {
-            for &v in m.merged_y(c).iter().chain(m.merged_x(c)) {
+            for v in merged(c) {
                 for n in s.mesh().iter() {
                     assert!(!m.knows(n, v) || m.knows(n, c), "{n:?} knows {v:?} but not {c:?}");
                 }

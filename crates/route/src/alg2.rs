@@ -25,9 +25,10 @@
 //! for a whole Manhattan phase. So step 2 is *target-keyed*: the message
 //! carries a [`CriticalSet`], re-keyed only when `(orientation, target)`
 //! changes (once per phase, and on RB1 quadrant flips). Re-keying reads
-//! the MCCs on the target's column and row (`MccSet::in_col`/`in_row`),
-//! keeps the few whose critical region holds `t` (2–4 on a 64x64 mesh at
-//! 5 % faults) and flattens each one's `R(F)` into a profile. A hop then
+//! the MCCs on the target's column and row (`MccSet::in_col`/`in_row`)
+//! and keeps a handle per one whose critical region holds `t` (2–4 on a
+//! 64x64 mesh at 5 % faults) to `R(F)`, which the network flattened into
+//! a profile once per orientation when it was built. A hop then
 //! reads the two neighbor labels of step 1 and two adjacent profile
 //! entries per kept triple; `knows(u, F)` is asked only where a step
 //! would enter a region. Exclusions only ever clear candidate bits, so
@@ -44,8 +45,8 @@
 //! diagonal: dimension order there can enter a dead-end corridor along
 //! the border (the 6x6 hand cases in the root `tests/edge_cases.rs`).
 
-use meshpath_fault::{Mcc, MccId, MccSet};
-use meshpath_info::InfoModel;
+use meshpath_fault::{MccId, MccSet};
+use meshpath_info::{BoundarySet, InfoModel, Region};
 use meshpath_mesh::{Coord, Dir, Orientation};
 
 use crate::seq::KnowledgeScope;
@@ -67,6 +68,9 @@ pub struct PhaseCtx<'a> {
     pub set: &'a MccSet,
     /// Information model queried for triples.
     pub model: &'a InfoModel,
+    /// The orientation's boundaries, whose forbidden regions the
+    /// exclusions read.
+    pub bounds: &'a BoundarySet,
     /// Whether knowledge is restricted to what the model stored at `u`.
     pub scope: KnowledgeScope,
 }
@@ -82,98 +86,65 @@ impl PhaseCtx<'_> {
     }
 }
 
-/// One triple that can fire for the keyed target, with its forbidden
-/// region `R(F)` flattened. The region is the union of the shadows merged
-/// into `F`'s — each "everything below (west of) a staircase" — so it is
-/// everything below one profile over the union's lines (columns for a
-/// Y-type triple, rows for an X-type): `c` is inside iff its height is
-/// under the profile at its line.
+/// One triple that can fire for the keyed target: `F` and where its
+/// stored forbidden region `R(F)` sits.
 #[derive(Clone, Copy, Debug)]
 struct Guard {
     f: MccId,
-    /// The line before the region's first. Its profile entry is
-    /// `i32::MIN` (outside at any height), so a step onto the first line
-    /// reads two entries like every other step.
-    base: i32,
-    /// The profile is `profiles[at..at + len]` of the owning set.
-    at: u32,
-    len: u32,
+    region: Region,
 }
 
 impl Guard {
-    /// Flattens the shadows of `merged` (MCCs of `set`; `f` and what
-    /// merged into its region) onto the end of `profiles`. `extent` is
-    /// the range of lines a shadow covers, `height` what it reaches
-    /// below on one of them.
-    fn flatten(
-        profiles: &mut Vec<i32>,
-        set: &MccSet,
-        f: MccId,
-        merged: &[MccId],
-        extent: impl Fn(&Mcc) -> (i32, i32),
-        height: impl Fn(&Mcc, i32) -> i32,
-    ) -> Guard {
-        let (first, last) = merged.iter().fold(extent(set.get(f)), |(first, last), &g| {
-            let (a, b) = extent(set.get(g));
-            (first.min(a), last.max(b))
-        });
-        let (at, len) = (profiles.len(), (last - first + 2) as usize);
-        profiles.resize(at + len, i32::MIN);
-        for &g in merged {
-            let g = set.get(g);
-            let (a, b) = extent(g);
-            for line in a..=b {
-                let top = &mut profiles[at + (line - first + 1) as usize];
-                *top = (*top).max(height(g, line));
-            }
-        }
-        Guard { f, base: first - 1, at: at as u32, len: len as u32 }
-    }
-
     /// Whether the step from line `along` to line `along + 1` at height
-    /// `across` *enters* the region: inside after, outside before. A node
-    /// already inside is past the guard (the pair is blocked; detours
-    /// handle it), so the exclusion only fires from outside.
+    /// `across` *enters* the region (`profiles` holds its profile):
+    /// inside after, outside before. A node already inside is past the
+    /// guard (the pair is blocked; detours handle it), so the exclusion
+    /// only fires from outside.
     #[inline]
-    fn entered(&self, profiles: &[i32], along: i32, across: i32) -> bool {
-        let i = (along - self.base) as u32;
-        if i >= self.len - 1 {
+    fn entered(&self, profiles: &[u16], along: i32, across: i32) -> bool {
+        let Region { base, at, len } = self.region;
+        let i = (along - base) as u32;
+        if i >= len - 1 {
             return false; // negative wraps high: neither line is the region's
         }
-        let at = (self.at + i) as usize;
-        profiles[at] <= across && across < profiles[at + 1]
+        let at = (at + i) as usize;
+        i32::from(profiles[at]) <= across && across < i32::from(profiles[at + 1])
     }
 
-    /// Whether this triple excludes that step for a message at `ou`: the
-    /// step enters the region and `ou` holds the triple. Inlined by force:
-    /// a hop asks every guard, and as a call this was a tenth of a route.
+    /// Whether one of `guards` excludes that step for a message at `ou`:
+    /// the step enters its region and `ou` holds its triple. Inlined by
+    /// force, and a loop rather than `Iterator::any`: a hop asks every
+    /// guard, and as a call this was a tenth of a route.
     #[inline(always)]
-    fn fires(
-        &self,
+    fn any_fires(
+        guards: &[Guard],
         ctx: &PhaseCtx<'_>,
-        profiles: &[i32],
+        profiles: &[u16],
         ou: Coord,
         along: i32,
         across: i32,
     ) -> bool {
-        self.entered(profiles, along, across) && ctx.knows(ou, self.f)
+        for guard in guards {
+            if guard.entered(profiles, along, across) && ctx.knows(ou, guard.f) {
+                return true;
+            }
+        }
+        false
     }
 }
 
 /// The triples that can fire for one `(orientation, target)`: per MCC
 /// whose Y- (X-) critical region contains the oriented target, its id and
-/// its forbidden region as a profile. Part of the per-message scratch
+/// a handle to its forbidden region. Part of the per-message scratch
 /// ([`HopState`](crate::HopState)); valid for one network snapshot, so it
 /// is [`clear`](CriticalSet::clear)ed with the rest of the scratch
-/// between messages. (The merged lists come from the boundary walks, not
+/// between messages. (The regions come from the boundary walks, not
 /// from what a model stores, so one key serves B1, B2 and B3 alike.)
 #[derive(Debug, Default)]
 pub struct CriticalSet {
     key: Option<(Orientation, Coord)>,
     y: Vec<Guard>,
     x: Vec<Guard>,
-    /// The guards' profiles, back to back; rebuilt with them.
-    profiles: Vec<i32>,
 }
 
 impl CriticalSet {
@@ -200,33 +171,51 @@ impl CriticalSet {
         }
     }
 
-    /// Tests the MCCs on the target's column and row and flattens the
-    /// regions of the few whose critical region holds it. Out of line:
-    /// once a phase, where the key check above runs every hop.
+    /// Keeps the MCCs on the target's column and row whose critical
+    /// region holds it. Out of line: once a phase, where the key check
+    /// above runs every hop.
     fn rebuild(&mut self, ctx: &PhaseCtx<'_>, ot: Coord) {
-        let (set, model) = (ctx.set, ctx.model);
+        let (set, bounds) = (ctx.set, ctx.bounds);
         self.y.clear();
         self.x.clear();
-        self.profiles.clear();
         for &f in set.in_col(ot.x).iter().filter(|&&f| set.get(f).critical_y(ot)) {
-            self.y.push(Guard::flatten(
-                &mut self.profiles,
-                set,
-                f,
-                model.merged_y(f),
-                |g| (g.x0(), g.x1()),
-                |g, x| g.col(x).map_or(i32::MIN, |s| s.lo),
-            ));
+            self.y.push(Guard { f, region: bounds.get(f).regions()[0] });
         }
         for &f in set.in_row(ot.y).iter().filter(|&&f| set.get(f).critical_x(ot)) {
-            self.x.push(Guard::flatten(
-                &mut self.profiles,
-                set,
-                f,
-                model.merged_x(f),
-                |g| (g.bbox().y0, g.bbox().y1),
-                |g, y| g.row_range(y).map_or(i32::MIN, |(west, _)| west),
-            ));
+            self.x.push(Guard { f, region: bounds.get(f).regions()[1] });
+        }
+    }
+
+    /// Steps 2 and 3 at `ou` over the step-1 candidates `p`: what is left
+    /// of them after the exclusions, then the pick. The set must be keyed
+    /// for `ot` unless `p` is empty.
+    ///
+    /// Only the cross-axis step can enter a shadow — a Y-shadow is
+    /// everything *below* a staircase within its columns, so `ou + Y`
+    /// inside implies `ou` inside (likewise `ou + X` for an X-shadow) —
+    /// hence a Y-type triple is asked about `+X` only and an X-type about
+    /// `+Y`. Geometry first: nearly every hop enters nothing, and then no
+    /// `knows` bit is read.
+    #[inline(always)]
+    pub(crate) fn choose(
+        &self,
+        ctx: &PhaseCtx<'_>,
+        ou: Coord,
+        ot: Coord,
+        mut p: [bool; 2],
+    ) -> Decision {
+        let [py, px] = ctx.bounds.profiles();
+        p[0] = p[0] && !Guard::any_fires(&self.y, ctx, py, ou, ou.x, ou.y);
+        p[1] = p[1] && !Guard::any_fires(&self.x, ctx, px, ou, ou.y, ou.x);
+        // Step 3: between two survivors, `+X` unless a guard is keyed,
+        // then the longer remainder.
+        let guarded = || !self.y.is_empty() || !self.x.is_empty();
+        match p {
+            [false, false] => Decision::Blocked,
+            [true, false] => Decision::Step(Dir::PlusX),
+            [false, true] => Decision::Step(Dir::PlusY),
+            [true, true] if ot.x - ou.x >= ot.y - ou.y || !guarded() => Decision::Step(Dir::PlusX),
+            [true, true] => Decision::Step(Dir::PlusY),
         }
     }
 }
@@ -248,32 +237,11 @@ pub fn decide(
     if ou == ot {
         return Decision::Arrived;
     }
-    let mut p = candidates(ctx, ou, ot, avoid);
-
-    // Step 2: exclusions by the few triples whose critical region holds
-    // the target. Only the cross-axis step can enter a shadow — a
-    // Y-shadow is everything *below* a staircase within its columns, so
-    // `ou + Y` inside implies `ou` inside (likewise `ou + X` for an
-    // X-shadow) — hence a Y-type triple is asked about `+X` only and an
-    // X-type about `+Y`. Geometry first: nearly every hop enters nothing,
-    // and then no `knows` bit is read.
+    let p = candidates(ctx, ou, ot, avoid);
     if p[0] || p[1] {
         critical.retarget(ctx, ot);
-        let CriticalSet { y, x, profiles, .. } = &*critical;
-        p[0] = p[0] && !y.iter().any(|t| t.fires(ctx, profiles, ou, ou.x, ou.y));
-        p[1] = p[1] && !x.iter().any(|t| t.fires(ctx, profiles, ou, ou.y, ou.x));
     }
-
-    // Step 3: between two survivors, `+X` unless a guard is keyed (both
-    // survive only after the re-key above), then the longer remainder.
-    let guarded = || !critical.y.is_empty() || !critical.x.is_empty();
-    match p {
-        [false, false] => Decision::Blocked,
-        [true, false] => Decision::Step(Dir::PlusX),
-        [false, true] => Decision::Step(Dir::PlusY),
-        [true, true] if ot.x - ou.x >= ot.y - ou.y || !guarded() => Decision::Step(Dir::PlusX),
-        [true, true] => Decision::Step(Dir::PlusY),
-    }
+    critical.choose(ctx, ou, ot, p)
 }
 
 /// Step 1: the candidate directions `[+X, +Y]` — toward the target, onto
@@ -308,7 +276,7 @@ fn decide_full_scan(ctx: &PhaseCtx<'_>, ou: Coord, ot: Coord, avoid: Option<Coor
                 continue;
             }
             if f.critical_y(ot) {
-                let merged = ctx.model.merged_y(f.id());
+                let merged = ctx.bounds.get(f.id()).merged_y();
                 let inside = |c: Coord| merged.iter().any(|&g| ctx.set.get(g).shadow_y(c));
                 if !inside(ou) {
                     for (slot, dir) in [(0, Dir::PlusX), (1, Dir::PlusY)] {
@@ -319,7 +287,7 @@ fn decide_full_scan(ctx: &PhaseCtx<'_>, ou: Coord, ot: Coord, avoid: Option<Coor
                 }
             }
             if f.critical_x(ot) {
-                let merged = ctx.model.merged_x(f.id());
+                let merged = ctx.bounds.get(f.id()).merged_x();
                 let inside = |c: Coord| merged.iter().any(|&g| ctx.set.get(g).shadow_x(c));
                 if !inside(ou) {
                     for (slot, dir) in [(0, Dir::PlusX), (1, Dir::PlusY)] {
@@ -347,7 +315,7 @@ fn decide_full_scan(ctx: &PhaseCtx<'_>, ou: Coord, ot: Coord, avoid: Option<Coor
 mod tests {
     use super::*;
     use meshpath_fault::{BorderPolicy, MccSet};
-    use meshpath_info::{InfoModel, ModelKind};
+    use meshpath_info::ModelKind;
     use meshpath_mesh::{FaultInjection, FaultSet, Mesh, Orientation};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -361,12 +329,31 @@ mod tests {
         d
     }
 
-    fn ctx_for(faults: &[(i32, i32)], kind: ModelKind) -> (MccSet, InfoModel) {
+    /// One orientation of a fault set, analyzed as a network holds it.
+    struct Analysis {
+        set: MccSet,
+        bounds: BoundarySet,
+        model: InfoModel,
+    }
+
+    impl Analysis {
+        fn new(fs: &FaultSet, o: Orientation, kind: ModelKind) -> Self {
+            let set = MccSet::build(fs, o, BorderPolicy::Open);
+            let bounds = BoundarySet::build(&set);
+            let model = InfoModel::build_with(&set, &bounds, kind);
+            Analysis { set, bounds, model }
+        }
+
+        fn ctx(&self, scope: KnowledgeScope) -> PhaseCtx<'_> {
+            PhaseCtx { set: &self.set, model: &self.model, bounds: &self.bounds, scope }
+        }
+    }
+
+    /// `faults` on a 10x10 mesh, in the identity frame.
+    fn ctx_for(faults: &[(i32, i32)], kind: ModelKind) -> Analysis {
         let mesh = Mesh::square(10);
         let fs = FaultSet::from_coords(mesh, faults.iter().map(|&(x, y)| Coord::new(x, y)));
-        let set = MccSet::build(&fs, Orientation::IDENTITY, BorderPolicy::Open);
-        let model = InfoModel::build(&set, kind);
-        (set, model)
+        Analysis::new(&fs, Orientation::IDENTITY, kind)
     }
 
     /// A bar of faults on row 5, columns 5..=8: its shadow is those
@@ -377,8 +364,8 @@ mod tests {
 
     #[test]
     fn fault_free_decision_moves_toward_target() {
-        let (set, model) = ctx_for(&[], ModelKind::B1);
-        let ctx = PhaseCtx { set: &set, model: &model, scope: KnowledgeScope::Local };
+        let net = ctx_for(&[], ModelKind::B1);
+        let ctx = net.ctx(KnowledgeScope::Local);
         // Nothing is critical: dimension order, whichever remainder is longer.
         let d = decide(&ctx, Coord::new(0, 0), Coord::new(3, 1), None);
         assert_eq!(d, Decision::Step(Dir::PlusX));
@@ -393,8 +380,8 @@ mod tests {
     #[test]
     fn faulty_neighbor_is_not_a_candidate() {
         // Nothing is critical for (3,3), so step 3 would take +X.
-        let (set, model) = ctx_for(&[(1, 0)], ModelKind::B1);
-        let ctx = PhaseCtx { set: &set, model: &model, scope: KnowledgeScope::Local };
+        let net = ctx_for(&[(1, 0)], ModelKind::B1);
+        let ctx = net.ctx(KnowledgeScope::Local);
         let d = decide(&ctx, Coord::new(0, 0), Coord::new(3, 3), None);
         assert_eq!(d, Decision::Step(Dir::PlusY));
     }
@@ -404,8 +391,8 @@ mod tests {
         // u sits on the bar's -X boundary column at (4,4) with the
         // destination in the critical region (8,6): stepping +X into the
         // shadow must be excluded.
-        let (set, model) = ctx_for(&BAR, ModelKind::B1);
-        let ctx = PhaseCtx { set: &set, model: &model, scope: KnowledgeScope::Local };
+        let net = ctx_for(&BAR, ModelKind::B1);
+        let ctx = net.ctx(KnowledgeScope::Local);
         let d = decide(&ctx, Coord::new(4, 4), Coord::new(8, 6), None);
         assert_eq!(d, Decision::Step(Dir::PlusY), "+X into the shadow must be excluded");
         // With a destination NOT in the critical region, +X is fine.
@@ -420,9 +407,9 @@ mod tests {
         // faulty and +Y enters that row. Under B1 the triple is not
         // stored at (2,5), so the walk goes in anyway (that is RB1's
         // miss, repaired by detours); global knowledge blocks the phase.
-        let (set, model) = ctx_for(&[(3, 5), (4, 6), (8, 7)], ModelKind::B1);
+        let net = ctx_for(&[(3, 5), (4, 6), (8, 7)], ModelKind::B1);
         let (u, t) = (Coord::new(2, 5), Coord::new(9, 7));
-        let ctx = PhaseCtx { set: &set, model: &model, scope: KnowledgeScope::Local };
+        let ctx = net.ctx(KnowledgeScope::Local);
         assert_eq!(decide(&ctx, u, t, None), Decision::Step(Dir::PlusY));
         let ctx = PhaseCtx { scope: KnowledgeScope::Global, ..ctx };
         assert_eq!(decide(&ctx, u, t, None), Decision::Blocked);
@@ -430,8 +417,8 @@ mod tests {
 
     #[test]
     fn exclusion_only_fires_on_entry() {
-        let (set, model) = ctx_for(&BAR, ModelKind::B1);
-        let ctx = PhaseCtx { set: &set, model: &model, scope: KnowledgeScope::Global };
+        let net = ctx_for(&BAR, ModelKind::B1);
+        let ctx = net.ctx(KnowledgeScope::Global);
         // (5,3) is already inside the shadow: the guard is past, and the
         // exclusion must NOT fire on the +X step to (6,3), still inside
         // (the pair is blocked; RB1's detour or RB2's planning deal with
@@ -444,15 +431,19 @@ mod tests {
     }
 
     /// A guard as `(F, base, profile)`.
-    type GuardView<'a> = (MccId, i32, &'a [i32]);
+    type GuardView<'a> = (MccId, i32, &'a [u16]);
 
     impl CriticalSet {
-        /// Every guard, Y-type then X-type.
-        fn guards(&self) -> [Vec<GuardView<'_>>; 2] {
-            [&self.y, &self.x].map(|guards| {
+        /// Every guard, Y-type then X-type, with the profile it reads.
+        fn guards<'a>(&self, bounds: &'a BoundarySet) -> [Vec<GuardView<'a>>; 2] {
+            [(&self.y, 0), (&self.x, 1)].map(|(guards, axis)| {
+                let profiles = bounds.profiles()[axis];
                 guards
                     .iter()
-                    .map(|g| (g.f, g.base, &self.profiles[g.at as usize..(g.at + g.len) as usize]))
+                    .map(|g| {
+                        let Region { base, at, len } = g.region;
+                        (g.f, base, &profiles[at as usize..(at + len) as usize])
+                    })
                     .collect()
             })
         }
@@ -460,38 +451,37 @@ mod tests {
 
     #[test]
     fn critical_set_follows_its_key() {
-        const MIN: i32 = i32::MIN;
         // Two single-cell MCCs: (5,5) has (5,9) in its Y-critical region,
         // (2,7) has (8,7) in its X-critical region.
-        let (set, model) = ctx_for(&[(5, 5), (2, 7)], ModelKind::B1);
-        let ctx = PhaseCtx { set: &set, model: &model, scope: KnowledgeScope::Local };
+        let net = ctx_for(&[(5, 5), (2, 7)], ModelKind::B1);
+        let ctx = net.ctx(KnowledgeScope::Local);
         let at = |set: &MccSet, c: Coord| set.mcc_at(c).expect("a fault is in an MCC");
-        let (f, g) = (at(&set, Coord::new(5, 5)), at(&set, Coord::new(2, 7)));
+        let (f, g) = (at(&net.set, Coord::new(5, 5)), at(&net.set, Coord::new(2, 7)));
         let mut cs = CriticalSet::default();
         // The shadow under (5,5): column 5 below row 5, after column 4.
         cs.retarget(&ctx, Coord::new(5, 9));
-        assert_eq!(cs.guards(), [vec![(f, 4, &[MIN, 5][..])], vec![]]);
+        assert_eq!(cs.guards(&net.bounds), [vec![(f, 4, &[0, 5][..])], vec![]]);
         // The shadow west of (2,7): row 7 west of column 2, after row 6.
         cs.retarget(&ctx, Coord::new(8, 7));
-        assert_eq!(cs.guards(), [vec![], vec![(g, 6, &[MIN, 2][..])]]);
+        assert_eq!(cs.guards(&net.bounds), [vec![], vec![(g, 6, &[0, 2][..])]]);
         cs.retarget(&ctx, Coord::new(5, 9));
-        assert_eq!(cs.guards(), [vec![(f, 4, &[MIN, 5][..])], vec![]], "back to the first target");
+        let back = cs.guards(&net.bounds);
+        assert_eq!(back, [vec![(f, 4, &[0, 5][..])], vec![]], "back to the first target");
         // The same target coordinate in the X-mirrored frame, where the
         // faults sit at (4,5) and (7,7): column 5 is empty there, so a
-        // set keyed on the target alone would be stale — ids and profile.
+        // set keyed on the target alone would be stale — ids and region.
         let flipped = Orientation { flip_x: true, flip_y: false };
-        let fs = FaultSet::from_coords(*set.mesh(), [Coord::new(5, 5), Coord::new(2, 7)]);
-        let fset = MccSet::build(&fs, flipped, BorderPolicy::Open);
-        let fmodel = InfoModel::build(&fset, ModelKind::B1);
-        let fctx = PhaseCtx { set: &fset, model: &fmodel, scope: KnowledgeScope::Local };
+        let fs = FaultSet::from_coords(*net.set.mesh(), [Coord::new(5, 5), Coord::new(2, 7)]);
+        let fnet = Analysis::new(&fs, flipped, ModelKind::B1);
+        let fctx = fnet.ctx(KnowledgeScope::Local);
         cs.retarget(&fctx, Coord::new(5, 9));
         assert_eq!(cs.key, Some((flipped, Coord::new(5, 9))));
-        assert_eq!(cs.guards(), [vec![], vec![]]);
-        assert!(cs.profiles.is_empty(), "a re-key keeps no profile");
+        assert_eq!(cs.guards(&fnet.bounds), [vec![], vec![]]);
         // One column west the mirrored (5,5) is critical again, with the
         // mirrored profile.
         cs.retarget(&fctx, Coord::new(4, 9));
-        assert_eq!(cs.guards(), [vec![(at(&fset, Coord::new(4, 5)), 3, &[MIN, 5][..])], vec![]]);
+        let mirrored = at(&fnet.set, Coord::new(4, 5));
+        assert_eq!(cs.guards(&fnet.bounds), [vec![(mirrored, 3, &[0, 5][..])], vec![]]);
         cs.clear();
         assert_eq!(cs.key, None);
     }
@@ -501,16 +491,14 @@ mod tests {
         // The walk down from (5,8)'s corner hits the MCC at (4,3), whose
         // shadow merges into the region: columns 4 and 5, below rows 3
         // and 8.
-        let mesh = Mesh::square(12);
-        let fs = FaultSet::from_coords(mesh, [Coord::new(5, 8), Coord::new(4, 3)]);
-        let set = MccSet::build(&fs, Orientation::IDENTITY, BorderPolicy::Open);
-        let model = InfoModel::build(&set, ModelKind::B2);
-        let ctx = PhaseCtx { set: &set, model: &model, scope: KnowledgeScope::Global };
-        let f = set.mcc_at(Coord::new(5, 8)).expect("F");
+        let fs = FaultSet::from_coords(Mesh::square(12), [Coord::new(5, 8), Coord::new(4, 3)]);
+        let net = Analysis::new(&fs, Orientation::IDENTITY, ModelKind::B2);
+        let ctx = net.ctx(KnowledgeScope::Global);
+        let f = net.set.mcc_at(Coord::new(5, 8)).expect("F");
         let mut cs = CriticalSet::default();
         cs.retarget(&ctx, Coord::new(5, 11));
-        assert_eq!(cs.guards(), [vec![(f, 3, &[i32::MIN, 3, 8][..])], vec![]]);
-        let enters = |x, y| cs.y[0].entered(&cs.profiles, x, y);
+        assert_eq!(cs.guards(&net.bounds), [vec![(f, 3, &[0, 3, 8][..])], vec![]]);
+        let enters = |x, y| cs.y[0].entered(net.bounds.profiles()[0], x, y);
         assert!(enters(3, 0) && enters(3, 2), "into column 4 under (4,3)");
         assert!(!enters(3, 3) && !enters(3, 7), "beside or above (4,3): column 4 is open there");
         assert!(enters(4, 3) && enters(4, 7), "from above (4,3) into column 5 under (5,8)");
@@ -520,8 +508,8 @@ mod tests {
 
     #[test]
     fn avoid_excludes_the_preceding_node() {
-        let (set, model) = ctx_for(&[], ModelKind::B1);
-        let ctx = PhaseCtx { set: &set, model: &model, scope: KnowledgeScope::Local };
+        let net = ctx_for(&[], ModelKind::B1);
+        let ctx = net.ctx(KnowledgeScope::Local);
         // Step 3 would take +X: nothing is critical.
         let d = decide(&ctx, Coord::new(0, 0), Coord::new(1, 1), Some(Coord::new(1, 0)));
         assert_eq!(d, Decision::Step(Dir::PlusY));
@@ -529,14 +517,10 @@ mod tests {
 
     /// Every MCC analysis the routers could hand to `decide` for one
     /// fault set: four orientations x three models.
-    fn analyses(fs: &FaultSet) -> Vec<(MccSet, [InfoModel; 3])> {
+    fn analyses(fs: &FaultSet) -> Vec<[Analysis; 3]> {
         Orientation::ALL
             .iter()
-            .map(|&o| {
-                let set = MccSet::build(fs, o, BorderPolicy::Open);
-                let models = ModelKind::ALL.map(|kind| InfoModel::build(&set, kind));
-                (set, models)
-            })
+            .map(|&o| ModelKind::ALL.map(|kind| Analysis::new(fs, o, kind)))
             .collect()
     }
 
@@ -563,11 +547,11 @@ mod tests {
             let nets = analyses(&fs);
             let mut critical = CriticalSet::default();
             for _ in 0..288 {
-                let (set, models) = &nets[rng.gen_range(0..4usize)];
-                let model = &models[rng.gen_range(0..3usize)];
+                let net = &nets[rng.gen_range(0..4usize)][rng.gen_range(0..3usize)];
+                let (set, model) = (&net.set, &net.model);
                 let scope =
                     if rng.gen_range(0..2) == 0 { KnowledgeScope::Local } else { KnowledgeScope::Global };
-                let ctx = PhaseCtx { set, model, scope };
+                let ctx = net.ctx(scope);
                 let ou = Coord::new(rng.gen_range(0..n), rng.gen_range(0..n));
                 // Half the draws keep the previous target (a phase in
                 // progress), half move it.
@@ -589,6 +573,52 @@ mod tests {
                     set.orientation(), model.kind(), scope, ou, ot, avoid,
                     fs.iter().collect::<Vec<_>>()
                 );
+            }
+        }
+
+        /// Every stored region is the flattened union of its merge list's
+        /// shadows: over walled meshes, all four orientations, both axes
+        /// and every MCC, a node lies under the stored profile exactly
+        /// when a merged member's shadow holds it — on the region's lines
+        /// and one past either end — and the profile spans exactly the
+        /// members' lines.
+        #[test]
+        fn stored_regions_are_the_merged_shadows(
+            ((w, h), density, seed) in ((4i32..20, 4i32..20), 0usize..31, 0u64..u64::MAX)
+        ) {
+            let mesh = Mesh::new(w as u32, h as u32);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let net = crate::NetView::build(crate::oracle::tests::walled_faults(mesh, density, &mut rng));
+            for o in Orientation::ALL {
+                let (set, bounds) = (net.mccs(o), net.bounds(o));
+                for f in set.iter().map(|m| m.id()) {
+                    let b = bounds.get(f);
+                    for (axis, merged) in [(0, b.merged_y()), (1, b.merged_x())] {
+                        let Region { base, at, len } = b.regions()[axis];
+                        let profile = &bounds.profiles()[axis][at as usize..(at + len) as usize];
+                        // A Y-region's lines are columns, an X-region's rows.
+                        let (lines, span) = if axis == 0 { (w, h) } else { (h, w) };
+                        let extent = |g: MccId| {
+                            let g = set.get(g);
+                            if axis == 0 { (g.x0(), g.x1()) } else { (g.bbox().y0, g.bbox().y1) }
+                        };
+                        let first = merged.iter().map(|&g| extent(g).0).min();
+                        let last = merged.iter().map(|&g| extent(g).1).max();
+                        prop_assert_eq!((first, last), (Some(base + 1), Some(base + len as i32 - 1)));
+                        prop_assert_eq!(profile[0], 0);
+                        for line in (base - 1).max(0)..=(base + len as i32).min(lines - 1) {
+                            for across in 0..span {
+                                let c = if axis == 0 { Coord::new(line, across) } else { Coord::new(across, line) };
+                                let shadowed = merged.iter().any(|&g| {
+                                    if axis == 0 { set.get(g).shadow_y(c) } else { set.get(g).shadow_x(c) }
+                                });
+                                let i = line - base;
+                                let stored = i > 0 && i < len as i32 && across < i32::from(profile[i as usize]);
+                                prop_assert_eq!(stored, shadowed, "{:?} {:?} axis {} at {:?}", o, f, axis, c);
+                            }
+                        }
+                    }
+                }
             }
         }
     }

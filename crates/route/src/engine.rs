@@ -193,6 +193,8 @@ pub(crate) struct Visited {
     /// The message's first node, visited once before any hop (kept
     /// apart so a state is usable before a mesh is known).
     start: Coord,
+    /// `start`'s node id once a walk begins (`usize::MAX` off the mesh).
+    start_id: usize,
     /// The mesh `marks` is indexed for; `None` until a walk begins.
     mesh: Option<Mesh>,
     /// `generation << 32 | hops onto the node` per node id; a count is
@@ -204,7 +206,7 @@ pub(crate) struct Visited {
 
 impl Visited {
     pub(crate) fn new(start: Coord) -> Self {
-        Visited { start, mesh: None, marks: Vec::new(), generation: 1 }
+        Visited { start, start_id: usize::MAX, mesh: None, marks: Vec::new(), generation: 1 }
     }
 
     /// Resets to a fresh message starting at `start`, keeping the
@@ -231,6 +233,7 @@ impl Visited {
         }
         debug_assert!(self.mesh.is_none(), "a message walks one mesh");
         self.mesh = Some(*mesh);
+        self.start_id = mesh.try_id(self.start).map_or(usize::MAX, |id| id.index());
         if self.marks.len() < mesh.len() {
             // No mark is live when the layout changes, so growing is a
             // fresh zeroed allocation: a one-message state pays for the
@@ -244,7 +247,12 @@ impl Visited {
     /// # Panics
     /// Panics when no walk has [begun](Visited::begin).
     pub(crate) fn insert(&mut self, c: Coord) {
-        let id = self.mesh.expect("a walk begins before it hops").id(c).index();
+        self.insert_id(self.mesh.expect("a walk begins before it hops").id(c).index());
+    }
+
+    /// Counts a hop onto node `id` of the walk's mesh.
+    #[inline]
+    pub(crate) fn insert_id(&mut self, id: usize) {
         let mark = &mut self.marks[id];
         if (*mark >> 32) as u32 != self.generation {
             *mark = u64::from(self.generation) << 32;
@@ -255,18 +263,18 @@ impl Visited {
     /// How often the message has been at `c` (0 outside the mesh).
     #[inline]
     pub(crate) fn count(&self, c: Coord) -> u32 {
-        let hops = match self.mesh.and_then(|m| m.try_id(c)) {
-            Some(id) => {
-                let mark = self.marks[id.index()];
-                if (mark >> 32) as u32 == self.generation {
-                    mark as u32
-                } else {
-                    0
-                }
-            }
-            None => 0,
-        };
-        hops + u32::from(c == self.start)
+        match self.mesh.and_then(|m| m.try_id(c)) {
+            Some(id) => self.count_id(id.index()),
+            None => u32::from(c == self.start),
+        }
+    }
+
+    /// How often the message has been at node `id` of the walk's mesh.
+    #[inline]
+    pub(crate) fn count_id(&self, id: usize) -> u32 {
+        let mark = self.marks[id];
+        let hops = if (mark >> 32) as u32 == self.generation { mark as u32 } else { 0 };
+        hops + u32::from(id == self.start_id)
     }
 
     pub(crate) fn contains(&self, c: Coord) -> bool {

@@ -12,7 +12,8 @@ use meshpath_mesh::{components, Coord, FaultSet, FxHashSet, Grid, Mesh, Orientat
 ///
 /// * the fault set itself (local fault detection),
 /// * the MCC labeling and components for all four orientations,
-/// * the boundary walks of every MCC for all four orientations,
+/// * the boundary walks and forbidden regions of every MCC for all four
+///   orientations,
 /// * the B2 information model for all four orientations,
 /// * the rectangular fault blocks (E-cube baseline).
 ///
@@ -284,6 +285,12 @@ impl Network {
     #[inline]
     pub fn mccs(&self, o: Orientation) -> &MccSet {
         &self.mccs[o.index()]
+    }
+
+    /// Boundary walks, merge lists and forbidden regions for one orientation.
+    #[inline]
+    pub fn bounds(&self, o: Orientation) -> &BoundarySet {
+        &self.bounds[o.index()]
     }
 
     /// Information model of `kind` for one orientation. B2 is built with

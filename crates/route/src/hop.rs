@@ -18,16 +18,17 @@
 //! Algorithm 5 also plans once a *phase* and then only takes Algorithm-2
 //! steps until the phase target, and a phase fixes most of what a
 //! decision looks up. So the engine of RB1/RB2/RB3 (`drive_phased`) runs
-//! a clean Manhattan phase as one loop, with the orientation, its MCC set
-//! and model, the oriented target and the two real directions hoisted
-//! (`routers::Phase`). The loop keeps `decide`'s tests that can change
-//! mid-phase — destination or target reached, a ninth visit, the frame
-//! flipping on the target's column or row, a blocked step — and hands the
-//! hop back to `decide` when one fires; it does not start with a walk, a
-//! forced path or a dead plan pending, with the preceding node ahead, or
-//! under `MESHPATH_LOG=trace`. A hop is recorded in one place and costs
-//! one unit of budget either way, and [`drive`] over the same `decide` is
-//! the per-hop engine the tests hold the loop to.
+//! a clean Manhattan phase as one loop (`routers::Phase::run`): the frame,
+//! its MCCs and model and the critical set are fixed once, and a hop
+//! steps the oriented and the real node id by ±1 / ±width, reading two
+//! labels, the guards' profile entries and a visit count by id. The loop
+//! keeps `decide`'s tests that can change mid-phase — destination or
+//! target reached, a ninth visit, a mirrored axis reaching the target's
+//! line, a blocked step — and hands the hop back to `decide` when one
+//! fires; it does not start with a walk, a forced path or a dead plan
+//! pending, with the preceding node ahead, or under `MESHPATH_LOG=trace`.
+//! A hop costs one unit of budget either way, and [`drive`] over the same
+//! `decide` is the per-hop engine the tests hold the loop to.
 
 use meshpath_mesh::{Coord, Dir, FxHashSet, HopSeq};
 
@@ -247,8 +248,8 @@ pub fn drive(
 /// [`drive`] that runs a clean Manhattan phase as one loop, given in
 /// `run` what the router's phases read and whether they follow a plan:
 /// after every hop it asks for the [`Phase`] the message is in
-/// ([`Phase::clean`]), and while there is one, [`Phase::run_step`] takes
-/// the hops `decide` would have taken. The hop a run hands back is
+/// ([`Phase::clean`]), and when there is one, [`Phase::run`] takes the
+/// hops `decide` would have taken. The hop a run hands back is
 /// `decide`'s, as every hop is under `None`.
 pub(crate) fn drive_phased(
     view: &NetView,
@@ -262,15 +263,6 @@ pub(crate) fn drive_phased(
     let mut u = s;
     let mut delivered = false;
     state.visited.begin(view.mesh());
-    // The one place a hop is recorded.
-    let hop = |state: &mut HopState, dirs: &mut HopSeq, u: &mut Coord, dir: Dir| {
-        let v = u.step(dir);
-        debug_assert!(view.mesh().contains(v), "hop {dir:?} from {u:?} leaves the mesh");
-        state.prev = Some(*u);
-        *u = v;
-        state.visited.insert(v);
-        dirs.push(dir);
-    };
     // One unit a decision, whoever makes it.
     let mut budget = hop_budget(view);
     while budget > 0 {
@@ -282,13 +274,14 @@ pub(crate) fn drive_phased(
                 break;
             }
             Decision::Hop(dir) => {
-                hop(state, &mut dirs, &mut u, dir);
+                let v = u.step(dir);
+                debug_assert!(view.mesh().contains(v), "hop {dir:?} from {u:?} leaves the mesh");
+                state.prev = Some(u);
+                u = v;
+                state.visited.insert(v);
+                dirs.push(dir);
                 if let Some(phase) = run.and_then(|run| Phase::clean(view, state, (u, d), run)) {
-                    while budget > 0 {
-                        let Some(dir) = phase.run_step(u, d, state) else { break };
-                        budget -= 1;
-                        hop(state, &mut dirs, &mut u, dir);
-                    }
+                    phase.run(&mut u, d, state, &mut dirs, &mut budget);
                 }
             }
             Decision::Replan => {}
@@ -669,6 +662,43 @@ mod tests {
         assert_eq!(res.hops(), 11);
         assert_eq!(asked.len(), 3, "{asked:?}");
         assert_eq!((asked[0], asked[1].x, asked[2]), (s, d.x, d));
+    }
+
+    #[test]
+    fn a_mirrored_run_hands_back_on_the_targets_column() {
+        // Towards the north-west, onto a destination walled in on its east
+        // and north: the X-mirrored frame keeps a guard (the fault east of
+        // (3,7)), so the walk takes the longer remainder, ties to X, and
+        // meets the destination's column one hop short of its row. There
+        // the frame flips back to the identity, where (3,7) is useless:
+        // no Algorithm-2 step leads in, and RB1 enters it by its
+        // wall-following detour. A run that missed the flip would step in.
+        let faults = [Coord::new(4, 7), Coord::new(3, 8)];
+        let net = NetView::build(FaultSet::from_coords(Mesh::square(10), faults));
+        let (s, d) = (Coord::new(7, 3), Coord::new(3, 7));
+        let rb1 = Rb1::default();
+        let alg = (ModelKind::B1, rb1.scope);
+        let decide = |view: &NetView, ctx: HopCtx<'_>| rb1.decide(view, ctx);
+        let (res, asked) = both_ways(&net, (s, d), (alg, false), |_| (), decide);
+        assert_eq!((res.hops(), res.detour_hops), (s.manhattan(d), 1));
+        assert_eq!(asked, [s, Coord::new(3, 6), d]);
+    }
+
+    #[test]
+    fn a_mirrored_run_follows_the_east_and_north_border() {
+        // A wall one column in from the east border of a 7x13 mesh: from
+        // the south-east corner to the north-west one, the walk climbs the
+        // east border and turns west along the north border, in one run of
+        // the X-mirrored frame — where the real node id moves by -1 a step
+        // west while the oriented one moves by +1.
+        let mesh = Mesh::new(7, 13);
+        let net = NetView::build(FaultSet::from_coords(mesh, (0..12).map(|y| Coord::new(5, y))));
+        let (s, d) = (Coord::new(6, 0), Coord::new(0, 12));
+        let (res, asked) = rb2_both_ways(&net, s, d);
+        assert!(res.delivered);
+        let along = [&[Dir::PlusY; 12][..], &[Dir::MinusX; 6]].concat();
+        assert_eq!(res.dirs.iter().collect::<Vec<_>>(), along);
+        assert_eq!(asked, [s, d]);
     }
 
     #[test]

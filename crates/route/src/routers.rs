@@ -16,7 +16,7 @@
 //! phase.
 
 use meshpath_info::ModelKind;
-use meshpath_mesh::{Coord, Dir, Orientation};
+use meshpath_mesh::{Coord, Dir, HopSeq, Orientation};
 
 use crate::alg2::{decide as alg2_decide, CriticalSet, Decision as PhaseDecision, PhaseCtx};
 use crate::engine::least_visited_step;
@@ -64,12 +64,11 @@ pub(crate) type Alg = (ModelKind, KnowledgeScope);
 /// What a Manhattan phase fixes: the frame that puts `target` in the
 /// `(+X, +Y)` quadrant, that frame's MCCs and model, the target in it,
 /// and the real directions of its `+X` and `+Y`. A per-hop decision
-/// builds one for one step; [`drive_phased`] builds one and steps until
-/// [`run_step`](Phase::run_step) hands back.
+/// builds one for one step; [`drive_phased`] builds one and
+/// [`run`](Phase::run)s it.
 pub(crate) struct Phase<'a> {
     pctx: PhaseCtx<'a>,
     o: Orientation,
-    target: Coord,
     ot: Coord,
     dirs: [Dir; 2],
 }
@@ -78,9 +77,10 @@ impl<'a> Phase<'a> {
     #[inline]
     fn toward(view: &'a NetView, u: Coord, target: Coord, (kind, scope): Alg) -> Self {
         let o = Orientation::normalizing(u, target);
-        let pctx = PhaseCtx { set: view.mccs(o), model: view.model(o, kind), scope };
+        let (set, model, bounds) = (view.mccs(o), view.model(o, kind), view.bounds(o));
+        let pctx = PhaseCtx { set, model, bounds, scope };
         let dirs = [o.apply_dir(Dir::PlusX), o.apply_dir(Dir::PlusY)];
-        Phase { pctx, o, target, ot: o.apply(view.mesh(), target), dirs }
+        Phase { pctx, o, ot: o.apply(view.mesh(), target), dirs }
     }
 
     /// One Algorithm-2 step from `u` (short of the target), never onto
@@ -122,21 +122,51 @@ impl<'a> Phase<'a> {
         (!ahead(phase.dirs[0]) && !ahead(phase.dirs[1])).then_some(phase)
     }
 
-    /// The next hop of the run from `u`, or `None` to hand the hop back
-    /// to `decide`: at the destination or the phase target, on a
-    /// thrashing node, where the frame flips (the walk reached the
-    /// target's column or row), or where the step is blocked. Every
-    /// check `decide` makes on a clean phase, none of the lookups.
-    #[inline]
-    pub(crate) fn run_step(&self, u: Coord, dst: Coord, state: &mut HopState) -> Option<Dir> {
-        if u == dst
-            || u == self.target
-            || state.visited.count(u) > THRASH_VISITS
-            || Orientation::normalizing(u, self.target) != self.o
+    /// Takes from `*u` the hops `decide` would take, until one of its
+    /// tests fires — at the destination or the phase target, on a
+    /// thrashing node, where the frame flips (a mirrored axis reached the
+    /// target's line) or where the step is blocked — or `budget` runs
+    /// out; a hop costs a unit and is recorded as `drive_phased` records
+    /// one. None of `decide`'s lookups: the critical set is keyed once,
+    /// and the walk steps its oriented and real node ids by ±1 / ±width.
+    pub(crate) fn run(
+        &self,
+        u: &mut Coord,
+        dst: Coord,
+        state: &mut HopState,
+        dirs: &mut HopSeq,
+        budget: &mut usize,
+    ) {
+        let mesh = self.pctx.set.mesh();
+        let width = mesh.width() as usize;
+        let masks = self.pctx.set.labeling().masks().as_slice();
+        let (o, ot, od) = (self.o, self.ot, self.o.apply(mesh, dst));
+        let mut ou = o.apply(mesh, *u);
+        let (mut oid, mut rid) = (mesh.id(ou).index(), mesh.id(*u).index());
+        let back = |step: usize, flip: bool| if flip { step.wrapping_neg() } else { step };
+        let real = [back(1, o.flip_x), back(width, o.flip_y)];
+        let flipped = |ou: Coord| o.flip_x && ou.x == ot.x || o.flip_y && ou.y == ot.y;
+        state.critical.retarget(&self.pctx, ot);
+        while *budget > 0
+            && ou != od
+            && ou != ot
+            && state.visited.count_id(rid) <= THRASH_VISITS
+            && !flipped(ou)
         {
-            return None;
+            // Step 1: a target strictly ahead keeps the neighbor in the mesh.
+            let p = [ot.x > ou.x && masks[oid + 1] == 0, ot.y > ou.y && masks[oid + width] == 0];
+            let PhaseDecision::Step(dir) = state.critical.choose(&self.pctx, ou, ot, p) else {
+                break;
+            };
+            let axis = usize::from(dir == Dir::PlusY);
+            *budget -= 1;
+            state.prev = Some(o.apply(mesh, ou));
+            ou = ou.step(dir);
+            (oid, rid) = (oid + [1, width][axis], rid.wrapping_add(real[axis]));
+            state.visited.insert_id(rid);
+            dirs.push(self.dirs[axis]);
         }
-        self.step(u, None, &mut state.critical)
+        *u = o.apply(mesh, ou);
     }
 }
 

@@ -84,6 +84,13 @@ fn a_cold_net_and_its_boundaries_fit_their_budgets() {
          ({:.0} %)",
         100.0 * bounds_mib / net_mib
     );
+    // The forbidden regions Algorithm 2 reads: two bytes a profile entry
+    // (the first line included), four a list end per MCC and axis.
+    let regions: usize = bounds
+        .iter()
+        .map(|b| b.profiles().iter().map(|p| 2 * p.len()).sum::<usize>() + 8 * b.iter().count())
+        .sum();
+    println!("of which the stored regions {:.3} MiB ({regions} B)", regions as f64 / MIB);
     assert!(net_mib <= NET_BUDGET_MIB, "NetView::build retains {net_mib:.3} MiB");
     assert!(bounds_mib <= BOUNDS_BUDGET_MIB, "four BoundarySets retain {bounds_mib:.3} MiB");
 

@@ -4,11 +4,12 @@
 //! `Network::build` of the final fault set — MCC labels (raw predicate
 //! masks), component extraction (ids, shapes and the per-row bit words
 //! the planner's feasibility fill reads), all three information models (stats
-//! *and* per-node knowledge bits), fault blocks, and the route results
+//! *and* per-node knowledge bits), the forbidden regions, fault blocks, and the route results
 //! of RB1/RB2/RB3 — regardless of whether each step took the
 //! incremental path or the merge/split full-rebuild fallback.
 
 use meshpath::fault::Labeling;
+use meshpath::info::{BoundarySet, Region};
 use meshpath::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -25,7 +26,7 @@ fn assert_equivalent(view: &NetView, faults: &FaultSet) {
         assert_eq!(la.unsafe_count(), lb.unsafe_count(), "unsafe count, {o:?}");
         assert_eq!(la.faulty_count(), lb.faulty_count(), "faulty count, {o:?}");
         for oc in mesh.iter() {
-            assert_eq!(la.raw_mask(oc), lb.raw_mask(oc), "label mask at {oc:?}, {o:?}");
+            assert_eq!(la.masks()[oc], lb.masks()[oc], "label mask at {oc:?}, {o:?}");
             assert_eq!(a.mcc_at(oc), b.mcc_at(oc), "component id at {oc:?}, {o:?}");
         }
         // Row words: equal to the fresh build's, and exactly the union of
@@ -67,8 +68,17 @@ fn assert_equivalent(view: &NetView, faults: &FaultSet) {
             for id in 0..a.len() as u32 {
                 assert_eq!(ia.succ_y(MccId(id)), ib.succ_y(MccId(id)), "{kind:?} succ_y {id}");
                 assert_eq!(ia.succ_x(MccId(id)), ib.succ_x(MccId(id)), "{kind:?} succ_x {id}");
-                assert_eq!(ia.merged_y(MccId(id)), ib.merged_y(MccId(id)), "merged_y {id}");
-                assert_eq!(ia.merged_x(MccId(id)), ib.merged_x(MccId(id)), "merged_x {id}");
+            }
+        }
+        // The forbidden regions Algorithm 2 reads, one copy per orientation.
+        for id in (0..a.len() as u32).map(MccId) {
+            for axis in 0..2 {
+                let region = |bounds: &BoundarySet| {
+                    let Region { base, at, len } = bounds.get(id).regions()[axis];
+                    (base, bounds.profiles()[axis][at as usize..(at + len) as usize].to_vec())
+                };
+                let (ra, rb) = (region(view.bounds(o)), region(full.bounds(o)));
+                assert_eq!(ra, rb, "region {axis} of {id:?}, {o:?}");
             }
         }
     }
