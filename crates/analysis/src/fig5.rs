@@ -133,7 +133,9 @@ pub fn fig5d(res: &SweepResult) -> Table {
 }
 
 /// Fig. 5(e): relative error of the achieved routing path length to the
-/// shortest-path length, for E-cube / RB1 / RB2 / RB3.
+/// shortest-path length, for E-cube / RB1 / RB2 / RB3, over the pairs
+/// each router delivered (the diagnostics' `*_del` columns); `-` where it
+/// delivered none.
 pub fn fig5e(res: &SweepResult) -> Table {
     let mut t = Table::new(
         "Fig 5(e) - relative error of routing path to the shortest path",
@@ -142,7 +144,7 @@ pub fn fig5e(res: &SweepResult) -> Table {
     for (fc, recs) in res.by_count() {
         let mut row = vec![fc.to_string()];
         for idx in 0..4 {
-            row.push(f3(merged_router(recs, idx).rel_err()));
+            row.push(merged_router(recs, idx).rel_err().map_or_else(|| "-".into(), f3));
         }
         t.push_row(row);
     }
@@ -207,6 +209,23 @@ mod tests {
         let e_csv = figs.e.to_csv();
         let e0: Vec<&str> = e_csv.lines().nth(1).unwrap().split(',').collect();
         assert_eq!(e0[1], "0.000");
+    }
+
+    #[test]
+    fn a_router_that_delivered_no_pair_reads_as_a_dash() {
+        let cfg = SweepConfig {
+            mesh: 8,
+            fault_counts: vec![0],
+            configs_per_point: 1,
+            pairs_per_config: 2,
+            threads: 1,
+            ..Default::default()
+        };
+        let mut res = run_sweep(&cfg);
+        // E-cube refused every pair: no error to average, not a perfect router.
+        res.records[0][0].routing[0] = RouterAgg { pairs: 2, ..RouterAgg::default() };
+        let e_csv = fig5e(&res).to_csv();
+        assert_eq!(e_csv.lines().nth(1), Some("0,-,0.000,0.000,0.000"));
     }
 
     #[test]

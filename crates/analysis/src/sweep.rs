@@ -86,13 +86,9 @@ impl RouterAgg {
         }
     }
 
-    /// Mean relative error over delivered pairs.
-    pub(crate) fn rel_err(&self) -> f64 {
-        if self.delivered == 0 {
-            0.0
-        } else {
-            self.sum_rel_err / self.delivered as f64
-        }
+    /// Mean relative error over delivered pairs; `None` without one.
+    pub(crate) fn rel_err(&self) -> Option<f64> {
+        (self.delivered > 0).then(|| self.sum_rel_err / self.delivered as f64)
     }
 
     /// Merges another aggregate into this one.
@@ -186,7 +182,7 @@ pub(crate) fn run_config(mesh: Mesh, faults: FaultSet, pairs: usize, seed: u64) 
     let max_attempts = pairs * 400;
     // One scratch for every route of the configuration: its tables are
     // sized to the mesh once.
-    let mut scratch = HopState::new(Coord::new(0, 0));
+    let mut scratch = HopState::default();
     while routed < pairs && attempts < max_attempts {
         attempts += 1;
         let s = Coord::new(rng.gen_range(0..n), rng.gen_range(0..mesh.height() as i32));
@@ -323,7 +319,7 @@ mod tests {
         for agg in &rec.routing {
             assert_eq!(agg.pairs, 10);
             assert_eq!(agg.shortest, 10);
-            assert_eq!(agg.rel_err(), 0.0);
+            assert_eq!(agg.rel_err(), Some(0.0));
             assert_eq!(agg.shortest_pct(), 100.0);
         }
         for p in &rec.prop {

@@ -147,7 +147,7 @@ fn bench(c: &mut Criterion) {
     // The whole cold RB2 route over the same pairs, scratch reused as the
     // service's miss path reuses it.
     let rb2 = Rb2::default();
-    let mut state = HopState::new(direct[0].0);
+    let mut state = HopState::default();
     for (name, pairs) in
         [("rb2_route_64x64_204f/direct", &direct), ("rb2_route_64x64_204f/blocked", &blocked)]
     {

@@ -48,8 +48,8 @@
 //!
 //! A query the cache cannot answer first compares the endpoints'
 //! healthy-component labels (flooded once per epoch, on its first miss):
-//! a cut pair is [`RouteError::Unreachable`] in O(1), without walking the
-//! router's hop budget. Connected pairs run the router on one
+//! a cut pair is [`RouteError::Unreachable`] in O(1), without the
+//! router's fallback flood. Connected pairs run the router on one
 //! thread-local [`HopState`] ([`Router::route_with`]), so neither a
 //! single query nor a batch allocates router scratch.
 //!
@@ -99,9 +99,9 @@ pub enum RouteError {
         /// The query's destination.
         dst: Coord,
     },
-    /// The routing function gave up on a connected pair (exhausted its
-    /// hop budget). Not expected for the paper's routers; surfaced as
-    /// an error rather than a silent truncated path.
+    /// The routing function refused a connected pair (XY across a fault,
+    /// an RB1 or E-cube wall walk that closed its orbit); surfaced as an
+    /// error rather than a silent truncated path.
     Undelivered {
         /// The query's source.
         src: Coord,
@@ -202,7 +202,7 @@ thread_local! {
     static SERVED_CACHE: RefCell<Vec<ServedEntry>> = const { RefCell::new(Vec::new()) };
     /// Router scratch of every miss this thread computes, reset per
     /// query: its allocations are paid once per thread.
-    static SCRATCH: RefCell<HopState> = RefCell::new(HopState::new(Coord::new(0, 0)));
+    static SCRATCH: RefCell<HopState> = RefCell::new(HopState::default());
 }
 
 /// The query facade: answers concurrent route queries against the

@@ -10,30 +10,30 @@
 //! The paper's algorithms are distributed: every node makes a local
 //! forwarding decision from its own labeling status and stored triples.
 //! A [`Decision`] is that one local step, and `decide` is its definition;
-//! per-packet scratch (detour walls, visit counts, waypoint stacks — what
-//! the paper carries in the message header) travels in the [`HopState`]
-//! inside [`HopCtx`], so `decide` is `&self` and one router serves any
-//! number of concurrent queries over a shared [`NetView`] snapshot.
+//! per-packet scratch (detour walls, waypoint stacks — what the paper
+//! carries in the message header) travels in the [`HopState`] inside
+//! [`HopCtx`], so `decide` is `&self` and one router serves any number of
+//! concurrent queries over a shared [`NetView`] snapshot.
 //!
 //! Algorithm 5 also plans once a *phase* and then only takes Algorithm-2
 //! steps until the phase target, and a phase fixes most of what a
 //! decision looks up. So the engine of RB1/RB2/RB3 (`drive_phased`) runs
 //! a clean Manhattan phase as one loop (`routers::Phase::run`): the frame,
 //! its MCCs and model and the critical set are fixed once, and a hop
-//! steps the oriented and the real node id by ±1 / ±width, reading two
-//! labels, the guards' profile entries and a visit count by id. The loop
-//! keeps `decide`'s tests that can change mid-phase — destination or
-//! target reached, a ninth visit, a mirrored axis reaching the target's
-//! line, a blocked step — and hands the hop back to `decide` when one
-//! fires; it does not start with a walk, a forced path or a dead plan
-//! pending, with the preceding node ahead, or under `MESHPATH_LOG=trace`.
+//! steps the oriented node id by +1 / +width, reading two labels and the
+//! guards' profile entries. The loop keeps `decide`'s tests that can
+//! change mid-phase — destination or target reached, a mirrored axis
+//! reaching the target's line, a blocked step — and hands the hop back to
+//! `decide` when one fires; it does not start with a walk, a forced path
+//! or a dead plan pending, with the preceding node ahead, or under
+//! `MESHPATH_LOG=trace`.
 //! A hop costs one unit of budget either way, and [`drive`] over the same
 //! `decide` is the per-hop engine the tests hold the loop to.
 
 use meshpath_mesh::{Coord, Dir, FxHashSet, HopSeq};
 
 use crate::alg2::CriticalSet;
-use crate::engine::{hop_budget, Detour, RouteResult, Visited};
+use crate::engine::{hop_budget, Detour, RouteResult};
 use crate::oracle::FloodScratch;
 use crate::routers::{Alg, Phase};
 use crate::view::NetView;
@@ -72,18 +72,15 @@ pub struct HopCtx<'a> {
 }
 
 /// Per-message routing scratch: the state the paper's algorithms carry
-/// in the message header — detour walls, visit counts, the multi-phase
-/// waypoint stack, locally learned obstacles, the triples that can fire
-/// for the current phase target. Opaque to callers; create one per
-/// message with [`HopState::new`] and hand it to every
-/// [`Router::decide`] call for that message,
-/// all against the same snapshot.
-#[derive(Debug)]
+/// in the message header — the detour wall, the multi-phase waypoint
+/// stack, locally learned obstacles, the triples that can fire for the
+/// current phase target. Opaque to callers; create one per message with
+/// [`HopState::default`] and hand it to every [`Router::decide`] call for
+/// that message, all against the same snapshot.
+#[derive(Debug, Default)]
 pub struct HopState {
     pub(crate) prev: Option<Coord>,
-    pub(crate) visited: Visited,
     pub(crate) detour: Option<Detour>,
-    pub(crate) detour_run: u32,
     pub(crate) detour_hops: u32,
     pub(crate) replans: u32,
     pub(crate) fallbacks: u32,
@@ -91,7 +88,6 @@ pub struct HopState {
     pub(crate) waypoints: Vec<Coord>,
     pub(crate) forced: Option<(Vec<Coord>, usize)>,
     pub(crate) planned: bool,
-    pub(crate) healthy_mode: bool,
     /// Algorithm 2's target-keyed exclusion candidates (see
     /// [`CriticalSet`]): MCC ids of *this* message's snapshot.
     pub(crate) critical: CriticalSet,
@@ -102,38 +98,16 @@ pub struct HopState {
 }
 
 impl HopState {
-    /// Fresh scratch for a message injected at `src`.
-    pub fn new(src: Coord) -> Self {
-        HopState {
-            prev: None,
-            visited: Visited::new(src),
-            detour: None,
-            detour_run: 0,
-            detour_hops: 0,
-            replans: 0,
-            fallbacks: 0,
-            learned: FxHashSet::default(),
-            waypoints: Vec::new(),
-            forced: None,
-            planned: false,
-            healthy_mode: false,
-            critical: CriticalSet::default(),
-            flood: FloodScratch::default(),
-        }
-    }
-
-    /// Resets to fresh scratch for a new message injected at `src`,
-    /// keeping the heap allocations (visited table, learned set, waypoint
-    /// stack, critical set, flood labels) of the previous message. This
-    /// is the reuse entry point: [`Router::route_with`] resets one
-    /// `HopState` per query, so a caller that routes many messages — the
-    /// route service's miss path, the traffic path table — pays the
-    /// scratch allocations once instead of once per message.
-    pub(crate) fn reset(&mut self, src: Coord) {
+    /// Resets to fresh scratch for a new message, keeping the heap
+    /// allocations (learned set, waypoint stack, critical set, flood
+    /// labels) of the previous message. This is the reuse entry point:
+    /// [`Router::route_with`] resets one `HopState` per query, so a caller
+    /// that routes many messages — the route service's miss path, the
+    /// traffic path table — pays the scratch allocations once instead of
+    /// once per message.
+    pub(crate) fn reset(&mut self) {
         self.prev = None;
-        self.visited.reset(src);
         self.detour = None;
-        self.detour_run = 0;
         self.detour_hops = 0;
         self.replans = 0;
         self.fallbacks = 0;
@@ -141,34 +115,19 @@ impl HopState {
         self.waypoints.clear();
         self.forced = None;
         self.planned = false;
-        self.healthy_mode = false;
         self.critical.clear();
     }
 
-    /// Drops an exhausted wall-following detour (owner bookkeeping
-    /// shared by every detouring router).
-    pub(crate) fn clear_exhausted_detour(&mut self) -> bool {
-        if self.detour.as_ref().is_some_and(|d| d.exhausted) {
-            self.detour = None;
-            self.detour_run = 0;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// One step of the blocked-phase rule RB1/RB2/RB3 and E-cube share
-    /// (Algorithm 3 step 3, "route around the MCC in clockwise
-    /// direction"): the one place a [`Detour`] starts, continues or
-    /// ends. `want` is the neighbor of `u` the router would step to,
-    /// `None` when it is blocked. Outside a walk `want` is taken as it
-    /// stands, and without one a walk starts around the obstacle met
-    /// moving `toward`. Inside a walk the wall is followed until `want`
-    /// is unvisited (leaving into a visited node invites a livelock)
-    /// or `patience` wall steps have passed (a full orbit's worth:
-    /// breaks rare starvation around big clusters). `None` when `free`
-    /// blocks every side of `u`; a walk that cannot take its first step
-    /// is not stored.
+    /// One step of the wall walk RB1 and E-cube share (Algorithm 3 step
+    /// 3, "route around the MCC in clockwise direction"): the one place a
+    /// [`Detour`] starts, continues or ends. `want` is the neighbor of
+    /// `u` the router would step to, `None` when it is blocked. Outside a
+    /// walk `want` is taken as it stands, and without one a walk starts
+    /// around the obstacle met moving `toward`. Inside a walk the wall is
+    /// followed until `want` is strictly closer to `goal` than the node
+    /// the walk began at (Bug2's leave rule), so each walk starts closer
+    /// than the last. `None` when `free` blocks every side of `u` or the
+    /// walk's orbit closed: the router refuses the pair.
     #[inline]
     pub(crate) fn wall_step(
         &mut self,
@@ -176,26 +135,17 @@ impl HopState {
         want: Option<Coord>,
         toward: Dir,
         free: impl Fn(Coord) -> bool,
-        patience: u32,
+        goal: Coord,
     ) -> Option<Coord> {
         if let Some(v) = want {
-            if self.detour.is_none() || !self.visited.contains(v) || self.detour_run >= patience {
+            if self.detour.as_ref().is_none_or(|det| v.manhattan(goal) < det.hit) {
                 self.detour = None;
-                self.detour_run = 0;
                 return Some(v);
             }
         }
-        let next = match &mut self.detour {
-            Some(det) => det.step(u, free, &self.visited),
-            None => {
-                let mut det = Detour::around(toward);
-                let first = det.step(u, free, &self.visited);
-                self.detour = first.map(|_| det);
-                first
-            }
-        }?;
+        let det = self.detour.get_or_insert_with(|| Detour::around(toward, u.manhattan(goal)));
+        let next = det.step(u, free)?;
         self.detour_hops += 1;
-        self.detour_run += 1;
         Some(next)
     }
 }
@@ -219,7 +169,7 @@ pub trait Router {
     ///
     /// [`decide`]: Router::decide
     fn route(&self, view: &NetView, s: Coord, d: Coord) -> RouteResult {
-        self.route_with(view, s, d, &mut HopState::new(s))
+        self.route_with(view, s, d, &mut HopState::default())
     }
 
     /// [`route`](Router::route) reusing caller-provided scratch: the
@@ -227,7 +177,7 @@ pub trait Router {
     /// so batched callers amortize the per-message heap allocations
     /// across a whole batch.
     fn route_with(&self, view: &NetView, s: Coord, d: Coord, state: &mut HopState) -> RouteResult {
-        state.reset(s);
+        state.reset();
         drive(view, s, d, state, |view, ctx| self.decide(view, ctx))
     }
 }
@@ -262,7 +212,6 @@ pub(crate) fn drive_phased(
     let mut dirs = HopSeq::new();
     let mut u = s;
     let mut delivered = false;
-    state.visited.begin(view.mesh());
     // One unit a decision, whoever makes it.
     let mut budget = hop_budget(view);
     while budget > 0 {
@@ -278,7 +227,6 @@ pub(crate) fn drive_phased(
                 debug_assert!(view.mesh().contains(v), "hop {dir:?} from {u:?} leaves the mesh");
                 state.prev = Some(u);
                 u = v;
-                state.visited.insert(v);
                 dirs.push(dir);
                 if let Some(phase) = run.and_then(|run| Phase::clean(view, state, (u, d), run)) {
                     phase.run(&mut u, d, state, &mut dirs, &mut budget);
@@ -454,7 +402,7 @@ mod tests {
         let net = NetView::build(FaultSet::none(Mesh::square(6)));
         let router: Box<dyn Router + Send + Sync> = RoutingKind::Rb2.router();
         let (s, d) = (Coord::new(0, 0), Coord::new(5, 5));
-        let mut st = HopState::new(s);
+        let mut st = HopState::default();
         let mut here = s;
         for _ in 0..10 {
             match router.decide(&net, HopCtx { src: s, dst: d, here, hops: 0, state: &mut st }) {
@@ -477,7 +425,7 @@ mod tests {
         ];
         for kind in RoutingKind::ALL {
             let router = kind.router();
-            let mut state = HopState::new(pairs[0].0);
+            let mut state = HopState::default();
             for (s, d) in pairs {
                 let reused = router.route_with(&net, s, d, &mut state);
                 assert_eq!(reused, router.route(&net, s, d), "{} {s:?}->{d:?}", kind.name());
@@ -507,7 +455,7 @@ mod tests {
         let scope = KnowledgeScope::Global;
         let routers: [&dyn Router; 3] = [&Rb1 { scope }, &Rb2 { scope }, &Rb3 { scope }];
         for router in routers {
-            let mut state = HopState::new(s);
+            let mut state = HopState::default();
             for net in [&b, &a, &c, &a, &b, &c] {
                 let reused = router.route_with(net, s, d, &mut state);
                 assert_eq!(reused, router.route(net, s, d), "{}", router.name());
@@ -515,7 +463,7 @@ mod tests {
             }
             // The walk left a key behind; `reset` forgets it.
             assert!(state.critical.is_keyed());
-            state.reset(s);
+            state.reset();
             assert!(!state.critical.is_keyed());
         }
 
@@ -532,7 +480,7 @@ mod tests {
         let corners = [Coord::new(0, 0), Coord::new(11, 0), Coord::new(0, 11), Coord::new(11, 11)];
         for kind in [RoutingKind::Rb1, RoutingKind::Rb2, RoutingKind::Rb3] {
             let router = kind.router();
-            let mut state = HopState::new(corners[0]);
+            let mut state = HopState::default();
             for d in [Coord::new(5, 9), Coord::new(6, 2), Coord::new(5, 4)] {
                 for s in corners {
                     for net in [&a, &b] {
@@ -544,53 +492,54 @@ mod tests {
         }
     }
 
-    /// A walker on a 5x5 mesh at (1,1), blocked by (2,1) on its way
-    /// `+X`, one wall step into the walk around it: parked at (1,0).
+    /// The goal of the walk in [`one_step_into_a_walk`].
+    const GOAL: Coord = Coord::new(3, 1);
+
+    /// A walker on a 5x5 mesh at (1,1), bound for [`GOAL`] and blocked by
+    /// (2,1) on its way `+X`, one wall step into the walk around it:
+    /// parked at (1,0). The walk began 2 hops from the goal.
     fn one_step_into_a_walk() -> (HopState, impl Fn(Coord) -> bool + Copy) {
         let mesh = Mesh::square(5);
         let free = move |c: Coord| mesh.contains(c) && c != Coord::new(2, 1);
         let start = Coord::new(1, 1);
-        let mut st = HopState::new(start);
-        st.visited.begin(&mesh);
-        assert_eq!(st.wall_step(start, None, Dir::PlusX, free, 2), Some(Coord::new(1, 0)));
-        st.visited.insert(Coord::new(1, 0));
-        assert!(st.detour.is_some());
-        assert_eq!((st.detour_hops, st.detour_run), (1, 1));
+        let mut st = HopState::default();
+        assert_eq!(st.wall_step(start, None, Dir::PlusX, free, GOAL), Some(Coord::new(1, 0)));
+        assert_eq!(st.detour.as_ref().map(|det| det.hit), Some(2));
+        assert_eq!(st.detour_hops, 1);
         (st, free)
     }
 
     #[test]
-    fn wall_step_does_not_store_a_walk_that_cannot_take_its_first_step() {
+    fn wall_step_refuses_when_every_side_is_blocked() {
         let u = Coord::new(1, 1);
-        let mut st = HopState::new(u);
-        assert_eq!(st.wall_step(u, None, Dir::PlusX, |_| false, 2), None);
-        assert!(st.detour.is_none(), "E-cube's least-visited fallback starts from no walk");
-        assert_eq!((st.detour_hops, st.detour_run), (0, 0));
+        let mut st = HopState::default();
+        assert_eq!(st.wall_step(u, None, Dir::PlusX, |_| false, GOAL), None);
+        assert_eq!(st.detour_hops, 0);
     }
 
     #[test]
-    fn wall_step_leaves_the_walk_for_an_unvisited_want() {
+    fn wall_step_keeps_walking_past_a_want_that_is_not_closer() {
         let (mut st, free) = one_step_into_a_walk();
-        let want = Coord::new(0, 0);
-        assert_eq!(st.wall_step(Coord::new(1, 0), Some(want), Dir::PlusX, free, 2), Some(want));
-        assert!(st.detour.is_none());
-        assert_eq!((st.detour_hops, st.detour_run), (1, 0), "leaving is not a wall step");
-    }
-
-    #[test]
-    fn wall_step_refuses_a_visited_want_until_patience_runs_out() {
-        let (mut st, free) = one_step_into_a_walk();
-        // Back to the start: visited, and one wall step is not yet two.
-        let next = st.wall_step(Coord::new(1, 0), Some(Coord::new(1, 1)), Dir::PlusX, free, 2);
-        assert_eq!(next, Some(Coord::new(2, 0)), "the walk rounds the obstacle instead");
-        st.visited.insert(Coord::new(2, 0));
+        // Back to the start: 2 hops from the goal, as far as where the
+        // walk began, so the walk rounds the obstacle instead.
+        let next = st.wall_step(Coord::new(1, 0), Some(Coord::new(1, 1)), Dir::PlusX, free, GOAL);
+        assert_eq!(next, Some(Coord::new(2, 0)));
         assert!(st.detour.is_some());
-        assert_eq!((st.detour_hops, st.detour_run), (2, 2));
-        // Two wall steps in, a visited node is as good as any.
-        let back = Coord::new(1, 0);
-        assert_eq!(st.wall_step(Coord::new(2, 0), Some(back), Dir::PlusX, free, 2), Some(back));
+        assert_eq!(st.detour_hops, 2);
+    }
+
+    #[test]
+    fn wall_step_leaves_onto_a_strictly_closer_want() {
+        let (mut st, free) = one_step_into_a_walk();
+        assert_eq!(
+            st.wall_step(Coord::new(1, 0), None, Dir::PlusX, free, GOAL),
+            Some(Coord::new(2, 0))
+        );
+        // (3,0) is 1 hop from the goal: the walk ends there.
+        let want = Coord::new(3, 0);
+        assert_eq!(st.wall_step(Coord::new(2, 0), Some(want), Dir::PlusX, free, GOAL), Some(want));
         assert!(st.detour.is_none());
-        assert_eq!((st.detour_hops, st.detour_run), (2, 0));
+        assert_eq!(st.detour_hops, 2, "leaving is not a wall step");
     }
 
     #[test]
@@ -619,10 +568,10 @@ mod tests {
         prepare: impl Fn(&mut HopState),
         decide: impl Fn(&NetView, HopCtx<'_>) -> Decision,
     ) -> (RouteResult, Vec<Coord>) {
-        let mut state = HopState::new(s);
+        let mut state = HopState::default();
         prepare(&mut state);
         let per_hop = drive(net, s, d, &mut state, &decide);
-        let mut state = HopState::new(s);
+        let mut state = HopState::default();
         prepare(&mut state);
         let mut asked = Vec::new();
         let run = drive_phased(
@@ -716,29 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn a_run_hands_back_on_the_ninth_visit() {
-        let net = NetView::build(FaultSet::none(Mesh::square(8)));
-        let (s, d, busy) = (Coord::new(0, 3), Coord::new(7, 3), Coord::new(4, 3));
-        let rb2 = Rb2::default();
-        let alg = (ModelKind::B2, rb2.scope);
-        let mesh = *net.mesh();
-        let visited_before = |times: usize| {
-            move |state: &mut HopState| {
-                state.visited.begin(&mesh);
-                (0..times).for_each(|_| state.visited.insert(busy));
-            }
-        };
-        let decide = |view: &NetView, ctx: HopCtx<'_>| rb2.decide(view, ctx);
-        // The walk's own visit is the eighth: not thrashing yet.
-        let (res, asked) = both_ways(&net, (s, d), (alg, true), visited_before(7), decide);
-        assert_eq!((res.hops(), res.detour_hops, asked), (7, 0, vec![s, d]));
-        // The ninth is: the thrash guard's exploration step is `decide`'s.
-        let (res, asked) = both_ways(&net, (s, d), (alg, true), visited_before(8), decide);
-        assert_eq!(res.detour_hops, 1);
-        assert!(asked.contains(&busy), "{asked:?}");
-    }
-
-    #[test]
     fn a_run_hands_back_a_blocked_step() {
         // RB1 under local knowledge walks due north into the shadow of
         // (5,5) and is blocked under the fault: the walk around it starts
@@ -796,18 +722,21 @@ mod tests {
     }
 
     #[test]
-    fn an_exhausted_budget_is_spent_hop_for_hop() {
-        // A wall cuts the mesh: the message wanders until the budget is
-        // gone, a decision a unit whether `decide` or a run made it.
+    fn a_cut_pair_is_refused() {
+        // A wall cuts the mesh: RB1 and E-cube walk the west half's rim
+        // once and refuse; RB2 and RB3 find no fallback path and refuse
+        // where their phase is blocked. Either way a decision is a unit,
+        // whether `decide` or a run made it.
         let mesh = Mesh::square(8);
         let net = NetView::build(FaultSet::from_coords(mesh, (0..8).map(|y| Coord::new(4, y))));
         let (s, d) = (Coord::new(0, 0), Coord::new(7, 7));
-        for kind in [RoutingKind::Rb1, RoutingKind::Rb2, RoutingKind::Rb3] {
+        for kind in RoutingKind::ALL {
             let router = kind.router();
             let run = router.route(&net, s, d);
-            let per_hop = drive(&net, s, d, &mut HopState::new(s), |v, ctx| router.decide(v, ctx));
+            let per_hop =
+                drive(&net, s, d, &mut HopState::default(), |v, ctx| router.decide(v, ctx));
             assert_eq!(run, per_hop, "{}", kind.name());
-            assert!(!run.delivered && run.hops() as usize > mesh.len(), "{}", kind.name());
+            assert!(!run.delivered && (run.hops() as usize) < 2 * mesh.len(), "{}", kind.name());
         }
     }
 
@@ -839,13 +768,15 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-        /// RB1/RB2/RB3 x `Local`/`Global` route random pairs — cut ones
-        /// included, which exhaust the hop budget — exactly as the
-        /// per-hop engine does over the same `decide`: uniform faults
-        /// overlaid with walls and pockets, so runs end in every way they
-        /// can.
+        /// RB1/RB2/RB3 x `Local`/`Global` and E-cube route random pairs —
+        /// cut ones included — over uniform faults overlaid with walls and
+        /// pockets. Every route ends in a delivery or a refusal before the
+        /// hop budget runs out; each wall walk begins strictly closer to
+        /// the destination than the walk before it, and RB2/RB3 walk none;
+        /// and a route is exactly what the per-hop engine takes over the
+        /// same `decide`.
         #[test]
-        fn phase_runs_route_exactly_as_per_hop_decisions(
+        fn every_walk_ends(
             ((w, h), density, seed) in ((6i32..25, 6i32..25), 0usize..31, 0u64..u64::MAX)
         ) {
             use rand::{Rng, SeedableRng};
@@ -853,24 +784,45 @@ mod tests {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let net = NetView::build(crate::oracle::tests::walled_faults(mesh, density, &mut rng));
             let healthy: Vec<Coord> = mesh.iter().filter(|&c| net.faults().is_healthy(c)).collect();
-            let mut state = HopState::new(healthy[0]);
-            for scope in [KnowledgeScope::Local, KnowledgeScope::Global] {
-                let routers: [&dyn Router; 3] = [&Rb1 { scope }, &Rb2 { scope }, &Rb3 { scope }];
-                for _ in 0..12 {
-                    let s = healthy[rng.gen_range(0..healthy.len())];
-                    let d = healthy[rng.gen_range(0..healthy.len())];
-                    for router in routers {
-                        let run = router.route_with(&net, s, d, &mut state);
-                        let per_hop = drive(&net, s, d, &mut HopState::new(s), |view, ctx| {
-                            router.decide(view, ctx)
-                        });
-                        proptest::prop_assert_eq!(
-                            run, per_hop,
-                            "{} {:?} {:?}->{:?} over {:?}",
-                            router.name(), scope, s, d,
-                            net.faults().iter().collect::<Vec<_>>()
-                        );
+            let mut state = HopState::default();
+            let (local, global) = (KnowledgeScope::Local, KnowledgeScope::Global);
+            let routers: [&dyn Router; 7] = [
+                &Rb1 { scope: local }, &Rb1 { scope: global }, &Rb2 { scope: local },
+                &Rb2 { scope: global }, &Rb3 { scope: local }, &Rb3 { scope: global },
+                &crate::routers::ECube,
+            ];
+            for _ in 0..12 {
+                let s = healthy[rng.gen_range(0..healthy.len())];
+                let d = healthy[rng.gen_range(0..healthy.len())];
+                for router in routers {
+                    let run = router.route_with(&net, s, d, &mut state);
+                    let (mut decisions, mut starts) = (0, Vec::new());
+                    let per_hop = drive(&net, s, d, &mut HopState::default(), |view, ctx| {
+                        let HopCtx { src, dst, here, hops, state } = ctx;
+                        let walking = state.detour.is_some();
+                        decisions += 1;
+                        let decision =
+                            router.decide(view, HopCtx { src, dst, here, hops, state: &mut *state });
+                        if let Some(det) = state.detour.as_ref().filter(|_| !walking) {
+                            assert_eq!(det.hit, here.manhattan(dst), "a walk begins where it is");
+                            starts.push(det.hit);
+                        }
+                        decision
+                    });
+                    let case = format!(
+                        "{} {s:?}->{d:?} over {:?}",
+                        router.name(),
+                        net.faults().iter().collect::<Vec<_>>()
+                    );
+                    proptest::prop_assert!(decisions < hop_budget(&net), "budget ran out: {case}");
+                    proptest::prop_assert!(
+                        starts.windows(2).all(|w| w[1] < w[0]),
+                        "walks began at {starts:?}: {case}"
+                    );
+                    if router.name().starts_with("RB2") || router.name().starts_with("RB3") {
+                        proptest::prop_assert!(starts.is_empty(), "{case}");
                     }
+                    proptest::prop_assert_eq!(run, per_hop, "{}", case);
                 }
             }
         }

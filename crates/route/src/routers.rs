@@ -1,35 +1,29 @@
 //! The four routers evaluated in the paper's Fig. 5(d)/(e), phrased as
 //! per-hop [`Router::decide`] implementations over [`NetView`]
-//! snapshots. Each decide call replays exactly one iteration of the
-//! former whole-path loop: the per-message scratch (detours, visit
-//! counts, waypoint stacks, learned obstacles) lives in the
-//! [`HopState`] carried by [`HopCtx`], so a single router value serves
-//! concurrent queries.
+//! snapshots. The per-message scratch (the detour, waypoint stacks,
+//! learned obstacles) lives in the [`HopState`] carried by [`HopCtx`],
+//! so a single router value serves concurrent queries.
 //!
-//! Algorithms 3, 5 and 7 and E-cube's f-ring traversal share one
-//! blocked-phase rule, and there is one implementation of it:
-//! `HopState::wall_step` (in `hop.rs`) starts, continues and leaves
-//! every wall-following walk. A decider here only says where it wants
-//! to go, what counts as free, and what it tries before a walk starts.
-//! What a Manhattan phase fixes is one `Phase`: a decision builds it
-//! for one step, the engine's loop (`hop::drive_phased`) once a clean
-//! phase.
+//! Every route ends: it delivers or is refused (`Decision::Blocked`).
+//! RB1's Algorithm 3 and E-cube's f-ring traversal share one wall walk,
+//! `HopState::wall_step` (in `hop.rs`); a walk leaves its wall only
+//! closer to the destination than where it began, and a closed orbit is
+//! a refusal, so every hop outside a walk is productive and a route makes
+//! at most `D(s, d)` walks of at most one orbit each. RB2 and RB3
+//! (Algorithms 5 and 7) walk no walls: a blocked phase re-plans, then
+//! follows the fallback flood, which passes every healthy node, so a
+//! phase with no flood path is a cut pair and is refused. What a
+//! Manhattan phase fixes is one `Phase`: a decision builds it for one
+//! step, the engine's loop (`hop::drive_phased`) once a clean phase.
 
 use meshpath_info::ModelKind;
 use meshpath_mesh::{Coord, Dir, HopSeq, Orientation};
 
 use crate::alg2::{decide as alg2_decide, CriticalSet, Decision as PhaseDecision, PhaseCtx};
-use crate::engine::least_visited_step;
 use crate::engine::RouteResult;
 use crate::hop::{drive_phased, xy_next, Decision, HopCtx, HopState, Router};
 use crate::seq::{KnowledgeScope, Plan, Planner};
 use crate::view::NetView;
-
-/// Wall steps before a walk may leave onto a visited node: a full
-/// orbit's worth.
-fn detour_patience(view: &NetView) -> u32 {
-    4 * (view.mesh().width() + view.mesh().height())
-}
 
 /// The hop onto `next`, a neighbor of `u`; `Blocked` without one.
 #[inline]
@@ -38,23 +32,6 @@ fn hop_to(u: Coord, next: Option<Coord>) -> Decision {
         Some(w) => Decision::Hop(u.dir_to(w).expect("deciders step to a neighbor")),
         None => Decision::Blocked,
     }
-}
-
-/// Visits of one node past which a detouring decider counts as thrashing.
-const THRASH_VISITS: u32 = 8;
-
-/// Thrash guard of every detouring decider: revisiting `u` this often
-/// means the local decisions cycle, so degrade to the least-visited
-/// exploration walk, which covers the connected component and therefore
-/// terminates. `None` while `u` is not thrashing.
-#[inline]
-fn thrash_guard(view: &NetView, state: &mut HopState, u: Coord) -> Option<Decision> {
-    if state.visited.count(u) <= THRASH_VISITS {
-        return None;
-    }
-    let next = least_visited_step(u, |c| view.faults().is_healthy(c), &state.visited);
-    state.detour_hops += u32::from(next.is_some());
-    Some(hop_to(u, next))
 }
 
 /// What tells the Manhattan phases of RB1/RB2/RB3 apart: the model they
@@ -123,12 +100,12 @@ impl<'a> Phase<'a> {
     }
 
     /// Takes from `*u` the hops `decide` would take, until one of its
-    /// tests fires — at the destination or the phase target, on a
-    /// thrashing node, where the frame flips (a mirrored axis reached the
-    /// target's line) or where the step is blocked — or `budget` runs
-    /// out; a hop costs a unit and is recorded as `drive_phased` records
-    /// one. None of `decide`'s lookups: the critical set is keyed once,
-    /// and the walk steps its oriented and real node ids by ±1 / ±width.
+    /// tests fires — at the destination or the phase target, where the
+    /// frame flips (a mirrored axis reached the target's line) or where
+    /// the step is blocked — or `budget` runs out; a hop costs a unit and
+    /// is recorded as `drive_phased` records one. None of `decide`'s
+    /// lookups: the critical set is keyed once, and the walk steps its
+    /// oriented node id by +1 / +width.
     pub(crate) fn run(
         &self,
         u: &mut Coord,
@@ -142,17 +119,10 @@ impl<'a> Phase<'a> {
         let masks = self.pctx.set.labeling().masks().as_slice();
         let (o, ot, od) = (self.o, self.ot, self.o.apply(mesh, dst));
         let mut ou = o.apply(mesh, *u);
-        let (mut oid, mut rid) = (mesh.id(ou).index(), mesh.id(*u).index());
-        let back = |step: usize, flip: bool| if flip { step.wrapping_neg() } else { step };
-        let real = [back(1, o.flip_x), back(width, o.flip_y)];
+        let mut oid = mesh.id(ou).index();
         let flipped = |ou: Coord| o.flip_x && ou.x == ot.x || o.flip_y && ou.y == ot.y;
         state.critical.retarget(&self.pctx, ot);
-        while *budget > 0
-            && ou != od
-            && ou != ot
-            && state.visited.count_id(rid) <= THRASH_VISITS
-            && !flipped(ou)
-        {
+        while *budget > 0 && ou != od && ou != ot && !flipped(ou) {
             // Step 1: a target strictly ahead keeps the neighbor in the mesh.
             let p = [ot.x > ou.x && masks[oid + 1] == 0, ot.y > ou.y && masks[oid + width] == 0];
             let PhaseDecision::Step(dir) = state.critical.choose(&self.pctx, ou, ot, p) else {
@@ -162,8 +132,7 @@ impl<'a> Phase<'a> {
             *budget -= 1;
             state.prev = Some(o.apply(mesh, ou));
             ou = ou.step(dir);
-            (oid, rid) = (oid + [1, width][axis], rid.wrapping_add(real[axis]));
-            state.visited.insert_id(rid);
+            oid += [1, width][axis];
             dirs.push(self.dirs[axis]);
         }
         *u = o.apply(mesh, ou);
@@ -189,7 +158,8 @@ fn phase_step(
 
 /// `RB1` — Algorithm 3: Manhattan routing over the B1 boundary model,
 /// with clockwise wall-following detours when blocked (no feasibility
-/// check, no multi-phase planning).
+/// check, no multi-phase planning). A pair whose walk closes its orbit
+/// is refused.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Rb1 {
     /// Knowledge scope (Local reproduces the paper; Global for reference).
@@ -202,30 +172,21 @@ impl Router for Rb1 {
     }
 
     fn decide(&self, view: &NetView, ctx: HopCtx<'_>) -> Decision {
-        decide_rb1_like(view, ctx, (ModelKind::B1, self.scope))
+        let HopCtx { dst: d, here: u, state, .. } = ctx;
+        if u == d {
+            return Decision::Deliver;
+        }
+        // Algorithm 3 step 3: a blocked phase routes around the MCC clockwise.
+        let (want, toward) = phase_step(view, state, u, d, (ModelKind::B1, self.scope));
+        let healthy = |c: Coord| view.faults().is_healthy(c);
+        hop_to(u, state.wall_step(u, want, toward, healthy, d))
     }
 
     fn route_with(&self, view: &NetView, s: Coord, d: Coord, state: &mut HopState) -> RouteResult {
-        state.reset(s);
+        state.reset();
         let run = Some(((ModelKind::B1, self.scope), false));
         drive_phased(view, s, d, state, |view, ctx| self.decide(view, ctx), run)
     }
-}
-
-/// Shared per-hop decider for boundary-model routing with detours (RB1).
-fn decide_rb1_like(view: &NetView, ctx: HopCtx<'_>, alg: Alg) -> Decision {
-    let HopCtx { dst: d, here: u, state, .. } = ctx;
-    if u == d {
-        return Decision::Deliver;
-    }
-    state.clear_exhausted_detour();
-    if let Some(thrashing) = thrash_guard(view, state, u) {
-        return thrashing;
-    }
-    // Algorithm 3 step 3: a blocked phase routes around the MCC clockwise.
-    let (want, toward) = phase_step(view, state, u, d, alg);
-    let healthy = |c: Coord| view.faults().is_healthy(c);
-    hop_to(u, state.wall_step(u, want, toward, healthy, detour_patience(view)))
 }
 
 /// `RB2` — Algorithm 5: shortest-path routing over the B2 broadcast model.
@@ -245,7 +206,7 @@ impl Router for Rb2 {
     }
 
     fn route_with(&self, view: &NetView, s: Coord, d: Coord, state: &mut HopState) -> RouteResult {
-        state.reset(s);
+        state.reset();
         let run = Some(((ModelKind::B2, self.scope), true));
         drive_phased(view, s, d, state, |view, ctx| self.decide(view, ctx), run)
     }
@@ -269,7 +230,7 @@ impl Router for Rb3 {
     }
 
     fn route_with(&self, view: &NetView, s: Coord, d: Coord, state: &mut HopState) -> RouteResult {
-        state.reset(s);
+        state.reset();
         let run = Some(((ModelKind::B3, self.scope), true));
         drive_phased(view, s, d, state, |view, ctx| self.decide(view, ctx), run)
     }
@@ -282,15 +243,8 @@ fn decide_planned(view: &NetView, ctx: HopCtx<'_>, alg: Alg) -> Decision {
     if u == d {
         return Decision::Deliver;
     }
-    state.clear_exhausted_detour();
     let planner = Planner::new(view, alg.0, alg.1);
     let healthy = |c: Coord| view.faults().is_healthy(c);
-
-    if let Some(thrashing) = thrash_guard(view, state, u) {
-        state.forced = None;
-        state.planned = false;
-        return thrashing;
-    }
 
     // Follow a forced (BFS fallback) path when active.
     if let Some((fpath, idx)) = &mut state.forced {
@@ -344,18 +298,13 @@ fn decide_planned(view: &NetView, ctx: HopCtx<'_>, alg: Alg) -> Decision {
     // the decider head.
     let target = state.waypoints.last().copied().unwrap_or(d);
     if meshpath_obs::enabled(meshpath_obs::LogLevel::Trace) {
-        eprintln!(
-            "at {u:?} target {target:?} waypoints {:?} detour {}",
-            state.waypoints,
-            state.detour.is_some()
-        );
+        eprintln!("at {u:?} target {target:?} waypoints {:?}", state.waypoints);
     }
 
-    let (want, toward) = phase_step(view, state, u, target, alg);
-    if want.is_none() && state.detour.is_none() {
-        // The phase is blocked: re-plan once; if the planner has
-        // nothing new, fall back to a BFS plan; as a last resort
-        // wall-follow.
+    let (want, _) = phase_step(view, state, u, target, alg);
+    if want.is_none() {
+        // The phase is blocked: follow the fallback flood, which passes
+        // every healthy node; without a path the pair is cut.
         state.replans += 1;
         let o_d = Orientation::normalizing(u, d);
         let (plan, stats) = planner.fallback(u, d, o_d, &state.learned, &mut state.flood);
@@ -369,13 +318,15 @@ fn decide_planned(view: &NetView, ctx: HopCtx<'_>, alg: Alg) -> Decision {
             }
         }
     }
-    hop_to(u, state.wall_step(u, want, toward, healthy, detour_patience(view)))
+    hop_to(u, want)
 }
 
 /// `E-cube` — fault-tolerant dimension-order routing over rectangular
 /// fault blocks (Boppana & Chalasani, the paper's reference \[2\]): route
 /// `X` first, then `Y`; on meeting a fault block, traverse its f-ring
-/// until dimension progress resumes.
+/// until dimension progress resumes. Defined on the block model: the walk
+/// passes no block-disabled node but the endpoints, and a pair it cannot
+/// reach that way is refused.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ECube;
 
@@ -389,42 +340,20 @@ impl Router for ECube {
         if u == d {
             return Decision::Deliver;
         }
-        // Once wall-following over enabled nodes exhausts its orbits,
-        // the enabled region around the walker is a closed pocket: drop
-        // the block constraint and walk healthy nodes (the deactivated
-        // ones are physical hardware; the error metric pays for the
-        // extra hops).
-        if state.clear_exhausted_detour() {
-            state.healthy_mode = true;
-        }
-        if let Some(thrashing) = thrash_guard(view, state, u) {
-            state.healthy_mode = true;
-            return thrashing;
-        }
         // Walk on healthy nodes, but treat block-disabled nodes as
         // obstacles (except the endpoints, which the experiment harness
         // guarantees to be healthy but which the coarser block model may
         // have deactivated).
-        let (mesh, blocks, healthy_mode) = (view.mesh(), view.blocks(), state.healthy_mode);
-        let healthy = |c: Coord| view.faults().is_healthy(c);
+        let (mesh, blocks) = (view.mesh(), view.blocks());
         let passable = |c: Coord| {
             mesh.contains(c)
-                && healthy(c)
-                && (!blocks.is_disabled(c) || c == d || c == s || healthy_mode)
+                && view.faults().is_healthy(c)
+                && (!blocks.is_disabled(c) || c == d || c == s)
         };
-
         let dir = xy_next(u, d);
         let straight = u.step(dir);
         let want = passable(straight).then_some(straight);
-        let next = state.wall_step(u, want, dir, passable, detour_patience(view)).or_else(|| {
-            // Enabled nodes exhausted: escape over healthy nodes
-            // (block-disabled ones are physically traversable; the
-            // error metric pays for it).
-            let w = least_visited_step(u, healthy, &state.visited)?;
-            state.detour_hops += 1;
-            Some(w)
-        });
-        hop_to(u, next)
+        hop_to(u, state.wall_step(u, want, dir, passable, d))
     }
 }
 
@@ -533,6 +462,24 @@ mod tests {
         assert!(res.delivered, "path: {:?}", res.dirs);
         validate_path(&n, s, d, &res).expect("valid");
         assert!(res.detour_hops > 0, "must have detoured around the block");
+    }
+
+    #[test]
+    fn ecube_refuses_a_pair_its_block_model_cuts() {
+        // Two fault staircases on columns 3..=5 of a 9x6 mesh: their
+        // rectangular blocks stack into one block touching the south and
+        // north borders, which cuts the enabled nodes in two. A healthy
+        // path threads the staircases through (3,2) (4,2) (4,3) (5,3):
+        // RB2 takes it, and E-cube, defined on the block model, walks the
+        // western region's rim once and refuses the pair.
+        let n = net(Mesh::new(9, 6), &[(3, 0), (4, 1), (5, 2), (3, 3), (4, 4), (5, 5)]);
+        assert!((0..6).all(|y| (3..=5).all(|x| n.blocks().is_disabled(Coord::new(x, y)))));
+        let (s, d) = (Coord::new(1, 2), Coord::new(7, 2));
+        check_optimal(&Rb2::default(), &n, s, d);
+        let res = ECube.route(&n, s, d);
+        assert!(!res.delivered, "E-cube crossed its block: {:?}", res.dirs);
+        validate_path(&n, s, d, &res).expect("valid");
+        assert!(res.path().all(|c| c.x < 3), "{:?}", res.dirs);
     }
 
     #[test]

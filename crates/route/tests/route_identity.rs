@@ -1,39 +1,32 @@
-//! Route-identity golden: one hash over everything a [`RouteResult`]
+//! Route-identity goldens: hashes over everything a [`RouteResult`]
 //! carries (`path`, `delivered`, `replans`, `fallbacks`, `detour_hops`)
-//! for RB1/RB2/RB3 on seeded 24/32/64-wide networks at 5 % and 10 %
-//! faults. The constant was generated at the commit *before* the
-//! target-keyed Algorithm-2 exclusions and the early-exit planner BFS
-//! landed, so it pins those — and every later route-layer speedup — to
-//! bit-identical routes. A second constant does the same for two meshes
-//! whose rows span more than one 64-bit word. A PR that changes routing
-//! behaviour on purpose regenerates them (the failure message prints the
-//! new value) and says so: both were regenerated once when Algorithm 2's
-//! step 3 became one tie-break (`+X` first unless a triple is critical for
-//! the phase's target). Two more constants hash E-cube over the same nets
-//! and pairs; they were generated at the commit *before* the routers'
-//! wall-following moved into one `HopState::wall_step`.
+//! on seeded 24/32/64-wide networks at 5 % and 10 % faults, and on two
+//! meshes whose rows span more than one 64-bit word (96x40 at 5 %,
+//! 130x70 at 10 %), one pair of constants per router group: RB2 and RB3
+//! together, RB1, E-cube. They pin every route-layer speedup to
+//! bit-identical routes. A change of routing behaviour on purpose
+//! regenerates the group it moves (the failure message prints the new
+//! value) and says so. The RB2/RB3 and RB1 constants were split out of
+//! one RB1/RB2/RB3 hash at the commit before wall walks got their bound;
+//! the RB1 and E-cube ones were then re-pinned once, when a walk began
+//! to leave its wall only closer to the goal than where it started and
+//! a closed orbit became a refusal.
 
 use meshpath_mesh::{components, Coord, FaultInjection, FaultSet, Mesh};
 use meshpath_route::{NetView, RouteResult, RoutingKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const GOLDEN: u64 = 0xdff2_d21f_1b95_3f6d;
-
-/// The same hash over two meshes wider than one 64-bit row word (96x40
-/// at 5 %, 130x70 at 10 %), generated at the commit *before* the
-/// word-parallel feasibility fill and the goal-directed fallback flood
-/// landed: it pins the multi-word row path to the scalar planner's routes.
-const GOLDEN_WIDE: u64 = 0x32d9_e888_ac06_95bc;
-
-/// E-cube over the nets and pairs of [`GOLDEN`] / [`GOLDEN_WIDE`].
-const GOLDEN_ECUBE: u64 = 0x2d54_304b_dade_40f8;
-const GOLDEN_ECUBE_WIDE: u64 = 0x7754_40f2_6d4a_985c;
+const GOLDEN_RB2_RB3: u64 = 0xb23f_7a62_1790_b877;
+const GOLDEN_RB2_RB3_WIDE: u64 = 0x0d65_aee9_f280_2589;
+const GOLDEN_RB1: u64 = 0xc6d0_a5bf_7c44_41fc;
+const GOLDEN_RB1_WIDE: u64 = 0xd18a_c941_7bc3_97a2;
+const GOLDEN_ECUBE: u64 = 0x1163_9aed_591c_6f0c;
+const GOLDEN_ECUBE_WIDE: u64 = 0xfbed_2b76_88ee_a065;
 
 const NETS: [(u32, u32, usize); 6] =
     [(24, 24, 5), (24, 24, 10), (32, 32, 5), (32, 32, 10), (64, 64, 5), (64, 64, 10)];
 const NETS_WIDE: [(u32, u32, usize); 2] = [(96, 40, 5), (130, 70, 10)];
-const RB: [RoutingKind; 3] = [RoutingKind::Rb1, RoutingKind::Rb2, RoutingKind::Rb3];
 
 const PAIRS_PER_NETWORK: usize = 240;
 
@@ -76,8 +69,7 @@ fn identity_hash(nets: &[(u32, u32, usize)], kinds: &[RoutingKind]) -> u64 {
             FaultSet::random(mesh, mesh.len() * pct / 100, FaultInjection::Uniform, &mut rng);
         let (labels, _) = components(&faults);
         let net = NetView::build(faults);
-        // Healthy pairs of one component: a cut pair only burns the hop
-        // budget, which the service tests cover.
+        // Healthy pairs of one component: the service tests cover cut ones.
         let (w, h) = (width as i32, height as i32);
         let mut pairs = Vec::with_capacity(PAIRS_PER_NETWORK);
         while pairs.len() < PAIRS_PER_NETWORK {
@@ -102,31 +94,30 @@ fn identity_hash(nets: &[(u32, u32, usize)], kinds: &[RoutingKind]) -> u64 {
     hash.0
 }
 
-#[test]
-fn rb_routes_are_bit_identical_to_the_golden() {
-    let hash = identity_hash(&NETS, &RB);
-    assert_eq!(hash, GOLDEN, "route identity changed: RB1/RB2/RB3 routes now hash to {hash:#018x}");
+/// Asserts the hash of `kinds` over `nets` equals `golden`.
+fn assert_golden(nets: &[(u32, u32, usize)], kinds: &[RoutingKind], golden: u64) {
+    let hash = identity_hash(nets, kinds);
+    let names: Vec<&str> = kinds.iter().map(|k| k.name()).collect();
+    assert_eq!(
+        hash, golden,
+        "route identity changed: {names:?} on {nets:?} now hash to {hash:#018x}"
+    );
 }
 
 #[test]
-fn rb_routes_on_meshes_wider_than_a_row_word_are_bit_identical_to_the_golden() {
-    let hash = identity_hash(&NETS_WIDE, &RB);
-    assert_eq!(
-        hash, GOLDEN_WIDE,
-        "route identity changed on the wide nets: RB1/RB2/RB3 routes now hash to {hash:#018x}"
-    );
+fn rb2_rb3_routes_are_bit_identical_to_the_golden() {
+    assert_golden(&NETS, &[RoutingKind::Rb2, RoutingKind::Rb3], GOLDEN_RB2_RB3);
+    assert_golden(&NETS_WIDE, &[RoutingKind::Rb2, RoutingKind::Rb3], GOLDEN_RB2_RB3_WIDE);
+}
+
+#[test]
+fn rb1_routes_are_bit_identical_to_the_golden() {
+    assert_golden(&NETS, &[RoutingKind::Rb1], GOLDEN_RB1);
+    assert_golden(&NETS_WIDE, &[RoutingKind::Rb1], GOLDEN_RB1_WIDE);
 }
 
 #[test]
 fn ecube_routes_are_bit_identical_to_the_golden() {
-    let hash = identity_hash(&NETS, &[RoutingKind::ECube]);
-    assert_eq!(
-        hash, GOLDEN_ECUBE,
-        "route identity changed: E-cube routes now hash to {hash:#018x}"
-    );
-    let hash = identity_hash(&NETS_WIDE, &[RoutingKind::ECube]);
-    assert_eq!(
-        hash, GOLDEN_ECUBE_WIDE,
-        "route identity changed on the wide nets: E-cube routes now hash to {hash:#018x}"
-    );
+    assert_golden(&NETS, &[RoutingKind::ECube], GOLDEN_ECUBE);
+    assert_golden(&NETS_WIDE, &[RoutingKind::ECube], GOLDEN_ECUBE_WIDE);
 }

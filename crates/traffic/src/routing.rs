@@ -266,7 +266,7 @@ impl PathTable {
             epoch: 0,
             routes: Vec::new(),
             index: FxHashMap::default(),
-            scratch: HopState::new(Coord::new(0, 0)),
+            scratch: HopState::default(),
             misses: 0,
             hits: 0,
         }
@@ -351,8 +351,8 @@ impl PathTable {
         scratch: &mut HopState,
     ) -> CachedRoute {
         // Healthy endpoints in different healthy components: no router
-        // delivers, and RB1/RB2/RB3 would burn their whole hop budget
-        // finding that out.
+        // delivers, and the labels say so in O(1) where the router would
+        // pay a fallback flood.
         let cut =
             matches!((view.component_of(s), view.component_of(d)), (Some(a), Some(b)) if a != b);
         if cut {
@@ -904,6 +904,21 @@ mod tests {
         let hops = t.path(Coord::new(2, 0), far).expect("connected").len();
         assert_eq!(hops as u32, Coord::new(2, 0).manhattan(far));
         assert!(decisions.load(Ordering::Relaxed) >= hops as u64);
+    }
+
+    #[test]
+    fn ecube_admits_no_pair_its_block_model_cuts() {
+        // A block touching the south and north borders cuts E-cube's
+        // enabled nodes in two; a healthy path threads its faults, so RB2
+        // is admitted where E-cube is refused.
+        let faults =
+            [(3, 0), (4, 1), (5, 2), (3, 3), (4, 4), (5, 5)].map(|(x, y)| Coord::new(x, y));
+        let net = NetView::build(FaultSet::from_coords(Mesh::new(9, 6), faults));
+        let (s, d) = (Coord::new(1, 2), Coord::new(7, 2));
+        for (kind, admitted) in [(RoutingKind::ECube, false), (RoutingKind::Rb2, true)] {
+            let mut t = PathTable::new(&net, kind);
+            assert_eq!(EscapeHop::new(&mut t, u32::MAX).admit(s, d), admitted, "{}", kind.name());
+        }
     }
 
     #[test]

@@ -2354,7 +2354,7 @@ mod tests {
         // Admission asks only whether the router delivers the pair, so
         // E-cube carries the packets RB2 carries and delivers them all:
         // around an 8-node wall on a 16x16, and on an 8x8 whose faults
-        // fence the west edge, where some f-ring walks run past 4(w+h)
+        // fence the west edge, where some f-ring walks run past 2(w+h)
         // hops.
         let nets = [
             (16, (4..12).map(|x| Coord::new(x, 8)).collect::<Vec<_>>()),

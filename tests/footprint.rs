@@ -95,7 +95,7 @@ fn a_cold_net_and_its_boundaries_fit_their_budgets() {
     assert!(bounds_mib <= BOUNDS_BUDGET_MIB, "four BoundarySets retain {bounds_mib:.3} MiB");
 
     let ((), routed_mib) = retained(|| {
-        let (rb2, mut state) = (Rb2::default(), HopState::new(Coord::new(0, 0)));
+        let (rb2, mut state) = (Rb2::default(), HopState::default());
         let mut rng = StdRng::seed_from_u64(30);
         let mut node = || loop {
             let c = Coord::new(rng.gen_range(0..64), rng.gen_range(0..64));
