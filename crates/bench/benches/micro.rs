@@ -187,8 +187,7 @@ fn bench(c: &mut Criterion) {
     c.bench_function("fallback_flood_64x64_204f", |b| {
         b.iter(|| {
             for &(s, d) in &blocked {
-                let o = Orientation::normalizing(s, d);
-                black_box(planner.fallback(s, d, o, &Default::default(), &mut flood));
+                black_box(planner.fallback(s, d, &Default::default(), &mut flood));
             }
         })
     });

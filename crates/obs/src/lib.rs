@@ -35,7 +35,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod flow;
 pub mod log;
 pub mod metrics;
 pub mod postmortem;
@@ -44,7 +43,6 @@ pub mod profile;
 pub mod report;
 pub mod trace;
 
-pub use flow::{FlowEvent, FlowEventKind, FlowLog};
 pub use log::{enabled, LogLevel};
 pub use metrics::{HitMiss, LogHistogram};
 pub use postmortem::{BlockedWait, Postmortem, StalledPacket, VcFront, WaitEdge};

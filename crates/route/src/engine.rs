@@ -18,7 +18,8 @@ pub struct RouteResult {
     pub delivered: bool,
     /// Number of re-planning events (blocked phases, observed obstacles).
     pub replans: u32,
-    /// Number of BFS-fallback plans (outside the paper's Eq.-3 options).
+    /// Floods whose answer the route took: plans that follow the flood's
+    /// path or have neither it nor a pivot, and every blocked phase's flood.
     pub fallbacks: u32,
     /// Hops spent in wall-following detours.
     pub detour_hops: u32,

@@ -246,7 +246,7 @@ fn decide_planned(view: &NetView, ctx: HopCtx<'_>, alg: Alg) -> Decision {
     let planner = Planner::new(view, alg.0, alg.1);
     let healthy = |c: Coord| view.faults().is_healthy(c);
 
-    // Follow a forced (BFS fallback) path when active.
+    // Follow a forced (flood) path when active.
     if let Some((fpath, idx)) = &mut state.forced {
         let next = fpath[*idx + 1];
         if healthy(next) {
@@ -274,8 +274,9 @@ fn decide_planned(view: &NetView, ctx: HopCtx<'_>, alg: Alg) -> Decision {
     }
 
     if !state.planned {
-        let (plan, stats) = planner.plan(u, d, &state.learned, &mut state.flood);
+        let (plan, flooded) = planner.plan(u, d, &state.learned, &mut state.flood);
         state.planned = true;
+        state.fallbacks += u32::from(flooded);
         match plan {
             Plan::Direct => state.waypoints.clear(),
             Plan::Waypoints(w) => {
@@ -285,12 +286,8 @@ fn decide_planned(view: &NetView, ctx: HopCtx<'_>, alg: Alg) -> Decision {
             }
             Plan::Forced(p) => {
                 state.forced = Some((p, 0));
-                state.fallbacks += stats.used_fallback as u32;
                 return Decision::Replan;
             }
-        }
-        if stats.used_fallback {
-            state.fallbacks += 1;
         }
     }
 
@@ -306,12 +303,8 @@ fn decide_planned(view: &NetView, ctx: HopCtx<'_>, alg: Alg) -> Decision {
         // The phase is blocked: follow the fallback flood, which passes
         // every healthy node; without a path the pair is cut.
         state.replans += 1;
-        let o_d = Orientation::normalizing(u, d);
-        let (plan, stats) = planner.fallback(u, d, o_d, &state.learned, &mut state.flood);
-        if stats.used_fallback {
-            state.fallbacks += 1;
-        }
-        if let Plan::Forced(p) = plan {
+        state.fallbacks += 1;
+        if let Some(p) = planner.fallback(u, d, &state.learned, &mut state.flood) {
             if p.len() > 1 {
                 state.forced = Some((p, 0));
                 return Decision::Replan;

@@ -12,9 +12,9 @@
 //!
 //! picking the option minimizing the recursively-defined distance `D`
 //! (Eq. 2). This module implements the chain search (both the type-I/+Y
-//! and type-II/+X variants), the memoized recursion, and a flood-over-
-//! known-obstacles fallback used when the paper's enumeration comes up
-//! empty (counted and reported by the experiment harness; expected rare).
+//! and type-II/+X variants), the memoized recursion, and one flood over
+//! known obstacles for every case the pivots miss: an empty chain, no
+//! usable pivot, or a shorter path than theirs.
 //!
 //! ## What a plan reads
 //!
@@ -36,14 +36,16 @@
 //!   `MccSet::in_col`/`in_row` list exactly those. Shape tests run before
 //!   `knows`: that bit lives in a different carrier set per MCC, and
 //!   almost no candidate passes the shape test.
-//! * **The fallback flood** ([`Planner::fallback`], also the hybrid
-//!   refinement and the legs the recursion prices by BFS) is
+//! * **The flood** ([`Planner::fallback`]; each plan and each empty-chain
+//!   leg of the recursion runs the same one) is
 //!   goal-directed ([`crate::oracle`]): from `d` it settles the nodes
 //!   that can lie on a shortest `d`–`u` path over the known obstacles —
 //!   for a Manhattan+2 detour roughly the rectangle and a one-node rim —
 //!   and its labels live in the message's [`FloodScratch`], so starting
-//!   one allocates and clears nothing. The refinement's flood, kept only
-//!   if it beats the pivots, looks no farther than their cost.
+//!   one allocates and clears nothing. In a plan it looks no farther
+//!   than the best pivot's cost.
+
+use std::iter::once;
 
 use meshpath_fault::{Mcc, MccId, MccSet};
 use meshpath_info::ModelKind;
@@ -51,7 +53,7 @@ use meshpath_mesh::{Coord, FxHashMap, FxHashSet, Orientation};
 
 use crate::env::Network;
 use crate::monotone::{known_mcc_cells_feasible, mcc_cells_feasible};
-use crate::oracle::{DistanceField, FloodScratch, UNREACHABLE};
+use crate::oracle::{DistanceField, FloodScratch, StopField, UNREACHABLE};
 
 /// Whether routing decisions may use triples not stored at the deciding
 /// node (idealized reference runs) or only local knowledge.
@@ -81,24 +83,15 @@ pub enum Plan {
     /// Detour through these intermediate destinations (real coordinates),
     /// re-planning at the last one.
     Waypoints(Vec<Coord>),
-    /// Follow this explicit path (BFS-over-known-obstacles fallback).
+    /// Follow this explicit path (the flood over known obstacles).
     Forced(Vec<Coord>),
-}
-
-/// Outcome statistics of one planning call.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PlanStats {
-    /// The Eq.-3 enumeration failed and the BFS fallback was used.
-    pub used_fallback: bool,
-    /// Estimated remaining length (`D(u, d)`), when computable.
-    pub estimate: Option<u64>,
 }
 
 /// Distance value for infeasible options.
 const INF: u64 = u64::MAX / 4;
 
 /// State of one `D(·, d)` recursion: the memo, the pivot-graph cycle
-/// guard, and the flood scratch its BFS-priced legs run in.
+/// guard, and the scratch its flood-priced legs run in.
 struct DistMemo<'f> {
     memo: FxHashMap<Coord, u64>,
     in_progress: FxHashSet<Coord>,
@@ -164,7 +157,7 @@ impl<'a> Planner<'a> {
     /// Returns `None` when a Manhattan path exists (no blocking). When
     /// blocked, returns the Eq.-1 chain when one can be enumerated; a
     /// blocked pair with no enumerable chain returns an empty chain
-    /// (callers fall back to BFS planning).
+    /// (callers flood).
     pub(crate) fn closest_sequence(
         &self,
         anchor: Coord,
@@ -322,55 +315,15 @@ impl<'a> Planner<'a> {
         }
         let value = match self.closest_sequence(anchor, u, d) {
             None => u64::from(u.manhattan(d)),
-            Some((_, chain, _)) if chain.is_empty() => {
-                // Blocked with no enumerable chain: price the leg with a
-                // BFS over the known obstacles (model-consistent).
-                self.known_bfs_distance(anchor, u, d, rec.flood).unwrap_or(INF)
-            }
+            // Blocked with no enumerable chain: price the leg by the flood
+            // over the known obstacles (model-consistent).
+            Some((_, chain, _)) if chain.is_empty() => self
+                .flood(anchor, u, d, &FxHashSet::default(), rec.flood, None)
+                .map(|field| field.dist())
+                .filter(|&v| v != UNREACHABLE)
+                .map_or(INF, u64::from),
             Some((_, chain, o)) => {
-                let set = self.net.mccs(o);
-                let mesh = self.net.mesh();
-                let usable = |oc: Coord| set.labeling().is_safe_node(oc);
-                let real = |oc: Coord| o.apply(mesh, oc);
-                // A leg is priced at Manhattan distance only when it is
-                // actually Manhattan-feasible within the knowledge; the
-                // paper assumes this (Eq. 1 property 5), the greedy chain
-                // does not guarantee it.
-                let leg = |a: Coord, b: Coord| {
-                    if self.manhattan_feasible(anchor, a, b) {
-                        u64::from(a.manhattan(b))
-                    } else {
-                        INF
-                    }
-                };
-                let mut best = INF;
-                let n = chain.len();
-                // P0: through c1.
-                let c1 = set.get(chain[0]).corner();
-                if usable(c1) {
-                    let c1r = real(c1);
-                    let tail = self.dist_rec(anchor, c1r, d, rec, depth + 1);
-                    best = best.min(leg(u, c1r).saturating_add(tail));
-                }
-                // Pi: between consecutive MCCs.
-                for i in 0..n.saturating_sub(1) {
-                    let ci_op = set.get(chain[i]).opposite();
-                    let cn = set.get(chain[i + 1]).corner();
-                    if usable(ci_op) && usable(cn) {
-                        let (a, b) = (real(ci_op), real(cn));
-                        let tail = self.dist_rec(anchor, b, d, rec, depth + 1);
-                        let cost = leg(u, a).saturating_add(leg(a, b)).saturating_add(tail);
-                        best = best.min(cost);
-                    }
-                }
-                // Pn: through c'_n.
-                let cn_op = set.get(chain[n - 1]).opposite();
-                if usable(cn_op) {
-                    let cr = real(cn_op);
-                    let tail = self.dist_rec(anchor, cr, d, rec, depth + 1);
-                    best = best.min(leg(u, cr).saturating_add(tail));
-                }
-                best
+                self.pivots(anchor, u, d, (&chain, o), rec, depth).map_or(INF, |(cost, ..)| cost)
             }
         };
         rec.in_progress.remove(&u);
@@ -378,8 +331,64 @@ impl<'a> Planner<'a> {
         value
     }
 
-    /// Passability used by the BFS fallback: a node is an obstacle when it
-    /// is a *faulty* cell of an MCC known at `anchor` (or in `learned`).
+    /// The cheapest usable Eq.-3 option from `u` around the blocking
+    /// sequence `chain` (MCC ids in orientation `o`): its cost `D` (below
+    /// `INF`), then its waypoints in real coordinates — `c'_i` for a `Pi`
+    /// option, and the pivot whose tail `D(·, d)` the cost includes. Ties
+    /// go to the first option in `P0`, `Pi`..., `Pn` order; an empty chain
+    /// has none.
+    fn pivots(
+        &self,
+        anchor: Coord,
+        u: Coord,
+        d: Coord,
+        (chain, o): (&[MccId], Orientation),
+        rec: &mut DistMemo<'_>,
+        depth: usize,
+    ) -> Option<(u64, Option<Coord>, Coord)> {
+        let set = self.net.mccs(o);
+        let mesh = self.net.mesh();
+        let usable = |oc: Coord| set.labeling().is_safe_node(oc);
+        // A leg is priced at Manhattan distance only when it is actually
+        // Manhattan-feasible within the knowledge; the paper assumes this
+        // (Eq. 1 property 5), the greedy chain does not guarantee it.
+        let leg = |a: Coord, b: Coord| {
+            if self.manhattan_feasible(anchor, a, b) {
+                u64::from(a.manhattan(b))
+            } else {
+                INF
+            }
+        };
+        // P0 through c1; Pi via c'_i then c_{i+1}; Pn through c'_n.
+        let (first, last) = (set.get(*chain.first()?), set.get(*chain.last()?));
+        let options = once((None, first.corner()))
+            .chain(
+                chain.windows(2).map(|w| (Some(set.get(w[0]).opposite()), set.get(w[1]).corner())),
+            )
+            .chain(once((None, last.opposite())));
+        let mut best: Option<(u64, Option<Coord>, Coord)> = None;
+        for (gap, pivot) in options {
+            if !(gap.is_none_or(usable) && usable(pivot)) {
+                continue;
+            }
+            let (gap, pivot) = (gap.map(|g| o.apply(mesh, g)), o.apply(mesh, pivot));
+            let tail = self.dist_rec(anchor, pivot, d, rec, depth + 1);
+            let head = match gap {
+                Some(g) => leg(u, g).saturating_add(leg(g, pivot)),
+                None => leg(u, pivot),
+            };
+            let cost = head.saturating_add(tail);
+            if cost < INF && best.is_none_or(|(c, ..)| cost < c) {
+                best = Some((cost, gap, pivot));
+            }
+        }
+        best
+    }
+
+    /// The flood over known obstacles, goal-directed from `d` towards `u`
+    /// (see [`crate::oracle`]) and looking no farther than `limit`; `None`
+    /// when an endpoint is an obstacle. A node is an obstacle when it is
+    /// in `learned` or a *faulty* cell of an MCC known at `anchor`.
     ///
     /// Healthy-but-unsafe cells stay passable: the triples describe region
     /// shapes, and the true shortest path may legitimately thread useless
@@ -388,19 +397,23 @@ impl<'a> Planner<'a> {
     /// Theorem 1's safe-nodes-suffice argument overlooks near corners and
     /// borders. Unknown faults remain passable too: the route re-plans
     /// when local fault detection meets them.
-    fn fallback_passable<'s>(
-        &'s self,
+    fn flood<'s>(
+        &self,
         anchor: Coord,
-        o: Orientation,
-        learned: &'s FxHashSet<Coord>,
-    ) -> impl Fn(Coord) -> bool + 's {
+        u: Coord,
+        d: Coord,
+        learned: &FxHashSet<Coord>,
+        scratch: &'s mut FloodScratch,
+        limit: Option<u32>,
+    ) -> Option<StopField<'s>> {
         let mesh = *self.net.mesh();
+        let o = Orientation::normalizing(u, d);
         let faults = self.net.faults();
         let set = self.net.mccs(o);
         let model = self.net.model(o, self.kind);
         let scope = self.scope;
         let oa = o.apply(&mesh, anchor);
-        move |c: Coord| {
+        let passable = move |c: Coord| {
             if learned.contains(&c) {
                 return false;
             }
@@ -411,151 +424,51 @@ impl<'a> Planner<'a> {
                 Some(id) => scope == KnowledgeScope::Local && !model.knows(oa, id),
                 None => true,
             }
-        }
-    }
-
-    /// Model-consistent BFS distance over the fallback obstacle set.
-    fn known_bfs_distance(
-        &self,
-        anchor: Coord,
-        u: Coord,
-        d: Coord,
-        flood: &mut FloodScratch,
-    ) -> Option<u64> {
-        let mesh = *self.net.mesh();
-        let o = Orientation::normalizing(u, d);
-        let learned = FxHashSet::default();
-        let passable = self.fallback_passable(anchor, o, &learned);
-        if !passable(d) || !passable(u) {
-            return None;
-        }
-        let dist = DistanceField::with_predicate_until(mesh, d, passable, u, None, flood).dist();
-        (dist != UNREACHABLE).then_some(u64::from(dist))
+        };
+        (passable(d) && passable(u))
+            .then(|| DistanceField::with_predicate_until(mesh, d, passable, u, limit, scratch))
     }
 
     /// Produces the routing plan at `u` toward `d` (Algorithm 5 steps
-    /// 2-5). `learned` holds nodes the route has locally observed to be
-    /// unsafe (excluded from the fallback BFS); `flood` is the scratch
-    /// any fallback flood of this plan runs in.
+    /// 2-5) and whether the flood decided it: the closest blocking
+    /// sequence, its cheapest pivot option, then the flood over known
+    /// obstacles, whose path wins when it is shorter than that option.
+    /// `learned` holds nodes the route has locally observed to be unsafe
+    /// (flood obstacles); `flood` is the scratch the plan runs in.
     pub fn plan(
         &self,
         u: Coord,
         d: Coord,
         learned: &FxHashSet<Coord>,
         flood: &mut FloodScratch,
-    ) -> (Plan, PlanStats) {
-        match self.closest_sequence(u, u, d) {
-            None => (Plan::Direct, PlanStats { used_fallback: false, estimate: None }),
-            Some((_, chain, o)) if chain.is_empty() => self.fallback(u, d, o, learned, flood),
-            Some((_, chain, o)) => {
-                let set = self.net.mccs(o);
-                let mesh = self.net.mesh();
-                let usable = |oc: Coord| set.labeling().is_safe_node(oc);
-                let real = |oc: Coord| o.apply(mesh, oc);
-                let n = chain.len();
-
-                let mut best: Option<(u64, Vec<Coord>)> = None;
-                let mut consider = |cost: u64, wp: Vec<Coord>| {
-                    if cost < INF && best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                        best = Some((cost, wp));
-                    }
-                };
-
-                let leg = |a: Coord, b: Coord| {
-                    if self.manhattan_feasible(u, a, b) {
-                        u64::from(a.manhattan(b))
-                    } else {
-                        INF
-                    }
-                };
-                let mut rec = DistMemo::new(&mut *flood);
-                let c1 = set.get(chain[0]).corner();
-                if usable(c1) {
-                    let c1r = real(c1);
-                    let tail = self.dist_rec(u, c1r, d, &mut rec, 1);
-                    consider(leg(u, c1r).saturating_add(tail), vec![c1r]);
-                }
-                for i in 0..n.saturating_sub(1) {
-                    let a = set.get(chain[i]).opposite();
-                    let b = set.get(chain[i + 1]).corner();
-                    if usable(a) && usable(b) {
-                        let (ar, br) = (real(a), real(b));
-                        let tail = self.dist_rec(u, br, d, &mut rec, 1);
-                        let cost = leg(u, ar).saturating_add(leg(ar, br)).saturating_add(tail);
-                        consider(cost, vec![ar, br]);
-                    }
-                }
-                let cn = set.get(chain[n - 1]).opposite();
-                if usable(cn) {
-                    let cr = real(cn);
-                    let tail = self.dist_rec(u, cr, d, &mut rec, 1);
-                    consider(leg(u, cr).saturating_add(tail), vec![cr]);
-                }
-
-                match best {
-                    Some((cost, wp)) => {
-                        // Hybrid refinement: the Eq.-3 pivots only visit
-                        // safe nodes of the current frame, but degenerate
-                        // geometries (faulty corners, border-pressed
-                        // clusters) can make the true shortest path thread
-                        // healthy-but-unsafe cells. When the fallback BFS
-                        // over known faults beats every pivot option, take
-                        // it. Only a path under `cost` is taken, so the
-                        // flood looks no farther.
-                        let under = u32::try_from(cost.saturating_sub(1)).ok();
-                        if let (Plan::Forced(p), stats) =
-                            self.fallback_within(u, d, o, learned, flood, under)
-                        {
-                            return (Plan::Forced(p), stats);
-                        }
-                        (
-                            Plan::Waypoints(wp),
-                            PlanStats { used_fallback: false, estimate: Some(cost) },
-                        )
-                    }
-                    None => self.fallback(u, d, o, learned, flood),
-                }
+    ) -> (Plan, bool) {
+        let Some((_, chain, o)) = self.closest_sequence(u, u, d) else {
+            return (Plan::Direct, false);
+        };
+        let best = self.pivots(u, u, d, (&chain, o), &mut DistMemo::new(&mut *flood), 0);
+        // The Eq.-3 pivots visit only safe nodes of the current frame, but
+        // degenerate geometries (faulty corners, border-pressed clusters)
+        // can make the true shortest path thread healthy-but-unsafe cells.
+        let limit = best.and_then(|(cost, ..)| u32::try_from(cost.saturating_sub(1)).ok());
+        match (self.flood(u, u, d, learned, flood, limit).and_then(|f| f.shortest_path()), best) {
+            (Some(path), _) => (Plan::Forced(path), true),
+            (None, Some((_, gap, pivot))) => {
+                (Plan::Waypoints(gap.into_iter().chain([pivot]).collect()), false)
             }
+            (None, None) => (Plan::Direct, true),
         }
     }
 
-    /// Flood over known obstacles (goal-directed from `d` towards `u`,
-    /// see [`crate::oracle`]): the model-consistent last resort.
+    /// The flood over what `u` knows, `learned` nodes excluded: a shortest
+    /// `u`→`d` path over the known obstacles, `None` when there is none.
     pub fn fallback(
         &self,
         u: Coord,
         d: Coord,
-        o: Orientation,
         learned: &FxHashSet<Coord>,
         flood: &mut FloodScratch,
-    ) -> (Plan, PlanStats) {
-        self.fallback_within(u, d, o, learned, flood, None)
-    }
-
-    /// [`fallback`](Planner::fallback) that gives up (`Plan::Direct`, no
-    /// estimate) on a path longer than `limit`.
-    fn fallback_within(
-        &self,
-        u: Coord,
-        d: Coord,
-        o: Orientation,
-        learned: &FxHashSet<Coord>,
-        flood: &mut FloodScratch,
-        limit: Option<u32>,
-    ) -> (Plan, PlanStats) {
-        let mesh = *self.net.mesh();
-        let passable = self.fallback_passable(u, o, learned);
-        if !passable(d) || !passable(u) {
-            return (Plan::Direct, PlanStats { used_fallback: true, estimate: None });
-        }
-        let field = DistanceField::with_predicate_until(mesh, d, passable, u, limit, flood);
-        match field.shortest_path() {
-            Some(path) => {
-                let est = Some((path.len() - 1) as u64);
-                (Plan::Forced(path), PlanStats { used_fallback: true, estimate: est })
-            }
-            None => (Plan::Direct, PlanStats { used_fallback: true, estimate: None }),
-        }
+    ) -> Option<Vec<Coord>> {
+        self.flood(u, u, d, learned, flood, None)?.shortest_path()
     }
 }
 
@@ -572,14 +485,14 @@ mod tests {
     fn no_faults_means_direct_plans() {
         let n = net(Mesh::square(10), &[]);
         let p = Planner::new(&n, ModelKind::B2, KnowledgeScope::Global);
-        let (plan, stats) = p.plan(
+        let (plan, flooded) = p.plan(
             Coord::new(0, 0),
             Coord::new(7, 7),
             &FxHashSet::default(),
             &mut FloodScratch::default(),
         );
         assert_eq!(plan, Plan::Direct);
-        assert!(!stats.used_fallback);
+        assert!(!flooded);
         assert_eq!(p.distance(Coord::new(0, 0), Coord::new(0, 0), Coord::new(7, 7)), Some(14));
     }
 
@@ -595,9 +508,9 @@ mod tests {
         assert_eq!(seq.0, SeqAxis::TypeI);
         assert_eq!(seq.1.len(), 1);
         assert_eq!(p.distance(s, s, d), Some(u64::from(s.manhattan(d)) + 2));
-        let (plan, stats) = p.plan(s, d, &FxHashSet::default(), &mut FloodScratch::default());
+        let (plan, flooded) = p.plan(s, d, &FxHashSet::default(), &mut FloodScratch::default());
         assert!(matches!(plan, Plan::Waypoints(ref w) if w.len() == 1));
-        assert_eq!(stats.estimate, Some(9));
+        assert!(!flooded);
     }
 
     #[test]
@@ -671,11 +584,27 @@ mod tests {
         let wall: Vec<(i32, i32)> = (0..10).map(|x| (x, 5)).collect();
         let n2 = net(Mesh::square(10), &wall);
         let p2 = Planner::new(&n2, ModelKind::B2, KnowledgeScope::Global);
-        let (plan2, stats2) = p2.plan(s, d, &FxHashSet::default(), &mut FloodScratch::default());
-        // The mesh is split: no plan can exist; fallback reports Direct
-        // with no estimate.
-        assert!(stats2.used_fallback);
+        let (plan2, flooded) = p2.plan(s, d, &FxHashSet::default(), &mut FloodScratch::default());
+        // The mesh is split: the flood finds no path and the plan is Direct.
+        assert!(flooded);
         assert_eq!(plan2, Plan::Direct);
+    }
+
+    #[test]
+    fn the_flood_beats_the_pivots_through_a_healthy_unsafe_node() {
+        // Faults (0,0), (2,1), (1,2) on 4x4: the pivots around the
+        // sequence from (0,1) to (3,1) cost 7 hops, but the shortest path
+        // threads (1,1), healthy yet unsafe in that frame, in 5.
+        let n = net(Mesh::square(4), &[(0, 0), (2, 1), (1, 2)]);
+        let (s, d) = (Coord::new(0, 1), Coord::new(3, 1));
+        let path: Vec<Coord> =
+            [(0, 1), (1, 1), (1, 0), (2, 0), (3, 0), (3, 1)].map(|(x, y)| Coord::new(x, y)).into();
+        for scope in [KnowledgeScope::Global, KnowledgeScope::Local] {
+            let p = Planner::new(&n, ModelKind::B2, scope);
+            assert_eq!(p.distance(s, s, d), Some(7), "{scope:?}");
+            let plan = p.plan(s, d, &FxHashSet::default(), &mut FloodScratch::default());
+            assert_eq!(plan, (Plan::Forced(path.clone()), true), "{scope:?}");
+        }
     }
 
     #[test]

@@ -151,9 +151,8 @@ pub use stats::{
 // The observability surface downstream code needs to configure
 // recording and consume reports, re-exported from `meshpath-obs`.
 pub use meshpath_obs::{
-    BlockedWait, FlowEvent, FlowEventKind, LogHistogram, ObsLevel, ObsReport, PhaseProfile,
-    Postmortem, ShardReport, StalledPacket, StopKind, TraceEvent, TraceEventKind, VcFront,
-    WaitEdge,
+    BlockedWait, LogHistogram, ObsLevel, ObsReport, PhaseProfile, Postmortem, ShardReport,
+    StalledPacket, StopKind, TraceEvent, TraceEventKind, VcFront, WaitEdge,
 };
 
 // Re-exported so downstream code can name the substrate types the

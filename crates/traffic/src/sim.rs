@@ -1023,7 +1023,7 @@ impl RunState {
         }
         if let Some(wl) = wl.as_deref_mut() {
             for flow in agg.aborted.drain(..) {
-                wl.on_worker_abort(flow, cycle);
+                wl.on_worker_abort(flow);
             }
         }
         self.stats.flits_moved += agg.step.moved;

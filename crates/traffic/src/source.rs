@@ -40,7 +40,6 @@
 //! forever.
 
 use meshpath_mesh::Coord;
-use meshpath_obs::{FlowEvent, FlowEventKind, FlowLog};
 
 use crate::stats::LatencyHistogram;
 
@@ -243,8 +242,6 @@ pub struct WorkloadOutcome {
     pub phases: Vec<PhaseOutcome>,
     /// The critical path (flow-id chain) for DAG sources.
     pub critical_path: Vec<u32>,
-    /// The flow lifecycle event log, sorted by `(cycle, kind, flow)`.
-    pub events: Vec<FlowEvent>,
 }
 
 impl WorkloadOutcome {
@@ -285,7 +282,6 @@ pub(crate) struct WorkloadDriver {
     completion: LatencyHistogram,
     first_release: Option<u64>,
     last_delivery: u64,
-    log: FlowLog,
 }
 
 impl WorkloadDriver {
@@ -301,7 +297,6 @@ impl WorkloadDriver {
             completion: LatencyHistogram::new(FLOW_HISTOGRAM_CAP),
             first_release: None,
             last_delivery: 0,
-            log: FlowLog::new(),
         }
     }
 
@@ -316,7 +311,6 @@ impl WorkloadDriver {
             self.first_release.get_or_insert(cycle);
             if m.flow != NO_FLOW {
                 self.released_at.insert(m.flow, cycle);
-                self.log.record(cycle, m.flow, FlowEventKind::Released);
             }
         }
         msgs
@@ -328,7 +322,7 @@ impl WorkloadDriver {
         debug_assert!(self.outstanding > 0, "delivery without a released message");
         self.outstanding -= 1;
         if killed {
-            self.abort_flow(flow, at);
+            self.abort_flow(flow);
             return;
         }
         self.last_delivery = self.last_delivery.max(at);
@@ -337,29 +331,24 @@ impl WorkloadDriver {
             self.flows_delivered += 1;
             self.completions.push(FlowCompletion { flow, released_at, delivered_at: at });
             self.completion.record(at - released_at);
-            self.log.record(at, flow, FlowEventKind::Delivered);
         }
         self.source.on_delivered(flow, at);
     }
 
     /// Feedback: a released message died worker-side before or at
-    /// injection (admission failure, churn queue drop) at `at`.
-    pub(crate) fn on_worker_abort(&mut self, flow: u32, at: u64) {
+    /// injection (admission failure, churn queue drop).
+    pub(crate) fn on_worker_abort(&mut self, flow: u32) {
         debug_assert!(self.outstanding > 0, "abort without a released message");
         self.outstanding -= 1;
-        self.abort_flow(flow, at);
+        self.abort_flow(flow);
     }
 
-    fn abort_flow(&mut self, flow: u32, at: u64) {
+    fn abort_flow(&mut self, flow: u32) {
         if flow == NO_FLOW {
             return;
         }
-        self.flows_aborted += 1;
-        self.log.record(at, flow, FlowEventKind::Aborted);
-        for dep in self.source.on_aborted(flow) {
-            self.flows_aborted += 1;
-            self.log.record(at, dep, FlowEventKind::Aborted);
-        }
+        // The flow itself, and every dependent the source aborts with it.
+        self.flows_aborted += 1 + self.source.on_aborted(flow).len() as u64;
     }
 
     /// The clean-termination gate: the source has nothing left to
@@ -388,7 +377,6 @@ impl WorkloadDriver {
             makespan,
             phases: self.source.phases(),
             critical_path: self.source.critical_path(),
-            events: self.log.into_sorted(),
         }
     }
 }
@@ -513,7 +501,6 @@ mod tests {
         assert_eq!(out.makespan, 11);
         assert_eq!(out.completion.count(), 2);
         assert_eq!(out.flow_p50(), 5);
-        assert_eq!(out.events.len(), 4);
     }
 
     #[test]
@@ -524,7 +511,7 @@ mod tests {
             aborted: Vec::new(),
         }));
         assert_eq!(drv.poll(0).len(), 1);
-        drv.on_worker_abort(1, 3);
+        drv.on_worker_abort(1);
         assert_eq!(drv.flows_aborted, 2, "the dependent flow cascades");
         assert!(drv.exhausted(4), "a cascaded abort never wedges the schedule");
         let out = drv.into_outcome();
