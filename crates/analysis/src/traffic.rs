@@ -496,8 +496,7 @@ fn saturated_placeholder(net: &NetView, sim: &SimConfig) -> TrafficStats {
 /// expensive per-fault-count network analysis (MCC labeling + info
 /// models across four orientations) runs once up front; `Network` is
 /// `Send + Sync`, so the workers share the results by reference (each
-/// task still builds its own router and path table, which are not
-/// `Send`).
+/// task builds its own path table).
 pub fn run_load_sweep(config: &LoadSweepConfig) -> LoadSweepResult {
     let mesh = Mesh::square(config.mesh);
 
@@ -513,8 +512,7 @@ pub fn run_load_sweep(config: &LoadSweepConfig) -> LoadSweepResult {
         .collect();
 
     // One task per (fault, router): a task sweeps every injection rate
-    // through a single path table, so route compilation happens once
-    // per (network, routing function) instead of once per rate.
+    // in order, so the early exit can skip the rates past saturation.
     let (n_rates, n_routers) = (config.rates.len(), config.routers.len());
     let tasks: Vec<(usize, usize)> = (0..config.fault_counts.len())
         .flat_map(|fi| (0..n_routers).map(move |ki| (fi, ki)))

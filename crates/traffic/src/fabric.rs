@@ -49,9 +49,8 @@
 //!   hops inside the band, parked on the input VC (one handle per VC)
 //!   while the packet drains through the ejection port, and released
 //!   when the head leaves the band or the tail ejects. Beside each
-//!   state the pool keeps the hop router's [`RouteHandle`] for it —
-//!   unresolved on entry, resolved by the packet's first decision here,
-//!   dropped on exit — so a waiting head's decision hashes nothing;
+//!   state the pool keeps the packet's route (a [`Head`]), which leaves
+//!   with the state, so a waiting head's decision hashes nothing;
 //! * credits sit apart from VC owners in a byte array, and a
 //!   per-`(node, direction)` bitmask says which output VCs are owned:
 //!   stepping reads and writes those two. The owner array itself (which
@@ -137,9 +136,10 @@
 //! thread of its own when [`SimConfig::threads`](crate::SimConfig) > 1).
 //!
 //! There is no global packet table: a packet's mutable state
-//! ([`PacketState`] — `head_hop`, escape `mode`, `stalled` clock)
-//! **travels with its head flit**, in the pool of the shard holding the
-//! head, by value inside a cross-shard arrival, and finally to the
+//! ([`PacketState`] — `head_hop`, escape `mode`, `stalled` clock) and
+//! its route **travel with its head flit**, in the pool of the shard
+//! holding the head, by value inside a cross-shard arrival, and the
+//! state finally to the
 //! run loop in a [`Delivery`] when the tail ejects. Body and tail flits
 //! carry nothing. Exactly one router holds a packet's head at any time,
 //! so its state has exactly one owner — by construction, not by
@@ -156,7 +156,7 @@
 //!    shard's border rows, or a credit owed to an upstream router in
 //!    the adjacent band — are appended to one of two **outboxes** (the
 //!    band before, the band after) as [`BoundaryMsg`]s (`Arrival`
-//!    carries the flit plus, for heads, the traveling [`PacketState`];
+//!    carries the flit plus, for heads, the traveling [`Head`];
 //!    `Credit` names the upstream output VC).
 //! 2. **Exchange + commit**: each shard hands its outboxes to the two
 //!    adjacent bands (a single hop crosses at most one band edge) and
@@ -187,12 +187,12 @@
 
 use std::ops::Range;
 
-use meshpath_mesh::{Coord, Dir, Mesh};
+use meshpath_mesh::{Coord, Dir, HopSeq, Mesh};
 #[cfg(test)]
 use meshpath_obs::NoProbe;
 use meshpath_obs::{BlockedWait, FabricProbe, GrantInfo, StalledPacket, VcFront, WaitEdge};
 
-use crate::routing::{HopCandidates, HopDecision, HopRouter, RouteHandle, VcClass};
+use crate::routing::{HopCandidates, HopDecision, HopRouter, VcClass};
 
 /// Directional ports (index = `Dir as usize`: `+X, -X, +Y, -Y`).
 const DIRS: usize = 4;
@@ -235,12 +235,13 @@ pub(crate) struct Flit {
 /// the next hop locally.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct PacketState {
-    /// Source node (compiled-route table key).
+    /// Where the packet's route starts: its source, or the node of its
+    /// last re-plan.
     pub src: Coord,
     /// Destination node (ejection test + tree-route target).
     pub dst: Coord,
-    /// Links the head flit has crossed so far (compiled-route index
-    /// while on the adaptive class).
+    /// Links the head flit has crossed since `src` (the index into its
+    /// route while on the adaptive class).
     pub head_hop: u32,
     /// Generation cycle (latency reference point).
     pub generated_at: u64,
@@ -256,11 +257,11 @@ pub(crate) struct PacketState {
     /// Consecutive cycles the head has been parked without an output
     /// grant (escape-patience clock; reset on every grant).
     pub stalled: u32,
-    /// The epoch of the packet's last route (fault churn; always 0
-    /// without it): the hop router sets it at every `Route` decision,
-    /// re-planning an adaptive packet first when a publication has
-    /// passed since. From an escape commitment on, the epoch of the
-    /// forest it committed on — a later publication drains it.
+    /// The epoch of the packet's route (fault churn; always 0 without
+    /// it): stamped at admission, and moved on by the re-plan of the
+    /// first decision after a publication, so every `Route` decision
+    /// leaves it current. From an escape commitment on, the epoch of
+    /// the forest it committed on — a later publication drains it.
     pub epoch: u32,
     /// Set by an online router when the packet can no longer reach its
     /// destination (it sits on, or heads to, a node that failed after
@@ -275,8 +276,8 @@ pub(crate) struct PacketState {
 }
 
 impl PacketState {
-    /// A fresh packet of `len` flits from `src` to `dst` at epoch 0: it
-    /// takes the current epoch at its first decision.
+    /// A fresh packet of `len` flits from `src` to `dst` at epoch 0:
+    /// admission stamps the current one.
     pub(crate) fn new(src: Coord, dst: Coord, generated_at: u64, len: u32) -> Self {
         PacketState {
             src,
@@ -306,13 +307,25 @@ pub(crate) struct Delivery {
     pub state: PacketState,
 }
 
+/// What travels with a packet's head flit: its state and its route —
+/// pooled in the band holding the head, carried by value in a
+/// cross-band arrival, dropped when the tail ejects.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Head {
+    pub state: PacketState,
+    /// The packet's route from `state.src` (see [`HopRouter::decide`]):
+    /// compiled at admission and again only by a re-plan; `None` once
+    /// no route leads on.
+    pub route: Option<HopSeq>,
+}
+
 /// One cross-shard effect of a grant, exchanged between the plan/grant
 /// phase and the commit phase (see the module docs on the
 /// boundary-exchange protocol). All coordinates are global node ids.
 #[derive(Clone, Debug)]
 pub(crate) enum BoundaryMsg {
     /// A flit crossing a band edge into `node`'s input port `in_port`,
-    /// downstream VC `vc`. Head flits carry their traveling state.
+    /// downstream VC `vc`. Head flits carry their state and route.
     Arrival {
         /// Destination router (global node id, owned by the receiver).
         node: u32,
@@ -322,8 +335,8 @@ pub(crate) enum BoundaryMsg {
         vc: u8,
         /// The flit itself.
         flit: Flit,
-        /// The traveling packet state (heads only).
-        state: Option<PacketState>,
+        /// The traveling state and route (heads only).
+        head: Option<Head>,
     },
     /// A credit returning to the upstream router `node`, output
     /// direction `dir`, VC `vc` (all owned by the receiver).
@@ -390,30 +403,18 @@ fn slot_handle(word: RingSlot) -> usize {
     ((word >> 32) as u32 & MAX_HANDLE) as usize
 }
 
-/// One pooled traveling state and, beside it, the hop router's resolved
-/// route for it. The handle is shard-local — it names a slot of this
-/// shard's router's table — so it starts unresolved when the state
-/// enters the pool and is dropped when the state leaves: nothing that
-/// crosses a shard edge grows by it.
-#[derive(Clone, Copy)]
-struct Pooled {
-    state: PacketState,
-    route: RouteHandle,
-}
-
-/// The traveling [`PacketState`]s resident in one shard: one per head
-/// flit queued or staged here, plus one per eject-draining input VC.
+/// The traveling [`Head`]s resident in one shard: one per head flit
+/// queued or staged here, plus one per eject-draining input VC.
 /// Handles are recycled through a free list, so the pool's size tracks
 /// the shard's peak head count, not its traffic volume.
 #[derive(Default)]
 struct StatePool {
-    entries: Vec<Pooled>,
+    entries: Vec<Head>,
     free: Vec<u32>,
 }
 
 impl StatePool {
-    fn alloc(&mut self, state: PacketState) -> u32 {
-        let entry = Pooled { state, route: RouteHandle::UNRESOLVED };
+    fn alloc(&mut self, entry: Head) -> u32 {
         if let Some(h) = self.free.pop() {
             self.entries[h as usize] = entry;
             return h;
@@ -424,9 +425,10 @@ impl StatePool {
         h
     }
 
-    fn release(&mut self, handle: usize) -> PacketState {
+    fn release(&mut self, handle: usize) -> Head {
         self.free.push(handle as u32);
-        self.entries[handle].state
+        let entry = &mut self.entries[handle];
+        Head { state: entry.state, route: entry.route.take() }
     }
 }
 
@@ -751,11 +753,11 @@ impl Shard {
     }
 
     /// Stages one flit onto local node `lnode`'s injection channel
-    /// (head flits carry their traveling state); it becomes visible to
+    /// (head flits carry their state and route); it becomes visible to
     /// allocation next cycle.
-    pub(crate) fn inject(&mut self, lnode: usize, flit: Flit, state: Option<PacketState>) {
-        debug_assert_eq!(flit.is_head, state.is_some(), "heads travel with their state");
-        let handle = state.map_or(0, |st| self.pool.alloc(st));
+    pub(crate) fn inject(&mut self, lnode: usize, flit: Flit, head: Option<Head>) {
+        debug_assert_eq!(flit.is_head, head.is_some(), "heads travel with their state");
+        let handle = head.map_or(0, |h| self.pool.alloc(h));
         self.arrivals.push(Arrival {
             lnode: lnode as u32,
             slot: (LOCAL_PORT * self.vcs) as u8,
@@ -779,20 +781,16 @@ impl Shard {
 
     /// Merges a neighbor's boundary messages into this shard's staged
     /// arrival/credit lists (before commit). An arriving head's state
-    /// moves into this shard's pool.
+    /// and route move into this shard's pool.
     pub(crate) fn apply_boundary(&mut self, msgs: Vec<BoundaryMsg>) {
         for m in msgs {
             match m {
-                BoundaryMsg::Arrival { node, in_port, vc, flit, state } => {
+                BoundaryMsg::Arrival { node, in_port, vc, flit, head } => {
                     debug_assert!(self.contains_node(node as usize), "misrouted boundary arrival");
-                    debug_assert_eq!(
-                        flit.is_head,
-                        state.is_some(),
-                        "heads travel with their state"
-                    );
+                    debug_assert_eq!(flit.is_head, head.is_some(), "heads travel with their state");
                     let lnode = self.local_of(node as usize) as u32;
                     self.in_flight += 1;
-                    let handle = state.map_or(0, |st| self.pool.alloc(st));
+                    let handle = head.map_or(0, |h| self.pool.alloc(h));
                     self.arrivals.push(Arrival {
                         lnode,
                         slot: (in_port as usize * self.vcs + vc as usize) as u8,
@@ -1050,7 +1048,7 @@ impl Shard {
             }
             if flit.is_tail {
                 self.in_vcs[in_idx].route = None;
-                let state = self.pool.release(self.ejecting[in_idx] as usize);
+                let state = self.pool.release(self.ejecting[in_idx] as usize).state;
                 deliveries.push(Delivery { packet: flit.packet, state });
                 // A churn-killed worm drains through the ejection port
                 // like a delivery, but the lifecycle event is a drop.
@@ -1141,17 +1139,17 @@ impl Shard {
                     word,
                 }),
                 // The flit leaves this shard: hand it (and, for heads,
-                // the traveling state) to the adjacent band.
+                // the traveling state and route) to the adjacent band.
                 None => {
                     self.in_flight -= 1;
-                    let state = flit.is_head.then(|| self.pool.release(slot_handle(word)));
+                    let head = flit.is_head.then(|| self.pool.release(slot_handle(word)));
                     let node = self.mesh.id(self.coords[lnode].step(dir)).0;
                     self.outbox(dir).push(BoundaryMsg::Arrival {
                         node,
                         in_port: next_in as u8,
                         vc: ov as u8,
                         flit,
-                        state,
+                        head,
                     });
                 }
             }
@@ -1241,9 +1239,10 @@ impl Shard {
                 if self.in_vcs[in_idx].route.is_some() || !f.is_head {
                     continue;
                 }
-                // Copy the state and its route handle: the postmortem
-                // must not perturb them.
-                let Pooled { state: mut pk, mut route } = self.pool.entries[slot_handle(word)];
+                // Copy the state and its route: the postmortem must not
+                // perturb them.
+                let Head { state: mut pk, mut route } =
+                    self.pool.entries[slot_handle(word)].clone();
                 probe.stalled_packet(StalledPacket {
                     packet: f.packet,
                     node,
@@ -1685,16 +1684,19 @@ mod tests {
     }
 
     /// A packet fed into its source's injection channel: its id, its
-    /// traveling state and how many of its flits went in.
+    /// traveling state, its route until the head goes in, and how many
+    /// of its flits went in.
     struct Worm {
         id: u32,
         state: PacketState,
+        route: Option<HopSeq>,
         sent: u32,
     }
 
     impl Worm {
+        /// A worm without a route, for routers that keep their own.
         fn new(id: u32, state: PacketState) -> Self {
-            Worm { id, state, sent: 0 }
+            Worm { id, state, route: None, sent: 0 }
         }
     }
 
@@ -1720,7 +1722,8 @@ mod tests {
                 let is_head = worm.sent == 0;
                 let flit =
                     Flit { packet: worm.id, is_head, is_tail: worm.sent + 1 == worm.state.len };
-                s.inject(lnode, flit, is_head.then_some(worm.state));
+                let head = is_head.then(|| Head { state: worm.state, route: worm.route.take() });
+                s.inject(lnode, flit, head);
                 worm.sent += 1;
             }
         }
@@ -1808,15 +1811,15 @@ mod tests {
     }
 
     impl HopRouter for ScriptedHop {
-        fn admit(&mut self, s: Coord, d: Coord) -> bool {
-            self.scripts.contains_key(&(s, d))
+        fn admit(&mut self, pk: &mut PacketState) -> Option<HopSeq> {
+            self.scripts.get(&(pk.src, pk.dst)).map(|dirs| dirs.iter().copied().collect())
         }
 
         fn decide(
             &mut self,
             here: Coord,
             pk: &mut PacketState,
-            _route: &mut RouteHandle,
+            _route: &mut Option<HopSeq>,
         ) -> HopDecision {
             if here == pk.dst {
                 return HopDecision::Eject;
@@ -2003,15 +2006,15 @@ mod tests {
     struct EscapeEager;
 
     impl HopRouter for EscapeEager {
-        fn admit(&mut self, _s: Coord, _d: Coord) -> bool {
-            true
+        fn admit(&mut self, _pk: &mut PacketState) -> Option<HopSeq> {
+            Some(HopSeq::new())
         }
 
         fn decide(
             &mut self,
             here: Coord,
             pk: &mut PacketState,
-            _route: &mut RouteHandle,
+            _route: &mut Option<HopSeq>,
         ) -> HopDecision {
             if here == pk.dst {
                 return HopDecision::Eject;
@@ -2324,7 +2327,7 @@ mod tests {
     }
 
     #[test]
-    fn a_packet_costs_each_table_it_visits_one_probe() {
+    fn a_packet_carries_its_route_across_bands() {
         use crate::routing::{EscapeHop, PathTable, RoutingKind};
         use meshpath_mesh::FaultSet;
         use meshpath_route::NetView;
@@ -2337,8 +2340,10 @@ mod tests {
         let [mut r0, mut r1] = tables.each_mut().map(|table| EscapeHop::new(table, 4));
         let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, 2);
         let (s, d) = (Coord::new(1, 0), Coord::new(1, 5));
-        assert!(r0.admit(s, d));
-        let mut worm = Worm::new(0, PacketState::new(s, d, 0, 2));
+        let mut pk = PacketState::new(s, d, 0, 2);
+        let route = r0.admit(&mut pk);
+        assert!(route.is_some());
+        let mut worm = Worm { route, ..Worm::new(0, pk) };
         let mut delivered = Vec::new();
         for _ in 0..20 {
             f.feed(&mut worm);
@@ -2348,9 +2353,10 @@ mod tests {
         assert_eq!(ids(&delivered), vec![0]);
         assert_eq!(delivered[0].state.head_hop, 5);
         // Three routers decided in the band of rows 0..3 and two (plus
-        // the ejection) in the band of rows 3..6: one probe each side.
-        assert_eq!(tables[0].cache_stats(), (1, 1), "admission compiled; the trip probed once");
-        assert_eq!(tables[1].cache_stats(), (0, 1), "the handle did not cross: one compile");
+        // the ejection) in the band of rows 3..6, all reading the route
+        // admission compiled.
+        assert_eq!(tables[0].compiles(), 1, "admission compiled");
+        assert_eq!(tables[1].compiles(), 0, "the route crossed with the packet");
     }
 
     #[test]

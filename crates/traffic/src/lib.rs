@@ -27,10 +27,10 @@
 //!
 //! The fabric is now routed per hop: every parked head flit asks a
 //! `HopRouter` for a fresh `(output port, VC class)` decision. The
-//! paper's deterministic routers stay fast because their decisions are
-//! still backed by a per-pair compiled route table ([`PathTable`] — one
-//! full algorithm execution per distinct `(source, destination)` pair,
-//! then a lookup per hop), and the per-hop indirection is what enables
+//! paper's deterministic routers stay fast because a packet's route is
+//! compiled once, at admission ([`PathTable`] — one full algorithm
+//! execution per packet, then a read per hop), and the per-hop
+//! indirection is what enables
 //! Duato-style escape routing (`EscapeHop`): each output port
 //! reserves its top virtual channel as an *escape class* whose
 //! channel-dependency graph is acyclic by construction — up*/down*

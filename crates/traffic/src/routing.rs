@@ -7,23 +7,22 @@
 //! The paper's routers make per-hop local decisions (the unified
 //! [`Router`] trait in `meshpath-route`). Re-running the full decision
 //! procedure at every router every cycle would swamp the flit-level
-//! simulation, so the adapters compile the hop sequence once per
-//! distinct `(source, destination)` pair into a [`PathTable`] (every
-//! router in this workspace is *deterministic* per snapshot, so the
-//! walk is a pure function of the pair). The table holds **one live
-//! epoch**: the current [`NetView`] and the routes compiled against it.
+//! simulation, so a packet's hop sequence is compiled once, when it is
+//! admitted (every router in this workspace is *deterministic* per
+//! snapshot, so the walk is a pure function of the pair and the epoch),
+//! and the route travels with the packet: in its source queue, beside
+//! its [`PacketState`] in the pool of the band holding its head, and
+//! inside a cross-band arrival. A [`PathTable`] holds **one live
+//! epoch** — the current [`NetView`] — and the router that compiles
+//! against it; it keeps no route.
 //!
 //! The fabric asks a [`HopRouter`] for a fresh `(output port, VC
 //! class)` decision whenever a head flit is parked at a router — every
-//! cycle the head waits — so a decision is table reads, never a search
+//! cycle the head waits — so a decision is array reads, never a search
 //! or a hash probe:
 //!
-//! * the **adaptive class** reads hop `head_hop` of the packet's
-//!   compiled route through a [`RouteHandle`]: the route's index in the
-//!   table's arena, resolved by the one `(s, d)` map probe a packet
-//!   costs per table and epoch, and kept by the fabric *beside* the
-//!   traveling [`PacketState`] (a handle names a slot of one table, so
-//!   it never crosses a shard edge: the next shard resolves its own);
+//! * the **adaptive class** reads hop `head_hop` of the packet's own
+//!   route;
 //! * the **escape class** compares pre-order interval labels of the
 //!   spanning forest ([`EscapeForest::next_hop`]): "is the destination
 //!   in my subtree? then the child whose interval holds it, else my
@@ -46,13 +45,14 @@
 //! Under **churn** (events published mid-run via
 //! [`HopRouter::publish`], whether listed ahead of time or injected
 //! live) one rule holds: **a publication re-plans adaptive packets and
-//! drains tree packets.** It replaces the table's view, drops every
-//! compiled route and rebuilds the forest ([`EscapeForest::new`]) over
+//! drains tree packets.** It replaces the table's view and rebuilds the
+//! forest ([`EscapeForest::new`]) over
 //! the published fault set — whole, because below the percolation
 //! threshold the healthy mesh is one giant component and there is no
 //! smaller dirty part to rebuild (`BENCH/pr19-forest-publish.json`).
-//! An adaptive packet routed under an older epoch re-plans from where
-//! its head stands at its next decision, as RB2 decides each hop from
+//! An adaptive packet routed under an older epoch re-plans (compiles
+//! its route again) from where its head stands at its next decision —
+//! the only compile after admission — as RB2 decides each hop from
 //! the fault information the node holds now; one that finds no route
 //! falls back to the tree, or is killed (the `churn_killed` stat) when
 //! the fault cut it off its destination. A packet committed to the
@@ -61,9 +61,7 @@
 //! up*/down* orders into a cyclic wait. Repaired nodes regain the tree
 //! class.
 
-use std::collections::hash_map::Entry;
-
-use meshpath_mesh::{Coord, Dir, FaultSet, FxHashMap, HopSeq, NodeId};
+use meshpath_mesh::{Coord, Dir, FaultSet, HopSeq, NodeId};
 use meshpath_route::oracle::{DistanceField, UNREACHABLE};
 use meshpath_route::{HopState, NetView, Router};
 
@@ -175,65 +173,48 @@ impl HopDecision {
 /// route) plus whatever the adapter knows about the network — mirroring
 /// how the paper's distributed algorithms run on real NoC hardware.
 pub(crate) trait HopRouter {
-    /// Network-interface admission: whether the routing function
-    /// delivers `(s, d)` under the **current epoch** (not XY across a
-    /// fault, nor disconnected endpoints). Called once per generation
-    /// attempt, the one check a packet passes before it is queued.
-    fn admit(&mut self, s: Coord, d: Coord) -> bool;
+    /// Network-interface admission of the fresh packet `pk`: its route
+    /// from `pk.src` to `pk.dst` under the **current epoch**, which is
+    /// stamped into `pk`, or `None` when the routing function does not
+    /// deliver the pair (XY across a fault, disconnected endpoints).
+    /// Called once per generation attempt, the one check a packet
+    /// passes before it is queued; the route travels with the packet.
+    fn admit(&mut self, pk: &mut PacketState) -> Option<HopSeq>;
 
     /// The decision for the head flit of `pk` parked at `here`. Called
     /// every cycle the head is unrouted, so it must be cheap: array
-    /// reads plus a VC-class choice. `route` is the caller's per-packet
-    /// slot for this router's resolved route: it starts
-    /// [`RouteHandle::UNRESOLVED`] wherever the packet's state enters a
-    /// shard and must come back with the same packet's next call. The
-    /// packet state is mutable so the router can re-key a packet routed
-    /// under an older epoch onto the current one (a replan, which
-    /// re-keys `route` too) or mark it killed; any mutation must be
+    /// reads plus a VC-class choice. `route` is the packet's own route
+    /// (from [`admit`](HopRouter::admit), or `None` once no route leads
+    /// on). Both are mutable so the router can re-plan a packet routed
+    /// under an older epoch onto the current one (re-keying `pk` and
+    /// compiling `route` again) or mark it killed; any mutation must be
     /// idempotent, because the post-mortem re-asks on a copy.
-    fn decide(&mut self, here: Coord, pk: &mut PacketState, route: &mut RouteHandle)
-        -> HopDecision;
+    fn decide(
+        &mut self,
+        here: Coord,
+        pk: &mut PacketState,
+        route: &mut Option<HopSeq>,
+    ) -> HopDecision;
 
     /// Publishes a churn epoch: `view` (the network after the applied
-    /// event) becomes the one live epoch — every route compiled before
-    /// it is dropped, later [`admit`](HopRouter::admit) calls compile
-    /// against it — and escape structures are rebuilt over its fault
-    /// set. A publication re-plans adaptive packets and drains tree
-    /// packets: each packet meets it at its next decision. Routers that
-    /// cannot serve churn ignore the call.
+    /// event) becomes the one live epoch — later
+    /// [`admit`](HopRouter::admit) calls and re-plans compile against
+    /// it — and escape structures are rebuilt over its fault set. A
+    /// publication re-plans adaptive packets and drains tree packets:
+    /// each packet meets it at its next decision. Routers that cannot
+    /// serve churn ignore the call.
     fn publish(&mut self, view: &NetView) {
         let _ = view;
     }
 }
 
-/// A compiled route: the hop sequence, or `None` for an undeliverable
-/// pair, cached per `(source, destination)` of the live epoch.
-type CachedRoute = Option<HopSeq>;
-
-/// A packet's compiled route, resolved to its slot in one
-/// [`PathTable`]'s arena: what lets [`HopRouter::decide`] read a hop
-/// without hashing the `(source, destination)` key again. Valid only
-/// against the table that resolved it and only within the epoch it was
-/// resolved in: a publication re-plans adaptive packets and drains tree
-/// packets, so a packet whose epoch is older than the table's re-keys
-/// its handle before reading it. The fabric keeps one beside every
-/// pooled [`PacketState`] and starts it unresolved wherever a state
-/// enters a shard.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) struct RouteHandle(u32);
-
-impl RouteHandle {
-    /// Nothing resolved yet: the next adaptive-class decision probes
-    /// the table (once) and stores what it finds.
-    pub(crate) const UNRESOLVED: RouteHandle = RouteHandle(u32::MAX);
-}
-
-/// A memoizing compiled-route table for one routing function over
-/// **one live epoch**: the per-pair backing store of the hop routers.
-/// Routes are keyed `(source, destination)` and compiled against the
-/// current snapshot; a churn publication replaces the snapshot and
-/// drops every route, so a table never holds more than one epoch's
-/// routes and one superseded view (the base it was built over).
+/// The live epoch of one routing function: the snapshot routes compile
+/// against, the router that compiles them and its scratch — the backing
+/// store of the hop routers. It keeps no route: a packet carries its
+/// own, compiled at admission and again only when a publication
+/// re-plans it. A churn publication replaces the snapshot, so a table
+/// holds one epoch's view and one superseded view (the base it was
+/// built over).
 pub struct PathTable {
     kind: RoutingKind,
     router: Box<dyn Router + Send + Sync>,
@@ -244,19 +225,24 @@ pub struct PathTable {
     view: NetView,
     /// The live epoch: publications since the last reset.
     epoch: u32,
-    /// The live epoch's compiled routes, in compile order: a
-    /// [`RouteHandle`] is an index here.
-    routes: Vec<CachedRoute>,
-    /// `(source, destination)` → index into `routes`.
-    index: FxHashMap<(Coord, Coord), u32>,
     /// Router scratch of every compile, reset per pair.
     scratch: HopState,
-    misses: u64,
-    hits: u64,
+    /// What this table and every table made from it with
+    /// [`for_band`](PathTable::for_band) compiled.
+    #[cfg(test)]
+    counts: std::sync::Arc<CompileCounts>,
+}
+
+/// Routes compiled by a run's tables, and the re-plans among them.
+#[cfg(test)]
+#[derive(Default)]
+struct CompileCounts {
+    compiles: std::sync::atomic::AtomicU64,
+    replans: std::sync::atomic::AtomicU64,
 }
 
 impl PathTable {
-    /// Creates an empty single-epoch table for `kind` over `view`.
+    /// Creates a single-epoch table for `kind` over `view`.
     pub fn new(view: &NetView, kind: RoutingKind) -> Self {
         PathTable {
             kind,
@@ -264,17 +250,20 @@ impl PathTable {
             base: view.clone(),
             view: view.clone(),
             epoch: 0,
-            routes: Vec::new(),
-            index: FxHashMap::default(),
             scratch: HopState::default(),
-            misses: 0,
-            hits: 0,
+            #[cfg(test)]
+            counts: Default::default(),
         }
     }
 
-    /// The routing function this table compiles.
-    pub(crate) fn kind(&self) -> RoutingKind {
-        self.kind
+    /// A fresh table for another band of the same run: this table's
+    /// routing function over its base snapshot.
+    pub(crate) fn for_band(&self) -> PathTable {
+        PathTable {
+            #[cfg(test)]
+            counts: std::sync::Arc::clone(&self.counts),
+            ..PathTable::new(&self.base, self.kind)
+        }
     }
 
     /// The snapshot of the live epoch.
@@ -282,92 +271,58 @@ impl PathTable {
         &self.view
     }
 
-    /// Returns to the base snapshot at epoch 0 (run start). A table
-    /// that never published keeps its routes — they stay valid across
-    /// runs over the same network — and one that did drops them with
-    /// the published view. Every [`RouteHandle`] resolved before a
-    /// publication is invalid after the reset.
+    /// Returns to the base snapshot at epoch 0 (run start).
     pub(crate) fn reset_epochs(&mut self) {
-        if self.epoch != 0 {
-            self.adopt(self.base.clone(), 0);
-        }
+        self.view = self.base.clone();
+        self.epoch = 0;
     }
 
     /// Publishes `view` as the next epoch: it replaces the live
-    /// snapshot, and every compiled route is dropped with the old one.
+    /// snapshot.
     pub(crate) fn publish(&mut self, view: &NetView) {
-        self.adopt(view.clone(), self.epoch + 1);
+        self.view = view.clone();
+        self.epoch += 1;
     }
 
-    /// Makes `view` the live snapshot of `epoch`, with no route yet.
-    fn adopt(&mut self, view: NetView, epoch: u32) {
-        self.view = view;
-        self.epoch = epoch;
-        self.routes.clear();
-        self.index.clear();
-    }
-
-    /// The direction sequence from `s` to `d` under the live epoch, or
-    /// `None` when the router does not deliver this pair (XY hitting a
-    /// fault, disconnected endpoints, hop-budget exhaustion). One table
-    /// probe when the pair is cached.
-    pub fn path(&mut self, s: Coord, d: Coord) -> Option<&HopSeq> {
-        let handle = self.resolve(s, d);
-        self.route(handle)
-    }
-
-    /// The one map probe of the table: the arena slot of the route from
-    /// `s` to `d` under the live epoch, compiled first when the pair is
-    /// new.
-    fn resolve(&mut self, s: Coord, d: Coord) -> RouteHandle {
-        match self.index.entry((s, d)) {
-            Entry::Occupied(cached) => {
-                self.hits += 1;
-                RouteHandle(*cached.get())
-            }
-            Entry::Vacant(slot) => {
-                self.misses += 1;
-                let at = self.routes.len() as u32;
-                assert!(at != RouteHandle::UNRESOLVED.0, "route arena outgrew its handles");
-                self.routes.push(Self::compile(&*self.router, &self.view, s, d, &mut self.scratch));
-                RouteHandle(*slot.insert(at))
-            }
-        }
-    }
-
-    /// The route a resolved handle stands for (`None`: undeliverable).
-    #[inline]
-    fn route(&self, handle: RouteHandle) -> Option<&HopSeq> {
-        self.routes[handle.0 as usize].as_ref()
-    }
-
-    /// Runs the routing function for one pair: the route it delivers,
-    /// or `None`.
-    fn compile(
-        router: &dyn Router,
-        view: &NetView,
-        s: Coord,
-        d: Coord,
-        scratch: &mut HopState,
-    ) -> CachedRoute {
+    /// Compiles the direction sequence from `s` to `d` under the live
+    /// epoch, or `None` when the router does not deliver this pair (XY
+    /// hitting a fault, disconnected endpoints, a refused walk). Runs
+    /// the routing function on every call.
+    pub fn path(&mut self, s: Coord, d: Coord) -> Option<HopSeq> {
+        #[cfg(test)]
+        self.counts.compiles.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         // Healthy endpoints in different healthy components: no router
         // delivers, and the labels say so in O(1) where the router would
         // pay a fallback flood.
+        let view = &self.view;
         let cut =
             matches!((view.component_of(s), view.component_of(d)), (Some(a), Some(b)) if a != b);
         if cut {
             return None;
         }
-        let res = router.route_with(view, s, d, scratch);
+        let res = self.router.route_with(view, s, d, &mut self.scratch);
         res.delivered.then_some(res.dirs)
     }
 
+    /// Routes compiled by this table and the band tables made from it.
+    #[cfg(test)]
+    pub(crate) fn compiles(&self) -> u64 {
+        self.counts.compiles.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// The re-plans among [`compiles`](PathTable::compiles).
+    #[cfg(test)]
+    pub(crate) fn replans(&self) -> u64 {
+        self.counts.replans.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
     /// Re-plans `pk` from `here` onto the live epoch: re-keys `pk` and
-    /// `route` onto the current route from `here` to its destination,
-    /// deliverable or not. Idempotent — asking again from the same
-    /// place resolves the same route.
-    fn replan(&mut self, here: Coord, pk: &mut PacketState, route: &mut RouteHandle) {
-        *route = self.resolve(here, pk.dst);
+    /// compiles `route` from `here` to its destination, deliverable or
+    /// not.
+    fn replan(&mut self, here: Coord, pk: &mut PacketState, route: &mut Option<HopSeq>) {
+        #[cfg(test)]
+        self.counts.replans.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        *route = self.path(here, pk.dst);
         pk.src = here;
         pk.head_hop = 0;
         pk.epoch = self.epoch;
@@ -388,44 +343,21 @@ impl PathTable {
     }
 
     /// The adaptive-class direction of `pk` at `here`: the next hop of
-    /// its route under the live epoch — one arena read plus a shift once
-    /// `route` is resolved, by the one probe a packet costs this table
-    /// per epoch. A packet routed under an older epoch (a new one starts
-    /// at 0) is [`replan`](PathTable::replan)ned first, before its
-    /// handle is read. `None`: the packet is stranded — no current route
-    /// leads on from `here`.
+    /// its route under the live epoch — one read plus a shift. A packet
+    /// routed under an older epoch is [`replan`](PathTable::replan)ned
+    /// first. `None`: the packet is stranded — no current route leads
+    /// on from `here`.
     #[inline]
     fn adaptive_dir(
         &mut self,
         here: Coord,
         pk: &mut PacketState,
-        route: &mut RouteHandle,
+        route: &mut Option<HopSeq>,
     ) -> Option<Dir> {
         if pk.epoch != self.epoch {
             self.replan(here, pk, route);
-        } else if *route == RouteHandle::UNRESOLVED {
-            *route = self.resolve(pk.src, pk.dst);
         }
-        self.route(*route).map(|path| path.get(pk.head_hop as usize))
-    }
-
-    /// Routes held, deliverable or not.
-    #[cfg(test)]
-    pub(crate) fn held(&self) -> usize {
-        assert_eq!(
-            self.routes.len(),
-            self.index.len(),
-            "a slot without a key, or a key without one"
-        );
-        self.routes.len()
-    }
-
-    /// `(map probes that found their route, routes compiled)` — a read
-    /// through a [`RouteHandle`] is not a probe, and the second count is
-    /// the number of full routing-algorithm executions performed.
-    #[cfg(test)]
-    pub(crate) fn cache_stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
+        route.as_ref().map(|path| path.get(pk.head_hop as usize))
     }
 }
 
@@ -727,15 +659,16 @@ impl<'p> EscapeHop<'p> {
 }
 
 impl HopRouter for EscapeHop<'_> {
-    fn admit(&mut self, s: Coord, d: Coord) -> bool {
-        self.paths.path(s, d).is_some()
+    fn admit(&mut self, pk: &mut PacketState) -> Option<HopSeq> {
+        pk.epoch = self.paths.epoch;
+        self.paths.path(pk.src, pk.dst)
     }
 
     fn decide(
         &mut self,
         here: Coord,
         pk: &mut PacketState,
-        route: &mut RouteHandle,
+        route: &mut Option<HopSeq>,
     ) -> HopDecision {
         if let Some(done) = self.paths.settled(here, pk) {
             return done;
@@ -830,42 +763,20 @@ mod tests {
     }
 
     #[test]
-    fn a_resolved_handle_reads_the_cached_route_without_probing() {
+    fn a_packet_reads_its_admitted_route_without_compiling() {
         let faults = FaultSet::from_coords(Mesh::square(6), [Coord::new(2, 2)]);
         let view = NetView::build(faults);
         let mut t = PathTable::new(&view, RoutingKind::Rb2);
         let (s, d) = (Coord::new(0, 2), Coord::new(5, 2));
         let mut pk = PacketState::new(s, d, 0, 1);
-        let mut route = RouteHandle::UNRESOLVED;
-        let first = t.adaptive_dir(s, &mut pk, &mut route);
-        assert_ne!(route, RouteHandle::UNRESOLVED);
-        assert_eq!(t.cache_stats(), (0, 1), "a cold read compiles");
-        let path = t.path(s, d).expect("cached").clone();
-        assert_eq!(t.cache_stats(), (1, 1), "a keyed read is a probe");
-        assert_eq!(first, Some(path.get(0)));
+        let mut route = EscapeHop::new(&mut t, u32::MAX).admit(&mut pk);
+        let path = route.clone().expect("routable");
+        assert_eq!(t.compiles(), 1, "admission compiles");
         for (hop, dir) in path.iter().enumerate() {
             pk.head_hop = hop as u32;
             assert_eq!(t.adaptive_dir(s, &mut pk, &mut route), Some(dir));
         }
-        assert_eq!(t.cache_stats(), (1, 1), "a read through the handle is not");
-        // A second packet of the pair resolves to the same slot, by one
-        // probe.
-        let mut other = RouteHandle::UNRESOLVED;
-        pk.head_hop = 0;
-        assert_eq!(t.adaptive_dir(s, &mut pk, &mut other), first);
-        assert_eq!(other, route);
-        assert_eq!(t.cache_stats(), (2, 1));
-    }
-
-    #[test]
-    fn path_table_memoizes() {
-        let net = NetView::build(FaultSet::none(Mesh::square(8)));
-        let mut t = PathTable::new(&net, RoutingKind::Rb2);
-        let a = t.path(Coord::new(0, 0), Coord::new(5, 5)).expect("delivered").clone();
-        let b = t.path(Coord::new(0, 0), Coord::new(5, 5)).expect("delivered");
-        assert_eq!(&a, b);
-        assert_eq!(a.len(), 10);
-        assert_eq!(t.cache_stats(), (1, 1));
+        assert_eq!(t.compiles(), 1, "a decision reads the packet's own route");
     }
 
     #[test]
@@ -896,10 +807,7 @@ mod tests {
         let (pocket, far) = (Coord::new(0, 0), Coord::new(40, 40));
         assert_eq!(t.path(far, pocket), None);
         assert_eq!(t.path(pocket, far), None);
-        assert_eq!(t.cache_stats(), (0, 2), "both pairs were compiled (as undeliverable)");
         assert_eq!(decisions.load(Ordering::Relaxed), 0, "a cut pair must not run the router");
-        assert_eq!(t.path(far, pocket), None);
-        assert_eq!(t.cache_stats(), (1, 2), "the verdict is cached like any route");
         // Connected pairs still compile by routing.
         let hops = t.path(Coord::new(2, 0), far).expect("connected").len();
         assert_eq!(hops as u32, Coord::new(2, 0).manhattan(far));
@@ -917,7 +825,8 @@ mod tests {
         let (s, d) = (Coord::new(1, 2), Coord::new(7, 2));
         for (kind, admitted) in [(RoutingKind::ECube, false), (RoutingKind::Rb2, true)] {
             let mut t = PathTable::new(&net, kind);
-            assert_eq!(EscapeHop::new(&mut t, u32::MAX).admit(s, d), admitted, "{}", kind.name());
+            let route = EscapeHop::new(&mut t, u32::MAX).admit(&mut PacketState::new(s, d, 0, 1));
+            assert_eq!(route.is_some(), admitted, "{}", kind.name());
         }
     }
 
@@ -941,21 +850,15 @@ mod tests {
     }
 
     #[test]
-    fn a_table_holds_one_live_epoch_of_routes() {
-        // Each publication replaces the view and drops every route: a
-        // table that saw k events holds the last view and only the
-        // routes compiled since.
+    fn a_table_compiles_against_its_one_live_epoch() {
+        // Each publication replaces the view; a reset returns to the
+        // base view at epoch 0.
         let mesh = Mesh::square(8);
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
         let mut t = PathTable::new(&v0, RoutingKind::Rb2);
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
-        let others = [(Coord::new(0, 0), Coord::new(7, 7)), (Coord::new(2, 6), Coord::new(5, 0))];
         assert_eq!(t.path(s, d).expect("clear row").len(), 5);
-        for (a, b) in others {
-            t.path(a, b).expect("fault-free");
-        }
-        assert_eq!(t.held(), 3);
         let blocker = Coord::new(3, 1);
         let events = [
             ChurnOp::Fail(Coord::new(4, 5)),
@@ -973,20 +876,12 @@ mod tests {
             t.publish(&view);
             assert_eq!(t.epoch, k);
             assert_eq!(t.view().epoch(), view.epoch(), "the live view is the published one");
-            assert_eq!(t.held(), 0, "a publication drops every route ({op:?})");
             let hops = t.path(s, d).expect("routable").len();
             assert_eq!(hops, if view.faults().is_faulty(blocker) { 7 } else { 5 }, "{op:?}");
-            assert_eq!(t.held(), 1, "only the current epoch's route ({op:?})");
         }
-        // A reset returns to the base view with nothing compiled.
         t.reset_epochs();
-        assert_eq!((t.epoch, t.held(), t.view().epoch()), (0, 0, v0.epoch()));
-        let (hits, misses) = t.cache_stats();
+        assert_eq!((t.epoch, t.view().epoch()), (0, v0.epoch()));
         assert_eq!(t.path(s, d).expect("clear row").len(), 5);
-        // One that never published since keeps its routes.
-        t.reset_epochs();
-        assert_eq!(t.path(s, d).expect("cached").len(), 5);
-        assert_eq!(t.cache_stats(), (hits + 1, misses + 1), "compiled once, then kept");
     }
 
     #[test]
@@ -995,11 +890,11 @@ mod tests {
         let mut t = PathTable::new(&net, RoutingKind::Rb2);
         let (s, d) = (Coord::new(0, 0), Coord::new(3, 2));
         let mut hop = EscapeHop::new(&mut t, u32::MAX);
-        assert!(hop.admit(s, d), "routable");
         let hops = s.manhattan(d);
         // However long the head has waited.
         let mut pk = PacketState { stalled: u32::MAX - 1, ..PacketState::new(s, d, 0, 1) };
-        let mut route = RouteHandle::UNRESOLVED;
+        let mut route = hop.admit(&mut pk);
+        assert!(route.is_some(), "routable");
         let mut here = s;
         for _ in 0..hops {
             match hop.decide(here, &mut pk, &mut route) {
@@ -1025,15 +920,16 @@ mod tests {
         let mut t = PathTable::new(&v0, RoutingKind::Rb2);
         let mut hop = EscapeHop::new(&mut t, u32::MAX);
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
-        assert!(hop.admit(s, d), "clear row");
+        let mut pk = PacketState::new(s, d, 0, 1);
+        let route = hop.admit(&mut pk);
+        assert!(route.is_some(), "clear row");
         let offered = |hop: &mut EscapeHop<'_>, here: Coord, pk: &PacketState| {
             for stalled in [0, 16, 10_000, u32::MAX - 1] {
                 let mut pk = PacketState { stalled, ..*pk };
-                let decision = hop.decide(here, &mut pk, &mut { RouteHandle::UNRESOLVED });
+                let decision = hop.decide(here, &mut pk, &mut route.clone());
                 assert_eq!(classes(decision), vec![VcClass::Adaptive], "stalled {stalled}");
             }
         };
-        let pk = PacketState::new(s, d, 0, 1);
         offered(&mut hop, s, &pk);
         // Online, a head whose next hop failed replans onto one adaptive
         // candidate.
@@ -1047,10 +943,7 @@ mod tests {
             hop.publish(&state.add_fault(wall).expect("valid"));
         }
         let mut cut = parked;
-        assert_eq!(
-            hop.decide(Coord::new(2, 1), &mut cut, &mut { RouteHandle::UNRESOLVED }),
-            HopDecision::Eject
-        );
+        assert_eq!(hop.decide(Coord::new(2, 1), &mut cut, &mut route.clone()), HopDecision::Eject);
         assert!(cut.killed, "stranded packets drain instead of wedging");
     }
 
@@ -1069,18 +962,16 @@ mod tests {
         let mut t = PathTable::new(&net, RoutingKind::Rb2);
         let mut hop = EscapeHop::new(&mut t, 4);
         let (s, d) = (Coord::new(2, 3), Coord::new(7, 3));
-        assert!(hop.admit(s, d), "RB2 routes around the fault");
         let mut fresh = PacketState::new(s, d, 0, 1);
+        let route = hop.admit(&mut fresh);
+        assert!(route.is_some(), "RB2 routes around the fault");
         // Below patience: adaptive only.
-        assert_eq!(
-            classes(hop.decide(s, &mut fresh, &mut { RouteHandle::UNRESOLVED })),
-            vec![VcClass::Adaptive]
-        );
+        assert_eq!(classes(hop.decide(s, &mut fresh, &mut route.clone())), vec![VcClass::Adaptive]);
         // Past patience: the adaptive hop, then the tree hop.
         let mut stalled = fresh;
         stalled.stalled = 10;
         let tree = hop.tree_choice(s, d).expect("a connected pair has a tree route");
-        match hop.decide(s, &mut stalled, &mut { RouteHandle::UNRESOLVED }) {
+        match hop.decide(s, &mut stalled, &mut route.clone()) {
             HopDecision::Route(c) => {
                 let v: Vec<_> = c.iter().collect();
                 assert_eq!(v[0].class, VcClass::Adaptive);
@@ -1091,10 +982,7 @@ mod tests {
         // Once committed to the tree: that class only, at any stall.
         for stalled in [0, 10] {
             let mut treed = PacketState { stalled, mode: VcClass::EscapeTree, ..fresh };
-            assert_eq!(
-                hop.decide(s, &mut treed, &mut { RouteHandle::UNRESOLVED }),
-                HopDecision::route1(tree)
-            );
+            assert_eq!(hop.decide(s, &mut treed, &mut None), HopDecision::route1(tree));
         }
     }
 
@@ -1193,7 +1081,7 @@ mod tests {
         let compiled = t.path(s, d).expect("delivered");
         use meshpath_route::Router as _;
         let offline = Rb2::default().route(&net, s, d);
-        assert_eq!(compiled, &offline.dirs);
+        assert_eq!(compiled, offline.dirs);
     }
 
     /// Holds `next_hop` to the ancestor climb it replaced, for every
@@ -1277,29 +1165,31 @@ mod tests {
                     if !(faults.is_healthy(here) && faults.is_healthy(dst)) {
                         // Admitted before the fault landed: drained.
                         let mut stale = PacketState::new(here, dst, 0, 1);
-                        assert_eq!(
-                            hop.decide(here, &mut stale, &mut { RouteHandle::UNRESOLVED }),
-                            HopDecision::Eject
-                        );
+                        assert_eq!(hop.decide(here, &mut stale, &mut None), HopDecision::Eject);
                         assert!(stale.killed, "{here:?}->{dst:?} after {op:?}");
                         continue;
                     }
-                    let admitted = fresh.admit(here, dst);
-                    assert_eq!(hop.admit(here, dst), admitted, "{here:?}->{dst:?} after {op:?}");
-                    if !admitted {
+                    // Stalled past patience.
+                    let new =
+                        PacketState { stalled: patience, ..PacketState::new(here, dst, 0, 1) };
+                    let (mut pk_fresh, mut pk) = (new, new);
+                    let mut admitted = fresh.admit(&mut pk_fresh);
+                    let mut route = hop.admit(&mut pk);
+                    assert_eq!(route, admitted, "{here:?}->{dst:?} after {op:?}");
+                    if admitted.is_none() {
                         continue; // cut apart: never in the fabric
                     }
-                    // Stalled past patience: the adaptive hop, then the
-                    // tree hop.
-                    // A new packet starts at epoch 0 and takes the
-                    // current one at its first decision.
-                    let mut pk = PacketState::new(here, dst, 0, 1);
-                    pk.stalled = patience;
-                    let expected = fresh.decide(here, &mut pk, &mut { RouteHandle::UNRESOLVED });
-                    let offered = hop.decide(here, &mut pk, &mut { RouteHandle::UNRESOLVED });
+                    // The adaptive hop, then the tree hop: on the route
+                    // admission compiled, and on the one a packet of an
+                    // older epoch re-plans onto.
+                    let expected = fresh.decide(here, &mut pk_fresh, &mut admitted);
+                    let offered = hop.decide(here, &mut pk, &mut route);
                     assert_eq!(offered, expected, "{here:?}->{dst:?} after {op:?}");
                     assert!(classes(offered).contains(&VcClass::EscapeTree));
                     assert_eq!((pk.epoch, pk.killed), (epoch, false));
+                    let mut stale = new;
+                    assert_eq!(hop.decide(here, &mut stale, &mut None), expected);
+                    assert_eq!((stale.epoch, stale.killed), (epoch, false));
                 }
             }
         }
@@ -1404,13 +1294,10 @@ mod tests {
         let mut t = PathTable::new(&v0, RoutingKind::Rb2);
         let mut hop = EscapeHop::new(&mut t, 4);
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
-        assert!(hop.admit(s, d), "clear row");
         let mut pk = PacketState::new(s, d, 0, 1);
-        // The first decision, before any churn, resolves the handle to
-        // the admitted route.
-        let mut route = RouteHandle::UNRESOLVED;
+        let mut route = hop.admit(&mut pk);
+        assert!(route.is_some(), "clear row");
         assert!(matches!(hop.decide(s, &mut pk, &mut route), HopDecision::Route(_)));
-        assert_ne!(route, RouteHandle::UNRESOLVED);
 
         // An unscheduled fault lands on the compiled row route.
         let blocker = Coord::new(3, 1);
@@ -1433,18 +1320,14 @@ mod tests {
         assert_eq!(pk.src, here);
         assert_eq!(pk.head_hop, 0);
         assert!(!pk.killed);
-        assert_eq!(
-            hop.paths.route(route).cloned(),
-            hop.paths.path(here, d).cloned(),
-            "and its handle onto the replanned route"
-        );
+        assert_eq!(route, hop.paths.path(here, d), "and its route is the replanned one");
         // Idempotent (a stalled head asks again every cycle), and from
-        // here on through the re-keyed handle: no further probe.
-        let probes = hop.paths.cache_stats();
+        // here on off the re-planned route: no further compile.
+        let compiles = hop.paths.compiles();
         let again = hop.decide(here, &mut pk, &mut route);
         assert_eq!((pk.epoch, pk.src, pk.head_hop), (1, here, 0));
         assert!(matches!(again, HopDecision::Route(_)));
-        assert_eq!(hop.paths.cache_stats(), probes);
+        assert_eq!(hop.paths.compiles(), compiles);
 
         // The destination itself fails: the packet is killed (drained
         // out of the fabric), never wedged.
@@ -1476,22 +1359,26 @@ mod tests {
         for (epoch, view) in (1..).zip(events) {
             hop.publish(&view.expect("a valid event"));
             let mut stale = committed(epoch - 1);
-            let decision = hop.decide(here, &mut stale, &mut { RouteHandle::UNRESOLVED });
+            let decision = hop.decide(here, &mut stale, &mut None);
             assert_eq!(decision, HopDecision::Eject, "epoch {epoch}");
             assert!(stale.killed, "a commitment on the old forest drains (epoch {epoch})");
             let mut current = committed(epoch);
             let tree = hop.tree_choice(here, dst).expect("the pair is connected");
-            let decision = hop.decide(here, &mut current, &mut { RouteHandle::UNRESOLVED });
+            let decision = hop.decide(here, &mut current, &mut None);
             assert_eq!(decision, HopDecision::route1(tree), "epoch {epoch}");
             assert!(!current.killed);
         }
     }
 
     /// Walks `pk`'s head from `here` to its destination through the
-    /// decisions `hop` offers, taking the first candidate each time as
-    /// a grant would: the hops it takes.
-    fn walk(hop: &mut EscapeHop<'_>, mut here: Coord, pk: &mut PacketState) -> u32 {
-        let mut route = RouteHandle::UNRESOLVED;
+    /// decisions `hop` offers on `route`, taking the first candidate
+    /// each time as a grant would: the hops it takes.
+    fn walk(
+        hop: &mut EscapeHop<'_>,
+        mut here: Coord,
+        pk: &mut PacketState,
+        mut route: Option<HopSeq>,
+    ) -> u32 {
         let mut hops = 0;
         while let HopDecision::Route(c) = hop.decide(here, pk, &mut route) {
             here = here.step(c.iter().next().expect("a candidate").dir);
@@ -1517,13 +1404,13 @@ mod tests {
         let mut t = PathTable::new(&v0, RoutingKind::Rb2);
         let mut hop = EscapeHop::new(&mut t, 4);
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
-        assert!(hop.admit(s, d));
-        let detour = hop.paths.path(s, d).expect("routable").clone();
+        let mut pk = PacketState::new(s, d, 0, 1);
+        let detour = hop.admit(&mut pk).expect("routable");
         assert_eq!(detour.len(), 7, "around F");
         let here = s.step(detour.get(0));
         hop.publish(&state.remove_fault(f).expect("valid"));
-        let mut pk = PacketState { head_hop: 1, ..PacketState::new(s, d, 0, 1) };
-        assert_eq!(walk(&mut hop, here, &mut pk), here.manhattan(d));
+        pk.head_hop = 1;
+        assert_eq!(walk(&mut hop, here, &mut pk, Some(detour.clone())), here.manhattan(d));
         assert_eq!((pk.src, pk.epoch), (here, 1), "re-keyed at the first decision");
         assert!(1 + here.manhattan(d) < detour.len() as u32, "shorter than the detour");
     }
@@ -1533,20 +1420,21 @@ mod tests {
         // XY over a clear row; a later publication fails a node of the
         // row, so XY has no route from the parked heads and they fall
         // back to the tree, and a repair gives them the row back. Each
-        // head carries its handle across every publication.
+        // head carries its route across every publication.
         let mesh = Mesh::square(8);
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
         let mut t = PathTable::new(&v0, RoutingKind::Xy);
         let mut hop = EscapeHop::new(&mut t, 4);
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
-        assert!(hop.admit(s, d));
-        let fresh = PacketState::new(s, d, 0, 1);
+        let mut fresh = PacketState::new(s, d, 0, 1);
+        let route = hop.admit(&mut fresh);
+        assert!(route.is_some());
         let mid = Coord::new(2, 1);
         let mut parked = [
-            (s, fresh, RouteHandle::UNRESOLVED),
-            (mid, PacketState { head_hop: 1, ..fresh }, RouteHandle::UNRESOLVED),
-            (mid, PacketState { head_hop: 1, stalled: 4, ..fresh }, RouteHandle::UNRESOLVED),
+            (s, fresh, route.clone()),
+            (mid, PacketState { head_hop: 1, ..fresh }, route.clone()),
+            (mid, PacketState { head_hop: 1, stalled: 4, ..fresh }, route),
         ];
         let blocker = Coord::new(3, 1);
         let events = [

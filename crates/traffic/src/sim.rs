@@ -11,8 +11,8 @@
 //! (per-node RNG streams, source queues) and an `EscapeHop` over a
 //! [`PathTable`]. Band 0 runs on the caller's thread over the caller's
 //! table; bands `1..N` run on one worker thread each, over a private
-//! table (hop decisions are pure functions of the network, so private
-//! route caches cannot diverge).
+//! table of the same snapshot. A packet's route is compiled once, by
+//! the band that admits it, and travels with the packet across bands.
 //!
 //! The coordinator runs the same loop at every band count: do the work
 //! that opens the cycle (churn publications, workload releases), grant
@@ -51,8 +51,8 @@
 //! their control lanes (windows end at boundaries, so `Go::Publish`
 //! precedes the window that starts there on each FIFO lane and every
 //! band adopts the epoch before the boundary cycle runs). Bands publish
-//! to their hop routers (`HopRouter::publish`: one epoch of routes, the
-//! escape forest rebuilt) and refresh source liveness and the
+//! to their hop routers (`HopRouter::publish`: the live view replaced,
+//! the escape forest rebuilt) and refresh source liveness and the
 //! destination sampler; a publication re-plans adaptive packets and
 //! drains tree packets (`churn_killed`), never wedged. Polling is
 //! coordinator-side and deterministic, so churn runs stay
@@ -75,7 +75,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::Instant;
 
-use meshpath_mesh::{derive_seed, Coord, FaultSet, Mesh, NodeId};
+use meshpath_mesh::{derive_seed, Coord, FaultSet, HopSeq, Mesh, NodeId};
 use meshpath_obs::{FabricProbe, NoProbe, ObsLevel, ObsReport, Phase, ShardObs, StopKind};
 use meshpath_route::NetView;
 use rand::rngs::StdRng;
@@ -83,7 +83,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::churn::{OnlineChurn, OnlineDriver};
 use crate::config::SimConfig;
-use crate::fabric::{BoundaryMsg, Delivery, Flit, PacketState, Shard, StepReport};
+use crate::fabric::{BoundaryMsg, Delivery, Flit, Head, PacketState, Shard, StepReport};
 use crate::routing::{EscapeHop, HopRouter, PathTable, RoutingKind};
 use crate::source::{TraceSource, WorkloadDriver, WorkloadMsg, WorkloadOutcome, WorkloadSource};
 use crate::stats::{LatencyHistogram, TrafficStats, WindowControl, WindowObserver, WindowSample};
@@ -160,11 +160,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// A generated packet waiting at its source network interface. The
-/// traveling `PacketState` is handed to the fabric with the head
-/// flit.
+/// traveling `PacketState` and the route admission compiled are handed
+/// to the fabric with the head flit.
 struct QueuedPacket {
     id: u32,
     state: PacketState,
+    route: HopSeq,
     /// Flits not yet fed into the injection channel.
     remaining: u32,
 }
@@ -463,8 +464,8 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         match go {
             // Adopted on arrival — the publication precedes the first
             // cycle of its epoch on this worker's lane: re-provision
-            // the hop router (escape forest rebuilt, routes dropped for
-            // the new epoch) and redraw the sampler.
+            // the hop router (live view replaced, escape forest rebuilt)
+            // and redraw the sampler.
             Go::Publish(view) => {
                 self.router.publish(view);
                 self.sampler = DestSampler::new(view.faults());
@@ -785,10 +786,9 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
     }
 
     /// The one network-interface admission path: asks the hop router
-    /// whether it delivers the pair (the NI attaches no route; all
-    /// forwarding decisions happen per hop in the fabric), and queues
-    /// the packet of `len` flits at source `slot` when it does.
-    /// Returns whether it was queued.
+    /// for the pair's route, and queues the packet of `len` flits with
+    /// it at source `slot` when there is one (the fabric reads the
+    /// route per hop). Returns whether it was queued.
     #[allow(clippy::too_many_arguments)]
     fn admit(
         &mut self,
@@ -800,17 +800,18 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
         len: u32,
         done: &mut CycleDone,
     ) -> bool {
-        let queued = self.router.admit(src, dst);
-        if queued {
+        let mut state = PacketState::new(src, dst, cycle, len);
+        state.flow = flow;
+        let route = self.router.admit(&mut state);
+        let queued = route.is_some();
+        if let Some(route) = route {
             // Hard assert (one branch per generated packet, off the
             // hot path): wrapping would alias ids across shards and
             // silently corrupt ownership bookkeeping.
             assert!(self.next_local < 1 << ID_SHARD_SHIFT, "packet-id namespace exhausted");
             let id = self.id_base + self.next_local;
             self.next_local += 1;
-            let mut state = PacketState::new(src, dst, cycle, len);
-            state.flow = flow;
-            self.enqueue(slot, QueuedPacket { id, state, remaining: len });
+            self.enqueue(slot, QueuedPacket { id, state, route, remaining: len });
         }
         self.count_attempt(cycle, src, dst, flow, len, queued, done);
         queued
@@ -854,9 +855,9 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
 
     /// Feeds at most one flit per node per cycle from the head-of-line
     /// queued packet into the injection channel; the head flit carries
-    /// the traveling packet state. Walks the backlogged sources in
-    /// ascending index order — the order a scan of every source stages
-    /// flits in.
+    /// the traveling packet state and route. Walks the backlogged
+    /// sources in ascending index order — the order a scan of every
+    /// source stages flits in.
     fn feed_injection_channels(&mut self) -> bool {
         let depth = self.cfg.vc_depth;
         let mut any = false;
@@ -876,7 +877,11 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
                 if P::ACTIVE && is_head {
                     self.probe.inject(s.id.0, front.id);
                 }
-                self.shard.inject(i, flit, is_head.then_some(front.state));
+                let head = is_head.then(|| Head {
+                    state: front.state,
+                    route: Some(std::mem::take(&mut front.route)),
+                });
+                self.shard.inject(i, flit, head);
                 front.remaining -= 1;
                 if front.remaining == 0 {
                     s.queue.pop_front();
@@ -1194,15 +1199,12 @@ pub struct RunOutput {
 /// driven by the seeded synthetic injection process, routed per hop by an
 /// `EscapeHop` over one compiled routing function.
 ///
-/// The path table is borrowed so runs over the same network can reuse
-/// compiled routes (route compilation dominates the low-load setup
-/// cost): it is reset to its initial snapshot at construction, keeping
-/// its routes when it published nothing. Band 0 routes over it at every
-/// band count, so every run reads and warms it; bands `1..N` compile
-/// their routes in private tables built from the same snapshot.
+/// The path table is borrowed and reset to its initial snapshot at
+/// construction. Band 0 routes over it at every band count; bands
+/// `1..N` route over private tables of the same snapshot
+/// ([`PathTable`] keeps no route: every packet carries its own).
 pub struct TrafficSim<'p> {
     cfg: SimConfig,
-    kind: RoutingKind,
     /// The row bands of the fabric, band 0 first.
     shards: Vec<Shard>,
     /// The caller's table: what band 0 routes over.
@@ -1245,7 +1247,6 @@ impl<'p> TrafficSim<'p> {
         if let Err(why) = cfg.validate() {
             panic!("{why}");
         }
-        let kind = paths.kind();
         paths.reset_epochs();
         let base = paths.view().clone();
 
@@ -1267,7 +1268,6 @@ impl<'p> TrafficSim<'p> {
         let shards = Shard::bands(mesh, cfg.vcs, cfg.vc_depth, threads);
         TrafficSim {
             cfg,
-            kind,
             shards,
             paths,
             base,
@@ -1378,7 +1378,7 @@ impl<'p> TrafficSim<'p> {
     {
         #[cfg(test)]
         let (use_reference, panic_at, window) = (self.use_reference, self.panic_at, self.window);
-        let TrafficSim { cfg, kind, shards, paths, base, mut sources, online, workload, .. } = self;
+        let TrafficSim { cfg, shards, paths, base, mut sources, online, workload, .. } = self;
         let churn = OnlineDriver::new(cfg.fault_churn.clone(), online, base.clone());
         let wl = workload.map(WorkloadDriver::new);
         let run = RunState::new(&cfg, base.faults().healthy_count(), churn, wl);
@@ -1417,12 +1417,13 @@ impl<'p> TrafficSim<'p> {
             shards[1..].iter().rev().map(|s| sources.split_off(s.node_range().start)).collect();
         buckets.push(sources);
         buckets.reverse();
+        let tables: Vec<PathTable> = (1..n).map(|_| paths.for_band()).collect();
         let mut bands = shards.into_iter().zip(buckets).zip(lanes);
         let ((shard0, sources0), lanes0) = bands.next().expect("a fabric has at least one band");
 
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n - 1);
-            for (w, ((shard, sources), lanes)) in (1..).zip(bands) {
+            for (w, (((shard, sources), lanes), mut paths)) in (1..).zip(bands.zip(tables)) {
                 let probe = mk(w, &shard);
                 let (tx, go) = mpsc::channel();
                 go_tx.push(tx);
@@ -1434,7 +1435,6 @@ impl<'p> TrafficSim<'p> {
                     // would otherwise block forever.
                     let report_tx = done.clone();
                     let caught = catch_unwind(AssertUnwindSafe(move || {
-                        let mut paths = PathTable::new(base, kind);
                         let router = EscapeHop::new(&mut paths, cfg.patience);
                         let mut worker =
                             ShardWorker::new(shard, sources, router, base, cfg, w, workload, probe);
@@ -2216,39 +2216,59 @@ mod tests {
     }
 
     #[test]
-    fn a_table_reused_across_churn_runs_holds_one_epoch_of_routes() {
+    fn a_table_reused_across_churn_runs_restarts_from_its_base_view() {
         let net = fault_free(8);
         let failed = [Coord::new(4, 4), Coord::new(2, 5)];
         let events = vec![ChurnEvent::fail(60, failed[0]), ChurnEvent::fail(90, failed[1])];
-        // Band 0 routes over the caller's table at every band count
-        // (`MESHPATH_THREADS` picks it).
         let cfg = SimConfig { rate: 0.02, fault_churn: events, ..SimConfig::smoke() };
-        // Two bands leave compiled routes in the caller's table too.
-        let mut paths = PathTable::new(&net, RoutingKind::Rb2);
-        run_reusing(&mut paths, &SimConfig { threads: 2, ..cfg.clone() }, &mut ());
-        assert!(paths.cache_stats().1 > 0, "band 0 compiled no route in the caller's table");
         let mut paths = PathTable::new(&net, RoutingKind::Rb2);
         let mut seen = Vec::new();
         for _ in 0..3 {
             let stats = run_reusing(&mut paths, &cfg, &mut ()).stats;
-            // The run ends on its last epoch: that view, and only the
-            // routes compiled since it was published.
+            // The run ends on its last epoch's view.
             assert!(failed.iter().all(|&c| paths.view().faults().is_faulty(c)));
-            assert!(paths.held() > 0, "the last epoch compiled no route");
             paths.reset_epochs();
-            assert_eq!(paths.held(), 0, "a reset drops the published epoch's routes");
-            assert_eq!(paths.view().faults().count(), 0, "and restores the base view");
+            assert_eq!(paths.view().faults().count(), 0, "a reset restores the base view");
             seen.push(stats);
         }
         assert_eq!(seen[0], seen[1]);
         assert_eq!(seen[0], seen[2]);
-        // A run that publishes nothing leaves its routes to the next.
-        let plain = SimConfig { fault_churn: Vec::new(), ..cfg };
-        run_reusing(&mut paths, &plain, &mut ());
-        let (held, compiled) = (paths.held(), paths.cache_stats().1);
-        assert!(held > 0);
-        run_reusing(&mut paths, &plain, &mut ());
-        assert_eq!((paths.held(), paths.cache_stats().1), (held, compiled), "nothing recompiled");
+    }
+
+    #[test]
+    fn a_run_compiles_once_per_attempt_plus_its_replans() {
+        // Every band's table counts into the caller's: a packet's route
+        // is compiled by the band that admits it and crosses bands with
+        // it, so the count does not grow with the band count.
+        let net = NetView::build(FaultSet::from_coords(
+            Mesh::square(12),
+            [Coord::new(3, 3), Coord::new(8, 5), Coord::new(5, 9)],
+        ));
+        let plain = SimConfig { rate: 0.03, ..SimConfig::smoke() };
+        let events = vec![
+            ChurnEvent::fail(80, Coord::new(6, 6)),
+            ChurnEvent::fail(160, Coord::new(2, 8)),
+            ChurnEvent::repair(240, Coord::new(6, 6)),
+        ];
+        let churn = SimConfig { fault_churn: events, ..plain.clone() };
+        for (cfg, churned) in [(plain, false), (churn, true)] {
+            let mut counted = Vec::new();
+            for threads in [1, 2, 4] {
+                let mut paths = PathTable::new(&net, RoutingKind::Rb2);
+                let cfg = SimConfig { threads, ..cfg.clone() };
+                let stats = run_reusing(&mut paths, &cfg, &mut ()).stats;
+                assert!(!stats.saturated && !stats.deadlocked, "a clean stop keeps every attempt");
+                let attempts = stats.generated + stats.unroutable;
+                let (compiles, replans) = (paths.compiles(), paths.replans());
+                assert_eq!(compiles, attempts + replans, "threads {threads}, churn {churned}");
+                assert_eq!(replans > 0, churned, "threads {threads}: only a publication re-plans");
+                counted.push((compiles, replans, stats));
+            }
+            assert!(
+                counted.windows(2).all(|w| w[0] == w[1]),
+                "churn {churned}: band counts differ"
+            );
+        }
     }
 
     #[test]
