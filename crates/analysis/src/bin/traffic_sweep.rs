@@ -229,9 +229,9 @@ fn main() {
 
     let res = run_load_sweep(&cfg);
     if let Some(path) = &record_trace {
-        let entries = res.points[0].trace.as_deref().unwrap_or(&[]);
-        let horizon = cfg.sim.warmup + cfg.sim.measure;
-        if let Err(e) = std::fs::write(path, write_trace(entries, horizon)) {
+        let point = &res.points[0];
+        let entries = point.trace.as_deref().unwrap_or(&[]);
+        if let Err(e) = std::fs::write(path, write_trace(entries, point.stats.cycles)) {
             eprintln!("could not write {path}: {e}");
             std::process::exit(1);
         } else if meshpath_obs::enabled(meshpath_obs::LogLevel::Info) {

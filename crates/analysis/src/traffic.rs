@@ -467,10 +467,9 @@ impl LoadSweepResult {
 /// cycles were simulated), and the real healthy-node count so the point
 /// stays comparable in per-node denominators.
 fn saturated_placeholder(net: &NetView, sim: &SimConfig) -> TrafficStats {
-    let faults = net.faults();
     TrafficStats {
         cycles: 0,
-        nodes: net.mesh().iter().filter(|&c| faults.is_healthy(c)).count(),
+        nodes: net.faults().healthy_count(),
         measure_window: sim.measure,
         generated: 0,
         measured_generated: 0,
@@ -521,7 +520,7 @@ pub fn run_load_sweep(config: &LoadSweepConfig) -> LoadSweepResult {
         let faults = config.fault_counts[fi];
         let router = config.routers[ki];
         let net = &nets[fi];
-        let mut paths = PathTable::new(net, router);
+        let paths = PathTable::new(net, router);
         // Lowest rate at which this (router, faults) ladder saturated
         // or deadlocked: offered load only grows with the rate, so
         // every higher rate inherits the verdict without simulating
@@ -556,7 +555,7 @@ pub fn run_load_sweep(config: &LoadSweepConfig) -> LoadSweepResult {
                 let observer: &mut dyn WindowObserver =
                     if config.early_exit { &mut stall } else { &mut passive };
                 let started = Instant::now();
-                let mut run = TrafficSim::new(&mut paths, sim);
+                let mut run = TrafficSim::new(&paths, sim);
                 if let Some(spec) = &config.workload {
                     run = run.with_workload(spec.build(net));
                 }

@@ -13,10 +13,9 @@
 //! {"cycle": 0, "src_x": 1, "src_y": 2, "dst_x": 5, "dst_y": 0, "len": 4, "flow": 4294967295}
 //! ```
 //!
-//! `len` is at least 1. `horizon` is the recording run's
-//! generation horizon (`warmup + measure` for synthetic runs): the
-//! replay holds the simulation open until it so both runs terminate on
-//! the same cycle.
+//! `len` is at least 1. `horizon` is the cycle the recording run
+//! stopped at: the replay holds the simulation open until it, so both
+//! runs terminate on the same cycle.
 //!
 //! ## DAG format (version 1)
 //!

@@ -12,11 +12,11 @@
 //! is attached) the coordinator takes the listed events that are due,
 //! drains the injector, draws the chaos schedule, applies each
 //! mutation to a [`NetState`] (incremental rebuild with full-rebuild
-//! fallback), and publishes the resulting [`NetView`] epochs into the
-//! running shard workers. Applying through `NetState` means invalid
-//! mutations (off-mesh coordinates, double faults, repairs of healthy
-//! nodes) are *rejected and counted*, never panicking a live service —
-//! whichever source they came from.
+//! fallback), and publishes the epoch of each resulting [`NetView`]
+//! into the running shard workers. Applying through `NetState` means
+//! invalid mutations (off-mesh coordinates, double faults, repairs of
+//! healthy nodes) are *rejected and counted*, never panicking a live
+//! service — whichever source they came from.
 //!
 //! Determinism: listed events apply in config order at their cycle, the
 //! chaos schedule is a pure function of `(seed, cycle)` and the fault
@@ -37,6 +37,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::{ChurnEvent, ChurnOp};
+use crate::routing::Epoch;
 
 /// A cloneable handle for injecting fault/repair events into a running
 /// simulation.
@@ -189,6 +190,8 @@ pub(crate) struct OnlineDriver {
     listed: VecDeque<ChurnEvent>,
     live: Option<OnlineChurn>,
     state: NetState,
+    /// The last epoch published.
+    epoch: Arc<Epoch>,
     applied: Vec<ChurnEvent>,
     rejected: u64,
 }
@@ -197,13 +200,14 @@ impl OnlineDriver {
     pub(crate) fn new(
         mut listed: Vec<ChurnEvent>,
         live: Option<OnlineChurn>,
-        base: NetView,
+        first: Arc<Epoch>,
     ) -> Self {
         listed.sort_by_key(|e| e.cycle);
         OnlineDriver {
             listed: listed.into(),
             live,
-            state: NetState::adopt(base),
+            state: NetState::adopt(first.view.clone()),
+            epoch: first,
             applied: Vec::new(),
             rejected: 0,
         }
@@ -225,13 +229,13 @@ impl OnlineDriver {
 
     /// Applies what is due at `cycle` — listed events first, then the
     /// injector queue and the chaos draw when `cycle` is a positive
-    /// quantum multiple — and returns the epoch publications to
-    /// broadcast, one per applied operation.
+    /// quantum multiple — and returns the epochs to publish, one per
+    /// applied operation.
     ///
     /// Invalid operations are counted in `rejected` and dropped — a
     /// bad list entry or a misbehaving injector client cannot wedge or
     /// panic the run.
-    pub(crate) fn poll(&mut self, cycle: u64) -> Vec<NetView> {
+    pub(crate) fn poll(&mut self, cycle: u64) -> Vec<Arc<Epoch>> {
         let mut ops = Vec::new();
         while self.listed.front().is_some_and(|e| e.cycle <= cycle) {
             ops.extend(self.listed.pop_front().map(|e| e.op));
@@ -253,7 +257,8 @@ impl OnlineDriver {
             match applied {
                 Ok(view) => {
                     self.applied.push(ChurnEvent { cycle, op });
-                    out.push(view);
+                    self.epoch = Arc::new(self.epoch.next(view));
+                    out.push(Arc::clone(&self.epoch));
                 }
                 Err(e) => {
                     // Rejections are counted, not fatal — but an event
@@ -288,6 +293,11 @@ mod tests {
         NetView::build(FaultSet::from_coords(mesh, coords))
     }
 
+    fn first(side: u32, faulty: &[(i32, i32)]) -> Arc<Epoch> {
+        let table = crate::PathTable::new(&view(side, faulty), crate::RoutingKind::Xy);
+        Arc::new(Epoch::first(&table))
+    }
+
     /// The operations one poll applies, off the applied-event log.
     fn applied_by(drv: &mut OnlineDriver, cycle: u64) -> Vec<ChurnOp> {
         let before = drv.applied.len();
@@ -315,7 +325,7 @@ mod tests {
     fn driver_applies_at_quantum_boundaries_only() {
         let inj = ChurnInjector::new();
         let live = OnlineChurn::new(inj.clone());
-        let mut drv = OnlineDriver::new(Vec::new(), Some(live), view(4, &[]));
+        let mut drv = OnlineDriver::new(Vec::new(), Some(live), first(4, &[]));
         inj.fail(Coord::new(2, 2));
         assert!(drv.poll(0).is_empty(), "live sources are first polled at the first quantum");
         assert!(drv.poll(7).is_empty(), "off-boundary cycles do not poll");
@@ -326,8 +336,8 @@ mod tests {
         );
         let pubs = drv.poll(16);
         assert_eq!(pubs.len(), 1);
-        let v = &pubs[0];
-        assert_eq!(v.epoch(), 1);
+        let v = &pubs[0].view;
+        assert_eq!((pubs[0].index, v.epoch()), (1, 1));
         assert!(!v.faults().is_healthy(Coord::new(2, 2)));
         let (applied, rejected) = drv.into_outcome();
         assert_eq!(applied, vec![ChurnEvent::fail(16, Coord::new(2, 2))]);
@@ -338,7 +348,7 @@ mod tests {
     fn driver_rejects_invalid_operations_without_panicking() {
         let inj = ChurnInjector::new();
         let live = OnlineChurn::new(inj.clone());
-        let mut drv = OnlineDriver::new(Vec::new(), Some(live), view(4, &[(1, 1)]));
+        let mut drv = OnlineDriver::new(Vec::new(), Some(live), first(4, &[(1, 1)]));
         inj.fail(Coord::new(9, 9)); // off-mesh
         inj.fail(Coord::new(1, 1)); // already faulty
         inj.repair(Coord::new(2, 2)); // not faulty
@@ -361,7 +371,7 @@ mod tests {
         ];
         let inj = ChurnInjector::new();
         let live = OnlineChurn::new(inj.clone());
-        let mut drv = OnlineDriver::new(listed, Some(live), view(4, &[]));
+        let mut drv = OnlineDriver::new(listed, Some(live), first(4, &[]));
         // Listed cycles are boundaries beside the quantum multiples —
         // cycle 0 included.
         assert_eq!(drv.next_boundary(0), 0);
@@ -381,7 +391,7 @@ mod tests {
         assert_eq!(rejected, 1);
         // A list-only driver has no boundary past its last event, so
         // leases run unclamped from there.
-        let mut list_only = OnlineDriver::new(vec![ChurnEvent::fail(5, a)], None, view(4, &[]));
+        let mut list_only = OnlineDriver::new(vec![ChurnEvent::fail(5, a)], None, first(4, &[]));
         assert_eq!(list_only.next_boundary(0), 5);
         assert_eq!(list_only.poll(5).len(), 1);
         assert_eq!(list_only.next_boundary(6), u64::MAX);

@@ -2328,16 +2328,19 @@ mod tests {
 
     #[test]
     fn a_packet_carries_its_route_across_bands() {
-        use crate::routing::{EscapeHop, PathTable, RoutingKind};
+        use crate::routing::{Epoch, EscapeHop, PathTable, RoutingKind};
         use meshpath_mesh::FaultSet;
         use meshpath_route::NetView;
+        use std::sync::Arc;
 
         // Two row bands stepped as the run loop steps them: each shard
-        // on its own router over its own table.
+        // on its own router over its own table, both sharing one epoch.
         let mesh = Mesh::square(6);
         let view = NetView::build(FaultSet::none(mesh));
-        let mut tables = [RoutingKind::Rb2; 2].map(|kind| PathTable::new(&view, kind));
-        let [mut r0, mut r1] = tables.each_mut().map(|table| EscapeHop::new(table, 4));
+        let tables = [RoutingKind::Rb2; 2].map(|kind| PathTable::new(&view, kind));
+        let epoch = Arc::new(Epoch::first(&tables[0]));
+        let [mut r0, mut r1] =
+            tables.each_ref().map(|table| EscapeHop::new(table.for_band(), Arc::clone(&epoch), 4));
         let mut f = Fabric::new(mesh, TEST_VCS, TEST_DEPTH, 2);
         let (s, d) = (Coord::new(1, 0), Coord::new(1, 5));
         let mut pk = PacketState::new(s, d, 0, 2);

@@ -57,8 +57,8 @@ fn run(
     stepper: Stepper,
     chaos: Option<ChaosConfig>,
 ) -> TrafficStats {
-    let mut paths = PathTable::new(net, kind);
-    let mut sim = TrafficSim::new(&mut paths, cfg.clone());
+    let paths = PathTable::new(net, kind);
+    let mut sim = TrafficSim::new(&paths, cfg.clone());
     if let Some(chaos) = chaos {
         sim = sim.with_online_churn(OnlineChurn::chaos(chaos));
     }
@@ -108,9 +108,9 @@ fn a_head_parked_behind_a_winning_vc_is_asked_on_the_cycle_its_destination_fails
         ..SimConfig::default()
     };
     let run_trace = |reference: bool| {
-        let mut paths = PathTable::new(&net, RoutingKind::Xy);
+        let paths = PathTable::new(&net, RoutingKind::Xy);
         let source = TraceSource::new(entries.clone(), 1);
-        let mut sim = TrafficSim::new(&mut paths, cfg.clone()).with_workload(Box::new(source));
+        let mut sim = TrafficSim::new(&paths, cfg.clone()).with_workload(Box::new(source));
         if reference {
             sim.set_reference_stepper();
         } else {

@@ -45,10 +45,9 @@
 //!
 //! * `routing` — the `HopRouter` trait and its implementation
 //!   `EscapeHop` (compiled-route replay on the adaptive class, plus
-//!   the tree escape class);
-//!   the [`PathTable`] compiling the workspace's [`Router`]s
-//!   (RB1/RB2/RB3, fault-tolerant E-cube) and the dimension-order
-//!   `XyRouter` baseline.
+//!   the tree escape class); the [`PathTable`] compiling the
+//!   workspace's [`Router`]s (RB1/RB2/RB3, fault-tolerant E-cube, the
+//!   XY baseline); and the `Epoch` every band shares.
 //! * `fabric` — the cycle-level wormhole router microarchitecture
 //!   with class-aware virtual-channel allocation; stepping is
 //!   event-driven (an active-router bitset, occupancy/request/free-VC
@@ -65,7 +64,7 @@
 //!   simulation, fed by a [`SimConfig::fault_churn`] list (exact
 //!   cycles), a [`ChurnInjector`] handle and a seedable [`ChaosConfig`]
 //!   random schedule (every 16 cycles) — one driver, one
-//!   epoch mechanism, the escape forest rebuilt per published event;
+//!   epoch mechanism, one escape forest per published event;
 //!   a publication re-plans adaptive packets and drains tree packets
 //!   (`churn_killed`), so nothing wedges on a stale route.
 //! * [`stats`] — latency histograms and accepted-throughput accounting.

@@ -12,9 +12,9 @@
 //! snapshot, so the walk is a pure function of the pair and the epoch),
 //! and the route travels with the packet: in its source queue, beside
 //! its [`PacketState`] in the pool of the band holding its head, and
-//! inside a cross-band arrival. A [`PathTable`] holds **one live
-//! epoch** — the current [`NetView`] — and the router that compiles
-//! against it; it keeps no route.
+//! inside a cross-band arrival. A [`PathTable`] compiles and keeps no
+//! route; one [`Epoch`] — the [`NetView`], escape forest and healthy
+//! nodes — is shared by every band.
 //!
 //! The fabric asks a [`HopRouter`] for a fresh `(output port, VC
 //! class)` decision whenever a head flit is parked at a router — every
@@ -42,28 +42,30 @@
 //! `u32::MAX` the router replays the compiled route unconditionally —
 //! the source-routed fabric, deadlock detected rather than avoided.
 //!
-//! Under **churn** (events published mid-run via
-//! [`HopRouter::publish`], whether listed ahead of time or injected
-//! live) one rule holds: **a publication re-plans adaptive packets and
-//! drains tree packets.** It replaces the table's view and rebuilds the
-//! forest ([`EscapeForest::new`]) over
-//! the published fault set — whole, because below the percolation
-//! threshold the healthy mesh is one giant component and there is no
-//! smaller dirty part to rebuild (`BENCH/pr19-forest-publish.json`).
+//! Under **churn** (events published mid-run, whether listed ahead of
+//! time or injected live) one rule holds: **a publication re-plans
+//! adaptive packets and drains tree packets.** The next [`Epoch`]
+//! carries a forest built whole over the published fault set — below
+//! the percolation threshold the healthy mesh is one giant component
+//! and there is no smaller dirty part to rebuild
+//! (`BENCH/pr19-forest-publish.json`).
 //! An adaptive packet routed under an older epoch re-plans (compiles
 //! its route again) from where its head stands at its next decision —
 //! the only compile after admission — as RB2 decides each hop from
 //! the fault information the node holds now; one that finds no route
 //! falls back to the tree, or is killed (the `churn_killed` stat) when
 //! the fault cut it off its destination. A packet committed to the
-//! tree under an older epoch is killed too: the rebuilt forest orders
+//! tree under an older epoch is killed too: the new forest orders
 //! the same channels differently, so routing it on would compose two
 //! up*/down* orders into a cyclic wait. Repaired nodes regain the tree
 //! class.
 
+use std::sync::Arc;
+
 use meshpath_mesh::{Coord, Dir, FaultSet, HopSeq, NodeId};
 use meshpath_route::oracle::{DistanceField, UNREACHABLE};
 use meshpath_route::{HopState, NetView, Router};
+use rand::Rng;
 
 pub(crate) use meshpath_route::RoutingKind;
 
@@ -195,106 +197,75 @@ pub(crate) trait HopRouter {
         pk: &mut PacketState,
         route: &mut Option<HopSeq>,
     ) -> HopDecision;
-
-    /// Publishes a churn epoch: `view` (the network after the applied
-    /// event) becomes the one live epoch — later
-    /// [`admit`](HopRouter::admit) calls and re-plans compile against
-    /// it — and escape structures are rebuilt over its fault set. A
-    /// publication re-plans adaptive packets and drains tree packets:
-    /// each packet meets it at its next decision. Routers that cannot
-    /// serve churn ignore the call.
-    fn publish(&mut self, view: &NetView) {
-        let _ = view;
-    }
 }
 
-/// The live epoch of one routing function: the snapshot routes compile
-/// against, the router that compiles them and its scratch — the backing
-/// store of the hop routers. It keeps no route: a packet carries its
-/// own, compiled at admission and again only when a publication
-/// re-plans it. A churn publication replaces the snapshot, so a table
-/// holds one epoch's view and one superseded view (the base it was
-/// built over).
+/// One routing function over a network snapshot, and its scratch. It
+/// keeps no route and no epoch: a packet carries its own route, and a
+/// run never changes the table a caller passes.
 pub struct PathTable {
     kind: RoutingKind,
     router: Box<dyn Router + Send + Sync>,
-    /// The snapshot the table was built over, which
-    /// [`reset_epochs`](PathTable::reset_epochs) restores.
-    base: NetView,
-    /// The live epoch's snapshot: `base` until the first publication.
+    /// What [`path`](PathTable::path) compiles against; a run's epoch 0.
     view: NetView,
-    /// The live epoch: publications since the last reset.
-    epoch: u32,
     /// Router scratch of every compile, reset per pair.
     scratch: HopState,
-    /// What this table and every table made from it with
-    /// [`for_band`](PathTable::for_band) compiled.
-    #[cfg(test)]
-    counts: std::sync::Arc<CompileCounts>,
+    /// Shared with the tables [`for_band`](PathTable::for_band) makes
+    /// from this one and with their runs' epochs.
+    counts: Counts,
 }
 
-/// Routes compiled by a run's tables, and the re-plans among them.
+/// A run's compiles, re-plans and epoch builds: counted under test,
+/// empty otherwise.
+#[derive(Clone, Default)]
+struct Counts(#[cfg(test)] Arc<Tally>);
+
 #[cfg(test)]
 #[derive(Default)]
-struct CompileCounts {
+struct Tally {
     compiles: std::sync::atomic::AtomicU64,
     replans: std::sync::atomic::AtomicU64,
+    epochs: std::sync::atomic::AtomicU64,
 }
 
 impl PathTable {
-    /// Creates a single-epoch table for `kind` over `view`.
+    /// Creates a table for `kind` over `view`.
     pub fn new(view: &NetView, kind: RoutingKind) -> Self {
         PathTable {
             kind,
             router: kind.router(),
-            base: view.clone(),
             view: view.clone(),
-            epoch: 0,
             scratch: HopState::default(),
-            #[cfg(test)]
-            counts: Default::default(),
+            counts: Counts::default(),
         }
     }
 
-    /// A fresh table for another band of the same run: this table's
-    /// routing function over its base snapshot.
+    /// A fresh table for one band of a run: this table's routing
+    /// function over its snapshot.
     pub(crate) fn for_band(&self) -> PathTable {
-        PathTable {
-            #[cfg(test)]
-            counts: std::sync::Arc::clone(&self.counts),
-            ..PathTable::new(&self.base, self.kind)
-        }
+        PathTable { counts: self.counts.clone(), ..PathTable::new(&self.view, self.kind) }
     }
 
-    /// The snapshot of the live epoch.
+    /// The snapshot the table was built over.
     pub(crate) fn view(&self) -> &NetView {
         &self.view
     }
 
-    /// Returns to the base snapshot at epoch 0 (run start).
-    pub(crate) fn reset_epochs(&mut self) {
-        self.view = self.base.clone();
-        self.epoch = 0;
-    }
-
-    /// Publishes `view` as the next epoch: it replaces the live
-    /// snapshot.
-    pub(crate) fn publish(&mut self, view: &NetView) {
-        self.view = view.clone();
-        self.epoch += 1;
-    }
-
-    /// Compiles the direction sequence from `s` to `d` under the live
-    /// epoch, or `None` when the router does not deliver this pair (XY
-    /// hitting a fault, disconnected endpoints, a refused walk). Runs
-    /// the routing function on every call.
+    /// Compiles the direction sequence from `s` to `d` over the table's
+    /// snapshot, or `None` when the router does not deliver this pair
+    /// (XY hitting a fault, disconnected endpoints, a refused walk).
+    /// Runs the routing function on every call.
     pub fn path(&mut self, s: Coord, d: Coord) -> Option<HopSeq> {
+        let view = self.view.clone();
+        self.compile(&view, s, d)
+    }
+
+    /// [`path`](PathTable::path) over `view`.
+    fn compile(&mut self, view: &NetView, s: Coord, d: Coord) -> Option<HopSeq> {
         #[cfg(test)]
-        self.counts.compiles.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.counts.0.compiles.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         // Healthy endpoints in different healthy components: no router
         // delivers, and the labels say so in O(1) where the router would
         // pay a fallback flood.
-        let view = &self.view;
         let cut =
             matches!((view.component_of(s), view.component_of(d)), (Some(a), Some(b)) if a != b);
         if cut {
@@ -307,57 +278,19 @@ impl PathTable {
     /// Routes compiled by this table and the band tables made from it.
     #[cfg(test)]
     pub(crate) fn compiles(&self) -> u64 {
-        self.counts.compiles.load(std::sync::atomic::Ordering::Relaxed)
+        self.counts.0.compiles.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// The re-plans among [`compiles`](PathTable::compiles).
     #[cfg(test)]
     pub(crate) fn replans(&self) -> u64 {
-        self.counts.replans.load(std::sync::atomic::Ordering::Relaxed)
+        self.counts.0.replans.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Re-plans `pk` from `here` onto the live epoch: re-keys `pk` and
-    /// compiles `route` from `here` to its destination, deliverable or
-    /// not.
-    fn replan(&mut self, here: Coord, pk: &mut PacketState, route: &mut Option<HopSeq>) {
-        #[cfg(test)]
-        self.counts.replans.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        *route = self.path(here, pk.dst);
-        pk.src = here;
-        pk.head_hop = 0;
-        pk.epoch = self.epoch;
-    }
-
-    /// What is settled before a hop router picks a class: a packet at
-    /// its destination ejects, and after a publication one that sits
-    /// on, or heads to, a failed node is killed — drained out of the
-    /// fabric.
-    #[inline]
-    fn settled(&self, here: Coord, pk: &mut PacketState) -> Option<HopDecision> {
-        let faults = self.view.faults();
-        if self.epoch != 0 && !(faults.is_healthy(here) && faults.is_healthy(pk.dst)) {
-            pk.killed = true;
-            return Some(HopDecision::Eject);
-        }
-        (here == pk.dst).then_some(HopDecision::Eject)
-    }
-
-    /// The adaptive-class direction of `pk` at `here`: the next hop of
-    /// its route under the live epoch — one read plus a shift. A packet
-    /// routed under an older epoch is [`replan`](PathTable::replan)ned
-    /// first. `None`: the packet is stranded — no current route leads
-    /// on from `here`.
-    #[inline]
-    fn adaptive_dir(
-        &mut self,
-        here: Coord,
-        pk: &mut PacketState,
-        route: &mut Option<HopSeq>,
-    ) -> Option<Dir> {
-        if pk.epoch != self.epoch {
-            self.replan(here, pk, route);
-        }
-        route.as_ref().map(|path| path.get(pk.head_hop as usize))
+    /// Epochs (forest plus destination list) built over this table.
+    #[cfg(test)]
+    pub(crate) fn epochs_built(&self) -> u64 {
+        self.counts.0.epochs.load(std::sync::atomic::Ordering::Relaxed)
     }
 }
 
@@ -610,6 +543,61 @@ impl EscapeForest {
     }
 }
 
+/// What every band routes by between two publications, a pure function
+/// of the fault set: built once per epoch, shared by every band.
+pub(crate) struct Epoch {
+    /// 0 at run start, then one more per publication: the slot of
+    /// `epoch_delivered` its deliveries count in.
+    pub(crate) index: u32,
+    pub(crate) view: NetView,
+    forest: EscapeForest,
+    /// The healthy nodes in id order: uniform destinations.
+    healthy: Vec<Coord>,
+    counts: Counts,
+}
+
+impl Epoch {
+    /// Epoch 0 of a run over `paths`' snapshot.
+    pub(crate) fn first(paths: &PathTable) -> Self {
+        Epoch::build(0, paths.view.clone(), paths.counts.clone())
+    }
+
+    /// The next epoch, over `view`.
+    pub(crate) fn next(&self, view: NetView) -> Self {
+        Epoch::build(self.index + 1, view, self.counts.clone())
+    }
+
+    fn build(index: u32, view: NetView, counts: Counts) -> Self {
+        #[cfg(test)]
+        counts.0.epochs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let faults = view.faults();
+        Epoch {
+            index,
+            forest: EscapeForest::new(faults),
+            healthy: faults.mesh().iter().filter(|&c| faults.is_healthy(c)).collect(),
+            view,
+            counts,
+        }
+    }
+
+    /// A healthy node other than `src`, uniformly, or `None` when there
+    /// is none (the packet is simply not generated).
+    pub(crate) fn dest(&self, src: Coord, rng: &mut impl Rng) -> Option<Coord> {
+        if self.healthy.len() < 2 {
+            return None;
+        }
+        // Rejection loop: terminates fast because at least half the
+        // draws differ from `src` whenever 2+ healthy nodes exist.
+        for _ in 0..64 {
+            let d = self.healthy[rng.gen_range(0..self.healthy.len())];
+            if d != src {
+                return Some(d);
+            }
+        }
+        None
+    }
+}
+
 /// The Duato-style adaptive wrapper: compiled routes on the adaptive
 /// class; once a head has been blocked `patience` consecutive cycles it
 /// is also offered the up*/down* tree route on the escape class.
@@ -618,33 +606,24 @@ impl EscapeForest {
 /// escape class until delivery, so escape packets only ever wait on
 /// channels of their own (acyclic) class and are guaranteed to drain —
 /// as long as they all route on one forest. Every `Route` decision
-/// leaves the packet at the table's epoch, so a commitment carries the
-/// epoch of the forest it was made on, and a publication (which
-/// rebuilds the forest) drains every commitment older than it.
+/// leaves the packet at the current epoch, so a commitment carries the
+/// epoch of the forest it was made on, and a publication (a new forest)
+/// drains every commitment older than it.
 ///
 /// Nothing here is memoized: a decision is a few array reads (see the
-/// module docs), and [`publish`](HopRouter::publish) rebuilds the forest
-/// for the new fault set.
-pub(crate) struct EscapeHop<'p> {
-    paths: &'p mut PathTable,
+/// module docs).
+pub(crate) struct EscapeHop {
+    paths: PathTable,
+    /// Replaced by each publication; packets meet it at their next
+    /// decision.
+    pub(crate) epoch: Arc<Epoch>,
     patience: u32,
-    /// The spanning forest over the current fault set's healthy nodes,
-    /// rebuilt per published event.
-    forest: EscapeForest,
 }
 
-impl<'p> EscapeHop<'p> {
-    /// A router over `paths`' compiled routes and a forest over their
-    /// view's fault set.
-    pub(crate) fn new(paths: &'p mut PathTable, patience: u32) -> Self {
-        let forest = EscapeForest::new(paths.view().faults());
-        EscapeHop { paths, patience, forest }
-    }
-
-    /// The spanning forest backing the escape class.
-    #[cfg(test)]
-    pub(crate) fn forest(&self) -> &EscapeForest {
-        &self.forest
+impl EscapeHop {
+    /// A router compiling with `paths` against `epoch`.
+    pub(crate) fn new(paths: PathTable, epoch: Arc<Epoch>, patience: u32) -> Self {
+        EscapeHop { paths, epoch, patience }
     }
 
     /// The escape-class candidate, or `None` when `here` has no tree
@@ -653,15 +632,59 @@ impl<'p> EscapeHop<'p> {
     /// [`EscapeForest::next_hop`] climbs a separated pair to the root
     /// before it refuses it.
     fn tree_choice(&self, here: Coord, dst: Coord) -> Option<HopChoice> {
-        let dir = self.forest.next_hop(self.paths.view().mesh(), here, dst)?;
+        let dir = self.epoch.forest.next_hop(self.epoch.view.mesh(), here, dst)?;
         Some(HopChoice { dir, class: VcClass::EscapeTree })
+    }
+
+    /// Re-plans `pk` from `here` onto the current epoch: re-keys `pk`
+    /// and compiles `route` from `here` to its destination, deliverable
+    /// or not.
+    fn replan(&mut self, here: Coord, pk: &mut PacketState, route: &mut Option<HopSeq>) {
+        #[cfg(test)]
+        self.paths.counts.0.replans.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        *route = self.paths.compile(&self.epoch.view, here, pk.dst);
+        pk.src = here;
+        pk.head_hop = 0;
+        pk.epoch = self.epoch.index;
+    }
+
+    /// What is settled before a class is picked: a packet at its
+    /// destination ejects, and after a publication one that sits on,
+    /// or heads to, a failed node is killed — drained out of the
+    /// fabric.
+    #[inline]
+    fn settled(&self, here: Coord, pk: &mut PacketState) -> Option<HopDecision> {
+        let faults = self.epoch.view.faults();
+        if self.epoch.index != 0 && !(faults.is_healthy(here) && faults.is_healthy(pk.dst)) {
+            pk.killed = true;
+            return Some(HopDecision::Eject);
+        }
+        (here == pk.dst).then_some(HopDecision::Eject)
+    }
+
+    /// The adaptive-class direction of `pk` at `here`: the next hop of
+    /// its route under the current epoch — one read plus a shift. A
+    /// packet routed under an older epoch is
+    /// [`replan`](EscapeHop::replan)ned first. `None`: the packet is
+    /// stranded — no current route leads on from `here`.
+    #[inline]
+    fn adaptive_dir(
+        &mut self,
+        here: Coord,
+        pk: &mut PacketState,
+        route: &mut Option<HopSeq>,
+    ) -> Option<Dir> {
+        if pk.epoch != self.epoch.index {
+            self.replan(here, pk, route);
+        }
+        route.as_ref().map(|path| path.get(pk.head_hop as usize))
     }
 }
 
-impl HopRouter for EscapeHop<'_> {
+impl HopRouter for EscapeHop {
     fn admit(&mut self, pk: &mut PacketState) -> Option<HopSeq> {
-        pk.epoch = self.paths.epoch;
-        self.paths.path(pk.src, pk.dst)
+        pk.epoch = self.epoch.index;
+        self.paths.compile(&self.epoch.view, pk.src, pk.dst)
     }
 
     fn decide(
@@ -670,36 +693,36 @@ impl HopRouter for EscapeHop<'_> {
         pk: &mut PacketState,
         route: &mut Option<HopSeq>,
     ) -> HopDecision {
-        if let Some(done) = self.paths.settled(here, pk) {
+        if let Some(done) = self.settled(here, pk) {
             return done;
         }
         match pk.mode {
             // Committed to the tree: ride it to the end, on the forest
             // the packet committed on — the epoch of the decision that
             // offered it the tree. An older epoch than the current one
-            // means a publication has since rebuilt the forest, which
+            // means a publication has since brought a new forest, which
             // orders the same channels differently — routing on could
             // close a cyclic wait across the two orders, so the packet
             // drains.
             VcClass::EscapeTree => {
-                let current = pk.epoch == self.paths.epoch;
+                let current = pk.epoch == self.epoch.index;
                 match self.tree_choice(here, pk.dst) {
                     Some(c) if current => HopDecision::route1(c),
                     _ => {
-                        assert!(self.paths.epoch != 0, "tree commitment implies a forest route");
+                        assert!(self.epoch.index != 0, "tree commitment implies a forest route");
                         pk.killed = true;
                         HopDecision::Eject
                     }
                 }
             }
             VcClass::Adaptive => {
-                let Some(dir) = self.paths.adaptive_dir(here, pk, route) else {
+                let Some(dir) = self.adaptive_dir(here, pk, route) else {
                     // Stranded: fall back to the tree while it still
                     // joins `here` to `dst`. A packet a fresh fault cut
                     // off would only climb to its tree root holding
                     // escape channels before the tree refused it: kill
                     // it here.
-                    let view = self.paths.view();
+                    let view = &self.epoch.view;
                     let joined = view.component_of(here) == view.component_of(pk.dst);
                     return match joined.then(|| self.tree_choice(here, pk.dst)).flatten() {
                         Some(tree) => HopDecision::route1(tree),
@@ -720,11 +743,6 @@ impl HopRouter for EscapeHop<'_> {
             }
         }
     }
-
-    fn publish(&mut self, view: &NetView) {
-        self.paths.publish(view);
-        self.forest = EscapeForest::new(view.faults());
-    }
 }
 
 #[cfg(test)]
@@ -733,6 +751,18 @@ mod tests {
     use crate::config::ChurnOp;
     use meshpath_mesh::{FaultSet, Mesh};
     use meshpath_route::Rb2;
+
+    /// A lone band's router: `paths` over its own epoch 0.
+    fn alone(paths: PathTable, patience: u32) -> EscapeHop {
+        let epoch = Arc::new(Epoch::first(&paths));
+        EscapeHop::new(paths, epoch, patience)
+    }
+
+    /// Publishes the epoch after `hop`'s, over `view`, as a run's
+    /// coordinator does.
+    fn publish(hop: &mut EscapeHop, view: &NetView) {
+        hop.epoch = Arc::new(hop.epoch.next(view.clone()));
+    }
 
     #[test]
     fn candidate_lists_compare_by_their_pushed_prefix() {
@@ -766,17 +796,17 @@ mod tests {
     fn a_packet_reads_its_admitted_route_without_compiling() {
         let faults = FaultSet::from_coords(Mesh::square(6), [Coord::new(2, 2)]);
         let view = NetView::build(faults);
-        let mut t = PathTable::new(&view, RoutingKind::Rb2);
+        let mut hop = alone(PathTable::new(&view, RoutingKind::Rb2), u32::MAX);
         let (s, d) = (Coord::new(0, 2), Coord::new(5, 2));
         let mut pk = PacketState::new(s, d, 0, 1);
-        let mut route = EscapeHop::new(&mut t, u32::MAX).admit(&mut pk);
+        let mut route = hop.admit(&mut pk);
         let path = route.clone().expect("routable");
-        assert_eq!(t.compiles(), 1, "admission compiles");
-        for (hop, dir) in path.iter().enumerate() {
-            pk.head_hop = hop as u32;
-            assert_eq!(t.adaptive_dir(s, &mut pk, &mut route), Some(dir));
+        assert_eq!(hop.paths.compiles(), 1, "admission compiles");
+        for (i, dir) in path.iter().enumerate() {
+            pk.head_hop = i as u32;
+            assert_eq!(hop.adaptive_dir(s, &mut pk, &mut route), Some(dir));
         }
-        assert_eq!(t.compiles(), 1, "a decision reads the packet's own route");
+        assert_eq!(hop.paths.compiles(), 1, "a decision reads the packet's own route");
     }
 
     #[test]
@@ -824,8 +854,8 @@ mod tests {
         let net = NetView::build(FaultSet::from_coords(Mesh::new(9, 6), faults));
         let (s, d) = (Coord::new(1, 2), Coord::new(7, 2));
         for (kind, admitted) in [(RoutingKind::ECube, false), (RoutingKind::Rb2, true)] {
-            let mut t = PathTable::new(&net, kind);
-            let route = EscapeHop::new(&mut t, u32::MAX).admit(&mut PacketState::new(s, d, 0, 1));
+            let mut hop = alone(PathTable::new(&net, kind), u32::MAX);
+            let route = hop.admit(&mut PacketState::new(s, d, 0, 1));
             assert_eq!(route.is_some(), admitted, "{}", kind.name());
         }
     }
@@ -850,15 +880,15 @@ mod tests {
     }
 
     #[test]
-    fn a_table_compiles_against_its_one_live_epoch() {
-        // Each publication replaces the view; a reset returns to the
-        // base view at epoch 0.
+    fn a_hop_compiles_against_its_current_epoch() {
+        // Each publication is the next epoch, and admission compiles
+        // against its view; the table keeps the snapshot it was built
+        // over.
         let mesh = Mesh::square(8);
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
-        let mut t = PathTable::new(&v0, RoutingKind::Rb2);
+        let mut hop = alone(PathTable::new(&v0, RoutingKind::Rb2), 4);
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
-        assert_eq!(t.path(s, d).expect("clear row").len(), 5);
         let blocker = Coord::new(3, 1);
         let events = [
             ChurnOp::Fail(Coord::new(4, 5)),
@@ -873,23 +903,22 @@ mod tests {
                 ChurnOp::Repair(c) => state.remove_fault(c),
             }
             .expect("a valid event");
-            t.publish(&view);
-            assert_eq!(t.epoch, k);
-            assert_eq!(t.view().epoch(), view.epoch(), "the live view is the published one");
-            let hops = t.path(s, d).expect("routable").len();
+            publish(&mut hop, &view);
+            assert_eq!(hop.epoch.index, k);
+            let mut pk = PacketState::new(s, d, 0, 1);
+            let hops = hop.admit(&mut pk).expect("routable").len();
             assert_eq!(hops, if view.faults().is_faulty(blocker) { 7 } else { 5 }, "{op:?}");
+            assert_eq!(pk.epoch, k, "admission stamps the current epoch");
         }
-        t.reset_epochs();
-        assert_eq!((t.epoch, t.view().epoch()), (0, v0.epoch()));
-        assert_eq!(t.path(s, d).expect("clear row").len(), 5);
+        assert_eq!(hop.paths.view().epoch(), v0.epoch());
+        assert_eq!(hop.paths.path(s, d).expect("clear row").len(), 5);
     }
 
     #[test]
     fn a_head_that_may_never_escape_follows_the_compiled_route_to_the_end() {
         let net = NetView::build(FaultSet::none(Mesh::square(8)));
-        let mut t = PathTable::new(&net, RoutingKind::Rb2);
         let (s, d) = (Coord::new(0, 0), Coord::new(3, 2));
-        let mut hop = EscapeHop::new(&mut t, u32::MAX);
+        let mut hop = alone(PathTable::new(&net, RoutingKind::Rb2), u32::MAX);
         let hops = s.manhattan(d);
         // However long the head has waited.
         let mut pk = PacketState { stalled: u32::MAX - 1, ..PacketState::new(s, d, 0, 1) };
@@ -917,13 +946,12 @@ mod tests {
         let mesh = Mesh::square(8);
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
-        let mut t = PathTable::new(&v0, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut t, u32::MAX);
+        let mut hop = alone(PathTable::new(&v0, RoutingKind::Rb2), u32::MAX);
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
         let mut pk = PacketState::new(s, d, 0, 1);
         let route = hop.admit(&mut pk);
         assert!(route.is_some(), "clear row");
-        let offered = |hop: &mut EscapeHop<'_>, here: Coord, pk: &PacketState| {
+        let offered = |hop: &mut EscapeHop, here: Coord, pk: &PacketState| {
             for stalled in [0, 16, 10_000, u32::MAX - 1] {
                 let mut pk = PacketState { stalled, ..*pk };
                 let decision = hop.decide(here, &mut pk, &mut route.clone());
@@ -933,14 +961,14 @@ mod tests {
         offered(&mut hop, s, &pk);
         // Online, a head whose next hop failed replans onto one adaptive
         // candidate.
-        hop.publish(&state.add_fault(Coord::new(3, 1)).expect("valid"));
+        publish(&mut hop, &state.add_fault(Coord::new(3, 1)).expect("valid"));
         let parked = PacketState { head_hop: 1, ..pk };
         offered(&mut hop, Coord::new(2, 1), &parked);
         // One stranded for good — its destination walled in, so no
         // current route, and the tree would only climb it to its root
         // before refusing it — is killed where it stands.
         for wall in [Coord::new(5, 1), Coord::new(7, 1), Coord::new(6, 0), Coord::new(6, 2)] {
-            hop.publish(&state.add_fault(wall).expect("valid"));
+            publish(&mut hop, &state.add_fault(wall).expect("valid"));
         }
         let mut cut = parked;
         assert_eq!(hop.decide(Coord::new(2, 1), &mut cut, &mut route.clone()), HopDecision::Eject);
@@ -959,8 +987,7 @@ mod tests {
     fn escape_hop_offers_the_tree_past_patience_and_commitments_stick() {
         let mesh = Mesh::square(8);
         let net = NetView::build(FaultSet::from_coords(mesh, [Coord::new(5, 3)]));
-        let mut t = PathTable::new(&net, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut t, 4);
+        let mut hop = alone(PathTable::new(&net, RoutingKind::Rb2), 4);
         let (s, d) = (Coord::new(2, 3), Coord::new(7, 3));
         let mut fresh = PacketState::new(s, d, 0, 1);
         let route = hop.admit(&mut fresh);
@@ -1147,18 +1174,16 @@ mod tests {
         let patience = 4;
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
-        let mut table = PathTable::new(&v0, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut table, patience);
+        let mut hop = alone(PathTable::new(&v0, RoutingKind::Rb2), patience);
         for (epoch, op) in (1..).zip(churn_script()) {
             let view = match op {
                 ChurnOp::Fail(c) => state.add_fault(c),
                 ChurnOp::Repair(c) => state.remove_fault(c),
             }
             .expect("a valid event");
-            hop.publish(&view);
-            let mut fresh_table = PathTable::new(&view, RoutingKind::Rb2);
-            let mut fresh = EscapeHop::new(&mut fresh_table, patience);
-            assert_eq!(hop.forest(), fresh.forest(), "after {op:?}");
+            publish(&mut hop, &view);
+            let mut fresh = alone(PathTable::new(&view, RoutingKind::Rb2), patience);
+            assert_eq!(&hop.epoch.forest, &fresh.epoch.forest, "after {op:?}");
             for here in mesh.iter() {
                 for dst in mesh.iter().filter(|&dst| dst != here) {
                     let faults = view.faults();
@@ -1263,27 +1288,26 @@ mod tests {
         let mesh = Mesh::square(8);
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
-        let mut t = PathTable::new(&v0, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut t, 4);
+        let mut hop = alone(PathTable::new(&v0, RoutingKind::Rb2), 4);
         let node = Coord::new(4, 4);
         assert!(hop.tree_choice(node, Coord::new(0, 0)).is_some(), "on the initial forest");
 
         let v1 = state.add_fault(node).expect("valid");
-        hop.publish(&v1);
+        publish(&mut hop, &v1);
         assert!(
             hop.tree_choice(node, Coord::new(0, 0)).is_none(),
             "failed node leaves the substrate"
         );
-        assert_eq!(hop.forest(), &EscapeForest::new(v1.faults()));
+        assert_eq!(&hop.epoch.forest, &EscapeForest::new(v1.faults()));
 
         let v2 = state.remove_fault(node).expect("valid");
-        hop.publish(&v2);
+        publish(&mut hop, &v2);
         // Re-provisioning per event restores the tree class.
         let choice = hop
             .tree_choice(node, Coord::new(0, 0))
             .expect("repaired node regains escape-tree membership");
         assert_eq!(choice.class, VcClass::EscapeTree);
-        assert_eq!(hop.forest(), &EscapeForest::new(v2.faults()));
+        assert_eq!(&hop.epoch.forest, &EscapeForest::new(v2.faults()));
     }
 
     #[test]
@@ -1291,8 +1315,7 @@ mod tests {
         let mesh = Mesh::square(8);
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
-        let mut t = PathTable::new(&v0, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut t, 4);
+        let mut hop = alone(PathTable::new(&v0, RoutingKind::Rb2), 4);
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
         let mut pk = PacketState::new(s, d, 0, 1);
         let mut route = hop.admit(&mut pk);
@@ -1302,7 +1325,7 @@ mod tests {
         // An unscheduled fault lands on the compiled row route.
         let blocker = Coord::new(3, 1);
         let v1 = state.add_fault(blocker).expect("valid");
-        hop.publish(&v1);
+        publish(&mut hop, &v1);
 
         // Parked at (2,1), the old route's next step is the fresh
         // fault: the packet is re-keyed onto the current epoch and the
@@ -1320,7 +1343,8 @@ mod tests {
         assert_eq!(pk.src, here);
         assert_eq!(pk.head_hop, 0);
         assert!(!pk.killed);
-        assert_eq!(route, hop.paths.path(here, d), "and its route is the replanned one");
+        let replanned = PathTable::new(&v1, RoutingKind::Rb2).path(here, d);
+        assert_eq!(route, replanned, "and its route is the replanned one");
         // Idempotent (a stalled head asks again every cycle), and from
         // here on off the re-planned route: no further compile.
         let compiles = hop.paths.compiles();
@@ -1332,7 +1356,7 @@ mod tests {
         // The destination itself fails: the packet is killed (drained
         // out of the fabric), never wedged.
         let v2 = state.add_fault(d).expect("valid");
-        hop.publish(&v2);
+        publish(&mut hop, &v2);
         assert_eq!(hop.decide(here, &mut pk, &mut route), HopDecision::Eject);
         assert!(pk.killed, "a packet to a failed destination is accounted as churn-killed");
     }
@@ -1342,8 +1366,7 @@ mod tests {
         let mesh = Mesh::square(8);
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
-        let mut t = PathTable::new(&v0, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut t, 4);
+        let mut hop = alone(PathTable::new(&v0, RoutingKind::Rb2), 4);
         let (here, dst) = (Coord::new(1, 1), Coord::new(6, 6));
         // A packet that committed to the tree under `epoch` (the fabric
         // stamps it at the grant), parked at `here`.
@@ -1353,11 +1376,11 @@ mod tests {
             ..PacketState::new(here, dst, 0, 1)
         };
         // A failure, then its repair, both off the pair's endpoints: each
-        // publication rebuilds the forest.
+        // publication brings a new forest.
         let node = Coord::new(4, 4);
         let events = [state.add_fault(node), state.remove_fault(node)];
         for (epoch, view) in (1..).zip(events) {
-            hop.publish(&view.expect("a valid event"));
+            publish(&mut hop, &view.expect("a valid event"));
             let mut stale = committed(epoch - 1);
             let decision = hop.decide(here, &mut stale, &mut None);
             assert_eq!(decision, HopDecision::Eject, "epoch {epoch}");
@@ -1374,7 +1397,7 @@ mod tests {
     /// decisions `hop` offers on `route`, taking the first candidate
     /// each time as a grant would: the hops it takes.
     fn walk(
-        hop: &mut EscapeHop<'_>,
+        hop: &mut EscapeHop,
         mut here: Coord,
         pk: &mut PacketState,
         mut route: Option<HopSeq>,
@@ -1401,14 +1424,13 @@ mod tests {
         let f = Coord::new(3, 1);
         let mut state = meshpath_route::NetState::new(FaultSet::from_coords(mesh, [f]));
         let v0 = state.view();
-        let mut t = PathTable::new(&v0, RoutingKind::Rb2);
-        let mut hop = EscapeHop::new(&mut t, 4);
+        let mut hop = alone(PathTable::new(&v0, RoutingKind::Rb2), 4);
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
         let mut pk = PacketState::new(s, d, 0, 1);
         let detour = hop.admit(&mut pk).expect("routable");
         assert_eq!(detour.len(), 7, "around F");
         let here = s.step(detour.get(0));
-        hop.publish(&state.remove_fault(f).expect("valid"));
+        publish(&mut hop, &state.remove_fault(f).expect("valid"));
         pk.head_hop = 1;
         assert_eq!(walk(&mut hop, here, &mut pk, Some(detour.clone())), here.manhattan(d));
         assert_eq!((pk.src, pk.epoch), (here, 1), "re-keyed at the first decision");
@@ -1416,7 +1438,7 @@ mod tests {
     }
 
     #[test]
-    fn every_route_decision_leaves_the_packet_at_the_tables_epoch() {
+    fn every_route_decision_leaves_the_packet_at_the_current_epoch() {
         // XY over a clear row; a later publication fails a node of the
         // row, so XY has no route from the parked heads and they fall
         // back to the tree, and a repair gives them the row back. Each
@@ -1424,8 +1446,7 @@ mod tests {
         let mesh = Mesh::square(8);
         let mut state = meshpath_route::NetState::new(FaultSet::none(mesh));
         let v0 = state.view();
-        let mut t = PathTable::new(&v0, RoutingKind::Xy);
-        let mut hop = EscapeHop::new(&mut t, 4);
+        let mut hop = alone(PathTable::new(&v0, RoutingKind::Xy), 4);
         let (s, d) = (Coord::new(1, 1), Coord::new(6, 1));
         let mut fresh = PacketState::new(s, d, 0, 1);
         let route = hop.admit(&mut fresh);
@@ -1450,13 +1471,13 @@ mod tests {
                     ChurnOp::Fail(c) => state.add_fault(c),
                     ChurnOp::Repair(c) => state.remove_fault(c),
                 };
-                hop.publish(&view.expect("a valid event"));
+                publish(&mut hop, &view.expect("a valid event"));
             }
-            let blocked = hop.paths.view().faults().is_faulty(blocker);
+            let blocked = hop.epoch.view.faults().is_faulty(blocker);
             for (here, pk, route) in &mut parked {
                 let decision = hop.decide(*here, pk, route);
                 assert!(matches!(decision, HopDecision::Route(_)), "{here:?} at {at}");
-                assert_eq!(pk.epoch, hop.paths.epoch, "{here:?} at {at}");
+                assert_eq!(pk.epoch, hop.epoch.index, "{here:?} at {at}");
                 assert!(!pk.killed);
                 if blocked {
                     let tree = hop.tree_choice(*here, d).expect("connected");

@@ -8,11 +8,11 @@
 //! [`SimConfig::threads`] resolves to `N` row-band shards (see the
 //! boundary-exchange protocol in `crate::fabric`). Each band's
 //! `ShardWorker` owns its shard, the injection state of its nodes
-//! (per-node RNG streams, source queues) and an `EscapeHop` over a
-//! [`PathTable`]. Band 0 runs on the caller's thread over the caller's
-//! table; bands `1..N` run on one worker thread each, over a private
-//! table of the same snapshot. A packet's route is compiled once, by
-//! the band that admits it, and travels with the packet across bands.
+//! (per-node RNG streams, source queues) and an `EscapeHop` over its
+//! own [`PathTable`], made from the caller's. Band 0 runs on the
+//! caller's thread, bands `1..N` on one worker thread each. A packet's
+//! route is compiled once, by the band that admits it, and travels
+//! with the packet across bands.
 //!
 //! The coordinator runs the same loop at every band count: do the work
 //! that opens the cycle (churn publications, workload releases), grant
@@ -46,15 +46,15 @@
 //! [`ChaosConfig`](crate::ChaosConfig) sources, polled every 16
 //! cycles. At every such boundary the coordinator applies what is
 //! due to its authoritative `NetState` (incremental rebuild with
-//! full-rebuild fallback) and broadcasts each resulting [`NetView`]
-//! epoch to every band — to band 0 directly, to the worker threads over
-//! their control lanes (windows end at boundaries, so `Go::Publish`
-//! precedes the window that starts there on each FIFO lane and every
-//! band adopts the epoch before the boundary cycle runs). Bands publish
-//! to their hop routers (`HopRouter::publish`: the live view replaced,
-//! the escape forest rebuilt) and refresh source liveness and the
-//! destination sampler; a publication re-plans adaptive packets and
-//! drains tree packets (`churn_killed`), never wedged. Polling is
+//! full-rebuild fallback), builds each resulting [`NetView`]'s epoch
+//! once — the view, its escape forest and its healthy destinations —
+//! and shares it with every band: to band 0 directly, to the worker
+//! threads over their control lanes (windows end at boundaries, so
+//! `Go::Publish` precedes the window that starts there on each FIFO
+//! lane and every band adopts the epoch before the boundary cycle
+//! runs). Each band hands it to its hop router and refreshes source
+//! liveness; a publication re-plans adaptive packets and drains tree
+//! packets (`churn_killed`), never wedged. Polling is
 //! coordinator-side and deterministic, so churn runs stay
 //! bit-identical at every thread count.
 //!
@@ -73,9 +73,10 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Arc;
 use std::time::Instant;
 
-use meshpath_mesh::{derive_seed, Coord, FaultSet, HopSeq, Mesh, NodeId};
+use meshpath_mesh::{derive_seed, Coord, HopSeq, Mesh, NodeId};
 use meshpath_obs::{FabricProbe, NoProbe, ObsLevel, ObsReport, Phase, ShardObs, StopKind};
 use meshpath_route::NetView;
 use rand::rngs::StdRng;
@@ -84,7 +85,7 @@ use rand::{Rng, SeedableRng};
 use crate::churn::{OnlineChurn, OnlineDriver};
 use crate::config::SimConfig;
 use crate::fabric::{BoundaryMsg, Delivery, Flit, Head, PacketState, Shard, StepReport};
-use crate::routing::{EscapeHop, HopRouter, PathTable, RoutingKind};
+use crate::routing::{Epoch, EscapeHop, HopRouter, PathTable, RoutingKind};
 use crate::source::{TraceSource, WorkloadDriver, WorkloadMsg, WorkloadOutcome, WorkloadSource};
 use crate::stats::{LatencyHistogram, TrafficStats, WindowControl, WindowObserver, WindowSample};
 
@@ -184,35 +185,6 @@ struct SourceNode {
     fire_at: Option<u64>,
 }
 
-/// Uniform destinations over one epoch's healthy nodes.
-struct DestSampler {
-    healthy: Vec<Coord>,
-}
-
-impl DestSampler {
-    fn new(faults: &FaultSet) -> Self {
-        let mesh = faults.mesh();
-        DestSampler { healthy: mesh.iter().filter(|&c| faults.is_healthy(c)).collect() }
-    }
-
-    /// A healthy node other than `src`, uniformly, or `None` when there
-    /// is none (the packet is simply not generated).
-    fn dest(&self, src: Coord, rng: &mut StdRng) -> Option<Coord> {
-        if self.healthy.len() < 2 {
-            return None;
-        }
-        // Rejection loop: terminates fast because at least half the
-        // draws differ from `src` whenever 2+ healthy nodes exist.
-        for _ in 0..64 {
-            let d = self.healthy[rng.gen_range(0..self.healthy.len())];
-            if d != src {
-                return Some(d);
-            }
-        }
-        None
-    }
-}
-
 /// Generation-side statistics deltas of one shard over one cycle.
 #[derive(Clone, Copy, Debug, Default)]
 struct GenDelta {
@@ -277,11 +249,11 @@ enum Go {
     /// exchange still happens inside the window; only the coordinator
     /// round trip is amortized.
     Lease { start: u64, len: u64 },
-    /// Adopt a churn epoch (the network after the applied operation):
-    /// the coordinator sends one per applied event, always *before*
-    /// the window that starts at the event's boundary cycle on the
-    /// same FIFO lane.
-    Publish(NetView),
+    /// Adopt a churn epoch (built over the network after the applied
+    /// operation): the coordinator sends one per applied event, always
+    /// *before* the window that starts at the event's boundary cycle on
+    /// the same FIFO lane.
+    Publish(Arc<Epoch>),
     /// Enqueue the workload messages releasing at the next cycle (each
     /// worker keeps the ones whose source node it owns). Sent before
     /// the one-cycle window covering that cycle on the same FIFO lane —
@@ -363,14 +335,14 @@ struct ShardWorker<'a, P: FabricProbe> {
     shard: Shard,
     probe: P,
     sources: Vec<SourceNode>,
-    router: EscapeHop<'a>,
+    /// The band's hop router, holding the current epoch: destinations
+    /// are drawn from its healthy nodes.
+    router: EscapeHop,
     mesh: Mesh,
-    /// Destinations are drawn from the current epoch's healthy nodes.
-    sampler: DestSampler,
     /// Epochs adopted since the last cycle ran, whose source-liveness
     /// refresh is still due: it reports its queue drops into the first
     /// cycle of the epoch.
-    adopted: Vec<NetView>,
+    adopted: Vec<Arc<Epoch>>,
     cfg: &'a SimConfig,
     gen_until: u64,
     /// Packet ids allocated by this shard are `id_base + k`.
@@ -404,12 +376,10 @@ struct ShardWorker<'a, P: FabricProbe> {
 }
 
 impl<'a, P: FabricProbe> ShardWorker<'a, P> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         shard: Shard,
         sources: Vec<SourceNode>,
-        router: EscapeHop<'a>,
-        base: &NetView,
+        router: EscapeHop,
         cfg: &'a SimConfig,
         shard_index: usize,
         workload: bool,
@@ -424,9 +394,8 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             shard,
             probe,
             sources,
+            mesh: *router.epoch.view.mesh(),
             router,
-            mesh: *base.mesh(),
-            sampler: DestSampler::new(base.faults()),
             adopted: Vec::new(),
             cfg,
             gen_until: cfg.warmup + cfg.measure,
@@ -463,13 +432,10 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
     fn control(&mut self, go: &Go) {
         match go {
             // Adopted on arrival — the publication precedes the first
-            // cycle of its epoch on this worker's lane: re-provision
-            // the hop router (live view replaced, escape forest rebuilt)
-            // and redraw the sampler.
-            Go::Publish(view) => {
-                self.router.publish(view);
-                self.sampler = DestSampler::new(view.faults());
-                self.adopted.push(view.clone());
+            // cycle of its epoch on this worker's lane.
+            Go::Publish(epoch) => {
+                self.router.epoch = Arc::clone(epoch);
+                self.adopted.push(Arc::clone(epoch));
             }
             // Broadcast filter: keep the messages whose source node
             // this shard owns (a message addressing an off-mesh source
@@ -586,8 +552,8 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
     /// partially injected worm keeps feeding — truncating it would wedge
     /// its VCs forever).
     fn refresh_sources(&mut self, cycle: u64, done: &mut CycleDone) {
-        for view in std::mem::take(&mut self.adopted) {
-            let faults = view.faults();
+        for epoch in std::mem::take(&mut self.adopted) {
+            let faults = epoch.view.faults();
             let workload = self.workload;
             for i in 0..self.sources.len() {
                 let s = &mut self.sources[i];
@@ -746,7 +712,7 @@ impl<'a, P: FabricProbe> ShardWorker<'a, P> {
             let i = i as usize;
             let s = &mut self.sources[i];
             let src = s.coord;
-            let dst = self.sampler.dest(src, &mut s.rng);
+            let dst = self.router.epoch.dest(src, &mut s.rng);
             self.arm(i, cycle + 1);
             if let Some(dst) = dst {
                 let len = self.cfg.packet_len;
@@ -989,12 +955,13 @@ impl RunState {
     /// feedback ([`RunState::end_of_cycle`]) and this cycle's
     /// publications.
     fn boundary(&mut self, cycle: u64, mut send: impl FnMut(Go)) {
-        for view in self.churn.poll(cycle) {
+        for epoch in self.churn.poll(cycle) {
             // Grow the per-epoch delivery ledger exactly when the epoch
             // is published — its length is part of the bit-identity
-            // contract.
+            // contract, and the epoch's index is its slot.
+            debug_assert_eq!(epoch.index as usize, self.stats.epoch_delivered.len());
             self.stats.epoch_delivered.push(0);
-            send(Go::Publish(view));
+            send(Go::Publish(epoch));
         }
         if let Some(wl) = self.wl.as_mut() {
             let msgs = wl.poll(cycle);
@@ -1199,18 +1166,16 @@ pub struct RunOutput {
 /// driven by the seeded synthetic injection process, routed per hop by an
 /// `EscapeHop` over one compiled routing function.
 ///
-/// The path table is borrowed and reset to its initial snapshot at
-/// construction. Band 0 routes over it at every band count; bands
-/// `1..N` route over private tables of the same snapshot
-/// ([`PathTable`] keeps no route: every packet carries its own).
-pub struct TrafficSim<'p> {
+/// Every band routes over its own table of the caller's routing
+/// function and snapshot ([`PathTable`] keeps no route: every packet
+/// carries its own).
+pub struct TrafficSim {
     cfg: SimConfig,
     /// The row bands of the fabric, band 0 first.
     shards: Vec<Shard>,
-    /// The caller's table: what band 0 routes over.
-    paths: &'p mut PathTable,
-    /// The initial (epoch-0) network snapshot.
-    base: NetView,
+    /// The caller's routing function over its snapshot, which is epoch
+    /// 0: band 0's table, and the template of the others.
+    paths: PathTable,
     sources: Vec<SourceNode>,
     /// Live churn sources, polled by the coordinator every 16 cycles
     /// (see [`TrafficSim::with_online_churn`]).
@@ -1232,24 +1197,21 @@ pub struct TrafficSim<'p> {
     panic_at: Option<(usize, u64)>,
 }
 
-impl<'p> TrafficSim<'p> {
+impl TrafficSim {
     /// Builds a simulation driving `paths`' routing function over
     /// `paths`' network, per-hop, sharded into `cfg.threads` row bands
-    /// (see [`SimConfig::threads`]). `paths` is reset to its initial
-    /// snapshot first: a table reused across runs may still hold the
-    /// last epoch the previous run published, and this run must start
-    /// from epoch 0.
+    /// (see [`SimConfig::threads`]). The run reads `paths`' snapshot
+    /// and routing function only.
     ///
     /// # Panics
     /// Panics with the [`ConfigError`](crate::ConfigError)'s message when
     /// [`SimConfig::validate`] rejects `cfg`.
-    pub fn new(paths: &'p mut PathTable, cfg: SimConfig) -> Self {
+    pub fn new(paths: &PathTable, cfg: SimConfig) -> Self {
         if let Err(why) = cfg.validate() {
             panic!("{why}");
         }
-        paths.reset_epochs();
-        let base = paths.view().clone();
-
+        let paths = paths.for_band();
+        let base = paths.view();
         let mesh = *base.mesh();
         let threads = cfg.resolved_threads(mesh.len());
         // Source state exists for *every* node: churn can repair a node
@@ -1270,7 +1232,6 @@ impl<'p> TrafficSim<'p> {
             cfg,
             shards,
             paths,
-            base,
             sources,
             online: None,
             workload: None,
@@ -1357,7 +1318,7 @@ impl<'p> TrafficSim<'p> {
         if level == ObsLevel::Off {
             return Ok(self.run::<NoProbe, _>(obs, |_, _| NoProbe)?.0);
         }
-        let mesh = *self.base.mesh();
+        let mesh = *self.paths.view().mesh();
         let (mut out, probes) = self.run(obs, move |i, s: &Shard| {
             let r = s.node_range();
             ShardObs::new(i, r.start as u32, r.end as u32, level)
@@ -1367,10 +1328,10 @@ impl<'p> TrafficSim<'p> {
     }
 
     /// Runs the simulation monomorphized over the probe `mk` builds for
-    /// each band: band 0 on this thread over the caller's path table,
-    /// bands `1..N` on one scoped worker thread each
-    /// ([`ShardWorker::serve`]) over a private table, all coordinated
-    /// by [`TrafficSim::coordinate`]. Returns the probes in band order.
+    /// each band: band 0 on this thread, bands `1..N` on one scoped
+    /// worker thread each ([`ShardWorker::serve`]), each over its own
+    /// table and all sharing epoch 0, coordinated by
+    /// [`TrafficSim::coordinate`]. Returns the probes in band order.
     fn run<P, F>(self, obs: &mut dyn WindowObserver, mk: F) -> Result<(RunOutput, Vec<P>), RunError>
     where
         P: FabricProbe + Send,
@@ -1378,10 +1339,11 @@ impl<'p> TrafficSim<'p> {
     {
         #[cfg(test)]
         let (use_reference, panic_at, window) = (self.use_reference, self.panic_at, self.window);
-        let TrafficSim { cfg, shards, paths, base, mut sources, online, workload, .. } = self;
-        let churn = OnlineDriver::new(cfg.fault_churn.clone(), online, base.clone());
+        let TrafficSim { cfg, shards, paths, mut sources, online, workload, .. } = self;
+        let first = Arc::new(Epoch::first(&paths));
+        let churn = OnlineDriver::new(cfg.fault_churn.clone(), online, Arc::clone(&first));
         let wl = workload.map(WorkloadDriver::new);
-        let run = RunState::new(&cfg, base.faults().healthy_count(), churn, wl);
+        let run = RunState::new(&cfg, paths.view().faults().healthy_count(), churn, wl);
         let workload = run.wl.is_some();
         let n = shards.len();
         assert!(n < (1 << (32 - ID_SHARD_SHIFT)), "shard count exceeds the packet-id namespace");
@@ -1395,7 +1357,7 @@ impl<'p> TrafficSim<'p> {
         #[cfg(test)]
         let derived = window.unwrap_or(derived);
         let window = derived.clamp(1, MAX_WINDOW);
-        let (cfg, base) = (&cfg, &base);
+        let cfg = &cfg;
 
         // One `Go` lane per worker, one shared report lane back, and a
         // boundary lane each way between every two adjacent bands.
@@ -1423,11 +1385,12 @@ impl<'p> TrafficSim<'p> {
 
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n - 1);
-            for (w, (((shard, sources), lanes), mut paths)) in (1..).zip(bands.zip(tables)) {
+            for (w, (((shard, sources), lanes), paths)) in (1..).zip(bands.zip(tables)) {
                 let probe = mk(w, &shard);
                 let (tx, go) = mpsc::channel();
                 go_tx.push(tx);
                 let done = done_tx.clone();
+                let epoch = Arc::clone(&first);
                 handles.push(scope.spawn(move || {
                     // The dying-word sender lives outside the unwind
                     // boundary: a caught panic is reported over the
@@ -1435,9 +1398,9 @@ impl<'p> TrafficSim<'p> {
                     // would otherwise block forever.
                     let report_tx = done.clone();
                     let caught = catch_unwind(AssertUnwindSafe(move || {
-                        let router = EscapeHop::new(&mut paths, cfg.patience);
+                        let router = EscapeHop::new(paths, epoch, cfg.patience);
                         let mut worker =
-                            ShardWorker::new(shard, sources, router, base, cfg, w, workload, probe);
+                            ShardWorker::new(shard, sources, router, cfg, w, workload, probe);
                         #[cfg(test)]
                         worker.hook(w, use_reference, panic_at);
                         worker.serve(&go, &done, &lanes);
@@ -1453,9 +1416,8 @@ impl<'p> TrafficSim<'p> {
             drop(done_tx);
 
             let probe = mk(0, &shard0);
-            let router = EscapeHop::new(paths, cfg.patience);
-            let mut band0 =
-                ShardWorker::new(shard0, sources0, router, base, cfg, 0, workload, probe);
+            let router = EscapeHop::new(paths, first, cfg.patience);
+            let mut band0 = ShardWorker::new(shard0, sources0, router, cfg, 0, workload, probe);
             #[cfg(test)]
             band0.hook(0, use_reference, panic_at);
             let workers = Workers { go: go_tx, done: done_rx };
@@ -1554,15 +1516,14 @@ fn on_band0<T>(f: impl FnOnce() -> T) -> Result<T, RunError> {
     })
 }
 
-/// The panicking convenience: build a fresh path table, run without an
+/// The panicking convenience: build a path table, run without an
 /// observer, return the statistics. Everything else goes through
 /// [`TrafficSim::try_run_full`].
 ///
 /// # Panics
 /// Re-panics with the worker's message when a shard worker panicked.
 pub fn run_traffic(net: &NetView, kind: RoutingKind, cfg: &SimConfig) -> TrafficStats {
-    let mut paths = PathTable::new(net, kind);
-    match TrafficSim::new(&mut paths, cfg.clone()).try_run_full(&mut ()) {
+    match TrafficSim::new(&PathTable::new(net, kind), cfg.clone()).try_run_full(&mut ()) {
         Ok(out) => out.stats,
         Err(e) => panic!("{e}"),
     }
@@ -1596,9 +1557,8 @@ pub fn single_packet_latency(
         ..SimConfig::default()
     };
     let entry = WorkloadMsg { at: 0, flow: 0, src: s, dst: d, len };
-    let mut paths = PathTable::new(net, kind);
-    let sim =
-        TrafficSim::new(&mut paths, cfg).with_workload(Box::new(TraceSource::new(vec![entry], 1)));
+    let sim = TrafficSim::new(&PathTable::new(net, kind), cfg)
+        .with_workload(Box::new(TraceSource::new(vec![entry], 1)));
     let out = sim.try_run_full(&mut ()).unwrap_or_else(|e| panic!("{e}"));
     let flow = *out.workload?.completions.first()?;
     Some(flow.delivered_at - flow.released_at)
@@ -1679,8 +1639,11 @@ mod tests {
             Mesh::square(8),
             [Coord::new(2, 2), Coord::new(5, 3), Coord::new(1, 6), Coord::new(6, 6)],
         );
-        let sampler = DestSampler::new(&faults);
-        let healthy = &sampler.healthy;
+        let epoch = |faults: &FaultSet| {
+            Epoch::first(&PathTable::new(&NetView::build(faults.clone()), RoutingKind::Xy))
+        };
+        let sampler = epoch(&faults);
+        let healthy: Vec<Coord> = faults.mesh().iter().filter(|&c| faults.is_healthy(c)).collect();
         let mut rng = StdRng::seed_from_u64(1);
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         for i in 0..1000 {
@@ -1692,7 +1655,7 @@ mod tests {
         assert_eq!(hash, 0xa2b2_2df5_db04_5d96);
         // Fewer than two healthy nodes: nowhere to send.
         let lone = FaultSet::from_coords(Mesh::new(2, 1), [Coord::new(1, 0)]);
-        assert_eq!(DestSampler::new(&lone).dest(Coord::new(0, 0), &mut rng), None);
+        assert_eq!(epoch(&lone).dest(Coord::new(0, 0), &mut rng), None);
     }
 
     /// Generated packets sit within 4σ of `rate · nodes · cycles`.
@@ -1930,7 +1893,7 @@ mod tests {
         for (threads, window) in [(1, None), (2, Some(8)), (3, Some(u64::MAX)), (4, None)] {
             let cfg = SimConfig { rate: 0.03, stats_window: 50, threads, ..SimConfig::smoke() };
             let mut paths = PathTable::new(&net, RoutingKind::Rb2);
-            let mut sim = TrafficSim::new(&mut paths, cfg.clone());
+            let mut sim = TrafficSim::new(&paths, cfg.clone());
             sim.set_window(window);
             let (out, probes) = sim
                 .run(&mut StopAt(Vec::new(), 150), |_, _| Windows::default())
@@ -2036,20 +1999,20 @@ mod tests {
     fn a_rejected_config_panics_with_the_typed_errors_message() {
         let net = fault_free(4);
         let cfg = SimConfig { vcs: 1, ..SimConfig::smoke() };
-        let mut paths = PathTable::new(&net, RoutingKind::Xy);
-        let _ = TrafficSim::new(&mut paths, cfg);
+        let paths = PathTable::new(&net, RoutingKind::Xy);
+        let _ = TrafficSim::new(&paths, cfg);
     }
 
     #[test]
     fn injected_worker_panic_surfaces_as_typed_error() {
         let net = fault_free(12);
-        let mut paths = PathTable::new(&net, RoutingKind::Rb2);
+        let paths = PathTable::new(&net, RoutingKind::Rb2);
         // A worker thread's band, then the coordinator's own band 0 —
         // alone and beside workers: each fails typed, and every run
         // returned instead of hanging.
         for (threads, shard) in [(3, 1), (3, 0), (1, 0)] {
             let cfg = SimConfig { rate: 0.02, threads, ..SimConfig::smoke() };
-            let mut sim = TrafficSim::new(&mut paths, cfg);
+            let mut sim = TrafficSim::new(&paths, cfg);
             sim.set_panic_at(shard, 40);
             match sim.try_run_full(&mut ()) {
                 Err(RunError::WorkerPanicked { shard: s, message }) => {
@@ -2081,9 +2044,9 @@ mod tests {
             }
         }
         let injector = ChurnInjector::new();
-        let mut paths = PathTable::new(net, RoutingKind::Rb2);
+        let paths = PathTable::new(net, RoutingKind::Rb2);
         let sim =
-            TrafficSim::new(&mut paths, cfg).with_online_churn(OnlineChurn::new(injector.clone()));
+            TrafficSim::new(&paths, cfg).with_online_churn(OnlineChurn::new(injector.clone()));
         let mut obs = MidRun { injector, at };
         sim.try_run_full(&mut obs).expect("online churn must not fail the run").stats
     }
@@ -2144,8 +2107,8 @@ mod tests {
         };
         let mk = |threads| {
             let cfg = SimConfig { rate: 0.02, threads, ..SimConfig::smoke() };
-            let mut paths = PathTable::new(&net, RoutingKind::Rb2);
-            TrafficSim::new(&mut paths, cfg)
+            let paths = PathTable::new(&net, RoutingKind::Rb2);
+            TrafficSim::new(&paths, cfg)
                 .with_online_churn(OnlineChurn::chaos(chaos))
                 .try_run_full(&mut ())
                 .expect("chaos run must complete")
@@ -2225,10 +2188,10 @@ mod tests {
         let mut seen = Vec::new();
         for _ in 0..3 {
             let stats = run_reusing(&mut paths, &cfg, &mut ()).stats;
-            // The run ends on its last epoch's view.
-            assert!(failed.iter().all(|&c| paths.view().faults().is_faulty(c)));
-            paths.reset_epochs();
-            assert_eq!(paths.view().faults().count(), 0, "a reset restores the base view");
+            assert_eq!(stats.epoch_delivered.len(), 3, "both events applied");
+            // The run never touches the caller's table.
+            assert_eq!(paths.view().faults().count(), 0, "the table holds its base view");
+            assert_eq!(paths.path(Coord::new(0, 4), Coord::new(7, 4)).map(|p| p.len()), Some(7));
             seen.push(stats);
         }
         assert_eq!(seen[0], seen[1]);
@@ -2268,6 +2231,29 @@ mod tests {
                 counted.windows(2).all(|w| w[0] == w[1]),
                 "churn {churned}: band counts differ"
             );
+        }
+    }
+
+    #[test]
+    fn a_run_builds_each_epoch_once_for_every_band() {
+        // The coordinator builds epoch 0 and one epoch per applied event
+        // (a forest and a destination list each) and shares them with
+        // every band: the count does not grow with the band count, and
+        // a rejected event builds nothing.
+        let net = fault_free(10);
+        let c = Coord::new(4, 4);
+        let events =
+            vec![ChurnEvent::fail(60, c), ChurnEvent::fail(70, c), ChurnEvent::repair(120, c)];
+        let churn = SimConfig { rate: 0.02, fault_churn: events, ..SimConfig::smoke() };
+        let plain = SimConfig { fault_churn: Vec::new(), ..churn.clone() };
+        for (cfg, published) in [(plain, 0), (churn, 2)] {
+            for threads in [1, 2, 4] {
+                let mut paths = PathTable::new(&net, RoutingKind::Rb2);
+                let cfg = SimConfig { threads, ..cfg.clone() };
+                let stats = run_reusing(&mut paths, &cfg, &mut ()).stats;
+                assert_eq!(stats.online_events.len(), published, "threads {threads}");
+                assert_eq!(paths.epochs_built(), 1 + published as u64, "threads {threads}");
+            }
         }
     }
 

@@ -84,16 +84,15 @@ pub struct TraceSource {
     /// releases keep their recorded order).
     entries: Vec<WorkloadMsg>,
     idx: usize,
-    /// The recording run's generation horizon (its `warmup + measure`
-    /// for synthetic recordings): the replay must not report
-    /// exhaustion before it, or the two runs' termination cycles —
-    /// and with them the drained-delivery ledgers — would diverge.
+    /// The cycle the recording run stopped at: the replay must not
+    /// report exhaustion before it, or the two runs' termination cycles
+    /// — and with them the drained-delivery ledgers — would diverge.
     horizon: u64,
 }
 
 impl TraceSource {
-    /// A replay source over `entries` with the recording run's
-    /// generation `horizon`. Entries may arrive in any order; they are
+    /// A replay source over `entries` with the recording run's stop
+    /// cycle `horizon`. Entries may arrive in any order; they are
     /// stably sorted by cycle (per-node relative order is preserved,
     /// which is the only intra-cycle order the fabric can observe).
     pub fn new(mut entries: Vec<WorkloadMsg>, horizon: u64) -> Self {

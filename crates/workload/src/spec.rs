@@ -12,14 +12,13 @@ use crate::phases::{CollectiveKind, CollectivePhases};
 /// per sweep point and hand each run its own [`WorkloadSource`].
 #[derive(Clone, Debug)]
 pub enum WorkloadSpec {
-    /// Replay a recorded packet trace up to the recording run's
-    /// generation horizon.
+    /// Replay a recorded packet trace up to the recording run's stop
+    /// cycle.
     Trace {
         /// The recorded entries (any order; replay sorts stably by
         /// cycle).
         entries: Vec<WorkloadMsg>,
-        /// The recording run's generation horizon (its
-        /// `warmup + measure` for synthetic recordings).
+        /// The cycle the recording run stopped at.
         horizon: u64,
     },
     /// A dependency-driven flow DAG.

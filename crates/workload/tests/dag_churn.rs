@@ -36,8 +36,8 @@ fn run_killed_dag(threads: usize, listed: bool) {
         fault_churn: if listed { vec![ChurnEvent::fail(16, dst)] } else { Vec::new() },
         ..SimConfig::default()
     };
-    let mut paths = PathTable::new(&net, RoutingKind::Rb2);
-    let mut sim = TrafficSim::new(&mut paths, cfg)
+    let paths = PathTable::new(&net, RoutingKind::Rb2);
+    let mut sim = TrafficSim::new(&paths, cfg)
         .with_workload(Box::new(FlowDag::new(spec).expect("valid DAG")));
     if !listed {
         let injector = ChurnInjector::new();

@@ -33,8 +33,8 @@ fn run_sim(
     cfg: &SimConfig,
     source: Option<Box<dyn WorkloadSource>>,
 ) -> RunOutput {
-    let mut paths = PathTable::new(net, kind);
-    let mut sim = TrafficSim::new(&mut paths, cfg.clone());
+    let paths = PathTable::new(net, kind);
+    let mut sim = TrafficSim::new(&paths, cfg.clone());
     if let Some(source) = source {
         sim = sim.with_workload(source);
     }
@@ -95,9 +95,10 @@ proptest! {
         let rate = [0.05, 0.12, 0.25][rate_ix];
         let net = net_with_faults(8, faults, seed ^ 0xface);
         let cfg = base_cfg(seed, rate).with_record_trace();
-        let horizon = cfg.warmup + cfg.measure;
         for kind in [RoutingKind::Rb2, RoutingKind::Xy] {
             let recorded = run_sim(&net, kind, &cfg, None);
+            // What `--record-trace` writes: the cycle the run stopped at.
+            let horizon = recorded.stats.cycles;
             let trace: Vec<WorkloadMsg> = recorded.trace.clone().expect("record_trace was set");
             prop_assert_eq!(
                 trace.len() as u64,
@@ -232,5 +233,26 @@ fn mixed_length_trace_replays_identically_across_shard_counts() {
     assert_eq!(reference.measured_delivered, reference.measured_generated);
     for threads in [2, 4] {
         assert_eq!(replay(threads), reference, "threads = {threads}");
+    }
+}
+
+/// A trace's horizon is the cycle its recording stopped at. A collective
+/// stops when its flows resolve, long before `warmup + measure`; replayed
+/// with its stop cycle as the horizon it stops there too, with the same
+/// statistics, at every shard count.
+#[test]
+fn a_recorded_collective_replays_to_its_stop_cycle() {
+    let net = net_with_faults(8, 2, 11);
+    let cfg = base_cfg(3, 0.0).with_record_trace();
+    let spec = WorkloadSpec::AllToAll { rounds: 2, len: 4 };
+    let recorded = run_sim(&net, RoutingKind::Rb2, &cfg, Some(spec.build(&net)));
+    let entries = recorded.trace.clone().expect("record_trace was set");
+    let horizon = recorded.stats.cycles;
+    assert!(horizon < cfg.warmup + cfg.measure, "the collective stops early: {horizon}");
+    for threads in [1, 4] {
+        let replay_cfg = SimConfig { threads, record_trace: false, ..cfg.clone() };
+        let spec = WorkloadSpec::Trace { entries: entries.clone(), horizon };
+        let replayed = run_sim(&net, RoutingKind::Rb2, &replay_cfg, Some(spec.build(&net)));
+        assert_eq!(replayed.stats, recorded.stats, "threads = {threads}");
     }
 }

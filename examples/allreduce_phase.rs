@@ -44,8 +44,8 @@ fn main() {
         let net = NetView::build(FaultSet::from_coords(mesh, faults.iter().copied()));
         let mut phase_means = Vec::new();
         for kind in [RoutingKind::Rb2, RoutingKind::Xy] {
-            let mut paths = PathTable::new(&net, kind);
-            let out = TrafficSim::new(&mut paths, cfg.clone())
+            let paths = PathTable::new(&net, kind);
+            let out = TrafficSim::new(&paths, cfg.clone())
                 .with_workload(spec.build(&net))
                 .try_run_full(&mut ())
                 .unwrap_or_else(|e| panic!("{}: collective run lost a worker: {e}", kind.name()));

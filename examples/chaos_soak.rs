@@ -71,8 +71,8 @@ fn main() {
     for kind in &routers {
         let injector = ChurnInjector::new();
         let churn = OnlineChurn { chaos: Some(chaos), ..OnlineChurn::new(injector.clone()) };
-        let mut paths = PathTable::new(&net, *kind);
-        let sim = TrafficSim::new(&mut paths, cfg.clone()).with_online_churn(churn);
+        let paths = PathTable::new(&net, *kind);
+        let sim = TrafficSim::new(&paths, cfg.clone()).with_online_churn(churn);
         let mut obs = MidRunPokes { injector, at: Coord::new(8, 8) };
         let stats = match sim.try_run_full(&mut obs) {
             Ok(out) => out.stats,

@@ -30,9 +30,8 @@ fn main() {
         SimConfig { rate: 0.02, warmup: 300, measure: 1500, drain: 4000, ..SimConfig::default() }
     };
     let cfg = sim.clone().with_obs(ObsLevel::Trace);
-    let mut paths = PathTable::new(&net, RoutingKind::Rb2);
-    let out =
-        TrafficSim::new(&mut paths, cfg.clone()).try_run_full(&mut ()).expect("run completes");
+    let paths = PathTable::new(&net, RoutingKind::Rb2);
+    let out = TrafficSim::new(&paths, cfg.clone()).try_run_full(&mut ()).expect("run completes");
     let (stats, report) = (out.stats, out.obs.expect("tracing enabled"));
     if !json {
         println!(
@@ -89,9 +88,9 @@ fn main() {
     // One more VC, never offered to a head: the same adaptive channels.
     let wedge_cfg =
         SimConfig { vcs: wedge.vcs + 1, patience: u32::MAX, obs: ObsLevel::Trace, ..wedge };
-    let mut paths = PathTable::new(&wedge_net, RoutingKind::Rb2);
+    let paths = PathTable::new(&wedge_net, RoutingKind::Rb2);
     let mut stall = DrainStallObserver::new(4);
-    let wedged = TrafficSim::new(&mut paths, wedge_cfg.clone())
+    let wedged = TrafficSim::new(&paths, wedge_cfg.clone())
         .try_run_full(&mut stall)
         .expect("run completes")
         .obs

@@ -101,3 +101,15 @@ fn every_router_on_every_4x4_mesh_with_up_to_3_faults() {
     let ecube = (824, 13_960);
     assert_eq!(five_router_census(4, 3), (105_796, [rb2, rb2, rb3, rb1, ecube]));
 }
+
+/// The 5x5 row of the census: ~3 s in release, minutes in debug, so the
+/// tier-1 suite skips it and CI runs it in release.
+#[test]
+#[ignore = "release-only; CI runs it"]
+fn every_router_on_every_5x5_mesh_with_up_to_3_faults() {
+    let rb2 = (0, 0);
+    let rb3 = (0, 2_848);
+    let rb1 = (134, 20_964);
+    let ecube = (2_616, 169_192);
+    assert_eq!(five_router_census(5, 3), (1_194_688, [rb2, rb2, rb3, rb1, ecube]));
+}

@@ -16,10 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Runs `sim` and splits the output into statistics and obs report.
-fn observed(
-    sim: TrafficSim<'_>,
-    obs: &mut dyn WindowObserver,
-) -> (TrafficStats, Option<ObsReport>) {
+fn observed(sim: TrafficSim, obs: &mut dyn WindowObserver) -> (TrafficStats, Option<ObsReport>) {
     let out = sim.try_run_full(obs).expect("no worker panicked");
     (out.stats, out.obs)
 }
@@ -49,8 +46,8 @@ fn wedge_cfg() -> SimConfig {
 fn forced_deadlock_dumps_a_postmortem_naming_the_cycle() {
     let net = wedge_net();
     let cfg = wedge_cfg().with_obs(ObsLevel::Trace);
-    let mut paths = PathTable::new(&net, RoutingKind::Rb2);
-    let (stats, report) = observed(TrafficSim::new(&mut paths, cfg.clone()), &mut ());
+    let paths = PathTable::new(&net, RoutingKind::Rb2);
+    let (stats, report) = observed(TrafficSim::new(&paths, cfg.clone()), &mut ());
     assert!(stats.deadlocked, "the recipe must wedge: {stats:?}");
     let report = report.expect("obs enabled yields a report");
     assert_eq!(report.stop, StopKind::Deadlock);
@@ -95,9 +92,9 @@ fn wedged_drain_stops_as_drain_stall_with_stalled_packets() {
     // classified as a drain stall — with the same post-mortem quality.
     let net = wedge_net();
     let cfg = wedge_cfg().with_obs(ObsLevel::Trace);
-    let mut paths = PathTable::new(&net, RoutingKind::Rb2);
+    let paths = PathTable::new(&net, RoutingKind::Rb2);
     let mut obs = DrainStallObserver::new(2);
-    let (stats, report) = observed(TrafficSim::new(&mut paths, cfg.clone()), &mut obs);
+    let (stats, report) = observed(TrafficSim::new(&paths, cfg.clone()), &mut obs);
     let report = report.expect("obs enabled yields a report");
     assert!(
         report.stop == StopKind::DrainStall || report.stop == StopKind::Deadlock,
@@ -129,8 +126,8 @@ fn online_churn_wedges_keep_postmortem_parity_and_unperturbed_stats() {
         max_faults: 3,
     };
     let run = |level: ObsLevel| {
-        let mut paths = PathTable::new(&net, RoutingKind::Rb2);
-        let sim = TrafficSim::new(&mut paths, wedge_cfg().with_obs(level))
+        let paths = PathTable::new(&net, RoutingKind::Rb2);
+        let sim = TrafficSim::new(&paths, wedge_cfg().with_obs(level))
             .with_online_churn(OnlineChurn::chaos(chaos));
         observed(sim, &mut ())
     };
@@ -156,9 +153,9 @@ fn healthy_runs_report_clean_and_observation_does_not_perturb() {
     let cfg = SimConfig { rate: 0.02, ..SimConfig::smoke() };
     let bare = run_traffic(&net, RoutingKind::Rb2, &cfg);
     for level in [ObsLevel::Metrics, ObsLevel::Trace] {
-        let mut paths = PathTable::new(&net, RoutingKind::Rb2);
+        let paths = PathTable::new(&net, RoutingKind::Rb2);
         let (stats, report) =
-            observed(TrafficSim::new(&mut paths, cfg.clone().with_obs(level)), &mut ());
+            observed(TrafficSim::new(&paths, cfg.clone().with_obs(level)), &mut ());
         assert_eq!(stats, bare, "observation at {level:?} must not perturb the run");
         let report = report.expect("report present at {level:?}");
         assert_eq!(report.stop, StopKind::Clean);
@@ -167,8 +164,8 @@ fn healthy_runs_report_clean_and_observation_does_not_perturb() {
         assert!(report.link_flits.iter().sum::<u64>() > 0);
     }
     // Off really means off: no report is assembled.
-    let mut paths = PathTable::new(&net, RoutingKind::Rb2);
-    let (stats, report) = observed(TrafficSim::new(&mut paths, cfg.clone()), &mut ());
+    let paths = PathTable::new(&net, RoutingKind::Rb2);
+    let (stats, report) = observed(TrafficSim::new(&paths, cfg.clone()), &mut ());
     assert_eq!(stats, bare);
     assert!(report.is_none());
 }

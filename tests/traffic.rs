@@ -164,8 +164,8 @@ fn facade_prelude_covers_traffic() {
 /// Mid-run fault churn: epochs advance, deliveries are attributed per
 /// epoch, nothing deadlocks, and the result is bit-identical at every
 /// shard count. A publication re-plans adaptive packets and drains tree
-/// packets: each `PathTable` holds one epoch of routes, and an in-flight
-/// packet re-plans onto it at its next decision.
+/// packets: an in-flight packet re-plans onto the new epoch at its next
+/// decision.
 #[test]
 fn fault_churn_runs_deadlock_free_and_shards_deterministically() {
     let mesh = Mesh::square(10);
@@ -204,28 +204,27 @@ fn fault_churn_runs_deadlock_free_and_shards_deterministically() {
 }
 
 /// Regression: a `PathTable` reused across runs (the rate-sweep
-/// pattern) must reset to its initial snapshot before the next run —
-/// the previous run published its churn epochs into the shared table,
-/// and starting from that stale epoch double-applied the events or
-/// mixed two networks in one run.
+/// pattern) must start every run from its own snapshot: starting from
+/// a previous run's last epoch double-applied the events or mixed two
+/// networks in one run.
 #[test]
 fn path_table_reuse_across_churn_runs_resolves_from_epoch_zero() {
     use meshpath::traffic::{PathTable, TrafficSim};
-    let rerun = |paths: &mut PathTable, cfg: &SimConfig| {
+    let rerun = |paths: &PathTable, cfg: &SimConfig| {
         TrafficSim::new(paths, cfg.clone()).try_run_full(&mut ()).expect("run completes").stats
     };
     let net = NetView::build(FaultSet::none(Mesh::square(8)));
-    let mut paths = PathTable::new(&net, RoutingKind::Rb2);
+    let paths = PathTable::new(&net, RoutingKind::Rb2);
     let churn_cfg = SimConfig::smoke()
         .with_rate(0.02)
         .with_fault_churn(vec![ChurnEvent::fail(60, Coord::new(4, 4))]);
-    let a = rerun(&mut paths, &churn_cfg);
-    let b = rerun(&mut paths, &churn_cfg);
+    let a = rerun(&paths, &churn_cfg);
+    let b = rerun(&paths, &churn_cfg);
     assert_eq!(a, b, "reusing the table must not re-resolve churn from a stale epoch");
     // And an empty-churn run after a churn run must not inherit the
     // stale schedule (escape substrate, epoch-0 view).
     let plain_cfg = SimConfig::smoke().with_rate(0.02);
-    let plain_reused = rerun(&mut paths, &plain_cfg);
+    let plain_reused = rerun(&paths, &plain_cfg);
     let plain_fresh = run_traffic(&net, RoutingKind::Rb2, &plain_cfg);
     assert_eq!(plain_reused, plain_fresh, "stale schedules must be cleared");
 }
